@@ -51,6 +51,9 @@ type Backend struct {
 	// Tracer is the deployment's request tracer (DESIGN.md §11); nil when
 	// tracing is disabled or the backend has no trace support.
 	Tracer *trace.Tracer
+	// Gate reports the parallel engine's counters (DESIGN.md §13); nil
+	// under the serialized engine.
+	Gate func() sim.GateStats
 }
 
 // sysFaults adapts core.System to the workload fault-injection interface.
@@ -138,6 +141,10 @@ func HareFactory(opts HareOptions) Factory {
 			}
 			name += "+par"
 		}
+		var gate func() sim.GateStats
+		if g := sys.Network().Gate(); g != nil {
+			gate = g.Stats
+		}
 		b := &Backend{
 			Name:    name,
 			Procs:   sys.Procs(),
@@ -148,6 +155,7 @@ func HareFactory(opts HareOptions) Factory {
 			Econ:    sys.MessageEconomy,
 			Loads:   sys.ServerLoads,
 			Tracer:  sys.Tracer(),
+			Gate:    gate,
 		}
 		if cfg.MaxServers > cfg.Servers {
 			b.Name += "+elastic"

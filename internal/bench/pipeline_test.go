@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/workload"
@@ -12,38 +13,56 @@ import (
 func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 	// The acceptance criterion for the async RPC pipeline: on the
 	// small-file create/unlink workload at >= 4 servers, pipelining must
-	// cut client request messages by at least 20% and strictly lower the
-	// virtual runtime.
+	// cut client request messages by at least 20% and lower the virtual
+	// runtime.
 	//
-	// Virtual-time audit: these are relative assertions with wide margins.
-	// Virtual time is not bit-stable across schedules — queueing delay
-	// depends on which goroutine reaches a server's inbox first — but the
-	// windowed capacity model (sim.CoreTime) keeps it within a few percent
-	// run to run, far inside the 20% margin here, so the test is
-	// shuffle- and load-stable.
-	ws := []workload.Workload{workload.SmallFile{PerWorker: 25}}
-	data, tbl, err := PipelineFigure(testScale, 8, []int{4, 8}, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data.Points) != 2 {
-		t.Fatalf("sweep produced %d points", len(data.Points))
-	}
-	for _, p := range data.Points {
-		if p.MsgReduction() < 0.20 {
-			t.Errorf("%s@%d servers: message reduction %.0f%%, want >= 20%%",
-				p.Benchmark, p.Servers, p.MsgReduction()*100)
+	// Virtual-time audit: the message economy is exact — it follows from the
+	// op stream alone — and is asserted exactly. Virtual time is not:
+	// queueing delay depends on which goroutine reaches a server's inbox
+	// first, and on a 600-op run the runtime of either mode wanders by a
+	// factor of two to four (benchmark/README.md, "Noise"), which made an
+	// on < off comparison of single runs fail about one time in six. At
+	// 2400 ops a run stays within about 15% of its median and the two modes
+	// are about 20% apart, so the comparison is made there, on the median
+	// of five sweeps.
+	const perWorker, workers, sweeps = 100, 8, 5
+	ws := []workload.Workload{workload.SmallFile{PerWorker: perWorker}}
+	servers := []int{4, 8}
+	on := make([][]float64, len(servers))
+	off := make([][]float64, len(servers))
+	for i := 0; i < sweeps; i++ {
+		data, tbl, err := PipelineFigure(testScale, workers, servers, ws)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.OnSeconds >= p.OffSeconds {
-			t.Errorf("%s@%d servers: pipelining on (%.4fs) not faster than off (%.4fs)",
-				p.Benchmark, p.Servers, p.OnSeconds, p.OffSeconds)
+		if len(data.Points) != len(servers) || len(tbl.Rows) != len(servers) {
+			t.Fatalf("sweep produced %d points, %d rows", len(data.Points), len(tbl.Rows))
 		}
-		if p.BatchedOps == 0 {
-			t.Errorf("%s@%d servers: no sub-ops traveled in batches", p.Benchmark, p.Servers)
+		for j, p := range data.Points {
+			// Per file the unpipelined client sends create, write, close and
+			// unlink; pipelined, two of the four travel as sub-ops of one
+			// batch. Each worker adds two set-up requests in both modes.
+			const files = workers * perWorker
+			if p.OffMsgs != 4*files+2*workers || p.OnMsgs != 3*files+2*workers || p.BatchedOps != 2*files {
+				t.Errorf("%s@%d servers: request messages off/on %d/%d, batched sub-ops %d; want %d/%d, %d",
+					p.Benchmark, p.Servers, p.OffMsgs, p.OnMsgs, p.BatchedOps,
+					4*files+2*workers, 3*files+2*workers, 2*files)
+			}
+			if p.MsgReduction() < 0.20 {
+				t.Errorf("%s@%d servers: message reduction %.0f%%, want >= 20%%",
+					p.Benchmark, p.Servers, p.MsgReduction()*100)
+			}
+			on[j] = append(on[j], p.OnSeconds)
+			off[j] = append(off[j], p.OffSeconds)
 		}
 	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("table has %d rows", len(tbl.Rows))
+	for j, n := range servers {
+		sort.Float64s(on[j])
+		sort.Float64s(off[j])
+		if mOn, mOff := on[j][sweeps/2], off[j][sweeps/2]; mOn >= mOff {
+			t.Errorf("smallfile@%d servers: pipelining on (median %.4fs of %v) not faster than off (median %.4fs of %v)",
+				n, mOn, on[j], mOff, off[j])
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -27,6 +28,9 @@ type ScaleRung struct {
 	Servers int
 	// Files is the total number of files created across all workers.
 	Files int
+	// Parallel runs the rung under the parallel virtual-time engine (spec
+	// suffix ":par"); hare-bench -parallel sets it on every rung.
+	Parallel bool
 }
 
 // DefaultScaleRungs is the committed sweep: the paper-scale 8-server rung as
@@ -62,6 +66,13 @@ type ScalePoint struct {
 	// monotone across rungs of one process, so only the largest rung's value
 	// is a true per-rung peak.
 	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
+
+	// GOMAXPROCS and NProc say what the wall-clock figures were measured on.
+	GOMAXPROCS int `json:"gomaxprocs"`
+	NProc      int `json:"nproc"`
+	// Gate is the parallel engine's work during the timed region (absent on
+	// serialized rungs): raw counts, to be divided by Ops.
+	Gate *sim.GateStats `json:"gate,omitempty"`
 }
 
 // KOpsPerWallSec is the simulator's real-time throughput: simulated
@@ -75,48 +86,64 @@ func (p ScalePoint) KOpsPerWallSec() float64 {
 
 // ScaleData holds the full sweep.
 type ScaleData struct {
-	Parallel bool         `json:"parallel"`
-	Points   []ScalePoint `json:"points"`
+	Points []ScalePoint `json:"points"`
 }
 
 // ScaleSweepFigure runs the sweep. Each rung builds a fresh timesharing
 // deployment with one worker per server, splits the file total evenly among
 // the workers, and measures the run phase under wall-clock, allocation, and
 // RSS instrumentation.
-func ScaleSweepFigure(rungs []ScaleRung, parallel bool) (*ScaleData, *Table, error) {
-	if len(rungs) == 0 {
-		rungs = DefaultScaleRungs
-	}
-	data := &ScaleData{Parallel: parallel}
-	mode := "serialized"
-	if parallel {
-		mode = "parallel"
-	}
+//
+// The second table is the parallel engine's own ledger, one row per parallel
+// rung: gate events per simulated op (DESIGN.md §13).
+func ScaleSweepFigure(rungs []ScaleRung) (*ScaleData, []*Table, error) {
+	data := &ScaleData{}
 	t := &Table{
-		Title: fmt.Sprintf("Harness scaling sweep (%s engine): wall-clock cost of big fleets and namespaces", mode),
-		Columns: []string{"servers", "workers", "files", "ops", "wall (s)", "virt (s)",
-			"kops/wall-s", "allocs/op", "heap (MiB)", "peak rss (MiB)"},
-		Note: "measures the simulator, not Hare: wall = real time for the timed region; allocs/op = heap allocations per simulated op; peak rss is process-lifetime high water.",
+		Title: "Harness scaling sweep: wall-clock cost of big fleets and namespaces",
+		Columns: []string{"servers", "engine", "files", "ops", "wall (s)", "virt (s)",
+			"kops/wall-s", "wall us/op", "allocs/op", "heap (MiB)", "peak rss (MiB)"},
+		Note: fmt.Sprintf("measures the simulator, not Hare, at GOMAXPROCS=%d on %d CPUs: wall = real time for the timed region; allocs/op = heap allocations per simulated op; peak rss is process-lifetime high water.",
+			runtime.GOMAXPROCS(0), runtime.NumCPU()),
+	}
+	gt := &Table{
+		Title: "Parallel engine: sim.Gate events per simulated op",
+		Columns: []string{"servers", "files", "lanes", "bumps/op", "floor moves/op", "floor raises/op",
+			"parks/op", "wakes/op", "reparks/op"},
+		Note: "bumps = lane frontier changes; floor moves = safe-time recomputations (the floor holder changed it); parks = consumers that went to sleep on an unsafe head; wakes = consumers a floor raise signalled; reparks = wake-ups that slept again without popping.",
 	}
 	for _, r := range rungs {
-		p, err := scalePoint(r, parallel)
+		p, err := scalePoint(r)
 		if err != nil {
 			return nil, nil, err
 		}
 		data.Points = append(data.Points, p)
-		t.AddRow(fmt.Sprintf("%d", p.Servers), fmt.Sprintf("%d", p.Workers),
+		engine := "serialized"
+		if p.Par {
+			engine = "parallel"
+		}
+		ops := float64(p.Ops)
+		t.AddRow(fmt.Sprintf("%d", p.Servers), engine,
 			fmt.Sprintf("%d", p.Files), fmt.Sprintf("%d", p.Ops),
 			f2(p.WallSeconds), f2(p.VirtSeconds), f2(p.KOpsPerWallSec()),
-			f2(p.AllocsPerOp), f2(float64(p.HeapBytes)/(1<<20)),
+			f2(p.WallSeconds*1e6/ops), f2(p.AllocsPerOp), f2(float64(p.HeapBytes)/(1<<20)),
 			f2(float64(p.PeakRSSBytes)/(1<<20)))
+		if g := p.Gate; g != nil {
+			gt.AddRow(fmt.Sprintf("%d", p.Servers), fmt.Sprintf("%d", p.Files), fmt.Sprintf("%d", g.Lanes),
+				f2(float64(g.Bumps)/ops), f2(float64(g.Recomputes)/ops), f2(float64(g.FloorRaises)/ops),
+				f2(float64(g.Parks)/ops), f2(float64(g.Wakes)/ops), f2(float64(g.Reparks)/ops))
+		}
 	}
-	return data, t, nil
+	tables := []*Table{t}
+	if len(gt.Rows) > 0 {
+		tables = append(tables, gt)
+	}
+	return data, tables, nil
 }
 
 // scalePoint measures one rung.
-func scalePoint(r ScaleRung, parallel bool) (ScalePoint, error) {
+func scalePoint(r ScaleRung) (ScalePoint, error) {
 	opts := DefaultHare(r.Servers)
-	opts.Parallel = parallel
+	opts.Parallel = r.Parallel
 	w := workload.ScaleSweep{}
 
 	b, err := HareFactory(opts)(w.Placement())
@@ -136,6 +163,10 @@ func scalePoint(r ScaleRung, parallel bool) (ScalePoint, error) {
 	}
 
 	virtStart := b.Now()
+	var gateBefore sim.GateStats
+	if b.Gate != nil {
+		gateBefore = b.Gate()
+	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -155,12 +186,18 @@ func scalePoint(r ScaleRung, parallel bool) (ScalePoint, error) {
 		Workers:      workers,
 		Files:        w.FilesPerWorker * workers,
 		Ops:          ops,
-		Par:          parallel,
+		Par:          r.Parallel,
 		WallSeconds:  wall.Seconds(),
 		VirtSeconds:  b.Seconds(virt),
 		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / float64(ops),
 		HeapBytes:    after.HeapInuse,
 		PeakRSSBytes: peakRSSBytes(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		NProc:        runtime.NumCPU(),
+	}
+	if b.Gate != nil {
+		g := b.Gate().Sub(gateBefore)
+		p.Gate = &g
 	}
 	return p, nil
 }
@@ -193,8 +230,9 @@ func peakRSSBytes() uint64 {
 }
 
 // ParseScaleRungs parses a sweep spec like "8:125000,64:1000000" (or bare
-// server counts "8,64", which take the default rung's file total scaled to
-// the fleet) into rungs.
+// server counts "8,64", which take one thousand files per worker) into
+// rungs. A ":par" suffix ("64:32768:par") runs that rung under the parallel
+// engine.
 func ParseScaleRungs(spec string) ([]ScaleRung, error) {
 	if spec == "" {
 		return nil, nil
@@ -205,11 +243,14 @@ func ParseScaleRungs(spec string) ([]ScaleRung, error) {
 		if part == "" {
 			continue
 		}
+		r := ScaleRung{}
+		if rest, ok := strings.CutSuffix(part, ":par"); ok {
+			part, r.Parallel = rest, true
+		}
 		srv, files := part, ""
 		if i := strings.IndexByte(part, ':'); i >= 0 {
 			srv, files = part[:i], part[i+1:]
 		}
-		r := ScaleRung{}
 		n, err := strconv.Atoi(srv)
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("bench: bad server count %q in -scalesweep spec", srv)
@@ -232,17 +273,21 @@ func ParseScaleRungs(spec string) ([]ScaleRung, error) {
 
 // ScaleBaseline is the JSON snapshot committed as BENCH_scale.json.
 type ScaleBaseline struct {
-	Note     string       `json:"note"`
-	Parallel bool         `json:"parallel"`
-	Points   []ScalePoint `json:"points"`
+	Note   string       `json:"note"`
+	Points []ScalePoint `json:"points"`
 }
+
+// ScaleBaselineSpec is the -scalesweep spec BENCH_scale.json is generated
+// from: the default rungs, plus the 8-server rung and a 64-server / 32768-file
+// rung under both engines, so the parallel engine's cost per simulated op
+// sits next to its serialized twin's.
+const ScaleBaselineSpec = "8:125000,8:125000:par,64:32768,64:32768:par,64:1000000,256:512000,1024:262144"
 
 // WriteBaseline serializes the sweep to path as indented JSON.
 func (d *ScaleData) WriteBaseline(path string) error {
 	b := ScaleBaseline{
-		Note:     "hare-bench -scalesweep baseline; wall-clock figures are machine-dependent — compare shapes and allocs/op, not absolute seconds. Regenerate with: hare-bench -scalesweep '8:125000,64:1000000,256:512000,1024:262144' -baseline BENCH_scale.json",
-		Parallel: d.Parallel,
-		Points:   d.Points,
+		Note:   "hare-bench -scalesweep baseline; wall-clock figures are machine-dependent (each point records its GOMAXPROCS and nproc) — compare shapes, parallel against serialized twins, allocs/op and gate counts per op, not absolute seconds. Regenerate with: hare-bench -scalesweep '" + ScaleBaselineSpec + "' -baseline BENCH_scale.json",
+		Points: d.Points,
 	}
 	buf, err := json.MarshalIndent(&b, "", "  ")
 	if err != nil {

@@ -22,8 +22,9 @@ type Future struct {
 	// SentAt is the virtual time the request was stamped with.
 	SentAt sim.Cycles
 	// arrive is the request's arrival time at the destination: a lower bound
-	// on the reply's send time, published as the lane frontier while the
-	// caller blocks in Await.
+	// on the reply's send time. While the caller blocks in Await its lane
+	// frontier is the earliest the reply can arrive, one minimum message
+	// latency after that.
 	arrive sim.Cycles
 }
 
@@ -53,10 +54,12 @@ func (f *Future) Await() (Envelope, error) {
 	src := f.src
 	if src != nil {
 		if g := src.net.gate.Load(); g != nil {
-			// While blocked here the lane cannot send; the reply cannot be
-			// sent before the request arrives, so the request's arrival time
-			// is a sound frontier.
-			g.Bump(int(src.ID), f.arrive)
+			// While blocked here the lane cannot send. The reply cannot be
+			// sent before the request arrives (an error reply is sent at that
+			// very time, with no service charge) nor arrive sooner than the
+			// gate's lookahead after it is sent, and the caller resumes at
+			// the reply's arrival: that is a sound frontier.
+			g.Bump(int(src.ID), f.arrive+g.Lookahead())
 		}
 	}
 	env, ok := f.q.PopWait()

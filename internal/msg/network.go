@@ -148,11 +148,12 @@ func (n *Network) Endpoint(id EndpointID) (*Endpoint, bool) {
 
 // SetGate installs (or, with nil, removes) the parallel engine's gate.
 // Install it only while the system is quiescent — no requests in flight —
-// so every lane's first send after the switch joins cleanly.
+// so every lane's first send after the switch joins cleanly. The gate's
+// lookahead becomes the cost model's smallest message latency (in the
+// default model MsgLatencySame); payload and fault-plan jitter only add to it.
 func (n *Network) SetGate(g *sim.Gate) {
-	if g == nil {
-		n.gate.Store(nil)
-		return
+	if g != nil {
+		g.SetLookahead(n.machine.CostModel().MinMsgLatency())
 	}
 	n.gate.Store(g)
 }

@@ -57,16 +57,19 @@ type Queue struct {
 	mode    uint8
 	closed  bool
 
-	// gateSub is the gate this queue's cond is subscribed to (gated consumers
-	// only); subscribing is idempotent but the pointer check keeps the common
-	// path to a field load.
-	gateSub *sim.Gate
+	// gated is the gate a consumer asleep in PopWaitEarliestGated answers to
+	// (nil otherwise): Push then decides on the sleeper's behalf whether a
+	// new head is safe. waiter is that consumer's registration with the
+	// gate.
+	gated  *sim.Gate
+	waiter sim.Waiter
 }
 
 // NewQueue returns an empty queue.
 func NewQueue() *Queue {
 	q := &Queue{}
 	q.cond = sync.NewCond(&q.mu)
+	q.waiter.Cond = q.cond
 	return q
 }
 
@@ -173,7 +176,6 @@ func (q *Queue) recycle() {
 	}
 	q.closed = false
 	q.mode = modeFIFO
-	q.gateSub = nil
 	q.mu.Unlock()
 }
 
@@ -181,11 +183,21 @@ func (q *Queue) recycle() {
 // returns the envelope is visible to Pop/PopWait (atomic delivery).
 func (q *Queue) Push(e Envelope) {
 	q.mu.Lock()
-	q.items = append(q.items, qitem{env: e, seq: q.nextSeq})
+	seq := q.nextSeq
+	q.items = append(q.items, qitem{env: e, seq: seq})
 	q.nextSeq++
 	q.siftUp(len(q.items) - 1)
+	wake := true
+	if q.gated != nil {
+		// A gated consumer is asleep. Only a new head concerns it, and only
+		// once the gate allows it; until then its registration moves to the
+		// new head's arrival and it sleeps on.
+		wake = q.items[0].seq == seq && q.headSafe(q.gated, false)
+	}
 	q.mu.Unlock()
-	q.cond.Signal()
+	if wake {
+		q.cond.Signal()
+	}
 }
 
 // TryPop removes and returns the oldest envelope, if any.
@@ -236,45 +248,48 @@ func (q *Queue) PopWaitEarliest() (Envelope, bool) {
 
 // PopWaitEarliestGated is PopWaitEarliest under the parallel engine: it
 // returns the earliest queued arrival only once the gate confirms no
-// earlier arrival can still appear (every lane's frontier has passed it).
-// Ties are broken by (Src, Seq) — deterministic across runs — instead of
-// push order. A nil gate falls back to PopWaitEarliest.
+// earlier arrival can still appear. Ties are broken by (Src, Seq) —
+// deterministic across runs — instead of push order. A nil gate falls back
+// to PopWaitEarliest.
+//
+// The consumer sleeps until its head arrival is safe and is signalled exactly
+// then: by the gate when the floor passes the time it parked at, by a Push
+// whose envelope is a new, already safe head, or by Close.
 func (q *Queue) PopWaitEarliestGated(g *sim.Gate) (Envelope, bool) {
 	if g == nil {
 		return q.PopWaitEarliest()
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.gateSub != g {
-		g.Subscribe(q.cond)
-		q.gateSub = g
-	}
-	for {
-		for len(q.items) == 0 && !q.closed {
-			q.cond.Wait()
-		}
-		if len(q.items) == 0 {
-			return Envelope{}, false
-		}
-		q.setMode(modeArrivalDet)
-		// A closed queue bypasses the gate: the consumer has crashed and its
-		// loop must regain control to exit (it parks the popped envelope back
-		// for after recovery), exactly as the ungated path unblocks on Close.
-		if q.closed || g.SafeAt(q.items[0].env.ArriveAt) {
-			return q.popRoot(), true
-		}
-		// Not yet safe. Count ourselves as a gate waiter *before* the final
-		// re-check (see Gate.BeginWait for why this ordering closes the
-		// wakeup race), then sleep until a push, a close, or a frontier
-		// advance signals the cond.
-		g.BeginWait()
-		if g.SafeAt(q.items[0].env.ArriveAt) {
-			g.EndWait()
-			return q.popRoot(), true
-		}
+	// Before the first sleep, so that a Push sees the true head.
+	q.setMode(modeArrivalDet)
+	// A closed queue bypasses the gate: the consumer has crashed and its loop
+	// must regain control to exit (it parks the popped envelope back for
+	// after recovery), exactly as the ungated path unblocks on Close.
+	woke := false
+	for !q.closed && (len(q.items) == 0 || !q.headSafe(g, woke)) {
+		q.gated = g
 		q.cond.Wait()
-		g.EndWait()
+		q.gated = nil
+		woke = true
 	}
+	if woke {
+		// Whoever woke us, we or a Push may have left the waiter parked.
+		g.Unpark(&q.waiter)
+	}
+	if len(q.items) == 0 {
+		return Envelope{}, false
+	}
+	return q.popRoot(), true
+}
+
+// headSafe reports whether the gate allows the head to be served; if not, the
+// consumer's waiter is left parked at the head's arrival time. The caller
+// holds q.mu, and the consumer keeps holding it until it sleeps (see
+// sim.Gate.Park for why that ordering cannot lose a wake-up).
+func (q *Queue) headSafe(g *sim.Gate, repark bool) bool {
+	at := q.items[0].env.ArriveAt
+	return g.SafeAt(at) || g.Park(&q.waiter, at, repark)
 }
 
 // Len returns the number of queued envelopes.

@@ -148,6 +148,13 @@ func (c CostModel) MsgLatency(d Distance, payloadBytes int) Cycles {
 	return base + lines*c.MsgPerByte
 }
 
+// MinMsgLatency returns the smallest latency MsgLatency can report: the
+// nearest distance with an empty payload. It is the parallel engine's
+// lookahead (DESIGN.md §13).
+func (c CostModel) MinMsgLatency() Cycles {
+	return min(c.MsgLatencySame, c.MsgLatencyNear, c.MsgLatencyFar)
+}
+
 // LineCost returns cost*ceil(bytes/64): the number of cycles to move the
 // given number of bytes at a per-64-byte-line cost.
 func LineCost(perLine Cycles, bytes int) Cycles {

@@ -9,142 +9,173 @@ import (
 // Gate is the synchronization core of the parallel virtual-time engine
 // (DESIGN.md §13). Every request-originating endpoint ("lane") publishes a
 // conservative *frontier*: a lower bound on the virtual send time of any
-// message it will send in the future. A server may serve the earliest queued
-// request with arrival time a once the minimum frontier over all lanes is at
-// least a — because message delivery is atomic (a sent message is already
-// queued), every not-yet-sent message has SentAt >= its sender's frontier >=
-// a, hence ArriveAt > a, so no earlier arrival can still appear.
+// message it will send in the future. The minimum frontier over all active
+// lanes is the *floor*. No message arrives sooner than the lookahead (the
+// cost model's smallest message latency) after it is sent, and message
+// delivery is atomic (a sent message is already queued), so every
+// not-yet-sent message arrives at floor + lookahead or later: a server may
+// serve the earliest queued request with arrival time a once
+// floor + lookahead > a. The test is strict because equal arrivals are
+// ordered by (Src, Seq), and a later send could win that tie.
 //
 // Frontier values per lane:
 //   - absent (never joined): the lane does not constrain the system yet. A
 //     lane joins at its first send; its first send time is always >= the
-//     current minimum frontier (it was caused by an already-tracked lane),
-//     so joining never lowers the effective minimum retroactively.
+//     current floor (it was caused by an already-tracked lane), so joining
+//     never lowers the effective minimum retroactively.
 //   - finite t: the lane promises not to send before t. Updated monotonically
-//     by sends (to SentAt) and by blocking RPCs (to the outstanding request's
-//     arrival time — the reply cannot be sent before the request arrives, so
-//     the lane cannot wake, let alone send, before then).
-//   - infinity (idle): the lane is quiescent — exited, parked on a reply
-//     whose timing another lane controls (exec proxies, parked pipe ops), or
-//     waiting on child processes. Idle lanes do not constrain the system;
-//     their next send re-joins at its send time.
+//     by sends (to SentAt) and by blocking RPCs (to the earliest time the
+//     reply can arrive — the lane cannot wake, let alone send, before then).
+//   - idle: the lane is quiescent — exited, parked on a reply whose timing
+//     another lane controls (exec proxies, parked pipe ops), or waiting on
+//     child processes. Idle lanes do not constrain the system; their next
+//     send re-joins at its send time.
 //
-// Serialized mode simply never installs a Gate; every call sites gates on a
+// The gate owns the floor: whoever changes a lane (Bump, Idle, Resume)
+// maintains an indexed min-heap over the active lanes under one mutex and
+// republishes the horizon — the largest safe arrival time — when the heap's
+// root moves, so SafeAt is a single comparison. Consumers that find their
+// head arrival unsafe Park a Waiter carrying that arrival time; a floor
+// raise signals exactly the waiters it satisfies and nobody else.
+//
+// Serialized mode simply never installs a Gate; every call site gates on a
 // nil *Gate and compiles to the legacy path, which stays bit-identical.
 type Gate struct {
-	mu    sync.Mutex
-	lanes atomic.Pointer[[]*laneFrontier]
+	mu sync.Mutex
 
-	// cachedSafe is a monotone cache of the last computed minimum frontier.
-	// SafeAt answers from it without scanning when possible; it is lowered
-	// only when a lane joins or resumes below it.
-	cachedSafe atomic.Uint64
+	// lanes is a min-heap of the active lanes' ids by frontier; pos maps a
+	// lane id to its heap slot plus one, or to laneAbsent / laneIdle. Only
+	// joined lanes occupy a heap entry; an endpoint that never sends costs
+	// at most its pos slot.
+	lanes timeHeap[int32]
+	pos   []int32
 
-	// subs are the condition variables of gated consumers (one per gated
-	// queue, registered once via Subscribe). waiters counts consumers
-	// currently blocked in WaitProgress; wake broadcasts to every subscriber
-	// only when it is nonzero, so the common no-waiter case costs a single
-	// atomic load on the bump path.
-	subs    atomic.Pointer[[]*sync.Cond]
-	waiters atomic.Int32
-}
+	// waiters is a min-heap of parked consumers by the arrival time they
+	// wait for. Every registered waiter's time is beyond the horizon.
+	waiters timeHeap[*Waiter]
 
-// laneFrontier is one lane's published frontier, padded to a cache line so
-// concurrent senders do not false-share.
-type laneFrontier struct {
-	v atomic.Uint64
-	_ [56]byte
+	lookahead Cycles
+	// hor is the published horizon; horizon mirrors it for lock-free SafeAt.
+	hor     uint64
+	horizon atomic.Uint64
+
+	stats GateStats
 }
 
 const (
-	laneAbsent = 0              // never joined
-	laneIdle   = math.MaxUint64 // quiescent, does not constrain
+	laneAbsent = 0  // never joined
+	laneIdle   = -1 // quiescent, does not constrain
 )
 
-// enc biases a cycle count so that 0 remains the "absent" sentinel.
-func enc(t Cycles) uint64 {
-	v := uint64(t) + 1
-	if v == 0 { // t == MaxUint64: clamp into idle
-		return laneIdle
-	}
-	return v
+// Waiter is a gated consumer's pre-allocated registration with the gate: the
+// consumer embeds one, points Cond at the condition variable it sleeps on,
+// and Parks it while its head arrival is unsafe.
+type Waiter struct {
+	// Cond is signalled, with Cond.L held, once the parked time is safe.
+	Cond *sync.Cond
+
+	idx int32 // gate-owned: heap slot plus one; 0 = not registered
 }
 
-// NewGate returns an empty gate; lanes join lazily at their first Bump.
+// GateStats counts the gate's work since it was created. All counters are
+// maintained under the gate's own mutex, which the counted paths hold anyway.
+type GateStats struct {
+	Lanes       int    `json:"lanes"`        // lanes that ever joined or idled
+	Bumps       uint64 `json:"bumps"`        // Bump/Idle/Resume calls that moved a lane's frontier
+	Recomputes  uint64 `json:"recomputes"`   // times the floor (hence the safe time) changed
+	FloorRaises uint64 `json:"floor_raises"` // of those, the raises — the only events that can wake
+	Parks       uint64 `json:"parks"`        // waiter registrations
+	Wakes       uint64 `json:"wakes"`        // waiters signalled by a floor raise
+	Reparks     uint64 `json:"reparks"`      // consumer wake-ups that parked again without popping
+}
+
+// Sub returns the work done since an earlier snapshot o (Lanes stays a total).
+func (s GateStats) Sub(o GateStats) GateStats {
+	s.Bumps -= o.Bumps
+	s.Recomputes -= o.Recomputes
+	s.FloorRaises -= o.FloorRaises
+	s.Parks -= o.Parks
+	s.Wakes -= o.Wakes
+	s.Reparks -= o.Reparks
+	return s
+}
+
+// NewGate returns an empty gate with no lookahead; lanes join lazily at
+// their first Bump. msg.Network.SetGate supplies the cost model's lookahead.
 func NewGate() *Gate {
-	g := &Gate{}
-	empty := make([]*laneFrontier, 0)
-	g.lanes.Store(&empty)
-	noSubs := make([]*sync.Cond, 0)
-	g.subs.Store(&noSubs)
+	g := &Gate{hor: math.MaxUint64}
+	g.horizon.Store(g.hor)
+	g.lanes.moved = func(id int32, slot int) { g.pos[id] = int32(slot + 1) }
+	g.waiters.moved = func(w *Waiter, slot int) { w.idx = int32(slot + 1) }
 	return g
 }
 
-func (g *Gate) lane(id int) *laneFrontier {
-	ls := *g.lanes.Load()
-	if id < len(ls) {
-		return ls[id]
-	}
+// SetLookahead declares that no message arrives sooner than l after it is
+// sent. Call it before the gate is shared.
+func (g *Gate) SetLookahead(l Cycles) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	ls = *g.lanes.Load()
-	if id < len(ls) {
-		return ls[id]
-	}
-	n := len(ls)*2 + 8
-	if n <= id {
-		n = id + 8
-	}
-	grown := make([]*laneFrontier, n)
-	copy(grown, ls)
-	for i := len(ls); i < n; i++ {
-		grown[i] = &laneFrontier{}
-	}
-	g.lanes.Store(&grown)
-	return grown[id]
+	g.lookahead = l
+	g.settle()
 }
 
-// casFloor lowers cachedSafe to at most v.
-func (g *Gate) casFloor(v uint64) {
-	for {
-		cur := g.cachedSafe.Load()
-		if cur <= v || g.cachedSafe.CompareAndSwap(cur, v) {
-			return
+// Lookahead returns the minimum message latency the gate assumes.
+func (g *Gate) Lookahead() Cycles { return g.lookahead }
+
+// state returns pos[id], growing the table to cover id.
+func (g *Gate) state(id int) int32 {
+	if id >= len(g.pos) {
+		n := 2*len(g.pos) + 8
+		if n <= id {
+			n = id + 8
 		}
+		g.pos = append(g.pos, make([]int32, n-len(g.pos))...)
 	}
+	return g.pos[id]
+}
+
+// activate inserts lane id into the heap at frontier t.
+func (g *Gate) activate(id int, t Cycles) {
+	if g.pos[id] == laneAbsent {
+		g.stats.Lanes++
+	}
+	g.lanes.push(t, int32(id))
 }
 
 // Bump raises lane id's frontier to at least t: the lane promises not to
 // send any message with SentAt < t. A first Bump joins the lane; a Bump on
 // an idle lane resumes it at t.
 func (g *Gate) Bump(id int, t Cycles) {
-	l := g.lane(id)
-	nv := enc(t)
-	for {
-		cur := l.v.Load()
-		if cur != laneAbsent && cur != laneIdle && cur >= nv {
+	g.mu.Lock()
+	if p := g.state(id); p > 0 {
+		if g.lanes.ents[p-1].t >= t {
+			g.mu.Unlock()
 			return
 		}
-		if l.v.CompareAndSwap(cur, nv) {
-			if cur == laneAbsent || cur == laneIdle {
-				// Joining or resuming may lower the minimum below the cache.
-				g.casFloor(nv)
-			} else {
-				// Raising a finite frontier can raise the minimum and unblock
-				// a gated consumer.
-				g.wake()
-			}
-			return
-		}
+		g.lanes.rekey(int(p-1), t)
+	} else {
+		g.activate(id, t)
 	}
+	g.stats.Bumps++
+	g.settle()
 }
 
-// Idle marks lane id quiescent: it no longer constrains the minimum
-// frontier. The lane re-joins automatically at its next Bump.
+// Idle marks lane id quiescent: it no longer constrains the floor. The lane
+// re-joins automatically at its next Bump.
 func (g *Gate) Idle(id int) {
-	g.lane(id).v.Store(laneIdle)
-	// Dropping a constraint can raise the minimum and unblock a consumer.
-	g.wake()
+	g.mu.Lock()
+	p := g.state(id)
+	if p == laneIdle {
+		g.mu.Unlock()
+		return
+	}
+	if p == laneAbsent {
+		g.stats.Lanes++
+	} else {
+		g.lanes.remove(int(p - 1))
+	}
+	g.pos[id] = laneIdle
+	g.stats.Bumps++
+	g.settle()
 }
 
 // Resume lowers an idle lane's frontier to t. It is called by a sender
@@ -154,98 +185,119 @@ func (g *Gate) Idle(id int) {
 // handoff never lets the safe time pass t unprotected. Active and absent
 // lanes are unaffected — an active lane manages its own frontier.
 func (g *Gate) Resume(id int, t Cycles) {
-	l := g.lane(id)
-	nv := enc(t)
-	for {
-		cur := l.v.Load()
-		if cur != laneIdle {
-			return
-		}
-		if l.v.CompareAndSwap(cur, nv) {
-			g.casFloor(nv)
-			return
-		}
-	}
-}
-
-// SafeAt reports whether every lane's frontier is at least t, i.e. whether a
-// request arriving at t can be served knowing no earlier arrival will appear.
-func (g *Gate) SafeAt(t Cycles) bool {
-	want := enc(t)
-	if g.cachedSafe.Load() >= want {
-		return true
-	}
-	min := uint64(laneIdle)
-	for _, l := range *g.lanes.Load() {
-		v := l.v.Load()
-		if v == laneAbsent || v == laneIdle {
-			continue
-		}
-		if v < min {
-			min = v
-		}
-	}
-	if min == laneIdle {
-		// No lane constrains the system right now. Do not advance the cache:
-		// a lane joining later must still observe a fresh minimum.
-		return true
-	}
-	// Monotone raise; a concurrent join may have lowered the cache below
-	// min, in which case the join's floor wins.
-	for {
-		cur := g.cachedSafe.Load()
-		if cur >= min || g.cachedSafe.CompareAndSwap(cur, min) {
-			break
-		}
-	}
-	return min >= want
-}
-
-// Subscribe registers a gated consumer's condition variable: wake broadcasts
-// to it whenever the safe time may have advanced. A consumer subscribes once
-// (re-subscribing the same cond is a no-op) and then blocks in WaitProgress
-// with c.L held. Registration is append-only; a gate lives exactly as long as
-// one parallel run, so subscriptions are never removed.
-func (g *Gate) Subscribe(c *sync.Cond) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	cur := *g.subs.Load()
-	for _, s := range cur {
-		if s == c {
-			return
-		}
-	}
-	grown := make([]*sync.Cond, len(cur)+1)
-	copy(grown, cur)
-	grown[len(cur)] = c
-	g.subs.Store(&grown)
-}
-
-// BeginWait counts the caller as a blocked gated consumer. The protocol (see
-// msg.Queue.PopWaitEarliestGated) is: BeginWait, re-check SafeAt, then — only
-// if still unsafe — wait on the subscribed cond, then EndWait. Counting
-// *before* the final re-check closes the race with a concurrent frontier
-// advance: if the advancer loads the waiter count before this increment, its
-// frontier store is already visible to the re-check (sync/atomic operations
-// are sequentially consistent); if it loads the count after, it sees a waiter
-// and broadcasts, and the broadcast cannot be lost because wake acquires the
-// cond's lock, which the caller holds from the re-check until Wait parks it.
-func (g *Gate) BeginWait() { g.waiters.Add(1) }
-
-// EndWait undoes BeginWait once the consumer stops waiting (whether it
-// popped, re-checked successfully, or woke from the cond).
-func (g *Gate) EndWait() { g.waiters.Add(-1) }
-
-// wake broadcasts to every subscribed consumer if any is blocked. Acquiring
-// each subscriber's lock orders the broadcast after the waiter's park (the
-// waiter holds the lock from its safety check until Wait releases it).
-func (g *Gate) wake() {
-	if g.waiters.Load() == 0 {
+	if g.state(id) != laneIdle {
+		g.mu.Unlock()
 		return
 	}
-	for _, c := range *g.subs.Load() {
-		c.L.Lock()
-		c.Broadcast()
-		c.L.Unlock()
+	g.activate(id, t)
+	g.stats.Bumps++
+	g.settle()
+}
+
+// SafeAt reports whether a request arriving at t can be served knowing no
+// earlier arrival will appear: floor + lookahead > t, or no lane is active.
+// With no lookahead the test is floor >= t.
+func (g *Gate) SafeAt(t Cycles) bool {
+	return uint64(t) <= g.horizon.Load()
+}
+
+// Park registers w to be signalled once t is safe, or moves its registration
+// to t if it is already parked. It returns true, leaving w unregistered,
+// when t is safe already — the caller must not sleep then. The caller holds
+// w.Cond.L from before the call until its Cond.Wait, which is what closes
+// the lost-wake-up window: the safety check and the registration are one
+// critical section of the gate, and the gate signals a waiter only with
+// w.Cond.L held, i.e. after the caller is inside Wait. repark says the
+// caller was woken and is going back to sleep without having popped.
+func (g *Gate) Park(w *Waiter, t Cycles, repark bool) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if uint64(t) <= g.hor {
+		g.dropWaiter(w)
+		return true
 	}
+	if repark {
+		g.stats.Reparks++
+	}
+	if w.idx == 0 {
+		g.stats.Parks++
+		g.waiters.push(t, w)
+	} else {
+		g.waiters.rekey(int(w.idx-1), t)
+	}
+	return false
+}
+
+// Unpark withdraws w's registration, if it still has one. A consumer calls
+// it when it stops waiting for any reason other than the gate's signal.
+func (g *Gate) Unpark(w *Waiter) {
+	g.mu.Lock()
+	g.dropWaiter(w)
+	g.mu.Unlock()
+}
+
+func (g *Gate) dropWaiter(w *Waiter) {
+	if w.idx != 0 {
+		g.waiters.remove(int(w.idx - 1))
+		w.idx = 0
+	}
+}
+
+// settle is called with g.mu held after any change to the lanes. It
+// republishes the horizon if the floor moved, releases g.mu, and signals the
+// waiters a raise satisfied — after the unlock, because a waiter's lock
+// orders before the gate's (Park is called with it held).
+func (g *Gate) settle() {
+	hor := uint64(math.MaxUint64)
+	if g.lanes.len() > 0 {
+		// A lookahead below one cycle keeps the floor >= t rule.
+		floor, slack := uint64(g.lanes.ents[0].t), uint64(g.lookahead)
+		if slack > 0 {
+			slack--
+		}
+		if hor-floor > slack {
+			hor = floor + slack
+		}
+	}
+	if hor == g.hor {
+		g.mu.Unlock()
+		return
+	}
+	raised := hor > g.hor
+	g.hor = hor
+	g.horizon.Store(hor)
+	g.stats.Recomputes++
+	if !raised {
+		g.mu.Unlock()
+		return
+	}
+	g.stats.FloorRaises++
+	var batch [8]*Waiter
+	for {
+		n := 0
+		for n < len(batch) && g.waiters.len() > 0 && uint64(g.waiters.ents[0].t) <= g.hor {
+			batch[n] = g.waiters.ents[0].v
+			g.dropWaiter(batch[n])
+			n++
+		}
+		g.stats.Wakes += uint64(n)
+		g.mu.Unlock()
+		for _, w := range batch[:n] {
+			w.Cond.L.Lock()
+			w.Cond.Signal()
+			w.Cond.L.Unlock()
+		}
+		if n < len(batch) {
+			return
+		}
+		g.mu.Lock()
+	}
+}
+
+// Stats returns a snapshot of the gate's counters.
+func (g *Gate) Stats() GateStats {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.stats
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -106,7 +108,7 @@ func TestGateResumeLowersCache(t *testing.T) {
 	}
 }
 
-// TestGateJoinLowersCache: a first Bump below the cached safe time must be
+// TestGateJoinLowersCache: a first Bump below the published safe time must be
 // observed (join-time floor).
 func TestGateJoinLowersCache(t *testing.T) {
 	g := NewGate()
@@ -179,28 +181,26 @@ func TestGateSafeAtAllocs(t *testing.T) {
 	}
 }
 
-// TestGateWaiterWakesOnBump: a consumer blocked on the waiter list is woken
-// when the pinning lane's frontier advances past its arrival. This is the
-// condition-variable replacement for the old spin/sleep Pause poll.
+// parkUntilSafe is the consumer side of the waiter protocol, as
+// msg.Queue.PopWaitEarliestGated runs it: check, park, sleep, all with the
+// waiter's lock held up to the sleep.
+func parkUntilSafe(g *Gate, w *Waiter, at Cycles) {
+	w.Cond.L.Lock()
+	for woke := false; !g.SafeAt(at) && !g.Park(w, at, woke); woke = true {
+		w.Cond.Wait()
+	}
+	w.Cond.L.Unlock()
+}
+
+// TestGateWaiterWakesOnBump: a parked consumer is signalled when the pinning
+// lane's frontier advances past the arrival it waits for.
 func TestGateWaiterWakesOnBump(t *testing.T) {
 	g := NewGate()
 	g.Bump(0, 10) // pins the safe time at 10
-	var mu sync.Mutex
-	c := sync.NewCond(&mu)
-	g.Subscribe(c)
+	w := &Waiter{Cond: sync.NewCond(new(sync.Mutex))}
 	woke := make(chan struct{})
 	go func() {
-		mu.Lock()
-		for {
-			g.BeginWait()
-			if g.SafeAt(100) {
-				g.EndWait()
-				break
-			}
-			c.Wait()
-			g.EndWait()
-		}
-		mu.Unlock()
+		parkUntilSafe(g, w, 100)
 		close(woke)
 	}()
 	time.Sleep(5 * time.Millisecond) // let the waiter park (works unparked too)
@@ -217,22 +217,10 @@ func TestGateWaiterWakesOnBump(t *testing.T) {
 func TestGateWaiterWakesOnIdle(t *testing.T) {
 	g := NewGate()
 	g.Bump(0, 10)
-	var mu sync.Mutex
-	c := sync.NewCond(&mu)
-	g.Subscribe(c)
+	w := &Waiter{Cond: sync.NewCond(new(sync.Mutex))}
 	woke := make(chan struct{})
 	go func() {
-		mu.Lock()
-		for {
-			g.BeginWait()
-			if g.SafeAt(100) {
-				g.EndWait()
-				break
-			}
-			c.Wait()
-			g.EndWait()
-		}
-		mu.Unlock()
+		parkUntilSafe(g, w, 100)
 		close(woke)
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -244,52 +232,254 @@ func TestGateWaiterWakesOnIdle(t *testing.T) {
 	}
 }
 
-// TestGateSubscribeIdempotent: re-subscribing the same cond must not grow the
-// broadcast list (a consumer subscribes once per gate, defensively retried).
-func TestGateSubscribeIdempotent(t *testing.T) {
+// TestGateLookahead: with a lookahead the safe time runs that far ahead of
+// the floor, strictly — an arrival exactly one lookahead past the floor can
+// still be tied by a later send.
+func TestGateLookahead(t *testing.T) {
 	g := NewGate()
-	var mu sync.Mutex
-	c := sync.NewCond(&mu)
-	g.Subscribe(c)
-	g.Subscribe(c)
-	if n := len(*g.subs.Load()); n != 1 {
-		t.Fatalf("subscriber list has %d entries, want 1", n)
+	g.SetLookahead(400)
+	g.Bump(0, 100)
+	g.Bump(1, 900)
+	if !g.SafeAt(499) || g.SafeAt(500) {
+		t.Fatal("safe time must be floor 100 + lookahead 400, exclusive")
+	}
+	g.Idle(0)
+	if !g.SafeAt(1299) || g.SafeAt(1300) {
+		t.Fatal("safe time must follow the floor to lane 1")
+	}
+	g.Idle(1)
+	if !g.SafeAt(1 << 62) {
+		t.Fatal("no active lane: everything is safe")
 	}
 }
 
-// TestGateWakePathAllocs: the wake path — frontier raises and lane parks
-// broadcast to a live waiter — must not allocate. Together with
+// TestGateMatchesOracle drives seeded random Bump/Idle/Resume/join/Park/
+// Unpark sequences against a brute-force model — the floor as a minimum over
+// a plain slice, the parked waiters as a map — and checks after every step
+// that the gate's safe time is the model's, that exactly the waiters a step
+// satisfied were signalled (counted and unregistered), and that a step which
+// does not raise the floor signals nobody.
+func TestGateMatchesOracle(t *testing.T) {
+	const (
+		lanes   = 24
+		waiters = 12
+		steps   = 20000
+		absent  = -2
+		idle    = -1
+	)
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		lookahead := Cycles(rng.Intn(3) * 200) // 0, 200, 400
+		g := NewGate()
+		g.SetLookahead(lookahead)
+		front := make([]int64, lanes) // frontier, or absent / idle
+		for i := range front {
+			front[i] = absent
+		}
+		ws := make([]*Waiter, waiters)
+		for i := range ws {
+			ws[i] = &Waiter{Cond: sync.NewCond(new(sync.Mutex))}
+		}
+		parkedAt := map[int]Cycles{}
+		safe := func(at Cycles) bool {
+			floor := int64(-1)
+			for _, f := range front {
+				if f >= 0 && (floor < 0 || f < floor) {
+					floor = f
+				}
+			}
+			if floor < 0 {
+				return true
+			}
+			if lookahead == 0 {
+				return at <= Cycles(floor)
+			}
+			return at < Cycles(floor)+lookahead
+		}
+		now := int64(100)
+		for step := 0; step < steps; step++ {
+			before := g.Stats()
+			id := rng.Intn(lanes)
+			now += int64(rng.Intn(50))
+			at := Cycles(now + int64(rng.Intn(2000)))
+			mayWake := true
+			switch op := rng.Intn(10); {
+			case op < 5: // bump: join, resume or monotone raise
+				g.Bump(id, Cycles(now))
+				if front[id] < now {
+					front[id] = now
+				}
+			case op < 6:
+				g.Idle(id)
+				front[id] = idle
+			case op < 7:
+				g.Resume(id, Cycles(now))
+				if front[id] == idle {
+					front[id] = now
+				}
+			case op < 9: // park (or re-key) a waiter
+				mayWake = false
+				w := rng.Intn(waiters)
+				ws[w].Cond.L.Lock()
+				got := g.Park(ws[w], at, false)
+				ws[w].Cond.L.Unlock()
+				if got != safe(at) {
+					t.Fatalf("seed %d step %d: Park(%d) = %v, model says %v", seed, step, at, got, safe(at))
+				}
+				delete(parkedAt, w)
+				if !got {
+					parkedAt[w] = at
+				}
+			default:
+				mayWake = false
+				w := rng.Intn(waiters)
+				g.Unpark(ws[w])
+				delete(parkedAt, w)
+			}
+			satisfied := 0
+			for w, pa := range parkedAt {
+				if safe(pa) {
+					satisfied++
+					delete(parkedAt, w)
+				}
+			}
+			after := g.Stats()
+			if got := int(after.Wakes - before.Wakes); got != satisfied {
+				t.Fatalf("seed %d step %d: %d waiters signalled, model satisfied %d", seed, step, got, satisfied)
+			}
+			if satisfied > 0 && (!mayWake || after.FloorRaises == before.FloorRaises) {
+				t.Fatalf("seed %d step %d: waiters signalled without a floor raise", seed, step)
+			}
+			for w := range ws {
+				_, want := parkedAt[w]
+				if (ws[w].idx != 0) != want {
+					t.Fatalf("seed %d step %d: waiter %d registered=%v, model says %v", seed, step, w, ws[w].idx != 0, want)
+				}
+			}
+			for _, probe := range []Cycles{at, Cycles(now), Cycles(now) + lookahead, Cycles(now) + 2*lookahead + 1} {
+				if g.SafeAt(probe) != safe(probe) {
+					t.Fatalf("seed %d step %d: SafeAt(%d) = %v, model says %v", seed, step, probe, g.SafeAt(probe), safe(probe))
+				}
+			}
+		}
+		if st := g.Stats(); st.Wakes == 0 || st.FloorRaises == 0 || st.Parks == 0 {
+			t.Fatalf("seed %d: the sequence exercised nothing: %+v", seed, st)
+		}
+	}
+}
+
+// TestGateNonFloorRaiseIsSilent: raising a lane that does not hold the floor
+// changes nothing anyone can observe — no recomputation, no signal.
+func TestGateNonFloorRaiseIsSilent(t *testing.T) {
+	g := NewGate()
+	g.Bump(0, 10)
+	g.Bump(1, 20)
+	w := &Waiter{Cond: sync.NewCond(new(sync.Mutex))}
+	w.Cond.L.Lock()
+	if g.Park(w, 15, false) {
+		t.Fatal("15 is beyond the floor")
+	}
+	w.Cond.L.Unlock()
+	before := g.Stats()
+	g.Bump(1, 5000)
+	after := g.Stats()
+	if after.Recomputes != before.Recomputes || after.Wakes != before.Wakes || w.idx == 0 {
+		t.Fatalf("a non-floor raise recomputed or signalled: before %+v after %+v", before, after)
+	}
+	g.Bump(0, 15)
+	if st := g.Stats(); st.Wakes != after.Wakes+1 || w.idx != 0 {
+		t.Fatalf("the floor raise past 15 must signal the waiter once: %+v", st)
+	}
+}
+
+// TestGateNoLostWakeups: many lanes advance and park while many consumers
+// wait for increasing arrival times; every consumer must get through every
+// one of its waits. A lost wake-up hangs the test (run under -race at
+// GOMAXPROCS=1,2,8 in CI).
+func TestGateNoLostWakeups(t *testing.T) {
+	const (
+		lanes     = 16
+		consumers = 16
+		horizon   = 4000
+	)
+	g := NewGate()
+	g.SetLookahead(3)
+	for id := 0; id < lanes; id++ {
+		g.Bump(id, 0)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < consumers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			w := &Waiter{Cond: sync.NewCond(new(sync.Mutex))}
+			for at := Cycles(c); at < horizon; at += Cycles(1 + c%5) {
+				parkUntilSafe(g, w, at)
+				g.Unpark(w)
+			}
+		}(c)
+	}
+	for id := 0; id < lanes; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for at := Cycles(1); at <= horizon; at++ {
+				g.Bump(id, at)
+				if (int(at)+id)%97 == 0 {
+					g.Idle(id)
+					g.Resume(id, at)
+				}
+			}
+		}(id)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("a consumer never woke: %+v", g.Stats())
+	}
+}
+
+// TestGateWakePathAllocs: the wake path — a consumer parking, floor raises
+// and lane parks signalling it — must not allocate. Together with
 // TestGateSafeAtAllocs this keeps the whole gate wait path at 0 allocs/op.
 func TestGateWakePathAllocs(t *testing.T) {
 	g := NewGate()
 	g.Bump(0, 10)
-	var mu sync.Mutex
-	c := sync.NewCond(&mu)
-	g.Subscribe(c)
-	stop := false
+	g.Bump(1, 10)
+	w := &Waiter{Cond: sync.NewCond(new(sync.Mutex))}
+	var next atomic.Uint64 // the arrival the consumer should wait for; 0 = stop
+	parked := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		mu.Lock()
-		for !stop {
-			g.BeginWait()
-			c.Wait()
-			g.EndWait()
+		for at := Cycles(20); at != 0; at = Cycles(next.Load()) {
+			w.Cond.L.Lock()
+			for woke := false; !g.Park(w, at, woke); woke = true {
+				parked <- struct{}{}
+				w.Cond.Wait()
+			}
+			w.Cond.L.Unlock()
+			parked <- struct{}{} // woken: report back before the next round
 		}
-		mu.Unlock()
 	}()
-	time.Sleep(5 * time.Millisecond) // park the waiter so wake() broadcasts
-	var tt Cycles = 100
+	<-parked
+	var tt Cycles = 10
 	allocs := testing.AllocsPerRun(200, func() {
-		tt++
-		g.Bump(0, tt)   // finite raise: wakes
-		g.Idle(1)       // park: wakes
-		g.Resume(1, tt) // resume: cache floor
+		tt += 10
+		next.Store(uint64(tt + 10))
+		g.Idle(1)       // park: lane 0 still holds the floor
+		g.Resume(1, tt) // resume
+		g.Bump(1, tt)   // a raise that leaves the floor alone
+		g.Bump(0, tt)   // the floor raise: signals the consumer
+		<-parked        // woken
+		<-parked        // parked again, for the next round's raise
 	})
-	mu.Lock()
-	stop = true
-	c.Broadcast()
-	mu.Unlock()
+	next.Store(0)
+	g.Idle(0)
+	g.Idle(1)
+	<-parked
 	<-done
 	if allocs != 0 {
 		t.Fatalf("gate wake path allocated %.1f/op, want 0", allocs)

@@ -20,12 +20,19 @@ import (
 // runs must produce byte-identical canonical span trees. These tests run
 // both modes and compare.
 
-// parallelSystem builds a Hare deployment with the parallel engine toggled.
+// parallelSystem builds a four-core Hare deployment with the parallel engine
+// toggled.
 func parallelSystem(t *testing.T, parallel bool, tc trace.Config) (*core.System, *Env) {
 	t.Helper()
+	return parallelSystemN(t, 4, parallel, tc)
+}
+
+// parallelSystemN is parallelSystem with n cores, each timesharing a server.
+func parallelSystemN(t *testing.T, n int, parallel bool, tc trace.Config) (*core.System, *Env) {
+	t.Helper()
 	cfg := core.Config{
-		Cores:            4,
-		Servers:          4,
+		Cores:            n,
+		Servers:          n,
 		Timeshare:        true,
 		Techniques:       core.AllTechniques(),
 		Placement:        sched.PolicyRoundRobin,

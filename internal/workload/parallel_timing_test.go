@@ -8,12 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TestParallelSingleCoreGateCost pins the Gate.Pause fix: with GOMAXPROCS=1
-// the parallel engine's gated waits must park on the waiter list (condition
-// variable broadcast on safe-time advancement), not spin — so a single-core
-// parallel smallfile run costs within 10% of the serialized engine, plus a
-// small absolute allowance for scheduler noise on short runs. Under the old
-// spin/sleep backoff this ran orders of magnitude slower.
+// TestParallelSingleCoreGateCost: with GOMAXPROCS=1 the parallel engine's
+// gated consumers must sleep on their condition variables until the gate
+// signals them, not spin — so a single-core parallel smallfile run costs
+// within 10% of the serialized engine, plus a small absolute allowance for
+// scheduler noise on short runs. Under a spin/sleep backoff it ran orders of
+// magnitude slower.
 func TestParallelSingleCoreGateCost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing regression test")
@@ -47,5 +47,49 @@ func TestParallelSingleCoreGateCost(t *testing.T) {
 	t.Logf("single-core smallfile: serialized=%v parallel=%v limit=%v", ser, par, limit)
 	if par > limit {
 		t.Fatalf("single-core parallel run took %v, serialized %v: gate wait is burning the core (limit %v)", par, ser, limit)
+	}
+}
+
+// TestParallelTwoCoreFanoutCost keeps the thundering herd out of the gate: on
+// two cores, a 64-server / 64-worker stream over private subtrees — every
+// server's consumer asleep on the gate, every lane bumping — must cost no
+// more than four times the serialized engine's host time (best of three
+// each). With every frontier raise broadcasting to every gated inbox and
+// every woken consumer rescanning every lane, it cost nine to eleven times;
+// with the gate owning the floor and waking by threshold it is under two.
+func TestParallelTwoCoreFanoutCost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing regression test")
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+
+	run := func(parallel bool) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 3; i++ {
+			sys, env := parallelSystemN(t, 64, parallel, trace.Config{})
+			env.Scale = 1
+			w := ScaleSweep{FilesPerWorker: 200}
+			if err := w.Setup(env); err != nil {
+				t.Fatalf("setup (parallel=%v): %v", parallel, err)
+			}
+			start := time.Now()
+			if _, err := w.Run(env); err != nil {
+				t.Fatalf("run (parallel=%v): %v", parallel, err)
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+			sys.Stop()
+		}
+		return best
+	}
+
+	ser := run(false)
+	par := run(true)
+	limit := 4*ser + 25*time.Millisecond
+	t.Logf("two-core 64-server fan-out: serialized=%v parallel=%v limit=%v", ser, par, limit)
+	if par > limit {
+		t.Fatalf("two-core parallel run took %v, serialized %v: the gate is waking or scanning more than it must (limit %v)", par, ser, limit)
 	}
 }
