@@ -14,10 +14,10 @@
 //
 // The -durability flag runs the write-ahead-log figures instead of the
 // paper's (the paper scopes durability out; DESIGN.md §6 describes the
-// subsystem): a group-commit interval sweep showing logging overhead and
-// flush amortization, a recovery-time comparison of pure log replay versus
-// checkpoint + tail, and the self-verifying crash-injection workload that
-// kills and recovers every file server mid-run.
+// subsystem): the logging overhead against the same workload with the log
+// off, a recovery-time comparison of pure log replay versus checkpoint +
+// tail, and the self-verifying crash-injection workload that kills and
+// recovers every file server mid-run.
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 		cores      = flag.Int("cores", 40, "size of the simulated machine")
 		benchName  = flag.String("bench", "", "restrict to a single benchmark (e.g. \"creates\")")
 		repoRoot   = flag.String("root", ".", "repository root (for the Figure 4 SLOC count)")
-		durability = flag.Bool("durability", false, "run the durability figures (group-commit sweep, recovery time, crash-injection check) instead of the paper's")
+		durability = flag.Bool("durability", false, "run the durability figures (logging overhead, recovery time, crash-injection check) instead of the paper's")
 		pipeline   = flag.Bool("pipeline", false, "run the async-RPC pipelining sweep (on/off × server counts) instead of the paper's figures")
 		datapath   = flag.Bool("datapath", false, "run the zero-waste data-path sweep (dirty-line writeback + version-skip invalidation, on/off × server counts) instead of the paper's figures")
 		elastic    = flag.Bool("elastic", false, "run the elastic sweep (scale-out under load, ring vs modulo placement) instead of the paper's figures")
@@ -278,7 +278,7 @@ func main() {
 		if *benchName != "" || *fig != 0 {
 			fail(fmt.Errorf("-durability runs its own figure set and cannot be combined with -bench or -fig"))
 		}
-		t, err := bench.DurabilityOverhead(*scale, *cores, nil)
+		t, err := bench.DurabilityOverhead(*scale, *cores)
 		if err != nil {
 			fail(err)
 		}

@@ -7,7 +7,7 @@
 //	hare-chaos [-seeds N] [-seed-start S] [-configs N] [-duration D] [-v]
 //	           [-procs N] [-rounds N] [-ops N] [-cores N] [-servers N]
 //	           [-max-servers N] [-delay-pct P] [-dup-pct P] [-max-delay C]
-//	           [-group-commit C] [-repl sync|async] [-parallel] [-trace-dir D]
+//	           [-repl sync|async] [-parallel] [-trace-dir D]
 //	hare-chaos -repro seed,techbits,policy[,replmode] [-dump-plan] [-trace-dir D]
 //
 // The default invocation sweeps -seeds seeds across -configs sampled
@@ -38,26 +38,25 @@ import (
 
 func main() {
 	var (
-		seeds       = flag.Int("seeds", 25, "number of seeds per configuration")
-		seedStart   = flag.Uint64("seed-start", 1, "first seed value")
-		configs     = flag.Int("configs", 8, "sampled technique/policy configurations (0 = the full 64-point matrix)")
-		duration    = flag.Duration("duration", 0, "soak: repeat with fresh seeds until this much wall-clock time has passed")
-		verbose     = flag.Bool("v", false, "print a line for every run, not only failures")
-		repro       = flag.String("repro", "", "run exactly one failing tuple (seed,techbits,policy)")
-		dumpPlan    = flag.Bool("dump-plan", false, "with -repro: print the derived op trace and fault schedule before running")
-		procs       = flag.Int("procs", 0, "worker processes per round (0 = default)")
-		rounds      = flag.Int("rounds", 0, "traffic rounds per run (0 = default)")
-		ops         = flag.Int("ops", 0, "ops per process per round (0 = default)")
-		cores       = flag.Int("cores", 0, "simulated cores (0 = default)")
-		servers     = flag.Int("servers", 0, "initial file servers (0 = default)")
-		maxServers  = flag.Int("max-servers", 0, "server growth headroom (0 = default)")
-		delayPct    = flag.Int("delay-pct", -1, "percent of messages delayed (-1 = default)")
-		dupPct      = flag.Int("dup-pct", -1, "percent of idempotent requests duplicated (-1 = default)")
-		maxDelay    = flag.Int64("max-delay", -1, "jitter bound in cycles (-1 = default)")
-		groupCommit = flag.Int64("group-commit", 0, "WAL group-commit interval in cycles")
-		replMode    = flag.String("repl", "", "run with shard replication (sync or async): failover events join the schedule")
-		parallel    = flag.Bool("parallel", false, "run every tuple under the parallel virtual-time engine (DESIGN.md §13)")
-		traceDir    = flag.String("trace-dir", "", "record a full request trace per run and dump failing runs' span trees here (Chrome JSON + canonical encoding)")
+		seeds      = flag.Int("seeds", 25, "number of seeds per configuration")
+		seedStart  = flag.Uint64("seed-start", 1, "first seed value")
+		configs    = flag.Int("configs", 8, "sampled technique/policy configurations (0 = the full 64-point matrix)")
+		duration   = flag.Duration("duration", 0, "soak: repeat with fresh seeds until this much wall-clock time has passed")
+		verbose    = flag.Bool("v", false, "print a line for every run, not only failures")
+		repro      = flag.String("repro", "", "run exactly one failing tuple (seed,techbits,policy)")
+		dumpPlan   = flag.Bool("dump-plan", false, "with -repro: print the derived op trace and fault schedule before running")
+		procs      = flag.Int("procs", 0, "worker processes per round (0 = default)")
+		rounds     = flag.Int("rounds", 0, "traffic rounds per run (0 = default)")
+		ops        = flag.Int("ops", 0, "ops per process per round (0 = default)")
+		cores      = flag.Int("cores", 0, "simulated cores (0 = default)")
+		servers    = flag.Int("servers", 0, "initial file servers (0 = default)")
+		maxServers = flag.Int("max-servers", 0, "server growth headroom (0 = default)")
+		delayPct   = flag.Int("delay-pct", -1, "percent of messages delayed (-1 = default)")
+		dupPct     = flag.Int("dup-pct", -1, "percent of idempotent requests duplicated (-1 = default)")
+		maxDelay   = flag.Int64("max-delay", -1, "jitter bound in cycles (-1 = default)")
+		replMode   = flag.String("repl", "", "run with shard replication (sync or async): failover events join the schedule")
+		parallel   = flag.Bool("parallel", false, "run every tuple under the parallel virtual-time engine (DESIGN.md §13)")
+		traceDir   = flag.String("trace-dir", "", "record a full request trace per run and dump failing runs' span trees here (Chrome JSON + canonical encoding)")
 	)
 	flag.Parse()
 
@@ -88,9 +87,6 @@ func main() {
 	}
 	if *maxDelay >= 0 {
 		base.MaxDelay = sim.Cycles(*maxDelay)
-	}
-	if *groupCommit > 0 {
-		base.GroupCommit = sim.Cycles(*groupCommit)
 	}
 	if *replMode != "" {
 		m, ok := repl.ParseMode(*replMode)

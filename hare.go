@@ -64,7 +64,7 @@ type (
 	Errno = fsapi.Errno
 
 	// Durability configures the write-ahead-log subsystem (per-server
-	// logging, group commit, checkpoints, and the Crash/Recover API);
+	// logging, checkpoints, and the Crash/Recover API);
 	// the zero value disables it, matching the paper's in-memory-only
 	// design. See DESIGN.md §6.
 	Durability = core.Durability

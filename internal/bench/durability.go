@@ -13,17 +13,12 @@ import (
 // Durability figures (not in the paper — the paper scopes durability out;
 // DESIGN.md §6 describes the subsystem these measure).
 //
-// DurabilityOverhead sweeps the group-commit interval and reports, per
-// write-heavy workload, the virtual-time throughput relative to running
-// with durability off, together with the flush amortization the batching
-// achieved (records per flush).
+// DurabilityOverhead reports, per write-heavy workload, the virtual-time
+// throughput with the log on relative to running with durability off,
+// together with the records each flush carried.
 //
 // RecoveryTime crashes every server of a populated deployment and reports
 // how long recovery takes in virtual time, with and without a checkpoint.
-
-// DefaultGroupCommitSweep is the interval sweep used by the overhead
-// figure, in cycles (0 = synchronous; 2.4 GHz makes 24000 cycles = 10 µs).
-var DefaultGroupCommitSweep = []sim.Cycles{0, 24_000, 240_000, 2_400_000}
 
 // durableHare builds a started Hare deployment with the given durability
 // settings, returning the system and an Env for running workloads on it.
@@ -69,37 +64,22 @@ func runOn(sys *core.System, env *workload.Env, w workload.Workload) (int, sim.C
 }
 
 // DurabilityOverhead measures the cost of write-ahead logging on
-// write-heavy workloads across a group-commit interval sweep. Throughput
-// is normalized to the same workload with durability off.
-func DurabilityOverhead(scale float64, cores int, intervals []sim.Cycles) (*Table, error) {
-	if len(intervals) == 0 {
-		intervals = DefaultGroupCommitSweep
-	}
+// write-heavy workloads. Throughput is normalized to the same workload with
+// durability off.
+func DurabilityOverhead(scale float64, cores int) (*Table, error) {
 	ws := []workload.Workload{workload.Creates{}, workload.Writes{}, workload.Directories{}}
 
 	t := &Table{
-		Title: fmt.Sprintf("Durability overhead: group-commit sweep on %d cores", cores),
+		Title: fmt.Sprintf("Durability overhead on %d cores", cores),
 		Columns: []string{"configuration", "benchmark", "ops/s", "vs no-wal",
 			"records", "flushes", "recs/flush"},
-		Note: "Throughput is virtual-time ops/s; vs no-wal is relative to durability disabled. recs/flush shows the amortization the group-commit interval buys (synchronous commit flushes every mutation).",
+		Note: "Throughput is virtual-time ops/s; vs no-wal is relative to durability disabled. Every durable request is one flush, so recs/flush is the records a request stages.",
 	}
 
 	for _, w := range ws {
 		base := 0.0
-		// First durability off, then the interval sweep.
-		for pass := 0; pass <= len(intervals); pass++ {
-			var d core.Durability
-			name := "wal off"
-			if pass > 0 {
-				iv := intervals[pass-1]
-				d = core.Durability{Enabled: true, GroupCommitInterval: iv}
-				if iv == 0 {
-					name = "wal sync"
-				} else {
-					name = fmt.Sprintf("wal %dus", iv/2400) // 2.4 GHz default clock
-				}
-			}
-			sys, env, err := durableHare(cores, d, w.Placement(), scale)
+		for _, on := range []bool{false, true} {
+			sys, env, err := durableHare(cores, core.Durability{Enabled: on}, w.Placement(), scale)
 			if err != nil {
 				return nil, err
 			}
@@ -112,22 +92,18 @@ func DurabilityOverhead(scale float64, cores int, intervals []sim.Cycles) (*Tabl
 			for _, s := range sys.WalStats() {
 				lst.Records += s.Records
 				lst.Flushes += s.Flushes
-				lst.Bytes += s.Bytes
 			}
 			sys.Stop()
 
-			secs := sys.Seconds(elapsed)
-			thr := float64(ops) / secs
-			if pass == 0 {
+			thr := float64(ops) / sys.Seconds(elapsed)
+			name, rel, recsPerFlush := "wal off", "1.00", "-"
+			if on {
+				name, rel = "wal on", f2(thr/base)
+				if lst.Flushes > 0 {
+					recsPerFlush = f1(float64(lst.Records) / float64(lst.Flushes))
+				}
+			} else {
 				base = thr
-			}
-			rel := "1.00"
-			if pass > 0 && base > 0 {
-				rel = f2(thr / base)
-			}
-			recsPerFlush := "-"
-			if lst.Flushes > 0 {
-				recsPerFlush = f1(float64(lst.Records) / float64(lst.Flushes))
 			}
 			t.AddRow(name, w.Name(), f1(thr), rel,
 				fmt.Sprintf("%d", lst.Records), fmt.Sprintf("%d", lst.Flushes), recsPerFlush)

@@ -5,22 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func TestDurabilityOverheadTable(t *testing.T) {
-	tbl, err := DurabilityOverhead(testScale, 4, []sim.Cycles{0, 240_000})
+	tbl, err := DurabilityOverhead(testScale, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three workloads x (off + two intervals).
-	if len(tbl.Rows) != 9 {
-		t.Fatalf("got %d rows, want 9:\n%s", len(tbl.Rows), tbl.Render())
+	// Three workloads x (off, on).
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("got %d rows, want 6:\n%s", len(tbl.Rows), tbl.Render())
 	}
 	out := tbl.Render()
-	if !strings.Contains(out, "wal off") || !strings.Contains(out, "wal sync") {
-		t.Fatalf("sweep rows missing:\n%s", out)
+	if !strings.Contains(out, "wal off") || !strings.Contains(out, "wal on") {
+		t.Fatalf("rows missing:\n%s", out)
 	}
 }
 

@@ -65,10 +65,6 @@ type Config struct {
 	DelayPercent int
 	DupPercent   int
 
-	// GroupCommit, when non-zero, batches WAL flushes (DESIGN.md §6),
-	// putting the reply-holdback path on the chaos schedule too.
-	GroupCommit sim.Cycles
-
 	// Replication, when not Off, runs the deployment with WAL-shipped
 	// followers (DESIGN.md §12) and adds failover events to the schedule:
 	// crash + promote-the-replica, with double-failure and

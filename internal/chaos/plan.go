@@ -364,10 +364,10 @@ func (p *Plan) genEvents() {
 // byte-identical, and a failing run's plan can be diffed against its repro.
 func (p *Plan) Encode() []byte {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "chaos-plan tuple=%s cores=%d servers=%d max=%d procs=%d rounds=%d ops=%d delay=%d/%d%% dup=%d%% gc=%d\n",
+	fmt.Fprintf(&sb, "chaos-plan tuple=%s cores=%d servers=%d max=%d procs=%d rounds=%d ops=%d delay=%d/%d%% dup=%d%%\n",
 		p.Cfg.Tuple(), p.Cfg.Cores, p.Cfg.Servers, p.Cfg.MaxServers, p.Cfg.Procs,
 		p.Cfg.Rounds, p.Cfg.OpsPerRound, p.Cfg.MaxDelay, p.Cfg.DelayPercent,
-		p.Cfg.DupPercent, p.Cfg.GroupCommit)
+		p.Cfg.DupPercent)
 	for round := range p.Ops {
 		for proc := range p.Ops[round] {
 			for _, op := range p.Ops[round][proc] {

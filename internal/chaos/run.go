@@ -70,7 +70,7 @@ func coreConfig(cfg Config) core.Config {
 		MaxServers:       cfg.MaxServers,
 		BufferCacheBytes: 8 << 20,
 		BlockSize:        4096,
-		Durability:       core.Durability{Enabled: true, GroupCommitInterval: cfg.GroupCommit},
+		Durability:       core.Durability{Enabled: true},
 		Replication:      repl.Config{Mode: cfg.Replication},
 		Trace:            cfg.Trace,
 	}

@@ -16,6 +16,12 @@ import (
 // functional correctness, not just performance.
 func newSystem(t *testing.T, techniques core.Techniques) *core.System {
 	t.Helper()
+	return newSystemWith(t, techniques, core.Durability{})
+}
+
+// newSystemWith is newSystem with the given durability settings.
+func newSystemWith(t *testing.T, techniques core.Techniques, d core.Durability) *core.System {
+	t.Helper()
 	sys, err := core.New(core.Config{
 		Cores:            4,
 		Servers:          4,
@@ -23,6 +29,7 @@ func newSystem(t *testing.T, techniques core.Techniques) *core.System {
 		Techniques:       techniques,
 		Placement:        sched.PolicyRoundRobin,
 		BufferCacheBytes: 8 << 20,
+		Durability:       d,
 	})
 	if err != nil {
 		t.Fatal(err)

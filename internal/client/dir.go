@@ -158,6 +158,13 @@ func (c *Client) unlinkBatched(parent proto.InodeID, name string, entrySrv int, 
 // Rename atomically renames oldPath to newPath: it first creates (or
 // replaces) the entry under the new name, then removes the old name
 // (§3.3). A replaced target loses one link.
+//
+// The plain path is two RPCs, ADD_MAP then RM_MAP, and it is the only path
+// when the two entries live on different servers. With pipelining, entries
+// that the current routing snapshot puts on one server travel as a single
+// stop-on-error batch message: the server stages both records for one log
+// append, so both names change in one flush (and one ship), and a crash
+// leaves either the old name or the new one, never both.
 func (c *Client) Rename(oldPath, newPath string) (err error) {
 	c.syscall()
 	defer c.opDone()
@@ -166,14 +173,7 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 	}
 	oldAbs := c.absPath(oldPath)
 	newAbs := c.absPath(newPath)
-	if oldAbs == newAbs {
-		return nil
-	}
 	oldParent, oldDist, oldName, err := c.resolveParent(oldAbs)
-	if err != nil {
-		return err
-	}
-	newParent, newDist, newName, err := c.resolveParent(newAbs)
 	if err != nil {
 		return err
 	}
@@ -181,8 +181,14 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 	if err != nil {
 		return err
 	}
-
-	addResp, aerr := c.routedEntryRPCOK(newParent, newDist, newName, &proto.Request{
+	if oldAbs == newAbs {
+		return nil
+	}
+	newParent, newDist, newName, err := c.resolveParent(newAbs)
+	if err != nil {
+		return err
+	}
+	add := &proto.Request{
 		Op:          proto.OpAddMap,
 		Dir:         newParent,
 		Name:        newName,
@@ -190,22 +196,42 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 		Ftype:       ent.ftype,
 		Distributed: ent.dist,
 		Replace:     true,
-	})
-	if aerr != nil {
-		return aerr
 	}
+	rm := &proto.Request{Op: proto.OpRmMap, Dir: oldParent, Name: oldName}
 
-	rmResp, rerr := c.routedEntryRPCOK(oldParent, oldDist, oldName, &proto.Request{
-		Op:   proto.OpRmMap,
-		Dir:  oldParent,
-		Name: oldName,
-	})
+	// Each half's reply comes from the batch when both entries sit on one
+	// server, and from its own routed RPC otherwise (or when the batch left
+	// that half to be redone).
+	var addResp, rmResp *proto.Response
+	if c.cfg.Options.Pipelining {
+		newSrv, newEpoch := c.routeEntry(newParent, newDist, newName)
+		oldSrv, oldEpoch := c.routeEntry(oldParent, oldDist, oldName)
+		if newSrv == oldSrv {
+			add.Epoch, rm.Epoch = newEpoch, oldEpoch
+			if addResp, rmResp, err = c.renameBatched(newSrv, add, rm); err != nil {
+				return err
+			}
+		}
+	}
+	if addResp == nil {
+		if addResp, err = c.routedEntryRPC(newParent, newDist, newName, add); err != nil {
+			return err
+		}
+	}
+	if addResp.Err != fsapi.OK {
+		return addResp.Err
+	}
+	if rmResp == nil {
+		rmResp, err = c.routedEntryRPC(oldParent, oldDist, oldName, rm)
+	}
 	c.uncacheEntry(oldParent, oldName)
 	c.cacheEntry(newParent, newName, ent)
-	if rerr != nil {
-		return rerr
+	if err != nil {
+		return err
 	}
-	_ = rmResp
+	if rmResp.Err != fsapi.OK {
+		return rmResp.Err
+	}
 
 	// If the rename replaced an existing file, that file lost its link.
 	if addResp.N == 1 && !addResp.Ino.IsNil() && addResp.Ino != ent.ino {
@@ -214,6 +240,30 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 		}
 	}
 	return nil
+}
+
+// renameBatched sends rename's ADD_MAP(replace) and RM_MAP, both stamped for
+// the one server that stores the two entries, as a single stop-on-error
+// batch message, and returns each half's reply. A nil reply means that half
+// still has to be issued on the routed path: the placement epoch had moved
+// (EEPOCH; the routing snapshot has been refreshed) before it ran. A half
+// that succeeded is never handed back — ADD_MAP is an upsert, but only its
+// first reply names the target it replaced.
+func (c *Client) renameBatched(srv int, add, rm *proto.Request) (addResp, rmResp *proto.Response, err error) {
+	resps, err := c.rpcBatch(srv, true, []*proto.Request{add, rm})
+	if err != nil {
+		return nil, nil, err
+	}
+	addResp, rmResp = resps[0], resps[1]
+	if addResp.Err == fsapi.EEPOCH || rmResp.Err == fsapi.EEPOCH {
+		c.refreshRouting()
+		c.noteEpochRefresh(proto.OpBatch, 0)
+		rmResp = nil
+		if addResp.Err != fsapi.OK {
+			addResp = nil
+		}
+	}
+	return addResp, rmResp, nil
 }
 
 // ReadDir lists a directory. Distributed directories require contacting all

@@ -3,10 +3,13 @@ package client
 // Error-path tests for the epoch-cached routing layer (route.go), driven
 // against scripted fake servers rather than a full deployment so the
 // pathological cases — a snapshot provider that never catches up, a refresh
-// racing a concurrent epoch publish, a broadcast spanning a drain — are
-// reachable deterministically.
+// racing a concurrent epoch publish, a broadcast spanning a drain, a batched
+// rename that the epoch gate stops half way — are reachable
+// deterministically.
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -240,5 +243,177 @@ func TestRoutedBroadcastRetriesWholeFanOutOnEEPOCH(t *testing.T) {
 	defer mu.Unlock()
 	if rounds != 2 {
 		t.Fatalf("member 0 served %d fan-outs, want 2 (the whole broadcast retries)", rounds)
+	}
+}
+
+// --- rename: the one-message path and its fallbacks ---
+
+// renameHarness is a two-server routeHarness whose client resolves
+// "/d/<name>" from its directory cache: /d is the distributed directory
+// testDir, and names seeds the file to be renamed. Each request the fake
+// servers see is logged as "srv:OP@epoch" (a batch lists its sub-ops) before
+// script answers it.
+type renameHarness struct {
+	*routeHarness
+	mu  sync.Mutex
+	log []string
+}
+
+var renamedFile = proto.InodeID{Server: 1, Local: 42}
+
+func newRenameHarness(t *testing.T, script func(h *renameHarness, srv int, req *proto.Request) *proto.Response) *renameHarness {
+	t.Helper()
+	h := &renameHarness{}
+	h.routeHarness = newRouteHarness(t, 2, func(srv int, req *proto.Request) *proto.Response {
+		entry := fmt.Sprintf("%d:%s@%d", srv, req.Op, req.Epoch)
+		if req.Op == proto.OpBatch {
+			subs, _, err := proto.UnmarshalBatch(req.Data)
+			if err != nil {
+				return proto.ErrResponse(fsapi.EINVAL)
+			}
+			names := make([]string, len(subs))
+			for i, sub := range subs {
+				names[i] = fmt.Sprintf("%s@%d", sub.Op, sub.Epoch)
+			}
+			entry = fmt.Sprintf("%d:BATCH[%s]", srv, strings.Join(names, ","))
+		}
+		h.mu.Lock()
+		h.log = append(h.log, entry)
+		h.mu.Unlock()
+		return script(h, srv, req)
+	})
+	h.cli.dcache.Put(dcacheKey{proto.RootInode, "d"}, dcacheEnt{ino: testDir, ftype: fsapi.TypeDir, dist: true})
+	return h
+}
+
+// names returns a file name in /d plus a second name whose entry the
+// epoch-1 map stores on the same server (or, with sameServer false, on the
+// other one), and that server's index for the first.
+func (h *renameHarness) names(sameServer bool) (from, to string, srv int) {
+	from = "from"
+	srv, _ = h.cli.routeEntry(testDir, true, from)
+	for i := 0; ; i++ {
+		to = fmt.Sprintf("to%d", i)
+		if other, _ := h.cli.routeEntry(testDir, true, to); (other == srv) == sameServer {
+			break
+		}
+	}
+	h.cli.dcache.Put(dcacheKey{testDir, from}, dcacheEnt{ino: renamedFile, ftype: fsapi.TypeRegular})
+	return from, to, srv
+}
+
+func (h *renameHarness) publishEpoch(epoch uint64) {
+	h.provider.publish(&Routing{
+		Map:     place.New(place.PolicyModulo, []int32{0, 1}, epoch),
+		Servers: h.eps,
+		Cores:   []int{0, 1},
+	})
+}
+
+func (h *renameHarness) wantLog(t *testing.T, want ...string) {
+	t.Helper()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if strings.Join(h.log, " ") != strings.Join(want, " ") {
+		t.Fatalf("servers saw  %v\nwant        %v", h.log, want)
+	}
+}
+
+func batchReply(resps ...*proto.Response) *proto.Response {
+	return &proto.Response{Data: proto.MarshalBatchResponses(resps)}
+}
+
+func TestBatchedRenameSameServerIsOneMessage(t *testing.T) {
+	h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+		if req.Op != proto.OpBatch {
+			return proto.ErrResponse(fsapi.EINVAL)
+		}
+		return batchReply(&proto.Response{Ino: proto.NilInode}, &proto.Response{Ino: renamedFile})
+	})
+	from, to, srv := h.names(true)
+	if err := h.cli.Rename("/d/"+from, "/d/"+to); err != nil {
+		t.Fatal(err)
+	}
+	h.wantLog(t, fmt.Sprintf("%d:BATCH[ADD_MAP@1,RM_MAP@1]", srv))
+}
+
+func TestCrossServerRenameSendsAddThenRm(t *testing.T) {
+	h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+		return &proto.Response{Ino: proto.NilInode}
+	})
+	from, to, oldSrv := h.names(false)
+	if err := h.cli.Rename("/d/"+from, "/d/"+to); err != nil {
+		t.Fatal(err)
+	}
+	h.wantLog(t, fmt.Sprintf("%d:ADD_MAP@1", 1-oldSrv), fmt.Sprintf("%d:RM_MAP@1", oldSrv))
+}
+
+func TestBatchedRenameFallsBackOnEEPOCH(t *testing.T) {
+	// The deployment moved to epoch 2 before the batch arrived: ADD_MAP
+	// bounces, stop-on-error cancels RM_MAP, nothing has been applied. The
+	// client refreshes and redoes both halves as routed RPCs, ADD first.
+	h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+		if req.Op == proto.OpBatch {
+			h.publishEpoch(2)
+			return batchReply(proto.ErrResponse(fsapi.EEPOCH), proto.ErrResponse(fsapi.ECANCELED))
+		}
+		if req.Epoch != 2 {
+			return proto.ErrResponse(fsapi.EEPOCH)
+		}
+		return &proto.Response{Ino: proto.NilInode}
+	})
+	from, to, srv := h.names(true)
+	if err := h.cli.Rename("/d/"+from, "/d/"+to); err != nil {
+		t.Fatal(err)
+	}
+	h.wantLog(t, fmt.Sprintf("%d:BATCH[ADD_MAP@1,RM_MAP@1]", srv),
+		fmt.Sprintf("%d:ADD_MAP@2", srv), fmt.Sprintf("%d:RM_MAP@2", srv))
+	if _, ok := h.cli.dcache.Get(dcacheKey{testDir, from}); ok {
+		t.Error("the old name is still cached after the rename")
+	}
+	if ent, ok := h.cli.dcache.Get(dcacheKey{testDir, to}); !ok || ent.ino != renamedFile {
+		t.Errorf("the new name is cached as %+v (%v), want the renamed inode", ent, ok)
+	}
+}
+
+func TestBatchedRenameNeverRepeatsASucceededAdd(t *testing.T) {
+	// ADD_MAP ran and replaced a file; only RM_MAP bounced. Re-issuing the
+	// upsert would answer "replaced the inode you just installed" and the
+	// real replaced target would never lose its link: the client must redo
+	// RM_MAP alone and still unlink the target the first reply named.
+	replaced := proto.InodeID{Server: 0, Local: 9}
+	h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+		if req.Op == proto.OpBatch {
+			h.publishEpoch(2)
+			return batchReply(&proto.Response{Ino: replaced, Server: replaced.Server, N: 1}, proto.ErrResponse(fsapi.EEPOCH))
+		}
+		return &proto.Response{Ino: proto.NilInode}
+	})
+	from, to, srv := h.names(true)
+	if err := h.cli.Rename("/d/"+from, "/d/"+to); err != nil {
+		t.Fatal(err)
+	}
+	h.wantLog(t, fmt.Sprintf("%d:BATCH[ADD_MAP@1,RM_MAP@1]", srv),
+		fmt.Sprintf("%d:RM_MAP@2", srv), "0:UNLINK_INODE@0")
+}
+
+func TestBatchedRenameReportsAFailedHalf(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		add, rm *proto.Response
+		want    fsapi.Errno
+	}{
+		{"ADD_MAP fails", proto.ErrResponse(fsapi.ENOENT), proto.ErrResponse(fsapi.ECANCELED), fsapi.ENOENT},
+		{"RM_MAP fails", &proto.Response{Ino: proto.NilInode}, proto.ErrResponse(fsapi.ENOENT), fsapi.ENOENT},
+	} {
+		h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+			return batchReply(tc.add, tc.rm)
+		})
+		from, to, srv := h.names(true)
+		if err := h.cli.Rename("/d/"+from, "/d/"+to); !fsapi.IsErrno(err, tc.want) {
+			t.Errorf("%s: rename returned %v, want %v", tc.name, err, tc.want)
+		}
+		// No second attempt: the batch's answer is final.
+		h.wantLog(t, fmt.Sprintf("%d:BATCH[ADD_MAP@1,RM_MAP@1]", srv))
 	}
 }

@@ -117,13 +117,11 @@ type Durability struct {
 	// the Crash/Recover API.
 	Enabled bool
 
-	// GroupCommitInterval is the log flush cadence in virtual cycles.
-	// Zero flushes synchronously on every mutation (slowest, safest);
-	// larger intervals batch more mutations per flush.
+	// GroupCommitInterval is ignored: a mutation commits when the flush
+	// carrying its records ends, and that flush starts as soon as the log
+	// device is free (DESIGN.md §6). The field remains only because
+	// benchmark/ still assigns it, and goes with that assignment (ROADMAP).
 	GroupCommitInterval sim.Cycles
-	// GroupCommitBytes flushes a batch early once it holds this many
-	// bytes (default 64 KiB).
-	GroupCommitBytes int
 
 	// CheckpointEvery automatically snapshots a server's state and
 	// truncates its log after this many records. Zero means checkpoints
@@ -594,14 +592,12 @@ func newServerLog(cfg Config, cost sim.CostModel, id int) (*wal.Log, error) {
 		store = fs
 	}
 	log, err := wal.Open(wal.Config{
-		Store:               store,
-		SegmentBytes:        d.SegmentBytes,
-		GroupCommitInterval: d.GroupCommitInterval,
-		GroupCommitBytes:    d.GroupCommitBytes,
-		CheckpointEvery:     d.CheckpointEvery,
-		FlushCycles:         cost.WalFlush,
-		AppendPerLine:       cost.WalPerLine,
-		ReplayPerRecord:     cost.WalReplayPerRec,
+		Store:           store,
+		SegmentBytes:    d.SegmentBytes,
+		CheckpointEvery: d.CheckpointEvery,
+		FlushCycles:     cost.WalFlush,
+		AppendPerLine:   cost.WalPerLine,
+		ReplayPerRecord: cost.WalReplayPerRec,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: server %d log: %w", id, err)

@@ -444,12 +444,15 @@ func TestFileBackedDurability(t *testing.T) {
 	}
 }
 
-func TestGroupCommitIntervalDelaysAcks(t *testing.T) {
-	// A serial client observes the group-commit window as added latency:
-	// every mutation waits for its batch's interval to expire. (The win —
-	// fewer flushes per record — needs concurrent mutators and shows up in
-	// the bench sweep instead.) Synchronous commit only pays the flush.
-	elapsed := func(d Durability) sim.Cycles {
+// TestSerialClientPaysOneFlushPerDurableRPC pins the commit rule end to end:
+// a durable request's reply waits for one flush, which starts the moment the
+// request's records are staged, so a serial client's run is longer than the
+// same run with durability off by exactly WalFlush per flush — and
+// GroupCommitInterval, a field kept only for the benchmark's sake, changes
+// nothing.
+func TestSerialClientPaysOneFlushPerDurableRPC(t *testing.T) {
+	flush := sim.DefaultCostModel().WalFlush
+	run := func(d Durability) (elapsed, mkdir sim.Cycles, flushes, mkdirFlushes uint64) {
 		cfg := Config{
 			Cores: 2, Servers: 2, Timeshare: true,
 			Techniques: AllTechniques(), Placement: sched.PolicyRoundRobin,
@@ -461,20 +464,38 @@ func TestGroupCommitIntervalDelaysAcks(t *testing.T) {
 		}
 		sys.Start()
 		defer sys.Stop()
+		countFlushes := func() (n uint64) {
+			for _, st := range sys.WalStats() {
+				n += st.Flushes
+			}
+			return n
+		}
 		cli := sys.NewClient(0)
-		for i := 0; i < 50; i++ {
+		populate(t, cli)
+		for i := 0; i < 20; i++ {
 			writeFile(t, cli, fmt.Sprintf("/f%02d", i), []byte("payload"))
 		}
-		return cli.Clock()
+		// One mkdir is one coalesced-create RPC: one durable request.
+		before, start := countFlushes(), cli.Clock()
+		if err := cli.Mkdir("/one", fsapi.MkdirOpt{}); err != nil {
+			t.Fatal(err)
+		}
+		mkdir, mkdirFlushes = cli.Clock()-start, countFlushes()-before
+		return cli.Clock(), mkdir, countFlushes(), mkdirFlushes
 	}
-	sync := elapsed(Durability{Enabled: true, GroupCommitInterval: 0})
-	batched := elapsed(Durability{Enabled: true, GroupCommitInterval: 200000})
-	if batched <= sync {
-		t.Fatalf("group-commit window added no latency: batched %d cycles vs sync %d", batched, sync)
+	off, offMkdir, _, _ := run(Durability{})
+	on, onMkdir, flushes, mkdirFlushes := run(Durability{Enabled: true})
+	if flushes == 0 {
+		t.Fatal("the durable run flushed nothing")
 	}
-	// And durability off is cheaper than either.
-	off := elapsed(Durability{})
-	if off >= sync {
-		t.Fatalf("durability off (%d cycles) not cheaper than sync commit (%d)", off, sync)
+	if want := off + sim.Cycles(flushes)*flush; on != want {
+		t.Errorf("durable run took %d cycles, want %d: the non-durable %d plus %d flushes of %d", on, want, off, flushes, flush)
+	}
+	if mkdirFlushes != 1 || onMkdir != offMkdir+flush {
+		t.Errorf("mkdir took %d cycles and %d flushes with the log on, %d without; want one flush and exactly %d more", onMkdir, mkdirFlushes, offMkdir, flush)
+	}
+	timer, _, timerFlushes, _ := run(Durability{Enabled: true, GroupCommitInterval: 1_000_000})
+	if timer != on || timerFlushes != flushes {
+		t.Errorf("GroupCommitInterval moved the run: %d cycles and %d flushes, against %d and %d at 0", timer, timerFlushes, on, flushes)
 	}
 }

@@ -36,8 +36,7 @@ const cacheCap = 64
 
 // epCache is an endpoint's free-list cache. The mutex is effectively
 // uncontended (an endpoint's sends and receives happen on its owner
-// goroutine; the lock only guards rare cross-goroutine uses such as WAL
-// group-commit flushes).
+// goroutine; the lock only guards rare cross-goroutine uses).
 type epCache struct {
 	mu   sync.Mutex
 	bufs [len(bufClasses)][][]byte

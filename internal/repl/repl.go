@@ -8,10 +8,10 @@
 // availability gap with the smallest mechanism that composes with what
 // already exists:
 //
-//   - The primary ships the exact CRC-framed record batches its log
-//     flushes (wal.EncodeRecords) to one follower, piggybacked on group
-//     commit. Records are state assignments, so the follower's ingest is
-//     idempotent and a re-shipped batch is harmless.
+//   - The primary ships the exact CRC-framed frames each append wrote to
+//     its log (wal.Log.LastFrames) to one follower, while the append's
+//     flush is under way. Records are state assignments, so the follower's
+//     ingest is idempotent and a re-shipped batch is harmless.
 //   - The Follower state machine mirrors the server's replay rules
 //     (durability.go applyRecord) against its own shadow of the primary's
 //     state — inodes, directory shards, dead-directory tombstones, and

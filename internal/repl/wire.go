@@ -22,7 +22,7 @@ type Msg struct {
 	AckTo int32
 	// Base is the LSN of the first record in Recs (unused for snapshots).
 	Base uint64
-	// Recs is the framed record batch (wal.EncodeRecords). Nil when the
+	// Recs is the framed record batch (wal.Log.LastFrames). Nil when the
 	// message carries a snapshot instead.
 	Recs []byte
 	// SnapLSN is the log horizon covered by Snap.

@@ -18,8 +18,8 @@ import (
 // When the server is built with a write-ahead log, every handler that
 // mutates durable state stages a record describing the mutation's *result*.
 // The staged records are appended to the log when the request's reply is
-// sent, and the reply time is pushed out to the batch's group-commit point,
-// so clients observe durable-write latency in virtual time.
+// sent, and the reply time is pushed out to their commit point, so clients
+// observe durable-write latency in virtual time.
 //
 // Durable state is the namespace and file contents: inodes (type, mode,
 // link count, size, block list), directory shards, dead-directory
@@ -98,30 +98,36 @@ func (s *Server) stageDirKill(dir proto.InodeID) {
 }
 
 // commitPending appends the staged records and returns the virtual time at
-// which the reply may be sent: no earlier than the records' group-commit
-// point. The append CPU work is charged to the server's core.
+// which the reply may be sent: no earlier than the end of the flush carrying
+// them nor, when they ship to a follower that must ack first, than the
+// processing of that ack. The flush and the ship overlap — the log device
+// works while the server's core sends the batch and takes the ack — so the
+// reply waits for the later of the two, not their sum (DESIGN.md §6, §12).
+// The append CPU work is charged to the server's core.
 func (s *Server) commitPending(at sim.Cycles) sim.Cycles {
 	if s.wal == nil || len(s.pending) == 0 {
 		return at
 	}
 	recs := s.pending
 	s.pending = nil
-	ack, cpu, err := s.wal.Append(recs, at)
+	flushed, cpu, err := s.wal.Append(recs, at)
 	if err != nil {
 		// Losing the log voids the durability contract; treat it like the
 		// DRAM model treats a wild pointer.
 		panic(fmt.Sprintf("server %d: wal append: %v", s.cfg.ID, err))
 	}
-	end := s.cfg.Machine.Execute(s.cfg.Core, at, cpu)
-	s.clock.AdvanceTo(end)
-	if ack > end {
-		end = ack
+	if s.curTrace != 0 {
+		// Surface the durability wait as a WAL span under the request's RPC
+		// span; a ship records its own, overlapping, sibling span.
+		s.tr.Record(trace.Span{
+			Trace: s.curTrace, ID: s.tem.Next(), Parent: s.curParent,
+			Kind: trace.KindWAL, Name: s.curOp, Where: ^int32(s.cfg.ID),
+			Start: at, End: flushed,
+		})
 	}
-	// Replication piggybacks on the group commit: the freshly flushed
-	// batch — LSNs just assigned by Append — ships to the follower, and in
-	// sync mode the reply release waits for the follower's ack.
-	end = s.ship(recs, end)
-	return end
+	appended := s.cfg.Machine.Execute(s.cfg.Core, at, cpu)
+	s.clock.AdvanceTo(appended)
+	return max(flushed, s.ship(recs, appended))
 }
 
 // handleCheckpoint serves the CHECKPOINT control request (sent by the core

@@ -229,12 +229,14 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 	s.cfg.Network.GateIdle(s.replEP.ID)
 }
 
-// ship sends the just-committed record batch to the follower and returns
-// the time the client reply may be released: in sync mode that is no
-// earlier than the follower's ack arrival (ack-before-reply), in async
-// mode the ship is fire-and-forget unless the unacked window overflowed,
-// in which case the ship degrades to a blocking flush (bounded lag).
-// Called from the request loop right after the WAL append assigned LSNs.
+// ship sends the just-appended record batch to the follower while the local
+// flush is still under way, and returns the earliest time replication lets
+// the client reply go: in sync mode that is when the follower's ack has been
+// processed (ack-before-reply), in async mode the ship is fire-and-forget
+// unless the unacked window overflowed, in which case the ship degrades to a
+// blocking flush (bounded lag). Called from the request loop at the end of
+// the WAL append's CPU work, which assigned the LSNs; commitPending holds the
+// reply for the local flush as well.
 func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 	t := s.replTarget.Load()
 	if t == nil || len(recs) == 0 {
@@ -265,8 +267,10 @@ func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 		m.SnapLSN = last
 		s.replResyncs.Add(1)
 	} else {
+		// The exact frames the append just wrote to the log; Marshal below
+		// copies them out of the log's buffer.
 		m.Base = recs[0].LSN
-		m.Recs = wal.EncodeRecords(recs)
+		m.Recs = s.wal.LastFrames()
 	}
 	payload := (&proto.Request{Op: proto.OpReplAppend, Data: m.Marshal()}).Marshal()
 	sendEnd := s.cfg.Machine.Execute(s.cfg.Core, at, cost.MsgSend)

@@ -71,7 +71,7 @@ func (s *Server) handleRmdirCommit(req *proto.Request) *proto.Response {
 	// ENOENT, which is the correct outcome for a create that raced with a
 	// committed rmdir. Their replies go out before this commit's record is
 	// staged, so a parked reply cannot drain the record and absorb the
-	// rmdir's own group-commit latency.
+	// rmdir's own commit latency.
 	s.unparkShard(sh)
 	s.stageDirKill(req.Dir)
 	return s.resp(proto.Response{})

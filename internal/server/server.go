@@ -92,7 +92,7 @@ type Config struct {
 	RootDistributed bool
 
 	// Log, when non-nil, enables durability: mutations are written ahead
-	// to this log, acknowledged at their group-commit point, periodically
+	// to this log, acknowledged at their commit point, periodically
 	// folded into checkpoints, and replayed by Recover after a Crash.
 	Log *wal.Log
 
@@ -207,7 +207,7 @@ type Server struct {
 	// Tracing state, confined to the request loop. tem is re-created with
 	// the new incarnation on Recover so post-crash spans never reuse a
 	// pre-crash span ID. curTrace/curParent hold the in-flight request's
-	// trace context so replyAt can attach the WAL group-commit span.
+	// trace context so commitPending can attach the WAL and ship spans.
 	tr        *trace.Tracer
 	tem       *trace.Emitter
 	curTrace  uint64
@@ -551,23 +551,13 @@ func (s *Server) reply(env msg.Envelope, resp *proto.Response) {
 
 // replyAt sends a response whose service completed at the given time. When
 // the request staged durability records, the reply is held back to their
-// group-commit point: clients observe mutations as acknowledged only once
-// logged (DESIGN.md §6).
+// commit point: clients observe mutations as acknowledged only once logged
+// (DESIGN.md §6).
 func (s *Server) replyAt(env msg.Envelope, resp *proto.Response, at sim.Cycles) {
 	if resp == nil {
 		resp = s.errResp(fsapi.EIO)
 	}
-	staged := at
 	at = s.commitPending(at)
-	if s.curTrace != 0 && at > staged {
-		// The reply was held back to the group-commit point: surface the
-		// durability wait as a WAL span under the request's RPC span.
-		s.tr.Record(trace.Span{
-			Trace: s.curTrace, ID: s.tem.Next(), Parent: s.curParent,
-			Kind: trace.KindWAL, Name: s.curOp, Where: ^int32(s.cfg.ID),
-			Start: staged, End: at,
-		})
-	}
 	cost := s.cfg.Machine.Cost
 	end := s.cfg.Machine.Execute(s.cfg.Core, at, cost.MsgSend)
 	s.clock.AdvanceTo(end)

@@ -2,7 +2,7 @@
 // reproduction. Every sampled client FS operation opens a root span whose
 // trace/span IDs ride inside proto requests to the servers, which attach
 // child spans for network delivery, queueing, service, batched sub-ops, and
-// WAL group-commit. Spans carry virtual (sim.Cycles) timestamps, so a trace
+// WAL commit. Spans carry virtual (sim.Cycles) timestamps, so a trace
 // is a deterministic artifact of the simulation rather than of wall-clock
 // scheduling: under a fixed fault schedule the structural span tree is
 // byte-identical across runs (see EncodeCanonical).
@@ -37,14 +37,14 @@ const (
 	KindService
 	// KindSub is one sub-operation dispatched from a batch envelope.
 	KindSub
-	// KindWAL is durability staging: service end → group-commit ack.
+	// KindWAL is the durability wait: service end → local flush end.
 	KindWAL
 	// KindWriteback is client-side dirty-line writeback during close/fsync.
 	KindWriteback
 	// KindEpochRefresh is one EEPOCH refresh-and-retry round trip.
 	KindEpochRefresh
-	// KindRepl is one replication ship (and, in sync mode, its ack wait)
-	// piggybacked on a request's group commit (DESIGN.md §12).
+	// KindRepl is one replication ship (and, in sync mode, its ack wait),
+	// overlapping the request's KindWAL span (DESIGN.md §12).
 	KindRepl
 	// KindFailover is a control-plane promotion: seal → publish → install.
 	KindFailover

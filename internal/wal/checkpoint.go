@@ -70,7 +70,7 @@ type Checkpoint struct {
 // Marshal encodes the checkpoint with a trailing CRC so a torn checkpoint
 // write is detected at load time.
 func (c *Checkpoint) Marshal() []byte {
-	e := newEnc(1024)
+	e := enc{buf: make([]byte, 4, 1024)} // the CRC is patched in below
 	e.u64(c.LSN)
 	e.u64(c.NextIno)
 	e.u64(c.Epoch)
@@ -106,11 +106,8 @@ func (c *Checkpoint) Marshal() []byte {
 	for _, id := range c.DeadDirs {
 		e.inode(id)
 	}
-	body := e.buf
-	out := make([]byte, 4+len(body))
-	putU32(out, crc32.Checksum(body, crcTable))
-	copy(out[4:], body)
-	return out
+	putU32(e.buf, crc32.Checksum(e.buf[4:], crcTable))
+	return e.buf
 }
 
 // UnmarshalCheckpoint decodes and CRC-verifies a checkpoint.

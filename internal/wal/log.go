@@ -17,13 +17,11 @@ type Config struct {
 	// this size. Default 1 MiB.
 	SegmentBytes int
 
-	// GroupCommitInterval is the flush cadence in virtual time: records are
-	// acknowledged when their batch's interval expires. Zero means every
-	// append flushes synchronously (the most conservative, slowest setting).
+	// GroupCommitInterval is ignored. It set a commit timer that could
+	// never batch two requests' records (DESIGN.md §6); the field remains
+	// only because benchmark/ still assigns it, and goes with that
+	// assignment (ROADMAP).
 	GroupCommitInterval sim.Cycles
-	// GroupCommitBytes flushes a batch early once it accumulates this many
-	// bytes, bounding the data at risk per flush. Default 64 KiB.
-	GroupCommitBytes int
 
 	// CheckpointEvery takes an automatic checkpoint after this many records
 	// have been appended since the last one. Zero disables automatic
@@ -42,9 +40,6 @@ type Config struct {
 func (c *Config) normalize() {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 1 << 20
-	}
-	if c.GroupCommitBytes <= 0 {
-		c.GroupCommitBytes = 64 << 10
 	}
 }
 
@@ -78,8 +73,8 @@ type RecoveryStats struct {
 // The Log object itself models the durable device head: it survives a
 // simulated server crash the same way the MemStore does. Nothing buffered
 // in the Log is lost at a crash because Append writes through to the store;
-// the group-commit machinery only decides *when in virtual time* a record
-// counts as committed (and what the flush cadence costs).
+// the commit rule only decides *when in virtual time* a record counts as
+// committed.
 type Log struct {
 	mu  sync.Mutex
 	cfg Config
@@ -91,11 +86,13 @@ type Log struct {
 
 	sinceCkpt int // records appended since the last checkpoint
 
-	// Group commit, in virtual time.
-	batchOpen     bool
-	batchDeadline sim.Cycles
-	batchBytes    int
-	lastFlushEnd  sim.Cycles
+	// lastFlushEnd is when the log device finishes the flush it is doing (or
+	// last did), in virtual time: the next flush cannot start before it.
+	lastFlushEnd sim.Cycles
+
+	// frames holds the encoded frames of the most recent Append; the buffer
+	// is reused from one append to the next.
+	frames []byte
 
 	// syncErr latches a failed store flush: once the durable medium has
 	// failed, no further append may be acknowledged.
@@ -160,13 +157,10 @@ func Open(cfg Config) (*Log, error) {
 	return l, nil
 }
 
-// GroupCommitInterval returns the configured flush cadence.
-func (l *Log) GroupCommitInterval() sim.Cycles { return l.cfg.GroupCommitInterval }
-
-// Append assigns LSNs to recs, writes them to the current segment, and
-// returns the virtual time at which the batch they joined commits (the
-// acknowledgement time for the mutation they describe) plus the CPU cycles
-// the caller should charge for the append work.
+// Append assigns LSNs to recs, writes them to the current segment as one
+// batch, and returns the virtual time at which the flush carrying them ends
+// (the acknowledgement time for the mutation they describe) plus the CPU
+// cycles the caller should charge for the append work.
 func (l *Log) Append(recs []Record, now sim.Cycles) (ack sim.Cycles, cpu sim.Cycles, err error) {
 	if len(recs) == 0 {
 		return now, 0, nil
@@ -174,12 +168,12 @@ func (l *Log) Append(recs []Record, now sim.Cycles) (ack sim.Cycles, cpu sim.Cyc
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
-	var buf []byte
 	for i := range recs {
 		recs[i].LSN = l.nextLSN
 		l.nextLSN++
-		buf = append(buf, frame(recs[i].encode())...)
 	}
+	buf := appendFrames(l.frames[:0], recs)
+	l.frames = buf
 	if l.segBytes > 0 && l.segBytes+len(buf) > l.cfg.SegmentBytes {
 		l.seg++
 		l.segBytes = 0
@@ -194,14 +188,10 @@ func (l *Log) Append(recs []Record, now sim.Cycles) (ack sim.Cycles, cpu sim.Cyc
 	l.stats.LastLSN = l.nextLSN - 1
 
 	cpu = sim.LineCost(l.cfg.AppendPerLine, len(buf))
-	ack = l.commitTime(now, len(buf))
+	ack = l.commitTime(now)
 
 	// Physical durability is write-through: every append reaches the
-	// store's durable medium before it is acknowledged, regardless of the
-	// group-commit interval (which models only the *virtual-time* flush
-	// cadence). Without this, records acked at a batch deadline could sit
-	// unsynced in a FileStore page cache until a later append — or
-	// forever, for the final batch.
+	// store's durable medium before it is acknowledged.
 	if err := l.cfg.Store.Sync(); err != nil && l.syncErr == nil {
 		l.syncErr = err
 	}
@@ -213,49 +203,23 @@ func (l *Log) Append(recs []Record, now sim.Cycles) (ack sim.Cycles, cpu sim.Cyc
 	return ack, cpu, nil
 }
 
-// commitTime runs the group-commit state machine and returns the virtual
-// time at which bytes appended at `now` are durable. Callers hold l.mu.
-func (l *Log) commitTime(now sim.Cycles, nbytes int) sim.Cycles {
-	// flushAt accounts one flush in virtual time; the physical sync is
-	// handled write-through by Append.
-	flushAt := func(t sim.Cycles) sim.Cycles {
-		if l.lastFlushEnd > t {
-			t = l.lastFlushEnd
-		}
-		end := t + l.cfg.FlushCycles
-		l.lastFlushEnd = end
-		l.stats.Flushes++
-		return end
-	}
+// commitTime returns the virtual time at which records appended at `now`
+// are durable: their flush starts as soon as the device is free and takes
+// FlushCycles. Callers hold l.mu.
+func (l *Log) commitTime(now sim.Cycles) sim.Cycles {
+	l.lastFlushEnd = max(now, l.lastFlushEnd) + l.cfg.FlushCycles
+	l.stats.Flushes++
+	return l.lastFlushEnd
+}
 
-	if l.cfg.GroupCommitInterval == 0 {
-		// Synchronous commit: every append is its own flush.
-		return flushAt(now)
-	}
-
-	// Close a batch whose deadline has passed (it flushed, in virtual time,
-	// when its interval expired).
-	if l.batchOpen && now > l.batchDeadline {
-		flushAt(l.batchDeadline)
-		l.batchOpen = false
-	}
-	if !l.batchOpen {
-		l.batchOpen = true
-		l.batchDeadline = now + l.cfg.GroupCommitInterval
-		l.batchBytes = 0
-	}
-	l.batchBytes += nbytes
-	if l.batchBytes >= l.cfg.GroupCommitBytes {
-		// The batch hit the byte threshold: flush immediately.
-		l.batchOpen = false
-		return flushAt(now)
-	}
-	// Commit happens when the batch's interval expires.
-	end := l.batchDeadline
-	if l.lastFlushEnd > end {
-		end = l.lastFlushEnd
-	}
-	return end + l.cfg.FlushCycles
+// LastFrames returns the encoded frames the most recent Append wrote to the
+// store: what a replication shipper sends, so that log and follower cannot
+// disagree about record contents. The slice aliases the log's encode buffer
+// and is valid only until the next Append.
+func (l *Log) LastFrames() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.frames
 }
 
 // CheckpointDue reports whether enough records have accumulated since the
@@ -384,15 +348,9 @@ func (l *Log) ReplayCost(records int, logBytes int64, ckptBytes int) sim.Cycles 
 	return c
 }
 
-// Stats returns a snapshot of the log's counters. An open group-commit
-// batch counts as one pending flush so sweep figures reflect the final
-// flush a real shutdown would perform.
+// Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := l.stats
-	if l.batchOpen {
-		out.Flushes++
-	}
-	return out
+	return l.stats
 }

@@ -1,5 +1,5 @@
 // Package wal is Hare's durability subsystem: a per-file-server write-ahead
-// log with group commit, checkpoints, and crash recovery.
+// log with a virtual-time commit point, checkpoints, and crash recovery.
 //
 // The paper scopes durability out — the file system lives entirely in
 // non-cache-coherent DRAM and a server crash loses its shard of the
@@ -12,11 +12,11 @@
 // truncates the log. Recovery rebuilds the server's state from the latest
 // checkpoint plus an idempotent replay of the log's tail.
 //
-// Group commit: mutations are acknowledged only once their log batch is
-// flushed. The flush interval and byte threshold are configuration knobs,
-// and the flush work is charged to the simulator's cost model, so durability
-// shows up as latency and throughput in virtual-time benchmarks exactly the
-// way an fsync cadence would on real hardware.
+// Commit point: a mutation is acknowledged only once the flush carrying its
+// records has ended. A flush starts as soon as the log device is free and
+// its cost is charged to the simulator's cost model, so durability shows up
+// as latency and throughput in virtual-time benchmarks the way an fsync
+// would on real hardware.
 //
 // See DESIGN.md §6 for how this subsystem composes with the paper's design.
 package wal
@@ -137,9 +137,12 @@ const frameHeader = 8
 // castagnoli would also do; IEEE matches Go's crc32 default table.
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// encode serializes the record body (everything inside the frame).
-func (r *Record) encode() []byte {
-	e := newEnc(64 + len(r.Name) + len(r.Data) + 8*len(r.Blocks))
+// appendFrame appends r to buf as one frame: the header is reserved, the body
+// encoded in place behind it, and length and CRC patched in afterwards, so a
+// batch of any size is encoded into a single buffer.
+func appendFrame(buf []byte, r *Record) []byte {
+	start := len(buf)
+	e := enc{buf: append(buf, make([]byte, frameHeader)...)}
 	e.u64(r.LSN)
 	e.u8(uint8(r.Type))
 	e.u64(r.Ino)
@@ -155,7 +158,18 @@ func (r *Record) encode() []byte {
 	e.u64Slice(r.Blocks)
 	e.blob(r.Data)
 	e.u64(r.Epoch)
+	body := e.buf[start+frameHeader:]
+	putU32(e.buf[start:], uint32(len(body)))
+	putU32(e.buf[start+4:], crc32.Checksum(body, crcTable))
 	return e.buf
+}
+
+// appendFrames appends every record of the batch to buf, in order.
+func appendFrames(buf []byte, recs []Record) []byte {
+	for i := range recs {
+		buf = appendFrame(buf, &recs[i])
+	}
+	return buf
 }
 
 // decodeRecord parses one record body.
@@ -184,15 +198,10 @@ func decodeRecord(b []byte) (Record, error) {
 }
 
 // EncodeRecords serializes a batch of records in the log's frame format
-// (length + CRC per record). It is the wire encoding the replication shipper
-// uses for REPL_APPEND payloads: a follower ingests exactly the frames the
-// primary's log flushed, so the two cannot disagree about record contents.
+// (length + CRC per record): the bytes Log.Append writes to the store for the
+// same records, and the encoding REPL_APPEND payloads carry.
 func EncodeRecords(recs []Record) []byte {
-	var out []byte
-	for i := range recs {
-		out = append(out, frame(recs[i].encode())...)
-	}
-	return out
+	return appendFrames(nil, recs)
 }
 
 // DecodeRecords parses a batch encoded by EncodeRecords. Unlike log-tail
@@ -215,15 +224,6 @@ func DecodeRecords(b []byte) ([]Record, error) {
 		b = rest
 	}
 	return recs, nil
-}
-
-// frame wraps an encoded record body with the length+CRC header.
-func frame(body []byte) []byte {
-	out := make([]byte, frameHeader+len(body))
-	putU32(out[0:], uint32(len(body)))
-	putU32(out[4:], crc32.Checksum(body, crcTable))
-	copy(out[frameHeader:], body)
-	return out
 }
 
 // unframe reads one frame from b, returning the body and remaining bytes.

@@ -21,7 +21,8 @@ import (
 type Store interface {
 	// Segments lists existing segment indices in ascending order.
 	Segments() ([]uint64, error)
-	// Append appends bytes to the given segment, creating it if needed.
+	// Append appends bytes to the given segment, creating it if needed. It
+	// must not retain b: the log reuses the buffer for its next append.
 	Append(seg uint64, b []byte) error
 	// Read returns the full contents of a segment.
 	Read(seg uint64) ([]byte, error)

@@ -12,12 +12,11 @@ import (
 
 func testConfig(st Store) Config {
 	return Config{
-		Store:               st,
-		SegmentBytes:        512,
-		GroupCommitInterval: 0,
-		FlushCycles:         100,
-		AppendPerLine:       2,
-		ReplayPerRecord:     50,
+		Store:           st,
+		SegmentBytes:    512,
+		FlushCycles:     100,
+		AppendPerLine:   2,
+		ReplayPerRecord: 50,
 	}
 }
 
@@ -42,7 +41,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		Blocks: []uint64{10, 11, 12},
 		Data:   []byte("hello"),
 	}
-	body := in.encode()
+	body, rest, err := unframe(appendFrame(nil, &in))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("unframe: %v, %d bytes left over", err, len(rest))
+	}
 	out, err := decodeRecord(body)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -55,7 +57,8 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestFrameCRCDetectsCorruption(t *testing.T) {
-	f := frame([]byte("payload"))
+	r := rec(RecInode, 1)
+	f := appendFrame(nil, &r)
 	if _, _, err := unframe(f); err != nil {
 		t.Fatalf("clean frame rejected: %v", err)
 	}
@@ -164,53 +167,84 @@ func TestCheckpointCRC(t *testing.T) {
 	}
 }
 
-func TestGroupCommitBatching(t *testing.T) {
-	cfg := testConfig(NewMemStore())
-	cfg.GroupCommitInterval = 10000
-	cfg.GroupCommitBytes = 1 << 20 // never hit the byte threshold
-	l, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
+// TestCommitRule pins the commit point: a flush starts when the device is
+// free and takes FlushCycles (100 here), whatever GroupCommitInterval says.
+func TestCommitRule(t *testing.T) {
+	steps := []struct {
+		name      string
+		now, want sim.Cycles
+	}{
+		{"idle device acks at now+Flush", 1000, 1100},
+		{"device busy until 1100: flush starts there", 1050, 1200},
+		{"append at the very flush end", 1200, 1300},
+		{"stale now still queues behind the last flush", 900, 1400},
+		{"idle again after a gap", 5000, 5100},
 	}
-	// Three appends inside one interval share a batch: same commit time.
-	ack1, _, _ := l.Append([]Record{rec(RecInode, 1)}, 100)
-	ack2, _, _ := l.Append([]Record{rec(RecInode, 2)}, 200)
-	ack3, _, _ := l.Append([]Record{rec(RecInode, 3)}, 9000)
-	if ack1 != ack2 || ack2 != ack3 {
-		t.Fatalf("batch members ack at different times: %d %d %d", ack1, ack2, ack3)
-	}
-	if want := sim.Cycles(100 + 10000 + 100); ack1 != want {
-		t.Fatalf("ack = %d, want deadline+flush = %d", ack1, want)
-	}
-	// An append past the deadline opens a new batch.
-	ack4, _, _ := l.Append([]Record{rec(RecInode, 4)}, 20000)
-	if ack4 <= ack3 {
-		t.Fatalf("new batch ack %d not after old batch %d", ack4, ack3)
-	}
-	st := l.Stats()
-	if st.Records != 4 {
-		t.Fatalf("records = %d, want 4", st.Records)
-	}
-	// One closed batch plus the open one.
-	if st.Flushes != 2 {
-		t.Fatalf("flushes = %d, want 2", st.Flushes)
+	for _, interval := range []sim.Cycles{0, 1_000_000} {
+		cfg := testConfig(NewMemStore())
+		cfg.GroupCommitInterval = interval
+		l, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		var prev sim.Cycles
+		for i, st := range steps {
+			ack, _, err := l.Append([]Record{rec(RecInode, uint64(i+1)), rec(RecSize, uint64(i+1))}, st.now)
+			if err != nil {
+				t.Fatalf("interval %d, %s: %v", interval, st.name, err)
+			}
+			if ack != st.want {
+				t.Errorf("interval %d, %s: ack = %d, want %d", interval, st.name, ack, st.want)
+			}
+			if ack <= prev {
+				t.Errorf("interval %d, %s: ack %d not after the previous batch's %d (acks must be monotone in LSN)", interval, st.name, ack, prev)
+			}
+			prev = ack
+		}
+		// One flush per append, however many records it carried.
+		if got := l.Stats(); got.Flushes != uint64(len(steps)) || got.Records != uint64(2*len(steps)) {
+			t.Errorf("interval %d: %d flushes for %d records, want %d for %d", interval, got.Flushes, got.Records, len(steps), 2*len(steps))
+		}
 	}
 }
 
-func TestGroupCommitByteThreshold(t *testing.T) {
-	cfg := testConfig(NewMemStore())
-	cfg.GroupCommitInterval = 1 << 30 // effectively never
-	cfg.GroupCommitBytes = 64
-	l, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	big := Record{Type: RecWrite, Ino: 1, Data: make([]byte, 256)}
-	ack, _, _ := l.Append([]Record{big}, 500)
-	// The byte threshold forces an immediate flush: ack is now+flush, not
-	// deadline+flush.
-	if want := sim.Cycles(500 + 100); ack != want {
-		t.Fatalf("ack = %d, want immediate flush at %d", ack, want)
+// TestAppendEncodesOnceIntoOneBuffer pins the encoder: a batch is framed into
+// the log's reused buffer, so an append allocates at most twice whatever the
+// record count, and LastFrames is exactly what reached the store.
+func TestAppendEncodesOnceIntoOneBuffer(t *testing.T) {
+	for _, n := range []int{1, 4, 64} {
+		st := NewMemStore()
+		cfg := testConfig(st)
+		cfg.SegmentBytes = 1 << 30 // one segment, so the store holds the appends back to back
+		l, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{Type: RecAddMap, Dir: proto.RootInode, Name: fmt.Sprintf("name-%03d", i), Data: []byte("xy")}
+		}
+		var now sim.Cycles
+		allocs := testing.AllocsPerRun(200, func() {
+			now += 1000
+			if _, _, err := l.Append(recs, now); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%d records: %.1f allocations per Append, want at most 2", n, allocs)
+		}
+		last := l.LastFrames()
+		if want := EncodeRecords(recs); !bytes.Equal(last, want) {
+			t.Errorf("%d records: LastFrames differs from EncodeRecords of the same batch", n)
+		}
+		seg, err := st.Read(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(seg, last) {
+			t.Errorf("%d records: the store's tail is not the frames LastFrames reports", n)
+		}
 	}
 }
 
@@ -323,7 +357,7 @@ func TestRecoverDetectsLostPrefix(t *testing.T) {
 	st := NewMemStore()
 	r := rec(RecInode, 7)
 	r.LSN = 3 // records 1 and 2 are missing
-	st.Append(0, frame(r.encode()))
+	st.Append(0, appendFrame(nil, &r))
 	l, err := Open(testConfig(st))
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -338,7 +372,7 @@ func TestRecoverDetectsMidLogGap(t *testing.T) {
 	for _, lsn := range []uint64{1, 2, 5, 6} { // 3 and 4 missing
 		r := rec(RecInode, lsn)
 		r.LSN = lsn
-		st.Append(lsn/4, frame(r.encode())) // split across two segments
+		st.Append(lsn/4, appendFrame(nil, &r)) // split across two segments
 	}
 	l, err := Open(testConfig(st))
 	if err != nil {

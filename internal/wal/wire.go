@@ -21,10 +21,6 @@ type enc struct {
 	buf []byte
 }
 
-func newEnc(sizeHint int) *enc {
-	return &enc{buf: make([]byte, 0, sizeHint)}
-}
-
 func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *enc) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }

@@ -55,7 +55,7 @@ func TestCrashRecoveryWorkload(t *testing.T) {
 }
 
 func TestCrashRecoveryWorkloadWithAutoCheckpoints(t *testing.T) {
-	env, stop := durableEnv(t, 2, core.Durability{CheckpointEvery: 8, GroupCommitInterval: 50_000})
+	env, stop := durableEnv(t, 2, core.Durability{CheckpointEvery: 8})
 	defer stop()
 	w := CrashRecovery{FilesPerRound: 4}
 	runOne(t, env, w)

@@ -164,7 +164,7 @@ func TestDataPathReopenAfterRemoteWrite(t *testing.T) {
 func TestDataPathCrashRecoveryBothModes(t *testing.T) {
 	snaps := make(map[bool]map[string]string)
 	for _, datapath := range []bool{true, false} {
-		d := &core.Durability{Enabled: true, CheckpointEvery: 16, GroupCommitInterval: 20_000}
+		d := &core.Durability{Enabled: true, CheckpointEvery: 16}
 		sys, env := datapathSystem(t, datapath, d)
 		env.Scale = 1
 		w := CrashRecovery{FilesPerRound: 3}

@@ -114,7 +114,7 @@ func (c *crashyController) Members() []int            { return c.sys.Members() }
 // crash recovery lands the fleet on exactly one epoch with no entry lost or
 // duplicated.
 func TestElasticCrashDuringMigrationEquivalence(t *testing.T) {
-	d := &core.Durability{Enabled: true, CheckpointEvery: 32, GroupCommitInterval: 10_000}
+	d := &core.Durability{Enabled: true, CheckpointEvery: 32}
 	snaps := make(map[bool]map[string]string)
 	for _, elastic := range []bool{true, false} {
 		sys, env := elasticSystem(t, place.PolicyRing, 2, 3, d)

@@ -130,7 +130,7 @@ func TestCrashRecoveryWorkloadBothPipeliningModes(t *testing.T) {
 	// the recovered namespaces must match across modes.
 	snaps := make(map[bool]map[string]string)
 	for _, pipelining := range []bool{true, false} {
-		d := &core.Durability{Enabled: true, CheckpointEvery: 16, GroupCommitInterval: 20_000}
+		d := &core.Durability{Enabled: true, CheckpointEvery: 16}
 		sys, env := pipelineSystem(t, pipelining, d)
 		env.Scale = 1
 		w := CrashRecovery{FilesPerRound: 3}
