@@ -83,15 +83,7 @@ func (c *Client) dataCost(n int) {
 	c.charge(sim.LineCost(c.fs.machine.Cost.RamfsPerLine, n))
 }
 
-func (c *Client) absPath(path string) string {
-	if !fsapi.IsAbs(path) {
-		path = fsapi.Join(c.cwd, path)
-		if !fsapi.IsAbs(path) {
-			path = "/" + path
-		}
-	}
-	return fsapi.ResolveDots(path)
-}
+func (c *Client) absPath(path string) string { return fsapi.AbsPath(c.cwd, path) }
 
 func (c *Client) allocFD(of *openFile) fsapi.FD {
 	fd := c.nextFD

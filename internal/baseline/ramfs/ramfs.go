@@ -107,7 +107,7 @@ func (fs *FS) newNode(ftype fsapi.FileType, mode fsapi.Mode) *node {
 // lookup walks an absolute path and returns the node, or ENOENT/ENOTDIR.
 func (fs *FS) lookup(abs string) (*node, error) {
 	cur := fs.root
-	for _, comp := range fsapi.SplitPath(abs) {
+	for comp, rest := fsapi.NextComponent(abs); comp != ""; comp, rest = fsapi.NextComponent(rest) {
 		if cur.ftype != fsapi.TypeDir {
 			return nil, fsapi.ENOTDIR
 		}

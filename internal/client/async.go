@@ -46,13 +46,17 @@ func (c *Client) sendAsync(srv int, req *proto.Request) (*msg.Future, error) {
 
 // awaitAll harvests the given futures: the clock advances to the latest
 // reply arrival, one receive cost is charged per reply, and the decoded
-// responses are returned in future order.
+// responses are returned in future order. Every payload harvested is
+// released, also when a later future or a decode fails.
 func (c *Client) awaitAll(futs []*msg.Future) ([]*proto.Response, error) {
 	envs := make([]msg.Envelope, len(futs))
 	var latest sim.Cycles
 	for i, f := range futs {
 		env, err := f.Await()
 		if err != nil {
+			for _, got := range envs[:i] {
+				c.ep.PutBuf(got.Payload)
+			}
 			return nil, fsapi.EIO
 		}
 		envs[i] = env
@@ -63,108 +67,111 @@ func (c *Client) awaitAll(futs []*msg.Future) ([]*proto.Response, error) {
 	c.clock.AdvanceTo(latest)
 	c.charge(c.cfg.Machine.Cost.MsgRecv * sim.Cycles(len(futs)))
 	out := make([]*proto.Response, len(envs))
+	failed := false
 	for i := range envs {
-		resp := new(proto.Response)
-		err := proto.UnmarshalResponseInto(resp, envs[i].Payload)
-		c.ep.PutBuf(envs[i].Payload)
-		if err != nil {
-			return nil, fsapi.EIO
+		out[i] = c.newResp()
+		if err := proto.UnmarshalResponseInto(out[i], envs[i].Payload); err != nil {
+			failed = true
 		}
-		out[i] = resp
+		c.ep.PutBuf(envs[i].Payload)
+	}
+	if failed {
+		return nil, fsapi.EIO
 	}
 	runtime.Gosched()
 	return out, nil
 }
 
-// chunkRequests splits a request list at the batch size caps. The estimate
-// leaves headroom for the fixed-shape fields so a chunk never exceeds
+// batchLen returns how many of the leading requests travel in one batch
+// envelope: as many as the protocol's caps allow. The estimate leaves
+// headroom for the fixed-shape fields so an envelope never exceeds
 // MaxBatchBytes once marshaled.
-func chunkRequests(reqs []*proto.Request) [][]*proto.Request {
+func batchLen(reqs []*proto.Request) int {
 	const perReqOverhead = 192
 	budget := proto.MaxBatchBytes - 64
-	var out [][]*proto.Request
-	var cur []*proto.Request
-	curBytes := 0
+	n, bytes := 0, 0
 	for _, r := range reqs {
 		est := perReqOverhead + len(r.Name) + len(r.Data) + len(r.Program) + len(r.Dirname)
-		if len(cur) > 0 && (len(cur) >= proto.MaxBatchOps || curBytes+est > budget) {
-			out = append(out, cur)
-			cur, curBytes = nil, 0
+		if n > 0 && (n >= proto.MaxBatchOps || bytes+est > budget) {
+			break
 		}
-		cur = append(cur, r)
-		curBytes += est
+		n++
+		bytes += est
 	}
-	if len(cur) > 0 {
-		out = append(out, cur)
-	}
-	return out
+	return n
 }
 
-// rpcBatch sends requests destined for one server. With pipelining enabled
-// they travel in OpBatch envelopes (split at the protocol size caps);
-// otherwise they are issued strictly one after another. stopOnErr makes the
-// requests a dependent chain: after the first failure the remaining ones are
-// skipped with ECANCELED responses (server-side within a batch, client-side
-// across batch splits). Responses come back in request order; a protocol
-// failure of a sub-operation is reported in its Response, not as an error.
-func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request) ([]*proto.Response, error) {
-	out := make([]*proto.Response, 0, len(reqs))
-	failed := false
-	if !c.cfg.Options.Pipelining || len(reqs) == 1 {
-		for _, r := range reqs {
-			if failed && stopOnErr {
-				out = append(out, proto.ErrResponse(fsapi.ECANCELED))
-				continue
-			}
-			resp, err := c.rpc(srv, r)
-			if err != nil {
-				return nil, err
-			}
-			if resp.Err != fsapi.OK {
-				failed = true
-			}
-			out = append(out, resp)
-		}
-		return out, nil
+// batchEnvelope stamps the sub-requests and returns the OpBatch envelope that
+// carries them; its AppendTo encodes them in place. It is returned by value
+// so that an envelope sent at once stays on the caller's stack, the
+// sub-requests with it.
+func (c *Client) batchEnvelope(subs []*proto.Request, stopOnErr bool) proto.Request {
+	for _, r := range subs {
+		r.ClientID = c.cfg.ID
 	}
-	for _, chunk := range chunkRequests(reqs) {
-		if failed && stopOnErr {
-			for range chunk {
-				out = append(out, proto.ErrResponse(fsapi.ECANCELED))
-			}
-			continue
+	return proto.Request{Op: proto.OpBatch, Subs: subs, StopOnErr: stopOnErr}
+}
+
+// unpackBatch appends the n sub-responses a batch reply carries to out.
+func (c *Client) unpackBatch(out []*proto.Response, reply *proto.Response, n int) ([]*proto.Response, error) {
+	if reply.Err != fsapi.OK {
+		return nil, reply.Err
+	}
+	first := len(out)
+	for i := 0; i < n; i++ {
+		out = append(out, c.newResp())
+	}
+	if proto.UnmarshalBatchResponsesInto(out[first:], reply.Data) != nil {
+		return nil, fsapi.EIO
+	}
+	return out, nil
+}
+
+// rpcBatch sends requests destined for one server and appends their
+// responses to out, in request order. With pipelining enabled they travel in
+// OpBatch envelopes (split at the protocol size caps); otherwise they are
+// issued strictly one after another. stopOnErr makes the requests a
+// dependent chain: after the first failure the remaining ones are skipped
+// with ECANCELED responses (server-side within a batch, client-side across
+// batch splits). A protocol failure of a sub-operation is reported in its
+// Response, not as an error.
+func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
+	failed := false
+	for len(reqs) > 0 {
+		n := 1
+		if c.cfg.Options.Pipelining {
+			n = batchLen(reqs)
 		}
-		var subs []*proto.Response
-		if len(chunk) == 1 {
+		chunk := reqs[:n]
+		reqs = reqs[n:]
+		first := len(out)
+		switch {
+		case failed && stopOnErr:
+			for range chunk {
+				out = append(out, c.errResp(fsapi.ECANCELED))
+			}
+		case n == 1:
 			resp, err := c.rpc(srv, chunk[0])
 			if err != nil {
 				return nil, err
 			}
-			subs = []*proto.Response{resp}
-		} else {
-			for _, r := range chunk {
-				r.ClientID = c.cfg.ID
-			}
-			env, err := c.rpc(srv, proto.BatchRequest(chunk, stopOnErr))
+			out = append(out, resp)
+		default:
+			env := c.batchEnvelope(chunk, stopOnErr)
+			reply, err := c.rpc(srv, &env)
 			if err != nil {
 				return nil, err
 			}
-			if env.Err != fsapi.OK {
-				return nil, env.Err
+			if out, err = c.unpackBatch(out, reply, n); err != nil {
+				return nil, err
 			}
-			var derr error
-			subs, derr = proto.UnmarshalBatchResponses(env.Data)
-			if derr != nil || len(subs) != len(chunk) {
-				return nil, fsapi.EIO
-			}
-			c.stats.batched.Add(uint64(len(chunk)))
+			c.stats.batched.Add(uint64(n))
 		}
-		for _, r := range subs {
+		for _, r := range out[first:] {
 			if r.Err != fsapi.OK {
 				failed = true
 			}
 		}
-		out = append(out, subs...)
 	}
 	return out, nil
 }
@@ -184,7 +191,7 @@ func (c *Client) scatter(perSrv map[int][]*proto.Request) (map[int][]*proto.Resp
 	out := make(map[int][]*proto.Response, len(perSrv))
 	if !c.cfg.Options.Pipelining {
 		for _, srv := range srvs {
-			resps, err := c.rpcBatch(srv, false, perSrv[srv])
+			resps, err := c.rpcBatch(srv, false, perSrv[srv], nil)
 			if err != nil {
 				return nil, err
 			}
@@ -193,32 +200,29 @@ func (c *Client) scatter(perSrv map[int][]*proto.Request) (map[int][]*proto.Resp
 		return out, nil
 	}
 
-	type chunkRef struct {
-		srv  int
-		n    int // sub-requests carried (1 means a bare request)
-		bare bool
+	type sent struct {
+		srv int
+		n   int // sub-requests carried; 1 means a bare request
 	}
 	var futs []*msg.Future
-	var refs []chunkRef
+	var refs []sent
 	for _, srv := range srvs {
-		for _, chunk := range chunkRequests(perSrv[srv]) {
-			var env *proto.Request
-			bare := len(chunk) == 1
-			if bare {
-				env = chunk[0]
-			} else {
-				for _, r := range chunk {
-					r.ClientID = c.cfg.ID
-				}
-				env = proto.BatchRequest(chunk, false)
-				c.stats.batched.Add(uint64(len(chunk)))
+		for reqs := perSrv[srv]; len(reqs) > 0; {
+			n := batchLen(reqs)
+			var batch proto.Request
+			env := reqs[0]
+			if n > 1 {
+				batch = c.batchEnvelope(reqs[:n], false)
+				c.stats.batched.Add(uint64(n))
+				env = &batch
 			}
+			reqs = reqs[n:]
 			fut, err := c.sendAsync(srv, env)
 			if err != nil {
 				return nil, err
 			}
 			futs = append(futs, fut)
-			refs = append(refs, chunkRef{srv: srv, n: len(chunk), bare: bare})
+			refs = append(refs, sent{srv: srv, n: n})
 		}
 	}
 	resps, err := c.awaitAll(futs)
@@ -226,18 +230,13 @@ func (c *Client) scatter(perSrv map[int][]*proto.Request) (map[int][]*proto.Resp
 		return nil, err
 	}
 	for i, ref := range refs {
-		if ref.bare {
+		if ref.n == 1 {
 			out[ref.srv] = append(out[ref.srv], resps[i])
 			continue
 		}
-		if resps[i].Err != fsapi.OK {
-			return nil, resps[i].Err
+		if out[ref.srv], err = c.unpackBatch(out[ref.srv], resps[i], ref.n); err != nil {
+			return nil, err
 		}
-		subs, derr := proto.UnmarshalBatchResponses(resps[i].Data)
-		if derr != nil || len(subs) != ref.n {
-			return nil, fsapi.EIO
-		}
-		out[ref.srv] = append(out[ref.srv], subs...)
 	}
 	return out, nil
 }

@@ -134,9 +134,10 @@ type Client struct {
 	// invalidation entirely (DESIGN.md §8).
 	vcache *table.Map[proto.InodeID, uint64]
 
-	// respFree recycles decoded response structs on the synchronous RPC
-	// path (see getResp/putResp in tables.go).
-	respFree []*proto.Response
+	// Per-call state (tables.go): the arena every decoded response comes
+	// from, and the free list of open-file descriptions.
+	resps  respArena
+	ofFree []*openFile
 
 	localServer int // designated nearby server for creation affinity
 
@@ -397,10 +398,12 @@ func (c *Client) endOp(s *trace.Span, err error) {
 	c.tr.Record(*s)
 }
 
-// opDone parks a bare client's lane once a public operation completes
-// (see Config.AutoPark). No-op in serialized mode and for
-// scheduler-managed clients.
-func (c *Client) opDone() {
+// opDone ends a public operation: the responses it drew since mark (taken
+// when it started, by the defer statement) are recycled, and a bare
+// client's lane is parked (see Config.AutoPark; no-op in serialized mode and
+// for scheduler-managed clients).
+func (c *Client) opDone(mark int) {
+	c.releaseResps(mark)
 	if c.cfg.AutoPark {
 		c.cfg.Network.GateIdle(c.ep.ID)
 	}
@@ -476,7 +479,7 @@ func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
 	c.stats.rpcs.Add(1)
 	c.clock.AdvanceTo(env.ArriveAt)
 	c.charge(cost.MsgRecv)
-	resp := c.getResp()
+	resp := c.newResp()
 	derr := proto.UnmarshalResponseInto(resp, env.Payload)
 	c.ep.PutBuf(env.Payload) // decoded fields never alias the wire bytes
 	if derr != nil {
@@ -493,17 +496,18 @@ func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
 	return resp, nil
 }
 
-// RPCTo performs a synchronous RPC to an arbitrary endpoint (used for
-// scheduling-server requests such as exec), with the same virtual-time
-// accounting as file-server RPCs.
+// ExecOn sends an exec request to a scheduling server's endpoint, waits until
+// the process it starts has exited, and returns that process's exit status,
+// with the same virtual-time accounting as file-server RPCs.
 //
-// The await is a gate handoff (AwaitHandoff): the only caller is the exec
-// proxy, whose reply arrives after the scheduling server has handed this
-// lane's work to a child client lane. Bumping the proxy's lane frontier past
-// the send time here would let gated servers run ahead of the child before
-// it joins; the proxy lane instead stays floored at the send until the
+// The await is a gate handoff (AwaitHandoff): the caller is the exec proxy,
+// whose reply arrives after the scheduling server has handed this lane's
+// work to a child client lane. Bumping the proxy's lane frontier past the
+// send time here would let gated servers run ahead of the child before it
+// joins; the proxy lane instead stays floored at the send until the
 // scheduler idles it (DESIGN.md §13).
-func (c *Client) RPCTo(dst msg.EndpointID, req *proto.Request) (*proto.Response, error) {
+func (c *Client) ExecOn(dst msg.EndpointID, req *proto.Request) (status int32, err error) {
+	defer c.releaseResps(c.respMark())
 	req.ClientID = c.cfg.ID
 	c.traceRequest(req)
 	payload := c.marshalReq(req)
@@ -511,25 +515,25 @@ func (c *Client) RPCTo(dst msg.EndpointID, req *proto.Request) (*proto.Response,
 	c.charge(cost.MsgSend)
 	fut, err := c.cfg.Network.SendAsync(c.ep, dst, proto.KindRequest, payload, c.clock.Now())
 	if err != nil {
-		return nil, fsapi.EIO
+		return 0, fsapi.EIO
 	}
 	env, err := fut.AwaitHandoff()
 	if err != nil {
-		return nil, fsapi.EIO
+		return 0, fsapi.EIO
 	}
 	c.stats.rpcs.Add(1)
 	c.clock.AdvanceTo(env.ArriveAt)
 	c.charge(cost.MsgRecv)
-	resp := new(proto.Response)
+	resp := c.newResp()
 	derr := proto.UnmarshalResponseInto(resp, env.Payload)
 	c.ep.PutBuf(env.Payload)
 	if derr != nil {
-		return nil, fsapi.EIO
+		return 0, fsapi.EIO
 	}
 	if resp.Err != fsapi.OK {
-		return resp, resp.Err
+		return 0, resp.Err
 	}
-	return resp, nil
+	return resp.ExitStatus, nil
 }
 
 // rpcOK performs an RPC and converts a non-OK errno into a Go error.
@@ -566,23 +570,27 @@ func (c *Client) broadcast(servers []int, req *proto.Request) ([]*proto.Response
 	results := c.cfg.Network.Broadcast(c.ep, dsts, proto.KindRequest, payload, c.clock.Now(), parallel)
 	out := make([]*proto.Response, len(results))
 	var latest sim.Cycles
+	failed := false
 	for i, r := range results {
 		if r.Err != nil {
-			return nil, fsapi.EIO
+			failed = true
+			continue
 		}
 		c.stats.rpcs.Add(1)
 		if r.Env.ArriveAt > latest {
 			latest = r.Env.ArriveAt
 		}
-		// All replies are alive at once, so each gets a fresh struct rather
-		// than the shared free list.
-		resp := new(proto.Response)
-		derr := proto.UnmarshalResponseInto(resp, r.Env.Payload)
+		// Every reply is decoded, and so every payload released, even once
+		// one has failed.
+		out[i] = c.newResp()
+		derr := proto.UnmarshalResponseInto(out[i], r.Env.Payload)
 		c.ep.PutBuf(r.Env.Payload)
 		if derr != nil {
-			return nil, fsapi.EIO
+			failed = true
 		}
-		out[i] = resp
+	}
+	if failed {
+		return nil, fsapi.EIO
 	}
 	c.clock.AdvanceTo(latest)
 	c.charge(cost.MsgRecv * sim.Cycles(len(dsts)))
@@ -636,7 +644,7 @@ func (c *Client) Getcwd() string { return c.cwd }
 // Chdir changes the working directory after verifying it is a directory.
 func (c *Client) Chdir(path string) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("chdir"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -656,7 +664,7 @@ func (c *Client) Chdir(path string) (err error) {
 // therefore the same offset).
 func (c *Client) Dup(fd fsapi.FD) (fsapi.FD, error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	of, err := c.getFD(fd)
 	if err != nil {
 		return -1, err
@@ -682,6 +690,7 @@ func (c *Client) OpenFDs() []fsapi.FD {
 // per descriptor. Close errors are discarded either way: the process is
 // exiting and has nobody to report them to.
 func (c *Client) CloseAll() {
+	defer c.releaseResps(c.respMark())
 	if s := c.beginOp("closeall"); s != nil {
 		defer func() { c.endOp(s, nil) }()
 	}
@@ -703,7 +712,8 @@ func (c *Client) CloseAll() {
 		if of.localRefs > 0 {
 			continue
 		}
-		req := c.closeRequest(of)
+		req := new(proto.Request)
+		c.closeRequest(of, req)
 		if of.pipe {
 			// Pipe closes can wake parked peers; they keep the plain path.
 			_, _ = c.rpcOK(int(of.ino.Server), req)
@@ -722,7 +732,7 @@ func (c *Client) CloseAll() {
 // multi-file counterpart of Fsync.
 func (c *Client) Sync() (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("sync"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}

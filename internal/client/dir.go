@@ -11,7 +11,7 @@ import (
 // the new directory's entries are sharded across all file servers (§3.3).
 func (c *Client) Mkdir(path string, opt fsapi.MkdirOpt) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("mkdir"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -88,7 +88,7 @@ func (c *Client) Mkdir(path string, opt fsapi.MkdirOpt) (err error) {
 // operation falls back to the authoritative two-RPC path.
 func (c *Client) Unlink(path string) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("unlink"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -130,10 +130,11 @@ func (c *Client) Unlink(path string) (err error) {
 // turned out to be stale (guard mismatch, or the placement epoch moved) and
 // the caller must retry on the authoritative path.
 func (c *Client) unlinkBatched(parent proto.InodeID, name string, entrySrv int, epoch uint64, ent dcacheEnt) (bool, error) {
+	var buf [2]*proto.Response
 	resps, err := c.rpcBatch(entrySrv, true, []*proto.Request{
 		{Op: proto.OpRmMap, Dir: parent, Name: name, Target: ent.ino, Ftype: fsapi.TypeRegular, Epoch: epoch},
 		{Op: proto.OpUnlinkInode, Target: ent.ino},
-	})
+	}, buf[:0])
 	c.uncacheEntry(parent, name)
 	if err != nil {
 		return true, err
@@ -167,7 +168,7 @@ func (c *Client) unlinkBatched(parent proto.InodeID, name string, entrySrv int, 
 // leaves either the old name or the new one, never both.
 func (c *Client) Rename(oldPath, newPath string) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("rename"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -250,7 +251,8 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 // that succeeded is never handed back — ADD_MAP is an upsert, but only its
 // first reply names the target it replaced.
 func (c *Client) renameBatched(srv int, add, rm *proto.Request) (addResp, rmResp *proto.Response, err error) {
-	resps, err := c.rpcBatch(srv, true, []*proto.Request{add, rm})
+	var buf [2]*proto.Response
+	resps, err := c.rpcBatch(srv, true, []*proto.Request{add, rm}, buf[:0])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,7 +273,7 @@ func (c *Client) renameBatched(srv int, add, rm *proto.Request) (addResp, rmResp
 // (§3.6.2). Entries are merged and sorted by name.
 func (c *Client) ReadDir(path string) (_ []fsapi.Dirent, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("readdir"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -309,7 +311,7 @@ func (c *Client) ReadDir(path string) (_ []fsapi.Dirent, err error) {
 // entry and the directory inode.
 func (c *Client) Rmdir(path string) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("rmdir"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}

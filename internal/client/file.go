@@ -11,7 +11,7 @@ import (
 // Open opens (and optionally creates) a file and returns a descriptor.
 func (c *Client) Open(path string, flags int, mode fsapi.Mode) (_ fsapi.FD, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("open"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -54,13 +54,8 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 		case fsapi.OK:
 			c.cacheEntry(parent, name, dcacheEnt{ino: resp.Ino, ftype: resp.Ftype, dist: resp.Dist})
 			c.noteVersion(resp.Ino, resp.Version)
-			of := &openFile{
-				ino:      resp.Ino,
-				ftype:    resp.Ftype,
-				flags:    flags,
-				size:     0,
-				verKnown: resp.Version,
-			}
+			of := c.newOpenFile()
+			of.ino, of.ftype, of.flags, of.verKnown = resp.Ino, resp.Ftype, flags, resp.Version
 			return c.allocFD(of), nil
 		case fsapi.EEXIST:
 			if flags&fsapi.OExcl != 0 {
@@ -162,13 +157,8 @@ func (c *Client) openExisting(ino proto.InodeID, ftype fsapi.FileType, dist bool
 
 // fileFromOpen builds an openFile from an OPEN/CREATE response.
 func (c *Client) fileFromOpen(resp *proto.Response, flags int) *openFile {
-	of := &openFile{
-		ino:      resp.Ino,
-		ftype:    resp.Ftype,
-		flags:    flags,
-		size:     resp.Size,
-		verKnown: resp.Version,
-	}
+	of := c.newOpenFile()
+	of.ino, of.ftype, of.flags, of.size, of.verKnown = resp.Ino, resp.Ftype, flags, resp.Size, resp.Version
 	refreshBlocks(of, resp.Extents)
 	return of
 }
@@ -187,7 +177,7 @@ func refreshBlocks(of *openFile, exts []proto.Extent) {
 // description.
 func (c *Client) Close(fd fsapi.FD) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("close"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -200,8 +190,9 @@ func (c *Client) Close(fd fsapi.FD) (err error) {
 	if of.localRefs > 0 {
 		return nil
 	}
-	req := c.closeRequest(of)
-	resp, err := c.rpcOK(int(of.ino.Server), req)
+	var req proto.Request
+	c.closeRequest(of, &req)
+	resp, err := c.rpcOK(int(of.ino.Server), &req)
 	if err == nil && req.Op == proto.OpCloseInode {
 		// A dirty close just wrote our data back and moved the version: the
 		// cache IS the new contents. A clean close whose version still
@@ -211,15 +202,16 @@ func (c *Client) Close(fd fsapi.FD) (err error) {
 		of.expectVersion(resp.Version, req.Dirty)
 		c.settleVersion(of)
 	}
+	c.freeOpenFile(of)
 	return err
 }
 
-// closeRequest prepares the release RPC for a description whose last local
-// reference is gone: the pipe-end close, the shared-descriptor deref, or —
-// after flushing dirty blocks — the inode close with the size update
+// closeRequest fills req with the release RPC for a description whose last
+// local reference is gone: the pipe-end close, the shared-descriptor deref,
+// or — after flushing dirty blocks — the inode close with the size update
 // coalesced in (§3.6.3). Shared by Close and the pipelined CloseAll so the
 // close semantics have one source of truth.
-func (c *Client) closeRequest(of *openFile) *proto.Request {
+func (c *Client) closeRequest(of *openFile, req *proto.Request) {
 	of.dropReadahead()
 	switch {
 	case of.pipe:
@@ -227,19 +219,18 @@ func (c *Client) closeRequest(of *openFile) *proto.Request {
 		if of.pipeWrite {
 			op = proto.OpPipeCloseWrite
 		}
-		return &proto.Request{Op: op, Target: of.ino}
+		*req = proto.Request{Op: op, Target: of.ino}
 	case of.srvFd != proto.NilFd:
-		return &proto.Request{Op: proto.OpFdDecRef, Fd: of.srvFd, Target: of.ino}
+		*req = proto.Request{Op: proto.OpFdDecRef, Fd: of.srvFd, Target: of.ino}
 	default:
 		c.writebackFile(of)
-		req := &proto.Request{Op: proto.OpCloseInode, Target: of.ino}
+		*req = proto.Request{Op: proto.OpCloseInode, Target: of.ino}
 		if of.wrote {
 			// Coalesce the size update with the close (§3.6.3), and tell the
 			// server the data changed so it moves the inode's version.
 			req.Size = of.size
 			req.Dirty = true
 		}
-		return req
 	}
 }
 
@@ -276,7 +267,7 @@ func (c *Client) writebackFile(of *openFile) {
 // updates the server's view of the file size.
 func (c *Client) Fsync(fd fsapi.FD) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("fsync"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -305,7 +296,7 @@ func (c *Client) Fsync(fd fsapi.FD) (err error) {
 // Read reads from the descriptor at its current offset.
 func (c *Client) Read(fd fsapi.FD, p []byte) (_ int, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("read"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -331,7 +322,7 @@ func (c *Client) Read(fd fsapi.FD, p []byte) (_ int, err error) {
 // Pread reads at an explicit offset without moving the descriptor offset.
 func (c *Client) Pread(fd fsapi.FD, p []byte, off int64) (_ int, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("pread"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -359,7 +350,7 @@ func (c *Client) Pread(fd fsapi.FD, p []byte, off int64) (_ int, err error) {
 // Write writes at the descriptor's current offset.
 func (c *Client) Write(fd fsapi.FD, p []byte) (_ int, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("write"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -389,7 +380,7 @@ func (c *Client) Write(fd fsapi.FD, p []byte) (_ int, err error) {
 // Pwrite writes at an explicit offset without moving the descriptor offset.
 func (c *Client) Pwrite(fd fsapi.FD, p []byte, off int64) (_ int, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("pwrite"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -467,7 +458,9 @@ func (c *Client) takeReadahead(of *openFile, off, n int64) ([]byte, bool) {
 	}
 	c.clock.AdvanceTo(env.ArriveAt)
 	c.charge(c.cfg.Machine.Cost.MsgRecv)
-	resp, derr := proto.UnmarshalResponse(env.Payload)
+	resp := c.newResp()
+	derr := proto.UnmarshalResponseInto(resp, env.Payload)
+	c.ep.PutBuf(env.Payload)
 	if derr != nil || resp.Err != fsapi.OK {
 		return nil, false
 	}
@@ -605,7 +598,11 @@ func (c *Client) invalidateTail(of *openFile, from int) {
 	if !c.cfg.Options.DirectAccess || from >= of.blocks.Len() {
 		return
 	}
-	dropped := c.cfg.Cache.InvalidateExtents(of.blocks.TailRuns(from))
+	head, rest := of.blocks.TailRuns(from)
+	dropped := c.cfg.Cache.InvalidateExtents([]ncc.Extent{head})
+	if len(rest) > 0 {
+		dropped += c.cfg.Cache.InvalidateExtents(rest)
+	}
 	if dropped > 0 {
 		c.stats.invBlocks.Add(uint64(dropped))
 		c.charge(sim.Cycles(dropped) * c.cfg.Machine.Cost.CachePerLine)
@@ -675,7 +672,7 @@ func (of *openFile) addDirty(b ncc.BlockID) {
 // Seek repositions a descriptor offset.
 func (c *Client) Seek(fd fsapi.FD, off int64, whence int) (_ int64, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("seek"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -717,7 +714,7 @@ func (c *Client) Seek(fd fsapi.FD, off int64, whence int) (_ int64, err error) {
 // Ftruncate truncates the open file to the given size.
 func (c *Client) Ftruncate(fd fsapi.FD, size int64) (err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("ftruncate"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -762,7 +759,7 @@ func (c *Client) Ftruncate(fd fsapi.FD, size int64) (err error) {
 // Stat returns metadata for a path.
 func (c *Client) Stat(path string) (_ fsapi.Stat, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("stat"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
@@ -781,7 +778,7 @@ func (c *Client) Stat(path string) (_ fsapi.Stat, err error) {
 // Fstat returns metadata for an open descriptor.
 func (c *Client) Fstat(fd fsapi.FD) (_ fsapi.Stat, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("fstat"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}

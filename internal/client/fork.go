@@ -81,6 +81,7 @@ func (c *Client) incRef(of *openFile) error {
 // relationships). Fork in Hare always runs on the caller's core; exec is the
 // point at which a process may move (§3.5).
 func (c *Client) CloneForFork(childCore int) (fsapi.Client, error) {
+	defer c.releaseResps(c.respMark())
 	child := c.spawnPeer(childCore)
 	child.cwd = c.cwd
 	child.clock.AdvanceTo(c.clock.Now())
@@ -139,6 +140,7 @@ func (c *Client) spawnPeer(core int) *Client {
 // and its reference count incremented on behalf of the new process; the
 // caller (which turns into a proxy) later closes its own copies normally.
 func (c *Client) ExportFds() ([]proto.FdSpec, error) {
+	defer c.releaseResps(c.respMark())
 	fds := c.OpenFDs()
 	specs := make([]proto.FdSpec, 0, len(fds))
 	for _, fd := range fds {

@@ -20,15 +20,7 @@ type dcacheEnt struct {
 
 // absPath converts a possibly relative path into an absolute, dot-resolved
 // path using the process working directory.
-func (c *Client) absPath(path string) string {
-	if !fsapi.IsAbs(path) {
-		path = fsapi.Join(c.cwd, path)
-		if !fsapi.IsAbs(path) {
-			path = "/" + path
-		}
-	}
-	return fsapi.ResolveDots(path)
-}
+func (c *Client) absPath(path string) string { return fsapi.AbsPath(c.cwd, path) }
 
 // drainInvalidations processes all pending directory-cache invalidation
 // callbacks. Hare performs this before every use of the directory cache:
@@ -43,6 +35,7 @@ func (c *Client) drainInvalidations() {
 		c.clock.AdvanceTo(env.ArriveAt)
 		c.charge(c.cfg.Machine.Cost.MsgRecv)
 		iv, err := proto.UnmarshalInvalidation(env.Payload)
+		c.cfg.Network.ReleaseCallback(env) // the decoded name is a copy
 		if err != nil {
 			continue
 		}
@@ -74,7 +67,6 @@ func (c *Client) lookupEntry(dir proto.InodeID, dirDist bool, name string) (dcac
 		return dcacheEnt{}, err
 	}
 	ent := dcacheEnt{ino: resp.Ino, ftype: resp.Ftype, dist: resp.Dist}
-	c.putResp(resp) // sole owner: nothing above retains the response
 	if c.cfg.Options.DirCache {
 		c.dcache.Put(dcacheKey{dir, name}, ent)
 	}
@@ -121,8 +113,7 @@ func (c *Client) rootEnt() dcacheEnt {
 // inode, type, and (for directories) distribution flag.
 func (c *Client) resolvePath(abs string) (proto.InodeID, fsapi.FileType, bool, error) {
 	cur := c.rootEnt()
-	comps := fsapi.SplitPath(abs)
-	for _, comp := range comps {
+	for comp, rest := fsapi.NextComponent(abs); comp != ""; comp, rest = fsapi.NextComponent(rest) {
 		if cur.ftype != fsapi.TypeDir {
 			return proto.NilInode, 0, false, fsapi.ENOTDIR
 		}

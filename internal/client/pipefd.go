@@ -12,7 +12,7 @@ import (
 // (used, for example, by make's jobserver).
 func (c *Client) Pipe() (_, _ fsapi.FD, err error) {
 	c.syscall()
-	defer c.opDone()
+	defer c.opDone(c.respMark())
 	if s := c.beginOp("pipe"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}

@@ -417,3 +417,44 @@ func TestBatchedRenameReportsAFailedHalf(t *testing.T) {
 		h.wantLog(t, fmt.Sprintf("%d:BATCH[ADD_MAP@1,RM_MAP@1]", srv))
 	}
 }
+
+// TestPerCallStateSteadyStateAllocs: what a call draws — arena responses,
+// an open-file description with its block map and dirty set — comes from
+// what earlier calls gave back.
+func TestPerCallStateSteadyStateAllocs(t *testing.T) {
+	c := &Client{}
+	call := func() {
+		mark := c.respMark()
+		for i := 0; i < 5; i++ {
+			r := c.newResp()
+			r.Extents = append(r.Extents[:0], proto.Extent{Start: 1, Count: 1})
+		}
+		inner := c.respMark() // a nested call gives back only its own
+		c.errResp(fsapi.ECANCELED)
+		c.releaseResps(inner)
+		if c.resps.used != 5 {
+			t.Fatalf("the nested release left %d responses in use, want 5", c.resps.used)
+		}
+		of := c.newOpenFile()
+		if of.blocks.Len() != 0 || len(of.dirty) != 0 || of.size != 0 || of.wrote {
+			t.Fatalf("a recycled description is not empty: %+v", of)
+		}
+		of.blocks.AppendRun(ncc.Extent{Start: 9, Count: 2})
+		of.addDirty(9)
+		of.size, of.wrote = 100, true
+		c.freeOpenFile(of)
+		c.releaseResps(mark)
+	}
+	call()
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Fatalf("per-call state allocates %v times in steady state, want 0", allocs)
+	}
+	// Beyond the arena's bound a call still gets its responses; none is kept.
+	for i := 0; i < 3*respArenaCap; i++ {
+		c.newResp()
+	}
+	c.releaseResps(0)
+	if c.resps.used != 0 || len(c.resps.items) != respArenaCap {
+		t.Fatalf("after a call that drew %d responses the arena keeps %d (%d in use), want %d and 0", 3*respArenaCap, len(c.resps.items), c.resps.used, respArenaCap)
+	}
+}

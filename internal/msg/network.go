@@ -268,9 +268,9 @@ func (n *Network) Send(src *Endpoint, dst EndpointID, kind uint16, payload []byt
 }
 
 // SendCallback delivers an envelope to dst's callback queue (used for
-// directory-cache invalidations). Like Send, delivery is atomic. Callback
-// payloads are shared across a fan-out and are not cache-managed; receivers
-// must not release them.
+// directory-cache invalidations). Like Send, delivery is atomic, and the
+// envelope owns its payload: the sender draws one buffer per destination
+// from its cache and the receiver hands it back with ReleaseCallback.
 func (n *Network) SendCallback(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles) (sim.Cycles, error) {
 	dep := n.lookup(dst)
 	if dep == nil {
@@ -291,6 +291,16 @@ func (n *Network) SendCallback(src *Endpoint, dst EndpointID, kind uint16, paylo
 	n.stats.Callbacks.Add(1)
 	n.stats.Bytes.Add(uint64(len(payload)))
 	return arrive, nil
+}
+
+// ReleaseCallback returns a decoded callback's payload to the cache of the
+// endpoint that sent it. Callbacks flow one way only, so a receiver that kept
+// the buffers would starve the sender's cache of them; the sender's cache is
+// locked, and this is its one cross-goroutine use.
+func (n *Network) ReleaseCallback(env Envelope) {
+	if src := n.lookup(env.Src); src != nil {
+		src.cache.PutBuf(env.Payload)
+	}
 }
 
 // Reply pushes a response envelope onto the reply queue carried by a request.

@@ -15,8 +15,10 @@
 //     of the envelope once the call returns; the receiver releases it after
 //     decoding. Envelopes own their payloads uniquely: Broadcast and
 //     fault-injected duplicate delivery copy the payload per extra envelope.
-//   - Callback payloads (directory invalidations) are shared across the
-//     fan-out and are never released into a cache; the GC reclaims them.
+//   - A callback payload (directory invalidation) is drawn from the sender's
+//     cache, one buffer per destination, and handed back to that cache by the
+//     receiver (Network.ReleaseCallback): callbacks flow one way, so buffers
+//     released into the receiver's cache would never come back.
 //   - Reply queues and futures are recycled by Await after the reply is
 //     harvested — except when a fault plan is installed, because a
 //     duplicated request makes the server answer twice and the surplus

@@ -20,6 +20,9 @@ type PrivateCache struct {
 
 	mu    sync.Mutex
 	lines map[BlockID]*cachedBlock
+	// free holds frames dropped by invalidation for the next miss, at most
+	// frameFreeCap of them (that many blocks of memory per core).
+	free []*cachedBlock
 
 	// statistics
 	hits       uint64
@@ -41,6 +44,11 @@ type cachedBlock struct {
 	data  []byte
 	dirty []uint64
 }
+
+// frameFreeCap bounds a cache's free list of frames: create/write/close/
+// unlink churn drops a frame per file and misses on the next, while a
+// wholesale invalidation of a large file must not keep its frames alive.
+const frameFreeCap = 64
 
 // numLines returns how many 64-byte lines the block spans.
 func (cb *cachedBlock) numLines() int { return (len(cb.data) + LineSize - 1) / LineSize }
@@ -107,10 +115,30 @@ func (c *PrivateCache) fetch(b BlockID) *cachedBlock {
 		return cb
 	}
 	c.misses++
-	cb := &cachedBlock{data: make([]byte, c.dram.BlockSize())}
+	var cb *cachedBlock
+	if n := len(c.free); n > 0 {
+		cb = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		cb = &cachedBlock{data: make([]byte, c.dram.BlockSize())}
+	}
+	// The read fills the whole frame: nothing of a recycled frame's previous
+	// block shows.
 	c.dram.read(b, 0, cb.data)
 	c.lines[b] = cb
 	return cb
+}
+
+// drop removes block b's frame cb from the cache, discarding dirty data, and
+// keeps the frame for the next miss. The caller must hold c.mu.
+func (c *PrivateCache) drop(b BlockID, cb *cachedBlock) {
+	c.linesInv += uint64(cb.numLines())
+	delete(c.lines, b)
+	if len(c.free) < frameFreeCap {
+		cb.clearDirty()
+		c.free = append(c.free, cb)
+	}
 }
 
 // Read copies data from the (possibly stale) cached copy of block b starting
@@ -154,8 +182,7 @@ func (c *PrivateCache) Invalidate(blocks []BlockID) int {
 	dropped := 0
 	for _, b := range blocks {
 		if cb, ok := c.lines[b]; ok {
-			c.linesInv += uint64(cb.numLines())
-			delete(c.lines, b)
+			c.drop(b, cb)
 			dropped++
 		}
 	}
@@ -197,8 +224,7 @@ func (c *PrivateCache) InvalidateExtents(exts []Extent) int {
 	defer c.mu.Unlock()
 	dropped := 0
 	c.forEachCovered(exts, func(b BlockID, cb *cachedBlock) {
-		c.linesInv += uint64(cb.numLines())
-		delete(c.lines, b)
+		c.drop(b, cb)
 		dropped++
 	})
 	c.invalidns += uint64(dropped)

@@ -2,6 +2,7 @@ package ncc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/shadow"
@@ -28,18 +29,19 @@ func TestExtentListAppendAndAt(t *testing.T) {
 			t.Fatalf("At(%d) = %d, want %d", i, got, want)
 		}
 	}
-	tail := l.TailRuns(4)
-	want := []Extent{{Start: 11, Count: 1}, {Start: 3, Count: 1}, {Start: 7, Count: 2}}
-	if len(tail) != len(want) {
-		t.Fatalf("TailRuns(4) = %+v, want %+v", tail, want)
+	// Block 4 is the second of the run {10, 2}: the head is that run's rest.
+	head, rest := l.TailRuns(4)
+	if want := []Extent{{Start: 3, Count: 1}, {Start: 7, Count: 2}}; head != (Extent{Start: 11, Count: 1}) || !slices.Equal(rest, want) {
+		t.Fatalf("TailRuns(4) = %+v, %+v, want {11 1}, %+v", head, rest, want)
 	}
-	for i := range want {
-		if tail[i] != want[i] {
-			t.Fatalf("TailRuns(4)[%d] = %+v, want %+v", i, tail[i], want[i])
-		}
+	if head, rest := l.TailRuns(3); head != (Extent{Start: 10, Count: 2}) || len(rest) != 2 {
+		t.Fatalf("TailRuns(3) = %+v, %+v, want the whole run {10 2} and two more", head, rest)
 	}
-	if l.TailRuns(len(blocks)) != nil {
-		t.Fatal("TailRuns past the end should be nil")
+	if head, rest := l.TailRuns(len(blocks)); head.Count != 0 || rest != nil {
+		t.Fatal("TailRuns past the end should be empty")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.TailRuns(4) }); allocs != 0 {
+		t.Fatalf("TailRuns allocated %v times, want 0", allocs)
 	}
 	l.Reset()
 	if l.Len() != 0 || l.NumRuns() != 0 {
@@ -131,10 +133,13 @@ func toRuns(exts []Extent) []shadow.Run {
 }
 
 // TestDataPathPropertyAgainstShadow drives random write / read / writeback /
-// invalidate / remote-DRAM-write sequences through the private cache and the
-// shared flat shadow model (shadow.Blocks), asserting byte-equality of every
-// read and of DRAM after every writeback, and that lines moved never exceed
-// lines written.
+// invalidate / remote-DRAM-write / block-reallocation sequences through the
+// private cache and the shared flat shadow model (shadow.Blocks), asserting
+// byte-equality of every read and of DRAM after every writeback, and that
+// lines moved never exceed lines written. The shadow allocates everything
+// fresh; the cache recycles the frames its invalidations drop and the DRAM
+// clears a reallocated block's array in place, so a byte or a dirty bit that
+// survived recycling shows as a divergence.
 func TestDataPathPropertyAgainstShadow(t *testing.T) {
 	const (
 		numBlocks = 12
@@ -175,7 +180,7 @@ func TestDataPathPropertyAgainstShadow(t *testing.T) {
 		b := BlockID(next(numBlocks))
 		off := next(blockSize - 1)
 		n := 1 + next(blockSize-off)
-		switch next(5) {
+		switch next(6) {
 		case 0: // direct-access write through the cache
 			src := make([]byte, n)
 			for j := range src {
@@ -212,6 +217,9 @@ func TestDataPathPropertyAgainstShadow(t *testing.T) {
 			}
 			d.WriteDirect(b, off, src)
 			ref.WriteDRAM(uint64(b), off, src)
+		case 5: // the block is reallocated: its owner's server zeroes DRAM
+			d.ZeroBlock(b)
+			ref.WriteDRAM(uint64(b), 0, make([]byte, blockSize))
 		}
 		// DRAM must match the shadow DRAM everywhere, every few rounds.
 		if i%97 == 0 {

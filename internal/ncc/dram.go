@@ -98,12 +98,15 @@ func (d *DRAM) write(b BlockID, off int, src []byte) int {
 }
 
 // zero clears a block's contents (used when a freed block is reallocated).
+// A block that has been written keeps its backing array, cleared: it is the
+// simulated memory itself, bounded by the DRAM's configured size, and the
+// block's next owner is about to write it.
 func (d *DRAM) zero(b BlockID) {
 	d.validate(b)
 	blk := &d.blocks[b]
 	blk.mu.Lock()
 	defer blk.mu.Unlock()
-	blk.data = nil
+	clear(blk.data)
 }
 
 // ReadDirect reads directly from DRAM, bypassing any private cache. It is

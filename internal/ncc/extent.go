@@ -42,6 +42,10 @@ func (l *ExtentList) Len() int {
 // NumRuns returns the number of extents.
 func (l *ExtentList) NumRuns() int { return len(l.runs) }
 
+// Cap returns the number of extents the list has room for, which Reset
+// keeps.
+func (l *ExtentList) Cap() int { return cap(l.runs) }
+
 // Runs returns the underlying extents; callers must not modify them.
 func (l *ExtentList) Runs() []Extent { return l.runs }
 
@@ -91,10 +95,12 @@ func (l *ExtentList) At(i int) BlockID {
 }
 
 // TailRuns returns the extents covering blocks [from, Len) — the tail a
-// caller just learned about when the map grew. The returned slice is fresh.
-func (l *ExtentList) TailRuns(from int) []Extent {
+// caller just learned about when the map grew — as the part of the run that
+// holds block from and the runs after it, which are the list's own: callers
+// must not modify them. head.Count is 0 when from is at or past the end.
+func (l *ExtentList) TailRuns(from int) (head Extent, rest []Extent) {
 	if from >= l.Len() {
-		return nil
+		return Extent{}, nil
 	}
 	idx := uint64(from)
 	r := sort.Search(len(l.cum), func(j int) bool { return l.cum[j] > idx })
@@ -102,12 +108,8 @@ func (l *ExtentList) TailRuns(from int) []Extent {
 	if r > 0 {
 		before = l.cum[r-1]
 	}
-	first := l.runs[r]
 	skip := idx - before
-	out := make([]Extent, 0, len(l.runs)-r)
-	out = append(out, Extent{Start: first.Start + BlockID(skip), Count: first.Count - skip})
-	out = append(out, l.runs[r+1:]...)
-	return out
+	return Extent{Start: l.runs[r].Start + BlockID(skip), Count: l.runs[r].Count - skip}, l.runs[r+1:]
 }
 
 // NormalizeExtents sorts extents by start block and merges overlapping and

@@ -217,3 +217,54 @@ func TestCacheWriteReadProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFrameFreeListIsBounded: invalidating a large resident set keeps at most
+// frameFreeCap frames for later misses, and a recycled frame shows the block
+// it was fetched for, clean, whatever it held before.
+func TestFrameFreeListIsBounded(t *testing.T) {
+	const blocks = 3 * frameFreeCap
+	d := NewDRAM(blocks, 128)
+	c := NewPrivateCache(d)
+	junk := bytes.Repeat([]byte{0xEE}, 128)
+	for b := BlockID(0); b < blocks; b++ {
+		c.Write(b, 0, junk) // resident and dirty in every line
+	}
+	if dropped := c.InvalidateExtents([]Extent{{Start: 0, Count: blocks}}); dropped != blocks {
+		t.Fatalf("dropped %d blocks, want %d", dropped, blocks)
+	}
+	if len(c.free) != frameFreeCap {
+		t.Fatalf("free list holds %d frames, want the cap %d", len(c.free), frameFreeCap)
+	}
+	d.WriteDirect(7, 0, []byte("fresh"))
+	got := make([]byte, 128)
+	c.Read(7, 0, got)
+	if want := append([]byte("fresh"), make([]byte, 123)...); !bytes.Equal(got, want) || c.Dirty(7) {
+		t.Fatalf("a recycled frame shows %q (dirty=%v), want the block's DRAM contents, clean", got[:8], c.Dirty(7))
+	}
+	if len(c.free) != frameFreeCap-1 {
+		t.Fatalf("the miss did not take a frame from the free list (%d left)", len(c.free))
+	}
+}
+
+// TestChurnSteadyStateAllocs: the cache's share of a create/write/close/
+// unlink iteration — miss, partial write, dirty-line writeback, invalidation
+// on the block's next life, DRAM zeroed for its next owner — allocates
+// nothing once one frame and one block's array exist.
+func TestChurnSteadyStateAllocs(t *testing.T) {
+	d := NewDRAM(4, 4096)
+	c := NewPrivateCache(d)
+	payload := bytes.Repeat([]byte{7}, 64)
+	exts := []Extent{{Start: 2, Count: 1}}
+	churn := func() {
+		d.ZeroBlock(2)
+		c.InvalidateExtents(exts)
+		c.Write(2, 0, payload)
+		if _, lines := c.WritebackExtents(exts, true); lines != 1 {
+			t.Fatalf("writeback moved %d lines, want 1", lines)
+		}
+	}
+	churn()
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		t.Fatalf("a churn iteration allocates %v times in the cache, want 0", allocs)
+	}
+}

@@ -26,9 +26,14 @@ const (
 // batchFlagStopOnErr marks a dependent batch.
 const batchFlagStopOnErr = 1 << 0
 
-// MarshalBatch encodes sub-requests into an OpBatch payload.
-func MarshalBatch(reqs []*Request, stopOnErr bool) []byte {
-	e := newEncoder(8 + 96*len(reqs))
+// A batch payload is the flags, the count, and every sub-message behind its
+// length word. There is one encoder and one decoder for each direction: an
+// envelope's AppendTo calls the encoder where its Data goes (Request.Subs,
+// Response.Subs), so the sub-messages are written once, in the buffer that
+// travels; the decoders take views of the received payload and decode them
+// into structs the caller recycles.
+
+func encodeBatch(e *encoder, reqs []*Request, stopOnErr bool) {
 	var flags uint8
 	if stopOnErr {
 		flags |= batchFlagStopOnErr
@@ -36,14 +41,32 @@ func MarshalBatch(reqs []*Request, stopOnErr bool) []byte {
 	e.u8(flags)
 	e.u32(uint32(len(reqs)))
 	for _, r := range reqs {
-		e.blob(r.Marshal())
+		mark := e.reserve32()
+		r.encode(e)
+		e.patch32(mark)
 	}
+}
+
+func batchSizeHint(reqs []*Request) int {
+	n := 5
+	for _, r := range reqs {
+		n += 4 + r.SizeHint()
+	}
+	return n
+}
+
+// MarshalBatch encodes sub-requests into an OpBatch payload.
+func MarshalBatch(reqs []*Request, stopOnErr bool) []byte {
+	e := encoder{buf: make([]byte, 0, batchSizeHint(reqs))}
+	encodeBatch(&e, reqs, stopOnErr)
 	return e.bytes()
 }
 
-// UnmarshalBatch decodes an OpBatch payload into its sub-requests and the
-// stop-on-error flag, enforcing the batch size caps.
-func UnmarshalBatch(b []byte) ([]*Request, bool, error) {
+// UnmarshalBatchInto decodes an OpBatch payload into subs, whose elements
+// are reused as UnmarshalRequestInto reuses them (subs grows when the batch
+// is larger), and returns the sub-requests and the stop-on-error flag,
+// enforcing the batch size caps. The result does not alias b.
+func UnmarshalBatchInto(subs []Request, b []byte) ([]Request, bool, error) {
 	if len(b) > MaxBatchBytes {
 		return nil, false, fmt.Errorf("proto: batch payload %d bytes exceeds cap %d", len(b), MaxBatchBytes)
 	}
@@ -56,63 +79,111 @@ func UnmarshalBatch(b []byte) ([]*Request, bool, error) {
 	if n <= 0 || n > MaxBatchOps {
 		return nil, false, fmt.Errorf("proto: batch of %d sub-ops outside [1, %d]", n, MaxBatchOps)
 	}
-	reqs := make([]*Request, 0, n)
-	for i := 0; i < n; i++ {
-		raw := d.blob()
+	subs = subs[:cap(subs)]
+	if len(subs) < n {
+		subs = append(subs, make([]Request, n-len(subs))...)
+	}
+	subs = subs[:n]
+	for i := range subs {
+		raw := d.view()
 		if d.err != nil {
 			return nil, false, fmt.Errorf("proto: decoding batch sub-op %d: %w", i, d.err)
 		}
-		r, err := UnmarshalRequest(raw)
-		if err != nil {
+		if err := UnmarshalRequestInto(&subs[i], raw); err != nil {
 			return nil, false, fmt.Errorf("proto: batch sub-op %d: %w", i, err)
 		}
-		reqs = append(reqs, r)
 	}
-	if err := d.finish("batch"); err != nil {
-		return nil, false, err
-	}
-	return reqs, flags&batchFlagStopOnErr != 0, nil
+	return subs, flags&batchFlagStopOnErr != 0, nil
 }
 
-// BatchRequest wraps sub-requests in the OpBatch envelope request.
-func BatchRequest(reqs []*Request, stopOnErr bool) *Request {
-	return &Request{Op: OpBatch, Data: MarshalBatch(reqs, stopOnErr)}
+// UnmarshalBatch is UnmarshalBatchInto with fresh sub-requests; for callers
+// off the request path.
+func UnmarshalBatch(b []byte) ([]*Request, bool, error) {
+	subs, stop, err := UnmarshalBatchInto(nil, b)
+	if err != nil {
+		return nil, false, err
+	}
+	out := make([]*Request, len(subs))
+	for i := range subs {
+		out[i] = &subs[i]
+	}
+	return out, stop, nil
+}
+
+func encodeBatchResponses(e *encoder, resps []*Response) {
+	e.u32(uint32(len(resps)))
+	for _, r := range resps {
+		mark := e.reserve32()
+		r.encode(e)
+		e.patch32(mark)
+	}
+}
+
+func batchResponsesSizeHint(resps []*Response) int {
+	n := 4
+	for _, r := range resps {
+		n += 4 + r.SizeHint()
+	}
+	return n
 }
 
 // MarshalBatchResponses encodes the per-sub-op responses of a batch.
 func MarshalBatchResponses(resps []*Response) []byte {
-	e := newEncoder(8 + 96*len(resps))
-	e.u32(uint32(len(resps)))
-	for _, r := range resps {
-		e.blob(r.Marshal())
-	}
+	e := encoder{buf: make([]byte, 0, batchResponsesSizeHint(resps))}
+	encodeBatchResponses(&e, resps)
 	return e.bytes()
 }
 
-// UnmarshalBatchResponses decodes the payload produced by
-// MarshalBatchResponses.
-func UnmarshalBatchResponses(b []byte) ([]*Response, error) {
-	d := newDecoder(b)
+// batchResponseCount decodes the header of a batch reply's payload.
+func batchResponseCount(d *decoder) (int, error) {
 	n := int(d.u32())
 	if d.err != nil {
-		return nil, fmt.Errorf("proto: decoding batch response header: %w", d.err)
+		return 0, fmt.Errorf("proto: decoding batch response header: %w", d.err)
 	}
 	if n < 0 || n > MaxBatchOps {
-		return nil, fmt.Errorf("proto: batch response of %d sub-ops outside [0, %d]", n, MaxBatchOps)
+		return 0, fmt.Errorf("proto: batch response of %d sub-ops outside [0, %d]", n, MaxBatchOps)
 	}
-	resps := make([]*Response, 0, n)
-	for i := 0; i < n; i++ {
-		raw := d.blob()
+	return n, nil
+}
+
+// UnmarshalBatchResponsesInto decodes a batch reply's payload into the given
+// responses, reused as UnmarshalResponseInto reuses them; it is an error for
+// the payload to hold any other number of them than len(resps), the number
+// of sub-requests the caller sent. The results do not alias b.
+func UnmarshalBatchResponsesInto(resps []*Response, b []byte) error {
+	d := newDecoder(b)
+	n, err := batchResponseCount(d)
+	if err != nil {
+		return err
+	}
+	if n != len(resps) {
+		return fmt.Errorf("proto: batch response of %d sub-ops for %d sub-requests", n, len(resps))
+	}
+	for i, r := range resps {
+		raw := d.view()
 		if d.err != nil {
-			return nil, fmt.Errorf("proto: decoding batch response %d: %w", i, d.err)
+			return fmt.Errorf("proto: decoding batch response %d: %w", i, d.err)
 		}
-		r, err := UnmarshalResponse(raw)
-		if err != nil {
-			return nil, fmt.Errorf("proto: batch response %d: %w", i, err)
+		if err := UnmarshalResponseInto(r, raw); err != nil {
+			return fmt.Errorf("proto: batch response %d: %w", i, err)
 		}
-		resps = append(resps, r)
 	}
-	if err := d.finish("batch responses"); err != nil {
+	return nil
+}
+
+// UnmarshalBatchResponses is UnmarshalBatchResponsesInto with fresh
+// responses, as many as the payload holds; for callers off the request path.
+func UnmarshalBatchResponses(b []byte) ([]*Response, error) {
+	n, err := batchResponseCount(newDecoder(b))
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]Response, n)
+	resps := make([]*Response, n)
+	for i := range vals {
+		resps[i] = &vals[i]
+	}
+	if err := UnmarshalBatchResponsesInto(resps, b); err != nil {
 		return nil, err
 	}
 	return resps, nil

@@ -63,8 +63,9 @@ const (
 
 	// Generic op batching (DESIGN.md §7): one message carrying several
 	// independent sub-requests for the same server, answered by one message
-	// carrying the per-sub-op responses. The envelope Request uses only the
-	// Data field (the marshaled batch).
+	// carrying the per-sub-op responses. The envelope Request carries the
+	// marshaled batch in Data; a sender hands the sub-requests over in Subs
+	// and they are encoded there in place (batch.go).
 	OpBatch
 
 	// Shard migration (elastic placement, DESIGN.md §9). Driven by the

@@ -100,8 +100,8 @@ func TestEmptyRequestRoundTrip(t *testing.T) {
 }
 
 func TestInvalidationRoundTrip(t *testing.T) {
-	iv := &Invalidation{Dir: InodeID{Server: 1, Local: 42}, Name: "victim"}
-	got, err := UnmarshalInvalidation(iv.Marshal())
+	iv := Invalidation{Dir: InodeID{Server: 1, Local: 42}, Name: "victim"}
+	got, err := UnmarshalInvalidation(iv.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Op: OpUnlinkInode, Target: InodeID{Server: 2, Local: 17}},
 		{Op: OpSetSize, Target: InodeID{Server: 2, Local: 18}, Size: 4096},
 	}
-	env := BatchRequest(reqs, true)
-	if env.Op != OpBatch {
-		t.Fatalf("envelope op = %v", env.Op)
-	}
+	env := &Request{Op: OpBatch, Subs: reqs, StopOnErr: true}
 	decoded, err := UnmarshalRequest(env.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +243,11 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Ino: InodeID{Server: 2, Local: 17}, Ftype: fsapi.TypeRegular},
 		{Err: fsapi.ECANCELED},
 	}
-	back, err := UnmarshalBatchResponses(MarshalBatchResponses(resps))
+	reply, err := UnmarshalResponse((&Response{Subs: resps}).Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := UnmarshalBatchResponses(reply.Data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,14 @@ type Request struct {
 	Sig     int32
 	Policy  int32 // placement policy state (round-robin counter)
 
+	// Subs, when non-empty, makes this an OpBatch envelope whose payload
+	// is the sub-requests: AppendTo encodes them in place where Data goes
+	// (and ignores Data), StopOnErr marking the batch dependent. They are
+	// the encoder's input only; a decoded envelope carries the payload in
+	// Data, for UnmarshalBatchInto (batch.go).
+	Subs      []*Request
+	StopOnErr bool
+
 	// Tracing context (internal/trace). Trace is the root-span trace ID
 	// and Span the client-side parent span; servers attach child spans
 	// under Span. Zero Trace means the request is untraced, and untraced
@@ -86,9 +94,33 @@ type Request struct {
 	Span  uint64
 }
 
-// SizeHint returns a capacity estimate for the request's wire form.
+// The wire size of a request with every variable-length field empty, and
+// what one descriptor adds to it; derived from the encoder so they cannot
+// drift from it.
+var (
+	requestFixedSize = len(new(Request).AppendTo(nil))
+	fdSpecWireSize   = len((&Request{Fds: make([]FdSpec, 1)}).AppendTo(nil)) - requestFixedSize
+)
+
+// SizeHint returns the size of the request's wire form, so that a buffer of
+// that capacity is never outgrown by AppendTo.
 func (r *Request) SizeHint() int {
-	return 64 + len(r.Name) + len(r.Data) + 16*len(r.Fds)
+	n := requestFixedSize + len(r.Name) + len(r.Program) + len(r.Dirname) + fdSpecWireSize*len(r.Fds)
+	if len(r.Subs) > 0 {
+		n += batchSizeHint(r.Subs)
+	} else {
+		n += len(r.Data)
+	}
+	for _, s := range r.Args {
+		n += 4 + len(s)
+	}
+	for _, s := range r.Env {
+		n += 4 + len(s)
+	}
+	if r.Trace != 0 {
+		n += 16
+	}
+	return n
 }
 
 // Marshal encodes the request into a fresh byte slice.
@@ -100,6 +132,11 @@ func (r *Request) Marshal() []byte {
 // paths pass a recycled buffer so that marshaling allocates nothing.
 func (r *Request) AppendTo(buf []byte) []byte {
 	e := encoder{buf: buf}
+	r.encode(&e)
+	return e.bytes()
+}
+
+func (r *Request) encode(e *encoder) {
 	e.u16(uint16(r.Op))
 	e.i32(r.ClientID)
 	e.inode(r.Dir)
@@ -113,7 +150,13 @@ func (r *Request) AppendTo(buf []byte) []byte {
 	e.i32(r.Whence)
 	e.i32(r.Count)
 	e.u64(uint64(r.Fd))
-	e.blob(r.Data)
+	if len(r.Subs) > 0 {
+		mark := e.reserve32()
+		encodeBatch(e, r.Subs, r.StopOnErr)
+		e.patch32(mark)
+	} else {
+		e.blob(r.Data)
+	}
 	e.boolean(r.Distributed)
 	e.boolean(r.Exclusive)
 	e.boolean(r.Replace)
@@ -142,10 +185,10 @@ func (r *Request) AppendTo(buf []byte) []byte {
 		e.u64(r.Trace)
 		e.u64(r.Span)
 	}
-	return e.bytes()
 }
 
-// UnmarshalRequest decodes a request from a wire payload.
+// UnmarshalRequest decodes a request from a wire payload into a fresh
+// struct; for callers off the request path.
 func UnmarshalRequest(b []byte) (*Request, error) {
 	r := &Request{}
 	if err := UnmarshalRequestInto(r, b); err != nil {
@@ -155,11 +198,13 @@ func UnmarshalRequest(b []byte) (*Request, error) {
 }
 
 // UnmarshalRequestInto decodes a request from a wire payload into r, which
-// is reset first; hot paths pass a recycled struct. The decoder copies every
-// variable-length field, so r never aliases b and the caller may release b
-// immediately.
+// is reset first; hot paths pass a recycled struct, whose Data capacity the
+// decode reuses (so an empty Data comes back zero-length, nil only if it was
+// nil before). The decoder copies every variable-length field, so r never
+// aliases b and the caller may release b immediately.
 func UnmarshalRequestInto(r *Request, b []byte) error {
 	d := newDecoder(b)
+	data := r.Data
 	*r = Request{}
 	r.Op = Op(d.u16())
 	r.ClientID = d.i32()
@@ -174,7 +219,7 @@ func UnmarshalRequestInto(r *Request, b []byte) error {
 	r.Whence = d.i32()
 	r.Count = d.i32()
 	r.Fd = FdID(d.u64())
-	r.Data = d.blob()
+	r.Data = d.blobInto(data)
 	r.Distributed = d.boolean()
 	r.Exclusive = d.boolean()
 	r.Replace = d.boolean()
@@ -184,8 +229,7 @@ func UnmarshalRequestInto(r *Request, b []byte) error {
 	r.Args = d.strSlice()
 	r.Env = d.strSlice()
 	r.Dirname = d.str()
-	nfds := int(d.u32())
-	if nfds > 0 {
+	if nfds := d.count(fdSpecWireSize); nfds > 0 {
 		r.Fds = make([]FdSpec, 0, nfds)
 		for i := 0; i < nfds; i++ {
 			var f FdSpec
@@ -209,4 +253,23 @@ func UnmarshalRequestInto(r *Request, b []byte) error {
 		r.Span = d.u64()
 	}
 	return d.finish("request")
+}
+
+// recycleKeepBytes and recycleKeepItems bound what a recycled message keeps
+// of its slices' capacity: enough for a batch envelope's payload and a small
+// file's extents, so that a free list of structs pins at most this much each
+// and never a write payload or a large listing.
+const (
+	recycleKeepBytes = 4096
+	recycleKeepItems = 64
+)
+
+// Recycle readies a request its owner is done with for the next
+// UnmarshalRequestInto: Data keeps its capacity up to recycleKeepBytes, every
+// other slice is dropped.
+func (r *Request) Recycle() {
+	if cap(r.Data) > recycleKeepBytes {
+		r.Data = nil
+	}
+	r.Fds, r.Args, r.Env, r.Subs = nil, nil, nil, nil
 }

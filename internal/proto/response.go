@@ -38,11 +38,35 @@ type Response struct {
 
 	ExitStatus int32 // exec: exit status of the remote process
 	PID        int64 // exec: pid assigned to the remote process
+
+	// Subs, when non-empty, makes this the reply to an OpBatch envelope:
+	// AppendTo encodes the sub-responses in place where Data goes (and
+	// ignores Data). They are the encoder's input only; a decoded reply
+	// carries them in Data, for UnmarshalBatchResponsesInto (batch.go).
+	Subs []*Response
 }
 
-// SizeHint returns a capacity estimate for the response's wire form.
+// The wire size of a response with every variable-length field empty, and
+// what one directory entry with an empty name adds to it; derived from the
+// encoder so they cannot drift from it.
+var (
+	responseFixedSize = len(new(Response).AppendTo(nil))
+	direntWireSize    = len((&Response{Ents: make([]DirEntWire, 1)}).AppendTo(nil)) - responseFixedSize
+)
+
+// SizeHint returns the size of the response's wire form, so that a buffer of
+// that capacity is never outgrown by AppendTo.
 func (r *Response) SizeHint() int {
-	return 64 + len(r.Data) + 24*len(r.Ents) + 16*len(r.Extents)
+	n := responseFixedSize + 16*len(r.Extents) + direntWireSize*len(r.Ents)
+	if len(r.Subs) > 0 {
+		n += batchResponsesSizeHint(r.Subs)
+	} else {
+		n += len(r.Data)
+	}
+	for i := range r.Ents {
+		n += len(r.Ents[i].Name)
+	}
+	return n
 }
 
 // Marshal encodes the response into a fresh byte slice.
@@ -54,6 +78,11 @@ func (r *Response) Marshal() []byte {
 // Hot paths pass a recycled buffer so that marshaling allocates nothing.
 func (r *Response) AppendTo(buf []byte) []byte {
 	e := encoder{buf: buf}
+	r.encode(&e)
+	return e.bytes()
+}
+
+func (r *Response) encode(e *encoder) {
 	e.i32(int32(r.Err))
 	e.inode(r.Ino)
 	e.i32(r.Server)
@@ -68,7 +97,13 @@ func (r *Response) AppendTo(buf []byte) []byte {
 		e.u64(ext.Count)
 	}
 	e.u64(r.Version)
-	e.blob(r.Data)
+	if len(r.Subs) > 0 {
+		mark := e.reserve32()
+		encodeBatchResponses(e, r.Subs)
+		e.patch32(mark)
+	} else {
+		e.blob(r.Data)
+	}
 	e.inode(r.Stat.Ino)
 	e.u8(uint8(r.Stat.Ftype))
 	e.i64(r.Stat.Size)
@@ -85,10 +120,10 @@ func (r *Response) AppendTo(buf []byte) []byte {
 	e.i32(r.ExitStatus)
 	e.i64(r.PID)
 	e.u64(r.Epoch)
-	return e.bytes()
 }
 
-// UnmarshalResponse decodes a response from a wire payload.
+// UnmarshalResponse decodes a response from a wire payload into a fresh
+// struct; for callers off the request path.
 func UnmarshalResponse(b []byte) (*Response, error) {
 	r := &Response{}
 	if err := UnmarshalResponseInto(r, b); err != nil {
@@ -98,11 +133,13 @@ func UnmarshalResponse(b []byte) (*Response, error) {
 }
 
 // UnmarshalResponseInto decodes a response from a wire payload into r, which
-// is reset first; hot paths pass a recycled struct. The decoder copies every
-// variable-length field, so r never aliases b and the caller may release b
-// immediately.
+// is reset first; hot paths pass a recycled struct, whose Data, Extents and
+// Ents capacity the decode reuses (so an empty one comes back zero-length,
+// nil only if it was nil before). The decoder copies every variable-length
+// field, so r never aliases b and the caller may release b immediately.
 func UnmarshalResponseInto(r *Response, b []byte) error {
 	d := newDecoder(b)
+	data, exts, ents := r.Data, r.Extents[:0], r.Ents[:0]
 	*r = Response{}
 	r.Err = fsapi.Errno(d.i32())
 	r.Ino = d.inode()
@@ -112,32 +149,20 @@ func UnmarshalResponseInto(r *Response, b []byte) error {
 	r.Offset = d.i64()
 	r.N = d.i64()
 	r.Fd = FdID(d.u64())
-	nexts := int(d.u32())
-	if nexts > 0 && d.err == nil {
-		r.Extents = make([]Extent, 0, nexts)
-		for i := 0; i < nexts; i++ {
-			start := d.u64()
-			count := d.u64()
-			r.Extents = append(r.Extents, Extent{Start: start, Count: count})
-		}
+	r.Extents = exts
+	for n := d.count(16); n > 0; n-- {
+		r.Extents = append(r.Extents, Extent{Start: d.u64(), Count: d.u64()})
 	}
 	r.Version = d.u64()
-	r.Data = d.blob()
+	r.Data = d.blobInto(data)
 	r.Stat.Ino = d.inode()
 	r.Stat.Ftype = fsapi.FileType(d.u8())
 	r.Stat.Size = d.i64()
 	r.Stat.Nlink = d.i32()
 	r.Stat.Mode = fsapi.Mode(d.u16())
-	nents := int(d.u32())
-	if nents > 0 {
-		r.Ents = make([]DirEntWire, 0, nents)
-		for i := 0; i < nents; i++ {
-			var ent DirEntWire
-			ent.Name = d.str()
-			ent.Ino = d.inode()
-			ent.Ftype = fsapi.FileType(d.u8())
-			r.Ents = append(r.Ents, ent)
-		}
+	r.Ents = ents
+	for n := d.count(direntWireSize); n > 0; n-- {
+		r.Ents = append(r.Ents, DirEntWire{Name: d.str(), Ino: d.inode(), Ftype: fsapi.FileType(d.u8())})
 	}
 	r.Dist = d.boolean()
 	r.Refs = d.i32()
@@ -145,6 +170,24 @@ func UnmarshalResponseInto(r *Response, b []byte) error {
 	r.PID = d.i64()
 	r.Epoch = d.u64()
 	return d.finish("response")
+}
+
+// Recycle readies a response its owner is done with for the next
+// UnmarshalResponseInto: Data keeps its capacity up to recycleKeepBytes,
+// Extents and Ents up to recycleKeepItems elements (the names its entries
+// point at are released).
+func (r *Response) Recycle() {
+	if cap(r.Data) > recycleKeepBytes {
+		r.Data = nil
+	}
+	if cap(r.Extents) > recycleKeepItems {
+		r.Extents = nil
+	}
+	if cap(r.Ents) > recycleKeepItems {
+		r.Ents = nil
+	}
+	clear(r.Ents)
+	r.Subs = nil
 }
 
 // ErrResponse builds a response carrying only an error.
@@ -166,24 +209,24 @@ type Invalidation struct {
 	Name string
 }
 
-// Marshal encodes the invalidation.
-func (iv *Invalidation) Marshal() []byte {
-	e := newEncoder(24 + len(iv.Name))
+var invalidationFixedSize = len(new(Invalidation).AppendTo(nil))
+
+// SizeHint returns the size of the invalidation's wire form.
+func (iv *Invalidation) SizeHint() int { return invalidationFixedSize + len(iv.Name) }
+
+// AppendTo encodes the invalidation onto buf and returns the extended slice.
+func (iv *Invalidation) AppendTo(buf []byte) []byte {
+	e := encoder{buf: buf}
 	e.inode(iv.Dir)
 	e.str(iv.Name)
 	return e.bytes()
 }
 
 // UnmarshalInvalidation decodes an invalidation callback payload.
-func UnmarshalInvalidation(b []byte) (*Invalidation, error) {
+func UnmarshalInvalidation(b []byte) (Invalidation, error) {
 	d := newDecoder(b)
-	iv := &Invalidation{}
-	iv.Dir = d.inode()
-	iv.Name = d.str()
-	if err := d.finish("invalidation"); err != nil {
-		return nil, err
-	}
-	return iv, nil
+	iv := Invalidation{Dir: d.inode(), Name: d.str()}
+	return iv, d.finish("invalidation")
 }
 
 // Hash computes the directory-entry placement hash from the paper:

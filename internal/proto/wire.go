@@ -53,11 +53,17 @@ func (e *encoder) strSlice(ss []string) {
 	}
 }
 
-func (e *encoder) u64Slice(vs []uint64) {
-	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u64(v)
-	}
+// reserve32 appends a length word to be filled in later and returns the
+// position just behind it; patch32 sets that word to the number of bytes
+// appended since. Together they frame a field that is encoded in place, in
+// the buffer that travels, instead of being marshaled apart and copied in.
+func (e *encoder) reserve32() int {
+	e.buf = append(e.buf, 0, 0, 0, 0)
+	return len(e.buf)
+}
+
+func (e *encoder) patch32(mark int) {
+	binary.LittleEndian.PutUint32(e.buf[mark-4:], uint32(len(e.buf)-mark))
 }
 
 func (e *encoder) inode(id InodeID) {
@@ -153,26 +159,54 @@ func (d *decoder) blob() []byte {
 	return b
 }
 
-func (d *decoder) strSlice() []string {
+// blobInto decodes a byte field into dst's capacity (dst is overwritten from
+// its start) and returns it: an empty field gives dst[:0], which is nil when
+// dst is. The result never aliases the input.
+func (d *decoder) blobInto(dst []byte) []byte {
 	n := int(d.u32())
-	if d.err != nil || n <= 0 {
+	if !d.need(n) {
+		return dst[:0]
+	}
+	dst = append(dst[:0], d.buf[d.off:d.off+n]...)
+	d.off += n
+	return dst
+}
+
+// view returns a length-prefixed field as a subslice of the input, for a
+// nested message that is decoded before the input is released.
+func (d *decoder) view() []byte {
+	n := int(d.u32())
+	if !d.need(n) {
+		return nil
+	}
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
+// count decodes the length of a list whose elements take at least elemSize
+// bytes each, and fails on one the rest of the message cannot hold: a
+// hostile count must not size an allocation.
+func (d *decoder) count(elemSize int) int {
+	n := int(d.u32())
+	if d.err != nil {
+		return 0
+	}
+	if n > (len(d.buf)-d.off)/elemSize {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
+func (d *decoder) strSlice() []string {
+	n := d.count(4)
+	if n == 0 {
 		return nil
 	}
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, d.str())
-	}
-	return out
-}
-
-func (d *decoder) u64Slice() []uint64 {
-	n := int(d.u32())
-	if d.err != nil || n <= 0 {
-		return nil
-	}
-	out := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, d.u64())
 	}
 	return out
 }

@@ -179,7 +179,7 @@ func (sys *HareSystem) Spawn(parent *Proc, args []string, fn ProcFunc, remote bo
 			handle.finish(127, childCli.Clock())
 			return
 		}
-		resp, err := childCli.RPCTo(srv.ep.ID, &proto.Request{
+		exit, err := childCli.ExecOn(srv.ep.ID, &proto.Request{
 			Op:      proto.OpExec,
 			Program: progID,
 			Args:    args,
@@ -188,8 +188,8 @@ func (sys *HareSystem) Spawn(parent *Proc, args []string, fn ProcFunc, remote bo
 			PID:     pid,
 		})
 		status := 127
-		if err == nil && resp != nil {
-			status = int(resp.ExitStatus)
+		if err == nil {
+			status = int(exit)
 		}
 		// The proxy exits: close its descriptors and report the remote
 		// process's status to the parent.

@@ -50,6 +50,36 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state stat round trip allocated %.2f/op, want 0", allocs)
 	}
 
+	// A batch is flat too: sub-requests encoded in place in the pooled
+	// buffer, decoded into the server's recycled structs, sub-responses
+	// encoded in place in the reply and decoded into recycled structs.
+	batch := &proto.Request{Op: proto.OpBatch, ClientID: 7, StopOnErr: true, Subs: []*proto.Request{
+		{Op: proto.OpStat, Target: created.Ino, ClientID: 7},
+		{Op: proto.OpGetBlocks, Target: created.Ino, ClientID: 7},
+	}}
+	subs := []*proto.Response{{}, {}}
+	batchTrip := func() {
+		payload := batch.AppendTo(h.ep.GetBuf(batch.SizeHint()))
+		env, err := h.net.RPC(h.ep, h.srv.EndpointID(), proto.KindRequest, payload, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = proto.UnmarshalResponseInto(resp, env.Payload)
+		h.ep.PutBuf(env.Payload)
+		if err == nil {
+			err = proto.UnmarshalBatchResponsesInto(subs, resp.Data)
+		}
+		if err != nil || subs[0].Err != fsapi.OK || subs[0].Stat.Ino != created.Ino || subs[1].Err != fsapi.OK {
+			t.Fatalf("batch failed: %v, %+v", err, subs)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		batchTrip()
+	}
+	if allocs := testing.AllocsPerRun(200, batchTrip); allocs != 0 {
+		t.Fatalf("steady-state batch round trip allocated %.2f/op, want 0", allocs)
+	}
+
 	// Ping is the minimal request; it must be flat too.
 	ping := &proto.Request{Op: proto.OpPing, ClientID: 7}
 	pingTrip := func() {

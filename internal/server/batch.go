@@ -59,10 +59,11 @@ func dirOp(op proto.Op) bool {
 // a shard marked by an in-flight rmdir); the batch is then re-dispatched
 // from scratch once the mark resolves — safe because parking happens before
 // any sub-operation has executed.
-func (s *Server) dispatchBatch(subs []*proto.Request, stopOnErr bool, batchReq *proto.Request, raw msg.Envelope) (*proto.Response, bool) {
+func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *proto.Request, raw msg.Envelope) (*proto.Response, bool) {
 	// Pre-screen for parking *before* executing anything: a re-dispatch
 	// must be able to start over without replaying side effects.
-	for _, sub := range subs {
+	for i := range subs {
+		sub := &subs[i]
 		if !batchable(sub.Op) {
 			continue // answered per-sub below, never dispatched
 		}
@@ -88,32 +89,33 @@ func (s *Server) dispatchBatch(subs []*proto.Request, stopOnErr bool, batchReq *
 		}
 	}
 
-	resps := make([]*proto.Response, len(subs))
+	for len(s.subResps) < len(subs) {
+		s.subResps = append(s.subResps, new(proto.Response))
+	}
+	resps := s.subResps[:len(subs)]
 	failed := false
-	for i, sub := range subs {
+	for i := range subs {
+		sub := &subs[i]
 		switch {
 		case !batchable(sub.Op):
-			resps[i] = proto.ErrResponse(fsapi.ENOSYS)
+			*resps[i] = proto.Response{Err: fsapi.ENOSYS}
 		case failed && stopOnErr:
-			resps[i] = proto.ErrResponse(fsapi.ECANCELED)
+			*resps[i] = proto.Response{Err: fsapi.ECANCELED}
 		default:
-			resp, parked := s.dispatch(sub, raw)
-			if parked {
-				// Unreachable given the pre-screen; fail the sub-op rather
-				// than leave the client waiting on a reply that cannot be
-				// routed through the batch envelope.
-				resp = proto.ErrResponse(fsapi.EIO)
+			// Unreachable given the pre-screen, but a parked or missing
+			// sub-response fails the sub-op rather than leave the client
+			// waiting on a reply that cannot be routed through the batch
+			// envelope.
+			if resp, parked := s.dispatch(sub, raw); parked || resp == nil {
+				*resps[i] = proto.Response{Err: fsapi.EIO}
+			} else {
+				// Handlers answer in the shared scratch response and extent
+				// list; a batch holds several responses at once, each in its
+				// own struct with its own extents.
+				exts := append(resps[i].Extents[:0], resp.Extents...)
+				*resps[i] = *resp
+				resps[i].Extents = exts
 			}
-			if resp == nil {
-				resp = proto.ErrResponse(fsapi.EIO)
-			}
-			if resp == &s.scratch {
-				// Hot-path handlers return the shared scratch response;
-				// batches retain several responses at once, so snapshot it.
-				c := *resp
-				resp = &c
-			}
-			resps[i] = resp
 		}
 		if resps[i].Err != fsapi.OK {
 			failed = true
@@ -122,10 +124,11 @@ func (s *Server) dispatchBatch(subs []*proto.Request, stopOnErr bool, batchReq *
 
 	s.statsMu.Lock()
 	s.stats.BatchedOps += uint64(len(subs))
-	for _, sub := range subs {
-		s.stats.Ops[sub.Op]++
+	for i := range subs {
+		s.stats.Ops[subs[i].Op]++
 	}
 	s.statsMu.Unlock()
 
-	return s.resp(proto.Response{Data: proto.MarshalBatchResponses(resps)}), false
+	// replyAt encodes the sub-responses in place in the reply's buffer.
+	return s.resp(proto.Response{Subs: resps}), false
 }

@@ -78,27 +78,32 @@ func (s *Server) invalidate(dir proto.InodeID, name string, except int32) {
 		return
 	}
 	s.tracking.Delete(key)
-	payload := (&proto.Invalidation{Dir: dir, Name: name}).Marshal()
-	cost := s.cfg.Machine.Cost
+	iv := proto.Invalidation{Dir: dir, Name: name}
 	for _, client := range set {
 		if client == except {
 			continue
 		}
-		ep, ok := s.cfg.Registry.Lookup(client)
-		if !ok {
-			continue
-		}
-		end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), cost.MsgSend)
-		s.clock.AdvanceTo(end)
-		if _, err := s.cfg.Network.SendCallback(s.ep, ep, proto.KindCallback, payload, s.clock.Now()); err == nil {
-			s.statsMu.Lock()
-			s.stats.Invalidations++
-			s.statsMu.Unlock()
+		if ep, ok := s.cfg.Registry.Lookup(client); ok {
+			s.sendInvalidation(ep, &iv)
 		}
 	}
 	// The requester keeps (or re-establishes) its own cached copy.
 	if except >= 0 {
 		s.track(dir, name, except)
+	}
+}
+
+// sendInvalidation charges one send and delivers iv to a client's callback
+// queue. The envelope owns a pooled payload, which the receiving client hands
+// back to this endpoint's cache.
+func (s *Server) sendInvalidation(dst msg.EndpointID, iv *proto.Invalidation) {
+	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), s.cfg.Machine.Cost.MsgSend)
+	s.clock.AdvanceTo(end)
+	payload := iv.AppendTo(s.ep.GetBuf(iv.SizeHint()))
+	if _, err := s.cfg.Network.SendCallback(s.ep, dst, proto.KindCallback, payload, s.clock.Now()); err == nil {
+		s.statsMu.Lock()
+		s.stats.Invalidations++
+		s.statsMu.Unlock()
 	}
 }
 

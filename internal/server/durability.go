@@ -403,16 +403,9 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 // broadcastCacheFlush sends a wildcard invalidation (empty name) to every
 // registered client library.
 func (s *Server) broadcastCacheFlush() {
-	payload := (&proto.Invalidation{Dir: proto.NilInode, Name: ""}).Marshal()
-	cost := s.cfg.Machine.Cost
+	iv := proto.Invalidation{Dir: proto.NilInode, Name: ""}
 	for _, ep := range s.cfg.Registry.Endpoints() {
-		end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), cost.MsgSend)
-		s.clock.AdvanceTo(end)
-		if _, err := s.cfg.Network.SendCallback(s.ep, ep, proto.KindCallback, payload, s.clock.Now()); err == nil {
-			s.statsMu.Lock()
-			s.stats.Invalidations++
-			s.statsMu.Unlock()
-		}
+		s.sendInvalidation(ep, &iv)
 	}
 }
 

@@ -91,9 +91,13 @@ func blockList(ino *inode) []uint64 {
 }
 
 // extentList converts the inode's block list to the extent-coded wire form:
-// message bytes scale with the file's fragmentation, not its size.
-func extentList(ino *inode) []proto.Extent {
-	var out []proto.Extent
+// message bytes scale with the file's fragmentation, not its size. The
+// result is the server's scratch list (as large as the most fragmented map
+// it has served): it is good until the next call, which comes after the
+// response that carries it is marshaled — or, in a batch, copied
+// (dispatchBatch).
+func (s *Server) extentList(ino *inode) []proto.Extent {
+	out := s.extScratch[:0]
 	for _, b := range ino.blocks {
 		if n := len(out); n > 0 && out[n-1].Start+out[n-1].Count == uint64(b) {
 			out[n-1].Count++
@@ -101,6 +105,7 @@ func extentList(ino *inode) []proto.Extent {
 		}
 		out = append(out, proto.Extent{Start: uint64(b), Count: 1})
 	}
+	s.extScratch = out
 	return out
 }
 
@@ -230,7 +235,7 @@ func (s *Server) handleOpenInode(req *proto.Request) *proto.Response {
 		Ino:     s.id(ino),
 		Ftype:   ino.ftype,
 		Size:    ino.size,
-		Extents: extentList(ino),
+		Extents: s.extentList(ino),
 		Version: ino.version,
 		Stat:    s.statOf(ino),
 		Dist:    ino.distributed,
@@ -269,7 +274,7 @@ func (s *Server) handleGetBlocks(req *proto.Request) *proto.Response {
 	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
-	return s.resp(proto.Response{Size: ino.size, Extents: extentList(ino), Version: ino.version})
+	return s.resp(proto.Response{Size: ino.size, Extents: s.extentList(ino), Version: ino.version})
 }
 
 func (s *Server) handleExtend(req *proto.Request) *proto.Response {
@@ -285,7 +290,7 @@ func (s *Server) handleExtend(req *proto.Request) *proto.Response {
 		s.bumpVersion(ino)
 		s.stageBlocks(ino)
 	}
-	return s.resp(proto.Response{Size: ino.size, Extents: extentList(ino), Version: ino.version})
+	return s.resp(proto.Response{Size: ino.size, Extents: s.extentList(ino), Version: ino.version})
 }
 
 func (s *Server) handleSetSize(req *proto.Request) *proto.Response {
@@ -373,7 +378,7 @@ func (s *Server) handleTruncate(req *proto.Request) *proto.Response {
 	}
 	s.bumpVersion(ino)
 	s.stageBlocks(ino)
-	return s.resp(proto.Response{Size: ino.size, Extents: extentList(ino), Version: ino.version})
+	return s.resp(proto.Response{Size: ino.size, Extents: s.extentList(ino), Version: ino.version})
 }
 
 func (s *Server) handleStat(req *proto.Request) *proto.Response {

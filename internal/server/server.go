@@ -170,10 +170,16 @@ type Server struct {
 	// clients in a deterministic order.
 	tracking *table.Map[direntKey, []int32]
 
-	// Hot-path recycling (DESIGN.md §13): a free list of request structs and
-	// a scratch response, both confined to the request loop.
-	reqFree []*proto.Request
-	scratch proto.Response
+	// Hot-path recycling (DESIGN.md §13), confined to the request loop: a
+	// free list of request structs, a scratch response with the extent list
+	// it may carry, and the batch in service — its decoded sub-requests and
+	// their responses, at most proto.MaxBatchOps of each, reused by the next
+	// batch (until then they keep alive what the last one's carried).
+	reqFree    []*proto.Request
+	scratch    proto.Response
+	extScratch []proto.Extent
+	subReqs    []proto.Request
+	subResps   []*proto.Response
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -469,7 +475,7 @@ func (s *Server) handle(env msg.Envelope) {
 // (overhead + op work), and one sub-span per batch sub-operation. All spans
 // parent to the client-side RPC span carried in req.Span; batch sub-spans
 // nest under the service span with their sub index as disambiguator.
-func (s *Server) recordSpans(req *proto.Request, subs []*proto.Request, env msg.Envelope, start, end, overhead sim.Cycles, resp *proto.Response) {
+func (s *Server) recordSpans(req *proto.Request, subs []proto.Request, env msg.Envelope, start, end, overhead sim.Cycles, resp *proto.Response) {
 	where := ^int32(s.cfg.ID)
 	name := req.Op.String()
 	s.tr.Record(trace.Span{
@@ -499,20 +505,21 @@ func (s *Server) recordSpans(req *proto.Request, subs []*proto.Request, env msg.
 	}
 	// Batch sub-ops ran back-to-back after the per-message overhead; each
 	// sub-span covers its own service window. Per-sub errors come from the
-	// batch response payload when available.
+	// batch reply when there is one.
 	var serrs []*proto.Response
-	if resp != nil && resp.Err == fsapi.OK {
-		serrs, _ = proto.UnmarshalBatchResponses(resp.Data)
+	if resp != nil {
+		serrs = resp.Subs
 	}
 	at := start + overhead
-	for i, sub := range subs {
+	for i := range subs {
+		sub := &subs[i]
 		d := s.serviceCost(sub)
 		ss := trace.Span{
 			Trace: req.Trace, ID: s.tem.Next(), Parent: svcID,
 			Kind: trace.KindSub, Name: sub.Op.String(), Where: where,
 			Start: at, End: at + d, Idx: int32(i),
 		}
-		if i < len(serrs) && serrs[i] != nil {
+		if i < len(serrs) {
 			ss.Err = int32(serrs[i].Err)
 		}
 		s.tr.Record(ss)
@@ -527,19 +534,31 @@ func (s *Server) QueueDepth() int { return s.ep.Inbox.Len() }
 // requestCost computes the total service cost of a request. For a batch it
 // decodes the sub-requests (returned so dispatch does not decode them twice)
 // and sums their individual service costs.
-func (s *Server) requestCost(req *proto.Request) (sim.Cycles, []*proto.Request, bool, error) {
+func (s *Server) requestCost(req *proto.Request) (sim.Cycles, []proto.Request, bool, error) {
 	if req.Op != proto.OpBatch {
 		return s.serviceCost(req), nil, false, nil
 	}
-	subs, stop, err := proto.UnmarshalBatch(req.Data)
+	subs, stop, err := s.decodeBatch(req)
 	if err != nil {
 		return 0, nil, false, err
 	}
 	var total sim.Cycles
-	for _, sub := range subs {
-		total += s.serviceCost(sub)
+	for i := range subs {
+		total += s.serviceCost(&subs[i])
 	}
 	return total, subs, stop, nil
+}
+
+// decodeBatch decodes a batch envelope's sub-requests into the server's
+// recycled structs, which the next batch overwrites. They copy what they
+// need out of the envelope's payload; the envelope keeps it, and a parked
+// batch is decoded again from it on re-dispatch.
+func (s *Server) decodeBatch(req *proto.Request) ([]proto.Request, bool, error) {
+	subs, stop, err := proto.UnmarshalBatchInto(s.subReqs, req.Data)
+	if err == nil {
+		s.subReqs = subs
+	}
+	return subs, stop, err
 }
 
 // reply sends a response at the server's current high-water time; it is used
@@ -677,7 +696,7 @@ func (s *Server) dispatch(req *proto.Request, env msg.Envelope) (*proto.Response
 	case proto.OpBatch:
 		// Reached on re-dispatch of a batch that had been parked on a
 		// marked shard (handle routes fresh batches directly).
-		subs, stop, err := proto.UnmarshalBatch(req.Data)
+		subs, stop, err := s.decodeBatch(req)
 		if err != nil {
 			return s.errResp(fsapi.EINVAL), false
 		}

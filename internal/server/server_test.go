@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fsapi"
@@ -362,7 +363,7 @@ func (h *harness) callBatch(stopOnErr bool, reqs ...*proto.Request) []*proto.Res
 	for _, r := range reqs {
 		r.ClientID = 7
 	}
-	env := h.callOK(proto.BatchRequest(reqs, stopOnErr))
+	env := h.callOK(&proto.Request{Op: proto.OpBatch, Subs: reqs, StopOnErr: stopOnErr})
 	resps, err := proto.UnmarshalBatchResponses(env.Data)
 	if err != nil {
 		h.t.Fatal(err)
@@ -371,6 +372,42 @@ func (h *harness) callBatch(stopOnErr bool, reqs ...*proto.Request) []*proto.Res
 		h.t.Fatalf("batch returned %d responses for %d sub-ops", len(resps), len(reqs))
 	}
 	return resps
+}
+
+// TestBatchSubResponsesKeepTheirOwnExtents: handlers answer in the server's
+// scratch response and scratch extent list; every sub-response of a batch
+// must carry the block map of its own file, in a second batch through the
+// same recycled structs too.
+func TestBatchSubResponsesKeepTheirOwnExtents(t *testing.T) {
+	h := newHarness(t)
+	var inos []proto.InodeID
+	for _, name := range []string{"one", "two", "three"} {
+		inos = append(inos, h.callOK(&proto.Request{
+			Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Name: name, Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular,
+		}).Ino)
+	}
+	for round, sizes := range [][]int64{{512, 2048, 1024}, {4096, 2048, 512}} {
+		var subs []*proto.Request
+		for i, ino := range inos {
+			subs = append(subs, &proto.Request{Op: proto.OpExtend, Target: ino, Size: sizes[i]})
+		}
+		resps := h.callBatch(false, subs...)
+		seen := make(map[uint64]int)
+		for i, r := range resps {
+			alone := h.callOK(&proto.Request{Op: proto.OpGetBlocks, Target: inos[i]})
+			if r.Err != fsapi.OK || !reflect.DeepEqual(r.Extents, alone.Extents) || proto.BlockCount(r.Extents) == 0 {
+				t.Fatalf("round %d, sub-response %d carries extents %+v, the file's map is %+v", round, i, r.Extents, alone.Extents)
+			}
+			for _, e := range r.Extents {
+				for b := e.Start; b < e.Start+e.Count; b++ {
+					if other, dup := seen[b]; dup {
+						t.Fatalf("round %d: block %d is in the maps of sub-responses %d and %d", round, b, other, i)
+					}
+					seen[b] = i
+				}
+			}
+		}
+	}
 }
 
 func TestServerBatchCreateStatUnlink(t *testing.T) {
@@ -506,17 +543,29 @@ func TestServerBatchParksOnMarkedShardAndResumes(t *testing.T) {
 	// the abort.
 	h.callOK(&proto.Request{Op: proto.OpRmdirPrepare, Dir: dir.Ino, Target: dir.Ino})
 
-	env := proto.BatchRequest([]*proto.Request{
+	env := &proto.Request{Op: proto.OpBatch, ClientID: 7, Subs: []*proto.Request{
 		{Op: proto.OpLookup, Dir: dir.Ino, Name: "nope", ClientID: 7},
 		{Op: proto.OpStat, Target: dir.Ino, ClientID: 7},
-	}, false)
-	env.ClientID = 7
+	}}
 	fut, err := h.net.SendAsync(h.ep, h.srv.EndpointID(), proto.KindRequest, env.Marshal(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := fut.TryAwait(); ok {
 		t.Fatal("batch answered while the shard was marked")
+	}
+	// While it is parked the server serves other batches, through the same
+	// recycled sub-request structs and many request structs: the parked
+	// envelope keeps its payload, and the re-dispatch decodes it again.
+	for i := 0; i < 2*reqFreeCap; i++ {
+		other := h.callBatch(true,
+			&proto.Request{Op: proto.OpStat, Target: proto.RootInode},
+			&proto.Request{Op: proto.OpLookup, Dir: proto.RootInode, Name: "d"},
+			&proto.Request{Op: proto.OpPing},
+		)
+		if other[0].Err != fsapi.OK || other[1].Ino != dir.Ino || other[2].Err != fsapi.OK {
+			t.Fatalf("a batch served while another is parked: %+v", other)
+		}
 	}
 	h.callOK(&proto.Request{Op: proto.OpRmdirAbort, Dir: dir.Ino, Target: dir.Ino})
 	renv, err := fut.Await()
@@ -531,11 +580,11 @@ func TestServerBatchParksOnMarkedShardAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resps[0].Err != fsapi.ENOENT {
-		t.Fatalf("lookup after unpark: %v, want ENOENT", resps[0].Err)
+	if len(resps) != 2 || resps[0].Err != fsapi.ENOENT {
+		t.Fatalf("lookup after unpark: %d sub-responses, first %v, want 2 and ENOENT", len(resps), resps[0].Err)
 	}
-	if resps[1].Err != fsapi.OK {
-		t.Fatalf("stat after unpark: %v", resps[1].Err)
+	if resps[1].Err != fsapi.OK || resps[1].Stat.Ino != dir.Ino {
+		t.Fatalf("stat after unpark: %v, inode %v", resps[1].Err, resps[1].Stat.Ino)
 	}
 }
 

@@ -73,13 +73,13 @@ func (s *Server) getReq() *proto.Request {
 }
 
 // putReq releases a request the loop has fully answered. Requests retained
-// by park sites are released at their unpark-reply site instead. Slices are
-// dropped so a recycled request does not pin a large write payload.
+// by park sites are released at their unpark-reply site instead. Recycle
+// bounds what the struct keeps, so the list never pins a write payload.
 func (s *Server) putReq(r *proto.Request) {
 	if r == nil || len(s.reqFree) >= reqFreeCap {
 		return
 	}
-	r.Data, r.Fds, r.Args, r.Env = nil, nil, nil, nil
+	r.Recycle()
 	s.reqFree = append(s.reqFree, r)
 }
 
@@ -87,8 +87,8 @@ func (s *Server) putReq(r *proto.Request) {
 // request loop serves one request at a time and replyAt marshals the
 // response before the next dispatch runs, so a single scratch struct backs
 // every hot-path response without allocating. The one place several
-// responses are alive at once — batch sub-responses — clones the scratch
-// (dispatchBatch).
+// responses are alive at once — batch sub-responses — copies the scratch
+// into the server's recycled sub-response structs (dispatchBatch).
 func (s *Server) resp(v proto.Response) *proto.Response {
 	s.scratch = v
 	return &s.scratch

@@ -37,72 +37,11 @@ func (c *Clock) AdvanceTo(t Cycles) Cycles {
 // Reset sets the clock back to zero.
 func (c *Clock) Reset() { c.now.Store(0) }
 
-// capacityWindow is the granularity of per-core capacity accounting. Smaller
-// windows track contention more precisely at the cost of more bookkeeping;
-// 16 Ki cycles (~7 µs at 2.4 GHz) is far below the duration of any benchmark
-// phase while being much larger than a single operation.
-const capacityWindow Cycles = 16384
-
-// CoreTime models the execution capacity of one core. When several entities
-// are pinned to the same core (the paper's "timeshare" configuration runs a
-// file server alongside the application on every core), their combined
-// demand cannot exceed one cycle of work per cycle of wall-clock time.
-//
-// Capacity is accounted in fixed windows of virtual time: work of length d
-// that becomes ready at time r claims free capacity starting in r's window
-// and spills into later windows when the core is oversubscribed. Accounting
-// per window (rather than as a single running total) keeps the model
-// independent of the real-time order in which concurrent goroutines happen
-// to call Execute — work that logically happens later never delays work that
-// logically happened earlier.
+// CoreTime counts the work charged to one core, for utilization reporting.
+// It does not serialize the entities pinned to the core: see Machine.
 type CoreTime struct {
-	mu     sync.Mutex
-	used   map[Cycles]Cycles // window index -> consumed cycles
-	total  Cycles
-	maxEnd Cycles
-}
-
-// Execute consumes d cycles of core capacity for work ready at `ready` and
-// returns the virtual completion time.
-func (c *CoreTime) Execute(ready, d Cycles) Cycles {
-	if d == 0 {
-		return ready
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.used == nil {
-		c.used = make(map[Cycles]Cycles)
-	}
-	c.total += d
-	remaining := d
-	w := ready / capacityWindow
-	end := ready
-	for {
-		base := w * capacityWindow
-		floor := c.used[w]
-		if base < ready && ready-base > floor {
-			// Capacity earlier than `ready` within this window cannot be
-			// used by this request.
-			floor = ready - base
-		}
-		if avail := capacityWindow - floor; avail > 0 {
-			take := remaining
-			if take > avail {
-				take = avail
-			}
-			c.used[w] = floor + take
-			remaining -= take
-			end = base + floor + take
-			if remaining == 0 {
-				break
-			}
-		}
-		w++
-	}
-	if end > c.maxEnd {
-		c.maxEnd = end
-	}
-	return end
+	mu    sync.Mutex
+	total Cycles
 }
 
 // Account records d cycles of work on the core without computing a
@@ -120,20 +59,11 @@ func (c *CoreTime) Busy() Cycles {
 	return c.total
 }
 
-// Free returns the latest completion time observed on this core.
-func (c *CoreTime) Free() Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxEnd
-}
-
 // Reset clears the core's accounting.
 func (c *CoreTime) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.used = nil
 	c.total = 0
-	c.maxEnd = 0
 }
 
 // Machine bundles a topology, cost model, and per-core bookkeeping.
@@ -178,18 +108,6 @@ func (m *Machine) Execute(core int, ready, d Cycles) Cycles {
 		m.cores[core].Account(d)
 	}
 	return ready + d
-}
-
-// MaxCoreFree returns the latest "free" time across all cores; used by the
-// benchmark harness as a lower bound on total machine time.
-func (m *Machine) MaxCoreFree() Cycles {
-	var max Cycles
-	for _, c := range m.cores {
-		if f := c.Free(); f > max {
-			max = f
-		}
-	}
-	return max
 }
 
 // Reset clears all core accounting, preparing the machine for another run.
