@@ -97,7 +97,7 @@ func (c *Client) Core() int { return c.core }
 // rpc charges one NFS round trip: loopback transport on the client core,
 // then serialized service at the single server, plus optional data bytes.
 func (c *Client) rpc(dataBytes int) {
-	cost := c.sys.machine.Cost
+	cost := &c.sys.machine.Cost
 	end := c.sys.machine.Execute(c.core, c.clock.Now(), cost.LoopbackRPC)
 	c.clock.AdvanceTo(end)
 	hold := cost.UnfsServeOp + sim.LineCost(cost.UnfsPerLine, dataBytes)

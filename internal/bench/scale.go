@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -31,6 +33,10 @@ type ScaleRung struct {
 	// Parallel runs the rung under the parallel virtual-time engine (spec
 	// suffix ":par"); hare-bench -parallel sets it on every rung.
 	Parallel bool
+	// Cores is the GOMAXPROCS the rung runs at (spec suffix "@N"); zero
+	// leaves the process's setting. A rung asking for more than the machine
+	// has is skipped.
+	Cores int
 }
 
 // DefaultScaleRungs is the committed sweep: the paper-scale 8-server rung as
@@ -67,9 +73,17 @@ type ScalePoint struct {
 	// is a true per-rung peak.
 	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
 
+	// LoadImbalance is the busiest server's share of the timed region's
+	// requests over the mean server's (stats.Imbalance).
+	LoadImbalance float64 `json:"load_imbalance"`
+
 	// GOMAXPROCS and NProc say what the wall-clock figures were measured on.
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NProc      int `json:"nproc"`
+	// IdleShare is the part of the timed region's GOMAXPROCS x wall CPU time
+	// in which no Go code ran (runtime/metrics /cpu/classes/idle over total,
+	// between the collections that bracket the region).
+	IdleShare float64 `json:"idle_share"`
 	// Gate is the parallel engine's work during the timed region (absent on
 	// serialized rungs): raw counts, to be divided by Ops.
 	Gate *sim.GateStats `json:"gate,omitempty"`
@@ -100,18 +114,22 @@ func ScaleSweepFigure(rungs []ScaleRung) (*ScaleData, []*Table, error) {
 	data := &ScaleData{}
 	t := &Table{
 		Title: "Harness scaling sweep: wall-clock cost of big fleets and namespaces",
-		Columns: []string{"servers", "engine", "files", "ops", "wall (s)", "virt (s)",
-			"kops/wall-s", "wall us/op", "allocs/op", "heap (MiB)", "peak rss (MiB)"},
-		Note: fmt.Sprintf("measures the simulator, not Hare, at GOMAXPROCS=%d on %d CPUs: wall = real time for the timed region; allocs/op = heap allocations per simulated op; peak rss is process-lifetime high water.",
-			runtime.GOMAXPROCS(0), runtime.NumCPU()),
+		Columns: []string{"servers", "engine", "cores", "files", "ops", "wall (s)", "virt (ms)", "load imbalance",
+			"kops/wall-s", "wall us/op", "idle share", "allocs/op", "heap (MiB)", "peak rss (MiB)"},
+		Note: fmt.Sprintf("measures the simulator, not Hare, on %d CPUs: cores = GOMAXPROCS; wall = real time for the timed region; load imbalance = busiest server's requests over the mean; idle share = part of cores x wall in which no Go code ran; allocs/op = heap allocations per simulated op; peak rss is process-lifetime high water.",
+			runtime.NumCPU()),
 	}
 	gt := &Table{
 		Title: "Parallel engine: sim.Gate events per simulated op",
-		Columns: []string{"servers", "files", "lanes", "bumps/op", "floor moves/op", "floor raises/op",
-			"parks/op", "wakes/op", "reparks/op"},
-		Note: "bumps = lane frontier changes; floor moves = safe-time recomputations (the floor holder changed it); parks = consumers that went to sleep on an unsafe head; wakes = consumers a floor raise signalled; reparks = wake-ups that slept again without popping.",
+		Columns: []string{"servers", "files", "cores", "lanes", "bumps/op", "floor moves/op", "floor raises/op",
+			"parks/op", "wakes/op", "reparks/op", "safe at push/op", "locks/op", "idle share"},
+		Note: "bumps = lane frontier changes; floor moves = safe-time recomputations (the floor holder changed it); parks = consumers that went to sleep on an unsafe head; wakes = consumers a floor raise signalled; reparks = wake-ups that slept again without popping; safe at push = requests a sleeping server could take the moment their sender offered them; locks = acquisitions of the gate's mutex.",
 	}
 	for _, r := range rungs {
+		if r.Cores > runtime.NumCPU() {
+			t.Note += fmt.Sprintf(" Skipped %d:%d@%d: the machine has %d CPUs.", r.Servers, r.Files, r.Cores, runtime.NumCPU())
+			continue
+		}
 		p, err := scalePoint(r)
 		if err != nil {
 			return nil, nil, err
@@ -122,15 +140,17 @@ func ScaleSweepFigure(rungs []ScaleRung) (*ScaleData, []*Table, error) {
 			engine = "parallel"
 		}
 		ops := float64(p.Ops)
-		t.AddRow(fmt.Sprintf("%d", p.Servers), engine,
+		t.AddRow(fmt.Sprintf("%d", p.Servers), engine, fmt.Sprintf("%d", p.GOMAXPROCS),
 			fmt.Sprintf("%d", p.Files), fmt.Sprintf("%d", p.Ops),
-			f2(p.WallSeconds), f2(p.VirtSeconds), f2(p.KOpsPerWallSec()),
-			f2(p.WallSeconds*1e6/ops), f2(p.AllocsPerOp), f2(float64(p.HeapBytes)/(1<<20)),
+			f2(p.WallSeconds), fmt.Sprintf("%.3g", p.VirtSeconds*1000), f2(p.LoadImbalance), f2(p.KOpsPerWallSec()),
+			f2(p.WallSeconds*1e6/ops), f2(p.IdleShare), f2(p.AllocsPerOp), f2(float64(p.HeapBytes)/(1<<20)),
 			f2(float64(p.PeakRSSBytes)/(1<<20)))
 		if g := p.Gate; g != nil {
-			gt.AddRow(fmt.Sprintf("%d", p.Servers), fmt.Sprintf("%d", p.Files), fmt.Sprintf("%d", g.Lanes),
+			gt.AddRow(fmt.Sprintf("%d", p.Servers), fmt.Sprintf("%d", p.Files), fmt.Sprintf("%d", p.GOMAXPROCS),
+				fmt.Sprintf("%d", g.Lanes),
 				f2(float64(g.Bumps)/ops), f2(float64(g.Recomputes)/ops), f2(float64(g.FloorRaises)/ops),
-				f2(float64(g.Parks)/ops), f2(float64(g.Wakes)/ops), f2(float64(g.Reparks)/ops))
+				f2(float64(g.Parks)/ops), f2(float64(g.Wakes)/ops), f2(float64(g.Reparks)/ops),
+				f2(float64(g.SafePushes)/ops), f2(float64(g.Locks)/ops), f2(p.IdleShare))
 		}
 	}
 	tables := []*Table{t}
@@ -142,6 +162,9 @@ func ScaleSweepFigure(rungs []ScaleRung) (*ScaleData, []*Table, error) {
 
 // scalePoint measures one rung.
 func scalePoint(r ScaleRung) (ScalePoint, error) {
+	if r.Cores > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(r.Cores))
+	}
 	opts := DefaultHare(r.Servers)
 	opts.Parallel = r.Parallel
 	w := workload.ScaleSweep{}
@@ -163,11 +186,15 @@ func scalePoint(r ScaleRung) (ScalePoint, error) {
 	}
 
 	virtStart := b.Now()
+	loads := b.Loads()
 	var gateBefore sim.GateStats
 	if b.Gate != nil {
 		gateBefore = b.Gate()
 	}
+	// The collection also refreshes the runtime's CPU-class estimates, which
+	// only move at the end of one.
 	runtime.GC()
+	idleBefore, cpuBefore := cpuSeconds()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	wallStart := time.Now()
@@ -180,26 +207,46 @@ func scalePoint(r ScaleRung) (ScalePoint, error) {
 	wall := time.Since(wallStart)
 	runtime.ReadMemStats(&after)
 	virt := b.Now() - virtStart
+	runtime.GC()
+	idleAfter, cpuAfter := cpuSeconds()
+	for i, l := range b.Loads() {
+		loads[i] = l - loads[i]
+	}
 
 	p := ScalePoint{
-		Servers:      r.Servers,
-		Workers:      workers,
-		Files:        w.FilesPerWorker * workers,
-		Ops:          ops,
-		Par:          r.Parallel,
-		WallSeconds:  wall.Seconds(),
-		VirtSeconds:  b.Seconds(virt),
-		AllocsPerOp:  float64(after.Mallocs-before.Mallocs) / float64(ops),
-		HeapBytes:    after.HeapInuse,
-		PeakRSSBytes: peakRSSBytes(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		NProc:        runtime.NumCPU(),
+		Servers:       r.Servers,
+		Workers:       workers,
+		Files:         w.FilesPerWorker * workers,
+		Ops:           ops,
+		Par:           r.Parallel,
+		WallSeconds:   wall.Seconds(),
+		VirtSeconds:   b.Seconds(virt),
+		AllocsPerOp:   float64(after.Mallocs-before.Mallocs) / float64(ops),
+		HeapBytes:     after.HeapInuse,
+		PeakRSSBytes:  peakRSSBytes(),
+		LoadImbalance: stats.Imbalance(loads),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		NProc:         runtime.NumCPU(),
+	}
+	if cpuAfter > cpuBefore {
+		p.IdleShare = (idleAfter - idleBefore) / (cpuAfter - cpuBefore)
 	}
 	if b.Gate != nil {
 		g := b.Gate().Sub(gateBefore)
 		p.Gate = &g
 	}
 	return p, nil
+}
+
+// cpuSeconds reads the runtime's running estimates of idle and of total
+// available CPU time (GOMAXPROCS integrated over wall time).
+func cpuSeconds() (idle, total float64) {
+	s := []metrics.Sample{{Name: "/cpu/classes/idle:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64 || s[1].Value.Kind() != metrics.KindFloat64 {
+		return 0, 0
+	}
+	return s[0].Value.Float64(), s[1].Value.Float64()
 }
 
 // peakRSSBytes reads the process's resident-set high water from
@@ -232,7 +279,8 @@ func peakRSSBytes() uint64 {
 // ParseScaleRungs parses a sweep spec like "8:125000,64:1000000" (or bare
 // server counts "8,64", which take one thousand files per worker) into
 // rungs. A ":par" suffix ("64:32768:par") runs that rung under the parallel
-// engine.
+// engine; an "@N" suffix after that ("64:32768:par@1") runs it at
+// GOMAXPROCS=N.
 func ParseScaleRungs(spec string) ([]ScaleRung, error) {
 	if spec == "" {
 		return nil, nil
@@ -244,6 +292,13 @@ func ParseScaleRungs(spec string) ([]ScaleRung, error) {
 			continue
 		}
 		r := ScaleRung{}
+		if i := strings.IndexByte(part, '@'); i >= 0 {
+			c, err := strconv.Atoi(part[i+1:])
+			if err != nil || c <= 0 {
+				return nil, fmt.Errorf("bench: bad core count %q in -scalesweep spec", part[i+1:])
+			}
+			part, r.Cores = part[:i], c
+		}
 		if rest, ok := strings.CutSuffix(part, ":par"); ok {
 			part, r.Parallel = rest, true
 		}
@@ -280,8 +335,9 @@ type ScaleBaseline struct {
 // ScaleBaselineSpec is the -scalesweep spec BENCH_scale.json is generated
 // from: the default rungs, plus the 8-server rung and a 64-server / 32768-file
 // rung under both engines, so the parallel engine's cost per simulated op
-// sits next to its serialized twin's.
-const ScaleBaselineSpec = "8:125000,8:125000:par,64:32768,64:32768:par,64:1000000,256:512000,1024:262144"
+// sits next to its serialized twin's — the 64-server twins along the cores
+// axis too (a rung wider than the machine is skipped).
+const ScaleBaselineSpec = "8:125000,8:125000:par,64:32768@1,64:32768:par@1,64:32768@2,64:32768:par@2,64:32768@4,64:32768:par@4,64:32768@8,64:32768:par@8,64:1000000,256:512000,1024:262144"
 
 // WriteBaseline serializes the sweep to path as indented JSON.
 func (d *ScaleData) WriteBaseline(path string) error {

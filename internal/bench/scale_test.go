@@ -1,0 +1,59 @@
+package bench
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+func TestParseScaleRungs(t *testing.T) {
+	got, err := ParseScaleRungs("8, 64:32768:par@2 ,16:4000@1,32:par")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ScaleRung{
+		{Servers: 8, Files: 8000},
+		{Servers: 64, Files: 32768, Parallel: true, Cores: 2},
+		{Servers: 16, Files: 4000, Cores: 1},
+		{Servers: 32, Files: 32000, Parallel: true},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed %+v, want %+v", got, want)
+	}
+	for _, bad := range []string{"8@0", "8@x", "x:4", "8:0", "8:4:par@"} {
+		if _, err := ParseScaleRungs(bad); err == nil {
+			t.Errorf("spec %q parsed", bad)
+		}
+	}
+}
+
+// TestScaleSweepSmoke: a rung per engine on one core, and one wider than any
+// machine: the sweep restores GOMAXPROCS, reports what each point ran at,
+// fills the gate's ledger for the parallel rung and skips the third.
+func TestScaleSweepSmoke(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	data, tables, err := ScaleSweepFigure([]ScaleRung{
+		{Servers: 8, Files: 800, Cores: 1},
+		{Servers: 8, Files: 800, Cores: 1, Parallel: true},
+		{Servers: 8, Files: 800, Cores: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOMAXPROCS(0) != procs {
+		t.Fatalf("GOMAXPROCS left at %d, was %d", runtime.GOMAXPROCS(0), procs)
+	}
+	if len(data.Points) != 2 || len(tables) != 2 || !strings.Contains(tables[0].Note, "Skipped 8:800@1048576") {
+		t.Fatalf("%d points, %d tables, note %q", len(data.Points), len(tables), tables[0].Note)
+	}
+	for _, p := range data.Points {
+		if p.GOMAXPROCS != 1 || p.Ops == 0 || p.VirtSeconds <= 0 || p.LoadImbalance < 1 {
+			t.Fatalf("point %+v", p)
+		}
+	}
+	g := data.Points[1].Gate
+	if data.Points[0].Gate != nil || g == nil || g.Locks == 0 || g.Bumps == 0 || g.Locks > 4*uint64(data.Points[1].Ops) {
+		t.Fatalf("gate ledgers: serialized %+v, parallel %+v", data.Points[0].Gate, g)
+	}
+}

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"runtime"
 	"sort"
 
 	"repro/internal/fsapi"
@@ -78,7 +77,7 @@ func (c *Client) awaitAll(futs []*msg.Future) ([]*proto.Response, error) {
 	if failed {
 		return nil, fsapi.EIO
 	}
-	runtime.Gosched()
+	c.yield()
 	return out, nil
 }
 

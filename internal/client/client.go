@@ -451,11 +451,7 @@ func (c *Client) traceRequest(req *proto.Request) {
 // decoded response. Virtual time: marshal+send cost before, propagation
 // handled by the network, receive cost after.
 //
-// After each exchange the goroutine yields to the Go scheduler. The accuracy
-// of the virtual-time queueing model depends on the simulated processes
-// staying roughly in (virtual) lockstep; without the yield, the runtime
-// tends to run one client/server ping-pong chain far ahead of the others,
-// which shows up as artificial queueing delay (see DESIGN.md §4).
+// After each exchange the goroutine yields (see yield).
 func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
 	rt := c.routing
 	if srv < 0 || srv >= len(rt.Servers) {
@@ -469,7 +465,7 @@ func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
 		c.charge(c.cfg.Machine.Cost.TraceSpan)
 	}
 	payload := c.marshalReq(req)
-	cost := c.cfg.Machine.Cost
+	cost := &c.cfg.Machine.Cost
 	sentAt := c.clock.Now()
 	c.charge(cost.MsgSend)
 	env, err := c.cfg.Network.RPC(c.ep, rt.Servers[srv], proto.KindRequest, payload, c.clock.Now())
@@ -492,8 +488,22 @@ func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
 			Start: sentAt, End: c.clock.Now(), Err: int32(resp.Err),
 		})
 	}
-	runtime.Gosched()
+	c.yield()
 	return resp, nil
+}
+
+// yield hands the processor to the Go scheduler after an exchange — in the
+// serialized engine only. There the accuracy of the virtual-time queueing
+// model depends on the simulated processes staying roughly in (virtual)
+// lockstep; without the yield, the runtime tends to run one client/server
+// ping-pong chain far ahead of the others, which shows up as artificial
+// queueing delay (see DESIGN.md §4). Under the parallel engine servers serve
+// in virtual-arrival order whatever the host order, and ordering is the
+// gate's job.
+func (c *Client) yield() {
+	if c.cfg.Network.Gate() == nil {
+		runtime.Gosched()
+	}
 }
 
 // ExecOn sends an exec request to a scheduling server's endpoint, waits until
@@ -511,7 +521,7 @@ func (c *Client) ExecOn(dst msg.EndpointID, req *proto.Request) (status int32, e
 	req.ClientID = c.cfg.ID
 	c.traceRequest(req)
 	payload := c.marshalReq(req)
-	cost := c.cfg.Machine.Cost
+	cost := &c.cfg.Machine.Cost
 	c.charge(cost.MsgSend)
 	fut, err := c.cfg.Network.SendAsync(c.ep, dst, proto.KindRequest, payload, c.clock.Now())
 	if err != nil {
@@ -554,7 +564,7 @@ func (c *Client) broadcast(servers []int, req *proto.Request) ([]*proto.Response
 	req.ClientID = c.cfg.ID
 	c.traceRequest(req)
 	payload := c.marshalReq(req)
-	cost := c.cfg.Machine.Cost
+	cost := &c.cfg.Machine.Cost
 	rt := c.routing
 	dsts := make([]msg.EndpointID, len(servers))
 	for i, s := range servers {

@@ -613,7 +613,7 @@ func (c *Client) invalidateTail(of *openFile, from int) {
 // the core's private cache, charging per-line costs for hits and misses.
 func (c *Client) copyBlocks(of *openFile, off int64, p []byte, write bool) int {
 	bs := int64(c.cfg.DRAM.BlockSize())
-	cost := c.cfg.Machine.Cost
+	cost := &c.cfg.Machine.Cost
 	moved := 0
 	for moved < len(p) {
 		pos := off + int64(moved)

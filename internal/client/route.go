@@ -1,8 +1,6 @@
 package client
 
 import (
-	"runtime"
-
 	"repro/internal/fsapi"
 	"repro/internal/msg"
 	"repro/internal/place"
@@ -100,7 +98,7 @@ func (c *Client) routedEntryRPC(dir proto.InodeID, dirDist bool, name string, re
 			}
 			c.refreshRouting()
 			c.noteEpochRefresh(req.Op, tries)
-			runtime.Gosched()
+			c.yield()
 			continue
 		}
 		return resp, nil
@@ -139,7 +137,7 @@ func (c *Client) coalescedCreate(parent proto.InodeID, parentDist bool, name str
 			}
 			c.refreshRouting()
 			c.noteEpochRefresh(req.Op, tries)
-			runtime.Gosched()
+			c.yield()
 			entrySrv, epoch = c.routeEntry(parent, parentDist, name)
 			continue
 		}
@@ -181,7 +179,7 @@ func (c *Client) routedBroadcast(home int32, dist bool, req *proto.Request) ([]*
 			}
 			c.refreshRouting()
 			c.noteEpochRefresh(req.Op, tries)
-			runtime.Gosched()
+			c.yield()
 			continue
 		}
 		return resps, nil

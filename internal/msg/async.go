@@ -21,11 +21,9 @@ type Future struct {
 	src *Endpoint
 	// SentAt is the virtual time the request was stamped with.
 	SentAt sim.Cycles
-	// arrive is the request's arrival time at the destination: a lower bound
-	// on the reply's send time. While the caller blocks in Await its lane
-	// frontier is the earliest the reply can arrive, one minimum message
-	// latency after that.
-	arrive sim.Cycles
+	// bound is the earliest the cost model lets the reply arrive (see send):
+	// the lane's frontier while the caller blocks in Await.
+	bound sim.Cycles
 }
 
 // SendAsync sends a request and returns a Future for its reply without
@@ -33,8 +31,12 @@ type Future struct {
 // (atomic delivery, like Send). The future and its reply queue come from the
 // sending endpoint's free-list cache; Await recycles them.
 func (n *Network) SendAsync(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles) (*Future, error) {
+	return n.sendAsync(src, dst, kind, payload, sentAt, false)
+}
+
+func (n *Network) sendAsync(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles, blocks bool) (*Future, error) {
 	f := src.cache.getFuture()
-	arrive, err := n.Send(src, dst, kind, payload, sentAt, f.q)
+	_, bound, err := n.send(src, dst, kind, payload, sentAt, f.q, blocks)
 	if err != nil {
 		src.cache.putFuture(f)
 		return nil, err
@@ -42,7 +44,7 @@ func (n *Network) SendAsync(src *Endpoint, dst EndpointID, kind uint16, payload 
 	f.dst = dst
 	f.src = src
 	f.SentAt = sentAt
-	f.arrive = arrive
+	f.bound = bound
 	return f, nil
 }
 
@@ -51,28 +53,35 @@ func (n *Network) SendAsync(src *Endpoint, dst EndpointID, kind uint16, payload 
 // A future must be awaited at most once; after a successful Await it is
 // recycled and must not be touched again.
 func (f *Future) Await() (Envelope, error) {
-	src := f.src
-	if src != nil {
+	if src := f.src; src != nil {
 		if g := src.net.gate.Load(); g != nil {
-			// While blocked here the lane cannot send. The reply cannot be
-			// sent before the request arrives (an error reply is sent at that
-			// very time, with no service charge) nor arrive sooner than the
-			// gate's lookahead after it is sent, and the caller resumes at
-			// the reply's arrival: that is a sound frontier.
-			g.Bump(int(src.ID), f.arrive+g.Lookahead())
+			// Blocked here the lane cannot send, and it resumes at the reply's
+			// arrival, which the bound precedes: a sound frontier.
+			g.Await(int(src.ID), f.bound)
 		}
 	}
-	env, ok := f.q.PopWait()
+	return f.wait(true)
+}
+
+// wait harvests the reply; awaited says the lane has published the future's
+// bound, so the replier may raise it further (Queue.pushReply).
+func (f *Future) wait(awaited bool) (Envelope, error) {
+	env, ok := f.q.popWait(awaited)
 	if !ok {
 		return Envelope{}, fmt.Errorf("msg: async rpc to endpoint %d: reply queue closed", f.dst)
 	}
-	// Recycle the future unless a fault plan is installed: a duplicated
-	// request makes the responder reply twice, and the surplus reply may be
-	// pushed arbitrarily late — the queue must not be reused then.
-	if src != nil && src.net.faults.Load() == nil && f.q.Len() == 0 {
+	f.recycle()
+	return env, nil
+}
+
+// recycle returns a harvested future to its endpoint's cache unless a fault
+// plan is installed: a duplicated request makes the responder reply twice,
+// and the surplus reply may be pushed arbitrarily late — the queue must not
+// be reused then.
+func (f *Future) recycle() {
+	if src := f.src; src != nil && src.net.faults.Load() == nil && f.q.Len() == 0 {
 		src.cache.putFuture(f)
 	}
-	return env, nil
 }
 
 // AwaitHandoff blocks like Await but never publishes a frontier for the
@@ -83,26 +92,14 @@ func (f *Future) Await() (Envelope, error) {
 // with the receiver's idle and re-pin the lane at the request's arrival
 // forever. The lane's floor stays at the request's send time until the
 // receiver idles it.
-func (f *Future) AwaitHandoff() (Envelope, error) {
-	env, ok := f.q.PopWait()
-	if !ok {
-		return Envelope{}, fmt.Errorf("msg: async rpc to endpoint %d: reply queue closed", f.dst)
-	}
-	if src := f.src; src != nil && src.net.faults.Load() == nil && f.q.Len() == 0 {
-		src.cache.putFuture(f)
-	}
-	return env, nil
-}
+func (f *Future) AwaitHandoff() (Envelope, error) { return f.wait(false) }
 
 // TryAwait returns the reply if it has already been pushed, without
 // blocking. A harvested future is recycled exactly as in Await.
 func (f *Future) TryAwait() (Envelope, bool) {
 	env, ok := f.q.TryPop()
-	if !ok {
-		return Envelope{}, false
+	if ok {
+		f.recycle()
 	}
-	if src := f.src; src != nil && src.net.faults.Load() == nil && f.q.Len() == 0 {
-		src.cache.putFuture(f)
-	}
-	return env, true
+	return env, ok
 }

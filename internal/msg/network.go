@@ -49,6 +49,15 @@ type Endpoint struct {
 	Callbacks *Queue
 	net       *Network
 
+	// Turnaround is the least virtual time between a request's arrival here
+	// and its reply's departure (DESIGN.md §13, "Lookahead"). The owner sets
+	// it before the endpoint's id reaches a sender; zero promises nothing.
+	Turnaround sim.Cycles
+
+	// lane is the gate this endpoint's lane joined by a send of its own and
+	// has not been idled on since (GateIdle): it need not join again.
+	lane atomic.Pointer[sim.Gate]
+
 	sendSeq atomic.Uint64
 	cache   epCache
 }
@@ -56,7 +65,7 @@ type Endpoint struct {
 // Network routes envelopes between endpoints, applying topology-dependent
 // latency and recording statistics.
 type Network struct {
-	machine Machine
+	machine *sim.Machine
 
 	// endpoints is an append-only array indexed by EndpointID, swapped
 	// atomically on growth. Lookups on the send path are lock-free; the
@@ -76,23 +85,11 @@ type Network struct {
 	gate atomic.Pointer[sim.Gate]
 }
 
-// Machine is the subset of sim.Machine the network needs; it is satisfied by
-// *sim.Machine and allows tests to substitute simpler fakes.
-type Machine interface {
-	CostModel() sim.CostModel
-	DistanceBetween(a, b int) sim.Distance
-}
+// Machine is what NewNetwork takes: the machine model, read by reference.
+type Machine = *sim.Machine
 
-// simMachine adapts *sim.Machine to the Machine interface.
-type simMachine struct{ m *sim.Machine }
-
-func (s simMachine) CostModel() sim.CostModel { return s.m.Cost }
-func (s simMachine) DistanceBetween(a, b int) sim.Distance {
-	return s.m.Topo.Distance(a, b)
-}
-
-// WrapMachine adapts a *sim.Machine for use with NewNetwork.
-func WrapMachine(m *sim.Machine) Machine { return simMachine{m} }
+// WrapMachine passes a *sim.Machine to NewNetwork.
+func WrapMachine(m *sim.Machine) Machine { return m }
 
 // Stats aggregates message counts.
 type Stats struct {
@@ -153,7 +150,7 @@ func (n *Network) Endpoint(id EndpointID) (*Endpoint, bool) {
 // default model MsgLatencySame); payload and fault-plan jitter only add to it.
 func (n *Network) SetGate(g *sim.Gate) {
 	if g != nil {
-		g.SetLookahead(n.machine.CostModel().MinMsgLatency())
+		g.SetLookahead(n.machine.Cost.MinMsgLatency())
 	}
 	n.gate.Store(g)
 }
@@ -169,6 +166,11 @@ func (n *Network) Gate() *sim.Gate { return n.gate.Load() }
 func (n *Network) GateIdle(id EndpointID) {
 	if g := n.gate.Load(); g != nil {
 		g.Idle(int(id))
+		// Unmarked after the idle, as send marks before the join: whichever
+		// way the two race, a lane still marked has joined since.
+		if ep := n.lookup(id); ep != nil {
+			ep.lane.Store(nil)
+		}
 	}
 }
 
@@ -199,9 +201,7 @@ func (n *Network) RequestCount() uint64 { return n.stats.Requests.Load() }
 // route computes the arrival time of an envelope sent at sentAt from srcCore
 // to dstCore with the given payload size.
 func (n *Network) route(srcCore, dstCore int, sentAt sim.Cycles, payload int) sim.Cycles {
-	cost := n.machine.CostModel()
-	d := n.machine.DistanceBetween(srcCore, dstCore)
-	return sentAt + cost.MsgLatency(d, payload)
+	return sentAt + n.machine.Cost.MsgLatency(n.machine.Topo.Distance(srcCore, dstCore), payload)
 }
 
 // Send delivers an envelope to dst's request inbox. When Send returns the
@@ -211,17 +211,35 @@ func (n *Network) route(srcCore, dstCore int, sentAt sim.Cycles, payload int) si
 // The receiver owns the payload once Send returns (see pool.go); the caller
 // must not reuse or release it.
 func (n *Network) Send(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles, reply *Queue) (sim.Cycles, error) {
+	arrive, _, err := n.send(src, dst, kind, payload, sentAt, reply, false)
+	return arrive, err
+}
+
+// send is Send, also returning the await bound — the earliest a reply can
+// reach src: the request's arrival, the destination's turnaround, and the
+// empty-payload latency back. blocks says the sender waits for it at once.
+func (n *Network) send(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles, reply *Queue, blocks bool) (arrive, bound sim.Cycles, err error) {
 	dep := n.lookup(dst)
 	if dep == nil {
-		return 0, fmt.Errorf("msg: send to unknown endpoint %d", dst)
+		return 0, 0, fmt.Errorf("msg: send to unknown endpoint %d", dst)
 	}
-	if g := n.gate.Load(); g != nil {
-		g.Bump(int(src.ID), sentAt)
+	g := n.gate.Load()
+	if g != nil && (!blocks || src.lane.Load() != g) {
+		// The lane reaches sentAt before the message is queued, unless it is
+		// joined and about to block (below): the receiver may park the request
+		// and idle the lane the moment it can pop it — an ungated one, such as
+		// a scheduling server taking over an exec proxy's lane, at once — and
+		// a join landing after that would pin the lane for good.
+		src.lane.Store(g)
+		g.Sent(int(src.ID), sentAt, sentAt)
 	}
-	arrive := n.route(src.Core, dep.Core, sentAt, len(payload))
+	arrive = n.route(src.Core, dep.Core, sentAt, len(payload))
 	fs := n.faults.Load()
 	if fs != nil {
 		arrive += fs.delay(src.ID, dst, kind, payload, sentAt)
+	}
+	if g != nil {
+		bound = n.route(dep.Core, src.Core, arrive+dep.Turnaround, 0)
 	}
 	env := Envelope{
 		Src:      src.ID,
@@ -254,7 +272,7 @@ func (n *Network) Send(src *Endpoint, dst EndpointID, kind uint16, payload []byt
 			haveDup = true
 		}
 	}
-	dep.Inbox.Push(env)
+	offer := dep.Inbox.push(env)
 	n.stats.Messages.Add(1)
 	n.stats.Requests.Add(1)
 	n.stats.Bytes.Add(uint64(len(payload)))
@@ -264,7 +282,17 @@ func (n *Network) Send(src *Endpoint, dst EndpointID, kind uint16, payload []byt
 		n.stats.Requests.Add(1)
 		n.stats.Bytes.Add(uint64(len(dupEnv.Payload)))
 	}
-	return arrive, nil
+	if g != nil && blocks {
+		// A blocking sender's one raise, straight to the await bound. Until it
+		// the lane's frontier, at most sentAt, keeps the request unsafe at a
+		// gated receiver, so no idle can precede it; the receiver is offered
+		// its head after it, or its sender would hold every request back.
+		g.Sent(int(src.ID), sentAt, bound)
+	}
+	if offer {
+		dep.Inbox.offerHead()
+	}
+	return arrive, bound, nil
 }
 
 // SendCallback delivers an envelope to dst's callback queue (used for
@@ -319,16 +347,7 @@ func (n *Network) Reply(from *Endpoint, req Envelope, kind uint16, payload []byt
 	if fs := n.faults.Load(); fs != nil {
 		arrive += fs.delay(from.ID, req.Src, kind, payload, sentAt)
 	}
-	if g := n.gate.Load(); g != nil && !req.noResume {
-		// If the requester's lane was idled (its request parked, or handed
-		// off to a spawned process), this reply is what wakes it: resume the
-		// lane at the reply's arrival — the earliest the requester can send
-		// again. Our own service of the waking request held the floor below
-		// arrive until now. Surplus replies to fault-injected duplicates are
-		// excluded (noResume): their requester abandons them.
-		g.Resume(int(req.Src), arrive)
-	}
-	req.Reply.Push(Envelope{
+	env := Envelope{
 		Src:      from.ID,
 		Dst:      req.Src,
 		Kind:     kind,
@@ -336,7 +355,12 @@ func (n *Network) Reply(from *Endpoint, req Envelope, kind uint16, payload []byt
 		Seq:      from.sendSeq.Add(1),
 		SentAt:   sentAt,
 		ArriveAt: arrive,
-	})
+	}
+	if g := n.gate.Load(); g != nil {
+		req.Reply.pushReply(env, g, !req.noResume)
+	} else {
+		req.Reply.Push(env)
+	}
 	n.stats.Messages.Add(1)
 	n.stats.Bytes.Add(uint64(len(payload)))
 	return arrive

@@ -63,6 +63,10 @@ type Queue struct {
 	// gate.
 	gated  *sim.Gate
 	waiter sim.Waiter
+
+	// awaited says a requester is asleep in Future.Await on this (reply)
+	// queue: the replier owes its lane a raise (pushReply).
+	awaited bool
 }
 
 // NewQueue returns an empty queue.
@@ -182,22 +186,63 @@ func (q *Queue) recycle() {
 // Push appends an envelope to the queue. Push never blocks; by the time it
 // returns the envelope is visible to Pop/PopWait (atomic delivery).
 func (q *Queue) Push(e Envelope) {
+	if q.push(e) {
+		q.offerHead()
+	}
+}
+
+// push is Push, except that a gated sleeper, which only a new head concerns,
+// is left to the caller: offer reports that it owes the sleeper an offerHead.
+func (q *Queue) push(e Envelope) (offer bool) {
 	q.mu.Lock()
+	seq := q.add(e)
+	gated := q.gated != nil
+	offer = gated && q.items[0].seq == seq
+	q.mu.Unlock()
+	if !gated {
+		q.cond.Signal()
+	}
+	return offer
+}
+
+// add queues e under q.mu and returns its push sequence number.
+func (q *Queue) add(e Envelope) uint64 {
 	seq := q.nextSeq
 	q.items = append(q.items, qitem{env: e, seq: seq})
 	q.nextSeq++
 	q.siftUp(len(q.items) - 1)
-	wake := true
-	if q.gated != nil {
-		// A gated consumer is asleep. Only a new head concerns it, and only
-		// once the gate allows it; until then its registration moves to the
-		// new head's arrival and it sleeps on.
-		wake = q.items[0].seq == seq && q.headSafe(q.gated, false)
-	}
+	return seq
+}
+
+// offerHead wakes the gated sleeper, if there still is one, once the gate
+// allows its head; until then the sleeper's registration moves to the head's
+// arrival and it sleeps on.
+func (q *Queue) offerHead() {
+	q.mu.Lock()
+	g := q.gated
+	wake := g != nil && len(q.items) > 0 && q.headSafe(g, false)
 	q.mu.Unlock()
 	if wake {
+		g.NoteSafePush()
 		q.cond.Signal()
 	}
+}
+
+// pushReply is Push for a reply under the parallel engine. A requester
+// asleep in Await on this queue cannot wake before the lock is released, so
+// here, and only here, the replier may raise its lane to the reply's arrival
+// (any reply's: the sleeper consumes it). Another lane is at most resumed.
+func (q *Queue) pushReply(e Envelope, g *sim.Gate, resume bool) {
+	q.mu.Lock()
+	if q.awaited {
+		q.awaited = false
+		g.Replied(int(e.Dst), e.ArriveAt)
+	} else if resume {
+		g.Resume(int(e.Dst), e.ArriveAt)
+	}
+	q.add(e)
+	q.mu.Unlock()
+	q.cond.Signal()
 }
 
 // TryPop removes and returns the oldest envelope, if any.
@@ -214,12 +259,17 @@ func (q *Queue) TryPop() (Envelope, bool) {
 // PopWait blocks until an envelope is available or the queue is closed. The
 // second return value is false only when the queue has been closed and
 // drained.
-func (q *Queue) PopWait() (Envelope, bool) {
+func (q *Queue) PopWait() (Envelope, bool) { return q.popWait(false) }
+
+// popWait is PopWait; awaited marks the sleep as Future.Await's.
+func (q *Queue) popWait(awaited bool) (Envelope, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
+		q.awaited = awaited
 		q.cond.Wait()
 	}
+	q.awaited = false
 	if len(q.items) == 0 {
 		return Envelope{}, false
 	}
@@ -253,8 +303,8 @@ func (q *Queue) PopWaitEarliest() (Envelope, bool) {
 // to PopWaitEarliest.
 //
 // The consumer sleeps until its head arrival is safe and is signalled exactly
-// then: by the gate when the floor passes the time it parked at, by a Push
-// whose envelope is a new, already safe head, or by Close.
+// then: by the gate when the floor passes the time it parked at, by the
+// sender of a new head that is already safe (offerHead), or by Close.
 func (q *Queue) PopWaitEarliestGated(g *sim.Gate) (Envelope, bool) {
 	if g == nil {
 		return q.PopWaitEarliest()
@@ -274,7 +324,8 @@ func (q *Queue) PopWaitEarliestGated(g *sim.Gate) (Envelope, bool) {
 		woke = true
 	}
 	if woke {
-		// Whoever woke us, we or a Push may have left the waiter parked.
+		// Unless the gate's signal woke us, we or an offerHead may have left
+		// the waiter parked.
 		g.Unpark(&q.waiter)
 	}
 	if len(q.items) == 0 {

@@ -12,11 +12,12 @@ import (
 // is available at the caller; the caller is responsible for advancing its
 // clock to that time and charging receive-side costs.
 func (n *Network) RPC(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles) (Envelope, error) {
-	fut, err := n.SendAsync(src, dst, kind, payload, sentAt)
+	// The send itself takes the lane to the await bound: one raise per call.
+	fut, err := n.sendAsync(src, dst, kind, payload, sentAt, true)
 	if err != nil {
 		return Envelope{}, err
 	}
-	env, err := fut.Await()
+	env, err := fut.wait(true)
 	if err != nil {
 		return Envelope{}, fmt.Errorf("msg: rpc to endpoint %d: reply queue closed", dst)
 	}

@@ -277,7 +277,7 @@ func (s *schedServer) handle(env msg.Envelope) {
 		s.reply(env, proto.ErrResponse(fsapi.EINVAL), env.ArriveAt)
 		return
 	}
-	cost := s.sys.cfg.Machine.Cost
+	cost := &s.sys.cfg.Machine.Cost
 	start := env.ArriveAt
 	if now := s.clock.Now(); now > start {
 		start = now

@@ -93,7 +93,7 @@ func (s *Server) handleRepl(env msg.Envelope) {
 	if err != nil {
 		return
 	}
-	cost := s.cfg.Machine.Cost
+	cost := &s.cfg.Machine.Cost
 	now := env.ArriveAt
 	if c := s.replClock.Now(); c > now {
 		now = c
@@ -165,7 +165,7 @@ func (s *Server) noteAck(a *repl.Ack) {
 // primary and acks the resulting horizon — as the RPC reply in sync mode,
 // as a one-way REPL_ACK to the primary's replication plane in async mode.
 func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.Cycles) {
-	cost := s.cfg.Machine.Cost
+	cost := &s.cfg.Machine.Cost
 	m, err := repl.UnmarshalMsg(req.Data)
 	if err != nil {
 		return
@@ -254,7 +254,7 @@ func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 		s.replNeedSync.Store(true)
 		return at
 	}
-	cost := s.cfg.Machine.Cost
+	cost := &s.cfg.Machine.Cost
 	m := repl.Msg{Primary: int32(s.cfg.ID)}
 	if s.replEP != nil {
 		m.AckTo = int32(s.replEP.ID)
@@ -359,7 +359,7 @@ func (s *Server) shipCheckpoint(c *wal.Checkpoint, at sim.Cycles) sim.Cycles {
 		s.replNeedSync.Store(true)
 		return at
 	}
-	cost := s.cfg.Machine.Cost
+	cost := &s.cfg.Machine.Cost
 	m := repl.Msg{Primary: int32(s.cfg.ID), Snap: c.Marshal(), SnapLSN: last}
 	if s.replEP != nil {
 		m.AckTo = int32(s.replEP.ID)
@@ -458,7 +458,7 @@ func (s *Server) Promote(c *wal.Checkpoint, snapBytes int) (sim.Cycles, error) {
 	// back out as the new checkpoint. Crucially there is no per-record
 	// replay term — the follower already did that work off the critical
 	// path, as each batch arrived.
-	cost := s.cfg.Machine.Cost
+	cost := &s.cfg.Machine.Cost
 	work := s.wal.ReplayCost(0, 0, snapBytes)
 	work += sim.LineCost(cost.WalPerLine, int(s.wal.Stats().CheckpointBytes)) + cost.WalFlush
 	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), work)

@@ -260,6 +260,9 @@ func New(cfg Config) *Server {
 		tem:       trace.ServerEmitter(cfg.ID, 0),
 		done:      make(chan struct{}),
 	}
+	// The least any request costs here: arrival, no service (a request that
+	// cannot be decoded gets none), and the reply's send.
+	s.ep.Turnaround = s.arrivalOverhead() + cfg.Machine.Cost.MsgSend
 	s.stats.Ops = make(map[proto.Op]uint64)
 	s.pmap = cfg.Placement
 	if s.pmap != nil {
@@ -397,27 +400,19 @@ func (s *Server) handle(env msg.Envelope) {
 	err := proto.UnmarshalRequestInto(req, env.Payload)
 	s.ep.PutBuf(env.Payload)
 	env.Payload = nil
-	if err != nil {
-		s.replyAt(env, s.errResp(fsapi.EINVAL), env.ArriveAt)
-		s.putReq(req)
-		return
+	var service sim.Cycles
+	var subs []proto.Request
+	var stop bool
+	if err == nil {
+		service, subs, stop, err = s.requestCost(req)
 	}
-	service, subs, stop, err := s.requestCost(req)
-	if err != nil {
-		s.replyAt(env, s.errResp(fsapi.EINVAL), env.ArriveAt)
-		s.putReq(req)
-		return
-	}
-	cost := s.cfg.Machine.Cost
-	overhead := cost.MsgRecv
-	if s.cfg.CoLocated {
-		overhead += cost.ContextSwitch + cost.CachePollution
-	}
+	cost := &s.cfg.Machine.Cost
+	overhead := s.arrivalOverhead()
 	// A traced request pays modeled tracing overhead for the spans this
 	// server will record: net + queue + service, plus one per batch
 	// sub-op. Untraced requests (or tracer off) charge nothing, keeping
 	// the tracing-off virtual timeline bit-identical.
-	traced := s.tr != nil && req.Trace != 0
+	traced := err == nil && s.tr != nil && req.Trace != 0
 	if traced {
 		nspans := 3 + len(subs)
 		overhead += sim.Cycles(nspans) * cost.TraceSpan
@@ -432,6 +427,14 @@ func (s *Server) handle(env msg.Envelope) {
 	}
 	end := s.cfg.Machine.Execute(s.cfg.Core, start, total)
 	s.clock.AdvanceTo(end)
+	if err != nil {
+		// Dequeueing and unmarshalling is how the server found out: a
+		// malformed request or batch has queued and paid the arrival
+		// overhead like every request, and gets no service.
+		s.replyAt(env, s.errResp(fsapi.EINVAL), end)
+		s.putReq(req)
+		return
+	}
 
 	s.statsMu.Lock()
 	s.stats.Ops[req.Op]++
@@ -467,6 +470,19 @@ func (s *Server) handle(env msg.Envelope) {
 			panic(fmt.Sprintf("server %d: checkpoint: %v", s.cfg.ID, err))
 		}
 	}
+}
+
+// arrivalOverhead is what every request pays on arrival, before any service:
+// the dequeue and unmarshal, plus the context switch and cache pollution of
+// a server that shares its core (§5.3.3). handle charges it; with the reply's
+// MsgSend it is the endpoint's declared turnaround.
+func (s *Server) arrivalOverhead() sim.Cycles {
+	cost := &s.cfg.Machine.Cost
+	overhead := cost.MsgRecv
+	if s.cfg.CoLocated {
+		overhead += cost.ContextSwitch + cost.CachePollution
+	}
+	return overhead
 }
 
 // recordSpans attaches this server's child spans for one traced request:
@@ -577,8 +593,7 @@ func (s *Server) replyAt(env msg.Envelope, resp *proto.Response, at sim.Cycles) 
 		resp = s.errResp(fsapi.EIO)
 	}
 	at = s.commitPending(at)
-	cost := s.cfg.Machine.Cost
-	end := s.cfg.Machine.Execute(s.cfg.Core, at, cost.MsgSend)
+	end := s.cfg.Machine.Execute(s.cfg.Core, at, s.cfg.Machine.Cost.MsgSend)
 	s.clock.AdvanceTo(end)
 	// Marshal into a recycled buffer; the awaiting requester releases it
 	// into its own cache after decoding.
@@ -712,7 +727,7 @@ func (s *Server) dispatch(req *proto.Request, env msg.Envelope) (*proto.Response
 
 // serviceCost returns the virtual service time for a request.
 func (s *Server) serviceCost(req *proto.Request) sim.Cycles {
-	c := s.cfg.Machine.Cost
+	c := &s.cfg.Machine.Cost
 	switch req.Op {
 	case proto.OpLookup:
 		return c.ServeLookup

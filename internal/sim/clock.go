@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Clock is the virtual clock of one simulated entity (process or server).
 // A Clock is owned by a single goroutine; reads from other goroutines (for
@@ -40,31 +37,18 @@ func (c *Clock) Reset() { c.now.Store(0) }
 // CoreTime counts the work charged to one core, for utilization reporting.
 // It does not serialize the entities pinned to the core: see Machine.
 type CoreTime struct {
-	mu    sync.Mutex
-	total Cycles
+	total atomic.Uint64
 }
 
 // Account records d cycles of work on the core without computing a
 // completion time (used for utilization bookkeeping).
-func (c *CoreTime) Account(d Cycles) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.total += d
-}
+func (c *CoreTime) Account(d Cycles) { c.total.Add(uint64(d)) }
 
 // Busy returns the total number of cycles executed on this core so far.
-func (c *CoreTime) Busy() Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
+func (c *CoreTime) Busy() Cycles { return Cycles(c.total.Load()) }
 
 // Reset clears the core's accounting.
-func (c *CoreTime) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.total = 0
-}
+func (c *CoreTime) Reset() { c.total.Store(0) }
 
 // Machine bundles a topology, cost model, and per-core bookkeeping.
 //

@@ -11,6 +11,8 @@ type Cycles uint64
 // cache-pollution overhead of a few thousand cycles per RPC, and the
 // user-space NFS baseline pays an order of magnitude more per operation for
 // its loopback transport.
+//
+// The struct is 38 words: hot paths read it through a pointer, never by value.
 type CostModel struct {
 	// ClockHz is the nominal clock rate used to convert cycles to seconds.
 	ClockHz float64
@@ -128,13 +130,13 @@ func DefaultCostModel() CostModel {
 }
 
 // Seconds converts a cycle count to seconds under this cost model.
-func (c CostModel) Seconds(cy Cycles) float64 {
+func (c *CostModel) Seconds(cy Cycles) float64 {
 	return float64(cy) / c.ClockHz
 }
 
 // MsgLatency returns the one-way propagation latency for the given distance
 // and payload size in bytes.
-func (c CostModel) MsgLatency(d Distance, payloadBytes int) Cycles {
+func (c *CostModel) MsgLatency(d Distance, payloadBytes int) Cycles {
 	var base Cycles
 	switch d {
 	case DistSameCore:
@@ -151,7 +153,7 @@ func (c CostModel) MsgLatency(d Distance, payloadBytes int) Cycles {
 // MinMsgLatency returns the smallest latency MsgLatency can report: the
 // nearest distance with an empty payload. It is the parallel engine's
 // lookahead (DESIGN.md §13).
-func (c CostModel) MinMsgLatency() Cycles {
+func (c *CostModel) MinMsgLatency() Cycles {
 	return min(c.MsgLatencySame, c.MsgLatencyNear, c.MsgLatencyFar)
 }
 

@@ -23,15 +23,15 @@ import (
 //     lane joins at its first send; its first send time is always >= the
 //     current floor (it was caused by an already-tracked lane), so joining
 //     never lowers the effective minimum retroactively.
-//   - finite t: the lane promises not to send before t. Updated monotonically
-//     by sends (to SentAt) and by blocking RPCs (to the earliest time the
-//     reply can arrive — the lane cannot wake, let alone send, before then).
+//   - finite t: the lane promises not to send before t. Raised monotonically
+//     by the lane itself (Sent, Await) and, while it is blocked on a reply,
+//     by the replier, to that reply's real arrival (Replied).
 //   - idle: the lane is quiescent — exited, parked on a reply whose timing
 //     another lane controls (exec proxies, parked pipe ops), or waiting on
 //     child processes. Idle lanes do not constrain the system; their next
 //     send re-joins at its send time.
 //
-// The gate owns the floor: whoever changes a lane (Bump, Idle, Resume)
+// The gate owns the floor: whoever changes a lane (a raise, Idle, Resume)
 // maintains an indexed min-heap over the active lanes under one mutex and
 // republishes the horizon — the largest safe arrival time — when the heap's
 // root moves, so SafeAt is a single comparison. Consumers that find their
@@ -59,8 +59,17 @@ type Gate struct {
 	hor     uint64
 	horizon atomic.Uint64
 
-	stats GateStats
+	stats      GateStats
+	safePushes atomic.Uint64
+
+	// audit, set only by tests (export_test.go), is shown every raise before
+	// it takes effect: its kind, when the asker acts, the frontier asked for.
+	audit func(ev auditEvent, id int, at, t Cycles)
 }
+
+type auditEvent uint8
+
+const auditJoin, auditSent, auditAwait, auditReplied auditEvent = 0, 1, 2, 3
 
 const (
 	laneAbsent = 0  // never joined
@@ -75,28 +84,34 @@ type Waiter struct {
 	Cond *sync.Cond
 
 	idx int32 // gate-owned: heap slot plus one; 0 = not registered
+	// parked, guarded by Cond.L: registered by Park, not released since.
+	parked bool
 }
 
 // GateStats counts the gate's work since it was created. All counters are
 // maintained under the gate's own mutex, which the counted paths hold anyway.
 type GateStats struct {
 	Lanes       int    `json:"lanes"`        // lanes that ever joined or idled
-	Bumps       uint64 `json:"bumps"`        // Bump/Idle/Resume calls that moved a lane's frontier
+	Locks       uint64 `json:"locks"`        // acquisitions of the gate's mutex
+	Bumps       uint64 `json:"bumps"`        // calls that moved a lane's frontier
 	Recomputes  uint64 `json:"recomputes"`   // times the floor (hence the safe time) changed
 	FloorRaises uint64 `json:"floor_raises"` // of those, the raises — the only events that can wake
 	Parks       uint64 `json:"parks"`        // waiter registrations
 	Wakes       uint64 `json:"wakes"`        // waiters signalled by a floor raise
 	Reparks     uint64 `json:"reparks"`      // consumer wake-ups that parked again without popping
+	SafePushes  uint64 `json:"safe_pushes"`  // requests a sleeping consumer could serve the moment their sender offered them
 }
 
 // Sub returns the work done since an earlier snapshot o (Lanes stays a total).
 func (s GateStats) Sub(o GateStats) GateStats {
+	s.Locks -= o.Locks
 	s.Bumps -= o.Bumps
 	s.Recomputes -= o.Recomputes
 	s.FloorRaises -= o.FloorRaises
 	s.Parks -= o.Parks
 	s.Wakes -= o.Wakes
 	s.Reparks -= o.Reparks
+	s.SafePushes -= o.SafePushes
 	return s
 }
 
@@ -110,16 +125,18 @@ func NewGate() *Gate {
 	return g
 }
 
+func (g *Gate) lock() {
+	g.mu.Lock()
+	g.stats.Locks++
+}
+
 // SetLookahead declares that no message arrives sooner than l after it is
 // sent. Call it before the gate is shared.
 func (g *Gate) SetLookahead(l Cycles) {
-	g.mu.Lock()
+	g.lock()
 	g.lookahead = l
 	g.settle()
 }
-
-// Lookahead returns the minimum message latency the gate assumes.
-func (g *Gate) Lookahead() Cycles { return g.lookahead }
 
 // state returns pos[id], growing the table to cover id.
 func (g *Gate) state(id int) int32 {
@@ -133,19 +150,12 @@ func (g *Gate) state(id int) int32 {
 	return g.pos[id]
 }
 
-// activate inserts lane id into the heap at frontier t.
-func (g *Gate) activate(id int, t Cycles) {
-	if g.pos[id] == laneAbsent {
-		g.stats.Lanes++
+// raise lifts lane id's frontier to at least t — joining an absent lane,
+// resuming an idle one — and settles, which releases g.mu.
+func (g *Gate) raise(ev auditEvent, id int, at, t Cycles) {
+	if g.audit != nil {
+		g.audit(ev, id, at, t)
 	}
-	g.lanes.push(t, int32(id))
-}
-
-// Bump raises lane id's frontier to at least t: the lane promises not to
-// send any message with SentAt < t. A first Bump joins the lane; a Bump on
-// an idle lane resumes it at t.
-func (g *Gate) Bump(id int, t Cycles) {
-	g.mu.Lock()
 	if p := g.state(id); p > 0 {
 		if g.lanes.ents[p-1].t >= t {
 			g.mu.Unlock()
@@ -153,16 +163,53 @@ func (g *Gate) Bump(id int, t Cycles) {
 		}
 		g.lanes.rekey(int(p-1), t)
 	} else {
-		g.activate(id, t)
+		if p == laneAbsent {
+			g.stats.Lanes++
+		}
+		g.lanes.push(t, int32(id))
 	}
 	g.stats.Bumps++
 	g.settle()
 }
 
+// Bump raises lane id's frontier to at least t: the lane promises not to
+// send any message with SentAt < t. A first Bump joins the lane; a Bump on
+// an idle lane resumes it at t.
+func (g *Gate) Bump(id int, t Cycles) {
+	g.lock()
+	g.raise(auditJoin, id, t, t)
+}
+
+// Sent is the Bump of a lane that sends a message stamped sentAt and will not
+// send again before next: sentAt itself when it runs on, the earliest arrival
+// of the reply when it blocks for one at once. It comes before the message is
+// queued — except from an active lane about to block, whose frontier, at most
+// sentAt, keeps the arrival unsafe at a gated receiver until a Sent after.
+func (g *Gate) Sent(id int, sentAt, next Cycles) {
+	g.lock()
+	g.raise(auditSent, id, sentAt, next)
+}
+
+// Await is the Bump of a lane that blocks for a reply that cannot arrive
+// before t.
+func (g *Gate) Await(id int, t Cycles) {
+	g.lock()
+	g.raise(auditAwait, id, t, t)
+}
+
+// Replied raises lane id, blocked on a reply that arrives at t, to t: the
+// lane resumes there and no sooner (an idle lane, its request parked, is
+// resumed). The caller holds the lock of the queue the lane sleeps on, so the
+// lane cannot have woken: a raise landing after it woke and idled would pin it.
+func (g *Gate) Replied(id int, t Cycles) {
+	g.lock()
+	g.raise(auditReplied, id, t, t)
+}
+
 // Idle marks lane id quiescent: it no longer constrains the floor. The lane
 // re-joins automatically at its next Bump.
 func (g *Gate) Idle(id int) {
-	g.mu.Lock()
+	g.lock()
 	p := g.state(id)
 	if p == laneIdle {
 		g.mu.Unlock()
@@ -185,14 +232,12 @@ func (g *Gate) Idle(id int) {
 // handoff never lets the safe time pass t unprotected. Active and absent
 // lanes are unaffected — an active lane manages its own frontier.
 func (g *Gate) Resume(id int, t Cycles) {
-	g.mu.Lock()
+	g.lock()
 	if g.state(id) != laneIdle {
 		g.mu.Unlock()
 		return
 	}
-	g.activate(id, t)
-	g.stats.Bumps++
-	g.settle()
+	g.raise(auditJoin, id, t, t)
 }
 
 // SafeAt reports whether a request arriving at t can be served knowing no
@@ -201,6 +246,9 @@ func (g *Gate) Resume(id int, t Cycles) {
 func (g *Gate) SafeAt(t Cycles) bool {
 	return uint64(t) <= g.horizon.Load()
 }
+
+// NoteSafePush counts one GateStats.SafePushes.
+func (g *Gate) NoteSafePush() { g.safePushes.Add(1) }
 
 // Park registers w to be signalled once t is safe, or moves its registration
 // to t if it is already parked. It returns true, leaving w unregistered,
@@ -211,10 +259,11 @@ func (g *Gate) SafeAt(t Cycles) bool {
 // w.Cond.L held, i.e. after the caller is inside Wait. repark says the
 // caller was woken and is going back to sleep without having popped.
 func (g *Gate) Park(w *Waiter, t Cycles, repark bool) bool {
-	g.mu.Lock()
+	g.lock()
 	defer g.mu.Unlock()
 	if uint64(t) <= g.hor {
 		g.dropWaiter(w)
+		w.parked = false
 		return true
 	}
 	if repark {
@@ -226,13 +275,20 @@ func (g *Gate) Park(w *Waiter, t Cycles, repark bool) bool {
 	} else {
 		g.waiters.rekey(int(w.idx-1), t)
 	}
+	w.parked = true
 	return false
 }
 
-// Unpark withdraws w's registration, if it still has one. A consumer calls
-// it when it stops waiting for any reason other than the gate's signal.
+// Unpark withdraws w's registration. A consumer calls it, holding w.Cond.L,
+// when it stops waiting; it is free when the gate's own signal ended the wait.
+// (A signal overtaken by another wake-up and a new Park can leave a
+// registration behind, at the price of a spurious signal.)
 func (g *Gate) Unpark(w *Waiter) {
-	g.mu.Lock()
+	if !w.parked {
+		return
+	}
+	w.parked = false
+	g.lock()
 	g.dropWaiter(w)
 	g.mu.Unlock()
 }
@@ -285,13 +341,14 @@ func (g *Gate) settle() {
 		g.mu.Unlock()
 		for _, w := range batch[:n] {
 			w.Cond.L.Lock()
+			w.parked = false
 			w.Cond.Signal()
 			w.Cond.L.Unlock()
 		}
 		if n < len(batch) {
 			return
 		}
-		g.mu.Lock()
+		g.lock()
 	}
 }
 
@@ -299,5 +356,7 @@ func (g *Gate) settle() {
 func (g *Gate) Stats() GateStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.stats
+	st := g.stats
+	st.SafePushes = g.safePushes.Load()
+	return st
 }

@@ -183,11 +183,16 @@ func TestGateSafeAtAllocs(t *testing.T) {
 
 // parkUntilSafe is the consumer side of the waiter protocol, as
 // msg.Queue.PopWaitEarliestGated runs it: check, park, sleep, all with the
-// waiter's lock held up to the sleep.
+// waiter's lock held up to the sleep, and an Unpark after a wake-up — which
+// costs an acquisition of the gate only if the waiter is still registered.
 func parkUntilSafe(g *Gate, w *Waiter, at Cycles) {
 	w.Cond.L.Lock()
-	for woke := false; !g.SafeAt(at) && !g.Park(w, at, woke); woke = true {
+	woke := false
+	for ; !g.SafeAt(at) && !g.Park(w, at, woke); woke = true {
 		w.Cond.Wait()
+	}
+	if woke {
+		g.Unpark(w)
 	}
 	w.Cond.L.Unlock()
 }
@@ -253,12 +258,13 @@ func TestGateLookahead(t *testing.T) {
 	}
 }
 
-// TestGateMatchesOracle drives seeded random Bump/Idle/Resume/join/Park/
-// Unpark sequences against a brute-force model — the floor as a minimum over
-// a plain slice, the parked waiters as a map — and checks after every step
-// that the gate's safe time is the model's, that exactly the waiters a step
-// satisfied were signalled (counted and unregistered), and that a step which
-// does not raise the floor signals nobody.
+// TestGateMatchesOracle drives seeded random Bump/Sent/Await/Replied/Idle/
+// Resume/join/Park/Unpark sequences against a brute-force model — the floor
+// as a minimum over a plain slice, the parked waiters as a map — and checks
+// after every step that the gate's safe time is the model's, that exactly the
+// waiters a step satisfied were signalled (counted and unregistered, and
+// withdrawn by Unpark without the gate's mutex), and that a step which does
+// not raise the floor signals nobody.
 func TestGateMatchesOracle(t *testing.T) {
 	const (
 		lanes   = 24
@@ -304,8 +310,17 @@ func TestGateMatchesOracle(t *testing.T) {
 			at := Cycles(now + int64(rng.Intn(2000)))
 			mayWake := true
 			switch op := rng.Intn(10); {
-			case op < 5: // bump: join, resume or monotone raise
-				g.Bump(id, Cycles(now))
+			case op < 5: // join, resume or monotone raise, by each of its callers
+				switch rng.Intn(4) {
+				case 0:
+					g.Bump(id, Cycles(now))
+				case 1:
+					g.Sent(id, Cycles(now-int64(rng.Intn(20))), Cycles(now))
+				case 2:
+					g.Await(id, Cycles(now))
+				default:
+					g.Replied(id, Cycles(now))
+				}
 				if front[id] < now {
 					front[id] = now
 				}
@@ -333,7 +348,15 @@ func TestGateMatchesOracle(t *testing.T) {
 			default:
 				mayWake = false
 				w := rng.Intn(waiters)
+				locks := g.Stats().Locks
+				ws[w].Cond.L.Lock()
 				g.Unpark(ws[w])
+				ws[w].Cond.L.Unlock()
+				// The release path: a waiter the gate has signalled, or that
+				// never parked, withdraws without touching the gate.
+				if _, registered := parkedAt[w]; !registered && g.Stats().Locks != locks {
+					t.Fatalf("seed %d step %d: Unpark of an unregistered waiter took the gate's mutex", seed, step)
+				}
 				delete(parkedAt, w)
 			}
 			satisfied := 0
@@ -352,8 +375,8 @@ func TestGateMatchesOracle(t *testing.T) {
 			}
 			for w := range ws {
 				_, want := parkedAt[w]
-				if (ws[w].idx != 0) != want {
-					t.Fatalf("seed %d step %d: waiter %d registered=%v, model says %v", seed, step, w, ws[w].idx != 0, want)
+				if (ws[w].idx != 0) != want || ws[w].parked != want {
+					t.Fatalf("seed %d step %d: waiter %d registered=%v parked=%v, model says %v", seed, step, w, ws[w].idx != 0, ws[w].parked, want)
 				}
 			}
 			for _, probe := range []Cycles{at, Cycles(now), Cycles(now) + lookahead, Cycles(now) + 2*lookahead + 1} {
@@ -415,7 +438,6 @@ func TestGateNoLostWakeups(t *testing.T) {
 			w := &Waiter{Cond: sync.NewCond(new(sync.Mutex))}
 			for at := Cycles(c); at < horizon; at += Cycles(1 + c%5) {
 				parkUntilSafe(g, w, at)
-				g.Unpark(w)
 			}
 		}(c)
 	}
@@ -424,7 +446,14 @@ func TestGateNoLostWakeups(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for at := Cycles(1); at <= horizon; at++ {
-				g.Bump(id, at)
+				switch (int(at) + id) % 3 {
+				case 0:
+					g.Bump(id, at)
+				case 1:
+					g.Sent(id, at-1, at)
+				default:
+					g.Replied(id, at)
+				}
 				if (int(at)+id)%97 == 0 {
 					g.Idle(id)
 					g.Resume(id, at)
