@@ -35,7 +35,7 @@ func (c *Client) drainInvalidations() {
 		c.clock.AdvanceTo(env.ArriveAt)
 		c.charge(c.cfg.Machine.Cost.MsgRecv)
 		iv, err := proto.UnmarshalInvalidation(env.Payload)
-		c.cfg.Network.ReleaseCallback(env) // the decoded name is a copy
+		c.cfg.Network.ReleaseToSender(env) // the decoded name is a copy
 		if err != nil {
 			continue
 		}

@@ -307,7 +307,7 @@ func (s *System) sealFollower(id, fid int) (*wal.Checkpoint, int, uint64) {
 		return nil, 0, 0
 	}
 	m := repl.Msg{Primary: int32(id)}
-	req := &proto.Request{Op: proto.OpReplSeal, Data: m.Marshal()}
+	req := &proto.Request{Op: proto.OpReplSeal, Data: m.AppendTo(nil)}
 	env, err := s.network.RPC(s.ctl, fep, proto.KindRequest, req.Marshal(), follower.Clock())
 	// Park the control lane after the seal RPC (see shardRPC): holding its
 	// pin past this point would wedge the gate for the rest of the
@@ -320,8 +320,8 @@ func (s *System) sealFollower(id, fid int) (*wal.Checkpoint, int, uint64) {
 	if err != nil {
 		return nil, 0, 0
 	}
-	sr, err := repl.UnmarshalSealReply(resp.Data)
-	if err != nil || len(sr.Snap) == 0 {
+	var sr repl.SealReply
+	if err := repl.UnmarshalSealReplyInto(&sr, resp.Data); err != nil || len(sr.Snap) == 0 {
 		return nil, 0, 0
 	}
 	c, err := wal.UnmarshalCheckpoint(sr.Snap)

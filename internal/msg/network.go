@@ -298,7 +298,7 @@ func (n *Network) send(src *Endpoint, dst EndpointID, kind uint16, payload []byt
 // SendCallback delivers an envelope to dst's callback queue (used for
 // directory-cache invalidations). Like Send, delivery is atomic, and the
 // envelope owns its payload: the sender draws one buffer per destination
-// from its cache and the receiver hands it back with ReleaseCallback.
+// from its cache and the receiver hands it back with ReleaseToSender.
 func (n *Network) SendCallback(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles) (sim.Cycles, error) {
 	dep := n.lookup(dst)
 	if dep == nil {
@@ -321,11 +321,12 @@ func (n *Network) SendCallback(src *Endpoint, dst EndpointID, kind uint16, paylo
 	return arrive, nil
 }
 
-// ReleaseCallback returns a decoded callback's payload to the cache of the
-// endpoint that sent it. Callbacks flow one way only, so a receiver that kept
-// the buffers would starve the sender's cache of them; the sender's cache is
-// locked, and this is its one cross-goroutine use.
-func (n *Network) ReleaseCallback(env Envelope) {
+// ReleaseToSender returns a decoded payload to the cache of the endpoint that
+// sent it. It is for traffic that flows one way only — callbacks, replication's
+// one-way ships and acks — where a receiver that kept the buffers would starve
+// the sender's cache of them; the sender's cache is locked, and this is its
+// one cross-goroutine use.
+func (n *Network) ReleaseToSender(env Envelope) {
 	if src := n.lookup(env.Src); src != nil {
 		src.cache.PutBuf(env.Payload)
 	}

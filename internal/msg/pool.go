@@ -17,8 +17,11 @@
 //     fault-injected duplicate delivery copy the payload per extra envelope.
 //   - A callback payload (directory invalidation) is drawn from the sender's
 //     cache, one buffer per destination, and handed back to that cache by the
-//     receiver (Network.ReleaseCallback): callbacks flow one way, so buffers
-//     released into the receiver's cache would never come back.
+//     receiver (Network.ReleaseToSender): callbacks flow one way, so buffers
+//     released into the receiver's cache would never come back. The
+//     replication plane's one-way messages follow the same rule, and a
+//     replication request that is answered is answered in its own buffer,
+//     because ships and acks differ in size class (DESIGN.md §12).
 //   - Reply queues and futures are recycled by Await after the reply is
 //     harvested — except when a fault plan is installed, because a
 //     duplicated request makes the server answer twice and the surplus

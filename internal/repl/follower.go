@@ -1,7 +1,10 @@
 package repl
 
 import (
+	"bytes"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/fsapi"
 	"repro/internal/proto"
@@ -103,6 +106,12 @@ func (f *Follower) Seal() { f.sealed = true }
 // snapshot. Re-ingesting an already-applied batch is a no-op (records are
 // state assignments and the LSN window filters them before apply), so
 // duplicate ships after a primary recovery are harmless.
+//
+// recs, and everything its records point at, belong to the caller again when
+// Ingest returns (they are decoded in place in a recycled buffer,
+// wal.DecodeRecordsInto): the replica copies what it keeps — a batch it
+// stashes, a name it stores an entry under, a block list, file bytes, an
+// epoch's map — and nothing else.
 func (f *Follower) Ingest(base uint64, recs []wal.Record) (needSync bool) {
 	if f.sealed || len(recs) == 0 {
 		return false
@@ -118,7 +127,7 @@ func (f *Follower) Ingest(base uint64, recs []wal.Record) (needSync bool) {
 			f.stash = make(map[uint64][]wal.Record)
 			return true
 		}
-		f.stash[base] = recs
+		f.stash[base] = cloneRecords(recs)
 		return false
 	}
 	f.applyFrom(base, recs)
@@ -149,6 +158,18 @@ func (f *Follower) stashTake(base uint64) []wal.Record {
 	recs := f.stash[base]
 	delete(f.stash, base)
 	return recs
+}
+
+// cloneRecords copies a batch, and all its records point at, for the stash.
+func cloneRecords(recs []wal.Record) []wal.Record {
+	out := slices.Clone(recs)
+	for i := range out {
+		r := &out[i]
+		r.Name = strings.Clone(r.Name)
+		r.Blocks = slices.Clone(r.Blocks)
+		r.Data = bytes.Clone(r.Data)
+	}
+	return out
 }
 
 // applyFrom applies the portion of recs above the current horizon.
@@ -269,13 +290,15 @@ func (f *Follower) apply(r wal.Record) {
 		}
 		// Blocks newly entering this inode's list start zeroed (absent
 		// from chunks = zeros), mirroring the replay-side zero-fill rule;
-		// retained blocks keep their shipped contents.
-		had := make(map[uint64]bool, len(ino.blocks))
-		for _, b := range ino.blocks {
-			had[b] = true
+		// retained blocks keep their shipped contents. A list grows and
+		// shrinks at its end, so past the common prefix there is next to
+		// nothing to search.
+		keep := 0
+		for keep < len(ino.blocks) && keep < len(r.Blocks) && ino.blocks[keep] == r.Blocks[keep] {
+			keep++
 		}
-		for _, b := range r.Blocks {
-			if !had[b] {
+		for _, b := range r.Blocks[keep:] {
+			if !slices.Contains(ino.blocks[keep:], b) {
 				delete(f.chunks, b)
 			}
 		}
@@ -291,7 +314,9 @@ func (f *Follower) apply(r wal.Record) {
 			ino.size = end
 		}
 	case wal.RecAddMap:
-		f.shard(r.Dir)[r.Name] = fent{target: r.Target, ftype: r.Ftype, dist: r.Dist}
+		// Always under a copy of the name: assigning through an existing
+		// key would make the map's key the caller's string.
+		f.shard(r.Dir)[strings.Clone(r.Name)] = fent{target: r.Target, ftype: r.Ftype, dist: r.Dist}
 	case wal.RecRmMap:
 		if sh, ok := f.dirs[r.Dir]; ok {
 			delete(sh, r.Name)
@@ -301,7 +326,7 @@ func (f *Follower) apply(r wal.Record) {
 		f.dead[r.Dir] = true
 	case wal.RecEpoch:
 		f.epoch = r.Epoch
-		f.pmap = r.Data
+		f.pmap = bytes.Clone(r.Data)
 	}
 }
 

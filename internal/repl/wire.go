@@ -10,6 +10,11 @@ import (
 // one-way REPL_ACK request back to the primary's replication endpoint
 // (async mode). REPL_SEAL carries a Msg with only Primary set and returns
 // a SealReply.
+//
+// Every shape encodes with AppendTo, onto a buffer the caller brings, and
+// decodes without allocating: an Ack is a value, and a decoded Msg or
+// SealReply points into the bytes it was decoded from and lives as long as
+// they do (DESIGN.md §12, "Who owns a shipped payload").
 
 // Msg is one shipped batch: either a framed record batch starting at Base,
 // or — when the follower needs a rebase — a full snapshot covering the log
@@ -66,18 +71,20 @@ func takeBlob(b []byte) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("repl: truncated blob length")
 	}
 	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) < 4+n {
+	if len(b)-4 < n {
 		return nil, nil, fmt.Errorf("repl: truncated blob (want %d, have %d)", n, len(b)-4)
 	}
 	if n == 0 {
 		return nil, b[4:], nil
 	}
-	return b[4 : 4+n], b[4+n:], nil
+	return b[4 : 4+n : 4+n], b[4+n:], nil
 }
 
-// Marshal encodes the message.
-func (m *Msg) Marshal() []byte {
-	buf := make([]byte, 0, 32+len(m.Recs)+len(m.Snap))
+// ackSize is the wire size of an Ack.
+const ackSize = 4 + 4 + 8 + 1
+
+// AppendTo encodes the message onto buf and returns the extended slice.
+func (m *Msg) AppendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Primary))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.AckTo))
 	buf = binary.LittleEndian.AppendUint64(buf, m.Base)
@@ -87,12 +94,13 @@ func (m *Msg) Marshal() []byte {
 	return buf
 }
 
-// UnmarshalMsg decodes a shipped batch.
-func UnmarshalMsg(b []byte) (*Msg, error) {
+// UnmarshalMsgInto decodes a shipped batch into m. Recs and Snap are
+// subslices of b.
+func UnmarshalMsgInto(m *Msg, b []byte) error {
 	if len(b) < 16 {
-		return nil, fmt.Errorf("repl: truncated msg (%d bytes)", len(b))
+		return fmt.Errorf("repl: truncated msg (%d bytes)", len(b))
 	}
-	m := &Msg{
+	*m = Msg{
 		Primary: int32(binary.LittleEndian.Uint32(b)),
 		AckTo:   int32(binary.LittleEndian.Uint32(b[4:])),
 		Base:    binary.LittleEndian.Uint64(b[8:]),
@@ -100,38 +108,33 @@ func UnmarshalMsg(b []byte) (*Msg, error) {
 	var err error
 	rest := b[16:]
 	if m.Recs, rest, err = takeBlob(rest); err != nil {
-		return nil, err
+		return err
 	}
 	if len(rest) < 8 {
-		return nil, fmt.Errorf("repl: truncated msg snap horizon")
+		return fmt.Errorf("repl: truncated msg snap horizon")
 	}
 	m.SnapLSN = binary.LittleEndian.Uint64(rest)
-	if m.Snap, _, err = takeBlob(rest[8:]); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.Snap, _, err = takeBlob(rest[8:])
+	return err
 }
 
-// Marshal encodes the ack.
-func (a *Ack) Marshal() []byte {
-	buf := make([]byte, 0, 17)
+// AppendTo encodes the ack onto buf and returns the extended slice.
+func (a Ack) AppendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Server))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Primary))
 	buf = binary.LittleEndian.AppendUint64(buf, a.Durable)
 	if a.NeedSync {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		return append(buf, 1)
 	}
-	return buf
+	return append(buf, 0)
 }
 
 // UnmarshalAck decodes an ack.
-func UnmarshalAck(b []byte) (*Ack, error) {
-	if len(b) < 17 {
-		return nil, fmt.Errorf("repl: truncated ack (%d bytes)", len(b))
+func UnmarshalAck(b []byte) (Ack, error) {
+	if len(b) < ackSize {
+		return Ack{}, fmt.Errorf("repl: truncated ack (%d bytes)", len(b))
 	}
-	return &Ack{
+	return Ack{
 		Server:   int32(binary.LittleEndian.Uint32(b)),
 		Primary:  int32(binary.LittleEndian.Uint32(b[4:])),
 		Durable:  binary.LittleEndian.Uint64(b[8:]),
@@ -139,23 +142,19 @@ func UnmarshalAck(b []byte) (*Ack, error) {
 	}, nil
 }
 
-// Marshal encodes the seal reply.
-func (r *SealReply) Marshal() []byte {
-	buf := make([]byte, 0, 12+len(r.Snap))
+// AppendTo encodes the seal reply onto buf and returns the extended slice.
+func (r *SealReply) AppendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.Durable)
-	buf = appendBlob(buf, r.Snap)
-	return buf
+	return appendBlob(buf, r.Snap)
 }
 
-// UnmarshalSealReply decodes a seal reply.
-func UnmarshalSealReply(b []byte) (*SealReply, error) {
+// UnmarshalSealReplyInto decodes a seal reply into r. Snap is a subslice of b.
+func UnmarshalSealReplyInto(r *SealReply, b []byte) error {
 	if len(b) < 12 {
-		return nil, fmt.Errorf("repl: truncated seal reply (%d bytes)", len(b))
+		return fmt.Errorf("repl: truncated seal reply (%d bytes)", len(b))
 	}
-	r := &SealReply{Durable: binary.LittleEndian.Uint64(b)}
 	var err error
-	if r.Snap, _, err = takeBlob(b[8:]); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r.Durable = binary.LittleEndian.Uint64(b)
+	r.Snap, _, err = takeBlob(b[8:])
+	return err
 }

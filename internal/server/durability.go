@@ -61,11 +61,18 @@ func (s *Server) stageBlocks(ino *inode) {
 	if s.wal == nil {
 		return
 	}
+	// Only the log's encoder reads the list, at the commit: it is cut from a
+	// scratch the commit empties, full capacity so that a later record's
+	// cannot grow into it.
+	start := len(s.pendingBlocks)
+	for _, b := range ino.blocks {
+		s.pendingBlocks = append(s.pendingBlocks, uint64(b))
+	}
 	s.stage(wal.Record{
 		Type:   wal.RecBlocks,
 		Ino:    ino.local,
 		Size:   ino.size,
-		Blocks: blockList(ino),
+		Blocks: s.pendingBlocks[start:len(s.pendingBlocks):len(s.pendingBlocks)],
 	})
 }
 
@@ -109,7 +116,6 @@ func (s *Server) commitPending(at sim.Cycles) sim.Cycles {
 		return at
 	}
 	recs := s.pending
-	s.pending = nil
 	flushed, cpu, err := s.wal.Append(recs, at)
 	if err != nil {
 		// Losing the log voids the durability contract; treat it like the
@@ -127,8 +133,25 @@ func (s *Server) commitPending(at sim.Cycles) sim.Cycles {
 	}
 	appended := s.cfg.Machine.Execute(s.cfg.Core, at, cpu)
 	s.clock.AdvanceTo(appended)
-	return max(flushed, s.ship(recs, appended))
+	shipped := s.ship(recs, appended)
+	// The log and the ship have both encoded the records; the next request
+	// stages into the same array, which keeps nothing of this one's alive.
+	clear(recs)
+	s.pending, s.pendingBlocks = recs[:0], s.pendingBlocks[:0]
+	if cap(recs) > maxPendingKeep {
+		s.pending = nil
+	}
+	if cap(s.pendingBlocks) > maxPendingKeep*16 {
+		s.pendingBlocks = nil
+	}
+	return max(flushed, shipped)
 }
+
+// maxPendingKeep bounds the staging array a server keeps between requests (a
+// batch of proto.MaxBatchOps creates stages a few records per sub-op, a shard
+// migration's commit one per entry moved), and sixteen times it the block
+// numbers kept for their lists.
+const maxPendingKeep = 256
 
 // handleCheckpoint serves the CHECKPOINT control request (sent by the core
 // layer's Checkpoint API, and usable by operators through it).
@@ -291,7 +314,7 @@ func (s *Server) resetState() {
 	s.sharedFds = newFdTable()
 	s.nextFd = proto.FdID(uint64(s.incarnation)<<32) + 1
 	s.tracking = newTrackTable()
-	s.pending = nil
+	s.pending, s.pendingBlocks = nil, nil
 	// Placement falls back to the boot-time map; a later epoch adopted
 	// through migration is restored by the checkpoint or an epoch record.
 	// Freeze state and parked requests are volatile and die with the

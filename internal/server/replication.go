@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 
+	"repro/internal/fsapi"
 	"repro/internal/msg"
 	"repro/internal/ncc"
 	"repro/internal/proto"
@@ -87,69 +88,83 @@ func (s *Server) runRepl() {
 }
 
 // handleRepl serves one replication-plane message. All replica state is
-// confined to this goroutine.
+// confined to this goroutine, as are the recycled request the message is
+// decoded into and the records of a shipped batch.
+//
+// Decoding copies the request's Data out of the payload, so from there on the
+// payload's buffer is free, and it goes home (DESIGN.md §12): a sender that
+// waits gets its answer written into the very buffer it sent, and a one-way
+// payload is handed back to the cache it was drawn from. Ships and acks flow
+// in opposite directions in different size classes; released at their
+// receivers, both caches would miss once per message.
 func (s *Server) handleRepl(env msg.Envelope) {
-	req, err := proto.UnmarshalRequest(env.Payload)
-	if err != nil {
-		return
+	req := &s.replReq
+	err := proto.UnmarshalRequestInto(req, env.Payload)
+	if env.Reply == nil {
+		s.cfg.Network.ReleaseToSender(env)
 	}
 	cost := &s.cfg.Machine.Cost
-	now := env.ArriveAt
-	if c := s.replClock.Now(); c > now {
-		now = c
+	now := max(env.ArriveAt, s.replClock.Now())
+	if err != nil {
+		// Whoever sent it may be waiting in an RPC, which has no timeout.
+		// Without an ack in it the answer reads as "rebase" to a shipper and
+		// as "no replica" to a failover.
+		s.replAnswer(env, &proto.Response{Err: fsapi.EINVAL}, now, cost.MsgRecv+cost.MsgSend)
+		return
 	}
+	var out [64]byte // an ack's wire form; a seal reply outgrows it
 	switch req.Op {
 	case proto.OpPing:
 		// Heartbeat: prove liveness and report this server's shipping
 		// horizons so the same beat carries follower-lag data.
-		end := s.cfg.Machine.Execute(s.cfg.Core, now, cost.MsgRecv+cost.MsgSend)
-		s.replClock.AdvanceTo(end)
-		if env.Reply != nil {
-			ack := &repl.Ack{Server: int32(s.cfg.ID), Durable: s.replDurable.Load()}
-			resp := &proto.Response{Data: ack.Marshal()}
-			s.cfg.Network.Reply(s.replEP, env, proto.KindResponse, resp.Marshal(), end)
-		}
+		ack := repl.Ack{Server: int32(s.cfg.ID), Durable: s.replDurable.Load()}
+		s.replAnswer(env, &proto.Response{Data: ack.AppendTo(out[:0])}, now, cost.MsgRecv+cost.MsgSend)
 
 	case proto.OpReplAck:
 		// Primary side: a follower's one-way async ack.
-		end := s.cfg.Machine.Execute(s.cfg.Core, now, cost.MsgRecv)
-		s.replClock.AdvanceTo(end)
-		a, err := repl.UnmarshalAck(req.Data)
-		if err != nil {
-			return
+		s.replClock.AdvanceTo(s.cfg.Machine.Execute(s.cfg.Core, now, cost.MsgRecv))
+		if a, err := repl.UnmarshalAck(req.Data); err == nil {
+			s.noteAck(a)
 		}
-		s.noteAck(a)
 
 	case proto.OpReplAppend:
 		s.handleReplAppend(req, env, now)
 
 	case proto.OpReplSeal:
-		m, err := repl.UnmarshalMsg(req.Data)
-		if err != nil {
-			return
-		}
+		// A seal that cannot be decoded is answered like one for a primary
+		// this server holds no replica of: the failover falls back to replay.
+		var m repl.Msg
 		var rep repl.SealReply
-		f := s.replicas[int(m.Primary)]
-		if f != nil {
-			// Sealing is idempotent and retains the replica, so a retried
-			// failover (the first attempt died mid-promotion) seals again
-			// and receives the same horizon and snapshot.
-			f.Seal()
-			rep.Durable = f.Durable()
-			rep.Snap = f.Snapshot().Marshal()
+		if repl.UnmarshalMsgInto(&m, req.Data) == nil {
+			if f := s.replicas[int(m.Primary)]; f != nil {
+				// Sealing is idempotent and retains the replica, so a retried
+				// failover (the first attempt died mid-promotion) seals again
+				// and receives the same horizon and snapshot.
+				f.Seal()
+				rep.Durable = f.Durable()
+				rep.Snap = f.Snapshot().Marshal()
+			}
 		}
 		work := cost.MsgRecv + cost.MsgSend + sim.LineCost(cost.WalPerLine, len(rep.Snap))
-		end := s.cfg.Machine.Execute(s.cfg.Core, now, work)
-		s.replClock.AdvanceTo(end)
-		if env.Reply != nil {
-			resp := &proto.Response{Data: rep.Marshal()}
-			s.cfg.Network.Reply(s.replEP, env, proto.KindResponse, resp.Marshal(), end)
-		}
+		s.replAnswer(env, &proto.Response{Data: rep.AppendTo(out[:0])}, now, work)
 	}
+	req.Recycle()
+}
+
+// replAnswer charges the replication plane work from now and, when the sender
+// of env waits for an answer, sends resp at the end of it, in env's own buffer.
+// It returns when the work ends.
+func (s *Server) replAnswer(env msg.Envelope, resp *proto.Response, now, work sim.Cycles) sim.Cycles {
+	end := s.cfg.Machine.Execute(s.cfg.Core, now, work)
+	s.replClock.AdvanceTo(end)
+	if env.Reply != nil {
+		s.cfg.Network.Reply(s.replEP, env, proto.KindResponse, resp.AppendTo(env.Payload[:0]), end)
+	}
+	return end
 }
 
 // noteAck folds a follower ack into the primary-side horizon tracking.
-func (s *Server) noteAck(a *repl.Ack) {
+func (s *Server) noteAck(a repl.Ack) {
 	for {
 		cur := s.replDurable.Load()
 		if a.Durable <= cur || s.replDurable.CompareAndSwap(cur, a.Durable) {
@@ -166,14 +181,19 @@ func (s *Server) noteAck(a *repl.Ack) {
 // as a one-way REPL_ACK to the primary's replication plane in async mode.
 func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.Cycles) {
 	cost := &s.cfg.Machine.Cost
-	m, err := repl.UnmarshalMsg(req.Data)
-	if err != nil {
-		return
-	}
 	work := cost.MsgRecv
+	var m repl.Msg
+	merr := repl.UnmarshalMsgInto(&m, req.Data)
 	ack := repl.Ack{Server: int32(s.cfg.ID), Primary: m.Primary}
 	f := s.replicas[int(m.Primary)]
 	switch {
+	case merr != nil:
+		// Nothing in it can be trusted, the primary's id included; a shipper
+		// that waits is told to rebase, a one-way ship names no one to tell.
+		if env.Reply == nil {
+			return
+		}
+		ack.NeedSync = true
 	case m.Snap != nil:
 		// Rebase: replace (or create) the replica from the snapshot. A
 		// sealed replica was consumed by a promotion; the rebase is the
@@ -197,28 +217,31 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 		delete(s.replicas, int(m.Primary))
 		ack.NeedSync = true
 	default:
-		recs, err := wal.DecodeRecords(m.Recs)
+		// Decoded in place in the request's Data: every frame is checked
+		// before the replica sees the first record, and the replica copies
+		// what it keeps (repl.Follower.Ingest).
+		recs, err := wal.DecodeRecordsInto(s.replRecs, m.Recs)
 		if err != nil {
 			// A shipped batch is all-or-nothing; a framing error means the
 			// replica can no longer trust its horizon. Rebase.
 			ack.NeedSync = true
-			break
+		} else {
+			ack.NeedSync = f.Ingest(m.Base, recs)
+			ack.Durable = f.Durable()
+			work += sim.Cycles(len(recs))*cost.WalReplayPerRec + sim.LineCost(cost.WalPerLine, len(m.Recs))
 		}
-		ack.NeedSync = f.Ingest(m.Base, recs)
-		ack.Durable = f.Durable()
-		work += sim.Cycles(len(recs))*cost.WalReplayPerRec + sim.LineCost(cost.WalPerLine, len(m.Recs))
+		s.replRecs = wal.ReleaseRecords(recs)
 	}
 	work += cost.MsgSend // the ack
-	end := s.cfg.Machine.Execute(s.cfg.Core, now, work)
-	s.replClock.AdvanceTo(end)
-
+	var out [64]byte
+	wire := ack.AppendTo(out[:0])
 	s.replAcks.Add(1)
+	end := s.replAnswer(env, &proto.Response{Data: wire}, now, work)
 	if env.Reply != nil {
-		resp := &proto.Response{Data: ack.Marshal()}
-		s.cfg.Network.Reply(s.replEP, env, proto.KindResponse, resp.Marshal(), end)
 		return
 	}
-	payload := (&proto.Request{Op: proto.OpReplAck, Data: ack.Marshal()}).Marshal()
+	areq := proto.Request{Op: proto.OpReplAck, Data: wire}
+	payload := areq.AppendTo(s.replEP.GetBuf(areq.SizeHint()))
 	s.replAckBytes.Add(uint64(len(payload)))
 	_, _ = s.cfg.Network.Send(s.replEP, msg.EndpointID(m.AckTo), proto.KindRequest, payload, end, nil)
 	// Park the replication plane's lane again: the Send joined it at the
@@ -238,27 +261,12 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 // the WAL append's CPU work, which assigned the LSNs; commitPending holds the
 // reply for the local flush as well.
 func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
-	t := s.replTarget.Load()
-	if t == nil || len(recs) == 0 {
-		return at
-	}
 	last := recs[len(recs)-1].LSN
-	s.replLastLSN.Store(last)
-	if t.Down != nil && t.Down() {
-		// The follower is down: skip the ship rather than blocking a
-		// client reply against a closed inbox. The replica is now behind
-		// by records it will never see from batches alone, so the next
-		// ship to the recovered follower carries a rebase snapshot —
-		// and until then a promotion falls back to WAL replay, keeping
-		// the no-acked-write-lost invariant intact.
-		s.replNeedSync.Store(true)
+	t := s.shipTarget(last)
+	if t == nil {
 		return at
 	}
-	cost := &s.cfg.Machine.Cost
 	m := repl.Msg{Primary: int32(s.cfg.ID)}
-	if s.replEP != nil {
-		m.AckTo = int32(s.replEP.ID)
-	}
 	if s.replNeedSync.Load() {
 		// Rebase: the snapshot reflects every record just appended (it is
 		// built from live state after the append), so it covers the log
@@ -267,73 +275,23 @@ func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 		m.SnapLSN = last
 		s.replResyncs.Add(1)
 	} else {
-		// The exact frames the append just wrote to the log; Marshal below
-		// copies them out of the log's buffer.
+		// The exact frames the append just wrote to the log, where the log
+		// encoded them; sendShip copies them out of its buffer.
 		m.Base = recs[0].LSN
 		m.Recs = s.wal.LastFrames()
 	}
-	payload := (&proto.Request{Op: proto.OpReplAppend, Data: m.Marshal()}).Marshal()
-	sendEnd := s.cfg.Machine.Execute(s.cfg.Core, at, cost.MsgSend)
-	s.clock.AdvanceTo(sendEnd)
-	s.replShips.Add(1)
-	s.replBytes.Add(uint64(len(payload)))
-	// Re-park the server's own lane once the ship is done: sending from
-	// s.ep joins its lane (and a blocking ship pins it at the ack arrival),
-	// but a server's lane must not constrain the gate between ships — the
-	// in-flight client request whose commit triggered the ship already
-	// holds the floor with its own Await pin, and the follower's
-	// replication inbox is ungated.
-	defer s.cfg.Network.GateIdle(s.ep.ID)
-
-	blocking := s.cfg.Repl.Mode == repl.Sync
-	if !blocking {
+	wait := s.cfg.Repl.Mode == repl.Sync
+	if !wait {
 		// Async: bound the unacked window. When the follower has fallen
 		// more than a window behind, this ship waits for its ack — the
 		// back-pressure that makes "bounded loss" a guarantee instead of
 		// a hope.
-		if lag := last - s.replDurable.Load(); lag > uint64(s.cfg.Repl.Window) {
-			blocking = true
-		}
+		wait = last-s.replDurable.Load() > uint64(s.cfg.Repl.Window)
 	}
-	if !blocking {
-		if _, err := s.cfg.Network.Send(s.ep, t.EP, proto.KindRequest, payload, sendEnd, nil); err != nil {
-			s.replNeedSync.Store(true)
-			return sendEnd
-		}
-		if m.Snap != nil {
-			// The rebase is in flight; stop re-shipping snapshots. If it
-			// is lost, the follower's next ack says NeedSync again.
-			s.replNeedSync.Store(false)
-		}
-		s.traceShip(at, sendEnd, false)
-		return sendEnd
+	end, ok := s.sendShip(t, &m, at, wait)
+	if ok {
+		s.traceShip(at, end, wait)
 	}
-	env, err := s.cfg.Network.RPC(s.ep, t.EP, proto.KindRequest, payload, sendEnd)
-	if err != nil {
-		s.replNeedSync.Store(true)
-		return sendEnd
-	}
-	recvAt := env.ArriveAt
-	if recvAt < sendEnd {
-		recvAt = sendEnd
-	}
-	end := s.cfg.Machine.Execute(s.cfg.Core, recvAt, cost.MsgRecv)
-	s.clock.AdvanceTo(end)
-	resp, rerr := proto.UnmarshalResponse(env.Payload)
-	if rerr != nil {
-		s.replNeedSync.Store(true)
-		return end
-	}
-	a, aerr := repl.UnmarshalAck(resp.Data)
-	if aerr != nil {
-		s.replNeedSync.Store(true)
-		return end
-	}
-	s.noteAck(a)
-	if !a.NeedSync {
-		s.replNeedSync.Store(false)
-	}
-	s.traceShip(at, end, true)
 	return end
 }
 
@@ -346,59 +304,107 @@ func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 // always waits for the follower's ack, in async mode too: when a
 // checkpoint returns, the replica covers it.
 func (s *Server) shipCheckpoint(c *wal.Checkpoint, at sim.Cycles) sim.Cycles {
-	t := s.replTarget.Load()
+	last := s.wal.Stats().LastLSN
+	t := s.shipTarget(last)
 	if t == nil {
 		return at
 	}
-	last := s.wal.Stats().LastLSN
+	s.replResyncs.Add(1)
+	end, _ := s.sendShip(t, &repl.Msg{Primary: int32(s.cfg.ID), Snap: c.Marshal(), SnapLSN: last}, at, true)
+	return end
+}
+
+// shipTarget records the log's horizon and returns the follower to ship to:
+// nil when there is none, or when it is down — a ship must never block a
+// client reply against a closed inbox. The replica is then behind by records
+// it will never see from batches alone, so the next ship to the recovered
+// follower carries a rebase snapshot, and until then a promotion falls back
+// to WAL replay, keeping the no-acked-write-lost invariant intact.
+func (s *Server) shipTarget(last uint64) *ReplTarget {
+	t := s.replTarget.Load()
+	if t == nil {
+		return nil
+	}
 	s.replLastLSN.Store(last)
 	if t.Down != nil && t.Down() {
-		// Same rule as ship: never block against a closed inbox. The
-		// replica misses the checkpoint, so it must be rebased before it
-		// is trusted again.
 		s.replNeedSync.Store(true)
-		return at
+		return nil
 	}
+	return t
+}
+
+// sendShip sends m to the follower from the request loop as one REPL_APPEND,
+// at `at`, and with wait set blocks until the follower's ack has arrived and
+// is folded into the shipping horizons. It returns when replication lets the
+// request loop go on, and whether the ship went as intended — if not, the
+// next one carries a rebase snapshot.
+//
+// The message is encoded into the server's scratch and the request from there
+// into a buffer of this endpoint's cache. The ack of a ship that waits comes
+// back in that same buffer (handleRepl) and a one-way ship's buffer is handed
+// back by its receiver, so in steady state GetBuf finds one here every time.
+func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles, wait bool) (sim.Cycles, bool) {
 	cost := &s.cfg.Machine.Cost
-	m := repl.Msg{Primary: int32(s.cfg.ID), Snap: c.Marshal(), SnapLSN: last}
 	if s.replEP != nil {
 		m.AckTo = int32(s.replEP.ID)
 	}
-	payload := (&proto.Request{Op: proto.OpReplAppend, Data: m.Marshal()}).Marshal()
+	s.shipBuf = m.AppendTo(s.shipBuf[:0])
+	req := proto.Request{Op: proto.OpReplAppend, Data: s.shipBuf}
+	payload := req.AppendTo(s.ep.GetBuf(req.SizeHint()))
+	if cap(s.shipBuf) > maxShipScratch {
+		s.shipBuf = nil // a snapshot's worth is not kept for the next batch
+	}
 	sendEnd := s.cfg.Machine.Execute(s.cfg.Core, at, cost.MsgSend)
 	s.clock.AdvanceTo(sendEnd)
 	s.replShips.Add(1)
-	s.replResyncs.Add(1)
 	s.replBytes.Add(uint64(len(payload)))
-	// As in ship: re-park s.ep's lane once the blocking rebase completes.
+	// Re-park the server's own lane once the ship is done: sending from
+	// s.ep joins its lane (and a blocking ship pins it at the ack arrival),
+	// but a server's lane must not constrain the gate between ships — the
+	// in-flight client request whose commit triggered the ship already
+	// holds the floor with its own Await pin, and the follower's
+	// replication inbox is ungated.
 	defer s.cfg.Network.GateIdle(s.ep.ID)
+
+	if !wait {
+		if _, err := s.cfg.Network.Send(s.ep, t.EP, proto.KindRequest, payload, sendEnd, nil); err != nil {
+			s.replNeedSync.Store(true)
+			return sendEnd, false
+		}
+		if m.Snap != nil {
+			// The rebase is in flight; stop re-shipping snapshots. If it
+			// is lost, the follower's next ack says NeedSync again.
+			s.replNeedSync.Store(false)
+		}
+		return sendEnd, true
+	}
 	env, err := s.cfg.Network.RPC(s.ep, t.EP, proto.KindRequest, payload, sendEnd)
 	if err != nil {
 		s.replNeedSync.Store(true)
-		return sendEnd
+		return sendEnd, false
 	}
-	recvAt := env.ArriveAt
-	if recvAt < sendEnd {
-		recvAt = sendEnd
-	}
-	end := s.cfg.Machine.Execute(s.cfg.Core, recvAt, cost.MsgRecv)
+	end := s.cfg.Machine.Execute(s.cfg.Core, max(env.ArriveAt, sendEnd), cost.MsgRecv)
 	s.clock.AdvanceTo(end)
-	resp, rerr := proto.UnmarshalResponse(env.Payload)
-	if rerr != nil {
-		s.replNeedSync.Store(true)
-		return end
+	err = proto.UnmarshalResponseInto(&s.shipResp, env.Payload)
+	s.ep.PutBuf(env.Payload)
+	var a repl.Ack
+	if err == nil {
+		a, err = repl.UnmarshalAck(s.shipResp.Data)
 	}
-	a, aerr := repl.UnmarshalAck(resp.Data)
-	if aerr != nil {
+	if err != nil {
 		s.replNeedSync.Store(true)
-		return end
+		return end, false
 	}
 	s.noteAck(a)
 	if !a.NeedSync {
 		s.replNeedSync.Store(false)
 	}
-	return end
+	return end, true
 }
+
+// maxShipScratch bounds what the ship scratch keeps between ships: room for
+// any request's record batch, not for a rebase snapshot.
+const maxShipScratch = 64 << 10
 
 // traceShip records the replication leg of a traced request: the window
 // from ship start to release (ack arrival when the ship waited for one).

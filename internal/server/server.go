@@ -185,11 +185,13 @@ type Server struct {
 	stats   Stats
 
 	// Durability state (nil / zero when the deployment runs without it).
-	wal        *wal.Log
-	pending    []wal.Record // records staged by the current request
-	crashed    atomic.Bool
-	crashMu    sync.Mutex // serializes Crash/Recover with each other
-	lostMemory bool
+	wal     *wal.Log
+	pending []wal.Record // records staged by the current request
+	// pendingBlocks holds the block lists of the staged RecBlocks records.
+	pendingBlocks []uint64
+	crashed       atomic.Bool
+	crashMu       sync.Mutex // serializes Crash/Recover with each other
+	lostMemory    bool
 	// incarnation counts recoveries; shared-descriptor ids embed it so
 	// descriptors from before a crash cannot alias ones issued after.
 	incarnation uint32
@@ -220,15 +222,24 @@ type Server struct {
 	curParent uint64
 	curOp     string
 
-	// Replication state (DESIGN.md §12; nil/zero when disabled). replicas
-	// and replClock are confined to the replication-plane goroutine; the
-	// horizon and counter fields are atomics because the request loop
-	// (shipping), the replication plane (acks), and the stats surface all
-	// touch them.
-	replEP       *msg.Endpoint
-	replDone     chan struct{}
-	replClock    sim.Clock
-	replicas     map[int]*repl.Follower
+	// Replication state (DESIGN.md §12; nil/zero when disabled). replicas,
+	// replClock, replReq and replRecs are confined to the replication-plane
+	// goroutine, shipBuf and shipResp to the request loop; the horizon and
+	// counter fields are atomics because the request loop (shipping), the
+	// replication plane (acks), and the stats surface all touch them.
+	replEP    *msg.Endpoint
+	replDone  chan struct{}
+	replClock sim.Clock
+	replicas  map[int]*repl.Follower
+	// Recycled per message, like the request loop's (DESIGN.md §13): the
+	// request a replication message is decoded into, the records of the batch
+	// it carries (decoded in place in that request's Data), the scratch a
+	// ship's repl.Msg is encoded in, and the response its ack is decoded into.
+	replReq  proto.Request
+	replRecs []wal.Record
+	shipBuf  []byte
+	shipResp proto.Response
+
 	replTarget   atomic.Pointer[ReplTarget]
 	replDurable  atomic.Uint64
 	replLastLSN  atomic.Uint64

@@ -134,7 +134,7 @@ func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 		in.Size = d.i64()
 		in.Nlink = d.i32()
 		in.Dist = d.boolean()
-		in.Blocks = d.u64Slice()
+		in.Blocks = d.u64Slice(nil)
 		ndata := int(d.u32())
 		for j := 0; j < ndata && d.err == nil; j++ {
 			in.Data = append(in.Data, d.blob())

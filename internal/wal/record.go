@@ -172,10 +172,17 @@ func appendFrames(buf []byte, recs []Record) []byte {
 	return buf
 }
 
-// decodeRecord parses one record body.
+// decodeRecord parses one record body into a fresh record that shares
+// nothing with b.
 func decodeRecord(b []byte) (Record, error) {
-	d := newDec(b)
 	var r Record
+	err := decodeRecordInto(&r, newDec(b))
+	return r, err
+}
+
+// decodeRecordInto parses one record body into r, every field of which is
+// overwritten; Blocks is decoded into the capacity r brings.
+func decodeRecordInto(r *Record, d *dec) error {
 	r.LSN = d.u64()
 	r.Type = RecType(d.u8())
 	r.Ino = d.u64()
@@ -188,13 +195,10 @@ func decodeRecord(b []byte) (Record, error) {
 	r.Size = d.i64()
 	r.Off = d.i64()
 	r.Nlink = d.i32()
-	r.Blocks = d.u64Slice()
+	r.Blocks = d.u64Slice(r.Blocks)
 	r.Data = d.blob()
 	r.Epoch = d.u64()
-	if err := d.finish("wal record"); err != nil {
-		return Record{}, err
-	}
-	return r, nil
+	return d.finish("wal record")
 }
 
 // EncodeRecords serializes a batch of records in the log's frame format
@@ -204,27 +208,57 @@ func EncodeRecords(recs []Record) []byte {
 	return appendFrames(nil, recs)
 }
 
-// DecodeRecords parses a batch encoded by EncodeRecords. Unlike log-tail
-// replay — where a torn final frame is the expected crash signature and
-// marks the end of the durable prefix — a shipped batch travels in one
-// message and must be complete: any framing or CRC error rejects the whole
-// batch so a follower never applies a partial ship.
-func DecodeRecords(b []byte) ([]Record, error) {
-	var recs []Record
-	for len(b) > 0 {
-		body, rest, err := unframe(b)
+// DecodeRecordsInto parses a batch of frames (EncodeRecords, Log.LastFrames)
+// into recs[:0] and returns the extended slice. It is the decoder of a shipped
+// batch, which arrives in a buffer that is recycled and is applied at once, so
+// it decodes in place: a record's Name and Data point into frames, and its
+// Blocks into the capacity the slot held before. The records are therefore
+// the caller's to read until frames is overwritten or recs decoded into again
+// — it calls ReleaseRecords before either — and whoever keeps any of it
+// copies it.
+//
+// Unlike log-tail replay — where a torn final frame is the expected crash
+// signature and marks the end of the durable prefix — a shipped batch travels
+// in one message and must be complete: any framing, CRC or body error rejects
+// the whole batch, before the caller has seen a single record, so a follower
+// never applies part of a ship.
+func DecodeRecordsInto(recs []Record, frames []byte) ([]Record, error) {
+	recs = recs[:0]
+	for len(frames) > 0 {
+		body, rest, err := unframe(frames)
 		if err != nil {
-			return nil, fmt.Errorf("wal: shipped batch record %d: %w", len(recs), err)
+			return ReleaseRecords(recs), fmt.Errorf("wal: shipped batch record %d: %w", len(recs), err)
 		}
-		r, err := decodeRecord(body)
-		if err != nil {
-			return nil, fmt.Errorf("wal: shipped batch record %d: %w", len(recs), err)
+		if len(recs) < cap(recs) {
+			recs = recs[:len(recs)+1]
+		} else {
+			recs = append(recs, Record{})
 		}
-		recs = append(recs, r)
-		b = rest
+		if err := decodeRecordInto(&recs[len(recs)-1], &dec{buf: body, inPlace: true}); err != nil {
+			return ReleaseRecords(recs), fmt.Errorf("wal: shipped batch record %d: %w", len(recs)-1, err)
+		}
+		frames = rest
 	}
 	return recs, nil
 }
+
+// ReleaseRecords ends the life of a batch decoded in place, before the bytes
+// under it change: the records let go of what they pointed at in the frames,
+// and the emptied slice comes back for the next decode with the block lists'
+// capacity — unless the batch was an outsized one, whose slots are not kept.
+func ReleaseRecords(recs []Record) []Record {
+	for i := range recs {
+		recs[i].Name, recs[i].Data = "", nil
+	}
+	if cap(recs) > maxRecycledRecords {
+		return nil
+	}
+	return recs[:0]
+}
+
+// maxRecycledRecords is well above what one request logs; a shard migration's
+// commit, one record per entry moved, can exceed it.
+const maxRecycledRecords = 256
 
 // unframe reads one frame from b, returning the body and remaining bytes.
 // A short or corrupt frame returns an error; callers treat an error at the

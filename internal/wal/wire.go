@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/proto"
 )
@@ -58,11 +59,14 @@ func (e *enc) inode(id proto.InodeID) {
 	e.u64(id.Local)
 }
 
-// dec reads fields back in the order they were encoded.
+// dec reads fields back in the order they were encoded. With inPlace set,
+// names and byte fields are returned where they lie in buf instead of being
+// copied out of it (DecodeRecordsInto).
 type dec struct {
-	buf []byte
-	off int
-	err error
+	buf     []byte
+	off     int
+	err     error
+	inPlace bool
 }
 
 func newDec(b []byte) *dec { return &dec{buf: b} }
@@ -121,12 +125,19 @@ func (d *dec) boolean() bool { return d.u8() != 0 }
 
 func (d *dec) str() string {
 	n := int(d.u32())
-	if !d.need(n) {
+	if n == 0 || !d.need(n) {
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
+	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return s
+	if d.inPlace {
+		// The one string in the repository that shares memory with a byte
+		// slice. It is a lookup key for as long as buf is left alone, and
+		// ReleaseRecords drops it before buf changes; who keeps a name
+		// clones it.
+		return unsafe.String(&b[0], n)
+	}
+	return string(b)
 }
 
 func (d *dec) blob() []byte {
@@ -134,22 +145,35 @@ func (d *dec) blob() []byte {
 	if n == 0 || !d.need(n) {
 		return nil
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+n])
+	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
-	return b
+	if d.inPlace {
+		return b
+	}
+	return append([]byte(nil), b...)
 }
 
-func (d *dec) u64Slice() []uint64 {
+// u64Slice decodes a list into dst's capacity (dst is overwritten from its
+// start); an empty list gives dst[:0], which is nil when dst is. A count the
+// rest of the body cannot hold fails the decode: a hostile count must not
+// size an allocation.
+func (d *dec) u64Slice(dst []uint64) []uint64 {
 	n := int(d.u32())
-	if d.err != nil || n <= 0 {
-		return nil
+	dst = dst[:0]
+	if d.err != nil {
+		return dst
 	}
-	out := make([]uint64, 0, n)
+	if n > (len(d.buf)-d.off)/8 {
+		d.err = ErrTruncated
+		return dst
+	}
+	if cap(dst) < n {
+		dst = make([]uint64, 0, n)
+	}
 	for i := 0; i < n; i++ {
-		out = append(out, d.u64())
+		dst = append(dst, d.u64())
 	}
-	return out
+	return dst
 }
 
 func (d *dec) inode() proto.InodeID {

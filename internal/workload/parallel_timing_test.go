@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -93,5 +94,48 @@ func TestParallelTwoCoreFanoutCost(t *testing.T) {
 	t.Logf("two-core 64-server fan-out: serialized=%v parallel=%v limit=%v", ser, par, limit)
 	if par > limit {
 		t.Fatalf("two-core parallel run took %v, serialized %v: the gate is waking or scanning more than it must (limit %v)", par, ser, limit)
+	}
+}
+
+// TestParallelSharedDirectoryReport measures, and asserts nothing: the two
+// gates above time private subtrees, where no server is shared, and a verdict
+// on the engines needs the contended case beside them. Eight workers churn
+// small files in one distributed directory on eight servers, on two cores,
+// under each engine; the log gives host time per call (best of three) and
+// the virtual run time of every run. The serialized engine serves a server's
+// requests in host order (ROADMAP, determinism), so here the engines differ
+// in virtual time as well as in cost, and the serialized figure moves from
+// run to run.
+func TestParallelSharedDirectoryReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing report")
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+
+	for _, parallel := range []bool{false, true} {
+		best := time.Duration(1<<63 - 1)
+		var calls int
+		var virt []string
+		for i := 0; i < 3; i++ {
+			sys, env := parallelSystemN(t, 8, parallel, trace.Config{})
+			w := SmallFile{PerWorker: 1500, WriteBytes: 64}
+			if err := w.Setup(env); err != nil {
+				t.Fatalf("setup (parallel=%v): %v", parallel, err)
+			}
+			from, start := sys.Procs().MaxEndTime(), time.Now()
+			n, err := w.Run(env)
+			if err != nil {
+				t.Fatalf("run (parallel=%v): %v", parallel, err)
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+			calls = n
+			virt = append(virt, fmt.Sprintf("%.3f", 1e3*sys.Seconds(sys.Procs().MaxEndTime()-from)))
+			sys.Stop()
+		}
+		t.Logf("shared directory, 8 servers, 2 cores, parallel=%v: %.2f µs of host time per call, virtual run time %v ms",
+			parallel, float64(best.Microseconds())/float64(calls), virt)
 	}
 }
