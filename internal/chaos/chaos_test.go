@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/place"
+	"repro/internal/proto"
 	"repro/internal/repl"
 )
 
@@ -170,5 +171,36 @@ func TestMatrixRunnerReportsFailures(t *testing.T) {
 	}
 	if !bytes.Contains(out.Bytes(), []byte("repro: hare-chaos -repro "+bad.Tuple())) {
 		t.Fatalf("matrix output lacks the repro line:\n%s", out.String())
+	}
+}
+
+// TestDupOKClassifiesABatchByWhatItCarries: the calls that moved into chains
+// stay inside duplicate-delivery coverage, and no chain that mutates gets in.
+func TestDupOKClassifiesABatchByWhatItCarries(t *testing.T) {
+	batch := func(ops ...proto.Op) []byte {
+		subs := make([]*proto.Request, len(ops))
+		for i, op := range ops {
+			subs[i] = &proto.Request{Op: op, Name: "n", Target: proto.PrevInode}
+		}
+		return (&proto.Request{Op: proto.OpBatch, Subs: subs, StopOnErr: true}).Marshal()
+	}
+	for _, tc := range []struct {
+		name    string
+		kind    uint16
+		payload []byte
+		want    bool
+	}{
+		{"bare stat", proto.KindRequest, (&proto.Request{Op: proto.OpStat}).Marshal(), true},
+		{"bare unlink", proto.KindRequest, (&proto.Request{Op: proto.OpUnlinkInode}).Marshal(), false},
+		{"lookup then stat", proto.KindRequest, batch(proto.OpLookup, proto.OpStat), true},
+		{"lookup then open", proto.KindRequest, batch(proto.OpLookup, proto.OpOpenInode), false},
+		{"rm_map then unlink", proto.KindRequest, batch(proto.OpRmMap, proto.OpUnlinkInode), false},
+		{"a reply", proto.KindResponse, batch(proto.OpLookup, proto.OpStat), false},
+		{"a batch that does not decode", proto.KindRequest, (&proto.Request{Op: proto.OpBatch, Data: []byte{1, 2, 3}}).Marshal(), false},
+		{"bytes that do not decode", proto.KindRequest, []byte{1, 2, 3}, false},
+	} {
+		if got := dupOK(tc.kind, tc.payload); got != tc.want {
+			t.Errorf("%s: dupOK = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

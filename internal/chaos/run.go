@@ -43,16 +43,27 @@ var idempotentOps = map[proto.Op]bool{
 	proto.OpPing:         true,
 }
 
-// dupOK is the fault plan's idempotence classifier.
+// dupOK is the fault plan's idempotence classifier. A batch is what it
+// carries: duplicable when every sub-operation is (a chained LOOKUP → STAT),
+// not when one is not (LOOKUP → OPEN leaves a descriptor reference behind).
 func dupOK(kind uint16, payload []byte) bool {
 	if kind != proto.KindRequest {
 		return false
 	}
-	req, err := proto.UnmarshalRequest(payload)
-	if err != nil {
+	var req proto.Request
+	if proto.UnmarshalRequestInto(&req, payload) != nil {
 		return false
 	}
-	return idempotentOps[req.Op]
+	if req.Op != proto.OpBatch {
+		return idempotentOps[req.Op]
+	}
+	subs, _, err := proto.UnmarshalBatchInto(nil, req.Data)
+	for i := range subs {
+		if !idempotentOps[subs[i].Op] {
+			return false
+		}
+	}
+	return err == nil
 }
 
 // coreConfig maps a chaos config onto a Hare deployment: timeshare (so

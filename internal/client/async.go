@@ -132,10 +132,14 @@ func (c *Client) unpackBatch(out []*proto.Response, reply *proto.Response, n int
 // issued strictly one after another. stopOnErr makes the requests a
 // dependent chain: after the first failure the remaining ones are skipped
 // with ECANCELED responses (server-side within a batch, client-side across
-// batch splits). A protocol failure of a sub-operation is reported in its
-// Response, not as an error.
+// batch splits). A request whose Target is proto.PrevInode works on the inode
+// its predecessor's response carries: inside an envelope the server resolves
+// it (and answers EXDEV when another server stores the inode); sent on its
+// own it is resolved here and goes to the inode's server, wherever that is.
+// A protocol failure of a sub-operation is reported in its Response, not as
+// an error.
 func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
-	failed := false
+	failed, mine := false, len(out)
 	for len(reqs) > 0 {
 		n := 1
 		if c.cfg.Options.Pipelining {
@@ -150,7 +154,16 @@ func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []
 				out = append(out, c.errResp(fsapi.ECANCELED))
 			}
 		case n == 1:
-			resp, err := c.rpc(srv, chunk[0])
+			req, dst := chunk[0], srv
+			if req.Target == proto.PrevInode {
+				ino, ok := proto.ChainTarget(out[mine:first])
+				if !ok {
+					out = append(out, c.errResp(fsapi.ECANCELED))
+					break
+				}
+				req.Target, dst = ino, int(ino.Server)
+			}
+			resp, err := c.rpc(dst, req)
 			if err != nil {
 				return nil, err
 			}

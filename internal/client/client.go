@@ -659,12 +659,8 @@ func (c *Client) Chdir(path string) (err error) {
 		defer func() { c.endOp(s, err) }()
 	}
 	abs := c.absPath(path)
-	_, ftype, _, err := c.resolvePath(abs)
-	if err != nil {
+	if _, _, err := c.resolveDir(abs); err != nil {
 		return err
-	}
-	if ftype != fsapi.TypeDir {
-		return fsapi.ENOTDIR
 	}
 	c.cwd = abs
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/sched"
@@ -182,6 +183,53 @@ func TestDirectoryCacheInvalidationAcrossClients(t *testing.T) {
 	}
 }
 
+func TestUnlinkCallsBackEveryCachingClientButItsOwn(t *testing.T) {
+	sys := newSystem(t, core.AllTechniques())
+	a := sys.NewClient(0)
+	b := sys.NewClient(1)
+	if err := a.Mkdir("/shared", fsapi.MkdirOpt{Distributed: true}); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := a.Open("/shared/item", fsapi.OCreate, fsapi.Mode644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close(fd)
+	// Both cache the name; a removes it.
+	for _, c := range []fsapi.Client{a, b} {
+		if _, err := c.Stat("/shared/item"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	callbacks := func() (n uint64) {
+		for _, st := range sys.ServerStats() {
+			n += st.Invalidations
+		}
+		return n
+	}
+	before := callbacks()
+	if err := a.Unlink("/shared/item"); err != nil {
+		t.Fatal(err)
+	}
+	if n := callbacks() - before; n != 1 {
+		t.Fatalf("the unlink sent %d callbacks, want 1 (to the other client)", n)
+	}
+	// Neither trusts its cache afterwards: a dropped the entry itself, b is
+	// told to when it next drains its callbacks.
+	for name, c := range map[string]*client.Client{"a": a, "b": b} {
+		before := c.Stats().RPCs
+		if _, err := c.Stat("/shared/item"); !fsapi.IsErrno(err, fsapi.ENOENT) {
+			t.Fatalf("removed name still resolves on %s: %v", name, err)
+		}
+		if c.Stats().RPCs == before {
+			t.Fatalf("%s answered from its cache", name)
+		}
+	}
+	if a.Stats().Invalidations != 0 || b.Stats().Invalidations != 1 {
+		t.Fatalf("a processed %d invalidations and b %d, want 0 and 1", a.Stats().Invalidations, b.Stats().Invalidations)
+	}
+}
+
 func TestVersionSkipSurvivesSyncAndFsync(t *testing.T) {
 	// Sync and Fsync bump the inode version via SET_SIZE; the descriptor's
 	// consistency window must absorb those bumps so the eventual close still
@@ -314,9 +362,9 @@ func TestExecTransfersWorkingDirectory(t *testing.T) {
 }
 
 func TestBatchedUnlinkSavesMessages(t *testing.T) {
-	// A create+unlink pair with a warm directory cache: the unlink's RM_MAP
-	// and UNLINK_INODE share one batch message, so the whole cycle costs
-	// one message less than with pipelining off.
+	// A create+unlink pair: the unlink's RM_MAP and UNLINK_INODE travel as
+	// one chain, so the whole cycle costs one message less than with
+	// pipelining off.
 	count := func(tq core.Techniques) (perCycle uint64, batched uint64) {
 		sys := newSystem(t, tq)
 		cli := sys.NewClient(0)
@@ -357,12 +405,11 @@ func TestBatchedUnlinkSavesMessages(t *testing.T) {
 	}
 }
 
-func TestBatchedUnlinkStaleCacheFallsBack(t *testing.T) {
+func TestUnlinkIgnoresAStaleCache(t *testing.T) {
 	// Client b caches a lookup, client a rename-replaces the entry with a
 	// different inode, and — before b drains the invalidation — b unlinks
-	// the name. The compare-and-remove guard must keep b's stale cached
-	// inode out of harm's way: the entry's current inode is the one that
-	// must die, and the file it replaced must survive untouched.
+	// the name. What b has cached must not matter: the inode that loses its
+	// link is the one RM_MAP found in the entry, whatever b believed.
 	sys := newSystem(t, core.AllTechniques())
 	a := sys.NewClient(0)
 	b := sys.NewClient(1)
@@ -393,8 +440,8 @@ func TestBatchedUnlinkStaleCacheFallsBack(t *testing.T) {
 	if err := a.Rename("/sw/other", "/sw/victim"); err != nil {
 		t.Fatal(err)
 	}
-	// b unlinks through (potentially) stale cache state; whichever path the
-	// client takes, the name must disappear and exactly one link must drop.
+	// b unlinks with a stale cache: the name must disappear and exactly one
+	// link must drop.
 	if err := b.Unlink("/sw/victim"); err != nil {
 		t.Fatal(err)
 	}

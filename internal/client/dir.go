@@ -80,80 +80,20 @@ func (c *Client) Mkdir(path string, opt fsapi.MkdirOpt) (err error) {
 // Unlink removes a file's directory entry and drops a link on its inode.
 // The file data remains readable through already-open descriptors (§3.4).
 //
-// The plain path is two dependent RPCs: RM_MAP returns the entry's inode,
-// then UNLINK_INODE drops the link. With pipelining, a cached lookup for the
-// entry breaks the dependency: when the inode lives on the entry server (the
-// common case — coalesced creation put it there), both operations travel as
-// one guarded batch message. A stale cache fails the guard (ESTALE) and the
-// operation falls back to the authoritative two-RPC path.
+// RM_MAP finds the inode it unlinks from, so UNLINK_INODE rides with it as
+// its chain (opOnPath): one message when the entry's server stores the
+// inode — the common case, coalesced creation put it there — and what the
+// directory cache holds does not matter.
 func (c *Client) Unlink(path string) (err error) {
 	c.syscall()
 	defer c.opDone(c.respMark())
 	if s := c.beginOp("unlink"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
-	abs := c.absPath(path)
-	parent, parentDist, name, err := c.resolveParent(abs)
-	if err != nil {
-		return err
-	}
-	if c.cfg.Options.Pipelining && c.cfg.Options.DirCache {
-		c.drainInvalidations()
-		entrySrv, epoch := c.routeEntry(parent, parentDist, name)
-		if ent, ok := c.dcache.Get(dcacheKey{parent, name}); ok &&
-			ent.ftype != fsapi.TypeDir && !ent.ino.IsNil() && int(ent.ino.Server) == entrySrv {
-			done, uerr := c.unlinkBatched(parent, name, entrySrv, epoch, ent)
-			if done {
-				return uerr
-			}
-		}
-	}
-
-	resp, rerr := c.routedEntryRPCOK(parent, parentDist, name, &proto.Request{
-		Op:    proto.OpRmMap,
-		Dir:   parent,
-		Name:  name,
-		Ftype: fsapi.TypeRegular,
-	})
-	c.uncacheEntry(parent, name)
-	if rerr != nil {
-		return rerr
-	}
-	if _, err := c.rpcOK(int(resp.Ino.Server), &proto.Request{Op: proto.OpUnlinkInode, Target: resp.Ino}); err != nil {
-		return err
-	}
-	return nil
-}
-
-// unlinkBatched removes the directory entry and its inode in a single
-// dependent batch message. It returns done=false when the cached entry
-// turned out to be stale (guard mismatch, or the placement epoch moved) and
-// the caller must retry on the authoritative path.
-func (c *Client) unlinkBatched(parent proto.InodeID, name string, entrySrv int, epoch uint64, ent dcacheEnt) (bool, error) {
-	var buf [2]*proto.Response
-	resps, err := c.rpcBatch(entrySrv, true, []*proto.Request{
-		{Op: proto.OpRmMap, Dir: parent, Name: name, Target: ent.ino, Ftype: fsapi.TypeRegular, Epoch: epoch},
-		{Op: proto.OpUnlinkInode, Target: ent.ino},
-	}, buf[:0])
-	c.uncacheEntry(parent, name)
-	if err != nil {
-		return true, err
-	}
-	rm, ul := resps[0], resps[1]
-	if rm.Err == fsapi.EEPOCH {
-		c.refreshRouting()
-		return false, nil
-	}
-	if rm.Err == fsapi.ESTALE {
-		return false, nil
-	}
-	if rm.Err != fsapi.OK {
-		return true, rm.Err
-	}
-	if ul.Err != fsapi.OK {
-		return true, ul.Err
-	}
-	return true, nil
+	_, err = c.opOnPath(c.absPath(path),
+		&proto.Request{Op: proto.OpRmMap, Ftype: fsapi.TypeRegular},
+		&proto.Request{Op: proto.OpUnlinkInode})
+	return err
 }
 
 // Rename atomically renames oldPath to newPath: it first creates (or
@@ -253,6 +193,7 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 func (c *Client) renameBatched(srv int, add, rm *proto.Request) (addResp, rmResp *proto.Response, err error) {
 	var buf [2]*proto.Response
 	resps, err := c.rpcBatch(srv, true, []*proto.Request{add, rm}, buf[:0])
+	c.uncacheEntry(rm.Dir, rm.Name) // an RM_MAP is out: no callback will say so
 	if err != nil {
 		return nil, nil, err
 	}
@@ -278,12 +219,9 @@ func (c *Client) ReadDir(path string) (_ []fsapi.Dirent, err error) {
 		defer func() { c.endOp(s, err) }()
 	}
 	abs := c.absPath(path)
-	ino, ftype, dist, err := c.resolvePath(abs)
+	ino, dist, err := c.resolveDir(abs)
 	if err != nil {
 		return nil, err
-	}
-	if ftype != fsapi.TypeDir {
-		return nil, fsapi.ENOTDIR
 	}
 	resps, err := c.routedBroadcast(ino.Server, dist, &proto.Request{Op: proto.OpReadDirShard, Dir: ino})
 	if err != nil {
@@ -369,15 +307,15 @@ func (c *Client) Rmdir(path string) (err error) {
 	if _, err := c.routedBroadcast(dir.Server, dist, &proto.Request{Op: proto.OpRmdirCommit, Dir: dir, Target: dir}); err != nil {
 		return err
 	}
-	// Remove the parent's entry for the directory.
+	// Remove the parent's entry for the directory. The shards are gone and
+	// the server calls nobody back about a removal of their own: whatever
+	// the remaining steps answer, this client's cached copies go here.
+	c.uncacheEntry(parent, name)
+	c.uncacheDir(dir)
 	if _, err := c.routedEntryRPCOK(parent, parentDist, name, &proto.Request{Op: proto.OpRmMap, Dir: parent, Name: name, Ftype: fsapi.TypeDir}); err != nil && err != fsapi.ENOENT {
 		return err
 	}
 	// Remove the directory inode and release the serialization lock.
-	if _, err := c.rpcOK(home, &proto.Request{Op: proto.OpRmdirFinish, Target: dir}); err != nil {
-		return err
-	}
-	c.uncacheEntry(parent, name)
-	c.uncacheDir(dir)
-	return nil
+	_, err = c.rpcOK(home, &proto.Request{Op: proto.OpRmdirFinish, Target: dir})
+	return err
 }

@@ -20,11 +20,12 @@ func (c *Client) Open(path string, flags int, mode fsapi.Mode) (_ fsapi.FD, err 
 	if flags&fsapi.OCreate != 0 {
 		return c.openCreate(abs, flags, mode)
 	}
-	ino, ftype, dist, err := c.resolvePath(abs)
+	resp, err := c.opOnPath(abs, &proto.Request{Op: proto.OpLookup},
+		&proto.Request{Op: proto.OpOpenInode, Flags: int32(flags)})
 	if err != nil {
 		return -1, err
 	}
-	return c.openExisting(ino, ftype, dist, flags)
+	return c.opened(resp, flags), nil
 }
 
 // openCreate implements open() with O_CREAT: it creates the inode and
@@ -62,7 +63,7 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 				return -1, fsapi.EEXIST
 			}
 			c.cacheEntry(parent, name, dcacheEnt{ino: resp.Ino, ftype: resp.Ftype, dist: resp.Dist})
-			return c.openExisting(resp.Ino, resp.Ftype, resp.Dist, flags)
+			return c.openExisting(resp.Ino, resp.Ftype, flags)
 		default:
 			return -1, resp.Err
 		}
@@ -98,7 +99,7 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 			return -1, fsapi.EEXIST
 		}
 		c.cacheEntry(parent, name, dcacheEnt{ino: addResp.Ino, ftype: addResp.Ftype, dist: addResp.Dist})
-		return c.openExisting(addResp.Ino, addResp.Ftype, addResp.Dist, flags)
+		return c.openExisting(addResp.Ino, addResp.Ftype, flags)
 	}
 	if addResp.Err != fsapi.OK {
 		_, _ = c.rpc(inodeSrv, &proto.Request{Op: proto.OpUnlinkInode, Target: mkResp.Ino})
@@ -116,8 +117,8 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 	return c.allocFD(c.fileFromOpen(openResp, flags)), nil
 }
 
-// openExisting opens an inode that already exists.
-func (c *Client) openExisting(ino proto.InodeID, ftype fsapi.FileType, dist bool, flags int) (fsapi.FD, error) {
+// openExisting opens an inode whose entry a create found in its way.
+func (c *Client) openExisting(ino proto.InodeID, ftype fsapi.FileType, flags int) (fsapi.FD, error) {
 	if ftype == fsapi.TypeDir && flags&fsapi.OAccMode != fsapi.ORdOnly {
 		return -1, fsapi.EISDIR
 	}
@@ -129,8 +130,12 @@ func (c *Client) openExisting(ino proto.InodeID, ftype fsapi.FileType, dist bool
 	if err != nil {
 		return -1, err
 	}
+	return c.opened(resp, flags), nil
+}
+
+// opened turns a successful OPEN reply into a descriptor.
+func (c *Client) opened(resp *proto.Response, flags int) fsapi.FD {
 	of := c.fileFromOpen(resp, flags)
-	of.ftype = ftype
 	// Close-to-open consistency: drop any stale private-cache copies of
 	// this file's blocks so reads observe data written back by other cores
 	// since the last close (§3.2). With the data path enabled, an OPEN reply
@@ -152,7 +157,7 @@ func (c *Client) openExisting(ino proto.InodeID, ftype fsapi.FileType, dist bool
 	if flags&fsapi.OAppend != 0 {
 		of.offset = of.size
 	}
-	return c.allocFD(of), nil
+	return c.allocFD(of)
 }
 
 // fileFromOpen builds an openFile from an OPEN/CREATE response.
@@ -764,13 +769,9 @@ func (c *Client) Stat(path string) (_ fsapi.Stat, err error) {
 		defer func() { c.endOp(s, err) }()
 	}
 	abs := c.absPath(path)
-	ino, _, _, err := c.resolvePath(abs)
+	resp, err := c.opOnPath(abs, &proto.Request{Op: proto.OpLookup}, &proto.Request{Op: proto.OpStat})
 	if err != nil {
 		return fsapi.Stat{}, err
-	}
-	resp, rerr := c.rpcOK(int(ino.Server), &proto.Request{Op: proto.OpStat, Target: ino})
-	if rerr != nil {
-		return fsapi.Stat{}, rerr
 	}
 	return statFromWire(resp.Stat), nil
 }

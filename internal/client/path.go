@@ -50,26 +50,35 @@ func (c *Client) drainInvalidations() {
 	}
 }
 
-// lookupEntry resolves one path component: the entry `name` in directory
-// `dir`. It consults the directory cache first (when enabled) and falls back
-// to a LOOKUP RPC to the entry's server.
-func (c *Client) lookupEntry(dir proto.InodeID, dirDist bool, name string) (dcacheEnt, error) {
-	if c.cfg.Options.DirCache {
-		c.drainInvalidations()
-		if ent, ok := c.dcache.Get(dcacheKey{dir, name}); ok {
-			c.stats.dcHits.Add(1)
-			return ent, nil
-		}
+// cachedEntry asks the directory cache (when enabled) for the entry `name`
+// of directory `dir`.
+func (c *Client) cachedEntry(dir proto.InodeID, name string) (dcacheEnt, bool) {
+	if !c.cfg.Options.DirCache {
+		return dcacheEnt{}, false
+	}
+	c.drainInvalidations()
+	ent, ok := c.dcache.Get(dcacheKey{dir, name})
+	if ok {
+		c.stats.dcHits.Add(1)
+	} else {
 		c.stats.dcMisses.Add(1)
+	}
+	return ent, ok
+}
+
+// lookupEntry resolves one path component: the entry `name` in directory
+// `dir`. It consults the directory cache first and falls back to a LOOKUP
+// RPC to the entry's server.
+func (c *Client) lookupEntry(dir proto.InodeID, dirDist bool, name string) (dcacheEnt, error) {
+	if ent, ok := c.cachedEntry(dir, name); ok {
+		return ent, nil
 	}
 	resp, err := c.routedEntryRPCOK(dir, dirDist, name, &proto.Request{Op: proto.OpLookup, Dir: dir, Name: name})
 	if err != nil {
 		return dcacheEnt{}, err
 	}
 	ent := dcacheEnt{ino: resp.Ino, ftype: resp.Ftype, dist: resp.Dist}
-	if c.cfg.Options.DirCache {
-		c.dcache.Put(dcacheKey{dir, name}, ent)
-	}
+	c.cacheEntry(dir, name, ent)
 	return ent, nil
 }
 
@@ -126,22 +135,109 @@ func (c *Client) resolvePath(abs string) (proto.InodeID, fsapi.FileType, bool, e
 	return cur.ino, cur.ftype, cur.dist, nil
 }
 
+// resolveDir walks an absolute path that must name a directory.
+func (c *Client) resolveDir(abs string) (proto.InodeID, bool, error) {
+	ino, ftype, dist, err := c.resolvePath(abs)
+	if err == nil && ftype != fsapi.TypeDir {
+		err = fsapi.ENOTDIR
+	}
+	if err != nil {
+		return proto.NilInode, false, err
+	}
+	return ino, dist, nil
+}
+
 // resolveParent walks an absolute path up to (but not including) its final
 // component and returns the parent directory plus the final name.
 func (c *Client) resolveParent(abs string) (parent proto.InodeID, parentDist bool, name string, err error) {
 	dir, base := fsapi.SplitDirBase(abs)
-	if base == "." || base == "" {
-		return proto.NilInode, false, "", fsapi.EINVAL
-	}
 	if !fsapi.ValidName(base) {
 		return proto.NilInode, false, "", fsapi.EINVAL
 	}
-	ino, ftype, dist, rerr := c.resolvePath(dir)
-	if rerr != nil {
-		return proto.NilInode, false, "", rerr
+	parent, parentDist, err = c.resolveDir(dir)
+	return parent, parentDist, base, err
+}
+
+// opOnPath runs op, an inode operation, on the inode that abs names and
+// returns its response; an errno on the way there, or op's own, is the
+// error. head is the entry operation that finds the inode: LOOKUP, which the
+// root and a cached entry make unnecessary — op then goes alone to the
+// inode's server — or RM_MAP, which removes the entry.
+func (c *Client) opOnPath(abs string, head, op *proto.Request) (*proto.Response, error) {
+	var ent dcacheEnt
+	var resp *proto.Response
+	dir, name := fsapi.SplitDirBase(abs)
+	lookup := head.Op == proto.OpLookup
+	switch {
+	case lookup && name == ".":
+		ent = c.rootEnt() // configuration, not an entry: nothing to look up
+	case !lookup && !fsapi.ValidName(name):
+		return nil, fsapi.EINVAL
+	default:
+		parent, parentDist, err := c.resolveDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		known := false
+		if lookup {
+			ent, known = c.cachedEntry(parent, name)
+		}
+		if !known {
+			if ent, resp, err = c.chainOnEntry(parent, parentDist, name, head, op); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if ftype != fsapi.TypeDir {
-		return proto.NilInode, false, "", fsapi.ENOTDIR
+	// Not sent yet, or sent to a server that does not store the inode
+	// (EXDEV: nothing ran there).
+	if resp == nil || resp.Err == fsapi.EXDEV {
+		op.Target = ent.ino
+		return c.rpcOK(int(ent.ino.Server), op)
 	}
-	return ino, dist, base, nil
+	if resp.Err != fsapi.OK {
+		return resp, resp.Err
+	}
+	return resp, nil
+}
+
+// chainOnEntry sends head — the entry operation on (parent, name) — and op
+// to the entry's server as one dependent chain, op naming its target as
+// proto.PrevInode: only that server knows the inode, and creation affinity
+// has nearly always stored it there too (§3.6.4), so the pair costs the one
+// round trip op alone would. It returns the entry head found and op's
+// response, re-routing on EEPOCH like every routed helper; head's failure is
+// the error. With pipelining off rpcBatch sends the two one after the other
+// and resolves the target itself.
+func (c *Client) chainOnEntry(parent proto.InodeID, parentDist bool, name string, head, op *proto.Request) (dcacheEnt, *proto.Response, error) {
+	head.Dir, head.Name = parent, name
+	var buf [2]*proto.Response
+	for tries := 0; ; tries++ {
+		srv, epoch := c.routeEntry(parent, parentDist, name)
+		head.Epoch, op.Target = epoch, proto.PrevInode
+		resps, err := c.rpcBatch(srv, true, []*proto.Request{head, op}, buf[:0])
+		if head.Op == proto.OpRmMap {
+			c.uncacheEntry(parent, name)
+		}
+		if err != nil {
+			return dcacheEnt{}, nil, err
+		}
+		found := resps[0]
+		if found.Err == fsapi.EEPOCH {
+			if tries >= maxEpochRetries {
+				return dcacheEnt{}, nil, fsapi.EIO
+			}
+			c.refreshRouting()
+			c.noteEpochRefresh(head.Op, tries)
+			c.yield()
+			continue
+		}
+		if found.Err != fsapi.OK {
+			return dcacheEnt{}, nil, found.Err
+		}
+		ent := dcacheEnt{ino: found.Ino, ftype: found.Ftype, dist: found.Dist}
+		if head.Op == proto.OpLookup {
+			c.cacheEntry(parent, name, ent)
+		}
+		return ent, resps[1], nil
+	}
 }

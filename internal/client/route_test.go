@@ -418,6 +418,94 @@ func TestBatchedRenameReportsAFailedHalf(t *testing.T) {
 	}
 }
 
+// --- the chain: an entry operation and the inode operation it feeds ---
+
+func TestChainFollowsTheInodeOnEXDEV(t *testing.T) {
+	// The entry's server does not store the inode: it answers the lookup,
+	// runs nothing else, and the STAT goes on its own to the server that does.
+	h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+		if req.Op == proto.OpBatch {
+			return batchReply(&proto.Response{Ino: proto.InodeID{Server: int32(1 - srv), Local: 42}, Ftype: fsapi.TypeRegular},
+				proto.ErrResponse(fsapi.EXDEV))
+		}
+		return &proto.Response{Stat: proto.StatWire{Ino: req.Target, Size: 7}}
+	})
+	srv, _ := h.cli.routeEntry(testDir, true, "name")
+	for _, want := range [][]string{
+		{fmt.Sprintf("%d:BATCH[LOOKUP@1,STAT@0]", srv), fmt.Sprintf("%d:STAT@0", 1-srv)},
+		{fmt.Sprintf("%d:STAT@0", 1-srv)}, // the looked-up entry was cached
+	} {
+		h.log = nil
+		st, err := h.cli.Stat("/d/name")
+		if err != nil || st.Size != 7 || st.Ino != 42 || st.Server != 1-srv {
+			t.Fatalf("stat answered %+v, %v", st, err)
+		}
+		h.wantLog(t, want...)
+	}
+}
+
+func TestChainRetriesWholeOnEEPOCH(t *testing.T) {
+	// The deployment moved on before the chain arrived: the lookup bounces,
+	// the open is cancelled, and both go out again under the new epoch.
+	opened := proto.InodeID{Server: 0, Local: 42}
+	h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+		if subs, _, _ := proto.UnmarshalBatch(req.Data); len(subs) == 2 && subs[0].Epoch == 2 {
+			return batchReply(&proto.Response{Ino: opened, Ftype: fsapi.TypeRegular}, &proto.Response{Ino: opened, Ftype: fsapi.TypeRegular})
+		}
+		h.publishEpoch(2)
+		return batchReply(proto.ErrResponse(fsapi.EEPOCH), proto.ErrResponse(fsapi.ECANCELED))
+	})
+	srv, _ := h.cli.routeEntry(testDir, true, "name")
+	if _, err := h.cli.Open("/d/name", fsapi.ORdOnly, 0); err != nil {
+		t.Fatal(err)
+	}
+	h.wantLog(t, fmt.Sprintf("%d:BATCH[LOOKUP@1,OPEN@0]", srv), fmt.Sprintf("%d:BATCH[LOOKUP@2,OPEN@0]", srv))
+
+	// A provider that never catches up: the loop gives up with EIO.
+	stuck := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+		return batchReply(proto.ErrResponse(fsapi.EEPOCH), proto.ErrResponse(fsapi.ECANCELED))
+	})
+	if _, err := stuck.cli.Stat("/d/name"); !fsapi.IsErrno(err, fsapi.EIO) {
+		t.Fatalf("exhausted retry returned %v, want EIO", err)
+	}
+	if n := len(stuck.log); n != maxEpochRetries+1 {
+		t.Fatalf("gave up after %d chains, want %d", n, maxEpochRetries+1)
+	}
+}
+
+func TestUnlinkDropsItsEntryWhateverTheChainAnswers(t *testing.T) {
+	// The server no longer calls a client back about the entry it removed
+	// itself, so the unlink must forget the name on every way out — also
+	// when the inode's server then refuses the UNLINK_INODE sent after it.
+	for _, tc := range []struct {
+		name  string
+		chain *proto.Response
+		want  fsapi.Errno
+	}{
+		{"removed and unlinked", batchReply(&proto.Response{Ino: renamedFile}, &proto.Response{}), fsapi.OK},
+		{"removed, inode elsewhere fails", batchReply(&proto.Response{Ino: renamedFile}, proto.ErrResponse(fsapi.EXDEV)), fsapi.ENOENT},
+		{"already gone", batchReply(proto.ErrResponse(fsapi.ENOENT), proto.ErrResponse(fsapi.ECANCELED)), fsapi.ENOENT},
+	} {
+		h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+			if req.Op == proto.OpBatch {
+				return tc.chain
+			}
+			return proto.ErrResponse(fsapi.ENOENT)
+		})
+		from, _, srv := h.names(true)
+		err := h.cli.Unlink("/d/" + from)
+		if tc.want == fsapi.OK && err != nil || tc.want != fsapi.OK && !fsapi.IsErrno(err, tc.want) {
+			t.Errorf("%s: unlink returned %v, want %v", tc.name, err, tc.want)
+		}
+		if h.log[0] != fmt.Sprintf("%d:BATCH[RM_MAP@1,UNLINK_INODE@0]", srv) {
+			t.Errorf("%s: servers saw %v", tc.name, h.log)
+		}
+		if _, ok := h.cli.dcache.Get(dcacheKey{testDir, from}); ok {
+			t.Errorf("%s: the name is still cached", tc.name)
+		}
+	}
+}
+
 // TestPerCallStateSteadyStateAllocs: what a call draws — arena responses,
 // an open-file description with its block map and dirty set — comes from
 // what earlier calls gave back.

@@ -47,9 +47,10 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(c.Close(fd))
 		}},
 		// The name stored, the inode, the tracking set; the unlink
-		// sub-request's copy of the name, the invalidation's, and a
-		// fraction for the inode's block list and table growth.
-		{"create/write/close/unlink", 6, func() {
+		// sub-request's copy of the name, and a fraction for the inode's
+		// block list and table growth. Nobody is called back: the only
+		// client that had the name cached removed it.
+		{"create/write/close/unlink", 5, func() {
 			fd, err := c.Open(churned, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 			must(err)
 			_, err = c.Pwrite(fd, payload, 0)
@@ -57,9 +58,9 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(c.Close(fd))
 			must(c.Unlink(churned))
 		}},
-		// The new name stored and its tracking set; the old name's two
-		// transient copies.
-		{"rename", 4, func() {
+		// The new name stored and its tracking set; the old name's
+		// transient copy in the RM_MAP sub-request.
+		{"rename", 3, func() {
 			must(c.Rename(from, to))
 			from, to = to, from
 		}},
@@ -67,6 +68,33 @@ func TestBoundaryAllocs(t *testing.T) {
 	for _, g := range gates {
 		t.Run(g.name, func(t *testing.T) { g.check(t) })
 	}
+
+	// A stat whose final component misses the cache — every one, with the
+	// directory cache off — sends LOOKUP and STAT as one chain. The server's
+	// decoder copies the name, as it does for a LOOKUP sent alone; the two
+	// chained requests and the envelope stay on the client's stack.
+	tq := AllTechniques()
+	tq.DirectoryCache = false
+	csys, err := New(Config{Cores: 2, Servers: 2, Timeshare: true, Techniques: tq,
+		Placement: sched.PolicyRoundRobin, BufferCacheBytes: 8 << 20, BlockSize: 4096})
+	must(err)
+	csys.Start()
+	t.Cleanup(csys.Stop)
+	cold := csys.NewClient(0)
+	fd, err := cold.Open("/resident-0123456789abcdef", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+	must(err)
+	must(cold.Close(fd))
+	coldStat := gate{"cold stat", 1, func() {
+		_, err := cold.Stat("/resident-0123456789abcdef")
+		must(err)
+	}}
+	t.Run(coldStat.name, func(t *testing.T) {
+		coldStat.check(t)
+		// Every message but the create and its close was a chain of two.
+		if st := cold.Stats(); st.BatchedOps != 2*(st.RPCs-2) {
+			t.Errorf("%d request messages carried %d chained sub-operations", st.RPCs, st.BatchedOps)
+		}
+	})
 
 	// The same boundary with a write-ahead log and a synchronous replica
 	// behind it: what a maildir delivery allocates, on the client, on the
@@ -89,10 +117,11 @@ func TestBoundaryAllocs(t *testing.T) {
 	// tracking sets (6); the replica keeps its own copy of the two names, of
 	// the inode and of the block list (4); and every decoder that meets a
 	// name copies it, strings being immutable: the rename's and the unlink's
-	// RM_MAP sub-requests and the two invalidations (4). Nothing is left of
-	// the staged records, of the shipped frames or of the six messages and
-	// structs a ship and its ack used to be copied through.
-	delivery := gate{"durable+sync delivery", 14, func() {
+	// RM_MAP sub-requests (2). Nothing is left of the staged records, of the
+	// shipped frames or of the six messages and structs a ship and its ack
+	// used to be copied through, and nothing of the two invalidations the
+	// server used to send the client about entries it had removed itself.
+	delivery := gate{"durable+sync delivery", 12, func() {
 		fd, err := c.Open(tmp, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 		must(err)
 		_, err = c.Pwrite(fd, body, 0)

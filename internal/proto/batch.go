@@ -1,6 +1,10 @@
 package proto
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/fsapi"
+)
 
 // Generic op batching (DESIGN.md §7). A batch packs several sub-requests
 // destined for one server into a single OP_BATCH message; the server answers
@@ -12,8 +16,9 @@ import "fmt"
 //
 // A batch may be marked stop-on-error: sub-requests are then dependent, and
 // once one fails the remaining ones are skipped with ECANCELED responses.
-// This lets a client issue a chain like RM_MAP → UNLINK_INODE speculatively
-// without risking the tail running against state the head failed to produce.
+// A sub-request whose Target is PrevInode works on the inode its
+// predecessor's response carries, so a chain like RM_MAP → UNLINK_INODE or
+// LOOKUP → STAT needs no round trip to learn the inode in between.
 
 const (
 	// MaxBatchOps caps the number of sub-requests per batch message.
@@ -22,6 +27,19 @@ const (
 	// split larger sequences across several batch messages.
 	MaxBatchBytes = 64 << 10
 )
+
+// ChainTarget resolves a PrevInode target against the responses before it:
+// the inode the last of them carries, or false when there is none — no
+// predecessor, one that failed, or one that names no inode (local inode
+// numbers start at 1). The server applies it to a batch's sub-responses, the
+// client to a chain it sends one request at a time.
+func ChainTarget(prev []*Response) (InodeID, bool) {
+	if len(prev) == 0 {
+		return NilInode, false
+	}
+	last := prev[len(prev)-1]
+	return last.Ino, last.Err == fsapi.OK && last.Ino.Local != 0
+}
 
 // batchFlagStopOnErr marks a dependent batch.
 const batchFlagStopOnErr = 1 << 0

@@ -380,6 +380,11 @@ func FuzzUnmarshalBatchInto(f *testing.F) {
 		f.Add(bytes.Clone(raw)) // every truncation of one batch
 	}
 	f.Add([]byte{})
+	// Chains on the reserved target, well-formed and not (after the seeds
+	// above, whose numbers are their names).
+	root := InodeID{Server: 0, Local: 1}
+	f.Add(MarshalBatch([]*Request{{Op: OpLookup, Dir: root, Name: "f", Epoch: 3}, {Op: OpStat, Target: PrevInode}}, true))
+	f.Add(MarshalBatch([]*Request{{Op: OpUnlinkInode, Target: PrevInode}, {Op: OpRmMap, Dir: PrevInode, Name: "f", Target: PrevInode}}, false))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := bytes.Clone(data), bytes.Clone(data)
 		recycled := make([]Request, 3, MaxBatchOps)

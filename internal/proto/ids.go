@@ -20,6 +20,13 @@ type InodeID struct {
 // NilInode is the zero InodeID, used as "no inode".
 var NilInode = InodeID{Server: -1, Local: 0}
 
+// PrevInode, as the Target of a batched sub-request, names the inode the
+// previous sub-response carries: a dependent chain such as LOOKUP → STAT
+// travels as one message although only the server knows the inode the
+// first half finds (DESIGN.md §7). It is meaningful nowhere else; like
+// NilInode it is an ordinary value on the wire.
+var PrevInode = InodeID{Server: -2, Local: 0}
+
 // IsNil reports whether the id is the sentinel "no inode" value.
 func (id InodeID) IsNil() bool { return id.Server < 0 }
 

@@ -54,6 +54,36 @@ func dirOp(op proto.Op) bool {
 	}
 }
 
+// inodeOp reports whether the op works on the inode its Target names, and
+// may therefore name it as proto.PrevInode.
+func inodeOp(op proto.Op) bool {
+	switch op {
+	case proto.OpLinkInode, proto.OpUnlinkInode, proto.OpOpenInode, proto.OpCloseInode,
+		proto.OpGetBlocks, proto.OpExtend, proto.OpSetSize, proto.OpTruncate,
+		proto.OpStat, proto.OpReadAt, proto.OpWriteAt:
+		return true
+	default:
+		return false
+	}
+}
+
+// chainTarget replaces a sub-request's proto.PrevInode target with the inode
+// the previous sub-response carries. A non-OK result answers the sub-request
+// in its place: ECANCELED when there is no such inode (no predecessor, or one
+// that failed or found none), EXDEV when another server stores it — nothing
+// has run, and the client re-issues the sub-request there.
+func (s *Server) chainTarget(sub *proto.Request, prev []*proto.Response) fsapi.Errno {
+	ino, ok := proto.ChainTarget(prev)
+	switch {
+	case !ok:
+		return fsapi.ECANCELED
+	case ino.Server != int32(s.cfg.ID):
+		return fsapi.EXDEV
+	}
+	sub.Target = ino
+	return fsapi.OK
+}
+
 // dispatchBatch serves the decoded sub-requests of one batch envelope. The
 // bool result is true when the whole batch was parked (a sub-request targets
 // a shard marked by an in-flight rmdir); the batch is then re-dispatched
@@ -96,26 +126,30 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 	failed := false
 	for i := range subs {
 		sub := &subs[i]
+		errno := fsapi.OK
 		switch {
 		case !batchable(sub.Op):
-			*resps[i] = proto.Response{Err: fsapi.ENOSYS}
+			errno = fsapi.ENOSYS
 		case failed && stopOnErr:
-			*resps[i] = proto.Response{Err: fsapi.ECANCELED}
-		default:
+			errno = fsapi.ECANCELED
+		case sub.Target == proto.PrevInode && inodeOp(sub.Op):
+			errno = s.chainTarget(sub, resps[:i])
+		}
+		if errno != fsapi.OK {
+			*resps[i] = proto.Response{Err: errno}
+		} else if resp, parked := s.dispatch(sub, raw); parked || resp == nil {
 			// Unreachable given the pre-screen, but a parked or missing
 			// sub-response fails the sub-op rather than leave the client
 			// waiting on a reply that cannot be routed through the batch
 			// envelope.
-			if resp, parked := s.dispatch(sub, raw); parked || resp == nil {
-				*resps[i] = proto.Response{Err: fsapi.EIO}
-			} else {
-				// Handlers answer in the shared scratch response and extent
-				// list; a batch holds several responses at once, each in its
-				// own struct with its own extents.
-				exts := append(resps[i].Extents[:0], resp.Extents...)
-				*resps[i] = *resp
-				resps[i].Extents = exts
-			}
+			*resps[i] = proto.Response{Err: fsapi.EIO}
+		} else {
+			// Handlers answer in the shared scratch response and extent
+			// list; a batch holds several responses at once, each in its
+			// own struct with its own extents.
+			exts := append(resps[i].Extents[:0], resp.Extents...)
+			*resps[i] = *resp
+			resps[i].Extents = exts
 		}
 		if resps[i].Err != fsapi.OK {
 			failed = true

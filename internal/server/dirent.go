@@ -67,8 +67,9 @@ func (s *Server) track(dir proto.InodeID, name string, client int32) {
 }
 
 // invalidate sends directory-cache invalidation callbacks to every client
-// tracked for (dir, name) except the requester, then clears the tracking
-// set. Thanks to atomic message delivery the server does not wait for
+// tracked for (dir, name) except the requester — it made the change, and
+// drops or replaces its own cached copy — then clears the tracking set.
+// Thanks to atomic message delivery the server does not wait for
 // acknowledgements (§3.6.1). The set is insertion-ordered, so the fan-out
 // order is deterministic across runs.
 func (s *Server) invalidate(dir proto.InodeID, name string, except int32) {
@@ -86,10 +87,6 @@ func (s *Server) invalidate(dir proto.InodeID, name string, except int32) {
 		if ep, ok := s.cfg.Registry.Lookup(client); ok {
 			s.sendInvalidation(ep, &iv)
 		}
-	}
-	// The requester keeps (or re-establishes) its own cached copy.
-	if except >= 0 {
-		s.track(dir, name, except)
 	}
 }
 
@@ -187,9 +184,8 @@ func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Resp
 	s.stageAddMap(req.Dir, req.Name, ent)
 	if exists {
 		s.invalidate(req.Dir, req.Name, req.ClientID)
-	} else {
-		s.track(req.Dir, req.Name, req.ClientID)
 	}
+	s.track(req.Dir, req.Name, req.ClientID)
 	resp := s.resp(proto.Response{})
 	if exists {
 		resp.Ino = old.target
@@ -227,19 +223,10 @@ func (s *Server) handleRmMap(req *proto.Request, env msg.Envelope) (*proto.Respo
 	if req.Ftype == fsapi.TypeDir && ent.ftype != fsapi.TypeDir {
 		return s.errResp(fsapi.ENOTDIR), false
 	}
-	// Compare-and-remove guard: a client that batches RM_MAP with dependent
-	// sub-operations (pipelined unlink) passes the inode it expects the
-	// entry to hold. A mismatch means the client's cache was stale; failing
-	// here cancels the dependent sub-ops instead of letting them hit the
-	// wrong inode. Local inode numbers start at 1, so Local==0 means the
-	// guard is unset.
-	if req.Target.Local != 0 && ent.target != req.Target {
-		return s.errResp(fsapi.ESTALE), false
-	}
 	sh.ents.Delete(req.Name)
 	s.entCount.Add(-1)
 	s.stageRmMap(req.Dir, req.Name)
-	s.invalidate(req.Dir, req.Name, -1)
+	s.invalidate(req.Dir, req.Name, req.ClientID)
 	return s.resp(proto.Response{
 		Ino:    ent.target,
 		Server: ent.target.Server,

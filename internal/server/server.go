@@ -615,6 +615,11 @@ func (s *Server) replyAt(env msg.Envelope, resp *proto.Response, at sim.Cycles) 
 // dispatch routes the request to the appropriate handler. The bool result is
 // true if the request was parked (no reply should be sent yet).
 func (s *Server) dispatch(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
+	// Only a batch gives the chain target a meaning, and only to the ops
+	// dispatchBatch has resolved it for by now; no handler ever sees it.
+	if req.Target == proto.PrevInode {
+		return s.errResp(fsapi.EINVAL), false
+	}
 	// Placement-routed requests pass the epoch gate first: a stale (or
 	// ahead-of-us) epoch is answered with EEPOCH, and entry mutations on a
 	// frozen server park until the migration commits (DESIGN.md §9).

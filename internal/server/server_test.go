@@ -301,21 +301,27 @@ func TestServerInvalidationCallbacks(t *testing.T) {
 	h.callOK(&proto.Request{Op: proto.OpAddMap, Dir: proto.RootInode, Name: "watched", Target: proto.InodeID{Server: 0, Local: 50}, Ftype: fsapi.TypeRegular})
 	h.callOK(&proto.Request{Op: proto.OpLookup, Dir: proto.RootInode, Name: "watched"})
 
-	// The removal is issued by client 8.
-	req := &proto.Request{Op: proto.OpRmMap, Dir: proto.RootInode, Name: "watched", ClientID: 8}
-	if _, err := h.net.RPC(other, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0); err != nil {
-		t.Fatal(err)
+	// The removal is issued by client 8, which has the entry cached too.
+	for _, op := range []proto.Op{proto.OpLookup, proto.OpRmMap} {
+		req := &proto.Request{Op: op, Dir: proto.RootInode, Name: "watched", ClientID: 8}
+		if _, err := h.net.RPC(other, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	env, ok := h.ep.Callbacks.TryPop()
 	if !ok {
 		t.Fatal("no invalidation callback delivered to the caching client")
 	}
+	// The requester dropped the entry itself: it is not told what it did.
+	if _, ok := other.Callbacks.TryPop(); ok {
+		t.Fatal("the server called the requester back about its own removal")
+	}
 	iv, err := proto.UnmarshalInvalidation(env.Payload)
 	if err != nil || iv.Name != "watched" {
 		t.Fatalf("bad invalidation: %v %v", iv, err)
 	}
-	if h.srv.Stats().Invalidations == 0 {
-		t.Fatal("server did not count the invalidation")
+	if n := h.srv.Stats().Invalidations; n != 1 {
+		t.Fatalf("server counted %d invalidations, want 1", n)
 	}
 }
 
@@ -585,30 +591,5 @@ func TestServerBatchParksOnMarkedShardAndResumes(t *testing.T) {
 	}
 	if resps[1].Err != fsapi.OK || resps[1].Stat.Ino != dir.Ino {
 		t.Fatalf("stat after unpark: %v, inode %v", resps[1].Err, resps[1].Stat.Ino)
-	}
-}
-
-func TestRmMapCompareAndRemoveGuard(t *testing.T) {
-	h := newHarness(t)
-	created := h.callOK(&proto.Request{
-		Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Name: "g", Mode: fsapi.Mode644,
-		Ftype: fsapi.TypeRegular,
-	})
-	wrong := proto.InodeID{Server: 0, Local: created.Ino.Local + 100}
-	// Guard mismatch fails with ESTALE and cancels the dependent unlink.
-	resps := h.callBatch(true,
-		&proto.Request{Op: proto.OpRmMap, Dir: proto.RootInode, Name: "g", Target: wrong, Ftype: fsapi.TypeRegular},
-		&proto.Request{Op: proto.OpUnlinkInode, Target: created.Ino},
-	)
-	if resps[0].Err != fsapi.ESTALE || resps[1].Err != fsapi.ECANCELED {
-		t.Fatalf("guard mismatch: %v / %v, want ESTALE / ECANCELED", resps[0].Err, resps[1].Err)
-	}
-	if look := h.callOK(&proto.Request{Op: proto.OpLookup, Dir: proto.RootInode, Name: "g"}); look.Ino != created.Ino {
-		t.Fatal("guarded RM_MAP must leave the entry in place")
-	}
-	// Matching guard removes the entry.
-	ok := h.callOK(&proto.Request{Op: proto.OpRmMap, Dir: proto.RootInode, Name: "g", Target: created.Ino, Ftype: fsapi.TypeRegular})
-	if ok.Ino != created.Ino {
-		t.Fatal("guarded RM_MAP returned wrong inode")
 	}
 }
