@@ -96,7 +96,7 @@ func main() {
 			}
 		}
 		fs.Close(r)
-		return gunzip.Wait()
+		return p.Wait(gunzip)
 	})
 	if root.Wait() != 0 {
 		log.Fatal("extraction failed")

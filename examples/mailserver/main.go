@@ -64,13 +64,7 @@ func main() {
 			}
 			handles = append(handles, h)
 		}
-		status := 0
-		for _, h := range handles {
-			if s := h.Wait(); s != 0 {
-				status = s
-			}
-		}
-		return status
+		return p.Wait(handles...)
 	})
 	if root.Wait() != 0 {
 		log.Fatal("delivery failed")

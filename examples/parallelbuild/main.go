@@ -89,10 +89,8 @@ func main() {
 			}
 			handles = append(handles, h)
 		}
-		for _, h := range handles {
-			if h.Wait() != 0 {
-				return 1
-			}
+		if p.Wait(handles...) != 0 {
+			return 1
 		}
 
 		// Link.

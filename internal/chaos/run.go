@@ -247,64 +247,51 @@ func runRound(sys *core.System, plan *Plan, model *shadow.Model, p *sched.Proc, 
 		handles = append(handles, h)
 	}
 
-	// Under the parallel engine the root's lane must park while the workers
-	// run and the round's events fire: the root sends nothing until the
-	// verify pass, and a frontier pinned at the round's start would block
-	// every later arrival (workers' traffic, control-plane RPCs advancing
-	// server clocks past it) from being served — the same protocol as
-	// workload fan-out. The lane resumes at the round boundary, after the
-	// clock pull, so the verify pass joins at its own first send time.
-	gp, isParker := p.FS.(sched.GateParker)
-	parked := isParker && gp.GateActive()
-	if parked {
-		gp.GatePark()
-	}
-
-	// Membership changes against live traffic: shard freezing, EEPOCH
-	// refresh-retry, and serve-while-frozen parking are on the hot path.
-	for _, ev := range plan.Events {
-		if ev.Round == round && ev.Mid {
-			if err := fireEvent(sys, model, ev, rep); err != nil {
-				return fmt.Errorf("round %d mid event %s: %w", round, ev.Kind, err)
+	// The root sends nothing until the verify pass: it is blocked on the
+	// round's mid-traffic events, on its workers and on the boundary faults,
+	// all of which the host drives, and comes back at the round boundary —
+	// the latest worker exit — so rounds and events stay ordered in virtual
+	// time and the verify pass joins at its own first send time.
+	lossy := false
+	var err error
+	p.Blocked(func() (latest sim.Cycles) {
+		// Membership changes against live traffic: shard freezing, EEPOCH
+		// refresh-retry, and serve-while-frozen parking are on the hot path.
+		for _, ev := range plan.Events {
+			if ev.Round == round && ev.Mid {
+				if err = fireEvent(sys, model, ev, rep); err != nil {
+					err = fmt.Errorf("round %d mid event %s: %w", round, ev.Kind, err)
+					return latest
+				}
 			}
 		}
-	}
-
-	var latest sim.Cycles
-	for _, h := range handles {
-		h.Wait()
-		if h.EndTime() > latest {
-			latest = h.EndTime()
+		for _, h := range handles {
+			h.Wait()
+			latest = max(latest, h.EndTime())
 		}
-	}
-	for i := range errs {
-		if errs[i] != nil {
-			return errs[i]
+		for i := range errs {
+			if err = errs[i]; err != nil {
+				return latest
+			}
+			rep.Ops += done[i]
 		}
-		rep.Ops += done[i]
-	}
-	// Pull the root's clock to the round boundary so rounds and events stay
-	// ordered in virtual time (Wait alone does not advance it).
-	if c, ok := p.FS.(sched.Clocked); ok {
-		c.AdvanceClock(latest)
-	}
-
-	// Quiescent-boundary faults.
-	lossy := false
-	for _, ev := range plan.Events {
-		if ev.Round != round || ev.Mid {
-			continue
+		// Quiescent-boundary faults.
+		for _, ev := range plan.Events {
+			if ev.Round != round || ev.Mid {
+				continue
+			}
+			if ev.Kind == EvCrashLoseMem || (ev.Kind == EvFailover && ev.Lose) {
+				lossy = true
+			}
+			if err = fireEvent(sys, model, ev, rep); err != nil {
+				err = fmt.Errorf("round %d event %s srv %d: %w", round, ev.Kind, ev.Server, err)
+				return latest
+			}
 		}
-		if ev.Kind == EvCrashLoseMem || (ev.Kind == EvFailover && ev.Lose) {
-			lossy = true
-		}
-		if err := fireEvent(sys, model, ev, rep); err != nil {
-			return fmt.Errorf("round %d event %s srv %d: %w", round, ev.Kind, ev.Server, err)
-		}
-	}
-
-	if parked {
-		gp.GateResume()
+		return latest
+	})
+	if err != nil {
+		return err
 	}
 
 	// The oracle: full namespace + content diff against the shadow model.
@@ -712,7 +699,7 @@ func pipeForkExchange(p *sched.Proc, op Op) error {
 	if err := fs.Close(rd); err != nil {
 		return fmt.Errorf("close read end: %w", err)
 	}
-	if status := child.Wait(); status != 0 {
+	if status := p.Wait(child); status != 0 {
 		return fmt.Errorf("pipe child exited %d", status)
 	}
 	if !bytes.Equal(got, data) {

@@ -90,7 +90,7 @@ type Config struct {
 	// out-of-band Checkpoint/Failover/AddServer would deadlock). The
 	// next op's first send re-joins the lane, and a straggler reply
 	// resumes it. Scheduler-managed clients leave this false: the
-	// harness parks and resumes their lanes at round boundaries.
+	// process layer owns their lanes (sched: start, exit, Proc.Wait).
 	AutoPark bool
 }
 
@@ -252,9 +252,9 @@ func (c *Client) GateActive() bool { return c.cfg.Network.Gate() != nil }
 // Config.AutoPark).
 func (c *Client) SetAutoPark(on bool) { c.cfg.AutoPark = on }
 
-// GatePark marks this client's lane quiescent while it waits on something
-// whose timing other lanes control (a root process waiting on its children).
-// No-op in serialized mode.
+// GatePark marks this client's lane quiescent while its process is blocked
+// in real time (sched.Proc.Wait and Blocked call it, through
+// sched.GateParker). No-op in serialized mode.
 func (c *Client) GatePark() { c.cfg.Network.GateIdle(c.ep.ID) }
 
 // GateResume re-joins this client's lane at its current clock after a

@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -325,6 +326,7 @@ func New(cfg Config) (*System, error) {
 		sys.serverEPs = append(sys.serverEPs, srv.EndpointID())
 	}
 	sys.ctl = network.NewEndpoint(0)
+	sys.ctl.Transient = true // every send is ctlRPC's, at the target's own clock
 	sys.publishRouting(bootMap)
 	if cfg.Replication.Enabled() {
 		sys.mon = repl.NewMonitor(network, network.NewEndpoint(0), cfg.Replication)
@@ -383,12 +385,12 @@ func (s *System) Stop() {
 //
 // The full control plane participates in the lane protocol: replication
 // shipping and acks, heartbeats, crash/recovery, failover promotion, and
-// elastic shard migration all hold and release lane frontiers (their lanes
-// pin the gate only for the duration of each blocking exchange and park in
-// between), so parallel runs produce namespaces byte-identical to serialized
-// runs with any of those events on the schedule. Serialized mode, the
-// default, never installs a gate and stays bit-identical to deployments that
-// never call this.
+// elastic shard migration all send from transient endpoints (their lanes
+// are in the gate only while an exchange of their own is outstanding,
+// msg.Endpoint.Transient), so parallel runs produce namespaces
+// byte-identical to serialized runs with any of those events on the
+// schedule. Serialized mode, the default, never installs a gate and stays
+// bit-identical to deployments that never call this.
 //
 // Toggling requires a quiescent deployment: no client processes running and
 // no migration (or crash-interrupted adoption) pending. Otherwise running
@@ -462,7 +464,7 @@ func (s *System) NewClient(core int) *client.Client {
 }
 
 // newProcClient creates a scheduler-managed client: the process scheduler
-// owns its lane lifecycle (park on exit, handoff on exec, fan-out on fork).
+// owns its lane from start to exit and around every blocked wait (sched).
 func (s *System) newProcClient(core int) *client.Client {
 	if core < 0 || core >= s.cfg.Cores {
 		core = 0
@@ -696,19 +698,44 @@ func (s *System) Checkpoint(id int) error {
 	if srv.Crashed() {
 		return fmt.Errorf("core: server %d is crashed; recover it before checkpointing", id)
 	}
-	req := &proto.Request{Op: proto.OpCheckpoint}
-	env, err := s.network.RPC(s.ctl, s.serverEPs[id], proto.KindRequest, req.Marshal(), srv.Clock())
-	// Park the control lane after the RPC (see shardRPC).
-	s.network.GateIdle(s.ctl.ID)
-	if err != nil {
+	var resp proto.Response
+	err := s.ctlRPC(id, s.serverEPs[id], &proto.Request{Op: proto.OpCheckpoint}, &resp)
+	var bad replyError
+	switch {
+	case err == nil:
+		return nil
+	case resp.Err != 0:
+		return fmt.Errorf("core: checkpoint on server %d: %v", id, resp.Err)
+	case errors.As(err, &bad):
+		return fmt.Errorf("core: checkpoint reply from server %d: %w", id, bad.error)
+	default:
 		return fmt.Errorf("core: checkpoint rpc to server %d: %w", id, err)
 	}
-	resp, err := proto.UnmarshalResponse(env.Payload)
+}
+
+// replyError is ctlRPC's error for a reply that came and did not decode.
+type replyError struct{ error }
+
+// ctlRPC is the control plane's one exchange: req goes from the ctl endpoint
+// to dst, an endpoint of server id, stamped with that server's clock — at or
+// past everything the server has served, which is what lets ctl be a
+// transient lane (DESIGN.md §13) — and the reply is decoded into resp. A
+// crashed target is an error, not a wait on a closed request loop; a reply's
+// errno is returned as the error, with resp filled in.
+func (s *System) ctlRPC(id int, dst msg.EndpointID, req *proto.Request, resp *proto.Response) error {
+	srv := s.servers[id]
+	if srv.Crashed() {
+		return fmt.Errorf("server %d is crashed", id)
+	}
+	env, err := s.network.RPC(s.ctl, dst, proto.KindRequest, req.Marshal(), srv.Clock())
 	if err != nil {
-		return fmt.Errorf("core: checkpoint reply from server %d: %w", id, err)
+		return err
+	}
+	if err := proto.UnmarshalResponseInto(resp, env.Payload); err != nil {
+		return replyError{err}
 	}
 	if resp.Err != 0 {
-		return fmt.Errorf("core: checkpoint on server %d: %v", id, resp.Err)
+		return resp.Err
 	}
 	return nil
 }

@@ -301,26 +301,6 @@ func (s *System) shardRPC(id int, req *proto.Request) (*proto.Response, error) {
 	if id < 0 || id >= len(s.servers) {
 		return nil, fmt.Errorf("no server %d (have %d)", id, len(s.servers))
 	}
-	srv := s.servers[id]
-	if srv.Crashed() {
-		return nil, fmt.Errorf("server %d is crashed", id)
-	}
-	env, err := s.network.RPC(s.ctl, s.serverEPs[id], proto.KindRequest, req.Marshal(), srv.Clock())
-	// Park the control lane between RPCs: the Await pin held the frontier at
-	// the request's arrival while the server served it (so no lane could pass
-	// a migration step), but a control plane that is not mid-RPC must not
-	// constrain the gate — its next send re-joins at the target's clock,
-	// which is never behind anything that server already served.
-	s.network.GateIdle(s.ctl.ID)
-	if err != nil {
-		return nil, err
-	}
-	resp, derr := proto.UnmarshalResponse(env.Payload)
-	if derr != nil {
-		return nil, derr
-	}
-	if resp.Err != 0 {
-		return resp, resp.Err
-	}
-	return resp, nil
+	resp := new(proto.Response)
+	return resp, s.ctlRPC(id, s.serverEPs[id], req, resp)
 }

@@ -298,26 +298,13 @@ func (s *System) noteAdoptPending(newMap *place.Map) {
 // (follower down, replica missing or never resynced, or a decode failure)
 // and the caller must fall back to log replay.
 func (s *System) sealFollower(id, fid int) (*wal.Checkpoint, int, uint64) {
-	follower := s.servers[fid]
-	if follower.Crashed() {
-		return nil, 0, 0
-	}
-	fep, ok := follower.ReplEndpointID()
+	fep, ok := s.servers[fid].ReplEndpointID()
 	if !ok {
 		return nil, 0, 0
 	}
 	m := repl.Msg{Primary: int32(id)}
-	req := &proto.Request{Op: proto.OpReplSeal, Data: m.AppendTo(nil)}
-	env, err := s.network.RPC(s.ctl, fep, proto.KindRequest, req.Marshal(), follower.Clock())
-	// Park the control lane after the seal RPC (see shardRPC): holding its
-	// pin past this point would wedge the gate for the rest of the
-	// promotion, which proceeds by direct installation, not messages.
-	s.network.GateIdle(s.ctl.ID)
-	if err != nil {
-		return nil, 0, 0
-	}
-	resp, err := proto.UnmarshalResponse(env.Payload)
-	if err != nil {
+	var resp proto.Response
+	if s.ctlRPC(fid, fep, &proto.Request{Op: proto.OpReplSeal, Data: m.AppendTo(nil)}, &resp) != nil {
 		return nil, 0, 0
 	}
 	var sr repl.SealReply

@@ -220,3 +220,102 @@ func TestGatedLookaheadSound(t *testing.T) {
 	}
 	runGatedMesh(t, plan, 8, 24, 300)
 }
+
+// far is an arrival no active lane in these tests lets a gate call safe: with
+// it safe, every lane is idle.
+const far = sim.Cycles(1) << 40
+
+// TestGateHoldIdlesUntilReply: a receiver that keeps a request takes its
+// sender's lane out of the gate — also when the lane is out already, as on a
+// request parked again on re-dispatch — and the reply brings it back at its
+// arrival, not before and not later.
+func TestGateHoldIdlesUntilReply(t *testing.T) {
+	n, m := testNetwork(2)
+	g := sim.NewGate()
+	n.SetGate(g)
+	cli, srv := n.NewEndpoint(0), n.NewEndpoint(1)
+	got := make(chan Envelope, 1)
+	go func() {
+		env, err := n.RPC(cli, srv.ID, 1, nil, 1000)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- env
+	}()
+	req, _ := srv.Inbox.PopWait()
+	if g.SafeAt(far) {
+		t.Fatal("a lane blocked on a request nobody holds must constrain the gate")
+	}
+	n.Hold(req)
+	if !g.SafeAt(far) {
+		t.Fatal("the held request's sender still constrains the gate")
+	}
+	n.Hold(req)
+	if !g.SafeAt(far) {
+		t.Fatal("a second hold brought the lane back")
+	}
+	arrive := n.Reply(srv, req, 1, nil, 50_000)
+	if env := <-got; env.ArriveAt != arrive {
+		t.Fatalf("reply arrived at %d, Reply said %d", env.ArriveAt, arrive)
+	}
+	last := arrive + m.Cost.MinMsgLatency() - 1 // the horizon of a floor at arrive
+	if !g.SafeAt(last) || g.SafeAt(last+1) {
+		t.Fatalf("after the reply the sender's lane is not at its arrival %d (safe at %d: %v, at %d: %v)",
+			arrive, last, g.SafeAt(last), last+1, g.SafeAt(last+1))
+	}
+}
+
+// TestGateTransientEndpointIdlesOnTheWayOut: a transient endpoint's lane is
+// in the gate only while a call of its own is outstanding — gone after a
+// Send, after an RPC, after an RPC whose reply queue closed, and not brought
+// back by the answer to a Send it does not wait for — while an ordinary
+// endpoint stays where its last call left it.
+func TestGateTransientEndpointIdlesOnTheWayOut(t *testing.T) {
+	n, _ := testNetwork(2)
+	g := sim.NewGate()
+	n.SetGate(g)
+	srv := n.NewEndpoint(1)
+	go func() {
+		for {
+			env, ok := srv.Inbox.PopWait()
+			if !ok {
+				return
+			}
+			if env.Kind == 2 {
+				env.Reply.Close() // the responder dies
+				continue
+			}
+			n.Reply(srv, env, env.Kind, nil, env.ArriveAt+100)
+		}
+	}()
+	defer srv.Inbox.Close()
+
+	for _, transient := range []bool{true, false} {
+		ep := n.NewEndpoint(0)
+		ep.Transient = transient
+		check := func(after string) {
+			t.Helper()
+			if idle := g.SafeAt(far); idle != transient {
+				t.Fatalf("transient=%v: lane idle=%v after %s", transient, idle, after)
+			}
+		}
+		pongs := NewQueue()
+		if _, err := n.Send(ep, srv.ID, 1, nil, 1000, pongs); err != nil {
+			t.Fatal(err)
+		}
+		check("Send")
+		if _, ok := pongs.PopWait(); !ok {
+			t.Fatal("no answer to the Send")
+		}
+		check("the answer to a Send")
+		if _, err := n.RPC(ep, srv.ID, 1, nil, 2000); err != nil {
+			t.Fatal(err)
+		}
+		check("RPC")
+		if _, err := n.RPC(ep, srv.ID, 2, nil, 3000); err == nil {
+			t.Fatal("an RPC whose reply queue closed reported success")
+		}
+		check("an RPC whose reply queue closed")
+		n.GateIdle(ep.ID) // leave the gate empty for the next round
+	}
+}

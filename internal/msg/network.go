@@ -54,6 +54,15 @@ type Endpoint struct {
 	// it before the endpoint's id reaches a sender; zero promises nothing.
 	Turnaround sim.Cycles
 
+	// Transient marks an out-of-band endpoint — a control plane, a failure
+	// detector, a server's own sending side — whose lane constrains the gate
+	// only while a call of its own is outstanding: Send and RPC idle it on the
+	// way out, and a reply to a request it is not blocked on never brings it
+	// back. Sound because every destination of such an endpoint pops ungated
+	// or is sent to at its own clock, which is at or past everything it has
+	// served (DESIGN.md §13). The owner sets it before the endpoint first sends.
+	Transient bool
+
 	// lane is the gate this endpoint's lane joined by a send of its own and
 	// has not been idled on since (GateIdle): it need not join again.
 	lane atomic.Pointer[sim.Gate]
@@ -158,11 +167,20 @@ func (n *Network) SetGate(g *sim.Gate) {
 // Gate returns the installed gate, or nil in serialized mode.
 func (n *Network) Gate() *sim.Gate { return n.gate.Load() }
 
+// Hold is called by a receiver that keeps a request to answer it later (a
+// parked pipe read, a lock waiter, an exec whose reply is the exit status):
+// the sender's lane stops constraining the gate, and the reply brings it back
+// at its arrival. Sound because the hold follows the pop — the sender is
+// blocked on this very request — and whoever replies is active at or below
+// the reply's send time until Reply has resumed the lane. No-op in
+// serialized mode.
+func (n *Network) Hold(env Envelope) { n.GateIdle(env.Src) }
+
 // GateIdle marks the endpoint's lane quiescent (it no longer constrains the
-// parallel engine's safe time). No-op in serialized mode. Callers mark a
-// lane idle when its next send time is controlled by another lane: a proxy
-// blocked on a remote exec, a root process waiting on children, an exited
-// process.
+// parallel engine's safe time). No-op in serialized mode. It is for the
+// owners of a lane's life — the process layer at exit and around a blocked
+// wait, a bare client between operations; a receiver uses Hold, an
+// out-of-band endpoint declares itself Transient.
 func (n *Network) GateIdle(id EndpointID) {
 	if g := n.gate.Load(); g != nil {
 		g.Idle(int(id))
@@ -212,6 +230,9 @@ func (n *Network) route(srcCore, dstCore int, sentAt sim.Cycles, payload int) si
 // must not reuse or release it.
 func (n *Network) Send(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles, reply *Queue) (sim.Cycles, error) {
 	arrive, _, err := n.send(src, dst, kind, payload, sentAt, reply, false)
+	if src.Transient {
+		n.GateIdle(src.ID)
+	}
 	return arrive, err
 }
 
@@ -341,8 +362,10 @@ func (n *Network) Reply(from *Endpoint, req Envelope, kind uint16, payload []byt
 	}
 	// The requester's core is needed for latency; look it up.
 	dstCore := from.Core
+	resume := !req.noResume
 	if sep := n.lookup(req.Src); sep != nil {
 		dstCore = sep.Core
+		resume = resume && !sep.Transient
 	}
 	arrive := n.route(from.Core, dstCore, sentAt, len(payload))
 	if fs := n.faults.Load(); fs != nil {
@@ -358,7 +381,7 @@ func (n *Network) Reply(from *Endpoint, req Envelope, kind uint16, payload []byt
 		ArriveAt: arrive,
 	}
 	if g := n.gate.Load(); g != nil {
-		req.Reply.pushReply(env, g, !req.noResume)
+		req.Reply.pushReply(env, g, resume)
 	} else {
 		req.Reply.Push(env)
 	}

@@ -18,6 +18,9 @@ func (n *Network) RPC(src *Endpoint, dst EndpointID, kind uint16, payload []byte
 		return Envelope{}, err
 	}
 	env, err := fut.wait(true)
+	if src.Transient {
+		n.GateIdle(src.ID)
+	}
 	if err != nil {
 		return Envelope{}, fmt.Errorf("msg: rpc to endpoint %d: reply queue closed", dst)
 	}

@@ -45,6 +45,9 @@ type peer struct {
 // NewMonitor builds a failure detector that pings from the given endpoint.
 func NewMonitor(network *msg.Network, ep *msg.Endpoint, cfg Config) *Monitor {
 	cfg = cfg.Normalized()
+	// Pings go to ungated replication inboxes and pongs are drained without
+	// blocking: the detector's lane holds no ordering obligation.
+	ep.Transient = true
 	return &Monitor{
 		network:  network,
 		ep:       ep,
@@ -76,13 +79,6 @@ func (m *Monitor) Tick(now sim.Cycles) int {
 			p.pinged = true
 			sent++
 		}
-	}
-	if sent > 0 {
-		// Park the detector's lane between beats: pings go to ungated
-		// replication inboxes and pongs come back on a reply queue, so the
-		// lane holds no ordering obligation — left pinned at the last ping's
-		// send time it would wedge the parallel engine's gate.
-		m.network.GateIdle(m.ep.ID)
 	}
 	m.drain()
 	return sent

@@ -100,27 +100,43 @@ func (sys *HareSystem) MaxEndTime() sim.Cycles { return sys.ends.maxEnd() }
 // StartRoot launches an initial process on the given core. The process's
 // virtual clock starts at the latest completion time observed so far, so a
 // sequence of root processes (setup phase, then the timed run) composes
-// sensibly in virtual time.
+// sensibly in virtual time. Roots are started while the system is quiescent
+// or from a lane at or below that time.
 func (sys *HareSystem) StartRoot(core int, args []string, fn ProcFunc) *Handle {
 	cli := sys.cfg.NewClient(core)
-	cli.AdvanceClock(sys.ends.maxEnd())
-	// Join the root's lane before it runs: under the parallel engine a lane
-	// must be tracked before any other lane's frontier can pass its start
-	// time (the caller starts roots while the system is quiescent).
-	sys.cfg.Network.GateJoin(cli.EndpointID(), cli.Clock())
 	proc := &Proc{PID: sys.pids.alloc(), Args: args, FS: cli, core: core, sys: sys}
 	handle := newHandle(proc.PID)
+	sys.run(proc, cli, sys.ends.maxEnd(), fn, handle.finish)
+	return handle
+}
+
+// run starts a process and is where its lane lives and dies (DESIGN.md §13).
+// The lane joins the gate at the process's start, at least `at`, from the
+// caller's context: the caller's own active frontier — the forking parent's,
+// the exec proxy's — is at or below that time and holds the floor under the
+// join. At exit the process closes its descriptors, records its end, reports
+// it (exited finishes a handle or answers the proxy) and only then leaves
+// the gate, so its frontier holds the floor until whoever resumes at its end
+// is back.
+func (sys *HareSystem) run(proc *Proc, cli *client.Client, at sim.Cycles, fn ProcFunc, exited func(status int, end sim.Cycles)) {
+	cli.AdvanceClock(at)
+	sys.cfg.Network.GateJoin(cli.EndpointID(), cli.Clock())
 	sys.trackProc(proc)
 	go func() {
 		status := fn(proc)
-		cli.CloseAll()
-		end := cli.Clock()
-		sys.ends.record(end)
 		sys.untrackProc(proc)
-		sys.cfg.Network.GateIdle(cli.EndpointID())
-		handle.finish(status, end)
+		sys.exit(cli, status, exited)
 	}()
-	return handle
+}
+
+// exit is the end of a process or of an exec proxy: close, record, report,
+// leave — in that order (see run).
+func (sys *HareSystem) exit(cli *client.Client, status int, exited func(status int, end sim.Cycles)) {
+	cli.CloseAll()
+	end := cli.Clock()
+	sys.ends.record(end)
+	exited(status, end)
+	sys.cfg.Network.GateIdle(cli.EndpointID())
 }
 
 // Spawn implements fork (remote=false) and fork+exec with remote placement
@@ -137,23 +153,10 @@ func (sys *HareSystem) Spawn(parent *Proc, args []string, fn ProcFunc, remote bo
 	childCli := forked.(*client.Client)
 	pid := sys.pids.alloc()
 	handle := newHandle(pid)
-	// Join the child's lane from the parent's context: the parent's own
-	// active frontier (<= the fork time) holds the safe-time floor, so the
-	// join can never land behind the system.
-	sys.cfg.Network.GateJoin(childCli.EndpointID(), childCli.Clock())
 
 	if !remote {
 		proc := &Proc{PID: pid, Args: args, FS: childCli, core: parent.core, sys: sys}
-		sys.trackProc(proc)
-		go func() {
-			status := fn(proc)
-			childCli.CloseAll()
-			end := childCli.Clock()
-			sys.ends.record(end)
-			sys.untrackProc(proc)
-			sys.cfg.Network.GateIdle(childCli.EndpointID())
-			handle.finish(status, end)
-		}()
+		sys.run(proc, childCli, childCli.Clock(), fn, handle.finish)
 		return handle, nil
 	}
 
@@ -169,35 +172,26 @@ func (sys *HareSystem) Spawn(parent *Proc, args []string, fn ProcFunc, remote bo
 
 	// The forked child immediately execs: it exports its descriptor table,
 	// sends the exec RPC, and turns into a proxy blocked on the reply,
-	// which arrives when the remote process exits.
+	// which arrives when the remote process exits. Its lane joins here, under
+	// the parent's frontier, like any child's.
+	sys.cfg.Network.GateJoin(childCli.EndpointID(), childCli.Clock())
 	go func() {
-		specs, err := childCli.ExportFds()
-		if err != nil {
-			childCli.CloseAll()
-			sys.ends.record(childCli.Clock())
-			sys.cfg.Network.GateIdle(childCli.EndpointID())
-			handle.finish(127, childCli.Clock())
-			return
-		}
-		exit, err := childCli.ExecOn(srv.ep.ID, &proto.Request{
-			Op:      proto.OpExec,
-			Program: progID,
-			Args:    args,
-			Dirname: childCli.Getcwd(),
-			Fds:     specs,
-			PID:     pid,
-		})
 		status := 127
-		if err == nil {
-			status = int(exit)
+		if specs, err := childCli.ExportFds(); err == nil {
+			code, err := childCli.ExecOn(srv.ep.ID, &proto.Request{
+				Op:      proto.OpExec,
+				Program: progID,
+				Args:    args,
+				Dirname: childCli.Getcwd(),
+				Fds:     specs,
+				PID:     pid,
+			})
+			if err == nil {
+				status = int(code)
+			}
 		}
-		// The proxy exits: close its descriptors and report the remote
-		// process's status to the parent.
-		childCli.CloseAll()
-		end := childCli.Clock()
-		sys.ends.record(end)
-		sys.cfg.Network.GateIdle(childCli.EndpointID())
-		handle.finish(status, end)
+		// The proxy exits, reporting the remote process's status to the parent.
+		sys.exit(childCli, status, handle.finish)
 	}()
 	return handle, nil
 }
@@ -304,7 +298,10 @@ func (s *schedServer) handle(env msg.Envelope) {
 
 // handleExec spawns the requested program locally (the scheduling server
 // forks itself and execs the target image, §3.5). The reply to the proxy is
-// sent when the process exits.
+// sent when the process exits. Until then the process holds the proxy's
+// request, as its first step: after its own lane has joined (run) under the
+// proxy's frontier — at most the exec's send time, hence at most at — and
+// before the reply that ends the hold.
 func (s *schedServer) handleExec(req *proto.Request, env msg.Envelope, at sim.Cycles) {
 	fn, ok := s.sys.claimProgram(req.Program)
 	if !ok {
@@ -312,36 +309,15 @@ func (s *schedServer) handleExec(req *proto.Request, env msg.Envelope, at sim.Cy
 		return
 	}
 	cli := s.sys.cfg.NewClient(s.core)
-	net := s.sys.cfg.Network
-	if net.Gate() != nil {
-		// Parallel engine: the proxy's frontier (<= its exec send time <= at)
-		// still holds the safe-time floor, so join the child's lane at `at`
-		// first, then park the proxy until the exit reply resumes it. The
-		// clock moves before ImportFds so the child never sends behind its
-		// own lane; serialized mode keeps the legacy order (import at the
-		// fork-time clock) bit-identical.
-		cli.AdvanceClock(at)
-		net.GateJoin(cli.EndpointID(), at)
-		net.GateIdle(env.Src)
-	}
 	cli.ImportFds(req.Fds)
 	cli.SetCwd(req.Dirname)
-	cli.AdvanceClock(at)
-
 	proc := &Proc{PID: req.PID, Args: req.Args, FS: cli, core: s.core, sys: s.sys}
-	s.sys.trackProc(proc)
-	go func() {
-		status := fn(proc)
-		cli.CloseAll()
-		end := cli.Clock()
-		s.sys.ends.record(end)
-		s.sys.untrackProc(proc)
-		// Reply before idling the child's lane: the reply's Resume hands the
-		// safe-time floor to the proxy, and the child's own frontier (<= end)
-		// must hold it until then.
+	s.sys.run(proc, cli, at, func(p *Proc) int {
+		s.sys.cfg.Network.Hold(env)
+		return fn(p)
+	}, func(status int, end sim.Cycles) {
 		s.reply(env, &proto.Response{ExitStatus: int32(status), PID: proc.PID}, end)
-		net.GateIdle(cli.EndpointID())
-	}()
+	})
 }
 
 func (s *schedServer) reply(env msg.Envelope, resp *proto.Response, at sim.Cycles) {

@@ -27,13 +27,12 @@ type Clocked interface {
 	Compute(d sim.Cycles)
 }
 
-// GateParker is the part of a client that participates in the parallel
-// virtual-time engine (DESIGN.md §13). A process that blocks on something
-// outside the message layer — waiting on child processes — must park its
-// lane so the rest of the system can advance, and resume it (after advancing
-// its clock past everything that completed meanwhile) before issuing more
-// operations. The Hare client library implements it; the baselines, which
-// never run under the gate, do not.
+// GateParker is the part of a client that lets its owner take its lane out
+// of the parallel virtual-time engine and bring it back at the client's clock
+// (DESIGN.md §13). The Hare client library implements it; the baselines,
+// which never run under the gate, do not. Proc.Wait and Proc.Blocked are its
+// users in this tree; the repository benchmark's own fan-out (benchmark/)
+// binds it directly.
 type GateParker interface {
 	GateActive() bool
 	GatePark()
@@ -90,12 +89,70 @@ func (p *Proc) Spawn(args []string, fn ProcFunc, remote bool) (*Handle, error) {
 	return p.sys.Spawn(p, args, fn, remote)
 }
 
+// Wait is waitpid: it blocks until every one of the given processes has
+// exited, leaves the caller's clock at the latest of its own time and their
+// exits — under either engine — and returns the last non-zero exit status.
+//
+// Under the parallel engine the caller's lane is quiescent while it is
+// blocked in real time, and it is the exiting process that brings it back, at
+// its own end and before it leaves the gate (HareSystem.run): the safe-time
+// floor cannot pass the time the caller resumes at. A process that has
+// already exited is reaped without leaving the gate at all.
+func (p *Proc) Wait(handles ...*Handle) int {
+	gp, _ := p.FS.(GateParker)
+	status := 0
+	for _, h := range handles {
+		h.mu.Lock()
+		if !h.exited && gp != nil && gp.GateActive() {
+			gp.GatePark()
+			h.waiter = p
+		}
+		h.mu.Unlock()
+		if s := h.Wait(); s != 0 {
+			status = s
+		}
+		p.resumeAt(h.endAt, false)
+	}
+	return status
+}
+
+// Blocked runs wait with the process's lane quiescent: the process is blocked
+// in real time on something the host decides — control-plane calls made on
+// its behalf, children reaped from outside — and wait returns the virtual
+// time that ended at. The clock is brought there under either engine and the
+// lane comes back at it. Whatever ran meanwhile must be done by then: nobody
+// holds the floor for the caller, as an exiting child does in Wait.
+func (p *Proc) Blocked(wait func() sim.Cycles) {
+	gp, _ := p.FS.(GateParker)
+	gated := gp != nil && gp.GateActive()
+	if gated {
+		gp.GatePark()
+	}
+	p.resumeAt(wait(), gated)
+}
+
+// resumeAt brings the process's clock to at least t and, with rejoin, its
+// lane back at it.
+func (p *Proc) resumeAt(t sim.Cycles, rejoin bool) {
+	if ck, ok := p.FS.(Clocked); ok {
+		ck.AdvanceClock(t)
+	}
+	if rejoin {
+		p.FS.(GateParker).GateResume()
+	}
+}
+
 // Handle allows waiting for a process to exit.
 type Handle struct {
-	pid    int64
-	done   chan struct{}
+	pid  int64
+	done chan struct{}
+
+	// mu orders an exit against a Proc.Wait registering for it.
+	mu     sync.Mutex
+	exited bool
 	status int
 	endAt  sim.Cycles
+	waiter *Proc // blocked in Proc.Wait with its lane parked
 }
 
 // newHandle creates an unfinished handle.
@@ -103,17 +160,25 @@ func newHandle(pid int64) *Handle {
 	return &Handle{pid: pid, done: make(chan struct{})}
 }
 
-// finish records the exit status and completion time and releases waiters.
+// finish records the exit status and completion time, brings a process
+// parked in Proc.Wait back at that time — the caller, still in the gate at or
+// below it, holds the floor under the rejoin — and releases waiters.
 func (h *Handle) finish(status int, endAt sim.Cycles) {
-	h.status = status
-	h.endAt = endAt
+	h.mu.Lock()
+	h.exited, h.status, h.endAt = true, status, endAt
+	if h.waiter != nil {
+		h.waiter.resumeAt(endAt, true)
+	}
+	h.mu.Unlock()
 	close(h.done)
 }
 
 // PID returns the process id.
 func (h *Handle) PID() int64 { return h.pid }
 
-// Wait blocks until the process exits and returns its exit status.
+// Wait blocks until the process exits and returns its exit status. It is the
+// host-side call — a harness waiting for a root it started. A process waits
+// for its children with Proc.Wait, which also keeps virtual time.
 func (h *Handle) Wait() int {
 	<-h.done
 	return h.status

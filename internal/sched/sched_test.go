@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -238,5 +239,49 @@ func TestHandleWaitIsReusable(t *testing.T) {
 	}
 	if h.EndTime() != 1234 {
 		t.Fatal("EndTime wrong")
+	}
+}
+
+// TestProcWaitBaselineClient: with a client that only carries a clock (the
+// baselines never run under the gate) Proc.Wait still is waitpid — the last
+// non-zero status, and the caller's clock at the later of its own time and
+// the latest exit.
+func TestProcWaitBaselineClient(t *testing.T) {
+	sys, _ := smpSystem(2)
+	for _, ahead := range []bool{false, true} {
+		var own, after sim.Cycles
+		var ends []sim.Cycles
+		h := sys.StartRoot(0, nil, func(p *Proc) int {
+			var handles []*Handle
+			for i, status := range []int{2, 0, 5, 0} {
+				ch, err := p.Spawn(nil, func(wp *Proc) int {
+					wp.Compute(sim.Cycles(10_000 * (4 - i)))
+					return status
+				}, true)
+				if err != nil {
+					return -1
+				}
+				handles = append(handles, ch)
+			}
+			if ahead {
+				p.Compute(1_000_000) // the waiter is past every exit already
+			}
+			own = p.Now()
+			status := p.Wait(handles...)
+			after = p.Now()
+			for _, ch := range handles {
+				ends = append(ends, ch.EndTime())
+			}
+			return status
+		})
+		if status := h.Wait(); status != 5 {
+			t.Fatalf("Wait returned %d, want the last non-zero status 5", status)
+		}
+		if want := max(own, slices.Max(ends)); after != want {
+			t.Fatalf("ahead=%v: clock %d after Wait, want max(own %d, exits %v) = %d", ahead, after, own, ends, want)
+		}
+		if (own > slices.Max(ends)) != ahead {
+			t.Fatalf("ahead=%v but own %d, exits %v: the case did not run", ahead, own, ends)
+		}
 	}
 }

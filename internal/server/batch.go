@@ -113,7 +113,6 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 			if !(sub.Epoch == cur && entryReadOnly(sub.Op)) &&
 				(sub.Epoch == cur || sub.Epoch == s.pendingEpoch) {
 				s.migParked = append(s.migParked, parkedReq{req: batchReq, env: raw})
-				s.cfg.Network.GateIdle(raw.Src)
 				return nil, true
 			}
 		}

@@ -104,13 +104,9 @@ func (s *Server) sendInvalidation(dst msg.EndpointID, iv *proto.Invalidation) {
 	}
 }
 
-// park defers a request on a shard until its rmdir mark is resolved, and
-// idles the requester's lane: its reply time is controlled by whichever
-// client resolves the mark, and the unpark reply resumes the lane
-// (DESIGN.md §13).
+// park defers a request on a shard until its rmdir mark is resolved.
 func (s *Server) park(sh *dirShard, req *proto.Request, env msg.Envelope) {
 	sh.parked = append(sh.parked, parkedReq{req: req, env: env})
-	s.cfg.Network.GateIdle(env.Src)
 }
 
 // unparkShard re-dispatches every request parked on the shard.

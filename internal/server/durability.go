@@ -275,14 +275,6 @@ func (s *Server) Crash(loseMemory bool) {
 		<-s.replDone
 	}
 	// The loops have exited; their state is now safe to touch from here.
-	// Park the dead server's lanes: a ship or ack in progress when the
-	// crash hit may have left a frontier pinned, and a dead server sends
-	// nothing until recovery — its next send re-joins the gate at its send
-	// time, which is the recovery frontier (the replayed clock).
-	s.cfg.Network.GateIdle(s.ep.ID)
-	if s.replEP != nil {
-		s.cfg.Network.GateIdle(s.replEP.ID)
-	}
 	if loseMemory {
 		s.wipePartition()
 	}

@@ -55,7 +55,6 @@ func (s *Server) handlePipeRead(req *proto.Request, env msg.Envelope) (*proto.Re
 			return s.resp(proto.Response{N: 0}), false
 		}
 		p.waitReaders = append(p.waitReaders, parkedReq{req: req, env: env})
-		s.cfg.Network.GateIdle(env.Src)
 		return nil, true
 	}
 	n := int(req.Count)
@@ -80,7 +79,6 @@ func (s *Server) handlePipeWrite(req *proto.Request, env msg.Envelope) (*proto.R
 	space := pipeBufferMax - len(p.buf)
 	if space <= 0 {
 		p.waitWriters = append(p.waitWriters, parkedReq{req: req, env: env})
-		s.cfg.Network.GateIdle(env.Src)
 		return nil, true
 	}
 	n := len(req.Data)

@@ -244,12 +244,6 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 	payload := areq.AppendTo(s.replEP.GetBuf(areq.SizeHint()))
 	s.replAckBytes.Add(uint64(len(payload)))
 	_, _ = s.cfg.Network.Send(s.replEP, msg.EndpointID(m.AckTo), proto.KindRequest, payload, end, nil)
-	// Park the replication plane's lane again: the Send joined it at the
-	// ack's send time, and nothing else advances it between batches, so a
-	// pinned frontier here would wedge the parallel engine. The ack's
-	// destination is the primary's (ungated) replication inbox, so the lane
-	// need not hold a frontier for it.
-	s.cfg.Network.GateIdle(s.replEP.ID)
 }
 
 // ship sends the just-appended record batch to the follower while the local
@@ -358,14 +352,6 @@ func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles, wait bool) 
 	s.clock.AdvanceTo(sendEnd)
 	s.replShips.Add(1)
 	s.replBytes.Add(uint64(len(payload)))
-	// Re-park the server's own lane once the ship is done: sending from
-	// s.ep joins its lane (and a blocking ship pins it at the ack arrival),
-	// but a server's lane must not constrain the gate between ships — the
-	// in-flight client request whose commit triggered the ship already
-	// holds the floor with its own Await pin, and the follower's
-	// replication inbox is ungated.
-	defer s.cfg.Network.GateIdle(s.ep.ID)
-
 	if !wait {
 		if _, err := s.cfg.Network.Send(s.ep, t.EP, proto.KindRequest, payload, sendEnd, nil); err != nil {
 			s.replNeedSync.Store(true)

@@ -34,10 +34,8 @@ func (s *Server) handleRmdirLock(req *proto.Request, env msg.Envelope) (*proto.R
 	}
 	if ino.rmdirLocked {
 		// Another client is already running the protocol on this
-		// directory; park until it finishes. The waiter's lane idles: its
-		// reply time is controlled by the lock holder.
+		// directory; park until it finishes.
 		ino.rmdirQueue = append(ino.rmdirQueue, parkedReq{req: req, env: env})
-		s.cfg.Network.GateIdle(env.Src)
 		return nil, true
 	}
 	ino.rmdirLocked = true

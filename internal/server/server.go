@@ -274,6 +274,10 @@ func New(cfg Config) *Server {
 	// The least any request costs here: arrival, no service (a request that
 	// cannot be decoded gets none), and the reply's send.
 	s.ep.Turnaround = s.arrivalOverhead() + cfg.Machine.Cost.MsgSend
+	// A server originates only ships, to its follower's ungated replication
+	// inbox: between them its lane holds nothing (the client request whose
+	// commit ships already holds the floor).
+	s.ep.Transient = true
 	s.stats.Ops = make(map[proto.Op]uint64)
 	s.pmap = cfg.Placement
 	if s.pmap != nil {
@@ -284,6 +288,7 @@ func New(cfg Config) *Server {
 			s.cfg.Repl.Window = repl.DefaultWindow
 		}
 		s.replEP = cfg.Network.NewEndpoint(cfg.Core)
+		s.replEP.Transient = true // sends only acks, to ungated replication inboxes
 		s.replDone = make(chan struct{})
 		s.replicas = make(map[int]*repl.Follower)
 	}
@@ -459,6 +464,10 @@ func (s *Server) handle(env msg.Envelope) {
 		resp, parked = s.dispatch(req, env)
 	}
 	if parked {
+		// The one hold of this package, whatever the request parked on (an
+		// rmdir mark, a frozen shard, an empty or full pipe, the rmdir lock):
+		// a request parked again on re-dispatch finds its sender held already.
+		s.cfg.Network.Hold(env)
 		s.statsMu.Lock()
 		s.stats.Parked++
 		s.statsMu.Unlock()

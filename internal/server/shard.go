@@ -70,7 +70,6 @@ func (s *Server) epochGate(req *proto.Request, env msg.Envelope) (*proto.Respons
 		}
 		if req.Epoch == cur || req.Epoch == s.pendingEpoch {
 			s.migParked = append(s.migParked, parkedReq{req: req, env: env})
-			s.cfg.Network.GateIdle(env.Src)
 			return nil, true, true
 		}
 		return s.resp(proto.Response{Err: fsapi.EEPOCH, Epoch: cur}), false, true

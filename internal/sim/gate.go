@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -359,4 +363,52 @@ func (g *Gate) Stats() GateStats {
 	st := g.stats
 	st.SafePushes = g.safePushes.Load()
 	return st
+}
+
+// String is the gate's stall report: the horizon, the active lanes by
+// frontier with the floor-holder first, and the arrival times the parked
+// consumers wait for. A wedge reads as one lane far below the others and
+// every consumer waiting just beyond the horizon. It takes the gate's mutex
+// and sorts copies: for a test's deadline, not for any hot path.
+func (g *Gate) String() string {
+	const most = 16
+	g.mu.Lock()
+	lanes := slices.Clone(g.lanes.ents)
+	waits := make([]Cycles, len(g.waiters.ents))
+	for i, w := range g.waiters.ents {
+		waits[i] = w.t
+	}
+	idle := 0
+	for _, p := range g.pos {
+		if p == laneIdle {
+			idle++
+		}
+	}
+	hor := g.hor
+	g.mu.Unlock()
+	slices.SortFunc(lanes, func(a, b timed[int32]) int { return cmp.Compare(a.t, b.t) })
+	slices.Sort(waits)
+
+	var b strings.Builder
+	if len(lanes) == 0 {
+		fmt.Fprintf(&b, "gate: no active lane (%d idle): every arrival is safe\n", idle)
+	} else {
+		fmt.Fprintf(&b, "gate: horizon %d; %d active lanes (%d idle), lowest first:\n", hor, len(lanes), idle)
+	}
+	for i, l := range lanes[:min(most, len(lanes))] {
+		fmt.Fprintf(&b, "  lane %d at %d", l.v, l.t)
+		if i == 0 {
+			b.WriteString(" (holds the floor)")
+		}
+		b.WriteByte('\n')
+	}
+	if more := len(lanes) - most; more > 0 {
+		fmt.Fprintf(&b, "  ... and %d more, up to %d\n", more, lanes[len(lanes)-1].t)
+	}
+	fmt.Fprintf(&b, "  %d parked consumers", len(waits))
+	if len(waits) > 0 {
+		fmt.Fprintf(&b, ", waiting for %v", waits[:min(most, len(waits))])
+	}
+	b.WriteByte('\n')
+	return b.String()
 }

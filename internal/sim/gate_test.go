@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -608,5 +609,33 @@ func TestGateLifecycleForkFanoutDuringCommit(t *testing.T) {
 	g.Bump(parent, 400)
 	if !g.SafeAt(400) || g.SafeAt(401) {
 		t.Fatal("parent must re-join at the fan-out's latest end time")
+	}
+}
+
+// TestGateStallReport: the report names the floor-holder first, counts the
+// idle lanes and lists what the parked consumers wait for — what a wedge's
+// reader needs — and an empty gate says so.
+func TestGateStallReport(t *testing.T) {
+	g := NewGate()
+	if got := g.String(); !strings.Contains(got, "no active lane") {
+		t.Fatalf("empty gate reported as:\n%s", got)
+	}
+	g.SetLookahead(100)
+	g.Bump(3, 9000)
+	g.Bump(7, 500)
+	g.Bump(5, 40)
+	g.Idle(5)
+	var mu sync.Mutex
+	w := &Waiter{Cond: sync.NewCond(&mu)}
+	mu.Lock()
+	if g.Park(w, 7777, false) {
+		t.Fatal("7777 is beyond the horizon of a floor at 500")
+	}
+	mu.Unlock()
+	got := g.String()
+	for _, want := range []string{"horizon 599", "2 active lanes (1 idle)", "lane 7 at 500 (holds the floor)\n  lane 3 at 9000\n", "1 parked consumers, waiting for [7777]"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("report lacks %q:\n%s", want, got)
+		}
 	}
 }

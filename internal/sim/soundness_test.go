@@ -23,8 +23,10 @@ import (
 // its requester had published — the cost-model lookahead of DESIGN.md §13
 // leans on exactly these. The scenarios are the shapes of traffic that reach
 // the gate differently: the cross-engine equivalence suite's workloads,
-// pipelined clients, injected delay and duplicates, pipes and remote exec,
-// bare library clients, and the failover and migration control planes.
+// pipelined clients, injected delay and duplicates, pipes and remote exec, a
+// jobserver build (processes blocked on each other through a pipe and in
+// Proc.Wait), bare library clients, and the failover and migration control
+// planes.
 // CI runs it under -race at GOMAXPROCS=1,2,8.
 func TestFrontierSound(t *testing.T) {
 	base := core.Config{
@@ -92,6 +94,15 @@ func TestFrontierSound(t *testing.T) {
 		// the writer); Punzip's workers, like every fan-out here, are
 		// exec'd through the scheduling servers (AwaitHandoff).
 		run(t, env, workload.Extract{Dirs: 2, PerDir: 4, FileSize: 4096}, workload.Punzip{Copies: 4, PerCopy: 6})
+		verify()
+	})
+
+	t.Run("jobserver build", func(t *testing.T) {
+		// make's jobserver pipe is shared across exec'd jobs — a token read
+		// parks until another job's exit writes one back — while the root is
+		// blocked in Proc.Wait on all of them and links once they are done.
+		_, env, verify := auditedSystem(t, base)
+		run(t, env, workload.BuildLinux{})
 		verify()
 	})
 

@@ -123,7 +123,7 @@ func (w Extract) Run(env *Env) (int, error) {
 			}
 		}
 		fs.Close(r)
-		return producer.Wait()
+		return p.Wait(producer)
 	})
 	ops = dirs * (1 + perDir*3)
 	return ops, err

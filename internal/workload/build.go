@@ -179,13 +179,7 @@ func (w BuildLinux) Run(env *Env) (int, error) {
 			}
 			handles = append(handles, h)
 		}
-		status := 0
-		for _, h := range handles {
-			if s := h.Wait(); s != 0 {
-				status = s
-			}
-		}
-		if status != 0 {
+		if status := p.Wait(handles...); status != 0 {
 			return status
 		}
 

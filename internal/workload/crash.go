@@ -126,6 +126,17 @@ func (w CrashRecovery) Run(env *Env) (int, error) {
 
 	err := runRoot(env, "crash-recovery", func(p *sched.Proc) int {
 		fs := env.fs(p)
+		// inject runs fault-injector calls against srv, in order.
+		inject := func(srv int, steps ...func(int) error) error {
+			return hostCall(p, func() error {
+				for _, step := range steps {
+					if err := step(srv); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
 		for srv := 0; srv < nsrv; srv++ {
 			if runErr = mutate(fs, 2*srv); runErr != nil {
 				return 1
@@ -133,7 +144,7 @@ func (w CrashRecovery) Run(env *Env) (int, error) {
 			if srv%2 == 0 {
 				// Even rounds: fold state into a checkpoint, then mutate
 				// more so recovery must also replay a log tail.
-				if runErr = faults.Checkpoint(srv); runErr != nil {
+				if runErr = inject(srv, faults.Checkpoint); runErr != nil {
 					return 1
 				}
 			}
@@ -142,21 +153,14 @@ func (w CrashRecovery) Run(env *Env) (int, error) {
 			}
 
 			// The system is quiescent: kill the victim and bring it back.
-			if runErr = faults.Crash(srv); runErr != nil {
-				return 1
-			}
-			if runErr = faults.Recover(srv); runErr != nil {
-				return 1
-			}
+			steps := []func(int) error{faults.Crash, faults.Recover}
 			if srv == 0 {
 				// Idempotence: a second crash/recover with no mutations in
 				// between must reproduce the same state (verified below).
-				if runErr = faults.Crash(srv); runErr != nil {
-					return 1
-				}
-				if runErr = faults.Recover(srv); runErr != nil {
-					return 1
-				}
+				steps = append(steps, faults.Crash, faults.Recover)
+			}
+			if runErr = inject(srv, steps...); runErr != nil {
+				return 1
 			}
 			if runErr = sh.Verify(fs); runErr != nil {
 				runErr = fmt.Errorf("after recovering server %d: %w", srv, runErr)

@@ -92,22 +92,10 @@ func (e *Elastic) phase(env *Env, p *sched.Proc, prefix string, per int) (sim.Cy
 		}
 		handles = append(handles, h)
 	}
-	var latest sim.Cycles
-	status := 0
-	for _, h := range handles {
-		if s := h.Wait(); s != 0 {
-			status = s
-		}
-		if h.EndTime() > latest {
-			latest = h.EndTime()
-		}
-	}
-	// Pull the root's clock up to the phase boundary so consecutive phases
-	// do not overlap in virtual time (Wait alone does not advance it).
-	if c, ok := p.FS.(sched.Clocked); ok {
-		c.AdvanceClock(latest)
-	}
-	return latest, status
+	// Waiting brings the root's clock to the phase boundary, so consecutive
+	// phases do not overlap in virtual time.
+	status := p.Wait(handles...)
+	return p.Now(), status
 }
 
 // Run executes the two traffic phases around the membership change and
@@ -120,10 +108,7 @@ func (e *Elastic) Run(env *Env) (int, error) {
 	workers := env.workers()
 	var runErr error
 	err := runRoot(env, "elastic", func(p *sched.Proc) int {
-		var start sim.Cycles
-		if c, ok := p.FS.(sched.Clocked); ok {
-			start = c.Clock()
-		}
+		start := p.Now()
 		endA, status := e.phase(env, p, "a", per)
 		if status != 0 {
 			runErr = fmt.Errorf("elastic: phase A failed")
@@ -132,12 +117,14 @@ func (e *Elastic) Run(env *Env) (int, error) {
 		e.PreCycles = endA - start
 
 		if env.Elastic != nil {
-			id, err := env.Elastic.AddServer()
+			err := hostCall(p, func() (err error) {
+				e.AddedServer, err = env.Elastic.AddServer()
+				return err
+			})
 			if err != nil {
 				runErr = fmt.Errorf("elastic: add server: %w", err)
 				return 1
 			}
-			e.AddedServer = id
 		}
 
 		endB, status := e.phase(env, p, "b", per)
@@ -148,7 +135,8 @@ func (e *Elastic) Run(env *Env) (int, error) {
 		e.PostCycles = endB - endA
 
 		if e.Drain && env.Elastic != nil {
-			if err := env.Elastic.RemoveServer(e.AddedServer); err != nil {
+			err := hostCall(p, func() error { return env.Elastic.RemoveServer(e.AddedServer) })
+			if err != nil {
 				runErr = fmt.Errorf("elastic: drain server %d: %w", e.AddedServer, err)
 				return 1
 			}

@@ -145,32 +145,19 @@ func fanOut(p *sched.Proc, n int, worker func(wp *sched.Proc, idx int) int) int 
 		}
 		handles = append(handles, h)
 	}
-	// Under the parallel engine the waiting parent must park its lane (a
-	// stale frontier would stall every gated server behind it) and, once the
-	// children are done, advance past the latest child exit before resuming.
-	// Serialized mode takes none of these branches and stays bit-identical.
-	gp, _ := p.FS.(sched.GateParker)
-	parked := gp != nil && gp.GateActive()
-	if parked {
-		gp.GatePark()
-	}
-	status := 0
-	var latest sim.Cycles
-	for _, h := range handles {
-		if s := h.Wait(); s != 0 {
-			status = s
-		}
-		if e := h.EndTime(); e > latest {
-			latest = e
-		}
-	}
-	if parked {
-		if ck, ok := p.FS.(sched.Clocked); ok && latest > ck.Clock() {
-			ck.AdvanceClock(latest)
-		}
-		gp.GateResume()
-	}
-	return status
+	return p.Wait(handles...)
+}
+
+// hostCall makes a control-plane call — a membership change, a fault — on
+// behalf of process p, which is blocked on it meanwhile: the call is the
+// host's, not traffic of p's lane, and leaves p's clock where it was.
+func hostCall(p *sched.Proc, call func() error) error {
+	var err error
+	p.Blocked(func() sim.Cycles {
+		err = call()
+		return p.Now()
+	})
+	return err
 }
 
 // OpClass buckets POSIX calls for the Figure 5 operation breakdown.
@@ -401,27 +388,6 @@ func (c *countingClient) AdvanceClock(t sim.Cycles) {
 func (c *countingClient) Compute(d sim.Cycles) {
 	if ck, ok := c.inner.(sched.Clocked); ok {
 		ck.Compute(d)
-	}
-}
-
-// GateActive, GatePark and GateResume forward the parallel-engine surface so
-// a counted client still parks its lane correctly.
-func (c *countingClient) GateActive() bool {
-	gp, ok := c.inner.(sched.GateParker)
-	return ok && gp.GateActive()
-}
-
-// GatePark forwards to the inner client.
-func (c *countingClient) GatePark() {
-	if gp, ok := c.inner.(sched.GateParker); ok {
-		gp.GatePark()
-	}
-}
-
-// GateResume forwards to the inner client.
-func (c *countingClient) GateResume() {
-	if gp, ok := c.inner.(sched.GateParker); ok {
-		gp.GateResume()
 	}
 }
 

@@ -31,9 +31,10 @@ func TestParallelSingleCoreGateCost(t *testing.T) {
 				t.Fatalf("setup (parallel=%v): %v", parallel, err)
 			}
 			start := time.Now()
-			if _, err := w.Run(env); err != nil {
-				t.Fatalf("run (parallel=%v): %v", parallel, err)
-			}
+			within(t, sys, 2*time.Minute, func() error {
+				_, err := w.Run(env)
+				return err
+			})
 			if d := time.Since(start); d < best {
 				best = d
 			}
@@ -77,9 +78,10 @@ func TestParallelTwoCoreFanoutCost(t *testing.T) {
 				t.Fatalf("setup (parallel=%v): %v", parallel, err)
 			}
 			start := time.Now()
-			if _, err := w.Run(env); err != nil {
-				t.Fatalf("run (parallel=%v): %v", parallel, err)
-			}
+			within(t, sys, 2*time.Minute, func() error {
+				_, err := w.Run(env)
+				return err
+			})
 			if d := time.Since(start); d < best {
 				best = d
 			}
