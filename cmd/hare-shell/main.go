@@ -23,8 +23,10 @@
 //
 // Tracing is on by default (every op; -trace N samples 1-in-N, -trace 0
 // turns it off): top shows live per-server queue depth, shard counts and
-// service/queueing percentiles, and stats shows per-op latency percentiles
-// as seen by this shell's operations.
+// service/queueing percentiles, and stats shows this shell's client counters
+// (request messages, batched sub-ops, creates that brought their file's first
+// block and how many of those were closed unwritten — DESIGN.md §7) and per-op
+// latency percentiles as seen by this shell's operations.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/place"
@@ -121,7 +124,7 @@ func mode(timeshare bool) string {
 
 type shell struct {
 	sys  *core.System
-	cli  fsapi.Client
+	cli  *client.Client
 	core int
 }
 
@@ -344,8 +347,12 @@ func (s *shell) top() error {
 	return nil
 }
 
-// latStats prints per-op latency percentiles from the tracer's histograms.
+// latStats prints this shell's client counters and the per-op latency
+// percentiles from the tracer's histograms.
 func (s *shell) latStats() error {
+	cs := s.cli.Stats()
+	fmt.Printf("this client: %d request messages, %d batched sub-ops, %d creates brought their first block (%d closed unwritten)\n",
+		cs.RPCs, cs.BatchedOps, cs.FirstBlocks, cs.FirstBlockMisses)
 	tr := s.sys.Tracer()
 	if tr == nil {
 		return fmt.Errorf("tracing is off (rerun without -trace 0)")

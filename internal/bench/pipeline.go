@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -65,8 +66,8 @@ type PipelineData struct {
 }
 
 // PipelineFigure runs the sweep. The default workload set is the
-// message-bound trio — small-file churn, creates, and sequential writes —
-// at the default server counts.
+// message-bound set — small-file churn unwritten and written, creates, and
+// sequential writes — at the default server counts.
 func PipelineFigure(scale float64, cores int, serverCounts []int, ws []workload.Workload) (*PipelineData, *Table, error) {
 	if cores == 0 {
 		cores = 8
@@ -75,7 +76,7 @@ func PipelineFigure(scale float64, cores int, serverCounts []int, ws []workload.
 		serverCounts = DefaultPipelineServerCounts
 	}
 	if ws == nil {
-		ws = []workload.Workload{workload.SmallFile{}, workload.Creates{}, workload.Writes{}}
+		ws = []workload.Workload{workload.SmallFile{}, workload.SmallFile{WriteBytes: 64}, workload.Creates{}, workload.Writes{}}
 	}
 	data := &PipelineData{Cores: cores, Scale: scale}
 	t := &Table{
@@ -167,4 +168,55 @@ func (d *PipelineData) WriteBaseline(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// CheckBaseline re-runs the sweep a committed baseline records, at the
+// baseline's own scale and cores, and compares what the op stream alone
+// determines — ops, request messages, bytes and batched sub-ops, per point —
+// exactly: the error names every point that differs. Virtual times depend on
+// host scheduling; the table prints them side by side and nothing gates them.
+func CheckBaseline(path string) (*Table, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var want Baseline
+	if err := json.Unmarshal(raw, &want); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	data, _, err := PipelineFigure(want.Scale, want.Cores, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(data.Points) != len(want.Points) {
+		return nil, fmt.Errorf("%s records %d points, the sweep has %d", path, len(want.Points), len(data.Points))
+	}
+	t := &Table{
+		Title: fmt.Sprintf("Pipelining sweep against %s (scale %g, %d cores)", path, want.Scale, want.Cores),
+		Columns: []string{"benchmark", "servers", "time on (ms)", "committed", "time off (ms)", "committed",
+			"msgs on", "msgs off", "bytes on", "bytes off", "batched ops", "exact columns"},
+		Note: "exact columns: Ops, OnMsgs, OffMsgs, OnBytes, OffBytes, BatchedOps; times are printed, not gated.",
+	}
+	var differ []string
+	for i, got := range data.Points {
+		w := want.Points[i]
+		verdict := "same"
+		// What is not compared is taken from the committed point.
+		exact := got
+		exact.OnSeconds, exact.OffSeconds = w.OnSeconds, w.OffSeconds
+		exact.OnQueueCycles, exact.OffQueueCycles = w.OnQueueCycles, w.OffQueueCycles
+		if exact != w {
+			verdict = "DIFFER"
+			differ = append(differ, fmt.Sprintf("%s@%d: got %+v, committed %+v", got.Benchmark, got.Servers, exact, w))
+		}
+		t.AddRow(got.Benchmark, fmt.Sprint(got.Servers),
+			f2(got.OnSeconds*1000), f2(w.OnSeconds*1000), f2(got.OffSeconds*1000), f2(w.OffSeconds*1000),
+			fmt.Sprint(got.OnMsgs), fmt.Sprint(got.OffMsgs), fmt.Sprint(got.OnBytes), fmt.Sprint(got.OffBytes),
+			fmt.Sprint(got.BatchedOps), verdict)
+	}
+	if differ != nil {
+		return t, fmt.Errorf("%d of %d points differ from %s in an exact column:\n%s",
+			len(differ), len(data.Points), path, strings.Join(differ, "\n"))
+	}
+	return t, nil
 }

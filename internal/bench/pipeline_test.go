@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -26,7 +27,7 @@ func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 	// are about 20% apart, so the comparison is made there, on the median
 	// of five sweeps.
 	const perWorker, workers, sweeps = 100, 8, 5
-	ws := []workload.Workload{workload.SmallFile{PerWorker: perWorker}}
+	ws := []workload.Workload{workload.SmallFile{PerWorker: perWorker}, workload.SmallFile{PerWorker: perWorker, WriteBytes: 64}}
 	servers := []int{4, 8}
 	on := make([][]float64, len(servers))
 	off := make([][]float64, len(servers))
@@ -35,14 +36,26 @@ func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data.Points) != len(servers) || len(tbl.Rows) != len(servers) {
+		if len(data.Points) != 2*len(servers) || len(tbl.Rows) != 2*len(servers) {
 			t.Fatalf("sweep produced %d points, %d rows", len(data.Points), len(tbl.Rows))
 		}
-		for j, p := range data.Points {
-			// Per file the unpipelined client sends create, write, close and
-			// unlink; pipelined, two of the four travel as sub-ops of one
-			// batch. Each worker adds two set-up requests in both modes.
-			const files = workers * perWorker
+		// Per file the unpipelined client sends create, close, RM_MAP and
+		// UNLINK_INODE; pipelined, the last two travel as sub-ops of one
+		// batch. Each worker adds two set-up requests in both modes.
+		const files = workers * perWorker
+		for _, p := range data.Points[len(servers):] {
+			// Written, the unpipelined client sends an EXTEND besides; pipelined
+			// it is a sub-op of the create's message — from a worker's second
+			// file on: the first one shows that the worker writes what it
+			// creates and pays the EXTEND as a message of its own (DESIGN.md §7).
+			const firstFiles = workers
+			wantOff, wantOn, wantBatched := uint64(5*files+2*workers), uint64(3*files+firstFiles+2*workers), uint64(4*files-2*firstFiles)
+			if p.Benchmark != "smallfile+write" || p.OffMsgs != wantOff || p.OnMsgs != wantOn || p.BatchedOps != wantBatched {
+				t.Errorf("%s@%d servers: request messages off/on %d/%d, batched sub-ops %d; want smallfile+write %d/%d, %d",
+					p.Benchmark, p.Servers, p.OffMsgs, p.OnMsgs, p.BatchedOps, wantOff, wantOn, wantBatched)
+			}
+		}
+		for j, p := range data.Points[:len(servers)] {
 			if p.OffMsgs != 4*files+2*workers || p.OnMsgs != 3*files+2*workers || p.BatchedOps != 2*files {
 				t.Errorf("%s@%d servers: request messages off/on %d/%d, batched sub-ops %d; want %d/%d, %d",
 					p.Benchmark, p.Servers, p.OffMsgs, p.OnMsgs, p.BatchedOps,
@@ -95,6 +108,32 @@ func TestPipelineBaselineRoundTrip(t *testing.T) {
 	}
 	if got := back.Points[0].Speedup(); got < 1.39 || got > 1.41 {
 		t.Fatalf("Speedup = %f, want 1.4", got)
+	}
+}
+
+// TestCheckBaseline: a baseline the sweep has just written checks clean; one
+// whose exact column was edited does not, and the error names the point.
+func TestCheckBaseline(t *testing.T) {
+	data, _, err := PipelineFigure(0.01, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := data.WriteBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err := CheckBaseline(path); err != nil || len(tbl.Rows) != len(data.Points) {
+		t.Fatalf("check of a fresh baseline: %v", err)
+	}
+	// Times are not gated, messages are.
+	data.Points[0].OnSeconds *= 3
+	data.Points[1].OnMsgs++
+	if err := data.WriteBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := CheckBaseline(path)
+	if err == nil || tbl == nil || !strings.Contains(err.Error(), "1 of ") || !strings.Contains(err.Error(), "smallfile@2") {
+		t.Fatalf("check of an edited baseline: %v", err)
 	}
 }
 

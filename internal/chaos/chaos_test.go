@@ -195,6 +195,11 @@ func TestDupOKClassifiesABatchByWhatItCarries(t *testing.T) {
 		{"lookup then stat", proto.KindRequest, batch(proto.OpLookup, proto.OpStat), true},
 		{"lookup then open", proto.KindRequest, batch(proto.OpLookup, proto.OpOpenInode), false},
 		{"rm_map then unlink", proto.KindRequest, batch(proto.OpRmMap, proto.OpUnlinkInode), false},
+		// A create with its first block is a create (a second delivery would
+		// answer EEXIST, ECANCELED: server's TestCreateChainCarriesFirstBlock).
+		{"bare create", proto.KindRequest, (&proto.Request{Op: proto.OpCreateCoalesced, Name: "n"}).Marshal(), false},
+		{"create then extend", proto.KindRequest, batch(proto.OpCreateCoalesced, proto.OpExtend), false},
+		{"mknod, open, extend", proto.KindRequest, batch(proto.OpMknod, proto.OpOpenInode, proto.OpExtend), false},
 		{"a reply", proto.KindResponse, batch(proto.OpLookup, proto.OpStat), false},
 		{"a batch that does not decode", proto.KindRequest, (&proto.Request{Op: proto.OpBatch, Data: []byte{1, 2, 3}}).Marshal(), false},
 		{"bytes that do not decode", proto.KindRequest, []byte{1, 2, 3}, false},

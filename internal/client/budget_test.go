@@ -23,14 +23,22 @@ import (
 // affinity arranges whenever that server is on the creator's socket; on the
 // 20-core two-socket machine half the names of a distributed directory hash
 // to the other socket, and their inodes stay near the creator ("elsewhere").
+// Armed means the process wrote the file it created last: its creates bring
+// their first block along ("First block with the create").
 
 type budget map[string]uint64
 
 var wantBudget = map[string]budget{
 	"pipelining on": {
-		"create co-located":      1,
-		"create elsewhere":       3, // MKNOD near the creator, ADD_MAP, OPEN
-		"close":                  1,
+		"create co-located":        1,
+		"create elsewhere":         2, // [MKNOD, OPEN] near the creator, ADD_MAP
+		"create co-located, armed": 1, // [CREATE_COALESCED, EXTEND]
+		"create elsewhere, armed":  2, // [MKNOD, OPEN, EXTEND], ADD_MAP
+		"first write":              1, // EXTEND
+		"first write, armed":       0,
+		"close":                    1,
+		"close unwritten, armed":   1, // the block stays with the inode
+
 		"stat cold co-located":   1, // [LOOKUP, STAT]
 		"stat warm co-located":   1,
 		"stat cold elsewhere":    2, // [LOOKUP, STAT → EXDEV], STAT
@@ -48,9 +56,15 @@ var wantBudget = map[string]budget{
 		"rename same server":     1, // [ADD_MAP, RM_MAP]
 	},
 	"pipelining off": {
-		"create co-located":      1,
-		"create elsewhere":       3,
-		"close":                  1,
+		"create co-located":        1,
+		"create elsewhere":         3, // MKNOD, OPEN, ADD_MAP
+		"create co-located, armed": 1,
+		"create elsewhere, armed":  3,
+		"first write":              1,
+		"first write, armed":       1,
+		"close":                    1,
+		"close unwritten, armed":   1,
+
 		"stat cold co-located":   2, // LOOKUP, STAT
 		"stat warm co-located":   1,
 		"stat cold elsewhere":    2,
@@ -104,26 +118,46 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	}
 
 	// The creator fills a distributed directory; what a create costs tells
-	// where its inode went.
+	// where its inode went. armed follows what the creator did with the file
+	// it created last.
 	creator := sys.NewClient(0)
 	must(creator.Mkdir("/d", fsapi.MkdirOpt{Distributed: true}))
 	names := map[string][]string{}
-	const perPlace = 3 // one name each for stat, open and unlink
-	for i := 0; len(names["co-located"]) < perPlace || len(names["elsewhere"]) < perPlace; i++ {
-		path := fmt.Sprintf("/d/f%03d", i)
-		before := creator.Stats().RPCs
-		fd, err := creator.Open(path, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
-		must(err)
-		place := "co-located"
-		if creator.Stats().RPCs-before > 1 {
+	armed, files := "", 0
+	create := func() (path, place string, fd fsapi.FD) {
+		path = fmt.Sprintf("/d/f%03d", files)
+		files++
+		place = "co-located"
+		sent(creator, "create", func() (err error) {
+			fd, err = creator.Open(path, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+			return err
+		})
+		if got["create"] > 1 {
 			place = "elsewhere"
 		}
-		got["create "+place] = creator.Stats().RPCs - before
-		_, err = creator.Write(fd, []byte(path))
-		must(err)
+		if n, seen := got["create "+place+armed]; seen && n != got["create"] {
+			t.Errorf("create %s%s: %d messages, and %d before", place, armed, got["create"], n)
+		}
+		got["create "+place+armed] = got["create"]
+		delete(got, "create")
+		return path, place, fd
+	}
+	// Before it has written anything, until both places have been seen.
+	for seen := map[string]bool{}; len(seen) < 2; {
+		_, place, fd := create()
+		seen[place] = true
+		sent(creator, "close", func() error { return creator.Close(fd) })
+	}
+	const perPlace = 3 // one name each for stat, open and unlink
+	for len(names["co-located"]) < perPlace || len(names["elsewhere"]) < perPlace {
+		path, place, fd := create()
+		sent(creator, "first write"+armed, func() error { _, err := creator.Write(fd, []byte(path)); return err })
+		armed = ", armed"
 		sent(creator, "close", func() error { return creator.Close(fd) })
 		names[place] = append(names[place], path)
 	}
+	_, _, fd := create()
+	sent(creator, "close unwritten"+armed, func() error { return creator.Close(fd) })
 
 	// The walker shares the creator's socket and knows the directory, but
 	// none of the names in it.
@@ -159,7 +193,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 
 	// Every entry of a centralized directory lives on one server.
 	must(creator.Mkdir("/c", fsapi.MkdirOpt{}))
-	fd, err := creator.Open("/c/old", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+	fd, err = creator.Open("/c/old", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 	must(err)
 	must(creator.Close(fd))
 	sent(creator, "rename same server", func() error { return creator.Rename("/c/old", "/c/new") })

@@ -103,6 +103,10 @@ type Stats struct {
 	BatchedOps     uint64 // sub-operations carried inside batch envelopes
 	Readaheads     uint64 // speculative READ_AT chunks issued ahead of the cursor
 	VersionSkips   uint64 // opens whose invalidation a version match made unnecessary
+	// FirstBlocks counts creates that carried their file's first block
+	// (DESIGN.md §7), FirstBlockMisses the ones closed with it unwritten.
+	FirstBlocks      uint64
+	FirstBlockMisses uint64
 }
 
 // Client is one Hare client library instance. It is not safe for concurrent
@@ -141,6 +145,12 @@ type Client struct {
 
 	localServer int // designated nearby server for creation affinity
 
+	// writesCreates is the first-block predictor (DESIGN.md §7): the file
+	// this process created last was written before it was closed, so the
+	// next create brings its first block along. A forked child inherits
+	// it; an exec'd process starts without.
+	writesCreates bool
+
 	// Tracing state (confined to the owning goroutine). cur is the
 	// in-flight sampled root span; nested FS calls (CloseAll → Close,
 	// EEPOCH retries) see cur non-nil and chain into the same root
@@ -162,6 +172,8 @@ type Client struct {
 		batched    atomic.Uint64
 		readaheads atomic.Uint64
 		verSkips   atomic.Uint64
+		firstBlks  atomic.Uint64
+		firstMiss  atomic.Uint64
 	}
 }
 
@@ -186,6 +198,11 @@ type openFile struct {
 	// amortized-constant for write patterns that ping-pong between runs.
 	dirtyNorm int
 	wrote     bool
+	// created: this description's open created the file. firstBlock: the
+	// create brought the first block along and no truncate has dropped it; a
+	// close that finds it unwritten counts a miss.
+	created    bool
+	firstBlock bool
 
 	// verKnown is the inode data version at which this descriptor's view of
 	// the private cache was last known consistent with DRAM; verLost is set
@@ -290,6 +307,9 @@ func (c *Client) Stats() Stats {
 		BatchedOps:     c.stats.batched.Load(),
 		Readaheads:     c.stats.readaheads.Load(),
 		VersionSkips:   c.stats.verSkips.Load(),
+
+		FirstBlocks:      c.stats.firstBlks.Load(),
+		FirstBlockMisses: c.stats.firstMiss.Load(),
 	}
 }
 

@@ -27,7 +27,8 @@ func (c *Client) Mkdir(path string, opt fsapi.MkdirOpt) (err error) {
 	// The application requests distribution per directory; the deployment
 	// may globally disable the technique (Figure 10 ablation).
 	opt.Distributed = opt.Distributed && c.cfg.Options.DirDistribution
-	resp, sent, rerr := c.coalescedCreate(parent, parentDist, name, &proto.Request{
+	var buf [1]*proto.Response
+	resps, rerr := c.coalescedCreate(parent, parentDist, name, []*proto.Request{{
 		Op:          proto.OpCreateCoalesced,
 		Dir:         parent,
 		Name:        name,
@@ -35,15 +36,15 @@ func (c *Client) Mkdir(path string, opt fsapi.MkdirOpt) (err error) {
 		Ftype:       fsapi.TypeDir,
 		Distributed: opt.Distributed,
 		Exclusive:   true,
-	})
+	}}, buf[:0])
 	if rerr != nil {
 		return rerr
 	}
-	if sent {
-		if resp.Err != fsapi.OK {
-			return resp.Err
+	if resps != nil {
+		if resps[0].Err != fsapi.OK {
+			return resps[0].Err
 		}
-		c.cacheEntry(parent, name, dcacheEnt{ino: resp.Ino, ftype: fsapi.TypeDir, dist: opt.Distributed})
+		c.cacheEntry(parent, name, dcacheEnt{ino: resps[0].Ino, ftype: fsapi.TypeDir, dist: opt.Distributed})
 		return nil
 	}
 	entrySrv, _ := c.routeEntry(parent, parentDist, name)

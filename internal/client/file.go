@@ -31,14 +31,31 @@ func (c *Client) Open(path string, flags int, mode fsapi.Mode) (_ fsapi.FD, err 
 // openCreate implements open() with O_CREAT: it creates the inode and
 // directory entry (coalescing the two RPCs when they land on the same
 // server) or falls back to opening an existing file.
+//
+// Once this process has shown that it writes what it creates, the file's first
+// block rides with the create as EXTEND(PrevInode): creation affinity put the
+// block allocator on the server the create already talks to, so the write
+// that follows finds its block in hand and sends nothing (DESIGN.md §7). It
+// applies where extend-ahead does; with pipelining off the chain would be two
+// messages, so it is not built.
 func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, error) {
 	parent, parentDist, name, err := c.resolveParent(abs)
 	if err != nil {
 		return -1, err
 	}
+	// The EXTEND that rides behind the create in the create's own message —
+	// room for the first byte — when ext is 1. The chains below are literals
+	// cut to length so that no request of theirs becomes a heap object.
+	extend := proto.Request{Op: proto.OpExtend, Target: proto.PrevInode, Size: 1}
+	ext := 0
+	if c.writesCreates && c.cfg.Options.DirectAccess && c.cfg.Options.Pipelining {
+		ext = 1
+	}
+	var buf [3]*proto.Response
+
 	// Coalesced path: one message creates the inode, adds the directory
 	// entry, and opens a descriptor (§3.6.3).
-	resp, sent, rerr := c.coalescedCreate(parent, parentDist, name, &proto.Request{
+	create := &proto.Request{
 		Op:        proto.OpCreateCoalesced,
 		Dir:       parent,
 		Name:      name,
@@ -46,18 +63,16 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 		Ftype:     fsapi.TypeRegular,
 		Exclusive: flags&fsapi.OExcl != 0,
 		WantOpen:  true,
-	})
+	}
+	resps, rerr := c.coalescedCreate(parent, parentDist, name, []*proto.Request{create, &extend}[:1+ext], buf[:0])
 	if rerr != nil {
 		return -1, rerr
 	}
-	if sent {
-		switch resp.Err {
+	if resps != nil {
+		switch resp := resps[0]; resp.Err {
 		case fsapi.OK:
 			c.cacheEntry(parent, name, dcacheEnt{ino: resp.Ino, ftype: resp.Ftype, dist: resp.Dist})
-			c.noteVersion(resp.Ino, resp.Version)
-			of := c.newOpenFile()
-			of.ino, of.ftype, of.flags, of.verKnown = resp.Ino, resp.Ftype, flags, resp.Version
-			return c.allocFD(of), nil
+			return c.created(resps, flags), nil
 		case fsapi.EEXIST:
 			if flags&fsapi.OExcl != 0 {
 				return -1, fsapi.EEXIST
@@ -70,51 +85,64 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 	}
 
 	// Creation affinity placed the inode on a closer server than the entry
-	// server: create the inode first, then add the entry.
+	// server: create and open the inode there in one message, then add the
+	// entry.
 	entrySrv, _ := c.routeEntry(parent, parentDist, name)
 	inodeSrv := c.chooseInodeServer(entrySrv)
-	mkResp, err := c.rpcOK(inodeSrv, &proto.Request{
-		Op:    proto.OpMknod,
-		Ftype: fsapi.TypeRegular,
-		Mode:  mode,
-	})
+	mknod := &proto.Request{Op: proto.OpMknod, Ftype: fsapi.TypeRegular, Mode: mode}
+	open := &proto.Request{Op: proto.OpOpenInode, Target: proto.PrevInode, Flags: int32(flags)}
+	if resps, err = c.rpcBatch(inodeSrv, true, []*proto.Request{mknod, open, &extend}[:2+ext], buf[:0]); err != nil {
+		return -1, err
+	}
+	if resps[0].Err != fsapi.OK {
+		return -1, resps[0].Err
+	}
+	ino := resps[0].Ino
+	// added is the answer of the step that decides: the OPEN's when it
+	// failed, ADD_MAP's otherwise.
+	added := resps[1]
+	if added.Err == fsapi.OK {
+		added, err = c.routedEntryRPC(parent, parentDist, name, &proto.Request{
+			Op:     proto.OpAddMap,
+			Dir:    parent,
+			Name:   name,
+			Target: ino,
+			Ftype:  fsapi.TypeRegular,
+		})
+		if err == nil && added.Err == fsapi.OK {
+			c.cacheEntry(parent, name, dcacheEnt{ino: ino, ftype: fsapi.TypeRegular, dist: false})
+			return c.created(resps[1:], flags), nil
+		}
+	}
+	// Lost a race, the file simply existed, or the entry could not be added:
+	// close and discard the orphan inode, a block it was given with it, in
+	// one message.
+	_, _ = c.rpcBatch(inodeSrv, true, []*proto.Request{
+		{Op: proto.OpCloseInode, Target: ino}, {Op: proto.OpUnlinkInode, Target: ino}}, nil)
 	if err != nil {
 		return -1, err
 	}
-	addResp, aerr := c.routedEntryRPC(parent, parentDist, name, &proto.Request{
-		Op:     proto.OpAddMap,
-		Dir:    parent,
-		Name:   name,
-		Target: mkResp.Ino,
-		Ftype:  fsapi.TypeRegular,
-	})
-	if aerr != nil {
-		return -1, aerr
+	if added.Err != fsapi.EEXIST || flags&fsapi.OExcl != 0 {
+		return -1, added.Err
 	}
-	if addResp.Err == fsapi.EEXIST {
-		// Lost a race (or the file simply existed): discard the orphan
-		// inode and open the existing file.
-		_, _ = c.rpc(inodeSrv, &proto.Request{Op: proto.OpUnlinkInode, Target: mkResp.Ino})
-		if flags&fsapi.OExcl != 0 {
-			return -1, fsapi.EEXIST
-		}
-		c.cacheEntry(parent, name, dcacheEnt{ino: addResp.Ino, ftype: addResp.Ftype, dist: addResp.Dist})
-		return c.openExisting(addResp.Ino, addResp.Ftype, flags)
+	c.cacheEntry(parent, name, dcacheEnt{ino: added.Ino, ftype: added.Ftype, dist: added.Dist})
+	return c.openExisting(added.Ino, added.Ftype, flags)
+}
+
+// created turns the reply that opened a new file — CREATE_COALESCED's, or the
+// split path's OPEN_INODE — into a descriptor; resps[1], when there is one,
+// answers the EXTEND that rode along. One that failed (ENOSPC) leaves the
+// create standing and the write to ask again.
+func (c *Client) created(resps []*proto.Response, flags int) fsapi.FD {
+	c.noteVersion(resps[0].Ino, resps[0].Version)
+	of := c.fileFromOpen(resps[0], flags)
+	of.created = true
+	if len(resps) > 1 && resps[1].Err == fsapi.OK {
+		c.growBlocks(of, resps[1], true)
+		of.firstBlock = true
+		c.stats.firstBlks.Add(1)
 	}
-	if addResp.Err != fsapi.OK {
-		_, _ = c.rpc(inodeSrv, &proto.Request{Op: proto.OpUnlinkInode, Target: mkResp.Ino})
-		return -1, addResp.Err
-	}
-	c.cacheEntry(parent, name, dcacheEnt{ino: mkResp.Ino, ftype: fsapi.TypeRegular, dist: false})
-	openResp, oerr := c.rpcOK(inodeSrv, &proto.Request{
-		Op:     proto.OpOpenInode,
-		Target: mkResp.Ino,
-		Flags:  int32(flags),
-	})
-	if oerr != nil {
-		return -1, oerr
-	}
-	return c.allocFD(c.fileFromOpen(openResp, flags)), nil
+	return c.allocFD(of)
 }
 
 // openExisting opens an inode whose entry a create found in its way.
@@ -216,6 +244,11 @@ func (c *Client) Close(fd fsapi.FD) (err error) {
 // or — after flushing dirty blocks — the inode close with the size update
 // coalesced in (§3.6.3). Shared by Close and the pipelined CloseAll so the
 // close semantics have one source of truth.
+//
+// A description closed with the first block its create brought along still
+// unwritten corrects the predictor. The block stays with the inode, as
+// extend-ahead's tail does, and goes at unlink: what this description did
+// says nothing of what another open of the same file wrote into it.
 func (c *Client) closeRequest(of *openFile, req *proto.Request) {
 	of.dropReadahead()
 	switch {
@@ -235,6 +268,9 @@ func (c *Client) closeRequest(of *openFile, req *proto.Request) {
 			// server the data changed so it moves the inode's version.
 			req.Size = of.size
 			req.Dirty = true
+		} else if of.firstBlock {
+			c.writesCreates = false
+			c.stats.firstMiss.Add(1)
 		}
 	}
 }
@@ -551,13 +587,19 @@ func (c *Client) ensureBlocks(of *openFile, end int64) error {
 	if err != nil {
 		return err
 	}
+	// GET_BLOCKS never bumps; a moved version means another client extended
+	// or wrote the file while we held it open.
+	c.growBlocks(of, resp, false)
+	return nil
+}
+
+// growBlocks installs the block map an EXTEND (bumps: it moves the version
+// exactly when the map grew) or GET_BLOCKS reply carries.
+func (c *Client) growBlocks(of *openFile, resp *proto.Response, bumps bool) {
 	before := of.blocks.Len()
 	refreshBlocks(of, resp.Extents)
 	c.invalidateTail(of, before)
-	// GET_BLOCKS never bumps; a moved version means another client extended
-	// or wrote the file while we held it open.
-	of.expectVersion(resp.Version, false)
-	return nil
+	of.expectVersion(resp.Version, bumps && of.blocks.Len() > before)
 }
 
 // extendTo asks the file server to allocate blocks so the file can hold end
@@ -570,6 +612,11 @@ func (c *Client) extendTo(of *openFile, end int64) error {
 	bs := int64(c.cfg.DRAM.BlockSize())
 	if int64(of.blocks.Len())*bs >= end {
 		return nil
+	}
+	// A created file asking for its first block: this process writes what
+	// it creates, and its next create brings the block along (openCreate).
+	if of.created && of.blocks.Len() == 0 {
+		c.writesCreates = true
 	}
 	want := end
 	if c.cfg.Options.Pipelining {
@@ -586,11 +633,7 @@ func (c *Client) extendTo(of *openFile, end int64) error {
 	if err != nil {
 		return err
 	}
-	before := of.blocks.Len()
-	refreshBlocks(of, resp.Extents)
-	c.invalidateTail(of, before)
-	// EXTEND bumps the version exactly when the block map grew.
-	of.expectVersion(resp.Version, of.blocks.Len() > before)
+	c.growBlocks(of, resp, true)
 	return nil
 }
 
@@ -757,7 +800,7 @@ func (c *Client) Ftruncate(fd fsapi.FD, size int64) (err error) {
 	// the new version.
 	of.expectVersion(resp.Version, true)
 	c.settleVersion(of)
-	of.wrote = false
+	of.wrote, of.firstBlock = false, false
 	return nil
 }
 

@@ -83,7 +83,7 @@ func (c *Client) incRef(of *openFile) error {
 func (c *Client) CloneForFork(childCore int) (fsapi.Client, error) {
 	defer c.releaseResps(c.respMark())
 	child := c.spawnPeer(childCore)
-	child.cwd = c.cwd
+	child.cwd, child.writesCreates = c.cwd, c.writesCreates
 	child.clock.AdvanceTo(c.clock.Now())
 
 	// Preserve dup relationships: descriptors sharing one description in

@@ -119,31 +119,33 @@ func (c *Client) routedEntryRPCOK(dir proto.InodeID, dirDist bool, name string, 
 
 // coalescedCreate routes a create for (parent, name) and, while creation
 // affinity keeps the inode server equal to the entry server, sends the
-// given coalesced-create request there — refreshing and re-routing on
-// EEPOCH like every routed helper. sent=false means the placement (or a
-// mid-retry migration) moved the entry server off this client's socket and
-// no RPC was issued: the caller takes the split mknod+addmap path instead.
-func (c *Client) coalescedCreate(parent proto.InodeID, parentDist bool, name string, req *proto.Request) (resp *proto.Response, sent bool, err error) {
+// given chain there — a coalesced-create request and whatever follows it on
+// the new inode (proto.PrevInode), stop-on-error — refreshing and re-routing
+// on EEPOCH like every routed helper. It appends the chain's responses to
+// out; none means the placement (or a mid-retry migration) moved the entry
+// server off this client's socket and no RPC was issued: the caller takes
+// the split mknod+addmap path instead.
+func (c *Client) coalescedCreate(parent proto.InodeID, parentDist bool, name string, chain []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
 	entrySrv, epoch := c.routeEntry(parent, parentDist, name)
 	for tries := 0; c.chooseInodeServer(entrySrv) == entrySrv; tries++ {
-		req.Epoch = epoch
-		resp, err := c.rpc(entrySrv, req)
+		chain[0].Epoch = epoch
+		resps, err := c.rpcBatch(entrySrv, true, chain, out)
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
-		if resp.Err == fsapi.EEPOCH {
+		if resps[0].Err == fsapi.EEPOCH {
 			if tries >= maxEpochRetries {
-				return nil, true, fsapi.EIO
+				return nil, fsapi.EIO
 			}
 			c.refreshRouting()
-			c.noteEpochRefresh(req.Op, tries)
+			c.noteEpochRefresh(chain[0].Op, tries)
 			c.yield()
 			entrySrv, epoch = c.routeEntry(parent, parentDist, name)
 			continue
 		}
-		return resp, true, nil
+		return resps, nil
 	}
-	return nil, false, nil
+	return nil, nil
 }
 
 // routedBroadcast fans a shard request out to every placement member (for a

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -497,5 +498,72 @@ func TestSerialClientPaysOneFlushPerDurableRPC(t *testing.T) {
 	timer, _, timerFlushes, _ := run(Durability{Enabled: true, GroupCommitInterval: 1_000_000})
 	if timer != on || timerFlushes != flushes {
 		t.Errorf("GroupCommitInterval moved the run: %d cycles and %d flushes, against %d and %d at 0", timer, timerFlushes, on, flushes)
+	}
+}
+
+// TestFirstBlockCommitsWithItsCreate: the create of a process that writes what
+// it creates logs inode, entry and block map as one append (DESIGN.md §7,
+// "First block with the create"). A crash right after the chain's reply — the
+// client holds the block and has written nothing yet — recovers a file that
+// owns the block: what the client then writes through it reads back, whether
+// the memory domain survived or not, and a second replay changes nothing.
+func TestFirstBlockCommitsWithItsCreate(t *testing.T) {
+	for _, loseMemory := range []bool{false, true} {
+		sys := newDurableSystem(t, 2, 2, Durability{}, AllTechniques())
+		cli := sys.NewClient(0)
+		free := freeBlocks(sys)
+		writeFile(t, cli, "/armed", []byte("shows that this process writes what it creates"))
+
+		logged := func() (records, flushes uint64) {
+			for _, st := range sys.WalStats() {
+				records += st.Records
+				flushes += st.Flushes
+			}
+			return records, flushes
+		}
+		records, flushes := logged()
+		fd, err := cli.Open("/f", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := cli.Stats(); st.FirstBlocks != 1 {
+			t.Fatalf("%d first blocks: the test is not on the armed path", st.FirstBlocks)
+		}
+		if r, f := logged(); r-records != 3 || f-flushes != 1 {
+			t.Fatalf("the create logged %d records in %d flushes, want 3 (inode, entry, block map) in 1", r-records, f-flushes)
+		}
+
+		crashRecoverAll(t, sys, loseMemory)
+		sent := cli.Stats().RPCs
+		if _, err := cli.Write(fd, []byte("through the block the create brought")); err != nil {
+			t.Fatal(err)
+		}
+		if n := cli.Stats().RPCs - sent; n != 0 {
+			t.Fatalf("the write sent %d request messages, want 0", n)
+		}
+		if err := cli.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+		if got := readFile(t, sys.NewClient(1), "/f"); string(got) != "through the block the create brought" {
+			t.Fatalf("after recovery (memory lost: %v) /f reads %q", loseMemory, got)
+		}
+
+		// Replaying the records a second time assigns the same state.
+		first, held := namespaceDump(t, sys.NewClient(1), "/"), freeBlocks(sys)
+		crashRecoverAll(t, sys, false)
+		if second := namespaceDump(t, sys.NewClient(1), "/"); second != first {
+			t.Fatalf("second recovery changed state:\nfirst:\n%s\nsecond:\n%s", first, second)
+		}
+		if got := freeBlocks(sys); !reflect.DeepEqual(got, held) {
+			t.Fatalf("free blocks per server %v after the second recovery, %v after the first", got, held)
+		}
+		for _, path := range []string{"/armed", "/f"} {
+			if err := cli.Unlink(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := freeBlocks(sys); !reflect.DeepEqual(got, free) {
+			t.Fatalf("free blocks per server %v once everything is unlinked, %v at the start", got, free)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fsapi"
 	"repro/internal/msg"
+	"repro/internal/ncc"
 	"repro/internal/place"
 	"repro/internal/proto"
 )
@@ -212,4 +213,80 @@ func TestBatchChainParksWhole(t *testing.T) {
 			t.Fatalf("entry after the refused chain: %v (%v)", resp.Ino, resp.Err)
 		}
 	})
+}
+
+// TestCreateChainCarriesFirstBlock: a create followed by EXTEND(PrevInode) in
+// one stop-on-error batch — what a client that writes what it creates sends
+// (DESIGN.md §7, "First block with the create") — answer by answer.
+func TestCreateChainCarriesFirstBlock(t *testing.T) {
+	h := newHarness(t)
+	part := h.srv.cfg.Partition
+	create := func(name string) []*proto.Response {
+		return h.callBatch(true,
+			&proto.Request{Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Name: name, Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular, WantOpen: true},
+			&proto.Request{Op: proto.OpExtend, Target: proto.PrevInode, Size: 1})
+	}
+
+	// Inode and extents in one reply; the block is the file's, its size 0.
+	free := part.FreeCount()
+	resps := create("f")
+	made, ext := resps[0], resps[1]
+	if made.Err != fsapi.OK || ext.Err != fsapi.OK || made.Ino.Local == 0 {
+		t.Fatalf("create chain: %v (%v), %v", made.Err, made.Ino, ext.Err)
+	}
+	if len(ext.Extents) != 1 || ext.Extents[0].Count != 1 || ext.Version != made.Version+1 {
+		t.Fatalf("EXTEND behind the create: extents %v, version %d after %d", ext.Extents, ext.Version, made.Version)
+	}
+	if got := part.FreeCount(); got != free-1 {
+		t.Fatalf("free blocks %d after the chain, want %d", got, free-1)
+	}
+	if st := h.callOK(&proto.Request{Op: proto.OpStat, Target: made.Ino}); st.Stat.Size != 0 {
+		t.Fatalf("size %d with a block nothing has been written to, want 0", st.Stat.Size)
+	}
+
+	// The name exists (a second delivery of the same chain is this too): the
+	// create answers EEXIST with the entry, the EXTEND is cancelled, and
+	// nothing was allocated.
+	resps = create("f")
+	if resps[0].Err != fsapi.EEXIST || resps[0].Ino != made.Ino || resps[1].Err != fsapi.ECANCELED {
+		t.Fatalf("chain on an existing name: %v (%v), %v; want EEXIST (%v), ECANCELED", resps[0].Err, resps[0].Ino, resps[1].Err, made.Ino)
+	}
+	if got := part.FreeCount(); got != free-1 {
+		t.Fatalf("free blocks %d after EEXIST, want %d", got, free-1)
+	}
+
+	// Closed unwritten, the block stays with the inode; unlink frees it.
+	h.callOK(&proto.Request{Op: proto.OpCloseInode, Target: made.Ino})
+	if got := part.FreeCount(); got != free-1 {
+		t.Fatalf("free blocks %d after the unwritten close, want %d", got, free-1)
+	}
+	if got := errnos(h.callBatch(true,
+		&proto.Request{Op: proto.OpRmMap, Dir: proto.RootInode, Name: "f", Ftype: fsapi.TypeRegular},
+		onPrev(proto.OpUnlinkInode))); got[0] != fsapi.OK || got[1] != fsapi.OK {
+		t.Fatalf("[RM_MAP, UNLINK_INODE]: %v", got)
+	}
+	if got := part.FreeCount(); got != free {
+		t.Fatalf("free blocks %d once the file is unlinked, want %d", got, free)
+	}
+
+	// No free block: the create stands, the EXTEND answers ENOSPC.
+	var held []ncc.BlockID
+	for part.FreeCount() > 0 {
+		b, err := part.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, b)
+	}
+	resps = create("g")
+	if resps[0].Err != fsapi.OK || resps[1].Err != fsapi.ENOSPC {
+		t.Fatalf("chain on a full partition: %v, %v; want OK, ENOSPC", resps[0].Err, resps[1].Err)
+	}
+	if found := h.call(lookup("g")); found.Err != fsapi.OK || found.Ino != resps[0].Ino {
+		t.Fatalf("entry after ENOSPC on the EXTEND: %v (%v)", found.Err, found.Ino)
+	}
+	part.Free(held)
+	if ext := h.callOK(&proto.Request{Op: proto.OpExtend, Target: resps[0].Ino, Size: 1}); len(ext.Extents) != 1 {
+		t.Fatalf("EXTEND once there is room: extents %v", ext.Extents)
+	}
 }

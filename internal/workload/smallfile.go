@@ -17,12 +17,19 @@ import (
 type SmallFile struct {
 	PerWorker int
 	// WriteBytes, when non-zero, writes that many bytes into each file
-	// before closing it (adds an EXTEND and a size-carrying CLOSE).
+	// before closing it (adds an EXTEND — which rides with the create from a
+	// worker's second file on, DESIGN.md §7 — and a size-carrying CLOSE).
 	WriteBytes int
 }
 
-// Name implements Workload.
-func (SmallFile) Name() string { return "smallfile" }
+// Name implements Workload. The written variant reports under its own name:
+// its per-file message economy is a different one.
+func (w SmallFile) Name() string {
+	if w.WriteBytes > 0 {
+		return "smallfile+write"
+	}
+	return "smallfile"
+}
 
 // Placement implements Workload.
 func (SmallFile) Placement() sched.Policy { return sched.PolicyRoundRobin }
