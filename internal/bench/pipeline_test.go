@@ -40,8 +40,10 @@ func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 			t.Fatalf("sweep produced %d points, %d rows", len(data.Points), len(tbl.Rows))
 		}
 		// Per file the unpipelined client sends create, close, RM_MAP and
-		// UNLINK_INODE; pipelined, the last two travel as sub-ops of one
-		// batch. Each worker adds two set-up requests in both modes.
+		// UNLINK_INODE; pipelined, the last three travel as sub-ops of one
+		// batch — the close of a file nothing was written to waits for the
+		// unlink's message and leads it (DESIGN.md §7, "A clean close rides").
+		// Each worker adds two set-up requests in both modes.
 		const files = workers * perWorker
 		for _, p := range data.Points[len(servers):] {
 			// Written, the unpipelined client sends an EXTEND besides; pipelined
@@ -56,10 +58,10 @@ func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 			}
 		}
 		for j, p := range data.Points[:len(servers)] {
-			if p.OffMsgs != 4*files+2*workers || p.OnMsgs != 3*files+2*workers || p.BatchedOps != 2*files {
+			if p.OffMsgs != 4*files+2*workers || p.OnMsgs != 2*files+2*workers || p.BatchedOps != 3*files {
 				t.Errorf("%s@%d servers: request messages off/on %d/%d, batched sub-ops %d; want %d/%d, %d",
 					p.Benchmark, p.Servers, p.OffMsgs, p.OnMsgs, p.BatchedOps,
-					4*files+2*workers, 3*files+2*workers, 2*files)
+					4*files+2*workers, 2*files+2*workers, 3*files)
 			}
 			if p.MsgReduction() < 0.20 {
 				t.Errorf("%s@%d servers: message reduction %.0f%%, want >= 20%%",

@@ -200,6 +200,11 @@ func TestDupOKClassifiesABatchByWhatItCarries(t *testing.T) {
 		{"bare create", proto.KindRequest, (&proto.Request{Op: proto.OpCreateCoalesced, Name: "n"}).Marshal(), false},
 		{"create then extend", proto.KindRequest, batch(proto.OpCreateCoalesced, proto.OpExtend), false},
 		{"mknod, open, extend", proto.KindRequest, batch(proto.OpMknod, proto.OpOpenInode, proto.OpExtend), false},
+		// A clean close leads the next call's message: it drops a descriptor
+		// reference, so what it leads — a bare stat, the stat chain — leaves
+		// duplicate-delivery coverage for that one message.
+		{"close leads a stat", proto.KindRequest, batch(proto.OpCloseInode, proto.OpStat), false},
+		{"close leads lookup then stat", proto.KindRequest, batch(proto.OpCloseInode, proto.OpLookup, proto.OpStat), false},
 		{"a reply", proto.KindResponse, batch(proto.OpLookup, proto.OpStat), false},
 		{"a batch that does not decode", proto.KindRequest, (&proto.Request{Op: proto.OpBatch, Data: []byte{1, 2, 3}}).Marshal(), false},
 		{"bytes that do not decode", proto.KindRequest, []byte{1, 2, 3}, false},

@@ -27,6 +27,7 @@ import (
 
 // sendAsync issues one request without waiting for the reply.
 func (c *Client) sendAsync(srv int, req *proto.Request) (*msg.Future, error) {
+	c.flushClose()
 	rt := c.routing
 	if srv < 0 || srv >= len(rt.Servers) {
 		return nil, fsapi.EIO
@@ -82,13 +83,13 @@ func (c *Client) awaitAll(futs []*msg.Future) ([]*proto.Response, error) {
 }
 
 // batchLen returns how many of the leading requests travel in one batch
-// envelope: as many as the protocol's caps allow. The estimate leaves
-// headroom for the fixed-shape fields so an envelope never exceeds
-// MaxBatchBytes once marshaled.
-func batchLen(reqs []*proto.Request) int {
+// envelope, behind led fixed-shape requests already in it: as many as the
+// protocol's caps allow. The estimate leaves headroom for the fixed-shape
+// fields so an envelope never exceeds MaxBatchBytes once marshaled.
+func batchLen(reqs []*proto.Request, led int) int {
 	const perReqOverhead = 192
 	budget := proto.MaxBatchBytes - 64
-	n, bytes := 0, 0
+	n, bytes := led, led*perReqOverhead
 	for _, r := range reqs {
 		est := perReqOverhead + len(r.Name) + len(r.Data) + len(r.Program) + len(r.Dirname)
 		if n > 0 && (n >= proto.MaxBatchOps || bytes+est > budget) {
@@ -97,7 +98,7 @@ func batchLen(reqs []*proto.Request) int {
 		n++
 		bytes += est
 	}
-	return n
+	return n - led
 }
 
 // batchEnvelope stamps the sub-requests and returns the OpBatch envelope that
@@ -109,6 +110,86 @@ func (c *Client) batchEnvelope(subs []*proto.Request, stopOnErr bool) proto.Requ
 		r.ClientID = c.cfg.ID
 	}
 	return proto.Request{Op: proto.OpBatch, Subs: subs, StopOnErr: stopOnErr}
+}
+
+// A clean close rides (DESIGN.md §7). Close keeps a description whose close
+// tells the server nothing another process can see as c.pend and sends
+// nothing; the CLOSE_INODE leads the next message to that inode's server.
+
+// closeLeads settles the pending close before reqs go to srv as one message.
+// It reports true when the close can lead them in one envelope — same server,
+// operations that may share one, room under the caps — and otherwise sends it
+// on its own, as Close would have, so that nothing overtakes it.
+func (c *Client) closeLeads(srv int, reqs []*proto.Request) bool {
+	of := c.pend
+	if of == nil {
+		return false
+	}
+	leads := int(of.ino.Server) == srv && batchLen(reqs, 1) == len(reqs)
+	for _, r := range reqs {
+		leads = leads && proto.Batchable(r.Op)
+	}
+	if !leads {
+		c.flushClose()
+	}
+	return leads
+}
+
+// flushClose sends the pending close, if there is one, on its own.
+func (c *Client) flushClose() {
+	if of := c.pend; of != nil {
+		resp, _ := c.exchange(int(of.ino.Server), &proto.Request{Op: proto.OpCloseInode, Target: of.ino})
+		c.closed(of, resp)
+	}
+}
+
+// closed takes CLOSE_INODE's answer — none when it could not be sent — for a
+// description whose close was clean. A version that still matches proves
+// nothing changed while it was open: an intact window lets a reopen at this
+// version skip invalidation, a lost one (someone else mutated the file
+// meanwhile) evicts the entry. A close that failed is dropped, as every
+// close's error is at exit: the descriptor is gone either way.
+func (c *Client) closed(of *openFile, resp *proto.Response) {
+	if resp != nil && resp.Err == fsapi.OK {
+		of.expectVersion(resp.Version, false)
+		c.settleVersion(of)
+	}
+	c.pend = nil
+	c.freeOpenFile(of)
+}
+
+// envelope sends subs to srv as one OpBatch message, behind the pending close
+// when there is one (the caller asked closeLeads), and appends their responses
+// to out. The close's answer is taken before the caller sees any of the rest:
+// an OPEN_INODE of the inode just closed finds its version window settled. An
+// envelope refused whole leaves the close pending: nothing of it ran. Requests
+// and response slots stay on this frame.
+func (c *Client) envelope(srv int, stopOnErr bool, subs []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
+	var led [proto.MaxBatchOps]*proto.Request
+	var slots [proto.MaxBatchOps]*proto.Response
+	of := c.pend
+	if of != nil {
+		led[0] = &proto.Request{Op: proto.OpCloseInode, Target: of.ino}
+		for i, r := range subs {
+			led[i+1] = r
+		}
+		subs = led[:len(subs)+1]
+	}
+	env := c.batchEnvelope(subs, stopOnErr)
+	reply, err := c.exchange(srv, &env)
+	if err != nil {
+		return nil, err
+	}
+	resps, err := c.unpackBatch(slots[:0], reply, len(subs))
+	if err != nil {
+		return nil, err
+	}
+	c.stats.batched.Add(uint64(len(subs)))
+	if of != nil {
+		c.closed(of, resps[0])
+		resps = resps[1:]
+	}
+	return append(out, resps...), nil
 }
 
 // unpackBatch appends the n sub-responses a batch reply carries to out.
@@ -143,7 +224,7 @@ func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []
 	for len(reqs) > 0 {
 		n := 1
 		if c.cfg.Options.Pipelining {
-			n = batchLen(reqs)
+			n = batchLen(reqs, 0)
 		}
 		chunk := reqs[:n]
 		reqs = reqs[n:]
@@ -169,15 +250,11 @@ func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []
 			}
 			out = append(out, resp)
 		default:
-			env := c.batchEnvelope(chunk, stopOnErr)
-			reply, err := c.rpc(srv, &env)
-			if err != nil {
+			c.closeLeads(srv, chunk)
+			var err error
+			if out, err = c.envelope(srv, stopOnErr, chunk, out); err != nil {
 				return nil, err
 			}
-			if out, err = c.unpackBatch(out, reply, n); err != nil {
-				return nil, err
-			}
-			c.stats.batched.Add(uint64(n))
 		}
 		for _, r := range out[first:] {
 			if r.Err != fsapi.OK {
@@ -220,7 +297,7 @@ func (c *Client) scatter(perSrv map[int][]*proto.Request) (map[int][]*proto.Resp
 	var refs []sent
 	for _, srv := range srvs {
 		for reqs := perSrv[srv]; len(reqs) > 0; {
-			n := batchLen(reqs)
+			n := batchLen(reqs, 0)
 			var batch proto.Request
 			env := reqs[0]
 			if n > 1 {

@@ -24,7 +24,11 @@ import (
 // 20-core two-socket machine half the names of a distributed directory hash
 // to the other socket, and their inodes stay near the creator ("elsewhere").
 // Armed means the process wrote the file it created last: its creates bring
-// their first block along ("First block with the create").
+// their first block along ("First block with the create"). A clean close —
+// nothing written through the description since the server last heard its
+// size — sends nothing and leads the closer's next message to that inode's
+// server ("A clean close rides"); the table's other rows are measured with
+// nothing pending (Sync sends it), the "behind a clean close" rows with one.
 
 type budget map[string]uint64
 
@@ -37,7 +41,16 @@ var wantBudget = map[string]budget{
 		"first write":              1, // EXTEND
 		"first write, armed":       0,
 		"close":                    1,
-		"close unwritten, armed":   1, // the block stays with the inode
+		"close unwritten, armed":   0, // the block stays with the inode
+		"close clean":              0,
+		"sync, a close pending":    1, // CLOSE_INODE
+		"sync, nothing owed":       0,
+
+		"stat behind a clean close, same server":   1, // [CLOSE_INODE, STAT]
+		"stat behind a clean close, elsewhere":     2, // CLOSE_INODE, STAT
+		"unlink behind a clean close, same server": 1, // [CLOSE_INODE, RM_MAP, UNLINK_INODE]
+		"create behind a clean close, same server": 1, // [CLOSE_INODE, CREATE_COALESCED]
+		"create behind a clean close, elsewhere":   2, // CLOSE_INODE, CREATE_COALESCED
 
 		"stat cold co-located":   1, // [LOOKUP, STAT]
 		"stat warm co-located":   1,
@@ -64,6 +77,15 @@ var wantBudget = map[string]budget{
 		"first write, armed":       1,
 		"close":                    1,
 		"close unwritten, armed":   1,
+		"close clean":              1,
+		"sync, a close pending":    0,
+		"sync, nothing owed":       0,
+
+		"stat behind a clean close, same server":   1,
+		"stat behind a clean close, elsewhere":     1,
+		"unlink behind a clean close, same server": 2,
+		"create behind a clean close, same server": 1,
+		"create behind a clean close, elsewhere":   1,
 
 		"stat cold co-located":   2, // LOOKUP, STAT
 		"stat warm co-located":   1,
@@ -99,22 +121,36 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	t.Cleanup(sys.Stop)
 
 	got = budget{}
-	sent := func(c *client.Client, key string, call func() error) {
-		t.Helper()
+	count := func(c *client.Client, call func() error) (uint64, error) {
 		before := c.Stats().RPCs
 		err := call()
-		n := c.Stats().RPCs - before
+		return c.Stats().RPCs - before, err
+	}
+	record := func(key string, n uint64, err error) {
+		t.Helper()
 		if old, seen := got[key]; seen && old != n {
 			t.Errorf("%s: %d messages, and %d before", key, n, old)
 		}
 		got[key] = n
 		results = append(results, fmt.Sprintf("%s: %v", key, err))
 	}
+	sent := func(c *client.Client, key string, call func() error) {
+		t.Helper()
+		n, err := count(c, call)
+		record(key, n, err)
+	}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	// closeClean closes a descriptor nothing was written through and sends
+	// the close the client kept back, so that the next row starts from nothing.
+	closeClean := func(c *client.Client, key string, fd fsapi.FD) {
+		t.Helper()
+		sent(c, key, func() error { return c.Close(fd) })
+		must(c.Sync())
 	}
 
 	// The creator fills a distributed directory; what a create costs tells
@@ -146,7 +182,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	for seen := map[string]bool{}; len(seen) < 2; {
 		_, place, fd := create()
 		seen[place] = true
-		sent(creator, "close", func() error { return creator.Close(fd) })
+		closeClean(creator, "close clean", fd)
 	}
 	const perPlace = 3 // one name each for stat, open and unlink
 	for len(names["co-located"]) < perPlace || len(names["elsewhere"]) < perPlace {
@@ -157,7 +193,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 		names[place] = append(names[place], path)
 	}
 	_, _, fd := create()
-	sent(creator, "close unwritten"+armed, func() error { return creator.Close(fd) })
+	closeClean(creator, "close unwritten"+armed, fd)
 
 	// The walker shares the creator's socket and knows the directory, but
 	// none of the names in it.
@@ -179,7 +215,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 				fd, err = walker.Open(forOpen, fsapi.ORdOnly, 0)
 				return err
 			})
-			sent(walker, "close", func() error { return walker.Close(fd) })
+			closeClean(walker, "close clean", fd)
 		}
 		sent(walker, "unlink cold "+place, func() error { return walker.Unlink(forUnlink) })
 		sent(walker, "unlink warm "+place, func() error { return walker.Unlink(forStat) })
@@ -196,7 +232,70 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	fd, err = creator.Open("/c/old", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 	must(err)
 	must(creator.Close(fd))
+	must(creator.Sync())
 	sent(creator, "rename same server", func() error { return creator.Rename("/c/old", "/c/new") })
+
+	// A clean close waits for the closer's next message. To its inode's
+	// server it leads that message, which costs what it would have alone;
+	// before a message to any other server it goes on its own, which is the
+	// message the close used to be.
+	srvOf := func(c *client.Client, path string) int {
+		t.Helper()
+		st, err := c.Stat(path)
+		must(err)
+		return st.Server
+	}
+	here, there := names["co-located"][1], ""
+	kept, err := walker.ReadDir("/d")
+	must(err)
+	for _, e := range kept {
+		if path := "/d/" + e.Name; srvOf(walker, path) != srvOf(walker, here) {
+			there = path
+		}
+	}
+	if there == "" {
+		t.Fatal("every file kept is on one server; the test needs two")
+	}
+	pend := func() {
+		t.Helper()
+		fd, err := walker.Open(here, fsapi.ORdOnly, 0)
+		must(err)
+		sent(walker, "close clean", func() error { return walker.Close(fd) })
+	}
+	pend()
+	sent(walker, "stat behind a clean close, same server", func() error { _, err := walker.Stat(here); return err })
+	pend()
+	sent(walker, "stat behind a clean close, elsewhere", func() error { _, err := walker.Stat(there); return err })
+	pend()
+	sent(walker, "sync, a close pending", walker.Sync)
+	sent(walker, "sync, nothing owed", walker.Sync)
+	pend()
+	sent(walker, "unlink behind a clean close, same server", func() error { return walker.Unlink(here) })
+
+	// Creates beside their entry, each behind the clean close of the one
+	// before. A file on the creator's designated server may have been created
+	// the other way (its entry elsewhere); those are left out.
+	local, last := srvOf(creator, names["elsewhere"][1]), -1
+	for seen := map[string]bool{}; len(seen) < 2; {
+		path := fmt.Sprintf("/d/g%03d", files)
+		files++
+		var fd fsapi.FD
+		n, err := count(creator, func() (err error) {
+			fd, err = creator.Open(path, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+			return err
+		})
+		srv := srvOf(creator, path)
+		if key := "create behind a clean close, same server"; srv != local && last >= 0 {
+			if srv != last {
+				key = "create behind a clean close, elsewhere"
+			}
+			record(key, n, err)
+			seen[key] = true
+		}
+		sent(creator, "close clean", func() error { return creator.Close(fd) })
+		last = srv
+	}
+	must(creator.Sync())
 
 	if n := creator.Stats().BatchedOps + walker.Stats().BatchedOps; (n > 0) != pipelining {
 		t.Errorf("%d sub-operations travelled in batches with pipelining %v", n, pipelining)

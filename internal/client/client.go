@@ -143,6 +143,11 @@ type Client struct {
 	resps  respArena
 	ofFree []*openFile
 
+	// pend is the one description whose clean close has not been sent: its
+	// CLOSE_INODE leads this client's next message to that server, or goes
+	// on its own before a message to anywhere else (async.go, closeLeads).
+	pend *openFile
+
 	localServer int // designated nearby server for creation affinity
 
 	// writesCreates is the first-block predictor (DESIGN.md §7): the file
@@ -468,11 +473,26 @@ func (c *Client) traceRequest(req *proto.Request) {
 }
 
 // rpc performs one synchronous RPC to the given server index and returns the
-// decoded response. Virtual time: marshal+send cost before, propagation
-// handled by the network, receive cost after.
+// decoded response. A pending clean close is settled first: it leads the
+// request in one envelope, or has gone on its own when this returns.
+func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
+	if one := [...]*proto.Request{req}; c.closeLeads(srv, one[:]) {
+		var buf [1]*proto.Response
+		resps, err := c.envelope(srv, false, one[:], buf[:0])
+		if err != nil {
+			return nil, err
+		}
+		return resps[0], nil
+	}
+	return c.exchange(srv, req)
+}
+
+// exchange sends one request message and awaits its reply. Virtual time:
+// marshal+send cost before, propagation handled by the network, receive cost
+// after.
 //
 // After each exchange the goroutine yields (see yield).
-func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
+func (c *Client) exchange(srv int, req *proto.Request) (*proto.Response, error) {
 	rt := c.routing
 	if srv < 0 || srv >= len(rt.Servers) {
 		return nil, fsapi.EIO
@@ -538,6 +558,7 @@ func (c *Client) yield() {
 // scheduler idles it (DESIGN.md §13).
 func (c *Client) ExecOn(dst msg.EndpointID, req *proto.Request) (status int32, err error) {
 	defer c.releaseResps(c.respMark())
+	c.flushClose()
 	req.ClientID = c.cfg.ID
 	c.traceRequest(req)
 	payload := c.marshalReq(req)
@@ -581,6 +602,7 @@ func (c *Client) rpcOK(srv int, req *proto.Request) (*proto.Response, error) {
 // broadcast sends the same request to the given servers. With the directory
 // broadcast optimization the RPCs overlap; otherwise they run one at a time.
 func (c *Client) broadcast(servers []int, req *proto.Request) ([]*proto.Response, error) {
+	c.flushClose()
 	req.ClientID = c.cfg.ID
 	c.traceRequest(req)
 	payload := c.marshalReq(req)
@@ -709,33 +731,35 @@ func (c *Client) OpenFDs() []fsapi.FD {
 	return out
 }
 
-// CloseAll closes every open descriptor (process exit). With pipelining on,
-// the per-file close/size-update RPCs to all touched servers are flushed as
-// one scatter — same-server closes share a batch message and the round
-// trips to distinct servers overlap — instead of one synchronous ping-pong
-// per descriptor. Close errors are discarded either way: the process is
-// exiting and has nobody to report them to.
+// CloseAll closes every open descriptor (process exit), in descriptor order.
+// With pipelining on, the per-file close/size-update RPCs to all touched
+// servers are flushed as one scatter — same-server closes share a batch
+// message and the round trips to distinct servers overlap — instead of one
+// synchronous ping-pong per descriptor. Close errors are discarded either
+// way: the process is exiting and has nobody to report them to. A pending
+// clean close goes first; with nothing open that is all CloseAll sends.
 func (c *Client) CloseAll() {
 	defer c.releaseResps(c.respMark())
 	if s := c.beginOp("closeall"); s != nil {
 		defer func() { c.endOp(s, nil) }()
 	}
+	c.flushClose()
+	if len(c.fds) == 0 {
+		return
+	}
+	fds := c.OpenFDs()
 	if !c.cfg.Options.Pipelining {
-		for fd := range c.fds {
+		for _, fd := range fds {
 			_ = c.Close(fd)
 		}
 		return
 	}
-	// Collapse dup'd descriptors onto their open file descriptions.
-	refs := make(map[*openFile]int)
-	for fd, of := range c.fds {
-		refs[of]++
-		delete(c.fds, fd)
-	}
 	perSrv := make(map[int][]*proto.Request)
-	for of, n := range refs {
-		of.localRefs -= n
-		if of.localRefs > 0 {
+	for _, fd := range fds {
+		// Dup'd descriptors share a description: its last one closes it.
+		of := c.fds[fd]
+		delete(c.fds, fd)
+		if of.localRefs--; of.localRefs > 0 {
 			continue
 		}
 		req := new(proto.Request)
@@ -752,52 +776,57 @@ func (c *Client) CloseAll() {
 	}
 }
 
-// Sync flushes every dirty open regular file: dirty private-cache blocks are
-// written back to the shared DRAM and the size updates for all touched
-// servers travel as one overlapping scatter (batched per server). It is the
-// multi-file counterpart of Fsync.
+// Sync flushes every dirty open regular file, in descriptor order: dirty
+// private-cache blocks are written back to the shared DRAM and the size
+// updates for all touched servers travel as one overlapping scatter (batched
+// per server). It is the multi-file counterpart of Fsync, and the point after
+// which this client owes the servers nothing: a pending clean close has been
+// sent too.
 func (c *Client) Sync() (err error) {
 	c.syscall()
 	defer c.opDone(c.respMark())
 	if s := c.beginOp("sync"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
+	c.flushClose()
+	if len(c.fds) == 0 {
+		return nil
+	}
+	var files []*openFile // flushed, in the order of their servers' responses
 	perSrv := make(map[int][]*proto.Request)
-	perSrvFiles := make(map[int][]*openFile)
-	flushed := make(map[*openFile]bool)
-	for _, of := range c.fds {
-		if flushed[of] || of.pipe || of.srvFd != proto.NilFd {
+	for _, fd := range c.OpenFDs() {
+		of := c.fds[fd]
+		if of.pipe || of.srvFd != proto.NilFd {
 			continue
 		}
-		flushed[of] = true
 		c.writebackFile(of)
 		if !of.wrote {
-			continue
+			continue // nothing to say, or said through another descriptor
 		}
 		srv := int(of.ino.Server)
-		perSrv[srv] = append(perSrv[srv],
-			&proto.Request{Op: proto.OpSetSize, Target: of.ino, Size: of.size})
-		perSrvFiles[srv] = append(perSrvFiles[srv], of)
+		files = append(files, of)
+		perSrv[srv] = append(perSrv[srv], &proto.Request{Op: proto.OpSetSize, Target: of.ino, Size: of.size})
+		of.wrote, of.firstBlock = false, false // acknowledged below, or put back
 	}
-	if len(perSrv) == 0 {
+	if len(files) == 0 {
 		return nil
 	}
 	resps, err := c.scatter(perSrv)
-	if err != nil {
-		return err
-	}
-	for srv, srvResps := range resps {
-		for i, r := range srvResps {
-			if r.Err != fsapi.OK {
-				return r.Err
+	for _, of := range files {
+		if err == nil {
+			srv := int(of.ino.Server)
+			r := resps[srv][0]
+			resps[srv] = resps[srv][1:]
+			if r.Err == fsapi.OK {
+				// SET_SIZE bumped the version; settle each descriptor's window
+				// so a reopen after Sync can still skip invalidation.
+				of.expectVersion(r.Version, true)
+				c.settleVersion(of)
+				continue
 			}
-			// SET_SIZE bumped the version; settle each descriptor's window
-			// so a reopen after Sync can still skip invalidation (responses
-			// come back in request order, mirroring perSrvFiles).
-			of := perSrvFiles[srv][i]
-			of.expectVersion(r.Version, true)
-			c.settleVersion(of)
+			err = r.Err
 		}
+		of.wrote = true // not acknowledged: the close carries the size again
 	}
-	return nil
+	return err
 }

@@ -3,6 +3,7 @@ package client_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/client"
@@ -268,6 +269,72 @@ func TestVersionSkipSurvivesSyncAndFsync(t *testing.T) {
 		if c.Stats().VersionSkips == before {
 			t.Fatalf("reopen after %s+close did not take the version-skip path", syncer.name)
 		}
+	}
+}
+
+// TestReopenBehindAPendingClose: a reopen that finds the file's clean close
+// still pending sends it in front of its OPEN_INODE and takes its answer
+// first, so the reopen skips invalidation exactly when it did while the close
+// went on its own — whenever nobody else wrote the file meanwhile — and reads
+// the same bytes; pipelining off is that reference.
+func TestReopenBehindAPendingClose(t *testing.T) {
+	run := func(pipelining bool) (skips, sent []uint64, reads []string) {
+		tq := core.AllTechniques()
+		tq.RPCPipelining = pipelining
+		sys := newSystem(t, tq)
+		c, other := sys.NewClient(0), sys.NewClient(1)
+		write := func(w fsapi.Client, data string) {
+			fd, err := w.Open("/f", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Write(fd, []byte(data)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(fd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reopen := func() {
+			before := c.Stats().RPCs
+			fd, err := c.Open("/f", fsapi.ORdOnly, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 16)
+			n, err := c.Read(fd, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(fd); err != nil {
+				t.Fatal(err)
+			}
+			skips, sent, reads = append(skips, c.Stats().VersionSkips), append(sent, c.Stats().RPCs-before), append(reads, string(buf[:n]))
+		}
+		write(c, "first")
+		reopen() // behind its own dirty close, which went at once
+		reopen() // behind the clean close of the reopen before
+		write(other, "second")
+		reopen() // another client wrote meanwhile: the pending close's answer shows it
+		reopen()
+		return skips, sent, reads
+	}
+	skips, sent, reads := run(true)
+	if want := []uint64{1, 2, 2, 3}; !reflect.DeepEqual(skips, want) {
+		t.Errorf("version skips after each reopen %v, want %v", skips, want)
+	}
+	if want := []uint64{1, 1, 1, 1}; !reflect.DeepEqual(sent, want) {
+		t.Errorf("request messages per open+read+close %v, want %v: OPEN_INODE, led by the close before", sent, want)
+	}
+	if want := []string{"first", "first", "second", "second"}; !reflect.DeepEqual(reads, want) {
+		t.Errorf("reopens read %q, want %q", reads, want)
+	}
+	offSkips, offSent, offReads := run(false)
+	if !reflect.DeepEqual(skips, offSkips) || !reflect.DeepEqual(reads, offReads) {
+		t.Errorf("pipelining off skips %v and reads %q, on %v and %q", offSkips, offReads, skips, reads)
+	}
+	if want := []uint64{2, 2, 2, 2}; !reflect.DeepEqual(offSent, want) {
+		t.Errorf("pipelining off: request messages per open+read+close %v, want %v", offSent, want)
 	}
 }
 

@@ -225,6 +225,14 @@ func (c *Client) Close(fd fsapi.FD) (err error) {
 	}
 	var req proto.Request
 	c.closeRequest(of, &req)
+	if req.Op == proto.OpCloseInode && !req.Dirty && c.cfg.Options.Pipelining {
+		// A clean close publishes nothing — no size, no version — so no other
+		// process can tell when it lands: it waits for this client's next
+		// message to the inode's server (async.go). One waits at a time.
+		c.flushClose()
+		c.pend = of
+		return nil
+	}
 	resp, err := c.rpcOK(int(of.ino.Server), &req)
 	if err == nil && req.Op == proto.OpCloseInode {
 		// A dirty close just wrote our data back and moved the version: the
@@ -330,6 +338,9 @@ func (c *Client) Fsync(fd fsapi.FD) (err error) {
 		}
 		of.expectVersion(resp.Version, true)
 		c.settleVersion(of)
+		// The server has size and version: a close with nothing written since
+		// is a clean one. The first block was written, not missed.
+		of.wrote, of.firstBlock = false, false
 	}
 	return nil
 }

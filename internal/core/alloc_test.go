@@ -90,9 +90,29 @@ func TestBoundaryAllocs(t *testing.T) {
 	}}
 	t.Run(coldStat.name, func(t *testing.T) {
 		coldStat.check(t)
-		// Every message but the create and its close was a chain of two.
-		if st := cold.Stats(); st.BatchedOps != 2*(st.RPCs-2) {
+		// Every message but the create was a chain of two, the first of them
+		// led by the created file's clean close.
+		if st := cold.Stats(); st.BatchedOps != 2*(st.RPCs-1)+1 {
 			t.Errorf("%d request messages carried %d chained sub-operations", st.RPCs, st.BatchedOps)
+		}
+	})
+	// With a clean close in front the stat's envelope is [CLOSE_INODE, LOOKUP,
+	// STAT]: one request, one response slot and one array of each more, all on
+	// the client's stack. The open before it is a cold chain too, and its
+	// LOOKUP's name the second copy.
+	ledStat := gate{"clean close leads cold stat", 2, func() {
+		fd, err := cold.Open("/resident-0123456789abcdef", fsapi.ORdOnly, 0)
+		must(err)
+		must(cold.Close(fd))
+		_, err = cold.Stat("/resident-0123456789abcdef")
+		must(err)
+	}}
+	t.Run(ledStat.name, func(t *testing.T) {
+		before := cold.Stats()
+		ledStat.check(t)
+		// Two messages a run, [LOOKUP, OPEN] and [CLOSE, LOOKUP, STAT].
+		if st := cold.Stats(); st.BatchedOps-before.BatchedOps != 5*(st.RPCs-before.RPCs)/2 {
+			t.Errorf("%d request messages carried %d chained sub-operations", st.RPCs-before.RPCs, st.BatchedOps-before.BatchedOps)
 		}
 	})
 

@@ -544,19 +544,21 @@ func TestFirstBlockCommitsWithItsCreate(t *testing.T) {
 		if err := cli.Close(fd); err != nil {
 			t.Fatal(err)
 		}
-		if got := readFile(t, sys.NewClient(1), "/f"); string(got) != "through the block the create brought" {
+		reader := sys.NewClient(1)
+		if got := readFile(t, reader, "/f"); string(got) != "through the block the create brought" {
 			t.Fatalf("after recovery (memory lost: %v) /f reads %q", loseMemory, got)
 		}
 
 		// Replaying the records a second time assigns the same state.
-		first, held := namespaceDump(t, sys.NewClient(1), "/"), freeBlocks(sys)
+		first, held := namespaceDump(t, reader, "/"), freeBlocks(sys)
 		crashRecoverAll(t, sys, false)
-		if second := namespaceDump(t, sys.NewClient(1), "/"); second != first {
+		if second := namespaceDump(t, reader, "/"); second != first {
 			t.Fatalf("second recovery changed state:\nfirst:\n%s\nsecond:\n%s", first, second)
 		}
 		if got := freeBlocks(sys); !reflect.DeepEqual(got, held) {
 			t.Fatalf("free blocks per server %v after the second recovery, %v after the first", got, held)
 		}
+		settled(t, reader) // its last clean close holds a reference until sent
 		for _, path := range []string{"/armed", "/f"} {
 			if err := cli.Unlink(path); err != nil {
 				t.Fatal(err)

@@ -69,6 +69,16 @@ func closed(t *testing.T, c *client.Client, fd fsapi.FD) uint64 {
 	return c.Stats().RPCs - before
 }
 
+// settled sends what c still owes the servers — the clean close Close kept
+// back for the next message (DESIGN.md §7, "A clean close rides") — so that
+// what is counted next, messages or free blocks, is of the calls that follow.
+func settled(t *testing.T, c *client.Client) {
+	t.Helper()
+	if err := c.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+}
+
 // arm makes c a process that writes what it creates.
 func arm(t *testing.T, c *client.Client, path string) {
 	t.Helper()
@@ -153,6 +163,7 @@ func TestFirstBlockRidesWithTheCreate(t *testing.T) {
 		}
 		other.Close(rfd)
 	}
+	settled(t, other)
 	// A write larger than the block asks for the rest only.
 	fd, _ = opened(t, c, "/d/three")
 	if n := wrote(t, c, fd, string(make([]byte, 3*4096))); n != 1 {
@@ -170,12 +181,15 @@ func TestFirstBlockMispredictionCostsOnce(t *testing.T) {
 
 	// N creates closed unwritten: the first one brought a block, which stays
 	// with its inode until unlink; the others bring none. No close sends more
-	// than it ever did.
+	// than it ever did: an unwritten one waits, here for Sync.
 	const n = 5
 	for i := 0; i < n; i++ {
 		fd, sentOpen := opened(t, c, fmt.Sprintf("/d/empty%d", i))
-		if sentClose := closed(t, c, fd); sentOpen != 1 || sentClose != 1 {
-			t.Fatalf("unwritten file %d: create %d, close %d request messages; want 1, 1", i, sentOpen, sentClose)
+		sentClose := closed(t, c, fd)
+		before := c.Stats().RPCs
+		settled(t, c)
+		if sentSync := c.Stats().RPCs - before; sentOpen != 1 || sentClose != 0 || sentSync != 1 {
+			t.Fatalf("unwritten file %d: create %d, close %d, sync %d request messages; want 1, 0, 1", i, sentOpen, sentClose, sentSync)
 		}
 	}
 	if st := c.Stats(); st.FirstBlocks != 1 || st.FirstBlockMisses != 1 {
@@ -188,8 +202,10 @@ func TestFirstBlockMispredictionCostsOnce(t *testing.T) {
 		t.Fatalf("the file that keeps its unused block: size %d, %v", st.Size, err)
 	}
 
-	// A process that alternates pays today's messages: the written file's
-	// EXTEND on its own, and nothing extra for the unwritten one.
+	// A process that alternates pays today's messages at most: the written
+	// file's EXTEND on its own, and nothing extra for the unwritten one, whose
+	// close leads the next create when both files are on one server and goes
+	// on its own before it when they are not.
 	before := c.Stats()
 	for i := 0; i < n; i++ {
 		fd, _ := opened(t, c, fmt.Sprintf("/d/w%d", i))
@@ -198,9 +214,23 @@ func TestFirstBlockMispredictionCostsOnce(t *testing.T) {
 		fd, _ = opened(t, c, fmt.Sprintf("/d/u%d", i))
 		closed(t, c, fd)
 	}
+	settled(t, c)
 	after := c.Stats()
-	if got, want := after.RPCs-before.RPCs, uint64(n*(3+2)); got != want {
-		t.Fatalf("%d written/unwritten pairs sent %d request messages, want %d", n, got, want)
+	srv := func(path string) int {
+		st, err := c.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Server
+	}
+	want := uint64(n*(3+1) + 1) // the last close went with Sync
+	for i := 0; i+1 < n; i++ {
+		if srv(fmt.Sprintf("/d/u%d", i)) != srv(fmt.Sprintf("/d/w%d", i+1)) {
+			want++
+		}
+	}
+	if got := after.RPCs - before.RPCs; got != want || got > n*(3+2) {
+		t.Fatalf("%d written/unwritten pairs sent %d request messages, want %d and at most %d", n, got, want, n*(3+2))
 	}
 	if got := after.FirstBlockMisses - before.FirstBlockMisses; got != n {
 		t.Fatalf("%d mispredictions over %d alternations, want %d", got, n, n)
@@ -266,6 +296,7 @@ func TestFirstBlockSecondOpenerKeepsItsData(t *testing.T) {
 		if got := readFile(t, reader, path); string(got) != want {
 			t.Fatalf("%s: the file reads %q, want %q", tc.name, got, want)
 		}
+		settled(t, reader)
 	}
 	unlinkAll(t, sys, c, free)
 }
@@ -388,6 +419,7 @@ func TestFirstBlockOnTheSplitCreate(t *testing.T) {
 			t.Fatalf("re-opened f%02d: size %d, %v", i, st.Size, err)
 		}
 		closed(t, c, fd)
+		settled(t, c) // the clean close, on its own
 	}
 	// Co-located: the chain (EEXIST, ECANCELED), OPEN, STAT, close. Split:
 	// the chain, ADD_MAP, the undo, OPEN, STAT, close.
@@ -485,4 +517,102 @@ func TestFirstBlockCreateAfterAddServer(t *testing.T) {
 		t.Fatalf("%d first blocks, %d misses; want %d, 0", st.FirstBlocks, st.FirstBlockMisses, files)
 	}
 	unlinkAll(t, sys, c, free)
+}
+
+// TestFirstBlockSyncedThenClosed: fsync and Sync tell the server size and
+// version, so the close behind them is a clean one — it says nothing again and
+// waits for the next message — and the first block the data went through is
+// no miss. A write after the sync makes the close dirty again.
+func TestFirstBlockSyncedThenClosed(t *testing.T) {
+	sys, c := firstBlockSystem(t)
+	free := freeBlocks(sys)
+	arm(t, c, "/d/armed")
+	sent := func(call func() error) uint64 {
+		t.Helper()
+		before := c.Stats().RPCs
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats().RPCs - before
+	}
+	for i, sync := range []func(fsapi.FD) error{c.Fsync, func(fsapi.FD) error { return c.Sync() }} {
+		path := fmt.Sprintf("/d/synced%d", i)
+		fd, _ := opened(t, c, path)
+		wrote(t, c, fd, "through the first block")
+		if n := sent(func() error { return sync(fd) }); n != 1 {
+			t.Fatalf("sync %d sent %d request messages, want 1 (SET_SIZE)", i, n)
+		}
+		if n := closed(t, c, fd); n != 0 {
+			t.Fatalf("the close behind sync %d sent %d request messages, want 0", i, n)
+		}
+		if n := sent(c.Sync); n != 1 {
+			t.Fatalf("Sync with that close pending sent %d request messages, want 1 (CLOSE_INODE)", n)
+		}
+		reader := sys.NewClient(1)
+		if got := readFile(t, reader, path); string(got) != "through the first block" {
+			t.Fatalf("%s reads %q", path, got)
+		}
+		settled(t, reader)
+	}
+	if st := c.Stats(); st.FirstBlocks != 2 || st.FirstBlockMisses != 0 {
+		t.Fatalf("%d first blocks, %d misses; want 2, 0: a block written and synced was used", st.FirstBlocks, st.FirstBlockMisses)
+	}
+	fd, _ := opened(t, c, "/d/more")
+	wrote(t, c, fd, "synced, ")
+	if err := c.Fsync(fd); err != nil {
+		t.Fatal(err)
+	}
+	wrote(t, c, fd, "then not")
+	if n := closed(t, c, fd); n != 1 {
+		t.Fatalf("a close with data written since the fsync sent %d request messages, want 1", n)
+	}
+	if st, err := sys.NewClient(1).Stat("/d/more"); err != nil || st.Size != int64(len("synced, then not")) {
+		t.Fatalf("size %d, %v after fsync, write, close", st.Size, err)
+	}
+	unlinkAll(t, sys, c, free)
+}
+
+// TestPendingCloseHoldsAnUnlinkedFile: a clean close that waits keeps its
+// reference at the server. When another process unlinks the file meanwhile,
+// its blocks go when the close lands: with the closer's next message to that
+// server, with Sync, and no later than the closer's exit.
+func TestPendingCloseHoldsAnUnlinkedFile(t *testing.T) {
+	sys, c := firstBlockSystem(t)
+	other := sys.NewClient(1)
+	for _, tc := range []struct {
+		name string
+		land func(reader *client.Client)
+	}{
+		{"the closer's next message to that server", func(reader *client.Client) {
+			// The name is gone and the server said so: [CLOSE_INODE, LOOKUP, STAT].
+			before := reader.Stats().RPCs
+			if _, err := reader.Stat("/d/victim"); !fsapi.IsErrno(err, fsapi.ENOENT) {
+				t.Fatalf("stat of the unlinked name: %v", err)
+			}
+			if n := reader.Stats().RPCs - before; n != 1 {
+				t.Fatalf("the stat that took the close along sent %d request messages, want 1", n)
+			}
+		}},
+		{"Sync", func(reader *client.Client) { settled(t, reader) }},
+		{"the closer's exit", func(reader *client.Client) { reader.CloseAll() }},
+	} {
+		free := freeBlocks(sys)
+		fd, _ := opened(t, c, "/d/victim")
+		wrote(t, c, fd, "held")
+		closed(t, c, fd)
+		reader := sys.NewClient(2)
+		if got := readFile(t, reader, "/d/victim"); string(got) != "held" {
+			t.Fatalf("%s: read %q", tc.name, got)
+		}
+		if err := other.Unlink("/d/victim"); err != nil {
+			t.Fatal(err)
+		}
+		if got := allocated(sys, free); got != 1 {
+			t.Fatalf("%s: %d blocks allocated while the reader's close is pending, want the file's 1", tc.name, got)
+		}
+		tc.land(reader)
+		if got := freeBlocks(sys); !reflect.DeepEqual(got, free) {
+			t.Fatalf("%s: free blocks per server %v, %v before the file existed", tc.name, got, free)
+		}
+	}
 }

@@ -93,13 +93,3 @@ func (f *Future) recycle() {
 // forever. The lane's floor stays at the request's send time until the
 // receiver idles it.
 func (f *Future) AwaitHandoff() (Envelope, error) { return f.wait(false) }
-
-// TryAwait returns the reply if it has already been pushed, without
-// blocking. A harvested future is recycled exactly as in Await.
-func (f *Future) TryAwait() (Envelope, bool) {
-	env, ok := f.q.TryPop()
-	if ok {
-		f.recycle()
-	}
-	return env, ok
-}

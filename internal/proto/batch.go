@@ -28,6 +28,29 @@ const (
 	MaxBatchBytes = 64 << 10
 )
 
+// Batchable reports whether an operation may appear inside a batch. The ops
+// excluded either park on state other than rmdir marks (pipes), drive the
+// rmdir protocol itself (which creates marks mid-request), or are
+// control-plane operations with no business being coalesced. The server
+// answers any other sub-request ENOSYS; a client asks before it wraps a
+// request it would otherwise have sent bare.
+func Batchable(op Op) bool {
+	switch op {
+	case OpLookup, OpAddMap, OpRmMap, OpReadDirShard,
+		OpCreateCoalesced,
+		OpMknod, OpLinkInode, OpUnlinkInode,
+		OpOpenInode, OpCloseInode,
+		OpGetBlocks, OpExtend, OpSetSize, OpTruncate,
+		OpStat, OpReadAt, OpWriteAt,
+		OpFdShare, OpFdIncRef, OpFdDecRef, OpFdUnshare,
+		OpFdRead, OpFdWrite, OpFdSeek, OpFdGetInfo,
+		OpPing:
+		return true
+	default:
+		return false
+	}
+}
+
 // ChainTarget resolves a PrevInode target against the responses before it:
 // the inode the last of them carries, or false when there is none — no
 // predecessor, one that failed, or one that names no inode (local inode

@@ -385,6 +385,11 @@ func FuzzUnmarshalBatchInto(f *testing.F) {
 	root := InodeID{Server: 0, Local: 1}
 	f.Add(MarshalBatch([]*Request{{Op: OpLookup, Dir: root, Name: "f", Epoch: 3}, {Op: OpStat, Target: PrevInode}}, true))
 	f.Add(MarshalBatch([]*Request{{Op: OpUnlinkInode, Target: PrevInode}, {Op: OpRmMap, Dir: PrevInode, Name: "f", Target: PrevInode}}, false))
+	// The envelopes a client's pending clean close leads: a bare request
+	// wrapped, and a chain with one more member in front.
+	held := InodeID{Server: 0, Local: 9}
+	f.Add(MarshalBatch([]*Request{{Op: OpCloseInode, Target: held}, {Op: OpOpenInode, Target: held}}, false))
+	f.Add(MarshalBatch([]*Request{{Op: OpCloseInode, Target: held}, {Op: OpCreateCoalesced, Dir: root, Name: "f", WantOpen: true}, {Op: OpExtend, Target: PrevInode, Size: 1}}, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := bytes.Clone(data), bytes.Clone(data)
 		recycled := make([]Request, 3, MaxBatchOps)

@@ -21,27 +21,6 @@ import (
 // when their shard carries an rmdir mark — are pre-screened so that a batch
 // touching a marked shard parks as a whole before any sub-operation has run.
 
-// batchable reports whether an operation may appear inside a batch. The ops
-// excluded either park on state other than rmdir marks (pipes), drive the
-// rmdir protocol itself (which creates marks mid-request), or are
-// control-plane operations with no business being coalesced.
-func batchable(op proto.Op) bool {
-	switch op {
-	case proto.OpLookup, proto.OpAddMap, proto.OpRmMap, proto.OpReadDirShard,
-		proto.OpCreateCoalesced,
-		proto.OpMknod, proto.OpLinkInode, proto.OpUnlinkInode,
-		proto.OpOpenInode, proto.OpCloseInode,
-		proto.OpGetBlocks, proto.OpExtend, proto.OpSetSize, proto.OpTruncate,
-		proto.OpStat, proto.OpReadAt, proto.OpWriteAt,
-		proto.OpFdShare, proto.OpFdIncRef, proto.OpFdDecRef, proto.OpFdUnshare,
-		proto.OpFdRead, proto.OpFdWrite, proto.OpFdSeek, proto.OpFdGetInfo,
-		proto.OpPing:
-		return true
-	default:
-		return false
-	}
-}
-
 // dirOp reports whether the op addresses a directory shard (and can
 // therefore park on an rmdir mark).
 func dirOp(op proto.Op) bool {
@@ -94,7 +73,7 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 	// must be able to start over without replaying side effects.
 	for i := range subs {
 		sub := &subs[i]
-		if !batchable(sub.Op) {
+		if !proto.Batchable(sub.Op) {
 			continue // answered per-sub below, never dispatched
 		}
 		if dirOp(sub.Op) {
@@ -127,7 +106,7 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 		sub := &subs[i]
 		errno := fsapi.OK
 		switch {
-		case !batchable(sub.Op):
+		case !proto.Batchable(sub.Op):
 			errno = fsapi.ENOSYS
 		case failed && stopOnErr:
 			errno = fsapi.ECANCELED
@@ -150,7 +129,9 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 			*resps[i] = *resp
 			resps[i].Extents = exts
 		}
-		if resps[i].Err != fsapi.OK {
+		// A close is not a chain member: nothing behind it needs what it did,
+		// so one that fails stops nothing (DESIGN.md §7, "A clean close rides").
+		if resps[i].Err != fsapi.OK && sub.Op != proto.OpCloseInode {
 			failed = true
 		}
 	}

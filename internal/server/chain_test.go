@@ -1,7 +1,9 @@
 package server
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/fsapi"
 	"repro/internal/msg"
@@ -36,6 +38,21 @@ func (h *harness) send(req *proto.Request) *msg.Future {
 		h.t.Fatal(err)
 	}
 	return fut
+}
+
+// parked returns how many requests the server has parked so far.
+func (h *harness) parked() uint64 { return h.srv.Stats().Parked }
+
+// awaitParked waits until the server has parked n requests more than before —
+// it serves what was just sent on a goroutine of its own — and fails the test
+// if it does not get there.
+func (h *harness) awaitParked(before, n uint64) {
+	h.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); h.parked() < before+n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			h.t.Fatalf("the server parked %d requests, want %d", h.parked()-before, n)
+		}
+	}
 }
 
 // sendBatch sends a stop-on-error batch without waiting for its reply.
@@ -163,11 +180,10 @@ func TestBatchChainParksWhole(t *testing.T) {
 
 		// A link to the file parks on the mark, and the chain that opens the
 		// file through it parks behind it.
+		before := h.parked()
 		link := h.send(&proto.Request{Op: proto.OpAddMap, Dir: dir, Name: "f", Target: file, Ftype: fsapi.TypeRegular})
 		fut := h.sendBatch(&proto.Request{Op: proto.OpLookup, Dir: dir, Name: "f"}, onPrev(proto.OpOpenInode))
-		if _, ok := fut.TryAwait(); ok {
-			t.Fatal("chain answered while the shard was marked")
-		}
+		h.awaitParked(before, 2) // the link and the chain
 		h.callOK(&proto.Request{Op: proto.OpRmdirAbort, Dir: dir, Target: dir})
 		if _, err := link.Await(); err != nil {
 			t.Fatal(err)
@@ -178,6 +194,27 @@ func TestBatchChainParksWhole(t *testing.T) {
 		}
 		if ino, _ := h.srv.inodes.Get(file.Local); ino.fdRefs != 1 {
 			t.Fatalf("file holds %d open references after one open, want 1", ino.fdRefs)
+		}
+
+		// The same chain led by a client's clean close (DESIGN.md §7, "A clean
+		// close rides"): the close has not run when the envelope parks, and
+		// runs once when it is served. Three references, so that a second run
+		// would show.
+		h.callOK(&proto.Request{Op: proto.OpOpenInode, Target: file})
+		h.callOK(&proto.Request{Op: proto.OpOpenInode, Target: file})
+		empty := h.create("e", fsapi.TypeDir)
+		h.callOK(&proto.Request{Op: proto.OpRmdirPrepare, Dir: empty, Target: empty})
+		before = h.parked()
+		fut = h.sendBatch(&proto.Request{Op: proto.OpCloseInode, Target: file},
+			&proto.Request{Op: proto.OpLookup, Dir: empty, Name: "f"}, onPrev(proto.OpStat))
+		h.awaitParked(before, 1)
+		ino, _ := h.srv.inodes.Get(file.Local)
+		if h.callOK(&proto.Request{Op: proto.OpPing}); ino.fdRefs != 3 {
+			t.Fatalf("%d open references while the envelope is parked, want 3", ino.fdRefs)
+		}
+		h.callOK(&proto.Request{Op: proto.OpRmdirAbort, Dir: empty, Target: empty})
+		if got := errnos(h.awaitBatch(fut)); got[0] != fsapi.OK || got[1] != fsapi.ENOENT || got[2] != fsapi.ECANCELED || ino.fdRefs != 2 {
+			t.Fatalf("[CLOSE, LOOKUP, STAT] after the abort: %v, %d open references; want OK, ENOENT, ECANCELED and 2", got, ino.fdRefs)
 		}
 	})
 
@@ -192,18 +229,25 @@ func TestBatchChainParksWhole(t *testing.T) {
 		if got := errnos(h.callBatch(true, look, onPrev(proto.OpStat))); got[0] != fsapi.OK || got[1] != fsapi.OK {
 			t.Fatalf("read-only chain on a frozen server: %v", got)
 		}
-		// The unlink chain parks, and after the commit finds its epoch stale:
-		// nothing is removed, nothing unlinked.
+		// The unlink chain parks, the clean close that leads it too, and after
+		// the commit the chain finds its epoch stale: nothing is removed,
+		// nothing unlinked, and the close has run once.
+		h.callOK(&proto.Request{Op: proto.OpOpenInode, Target: file})
+		h.callOK(&proto.Request{Op: proto.OpOpenInode, Target: file})
+		before := h.parked()
 		fut := h.sendBatch(
+			&proto.Request{Op: proto.OpCloseInode, Target: file},
 			&proto.Request{Op: proto.OpRmMap, Dir: proto.RootInode, Name: "f", Ftype: fsapi.TypeRegular, Epoch: 1},
 			onPrev(proto.OpUnlinkInode))
-		if _, ok := fut.TryAwait(); ok {
-			t.Fatal("mutating chain answered by a frozen server")
+		h.awaitParked(before, 1)
+		ino, _ := h.srv.inodes.Get(file.Local)
+		if h.callOK(&proto.Request{Op: proto.OpPing}); ino.fdRefs != 2 {
+			t.Fatalf("%d open references while the envelope is parked, want 2", ino.fdRefs)
 		}
 		commit := &proto.ShardMsg{MapBlob: place.New(place.PolicyModulo, []int32{0}, 2).Encode()}
 		h.callOK(&proto.Request{Op: proto.OpShardCommit, Data: commit.Marshal()})
-		if got := errnos(h.awaitBatch(fut)); got[0] != fsapi.EEPOCH || got[1] != fsapi.ECANCELED {
-			t.Fatalf("chain after the commit: %v, want EEPOCH then ECANCELED", got)
+		if got := errnos(h.awaitBatch(fut)); got[0] != fsapi.OK || got[1] != fsapi.EEPOCH || got[2] != fsapi.ECANCELED || ino.fdRefs != 1 {
+			t.Fatalf("chain after the commit: %v, %d open references; want OK, EEPOCH, ECANCELED and 1", got, ino.fdRefs)
 		}
 		if st := h.callOK(&proto.Request{Op: proto.OpStat, Target: file}); st.Stat.Nlink != 1 {
 			t.Fatalf("file has %d links, want 1", st.Stat.Nlink)
@@ -213,6 +257,35 @@ func TestBatchChainParksWhole(t *testing.T) {
 			t.Fatalf("entry after the refused chain: %v (%v)", resp.Ino, resp.Err)
 		}
 	})
+}
+
+// TestFailedCloseStopsNoChain: a CLOSE_INODE is not a member of the chain it
+// leads — a client's clean close rides in front of whatever that client sends
+// next (DESIGN.md §7, "A clean close rides") — so one that fails neither
+// cancels the chain nor makes anyone run it again.
+func TestFailedCloseStopsNoChain(t *testing.T) {
+	h := newHarness(t)
+	file := h.create("f", fsapi.TypeRegular)
+	gone := &proto.Request{Op: proto.OpCloseInode, Target: proto.InodeID{Server: 0, Local: 1 << 40}}
+
+	resps := h.callBatch(true, gone, lookup("f"), onPrev(proto.OpStat))
+	if got := errnos(resps); got[0] != fsapi.ENOENT || got[1] != fsapi.OK || got[2] != fsapi.OK || resps[2].Stat.Ino != file {
+		t.Fatalf("[CLOSE of no inode, LOOKUP, STAT]: %v, stat of %v; want ENOENT, OK, OK of %v", got, resps[2].Stat.Ino, file)
+	}
+	free := h.srv.cfg.Partition.FreeCount()
+	resps = h.callBatch(true, gone,
+		&proto.Request{Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Name: "g", Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular, WantOpen: true},
+		&proto.Request{Op: proto.OpExtend, Target: proto.PrevInode, Size: 1})
+	if got := errnos(resps); got[0] != fsapi.ENOENT || got[1] != fsapi.OK || got[2] != fsapi.OK || len(resps[2].Extents) != 1 {
+		t.Fatalf("[CLOSE of no inode, CREATE_COALESCED, EXTEND]: %v, extents %v; want ENOENT, OK, OK and one block", got, resps[2].Extents)
+	}
+	if got := h.srv.cfg.Partition.FreeCount(); got != free-1 {
+		t.Fatalf("free blocks %d after the create chain, want %d: it ran once", got, free-1)
+	}
+	// Any other member's failure still stops what follows it.
+	if got := errnos(h.callBatch(true, gone, lookup("missing"), onPrev(proto.OpStat))); got[1] != fsapi.ENOENT || got[2] != fsapi.ECANCELED {
+		t.Fatalf("[CLOSE, LOOKUP of no name, STAT]: %v, want the STAT cancelled", got)
+	}
 }
 
 // TestCreateChainCarriesFirstBlock: a create followed by EXTEND(PrevInode) in

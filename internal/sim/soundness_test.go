@@ -226,8 +226,8 @@ func bareClientOps(fs *client.Client, id int) error {
 
 // TestFrontierSoundMesh audits the message layer alone: gated echo servers
 // that answer from behind a queue, and clients that mix blocking calls with
-// pipelined ones whose replies they harvest out of order, by Await and by
-// TryAwait, under delivery jitter and duplication.
+// pipelined ones whose replies they harvest out of order, under delivery
+// jitter and duplication.
 func TestFrontierSoundMesh(t *testing.T) {
 	const servers, clients, rounds, turnaround = 4, 12, 200, 700
 	m := sim.NewMachine(sim.TopologyForCores(8), sim.DefaultCostModel())
@@ -306,14 +306,11 @@ func TestFrontierSoundMesh(t *testing.T) {
 					return
 				}
 				harvest(env)
-				if env, ok := fa.TryAwait(); ok {
-					harvest(env)
-				} else if env, err := fa.Await(); err == nil {
-					harvest(env)
-				} else {
+				if env, err = fa.Await(); err != nil {
 					t.Error(err)
 					return
 				}
+				harvest(env)
 				clock += 300
 			}
 		}()

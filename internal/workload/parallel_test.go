@@ -119,7 +119,9 @@ func TestParallelModeChaosFaultEquivalence(t *testing.T) {
 			DupPercent:   20,
 			DupOK:        dupOK,
 		})
-		w := ScaleSweep{FilesPerWorker: 30, DirsPerWorker: 2}
+		// A stat in two files: a worker's first stat carries its last create's
+		// clean close, which no duplicate may repeat; the rest go bare.
+		w := ScaleSweep{FilesPerWorker: 30, DirsPerWorker: 2, StatEvery: 2}
 		if err := w.Setup(env); err != nil {
 			t.Fatalf("setup (parallel=%v): %v", parallel, err)
 		}
