@@ -5,7 +5,7 @@
 //
 //	hare-bench [-fig N] [-scale F] [-cores N] [-bench name] [-durability]
 //	           [-pipeline] [-datapath] [-elastic] [-failover] [-obs]
-//	           [-baseline path] [-check path] [-trace out.json]
+//	           [-scalesweep spec] [-baseline path] [-check path] [-trace out.json]
 //
 // With no -fig flag every experiment is run in order. The -scale flag
 // shrinks the workload iteration counts (1.0 reproduces the default sizes;
@@ -48,8 +48,8 @@ func main() {
 		obs        = flag.Bool("obs", false, "run the tracing-overhead sweep (off vs 1-in-64 sampled vs full tracing) instead of the paper's figures")
 		traceOut   = flag.String("trace", "", "run one benchmark (-bench, default smallfile) with full tracing and export the span tree as Chrome trace_event JSON to this path (open in Perfetto)")
 		baseline   = flag.String("baseline", "", "with -pipeline, -datapath, -elastic, -obs or -scalesweep: also write the sweep as a JSON baseline to this path (e.g. BENCH_seed.json, BENCH_scale.json)")
-		check      = flag.String("check", "", "with -pipeline: re-run the sweep the committed baseline at this path records (BENCH_seed.json), at its own scale and cores, and exit non-zero if an exact column differs; virtual times are printed side by side")
-		scaleSweep = flag.String("scalesweep", "", "run the harness-scaling sweep at these rungs (\"64\" or \"8:125000,64:1000000\"; a \":par\" suffix runs a rung under the parallel engine, an \"@N\" suffix after that at GOMAXPROCS=N; \"default\" = the four big serialized rungs; BENCH_scale.json's own spec is in its note) instead of the paper's figures")
+		check      = flag.String("check", "", "with -pipeline: re-run the sweep the committed baseline at this path records (BENCH_seed.json), at its own scale and cores; with -scalesweep: re-run those rungs and compare each with the point this baseline (BENCH_scale.json) records for it. Exits non-zero if an exact column differs; times are printed side by side")
+		scaleSweep = flag.String("scalesweep", "", "run the harness-scaling sweep at these rungs (\"64\" or \"8:125000,64:1000000\"; a \":par\" suffix runs a rung under the parallel engine, an \"@N\" suffix after that at GOMAXPROCS=N; \"default\" = the four big serialized rungs; \"baseline\" = BENCH_scale.json's rungs) instead of the paper's figures")
 		parallel   = flag.Bool("parallel", false, "with -scalesweep: run every rung under the parallel virtual-time engine instead of the serialized default")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path (see PROFILING.md)")
 		memProfile = flag.String("memprofile", "", "write a pprof allocation profile at exit to this path (see PROFILING.md)")
@@ -101,15 +101,28 @@ func main() {
 			fail(fmt.Errorf("-scalesweep runs its own figure set and cannot be combined with other figure-set flags"))
 		}
 		rungs := append([]bench.ScaleRung(nil), bench.DefaultScaleRungs...)
-		if *scaleSweep != "default" {
+		if spec := *scaleSweep; spec != "default" {
+			if spec == "baseline" {
+				spec = bench.ScaleBaselineSpec
+			}
 			var err error
-			rungs, err = bench.ParseScaleRungs(*scaleSweep)
+			rungs, err = bench.ParseScaleRungs(spec)
 			if err != nil {
 				fail(err)
 			}
 		}
 		for i := range rungs {
 			rungs[i].Parallel = rungs[i].Parallel || *parallel
+		}
+		if *check != "" {
+			t, err := bench.CheckScaleBaseline(*check, rungs)
+			if t != nil {
+				fmt.Println(t.Render())
+			}
+			if err != nil {
+				fail(err)
+			}
+			return
 		}
 		data, tables, err := bench.ScaleSweepFigure(rungs)
 		if err != nil {

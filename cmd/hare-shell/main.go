@@ -14,7 +14,9 @@
 // With -maxservers headroom the fleet is elastic: addserver grows it online
 // (directory shards migrate to the new member) and rmserver drains one; the
 // servers command prints the live placement epoch, per-server shard counts,
-// load, and migration traffic.
+// load and share of all requests served, the busiest server's load over the
+// mean, migration traffic, and a mark on the shell client's designated nearby
+// server (DESIGN.md §7 "Where a new inode goes").
 //
 // With -repl sync (or async) the deployment runs durability plus WAL-shipped
 // follower replicas (DESIGN.md §12): replicas shows each primary's follower
@@ -216,21 +218,32 @@ func (s *shell) exec(line string) error {
 		}
 		fmt.Printf("epoch %d, policy %s, members %v\n",
 			s.sys.Epoch(), s.sys.PlacementPolicy(), s.sys.Members())
+		loads := s.sys.ServerLoads()
+		var all uint64
+		for _, n := range loads {
+			all += n
+		}
 		for i, st := range s.sys.ServerStats() {
-			var total uint64
-			for _, n := range st.Ops {
-				total += n
-			}
 			role := "member"
 			if !member[i] {
 				role = "drained"
 			}
-			fmt.Printf("server %2d: %-7s %6d ops, %4d entries, %d invalidations", i, role, total, st.Entries, st.Invalidations)
+			share := 0.0
+			if all > 0 {
+				share = 100 * float64(loads[i]) / float64(all)
+			}
+			mark := " "
+			if i == s.cli.NearServer() {
+				mark = "*"
+			}
+			fmt.Printf("server %2d:%s%-7s %6d ops (%5.1f%%), %4d entries, %d invalidations", i, mark, role, loads[i], share, st.Entries, st.Invalidations)
 			if st.MigInEntries > 0 || st.MigOutEntries > 0 {
 				fmt.Printf(", migrated %d in / %d out", st.MigInEntries, st.MigOutEntries)
 			}
 			fmt.Println()
 		}
+		fmt.Printf("load imbalance (busiest server's requests over the mean): %.2f; * = where this shell's creates away from their entries go\n",
+			stats.Imbalance(loads))
 		return nil
 	case "addserver":
 		id, err := s.sys.AddServer()

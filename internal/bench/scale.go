@@ -39,6 +39,18 @@ type ScaleRung struct {
 	Cores int
 }
 
+// String writes the rung as a -scalesweep spec entry: "64:32768:par@2".
+func (r ScaleRung) String() string {
+	s := fmt.Sprintf("%d:%d", r.Servers, r.Files)
+	if r.Parallel {
+		s += ":par"
+	}
+	if r.Cores > 0 {
+		s += fmt.Sprintf("@%d", r.Cores)
+	}
+	return s
+}
+
 // DefaultScaleRungs is the committed sweep: the paper-scale 8-server rung as
 // the wall-time yardstick, the acceptance rung (64 servers, one million
 // files), and wider fleets at namespace sizes that keep the sweep minutes,
@@ -57,6 +69,8 @@ type ScalePoint struct {
 	Files   int  `json:"files"`
 	Ops     int  `json:"ops"`
 	Par     bool `json:"parallel"`
+	// Rung is the -scalesweep entry the point measures ("64:32768:par@2").
+	Rung string `json:"rung"`
 
 	// WallSeconds is real time for the timed region (setup excluded);
 	// VirtSeconds is the same region in simulated time.
@@ -127,7 +141,7 @@ func ScaleSweepFigure(rungs []ScaleRung) (*ScaleData, []*Table, error) {
 	}
 	for _, r := range rungs {
 		if r.Cores > runtime.NumCPU() {
-			t.Note += fmt.Sprintf(" Skipped %d:%d@%d: the machine has %d CPUs.", r.Servers, r.Files, r.Cores, runtime.NumCPU())
+			t.Note += fmt.Sprintf(" Skipped %v: the machine has %d CPUs.", r, runtime.NumCPU())
 			continue
 		}
 		p, err := scalePoint(r)
@@ -219,6 +233,7 @@ func scalePoint(r ScaleRung) (ScalePoint, error) {
 		Files:         w.FilesPerWorker * workers,
 		Ops:           ops,
 		Par:           r.Parallel,
+		Rung:          r.String(),
 		WallSeconds:   wall.Seconds(),
 		VirtSeconds:   b.Seconds(virt),
 		AllocsPerOp:   float64(after.Mallocs-before.Mallocs) / float64(ops),
@@ -333,16 +348,17 @@ type ScaleBaseline struct {
 }
 
 // ScaleBaselineSpec is the -scalesweep spec BENCH_scale.json is generated
-// from: the default rungs, plus the 8-server rung and a 64-server / 32768-file
-// rung under both engines, so the parallel engine's cost per simulated op
-// sits next to its serialized twin's — the 64-server twins along the cores
-// axis too (a rung wider than the machine is skipped).
+// from ("-scalesweep baseline"): the default rungs, plus the 8-server rung
+// and a 64-server / 32768-file rung under both engines, so the parallel
+// engine's cost per simulated op sits next to its serialized twin's — the
+// 64-server twins along the cores axis too (a rung wider than the machine is
+// skipped).
 const ScaleBaselineSpec = "8:125000,8:125000:par,64:32768@1,64:32768:par@1,64:32768@2,64:32768:par@2,64:32768@4,64:32768:par@4,64:32768@8,64:32768:par@8,64:1000000,256:512000,1024:262144"
 
 // WriteBaseline serializes the sweep to path as indented JSON.
 func (d *ScaleData) WriteBaseline(path string) error {
 	b := ScaleBaseline{
-		Note:   "hare-bench -scalesweep baseline; wall-clock figures are machine-dependent (each point records its GOMAXPROCS and nproc) — compare shapes, parallel against serialized twins, allocs/op and gate counts per op, not absolute seconds. Regenerate with: hare-bench -scalesweep '" + ScaleBaselineSpec + "' -baseline BENCH_scale.json",
+		Note:   "hare-bench -scalesweep baseline; ops and load_imbalance follow from the rung alone and `hare-bench -scalesweep baseline -check BENCH_scale.json` compares them exactly; wall-clock figures are machine-dependent (each point records its GOMAXPROCS and nproc) — compare shapes, parallel against serialized twins, allocs/op and gate counts per op, not absolute seconds. Regenerate with: hare-bench -scalesweep baseline -baseline BENCH_scale.json (the rungs '" + ScaleBaselineSpec + "')",
 		Points: d.Points,
 	}
 	buf, err := json.MarshalIndent(&b, "", "  ")
@@ -350,4 +366,72 @@ func (d *ScaleData) WriteBaseline(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// CheckScaleBaseline re-runs the given rungs and compares each with the point
+// the committed baseline at path records for it: ops and load imbalance
+// exactly — the error names every rung that differs. Rungs the file does not
+// record (it was made on a narrower machine) and rungs wider than this
+// machine are skipped, and the table's note names them. Virtual and wall
+// times are printed side by side and nothing gates them.
+func CheckScaleBaseline(path string, rungs []ScaleRung) (*Table, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var want ScaleBaseline
+	if err := json.Unmarshal(raw, &want); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	t := &Table{
+		Title: fmt.Sprintf("Harness scaling sweep against %s", path),
+		Columns: []string{"servers", "engine", "cores", "files", "ops", "load imbalance",
+			"virt (ms)", "committed", "wall (s)", "committed", "exact columns"},
+		Note: "exact columns: ops, load imbalance; times are printed, not gated.",
+	}
+	recorded := map[string]ScalePoint{}
+	for _, w := range want.Points {
+		recorded[w.Rung] = w
+	}
+	var run []ScaleRung
+	for _, r := range rungs {
+		// The sweep itself skips, and names, a rung wider than the machine.
+		if _, ok := recorded[r.String()]; ok || r.Cores > runtime.NumCPU() {
+			run = append(run, r)
+		} else {
+			t.Note += fmt.Sprintf(" Skipped %v: %s does not record it.", r, path)
+		}
+	}
+	data, tables, err := ScaleSweepFigure(run)
+	if err != nil {
+		return nil, err
+	}
+	if i := strings.Index(tables[0].Note, " Skipped"); i >= 0 {
+		t.Note += tables[0].Note[i:]
+	}
+	if len(data.Points) == 0 {
+		return t, fmt.Errorf("no rung of the sweep could be compared with %s", path)
+	}
+	var differ []string
+	for _, got := range data.Points {
+		verdict, committed := "same", recorded[got.Rung]
+		if got.Ops != committed.Ops || got.LoadImbalance != committed.LoadImbalance {
+			verdict = "DIFFER"
+			differ = append(differ, fmt.Sprintf("%s: ops %d, load imbalance %v; committed %d, %v",
+				got.Rung, got.Ops, got.LoadImbalance, committed.Ops, committed.LoadImbalance))
+		}
+		engine := "serialized"
+		if got.Par {
+			engine = "parallel"
+		}
+		t.AddRow(fmt.Sprint(got.Servers), engine, fmt.Sprint(got.GOMAXPROCS), fmt.Sprint(got.Files),
+			fmt.Sprint(got.Ops), f2(got.LoadImbalance),
+			fmt.Sprintf("%.3g", got.VirtSeconds*1000), fmt.Sprintf("%.3g", committed.VirtSeconds*1000),
+			f2(got.WallSeconds), f2(committed.WallSeconds), verdict)
+	}
+	if differ != nil {
+		return t, fmt.Errorf("%d of %d rungs differ from %s in an exact column:\n%s",
+			len(differ), len(data.Points), path, strings.Join(differ, "\n"))
+	}
+	return t, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -55,5 +56,37 @@ func TestScaleSweepSmoke(t *testing.T) {
 	g := data.Points[1].Gate
 	if data.Points[0].Gate != nil || g == nil || g.Locks == 0 || g.Bumps == 0 || g.Locks > 4*uint64(data.Points[1].Ops) {
 		t.Fatalf("gate ledgers: serialized %+v, parallel %+v", data.Points[0].Gate, g)
+	}
+}
+
+// TestCheckScaleBaseline: a baseline the sweep has just written checks clean
+// under either engine; a rung the file does not record and one wider than
+// the machine are skipped and named; an edited load imbalance fails the
+// check and the error names the rung.
+func TestCheckScaleBaseline(t *testing.T) {
+	rungs := []ScaleRung{{Servers: 16, Files: 800, Cores: 1}, {Servers: 16, Files: 800, Cores: 1, Parallel: true}}
+	data, _, err := ScaleSweepFigure(append(rungs, ScaleRung{Servers: 16, Files: 800, Cores: 1 << 20}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "scale.json")
+	if err := data.WriteBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := CheckScaleBaseline(path, append(rungs, ScaleRung{Servers: 8, Files: 800, Cores: 1}))
+	if err != nil || len(tbl.Rows) != 2 || !strings.Contains(tbl.Note, "Skipped 8:800@1: "+path+" does not record it.") {
+		t.Fatalf("check of a fresh baseline: %v, note %q", err, tbl.Note)
+	}
+	// Times are not gated, the imbalance is.
+	data.Points[0].VirtSeconds *= 3
+	data.Points[1].LoadImbalance += 0.5
+	data.Points = append(data.Points, ScalePoint{Rung: "16:800@1048576"})
+	if err := data.WriteBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err = CheckScaleBaseline(path, []ScaleRung{rungs[0], {Servers: 16, Files: 800, Cores: 1 << 20}, rungs[1]})
+	if err == nil || tbl == nil || !strings.Contains(err.Error(), "1 of 2") || !strings.Contains(err.Error(), "16:800:par@1: ops") ||
+		!strings.Contains(tbl.Note, "Skipped 16:800@1048576: the machine has") {
+		t.Fatalf("check of an edited baseline: %v, note %q", err, tbl.Note)
 	}
 }

@@ -12,6 +12,7 @@ package client
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -148,7 +149,14 @@ type Client struct {
 	// on its own before a message to anywhere else (async.go, closeLeads).
 	pend *openFile
 
-	localServer int // designated nearby server for creation affinity
+	// Creation affinity (§3.6.4; DESIGN.md §7 "Where a new inode goes"). near
+	// is the ring of placement members on this client's socket, rotated so
+	// that near[0] is the designated nearby server; refreshRouting rebuilds
+	// it. awayDirs counts the directories this process has made whose entry
+	// is off its socket in a distributed parent: the k-th goes to
+	// near[k % len(near)].
+	near     []int
+	awayDirs int
 
 	// writesCreates is the first-block predictor (DESIGN.md §7): the file
 	// this process created last was written before it was closed, so the
@@ -255,7 +263,7 @@ func New(cfg Config) *Client {
 		c.routing = staticRouting(cfg)
 	}
 	cfg.Registry.Register(cfg.ID, c.ep.ID)
-	c.localServer = c.pickLocalServer()
+	c.near = c.nearRing()
 	return c
 }
 
@@ -356,29 +364,43 @@ func (c *Client) settleVersion(of *openFile) {
 // Options returns the technique configuration this client runs with.
 func (c *Client) Options() Options { return c.cfg.Options }
 
-// pickLocalServer chooses the designated nearby server used by creation
-// affinity. Clients on the same socket spread across that socket's servers
-// so they do not all hammer one server. Only placement members qualify:
-// drained servers must not receive new inodes.
-func (c *Client) pickLocalServer() int {
+// nearRing builds the creation-affinity ring: the placement members on this
+// client's socket (every member when the socket has none), rotated to start
+// at the designated nearby server — the member on the client's own core, or
+// else the ring's core-th member. Only placement members qualify: drained
+// servers must not receive new inodes. The ring follows from the core alone,
+// so every process on one core places alike.
+func (c *Client) nearRing() []int {
 	rt := c.routing
 	members := rt.Map.MembersRef()
 	if len(members) == 0 {
-		return 0
+		return []int{0}
 	}
 	topo := c.cfg.Machine.Topo
-	mySocket := topo.Socket(c.cfg.Core)
-	var near []int
+	var ring []int
+	start := -1
 	for _, id := range members {
-		if int(id) < len(rt.Cores) && topo.Socket(rt.Cores[id]) == mySocket {
-			near = append(near, int(id))
+		if int(id) < len(rt.Cores) && topo.Socket(rt.Cores[id]) == topo.Socket(c.cfg.Core) {
+			if start < 0 && rt.Cores[id] == c.cfg.Core {
+				start = len(ring)
+			}
+			ring = append(ring, int(id))
 		}
 	}
-	if len(near) == 0 {
-		return int(members[int(c.cfg.ID)%len(members)])
+	if len(ring) == 0 {
+		for _, id := range members {
+			ring = append(ring, int(id))
+		}
 	}
-	return near[int(c.cfg.ID)%len(near)]
+	if start < 0 {
+		start = c.cfg.Core % len(ring)
+	}
+	return slices.Concat(ring[start:], ring[:start])
 }
+
+// NearServer returns the designated nearby server: where creation affinity
+// puts the inodes this client makes away from their entries, and its pipes.
+func (c *Client) NearServer() int { return c.near[0] }
 
 // charge accounts for client-library CPU time on this core.
 func (c *Client) charge(d sim.Cycles) {
@@ -649,21 +671,34 @@ func (c *Client) broadcast(servers []int, req *proto.Request) ([]*proto.Response
 	return out, nil
 }
 
-// chooseInodeServer applies creation affinity: if the entry server is on the
-// client's socket, coalesce by using it; otherwise use the designated nearby
-// server (§3.6.4). With affinity disabled the inode always goes to the entry
-// server, which maximizes message coalescing.
-func (c *Client) chooseInodeServer(entrySrv int) int {
+// staysWithEntry reports whether a new inode goes to its entry's server, so
+// that the create is one coalesced message: with creation affinity disabled
+// always, and otherwise when that server is on the client's socket (§3.6.4).
+// It decides nothing else, and changes nothing.
+func (c *Client) staysWithEntry(entrySrv int) bool {
 	if !c.cfg.Options.CreationAffinity {
-		return entrySrv
+		return true
 	}
 	rt := c.routing
 	topo := c.cfg.Machine.Topo
-	if entrySrv < len(rt.Cores) &&
-		topo.Socket(rt.Cores[entrySrv]) == topo.Socket(c.cfg.Core) {
+	return entrySrv < len(rt.Cores) && topo.Socket(rt.Cores[entrySrv]) == topo.Socket(c.cfg.Core)
+}
+
+// chooseInodeServer is the one place a new inode's server is chosen; call it
+// once per inode made. An inode that does not stay with its entry goes to the
+// designated nearby server — except a directory made in a distributed
+// parent: those go round the creator's socket, one server each, starting at
+// the designated one (DESIGN.md §7 "Where a new inode goes").
+func (c *Client) chooseInodeServer(entrySrv int, ftype fsapi.FileType, parentDist bool) int {
+	if c.staysWithEntry(entrySrv) {
 		return entrySrv
 	}
-	return c.localServer
+	if ftype != fsapi.TypeDir || !parentDist {
+		return c.near[0]
+	}
+	srv := c.near[c.awayDirs%len(c.near)]
+	c.awayDirs++
+	return srv
 }
 
 // allocFD assigns the next free descriptor number to the open file.

@@ -48,7 +48,7 @@ func (c *Client) Mkdir(path string, opt fsapi.MkdirOpt) (err error) {
 		return nil
 	}
 	entrySrv, _ := c.routeEntry(parent, parentDist, name)
-	inodeSrv := c.chooseInodeServer(entrySrv)
+	inodeSrv := c.chooseInodeServer(entrySrv, fsapi.TypeDir, parentDist)
 
 	mkResp, err := c.rpcOK(inodeSrv, &proto.Request{
 		Op:          proto.OpMknod,

@@ -6,3 +6,6 @@ func (c *Client) RespsInUse() (used, kept int) { return c.resps.used, len(c.resp
 
 // RespArenaCap is the arena's bound, for tests.
 const RespArenaCap = respArenaCap
+
+// RefreshRouting reloads the routing snapshot as an EEPOCH reply would.
+func (c *Client) RefreshRouting() { c.refreshRouting() }

@@ -88,7 +88,7 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 	// server: create and open the inode there in one message, then add the
 	// entry.
 	entrySrv, _ := c.routeEntry(parent, parentDist, name)
-	inodeSrv := c.chooseInodeServer(entrySrv)
+	inodeSrv := c.chooseInodeServer(entrySrv, fsapi.TypeRegular, parentDist)
 	mknod := &proto.Request{Op: proto.OpMknod, Ftype: fsapi.TypeRegular, Mode: mode}
 	open := &proto.Request{Op: proto.OpOpenInode, Target: proto.PrevInode, Flags: int32(flags)}
 	if resps, err = c.rpcBatch(inodeSrv, true, []*proto.Request{mknod, open, &extend}[:2+ext], buf[:0]); err != nil {

@@ -16,7 +16,7 @@ func (c *Client) Pipe() (_, _ fsapi.FD, err error) {
 	if s := c.beginOp("pipe"); s != nil {
 		defer func() { c.endOp(s, err) }()
 	}
-	srv := c.localServer
+	srv := c.near[0]
 	if !c.cfg.Options.CreationAffinity {
 		srv = int(c.cfg.Root.Server)
 	}

@@ -48,14 +48,14 @@ func staticRouting(cfg Config) *Routing {
 }
 
 // refreshRouting reloads the routing snapshot (after an EEPOCH reply) and
-// recomputes the designated nearby server used by creation affinity, which
-// must stay a placement member.
+// rebuilds the creation-affinity ring, whose servers must stay placement
+// members.
 func (c *Client) refreshRouting() {
 	if c.cfg.Provider == nil {
 		return
 	}
 	c.routing = c.cfg.Provider.Routing()
-	c.localServer = c.pickLocalServer()
+	c.near = c.nearRing()
 }
 
 // routeEntry is the one place that consults the placement map: it returns
@@ -127,7 +127,7 @@ func (c *Client) routedEntryRPCOK(dir proto.InodeID, dirDist bool, name string, 
 // the split mknod+addmap path instead.
 func (c *Client) coalescedCreate(parent proto.InodeID, parentDist bool, name string, chain []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
 	entrySrv, epoch := c.routeEntry(parent, parentDist, name)
-	for tries := 0; c.chooseInodeServer(entrySrv) == entrySrv; tries++ {
+	for tries := 0; c.staysWithEntry(entrySrv); tries++ {
 		chain[0].Epoch = epoch
 		resps, err := c.rpcBatch(entrySrv, true, chain, out)
 		if err != nil {
