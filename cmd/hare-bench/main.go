@@ -48,7 +48,7 @@ func main() {
 		obs        = flag.Bool("obs", false, "run the tracing-overhead sweep (off vs 1-in-64 sampled vs full tracing) instead of the paper's figures")
 		traceOut   = flag.String("trace", "", "run one benchmark (-bench, default smallfile) with full tracing and export the span tree as Chrome trace_event JSON to this path (open in Perfetto)")
 		baseline   = flag.String("baseline", "", "with -pipeline, -datapath, -elastic, -obs or -scalesweep: also write the sweep as a JSON baseline to this path (e.g. BENCH_seed.json, BENCH_scale.json)")
-		check      = flag.String("check", "", "with -pipeline: re-run the sweep the committed baseline at this path records (BENCH_seed.json), at its own scale and cores; with -scalesweep: re-run those rungs and compare each with the point this baseline (BENCH_scale.json) records for it. Exits non-zero if an exact column differs; times are printed side by side")
+		check      = flag.String("check", "", "with -pipeline or -datapath: re-run the sweep the committed baseline at this path records (BENCH_seed.json, BENCH_datapath.json), at its own scale and cores; with -scalesweep: re-run those rungs and compare each with the point this baseline (BENCH_scale.json) records for it. Exits non-zero if an exact column differs; times are printed side by side")
 		scaleSweep = flag.String("scalesweep", "", "run the harness-scaling sweep at these rungs (\"64\" or \"8:125000,64:1000000\"; a \":par\" suffix runs a rung under the parallel engine, an \"@N\" suffix after that at GOMAXPROCS=N; \"default\" = the four big serialized rungs; \"baseline\" = BENCH_scale.json's rungs) instead of the paper's figures")
 		parallel   = flag.Bool("parallel", false, "with -scalesweep: run every rung under the parallel virtual-time engine instead of the serialized default")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path (see PROFILING.md)")
@@ -239,6 +239,17 @@ func main() {
 	if *datapath {
 		if *durability || *pipeline || *fig != 0 {
 			fail(fmt.Errorf("-datapath runs its own figure set and cannot be combined with -durability, -pipeline or -fig"))
+		}
+		if *check != "" {
+			// The committed file says at which scale and on how many cores.
+			t, err := bench.CheckDatapathBaseline(*check)
+			if t != nil {
+				fmt.Println(t.Render())
+			}
+			if err != nil {
+				fail(err)
+			}
+			return
 		}
 		var ws []workload.Workload
 		if *benchName != "" {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -75,20 +76,40 @@ func TestUnfsSlowerThanHareSequential(t *testing.T) {
 	}
 }
 
+// TestDirectoryDistributionHelpsCreates: spreading a shared directory's
+// entries over every server speeds up creates in it. Under the serialized
+// engine the ratio followed host order: 0.58–1.19 in the runs that failed,
+// 19 of 4000 alone and 175 of 2000 beside two other copies of the test. The
+// parallel engine's gate serves each server's requests in virtual-time
+// order, so the test runs both sides gated, on one P: there the ratio read
+// 2.7083 in 1999 of 2000 runs beside two other copies of the test and never
+// left 2.51–2.83 (on two P it spans 2.33–2.82: the gated engine does not yet
+// repeat to the cycle). Two runs must agree within a tenth and clear the bar.
 func TestDirectoryDistributionHelpsCreates(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := workload.Creates{PerWorker: 40}
-	on, err := RunWorkload(HareFactory(DefaultHare(8)), w, testScale)
-	if err != nil {
-		t.Fatal(err)
+	speedup := func() float64 {
+		dist := DefaultHare(8)
+		dist.Parallel = true
+		noDist := dist
+		noDist.Techniques.DirectoryDistribution = false
+		on, err := RunWorkload(HareFactory(dist), w, testScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, err := RunWorkload(HareFactory(noDist), w, testScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Speedup(off, on)
 	}
-	noDist := DefaultHare(8)
-	noDist.Techniques.DirectoryDistribution = false
-	off, err := RunWorkload(HareFactory(noDist), w, testScale)
-	if err != nil {
-		t.Fatal(err)
+	lo, hi := speedup(), speedup()
+	lo, hi = min(lo, hi), max(lo, hi)
+	if hi > 1.1*lo {
+		t.Fatalf("directory distribution speedup on creates = %.4f, then %.4f: the gated ratio should repeat", lo, hi)
 	}
-	if Speedup(off, on) < 1.2 {
-		t.Fatalf("directory distribution speedup on creates = %.2f, want > 1.2", Speedup(off, on))
+	if lo < 1.2 {
+		t.Fatalf("directory distribution speedup on creates = %.2f, want > 1.2", lo)
 	}
 }
 

@@ -150,17 +150,19 @@ func datapathPoint(scale float64, cores, nsrv int, w workload.Workload) (Datapat
 	return p, nil
 }
 
-// WriteBaseline serializes the sweep to path as indented JSON (committed as
-// BENCH_datapath.json so future changes have a data-movement trajectory to
-// compare against).
+// datapathBaseline is the JSON snapshot committed as BENCH_datapath.json so
+// future changes have a data-movement trajectory to compare against.
+type datapathBaseline struct {
+	Note   string          `json:"note"`
+	Scale  float64         `json:"scale"`
+	Cores  int             `json:"cores"`
+	Points []DatapathPoint `json:"points"`
+}
+
+// WriteBaseline serializes the sweep to path as indented JSON.
 func (d *DatapathData) WriteBaseline(path string) error {
-	b := struct {
-		Note   string          `json:"note"`
-		Scale  float64         `json:"scale"`
-		Cores  int             `json:"cores"`
-		Points []DatapathPoint `json:"points"`
-	}{
-		Note:   "hare-bench -datapath baseline; regenerate with: hare-bench -datapath -scale <scale> -cores <cores> -baseline <path>",
+	b := datapathBaseline{
+		Note:   "hare-bench -datapath baseline; regenerate with: hare-bench -datapath -scale <scale> -cores <cores> -baseline <path>; compare with: hare-bench -datapath -check <path>",
 		Scale:  d.Scale,
 		Cores:  d.Cores,
 		Points: d.Points,
@@ -170,4 +172,48 @@ func (d *DatapathData) WriteBaseline(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// CheckDatapathBaseline re-runs the sweep a committed baseline records, at
+// the baseline's own scale and cores, and compares every count per point —
+// ops, lines written back and invalidated in each mode, lines skipped, bytes
+// in each mode — exactly: the error names every point that differs. All of
+// them follow from the op stream and repeat under any GOMAXPROCS, so a change
+// that moves one line through the memory system fails it. Virtual times
+// depend on host scheduling; the table prints them side by side and nothing
+// gates them.
+func CheckDatapathBaseline(path string) (*Table, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var want datapathBaseline
+	if err := json.Unmarshal(raw, &want); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	data, _, err := DatapathFigure(want.Scale, want.Cores, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	verdicts, err := compareExact(path, data.Points, want.Points, func(got, w DatapathPoint) DatapathPoint {
+		got.OnSeconds, got.OffSeconds = w.OnSeconds, w.OffSeconds
+		return got
+	}, func(p DatapathPoint) string { return fmt.Sprintf("%s@%d", p.Benchmark, p.Servers) })
+	if verdicts == nil {
+		return nil, err
+	}
+	t := &Table{
+		Title: fmt.Sprintf("Data-path sweep against %s (scale %g, %d cores)", path, want.Scale, want.Cores),
+		Columns: []string{"benchmark", "servers", "time on (ms)", "committed", "time off (ms)", "committed",
+			"wb lines on", "wb lines off", "inv lines on", "inv lines off", "skipped", "bytes on", "bytes off", "exact columns"},
+		Note: "exact columns: Ops, OnWbLines, OffWbLines, OnInvLines, OffInvLines, SkipLines, OnBytes, OffBytes; times (OnSeconds, OffSeconds) are printed, not gated.",
+	}
+	for i, got := range data.Points {
+		w := want.Points[i]
+		t.AddRow(got.Benchmark, fmt.Sprint(got.Servers),
+			f2(got.OnSeconds*1000), f2(w.OnSeconds*1000), f2(got.OffSeconds*1000), f2(w.OffSeconds*1000),
+			fmt.Sprint(got.OnWbLines), fmt.Sprint(got.OffWbLines), fmt.Sprint(got.OnInvLines), fmt.Sprint(got.OffInvLines),
+			fmt.Sprint(got.SkipLines), fmt.Sprint(got.OnBytes), fmt.Sprint(got.OffBytes), verdicts[i])
+	}
+	return t, err
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -79,5 +80,32 @@ func TestDatapathBaselineWriter(t *testing.T) {
 	}
 	if s := back.Points[0].Speedup(); s != 2 {
 		t.Fatalf("speedup = %v, want 2", s)
+	}
+}
+
+// TestCheckDatapathBaseline: a baseline the sweep has just written checks
+// clean; one whose exact column was edited does not, and the error names the
+// point.
+func TestCheckDatapathBaseline(t *testing.T) {
+	data, _, err := DatapathFigure(0.01, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "datapath.json")
+	if err := data.WriteBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err := CheckDatapathBaseline(path); err != nil || len(tbl.Rows) != len(data.Points) {
+		t.Fatalf("check of a fresh baseline: %v", err)
+	}
+	// Times are not gated, lines are.
+	data.Points[0].OffSeconds *= 3
+	data.Points[1].OnInvLines++
+	if err := data.WriteBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := CheckDatapathBaseline(path)
+	if err == nil || tbl == nil || !strings.Contains(err.Error(), "1 of ") || !strings.Contains(err.Error(), "bigfile@2") {
+		t.Fatalf("check of an edited baseline: %v", err)
 	}
 }

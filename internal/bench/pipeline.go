@@ -188,8 +188,13 @@ func CheckBaseline(path string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data.Points) != len(want.Points) {
-		return nil, fmt.Errorf("%s records %d points, the sweep has %d", path, len(want.Points), len(data.Points))
+	verdicts, err := compareExact(path, data.Points, want.Points, func(got, w PipelinePoint) PipelinePoint {
+		got.OnSeconds, got.OffSeconds = w.OnSeconds, w.OffSeconds
+		got.OnQueueCycles, got.OffQueueCycles = w.OnQueueCycles, w.OffQueueCycles
+		return got
+	}, func(p PipelinePoint) string { return fmt.Sprintf("%s@%d", p.Benchmark, p.Servers) })
+	if verdicts == nil {
+		return nil, err
 	}
 	t := &Table{
 		Title: fmt.Sprintf("Pipelining sweep against %s (scale %g, %d cores)", path, want.Scale, want.Cores),
@@ -197,26 +202,37 @@ func CheckBaseline(path string) (*Table, error) {
 			"msgs on", "msgs off", "bytes on", "bytes off", "batched ops", "exact columns"},
 		Note: "exact columns: Ops, OnMsgs, OffMsgs, OnBytes, OffBytes, BatchedOps; times are printed, not gated.",
 	}
-	var differ []string
 	for i, got := range data.Points {
 		w := want.Points[i]
-		verdict := "same"
-		// What is not compared is taken from the committed point.
-		exact := got
-		exact.OnSeconds, exact.OffSeconds = w.OnSeconds, w.OffSeconds
-		exact.OnQueueCycles, exact.OffQueueCycles = w.OnQueueCycles, w.OffQueueCycles
-		if exact != w {
-			verdict = "DIFFER"
-			differ = append(differ, fmt.Sprintf("%s@%d: got %+v, committed %+v", got.Benchmark, got.Servers, exact, w))
-		}
 		t.AddRow(got.Benchmark, fmt.Sprint(got.Servers),
 			f2(got.OnSeconds*1000), f2(w.OnSeconds*1000), f2(got.OffSeconds*1000), f2(w.OffSeconds*1000),
 			fmt.Sprint(got.OnMsgs), fmt.Sprint(got.OffMsgs), fmt.Sprint(got.OnBytes), fmt.Sprint(got.OffBytes),
-			fmt.Sprint(got.BatchedOps), verdict)
+			fmt.Sprint(got.BatchedOps), verdicts[i])
+	}
+	return t, err
+}
+
+// compareExact compares a re-run sweep's points with those the baseline at
+// path records, one by one in order, after mask has copied into each re-run
+// point the committed values of the columns that are not gated. It returns
+// each point's verdict, and an error naming every point that differs; with
+// a different number of points, no verdicts.
+func compareExact[P comparable](path string, got, committed []P, mask func(got, committed P) P, name func(P) string) ([]string, error) {
+	if len(got) != len(committed) {
+		return nil, fmt.Errorf("%s records %d points, the sweep has %d", path, len(committed), len(got))
+	}
+	verdicts := make([]string, len(got))
+	var differ []string
+	for i := range got {
+		verdicts[i] = "same"
+		if exact := mask(got[i], committed[i]); exact != committed[i] {
+			verdicts[i] = "DIFFER"
+			differ = append(differ, fmt.Sprintf("%s: got %+v, committed %+v", name(got[i]), exact, committed[i]))
+		}
 	}
 	if differ != nil {
-		return t, fmt.Errorf("%d of %d points differ from %s in an exact column:\n%s",
-			len(differ), len(data.Points), path, strings.Join(differ, "\n"))
+		return verdicts, fmt.Errorf("%d of %d points differ from %s in an exact column:\n%s",
+			len(differ), len(got), path, strings.Join(differ, "\n"))
 	}
-	return t, nil
+	return verdicts, nil
 }

@@ -37,9 +37,10 @@ type PrivateCache struct {
 	linesSkipped uint64
 }
 
-// cachedBlock is one resident block copy. dirty is the per-64-byte-line dirty
-// bitmap (bit i = line i modified since the last writeback); a block is dirty
-// iff any bit is set.
+// cachedBlock is one resident block copy, held like a DRAM block as its
+// leading bytes with zeros implied past them. dirty is the per-64-byte-line
+// dirty bitmap (bit i = line i modified since the last writeback); a block is
+// dirty iff any bit is set.
 type cachedBlock struct {
 	data  []byte
 	dirty []uint64
@@ -50,8 +51,9 @@ type cachedBlock struct {
 // wholesale invalidation of a large file must not keep its frames alive.
 const frameFreeCap = 64
 
-// numLines returns how many 64-byte lines the block spans.
-func (cb *cachedBlock) numLines() int { return (len(cb.data) + LineSize - 1) / LineSize }
+// numLines returns how many 64-byte lines a block spans: every line count
+// the cache keeps is per block, whatever length its frame has.
+func (c *PrivateCache) numLines() int { return (c.dram.blockSize + LineSize - 1) / LineSize }
 
 // isDirty reports whether any line is dirty.
 func (cb *cachedBlock) isDirty() bool {
@@ -63,13 +65,14 @@ func (cb *cachedBlock) isDirty() bool {
 	return false
 }
 
-// markLines sets the dirty bits for the lines spanning [off, off+n).
-func (cb *cachedBlock) markLines(off, n int) {
+// markLines sets the dirty bits for the lines spanning [off, off+n) of a
+// block of numLines lines.
+func (cb *cachedBlock) markLines(off, n, numLines int) {
 	if n <= 0 {
 		return
 	}
 	if cb.dirty == nil {
-		cb.dirty = make([]uint64, (cb.numLines()+63)/64)
+		cb.dirty = make([]uint64, (numLines+63)/64)
 	}
 	first := off / LineSize
 	last := (off + n - 1) / LineSize
@@ -121,11 +124,11 @@ func (c *PrivateCache) fetch(b BlockID) *cachedBlock {
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
-		cb = &cachedBlock{data: make([]byte, c.dram.BlockSize())}
+		cb = &cachedBlock{}
 	}
-	// The read fills the whole frame: nothing of a recycled frame's previous
-	// block shows.
-	c.dram.read(b, 0, cb.data)
+	// The frame takes the block's present bytes and ends where they do:
+	// nothing of a recycled frame's previous block shows.
+	cb.data = c.dram.load(b, cb.data)
 	c.lines[b] = cb
 	return cb
 }
@@ -133,7 +136,7 @@ func (c *PrivateCache) fetch(b BlockID) *cachedBlock {
 // drop removes block b's frame cb from the cache, discarding dirty data, and
 // keeps the frame for the next miss. The caller must hold c.mu.
 func (c *PrivateCache) drop(b BlockID, cb *cachedBlock) {
-	c.linesInv += uint64(cb.numLines())
+	c.linesInv += uint64(c.numLines())
 	delete(c.lines, b)
 	if len(c.free) < frameFreeCap {
 		cb.clearDirty()
@@ -150,10 +153,7 @@ func (c *PrivateCache) Read(b BlockID, off int, dst []byte) (n int, hit bool) {
 	defer c.mu.Unlock()
 	_, hit = c.lines[b]
 	cb := c.fetch(b)
-	if off >= len(cb.data) {
-		return 0, hit
-	}
-	return copy(dst, cb.data[off:]), hit
+	return readSparse(cb.data, c.dram.blockSize, off, dst), hit
 }
 
 // Write copies src into the cached copy of block b at off, marking the
@@ -164,11 +164,13 @@ func (c *PrivateCache) Write(b BlockID, off int, src []byte) (n int, hit bool) {
 	defer c.mu.Unlock()
 	_, hit = c.lines[b]
 	cb := c.fetch(b)
-	if off >= len(cb.data) {
+	n = min(c.dram.blockSize-off, len(src))
+	if n <= 0 {
 		return 0, hit
 	}
-	n = copy(cb.data[off:], src)
-	cb.markLines(off, n)
+	cb.data = extend(cb.data, off+n, c.dram.blockSize)
+	copy(cb.data[off:], src)
+	cb.markLines(off, n, c.numLines())
 	return n, hit
 }
 
@@ -242,9 +244,9 @@ func (c *PrivateCache) Writeback(blocks []BlockID) int {
 		if !ok || !cb.isDirty() {
 			continue
 		}
-		c.dram.write(b, 0, cb.data)
+		c.dram.store(b, cb.data)
 		cb.clearDirty()
-		c.linesWB += uint64(cb.numLines())
+		c.linesWB += uint64(c.numLines())
 		flushed++
 	}
 	c.writebacks += uint64(flushed)
@@ -268,8 +270,8 @@ func (c *PrivateCache) WritebackExtents(exts []Extent, dirtyLinesOnly bool) (blo
 		if dirtyLinesOnly {
 			lines += c.flushDirtyLines(b, cb)
 		} else {
-			c.dram.write(b, 0, cb.data)
-			lines += cb.numLines()
+			c.dram.store(b, cb.data)
+			lines += c.numLines()
 		}
 		cb.clearDirty()
 		blocks++
@@ -281,10 +283,10 @@ func (c *PrivateCache) WritebackExtents(exts []Extent, dirtyLinesOnly bool) (blo
 
 // flushDirtyLines writes only the dirty lines of cb to DRAM and returns how
 // many moved. The caller must hold c.mu and clear the dirty bits afterwards.
+// The lines go highest first, so the DRAM block grows once, by the first.
 func (c *PrivateCache) flushDirtyLines(b BlockID, cb *cachedBlock) int {
 	moved := 0
-	nl := cb.numLines()
-	for l := 0; l < nl; l++ {
+	for l := (len(cb.data)+LineSize-1)/LineSize - 1; l >= 0; l-- {
 		if cb.dirty[l/64]&(1<<(uint(l)%64)) == 0 {
 			continue
 		}
@@ -307,8 +309,8 @@ func (c *PrivateCache) NoteVersionSkip(exts []Extent) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	lines := 0
-	c.forEachCovered(exts, func(b BlockID, cb *cachedBlock) {
-		lines += cb.numLines()
+	c.forEachCovered(exts, func(BlockID, *cachedBlock) {
+		lines += c.numLines()
 	})
 	c.linesSkipped += uint64(lines)
 	return lines
@@ -320,9 +322,7 @@ func (c *PrivateCache) InvalidateAll() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.lines)
-	for _, cb := range c.lines {
-		c.linesInv += uint64(cb.numLines())
-	}
+	c.linesInv += uint64(n * c.numLines())
 	c.lines = make(map[BlockID]*cachedBlock)
 	c.invalidns += uint64(n)
 	return n
@@ -335,9 +335,9 @@ func (c *PrivateCache) WritebackAll() int {
 	flushed := 0
 	for b, cb := range c.lines {
 		if cb.isDirty() {
-			c.dram.write(b, 0, cb.data)
+			c.dram.store(b, cb.data)
 			cb.clearDirty()
-			c.linesWB += uint64(cb.numLines())
+			c.linesWB += uint64(c.numLines())
 			flushed++
 		}
 	}

@@ -132,24 +132,44 @@ func toRuns(exts []Extent) []shadow.Run {
 	return out
 }
 
-// TestDataPathPropertyAgainstShadow drives random write / read / writeback /
-// invalidate / remote-DRAM-write / block-reallocation sequences through the
+// TestDataPathPropertyAgainstShadow drives random write / read / writeback
+// (dirty-line and full-block, through all three entry points) / invalidate /
+// version-skip / remote-DRAM-write / block-reallocation sequences through the
 // private cache and the shared flat shadow model (shadow.Blocks), asserting
-// byte-equality of every read and of DRAM after every writeback, and that
-// lines moved never exceed lines written. The shadow allocates everything
-// fresh; the cache recycles the frames its invalidations drop and the DRAM
-// clears a reallocated block's array in place, so a byte or a dirty bit that
-// survived recycling shows as a divergence.
+// byte-equality of every read and of all of DRAM after every round, every
+// returned count and hit flag, every counter, and that dirty-line writebacks
+// never move more lines than were written. The shadow holds every block and
+// frame as a full array allocated fresh; the cache and the DRAM hold a block
+// as its bytes up to the last line written, and recycle the frames
+// invalidations drop and a reallocated block's array. Offsets favour a
+// block's first lines, so most blocks stay short, writes start past a
+// frame's end, reads straddle it, and frames move between blocks of
+// different lengths: a byte, a dirty bit or a stale tail that survived any
+// of that shows as a divergence, and a line count that followed a frame's
+// length instead of the block's as a counter mismatch.
 func TestDataPathPropertyAgainstShadow(t *testing.T) {
 	const (
 		numBlocks = 12
-		blockSize = 4 * LineSize
-		rounds    = 4000
+		blockSize = 8 * LineSize
+		lines     = blockSize / LineSize
+		rounds    = 6000
 		seed      = uint64(0xDEADBEEFCAFE)
 	)
 	d := NewDRAM(numBlocks, blockSize)
 	c := NewPrivateCache(d)
 	ref := shadow.NewBlocks(blockSize, LineSize)
+	all := []Extent{{Start: 0, Count: numBlocks}}
+	// The counters full 4 KiB frames give, from the shadow's resident set.
+	var want CacheStats
+	access := func(b BlockID) bool {
+		hit := ref.Cached(uint64(b))
+		if hit {
+			want.Hits++
+		} else {
+			want.Misses++
+		}
+		return hit
+	}
 
 	// On any failure the seed is in the log, so the run is replayable.
 	t.Logf("datapath property seed: %#x", seed)
@@ -176,60 +196,132 @@ func TestDataPathPropertyAgainstShadow(t *testing.T) {
 		return exts
 	}
 
+	// fill returns n bytes none of which is zero, so that a byte the sparse
+	// form lost cannot pass for one it implies.
+	fill := func(n int) []byte {
+		src := make([]byte, n)
+		for j := range src {
+			src[j] = byte(1 + next(255))
+		}
+		return src
+	}
+
 	for i := 0; i < rounds; i++ {
 		b := BlockID(next(numBlocks))
-		off := next(blockSize - 1)
-		n := 1 + next(blockSize-off)
-		switch next(6) {
-		case 0: // direct-access write through the cache
-			src := make([]byte, n)
-			for j := range src {
-				src[j] = byte(next(256))
+		off := next(blockSize)
+		if next(2) == 0 {
+			off = next(2 * LineSize)
+		}
+		// n may run past the block's end; counts stop there.
+		n := 1 + next(blockSize-off+LineSize)
+		fit := min(n, blockSize-off)
+		switch next(12) {
+		case 0, 1: // direct-access write through the cache
+			src := fill(n)
+			wantHit := access(b)
+			wrote, hit := c.Write(b, off, src)
+			if wrote != fit || hit != wantHit {
+				t.Fatalf("round %d: write block %d off %d len %d = (%d, hit %v), want (%d, hit %v)", i, b, off, n, wrote, hit, fit, wantHit)
 			}
-			wrote, _ := c.Write(b, off, src)
-			ref.Write(uint64(b), off, src[:wrote])
-			if wrote > 0 {
-				linesWritten += (off+wrote-1)/LineSize - off/LineSize + 1
+			ref.Write(uint64(b), off, src)
+			linesWritten += (off+wrote-1)/LineSize - off/LineSize + 1
+		case 2, 3: // read through the cache: must equal the shadow's view
+			got := fill(n) // what the read does not overwrite shows
+			wantHit := access(b)
+			read, hit := c.Read(b, off, got)
+			if read != fit || hit != wantHit {
+				t.Fatalf("round %d: read block %d off %d len %d = (%d, hit %v), want (%d, hit %v)", i, b, off, n, read, hit, fit, wantHit)
 			}
-		case 1: // read through the cache: must equal the shadow's view
-			got := make([]byte, n)
-			read, _ := c.Read(b, off, got)
-			want := ref.Resident(uint64(b))[off : off+read]
-			if !bytes.Equal(got[:read], want) {
+			if !bytes.Equal(got[:read], ref.Resident(uint64(b))[off:off+fit]) {
 				t.Fatalf("round %d: read block %d off %d diverged from shadow", i, b, off)
 			}
-		case 2: // ranged dirty-line writeback
+		case 4: // ranged dirty-line writeback
 			exts := randExtents()
-			_, lines := c.WritebackExtents(exts, true)
-			wantLines := ref.Writeback(toRuns(exts))
-			if lines != wantLines {
-				t.Fatalf("round %d: writeback moved %d lines, shadow says %d", i, lines, wantLines)
+			_, moved := c.WritebackExtents(exts, true)
+			if wantMoved := ref.Writeback(toRuns(exts)); moved != wantMoved {
+				t.Fatalf("round %d: writeback moved %d lines, shadow says %d", i, moved, wantMoved)
 			}
-			linesMoved += lines
-		case 3: // ranged invalidation
+			want.LinesWB += uint64(moved)
+			linesMoved += moved
+		case 5: // full-block writeback, through each of its entry points
 			exts := randExtents()
-			c.InvalidateExtents(exts)
-			ref.Invalidate(toRuns(exts))
-		case 4: // another core writes DRAM directly (its own writeback)
-			src := make([]byte, n)
-			for j := range src {
-				src[j] = byte(next(256))
+			var flushed, wantFlushed int
+			switch next(3) {
+			case 0:
+				var blocks []BlockID
+				for _, e := range exts {
+					for x := e.Start; x < e.End(); x++ {
+						blocks = append(blocks, x)
+					}
+				}
+				flushed, wantFlushed = c.Writeback(blocks), ref.WritebackFull(toRuns(exts))
+			case 1:
+				flushed, wantFlushed = c.WritebackAll(), ref.WritebackFull(toRuns(all))
+			case 2:
+				var moved int
+				flushed, moved = c.WritebackExtents(exts, false)
+				wantFlushed = ref.WritebackFull(toRuns(exts))
+				if moved != flushed*lines {
+					t.Fatalf("round %d: full writeback of %d blocks moved %d lines, want %d", i, flushed, moved, flushed*lines)
+				}
 			}
-			d.WriteDirect(b, off, src)
+			if flushed != wantFlushed {
+				t.Fatalf("round %d: full writeback flushed %d blocks, shadow says %d", i, flushed, wantFlushed)
+			}
+			want.LinesWB += uint64(flushed * lines)
+		case 6: // ranged invalidation
+			exts := randExtents()
+			dropped := c.InvalidateExtents(exts)
+			if wantDropped := ref.Invalidate(toRuns(exts)); dropped != wantDropped {
+				t.Fatalf("round %d: invalidation dropped %d blocks, shadow says %d", i, dropped, wantDropped)
+			}
+			want.LinesInv += uint64(dropped * lines)
+		case 7: // one block's invalidation, or the whole cache's
+			var dropped, wantDropped int
+			if next(4) == 0 {
+				dropped, wantDropped = c.InvalidateAll(), ref.Invalidate(toRuns(all))
+			} else {
+				dropped, wantDropped = c.Invalidate([]BlockID{b}), ref.Invalidate([]shadow.Run{{Start: uint64(b), Count: 1}})
+			}
+			if dropped != wantDropped {
+				t.Fatalf("round %d: invalidation dropped %d blocks, shadow says %d", i, dropped, wantDropped)
+			}
+			want.LinesInv += uint64(dropped * lines)
+		case 8: // a version-matched open keeps what is resident (of a block
+			// map, whose runs do not overlap)
+			exts := NormalizeExtents(randExtents())
+			skipped := c.NoteVersionSkip(exts)
+			if wantSkipped := ref.Covered(toRuns(exts)) * lines; skipped != wantSkipped {
+				t.Fatalf("round %d: version skip kept %d lines, shadow says %d", i, skipped, wantSkipped)
+			}
+			want.LinesSkipped += uint64(skipped)
+		case 9: // another core writes DRAM directly (its own writeback)
+			src := fill(n)
+			if wrote := d.WriteDirect(b, off, src); wrote != fit {
+				t.Fatalf("round %d: DRAM write block %d off %d len %d = %d, want %d", i, b, off, n, wrote, fit)
+			}
 			ref.WriteDRAM(uint64(b), off, src)
-		case 5: // the block is reallocated: its owner's server zeroes DRAM
+		case 10: // another core writes the whole block
+			src := fill(blockSize)
+			d.WriteDirect(b, 0, src)
+			ref.WriteDRAM(uint64(b), 0, src)
+		case 11: // the block is reallocated: its owner's server zeroes DRAM
 			d.ZeroBlock(b)
 			ref.WriteDRAM(uint64(b), 0, make([]byte, blockSize))
 		}
-		// DRAM must match the shadow DRAM everywhere, every few rounds.
-		if i%97 == 0 {
-			for blk := 0; blk < numBlocks; blk++ {
-				got := make([]byte, blockSize)
-				d.ReadDirect(BlockID(blk), 0, got)
-				if !bytes.Equal(got, ref.DRAM(uint64(blk))) {
-					t.Fatalf("round %d: DRAM block %d diverged from shadow", i, blk)
-				}
+		// DRAM reads as the shadow's everywhere, and the counters are the
+		// ones full frames give.
+		for blk := 0; blk < numBlocks; blk++ {
+			got := fill(blockSize)
+			if read := d.ReadDirect(BlockID(blk), 0, got); read != blockSize || !bytes.Equal(got, ref.DRAM(uint64(blk))) {
+				t.Fatalf("round %d: DRAM block %d diverged from shadow", i, blk)
 			}
+		}
+		want.Resident = ref.Covered(toRuns(all))
+		st := c.Stats()
+		st.Writebacks, st.Invalidated = 0, 0
+		if st != want {
+			t.Fatalf("round %d: stats %+v, full frames give %+v", i, st, want)
 		}
 	}
 	if linesMoved > linesWritten {
@@ -237,10 +329,6 @@ func TestDataPathPropertyAgainstShadow(t *testing.T) {
 	}
 	if linesMoved == 0 || linesWritten == 0 {
 		t.Fatal("property test exercised no writebacks; widen the op mix")
-	}
-	st := c.Stats()
-	if st.LinesWB != uint64(linesMoved) {
-		t.Fatalf("stats LinesWB = %d, observed %d", st.LinesWB, linesMoved)
 	}
 }
 

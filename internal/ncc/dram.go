@@ -29,9 +29,46 @@ type DRAM struct {
 	blocks    []dramBlock
 }
 
+// dramBlock holds a block's leading bytes up to the highest line ever
+// written to it; the block reads as zeros past len(data) (DESIGN.md §8, "How
+// a block is held").
 type dramBlock struct {
 	mu   sync.Mutex
 	data []byte
+}
+
+// readSparse copies a block held as its leading bytes data into dst from off,
+// zero-filling what lies past data, and returns the bytes up to the block's
+// end that fit in dst.
+func readSparse(data []byte, size, off int, dst []byte) int {
+	n := min(size-off, len(dst))
+	if n <= 0 {
+		return 0
+	}
+	c := 0
+	if off < len(data) {
+		c = copy(dst[:n], data[off:])
+	}
+	clear(dst[c:n])
+	return n
+}
+
+// extend returns data lengthened to hold end bytes, rounded up to a line and
+// never past size, allocating at most once; the bytes it adds read as zero.
+func extend(data []byte, end, size int) []byte {
+	if end <= len(data) {
+		return data
+	}
+	end = min((end+LineSize-1)/LineSize*LineSize, size)
+	if end > cap(data) {
+		grown := make([]byte, end)
+		copy(grown, data)
+		return grown
+	}
+	old := len(data)
+	data = data[:end]
+	clear(data[old:])
+	return data
 }
 
 // NewDRAM creates a shared memory with numBlocks blocks of blockSize bytes.
@@ -65,21 +102,7 @@ func (d *DRAM) read(b BlockID, off int, dst []byte) int {
 	blk := &d.blocks[b]
 	blk.mu.Lock()
 	defer blk.mu.Unlock()
-	if blk.data == nil || off >= len(blk.data) {
-		// Unwritten DRAM reads as zeros.
-		n := d.blockSize - off
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if n < 0 {
-			n = 0
-		}
-		for i := 0; i < n; i++ {
-			dst[i] = 0
-		}
-		return n
-	}
-	return copy(dst, blk.data[off:])
+	return readSparse(blk.data, d.blockSize, off, dst)
 }
 
 // write copies src into the block at off; returns bytes copied.
@@ -88,25 +111,48 @@ func (d *DRAM) write(b BlockID, off int, src []byte) int {
 	blk := &d.blocks[b]
 	blk.mu.Lock()
 	defer blk.mu.Unlock()
-	if blk.data == nil {
-		blk.data = make([]byte, d.blockSize)
-	}
-	if off >= d.blockSize {
+	n := min(d.blockSize-off, len(src))
+	if n <= 0 {
 		return 0
 	}
+	blk.data = extend(blk.data, off+n, d.blockSize)
 	return copy(blk.data[off:], src)
 }
 
+// load returns block b's present bytes in buf's backing array (a private
+// cache's miss filling a frame).
+func (d *DRAM) load(b BlockID, buf []byte) []byte {
+	d.validate(b)
+	blk := &d.blocks[b]
+	blk.mu.Lock()
+	defer blk.mu.Unlock()
+	buf = extend(buf[:0], len(blk.data), d.blockSize)
+	copy(buf, blk.data)
+	return buf
+}
+
+// store makes block b hold exactly src, zeros past it (a full-block
+// writeback of a frame).
+func (d *DRAM) store(b BlockID, src []byte) {
+	d.validate(b)
+	blk := &d.blocks[b]
+	blk.mu.Lock()
+	defer blk.mu.Unlock()
+	blk.data = extend(blk.data[:0], len(src), d.blockSize)
+	copy(blk.data, src)
+}
+
 // zero clears a block's contents (used when a freed block is reallocated).
-// A block that has been written keeps its backing array, cleared: it is the
-// simulated memory itself, bounded by the DRAM's configured size, and the
-// block's next owner is about to write it.
+// A block that has been written keeps its backing array, truncated (extend
+// zero-fills what a later write exposes again): it is the simulated memory
+// itself, bounded by the DRAM's configured size, and the block's next owner
+// is about to write it.
 func (d *DRAM) zero(b BlockID) {
 	d.validate(b)
 	blk := &d.blocks[b]
 	blk.mu.Lock()
 	defer blk.mu.Unlock()
-	clear(blk.data)
+	blk.data = blk.data[:0]
 }
 
 // ReadDirect reads directly from DRAM, bypassing any private cache. It is

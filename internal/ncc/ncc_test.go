@@ -2,6 +2,7 @@ package ncc
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -243,6 +244,42 @@ func TestFrameFreeListIsBounded(t *testing.T) {
 	}
 	if len(c.free) != frameFreeCap-1 {
 		t.Fatalf("the miss did not take a frame from the free list (%d left)", len(c.free))
+	}
+}
+
+// TestSmallBlockFootprint: a block holds only the lines written to it. 4096
+// blocks of 256 B written through one core's cache, written back, and read
+// through a second core's, with the writer's cache gone, keep DRAM's copy
+// and the reader's frame of each: about 600 B a block of live heap, where a
+// 4 KiB array per block and per frame kept 8 KiB.
+func TestSmallBlockFootprint(t *testing.T) {
+	const blocks, written = 4096, 256
+	d := NewDRAM(blocks, 4096)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	func() {
+		w := NewPrivateCache(d)
+		payload := bytes.Repeat([]byte{7}, written)
+		for b := BlockID(0); b < blocks; b++ {
+			w.Write(b, 0, payload)
+		}
+		w.WritebackAll()
+	}()
+	r := NewPrivateCache(d)
+	buf := make([]byte, written)
+	for b := BlockID(0); b < blocks; b++ {
+		if r.Read(b, 0, buf); buf[written-1] != 7 {
+			t.Fatalf("block %d reads %d at its last written byte, want 7", b, buf[written-1])
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	growth := int64(after.HeapInuse) - int64(before.HeapInuse)
+	t.Logf("live heap grew %d B, %d B a block", growth, growth/blocks)
+	if growth > blocks*1024 {
+		t.Fatalf("live heap grew %d B for %d blocks of %d B (%d B a block), want at most 1 KiB a block", growth, blocks, written, growth/blocks)
 	}
 }
 

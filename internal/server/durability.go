@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/fsapi"
@@ -461,7 +462,10 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 		if s.lostMemory {
 			for j, b := range ino.blocks {
 				if j < len(snap.Data) && snap.Data[j] != nil {
-					s.cfg.DRAM.WriteDirect(b, 0, snap.Data[j])
+					// The image's zero tail is left implied, so the
+					// block holds only its written lines (DESIGN.md §8).
+					s.cfg.DRAM.ZeroBlock(b)
+					s.cfg.DRAM.WriteDirect(b, 0, bytes.TrimRight(snap.Data[j], "\x00"))
 				}
 			}
 		}

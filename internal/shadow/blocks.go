@@ -1,6 +1,9 @@
 package shadow
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Run is a contiguous range of block ids [Start, Start+Count). It mirrors
 // ncc.Extent without importing ncc, so that package's own tests can use this
@@ -135,14 +138,51 @@ func (s *Blocks) Writeback(runs []Run) int {
 	return moved
 }
 
-// Invalidate drops resident blocks covered by runs from the private cache,
-// discarding their dirty lines.
-func (s *Blocks) Invalidate(runs []Run) {
+// WritebackFull flushes every resident block covered by runs that has a
+// dirty line whole, clean lines included, and returns the blocks flushed.
+func (s *Blocks) WritebackFull(runs []Run) int {
 	norm := NormalizeRuns(runs)
+	flushed := 0
+	for b, buf := range s.priv {
+		if !RunsContain(norm, b) || !slices.Contains(s.dirty[b], true) {
+			continue
+		}
+		copy(s.DRAM(b), buf)
+		clear(s.dirty[b])
+		flushed++
+	}
+	return flushed
+}
+
+// Invalidate drops resident blocks covered by runs from the private cache,
+// discarding their dirty lines, and returns how many it dropped.
+func (s *Blocks) Invalidate(runs []Run) int {
+	norm := NormalizeRuns(runs)
+	dropped := 0
 	for b := range s.priv {
 		if RunsContain(norm, b) {
 			delete(s.priv, b)
 			delete(s.dirty, b)
+			dropped++
 		}
 	}
+	return dropped
+}
+
+// Cached reports whether block b is resident in the private cache.
+func (s *Blocks) Cached(b uint64) bool {
+	_, ok := s.priv[b]
+	return ok
+}
+
+// Covered returns how many resident blocks runs cover.
+func (s *Blocks) Covered(runs []Run) int {
+	norm := NormalizeRuns(runs)
+	n := 0
+	for b := range s.priv {
+		if RunsContain(norm, b) {
+			n++
+		}
+	}
+	return n
 }
