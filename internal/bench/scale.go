@@ -358,7 +358,7 @@ const ScaleBaselineSpec = "8:125000,8:125000:par,64:32768@1,64:32768:par@1,64:32
 // WriteBaseline serializes the sweep to path as indented JSON.
 func (d *ScaleData) WriteBaseline(path string) error {
 	b := ScaleBaseline{
-		Note:   "hare-bench -scalesweep baseline; ops and load_imbalance follow from the rung alone and `hare-bench -scalesweep baseline -check BENCH_scale.json` compares them exactly; wall-clock figures are machine-dependent (each point records its GOMAXPROCS and nproc) — compare shapes, parallel against serialized twins, allocs/op and gate counts per op, not absolute seconds. Regenerate with: hare-bench -scalesweep baseline -baseline BENCH_scale.json (the rungs '" + ScaleBaselineSpec + "')",
+		Note:   "hare-bench -scalesweep baseline; ops and load_imbalance follow from the rung alone and `hare-bench -scalesweep baseline -check BENCH_scale.json` compares them exactly, and fails a rung whose allocs_per_op is more than 1 % above the committed figure; wall-clock figures are machine-dependent (each point records its GOMAXPROCS and nproc) — compare shapes, parallel against serialized twins, allocs/op and gate counts per op, not absolute seconds. Regenerate with: hare-bench -scalesweep baseline -baseline BENCH_scale.json (the rungs '" + ScaleBaselineSpec + "')",
 		Points: d.Points,
 	}
 	buf, err := json.MarshalIndent(&b, "", "  ")
@@ -368,12 +368,18 @@ func (d *ScaleData) WriteBaseline(path string) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
+// allocSlack is how far above its committed allocations per op a rung may
+// come: the repository benchmark's bound on allocs_per_op. Three sweeps of
+// the committed rungs on one commit repeat within 0.05 % of each other.
+const allocSlack = 0.01
+
 // CheckScaleBaseline re-runs the given rungs and compares each with the point
 // the committed baseline at path records for it: ops and load imbalance
-// exactly — the error names every rung that differs. Rungs the file does not
-// record (it was made on a narrower machine) and rungs wider than this
-// machine are skipped, and the table's note names them. Virtual and wall
-// times are printed side by side and nothing gates them.
+// exactly, allocations per op to within allocSlack above the committed figure
+// — the error names every rung that fails. Rungs the file does not record (it
+// was made on a narrower machine) and rungs wider than this machine are
+// skipped, and the table's note names them. The live heap and the virtual
+// and wall times are printed side by side and nothing gates them.
 func CheckScaleBaseline(path string, rungs []ScaleRung) (*Table, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -386,8 +392,9 @@ func CheckScaleBaseline(path string, rungs []ScaleRung) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("Harness scaling sweep against %s", path),
 		Columns: []string{"servers", "engine", "cores", "files", "ops", "load imbalance",
-			"virt (ms)", "committed", "wall (s)", "committed", "exact columns"},
-		Note: "exact columns: ops, load imbalance; times are printed, not gated.",
+			"allocs/op", "committed", "heap (MiB)", "committed",
+			"virt (ms)", "committed", "wall (s)", "committed", "gated columns"},
+		Note: fmt.Sprintf("gated columns: ops and load imbalance exactly, allocs/op at most %.0f %% above the committed figure; heap and times are printed, not gated.", allocSlack*100),
 	}
 	recorded := map[string]ScalePoint{}
 	for _, w := range want.Points {
@@ -415,10 +422,18 @@ func CheckScaleBaseline(path string, rungs []ScaleRung) (*Table, error) {
 	var differ []string
 	for _, got := range data.Points {
 		verdict, committed := "same", recorded[got.Rung]
+		var why []string
 		if got.Ops != committed.Ops || got.LoadImbalance != committed.LoadImbalance {
+			why = append(why, fmt.Sprintf("ops %d, load imbalance %v; committed %d, %v",
+				got.Ops, got.LoadImbalance, committed.Ops, committed.LoadImbalance))
+		}
+		if got.AllocsPerOp > committed.AllocsPerOp*(1+allocSlack) {
+			why = append(why, fmt.Sprintf("allocs/op %.4f, more than %.0f %% above the committed %.4f",
+				got.AllocsPerOp, allocSlack*100, committed.AllocsPerOp))
+		}
+		if why != nil {
 			verdict = "DIFFER"
-			differ = append(differ, fmt.Sprintf("%s: ops %d, load imbalance %v; committed %d, %v",
-				got.Rung, got.Ops, got.LoadImbalance, committed.Ops, committed.LoadImbalance))
+			differ = append(differ, got.Rung+": "+strings.Join(why, "; "))
 		}
 		engine := "serialized"
 		if got.Par {
@@ -426,11 +441,13 @@ func CheckScaleBaseline(path string, rungs []ScaleRung) (*Table, error) {
 		}
 		t.AddRow(fmt.Sprint(got.Servers), engine, fmt.Sprint(got.GOMAXPROCS), fmt.Sprint(got.Files),
 			fmt.Sprint(got.Ops), f2(got.LoadImbalance),
+			fmt.Sprintf("%.4f", got.AllocsPerOp), fmt.Sprintf("%.4f", committed.AllocsPerOp),
+			f2(float64(got.HeapBytes)/(1<<20)), f2(float64(committed.HeapBytes)/(1<<20)),
 			fmt.Sprintf("%.3g", got.VirtSeconds*1000), fmt.Sprintf("%.3g", committed.VirtSeconds*1000),
 			f2(got.WallSeconds), f2(committed.WallSeconds), verdict)
 	}
 	if differ != nil {
-		return t, fmt.Errorf("%d of %d rungs differ from %s in an exact column:\n%s",
+		return t, fmt.Errorf("%d of %d rungs differ from %s in a gated column:\n%s",
 			len(differ), len(data.Points), path, strings.Join(differ, "\n"))
 	}
 	return t, nil

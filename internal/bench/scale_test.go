@@ -61,13 +61,20 @@ func TestScaleSweepSmoke(t *testing.T) {
 
 // TestCheckScaleBaseline: a baseline the sweep has just written checks clean
 // under either engine; a rung the file does not record and one wider than
-// the machine are skipped and named; an edited load imbalance fails the
-// check and the error names the rung.
+// the machine are skipped and named; an edited load imbalance, and
+// allocations well below what the rung makes, fail the check and the error
+// names each rung.
 func TestCheckScaleBaseline(t *testing.T) {
 	rungs := []ScaleRung{{Servers: 16, Files: 800, Cores: 1}, {Servers: 16, Files: 800, Cores: 1, Parallel: true}}
 	data, _, err := ScaleSweepFigure(append(rungs, ScaleRung{Servers: 16, Files: 800, Cores: 1 << 20}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Rungs this small repeat their allocations per op to within a few
+	// percent (1–2 % under -race), not to the committed rungs' 0.05 %.
+	measured := data.Points[0].AllocsPerOp
+	for i := range data.Points {
+		data.Points[i].AllocsPerOp *= 1.1
 	}
 	path := filepath.Join(t.TempDir(), "scale.json")
 	if err := data.WriteBaseline(path); err != nil {
@@ -77,15 +84,18 @@ func TestCheckScaleBaseline(t *testing.T) {
 	if err != nil || len(tbl.Rows) != 2 || !strings.Contains(tbl.Note, "Skipped 8:800@1: "+path+" does not record it.") {
 		t.Fatalf("check of a fresh baseline: %v, note %q", err, tbl.Note)
 	}
-	// Times are not gated, the imbalance is.
+	// Times and the heap are not gated, the imbalance and allocations are.
 	data.Points[0].VirtSeconds *= 3
+	data.Points[0].HeapBytes /= 2
+	data.Points[0].AllocsPerOp = measured / 2
 	data.Points[1].LoadImbalance += 0.5
 	data.Points = append(data.Points, ScalePoint{Rung: "16:800@1048576"})
 	if err := data.WriteBaseline(path); err != nil {
 		t.Fatal(err)
 	}
 	tbl, err = CheckScaleBaseline(path, []ScaleRung{rungs[0], {Servers: 16, Files: 800, Cores: 1 << 20}, rungs[1]})
-	if err == nil || tbl == nil || !strings.Contains(err.Error(), "1 of 2") || !strings.Contains(err.Error(), "16:800:par@1: ops") ||
+	if err == nil || tbl == nil || !strings.Contains(err.Error(), "2 of 2") || !strings.Contains(err.Error(), "16:800:par@1: ops") ||
+		!strings.Contains(err.Error(), "16:800@1: allocs/op") ||
 		!strings.Contains(tbl.Note, "Skipped 16:800@1048576: the machine has") {
 		t.Fatalf("check of an edited baseline: %v, note %q", err, tbl.Note)
 	}

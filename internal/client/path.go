@@ -41,8 +41,8 @@ func (c *Client) drainInvalidations() {
 		}
 		c.stats.invals.Add(1)
 		if iv.Name == "" {
-			// Wildcard from a recovered server: its invalidation-tracking
-			// sets died with it, so every cached entry is suspect.
+			// Wildcard from a recovered server: who had its entries
+			// cached died with it, so every cached entry is suspect.
 			c.dcache.Clear()
 			continue
 		}

@@ -12,8 +12,10 @@ import (
 // System so that the server goroutines' allocations count too (DESIGN.md
 // §13). Nothing is left of the path walk, the codec or the per-call state;
 // what is left is what the file system keeps — the name a server stores, the
-// inode, a tracking set — and the copy of a name each decoder that meets one
-// makes (a sub-request's, an invalidation's), strings being immutable.
+// inode, its block list — and the copy of a name each decoder that meets one
+// makes (a sub-request's, an invalidation's), strings being immutable. Who
+// has an entry cached costs nothing more: the first client is kept in the
+// entry itself.
 func TestBoundaryAllocs(t *testing.T) {
 	sys := newTestSystem(t, 2, 2)
 	c := sys.NewClient(0)
@@ -46,11 +48,10 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(err)
 			must(c.Close(fd))
 		}},
-		// The name stored, the inode, the tracking set; the unlink
-		// sub-request's copy of the name, and a fraction for the inode's
-		// block list and table growth. Nobody is called back: the only
+		// The name stored, the inode and its block list; the unlink
+		// sub-request's copy of the name. Nobody is called back: the only
 		// client that had the name cached removed it.
-		{"create/write/close/unlink", 5, func() {
+		{"create/write/close/unlink", 4, func() {
 			fd, err := c.Open(churned, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 			must(err)
 			_, err = c.Pwrite(fd, payload, 0)
@@ -58,9 +59,9 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(c.Close(fd))
 			must(c.Unlink(churned))
 		}},
-		// The new name stored and its tracking set; the old name's
-		// transient copy in the RM_MAP sub-request.
-		{"rename", 3, func() {
+		// The new name stored; the old name's transient copy in the RM_MAP
+		// sub-request.
+		{"rename", 2, func() {
 			must(c.Rename(from, to))
 			from, to = to, from
 		}},
@@ -133,15 +134,16 @@ func TestBoundaryAllocs(t *testing.T) {
 	body, back := make([]byte, 1500), make([]byte, 1500)
 	// Nine calls, five of which log and ship (79 allocations before the
 	// durable path recycled). The primary keeps the name stored at the create
-	// and again at the rename, the inode, its block list and the two entries'
-	// tracking sets (6); the replica keeps its own copy of the two names, of
-	// the inode and of the block list (4); and every decoder that meets a
-	// name copies it, strings being immutable: the rename's and the unlink's
-	// RM_MAP sub-requests (2). Nothing is left of the staged records, of the
-	// shipped frames or of the six messages and structs a ship and its ack
-	// used to be copied through, and nothing of the two invalidations the
-	// server used to send the client about entries it had removed itself.
-	delivery := gate{"durable+sync delivery", 12, func() {
+	// and again at the rename, the inode and its block list (4); the replica
+	// keeps its own copy of the two names, of the inode and of the block list
+	// (4); and every decoder that meets a name copies it, strings being
+	// immutable: the rename's and the unlink's RM_MAP sub-requests (2). The
+	// two entries' trackers live in the entries. Nothing is left of the
+	// staged records, of the shipped frames or of the six messages and
+	// structs a ship and its ack used to be copied through, and nothing of
+	// the two invalidations the server used to send the client about entries
+	// it had removed itself.
+	delivery := gate{"durable+sync delivery", 10, func() {
 		fd, err := c.Open(tmp, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 		must(err)
 		_, err = c.Pwrite(fd, body, 0)

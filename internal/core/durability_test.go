@@ -351,7 +351,7 @@ func TestFaultAPIValidation(t *testing.T) {
 }
 
 func TestRecoveryFlushesSurvivingClientCaches(t *testing.T) {
-	// A recovered server has lost its invalidation-tracking sets, so it
+	// A recovered server rebuilds its entries without their trackers, so it
 	// broadcasts a directory-cache flush; a client that cached a lookup
 	// before the crash must observe a post-recovery rename rather than
 	// reading through its stale cache entry.

@@ -15,6 +15,10 @@ type dirEnt struct {
 	target proto.InodeID
 	ftype  fsapi.FileType
 	dist   bool
+	// tracker is the first client library that has the entry cached, as its
+	// id plus one (0: none). It sits in the struct's padding; the clients
+	// after it are in the shard's more.
+	tracker int32
 }
 
 // dirShard is this server's slice of one directory's entries. For a
@@ -22,6 +26,10 @@ type dirEnt struct {
 // directory only the home server does.
 type dirShard struct {
 	ents *table.Map[string, dirEnt]
+	// more holds, per entry, the clients tracked after its first, in
+	// insertion order (so invalidation fan-outs are deterministic). Nil until
+	// an entry of the shard is cached by a second client.
+	more *table.Map[string, []int32]
 	// marked is set between the PREPARE and COMMIT/ABORT phases of the
 	// rmdir protocol; while set, operations on this directory are parked.
 	marked bool
@@ -35,12 +43,6 @@ type parkedReq struct {
 	env msg.Envelope
 }
 
-// direntKey identifies one directory entry for invalidation tracking.
-type direntKey struct {
-	dir  proto.InodeID
-	name string
-}
-
 // shard returns this server's shard for dir, creating it if needed.
 func (s *Server) shard(dir proto.InodeID) *dirShard {
 	sh, ok := s.dirs.Get(dir)
@@ -51,42 +53,69 @@ func (s *Server) shard(dir proto.InodeID) *dirShard {
 	return sh
 }
 
-// track records that client has the entry cached.
-func (s *Server) track(dir proto.InodeID, name string, client int32) {
+// track records that client has the entry name of sh cached. It reports
+// whether client became the entry's first tracker: ent changed, and the
+// caller stores it.
+func (s *Server) track(sh *dirShard, name string, ent *dirEnt, client int32) bool {
 	if client < 0 {
-		return
+		return false
 	}
-	key := direntKey{dir, name}
-	set, _ := s.tracking.Get(key)
-	for _, c := range set {
+	switch ent.tracker {
+	case 0:
+		ent.tracker = client + 1
+		return true
+	case client + 1:
+		return false
+	}
+	if sh.more == nil {
+		sh.more = table.New[string, []int32](table.HashString, 0)
+	}
+	rest, _ := sh.more.Get(name)
+	for _, c := range rest {
 		if c == client {
-			return
+			return false
 		}
 	}
-	s.tracking.Put(key, append(set, client))
+	if rest == nil {
+		rest = make([]int32, 0, 4) // an entry shared by a few clients grows once
+	}
+	sh.more.Put(name, append(rest, client))
+	return false
 }
 
 // invalidate sends directory-cache invalidation callbacks to every client
-// tracked for (dir, name) except the requester — it made the change, and
-// drops or replaces its own cached copy — then clears the tracking set.
-// Thanks to atomic message delivery the server does not wait for
-// acknowledgements (§3.6.1). The set is insertion-ordered, so the fan-out
-// order is deterministic across runs.
-func (s *Server) invalidate(dir proto.InodeID, name string, except int32) {
-	key := direntKey{dir, name}
-	set, ok := s.tracking.Get(key)
+// tracked for the entry name of sh — first, the entry's tracker, then the
+// rest in insertion order, so the fan-out order is deterministic across
+// runs — except the requester: it made the change, and drops or replaces its
+// own cached copy. It forgets the rest; the caller drops the entry or
+// replaces it with one that has no tracker. Thanks to atomic message
+// delivery the server does not wait for acknowledgements (§3.6.1).
+func (s *Server) invalidate(sh *dirShard, dir proto.InodeID, name string, first, except int32) {
+	if first == 0 {
+		return // nobody has it cached, so nobody has a second copy either
+	}
+	iv := proto.Invalidation{Dir: dir, Name: name}
+	s.callBack(first-1, except, &iv)
+	if sh.more == nil {
+		return
+	}
+	rest, ok := sh.more.Get(name)
 	if !ok {
 		return
 	}
-	s.tracking.Delete(key)
-	iv := proto.Invalidation{Dir: dir, Name: name}
-	for _, client := range set {
-		if client == except {
-			continue
-		}
-		if ep, ok := s.cfg.Registry.Lookup(client); ok {
-			s.sendInvalidation(ep, &iv)
-		}
+	sh.more.Delete(name)
+	for _, client := range rest {
+		s.callBack(client, except, &iv)
+	}
+}
+
+// callBack sends iv to client unless it is the requester.
+func (s *Server) callBack(client, except int32, iv *proto.Invalidation) {
+	if client == except {
+		return
+	}
+	if ep, ok := s.cfg.Registry.Lookup(client); ok {
+		s.sendInvalidation(ep, iv)
 	}
 }
 
@@ -141,7 +170,9 @@ func (s *Server) handleLookup(req *proto.Request, env msg.Envelope) (*proto.Resp
 	if !ok {
 		return s.errResp(fsapi.ENOENT), false
 	}
-	s.track(req.Dir, req.Name, req.ClientID)
+	if s.track(sh, req.Name, &ent, req.ClientID) {
+		sh.ents.Put(req.Name, ent)
+	}
 	return s.resp(proto.Response{
 		Ino:    ent.target,
 		Server: ent.target.Server,
@@ -173,15 +204,14 @@ func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Resp
 		}), false
 	}
 	ent := dirEnt{target: req.Target, ftype: req.Ftype, dist: req.Distributed}
-	sh.ents.Put(req.Name, ent)
-	if !exists {
+	if exists {
+		s.invalidate(sh, req.Dir, req.Name, old.tracker, req.ClientID)
+	} else {
 		s.entCount.Add(1)
 	}
+	s.track(sh, req.Name, &ent, req.ClientID)
+	sh.ents.Put(req.Name, ent)
 	s.stageAddMap(req.Dir, req.Name, ent)
-	if exists {
-		s.invalidate(req.Dir, req.Name, req.ClientID)
-	}
-	s.track(req.Dir, req.Name, req.ClientID)
 	resp := s.resp(proto.Response{})
 	if exists {
 		resp.Ino = old.target
@@ -222,7 +252,7 @@ func (s *Server) handleRmMap(req *proto.Request, env msg.Envelope) (*proto.Respo
 	sh.ents.Delete(req.Name)
 	s.entCount.Add(-1)
 	s.stageRmMap(req.Dir, req.Name)
-	s.invalidate(req.Dir, req.Name, req.ClientID)
+	s.invalidate(sh, req.Dir, req.Name, ent.tracker, req.ClientID)
 	return s.resp(proto.Response{
 		Ino:    ent.target,
 		Server: ent.target.Server,
@@ -286,6 +316,7 @@ func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*p
 	}
 	ino := s.allocInode(ftype, req.Mode, req.Distributed)
 	ent := dirEnt{target: s.id(ino), ftype: ftype, dist: req.Distributed}
+	s.track(sh, req.Name, &ent, req.ClientID)
 	sh.ents.Put(req.Name, ent)
 	s.entCount.Add(1)
 	s.stageInode(ino)
@@ -293,7 +324,6 @@ func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*p
 	if req.WantOpen {
 		ino.fdRefs++
 	}
-	s.track(req.Dir, req.Name, req.ClientID)
 	return s.resp(proto.Response{
 		Ino:     s.id(ino),
 		Server:  int32(s.cfg.ID),

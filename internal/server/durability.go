@@ -46,12 +46,12 @@ func (s *Server) stageInode(ino *inode) {
 		Ftype: ino.ftype,
 		Mode:  ino.mode,
 		Dist:  ino.distributed,
-		Nlink: int32(ino.nlink),
+		Nlink: ino.nlink,
 	})
 }
 
 func (s *Server) stageNlink(ino *inode) {
-	s.stage(wal.Record{Type: wal.RecNlink, Ino: ino.local, Nlink: int32(ino.nlink)})
+	s.stage(wal.Record{Type: wal.RecNlink, Ino: ino.local, Nlink: ino.nlink})
 }
 
 func (s *Server) stageSize(ino *inode) {
@@ -210,7 +210,7 @@ func (s *Server) buildCheckpoint() *wal.Checkpoint {
 			Ftype:  ino.ftype,
 			Mode:   ino.mode,
 			Size:   ino.size,
-			Nlink:  int32(ino.nlink),
+			Nlink:  ino.nlink,
 			Dist:   ino.distributed,
 			Blocks: blockList(ino),
 		}
@@ -306,7 +306,6 @@ func (s *Server) resetState() {
 	s.deadDirs = newDeadDirTable()
 	s.sharedFds = newFdTable()
 	s.nextFd = proto.FdID(uint64(s.incarnation)<<32) + 1
-	s.tracking = newTrackTable()
 	s.pending, s.pendingBlocks = nil, nil
 	// Placement falls back to the boot-time map; a later epoch adopted
 	// through migration is restored by the checkpoint or an epoch record.
@@ -394,11 +393,12 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), st.Cycles)
 	s.clock.AdvanceTo(end)
 
-	// The crash lost the invalidation-tracking sets, so this server can no
-	// longer invalidate entries that surviving clients cached before the
-	// crash. Tell every registered client to flush its directory cache —
-	// sent before the inbox reopens, so atomic delivery guarantees the
-	// flush is seen before any post-recovery lookup reply.
+	// The entries were rebuilt without their trackers (who had them cached
+	// died with the process), so this server can no longer invalidate
+	// entries that surviving clients cached before the crash. Tell every
+	// registered client to flush its directory cache — sent before the
+	// inbox reopens, so atomic delivery guarantees the flush is seen before
+	// any post-recovery lookup reply.
 	s.broadcastCacheFlush()
 
 	s.lostMemory = false
@@ -452,7 +452,7 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 			ftype:       snap.Ftype,
 			mode:        snap.Mode,
 			size:        snap.Size,
-			nlink:       int(snap.Nlink),
+			nlink:       snap.Nlink,
 			distributed: snap.Dist,
 			version:     s.verBase,
 		}
@@ -504,7 +504,7 @@ func (s *Server) applyRecord(r wal.Record) {
 			local:       r.Ino,
 			ftype:       r.Ftype,
 			mode:        r.Mode,
-			nlink:       int(r.Nlink),
+			nlink:       r.Nlink,
 			distributed: r.Dist,
 			version:     s.verBase,
 		})
@@ -513,7 +513,7 @@ func (s *Server) applyRecord(r wal.Record) {
 		if !ok {
 			return
 		}
-		ino.nlink = int(r.Nlink)
+		ino.nlink = r.Nlink
 		if ino.nlink <= 0 {
 			// No descriptors survive a crash, so the inode reaps
 			// immediately; Reclaim frees its blocks afterwards.

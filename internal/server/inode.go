@@ -7,13 +7,15 @@ import (
 )
 
 // inode is the server-side representation of a file, directory or pipe.
-// Inodes live on the server that created them and never migrate.
+// Inodes live on the server that created them and never migrate. The struct
+// holds what every inode uses (80 bytes, a size class of its own); state that
+// nearly every inode leaves empty hangs off rare.
 type inode struct {
 	local uint64
 	ftype fsapi.FileType
 	mode  fsapi.Mode
+	nlink int32
 	size  int64
-	nlink int
 
 	// blocks is the ordered buffer-cache block list holding file data.
 	blocks []ncc.BlockID
@@ -28,18 +30,35 @@ type inode struct {
 	// referring to this inode. Data blocks are reclaimed only when the
 	// count drops to zero (supports reading unlinked files, and defers
 	// block reuse after truncate, §3.2/§3.4).
-	fdRefs int
-	// deferred holds blocks removed by truncate that cannot be reused
-	// until all file descriptors are closed.
-	deferred []ncc.BlockID
-
-	// Directory state.
+	fdRefs int32
+	// distributed is a directory's: its entries are sharded over servers.
 	distributed bool
-	rmdirLocked bool
-	rmdirQueue  []parkedReq
 
 	// Pipe state.
 	pipe *pipeState
+	// rare is allocated by a truncate under open descriptors or an rmdir
+	// lock, and kept from then on.
+	rare *inodeRare
+}
+
+// inodeRare is the state of an inode that only a truncate under open
+// descriptors or an rmdir lock gives it.
+type inodeRare struct {
+	// deferred holds blocks removed by truncate that cannot be reused
+	// until all file descriptors are closed.
+	deferred []ncc.BlockID
+	// rmdirLocked serializes rmdir()s of a directory at its home server;
+	// the rmdirs waiting for the lock queue in rmdirQueue.
+	rmdirLocked bool
+	rmdirQueue  []parkedReq
+}
+
+// rareState returns the inode's rare state, allocating it on first need.
+func (ino *inode) rareState() *inodeRare {
+	if ino.rare == nil {
+		ino.rare = new(inodeRare)
+	}
+	return ino.rare
 }
 
 // id returns the global InodeID of this inode on server s.
@@ -130,9 +149,15 @@ func (s *Server) releaseData(ino *inode) {
 		s.cfg.Partition.Free(ino.blocks)
 		ino.blocks = nil
 	}
-	if len(ino.deferred) > 0 {
-		s.cfg.Partition.Free(ino.deferred)
-		ino.deferred = nil
+	s.freeDeferred(ino)
+}
+
+// freeDeferred frees the blocks a truncate removed while descriptors were
+// open.
+func (s *Server) freeDeferred(ino *inode) {
+	if r := ino.rare; r != nil && len(r.deferred) > 0 {
+		s.cfg.Partition.Free(r.deferred)
+		r.deferred = nil
 	}
 }
 
@@ -143,10 +168,7 @@ func (s *Server) maybeReap(ino *inode) {
 		return
 	}
 	// No open descriptors: deferred (truncated) blocks can be reused now.
-	if len(ino.deferred) > 0 {
-		s.cfg.Partition.Free(ino.deferred)
-		ino.deferred = nil
-	}
+	s.freeDeferred(ino)
 	if ino.nlink <= 0 {
 		s.releaseData(ino)
 		s.inodes.Delete(ino.local)
@@ -159,7 +181,7 @@ func (s *Server) statOf(ino *inode) proto.StatWire {
 		Ino:   s.id(ino),
 		Ftype: ino.ftype,
 		Size:  ino.size,
-		Nlink: int32(ino.nlink),
+		Nlink: ino.nlink,
 		Mode:  ino.mode,
 	}
 }
@@ -324,7 +346,8 @@ func (s *Server) truncateTo(ino *inode, size int64) bool {
 		removed := ino.blocks[keep:]
 		ino.blocks = ino.blocks[:keep:keep]
 		if ino.fdRefs > 0 {
-			ino.deferred = append(ino.deferred, removed...)
+			r := ino.rareState()
+			r.deferred = append(r.deferred, removed...)
 		} else {
 			s.cfg.Partition.Free(removed)
 		}

@@ -32,13 +32,14 @@ func (s *Server) handleRmdirLock(req *proto.Request, env msg.Envelope) (*proto.R
 	if ino.ftype != fsapi.TypeDir {
 		return s.errResp(fsapi.ENOTDIR), false
 	}
-	if ino.rmdirLocked {
+	r := ino.rareState()
+	if r.rmdirLocked {
 		// Another client is already running the protocol on this
 		// directory; park until it finishes.
-		ino.rmdirQueue = append(ino.rmdirQueue, parkedReq{req: req, env: env})
+		r.rmdirQueue = append(r.rmdirQueue, parkedReq{req: req, env: env})
 		return nil, true
 	}
-	ino.rmdirLocked = true
+	r.rmdirLocked = true
 	return s.resp(proto.Response{Dist: ino.distributed}), false
 }
 
@@ -119,9 +120,13 @@ func (s *Server) handleRmdirFinish(req *proto.Request) *proto.Response {
 // fails all waiters with ENOENT when the directory has been removed. Consumed
 // requests return to the free list; replies resume the waiters' lanes.
 func (s *Server) releaseRmdirLock(ino *inode, removed bool) {
-	ino.rmdirLocked = false
-	queue := ino.rmdirQueue
-	ino.rmdirQueue = nil
+	r := ino.rare
+	if r == nil {
+		return // never locked
+	}
+	r.rmdirLocked = false
+	queue := r.rmdirQueue
+	r.rmdirQueue = nil
 	if removed {
 		for _, p := range queue {
 			s.reply(p.env, s.errResp(fsapi.ENOENT))
@@ -134,8 +139,8 @@ func (s *Server) releaseRmdirLock(ino *inode, removed bool) {
 	}
 	// Grant the lock to the first waiter; re-queue the rest.
 	first := queue[0]
-	ino.rmdirLocked = true
-	ino.rmdirQueue = queue[1:]
+	r.rmdirLocked = true
+	r.rmdirQueue = queue[1:]
 	s.reply(first.env, s.resp(proto.Response{Dist: ino.distributed}))
 	s.putReq(first.req)
 }

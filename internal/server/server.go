@@ -164,12 +164,6 @@ type Server struct {
 	sharedFds *table.Map[proto.FdID, *sharedFd]
 	nextFd    proto.FdID
 
-	// tracking records, per directory entry stored here, which client
-	// libraries have the lookup cached (for invalidation callbacks). The
-	// value is a small insertion-ordered set, so invalidation fan-outs walk
-	// clients in a deterministic order.
-	tracking *table.Map[direntKey, []int32]
-
 	// Hot-path recycling (DESIGN.md §13), confined to the request loop: a
 	// free list of request structs, a scratch response with the extent list
 	// it may carry, and the batch in service — its decoded sub-requests and
@@ -265,7 +259,6 @@ func New(cfg Config) *Server {
 		deadDirs:  newDeadDirTable(),
 		sharedFds: newFdTable(),
 		nextFd:    1,
-		tracking:  newTrackTable(),
 		wal:       cfg.Log,
 		tr:        cfg.Tracer,
 		tem:       trace.ServerEmitter(cfg.ID, 0),

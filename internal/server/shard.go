@@ -217,15 +217,17 @@ func (s *Server) handleShardCommit(req *proto.Request) *proto.Response {
 	// Install the entries arriving here, skipping entries already present
 	// with the same value so a re-sent COMMIT (a resumed migration
 	// re-driving servers that committed before the crash) neither inflates
-	// the migration counters nor re-stages redundant log records. A parked
-	// mutation that will re-run after the unpark below is logged after
-	// these records, preserving replay order.
+	// the migration counters nor re-stages redundant log records. Who has an
+	// entry cached is not part of its value: a present entry keeps its
+	// trackers. A parked mutation that will re-run after the unpark below is
+	// logged after these records, preserving replay order.
 	var installed uint64
 	for i := range m.Entries {
 		ent := &m.Entries[i]
 		sh := s.shard(ent.Dir)
 		val := dirEnt{target: ent.Target, ftype: ent.Ftype, dist: ent.Dist}
 		old, exists := sh.ents.Get(ent.Name)
+		val.tracker = old.tracker
 		if exists && old == val {
 			continue
 		}
@@ -257,12 +259,12 @@ func (s *Server) handleShardCommit(req *proto.Request) *proto.Response {
 	// will track them on their next lookup.
 	out := s.outgoingEntries(newMap)
 	for _, ent := range out {
-		if sh, ok := s.dirs.Get(ent.Dir); ok {
-			sh.ents.Delete(ent.Name)
-			s.entCount.Add(-1)
-		}
+		sh, _ := s.dirs.Get(ent.Dir) // out was read from this table
+		gone, _ := sh.ents.Get(ent.Name)
+		sh.ents.Delete(ent.Name)
+		s.entCount.Add(-1)
 		s.stageRmMap(ent.Dir, ent.Name)
-		s.invalidate(ent.Dir, ent.Name, -1)
+		s.invalidate(sh, ent.Dir, ent.Name, gone.tracker, -1)
 	}
 
 	s.pmap = newMap

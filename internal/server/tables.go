@@ -8,23 +8,19 @@ import (
 
 // Hot-path data structures (DESIGN.md §13).
 //
-// The per-server tables — inodes, directory shards, dead-directory
-// tombstones, shared descriptors, invalidation tracking — use the open-
-// addressing tables from internal/table instead of built-in maps. Beyond the
-// flat layout, this makes every server-side iteration (checkpoint encoding,
-// migration scans, invalidation fan-outs) deterministic: slot order is a
-// pure function of the operation history, where Go map order is randomized
-// per run. The inode table is sharded so a million-file namespace rehashes
-// in bounded slices.
+// The per-server tables — inodes, directory shards and their entries,
+// dead-directory tombstones, shared descriptors — use the open-addressing
+// tables from internal/table instead of built-in maps. Beyond the flat
+// layout, this makes every server-side iteration (checkpoint encoding,
+// migration scans) deterministic: slot order is a pure function of the
+// operation history, where Go map order is randomized per run. Who has an
+// entry cached lives with the entry (dirEnt.tracker, dirShard.more). The
+// inode table is sharded so a million-file namespace rehashes in bounded
+// slices.
 
 // hashIno mixes an InodeID into a well-distributed 64-bit hash.
 func hashIno(id proto.InodeID) uint64 {
 	return table.HashU64(id.Local ^ uint64(uint32(id.Server))<<40)
-}
-
-// hashDirent mixes a tracking key (directory inode + entry name).
-func hashDirent(k direntKey) uint64 {
-	return table.HashU64(hashIno(k.dir) ^ table.HashString(k.name))
 }
 
 // hashFd hashes a shared-descriptor id.
@@ -44,10 +40,6 @@ func newDeadDirTable() *table.Map[proto.InodeID, struct{}] {
 
 func newFdTable() *table.Map[proto.FdID, *sharedFd] {
 	return table.New[proto.FdID, *sharedFd](hashFd, 16)
-}
-
-func newTrackTable() *table.Map[direntKey, []int32] {
-	return table.New[direntKey, []int32](hashDirent, 256)
 }
 
 // deadDir reports whether dir carries a dead-directory tombstone.
