@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hare-bench [-fig N] [-scale F] [-cores N] [-bench name] [-durability]
-//	           [-pipeline] [-datapath] [-elastic] [-failover] [-obs]
+//	           [-economy] [-elastic] [-failover] [-obs]
 //	           [-scalesweep spec] [-baseline path] [-check path] [-trace out.json]
 //
 // With no -fig flag every experiment is run in order. The -scale flag
@@ -41,14 +41,13 @@ func main() {
 		benchName  = flag.String("bench", "", "restrict to a single benchmark (e.g. \"creates\")")
 		repoRoot   = flag.String("root", ".", "repository root (for the Figure 4 SLOC count)")
 		durability = flag.Bool("durability", false, "run the durability figures (logging overhead, recovery time, crash-injection check) instead of the paper's")
-		pipeline   = flag.Bool("pipeline", false, "run the async-RPC pipelining sweep (on/off × server counts) instead of the paper's figures")
-		datapath   = flag.Bool("datapath", false, "run the zero-waste data-path sweep (dirty-line writeback + version-skip invalidation, on/off × server counts) instead of the paper's figures")
+		economy    = flag.Bool("economy", false, "run the message and data-movement sweep (request messages, bytes, batched sub-ops, lines written back / invalidated / skipped × server counts) instead of the paper's figures")
 		elastic    = flag.Bool("elastic", false, "run the elastic sweep (scale-out under load, ring vs modulo placement) instead of the paper's figures")
 		failover   = flag.Bool("failover", false, "run the failover sweep (replication off/sync/async: shipping overhead, replay vs promotion stall) instead of the paper's figures")
 		obs        = flag.Bool("obs", false, "run the tracing-overhead sweep (off vs 1-in-64 sampled vs full tracing) instead of the paper's figures")
 		traceOut   = flag.String("trace", "", "run one benchmark (-bench, default smallfile) with full tracing and export the span tree as Chrome trace_event JSON to this path (open in Perfetto)")
-		baseline   = flag.String("baseline", "", "with -pipeline, -datapath, -elastic, -obs or -scalesweep: also write the sweep as a JSON baseline to this path (e.g. BENCH_seed.json, BENCH_scale.json)")
-		check      = flag.String("check", "", "with -pipeline or -datapath: re-run the sweep the committed baseline at this path records (BENCH_seed.json, BENCH_datapath.json), at its own scale and cores; with -scalesweep: re-run those rungs and compare each with the point this baseline (BENCH_scale.json) records for it. Exits non-zero if an exact column differs; times are printed side by side")
+		baseline   = flag.String("baseline", "", "with -economy, -elastic, -obs or -scalesweep: also write the sweep as a JSON baseline to this path (e.g. BENCH_economy.json, BENCH_scale.json)")
+		check      = flag.String("check", "", "with -economy: re-run the sweep the committed baseline at this path records (BENCH_economy.json), at its own scale and cores; with -scalesweep: re-run those rungs and compare each with the point this baseline (BENCH_scale.json) records for it. Exits non-zero if an exact column differs; times are printed side by side")
 		scaleSweep = flag.String("scalesweep", "", "run the harness-scaling sweep at these rungs (\"64\" or \"8:125000,64:1000000\"; a \":par\" suffix runs a rung under the parallel engine, an \"@N\" suffix after that at GOMAXPROCS=N; \"default\" = the four big serialized rungs; \"baseline\" = BENCH_scale.json's rungs) instead of the paper's figures")
 		parallel   = flag.Bool("parallel", false, "with -scalesweep: run every rung under the parallel virtual-time engine instead of the serialized default")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path (see PROFILING.md)")
@@ -97,7 +96,7 @@ func main() {
 	}
 
 	if *scaleSweep != "" {
-		if *fig != 0 || *durability || *pipeline || *datapath || *elastic || *failover || *obs || *traceOut != "" || *benchName != "" {
+		if *fig != 0 || *durability || *economy || *elastic || *failover || *obs || *traceOut != "" || *benchName != "" {
 			fail(fmt.Errorf("-scalesweep runs its own figure set and cannot be combined with other figure-set flags"))
 		}
 		rungs := append([]bench.ScaleRung(nil), bench.DefaultScaleRungs...)
@@ -141,7 +140,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if *fig != 0 || *durability || *pipeline || *datapath || *elastic || *obs {
+		if *fig != 0 || *durability || *economy || *elastic || *obs {
 			fail(fmt.Errorf("-trace runs a single traced benchmark and cannot be combined with figure-set flags"))
 		}
 		var w workload.Workload = workload.SmallFile{}
@@ -175,8 +174,8 @@ func main() {
 	}
 
 	if *obs {
-		if *durability || *pipeline || *datapath || *elastic || *fig != 0 {
-			fail(fmt.Errorf("-obs runs its own figure set and cannot be combined with -durability, -pipeline, -datapath, -elastic or -fig"))
+		if *durability || *economy || *elastic || *fig != 0 {
+			fail(fmt.Errorf("-obs runs its own figure set and cannot be combined with -durability, -economy, -elastic or -fig"))
 		}
 		var ws []workload.Workload
 		if *benchName != "" {
@@ -201,8 +200,8 @@ func main() {
 	}
 
 	if *failover {
-		if *durability || *pipeline || *datapath || *elastic || *obs || *fig != 0 || *benchName != "" {
-			fail(fmt.Errorf("-failover runs its own figure set and cannot be combined with -durability, -pipeline, -datapath, -elastic, -obs, -bench or -fig"))
+		if *durability || *economy || *elastic || *obs || *fig != 0 || *benchName != "" {
+			fail(fmt.Errorf("-failover runs its own figure set and cannot be combined with -durability, -economy, -elastic, -obs, -bench or -fig"))
 		}
 		data, t, err := bench.FailoverFigure(*scale, *cores)
 		if err != nil {
@@ -219,8 +218,8 @@ func main() {
 	}
 
 	if *elastic {
-		if *durability || *pipeline || *datapath || *fig != 0 || *benchName != "" {
-			fail(fmt.Errorf("-elastic runs its own figure set and cannot be combined with -durability, -pipeline, -datapath, -bench or -fig"))
+		if *durability || *economy || *fig != 0 || *benchName != "" {
+			fail(fmt.Errorf("-elastic runs its own figure set and cannot be combined with -durability, -economy, -bench or -fig"))
 		}
 		data, t, err := bench.ElasticFigure(*scale, *cores, nil)
 		if err != nil {
@@ -236,50 +235,13 @@ func main() {
 		return
 	}
 
-	if *datapath {
-		if *durability || *pipeline || *fig != 0 {
-			fail(fmt.Errorf("-datapath runs its own figure set and cannot be combined with -durability, -pipeline or -fig"))
-		}
-		if *check != "" {
-			// The committed file says at which scale and on how many cores.
-			t, err := bench.CheckDatapathBaseline(*check)
-			if t != nil {
-				fmt.Println(t.Render())
-			}
-			if err != nil {
-				fail(err)
-			}
-			return
-		}
-		var ws []workload.Workload
-		if *benchName != "" {
-			w, ok := workload.ByName(*benchName)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
-			}
-			ws = []workload.Workload{w}
-		}
-		data, t, err := bench.DatapathFigure(*scale, *cores, nil, ws)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *pipeline {
+	if *economy {
 		if *durability || *fig != 0 {
-			fail(fmt.Errorf("-pipeline runs its own figure set and cannot be combined with -durability or -fig"))
+			fail(fmt.Errorf("-economy runs its own figure set and cannot be combined with -durability or -fig"))
 		}
 		if *check != "" {
 			// The committed file says at which scale and on how many cores.
-			t, err := bench.CheckBaseline(*check)
+			t, err := bench.CheckEconomyBaseline(*check)
 			if t != nil {
 				fmt.Println(t.Render())
 			}
@@ -296,7 +258,7 @@ func main() {
 			}
 			ws = []workload.Workload{w}
 		}
-		data, t, err := bench.PipelineFigure(*scale, *cores, nil, ws)
+		data, t, err := bench.EconomyFigure(*scale, *cores, nil, ws)
 		if err != nil {
 			fail(err)
 		}

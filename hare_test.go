@@ -14,7 +14,7 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	}
 	tech := hare.AllTechniques()
 	if !tech.DirectoryDistribution || !tech.DirectoryBroadcast || !tech.DirectAccess ||
-		!tech.DirectoryCache || !tech.CreationAffinity || !tech.RPCPipelining || !tech.DataPath {
+		!tech.DirectoryCache || !tech.CreationAffinity {
 		t.Fatalf("AllTechniques left something off: %+v", tech)
 	}
 }

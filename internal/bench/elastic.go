@@ -59,6 +59,12 @@ type ElasticData struct {
 // ElasticFigure runs the sweep at the given scale on a machine with the
 // given core count.
 func ElasticFigure(scale float64, cores int, startServers []int) (*ElasticData, *Table, error) {
+	return elasticFigure(scale, cores, startServers, false)
+}
+
+// elasticFigure is ElasticFigure with the engine chosen: parallel runs every
+// deployment under the gated parallel engine.
+func elasticFigure(scale float64, cores int, startServers []int, parallel bool) (*ElasticData, *Table, error) {
 	if cores == 0 {
 		cores = 8
 	}
@@ -77,7 +83,7 @@ func ElasticFigure(scale float64, cores int, startServers []int) (*ElasticData, 
 			if n+1 > cores {
 				continue
 			}
-			p, err := elasticPoint(scale, cores, n, policy)
+			p, err := elasticPoint(scale, cores, n, policy, parallel)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -93,11 +99,12 @@ func ElasticFigure(scale float64, cores int, startServers []int) (*ElasticData, 
 
 // elasticPoint measures one policy at one fleet size: the elastic run
 // (grow mid-workload) and the equally-sized static control.
-func elasticPoint(scale float64, cores, servers int, policy place.Policy) (ElasticPoint, error) {
+func elasticPoint(scale float64, cores, servers int, policy place.Policy, parallel bool) (ElasticPoint, error) {
 	elOpts := DefaultHare(cores)
 	elOpts.Servers = servers
 	elOpts.MaxServers = servers + 1
 	elOpts.PlacePolicy = policy
+	elOpts.Parallel = parallel
 
 	elWork := &workload.Elastic{}
 	el, err := RunWorkload(HareFactory(elOpts), elWork, scale)
@@ -108,6 +115,7 @@ func elasticPoint(scale float64, cores, servers int, policy place.Policy) (Elast
 	stOpts := DefaultHare(cores)
 	stOpts.Servers = servers + 1
 	stOpts.PlacePolicy = policy
+	stOpts.Parallel = parallel
 
 	stWork := &workload.Elastic{}
 	st, err := RunWorkload(HareFactory(stOpts), stWork, scale)

@@ -155,11 +155,9 @@ var techOrder = []struct {
 	{"DirectAccess", func(t *core.Techniques) *bool { return &t.DirectAccess }},
 	{"DirectoryCache", func(t *core.Techniques) *bool { return &t.DirectoryCache }},
 	{"CreationAffinity", func(t *core.Techniques) *bool { return &t.CreationAffinity }},
-	{"RPCPipelining", func(t *core.Techniques) *bool { return &t.RPCPipelining }},
-	{"DataPath", func(t *core.Techniques) *bool { return &t.DataPath }},
 }
 
-// TechBits encodes a technique set as a 7-character bit string (the order is
+// TechBits encodes a technique set as a 5-character bit string (the order is
 // the field order of core.Techniques).
 func TechBits(t core.Techniques) string {
 	var sb strings.Builder
@@ -173,9 +171,14 @@ func TechBits(t core.Techniques) string {
 	return sb.String()
 }
 
-// ParseTechBits decodes a TechBits string.
+// ParseTechBits decodes a TechBits string. A 7-character string — the
+// pipelining and data-path bits behind the five, from when those two
+// techniques could be turned off — is refused with the five to keep.
 func ParseTechBits(s string) (core.Techniques, error) {
 	var t core.Techniques
+	if len(s) == len(techOrder)+2 {
+		return t, fmt.Errorf("chaos: technique bits %q: the pipelining and data-path bits were removed (both techniques are always on); keep the first five, %q", s, s[:len(techOrder)])
+	}
 	if len(s) != len(techOrder) {
 		return t, fmt.Errorf("chaos: technique bits %q must be %d characters", s, len(techOrder))
 	}

@@ -2,12 +2,22 @@ package chaos
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/place"
 	"repro/internal/proto"
 	"repro/internal/repl"
 )
+
+// gateBits is the technique label the chaos gates name their subtests by:
+// the five technique bits, then "11" for the pipelining and data-path bits
+// that tuples carried while those two could be turned off. Both are always
+// on now, so the label is a name only — a failure prints the five-bit repro
+// tuple — and it keeps each gate's subtests under the names they have always
+// had.
+func gateBits(t core.Techniques) string { return TechBits(t) + "11" }
 
 // TestChaosConformanceSmoke is the CI chaos gate: 8 sampled technique/policy
 // configurations × 4 distinct seeds each (32 seeds total), every run
@@ -24,7 +34,7 @@ func TestChaosConformanceSmoke(t *testing.T) {
 		for si := range seeds {
 			seeds[si] = uint64(1000 + ci*10 + si)
 		}
-		t.Run(TechBits(cfg.Techniques)+"-"+policyName(cfg.Policy), func(t *testing.T) {
+		t.Run(gateBits(cfg.Techniques)+"-"+policyName(cfg.Policy), func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
 				run := cfg
@@ -87,7 +97,7 @@ func TestRunReproducibility(t *testing.T) {
 func TestTupleParsing(t *testing.T) {
 	cfg := DefaultConfig(99)
 	cfg.Techniques.DirectAccess = false
-	cfg.Techniques.DataPath = false
+	cfg.Techniques.DirectoryCache = false
 	cfg.Policy = place.PolicyRing
 	seed, tech, pol, rmode, err := ParseTuple(cfg.Tuple())
 	if err != nil {
@@ -103,11 +113,18 @@ func TestTupleParsing(t *testing.T) {
 		t.Fatalf("tuple %q parsed to repl=%v err=%v", cfg.Tuple(), rmode, err)
 	}
 
-	for _, bad := range []string{"", "1,2", "x,1111111,mod", "1,11111,mod", "1,1111112,mod", "1,1111111,hash",
-		"1,1111111,mod,off", "1,1111111,mod,quorum", "1,1111111,mod,sync,extra"} {
+	for _, bad := range []string{"", "1,2", "x,11111,mod", "1,1111,mod", "1,11112,mod", "1,11111,hash",
+		"1,11111,mod,off", "1,11111,mod,quorum", "1,11111,mod,sync,extra", "1,1111111,mod"} {
 		if _, _, _, _, err := ParseTuple(bad); err == nil {
 			t.Errorf("ParseTuple(%q) accepted garbage", bad)
 		}
+	}
+
+	// A tuple from when pipelining and the data path had bits of their own is
+	// refused with the change named and the five bits to keep.
+	_, _, _, _, err = ParseTuple("42,1011011,mod")
+	if err == nil || !strings.Contains(err.Error(), "pipelining and data-path bits were removed") || !strings.Contains(err.Error(), `"10110"`) {
+		t.Errorf("7-bit tuple: err = %v, want the removed bits named and %q kept", err, "10110")
 	}
 }
 
@@ -120,9 +137,6 @@ func TestMatrixShapes(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, tc := range techs {
 		seen[TechBits(tc)] = true
-		if !tc.RPCPipelining || !tc.DataPath {
-			t.Fatalf("matrix sweep %s disabled a default-on technique", TechBits(tc))
-		}
 	}
 	if len(seen) != 32 {
 		t.Fatalf("matrix sweep repeats combinations: %d unique", len(seen))
@@ -134,20 +148,13 @@ func TestMatrixShapes(t *testing.T) {
 
 	samples := SampleConfigs(DefaultConfig(0), 8)
 	policies := map[string]bool{}
-	offPath := false
 	uniq := map[string]bool{}
 	for _, c := range samples {
 		policies[policyName(c.Policy)] = true
 		uniq[c.Tuple()] = true
-		if !c.Techniques.RPCPipelining {
-			offPath = true
-		}
 	}
 	if len(policies) != 2 {
 		t.Fatal("samples do not cover both placement policies")
-	}
-	if !offPath {
-		t.Fatal("samples never disable the pipeline/data-path techniques")
 	}
 	if len(uniq) != len(samples) {
 		t.Fatalf("samples repeat configurations: %d unique of %d", len(uniq), len(samples))

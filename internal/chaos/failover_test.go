@@ -49,7 +49,7 @@ func TestChaosFailoverSmoke(t *testing.T) {
 			total, _, _, _ := countFailovers(NewPlan(run))
 			fired += total
 		}
-		t.Run(TechBits(cfg.Techniques)+"-"+policyName(cfg.Policy), func(t *testing.T) {
+		t.Run(gateBits(cfg.Techniques)+"-"+policyName(cfg.Policy), func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
 				run := cfg

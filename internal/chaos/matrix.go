@@ -10,9 +10,7 @@ import (
 )
 
 // MatrixTechniques returns the full 2^5 sweep of the paper's five technique
-// toggles (§5.4). The async-RPC pipeline and the zero-waste data path stay
-// enabled throughout the sweep — they are this reproduction's defaults —
-// and SampleConfigs mixes in their disabled states.
+// toggles (§5.4).
 func MatrixTechniques() []core.Techniques {
 	out := make([]core.Techniques, 0, 32)
 	for bits := 0; bits < 32; bits++ {
@@ -22,8 +20,6 @@ func MatrixTechniques() []core.Techniques {
 			DirectAccess:          bits&4 != 0,
 			DirectoryCache:        bits&8 != 0,
 			CreationAffinity:      bits&16 != 0,
-			RPCPipelining:         true,
-			DataPath:              true,
 		})
 	}
 	return out
@@ -45,10 +41,8 @@ func MatrixConfigs(base Config) []Config {
 }
 
 // SampleConfigs deterministically picks n configurations spread across the
-// matrix: technique combinations stride through the 32-point sweep,
-// placement policies alternate, and every third sample additionally turns
-// the pipeline and data-path techniques off so the pre-optimization code
-// paths stay under chaos too.
+// matrix: technique combinations stride through the 32-point sweep and
+// placement policies alternate.
 func SampleConfigs(base Config, n int) []Config {
 	techs := MatrixTechniques()
 	out := make([]Config, 0, n)
@@ -59,10 +53,6 @@ func SampleConfigs(base Config, n int) []Config {
 			c.Policy = place.PolicyRing
 		} else {
 			c.Policy = place.PolicyModulo
-		}
-		if i%3 == 2 {
-			c.Techniques.RPCPipelining = false
-			c.Techniques.DataPath = false
 		}
 		out = append(out, c)
 	}

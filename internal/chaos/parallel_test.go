@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/place"
@@ -37,7 +38,8 @@ func parallelCases() []Config {
 func TestChaosParallelEquivalence(t *testing.T) {
 	for _, base := range parallelCases() {
 		base.Snapshot = true
-		t.Run(base.Tuple(), func(t *testing.T) {
+		bits := TechBits(base.Techniques)
+		t.Run(strings.Replace(base.Tuple(), ","+bits+",", ","+gateBits(base.Techniques)+",", 1), func(t *testing.T) {
 			snaps := make(map[bool]map[string]string)
 			for _, parallel := range []bool{false, true} {
 				cfg := base
@@ -52,7 +54,7 @@ func TestChaosParallelEquivalence(t *testing.T) {
 				snaps[parallel] = rep.Namespace
 			}
 			if !reflect.DeepEqual(snaps[false], snaps[true]) {
-				t.Fatal(diffNamespaces(snaps[false], snaps[true]))
+				t.Fatalf("tuple %s: %s", base.Tuple(), diffNamespaces(snaps[false], snaps[true]))
 			}
 		})
 	}

@@ -11,12 +11,12 @@ import (
 )
 
 // serialTraceConfig is a chaos shape whose traced runs are structurally
-// deterministic — the DESIGN.md §11 guarantee requires at most one message
-// in flight at a time, so that the server's earliest-arrival inbox pop
-// never races a concurrent push in real time:
+// deterministic — the DESIGN.md §11 guarantee requires that the server's
+// earliest-arrival inbox pop never race a concurrent push in real time:
 //
 //   - one worker process (no concurrent clients),
-//   - pipelining off (no async scatter bursts at CloseAll/Sync),
+//   - one server (a scatter at CloseAll/Sync is one envelope, so it too
+//     keeps one message in flight),
 //   - no duplicate deliveries (a dup is a second in-flight message),
 //   - no growth headroom (no migrations, so no timing-dependent EEPOCH).
 //
@@ -31,7 +31,6 @@ func serialTraceConfig(seed uint64) Config {
 	cfg.Procs = 1
 	cfg.Rounds = 2
 	cfg.OpsPerRound = 10
-	cfg.Techniques.RPCPipelining = false
 	cfg.DupPercent = 0
 	cfg.Trace = trace.Config{Sample: 1, Ring: 1 << 16}
 	return cfg

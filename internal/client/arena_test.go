@@ -12,62 +12,58 @@ import (
 
 // TestEveryCallReturnsItsResponses: whatever a public call drew from the
 // response arena — one reply, a broadcast's, a scatter's, a batch's
-// sub-responses, the replies of a nested Close — is back when it returns, on
+// sub-responses — is back when it returns, on
 // success and on error, so nothing accumulates and nothing is read later.
 func TestEveryCallReturnsItsResponses(t *testing.T) {
-	for _, pipelining := range []bool{true, false} {
-		tq := core.AllTechniques()
-		tq.RPCPipelining = pipelining
-		sys := newSystem(t, tq)
-		cli := sys.NewClient(0)
-		settled := func(after string) {
-			t.Helper()
-			if used, kept := cli.RespsInUse(); used != 0 || kept > client.RespArenaCap {
-				t.Fatalf("pipelining=%v, after %s: %d responses still in use, %d kept (cap %d)", pipelining, after, used, kept, client.RespArenaCap)
-			}
+	sys := newSystem(t, core.AllTechniques())
+	cli := sys.NewClient(0)
+	settled := func(after string) {
+		t.Helper()
+		if used, kept := cli.RespsInUse(); used != 0 || kept > client.RespArenaCap {
+			t.Fatalf("after %s: %d responses still in use, %d kept (cap %d)", after, used, kept, client.RespArenaCap)
 		}
-		must := func(err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		must(cli.Mkdir("/d", fsapi.MkdirOpt{Distributed: true}))
-		settled("mkdir")
-		var fds []fsapi.FD
-		for i := 0; i < 20; i++ {
-			fd, err := cli.Open(fmt.Sprintf("/d/f%02d", i), fsapi.OCreate|fsapi.ORdWr, fsapi.Mode644)
-			must(err)
-			_, err = cli.Write(fd, bytes.Repeat([]byte{byte(i)}, 5000))
-			must(err)
-			fds = append(fds, fd)
-		}
-		settled("creates and writes")
-		must(cli.Sync()) // a scatter over every server, batched per server
-		settled("sync")
-		if _, err := cli.ReadDir("/d"); err != nil { // a broadcast
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
-		settled("readdir")
-		if _, err := cli.Stat("/d/missing"); err == nil {
-			t.Fatal("stat of a missing file succeeded")
-		}
-		settled("a failed stat")
-		must(cli.Rename("/d/f00", "/d/g00"))
-		settled("rename")
-		must(cli.Close(fds[1]))
-		must(cli.Unlink("/d/f01")) // a batch when pipelining
-		settled("close and unlink")
-		child, err := cli.CloneForFork(0) // shares every descriptor: two RPCs each
-		must(err)
-		settled("fork")
-		child.(*client.Client).CloseAll()
-		if used, _ := child.(*client.Client).RespsInUse(); used != 0 {
-			t.Fatalf("pipelining=%v: the child's CloseAll left %d responses in use", pipelining, used)
-		}
-		cli.CloseAll() // nested Close calls without pipelining, a scatter with
-		settled("closeall")
 	}
+	must(cli.Mkdir("/d", fsapi.MkdirOpt{Distributed: true}))
+	settled("mkdir")
+	var fds []fsapi.FD
+	for i := 0; i < 20; i++ {
+		fd, err := cli.Open(fmt.Sprintf("/d/f%02d", i), fsapi.OCreate|fsapi.ORdWr, fsapi.Mode644)
+		must(err)
+		_, err = cli.Write(fd, bytes.Repeat([]byte{byte(i)}, 5000))
+		must(err)
+		fds = append(fds, fd)
+	}
+	settled("creates and writes")
+	must(cli.Sync()) // a scatter over every server, batched per server
+	settled("sync")
+	if _, err := cli.ReadDir("/d"); err != nil { // a broadcast
+		t.Fatal(err)
+	}
+	settled("readdir")
+	if _, err := cli.Stat("/d/missing"); err == nil {
+		t.Fatal("stat of a missing file succeeded")
+	}
+	settled("a failed stat")
+	must(cli.Rename("/d/f00", "/d/g00"))
+	settled("rename")
+	must(cli.Close(fds[1]))
+	must(cli.Unlink("/d/f01")) // a batch
+	settled("close and unlink")
+	child, err := cli.CloneForFork(0) // shares every descriptor: two RPCs each
+	must(err)
+	settled("fork")
+	child.(*client.Client).CloseAll()
+	if used, _ := child.(*client.Client).RespsInUse(); used != 0 {
+		t.Fatalf("the child's CloseAll left %d responses in use", used)
+	}
+	cli.CloseAll() // a scatter
+	settled("closeall")
 }
 
 // TestRecycledDescriptionShowsNothingOfItsPreviousFile: the open-file

@@ -208,24 +208,20 @@ func (c *Client) unpackBatch(out []*proto.Response, reply *proto.Response, n int
 }
 
 // rpcBatch sends requests destined for one server and appends their
-// responses to out, in request order. With pipelining enabled they travel in
-// OpBatch envelopes (split at the protocol size caps); otherwise they are
-// issued strictly one after another. stopOnErr makes the requests a
-// dependent chain: after the first failure the remaining ones are skipped
-// with ECANCELED responses (server-side within a batch, client-side across
-// batch splits). A request whose Target is proto.PrevInode works on the inode
-// its predecessor's response carries: inside an envelope the server resolves
-// it (and answers EXDEV when another server stores the inode); sent on its
-// own it is resolved here and goes to the inode's server, wherever that is.
-// A protocol failure of a sub-operation is reported in its Response, not as
-// an error.
+// responses to out, in request order. They travel in OpBatch envelopes, split
+// at the protocol size caps. stopOnErr makes the requests a dependent chain:
+// after the first failure the remaining ones are skipped with ECANCELED
+// responses (server-side within a batch, client-side across batch splits). A
+// request whose Target is proto.PrevInode works on the inode its
+// predecessor's response carries: inside an envelope the server resolves it
+// (and answers EXDEV when another server stores the inode); sent on its own
+// it is resolved here and goes to the inode's server, wherever that is. A
+// protocol failure of a sub-operation is reported in its Response, not as an
+// error.
 func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
 	failed, mine := false, len(out)
 	for len(reqs) > 0 {
-		n := 1
-		if c.cfg.Options.Pipelining {
-			n = batchLen(reqs, 0)
-		}
+		n := batchLen(reqs, 0)
 		chunk := reqs[:n]
 		reqs = reqs[n:]
 		first := len(out)
@@ -268,8 +264,7 @@ func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []
 // scatter delivers independent per-server request lists with overlapping
 // round trips: each server's list is packed into batch envelopes, every
 // envelope is issued back-to-back, and all replies are awaited together.
-// With pipelining disabled the lists run server by server, request by
-// request. Responses are returned per server in request order.
+// Responses are returned per server in request order.
 func (c *Client) scatter(perSrv map[int][]*proto.Request) (map[int][]*proto.Response, error) {
 	srvs := make([]int, 0, len(perSrv))
 	for srv := range perSrv {
@@ -278,17 +273,6 @@ func (c *Client) scatter(perSrv map[int][]*proto.Request) (map[int][]*proto.Resp
 	sort.Ints(srvs)
 
 	out := make(map[int][]*proto.Response, len(perSrv))
-	if !c.cfg.Options.Pipelining {
-		for _, srv := range srvs {
-			resps, err := c.rpcBatch(srv, false, perSrv[srv], nil)
-			if err != nil {
-				return nil, err
-			}
-			out[srv] = resps
-		}
-		return out, nil
-	}
-
 	type sent struct {
 		srv int
 		n   int // sub-requests carried; 1 means a bare request

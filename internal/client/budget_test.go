@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -32,87 +33,55 @@ import (
 
 type budget map[string]uint64
 
-var wantBudget = map[string]budget{
-	"pipelining on": {
-		"create co-located":        1,
-		"create elsewhere":         2, // [MKNOD, OPEN] near the creator, ADD_MAP
-		"create co-located, armed": 1, // [CREATE_COALESCED, EXTEND]
-		"create elsewhere, armed":  2, // [MKNOD, OPEN, EXTEND], ADD_MAP
-		"first write":              1, // EXTEND
-		"first write, armed":       0,
-		"close":                    1,
-		"close unwritten, armed":   0, // the block stays with the inode
-		"close clean":              0,
-		"sync, a close pending":    1, // CLOSE_INODE
-		"sync, nothing owed":       0,
+var wantBudget = budget{
+	"create co-located":        1,
+	"create elsewhere":         2, // [MKNOD, OPEN] near the creator, ADD_MAP
+	"create co-located, armed": 1, // [CREATE_COALESCED, EXTEND]
+	"create elsewhere, armed":  2, // [MKNOD, OPEN, EXTEND], ADD_MAP
+	"first write":              1, // EXTEND
+	"first write, armed":       0,
+	"close":                    1,
+	"close unwritten, armed":   0, // the block stays with the inode
+	"close clean":              0,
+	"sync, a close pending":    1, // CLOSE_INODE
+	"sync, nothing owed":       0,
 
-		"stat behind a clean close, same server":   1, // [CLOSE_INODE, STAT]
-		"stat behind a clean close, elsewhere":     2, // CLOSE_INODE, STAT
-		"unlink behind a clean close, same server": 1, // [CLOSE_INODE, RM_MAP, UNLINK_INODE]
-		"create behind a clean close, same server": 1, // [CLOSE_INODE, CREATE_COALESCED]
-		"create behind a clean close, elsewhere":   2, // CLOSE_INODE, CREATE_COALESCED
+	"stat behind a clean close, same server":   1, // [CLOSE_INODE, STAT]
+	"stat behind a clean close, elsewhere":     2, // CLOSE_INODE, STAT
+	"unlink behind a clean close, same server": 1, // [CLOSE_INODE, RM_MAP, UNLINK_INODE]
+	"create behind a clean close, same server": 1, // [CLOSE_INODE, CREATE_COALESCED]
+	"create behind a clean close, elsewhere":   2, // CLOSE_INODE, CREATE_COALESCED
 
-		"stat cold co-located":   1, // [LOOKUP, STAT]
-		"stat warm co-located":   1,
-		"stat cold elsewhere":    2, // [LOOKUP, STAT → EXDEV], STAT
-		"stat warm elsewhere":    1,
-		"open cold co-located":   1, // [LOOKUP, OPEN]
-		"open warm co-located":   1,
-		"open cold elsewhere":    2,
-		"open warm elsewhere":    1,
-		"unlink cold co-located": 1, // [RM_MAP, UNLINK_INODE]
-		"unlink warm co-located": 1,
-		"unlink cold elsewhere":  2, // [RM_MAP, UNLINK_INODE → EXDEV], UNLINK_INODE
-		"unlink warm elsewhere":  2,
-		"stat missing":           1, // [LOOKUP → ENOENT, STAT → ECANCELED]
-		"stat root":              1,
-		"rename same server":     1, // [ADD_MAP, RM_MAP]
-	},
-	"pipelining off": {
-		"create co-located":        1,
-		"create elsewhere":         3, // MKNOD, OPEN, ADD_MAP
-		"create co-located, armed": 1,
-		"create elsewhere, armed":  3,
-		"first write":              1,
-		"first write, armed":       1,
-		"close":                    1,
-		"close unwritten, armed":   1,
-		"close clean":              1,
-		"sync, a close pending":    0,
-		"sync, nothing owed":       0,
+	"stat cold co-located":   1, // [LOOKUP, STAT]
+	"stat warm co-located":   1,
+	"stat cold elsewhere":    2, // [LOOKUP, STAT → EXDEV], STAT
+	"stat warm elsewhere":    1,
+	"open cold co-located":   1, // [LOOKUP, OPEN]
+	"open warm co-located":   1,
+	"open cold elsewhere":    2,
+	"open warm elsewhere":    1,
+	"unlink cold co-located": 1, // [RM_MAP, UNLINK_INODE]
+	"unlink warm co-located": 1,
+	"unlink cold elsewhere":  2, // [RM_MAP, UNLINK_INODE → EXDEV], UNLINK_INODE
+	"unlink warm elsewhere":  2,
+	"stat missing":           1, // [LOOKUP → ENOENT, STAT → ECANCELED]
+	"stat root":              1,
+	"rename same server":     1, // [ADD_MAP, RM_MAP]
+}
 
-		"stat behind a clean close, same server":   1,
-		"stat behind a clean close, elsewhere":     1,
-		"unlink behind a clean close, same server": 2,
-		"create behind a clean close, same server": 1,
-		"create behind a clean close, elsewhere":   1,
-
-		"stat cold co-located":   2, // LOOKUP, STAT
-		"stat warm co-located":   1,
-		"stat cold elsewhere":    2,
-		"stat warm elsewhere":    1,
-		"open cold co-located":   2,
-		"open warm co-located":   1,
-		"open cold elsewhere":    2,
-		"open warm elsewhere":    1,
-		"unlink cold co-located": 2, // RM_MAP, UNLINK_INODE
-		"unlink warm co-located": 2,
-		"unlink cold elsewhere":  2,
-		"unlink warm elsewhere":  2,
-		"stat missing":           1,
-		"stat root":              1,
-		"rename same server":     2, // ADD_MAP, RM_MAP
-	},
+// wantAnswers is what the calls measured answer: every other one succeeds.
+var wantAnswers = map[string]string{
+	"stat missing":                 "ENOENT: no such file or directory",
+	"open a directory for writing": "EISDIR: is a directory",
 }
 
 // measureBudget drives the calls of the table on a 20-core deployment and
-// returns the messages each sent, what the calls answered, and a listing of
-// the namespace they left behind.
-func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespace []string) {
+// returns the messages each sent, what the calls answered ("call: error"),
+// and a listing of the namespace they left behind beside the one they should
+// have left.
+func measureBudget(t *testing.T) (got budget, results, namespace, wantNamespace []string) {
 	t.Helper()
-	tq := core.AllTechniques()
-	tq.RPCPipelining = pipelining
-	sys, err := core.New(core.Config{Cores: 20, Servers: 20, Timeshare: true, Techniques: tq,
+	sys, err := core.New(core.Config{Cores: 20, Servers: 20, Timeshare: true, Techniques: core.AllTechniques(),
 		Placement: sched.PolicyRoundRobin, BufferCacheBytes: 8 << 20, BlockSize: 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +90,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	t.Cleanup(sys.Stop)
 
 	got = budget{}
+	sizes := map[string]int{} // what the namespace should hold: path → size
 	count := func(c *client.Client, call func() error) (uint64, error) {
 		before := c.Stats().RPCs
 		err := call()
@@ -168,6 +138,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 			fd, err = creator.Open(path, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 			return err
 		})
+		sizes[path] = 0
 		if got["create"] > 1 {
 			place = "elsewhere"
 		}
@@ -188,6 +159,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	for len(names["co-located"]) < perPlace || len(names["elsewhere"]) < perPlace {
 		path, place, fd := create()
 		sent(creator, "first write"+armed, func() error { _, err := creator.Write(fd, []byte(path)); return err })
+		sizes[path] = len(path)
 		armed = ", armed"
 		sent(creator, "close", func() error { return creator.Close(fd) })
 		names[place] = append(names[place], path)
@@ -219,6 +191,8 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 		}
 		sent(walker, "unlink cold "+place, func() error { return walker.Unlink(forUnlink) })
 		sent(walker, "unlink warm "+place, func() error { return walker.Unlink(forStat) })
+		delete(sizes, forUnlink)
+		delete(sizes, forStat)
 	}
 	sent(walker, "stat missing", func() error { _, err := walker.Stat("/d/missing"); return err })
 	sent(walker, "stat root", func() error { _, err := walker.Stat("/"); return err })
@@ -234,6 +208,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	must(creator.Close(fd))
 	must(creator.Sync())
 	sent(creator, "rename same server", func() error { return creator.Rename("/c/old", "/c/new") })
+	sizes["/c/new"] = 0
 
 	// A clean close waits for the closer's next message. To its inode's
 	// server it leads that message, which costs what it would have alone;
@@ -271,6 +246,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	sent(walker, "sync, nothing owed", walker.Sync)
 	pend()
 	sent(walker, "unlink behind a clean close, same server", func() error { return walker.Unlink(here) })
+	delete(sizes, here)
 
 	// Creates beside their entry, each behind the clean close of the one
 	// before. A file on the creator's designated server may have been created
@@ -284,6 +260,7 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 			fd, err = creator.Open(path, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 			return err
 		})
+		sizes[path] = 0
 		srv := srvOf(creator, path)
 		if key := "create behind a clean close, same server"; srv != local && last >= 0 {
 			if srv != last {
@@ -297,8 +274,9 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 	}
 	must(creator.Sync())
 
-	if n := creator.Stats().BatchedOps + walker.Stats().BatchedOps; (n > 0) != pipelining {
-		t.Errorf("%d sub-operations travelled in batches with pipelining %v", n, pipelining)
+	if creator.Stats().BatchedOps == 0 || walker.Stats().BatchedOps == 0 {
+		t.Errorf("sub-operations travelled in batches: %d from the creator, %d from the walker; want some from each",
+			creator.Stats().BatchedOps, walker.Stats().BatchedOps)
 	}
 	for _, dir := range []string{"/c", "/d"} {
 		ents, err := walker.ReadDir(dir)
@@ -309,35 +287,36 @@ func measureBudget(t *testing.T, pipelining bool) (got budget, results, namespac
 			namespace = append(namespace, fmt.Sprintf("%s/%s size=%d nlink=%d", dir, e.Name, st.Size, st.Nlink))
 		}
 	}
+	for path, size := range sizes {
+		wantNamespace = append(wantNamespace, fmt.Sprintf("%s size=%d nlink=1", path, size))
+	}
 	sort.Strings(namespace)
-	return got, results, namespace
+	sort.Strings(wantNamespace)
+	return got, results, namespace, wantNamespace
 }
 
 func TestMessageBudget(t *testing.T) {
-	type outcome struct{ results, namespace []string }
-	outcomes := map[bool]outcome{}
-	for _, pipelining := range []bool{true, false} {
-		mode := "pipelining off"
-		if pipelining {
-			mode = "pipelining on"
-		}
-		got, results, namespace := measureBudget(t, pipelining)
-		outcomes[pipelining] = outcome{results, namespace}
-		want := wantBudget[mode]
-		for key, n := range want {
-			if got[key] != n {
-				t.Errorf("%s: %s sent %d request messages, want %d", mode, key, got[key], n)
-			}
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s: measured %d calls, the table has %d", mode, len(got), len(want))
+	got, results, namespace, wantNamespace := measureBudget(t)
+	for key, n := range wantBudget {
+		if got[key] != n {
+			t.Errorf("%s sent %d request messages, want %d", key, got[key], n)
 		}
 	}
-	// The chain is an encoding of the two-message sequence, not a different
-	// operation: with pipelining off the same calls answer the same and
-	// leave the same namespace.
-	if on, off := outcomes[true], outcomes[false]; !reflect.DeepEqual(on, off) {
-		t.Errorf("pipelining on and off differ:\n on: %v\noff: %v", on, off)
+	if len(got) != len(wantBudget) {
+		t.Errorf("measured %d calls, the table has %d", len(got), len(wantBudget))
+	}
+	for _, r := range results {
+		call, answer, _ := strings.Cut(r, ": ")
+		want, ok := wantAnswers[call]
+		if !ok {
+			want = "<nil>"
+		}
+		if answer != want {
+			t.Errorf("%s answered %s, want %s", call, answer, want)
+		}
+	}
+	if !reflect.DeepEqual(namespace, wantNamespace) {
+		t.Errorf("the calls left\n%v\nwant\n%v", namespace, wantNamespace)
 	}
 }
 

@@ -26,22 +26,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Options toggles the individual techniques evaluated in §5.4, plus the
-// async RPC pipeline added on top of the paper (DESIGN.md §7). All default
-// to enabled in a standard Hare configuration.
+// Options toggles the individual techniques evaluated in §5.4. All default
+// to enabled in a standard Hare configuration. The async RPC pipeline
+// (DESIGN.md §7) and the dirty-line data path (DESIGN.md §8) added on top of
+// the paper are always on.
 type Options struct {
 	DirDistribution  bool // honor the per-directory distribution flag (§3.3)
 	DirCache         bool // directory lookup cache with invalidations (§3.6.1)
 	DirBroadcast     bool // parallel fan-out for readdir/rmdir (§3.6.2)
 	DirectAccess     bool // client reads/writes the buffer cache directly (§3.2)
 	CreationAffinity bool // NUMA-aware inode placement (§3.6.4)
-	Pipelining       bool // async/batched RPCs, extend-ahead, readahead (DESIGN.md §7)
-	DataPath         bool // dirty-line writeback + version-skip invalidation (DESIGN.md §8)
 }
 
 // DefaultOptions enables every technique.
 func DefaultOptions() Options {
-	return Options{DirDistribution: true, DirCache: true, DirBroadcast: true, DirectAccess: true, CreationAffinity: true, Pipelining: true, DataPath: true}
+	return Options{DirDistribution: true, DirCache: true, DirBroadcast: true, DirectAccess: true, CreationAffinity: true}
 }
 
 // Config wires a client library into a Hare deployment.
@@ -326,16 +325,6 @@ func (c *Client) Stats() Stats {
 	}
 }
 
-// noteVersion records the inode's data version at a moment when this
-// client's private cache is consistent with DRAM for the file (just
-// invalidated, or just written back).
-func (c *Client) noteVersion(ino proto.InodeID, v uint64) {
-	if !c.cfg.Options.DataPath {
-		return
-	}
-	c.vcache.Put(ino, v)
-}
-
 // expectVersion folds a version carried by one of this descriptor's own
 // replies into its consistency window. bumped says the operation itself may
 // have moved the version by exactly one; any other movement proves another
@@ -358,7 +347,7 @@ func (c *Client) settleVersion(of *openFile) {
 		c.vcache.Delete(of.ino)
 		return
 	}
-	c.noteVersion(of.ino, of.verKnown)
+	c.vcache.Put(of.ino, of.verKnown)
 }
 
 // Options returns the technique configuration this client runs with.
@@ -767,12 +756,12 @@ func (c *Client) OpenFDs() []fsapi.FD {
 }
 
 // CloseAll closes every open descriptor (process exit), in descriptor order.
-// With pipelining on, the per-file close/size-update RPCs to all touched
-// servers are flushed as one scatter — same-server closes share a batch
-// message and the round trips to distinct servers overlap — instead of one
-// synchronous ping-pong per descriptor. Close errors are discarded either
-// way: the process is exiting and has nobody to report them to. A pending
-// clean close goes first; with nothing open that is all CloseAll sends.
+// The per-file close/size-update RPCs to all touched servers are flushed as
+// one scatter — same-server closes share a batch message and the round trips
+// to distinct servers overlap — instead of one synchronous ping-pong per
+// descriptor. Close errors are discarded: the process is exiting and has
+// nobody to report them to. A pending clean close goes first; with nothing
+// open that is all CloseAll sends.
 func (c *Client) CloseAll() {
 	defer c.releaseResps(c.respMark())
 	if s := c.beginOp("closeall"); s != nil {
@@ -782,15 +771,8 @@ func (c *Client) CloseAll() {
 	if len(c.fds) == 0 {
 		return
 	}
-	fds := c.OpenFDs()
-	if !c.cfg.Options.Pipelining {
-		for _, fd := range fds {
-			_ = c.Close(fd)
-		}
-		return
-	}
 	perSrv := make(map[int][]*proto.Request)
-	for _, fd := range fds {
+	for _, fd := range c.OpenFDs() {
 		// Dup'd descriptors share a description: its last one closes it.
 		of := c.fds[fd]
 		delete(c.fds, fd)

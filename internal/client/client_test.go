@@ -128,16 +128,6 @@ func TestClientCorrectUnderEveryTechniqueConfiguration(t *testing.T) {
 		"no-direct":       func(tq *core.Techniques) { tq.DirectAccess = false },
 		"no-dircache":     func(tq *core.Techniques) { tq.DirectoryCache = false },
 		"no-affinity":     func(tq *core.Techniques) { tq.CreationAffinity = false },
-		"no-pipelining":   func(tq *core.Techniques) { tq.RPCPipelining = false },
-		"no-datapath":     func(tq *core.Techniques) { tq.DataPath = false },
-		"no-direct-no-pipelining": func(tq *core.Techniques) {
-			tq.DirectAccess = false
-			tq.RPCPipelining = false
-		},
-		"no-direct-no-datapath": func(tq *core.Techniques) {
-			tq.DirectAccess = false
-			tq.DataPath = false
-		},
 	}
 	for name, disable := range configs {
 		name, disable := name, disable
@@ -276,12 +266,11 @@ func TestVersionSkipSurvivesSyncAndFsync(t *testing.T) {
 // still pending sends it in front of its OPEN_INODE and takes its answer
 // first, so the reopen skips invalidation exactly when it did while the close
 // went on its own — whenever nobody else wrote the file meanwhile — and reads
-// the same bytes; pipelining off is that reference.
+// the same bytes. The reference is the same calls with a Sync before each
+// reopen, which sends the pending close on its own.
 func TestReopenBehindAPendingClose(t *testing.T) {
-	run := func(pipelining bool) (skips, sent []uint64, reads []string) {
-		tq := core.AllTechniques()
-		tq.RPCPipelining = pipelining
-		sys := newSystem(t, tq)
+	run := func(syncFirst bool) (skips, sent []uint64, reads []string) {
+		sys := newSystem(t, core.AllTechniques())
 		c, other := sys.NewClient(0), sys.NewClient(1)
 		write := func(w fsapi.Client, data string) {
 			fd, err := w.Open("/f", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
@@ -296,6 +285,11 @@ func TestReopenBehindAPendingClose(t *testing.T) {
 			}
 		}
 		reopen := func() {
+			if syncFirst {
+				if err := c.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			before := c.Stats().RPCs
 			fd, err := c.Open("/f", fsapi.ORdOnly, 0)
 			if err != nil {
@@ -319,7 +313,7 @@ func TestReopenBehindAPendingClose(t *testing.T) {
 		reopen()
 		return skips, sent, reads
 	}
-	skips, sent, reads := run(true)
+	skips, sent, reads := run(false)
 	if want := []uint64{1, 2, 2, 3}; !reflect.DeepEqual(skips, want) {
 		t.Errorf("version skips after each reopen %v, want %v", skips, want)
 	}
@@ -329,12 +323,12 @@ func TestReopenBehindAPendingClose(t *testing.T) {
 	if want := []string{"first", "first", "second", "second"}; !reflect.DeepEqual(reads, want) {
 		t.Errorf("reopens read %q, want %q", reads, want)
 	}
-	offSkips, offSent, offReads := run(false)
-	if !reflect.DeepEqual(skips, offSkips) || !reflect.DeepEqual(reads, offReads) {
-		t.Errorf("pipelining off skips %v and reads %q, on %v and %q", offSkips, offReads, skips, reads)
+	refSkips, refSent, refReads := run(true)
+	if !reflect.DeepEqual(skips, refSkips) || !reflect.DeepEqual(reads, refReads) {
+		t.Errorf("with a Sync before each reopen: skips %v and reads %q; behind the pending close %v and %q", refSkips, refReads, skips, reads)
 	}
-	if want := []uint64{2, 2, 2, 2}; !reflect.DeepEqual(offSent, want) {
-		t.Errorf("pipelining off: request messages per open+read+close %v, want %v", offSent, want)
+	if want := []uint64{1, 1, 1, 1}; !reflect.DeepEqual(refSent, want) {
+		t.Errorf("with a Sync before each reopen: request messages per open+read+close %v, want %v: OPEN_INODE alone", refSent, want)
 	}
 }
 
@@ -429,46 +423,35 @@ func TestExecTransfersWorkingDirectory(t *testing.T) {
 }
 
 func TestBatchedUnlinkSavesMessages(t *testing.T) {
-	// A create+unlink pair: the unlink's RM_MAP and UNLINK_INODE travel as
-	// one chain, so the whole cycle costs one message less than with
-	// pipelining off.
-	count := func(tq core.Techniques) (perCycle uint64, batched uint64) {
-		sys := newSystem(t, tq)
-		cli := sys.NewClient(0)
-		if err := cli.Mkdir("/u", fsapi.MkdirOpt{Distributed: true}); err != nil {
+	// Create, close and unlink, twenty times: four requests a cycle —
+	// CREATE, CLOSE_INODE, RM_MAP, UNLINK_INODE — that would be four
+	// messages sent one by one. The clean close waits for the unlink's
+	// message and leads its RM_MAP + UNLINK_INODE chain, so a cycle costs
+	// the create and one batch of three.
+	sys := newSystem(t, core.AllTechniques())
+	cli := sys.NewClient(0)
+	if err := cli.Mkdir("/u", fsapi.MkdirOpt{Distributed: true}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	before := cli.Stats()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("/u/f%03d", i)
+		fd, err := cli.Open(name, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+		if err != nil {
 			t.Fatal(err)
 		}
-		const n = 20
-		before := cli.Stats()
-		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("/u/f%03d", i)
-			fd, err := cli.Open(name, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.Close(fd); err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.Unlink(name); err != nil {
-				t.Fatal(err)
-			}
+		if err := cli.Close(fd); err != nil {
+			t.Fatal(err)
 		}
-		after := cli.Stats()
-		return (after.RPCs - before.RPCs) / n, after.BatchedOps - before.BatchedOps
+		if err := cli.Unlink(name); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	on, batched := count(core.AllTechniques())
-	tqOff := core.AllTechniques()
-	tqOff.RPCPipelining = false
-	off, offBatched := count(tqOff)
-	if offBatched != 0 {
-		t.Fatalf("pipelining off batched %d ops", offBatched)
-	}
-	if batched == 0 {
-		t.Fatal("pipelining on never used a batch")
-	}
-	if on >= off {
-		t.Fatalf("messages per create/unlink cycle: on=%d off=%d; batching saved nothing", on, off)
+	after := cli.Stats()
+	if sent, batched := after.RPCs-before.RPCs, after.BatchedOps-before.BatchedOps; sent != 2*n || batched != 3*n {
+		t.Fatalf("%d create/close/unlink cycles: %d request messages, %d batched sub-ops; want %d, %d (one by one: %d messages)",
+			n, sent, batched, 2*n, 3*n, 4*n)
 	}
 }
 
@@ -629,39 +612,35 @@ func TestSyncFlushesAllDirtyFiles(t *testing.T) {
 }
 
 func TestCloseAllFlushesEveryDescriptor(t *testing.T) {
-	for _, pipelining := range []bool{true, false} {
-		tq := core.AllTechniques()
-		tq.RPCPipelining = pipelining
-		sys := newSystem(t, tq)
-		cli := sys.NewClient(0)
-		for i := 0; i < 5; i++ {
-			fd, err := cli.Open(fmt.Sprintf("/ca%02d", i), fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
-			if err != nil {
+	sys := newSystem(t, core.AllTechniques())
+	cli := sys.NewClient(0)
+	for i := 0; i < 5; i++ {
+		fd, err := cli.Open(fmt.Sprintf("/ca%02d", i), fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Write(fd, bytes.Repeat([]byte{0xAB}, 777)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if _, err := cli.Dup(fd); err != nil {
 				t.Fatal(err)
-			}
-			if _, err := cli.Write(fd, bytes.Repeat([]byte{0xAB}, 777)); err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				if _, err := cli.Dup(fd); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
-		cli.CloseAll()
-		if n := len(cli.OpenFDs()); n != 0 {
-			t.Fatalf("pipelining=%v: %d descriptors survive CloseAll", pipelining, n)
+	}
+	cli.CloseAll()
+	if n := len(cli.OpenFDs()); n != 0 {
+		t.Fatalf("%d descriptors survive CloseAll", n)
+	}
+	// The coalesced close carried each file's size to its server.
+	other := sys.NewClient(1)
+	for i := 0; i < 5; i++ {
+		st, err := other.Stat(fmt.Sprintf("/ca%02d", i))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The coalesced close carried each file's size to its server.
-		other := sys.NewClient(1)
-		for i := 0; i < 5; i++ {
-			st, err := other.Stat(fmt.Sprintf("/ca%02d", i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Size != 777 {
-				t.Fatalf("pipelining=%v: file %d size = %d after CloseAll", pipelining, i, st.Size)
-			}
+		if st.Size != 777 {
+			t.Fatalf("file %d size = %d after CloseAll", i, st.Size)
 		}
 	}
 }

@@ -102,8 +102,8 @@ func (c *Client) Unlink(path string) (err error) {
 // (§3.3). A replaced target loses one link.
 //
 // The plain path is two RPCs, ADD_MAP then RM_MAP, and it is the only path
-// when the two entries live on different servers. With pipelining, entries
-// that the current routing snapshot puts on one server travel as a single
+// when the two entries live on different servers. Entries that the current
+// routing snapshot puts on one server travel as a single
 // stop-on-error batch message: the server stages both records for one log
 // append, so both names change in one flush (and one ship), and a crash
 // leaves either the old name or the new one, never both.
@@ -145,14 +145,12 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 	// server, and from its own routed RPC otherwise (or when the batch left
 	// that half to be redone).
 	var addResp, rmResp *proto.Response
-	if c.cfg.Options.Pipelining {
-		newSrv, newEpoch := c.routeEntry(newParent, newDist, newName)
-		oldSrv, oldEpoch := c.routeEntry(oldParent, oldDist, oldName)
-		if newSrv == oldSrv {
-			add.Epoch, rm.Epoch = newEpoch, oldEpoch
-			if addResp, rmResp, err = c.renameBatched(newSrv, add, rm); err != nil {
-				return err
-			}
+	newSrv, newEpoch := c.routeEntry(newParent, newDist, newName)
+	oldSrv, oldEpoch := c.routeEntry(oldParent, oldDist, oldName)
+	if newSrv == oldSrv {
+		add.Epoch, rm.Epoch = newEpoch, oldEpoch
+		if addResp, rmResp, err = c.renameBatched(newSrv, add, rm); err != nil {
+			return err
 		}
 	}
 	if addResp == nil {

@@ -36,8 +36,7 @@ func (c *Client) Open(path string, flags int, mode fsapi.Mode) (_ fsapi.FD, err 
 // block rides with the create as EXTEND(PrevInode): creation affinity put the
 // block allocator on the server the create already talks to, so the write
 // that follows finds its block in hand and sends nothing (DESIGN.md §7). It
-// applies where extend-ahead does; with pipelining off the chain would be two
-// messages, so it is not built.
+// applies where extend-ahead does: with direct access.
 func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, error) {
 	parent, parentDist, name, err := c.resolveParent(abs)
 	if err != nil {
@@ -48,7 +47,7 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 	// cut to length so that no request of theirs becomes a heap object.
 	extend := proto.Request{Op: proto.OpExtend, Target: proto.PrevInode, Size: 1}
 	ext := 0
-	if c.writesCreates && c.cfg.Options.DirectAccess && c.cfg.Options.Pipelining {
+	if c.writesCreates && c.cfg.Options.DirectAccess {
 		ext = 1
 	}
 	var buf [3]*proto.Response
@@ -134,7 +133,7 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 // answers the EXTEND that rode along. One that failed (ENOSPC) leaves the
 // create standing and the write to ask again.
 func (c *Client) created(resps []*proto.Response, flags int) fsapi.FD {
-	c.noteVersion(resps[0].Ino, resps[0].Version)
+	c.vcache.Put(resps[0].Ino, resps[0].Version)
 	of := c.fileFromOpen(resps[0], flags)
 	of.created = true
 	if len(resps) > 1 && resps[1].Err == fsapi.OK {
@@ -166,20 +165,19 @@ func (c *Client) opened(resp *proto.Response, flags int) fsapi.FD {
 	of := c.fileFromOpen(resp, flags)
 	// Close-to-open consistency: drop any stale private-cache copies of
 	// this file's blocks so reads observe data written back by other cores
-	// since the last close (§3.2). With the data path enabled, an OPEN reply
-	// whose data version matches the one recorded at this client's last
-	// consistency point proves nothing changed in DRAM since — the cached
-	// copies are byte-identical and the invalidation is skipped outright
-	// (DESIGN.md §8).
+	// since the last close (§3.2). An OPEN reply whose data version matches
+	// the one recorded at this client's last consistency point proves nothing
+	// changed in DRAM since — the cached copies are byte-identical and the
+	// invalidation is skipped outright (DESIGN.md §8).
 	if c.cfg.Options.DirectAccess && of.blocks.Len() > 0 {
-		if v, ok := c.vcache.Get(of.ino); c.cfg.Options.DataPath && ok && v == resp.Version {
+		if v, ok := c.vcache.Get(of.ino); ok && v == resp.Version {
 			c.cfg.Cache.NoteVersionSkip(of.blocks.Runs())
 			c.stats.verSkips.Add(1)
 		} else {
 			dropped := c.cfg.Cache.InvalidateExtents(of.blocks.Runs())
 			c.stats.invBlocks.Add(uint64(dropped))
 			c.charge(sim.Cycles(dropped) * c.cfg.Machine.Cost.CachePerLine)
-			c.noteVersion(of.ino, resp.Version)
+			c.vcache.Put(of.ino, resp.Version)
 		}
 	}
 	if flags&fsapi.OAppend != 0 {
@@ -225,7 +223,7 @@ func (c *Client) Close(fd fsapi.FD) (err error) {
 	}
 	var req proto.Request
 	c.closeRequest(of, &req)
-	if req.Op == proto.OpCloseInode && !req.Dirty && c.cfg.Options.Pipelining {
+	if req.Op == proto.OpCloseInode && !req.Dirty {
 		// A clean close publishes nothing — no size, no version — so no other
 		// process can tell when it lands: it waits for this client's next
 		// message to the inode's server (async.go). One waits at a time.
@@ -236,11 +234,10 @@ func (c *Client) Close(fd fsapi.FD) (err error) {
 	resp, err := c.rpcOK(int(of.ino.Server), &req)
 	if err == nil && req.Op == proto.OpCloseInode {
 		// A dirty close just wrote our data back and moved the version: the
-		// cache IS the new contents. A clean close whose version still
-		// matches proves nothing changed. Either way an intact window lets a
-		// reopen at this version skip invalidation; a lost window (someone
-		// else mutated the file while we held it open) evicts the entry.
-		of.expectVersion(resp.Version, req.Dirty)
+		// cache IS the new contents. An intact window lets a reopen at this
+		// version skip invalidation; a lost window (someone else mutated the
+		// file while we held it open) evicts the entry.
+		of.expectVersion(resp.Version, true)
 		c.settleVersion(of)
 	}
 	c.freeOpenFile(of)
@@ -250,7 +247,7 @@ func (c *Client) Close(fd fsapi.FD) (err error) {
 // closeRequest fills req with the release RPC for a description whose last
 // local reference is gone: the pipe-end close, the shared-descriptor deref,
 // or — after flushing dirty blocks — the inode close with the size update
-// coalesced in (§3.6.3). Shared by Close and the pipelined CloseAll so the
+// coalesced in (§3.6.3). Shared by Close and CloseAll so the
 // close semantics have one source of truth.
 //
 // A description closed with the first block its create brought along still
@@ -285,16 +282,15 @@ func (c *Client) closeRequest(of *openFile, req *proto.Request) {
 
 // writebackFile flushes this file's dirty private-cache data to DRAM. The
 // dirty set is normalized (sorted, overlaps merged) first, so blocks that
-// several writes touched are neither flushed nor charged twice. With the
-// data path enabled only the 64-byte lines actually written move; otherwise
-// every dirty block is flushed in full (the paper's behavior).
+// several writes touched are neither flushed nor charged twice. Only the
+// 64-byte lines actually written move (DESIGN.md §8).
 func (c *Client) writebackFile(of *openFile) {
 	if !c.cfg.Options.DirectAccess || len(of.dirty) == 0 {
 		return
 	}
 	exts := ncc.NormalizeExtents(of.dirty)
 	start := c.clock.Now()
-	flushed, lines := c.cfg.Cache.WritebackExtents(exts, c.cfg.Options.DataPath)
+	flushed, lines := c.cfg.Cache.WritebackExtents(exts, true)
 	c.stats.wbBlocks.Add(uint64(flushed))
 	c.charge(sim.LineCost(c.cfg.Machine.Cost.DRAMPerLine, lines*ncc.LineSize))
 	if c.cur != nil {
@@ -459,8 +455,7 @@ func (c *Client) Pwrite(fd fsapi.FD, p []byte, off int64) (_ int, err error) {
 // readAt reads file data for a locally tracked descriptor. With direct
 // access the client reads the shared buffer cache through its private cache;
 // otherwise it asks the server to read on its behalf — and, for sequential
-// readers with pipelining on, keeps the next chunk's READ_AT in flight ahead
-// of the cursor so the reply has (partially) propagated by the time it is
+// readers, keeps the next chunk's READ_AT in flight ahead of the cursor so the reply has (partially) propagated by the time it is
 // needed (DESIGN.md §7).
 func (c *Client) readAt(of *openFile, off int64, p []byte, sequential bool) (int, error) {
 	if off >= of.size {
@@ -520,10 +515,10 @@ func (c *Client) takeReadahead(of *openFile, off, n int64) ([]byte, bool) {
 }
 
 // issueReadahead speculatively requests the next chunk of a sequential
-// server-mediated read stream. It is a no-op with pipelining off, with a
-// readahead already pending, or at end of file.
+// server-mediated read stream. It is a no-op with a readahead already
+// pending, or at end of file.
 func (c *Client) issueReadahead(of *openFile, off int64, n int) {
-	if !c.cfg.Options.Pipelining || of.raFut != nil || n <= 0 || off >= of.size {
+	if of.raFut != nil || n <= 0 || off >= of.size {
 		return
 	}
 	if off+int64(n) > of.size {
@@ -614,8 +609,8 @@ func (c *Client) growBlocks(of *openFile, resp *proto.Response, bumps bool) {
 }
 
 // extendTo asks the file server to allocate blocks so the file can hold end
-// bytes, updating the client's block list. With pipelining on, the request
-// allocates ahead of the cursor — doubling the current allocation — so a
+// bytes, updating the client's block list. The request allocates ahead of
+// the cursor — doubling the current allocation — so a
 // sequential writer issues O(log n) EXTEND RPCs instead of one per block
 // boundary; the logical size is still set by CLOSE/SET_SIZE, so the
 // over-allocation is invisible to stat and is reclaimed with the inode.
@@ -630,10 +625,8 @@ func (c *Client) extendTo(of *openFile, end int64) error {
 		c.writesCreates = true
 	}
 	want := end
-	if c.cfg.Options.Pipelining {
-		if ahead := 2 * int64(of.blocks.Len()) * bs; ahead > want {
-			want = ahead
-		}
+	if ahead := 2 * int64(of.blocks.Len()) * bs; ahead > want {
+		want = ahead
 	}
 	resp, err := c.rpcOK(int(of.ino.Server), &proto.Request{Op: proto.OpExtend, Target: of.ino, Size: want})
 	if err != nil && want > end && fsapi.IsErrno(err, fsapi.ENOSPC) {

@@ -206,8 +206,7 @@ func (c *Client) opOnPath(abs string, head, op *proto.Request) (*proto.Response,
 // has nearly always stored it there too (§3.6.4), so the pair costs the one
 // round trip op alone would. It returns the entry head found and op's
 // response, re-routing on EEPOCH like every routed helper; head's failure is
-// the error. With pipelining off rpcBatch sends the two one after the other
-// and resolves the target itself.
+// the error.
 func (c *Client) chainOnEntry(parent proto.InodeID, parentDist bool, name string, head, op *proto.Request) (dcacheEnt, *proto.Response, error) {
 	head.Dir, head.Name = parent, name
 	var buf [2]*proto.Response

@@ -60,33 +60,26 @@ func TestRenameSameNameRequiresExistingPath(t *testing.T) {
 func TestBatchedRenameIsOneMessageOneFlush(t *testing.T) {
 	// Both entries of a rename inside a centralized directory live with the
 	// directory's inode, on one server.
-	cost := func(tq core.Techniques) (rpcs, batched, flushes uint64) {
-		sys := newDurableSystem(t, tq)
-		cli := sys.NewClient(0)
-		if err := cli.Mkdir("/m", fsapi.MkdirOpt{}); err != nil {
-			t.Fatal(err)
-		}
-		createFile(t, cli, "/m/tmp", "message")
-		before, flushed := cli.Stats(), totalFlushes(sys)
-		if err := cli.Rename("/m/tmp", "/m/new"); err != nil {
-			t.Fatal(err)
-		}
-		after := cli.Stats()
-		if _, err := cli.Stat("/m/tmp"); !fsapi.IsErrno(err, fsapi.ENOENT) {
-			t.Fatalf("old name still resolves: %v", err)
-		}
-		if st, err := cli.Stat("/m/new"); err != nil || st.Size != int64(len("message")) {
-			t.Fatalf("new name: %+v, %v", st, err)
-		}
-		return after.RPCs - before.RPCs, after.BatchedOps - before.BatchedOps, totalFlushes(sys) - flushed
+	sys := newDurableSystem(t, core.AllTechniques())
+	cli := sys.NewClient(0)
+	if err := cli.Mkdir("/m", fsapi.MkdirOpt{}); err != nil {
+		t.Fatal(err)
 	}
-	if rpcs, batched, flushes := cost(core.AllTechniques()); rpcs != 1 || batched != 2 || flushes != 1 {
-		t.Errorf("pipelined same-server rename: %d request messages carrying %d batched sub-ops, %d flushes; want 1, 2 and 1", rpcs, batched, flushes)
+	createFile(t, cli, "/m/tmp", "message")
+	before, flushed := cli.Stats(), totalFlushes(sys)
+	if err := cli.Rename("/m/tmp", "/m/new"); err != nil {
+		t.Fatal(err)
 	}
-	off := core.AllTechniques()
-	off.RPCPipelining = false
-	if rpcs, batched, flushes := cost(off); rpcs != 2 || batched != 0 || flushes != 2 {
-		t.Errorf("unpipelined rename: %d request messages, %d batched sub-ops, %d flushes; want 2, 0 and 2", rpcs, batched, flushes)
+	after := cli.Stats()
+	if _, err := cli.Stat("/m/tmp"); !fsapi.IsErrno(err, fsapi.ENOENT) {
+		t.Fatalf("old name still resolves: %v", err)
+	}
+	if st, err := cli.Stat("/m/new"); err != nil || st.Size != int64(len("message")) {
+		t.Fatalf("new name: %+v, %v", st, err)
+	}
+	rpcs, batched, flushes := after.RPCs-before.RPCs, after.BatchedOps-before.BatchedOps, totalFlushes(sys)-flushed
+	if rpcs != 1 || batched != 2 || flushes != 1 {
+		t.Errorf("same-server rename: %d request messages carrying %d batched sub-ops, %d flushes; want 1, 2 and 1", rpcs, batched, flushes)
 	}
 }
 

@@ -28,17 +28,15 @@ import (
 	"repro/internal/wal"
 )
 
-// Techniques toggles the design techniques evaluated in §5.4 of the paper,
-// plus the async RPC pipeline (DESIGN.md §7) and the zero-waste data path
-// (DESIGN.md §8) this reproduction adds.
+// Techniques toggles the design techniques evaluated in §5.4 of the paper.
+// The async RPC pipeline (DESIGN.md §7) and the zero-waste data path
+// (DESIGN.md §8) this reproduction adds are always on.
 type Techniques struct {
 	DirectoryDistribution bool // shard a directory's entries across servers (§3.3)
 	DirectoryBroadcast    bool // contact all servers in parallel (§3.6.2)
 	DirectAccess          bool // clients access the buffer cache directly (§3.2)
 	DirectoryCache        bool // client-side lookup cache with invalidations (§3.6.1)
 	CreationAffinity      bool // NUMA-aware placement of new inodes (§3.6.4)
-	RPCPipelining         bool // async/batched RPCs, extend-ahead, readahead (DESIGN.md §7)
-	DataPath              bool // dirty-line writeback + version-skip invalidation (DESIGN.md §8)
 }
 
 // AllTechniques enables everything (the standard Hare configuration).
@@ -49,8 +47,6 @@ func AllTechniques() Techniques {
 		DirectAccess:          true,
 		DirectoryCache:        true,
 		CreationAffinity:      true,
-		RPCPipelining:         true,
-		DataPath:              true,
 	}
 }
 
@@ -447,8 +443,6 @@ func (s *System) clientOptions() client.Options {
 		DirBroadcast:     t.DirectoryBroadcast,
 		DirectAccess:     t.DirectAccess,
 		CreationAffinity: t.CreationAffinity,
-		Pipelining:       t.RPCPipelining,
-		DataPath:         t.DataPath,
 	}
 }
 

@@ -206,7 +206,7 @@ func TestFailoverDuringFrozenMigration(t *testing.T) {
 // must honor that boundary too: the primary ships each checkpoint to its
 // follower, so a promotion after a memory-domain loss restores the
 // checkpointed contents instead of rolling them back to zero (a regression
-// here was found by the chaos harness on tuple 42,1111111,mod,sync).
+// here was found by the chaos harness on tuple 42,11111,mod,sync).
 func TestFailoverPromotionCoversCheckpointContents(t *testing.T) {
 	cfg := Config{
 		Cores:       8,

@@ -95,6 +95,28 @@ func TestSendAtomicDelivery(t *testing.T) {
 	}
 }
 
+// TestReplyCountedBeforeRequesterWakes: a requester that has its answer
+// finds the answer counted. A harness reads the counters on the host once
+// its processes are done, and a reply counted after its push landed on
+// either side of that reading.
+func TestReplyCountedBeforeRequesterWakes(t *testing.T) {
+	n, _ := testNetwork(2)
+	cli := n.NewEndpoint(0)
+	srv := n.NewEndpoint(1)
+	stop := startEcho(n, srv)
+	defer stop()
+	for i := uint64(1); i <= 5000; i++ {
+		env, err := n.RPC(cli, srv.ID, 1, cli.GetBuf(8)[:8], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli.PutBuf(env.Payload)
+		if got := n.MessageCount(); got != 2*i {
+			t.Fatalf("round trip %d: %d messages counted, want %d", i, got, 2*i)
+		}
+	}
+}
+
 func TestSendUnknownEndpoint(t *testing.T) {
 	n, _ := testNetwork(2)
 	a := n.NewEndpoint(0)

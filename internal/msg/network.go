@@ -293,15 +293,17 @@ func (n *Network) send(src *Endpoint, dst EndpointID, kind uint16, payload []byt
 			haveDup = true
 		}
 	}
-	offer := dep.Inbox.push(env)
+	// A message is counted before it is delivered, here and in SendCallback
+	// and Reply: whatever its delivery wakes finds it counted.
 	n.stats.Messages.Add(1)
 	n.stats.Requests.Add(1)
 	n.stats.Bytes.Add(uint64(len(payload)))
+	offer := dep.Inbox.push(env)
 	if haveDup {
-		dep.Inbox.Push(dupEnv)
 		n.stats.Messages.Add(1)
 		n.stats.Requests.Add(1)
 		n.stats.Bytes.Add(uint64(len(dupEnv.Payload)))
+		dep.Inbox.Push(dupEnv)
 	}
 	if g != nil && blocks {
 		// A blocking sender's one raise, straight to the await bound. Until it
@@ -335,10 +337,10 @@ func (n *Network) SendCallback(src *Endpoint, dst EndpointID, kind uint16, paylo
 		SentAt:   sentAt,
 		ArriveAt: arrive,
 	}
-	dep.Callbacks.Push(env)
 	n.stats.Messages.Add(1)
 	n.stats.Callbacks.Add(1)
 	n.stats.Bytes.Add(uint64(len(payload)))
+	dep.Callbacks.Push(env)
 	return arrive, nil
 }
 
@@ -380,12 +382,12 @@ func (n *Network) Reply(from *Endpoint, req Envelope, kind uint16, payload []byt
 		SentAt:   sentAt,
 		ArriveAt: arrive,
 	}
+	n.stats.Messages.Add(1)
+	n.stats.Bytes.Add(uint64(len(payload)))
 	if g := n.gate.Load(); g != nil {
 		req.Reply.pushReply(env, g, resume)
 	} else {
 		req.Reply.Push(env)
 	}
-	n.stats.Messages.Add(1)
-	n.stats.Bytes.Add(uint64(len(payload)))
 	return arrive
 }

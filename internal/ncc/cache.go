@@ -233,33 +233,12 @@ func (c *PrivateCache) InvalidateExtents(exts []Extent) int {
 	return dropped
 }
 
-// Writeback flushes dirty cached copies of the given blocks to DRAM in full,
-// leaving clean copies in the cache. It returns the number of blocks flushed.
-func (c *PrivateCache) Writeback(blocks []BlockID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	flushed := 0
-	for _, b := range blocks {
-		cb, ok := c.lines[b]
-		if !ok || !cb.isDirty() {
-			continue
-		}
-		c.dram.store(b, cb.data)
-		cb.clearDirty()
-		c.linesWB += uint64(c.numLines())
-		flushed++
-	}
-	c.writebacks += uint64(flushed)
-	return flushed
-}
-
 // WritebackExtents flushes dirty cached blocks covered by the (normalized)
-// extents to DRAM, walking the resident set once instead of doing a map
-// lookup per block. With dirtyLinesOnly set, only the 64-byte lines actually
-// written since the last writeback move (and untouched lines of the same
-// block are left alone in DRAM); otherwise each dirty block is flushed in
-// full, matching Writeback. It returns the blocks flushed and the lines
-// moved — the quantity the data-path cost model charges for.
+// extents to DRAM, leaving clean copies in the cache. With dirtyLinesOnly
+// set, only the 64-byte lines actually written since the last writeback move
+// (and untouched lines of the same block are left alone in DRAM); otherwise
+// each dirty block is flushed in full. It returns the blocks flushed and the
+// lines moved — the quantity the data-path cost model charges for.
 func (c *PrivateCache) WritebackExtents(exts []Extent, dirtyLinesOnly bool) (blocks, lines int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

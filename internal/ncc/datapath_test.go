@@ -246,18 +246,10 @@ func TestDataPathPropertyAgainstShadow(t *testing.T) {
 		case 5: // full-block writeback, through each of its entry points
 			exts := randExtents()
 			var flushed, wantFlushed int
-			switch next(3) {
+			switch next(2) {
 			case 0:
-				var blocks []BlockID
-				for _, e := range exts {
-					for x := e.Start; x < e.End(); x++ {
-						blocks = append(blocks, x)
-					}
-				}
-				flushed, wantFlushed = c.Writeback(blocks), ref.WritebackFull(toRuns(exts))
-			case 1:
 				flushed, wantFlushed = c.WritebackAll(), ref.WritebackFull(toRuns(all))
-			case 2:
+			case 1:
 				var moved int
 				flushed, moved = c.WritebackExtents(exts, false)
 				wantFlushed = ref.WritebackFull(toRuns(exts))

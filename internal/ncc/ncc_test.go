@@ -65,7 +65,7 @@ func TestPrivateCacheStalenessWithoutInvalidation(t *testing.T) {
 
 	// Core 1 writes and writes back.
 	c1.Write(0, 0, []byte{1, 2, 3, 4})
-	c1.Writeback([]BlockID{0})
+	c1.WritebackExtents([]Extent{{Start: 0, Count: 1}}, false)
 
 	// Core 2 still sees its stale copy: the hardware is not coherent.
 	c2.Read(0, 0, buf)
@@ -95,7 +95,7 @@ func TestPrivateCacheWritebackRequired(t *testing.T) {
 	if buf[0] != 0 {
 		t.Fatal("write-back cache leaked data to DRAM before writeback")
 	}
-	writer.Writeback([]BlockID{1})
+	writer.WritebackExtents([]Extent{{Start: 1, Count: 1}}, false)
 	if writer.Dirty(1) {
 		t.Fatal("block should be clean after writeback")
 	}
@@ -209,7 +209,7 @@ func TestCacheWriteReadProperty(t *testing.T) {
 		o := int(off) % 192
 		c := NewPrivateCache(d)
 		c.Write(2, o, data)
-		c.Writeback([]BlockID{2})
+		c.WritebackExtents([]Extent{{Start: 2, Count: 1}}, false)
 		out := make([]byte, len(data))
 		d.ReadDirect(2, o, out)
 		return bytes.Equal(out, data)

@@ -12,8 +12,8 @@ import (
 // small payload, closes it, and immediately unlinks it — the lifecycle of
 // lock files, temporary build artifacts, and mail spool entries. It is the
 // workload most sensitive to per-operation message count, which makes it
-// the acceptance benchmark for the async RPC pipeline (DESIGN.md §7): with
-// batching on, the unlink's RM_MAP + UNLINK_INODE share one message.
+// the acceptance benchmark for the async RPC pipeline (DESIGN.md §7): the
+// unlink's RM_MAP + UNLINK_INODE share one message.
 type SmallFile struct {
 	PerWorker int
 	// WriteBytes, when non-zero, writes that many bytes into each file

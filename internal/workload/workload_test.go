@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseline/ramfs"
@@ -34,8 +36,9 @@ func hareEnv(t *testing.T, cores int) (*Env, func()) {
 	return env, sys.Stop
 }
 
-// ramfsEnv builds the shared-memory baseline and returns an Env over it.
-func ramfsEnv(t *testing.T, cores int) *Env {
+// ramfsEnv builds the shared-memory baseline and returns an Env over it,
+// and the file system itself.
+func ramfsEnv(t *testing.T, cores int) (*Env, *ramfs.FS) {
 	t.Helper()
 	machine := sim.NewMachine(sim.TopologyForCores(cores), sim.DefaultCostModel())
 	fs := ramfs.New(machine)
@@ -51,7 +54,7 @@ func ramfsEnv(t *testing.T, cores int) *Env {
 			return fs.NewClient(c)
 		},
 	})
-	return &Env{Procs: procs, Cores: appCores, Counter: NewOpCounter(), Scale: 0.05}
+	return &Env{Procs: procs, Cores: appCores, Counter: NewOpCounter(), Scale: 0.05}, fs
 }
 
 // runOne runs a workload's setup and timed phases and checks basic
@@ -93,11 +96,116 @@ func TestAllWorkloadsOnHare(t *testing.T) {
 	}
 }
 
+// snapshotFS walks the tree under dir and records every entry: directories
+// by name, files by size and contents.
+func snapshotFS(t *testing.T, fs fsapi.Client, dir string, out map[string]string) {
+	t.Helper()
+	ents, err := fs.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("readdir %s: %v", dir, err)
+	}
+	for _, ent := range ents {
+		path := dir + "/" + ent.Name
+		if dir == "/" {
+			path = "/" + ent.Name
+		}
+		if ent.Type == fsapi.TypeDir {
+			out[path] = "dir"
+			snapshotFS(t, fs, path, out)
+			continue
+		}
+		st, err := fs.Stat(path)
+		if err != nil {
+			t.Fatalf("stat %s: %v", path, err)
+		}
+		fd, err := fs.Open(path, fsapi.ORdOnly, 0)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
+		}
+		buf := make([]byte, st.Size)
+		total := 0
+		for total < len(buf) {
+			n, err := fs.Read(fd, buf[total:])
+			if err != nil {
+				t.Fatalf("read %s: %v", path, err)
+			}
+			if n == 0 {
+				break
+			}
+			total += n
+		}
+		fs.Close(fd)
+		out[path] = fmt.Sprintf("file[%d]:%x", st.Size, buf[:total])
+	}
+}
+
+// The async RPC pipeline (DESIGN.md §7) and the zero-waste data path
+// (DESIGN.md §8) are pure performance layers: batched and chained requests,
+// riding closes, extend-ahead, dirty-line writeback and version-skipped
+// invalidation must leave behind, byte for byte, the namespace the coherent
+// shared-memory baseline leaves for the same workload. The two tests below
+// once compared each layer on with the same layer off; both layers are
+// unconditional now, so ramfs is the reference that stays.
+
+func TestPipeliningModesProduceIdenticalState(t *testing.T) {
+	matchesRamfs(t, map[string]func() Workload{
+		"smallfile": func() Workload { return SmallFile{PerWorker: 15, WriteBytes: 700} },
+		"creates":   func() Workload { return Creates{PerWorker: 12} },
+		"fsstress":  func() Workload { return FSStress{PerWorker: 60} },
+		"renames":   func() Workload { return Renames{PerWorker: 10} },
+		"writes":    func() Workload { return Writes{PerWorker: 40, ChunkSize: 1500} },
+	})
+}
+
+func TestDataPathModesProduceIdenticalState(t *testing.T) {
+	matchesRamfs(t, map[string]func() Workload{
+		"bigfile":   func() Workload { return BigFile{FileKiB: 64, Rounds: 2} },
+		"writes":    func() Workload { return Writes{PerWorker: 40, ChunkSize: 1500} },
+		"smallfile": func() Workload { return SmallFile{PerWorker: 15, WriteBytes: 700} },
+		"fsstress":  func() Workload { return FSStress{PerWorker: 60} },
+	})
+}
+
+// matchesRamfs runs each case on Hare and on ramfs, one subtest per case,
+// and requires identical snapshots of the whole tree. The cases make fresh
+// workload instances per run: some workloads carry state between Setup and
+// Run.
+func matchesRamfs(t *testing.T, cases map[string]func() Workload) {
+	for name, mk := range cases {
+		name, mk := name, mk
+		t.Run(name, func(t *testing.T) {
+			snap := func(env *Env, fs fsapi.Client) map[string]string {
+				w := mk()
+				if err := w.Setup(env); err != nil {
+					t.Fatalf("setup on %T: %v", fs, err)
+				}
+				if _, err := w.Run(env); err != nil {
+					t.Fatalf("run on %T: %v", fs, err)
+				}
+				out := make(map[string]string)
+				snapshotFS(t, fs, "/", out)
+				return out
+			}
+			sys, env := hareSystem(t, nil)
+			hare := snap(env, sys.NewClient(0))
+			env, fs := ramfsEnv(t, 4)
+			want := snap(env, fs.NewClient(0))
+			if !reflect.DeepEqual(hare, want) {
+				t.Fatalf("Hare's namespace differs from ramfs's:\n hare: %v\nramfs: %v", hare, want)
+			}
+			if len(want) == 0 {
+				t.Fatal("snapshot is empty; the workload left nothing to compare")
+			}
+		})
+	}
+}
+
 func TestAllWorkloadsOnRamfs(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
-			runOne(t, ramfsEnv(t, 4), w)
+			env, _ := ramfsEnv(t, 4)
+			runOne(t, env, w)
 		})
 	}
 }
