@@ -143,6 +143,11 @@ type Client struct {
 	resps  respArena
 	ofFree []*openFile
 
+	// bcastDsts and bcastOut are broadcast's scratch: its destinations and
+	// the responses it returns.
+	bcastDsts []msg.EndpointID
+	bcastOut  []*proto.Response
+
 	// pend is the one description whose clean close has not been sent: its
 	// CLOSE_INODE leads this client's next message to that server, or goes
 	// on its own before a message to anywhere else (async.go, closeLeads).
@@ -612,26 +617,30 @@ func (c *Client) rpcOK(srv int, req *proto.Request) (*proto.Response, error) {
 
 // broadcast sends the same request to the given servers. With the directory
 // broadcast optimization the RPCs overlap; otherwise they run one at a time.
+// The list of responses is the client's scratch, valid until its next
+// broadcast.
 func (c *Client) broadcast(servers []int, req *proto.Request) ([]*proto.Response, error) {
 	c.flushClose()
+	rt := c.routing
+	dsts := c.bcastDsts[:0]
+	for _, s := range servers {
+		if s < 0 || s >= len(rt.Servers) {
+			return nil, fsapi.EIO
+		}
+		dsts = append(dsts, rt.Servers[s])
+	}
+	c.bcastDsts = dsts
 	req.ClientID = c.cfg.ID
 	c.traceRequest(req)
 	payload := c.marshalReq(req)
 	cost := &c.cfg.Machine.Cost
-	rt := c.routing
-	dsts := make([]msg.EndpointID, len(servers))
-	for i, s := range servers {
-		if s < 0 || s >= len(rt.Servers) {
-			return nil, fsapi.EIO
-		}
-		dsts[i] = rt.Servers[s]
-	}
 	parallel := c.cfg.Options.DirBroadcast
 	// Charge one send per destination (marshaling/enqueueing is per
 	// message even when the latencies overlap).
 	c.charge(cost.MsgSend * sim.Cycles(len(dsts)))
 	results := c.cfg.Network.Broadcast(c.ep, dsts, proto.KindRequest, payload, c.clock.Now(), parallel)
-	out := make([]*proto.Response, len(results))
+	out := slices.Grow(c.bcastOut[:0], len(results))[:len(results)]
+	c.bcastOut = out
 	var latest sim.Cycles
 	failed := false
 	for i, r := range results {

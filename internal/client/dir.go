@@ -1,7 +1,8 @@
 package client
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/fsapi"
 	"repro/internal/proto"
@@ -226,19 +227,25 @@ func (c *Client) ReadDir(path string) (_ []fsapi.Dirent, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []fsapi.Dirent
+	n := 0
 	for _, resp := range resps {
 		if resp.Err != fsapi.OK {
-			if resp.Err == fsapi.ENOENT {
-				return nil, fsapi.ENOENT
-			}
 			return nil, resp.Err
 		}
+		n += len(resp.Ents)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	// The names are the replies' own strings, one per reply (proto decodes
+	// them so), which outlive the responses.
+	out := make([]fsapi.Dirent, 0, n)
+	for _, resp := range resps {
 		for _, ent := range resp.Ents {
 			out = append(out, fsapi.Dirent{Name: ent.Name, Ino: ent.Ino.Local, Type: ent.Ftype})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b fsapi.Dirent) int { return strings.Compare(a.Name, b.Name) })
 	return out, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fsapi"
@@ -12,10 +13,11 @@ import (
 // System so that the server goroutines' allocations count too (DESIGN.md
 // §13). Nothing is left of the path walk, the codec or the per-call state;
 // what is left is what the file system keeps — the name a server stores, the
-// inode, its block list — and the copy of a name each decoder that meets one
-// makes (a sub-request's, an invalidation's), strings being immutable. Who
-// has an entry cached costs nothing more: the first client is kept in the
-// entry itself.
+// inode, its block list. A name is copied only where it is kept: a batch's
+// sub-requests read theirs in the envelope the server owns, and a name sent
+// alone is copied once, by the decoder, into the string the server then
+// stores. Who has an entry cached costs nothing more: the first client is
+// kept in the entry itself.
 func TestBoundaryAllocs(t *testing.T) {
 	sys := newTestSystem(t, 2, 2)
 	c := sys.NewClient(0)
@@ -48,10 +50,10 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(err)
 			must(c.Close(fd))
 		}},
-		// The name stored, the inode and its block list; the unlink
-		// sub-request's copy of the name. Nobody is called back: the only
+		// The name stored, the inode and its block list. The unlink's RM_MAP
+		// reads its name where it lies. Nobody is called back: the only
 		// client that had the name cached removed it.
-		{"create/write/close/unlink", 4, func() {
+		{"create/write/close/unlink", 3, func() {
 			fd, err := c.Open(churned, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 			must(err)
 			_, err = c.Pwrite(fd, payload, 0)
@@ -59,9 +61,9 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(c.Close(fd))
 			must(c.Unlink(churned))
 		}},
-		// The new name stored; the old name's transient copy in the RM_MAP
-		// sub-request.
-		{"rename", 2, func() {
+		// The new name stored, and nothing for the old one the RM_MAP
+		// sub-request removes.
+		{"rename", 1, func() {
 			must(c.Rename(from, to))
 			from, to = to, from
 		}},
@@ -71,9 +73,10 @@ func TestBoundaryAllocs(t *testing.T) {
 	}
 
 	// A stat whose final component misses the cache — every one, with the
-	// directory cache off — sends LOOKUP and STAT as one chain. The server's
-	// decoder copies the name, as it does for a LOOKUP sent alone; the two
-	// chained requests and the envelope stay on the client's stack.
+	// directory cache off — sends LOOKUP and STAT as one chain. The LOOKUP
+	// reads its name in the envelope, where a LOOKUP sent alone has the
+	// decoder copy it; the two chained requests and the envelope stay on the
+	// client's stack.
 	tq := AllTechniques()
 	tq.DirectoryCache = false
 	csys, err := New(Config{Cores: 2, Servers: 2, Timeshare: true, Techniques: tq,
@@ -85,7 +88,7 @@ func TestBoundaryAllocs(t *testing.T) {
 	fd, err := cold.Open("/resident-0123456789abcdef", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 	must(err)
 	must(cold.Close(fd))
-	coldStat := gate{"cold stat", 1, func() {
+	coldStat := gate{"cold stat", 0, func() {
 		_, err := cold.Stat("/resident-0123456789abcdef")
 		must(err)
 	}}
@@ -99,9 +102,9 @@ func TestBoundaryAllocs(t *testing.T) {
 	})
 	// With a clean close in front the stat's envelope is [CLOSE_INODE, LOOKUP,
 	// STAT]: one request, one response slot and one array of each more, all on
-	// the client's stack. The open before it is a cold chain too, and its
-	// LOOKUP's name the second copy.
-	ledStat := gate{"clean close leads cold stat", 2, func() {
+	// the client's stack. The open before it is a cold chain too, its LOOKUP's
+	// name lent like the stat's.
+	ledStat := gate{"clean close leads cold stat", 0, func() {
 		fd, err := cold.Open("/resident-0123456789abcdef", fsapi.ORdOnly, 0)
 		must(err)
 		must(cold.Close(fd))
@@ -136,14 +139,15 @@ func TestBoundaryAllocs(t *testing.T) {
 	// durable path recycled). The primary keeps the name stored at the create
 	// and again at the rename, the inode and its block list (4); the replica
 	// keeps its own copy of the two names, of the inode and of the block list
-	// (4); and every decoder that meets a name copies it, strings being
-	// immutable: the rename's and the unlink's RM_MAP sub-requests (2). The
-	// two entries' trackers live in the entries. Nothing is left of the
+	// (4). The rename's and the unlink's RM_MAP sub-requests read their names
+	// in the envelope, and so do the records staged under them: the log
+	// encodes those before the reply, and the envelope is released after it.
+	// The two entries' trackers live in the entries. Nothing is left of the
 	// staged records, of the shipped frames or of the six messages and
 	// structs a ship and its ack used to be copied through, and nothing of
 	// the two invalidations the server used to send the client about entries
 	// it had removed itself.
-	delivery := gate{"durable+sync delivery", 10, func() {
+	delivery := gate{"durable+sync delivery", 8, func() {
 		fd, err := c.Open(tmp, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 		must(err)
 		_, err = c.Pwrite(fd, body, 0)
@@ -176,5 +180,50 @@ func (g gate) check(t *testing.T) {
 		t.Errorf("%.2f allocations per run, want at most %v", got, g.max)
 	} else {
 		t.Logf("%.2f allocations per run", got)
+	}
+}
+
+// TestReadDirAllocs pins what a listing costs: the reply's names decoded into
+// one string the entries share, and the slice ReadDir returns — sized once
+// and sorted in place. A broadcast to every server of a distributed
+// directory allocates nothing of its own, so an empty one costs nothing.
+func TestReadDirAllocs(t *testing.T) {
+	sys := newTestSystem(t, 8, 8)
+	c := sys.NewClient(0)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(c.Mkdir("/list", fsapi.MkdirOpt{})) // centralized: one reply
+	must(c.Mkdir("/spread", fsapi.MkdirOpt{Distributed: true}))
+	const files = 96
+	for i := 0; i < files; i++ {
+		fd, err := c.Open(fmt.Sprintf("/list/f%06d-0123456789abcdef", i), fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+		must(err)
+		must(c.Close(fd))
+	}
+	list := func(path string, want int) func() {
+		return func() {
+			ents, err := c.ReadDir(path)
+			must(err)
+			if len(ents) != want {
+				t.Fatalf("%s lists %d entries, want %d", path, len(ents), want)
+			}
+		}
+	}
+	for _, g := range []gate{
+		{"96-entry centralized directory", 2, list("/list", files)},
+		{"empty distributed directory over 8 servers", 0, list("/spread", 0)},
+	} {
+		t.Run(g.name, func(t *testing.T) { g.check(t) })
+	}
+	ents, err := c.ReadDir("/list")
+	must(err)
+	for i, e := range ents {
+		if want := fmt.Sprintf("f%06d-0123456789abcdef", i); e.Name != want {
+			t.Fatalf("entry %d is %q, want %q", i, e.Name, want)
+		}
 	}
 }

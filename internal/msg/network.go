@@ -69,6 +69,14 @@ type Endpoint struct {
 
 	sendSeq atomic.Uint64
 	cache   epCache
+
+	// bcast is Broadcast's scratch, touched only by the goroutine that owns
+	// the endpoint's sends.
+	bcast struct {
+		results  []BroadcastResult
+		payloads [][]byte
+		futs     []*Future
+	}
 }
 
 // Network routes envelopes between endpoints, applying topology-dependent

@@ -4,11 +4,13 @@
 // future/reply-queue pairs. The hot path never touches the Go allocator in
 // steady state: a client marshals a request into a buffer drawn from its
 // endpoint cache, the server releases that buffer into *its* cache right
-// after decoding (the wire decoder copies every variable-length field, so a
-// decoded message never aliases the payload), marshals the response from its
-// cache, and the client releases the response buffer after decoding. Buffers
-// therefore migrate between caches at the same rate in both directions and
-// the population is stable.
+// after decoding (the request decoder copies what it decodes into a struct
+// the server owns, so nothing decoded aliases the payload), marshals the
+// response from its cache, and the client releases the response buffer
+// after decoding. Buffers therefore migrate between caches at the same rate
+// in both directions and the population is stable; where replies outgrow
+// their requests, GetBuf serves a dry size class from a larger one, so the
+// large buffers travel back with the requests.
 //
 // Ownership rules:
 //   - A payload passed to Send/SendAsync/Broadcast is owned by the receiver
@@ -58,19 +60,25 @@ func classFor(n int) int {
 	return -1
 }
 
-// GetBuf returns a zero-length buffer with capacity at least n.
+// GetBuf returns a zero-length buffer with capacity at least n: the smallest
+// cached one that holds n, so that a class that has run dry is served from a
+// larger one. Where replies outgrow their requests (a directory listing),
+// requesters collect large buffers and repliers small ones; a request sent
+// in a large buffer carries it back to where the next reply needs it.
 func (c *epCache) GetBuf(n int) []byte {
 	i := classFor(n)
 	if i < 0 {
 		return make([]byte, 0, n)
 	}
 	c.mu.Lock()
-	if s := c.bufs[i]; len(s) > 0 {
-		b := s[len(s)-1]
-		s[len(s)-1] = nil
-		c.bufs[i] = s[:len(s)-1]
-		c.mu.Unlock()
-		return b[:0]
+	for j := i; j < len(bufClasses); j++ {
+		if s := c.bufs[j]; len(s) > 0 {
+			b := s[len(s)-1]
+			s[len(s)-1] = nil
+			c.bufs[j] = s[:len(s)-1]
+			c.mu.Unlock()
+			return b[:0]
+		}
 	}
 	c.mu.Unlock()
 	return make([]byte, 0, bufClasses[i])

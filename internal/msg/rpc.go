@@ -2,6 +2,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -44,13 +45,18 @@ type BroadcastResult struct {
 //
 // Each delivered envelope owns its payload, so every destination after the
 // first receives a copy drawn from the sender's buffer cache.
+//
+// The results, and the lists Broadcast works with, are the endpoint's
+// scratch: they are valid until its next Broadcast, and a warm broadcast
+// allocates nothing.
 func (n *Network) Broadcast(src *Endpoint, dsts []EndpointID, kind uint16, payload []byte, sentAt sim.Cycles, parallel bool) []BroadcastResult {
-	results := make([]BroadcastResult, len(dsts))
+	b := &src.bcast
+	results := resize(b.results, len(dsts))
 	// Cut every copy before the first send: the moment destination 0 holds
 	// the original it may decode, release, and reuse the buffer for its own
 	// reply, so copying lazily from `payload` at iteration i would read
 	// whatever the receiver wrote over it.
-	payloads := make([][]byte, len(dsts))
+	payloads := resize(b.payloads, len(dsts))
 	for i := range dsts {
 		if i == 0 {
 			payloads[i] = payload
@@ -59,7 +65,7 @@ func (n *Network) Broadcast(src *Endpoint, dsts []EndpointID, kind uint16, paylo
 		payloads[i] = append(src.cache.GetBuf(len(payload)), payload...)
 	}
 	if parallel {
-		futs := make([]*Future, len(dsts))
+		futs := resize(b.futs, len(dsts))
 		for i, d := range dsts {
 			fut, err := n.SendAsync(src, d, kind, payloads[i], sentAt)
 			if err != nil {
@@ -79,19 +85,31 @@ func (n *Network) Broadcast(src *Endpoint, dsts []EndpointID, kind uint16, paylo
 			}
 			results[i] = BroadcastResult{Dst: dsts[i], Env: env}
 		}
-		return results
-	}
-	now := sentAt
-	for i, d := range dsts {
-		env, err := n.RPC(src, d, kind, payloads[i], now)
-		if err != nil {
-			results[i] = BroadcastResult{Dst: d, Err: err}
-			continue
+		clear(futs) // harvested futures belong to the cache again
+		b.futs = futs
+	} else {
+		now := sentAt
+		for i, d := range dsts {
+			env, err := n.RPC(src, d, kind, payloads[i], now)
+			if err != nil {
+				results[i] = BroadcastResult{Dst: d, Err: err}
+				continue
+			}
+			results[i] = BroadcastResult{Dst: d, Env: env}
+			if env.ArriveAt > now {
+				now = env.ArriveAt
+			}
 		}
-		results[i] = BroadcastResult{Dst: d, Env: env}
-		if env.ArriveAt > now {
-			now = env.ArriveAt
-		}
 	}
+	clear(payloads) // the receivers own them
+	b.results, b.payloads = results, payloads
 	return results
+}
+
+// resize returns s cut to length n, zeroed, in its own capacity when that
+// suffices.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }

@@ -108,6 +108,18 @@ func MarshalBatch(reqs []*Request, stopOnErr bool) []byte {
 // is larger), and returns the sub-requests and the stop-on-error flag,
 // enforcing the batch size caps. The result does not alias b.
 func UnmarshalBatchInto(subs []Request, b []byte) ([]Request, bool, error) {
+	return unmarshalBatch(subs, b, false)
+}
+
+// UnmarshalBatchLent is UnmarshalBatchInto for the owner of b, who lends it
+// to the sub-requests: their strings (a sub-request's Name) are views of b,
+// not copies. The caller leaves b alone for as long as it reads them, and
+// clones a string it keeps beyond that (DESIGN.md §13).
+func UnmarshalBatchLent(subs []Request, b []byte) ([]Request, bool, error) {
+	return unmarshalBatch(subs, b, true)
+}
+
+func unmarshalBatch(subs []Request, b []byte, lend bool) ([]Request, bool, error) {
 	if len(b) > MaxBatchBytes {
 		return nil, false, fmt.Errorf("proto: batch payload %d bytes exceeds cap %d", len(b), MaxBatchBytes)
 	}
@@ -130,7 +142,7 @@ func UnmarshalBatchInto(subs []Request, b []byte) ([]Request, bool, error) {
 		if d.err != nil {
 			return nil, false, fmt.Errorf("proto: decoding batch sub-op %d: %w", i, d.err)
 		}
-		if err := UnmarshalRequestInto(&subs[i], raw); err != nil {
+		if err := subs[i].decode(&decoder{buf: raw, lend: lend}); err != nil {
 			return nil, false, fmt.Errorf("proto: batch sub-op %d: %w", i, err)
 		}
 	}

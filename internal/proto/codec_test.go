@@ -247,13 +247,13 @@ func TestBatchDecodesIntoRecycledStructs(t *testing.T) {
 }
 
 func TestRecycleBoundsWhatAStructKeeps(t *testing.T) {
-	small := &Response{Data: make([]byte, recycleKeepBytes), Extents: make([]Extent, recycleKeepItems), Ents: make([]DirEntWire, recycleKeepItems), Subs: []*Response{{}}}
+	small := &Response{Data: make([]byte, recycleKeepBytes), Extents: make([]Extent, recycleKeepItems), Ents: make([]DirEntWire, recycleKeepEnts), Subs: []*Response{{}}}
 	small.Ents[0].Name = "pinned"
 	small.Recycle()
 	if small.Data == nil || small.Extents == nil || small.Ents == nil || small.Subs != nil || small.Ents[0].Name != "" {
 		t.Fatalf("Recycle dropped a slice within the bounds, or kept what it must not: %+v", small)
 	}
-	big := &Response{Data: make([]byte, recycleKeepBytes+1), Extents: make([]Extent, recycleKeepItems+1), Ents: make([]DirEntWire, recycleKeepItems+1)}
+	big := &Response{Data: make([]byte, recycleKeepBytes+1), Extents: make([]Extent, recycleKeepItems+1), Ents: make([]DirEntWire, recycleKeepEnts+1)}
 	big.Recycle()
 	if big.Data != nil || big.Extents != nil || big.Ents != nil {
 		t.Fatalf("Recycle kept a slice beyond the bounds: %d/%d/%d", cap(big.Data), cap(big.Extents), cap(big.Ents))
@@ -396,18 +396,26 @@ func FuzzUnmarshalBatchInto(f *testing.F) {
 		for i := range recycled[:cap(recycled)] {
 			recycled[:cap(recycled)][i] = *dirtyRequest()
 		}
+		lentFrom := bytes.Clone(data)
 		fresh, stopF, errF := UnmarshalBatchInto(nil, a)
 		dirty, stopD, errD := UnmarshalBatchInto(recycled, b)
+		lent, stopL, errL := UnmarshalBatchLent(nil, lentFrom)
 		sameError(t, errF, errD)
+		sameError(t, errF, errL)
 		if errF != nil {
 			return
 		}
-		if stopF != stopD || len(fresh) != len(dirty) {
-			t.Fatalf("fresh: stop=%v, %d sub-requests; recycled: stop=%v, %d", stopF, len(fresh), stopD, len(dirty))
+		if stopF != stopD || len(fresh) != len(dirty) || stopF != stopL || len(fresh) != len(lent) {
+			t.Fatalf("fresh: stop=%v, %d sub-requests; recycled: stop=%v, %d; lent: stop=%v, %d",
+				stopF, len(fresh), stopD, len(dirty), stopL, len(lent))
 		}
 		var wires [][]byte
 		for i := range fresh {
 			wires = append(wires, fresh[i].AppendTo(nil))
+			// Lent strings read what a copy would, while the bytes stand.
+			if !reflect.DeepEqual(lent[i], fresh[i]) {
+				t.Fatalf("sub-request %d decoded with lent strings:\n got %+v\nwant %+v", i, lent[i], fresh[i])
+			}
 		}
 		scribble(a)
 		scribble(b)
@@ -465,5 +473,36 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	roundTrip()
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 		t.Fatalf("a batch round trip through recycled structs allocates %v times, want 0", allocs)
+	}
+}
+
+// TestListingDecodesIntoOneString: a directory listing's names are copied
+// into one string the entries share, so decoding one into a recycled
+// response allocates once, whatever its length, and an empty one not at all.
+func TestListingDecodesIntoOneString(t *testing.T) {
+	listing := &Response{}
+	for i := 0; i < 96; i++ {
+		listing.Ents = append(listing.Ents, DirEntWire{Name: fmt.Sprintf("f%06d-%x", i, i*i), Ino: InodeID{Server: 1, Local: uint64(i)}, Ftype: fsapi.TypeRegular})
+	}
+	for _, c := range []struct {
+		what   string
+		wire   []byte
+		allocs float64
+	}{{"96 entries", listing.AppendTo(nil), 1}, {"no entries", new(Response).AppendTo(nil), 0}} {
+		var got Response
+		decode := func() {
+			got.Recycle()
+			if err := UnmarshalResponseInto(&got, c.wire); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode()
+		if allocs := testing.AllocsPerRun(100, decode); allocs != c.allocs {
+			t.Errorf("%s: decoding allocates %v times, want %v", c.what, allocs, c.allocs)
+		}
+		scribble(c.wire)
+		if len(got.Ents) > 0 && !reflect.DeepEqual(got.Ents, listing.Ents) {
+			t.Fatalf("%s: decoded %+v, want %+v", c.what, got.Ents, listing.Ents)
+		}
 	}
 }

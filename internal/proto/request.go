@@ -201,9 +201,16 @@ func UnmarshalRequest(b []byte) (*Request, error) {
 // is reset first; hot paths pass a recycled struct, whose Data capacity the
 // decode reuses (so an empty Data comes back zero-length, nil only if it was
 // nil before). The decoder copies every variable-length field, so r never
-// aliases b and the caller may release b immediately.
+// aliases b and the caller may release b immediately. (The sub-requests of a
+// batch may instead borrow their names from the envelope's Data, which the
+// caller owns: UnmarshalBatchLent.)
 func UnmarshalRequestInto(r *Request, b []byte) error {
-	d := newDecoder(b)
+	return r.decode(newDecoder(b))
+}
+
+// decode reads a whole request from d into r, as UnmarshalRequestInto
+// describes; its strings are views of d's buffer when d lends them.
+func (r *Request) decode(d *decoder) error {
 	data := r.Data
 	*r = Request{}
 	r.Op = Op(d.u16())

@@ -1,6 +1,12 @@
 package proto
 
-import "repro/internal/fsapi"
+import (
+	"slices"
+	"strings"
+	"unsafe"
+
+	"repro/internal/fsapi"
+)
 
 // Extent is a run of Count consecutive buffer-cache blocks starting at
 // block Start. Block lists travel extent-coded so OPEN/EXTEND/TRUNCATE
@@ -136,7 +142,8 @@ func UnmarshalResponse(b []byte) (*Response, error) {
 // is reset first; hot paths pass a recycled struct, whose Data, Extents and
 // Ents capacity the decode reuses (so an empty one comes back zero-length,
 // nil only if it was nil before). The decoder copies every variable-length
-// field, so r never aliases b and the caller may release b immediately.
+// field — the entries' names into one string they share — so r never
+// aliases b and the caller may release b immediately.
 func UnmarshalResponseInto(r *Response, b []byte) error {
 	d := newDecoder(b)
 	data, exts, ents := r.Data, r.Extents[:0], r.Ents[:0]
@@ -161,8 +168,18 @@ func UnmarshalResponseInto(r *Response, b []byte) error {
 	r.Stat.Nlink = d.i32()
 	r.Stat.Mode = fsapi.Mode(d.u16())
 	r.Ents = ents
-	for n := d.count(direntWireSize); n > 0; n-- {
-		r.Ents = append(r.Ents, DirEntWire{Name: d.str(), Ino: d.inode(), Ftype: fsapi.FileType(d.u8())})
+	if n := d.count(direntWireSize); n > 0 {
+		// Every name goes into one string, which the entries slice: a
+		// listing costs one allocation, not one per name. The names take at
+		// most what is left of the message past the entries' fixed parts.
+		r.Ents = slices.Grow(r.Ents, n)
+		var names strings.Builder
+		names.Grow(d.remaining() - n*direntWireSize)
+		for ; n > 0; n-- {
+			at := names.Len()
+			names.Write(d.view())
+			r.Ents = append(r.Ents, DirEntWire{Name: names.String()[at:], Ino: d.inode(), Ftype: fsapi.FileType(d.u8())})
+		}
 	}
 	r.Dist = d.boolean()
 	r.Refs = d.i32()
@@ -172,10 +189,14 @@ func UnmarshalResponseInto(r *Response, b []byte) error {
 	return d.finish("response")
 }
 
+// recycleKeepEnts bounds the entries a recycled response keeps room for:
+// recycleKeepBytes' worth, a listing of about a hundred names.
+const recycleKeepEnts = recycleKeepBytes / int(unsafe.Sizeof(DirEntWire{}))
+
 // Recycle readies a response its owner is done with for the next
 // UnmarshalResponseInto: Data keeps its capacity up to recycleKeepBytes,
-// Extents and Ents up to recycleKeepItems elements (the names its entries
-// point at are released).
+// Extents up to recycleKeepItems elements and Ents up to recycleKeepEnts
+// (the names its entries point at are released).
 func (r *Response) Recycle() {
 	if cap(r.Data) > recycleKeepBytes {
 		r.Data = nil
@@ -183,7 +204,7 @@ func (r *Response) Recycle() {
 	if cap(r.Extents) > recycleKeepItems {
 		r.Extents = nil
 	}
-	if cap(r.Ents) > recycleKeepItems {
+	if cap(r.Ents) > recycleKeepEnts {
 		r.Ents = nil
 	}
 	clear(r.Ents)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // ErrTruncated is returned when a message payload ends before a field could
@@ -76,6 +77,9 @@ type decoder struct {
 	buf []byte
 	off int
 	err error
+	// lend makes str return views of buf instead of copies (batch.go,
+	// UnmarshalBatchLent).
+	lend bool
 }
 
 func newDecoder(b []byte) *decoder { return &decoder{buf: b} }
@@ -140,12 +144,18 @@ func (d *decoder) boolean() bool { return d.u8() != 0 }
 
 func (d *decoder) str() string {
 	n := int(d.u32())
-	if !d.need(n) {
+	if n == 0 || !d.need(n) {
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+n])
+	b := d.buf[d.off : d.off+n]
 	d.off += n
-	return s
+	if d.lend {
+		// A string that shares memory with the buffer it was decoded from:
+		// the buffer's owner leaves it alone until the string is dead, and
+		// whoever keeps the string clones it (DESIGN.md §13).
+		return unsafe.String(&b[0], n)
+	}
+	return string(b)
 }
 
 func (d *decoder) blob() []byte {

@@ -102,6 +102,7 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 	}
 	resps := s.subResps[:len(subs)]
 	failed := false
+	s.lending = true
 	for i := range subs {
 		sub := &subs[i]
 		errno := fsapi.OK
@@ -122,12 +123,13 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 			// envelope.
 			*resps[i] = proto.Response{Err: fsapi.EIO}
 		} else {
-			// Handlers answer in the shared scratch response and extent
-			// list; a batch holds several responses at once, each in its
-			// own struct with its own extents.
+			// Handlers answer in the shared scratch response, extent list
+			// and listing; a batch holds several responses at once, each in
+			// its own struct with its own extents and entries.
 			exts := append(resps[i].Extents[:0], resp.Extents...)
+			ents := append(resps[i].Ents[:0], resp.Ents...)
 			*resps[i] = *resp
-			resps[i].Extents = exts
+			resps[i].Extents, resps[i].Ents = exts, ents
 		}
 		// A close is not a chain member: nothing behind it needs what it did,
 		// so one that fails stops nothing (DESIGN.md §7, "A clean close rides").
@@ -135,6 +137,7 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 			failed = true
 		}
 	}
+	s.lending = false
 
 	s.statsMu.Lock()
 	s.stats.BatchedOps += uint64(len(subs))

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"strings"
+
 	"repro/internal/fsapi"
 	"repro/internal/msg"
 	"repro/internal/proto"
@@ -53,6 +55,16 @@ func (s *Server) shard(dir proto.InodeID) *dirShard {
 	return sh
 }
 
+// keep returns name for a table to store as a key: a clone when it is lent —
+// the request in dispatch is a batch sub-request (decodeBatch) — and name
+// itself, a copy the decoder made, otherwise.
+func (s *Server) keep(name string) string {
+	if s.lending {
+		return strings.Clone(name)
+	}
+	return name
+}
+
 // track records that client has the entry name of sh cached. It reports
 // whether client became the entry's first tracker: ent changed, and the
 // caller stores it.
@@ -78,6 +90,7 @@ func (s *Server) track(sh *dirShard, name string, ent *dirEnt, client int32) boo
 	}
 	if rest == nil {
 		rest = make([]int32, 0, 4) // an entry shared by a few clients grows once
+		name = s.keep(name)        // a new key
 	}
 	sh.more.Put(name, append(rest, client))
 	return false
@@ -171,7 +184,7 @@ func (s *Server) handleLookup(req *proto.Request, env msg.Envelope) (*proto.Resp
 		return s.errResp(fsapi.ENOENT), false
 	}
 	if s.track(sh, req.Name, &ent, req.ClientID) {
-		sh.ents.Put(req.Name, ent)
+		sh.ents.Put(req.Name, ent) // the entry keeps its stored key
 	}
 	return s.resp(proto.Response{
 		Ino:    ent.target,
@@ -204,14 +217,16 @@ func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Resp
 		}), false
 	}
 	ent := dirEnt{target: req.Target, ftype: req.Ftype, dist: req.Distributed}
+	name := req.Name // a replaced entry keeps the key it is stored under
 	if exists {
-		s.invalidate(sh, req.Dir, req.Name, old.tracker, req.ClientID)
+		s.invalidate(sh, req.Dir, name, old.tracker, req.ClientID)
 	} else {
+		name = s.keep(name)
 		s.entCount.Add(1)
 	}
-	s.track(sh, req.Name, &ent, req.ClientID)
-	sh.ents.Put(req.Name, ent)
-	s.stageAddMap(req.Dir, req.Name, ent)
+	s.track(sh, name, &ent, req.ClientID)
+	sh.ents.Put(name, ent)
+	s.stageAddMap(req.Dir, name, ent)
 	resp := s.resp(proto.Response{})
 	if exists {
 		resp.Ino = old.target
@@ -275,11 +290,14 @@ func (s *Server) handleReadDirShard(req *proto.Request, env msg.Envelope) (*prot
 		s.park(sh, req, env)
 		return nil, true
 	}
-	ents := make([]proto.DirEntWire, 0, sh.ents.Len())
+	// The listing is cut from a scratch the next one reuses, as the extent
+	// list is (extentList).
+	ents := s.entScratch[:0]
 	sh.ents.Range(func(name string, ent dirEnt) bool {
 		ents = append(ents, proto.DirEntWire{Name: name, Ino: ent.target, Ftype: ent.ftype})
 		return true
 	})
+	s.entScratch = ents
 	return s.resp(proto.Response{Ents: ents, N: int64(len(ents))}), false
 }
 
@@ -316,11 +334,12 @@ func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*p
 	}
 	ino := s.allocInode(ftype, req.Mode, req.Distributed)
 	ent := dirEnt{target: s.id(ino), ftype: ftype, dist: req.Distributed}
-	s.track(sh, req.Name, &ent, req.ClientID)
-	sh.ents.Put(req.Name, ent)
+	name := s.keep(req.Name) // the new entry's key
+	s.track(sh, name, &ent, req.ClientID)
+	sh.ents.Put(name, ent)
 	s.entCount.Add(1)
 	s.stageInode(ino)
-	s.stageAddMap(req.Dir, req.Name, ent)
+	s.stageAddMap(req.Dir, name, ent)
 	if req.WantOpen {
 		ino.fdRefs++
 	}

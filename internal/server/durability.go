@@ -86,6 +86,9 @@ func (s *Server) stageWrite(ino *inode, off int64, data []byte) {
 	s.stage(wal.Record{Type: wal.RecWrite, Ino: ino.local, Off: off, Data: cp})
 }
 
+// stageAddMap and stageRmMap stage a name that may be lent (decodeBatch): the
+// request it belongs to is released only after its reply, whose
+// commitPending has encoded the record.
 func (s *Server) stageAddMap(dir proto.InodeID, name string, ent dirEnt) {
 	s.stage(wal.Record{
 		Type:   wal.RecAddMap,

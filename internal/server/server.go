@@ -166,14 +166,24 @@ type Server struct {
 
 	// Hot-path recycling (DESIGN.md §13), confined to the request loop: a
 	// free list of request structs, a scratch response with the extent list
-	// it may carry, and the batch in service — its decoded sub-requests and
-	// their responses, at most proto.MaxBatchOps of each, reused by the next
-	// batch (until then they keep alive what the last one's carried).
+	// or listing it may carry, and the batch in service — its decoded
+	// sub-requests and their responses, at most proto.MaxBatchOps of each,
+	// reused by the next batch (until then they keep alive what the last
+	// one's carried; the sub-requests' names are views of its envelope's
+	// Data, see decodeBatch).
 	reqFree    []*proto.Request
 	scratch    proto.Response
 	extScratch []proto.Extent
+	entScratch []proto.DirEntWire
 	subReqs    []proto.Request
 	subResps   []*proto.Response
+	// lending is set while the sub-requests of a batch, whose names are
+	// lent, are dispatched (keep).
+	lending bool
+
+	// onRelease, when set (by tests), sees every request putReq releases,
+	// before the struct is reused.
+	onRelease func(*proto.Request)
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -403,8 +413,10 @@ func (s *Server) run() {
 // (DESIGN.md §7).
 func (s *Server) handle(env msg.Envelope) {
 	// Decode into a recycled request struct and release the payload buffer
-	// into this endpoint's cache right away: the wire decoder copies every
-	// variable-length field, so the decoded request never aliases it.
+	// into this endpoint's cache right away: UnmarshalRequestInto copies
+	// every variable-length field, so the decoded request never aliases it.
+	// A batch's sub-requests then borrow their names from the struct's own
+	// Data, which is ours until putReq (decodeBatch).
 	req := s.getReq()
 	err := proto.UnmarshalRequestInto(req, env.Payload)
 	s.ep.PutBuf(env.Payload)
@@ -579,11 +591,17 @@ func (s *Server) requestCost(req *proto.Request) (sim.Cycles, []proto.Request, b
 }
 
 // decodeBatch decodes a batch envelope's sub-requests into the server's
-// recycled structs, which the next batch overwrites. They copy what they
-// need out of the envelope's payload; the envelope keeps it, and a parked
-// batch is decoded again from it on re-dispatch.
+// recycled structs, which the next batch overwrites. The envelope's Data
+// lends them their names: those bytes are the server's, and stay put until
+// the envelope goes back to the free list (putReq) — after the reply, and so
+// after commitPending has encoded every record staged under a lent name. A
+// handler reads a lent name in place and clones it only where it keeps it: a
+// new entry's key (handleAddMap, handleCreateCoalesced) and a new key of a
+// shard's overflow trackers (track). A table Put on a key already present
+// keeps the stored key (handleLookup's put-back). A parked batch keeps its
+// envelope and is decoded again from it on re-dispatch.
 func (s *Server) decodeBatch(req *proto.Request) ([]proto.Request, bool, error) {
-	subs, stop, err := proto.UnmarshalBatchInto(s.subReqs, req.Data)
+	subs, stop, err := proto.UnmarshalBatchLent(s.subReqs, req.Data)
 	if err == nil {
 		s.subReqs = subs
 	}

@@ -68,7 +68,13 @@ func (s *Server) getReq() *proto.Request {
 // by park sites are released at their unpark-reply site instead. Recycle
 // bounds what the struct keeps, so the list never pins a write payload.
 func (s *Server) putReq(r *proto.Request) {
-	if r == nil || len(s.reqFree) >= reqFreeCap {
+	if r == nil {
+		return
+	}
+	if s.onRelease != nil {
+		s.onRelease(r)
+	}
+	if len(s.reqFree) >= reqFreeCap {
 		return
 	}
 	r.Recycle()

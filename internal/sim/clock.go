@@ -35,10 +35,17 @@ func (c *Clock) AdvanceTo(t Cycles) Cycles {
 func (c *Clock) Reset() { c.now.Store(0) }
 
 // CoreTime counts the work charged to one core, for utilization reporting.
-// It does not serialize the entities pinned to the core: see Machine.
+// It does not serialize the entities pinned to the core: see Machine. Each
+// sits on a cache line of its own: every Execute adds to one, from whichever
+// goroutine charges that core, and counters allocated back to back would
+// share a line.
 type CoreTime struct {
 	total atomic.Uint64
+	_     [cacheLine - 8]byte
 }
+
+// cacheLine is the host's cache line size in bytes (64 on x86-64).
+const cacheLine = 64
 
 // Account records d cycles of work on the core without computing a
 // completion time (used for utilization bookkeeping).

@@ -71,7 +71,9 @@ func (m *Map[K, V]) Get(key K) (V, bool) {
 	}
 }
 
-// Put stores val under key, replacing any existing entry.
+// Put stores val under key, replacing any existing entry's value; an entry
+// already present keeps the key it was stored under, so a caller may pass an
+// equal key it does not own (a string borrowed from a buffer).
 func (m *Map[K, V]) Put(key K, val V) {
 	if (m.used+1)*4 > len(m.slots)*3 { // grow at 75% load
 		m.grow()

@@ -2,7 +2,9 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // identity hashing makes probe clusters easy to construct on purpose.
@@ -50,6 +52,35 @@ func TestMapBasic(t *testing.T) {
 				t.Fatalf("Get(%d) found a deleted key", k)
 			}
 		}
+	}
+}
+
+// TestPutKeepsTheStoredKey: Put over a key already present replaces the
+// value and keeps the key string the entry was stored under, so a caller may
+// pass an equal string whose bytes change after the call (a server's lent
+// names, DESIGN.md §13) — through a grow too.
+func TestPutKeepsTheStoredKey(t *testing.T) {
+	m := New[string, int](HashString, 0)
+	stored := []string{}
+	for i := 0; i < 64; i++ {
+		k := fmt.Sprintf("name-%02d", i)
+		m.Put(k, i)
+		stored = append(stored, k)
+		borrowed := []byte(stored[i/2])
+		m.Put(unsafe.String(&borrowed[0], len(borrowed)), -i)
+		for j := range borrowed {
+			borrowed[j] = '#'
+		}
+	}
+	m.Range(func(k string, v int) bool {
+		i := slices.Index(stored, k)
+		if i < 0 || unsafe.StringData(k) != unsafe.StringData(stored[i]) {
+			t.Fatalf("entry %q (%d) is not stored under the key first put", k, v)
+		}
+		return true
+	})
+	if m.Len() != len(stored) {
+		t.Fatalf("%d entries, want %d", m.Len(), len(stored))
 	}
 }
 
