@@ -350,8 +350,8 @@ func (p *Plan) genEvents() {
 			// The follower dies exactly at the seal: fallback again.
 			ev.Stage = "seal"
 		case 2:
-			// The follower dies after the seal, mid-promotion: the epoch
-			// adoption parks as a pending migration and must converge once
+			// The follower dies after the seal, mid-promotion: the
+			// promotion's transition stays pending and must converge once
 			// the follower recovers.
 			ev.Stage = "publish"
 		}

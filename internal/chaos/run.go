@@ -361,8 +361,8 @@ func fireEvent(sys *core.System, model *shadow.Model, ev Event, rep *Report) err
 // wipe the victim's DRAM (Lose), the follower may already be down (Double —
 // promotion must fall back to log replay), or the follower may die at a
 // chosen stage of the promotion itself (Stage "seal" → fallback again;
-// Stage "publish" → the epoch adoption parks as a pending migration that
-// the follower's recovery must converge). In every variant the acked-write
+// Stage "publish" → the promotion's transition stays pending, and the
+// follower's recovery must converge it). In every variant the acked-write
 // loss bound is checked against the replication mode: zero under sync and
 // under every fallback, at most one window under async.
 func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
@@ -391,7 +391,7 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 	}
 	staged := false
 	if ev.Stage != "" && !ev.Double {
-		sys.SetFailoverObserver(func(stage string, srv int) {
+		sys.SetMigrationObserver(func(stage string, srv int) {
 			if !staged && stage == ev.Stage {
 				staged = true
 				_ = sys.Crash(fid)
@@ -400,7 +400,7 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 	}
 
 	rep, err := sys.Failover(victim)
-	sys.SetFailoverObserver(nil)
+	sys.SetMigrationObserver(nil)
 	if staged {
 		followerDown = true
 		if ev.Stage == "seal" {
@@ -409,8 +409,8 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 	}
 	if err != nil {
 		// The only survivable failure is the follower dying mid-promotion
-		// after the seal: the epoch adoption must be parked as a pending
-		// migration, and recovering the follower re-drives it.
+		// after the seal: the promotion's transition must stay pending, and
+		// recovering the follower re-drives it.
 		if !staged || !sys.MigrationPending() {
 			return fmt.Errorf("failover server %d: %w", victim, err)
 		}
@@ -418,7 +418,7 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 			return fmt.Errorf("failover: recover follower %d: %w", fid, rerr)
 		}
 		if sys.MigrationPending() {
-			return fmt.Errorf("failover: epoch adoption still pending after follower %d recovered", fid)
+			return fmt.Errorf("failover: transition still pending after follower %d recovered", fid)
 		}
 		return nil
 	}

@@ -209,24 +209,22 @@ type System struct {
 	parts       []*ncc.Partition
 
 	// ctl is the control-plane endpoint used for checkpoint requests and
-	// for driving shard migrations.
+	// for driving epoch transitions.
 	ctl *msg.Endpoint
 
 	// routing is the published routing snapshot clients cache and refresh
-	// from on EEPOCH; elMu serializes membership changes, and pendingMig
-	// holds an interrupted migration until ResumeMigration completes it
-	// (DESIGN.md §9).
-	routing     atomic.Pointer[client.Routing]
-	elMu        sync.Mutex
-	pendingMig  *migration
-	migObserver func(stage string, srv int)
+	// from on EEPOCH; elMu serializes epoch transitions, pending holds the
+	// interrupted ones, oldest first, until ResumeMigration completes them
+	// (DESIGN.md §9), and observer hooks their steps for fault injection.
+	routing  atomic.Pointer[client.Routing]
+	elMu     sync.Mutex
+	pending  []*transition
+	observer func(stage string, srv int)
 
 	// mon is the heartbeat failure detector (nil when replication is
-	// disabled); failObserver hooks the failover stages for fault
-	// injection, and failEm allocates failover-span ids.
-	mon          *repl.Monitor
-	failObserver func(stage string, srv int)
-	failEm       *trace.Emitter
+	// disabled); failEm allocates failover-span ids.
+	mon    *repl.Monitor
+	failEm *trace.Emitter
 
 	ids      *client.IDAllocator
 	procSys  *sched.HareSystem
@@ -389,7 +387,7 @@ func (s *System) Stop() {
 // bit-identical to deployments that never call this.
 //
 // Toggling requires a quiescent deployment: no client processes running and
-// no migration (or crash-interrupted adoption) pending. Otherwise running
+// no epoch transition (a migration or a failover's) pending. Otherwise running
 // lanes would be handed to a gate that never saw them join — SetParallel
 // refuses with an error instead of racing.
 func (s *System) SetParallel(on bool) error {
@@ -402,7 +400,7 @@ func (s *System) SetParallel(on bool) error {
 		}
 	}
 	if s.MigrationPending() {
-		return fmt.Errorf("core: cannot toggle parallel mode with a shard migration or adoption pending; ResumeMigration first")
+		return fmt.Errorf("core: cannot toggle parallel mode with a migration or failover transition pending; ResumeMigration first")
 	}
 	if !on {
 		s.network.SetGate(nil)
@@ -654,9 +652,9 @@ func (s *System) CrashLosingMemory(id int) error {
 // Recover rebuilds a crashed server from its checkpoint and log and
 // restarts it. Recovery is idempotent: a crash/recover cycle with no
 // intervening mutations reproduces the same state. If the crash interrupted
-// a shard migration, the migration is resumed once the server is back: its
-// write-ahead log put it on exactly one side of the epoch boundary, and the
-// resumed (idempotent) protocol carries it across.
+// an epoch transition (a migration or a failover), it is resumed once the
+// server is back: its write-ahead log put it on exactly one side of the epoch
+// boundary, and the resumed (idempotent) protocol carries it across.
 func (s *System) Recover(id int) (wal.RecoveryStats, error) {
 	if err := s.checkServer(id); err != nil {
 		return wal.RecoveryStats{}, err
@@ -665,10 +663,11 @@ func (s *System) Recover(id int) (wal.RecoveryStats, error) {
 	if err != nil {
 		return st, err
 	}
-	if s.MigrationPending() {
-		if rerr := s.ResumeMigration(); rerr != nil {
-			return st, fmt.Errorf("core: resuming interrupted migration after recovery: %w", rerr)
-		}
+	s.elMu.Lock()
+	defer s.elMu.Unlock()
+	s.restarted(id)
+	if err := s.resume(); err != nil {
+		return st, fmt.Errorf("core: resuming interrupted transition after recovery: %w", err)
 	}
 	return st, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fsapi"
 	"repro/internal/place"
 	"repro/internal/proto"
+	"repro/internal/repl"
 	"repro/internal/sched"
 )
 
@@ -191,52 +192,94 @@ func TestAddServerLimits(t *testing.T) {
 	}
 }
 
-// TestCrashDuringMigrationRecoversToOneEpoch crashes a server at its commit
-// step: the migration is left pending, every server sits on exactly one
-// side of the epoch boundary, and recovery (which resumes the migration)
-// converges the fleet on the new epoch with the namespace intact.
-func TestCrashDuringMigrationRecoversToOneEpoch(t *testing.T) {
-	d := &Durability{Enabled: true, CheckpointEvery: 32}
-	sys := elasticSystem(t, place.PolicyRing, 3, 4, d)
-	_, names := seedFiles(t, sys, 60)
+// TestCrashAtEveryTransitionStage crashes a server at each step of an epoch
+// transition, through the one observer: a migration's freeze, pull and
+// commit, and a failover's freeze, publish and commit of a survivor that is
+// not the follower. The transition is left pending with every running server
+// wholly on one side of the epoch boundary, and recovering the crashed server
+// (which resumes the transition) converges the fleet on the new epoch with
+// nothing pending and the namespace intact.
+func TestCrashAtEveryTransitionStage(t *testing.T) {
+	// The migration crashes server 1; the failover promotes server 1, whose
+	// follower is server 2, and crashes the other survivor, server 0.
+	const victim, survivor = 1, 0
+	for _, tc := range []struct {
+		name     string
+		failover bool
+		stage    string
+	}{
+		{"migration freeze", false, "freeze"},
+		{"migration pull", false, "pull"},
+		{"migration commit", false, "commit"},
+		{"failover freeze", true, "freeze"},
+		{"failover publish", true, "publish"},
+		{"failover commit", true, "commit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+			_, names := seedFiles(t, sys, 40)
+			before := sys.Epoch()
 
-	const victim = 1
-	crashed := false
-	sys.SetMigrationObserver(func(stage string, srv int) {
-		if stage == "commit" && srv == victim && !crashed {
-			crashed = true
-			if err := sys.Crash(victim); err != nil {
-				t.Errorf("crash victim: %v", err)
+			target, at := victim, victim
+			if tc.failover {
+				target, at = survivor, survivor
+				if tc.stage == "publish" {
+					at = -1
+				}
 			}
-		}
-	})
+			crashed := false
+			sys.SetMigrationObserver(func(stage string, srv int) {
+				if stage == tc.stage && srv == at && !crashed {
+					crashed = true
+					if err := sys.Crash(target); err != nil {
+						t.Errorf("crash server %d at %s: %v", target, stage, err)
+					}
+				}
+			})
+			var err error
+			if tc.failover {
+				if err := sys.Crash(victim); err != nil {
+					t.Fatal(err)
+				}
+				_, err = sys.Failover(victim)
+			} else {
+				_, err = sys.AddServer()
+			}
+			sys.SetMigrationObserver(nil)
+			if !crashed {
+				t.Fatalf("stage %s never reached server %d", tc.stage, at)
+			}
+			if err == nil {
+				t.Fatalf("transition succeeded although server %d crashed at %s", target, tc.stage)
+			}
+			if !sys.MigrationPending() {
+				t.Fatalf("nothing pending after a crash at %s", tc.stage)
+			}
+			// Either epoch, never both.
+			for i, st := range sys.ServerStats() {
+				if !sys.Crashed(i) && st.Epoch != before && st.Epoch != before+1 {
+					t.Fatalf("server %d at epoch %d, want %d or %d", i, st.Epoch, before, before+1)
+				}
+			}
 
-	if _, err := sys.AddServer(); err == nil {
-		t.Fatal("AddServer succeeded although the victim crashed mid-commit")
+			if _, err := sys.Recover(target); err != nil {
+				t.Fatalf("recover server %d: %v", target, err)
+			}
+			if sys.MigrationPending() {
+				t.Fatal("transition still pending after recovery resumed it")
+			}
+			if got := sys.Epoch(); got != before+1 {
+				t.Fatalf("published epoch %d, want %d", got, before+1)
+			}
+			for i, st := range sys.ServerStats() {
+				if sys.Crashed(i) {
+					t.Fatalf("server %d still down after the resume", i)
+				}
+				if st.Epoch != before+1 {
+					t.Fatalf("server %d at epoch %d after the resume, want %d", i, st.Epoch, before+1)
+				}
+			}
+			verifyFiles(t, sys, names)
+		})
 	}
-	if !sys.MigrationPending() {
-		t.Fatal("migration not pending after mid-commit crash")
-	}
-	// Either epoch, never both: every server is wholly at 1 or wholly at 2.
-	for i, st := range sys.ServerStats() {
-		if i == victim {
-			continue // down; its stats are from the dead incarnation
-		}
-		if st.Epoch != 1 && st.Epoch != 2 {
-			t.Fatalf("server %d at epoch %d, want 1 or 2", i, st.Epoch)
-		}
-	}
-
-	if _, err := sys.Recover(victim); err != nil {
-		t.Fatalf("recover victim: %v", err)
-	}
-	if sys.MigrationPending() {
-		t.Fatal("migration still pending after recovery auto-resume")
-	}
-	for i, st := range sys.ServerStats() {
-		if st.Epoch != 2 {
-			t.Fatalf("server %d at epoch %d after resume, want 2", i, st.Epoch)
-		}
-	}
-	verifyFiles(t, sys, names)
 }

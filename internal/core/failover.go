@@ -14,12 +14,12 @@ import (
 
 // Failover (DESIGN.md §12): every server ships its committed WAL records to
 // the next server in the fleet ring, which keeps a warm Follower replica.
-// When a server dies, Failover seals that replica, publishes a bumped
-// placement epoch, and installs the replica's snapshot into the crashed
-// server's own object — promotion without the log replay. Clients reroute
-// through the same EEPOCH refresh-and-retry they already use for shard
-// migration; the crashed server's queued requests are served by the
-// promoted incarnation.
+// When a server dies, Failover seals that replica and runs an epoch
+// transition (transition.go) over the running survivors whose install step
+// boots the replica's snapshot in the crashed server's own object —
+// promotion without the log replay. Clients reroute through the same EEPOCH
+// refresh-and-retry they already use for shard migration; the crashed
+// server's queued requests are served by the promoted incarnation.
 
 // FailoverReport describes one completed failover.
 type FailoverReport struct {
@@ -116,33 +116,19 @@ func (s *System) ReplLastHeard(id int) (sim.Cycles, bool) {
 	return s.mon.LastHeard(id)
 }
 
-// SetFailoverObserver installs a hook called before each failover stage
-// ("seal" with the follower id, "publish" with -1, "install" with the
-// promoted server id). Used by fault-injection tests.
-func (s *System) SetFailoverObserver(fn func(stage string, srv int)) {
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
-	s.failObserver = fn
-}
-
-func (s *System) fobserve(stage string, srv int) {
-	if s.failObserver != nil {
-		s.failObserver(stage, srv)
-	}
-}
-
 // Failover promotes the replica of crashed server id: seal the follower's
-// copy, publish a bumped placement epoch, install the snapshot into the
-// crashed server's object under a fresh incarnation. If the replica is
-// unusable — the follower is down too, or it never completed a resync —
-// the server is rebuilt from its own write-ahead log instead (Fallback in
-// the report), which preserves the no-acked-write-lost guarantee because
-// the log holds every acknowledged record by construction.
+// copy, then run a transition that freezes the running survivors, publishes a
+// bumped placement epoch, installs the snapshot into the crashed server's
+// object under a fresh incarnation, and commits the survivors. If the replica
+// is unusable — the follower is down too, or it never completed a resync —
+// the server is rebuilt from its own write-ahead log instead (Fallback in the
+// report), which preserves the no-acked-write-lost guarantee because the log
+// holds every acknowledged record by construction.
 //
-// An interrupted shard migration does not block failover: the promotion's
-// epoch bump is taken above the pending migration's epoch, the pending map
-// is re-stamped past the bump, and the migration is re-driven once the
-// promoted server is back.
+// A crash mid-transition leaves it pending, like a migration's, and the
+// crashed server's Recover resumes it. Transitions already pending do not
+// block failover: they are re-stamped past the promotion's epoch and driven
+// after it.
 func (s *System) Failover(id int) (FailoverReport, error) {
 	var rep FailoverReport
 	if err := s.checkServer(id); err != nil {
@@ -164,7 +150,7 @@ func (s *System) Failover(id int) (FailoverReport, error) {
 	// Seal the replica. The observer fires first so fault injection can
 	// kill the follower at exactly this boundary; a dead follower is then
 	// seen by the Crashed check and routes to the fallback.
-	s.fobserve("seal", fid)
+	s.observe("seal", fid)
 	snap, snapBytes, durable := s.sealFollower(id, fid)
 
 	if snap == nil {
@@ -177,10 +163,9 @@ func (s *System) Failover(id int) (FailoverReport, error) {
 		rep.DurableLSN = rep.LastLSN
 		rep.Epoch = s.routing.Load().Map.Epoch()
 		s.traceFailover(start, "fallback", id)
-		if s.pendingMig != nil {
-			if err := s.driveMigration(); err != nil {
-				return rep, fmt.Errorf("core: resuming interrupted migration after failover: %w", err)
-			}
+		s.restarted(id)
+		if err := s.resume(); err != nil {
+			return rep, fmt.Errorf("core: resuming interrupted transition after failover: %w", err)
 		}
 		return rep, nil
 	}
@@ -190,107 +175,41 @@ func (s *System) Failover(id int) (FailoverReport, error) {
 		rep.LostRecords = rep.LastLSN - durable
 	}
 
-	// Bump the epoch past everything published or in flight: a pending
-	// migration already stamped its servers with its own (unpublished)
-	// epoch, and the promotion must supersede that too or the re-driven
-	// migration would be rejected as stale.
+	// Bump the epoch past everything published or pending: a pending
+	// transition may already have stamped its servers with its own
+	// (unpublished) epoch, so the promotion supersedes that too, and the
+	// pending ones are re-stamped past the bump — same membership change,
+	// same routes — so the fleet still accepts them after it.
 	cur := s.routing.Load().Map
 	bump := cur.Epoch()
-	if s.pendingMig != nil && s.pendingMig.newMap.Epoch() > bump {
-		bump = s.pendingMig.newMap.Epoch()
+	for _, p := range s.pending {
+		bump = max(bump, p.newMap.Epoch())
 	}
-	newMap := cur.WithEpoch(bump + 1)
-	snap.Epoch = newMap.Epoch()
-	snap.PlaceMap = newMap.Encode()
+	for i, p := range s.pending {
+		p.newMap = p.newMap.WithEpoch(bump + 2 + uint64(i))
+	}
 
-	// The survivors must adopt the bumped epoch too, or they would answer
-	// EEPOCH to rerouted clients forever. The shard-migration protocol
-	// already knows how to move a fleet across an epoch boundary; with an
-	// unchanged map it moves zero entries: freeze the survivors, publish,
-	// install the promoted server (which boots at the new epoch), then
-	// commit the survivors. Requests that arrive mid-failover park at the
-	// freeze and resume at the commit.
-	survivors := make([]int, 0, len(s.servers)-1)
+	// The survivors adopt the bumped epoch too, or they would answer EEPOCH
+	// to rerouted clients forever; with an unchanged map no entries move.
+	t := &transition{newMap: cur.WithEpoch(bump + 1), installOn: id}
 	for i := range s.servers {
 		if i != id && !s.servers[i].Crashed() {
-			survivors = append(survivors, i)
+			t.servers = append(t.servers, i)
 		}
 	}
-	epoch := newMap.Epoch()
-	for _, sid := range survivors {
-		if _, err := s.shardRPC(sid, &proto.Request{Op: proto.OpShardFreeze, Epoch: epoch}); err != nil {
-			s.noteAdoptPending(newMap)
-			return rep, fmt.Errorf("core: freeze server %d for failover epoch %d: %w", sid, epoch, err)
-		}
+	t.install = func(m *place.Map) error {
+		snap.Epoch, snap.PlaceMap = m.Epoch(), m.Encode()
+		work, err := srv.Promote(snap, snapBytes)
+		rep.StallCycles = work
+		return err
 	}
-
-	// Publish before installing: clients that refresh now already route at
-	// the promoted epoch, so the promoted server (which boots at that
-	// epoch) never EEPOCHs them into a livelock.
-	s.fobserve("publish", -1)
-	s.publishRouting(newMap)
-
-	s.fobserve("install", id)
-	work, err := srv.Promote(snap, snapBytes)
-	if err != nil {
-		s.noteAdoptPending(newMap)
-		return rep, fmt.Errorf("core: promote server %d: %w", id, err)
-	}
-	rep.StallCycles = work
-	rep.Epoch = epoch
-
-	if s.pendingMig != nil {
-		// The pending migration's epoch is now below the published one;
-		// re-stamp it past the bump (same membership change, same routes —
-		// WithEpoch preserves both) before driving anything further, so a
-		// crash in the commit loop below still leaves a resumable migration
-		// at an epoch the fleet will accept.
-		s.pendingMig.newMap = s.pendingMig.newMap.WithEpoch(newMap.Epoch() + 1)
-	}
-
-	blob := newMap.Encode()
-	for _, sid := range survivors {
-		sm := &proto.ShardMsg{MapBlob: blob}
-		if _, err := s.shardRPC(sid, &proto.Request{Op: proto.OpShardCommit, Epoch: epoch, Data: sm.Marshal()}); err != nil {
-			s.noteAdoptPending(newMap)
-			return rep, fmt.Errorf("core: commit failover epoch %d on server %d: %w", epoch, sid, err)
-		}
+	rep.Epoch = t.newMap.Epoch()
+	s.pending = append([]*transition{t}, s.pending...)
+	if err := s.resume(); err != nil {
+		return rep, fmt.Errorf("core: failover of server %d: %w", id, err)
 	}
 	s.traceFailover(start, "promote", id)
-
-	if s.pendingMig != nil {
-		// Re-drive the interrupted migration inline. Membership mutators
-		// hold elMu, so calling ResumeMigration here would self-deadlock.
-		if err := s.driveMigration(); err != nil {
-			return rep, fmt.Errorf("core: resuming interrupted migration after failover: %w", err)
-		}
-	}
 	return rep, nil
-}
-
-// noteAdoptPending records the promotion's epoch adoption as a pending
-// same-membership migration when a survivor crashed mid-failover (it could
-// not be frozen or committed). ResumeMigration — run by hand or by the
-// crashed server's Recover — then re-drives the adoption once the fleet is
-// back: with an unchanged map the protocol moves zero entries, and servers
-// that already adopted the epoch no-op every step. If a real migration is
-// already pending, nothing is recorded — its re-driven run commits every
-// member past the bump anyway, which subsumes the adoption.
-func (s *System) noteAdoptPending(newMap *place.Map) {
-	if s.pendingMig != nil {
-		return
-	}
-	members := make([]int, 0, len(s.servers))
-	for _, m := range newMap.Members() {
-		members = append(members, int(m))
-	}
-	s.pendingMig = &migration{
-		newMap:     newMap,
-		oldMembers: members,
-		servers:    members,
-		incoming:   make(map[int][]proto.MigEntry),
-		pulled:     true,
-	}
 }
 
 // sealFollower asks the follower's replication plane to seal and snapshot

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/fsapi"
 	"repro/internal/msg"
+	"repro/internal/proto"
 	"repro/internal/repl"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -195,6 +197,146 @@ func TestFailoverDuringFrozenMigration(t *testing.T) {
 	}
 	if got := sys.Epoch(); got <= rep.Epoch {
 		t.Fatalf("re-driven migration should publish past the promotion epoch: mig %d, promo %d", got, rep.Epoch)
+	}
+	verifyFiles(t, sys, names)
+}
+
+// TestFailoverResumedAfterReplay interrupts a promotion before its install
+// step, then brings the promoted server back by log replay before the
+// transition resumes. The snapshot sealed at failover time is then stale:
+// a write the replayed server acknowledges, and a second crash of it, must
+// not be undone by the resumed transition booting that snapshot. The server
+// is frozen and committed like a survivor instead, and comes back by replay.
+func TestFailoverResumedAfterReplay(t *testing.T) {
+	sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+	dir, names := seedFiles(t, sys, 24)
+
+	// Server 0 holds the root and /d, so a client can create in /d while
+	// the other survivor is down; its follower is server 1.
+	const victim, survivor = 0, 2
+	if dir.Server != victim {
+		t.Fatalf("/d lives on server %d, want %d", dir.Server, victim)
+	}
+	sys.SetMigrationObserver(func(stage string, srv int) {
+		if stage == "freeze" && srv == survivor && !sys.Crashed(survivor) {
+			if err := sys.Crash(survivor); err != nil {
+				t.Errorf("crash survivor: %v", err)
+			}
+		}
+	})
+	if err := sys.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+	_, err := sys.Failover(victim)
+	sys.SetMigrationObserver(nil)
+	if err == nil {
+		t.Fatal("Failover succeeded although a survivor crashed at its freeze")
+	}
+	// The replay succeeds; the resume it triggers cannot freeze the
+	// survivor, which is still down.
+	if _, err := sys.Recover(victim); err == nil || sys.Crashed(victim) {
+		t.Fatalf("replay of the victim: err %v, crashed %v; want it up with the transition still pending", err, sys.Crashed(victim))
+	}
+
+	// Acknowledge a write on the replayed victim, then crash it again.
+	name := ""
+	for i := 0; name == ""; i++ {
+		if n := fmt.Sprintf("w%03d", i); sys.Routing().Map.Route(proto.Hash(dir, n)) == victim {
+			name = n
+		}
+	}
+	cli := sys.NewClient(2)
+	fd, err := cli.Open("/d/"+name, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+	if err != nil {
+		t.Fatalf("create %s on the replayed victim: %v", name, err)
+	}
+	if _, err := cli.Write(fd, []byte(name)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Crash(victim); err != nil {
+		t.Fatal(err)
+	}
+
+	// The survivor's recovery resumes the transition, which must wait for
+	// the victim rather than promote it from the stale snapshot.
+	if _, err := sys.Recover(survivor); err == nil {
+		t.Fatal("transition resumed although the victim is down")
+	}
+	if !sys.Crashed(victim) {
+		t.Fatal("the resumed transition booted the stale snapshot into the victim")
+	}
+	if _, err := sys.Recover(victim); err != nil {
+		t.Fatalf("recover victim: %v", err)
+	}
+	if sys.MigrationPending() {
+		t.Fatal("transition still pending after every server is back")
+	}
+	for i, st := range sys.ServerStats() {
+		if st.Epoch != sys.Epoch() {
+			t.Fatalf("server %d at epoch %d, published %d", i, st.Epoch, sys.Epoch())
+		}
+	}
+	verifyFiles(t, sys, append(names, name))
+}
+
+// TestFailoverAfterInterruptedFailover leaves a completed promotion's
+// transition pending (a survivor crashes at its commit), then fails over a
+// second server. The second promotion re-stamps the first transition past
+// its own epoch, so that transition must freeze and commit the server it
+// already promoted, or that server would stay an epoch behind the published
+// map and answer EEPOCH to every client forever.
+func TestFailoverAfterInterruptedFailover(t *testing.T) {
+	sys := replSystem(t, 4, repl.Config{Mode: repl.Sync})
+	_, names := seedFiles(t, sys, 40)
+
+	// Server 1 is promoted first (its follower is server 2) and server 0
+	// crashes at its commit; server 2 is promoted second (follower 3).
+	const first, survivor, second = 1, 0, 2
+	sys.SetMigrationObserver(func(stage string, srv int) {
+		if stage == "commit" && srv == survivor && !sys.Crashed(survivor) {
+			if err := sys.Crash(survivor); err != nil {
+				t.Errorf("crash survivor: %v", err)
+			}
+		}
+	})
+	if err := sys.Crash(first); err != nil {
+		t.Fatal(err)
+	}
+	_, err := sys.Failover(first)
+	sys.SetMigrationObserver(nil)
+	if err == nil {
+		t.Fatal("Failover succeeded although a survivor crashed at its commit")
+	}
+	if sys.Crashed(first) {
+		t.Fatal("the install did not run before the commit")
+	}
+
+	if err := sys.Crash(second); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.Failover(second)
+	if rep.Fallback || sys.Crashed(second) {
+		t.Fatalf("second failover: %+v, %v; want a promotion", rep, err)
+	}
+	if _, err := sys.Recover(survivor); err != nil {
+		t.Fatalf("recover survivor: %v", err)
+	}
+	if sys.MigrationPending() {
+		t.Fatal("transition still pending after every server is back")
+	}
+	if got := sys.Epoch(); got <= rep.Epoch {
+		t.Fatalf("the re-stamped transition should publish past the second promotion: %d, promo %d", got, rep.Epoch)
+	}
+	for i, st := range sys.ServerStats() {
+		if st.Epoch != sys.Epoch() {
+			t.Fatalf("server %d at epoch %d, published %d", i, st.Epoch, sys.Epoch())
+		}
 	}
 	verifyFiles(t, sys, names)
 }

@@ -65,13 +65,19 @@ func (m *ShardMsg) Marshal() []byte {
 	return e.bytes()
 }
 
+// Every count is checked against the bytes left before anything is sized
+// from it: an entry takes at least migEntryMin bytes, an inode id inodeWire.
+const (
+	inodeWire   = 12
+	migEntryMin = 2*inodeWire + 4 + 2
+)
+
 // UnmarshalShardMsg decodes a shard message.
 func UnmarshalShardMsg(b []byte) (*ShardMsg, error) {
 	d := newDecoder(b)
 	m := &ShardMsg{}
 	m.MapBlob = d.blob()
-	n := int(d.u32())
-	if n > 0 && d.err == nil {
+	if n := d.count(migEntryMin); n > 0 {
 		m.Entries = make([]MigEntry, 0, n)
 		for i := 0; i < n && d.err == nil; i++ {
 			var ent MigEntry
@@ -83,11 +89,11 @@ func UnmarshalShardMsg(b []byte) (*ShardMsg, error) {
 			m.Entries = append(m.Entries, ent)
 		}
 	}
-	nmarked := int(d.u32())
+	nmarked := d.count(inodeWire)
 	for i := 0; i < nmarked && d.err == nil; i++ {
 		m.Marked = append(m.Marked, d.inode())
 	}
-	ndead := int(d.u32())
+	ndead := d.count(inodeWire)
 	for i := 0; i < ndead && d.err == nil; i++ {
 		m.DeadDirs = append(m.DeadDirs, d.inode())
 	}

@@ -83,17 +83,11 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 			}
 		}
 		// A frozen server parks whole batches that carry a sub-operation
-		// the epoch gate would park (a mutation at the current epoch, or
-		// anything already stamped with the pending epoch): parking
-		// mid-batch is impossible, and the batch must re-dispatch from
-		// scratch after the migration commits.
-		if s.frozen && sub.Epoch != 0 && entryOp(sub.Op) {
-			cur := s.epoch.Load()
-			if !(sub.Epoch == cur && entryReadOnly(sub.Op)) &&
-				(sub.Epoch == cur || sub.Epoch == s.pendingEpoch) {
-				s.migParked = append(s.migParked, parkedReq{req: batchReq, env: raw})
-				return nil, true
-			}
+		// the epoch gate would park: parking mid-batch is impossible, and
+		// the batch must re-dispatch from scratch after the commit.
+		if s.parksFrozen(sub.Op, sub.Epoch) {
+			s.migParked = append(s.migParked, parkedReq{req: batchReq, env: raw})
+			return nil, true
 		}
 	}
 

@@ -348,37 +348,55 @@ func (s *Server) resetState() {
 // same checkpoint+log prefix always produces the same state, and a second
 // crash/recover cycle without intervening mutations is a no-op.
 func (s *Server) Recover() (wal.RecoveryStats, error) {
+	st := wal.RecoveryStats{Server: s.cfg.ID}
+	var ckpt *wal.Checkpoint
+	var recs []wal.Record
+	var err error
+	st.Cycles, err = s.restart(func() (err error) {
+		ckpt, st.CheckpointBytes, recs, err = s.wal.Recover()
+		return err
+	}, func() sim.Cycles {
+		if ckpt != nil {
+			st.UsedCheckpoint = true
+			st.CheckpointInodes = len(ckpt.Inodes)
+			s.loadCheckpoint(ckpt)
+		}
+		for _, r := range recs {
+			st.Bytes += int64(len(r.Data) + len(r.Name) + 64)
+			s.applyRecord(r)
+		}
+		st.Records = len(recs)
+		return s.wal.ReplayCost(st.Records, st.Bytes, st.CheckpointBytes)
+	})
+	return st, err
+}
+
+// restart brings a crashed server back as a fresh incarnation, the one path
+// Recover and Promote share. read does what can fail — reading the log, or
+// writing the snapshot out as the checkpoint — before anything in memory
+// changes, so a failed read leaves the server as the crash left it. load then
+// rebuilds the durable state into the reset tables and returns the virtual
+// work the restart cost, which restart charges and returns.
+func (s *Server) restart(read func() error, load func() sim.Cycles) (sim.Cycles, error) {
 	s.crashMu.Lock()
 	defer s.crashMu.Unlock()
-	st := wal.RecoveryStats{Server: s.cfg.ID}
 	if s.wal == nil {
-		return st, fmt.Errorf("server %d: durability disabled", s.cfg.ID)
+		return 0, fmt.Errorf("server %d: durability disabled", s.cfg.ID)
 	}
 	if !s.crashed.Load() {
-		return st, fmt.Errorf("server %d: not crashed", s.cfg.ID)
+		return 0, fmt.Errorf("server %d: not crashed", s.cfg.ID)
 	}
-	ckpt, ckptBytes, recs, err := s.wal.Recover()
-	if err != nil {
-		return st, err
+	if err := read(); err != nil {
+		return 0, err
 	}
 	s.incarnation++
-	// A fresh span-ID namespace: requests re-served after recovery must
+	// A fresh span-ID namespace: requests re-served after the restart must
 	// never collide with span IDs recorded before the crash.
 	s.tem = trace.ServerEmitter(s.cfg.ID, s.incarnation)
 	s.resetState()
-	if ckpt != nil {
-		st.UsedCheckpoint = true
-		st.CheckpointInodes = len(ckpt.Inodes)
-		st.CheckpointBytes = ckptBytes
-		s.loadCheckpoint(ckpt)
-	}
-	for _, r := range recs {
-		st.Bytes += int64(len(r.Data) + len(r.Name) + 64)
-		s.applyRecord(r)
-	}
-	st.Records = len(recs)
+	work := load()
 
-	// Rebuild the entry counter from the recovered shard table.
+	// Rebuild the entry counter from the loaded shard table.
 	var ents int64
 	s.dirs.Range(func(_ proto.InodeID, sh *dirShard) bool {
 		ents += int64(sh.ents.Len())
@@ -386,14 +404,12 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 	})
 	s.entCount.Store(ents)
 
-	// Rebuild the partition's free list around the blocks recovered files
-	// own; everything else (including blocks of inodes whose unlink
-	// replayed) becomes allocatable again.
+	// Rebuild the partition's free list around the blocks loaded files own;
+	// everything else (including blocks of inodes whose unlink replayed)
+	// becomes allocatable again.
 	s.reclaimBlocks()
 
-	// Charge the recovery work in virtual time.
-	st.Cycles = s.wal.ReplayCost(st.Records, st.Bytes, st.CheckpointBytes)
-	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), st.Cycles)
+	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), work)
 	s.clock.AdvanceTo(end)
 
 	// The entries were rebuilt without their trackers (who had them cached
@@ -401,7 +417,7 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 	// entries that surviving clients cached before the crash. Tell every
 	// registered client to flush its directory cache — sent before the
 	// inbox reopens, so atomic delivery guarantees the flush is seen before
-	// any post-recovery lookup reply.
+	// any post-restart lookup reply.
 	s.broadcastCacheFlush()
 
 	s.lostMemory = false
@@ -416,7 +432,7 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 	if s.replEP != nil {
 		go s.runRepl()
 	}
-	return st, nil
+	return work, nil
 }
 
 // broadcastCacheFlush sends a wildcard invalidation (empty name) to every

@@ -420,69 +420,34 @@ func (s *Server) traceShip(start, end sim.Cycles, acked bool) {
 // resurrect in a later replay, or the promoted state and the durable state
 // would diverge on the next crash.
 func (s *Server) Promote(c *wal.Checkpoint, snapBytes int) (sim.Cycles, error) {
-	s.crashMu.Lock()
-	defer s.crashMu.Unlock()
-	if s.wal == nil {
-		return 0, fmt.Errorf("server %d: durability disabled", s.cfg.ID)
-	}
-	if !s.crashed.Load() {
-		return 0, fmt.Errorf("server %d: not crashed", s.cfg.ID)
-	}
-	s.incarnation++
-	s.tem = trace.ServerEmitter(s.cfg.ID, s.incarnation)
-	s.resetState()
-	s.loadCheckpoint(c)
+	return s.restart(func() error {
+		if err := s.wal.WriteCheckpoint(c); err != nil {
+			return fmt.Errorf("server %d: promote checkpoint: %w", s.cfg.ID, err)
+		}
+		s.statsMu.Lock()
+		s.stats.Checkpoints++
+		s.statsMu.Unlock()
+		return nil
+	}, func() sim.Cycles {
+		s.loadCheckpoint(c)
+		// The old replica relationship died with the old incarnation: the
+		// follower's copy is sealed and consumed. Re-establish from scratch.
+		s.MarkReplResync()
+		s.replLastLSN.Store(s.wal.Stats().LastLSN)
 
-	var ents int64
-	s.dirs.Range(func(_ proto.InodeID, sh *dirShard) bool {
-		ents += int64(sh.ents.Len())
-		return true
+		// The promotion's critical path: install the snapshot (the same
+		// per-byte cost replay charges for a checkpoint load) and write it
+		// back out as the new checkpoint. Crucially there is no per-record
+		// replay term — the follower already did that work off the critical
+		// path, as each batch arrived.
+		cost := &s.cfg.Machine.Cost
+		work := s.wal.ReplayCost(0, 0, snapBytes)
+		return work + sim.LineCost(cost.WalPerLine, int(s.wal.Stats().CheckpointBytes)) + cost.WalFlush
 	})
-	s.entCount.Store(ents)
-	s.reclaimBlocks()
-
-	if err := s.wal.WriteCheckpoint(c); err != nil {
-		return 0, fmt.Errorf("server %d: promote checkpoint: %w", s.cfg.ID, err)
-	}
-
-	// The promotion's critical path: install the snapshot (the same
-	// per-byte cost replay charges for a checkpoint load) and write it
-	// back out as the new checkpoint. Crucially there is no per-record
-	// replay term — the follower already did that work off the critical
-	// path, as each batch arrived.
-	cost := &s.cfg.Machine.Cost
-	work := s.wal.ReplayCost(0, 0, snapBytes)
-	work += sim.LineCost(cost.WalPerLine, int(s.wal.Stats().CheckpointBytes)) + cost.WalFlush
-	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), work)
-	s.clock.AdvanceTo(end)
-	s.statsMu.Lock()
-	s.stats.Checkpoints++
-	s.statsMu.Unlock()
-
-	s.broadcastCacheFlush()
-
-	// The old replica relationship died with the old incarnation: the
-	// follower's copy is sealed and consumed. Re-establish from scratch.
-	s.MarkReplResync()
-	s.replLastLSN.Store(s.wal.Stats().LastLSN)
-
-	s.lostMemory = false
-	s.done = make(chan struct{})
-	s.ep.Inbox.Reopen()
-	if s.replEP != nil {
-		s.replDone = make(chan struct{})
-		s.replEP.Inbox.Reopen()
-	}
-	s.crashed.Store(false)
-	go s.run()
-	if s.replEP != nil {
-		go s.runRepl()
-	}
-	return work, nil
 }
 
 // reclaimBlocks rebuilds the partition free list around the blocks the
-// current inode table owns (shared by Recover and Promote).
+// current inode table owns (part of every restart).
 func (s *Server) reclaimBlocks() {
 	inUse := make(map[ncc.BlockID]bool)
 	s.inodes.Range(func(_ uint64, ino *inode) bool {

@@ -19,16 +19,17 @@ import (
 // descriptor, and pipe operations are not placement-routed — inodes never
 // migrate — and bypass the gate entirely (their requests carry epoch 0).
 //
-// A migration is driven by the deployment's control plane, one server at a
-// time (servers never talk to each other):
+// Every epoch transition — a membership change or a failover's promotion —
+// is driven by the deployment's control plane, one server at a time
+// (servers never talk to each other):
 //
 //	FREEZE  announce the pending epoch. Entry reads at the current epoch
 //	        are still served (the entries have not moved yet); entry
 //	        mutations — and any operation already stamped with the pending
-//	        epoch — park until COMMIT.
-//	PULL    copy out the entries that leave this server under the new map.
-//	        Read-only and idempotent: re-pulling after a failed attempt
-//	        returns the same set.
+//	        epoch — park until COMMIT (parksFrozen).
+//	PULL    copy out the entries that leave this server under the new map
+//	        (membership changes only). Read-only and idempotent:
+//	        re-pulling after a failed attempt returns the same set.
 //	COMMIT  install the entries arriving here, drop the ones that left,
 //	        adopt the new map and epoch, and resume parked requests. All of
 //	        it is staged into the write-ahead log as one batch (entry
@@ -63,24 +64,28 @@ func (s *Server) epochGate(req *proto.Request, env msg.Envelope) (*proto.Respons
 	if req.Epoch == 0 || s.pmap == nil || !entryOp(req.Op) {
 		return nil, false, false
 	}
-	cur := s.epoch.Load()
-	if s.frozen {
-		if req.Epoch == cur && entryReadOnly(req.Op) {
-			return nil, false, false // serve-while-frozen
-		}
-		if req.Epoch == cur || req.Epoch == s.pendingEpoch {
-			s.migParked = append(s.migParked, parkedReq{req: req, env: env})
-			return nil, true, true
-		}
-		return s.resp(proto.Response{Err: fsapi.EEPOCH, Epoch: cur}), false, true
+	if s.parksFrozen(req.Op, req.Epoch) {
+		s.migParked = append(s.migParked, parkedReq{req: req, env: env})
+		return nil, true, true
 	}
-	if req.Epoch != cur {
+	if cur := s.epoch.Load(); req.Epoch != cur {
 		// Behind (the client routed under a retired map) or ahead (this
-		// server crashed mid-migration and has not been re-committed yet).
+		// server crashed mid-transition and has not been re-committed yet).
 		// Either way the client refreshes and retries.
 		return s.resp(proto.Response{Err: fsapi.EEPOCH, Epoch: cur}), false, true
 	}
 	return nil, false, false
+}
+
+// parksFrozen is the frozen server's park rule, shared by the epoch gate and
+// the batch pre-screen: an entry op stamped with the pending epoch, or a
+// mutation stamped with the current one, waits for COMMIT. Reads at the
+// current epoch are served (the entries have not moved yet).
+func (s *Server) parksFrozen(op proto.Op, epoch uint64) bool {
+	if !s.frozen || epoch == 0 || !entryOp(op) {
+		return false
+	}
+	return epoch == s.pendingEpoch || (epoch == s.epoch.Load() && !entryReadOnly(op))
 }
 
 // dirDistributed reports whether dir's entries are placement-routed. A shard
