@@ -135,7 +135,8 @@ type Client struct {
 	// moment this client's private cache was known consistent with DRAM for
 	// that file (after an open-time invalidation or a close/fsync
 	// writeback). A re-open whose OPEN reply carries the same version skips
-	// invalidation entirely (DESIGN.md §8).
+	// invalidation entirely (DESIGN.md §8). Only a file with blocks has an
+	// entry (keepVersion).
 	vcache *table.Map[proto.InodeID, uint64]
 
 	// Per-call state (tables.go): the arena every decoded response comes
@@ -352,7 +353,20 @@ func (c *Client) settleVersion(of *openFile) {
 		c.vcache.Delete(of.ino)
 		return
 	}
-	c.vcache.Put(of.ino, of.verKnown)
+	c.keepVersion(of, of.verKnown)
+}
+
+// keepVersion records v as the file's version at a consistency point, while
+// the descriptor holds blocks; a file without blocks keeps no entry. No skip
+// is lost: an open consults the cache only for a file with blocks, and the
+// change to the block list that gave it some moved its version past any
+// recorded without them (DESIGN.md §8).
+func (c *Client) keepVersion(of *openFile, v uint64) {
+	if of.blocks.Len() == 0 {
+		c.vcache.Delete(of.ino)
+		return
+	}
+	c.vcache.Put(of.ino, v)
 }
 
 // Options returns the technique configuration this client runs with.

@@ -697,3 +697,76 @@ func TestReadaheadInvalidatedAcrossDescriptors(t *testing.T) {
 	cli.Close(rfd)
 	cli.Close(wfd)
 }
+
+// TestVersionCacheHoldsOnlyFilesWithBlocks: the version cache keeps an entry
+// only while a file has blocks (DESIGN.md §8) — a client that creates and
+// closes empty files keeps none, and one whose file was truncated to nothing
+// drops its entry — and a reopen after another client wrote still
+// invalidates and reads what that client wrote.
+func TestVersionCacheHoldsOnlyFilesWithBlocks(t *testing.T) {
+	sys := newSystem(t, core.AllTechniques())
+	c, other := sys.NewClient(0), sys.NewClient(1)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(w *client.Client, name, data string, flags int) {
+		t.Helper()
+		fd, err := w.Open(name, fsapi.OCreate|fsapi.OWrOnly|flags, fsapi.Mode644)
+		must(err)
+		if data != "" {
+			_, err = w.Write(fd, []byte(data))
+			must(err)
+		}
+		must(w.Close(fd))
+	}
+	read := func(name string) string {
+		t.Helper()
+		fd, err := c.Open(name, fsapi.ORdOnly, 0)
+		must(err)
+		buf := make([]byte, 64)
+		n, err := c.Read(fd, buf)
+		must(err)
+		must(c.Close(fd))
+		return string(buf[:n])
+	}
+	entries := func(want int, when string) {
+		t.Helper()
+		must(c.Sync()) // a clean close settles the entry when it is answered
+		if got := c.VersionEntries(); got != want {
+			t.Fatalf("%s: %d version entries, want %d", when, got, want)
+		}
+	}
+
+	for i := 0; i < 100; i++ {
+		write(c, fmt.Sprintf("/empty-%03d", i), "", 0)
+	}
+	entries(0, "after 100 empty files were created and closed")
+	read("/empty-007")
+	entries(0, "after an empty file was reopened")
+
+	write(c, "/f", "first", 0)
+	entries(1, "after a file was written")
+	skips := c.Stats().VersionSkips
+	if got := read("/f"); got != "first" || c.Stats().VersionSkips != skips+1 {
+		t.Fatalf("reopen read %q with %d new skips, want \"first\" and one", got, c.Stats().VersionSkips-skips)
+	}
+	write(other, "/f", "SECOND", 0)
+	skips = c.Stats().VersionSkips
+	if got := read("/f"); got != "SECOND" || c.Stats().VersionSkips != skips {
+		t.Fatalf("reopen after another client wrote read %q with %d skips, want \"SECOND\" and none", got, c.Stats().VersionSkips-skips)
+	}
+
+	write(c, "/f", "", fsapi.OTrunc)
+	entries(0, "after the file was truncated to nothing")
+	write(other, "/f", "third", 0)
+	skips = c.Stats().VersionSkips
+	if got := read("/f"); got != "third" || c.Stats().VersionSkips != skips {
+		t.Fatalf("reopen after a truncate and another client's write read %q with %d skips, want \"third\" and none", got, c.Stats().VersionSkips-skips)
+	}
+	entries(1, "after the file was read back with its new block")
+	write(c, "/empty-007", "", 0)
+	entries(1, "after an empty file was reopened for writing and closed unwritten")
+}

@@ -9,3 +9,6 @@ const RespArenaCap = respArenaCap
 
 // RefreshRouting reloads the routing snapshot as an EEPOCH reply would.
 func (c *Client) RefreshRouting() { c.refreshRouting() }
+
+// VersionEntries reports how many files the version cache holds an entry for.
+func (c *Client) VersionEntries() int { return c.vcache.Len() }

@@ -133,7 +133,6 @@ func (c *Client) openCreate(abs string, flags int, mode fsapi.Mode) (fsapi.FD, e
 // answers the EXTEND that rode along. One that failed (ENOSPC) leaves the
 // create standing and the write to ask again.
 func (c *Client) created(resps []*proto.Response, flags int) fsapi.FD {
-	c.vcache.Put(resps[0].Ino, resps[0].Version)
 	of := c.fileFromOpen(resps[0], flags)
 	of.created = true
 	if len(resps) > 1 && resps[1].Err == fsapi.OK {
@@ -141,6 +140,7 @@ func (c *Client) created(resps []*proto.Response, flags int) fsapi.FD {
 		of.firstBlock = true
 		c.stats.firstBlks.Add(1)
 	}
+	c.keepVersion(of, resps[0].Version)
 	return c.allocFD(of)
 }
 

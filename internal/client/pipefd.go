@@ -138,5 +138,5 @@ func (c *Client) maybeUnshare(of *openFile, last *proto.Response) {
 	}
 	of.verKnown = blocksResp.Version
 	of.verLost = false
-	c.vcache.Put(of.ino, blocksResp.Version)
+	c.keepVersion(of, blocksResp.Version)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fsapi"
 	"repro/internal/proto"
+	"repro/internal/table"
 	"repro/internal/wal"
 )
 
@@ -57,7 +58,7 @@ type Follower struct {
 	epoch   uint64
 	pmap    []byte
 
-	inodes map[uint64]*fnode
+	inodes *table.Dense[fnode]
 	dirs   map[proto.InodeID]map[string]fent
 	dead   map[proto.InodeID]bool
 	// chunks shadows the primary's DRAM partition: block id → contents.
@@ -79,7 +80,7 @@ func NewFollower(primary, blockSize int) *Follower {
 		blockSize: blockSize,
 		next:      1,
 		nextIno:   2,
-		inodes:    make(map[uint64]*fnode),
+		inodes:    table.NewDense[fnode](),
 		dirs:      make(map[proto.InodeID]map[string]fent),
 		dead:      make(map[proto.InodeID]bool),
 		chunks:    make(map[uint64][]byte),
@@ -190,7 +191,7 @@ func (f *Follower) Rebase(c *wal.Checkpoint, lsn uint64) {
 	if f.sealed {
 		return
 	}
-	f.inodes = make(map[uint64]*fnode)
+	f.inodes = table.NewDense[fnode]()
 	f.dirs = make(map[proto.InodeID]map[string]fent)
 	f.dead = make(map[proto.InodeID]bool)
 	f.chunks = make(map[uint64][]byte)
@@ -202,7 +203,8 @@ func (f *Follower) Rebase(c *wal.Checkpoint, lsn uint64) {
 	f.pmap = c.PlaceMap
 	for i := range c.Inodes {
 		snap := &c.Inodes[i]
-		ino := &fnode{
+		ino := f.inodes.Put(snap.Local)
+		*ino = fnode{
 			local:  snap.Local,
 			ftype:  snap.Ftype,
 			mode:   snap.Mode,
@@ -216,8 +218,7 @@ func (f *Follower) Rebase(c *wal.Checkpoint, lsn uint64) {
 				f.chunks[b] = append([]byte(nil), snap.Data[j]...)
 			}
 		}
-		f.inodes[ino.local] = ino
-		if ino.local >= f.nextIno {
+		if ino.local+1 > f.nextIno { // never wrapping, as the server's load
 			f.nextIno = ino.local + 1
 		}
 	}
@@ -256,14 +257,14 @@ func (f *Follower) shard(dir proto.InodeID) map[string]fent {
 func (f *Follower) apply(r wal.Record) {
 	switch r.Type {
 	case wal.RecInode:
-		if r.Ino >= f.nextIno {
+		if r.Ino+1 > f.nextIno {
 			f.nextIno = r.Ino + 1
 		}
 		if r.Ftype == fsapi.TypePipe {
 			// Pipe state is volatile; the record only reserves the number.
 			return
 		}
-		f.inodes[r.Ino] = &fnode{
+		*f.inodes.Put(r.Ino) = fnode{
 			local: r.Ino,
 			ftype: r.Ftype,
 			mode:  r.Mode,
@@ -271,20 +272,20 @@ func (f *Follower) apply(r wal.Record) {
 			dist:  r.Dist,
 		}
 	case wal.RecNlink:
-		ino, ok := f.inodes[r.Ino]
+		ino, ok := f.inodes.Get(r.Ino)
 		if !ok {
 			return
 		}
 		ino.nlink = r.Nlink
 		if ino.nlink <= 0 {
-			delete(f.inodes, r.Ino)
+			f.inodes.Delete(r.Ino)
 		}
 	case wal.RecSize:
-		if ino, ok := f.inodes[r.Ino]; ok && r.Size > ino.size {
+		if ino, ok := f.inodes.Get(r.Ino); ok && r.Size > ino.size {
 			ino.size = r.Size
 		}
 	case wal.RecBlocks:
-		ino, ok := f.inodes[r.Ino]
+		ino, ok := f.inodes.Get(r.Ino)
 		if !ok {
 			return
 		}
@@ -305,7 +306,7 @@ func (f *Follower) apply(r wal.Record) {
 		ino.blocks = append(ino.blocks[:0], r.Blocks...)
 		ino.size = r.Size
 	case wal.RecWrite:
-		ino, ok := f.inodes[r.Ino]
+		ino, ok := f.inodes.Get(r.Ino)
 		if !ok {
 			return
 		}
@@ -359,7 +360,8 @@ func (f *Follower) writeData(ino *fnode, off int64, data []byte) {
 // Snapshot converts the replica into a checkpoint of the primary's durable
 // state at the replica's horizon, in the exact shape the server's own
 // buildCheckpoint produces — loadCheckpoint installs it unmodified at
-// promotion. Output is sorted for determinism.
+// promotion. Output is sorted for determinism: inodes in ascending number
+// order, as the primary's inode table walks.
 func (f *Follower) Snapshot() *wal.Checkpoint {
 	c := &wal.Checkpoint{
 		LSN:      f.Durable(),
@@ -367,15 +369,9 @@ func (f *Follower) Snapshot() *wal.Checkpoint {
 		Epoch:    f.epoch,
 		PlaceMap: f.pmap,
 	}
-	locals := make([]uint64, 0, len(f.inodes))
-	for l := range f.inodes {
-		locals = append(locals, l)
-	}
-	sort.Slice(locals, func(i, j int) bool { return locals[i] < locals[j] })
-	for _, l := range locals {
-		ino := f.inodes[l]
+	f.inodes.Range(func(_ uint64, ino *fnode) bool {
 		if ino.nlink <= 0 {
-			continue
+			return true
 		}
 		snap := wal.InodeSnap{
 			Local:  ino.local,
@@ -394,7 +390,8 @@ func (f *Follower) Snapshot() *wal.Checkpoint {
 			}
 		}
 		c.Inodes = append(c.Inodes, snap)
-	}
+		return true
+	})
 	dirIDs := make([]proto.InodeID, 0, len(f.dirs))
 	for dir := range f.dirs {
 		dirIDs = append(dirIDs, dir)

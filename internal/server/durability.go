@@ -328,14 +328,13 @@ func (s *Server) resetState() {
 		s.replicas = make(map[int]*repl.Follower)
 	}
 	if int32(s.cfg.ID) == proto.RootInode.Server {
-		root := &inode{
+		*s.inodes.Put(proto.RootInode.Local) = inode{
 			local:       proto.RootInode.Local,
 			ftype:       fsapi.TypeDir,
 			mode:        fsapi.Mode755,
 			nlink:       1,
 			distributed: s.cfg.RootDistributed,
 		}
-		s.inodes.Put(root.local, root)
 	}
 }
 
@@ -466,7 +465,8 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 	}
 	for i := range c.Inodes {
 		snap := &c.Inodes[i]
-		ino := &inode{
+		ino := s.inodes.Put(snap.Local)
+		*ino = inode{
 			local:       snap.Local,
 			ftype:       snap.Ftype,
 			mode:        snap.Mode,
@@ -488,8 +488,9 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 				}
 			}
 		}
-		s.inodes.Put(ino.local, ino)
-		if ino.local >= s.nextIno {
+		// The last number of the space reserves nothing rather than
+		// wrap the counter back to numbers already issued.
+		if ino.local+1 > s.nextIno {
 			s.nextIno = ino.local + 1
 		}
 	}
@@ -511,7 +512,7 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 func (s *Server) applyRecord(r wal.Record) {
 	switch r.Type {
 	case wal.RecInode:
-		if r.Ino >= s.nextIno {
+		if r.Ino+1 > s.nextIno { // as loadCheckpoint, never wrapping
 			s.nextIno = r.Ino + 1
 		}
 		if r.Ftype == fsapi.TypePipe {
@@ -519,14 +520,14 @@ func (s *Server) applyRecord(r wal.Record) {
 			// number so it is not reissued to a new file.
 			return
 		}
-		s.inodes.Put(r.Ino, &inode{
+		*s.inodes.Put(r.Ino) = inode{
 			local:       r.Ino,
 			ftype:       r.Ftype,
 			mode:        r.Mode,
 			nlink:       r.Nlink,
 			distributed: r.Dist,
 			version:     s.verBase,
-		})
+		}
 	case wal.RecNlink:
 		ino, ok := s.inodes.Get(r.Ino)
 		if !ok {

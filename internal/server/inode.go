@@ -7,9 +7,10 @@ import (
 )
 
 // inode is the server-side representation of a file, directory or pipe.
-// Inodes live on the server that created them and never migrate. The struct
-// holds what every inode uses (80 bytes, a size class of its own); state that
-// nearly every inode leaves empty hangs off rare.
+// Inodes live on the server that created them and never migrate, in place in
+// the inode table's page that their number names (table.Dense). The struct
+// holds what every inode uses (80 bytes); state that nearly every inode
+// leaves empty hangs off rare.
 type inode struct {
 	local uint64
 	ftype fsapi.FileType
@@ -80,7 +81,8 @@ func (s *Server) getInode(target proto.InodeID) (*inode, fsapi.Errno) {
 
 // allocInode creates a new inode of the given type on this server.
 func (s *Server) allocInode(ftype fsapi.FileType, mode fsapi.Mode, distributed bool) *inode {
-	ino := &inode{
+	ino := s.inodes.Put(s.nextIno)
+	*ino = inode{
 		local:       s.nextIno,
 		ftype:       ftype,
 		mode:        mode,
@@ -89,7 +91,6 @@ func (s *Server) allocInode(ftype fsapi.FileType, mode fsapi.Mode, distributed b
 		version:     s.verBase,
 	}
 	s.nextIno++
-	s.inodes.Put(ino.local, ino)
 	return ino
 }
 

@@ -155,7 +155,7 @@ type Server struct {
 	ep    *msg.Endpoint
 	clock sim.Clock
 
-	inodes  *table.Sharded[uint64, *inode]
+	inodes  *table.Dense[inode]
 	nextIno uint64
 
 	dirs     *table.Map[proto.InodeID, *dirShard]
@@ -296,14 +296,13 @@ func New(cfg Config) *Server {
 		s.replicas = make(map[int]*repl.Follower)
 	}
 	if int32(cfg.ID) == proto.RootInode.Server {
-		root := &inode{
+		*s.inodes.Put(proto.RootInode.Local) = inode{
 			local:       proto.RootInode.Local,
 			ftype:       fsapi.TypeDir,
 			mode:        fsapi.Mode755,
 			nlink:       1,
 			distributed: cfg.RootDistributed,
 		}
-		s.inodes.Put(root.local, root)
 	}
 	return s
 }

@@ -15,8 +15,9 @@ import (
 // migration scans) deterministic: slot order is a pure function of the
 // operation history, where Go map order is randomized per run. Who has an
 // entry cached lives with the entry (dirEnt.tracker, dirShard.more). The
-// inode table is sharded so a million-file namespace rehashes in bounded
-// slices.
+// inode table holds each inode in place in the page its number names
+// (table.Dense): local numbers are issued in increasing order and never
+// reused, and it walks in ascending number order.
 
 // hashIno mixes an InodeID into a well-distributed 64-bit hash.
 func hashIno(id proto.InodeID) uint64 {
@@ -26,9 +27,7 @@ func hashIno(id proto.InodeID) uint64 {
 // hashFd hashes a shared-descriptor id.
 func hashFd(f proto.FdID) uint64 { return table.HashU64(uint64(f)) }
 
-func newInodeTable() *table.Sharded[uint64, *inode] {
-	return table.NewSharded[uint64, *inode](table.HashU64, 1024)
-}
+func newInodeTable() *table.Dense[inode] { return table.NewDense[inode]() }
 
 func newDirTable() *table.Map[proto.InodeID, *dirShard] {
 	return table.New[proto.InodeID, *dirShard](hashIno, 64)

@@ -259,9 +259,9 @@ func TestInvalidationFanOutToSeveralTrackers(t *testing.T) {
 }
 
 // TestEntryFootprint gates what a file costs the server that stores it and
-// its entry: the inode, its slot in the inode table, the entry with its
-// slot in the directory's shard, and the name. A creator is tracked in the
-// entry itself, not in a table and a set of its own.
+// its entry: the inode, held in place in a page of the inode table, the
+// entry with its slot in the directory's shard, and the name. A creator is
+// tracked in the entry itself, not in a table and a set of its own.
 func TestEntryFootprint(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) == 8 {
 		if n := unsafe.Sizeof(inode{}); n != 80 {
@@ -273,7 +273,7 @@ func TestEntryFootprint(t *testing.T) {
 	}
 
 	h := newHarness(t)
-	const files, maxPerFile = 16384, 320
+	const files, maxPerFile = 16384, 240
 	req := &proto.Request{Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular}
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -15,6 +15,10 @@
 //     space across fixed sub-tables so each rehash touches 1/shards of the
 //     entries.
 //
+// Dense (dense.go) is the table for a number space issued in increasing
+// order and never reused — a server's inodes: values live in place in pages
+// of 64, and Range walks in ascending number order.
+//
 // Deletion uses backward-shift compaction (no tombstones), so probe
 // sequences stay short regardless of churn.
 package table
@@ -177,9 +181,8 @@ func (m *Map[K, V]) grow() {
 }
 
 // Sharded splits the key space across a fixed number of sub-tables by hash,
-// bounding the cost of any single rehash to one shard. It is the container
-// for the large per-server tables (the inode table of a million-file
-// namespace).
+// bounding the cost of any single rehash to one shard. Its one user is the
+// repository benchmark's table.sharded_get_ns probe.
 type Sharded[K comparable, V any] struct {
 	hash   func(K) uint64
 	shards []*Map[K, V]
