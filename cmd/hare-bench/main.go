@@ -1,23 +1,27 @@
 // Command hare-bench regenerates the tables and figures of the paper's
-// evaluation section (§5) on the simulated machine.
+// evaluation section (§5) on the simulated machine, and runs the
+// beyond-paper sweeps whose committed BENCH_*.json files CI compares.
 //
 // Usage:
 //
-//	hare-bench [-fig N] [-scale F] [-cores N] [-bench name] [-durability]
-//	           [-economy] [-elastic] [-failover] [-obs]
-//	           [-scalesweep spec] [-baseline path] [-check path] [-trace out.json]
+//	hare-bench [-fig N] [-scale F] [-cores N] [-bench name]
+//	hare-bench -sweep name [-scale F] [-cores N] [-bench name] [-rungs spec] [-baseline path]
+//	hare-bench -check BENCH_x.json
+//	hare-bench -trace out.json [-bench name] [-scale F] [-cores N]
 //
-// With no -fig flag every experiment is run in order. The -scale flag
+// With no -fig flag every paper experiment is run in order. The -scale flag
 // shrinks the workload iteration counts (1.0 reproduces the default sizes;
 // smaller values finish faster), and -bench restricts the run to a single
 // benchmark where applicable.
 //
-// The -durability flag runs the write-ahead-log figures instead of the
-// paper's (the paper scopes durability out; DESIGN.md §6 describes the
-// subsystem): the logging overhead against the same workload with the log
-// off, a recovery-time comparison of pure log replay versus checkpoint +
-// tail, and the self-verifying crash-injection workload that kills and
-// recovers every file server mid-run.
+// The -sweep flag runs one beyond-paper sweep instead: economy (messages
+// and lines moved), elastic (scale-out under load), failover (replication
+// off/sync/async), obs (tracing overhead), durability (logging overhead,
+// recovery time and the self-verifying crash-injection workload; DESIGN.md
+// §6) or scale (the harness itself at big fleets, at the rungs -rungs
+// names). With -baseline it also writes the sweep as a committed file,
+// which records the sweep's name and parameters: -check re-runs it from
+// the file alone and exits non-zero if a gated column differs.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/trace"
@@ -40,31 +45,29 @@ func main() {
 		cores      = flag.Int("cores", 40, "size of the simulated machine")
 		benchName  = flag.String("bench", "", "restrict to a single benchmark (e.g. \"creates\")")
 		repoRoot   = flag.String("root", ".", "repository root (for the Figure 4 SLOC count)")
-		durability = flag.Bool("durability", false, "run the durability figures (logging overhead, recovery time, crash-injection check) instead of the paper's")
-		economy    = flag.Bool("economy", false, "run the message and data-movement sweep (request messages, bytes, batched sub-ops, lines written back / invalidated / skipped × server counts) instead of the paper's figures")
-		elastic    = flag.Bool("elastic", false, "run the elastic sweep (scale-out under load, ring vs modulo placement) instead of the paper's figures")
-		failover   = flag.Bool("failover", false, "run the failover sweep (replication off/sync/async: shipping overhead, replay vs promotion stall) instead of the paper's figures")
-		obs        = flag.Bool("obs", false, "run the tracing-overhead sweep (off vs 1-in-64 sampled vs full tracing) instead of the paper's figures")
+		sweep      = flag.String("sweep", "", "run one beyond-paper sweep instead of the paper's figures: "+strings.Join(bench.SweepNames(), ", "))
+		rungs      = flag.String("rungs", "", "with -sweep scale: the rungs (\"64\" or \"8:125000,64:1000000\"; a \":par\" suffix runs a rung under the parallel engine, an \"@N\" suffix after that at GOMAXPROCS=N; \"baseline\" = BENCH_scale.json's rungs; empty = the four big serialized rungs)")
 		traceOut   = flag.String("trace", "", "run one benchmark (-bench, default smallfile) with full tracing and export the span tree as Chrome trace_event JSON to this path (open in Perfetto)")
-		baseline   = flag.String("baseline", "", "with -economy, -elastic, -obs or -scalesweep: also write the sweep as a JSON baseline to this path (e.g. BENCH_economy.json, BENCH_scale.json)")
-		check      = flag.String("check", "", "with -economy: re-run the sweep the committed baseline at this path records (BENCH_economy.json), at its own scale and cores; with -scalesweep: re-run those rungs and compare each with the point this baseline (BENCH_scale.json) records for it. Exits non-zero if an exact column differs; times are printed side by side")
-		scaleSweep = flag.String("scalesweep", "", "run the harness-scaling sweep at these rungs (\"64\" or \"8:125000,64:1000000\"; a \":par\" suffix runs a rung under the parallel engine, an \"@N\" suffix after that at GOMAXPROCS=N; \"default\" = the four big serialized rungs; \"baseline\" = BENCH_scale.json's rungs) instead of the paper's figures")
-		parallel   = flag.Bool("parallel", false, "with -scalesweep: run every rung under the parallel virtual-time engine instead of the serialized default")
+		baseline   = flag.String("baseline", "", "with -sweep: also write the sweep to this path as a committed file (e.g. BENCH_economy.json)")
+		check      = flag.String("check", "", "re-run the sweep the committed file at this path names, at the parameters it records, and exit non-zero if a gated column differs; ungated columns are printed beside the committed ones")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this path (see PROFILING.md)")
 		memProfile = flag.String("memprofile", "", "write a pprof allocation profile at exit to this path (see PROFILING.md)")
 	)
 	flag.Parse()
 
 	stopProfiles := func() {}
+	fail := func(err error) {
+		stopProfiles()
+		fmt.Fprintln(os.Stderr, "hare-bench:", err)
+		os.Exit(1)
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hare-bench:", err)
-			os.Exit(1)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "hare-bench:", err)
-			os.Exit(1)
+		if err != nil {
+			fail(err)
 		}
 		stopProfiles = func() {
 			pprof.StopCPUProfile()
@@ -89,83 +92,66 @@ func main() {
 	}
 	defer stopProfiles()
 
-	fail := func(err error) {
-		stopProfiles()
-		fmt.Fprintln(os.Stderr, "hare-bench:", err)
-		os.Exit(1)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	modes := 0
+	for _, m := range []string{"fig", "sweep", "check", "trace"} {
+		if set[m] {
+			modes++
+		}
 	}
-
-	if *scaleSweep != "" {
-		if *fig != 0 || *durability || *economy || *elastic || *failover || *obs || *traceOut != "" || *benchName != "" {
-			fail(fmt.Errorf("-scalesweep runs its own figure set and cannot be combined with other figure-set flags"))
+	switch {
+	case modes > 1:
+		fail(fmt.Errorf("-fig, -sweep, -check and -trace each pick what runs: give one"))
+	case (set["baseline"] || set["rungs"]) && !set["sweep"]:
+		fail(fmt.Errorf("-baseline and -rungs go with -sweep"))
+	case set["check"] && (set["scale"] || set["cores"] || set["bench"]):
+		fail(fmt.Errorf("-check runs at the parameters %s records: drop -scale, -cores and -bench", *check))
+	}
+	var picked workload.Workload
+	if *benchName != "" {
+		var ok bool
+		if picked, ok = workload.ByName(*benchName); !ok {
+			fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
 		}
-		rungs := append([]bench.ScaleRung(nil), bench.DefaultScaleRungs...)
-		if spec := *scaleSweep; spec != "default" {
-			if spec == "baseline" {
-				spec = bench.ScaleBaselineSpec
-			}
-			var err error
-			rungs, err = bench.ParseScaleRungs(spec)
-			if err != nil {
-				fail(err)
-			}
-		}
-		for i := range rungs {
-			rungs[i].Parallel = rungs[i].Parallel || *parallel
-		}
+	}
+	switch {
+	case *check != "" || *sweep != "":
+		var tables []*bench.Table
+		var err error
 		if *check != "" {
-			t, err := bench.CheckScaleBaseline(*check, rungs)
-			if t != nil {
-				fmt.Println(t.Render())
-			}
-			if err != nil {
-				fail(err)
-			}
-			return
-		}
-		data, tables, err := bench.ScaleSweepFigure(rungs)
-		if err != nil {
-			fail(err)
+			tables, err = bench.Check(*check)
+		} else {
+			tables, err = bench.Sweep(*sweep, bench.Params{Scale: *scale, Cores: *cores, Rungs: *rungs, Bench: picked}, *baseline)
 		}
 		for _, t := range tables {
 			fmt.Println(t.Render())
 		}
+		if err != nil {
+			fail(err)
+		}
 		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
 			fmt.Printf("baseline written to %s\n", *baseline)
 		}
 		return
-	}
-
-	if *traceOut != "" {
-		if *fig != 0 || *durability || *economy || *elastic || *obs {
-			fail(fmt.Errorf("-trace runs a single traced benchmark and cannot be combined with figure-set flags"))
-		}
-		var w workload.Workload = workload.SmallFile{}
-		if *benchName != "" {
-			var ok bool
-			w, ok = workload.ByName(*benchName)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
-			}
+	case *traceOut != "":
+		if picked == nil {
+			picked = workload.SmallFile{}
 		}
 		opts := bench.DefaultHare(*cores)
 		opts.Trace = trace.Config{Sample: 1}
-		r, err := bench.RunWorkload(bench.HareFactory(opts), w, *scale)
+		r, err := bench.RunWorkload(bench.HareFactory(opts), picked, *scale)
 		if err != nil {
 			fail(err)
 		}
 		f, err := os.Create(*traceOut)
+		if err == nil {
+			err = trace.WriteChrome(f, r.Spans)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
 		if err != nil {
-			fail(err)
-		}
-		if err := trace.WriteChrome(f, r.Spans); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
 			fail(err)
 		}
 		fmt.Println(latencyTable(r).Render())
@@ -173,140 +159,14 @@ func main() {
 		return
 	}
 
-	if *obs {
-		if *durability || *economy || *elastic || *fig != 0 {
-			fail(fmt.Errorf("-obs runs its own figure set and cannot be combined with -durability, -economy, -elastic or -fig"))
-		}
-		var ws []workload.Workload
-		if *benchName != "" {
-			w, ok := workload.ByName(*benchName)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
-			}
-			ws = []workload.Workload{w}
-		}
-		data, t, err := bench.ObsFigure(*scale, *cores, ws)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *failover {
-		if *durability || *economy || *elastic || *obs || *fig != 0 || *benchName != "" {
-			fail(fmt.Errorf("-failover runs its own figure set and cannot be combined with -durability, -economy, -elastic, -obs, -bench or -fig"))
-		}
-		data, t, err := bench.FailoverFigure(*scale, *cores)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *elastic {
-		if *durability || *economy || *fig != 0 || *benchName != "" {
-			fail(fmt.Errorf("-elastic runs its own figure set and cannot be combined with -durability, -economy, -bench or -fig"))
-		}
-		data, t, err := bench.ElasticFigure(*scale, *cores, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *economy {
-		if *durability || *fig != 0 {
-			fail(fmt.Errorf("-economy runs its own figure set and cannot be combined with -durability or -fig"))
-		}
-		if *check != "" {
-			// The committed file says at which scale and on how many cores.
-			t, err := bench.CheckEconomyBaseline(*check)
-			if t != nil {
-				fmt.Println(t.Render())
-			}
-			if err != nil {
-				fail(err)
-			}
-			return
-		}
-		var ws []workload.Workload
-		if *benchName != "" {
-			w, ok := workload.ByName(*benchName)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q; available: %v", *benchName, workload.Names()))
-			}
-			ws = []workload.Workload{w}
-		}
-		data, t, err := bench.EconomyFigure(*scale, *cores, nil, ws)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		if *baseline != "" {
-			if err := data.WriteBaseline(*baseline); err != nil {
-				fail(err)
-			}
-			fmt.Printf("baseline written to %s\n", *baseline)
-		}
-		return
-	}
-
-	if *durability {
-		if *benchName != "" || *fig != 0 {
-			fail(fmt.Errorf("-durability runs its own figure set and cannot be combined with -bench or -fig"))
-		}
-		t, err := bench.DurabilityOverhead(*scale, *cores)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		t, err = bench.RecoveryTime(*scale, *cores)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		t, err = bench.CrashWorkloadCheck(*scale, *cores)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(t.Render())
-		return
-	}
-
 	ws := workload.All()
-	if *benchName != "" {
-		w, ok := workload.ByName(*benchName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown benchmark %q; available: %v\n", *benchName, workload.Names())
-			os.Exit(2)
-		}
+	if picked != nil {
 		for _, fw := range workload.FaultBenchmarks() {
-			if fw.Name() == w.Name() {
-				fail(fmt.Errorf("benchmark %q needs a fault-injecting backend; run it via -durability", w.Name()))
+			if fw.Name() == picked.Name() {
+				fail(fmt.Errorf("benchmark %q needs a fault-injecting backend; -sweep durability runs it", picked.Name()))
 			}
 		}
-		ws = []workload.Workload{w}
+		ws = []workload.Workload{picked}
 	}
 
 	run := func(n int) bool { return *fig == 0 || *fig == n }
@@ -384,9 +244,7 @@ func latencyTable(r bench.Result) *bench.Table {
 	sort.Strings(ops)
 	for _, op := range ops {
 		q := r.Lat[op]
-		t.AddRow(op, fmt.Sprintf("%d", q.N), cyc(q.P50), cyc(q.P95), cyc(q.P99), cyc(q.P999), cyc(q.Max))
+		t.AddRow(op, fmt.Sprint(q.N), fmt.Sprint(q.P50), fmt.Sprint(q.P95), fmt.Sprint(q.P99), fmt.Sprint(q.P999), fmt.Sprint(q.Max))
 	}
 	return t
 }
-
-func cyc(v uint64) string { return fmt.Sprintf("%d", v) }

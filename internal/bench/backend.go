@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/place"
+	"repro/internal/repl"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -79,6 +80,9 @@ type HareOptions struct {
 	Techniques core.Techniques
 	Seed       uint64
 	Durability core.Durability
+	// Replication ships each server's log to a follower (DESIGN.md §12);
+	// it needs Durability.
+	Replication repl.Config
 
 	// MaxServers > Servers gives the deployment growth headroom and
 	// exposes the elastic controller to workloads; PlacePolicy selects
@@ -93,7 +97,7 @@ type HareOptions struct {
 	// Parallel installs the parallel virtual-time engine (DESIGN.md §13)
 	// before any workload runs: servers advance concurrently, gated by the
 	// conservative lane frontiers, instead of serializing on one global
-	// virtual-time chain. Incompatible with Replication.
+	// virtual-time chain.
 	Parallel bool
 }
 
@@ -103,31 +107,58 @@ func DefaultHare(cores int) HareOptions {
 	return HareOptions{Cores: cores, Servers: cores, Timeshare: true, Techniques: core.AllTechniques()}
 }
 
+// start builds and starts the deployment opts describe. Every Hare
+// deployment the harness measures is built here.
+func (opts HareOptions) start(placement sched.Policy) (*core.System, error) {
+	cfg := core.Config{
+		Cores:       opts.Cores,
+		Servers:     opts.Servers,
+		Timeshare:   opts.Timeshare,
+		Techniques:  opts.Techniques,
+		Placement:   placement,
+		Seed:        opts.Seed,
+		Durability:  opts.Durability,
+		Replication: opts.Replication,
+		MaxServers:  opts.MaxServers,
+		PlacePolicy: opts.PlacePolicy,
+		Trace:       opts.Trace,
+	}
+	if cfg.Servers == 0 {
+		cfg.Servers = cfg.Cores
+	}
+	sys, err := core.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("bench: building hare backend: %w", err)
+	}
+	sys.Start()
+	if opts.Parallel {
+		if err := sys.SetParallel(true); err != nil {
+			sys.Stop()
+			return nil, fmt.Errorf("bench: enabling parallel engine: %w", err)
+		}
+	}
+	return sys, nil
+}
+
+// startEnv is start plus an Env to run workloads on the system directly:
+// the sweeps that crash, recover and promote its servers use it.
+func (opts HareOptions) startEnv(placement sched.Policy, scale float64) (*core.System, *workload.Env, error) {
+	sys, err := opts.start(placement)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, &workload.Env{Procs: sys.Procs(), Cores: sys.AppCores(), Scale: scale, Faults: sysFaults{sys}}, nil
+}
+
 // HareFactory returns a Factory that builds Hare deployments with the given
 // options.
 func HareFactory(opts HareOptions) Factory {
 	return func(placement sched.Policy) (*Backend, error) {
-		cfg := core.Config{
-			Cores:           opts.Cores,
-			Servers:         opts.Servers,
-			Timeshare:       opts.Timeshare,
-			Techniques:      opts.Techniques,
-			Placement:       placement,
-			Seed:            opts.Seed,
-			RootDistributed: false,
-			Durability:      opts.Durability,
-			MaxServers:      opts.MaxServers,
-			PlacePolicy:     opts.PlacePolicy,
-			Trace:           opts.Trace,
-		}
-		if cfg.Servers == 0 {
-			cfg.Servers = cfg.Cores
-		}
-		sys, err := core.New(cfg)
+		sys, err := opts.start(placement)
 		if err != nil {
-			return nil, fmt.Errorf("bench: building hare backend: %w", err)
+			return nil, err
 		}
-		sys.Start()
+		cfg := sys.Config()
 		name := fmt.Sprintf("hare(%dc/%ds", cfg.Cores, cfg.Servers)
 		if cfg.Timeshare {
 			name += ",timeshare)"
@@ -135,10 +166,6 @@ func HareFactory(opts HareOptions) Factory {
 			name += ",split)"
 		}
 		if opts.Parallel {
-			if err := sys.SetParallel(true); err != nil {
-				sys.Stop()
-				return nil, fmt.Errorf("bench: enabling parallel engine: %w", err)
-			}
 			name += "+par"
 		}
 		var gate func() sim.GateStats

@@ -9,41 +9,46 @@ import (
 )
 
 func TestDurabilityOverheadTable(t *testing.T) {
-	tbl, err := DurabilityOverhead(testScale, 4)
+	points, err := durabilityOverhead(testScale, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Three workloads x (off, on).
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("got %d rows, want 6:\n%s", len(tbl.Rows), tbl.Render())
+	if len(points) != 6 {
+		t.Fatalf("got %d rows, want 6: %+v", len(points), points)
 	}
-	out := tbl.Render()
-	if !strings.Contains(out, "wal off") || !strings.Contains(out, "wal on") {
-		t.Fatalf("rows missing:\n%s", out)
+	for i, p := range points {
+		on := strings.HasSuffix(p.Row, " wal on")
+		if on != (i%2 == 1) || !on && !strings.HasSuffix(p.Row, " wal off") {
+			t.Fatalf("row %d is %q", i, p.Row)
+		}
+		if on && (p.Records == 0 || p.Flushes == 0 || p.VsOff <= 0) || !on && p.Records != 0 {
+			t.Errorf("%s: %d records, %d flushes, %.2f vs no-wal", p.Row, p.Records, p.Flushes, p.VsOff)
+		}
 	}
 }
 
 func TestRecoveryTimeTable(t *testing.T) {
-	tbl, err := RecoveryTime(testScale, 2)
+	points, err := recoveryTime(testScale, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2:\n%s", len(tbl.Rows), tbl.Render())
+	if len(points) != 2 || points[0].Row != "log replay only" || points[1].Row != "checkpoint + tail" {
+		t.Fatalf("recovery rows %+v", points)
 	}
-	out := tbl.Render()
-	if !strings.Contains(out, "log replay only") || !strings.Contains(out, "checkpoint + tail") {
-		t.Fatalf("modes missing:\n%s", out)
+	replay, ckpt := points[0], points[1]
+	if replay.CkptBytes != 0 || ckpt.CkptBytes == 0 || ckpt.Records >= replay.Records || replay.MaxRecoveryMs <= 0 {
+		t.Fatalf("a checkpoint should trade snapshot bytes for a shorter replay: %+v", points)
 	}
 }
 
 func TestCrashWorkloadCheckTable(t *testing.T) {
-	tbl, err := CrashWorkloadCheck(testScale, 2)
+	points, err := crashWorkload(testScale, 2)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("crash workload did not verify: %v", err)
 	}
-	if len(tbl.Rows) != 1 || tbl.Rows[0][len(tbl.Rows[0])-1] != "ok" {
-		t.Fatalf("crash workload did not verify:\n%s", tbl.Render())
+	if len(points) != 1 || points[0].Ops == 0 || points[0].Records == 0 {
+		t.Fatalf("crash workload row %+v", points)
 	}
 }
 

@@ -3,9 +3,8 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,12 +23,12 @@ func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 	const perWorker, workers = 20, 8
 	servers := []int{1, 4, 8}
 	ws := []workload.Workload{workload.SmallFile{PerWorker: perWorker}, workload.SmallFile{PerWorker: perWorker, WriteBytes: 64}}
-	data, tbl, err := EconomyFigure(testScale, workers, servers, ws)
+	points, err := economyPoints(testScale, workers, servers, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Points) != len(ws)*len(servers) || len(tbl.Rows) != len(data.Points) {
-		t.Fatalf("sweep produced %d points, %d rows", len(data.Points), len(tbl.Rows))
+	if len(points) != len(ws)*len(servers) {
+		t.Fatalf("sweep produced %d points", len(points))
 	}
 	// Per file the client sends the create and one batch: RM_MAP and
 	// UNLINK_INODE led by the close of a file nothing was written to, which
@@ -44,7 +43,7 @@ func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 		"smallfile":       {2*files + 2*workers, 3 * files},
 		"smallfile+write": {3*files + workers + 2*workers, 4*files - 2*workers},
 	}
-	for _, p := range data.Points {
+	for _, p := range points {
 		w := want[p.Benchmark]
 		if p.Msgs != w[0] || p.BatchedOps != w[1] {
 			t.Errorf("%s@%d servers: %d request messages, %d batched sub-ops; want %d, %d",
@@ -58,19 +57,16 @@ func TestPipelineFigureMeetsAcceptance(t *testing.T) {
 // its version unchanged and keeps its cached lines, and what moves does not
 // depend on the server count.
 func TestDatapathSweepAcceptance(t *testing.T) {
-	data, table, err := EconomyFigure(testScale, 4, []int{1, 2, 4},
+	points, err := economyPoints(testScale, 4, []int{1, 2, 4},
 		[]workload.Workload{workload.BigFile{FileKiB: 64, Rounds: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table.Render() == "" {
-		t.Fatal("empty table")
+	if len(points) != 3 {
+		t.Fatalf("expected 3 sweep points, got %d", len(points))
 	}
-	if len(data.Points) != 3 {
-		t.Fatalf("expected 3 sweep points, got %d", len(data.Points))
-	}
-	first := data.Points[0]
-	for _, p := range data.Points {
+	first := points[0]
+	for _, p := range points {
 		if p.SkipLines == 0 || p.InvLines != 0 || p.WbLines == 0 {
 			t.Errorf("servers=%d: %d lines kept, %d invalidated, %d written back; want some kept, none invalidated",
 				p.Servers, p.SkipLines, p.InvLines, p.WbLines)
@@ -81,47 +77,39 @@ func TestDatapathSweepAcceptance(t *testing.T) {
 	}
 }
 
-// TestPipelineBaselineRoundTrip: the baseline file the sweep writes reads
+// economyFile writes the economy sweep at a tiny size to a fresh file and
+// returns the file's path and the sweep's table.
+func economyFile(t *testing.T) (string, *Table) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "BENCH_economy.json")
+	tables, err := Sweep("economy", Params{Scale: 0.01, Cores: 2}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, tables[0]
+}
+
+// TestPipelineBaselineRoundTrip: the file the economy sweep writes reads
 // back to the same points, scale and cores.
 func TestPipelineBaselineRoundTrip(t *testing.T) {
-	data, _, err := EconomyFigure(0.01, 2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	path, tbl := economyFile(t)
+	_, l := readLedger[EconomyPoint](t, path)
+	if l.Sweep != "economy" || l.Params != (Params{Scale: 0.01, Cores: 2}) || len(l.Points) != len(tbl.Rows) {
+		t.Fatalf("baseline round trip mismatch: %+v", l)
 	}
-	path := filepath.Join(t.TempDir(), "economy.json")
-	if err := data.WriteBaseline(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back economyBaseline
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Cores != 2 || back.Scale != 0.01 || !reflect.DeepEqual(back.Points, data.Points) {
-		t.Fatalf("baseline round trip mismatch: %+v", back)
+	for i, p := range l.Points {
+		if got := economySweep.row(p); !slices.Equal(got, tbl.Rows[i]) {
+			t.Errorf("point %d reads back as %q, was measured as %q", i, got, tbl.Rows[i])
+		}
 	}
 }
 
-// TestDatapathBaselineWriter: the committed file names its columns as the
-// point's fields, line counters included, and its note says how to
-// regenerate and check it.
+// TestDatapathBaselineWriter: the file names its columns as the point's
+// fields, line counters included, and its note says how to regenerate and
+// check it.
 func TestDatapathBaselineWriter(t *testing.T) {
-	data := &EconomyData{
-		Cores: 4, Scale: 0.05,
-		Points: []EconomyPoint{{Benchmark: "bigfile", Servers: 2, Ops: 10, Seconds: 0.1,
-			Msgs: 3, Bytes: 700, WbLines: 5, InvLines: 2, SkipLines: 40}},
-	}
-	path := filepath.Join(t.TempDir(), "datapath.json")
-	if err := data.WriteBaseline(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, _ := economyFile(t)
+	raw, l := readLedger[EconomyPoint](t, path)
 	var back struct {
 		Note   string                       `json:"note"`
 		Points []map[string]json.RawMessage `json:"points"`
@@ -129,58 +117,58 @@ func TestDatapathBaselineWriter(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(back.Note, "-economy -check") || !strings.Contains(back.Note, "-economy -scale") {
+	if !strings.Contains(back.Note, "hare-bench -check BENCH_economy.json") || !strings.Contains(back.Note, "hare-bench -sweep economy -scale") {
 		t.Errorf("note %q does not say how to check and regenerate the file", back.Note)
 	}
-	if len(back.Points) != 1 {
-		t.Fatalf("%d points written, want 1", len(back.Points))
+	if len(back.Points) == 0 || len(back.Points) != len(l.Points) {
+		t.Fatalf("%d points written, %d read", len(back.Points), len(l.Points))
 	}
-	for col, want := range map[string]string{"Ops": "10", "Msgs": "3", "Bytes": "700", "BatchedOps": "0",
-		"WbLines": "5", "InvLines": "2", "SkipLines": "40"} {
-		if got := string(back.Points[0][col]); got != want {
-			t.Errorf("column %s = %q, want %q", col, got, want)
+	kept := false
+	for i, p := range l.Points {
+		kept = kept || p.SkipLines > 0
+		for col, want := range map[string]uint64{"Ops": uint64(p.Ops), "Msgs": p.Msgs, "Bytes": p.Bytes, "BatchedOps": p.BatchedOps,
+			"WbLines": p.WbLines, "InvLines": p.InvLines, "SkipLines": p.SkipLines} {
+			if got := string(back.Points[i][col]); got != fmt.Sprint(want) {
+				t.Errorf("%s: column %s = %q, want %d", p.key(), col, got, want)
+			}
 		}
 	}
+	if !kept {
+		t.Error("no point records a kept line")
+	}
 }
 
-// checkEdited writes a fresh sweep as a baseline, checks that it checks
+// checkEdited writes a fresh economy sweep to a file, checks that it checks
 // clean, applies edit to its points, and returns what the check of the
 // edited file says.
-func checkEdited(t *testing.T, edit func(p *EconomyPoint)) (*Table, error) {
+func checkEdited(t *testing.T, edit func(p *EconomyPoint)) error {
 	t.Helper()
-	data, _, err := EconomyFigure(0.01, 2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "economy.json")
-	if err := data.WriteBaseline(path); err != nil {
-		t.Fatal(err)
-	}
-	if tbl, err := CheckEconomyBaseline(path); err != nil || len(tbl.Rows) != len(data.Points) {
+	path, tbl := economyFile(t)
+	if tables, err := Check(path); err != nil || len(tables[0].Rows) != len(tbl.Rows) {
 		t.Fatalf("check of a fresh baseline: %v", err)
 	}
-	for i := range data.Points {
-		edit(&data.Points[i])
-	}
-	if err := data.WriteBaseline(path); err != nil {
-		t.Fatal(err)
-	}
-	return CheckEconomyBaseline(path)
+	rewrite(func(l *ledger[EconomyPoint]) {
+		for i := range l.Points {
+			edit(&l.Points[i])
+		}
+	})(t, path)
+	_, err := Check(path)
+	return err
 }
 
-// TestCheckBaseline: a baseline the sweep has just written checks clean; one
-// whose message column was edited does not, and the error names the point.
-// Times are not gated.
+// TestCheckBaseline: a file the sweep has just written checks clean; one
+// whose message column was edited does not, and the error names that point
+// alone. Times are not gated.
 func TestCheckBaseline(t *testing.T) {
-	tbl, err := checkEdited(t, func(p *EconomyPoint) {
-		switch fmt.Sprintf("%s@%d", p.Benchmark, p.Servers) {
+	err := checkEdited(t, func(p *EconomyPoint) {
+		switch p.key() {
 		case "smallfile@1":
 			p.Seconds *= 3
 		case "smallfile@2":
 			p.Msgs++
 		}
 	})
-	if err == nil || tbl == nil || !strings.Contains(err.Error(), "1 of ") || !strings.Contains(err.Error(), "smallfile@2") {
+	if err == nil || !strings.Contains(err.Error(), "1 of ") || !strings.Contains(err.Error(), "\nsmallfile@2: Msgs ") {
 		t.Fatalf("check of an edited baseline: %v", err)
 	}
 }
@@ -188,15 +176,15 @@ func TestCheckBaseline(t *testing.T) {
 // TestCheckDatapathBaseline: the check gates the line columns too — all but
 // smallfile+write's invalidated lines, which follow host order.
 func TestCheckDatapathBaseline(t *testing.T) {
-	tbl, err := checkEdited(t, func(p *EconomyPoint) {
-		switch fmt.Sprintf("%s@%d", p.Benchmark, p.Servers) {
+	err := checkEdited(t, func(p *EconomyPoint) {
+		switch p.key() {
 		case "smallfile+write@1":
 			p.InvLines += 64
 		case "bigfile@2":
 			p.SkipLines++
 		}
 	})
-	if err == nil || tbl == nil || !strings.Contains(err.Error(), "1 of ") || !strings.Contains(err.Error(), "bigfile@2") {
+	if err == nil || !strings.Contains(err.Error(), "1 of ") || !strings.Contains(err.Error(), "\nbigfile@2: SkipLines ") {
 		t.Fatalf("check of an edited baseline: %v", err)
 	}
 }

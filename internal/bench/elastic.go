@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/place"
 	"repro/internal/workload"
@@ -17,10 +15,6 @@ import (
 // the extra server all along), what it moves (migrated entries — the ring's
 // bounded-movement promise vs modulo reshuffling the world), and what it
 // buys (per-server load imbalance).
-
-// DefaultElasticStartServers is the pre-growth fleet size swept by
-// ElasticFigure (each grows by one mid-run).
-var DefaultElasticStartServers = []int{2, 4}
 
 // ElasticPoint is one (policy, fleet size) measurement.
 type ElasticPoint struct {
@@ -49,35 +43,40 @@ func (p ElasticPoint) PostRatio() float64 {
 	return p.PostSeconds / p.StaticSeconds
 }
 
-// ElasticData holds the full sweep.
-type ElasticData struct {
-	Cores  int
-	Scale  float64
-	Points []ElasticPoint
+func (p ElasticPoint) key() string { return fmt.Sprintf("%s@%d", p.Policy, p.Servers) }
+
+func (p ElasticPoint) gated(c ElasticPoint) ElasticPoint {
+	p.PreSeconds, p.PostSeconds, p.StaticSeconds = c.PreSeconds, c.PostSeconds, c.StaticSeconds
+	return p
 }
 
-// ElasticFigure runs the sweep at the given scale on a machine with the
-// given core count.
-func ElasticFigure(scale float64, cores int, startServers []int) (*ElasticData, *Table, error) {
-	return elasticFigure(scale, cores, startServers, false)
+var elasticSweep = &sweep[ElasticPoint]{
+	name:  "elastic",
+	title: "Elastic sweep: scale-out under load, N -> N+1 servers mid-run",
+	note: "phase B runs while the new server joins and shards migrate; static B is the same phase on a fleet that had N+1 servers from boot. moved = directory entries handed off (ring moves ~1/N, modulo reshuffles the bulk); imbalance = max/mean requests per server. " +
+		"Gated exactly: Ops, MigEntries, Imbalance, StaticImbalance; phase times follow host order and are printed, not gated.",
+	columns: []string{"policy", "servers", "phase A (ms)", "phase B (ms)", "static B (ms)",
+		"B/static", "moved", "imbalance", "static imb"},
+	row: func(p ElasticPoint) []string {
+		return []string{p.Policy, fmt.Sprintf("%d->%d", p.Servers, p.Servers+1),
+			f2(p.PreSeconds * 1000), f2(p.PostSeconds * 1000), f2(p.StaticSeconds * 1000),
+			f2(p.PostRatio()), fmt.Sprint(p.MigEntries), f2(p.Imbalance), f2(p.StaticImbalance)}
+	},
+	beside: []int{5},
+	run: func(p Params) ([]ElasticPoint, map[string]string, error) {
+		points, err := elasticPoints(p.Scale, p.Cores, nil, false)
+		return points, nil, err
+	},
 }
 
-// elasticFigure is ElasticFigure with the engine chosen: parallel runs every
-// deployment under the gated parallel engine.
-func elasticFigure(scale float64, cores int, startServers []int, parallel bool) (*ElasticData, *Table, error) {
-	if cores == 0 {
-		cores = 8
-	}
+// elasticPoints measures each placement policy at each pre-growth fleet
+// size (default 2 and 4) that can grow by one on the machine; parallel runs
+// every deployment under the gated parallel engine.
+func elasticPoints(scale float64, cores int, startServers []int, parallel bool) ([]ElasticPoint, error) {
 	if len(startServers) == 0 {
-		startServers = DefaultElasticStartServers
+		startServers = []int{2, 4}
 	}
-	data := &ElasticData{Cores: cores, Scale: scale}
-	t := &Table{
-		Title: fmt.Sprintf("Elastic sweep: scale-out under load, N -> N+1 servers mid-run (%d cores)", cores),
-		Columns: []string{"policy", "servers", "phase A (ms)", "phase B (ms)", "static B (ms)",
-			"B/static", "moved", "imbalance", "static imb"},
-		Note: "phase B runs while the new server joins and shards migrate; static B is the same phase on a fleet that had N+1 servers from boot. moved = directory entries handed off (ring moves ~1/N, modulo reshuffles the bulk); imbalance = max/mean requests per server.",
-	}
+	var points []ElasticPoint
 	for _, policy := range []place.Policy{place.PolicyRing, place.PolicyModulo} {
 		for _, n := range startServers {
 			if n+1 > cores {
@@ -85,16 +84,12 @@ func elasticFigure(scale float64, cores int, startServers []int, parallel bool) 
 			}
 			p, err := elasticPoint(scale, cores, n, policy, parallel)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			data.Points = append(data.Points, p)
-			t.AddRow(p.Policy, fmt.Sprintf("%d->%d", p.Servers, p.Servers+1),
-				f2(p.PreSeconds*1000), f2(p.PostSeconds*1000), f2(p.StaticSeconds*1000),
-				f2(p.PostRatio()), fmt.Sprintf("%d", p.MigEntries),
-				f2(p.Imbalance), f2(p.StaticImbalance))
+			points = append(points, p)
 		}
 	}
-	return data, t, nil
+	return points, nil
 }
 
 // elasticPoint measures one policy at one fleet size: the elastic run
@@ -143,26 +138,4 @@ func elasticPoint(scale float64, cores, servers int, policy place.Policy, parall
 		p.MigEntries = el.Econ.MigEntries
 	}
 	return p, nil
-}
-
-// WriteBaseline serializes the sweep to path as indented JSON (committed as
-// BENCH_elastic.json so future changes have an elasticity trajectory to
-// compare against).
-func (d *ElasticData) WriteBaseline(path string) error {
-	b := struct {
-		Note   string         `json:"note"`
-		Scale  float64        `json:"scale"`
-		Cores  int            `json:"cores"`
-		Points []ElasticPoint `json:"points"`
-	}{
-		Note:   "hare-bench -elastic baseline; regenerate with: hare-bench -elastic -scale <scale> -cores <cores> -baseline <path>",
-		Scale:  d.Scale,
-		Cores:  d.Cores,
-		Points: d.Points,
-	}
-	buf, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/repl"
@@ -26,10 +24,10 @@ type FailoverPoint struct {
 	Mode string
 	Ops  int
 	// Seconds is the virtual time of the timed workload region; VsOff is
-	// this mode's throughput relative to replication off.
-	Seconds    float64
-	Throughput float64
-	VsOff      float64
+	// this mode's throughput relative to replication off. Both follow host
+	// order: the table prints them, the file keeps Seconds alone.
+	Seconds float64
+	VsOff   float64 `json:"-"`
 	// ReplMsgs/ReplBytes are the replication plane's message economy during
 	// the run; MaxLag is the widest acked-horizon gap any follower showed
 	// after the run (0 under sync).
@@ -55,85 +53,78 @@ func (p FailoverPoint) Speedup() float64 {
 	return p.ReplayMs / p.PromoteMs
 }
 
-// FailoverData holds the full sweep.
-type FailoverData struct {
-	Cores  int
-	Scale  float64
-	Points []FailoverPoint
+// Throughput is the mode's virtual-time ops/s.
+func (p FailoverPoint) Throughput() float64 {
+	if p.Seconds == 0 {
+		return 0
+	}
+	return float64(p.Ops) / p.Seconds
 }
 
-// replHare builds a started Hare deployment with durability on and the given
-// replication mode.
-func replHare(cores int, mode repl.Mode, scale float64) (*core.System, *workload.Env, error) {
-	cfg := core.Config{
-		Cores:      cores,
-		Servers:    cores,
-		Timeshare:  true,
-		Techniques: core.AllTechniques(),
-		Placement:  sched.PolicyRoundRobin,
-		Durability: core.Durability{Enabled: true},
+func (p FailoverPoint) key() string { return p.Mode }
+
+func (p FailoverPoint) gated(c FailoverPoint) FailoverPoint {
+	if p.Mode == repl.Async.String() {
+		// Async replication is outside the determinism oracle: what its
+		// window holds when a server dies follows host order.
+		return c
 	}
-	if mode != repl.Off {
-		cfg.Replication = repl.Config{Mode: mode}
-	}
-	sys, err := core.New(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bench: building replicated hare: %w", err)
-	}
-	sys.Start()
-	env := &workload.Env{
-		Procs:  sys.Procs(),
-		Cores:  sys.AppCores(),
-		Scale:  scale,
-		Faults: sysFaults{sys},
-	}
-	return sys, env, nil
+	p.Seconds, p.VsOff = c.Seconds, c.VsOff
+	return p
 }
 
-// FailoverFigure runs the sweep at the given scale on a machine with the
-// given core count.
-func FailoverFigure(scale float64, cores int) (*FailoverData, *Table, error) {
-	if cores == 0 {
-		cores = 8
-	}
-	data := &FailoverData{Cores: cores, Scale: scale}
-	t := &Table{
-		Title: fmt.Sprintf("Failover sweep: WAL-shipped replicas on %d cores", cores),
-		Columns: []string{"mode", "ops/s", "vs off", "repl msgs", "repl KB", "lag",
-			"replay (ms)", "promote (ms)", "speedup", "lost"},
-		Note: "Write-heavy workloads (creates + writes), no checkpoints, so the crashed server's whole history sits in its log. replay = recovery by log replay; promote = sealing and installing the follower's replica on an identical twin deployment. lost = acked records the promotion dropped (must be 0 under sync; async may lose up to one window).",
-	}
+var failoverSweep = &sweep[FailoverPoint]{
+	name:  "failover",
+	title: "Failover sweep: WAL-shipped replicas",
+	note: "Write-heavy workloads (creates + writes), no checkpoints, so the crashed server's whole history sits in its log. replay = recovery by log replay; promote = sealing and installing the follower's replica on an identical twin deployment. lost = acked records the promotion dropped (must be 0 under sync; async may lose up to one window). " +
+		"Gated exactly for off and sync: Ops, ReplMsgs, ReplBytes, MaxLag, ReplayMs, ReplayRecords, PromoteMs, LostRecords; async and throughput are printed, not gated.",
+	columns: []string{"mode", "ops/s", "vs off", "repl msgs", "repl KB", "lag",
+		"replay (ms)", "promote (ms)", "speedup", "lost"},
+	row: func(p FailoverPoint) []string {
+		promote, speedup := "-", "-"
+		if p.Mode != repl.Off.String() {
+			promote, speedup = fmt.Sprintf("%.3f", p.PromoteMs), f2(p.Speedup())+"x"
+		}
+		return []string{p.Mode, f1(p.Throughput()), f2(p.VsOff), fmt.Sprint(p.ReplMsgs),
+			f1(float64(p.ReplBytes) / 1024), fmt.Sprint(p.MaxLag), fmt.Sprintf("%.3f", p.ReplayMs),
+			promote, speedup, fmt.Sprint(p.LostRecords)}
+	},
+	beside: []int{1},
+	run: func(p Params) ([]FailoverPoint, map[string]string, error) {
+		points, err := failoverPoints(p.Scale, p.Cores)
+		return points, nil, err
+	},
+}
+
+// failoverPoints measures replication off, sync and async.
+func failoverPoints(scale float64, cores int) ([]FailoverPoint, error) {
+	var points []FailoverPoint
 	var offThr float64
 	for _, mode := range []repl.Mode{repl.Off, repl.Sync, repl.Async} {
 		p, err := failoverPoint(scale, cores, mode)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if mode == repl.Off {
-			offThr = p.Throughput
+			offThr = p.Throughput()
 		}
 		if offThr > 0 {
-			p.VsOff = p.Throughput / offThr
+			p.VsOff = p.Throughput() / offThr
 		}
-		data.Points = append(data.Points, p)
-		promote, speedup := "-", "-"
-		if mode != repl.Off {
-			promote = fmt.Sprintf("%.3f", p.PromoteMs)
-			speedup = f2(p.Speedup()) + "x"
-		}
-		t.AddRow(p.Mode, f1(p.Throughput), f2(p.VsOff),
-			fmt.Sprintf("%d", p.ReplMsgs), f1(float64(p.ReplBytes)/1024), fmt.Sprintf("%d", p.MaxLag),
-			fmt.Sprintf("%.3f", p.ReplayMs), promote, speedup, fmt.Sprintf("%d", p.LostRecords))
+		points = append(points, p)
 	}
-	return data, t, nil
+	return points, nil
 }
 
 // failoverPoint measures one replication mode: the workload run and replay
 // control on one deployment, the promotion stall on an identical twin.
 func failoverPoint(scale float64, cores int, mode repl.Mode) (FailoverPoint, error) {
 	ws := []workload.Workload{workload.Creates{}, workload.Writes{}}
+	opts := DefaultHare(cores)
+	opts.Durability = core.Durability{Enabled: true}
+	opts.Replication = repl.Config{Mode: mode}
 	run := func() (*core.System, int, sim.Cycles, error) {
-		sys, env, err := replHare(cores, mode, scale)
+		sys, env, err := opts.startEnv(sched.PolicyRoundRobin, scale)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -157,9 +148,6 @@ func failoverPoint(scale float64, cores int, mode repl.Mode) (FailoverPoint, err
 	}
 	secs := sys.Seconds(elapsed)
 	p := FailoverPoint{Mode: mode.String(), Ops: ops, Seconds: secs}
-	if secs > 0 {
-		p.Throughput = float64(ops) / secs
-	}
 	econ := sys.MessageEconomy()
 	p.ReplMsgs = econ.ReplMsgs
 	p.ReplBytes = econ.ReplBytes
@@ -206,26 +194,4 @@ func failoverPoint(scale float64, cores int, mode repl.Mode) (FailoverPoint, err
 	p.PromoteMs = twin.Seconds(rep.StallCycles) * 1000
 	p.LostRecords = rep.LostRecords
 	return p, nil
-}
-
-// WriteBaseline serializes the sweep to path as indented JSON (committed as
-// BENCH_failover.json so the failover stall has a trajectory to compare
-// against).
-func (d *FailoverData) WriteBaseline(path string) error {
-	b := struct {
-		Note   string          `json:"note"`
-		Scale  float64         `json:"scale"`
-		Cores  int             `json:"cores"`
-		Points []FailoverPoint `json:"points"`
-	}{
-		Note:   "hare-bench -failover baseline; regenerate with: hare-bench -failover -scale <scale> -cores <cores> -baseline <path>",
-		Scale:  d.Scale,
-		Cores:  d.Cores,
-		Points: d.Points,
-	}
-	buf, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -18,18 +18,15 @@ import (
 // deployments that ran the identical workload, so the comparison is exact,
 // not schedule-noisy; LostRecords and lag are schedule-independent counters.
 func TestFailoverFigureSmoke(t *testing.T) {
-	data, table, err := FailoverFigure(0.05, 4)
+	points, err := failoverPoints(0.05, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table.Render() == "" {
-		t.Fatal("empty table")
-	}
-	if len(data.Points) != 3 {
-		t.Fatalf("got %d points, want 3 (off/sync/async)", len(data.Points))
+	if len(points) != 3 {
+		t.Fatalf("got %d points, want 3 (off/sync/async)", len(points))
 	}
 	byMode := map[string]FailoverPoint{}
-	for _, p := range data.Points {
+	for _, p := range points {
 		byMode[p.Mode] = p
 	}
 
@@ -53,8 +50,8 @@ func TestFailoverFigureSmoke(t *testing.T) {
 			t.Fatalf("%s: promotion stalled %.4f ms vs %.4f ms replay; the replica buys nothing",
 				p.Mode, p.PromoteMs, p.ReplayMs)
 		}
-		if p.Throughput <= 0 || p.VsOff <= 0 {
-			t.Fatalf("%s: missing throughput: %.1f ops/s (%.2f vs off)", p.Mode, p.Throughput, p.VsOff)
+		if p.Throughput() <= 0 || p.VsOff <= 0 {
+			t.Fatalf("%s: missing throughput: %.1f ops/s (%.2f vs off)", p.Mode, p.Throughput(), p.VsOff)
 		}
 	}
 

@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"runtime"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -15,127 +14,113 @@ import (
 // reports the virtual-time overhead of each mode alongside the tail-latency
 // percentiles the traced modes unlock. The sampled mode is the always-on
 // production setting, so its overhead column is the one that matters.
+//
+// Every deployment runs under the gated parallel engine on one P, where the
+// traced modes' times and span counts repeat run to run; under the
+// serialized engine the untraced time followed host order, and the overhead
+// with it.
 
 // ObsSampleInterval is the sampled mode's 1-in-N interval.
 const ObsSampleInterval = 64
 
-// ObsMode is one benchmark measured in one tracing mode.
-type ObsMode struct {
-	Mode    string // "off", "1/64", "full"
-	Sample  int
-	Seconds float64
+// obsOverheadBound is the most virtual time the sampled mode may add to the
+// untraced run: a check that measures more fails, whatever the file says.
+const obsOverheadBound = 0.03
+
+// ObsPoint is one benchmark measured in one tracing mode.
+type ObsPoint struct {
+	Benchmark string
+	Mode      string // "off", "1/64", "full"
+	Sample    int
+	Ops       int
+	Seconds   float64
 	// Overhead is the virtual-time cost relative to the untraced run
 	// (0.01 = 1% slower); 0 for the off mode itself.
 	Overhead float64
-	// Spans retained in the ring at the end of the timed region, plus how
-	// many older ones the ring dropped.
-	Spans   int
-	Dropped uint64
-	// Lat holds per-op latency quantiles in virtual cycles.
-	Lat map[string]stats.Quantiles `json:",omitempty"`
+	// Spans retained in the ring at the end of the timed region.
+	Spans int
+	// HotOp is the op with the most recorded root spans, and P50/P99 its
+	// latency quantiles in virtual cycles; empty and zero untraced.
+	HotOp    string `json:",omitempty"`
+	P50, P99 uint64
 }
 
-// ObsPoint is one benchmark across the three tracing modes.
-type ObsPoint struct {
-	Benchmark string
-	Ops       int
-	Modes     []ObsMode
+func (p ObsPoint) key() string { return p.Benchmark + " " + p.Mode }
+
+func (p ObsPoint) gated(c ObsPoint) ObsPoint {
+	c.Ops = p.Ops
+	if p.Mode == "full" {
+		// A sampled mode's spans follow which ops draw the sample, and
+		// a worker's op order follows the host's now and then.
+		c.Spans = p.Spans
+	}
+	if p.Sample == ObsSampleInterval && p.Overhead > obsOverheadBound {
+		c.Overhead = p.Overhead
+	}
+	return c
 }
 
-// SampledOverhead returns the 1-in-64 mode's overhead fraction.
-func (p ObsPoint) SampledOverhead() float64 {
-	for _, m := range p.Modes {
-		if m.Mode == "1/64" {
-			return m.Overhead
+var obsSweep = &sweep[ObsPoint]{
+	name:  "obs",
+	title: fmt.Sprintf("Tracing overhead: off vs 1-in-%d sampled vs full", ObsSampleInterval),
+	note: fmt.Sprintf("overhead = virtual-time cost vs the untraced run, under the gated engine on one P; spans = ring occupancy; percentiles are root-span latencies of the most frequent op. "+
+		"Gated: Ops and the full mode's Spans exactly, the 1-in-%d mode's Overhead at most %.0f%%; times and percentiles are printed, not gated.",
+		ObsSampleInterval, obsOverheadBound*100),
+	columns: []string{"benchmark", "mode", "time (ms)", "overhead", "spans", "hot op", "p50 (cyc)", "p99 (cyc)"},
+	row: func(p ObsPoint) []string {
+		spans, op, lat50, lat99 := "-", "-", "-", "-"
+		if p.Sample > 0 {
+			spans = fmt.Sprint(p.Spans)
 		}
-	}
-	return 0
-}
-
-// ObsData holds the full sweep.
-type ObsData struct {
-	Cores  int
-	Scale  float64
-	Points []ObsPoint
-}
-
-// ObsFigure runs the tracing-overhead sweep. The default workload set is the
-// paper's two reference microbenchmarks, smallfile and bigfile.
-func ObsFigure(scale float64, cores int, ws []workload.Workload) (*ObsData, *Table, error) {
-	if cores == 0 {
-		cores = 8
-	}
-	if ws == nil {
-		ws = []workload.Workload{workload.SmallFile{}, workload.BigFile{}}
-	}
-	data := &ObsData{Cores: cores, Scale: scale}
-	t := &Table{
-		Title: fmt.Sprintf("Tracing overhead: off vs 1-in-%d sampled vs full (%d cores)", ObsSampleInterval, cores),
-		Columns: []string{"benchmark", "mode", "time (ms)", "overhead", "spans", "hot op",
-			"p50 (cyc)", "p99 (cyc)"},
-		Note: "overhead = virtual-time cost vs the untraced run; spans = ring occupancy (+dropped); percentiles are root-span latencies of the most frequent op.",
-	}
-	for _, w := range ws {
-		p, err := obsPoint(scale, cores, w)
-		if err != nil {
-			return nil, nil, err
+		if p.HotOp != "" {
+			op, lat50, lat99 = p.HotOp, fmt.Sprint(p.P50), fmt.Sprint(p.P99)
 		}
-		data.Points = append(data.Points, p)
-		for _, m := range p.Modes {
-			op, q := hottestOp(m.Lat)
-			spans := "-"
-			lat50, lat99 := "-", "-"
-			if m.Sample > 0 {
-				spans = fmt.Sprintf("%d", m.Spans)
-				if m.Dropped > 0 {
-					spans += fmt.Sprintf("(+%d)", m.Dropped)
-				}
+		return []string{p.Benchmark, p.Mode, f2(p.Seconds * 1000), fmt.Sprintf("%.2f%%", p.Overhead*100), spans, op, lat50, lat99}
+	},
+	beside: []int{3},
+	bench:  true,
+	run: func(p Params) ([]ObsPoint, map[string]string, error) {
+		var points []ObsPoint
+		for _, w := range p.workloads(workload.SmallFile{}, workload.BigFile{}) {
+			more, err := obsPoints(p.Scale, p.Cores, w)
+			if err != nil {
+				return nil, nil, err
 			}
-			if op != "" {
-				lat50 = fmt.Sprintf("%d", q.P50)
-				lat99 = fmt.Sprintf("%d", q.P99)
-			} else {
-				op = "-"
-			}
-			t.AddRow(p.Benchmark, m.Mode, f2(m.Seconds*1000), pct(m.Overhead), spans, op, lat50, lat99)
+			points = append(points, more...)
 		}
-	}
-	return data, t, nil
+		return points, nil, nil
+	},
 }
 
-// obsPoint measures one benchmark in the three tracing modes.
-func obsPoint(scale float64, cores int, w workload.Workload) (ObsPoint, error) {
-	modes := []struct {
-		label  string
-		sample int
-	}{
-		{"off", 0},
-		{"1/64", ObsSampleInterval},
-		{"full", 1},
-	}
-	p := ObsPoint{Benchmark: w.Name()}
-	var offSeconds float64
-	for _, mode := range modes {
+// obsPoints measures one benchmark in the three tracing modes.
+func obsPoints(scale float64, cores int, w workload.Workload) ([]ObsPoint, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var points []ObsPoint
+	for _, sample := range []int{0, ObsSampleInterval, 1} {
 		opts := DefaultHare(cores)
-		opts.Trace = trace.Config{Sample: mode.sample}
+		opts.Trace = trace.Config{Sample: sample}
+		opts.Parallel = true
 		r, err := RunWorkload(HareFactory(opts), w, scale)
 		if err != nil {
-			return ObsPoint{}, err
+			return nil, err
 		}
-		m := ObsMode{Mode: mode.label, Sample: mode.sample, Seconds: r.Seconds, Lat: r.Lat, Spans: len(r.Spans)}
-		if mode.sample == 0 {
-			offSeconds = r.Seconds
-			p.Ops = r.Ops
-		} else if offSeconds > 0 {
-			m.Overhead = r.Seconds/offSeconds - 1
+		p := ObsPoint{Benchmark: w.Name(), Mode: "off", Sample: sample, Ops: r.Ops, Seconds: r.Seconds, Spans: len(r.Spans)}
+		p.HotOp, p.P50, p.P99 = hottestOp(r.Lat)
+		if sample > 0 {
+			p.Mode = fmt.Sprintf("1/%d", sample)
+			p.Overhead = r.Seconds/points[0].Seconds - 1
+			if sample == 1 {
+				p.Mode = "full"
+			}
 		}
-		p.Modes = append(p.Modes, m)
+		points = append(points, p)
 	}
-	return p, nil
+	return points, nil
 }
 
-// hottestOp picks the op with the most recorded samples.
-func hottestOp(lat map[string]stats.Quantiles) (string, stats.Quantiles) {
+// hottestOp picks the op with the most recorded samples and its median and
+// 99th-percentile latency.
+func hottestOp(lat map[string]stats.Quantiles) (string, uint64, uint64) {
 	var best string
 	var bestQ stats.Quantiles
 	for op, q := range lat {
@@ -143,26 +128,5 @@ func hottestOp(lat map[string]stats.Quantiles) (string, stats.Quantiles) {
 			best, bestQ = op, q
 		}
 	}
-	return best, bestQ
-}
-
-// WriteBaseline serializes the sweep to path as indented JSON (committed as
-// BENCH_obs.json so tracing-overhead regressions are visible in review).
-func (d *ObsData) WriteBaseline(path string) error {
-	b := struct {
-		Note   string     `json:"note"`
-		Scale  float64    `json:"scale"`
-		Cores  int        `json:"cores"`
-		Points []ObsPoint `json:"points"`
-	}{
-		Note:   "hare-bench -obs baseline; regenerate with: hare-bench -obs -scale <scale> -cores <cores> -baseline <path>",
-		Scale:  d.Scale,
-		Cores:  d.Cores,
-		Points: d.Points,
-	}
-	buf, err := json.MarshalIndent(&b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	return best, bestQ.P50, bestQ.P99
 }

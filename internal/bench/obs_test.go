@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -12,51 +11,32 @@ import (
 // every benchmark reports the three modes, the traced modes carry latency
 // quantiles and spans, and the untraced mode carries neither.
 func TestObsFigureModes(t *testing.T) {
-	ws := []workload.Workload{workload.Creates{PerWorker: 4}}
-	data, table, err := ObsFigure(0.05, 2, ws)
+	points, err := obsPoints(0.05, 2, workload.Creates{PerWorker: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data.Points) != 1 {
-		t.Fatalf("expected 1 point, got %d", len(data.Points))
-	}
-	p := data.Points[0]
-	if p.Ops == 0 {
-		t.Fatal("untraced mode did not record op count")
-	}
 	want := []string{"off", "1/64", "full"}
-	if len(p.Modes) != len(want) {
-		t.Fatalf("expected %d modes, got %d", len(want), len(p.Modes))
+	if len(points) != len(want) {
+		t.Fatalf("expected %d modes, got %d", len(want), len(points))
 	}
-	for i, m := range p.Modes {
-		if m.Mode != want[i] {
-			t.Fatalf("mode %d: got %q, want %q", i, m.Mode, want[i])
+	for i, p := range points {
+		if p.Mode != want[i] || p.Benchmark != "creates" {
+			t.Fatalf("point %d: got %s %q, want creates %q", i, p.Benchmark, p.Mode, want[i])
 		}
-		if m.Seconds <= 0 {
-			t.Fatalf("mode %q: no virtual time recorded", m.Mode)
+		if p.Seconds <= 0 || p.Ops != points[0].Ops || p.Ops == 0 {
+			t.Fatalf("mode %q: %d ops in %v s", p.Mode, p.Ops, p.Seconds)
 		}
-		if m.Sample == 0 {
-			if m.Spans != 0 || len(m.Lat) != 0 {
-				t.Fatalf("off mode carried spans=%d lat=%d", m.Spans, len(m.Lat))
+		if p.Sample == 0 {
+			if p.Spans != 0 || p.HotOp != "" || p.Overhead != 0 {
+				t.Fatalf("off mode carried spans=%d hot op %q overhead %v", p.Spans, p.HotOp, p.Overhead)
 			}
 			continue
 		}
-		if m.Spans == 0 {
-			t.Fatalf("mode %q retained no spans", m.Mode)
+		if p.Spans == 0 {
+			t.Fatalf("mode %q retained no spans", p.Mode)
 		}
-		if len(m.Lat) == 0 {
-			t.Fatalf("mode %q has no latency quantiles", m.Mode)
-		}
-		for op, q := range m.Lat {
-			if q.N == 0 {
-				t.Fatalf("mode %q op %q: empty quantiles", m.Mode, op)
-			}
-		}
-	}
-	rendered := table.Render()
-	for _, col := range []string{"benchmark", "overhead", "p99 (cyc)"} {
-		if !strings.Contains(rendered, col) {
-			t.Fatalf("rendered table missing column %q:\n%s", col, rendered)
+		if p.HotOp == "" || p.P50 == 0 || p.P99 < p.P50 {
+			t.Fatalf("mode %q: hot op %q, p50 %d, p99 %d", p.Mode, p.HotOp, p.P50, p.P99)
 		}
 	}
 }

@@ -114,20 +114,6 @@ func RunWorkload(f Factory, w workload.Workload, scale float64) (Result, error) 
 	return r, nil
 }
 
-// RunSuite runs every provided workload on backends built by the factory and
-// returns the results keyed by benchmark name.
-func RunSuite(f Factory, ws []workload.Workload, scale float64) (map[string]Result, error) {
-	out := make(map[string]Result, len(ws))
-	for _, w := range ws {
-		r, err := RunWorkload(f, w, scale)
-		if err != nil {
-			return nil, err
-		}
-		out[w.Name()] = r
-	}
-	return out, nil
-}
-
 // Speedup is a convenience: the ratio of two throughputs (or equivalently
 // inverse runtimes for the same amount of work).
 func Speedup(base, other Result) float64 {

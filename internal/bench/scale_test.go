@@ -34,7 +34,7 @@ func TestParseScaleRungs(t *testing.T) {
 // fills the gate's ledger for the parallel rung and skips the third.
 func TestScaleSweepSmoke(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
-	data, tables, err := ScaleSweepFigure([]ScaleRung{
+	points, skipped, err := scalePoints([]ScaleRung{
 		{Servers: 8, Files: 800, Cores: 1},
 		{Servers: 8, Files: 800, Cores: 1, Parallel: true},
 		{Servers: 8, Files: 800, Cores: 1 << 20},
@@ -45,58 +45,56 @@ func TestScaleSweepSmoke(t *testing.T) {
 	if runtime.GOMAXPROCS(0) != procs {
 		t.Fatalf("GOMAXPROCS left at %d, was %d", runtime.GOMAXPROCS(0), procs)
 	}
-	if len(data.Points) != 2 || len(tables) != 2 || !strings.Contains(tables[0].Note, "Skipped 8:800@1048576") {
-		t.Fatalf("%d points, %d tables, note %q", len(data.Points), len(tables), tables[0].Note)
+	if gt := gateTable(points); len(points) != 2 || len(gt) != 1 || len(gt[0].Rows) != 1 || !strings.HasPrefix(skipped["8:800@1048576"], "the machine has") {
+		t.Fatalf("%d points, gate tables %v, skipped %q", len(points), gt, skipped)
 	}
-	for _, p := range data.Points {
+	for _, p := range points {
 		if p.GOMAXPROCS != 1 || p.Ops == 0 || p.VirtSeconds <= 0 || p.LoadImbalance < 1 {
 			t.Fatalf("point %+v", p)
 		}
 	}
-	g := data.Points[1].Gate
-	if data.Points[0].Gate != nil || g == nil || g.Locks == 0 || g.Bumps == 0 || g.Locks > 4*uint64(data.Points[1].Ops) {
-		t.Fatalf("gate ledgers: serialized %+v, parallel %+v", data.Points[0].Gate, g)
+	g := points[1].Gate
+	if points[0].Gate != nil || g == nil || g.Locks == 0 || g.Bumps == 0 || g.Locks > 4*uint64(points[1].Ops) {
+		t.Fatalf("gate ledgers: serialized %+v, parallel %+v", points[0].Gate, g)
 	}
 }
 
-// TestCheckScaleBaseline: a baseline the sweep has just written checks clean
+// TestCheckScaleBaseline: a file the sweep has just written checks clean
 // under either engine; a rung the file does not record and one wider than
 // the machine are skipped and named; an edited load imbalance, and
-// allocations well below what the rung makes, fail the check and the error
-// names each rung.
+// allocations well above what the file records, fail the check and the
+// error names each rung. Times and the heap are not gated.
 func TestCheckScaleBaseline(t *testing.T) {
-	rungs := []ScaleRung{{Servers: 16, Files: 800, Cores: 1}, {Servers: 16, Files: 800, Cores: 1, Parallel: true}}
-	data, _, err := ScaleSweepFigure(append(rungs, ScaleRung{Servers: 16, Files: 800, Cores: 1 << 20}))
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
+	if _, err := Sweep("scale", Params{Rungs: "16:800@1,16:800:par@1,16:800@1048576"}, path); err != nil {
 		t.Fatal(err)
 	}
-	// Rungs this small repeat their allocations per op to within a few
-	// percent (1–2 % under -race), not to the committed rungs' 0.05 %.
-	measured := data.Points[0].AllocsPerOp
-	for i := range data.Points {
-		data.Points[i].AllocsPerOp *= 1.1
+	var measured float64
+	rewrite(func(l *ledger[ScalePoint]) {
+		measured = l.Points[0].AllocsPerOp
+		// Rungs this small repeat their allocations per op to within a few
+		// percent (1–2 % under -race), not to the committed rungs' 0.05 %.
+		for i := range l.Points {
+			l.Points[i].AllocsPerOp *= 1.1
+		}
+		l.Rungs += ",8:800@1"
+	})(t, path)
+	tables, err := Check(path)
+	if err != nil || len(tables[0].Rows) != 3 || !strings.Contains(tables[0].Note, "Skipped 8:800@1: "+path+" does not record it.") ||
+		!strings.Contains(tables[0].Note, "Skipped 16:800@1048576: the machine has") {
+		t.Fatalf("check of a fresh baseline: %v, note %q", err, tables[0].Note)
 	}
-	path := filepath.Join(t.TempDir(), "scale.json")
-	if err := data.WriteBaseline(path); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := CheckScaleBaseline(path, append(rungs, ScaleRung{Servers: 8, Files: 800, Cores: 1}))
-	if err != nil || len(tbl.Rows) != 2 || !strings.Contains(tbl.Note, "Skipped 8:800@1: "+path+" does not record it.") {
-		t.Fatalf("check of a fresh baseline: %v, note %q", err, tbl.Note)
-	}
-	// Times and the heap are not gated, the imbalance and allocations are.
-	data.Points[0].VirtSeconds *= 3
-	data.Points[0].HeapBytes /= 2
-	data.Points[0].AllocsPerOp = measured / 2
-	data.Points[1].LoadImbalance += 0.5
-	data.Points = append(data.Points, ScalePoint{Rung: "16:800@1048576"})
-	if err := data.WriteBaseline(path); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err = CheckScaleBaseline(path, []ScaleRung{rungs[0], {Servers: 16, Files: 800, Cores: 1 << 20}, rungs[1]})
-	if err == nil || tbl == nil || !strings.Contains(err.Error(), "2 of 2") || !strings.Contains(err.Error(), "16:800:par@1: ops") ||
-		!strings.Contains(err.Error(), "16:800@1: allocs/op") ||
-		!strings.Contains(tbl.Note, "Skipped 16:800@1048576: the machine has") {
-		t.Fatalf("check of an edited baseline: %v, note %q", err, tbl.Note)
+	rewrite(func(l *ledger[ScalePoint]) {
+		at(l, "16:800@1", func(p *ScalePoint) {
+			p.VirtSeconds *= 3
+			p.HeapBytes /= 2
+			p.AllocsPerOp = measured / 2
+		})
+		at(l, "16:800:par@1", func(p *ScalePoint) { p.LoadImbalance += 0.5 })
+	})(t, path)
+	tables, err = Check(path)
+	if err == nil || !strings.Contains(err.Error(), "2 of 2") || !strings.Contains(err.Error(), "\n16:800:par@1: load_imbalance ") ||
+		!strings.Contains(err.Error(), "\n16:800@1: allocs_per_op ") {
+		t.Fatalf("check of an edited baseline: %v, note %q", err, tables[0].Note)
 	}
 }
