@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -205,6 +206,31 @@ func TestFigure4SLOC(t *testing.T) {
 	last := tbl.Rows[len(tbl.Rows)-1]
 	if last[0] != "Total" {
 		t.Fatal("last row should be the total")
+	}
+
+	// Every package under internal/ is counted, and counted once: code moved
+	// into a package no component names would read as deleted.
+	dirs, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		dir := "internal/" + d.Name()
+		var in []string
+		for _, c := range SLOCComponents() {
+			for _, p := range c.Paths {
+				if dir == p || strings.HasPrefix(dir, p+"/") {
+					in = append(in, c.Name)
+					break
+				}
+			}
+		}
+		if len(in) != 1 {
+			t.Errorf("%s belongs to %d components %q, want exactly one", dir, len(in), in)
+		}
 	}
 }
 

@@ -128,6 +128,32 @@ func TestTupleParsing(t *testing.T) {
 	}
 }
 
+// FuzzParseTuple: any string either fails to parse or names a run whose
+// tuple parses back to the same seed, techniques, policy and replication
+// mode — what a failing run prints, `hare-chaos -repro` reruns.
+func FuzzParseTuple(f *testing.F) {
+	for _, s := range []string{"42,11111,mod", "7,10110,ring,sync", "99,00000,mod,async", " 3,11111,ring ",
+		"1,1111111,mod", "1,11111,mod,off", "18446744073709551615,01010,ring,sync", "", ",,,"} {
+		f.Add(s)
+	}
+	base := DefaultConfig(0)
+	f.Fuzz(func(t *testing.T, s string) {
+		seed, tech, pol, rmode, err := ParseTuple(s)
+		if err != nil {
+			return
+		}
+		tuple := WithTuple(base, seed, tech, pol, rmode).Tuple()
+		seed2, tech2, pol2, rmode2, err := ParseTuple(tuple)
+		if err != nil {
+			t.Fatalf("%q parsed, but the tuple it names, %q, does not: %v", s, tuple, err)
+		}
+		if seed2 != seed || tech2 != tech || pol2 != pol || rmode2 != rmode {
+			t.Fatalf("%q parsed to %d,%+v,%v,%v; its tuple %q to %d,%+v,%v,%v",
+				s, seed, tech, pol, rmode, tuple, seed2, tech2, pol2, rmode2)
+		}
+	})
+}
+
 // TestMatrixShapes checks the sweep constructors cover what they claim.
 func TestMatrixShapes(t *testing.T) {
 	techs := MatrixTechniques()

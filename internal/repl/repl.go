@@ -12,16 +12,17 @@
 //     its log (wal.Log.LastFrames) to one follower, while the append's
 //     flush is under way. Records are state assignments, so the follower's
 //     ingest is idempotent and a re-shipped batch is harmless.
-//   - The Follower state machine mirrors the server's replay rules
-//     (durability.go applyRecord) against its own shadow of the primary's
-//     state — inodes, directory shards, dead-directory tombstones, and
-//     per-block file contents — and tracks the durable horizon it has
-//     applied, which it acks back to the primary.
+//   - The Follower is the server's replay, run ahead of time: it applies
+//     each batch to a wal.Image — the same type, and the same Apply, a
+//     recovering server replays its log into — holding the primary's
+//     inodes, directory shards, dead-directory tombstones, and per-block
+//     file contents, and tracks the durable horizon it has applied, which
+//     it acks back to the primary.
 //   - Sync mode holds each client reply until the follower acked the
 //     request's records (no acknowledged write can be lost by promotion);
 //     async mode ships without waiting and bounds the unacked window with
 //     a blocking flush when the follower lags too far.
-//   - Failover seals the follower, converts its shadow state into a
+//   - Failover seals the follower, converts its image into a
 //     wal.Checkpoint, and installs that snapshot into the crashed
 //     primary's server object under a bumped placement epoch — clients
 //     reroute with the same EEPOCH refresh they already use for shard

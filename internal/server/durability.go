@@ -343,40 +343,44 @@ func (s *Server) resetState() {
 // returns statistics about the recovery, including the virtual time the
 // replay work was charged.
 //
-// Recovery is idempotent: records are state assignments, so rebuilding the
-// same checkpoint+log prefix always produces the same state, and a second
-// crash/recover cycle without intervening mutations is a no-op.
+// The replay runs into a wal.Image — the checkpoint loaded, the log tail
+// applied — which the restart then installs the way a promotion installs a
+// replica's (DESIGN.md §6). Recovery is idempotent: records are state
+// assignments, so rebuilding the same checkpoint+log prefix always produces
+// the same state, and a second crash/recover cycle without intervening
+// mutations is a no-op.
 func (s *Server) Recover() (wal.RecoveryStats, error) {
 	st := wal.RecoveryStats{Server: s.cfg.ID}
-	var ckpt *wal.Checkpoint
-	var recs []wal.Record
 	var err error
-	st.Cycles, err = s.restart(func() (err error) {
-		ckpt, st.CheckpointBytes, recs, err = s.wal.Recover()
-		return err
-	}, func() sim.Cycles {
+	st.Cycles, err = s.restart(func() (*wal.Checkpoint, sim.Cycles, error) {
+		ckpt, ckptBytes, recs, err := s.wal.Recover()
+		if err != nil {
+			return nil, 0, err
+		}
+		img := wal.NewImage(s.cfg.DRAM.BlockSize())
 		if ckpt != nil {
 			st.UsedCheckpoint = true
+			st.CheckpointBytes = ckptBytes
 			st.CheckpointInodes = len(ckpt.Inodes)
-			s.loadCheckpoint(ckpt)
+			img.Load(ckpt)
 		}
 		for _, r := range recs {
 			st.Bytes += int64(len(r.Data) + len(r.Name) + 64)
-			s.applyRecord(r)
+			img.Apply(r)
 		}
 		st.Records = len(recs)
-		return s.wal.ReplayCost(st.Records, st.Bytes, st.CheckpointBytes)
+		return img.Checkpoint(), s.wal.ReplayCost(st.Records, st.Bytes, st.CheckpointBytes), nil
 	})
 	return st, err
 }
 
 // restart brings a crashed server back as a fresh incarnation, the one path
-// Recover and Promote share. read does what can fail — reading the log, or
-// writing the snapshot out as the checkpoint — before anything in memory
-// changes, so a failed read leaves the server as the crash left it. load then
-// rebuilds the durable state into the reset tables and returns the virtual
-// work the restart cost, which restart charges and returns.
-func (s *Server) restart(read func() error, load func() sim.Cycles) (sim.Cycles, error) {
+// Recover and Promote share. prepare does what can fail — reading the log,
+// or writing the snapshot out as the checkpoint — before anything in memory
+// changes, so a failed prepare leaves the server as the crash left it. It
+// returns the checkpoint to install and the virtual work the restart costs,
+// which restart charges and returns.
+func (s *Server) restart(prepare func() (*wal.Checkpoint, sim.Cycles, error)) (sim.Cycles, error) {
 	s.crashMu.Lock()
 	defer s.crashMu.Unlock()
 	if s.wal == nil {
@@ -385,7 +389,8 @@ func (s *Server) restart(read func() error, load func() sim.Cycles) (sim.Cycles,
 	if !s.crashed.Load() {
 		return 0, fmt.Errorf("server %d: not crashed", s.cfg.ID)
 	}
-	if err := read(); err != nil {
+	c, work, err := prepare()
+	if err != nil {
 		return 0, err
 	}
 	s.incarnation++
@@ -393,7 +398,7 @@ func (s *Server) restart(read func() error, load func() sim.Cycles) (sim.Cycles,
 	// never collide with span IDs recorded before the crash.
 	s.tem = trace.ServerEmitter(s.cfg.ID, s.incarnation)
 	s.resetState()
-	work := load()
+	s.loadCheckpoint(c)
 
 	// Rebuild the entry counter from the loaded shard table.
 	var ents int64
@@ -443,11 +448,13 @@ func (s *Server) broadcastCacheFlush() {
 	}
 }
 
-// loadCheckpoint installs a snapshot. Block contents are written back to
-// DRAM only when the crash lost the memory domain; after a plain process
-// crash the shared DRAM still holds the live data (possibly newer than the
-// snapshot, from clients writing the buffer cache directly) and must not be
-// rolled back.
+// loadCheckpoint installs a snapshot: a checkpoint, a replayed image, or a
+// replica's at promotion. Block contents are written back to DRAM only when
+// the crash lost the memory domain; the partition was wiped then, so a block
+// the snapshot holds no bytes for reads as zeros, as the allocator hands a
+// block over. After a plain process crash the shared DRAM still holds the
+// live data (possibly newer than the snapshot, from clients writing the
+// buffer cache directly) and must not be rolled back.
 func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 	if c.NextIno > s.nextIno {
 		s.nextIno = c.NextIno
@@ -503,111 +510,5 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 	}
 	for _, dir := range c.DeadDirs {
 		s.deadDirs.Put(dir, struct{}{})
-	}
-}
-
-// applyRecord replays one log record. Records carry resulting state, so
-// replay is idempotent; records referring to inodes that a later-replayed
-// (or checkpoint-reflected) unlink removed are skipped.
-func (s *Server) applyRecord(r wal.Record) {
-	switch r.Type {
-	case wal.RecInode:
-		if r.Ino+1 > s.nextIno { // as loadCheckpoint, never wrapping
-			s.nextIno = r.Ino + 1
-		}
-		if r.Ftype == fsapi.TypePipe {
-			// Pipe state is volatile; the record only reserves the inode
-			// number so it is not reissued to a new file.
-			return
-		}
-		*s.inodes.Put(r.Ino) = inode{
-			local:       r.Ino,
-			ftype:       r.Ftype,
-			mode:        r.Mode,
-			nlink:       r.Nlink,
-			distributed: r.Dist,
-			version:     s.verBase,
-		}
-	case wal.RecNlink:
-		ino, ok := s.inodes.Get(r.Ino)
-		if !ok {
-			return
-		}
-		ino.nlink = r.Nlink
-		if ino.nlink <= 0 {
-			// No descriptors survive a crash, so the inode reaps
-			// immediately; Reclaim frees its blocks afterwards.
-			s.inodes.Delete(r.Ino)
-		}
-	case wal.RecSize:
-		if ino, ok := s.inodes.Get(r.Ino); ok && r.Size > ino.size {
-			ino.size = r.Size
-		}
-	case wal.RecBlocks:
-		ino, ok := s.inodes.Get(r.Ino)
-		if !ok {
-			return
-		}
-		if s.lostMemory {
-			// At runtime every block enters an inode's map zeroed (Alloc
-			// zeroes on hand-over), but replay assigns logged block lists
-			// directly, bypassing the allocator. After a memory loss the
-			// zero-fill must be reproduced here for blocks newly entering
-			// this inode's map, or a reused block would expose its previous
-			// owner's replayed bytes — e.g. through the gap a growing
-			// truncate opened. Subsequent RecWrite records then lay the
-			// file's logged contents back on top. After a plain process
-			// crash DRAM survived and may hold direct-access writes newer
-			// than the log; it must not be touched (same rule as RecWrite).
-			had := make(map[ncc.BlockID]bool, len(ino.blocks))
-			for _, b := range ino.blocks {
-				had[b] = true
-			}
-			for _, b := range r.Blocks {
-				if !had[ncc.BlockID(b)] {
-					s.cfg.DRAM.ZeroBlock(ncc.BlockID(b))
-				}
-			}
-		}
-		ino.blocks = ino.blocks[:0]
-		for _, b := range r.Blocks {
-			ino.blocks = append(ino.blocks, ncc.BlockID(b))
-		}
-		ino.size = r.Size
-	case wal.RecWrite:
-		ino, ok := s.inodes.Get(r.Ino)
-		if !ok {
-			return
-		}
-		// Like loadCheckpoint, only rewrite DRAM when the memory domain
-		// was lost: after a plain process crash the surviving buffer
-		// cache may hold direct-access writes newer than this record,
-		// which must not be rolled back.
-		if s.lostMemory {
-			s.writeData(ino, r.Off, r.Data)
-		}
-		if end := r.Off + int64(len(r.Data)); end > ino.size {
-			ino.size = end
-		}
-	case wal.RecAddMap:
-		sh := s.shard(r.Dir)
-		sh.ents.Put(r.Name, dirEnt{target: r.Target, ftype: r.Ftype, dist: r.Dist})
-	case wal.RecRmMap:
-		if sh, ok := s.dirs.Get(r.Dir); ok {
-			sh.ents.Delete(r.Name)
-		}
-	case wal.RecDirKill:
-		s.dirs.Delete(r.Dir)
-		s.deadDirs.Put(r.Dir, struct{}{})
-	case wal.RecEpoch:
-		m, err := place.Decode(r.Data)
-		if err != nil {
-			// CRC-framed record with an undecodable map: a bug, and
-			// skipping it would leave the server permanently behind the
-			// published epoch (clients would spin on EEPOCH).
-			panic(fmt.Sprintf("server %d: epoch record placement map: %v", s.cfg.ID, err))
-		}
-		s.pmap = m
-		s.epoch.Store(r.Epoch)
 	}
 }

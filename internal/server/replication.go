@@ -420,16 +420,13 @@ func (s *Server) traceShip(start, end sim.Cycles, acked bool) {
 // resurrect in a later replay, or the promoted state and the durable state
 // would diverge on the next crash.
 func (s *Server) Promote(c *wal.Checkpoint, snapBytes int) (sim.Cycles, error) {
-	return s.restart(func() error {
+	return s.restart(func() (*wal.Checkpoint, sim.Cycles, error) {
 		if err := s.wal.WriteCheckpoint(c); err != nil {
-			return fmt.Errorf("server %d: promote checkpoint: %w", s.cfg.ID, err)
+			return nil, 0, fmt.Errorf("server %d: promote checkpoint: %w", s.cfg.ID, err)
 		}
 		s.statsMu.Lock()
 		s.stats.Checkpoints++
 		s.statsMu.Unlock()
-		return nil
-	}, func() sim.Cycles {
-		s.loadCheckpoint(c)
 		// The old replica relationship died with the old incarnation: the
 		// follower's copy is sealed and consumed. Re-establish from scratch.
 		s.MarkReplResync()
@@ -442,7 +439,7 @@ func (s *Server) Promote(c *wal.Checkpoint, snapBytes int) (sim.Cycles, error) {
 		// path, as each batch arrived.
 		cost := &s.cfg.Machine.Cost
 		work := s.wal.ReplayCost(0, 0, snapBytes)
-		return work + sim.LineCost(cost.WalPerLine, int(s.wal.Stats().CheckpointBytes)) + cost.WalFlush
+		return c, work + sim.LineCost(cost.WalPerLine, int(s.wal.Stats().CheckpointBytes)) + cost.WalFlush, nil
 	})
 }
 

@@ -1,0 +1,304 @@
+package wal
+
+import (
+	"bytes"
+	"cmp"
+	"slices"
+	"strings"
+
+	"repro/internal/fsapi"
+	"repro/internal/proto"
+	"repro/internal/table"
+)
+
+// imgInode is one inode of an Image: exactly the fields records and
+// checkpoints carry. Volatile runtime state (descriptor counts, versions,
+// rmdir marks) is absent by construction because it is never logged.
+type imgInode struct {
+	local  uint64
+	ftype  fsapi.FileType
+	mode   fsapi.Mode
+	size   int64
+	nlink  int32
+	dist   bool
+	blocks []uint64
+}
+
+// imgEnt is one directory entry of an Image.
+type imgEnt struct {
+	target proto.InodeID
+	ftype  fsapi.FileType
+	dist   bool
+}
+
+// Image is the durable state that a checkpoint plus a log prefix describe:
+// the one definition of what a record does to durable state (DESIGN.md §6).
+// Recovery loads the checkpoint, applies the log tail and installs
+// Checkpoint(); a replica (repl.Follower) applies shipped batches as they
+// arrive and installs the same Checkpoint() at promotion (§12). Applying is
+// pure — nothing outside the image changes — so a replay can run, and fail,
+// before the server it rebuilds is touched.
+//
+// Block contents live in the image, not in DRAM: a block no record or
+// checkpoint wrote has no bytes and reads as zeros, as the allocator hands a
+// block over zeroed. A block that enters or leaves an inode's list loses its
+// bytes, so a reused block never shows its previous owner's contents.
+type Image struct {
+	blockSize int
+
+	nextIno uint64
+	epoch   uint64
+	pmap    []byte
+
+	inodes *table.Dense[imgInode]
+	dirs   map[proto.InodeID]map[string]imgEnt
+	dead   map[proto.InodeID]bool
+	// chunks holds block id → contents for blocks some live inode owns
+	// and a record or checkpoint wrote.
+	chunks map[uint64][]byte
+}
+
+// NewImage returns the image of an empty log: no inodes, and inode numbers
+// issued from 2 on, as a booting server issues them.
+func NewImage(blockSize int) *Image {
+	m := &Image{blockSize: blockSize}
+	m.Load(&Checkpoint{})
+	return m
+}
+
+// Load replaces the image's state with a checkpoint's. The image keeps
+// copies: c is the caller's again when Load returns.
+func (m *Image) Load(c *Checkpoint) {
+	m.nextIno = max(c.NextIno, 2)
+	m.epoch, m.pmap = c.Epoch, bytes.Clone(c.PlaceMap)
+	m.inodes = table.NewDense[imgInode]()
+	m.dirs = make(map[proto.InodeID]map[string]imgEnt)
+	m.dead = make(map[proto.InodeID]bool)
+	m.chunks = make(map[uint64][]byte)
+	for i := range c.Inodes {
+		snap := &c.Inodes[i]
+		ino := m.inodes.Put(snap.Local)
+		*ino = imgInode{
+			local:  snap.Local,
+			ftype:  snap.Ftype,
+			mode:   snap.Mode,
+			size:   snap.Size,
+			nlink:  snap.Nlink,
+			dist:   snap.Dist,
+			blocks: append([]uint64(nil), snap.Blocks...),
+		}
+		for j, b := range ino.blocks {
+			if j < len(snap.Data) && snap.Data[j] != nil {
+				m.chunks[b] = append([]byte(nil), snap.Data[j]...)
+			}
+		}
+		// The last number of the space reserves nothing rather than wrap
+		// the counter back to numbers already issued.
+		if ino.local+1 > m.nextIno {
+			m.nextIno = ino.local + 1
+		}
+	}
+	for i := range c.Dirs {
+		ds := &c.Dirs[i]
+		sh := m.shard(ds.Dir)
+		for _, ent := range ds.Ents {
+			sh[ent.Name] = imgEnt{target: ent.Target, ftype: ent.Ftype, dist: ent.Dist}
+		}
+	}
+	for _, dir := range c.DeadDirs {
+		m.dead[dir] = true
+	}
+}
+
+func (m *Image) shard(dir proto.InodeID) map[string]imgEnt {
+	sh, ok := m.dirs[dir]
+	if !ok {
+		sh = make(map[string]imgEnt)
+		m.dirs[dir] = sh
+	}
+	return sh
+}
+
+// Apply applies one record. Records carry resulting state, so applying one
+// twice is harmless; a record naming an inode that a later (or
+// checkpoint-reflected) unlink removed is skipped. r, and everything it
+// points at, is the caller's again when Apply returns: the image copies
+// what it keeps — a name it stores an entry under, a block list, file
+// bytes, an epoch's map — and nothing else.
+func (m *Image) Apply(r Record) {
+	switch r.Type {
+	case RecInode:
+		if r.Ino+1 > m.nextIno {
+			m.nextIno = r.Ino + 1
+		}
+		if r.Ftype == fsapi.TypePipe {
+			// Pipe state is volatile; the record only reserves the number
+			// so it is not reissued to a new file.
+			return
+		}
+		*m.inodes.Put(r.Ino) = imgInode{
+			local: r.Ino,
+			ftype: r.Ftype,
+			mode:  r.Mode,
+			nlink: r.Nlink,
+			dist:  r.Dist,
+		}
+	case RecNlink:
+		ino, ok := m.inodes.Get(r.Ino)
+		if !ok {
+			return
+		}
+		ino.nlink = r.Nlink
+		if ino.nlink <= 0 {
+			// No descriptor survives a crash, so the inode reaps at once,
+			// and its blocks' bytes with it.
+			for _, b := range ino.blocks {
+				delete(m.chunks, b)
+			}
+			m.inodes.Delete(r.Ino)
+		}
+	case RecSize:
+		if ino, ok := m.inodes.Get(r.Ino); ok && r.Size > ino.size {
+			ino.size = r.Size
+		}
+	case RecBlocks:
+		ino, ok := m.inodes.Get(r.Ino)
+		if !ok {
+			return
+		}
+		// A block entering this inode's list starts zeroed, as the
+		// allocator hands it over, and a block leaving it keeps no bytes;
+		// retained blocks keep their contents. A list grows and shrinks at
+		// its end, so past the common prefix there is next to nothing to
+		// search.
+		keep := 0
+		for keep < len(ino.blocks) && keep < len(r.Blocks) && ino.blocks[keep] == r.Blocks[keep] {
+			keep++
+		}
+		for _, b := range r.Blocks[keep:] {
+			if !slices.Contains(ino.blocks[keep:], b) {
+				delete(m.chunks, b)
+			}
+		}
+		for _, b := range ino.blocks[keep:] {
+			if !slices.Contains(r.Blocks[keep:], b) {
+				delete(m.chunks, b)
+			}
+		}
+		ino.blocks = append(ino.blocks[:0], r.Blocks...)
+		ino.size = r.Size
+	case RecWrite:
+		ino, ok := m.inodes.Get(r.Ino)
+		if !ok {
+			return
+		}
+		m.writeData(ino, r.Off, r.Data)
+		if end := r.Off + int64(len(r.Data)); end > ino.size {
+			ino.size = end
+		}
+	case RecAddMap:
+		// Always under a copy of the name: assigning through an existing
+		// key would make the map's key the caller's string.
+		m.shard(r.Dir)[strings.Clone(r.Name)] = imgEnt{target: r.Target, ftype: r.Ftype, dist: r.Dist}
+	case RecRmMap:
+		if sh, ok := m.dirs[r.Dir]; ok {
+			delete(sh, r.Name)
+		}
+	case RecDirKill:
+		delete(m.dirs, r.Dir)
+		m.dead[r.Dir] = true
+	case RecEpoch:
+		m.epoch = r.Epoch
+		m.pmap = bytes.Clone(r.Data)
+	}
+}
+
+// writeData lays file bytes into the image's blocks, splitting across the
+// inode's block list the way a server's write splits across DRAM.
+func (m *Image) writeData(ino *imgInode, off int64, data []byte) {
+	bs := int64(m.blockSize)
+	for len(data) > 0 {
+		idx := off / bs
+		if idx >= int64(len(ino.blocks)) {
+			return // write beyond the logged block list: nothing to hold it
+		}
+		b := ino.blocks[idx]
+		boff := off % bs
+		n := bs - boff
+		if int64(len(data)) < n {
+			n = int64(len(data))
+		}
+		chunk := m.chunks[b]
+		if chunk == nil {
+			chunk = make([]byte, m.blockSize)
+			m.chunks[b] = chunk
+		}
+		copy(chunk[boff:boff+n], data[:n])
+		off += n
+		data = data[n:]
+	}
+}
+
+// Checkpoint converts the image into a checkpoint, in the exact shape a
+// server's own snapshot of its live state takes, for the server to install
+// unmodified. The LSN is left zero: which log position the image reflects
+// is its caller's to say. Output is sorted for determinism: inodes in
+// ascending number order, as a server's inode table walks. Nothing in it
+// shares memory with the image.
+func (m *Image) Checkpoint() *Checkpoint {
+	c := &Checkpoint{
+		NextIno:  m.nextIno,
+		Epoch:    m.epoch,
+		PlaceMap: bytes.Clone(m.pmap),
+	}
+	m.inodes.Range(func(_ uint64, ino *imgInode) bool {
+		if ino.nlink <= 0 {
+			return true
+		}
+		snap := InodeSnap{
+			Local:  ino.local,
+			Ftype:  ino.ftype,
+			Mode:   ino.mode,
+			Size:   ino.size,
+			Nlink:  ino.nlink,
+			Dist:   ino.dist,
+			Blocks: append([]uint64(nil), ino.blocks...),
+		}
+		for _, b := range ino.blocks {
+			if chunk, ok := m.chunks[b]; ok {
+				snap.Data = append(snap.Data, append([]byte(nil), chunk...))
+			} else {
+				snap.Data = append(snap.Data, nil)
+			}
+		}
+		c.Inodes = append(c.Inodes, snap)
+		return true
+	})
+	dirIDs := make([]proto.InodeID, 0, len(m.dirs))
+	for dir := range m.dirs {
+		dirIDs = append(dirIDs, dir)
+	}
+	slices.SortFunc(dirIDs, inodeCmp)
+	for _, dir := range dirIDs {
+		ds := DirSnap{Dir: dir}
+		for name, ent := range m.dirs[dir] {
+			ds.Ents = append(ds.Ents, DirEntSnap{
+				Name:   name,
+				Target: ent.target,
+				Ftype:  ent.ftype,
+				Dist:   ent.dist,
+			})
+		}
+		slices.SortFunc(ds.Ents, func(a, b DirEntSnap) int { return strings.Compare(a.Name, b.Name) })
+		c.Dirs = append(c.Dirs, ds)
+	}
+	for dir := range m.dead {
+		c.DeadDirs = append(c.DeadDirs, dir)
+	}
+	slices.SortFunc(c.DeadDirs, inodeCmp)
+	return c
+}
+
+func inodeCmp(a, b proto.InodeID) int {
+	return cmp.Or(cmp.Compare(a.Server, b.Server), cmp.Compare(a.Local, b.Local))
+}
