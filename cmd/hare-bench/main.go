@@ -16,7 +16,7 @@
 //
 // The -sweep flag runs one beyond-paper sweep instead: economy (messages
 // and lines moved), elastic (scale-out under load), failover (replication
-// off/sync/async), obs (tracing overhead), durability (logging overhead,
+// off/sync), obs (tracing overhead), durability (logging overhead,
 // recovery time and the self-verifying crash-injection workload; DESIGN.md
 // §6) or scale (the harness itself at big fleets, at the rungs -rungs
 // names). With -baseline it also writes the sweep as a committed file,

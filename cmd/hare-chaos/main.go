@@ -7,15 +7,15 @@
 //	hare-chaos [-seeds N] [-seed-start S] [-configs N] [-duration D] [-v]
 //	           [-procs N] [-rounds N] [-ops N] [-cores N] [-servers N]
 //	           [-max-servers N] [-delay-pct P] [-dup-pct P] [-max-delay C]
-//	           [-repl sync|async] [-parallel] [-trace-dir D]
+//	           [-repl sync] [-parallel] [-trace-dir D]
 //	hare-chaos -repro seed,techbits,policy[,replmode] [-dump-plan] [-trace-dir D]
 //
 // The default invocation sweeps -seeds seeds across -configs sampled
 // technique/policy configurations and reports every failure as a
-// `seed,techbits,policy` tuple. With -repl the deployment runs shard
-// replication in the named mode and the schedule gains failover events (the
-// tuple grows a fourth token). With -parallel every run executes under the
-// parallel virtual-time engine (DESIGN.md §13); the tuple does not encode the
+// `seed,techbits,policy` tuple. With -repl sync the deployment runs shard
+// replication and the schedule gains failover events (the tuple grows a
+// fourth token). With -parallel every run executes under the parallel
+// virtual-time engine (DESIGN.md §13); the tuple does not encode the
 // engine — rerun the same tuple with and without the flag to compare them.
 // With -duration the sweep repeats with fresh seeds until the wall-clock
 // budget is spent (a soak). With -repro the named tuple is rebuilt
@@ -54,7 +54,7 @@ func main() {
 		delayPct   = flag.Int("delay-pct", -1, "percent of messages delayed (-1 = default)")
 		dupPct     = flag.Int("dup-pct", -1, "percent of idempotent requests duplicated (-1 = default)")
 		maxDelay   = flag.Int64("max-delay", -1, "jitter bound in cycles (-1 = default)")
-		replMode   = flag.String("repl", "", "run with shard replication (sync or async): failover events join the schedule")
+		replMode   = flag.String("repl", "", "run with shard replication (sync): failover events join the schedule")
 		parallel   = flag.Bool("parallel", false, "run every tuple under the parallel virtual-time engine (DESIGN.md §13)")
 		traceDir   = flag.String("trace-dir", "", "record a full request trace per run and dump failing runs' span trees here (Chrome JSON + canonical encoding)")
 	)
@@ -89,9 +89,9 @@ func main() {
 		base.MaxDelay = sim.Cycles(*maxDelay)
 	}
 	if *replMode != "" {
-		m, ok := repl.ParseMode(*replMode)
-		if !ok || m == repl.Off {
-			fmt.Fprintf(os.Stderr, "hare-chaos: -repl %q must be sync or async\n", *replMode)
+		m, err := repl.ParseMode(*replMode)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hare-chaos: -repl:", err)
 			os.Exit(2)
 		}
 		base.Replication = m

@@ -18,7 +18,7 @@
 // mean, migration traffic, and a mark on the shell client's designated nearby
 // server (DESIGN.md §7 "Where a new inode goes").
 //
-// With -repl sync (or async) the deployment runs durability plus WAL-shipped
+// With -repl sync the deployment runs durability plus WAL-shipped
 // follower replicas (DESIGN.md §12): replicas shows each primary's follower
 // and shipping horizons, and `failover N` crashes server N (if it is still
 // up) and promotes its replica, printing the stall and the published epoch.
@@ -56,7 +56,7 @@ func main() {
 		maxServers = flag.Int("maxservers", 0, "server-count ceiling for online growth (default: no headroom)")
 		ring       = flag.Bool("ring", false, "place directory shards by consistent hashing instead of modulo")
 		split      = flag.Bool("split", false, "dedicate cores to the file servers instead of timesharing")
-		replMode   = flag.String("repl", "", "run with durability and shard replication (sync or async): enables replicas/failover")
+		replMode   = flag.String("repl", "", "run with durability and shard replication (sync): enables replicas/failover")
 		traceN     = flag.Int("trace", 1, "trace 1-in-N operations for top/stats (0 = tracing off)")
 	)
 	flag.Parse()
@@ -76,12 +76,12 @@ func main() {
 		Trace:       trace.Config{Sample: *traceN},
 	}
 	if *replMode != "" {
-		m, ok := repl.ParseMode(*replMode)
-		if !ok || m == repl.Off {
-			fmt.Fprintf(os.Stderr, "hare-shell: -repl %q must be sync or async\n", *replMode)
+		m, err := repl.ParseMode(*replMode)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hare-shell: -repl:", err)
 			os.Exit(1)
 		}
-		cfg.Durability = core.Durability{Enabled: true}
+		cfg.Durability = core.Durability{Enabled: m != repl.Off}
 		cfg.Replication = repl.Config{Mode: m}
 	}
 	sys, err := core.New(cfg)
@@ -392,9 +392,9 @@ func (s *shell) latStats() error {
 func (s *shell) replicas() error {
 	rc := s.sys.Replication()
 	if !rc.Enabled() {
-		return fmt.Errorf("replication is off (rerun with -repl sync or -repl async)")
+		return fmt.Errorf("replication is off (rerun with -repl sync)")
 	}
-	fmt.Printf("replication %s, window %d, epoch %d\n", rc.Mode, rc.Window, s.sys.Epoch())
+	fmt.Printf("replication %s, epoch %d\n", rc.Mode, s.sys.Epoch())
 	for _, rs := range s.sys.ReplicaStats() {
 		state := "up"
 		if s.sys.Crashed(rs.Server) {
@@ -415,7 +415,7 @@ func (s *shell) replicas() error {
 // the promotion lost (always zero under sync).
 func (s *shell) failover(n int) error {
 	if !s.sys.Replication().Enabled() {
-		return fmt.Errorf("replication is off (rerun with -repl sync or -repl async)")
+		return fmt.Errorf("replication is off (rerun with -repl sync)")
 	}
 	if !s.sys.Crashed(n) {
 		if err := s.sys.Crash(n); err != nil {

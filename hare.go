@@ -80,8 +80,7 @@ type (
 	// promoting the warm replica (System.Failover) instead of replaying
 	// its log. The zero value disables it. See DESIGN.md §12.
 	Replication = repl.Config
-	// ReplMode selects the replication discipline (ReplOff / ReplSync /
-	// ReplAsync).
+	// ReplMode selects whether replication runs (ReplOff / ReplSync).
 	ReplMode = repl.Mode
 	// FailoverReport describes one promotion: the follower consumed, the
 	// stall, the published epoch, and any acked records lost (zero under
@@ -171,11 +170,10 @@ const (
 
 // Replication modes (Config.Replication.Mode). ReplSync holds each client
 // reply for the follower's ack, so promotion never loses an acknowledged
-// write; ReplAsync ships without waiting and bounds the loss at one window.
+// write.
 const (
-	ReplOff   = repl.Off
-	ReplSync  = repl.Sync
-	ReplAsync = repl.Async
+	ReplOff  = repl.Off
+	ReplSync = repl.Sync
 )
 
 // Mode constants.

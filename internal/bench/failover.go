@@ -10,14 +10,13 @@ import (
 	"repro/internal/workload"
 )
 
-// The failover sweep (DESIGN.md §12): write-heavy workloads run under
-// replication off / sync / async, measuring what WAL shipping costs in
-// throughput and extra messages — and what it buys when a server dies. For
-// each replicated mode, two identical deployments run the identical
-// workload; one recovers a crashed server by replaying its log (the
-// pre-replication path), the other promotes the server's warm replica. The
-// promotion's stall must beat the replay: that gap is the entire point of
-// keeping followers.
+// The failover sweep (DESIGN.md §12): write-heavy workloads run with
+// replication off and sync, measuring what WAL shipping costs in throughput
+// and extra messages — and what it buys when a server dies. With replication
+// on, two identical deployments run the identical workload; one recovers a
+// crashed server by replaying its log (the pre-replication path), the other
+// promotes the server's warm replica. The promotion's stall must beat the
+// replay: that gap is the entire point of keeping followers.
 
 // FailoverPoint is one replication mode's measurement.
 type FailoverPoint struct {
@@ -38,7 +37,7 @@ type FailoverPoint struct {
 	// replay (the control); ReplayRecords is its replay tail. PromoteMs is
 	// the promotion stall on the identical twin deployment (0 for mode off,
 	// which has no replica to promote), and LostRecords the acked records
-	// the promotion lost (0 under sync, bounded by the window under async).
+	// the promotion lost (must be 0).
 	ReplayMs      float64
 	ReplayRecords int
 	PromoteMs     float64
@@ -64,11 +63,6 @@ func (p FailoverPoint) Throughput() float64 {
 func (p FailoverPoint) key() string { return p.Mode }
 
 func (p FailoverPoint) gated(c FailoverPoint) FailoverPoint {
-	if p.Mode == repl.Async.String() {
-		// Async replication is outside the determinism oracle: what its
-		// window holds when a server dies follows host order.
-		return c
-	}
 	p.Seconds, p.VsOff = c.Seconds, c.VsOff
 	return p
 }
@@ -76,8 +70,8 @@ func (p FailoverPoint) gated(c FailoverPoint) FailoverPoint {
 var failoverSweep = &sweep[FailoverPoint]{
 	name:  "failover",
 	title: "Failover sweep: WAL-shipped replicas",
-	note: "Write-heavy workloads (creates + writes), no checkpoints, so the crashed server's whole history sits in its log. replay = recovery by log replay; promote = sealing and installing the follower's replica on an identical twin deployment. lost = acked records the promotion dropped (must be 0 under sync; async may lose up to one window). " +
-		"Gated exactly for off and sync: Ops, ReplMsgs, ReplBytes, MaxLag, ReplayMs, ReplayRecords, PromoteMs, LostRecords; async and throughput are printed, not gated.",
+	note: "Write-heavy workloads (creates + writes), no checkpoints, so the crashed server's whole history sits in its log. replay = recovery by log replay; promote = sealing and installing the follower's replica on an identical twin deployment. lost = acked records the promotion dropped (must be 0). " +
+		"Gated exactly: Ops, ReplMsgs, ReplBytes, MaxLag, ReplayMs, ReplayRecords, PromoteMs, LostRecords; throughput is printed, not gated.",
 	columns: []string{"mode", "ops/s", "vs off", "repl msgs", "repl KB", "lag",
 		"replay (ms)", "promote (ms)", "speedup", "lost"},
 	row: func(p FailoverPoint) []string {
@@ -96,11 +90,11 @@ var failoverSweep = &sweep[FailoverPoint]{
 	},
 }
 
-// failoverPoints measures replication off, sync and async.
+// failoverPoints measures replication off and sync.
 func failoverPoints(scale float64, cores int) ([]FailoverPoint, error) {
 	var points []FailoverPoint
 	var offThr float64
-	for _, mode := range []repl.Mode{repl.Off, repl.Sync, repl.Async} {
+	for _, mode := range []repl.Mode{repl.Off, repl.Sync} {
 		p, err := failoverPoint(scale, cores, mode)
 		if err != nil {
 			return nil, err

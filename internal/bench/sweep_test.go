@@ -106,7 +106,6 @@ func TestSweepFiles(t *testing.T) {
 		sweepFile("failover", Params{Scale: 0.05, Cores: 4},
 			func(l *ledger[FailoverPoint]) {
 				at(l, "sync", func(p *FailoverPoint) { p.Seconds *= 2 })
-				at(l, "async", func(p *FailoverPoint) { p.ReplBytes++; p.MaxLag = 3 })
 			},
 			func(l *ledger[FailoverPoint]) { at(l, "sync", func(p *FailoverPoint) { p.ReplMsgs++ }) },
 			"sync"),

@@ -69,7 +69,7 @@ type Config struct {
 	// followers (DESIGN.md §12) and adds failover events to the schedule:
 	// crash + promote-the-replica, with double-failure and
 	// crash-during-promotion variants. The tuple grows a fourth token
-	// ("sync"/"async") so repro lines stay one-liners; three-token tuples
+	// ("sync") so repro lines stay one-liners; three-token tuples
 	// parse as replication off.
 	Replication repl.Mode
 
@@ -203,7 +203,7 @@ func policyName(p place.Policy) string {
 }
 
 // Tuple renders the run's one-line repro tuple: "seed,techbits,policy" with
-// a fourth "sync"/"async" token when replication is on. A failing matrix run
+// a fourth "sync" token when replication is on. A failing matrix run
 // prints it, and ParseTuple (or `hare-chaos -repro`) turns it back into the
 // identical run.
 func (c Config) Tuple() string {
@@ -241,9 +241,12 @@ func ParseTuple(s string) (seed uint64, tech core.Techniques, pol place.Policy, 
 		return 0, tech, pol, rmode, fmt.Errorf("chaos: tuple policy %q must be mod or ring", parts[2])
 	}
 	if len(parts) == 4 {
-		m, ok := repl.ParseMode(parts[3])
-		if !ok || m == repl.Off {
-			return 0, tech, pol, rmode, fmt.Errorf("chaos: tuple replication %q must be sync or async", parts[3])
+		m, err := repl.ParseMode(parts[3])
+		if err == nil && m == repl.Off {
+			err = fmt.Errorf("replication %q must be sync, or the token left out", parts[3])
+		}
+		if err != nil {
+			return 0, tech, pol, rmode, fmt.Errorf("chaos: tuple: %w", err)
 		}
 		rmode = m
 	}

@@ -126,6 +126,12 @@ func TestTupleParsing(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "pipelining and data-path bits were removed") || !strings.Contains(err.Error(), `"10110"`) {
 		t.Errorf("7-bit tuple: err = %v, want the removed bits named and %q kept", err, "10110")
 	}
+
+	// So is a tuple from when replication had an async discipline.
+	_, _, _, _, err = ParseTuple("99,00000,mod,async")
+	if err == nil || !strings.Contains(err.Error(), "async replication was removed") {
+		t.Errorf("async tuple: err = %v, want async's removal named", err)
+	}
 }
 
 // FuzzParseTuple: any string either fails to parse or names a run whose

@@ -69,23 +69,6 @@ func TestChaosFailoverSmoke(t *testing.T) {
 	}
 }
 
-// TestChaosFailoverAsyncSmoke runs a handful of async-replication tuples:
-// promotion may lose up to one window of acked records, and the harness's
-// loss bound plus the shadow model must both hold.
-func TestChaosFailoverAsyncSmoke(t *testing.T) {
-	base := DefaultConfig(0)
-	base.Replication = repl.Async
-	for _, seed := range []uint64{4001, 4002, 4003, 4004} {
-		run := base
-		run.Seed = seed
-		if rep, err := Run(run); err != nil {
-			t.Fatalf("%v\n  repro: hare-chaos -repro %s", err, run.Tuple())
-		} else if rep.Ops == 0 {
-			t.Fatalf("tuple=%s: degenerate run", run.Tuple())
-		}
-	}
-}
-
 // TestFailoverPlanDeterminism pins three properties of the replicated
 // schedule: the same four-token tuple derives a byte-identical plan; the
 // tuple round-trips through ParseTuple; and turning replication on only

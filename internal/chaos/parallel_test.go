@@ -16,9 +16,6 @@ import (
 // membership churn), a sync-replication schedule (failover events: double
 // failures, staged follower deaths, promotions over interrupted migrations),
 // and a ring-policy variant so consistent-hash migration paths ride along.
-// Async replication is excluded on purpose: its unacked-window horizon is
-// real-time racy by design, so even two serialized runs of the same tuple may
-// legally diverge in what a lossy promotion rolls back.
 func parallelCases() []Config {
 	sync := DefaultConfig(7)
 	sync.Replication = repl.Sync

@@ -362,9 +362,8 @@ func fireEvent(sys *core.System, model *shadow.Model, ev Event, rep *Report) err
 // promotion must fall back to log replay), or the follower may die at a
 // chosen stage of the promotion itself (Stage "seal" → fallback again;
 // Stage "publish" → the promotion's transition stays pending, and the
-// follower's recovery must converge it). In every variant the acked-write
-// loss bound is checked against the replication mode: zero under sync and
-// under every fallback, at most one window under async.
+// follower's recovery must converge it). In every variant the promotion
+// must lose no acked write.
 func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 	victim := ev.Server
 	fid := sys.FollowerOf(victim)
@@ -425,12 +424,8 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 	if expectFallback && !rep.Fallback {
 		return fmt.Errorf("failover server %d: expected a fallback replay (follower down), got a promotion", victim)
 	}
-	allowed := uint64(0)
-	if !rep.Fallback && sys.Replication().Mode == repl.Async {
-		allowed = uint64(sys.Replication().Window)
-	}
-	if rep.LostRecords > allowed {
-		return fmt.Errorf("failover server %d lost %d acked records (allowed %d)", victim, rep.LostRecords, allowed)
+	if rep.LostRecords > 0 {
+		return fmt.Errorf("failover server %d lost %d acked records", victim, rep.LostRecords)
 	}
 	if followerDown {
 		if _, err := sys.Recover(fid); err != nil {

@@ -314,7 +314,7 @@ func New(cfg Config) (*System, error) {
 			Log:             log,
 			Placement:       bootMap,
 			Tracer:          sys.tracer,
-			Repl:            sys.replOptions(),
+			Repl:            server.ReplOptions{Mode: sys.cfg.Replication.Mode},
 		})
 		sys.servers = append(sys.servers, srv)
 		sys.serverEPs = append(sys.serverEPs, srv.EndpointID())

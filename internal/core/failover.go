@@ -32,8 +32,8 @@ type FailoverReport struct {
 	Fallback bool
 	// LastLSN is the primary's durable log horizon at the crash;
 	// DurableLSN is the replica's horizon at the seal. Their difference is
-	// LostRecords — zero under sync replication and under fallback (the
-	// log has everything), at most the configured window under async.
+	// LostRecords, which must be zero: every client reply waited for the
+	// follower's ack, and a fallback replays a log that has everything.
 	LastLSN     uint64
 	DurableLSN  uint64
 	LostRecords uint64
@@ -79,15 +79,6 @@ func (s *System) wireReplication() {
 			s.mon.Track(i, ep, now)
 		}
 	}
-}
-
-// replOptions translates the deployment replication knob into the
-// per-server options.
-func (s *System) replOptions() server.ReplOptions {
-	if !s.cfg.Replication.Enabled() {
-		return server.ReplOptions{}
-	}
-	return server.ReplOptions{Mode: s.cfg.Replication.Mode, Window: s.cfg.Replication.Window}
 }
 
 // Heartbeat advances the failure detector one beat at the fleet's current

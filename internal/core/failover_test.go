@@ -117,47 +117,6 @@ func TestFailoverDoubleFailureFallsBack(t *testing.T) {
 	verifyFiles(t, sys, names)
 }
 
-// TestFailoverAsyncBoundedLoss pins async mode's contract: promotion may
-// lose acknowledged records, but never more than the configured window,
-// and the promoted deployment keeps serving.
-func TestFailoverAsyncBoundedLoss(t *testing.T) {
-	const window = 4
-	sys := replSystem(t, 3, repl.Config{Mode: repl.Async, Window: window})
-	seedFiles(t, sys, 32)
-
-	const victim = 2
-	if err := sys.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Failover(victim)
-	if err != nil {
-		t.Fatalf("Failover: %v", err)
-	}
-	if rep.Fallback {
-		t.Skip("follower had no usable replica; bounded-loss bound not exercised")
-	}
-	if rep.LostRecords > window {
-		t.Fatalf("async failover lost %d records, window bound is %d", rep.LostRecords, window)
-	}
-
-	// The promoted fleet must still serve: create and read back a file.
-	cli := sys.NewClient(4)
-	fd, err := cli.Open("/post-failover", fsapi.OCreate|fsapi.ORdWr, fsapi.Mode644)
-	if err != nil {
-		t.Fatalf("create after async failover: %v", err)
-	}
-	if _, err := cli.Write(fd, []byte("alive")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Close(fd); err != nil {
-		t.Fatal(err)
-	}
-	st, err := cli.Stat("/post-failover")
-	if err != nil || st.Size != 5 {
-		t.Fatalf("stat after async failover: %+v, %v", st, err)
-	}
-}
-
 // TestFailoverDuringFrozenMigration crashes a server while it sits frozen
 // inside a shard migration, then fails it over: the promotion must bump the
 // epoch past the pending migration's, re-stamp the migration, and re-drive

@@ -16,14 +16,11 @@ import (
 // recycling checked where it matters: a replica built from batches that were
 // decoded in place, in a request whose buffer the next message overwrites,
 // must promote to exactly the state a replay of the primary's own log
-// produces. Replication is asynchronous and a fault plan delays half of the
-// ships, so batches overtake each other and wait in the follower's stash —
-// the one place a batch outlives the message that brought it. For that they
-// have to queue: every round first hands the follower's plane a rebase of
-// another primary's replica from a large snapshot, and while it is busy with
-// that the ships of the round pile up behind it, to be taken in the order of
-// their arrival times, not in the order they were sent. (Stashing a batch
-// without copying it fails this test every time.)
+// produces. A fault plan delays half of the ships, and every round first hands
+// the follower's plane a one-way rebase of another primary's replica from a
+// large snapshot: while the plane is busy with that, the round's next ship
+// waits behind it, and the stranger's payload goes back to the cache it was
+// drawn from, not to the plane's.
 func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 	const victim, follower, stranger = 1, 2, 7
 	big := wal.Checkpoint{Dirs: []wal.DirSnap{{Dir: proto.InodeID{Server: stranger, Local: 1}}}}
@@ -35,7 +32,7 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 		Data: (&repl.Msg{Primary: stranger, Snap: big.Marshal(), SnapLSN: 1}).AppendTo(nil)}
 
 	build := func() *System {
-		sys := replSystem(t, 3, repl.Config{Mode: repl.Async})
+		sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
 		sys.Network().SetFaultPlan(&msg.FaultPlan{Seed: 11, MaxDelay: 60_000, DelayPercent: 50})
 		fep, _ := sys.servers[follower].ReplEndpointID()
 		other := sys.network.NewEndpoint(0)
@@ -72,8 +69,7 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 			}
 		}
 		sys.Network().SetFaultPlan(nil)
-		// Let the last one-way ships and acks land: the replica has caught up
-		// when the primary has heard so.
+		// The replica has caught up when the primary has heard so.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			st := sys.ReplicaStats()[victim]
@@ -154,6 +150,14 @@ func TestReplicationPlaneAnswersWhatItCannotDecode(t *testing.T) {
 	var sr repl.SealReply
 	if err := repl.UnmarshalSealReplyInto(&sr, resp.Data); err != nil || sr.Durable != 0 || len(sr.Snap) != 0 {
 		t.Errorf("a seal that does not decode: reply %+v, err %v, want an empty one", sr, err)
+	}
+	// Well-formed requests for ops the plane does not serve: a request-plane
+	// op, and a number no op has.
+	for _, op := range []proto.Op{proto.OpLookup, proto.OpReplSeal + 1} {
+		what := fmt.Sprintf("a %v request", op)
+		if resp := rpc(what, (&proto.Request{Op: op}).Marshal()); resp.Err != fsapi.EINVAL {
+			t.Errorf("%s: answered %v, want EINVAL", what, resp.Err)
+		}
 	}
 
 	// None of it touched the replica the plane does hold.

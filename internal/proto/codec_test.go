@@ -325,6 +325,7 @@ func FuzzUnmarshalRequestInto(f *testing.F) {
 	for _, op := range allOps() {
 		f.Add(sampleRequest(op).AppendTo(nil))
 	}
+	f.Add(sampleRequest(OpReplSeal + 1).AppendTo(nil)) // a number no op has
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := bytes.Clone(data), bytes.Clone(data)
@@ -350,6 +351,7 @@ func FuzzUnmarshalResponseInto(f *testing.F) {
 	for _, op := range allOps() {
 		f.Add(sampleResponse(op).AppendTo(nil))
 	}
+	f.Add(sampleResponse(OpReplSeal + 1).AppendTo(nil)) // a number no op has
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := bytes.Clone(data), bytes.Clone(data)

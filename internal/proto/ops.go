@@ -87,7 +87,6 @@ const (
 	// These travel on each server's replication-plane endpoint, never its
 	// request inbox, so a follower can ack while its request loop is busy.
 	OpReplAppend // ship a flushed record batch (or a rebase snapshot)
-	OpReplAck    // follower's durable horizon (async mode's one-way ack)
 	OpReplSeal   // control plane: stop ingesting, return the replica snapshot
 )
 
@@ -140,7 +139,6 @@ var opNames = map[Op]string{
 	OpSignal:          "SIGNAL",
 	OpPing:            "PING",
 	OpReplAppend:      "REPL_APPEND",
-	OpReplAck:         "REPL_ACK",
 	OpReplSeal:        "REPL_SEAL",
 }
 

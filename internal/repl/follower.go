@@ -80,9 +80,9 @@ func (f *Follower) Ingest(base uint64, recs []wal.Record) (needSync bool) {
 		return false // entirely below the horizon: already applied
 	}
 	if base > f.next {
-		// A batch from the future: an earlier batch is still in flight
-		// (message jitter reorders one-way ships). Buffer it unless the
-		// stash says the gap is never going to fill.
+		// A batch from the future: an earlier batch has not arrived (a
+		// shipper that waits for each ack sends none). Buffer it unless
+		// the stash says the gap is never going to fill.
 		if len(f.stash) >= maxStash {
 			f.stash = make(map[uint64][]wal.Record)
 			return true

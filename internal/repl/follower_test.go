@@ -84,8 +84,8 @@ func TestFollowerReIngestIdempotent(t *testing.T) {
 	}
 }
 
-// TestFollowerReordersStashedBatches delivers batches out of order (async
-// ships under jitter) and checks the stash drains once the gap fills.
+// TestFollowerReordersStashedBatches delivers batches out of order and
+// checks the stash drains once the gap fills.
 func TestFollowerReordersStashedBatches(t *testing.T) {
 	f := NewFollower(0, testBlockSize)
 	dir := proto.InodeID{Server: 0, Local: 1}
@@ -224,13 +224,13 @@ func TestFollowerBlockHandoverZeroFill(t *testing.T) {
 }
 
 func TestModeRoundTrip(t *testing.T) {
-	for _, m := range []Mode{Off, Sync, Async} {
-		got, ok := ParseMode(m.String())
-		if !ok || got != m {
-			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, ok)
+	for _, m := range []Mode{Off, Sync} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
 		}
 	}
-	if _, ok := ParseMode("bogus"); ok {
+	if _, err := ParseMode("bogus"); err == nil {
 		t.Fatal("ParseMode accepted garbage")
 	}
 }

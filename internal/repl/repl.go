@@ -18,10 +18,10 @@
 //     inodes, directory shards, dead-directory tombstones, and per-block
 //     file contents, and tracks the durable horizon it has applied, which
 //     it acks back to the primary.
-//   - Sync mode holds each client reply until the follower acked the
-//     request's records (no acknowledged write can be lost by promotion);
-//     async mode ships without waiting and bounds the unacked window with
-//     a blocking flush when the follower lags too far.
+//   - Every ship waits for the follower's ack, and each client reply is
+//     held until the follower acked the request's records, so promotion
+//     never loses an acknowledged write (the primary-backup rule of chain
+//     replication). The ship overlaps the local flush.
 //   - Failover seals the follower, converts its image into a
 //     wal.Checkpoint, and installs that snapshot into the crashed
 //     primary's server object under a bumped placement epoch — clients
@@ -31,10 +31,15 @@
 // Servers never talk to each other on their request planes: replication
 // traffic travels on a dedicated per-server replication endpoint served by
 // its own goroutine, so a follower can ack while its request loop is busy
-// and a sync-mode primary can never deadlock against its own follower ring.
+// and a primary blocked on its ship can never deadlock against its
+// follower ring.
 package repl
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Mode selects the replication discipline.
 type Mode uint8
@@ -47,11 +52,6 @@ const (
 	// Sync holds every client reply until the follower has acked the
 	// reply's log records. Promotion never loses an acknowledged write.
 	Sync
-	// Async ships record batches without waiting for acks. The unacked
-	// window is bounded: when it exceeds Config.Window records the next
-	// ship blocks until the follower catches up, so promotion loses at
-	// most one window of acknowledged writes.
-	Async
 )
 
 // String names the mode.
@@ -61,30 +61,25 @@ func (m Mode) String() string {
 		return "off"
 	case Sync:
 		return "sync"
-	case Async:
-		return "async"
 	default:
 		return "mode(?)"
 	}
 }
 
-// ParseMode is the inverse of String; unknown names parse as Off=false.
-func ParseMode(s string) (Mode, bool) {
+// ParseMode is the inverse of String. "async" is refused by name: that
+// discipline was removed, and every ship now waits for its follower's ack.
+func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "off":
-		return Off, true
+		return Off, nil
 	case "sync":
-		return Sync, true
+		return Sync, nil
 	case "async":
-		return Async, true
+		return Off, fmt.Errorf("replication %q: async replication was removed (every ship waits for its follower's ack); use sync", s)
 	default:
-		return Off, false
+		return Off, fmt.Errorf("replication %q must be off or sync", s)
 	}
 }
-
-// DefaultWindow is the async-mode unacked-record bound when the config
-// leaves it zero.
-const DefaultWindow = 64
 
 // DefaultHeartbeatEvery is the virtual-time ping cadence of the failure
 // detector (≈ 50µs at the simulator's cycle scale: frequent enough that a
@@ -101,10 +96,8 @@ const DefaultSuspectAfter sim.Cycles = 600_000
 
 // Config is the deployment-level replication knob (core.Config.Replication).
 type Config struct {
-	// Mode selects off / sync / async shipping.
+	// Mode selects off / sync shipping.
 	Mode Mode
-	// Window bounds async mode's unacked records (0 = DefaultWindow).
-	Window int
 	// HeartbeatEvery is the failure detector's ping cadence
 	// (0 = DefaultHeartbeatEvery).
 	HeartbeatEvery sim.Cycles
@@ -118,9 +111,6 @@ func (c Config) Enabled() bool { return c.Mode != Off }
 
 // Normalized fills zero fields with defaults.
 func (c Config) Normalized() Config {
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = DefaultHeartbeatEvery
 	}

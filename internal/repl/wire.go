@@ -6,10 +6,8 @@ import (
 )
 
 // Wire shapes for the replication plane. REPL_APPEND carries a Msg in the
-// request's Data; acks travel either as the RPC reply (sync mode) or as a
-// one-way REPL_ACK request back to the primary's replication endpoint
-// (async mode). REPL_SEAL carries a Msg with only Primary set and returns
-// a SealReply.
+// request's Data and its Ack travels as the RPC reply. REPL_SEAL carries a
+// Msg with only Primary set and returns a SealReply.
 //
 // Every shape encodes with AppendTo, onto a buffer the caller brings, and
 // decodes without allocating: an Ack is a value, and a decoded Msg or
@@ -22,8 +20,9 @@ import (
 type Msg struct {
 	// Primary is the shipping server's id (which replica to ingest into).
 	Primary int32
-	// AckTo is the endpoint id of the primary's replication plane, where
-	// async acks are sent.
+	// AckTo is the endpoint id of the primary's replication plane. No
+	// receiver reads it (every ack is the ship's RPC reply); it stays so
+	// the wire format, and the bytes each ship costs, do not change.
 	AckTo int32
 	// Base is the LSN of the first record in Recs (unused for snapshots).
 	Base uint64

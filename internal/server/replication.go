@@ -18,21 +18,17 @@ import (
 // A server with replication enabled runs a second endpoint and goroutine —
 // the replication plane — alongside its request loop. The plane ingests
 // REPL_APPEND batches into the Follower replicas this server keeps for its
-// primaries, answers REPL_SEAL from the control plane at failover, serves
-// heartbeat pings, and (on the primary side) receives async REPL_ACKs. It
-// never blocks on another server, which is what makes sync mode's blocking
-// ship from the request loop deadlock-free: the request loop of server A
-// waits only on the replication plane of server B, and replication planes
-// wait on nobody.
+// primaries, answers REPL_SEAL from the control plane at failover, and serves
+// heartbeat pings. It never blocks on another server, which is what makes the
+// blocking ship from the request loop deadlock-free: the request loop of
+// server A waits only on the replication plane of server B, and replication
+// planes wait on nobody.
 
 // ReplOptions configures a server's role in replication (both the shipping
 // primary and the ingesting follower side). The zero value disables it.
 type ReplOptions struct {
-	// Mode selects off / sync / async shipping.
+	// Mode selects off / sync shipping.
 	Mode repl.Mode
-	// Window bounds async mode's unacked records before a ship escalates
-	// to a blocking flush.
-	Window int
 }
 
 // ReplTarget names the follower a primary ships to. Down lets the shipper
@@ -94,9 +90,7 @@ func (s *Server) runRepl() {
 // Decoding copies the request's Data out of the payload, so from there on the
 // payload's buffer is free, and it goes home (DESIGN.md §12): a sender that
 // waits gets its answer written into the very buffer it sent, and a one-way
-// payload is handed back to the cache it was drawn from. Ships and acks flow
-// in opposite directions in different size classes; released at their
-// receivers, both caches would miss once per message.
+// payload is handed back to the cache it was drawn from.
 func (s *Server) handleRepl(env msg.Envelope) {
 	req := &s.replReq
 	err := proto.UnmarshalRequestInto(req, env.Payload)
@@ -120,13 +114,6 @@ func (s *Server) handleRepl(env msg.Envelope) {
 		ack := repl.Ack{Server: int32(s.cfg.ID), Durable: s.replDurable.Load()}
 		s.replAnswer(env, &proto.Response{Data: ack.AppendTo(out[:0])}, now, cost.MsgRecv+cost.MsgSend)
 
-	case proto.OpReplAck:
-		// Primary side: a follower's one-way async ack.
-		s.replClock.AdvanceTo(s.cfg.Machine.Execute(s.cfg.Core, now, cost.MsgRecv))
-		if a, err := repl.UnmarshalAck(req.Data); err == nil {
-			s.noteAck(a)
-		}
-
 	case proto.OpReplAppend:
 		s.handleReplAppend(req, env, now)
 
@@ -147,6 +134,10 @@ func (s *Server) handleRepl(env msg.Envelope) {
 		}
 		work := cost.MsgRecv + cost.MsgSend + sim.LineCost(cost.WalPerLine, len(rep.Snap))
 		s.replAnswer(env, &proto.Response{Data: rep.AppendTo(out[:0])}, now, work)
+
+	default:
+		// An op the plane does not serve: its sender may be waiting too.
+		s.replAnswer(env, &proto.Response{Err: fsapi.EINVAL}, now, cost.MsgRecv+cost.MsgSend)
 	}
 	req.Recycle()
 }
@@ -177,8 +168,7 @@ func (s *Server) noteAck(a repl.Ack) {
 }
 
 // handleReplAppend ingests one shipped batch into the replica of its
-// primary and acks the resulting horizon — as the RPC reply in sync mode,
-// as a one-way REPL_ACK to the primary's replication plane in async mode.
+// primary and acks the resulting horizon as the RPC reply.
 func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.Cycles) {
 	cost := &s.cfg.Machine.Cost
 	work := cost.MsgRecv
@@ -189,7 +179,7 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 	switch {
 	case merr != nil:
 		// Nothing in it can be trusted, the primary's id included; a shipper
-		// that waits is told to rebase, a one-way ship names no one to tell.
+		// that waits is told to rebase, a one-way payload gets nothing.
 		if env.Reply == nil {
 			return
 		}
@@ -236,24 +226,15 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 	var out [64]byte
 	wire := ack.AppendTo(out[:0])
 	s.replAcks.Add(1)
-	end := s.replAnswer(env, &proto.Response{Data: wire}, now, work)
-	if env.Reply != nil {
-		return
-	}
-	areq := proto.Request{Op: proto.OpReplAck, Data: wire}
-	payload := areq.AppendTo(s.replEP.GetBuf(areq.SizeHint()))
-	s.replAckBytes.Add(uint64(len(payload)))
-	_, _ = s.cfg.Network.Send(s.replEP, msg.EndpointID(m.AckTo), proto.KindRequest, payload, end, nil)
+	s.replAnswer(env, &proto.Response{Data: wire}, now, work)
 }
 
 // ship sends the just-appended record batch to the follower while the local
 // flush is still under way, and returns the earliest time replication lets
-// the client reply go: in sync mode that is when the follower's ack has been
-// processed (ack-before-reply), in async mode the ship is fire-and-forget
-// unless the unacked window overflowed, in which case the ship degrades to a
-// blocking flush (bounded lag). Called from the request loop at the end of
-// the WAL append's CPU work, which assigned the LSNs; commitPending holds the
-// reply for the local flush as well.
+// the client reply go: when the follower's ack has been processed
+// (ack-before-reply). Called from the request loop at the end of the WAL
+// append's CPU work, which assigned the LSNs; commitPending holds the reply
+// for the local flush as well.
 func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 	last := recs[len(recs)-1].LSN
 	t := s.shipTarget(last)
@@ -274,17 +255,9 @@ func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 		m.Base = recs[0].LSN
 		m.Recs = s.wal.LastFrames()
 	}
-	wait := s.cfg.Repl.Mode == repl.Sync
-	if !wait {
-		// Async: bound the unacked window. When the follower has fallen
-		// more than a window behind, this ship waits for its ack — the
-		// back-pressure that makes "bounded loss" a guarantee instead of
-		// a hope.
-		wait = last-s.replDurable.Load() > uint64(s.cfg.Repl.Window)
-	}
-	end, ok := s.sendShip(t, &m, at, wait)
+	end, ok := s.sendShip(t, &m, at)
 	if ok {
-		s.traceShip(at, end, wait)
+		s.traceShip(at, end)
 	}
 	return end
 }
@@ -294,8 +267,7 @@ func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 // written by direct-access clients — and §6's contract declares that data
 // durable from the checkpoint on. The replica must cover it too, or a
 // promotion after a memory-domain loss would roll those bytes back to
-// zero where the fallback replay (checkpoint + tail) would not. The ship
-// always waits for the follower's ack, in async mode too: when a
+// zero where the fallback replay (checkpoint + tail) would not. When a
 // checkpoint returns, the replica covers it.
 func (s *Server) shipCheckpoint(c *wal.Checkpoint, at sim.Cycles) sim.Cycles {
 	last := s.wal.Stats().LastLSN
@@ -304,7 +276,7 @@ func (s *Server) shipCheckpoint(c *wal.Checkpoint, at sim.Cycles) sim.Cycles {
 		return at
 	}
 	s.replResyncs.Add(1)
-	end, _ := s.sendShip(t, &repl.Msg{Primary: int32(s.cfg.ID), Snap: c.Marshal(), SnapLSN: last}, at, true)
+	end, _ := s.sendShip(t, &repl.Msg{Primary: int32(s.cfg.ID), Snap: c.Marshal(), SnapLSN: last}, at)
 	return end
 }
 
@@ -328,16 +300,15 @@ func (s *Server) shipTarget(last uint64) *ReplTarget {
 }
 
 // sendShip sends m to the follower from the request loop as one REPL_APPEND,
-// at `at`, and with wait set blocks until the follower's ack has arrived and
-// is folded into the shipping horizons. It returns when replication lets the
-// request loop go on, and whether the ship went as intended — if not, the
-// next one carries a rebase snapshot.
+// at `at`, and blocks until the follower's ack has arrived and is folded into
+// the shipping horizons. It returns when replication lets the request loop go
+// on, and whether the ship went as intended — if not, the next one carries a
+// rebase snapshot.
 //
 // The message is encoded into the server's scratch and the request from there
-// into a buffer of this endpoint's cache. The ack of a ship that waits comes
-// back in that same buffer (handleRepl) and a one-way ship's buffer is handed
-// back by its receiver, so in steady state GetBuf finds one here every time.
-func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles, wait bool) (sim.Cycles, bool) {
+// into a buffer of this endpoint's cache. The ack comes back in that same
+// buffer (handleRepl), so in steady state GetBuf finds one here every time.
+func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles) (sim.Cycles, bool) {
 	cost := &s.cfg.Machine.Cost
 	if s.replEP != nil {
 		m.AckTo = int32(s.replEP.ID)
@@ -352,18 +323,6 @@ func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles, wait bool) 
 	s.clock.AdvanceTo(sendEnd)
 	s.replShips.Add(1)
 	s.replBytes.Add(uint64(len(payload)))
-	if !wait {
-		if _, err := s.cfg.Network.Send(s.ep, t.EP, proto.KindRequest, payload, sendEnd, nil); err != nil {
-			s.replNeedSync.Store(true)
-			return sendEnd, false
-		}
-		if m.Snap != nil {
-			// The rebase is in flight; stop re-shipping snapshots. If it
-			// is lost, the follower's next ack says NeedSync again.
-			s.replNeedSync.Store(false)
-		}
-		return sendEnd, true
-	}
 	env, err := s.cfg.Network.RPC(s.ep, t.EP, proto.KindRequest, payload, sendEnd)
 	if err != nil {
 		s.replNeedSync.Store(true)
@@ -393,18 +352,14 @@ func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles, wait bool) 
 const maxShipScratch = 64 << 10
 
 // traceShip records the replication leg of a traced request: the window
-// from ship start to release (ack arrival when the ship waited for one).
-func (s *Server) traceShip(start, end sim.Cycles, acked bool) {
+// from ship start to the processing of the follower's ack.
+func (s *Server) traceShip(start, end sim.Cycles) {
 	if s.curTrace == 0 || s.tr == nil {
 		return
 	}
-	name := "ship"
-	if acked {
-		name = "ship+ack"
-	}
 	s.tr.Record(trace.Span{
 		Trace: s.curTrace, ID: s.tem.Next(), Parent: s.curParent,
-		Kind: trace.KindRepl, Name: name, Where: ^int32(s.cfg.ID),
+		Kind: trace.KindRepl, Name: "ship+ack", Where: ^int32(s.cfg.ID),
 		Start: start, End: end,
 	})
 }

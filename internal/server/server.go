@@ -251,7 +251,6 @@ type Server struct {
 	replShips    atomic.Uint64
 	replBytes    atomic.Uint64
 	replAcks     atomic.Uint64
-	replAckBytes atomic.Uint64
 	replResyncs  atomic.Uint64
 
 	done chan struct{}
@@ -287,11 +286,7 @@ func New(cfg Config) *Server {
 		s.epoch.Store(s.pmap.Epoch())
 	}
 	if cfg.Repl.Mode != repl.Off {
-		if s.cfg.Repl.Window <= 0 {
-			s.cfg.Repl.Window = repl.DefaultWindow
-		}
-		s.replEP = cfg.Network.NewEndpoint(cfg.Core)
-		s.replEP.Transient = true // sends only acks, to ungated replication inboxes
+		s.replEP = cfg.Network.NewEndpoint(cfg.Core) // it only answers
 		s.replDone = make(chan struct{})
 		s.replicas = make(map[int]*repl.Follower)
 	}
@@ -346,7 +341,7 @@ func (s *Server) Stats() Stats {
 		MigInEntries:  s.stats.MigInEntries,
 		MigOutEntries: s.stats.MigOutEntries,
 		ReplShips:     s.replShips.Load(),
-		ReplBytes:     s.replBytes.Load() + s.replAckBytes.Load(),
+		ReplBytes:     s.replBytes.Load(),
 		ReplAcks:      s.replAcks.Load(),
 		ReplResyncs:   s.replResyncs.Load(),
 		ReplLastLSN:   s.replLastLSN.Load(),
