@@ -12,12 +12,12 @@ import (
 // TestBoundaryAllocs pins what the calls users make allocate, through a real
 // System so that the server goroutines' allocations count too (DESIGN.md
 // §13). Nothing is left of the path walk, the codec or the per-call state;
-// what is left is what the file system keeps — the name a server stores and
-// a file's block list; an inode lives in a page of 64 (table.Dense). A name
-// is copied only where it is kept: a batch's sub-requests read theirs in the
-// envelope the server owns, and a name sent alone is copied once, by the
-// decoder, into the string the server then stores. Who has an entry cached
-// costs nothing more: the first client is kept in the entry itself.
+// what is left is what the file system keeps: a file's block list. An inode
+// lives in a page of 64 (table.Dense), and a name is copied only where it is
+// kept, into its directory shard's slab (table.Names), which takes a 4 KiB
+// chunk per hundred-odd names. A batch's sub-requests read their names in
+// the envelope the server owns. Who has an entry cached costs nothing more: the
+// first client is kept in the entry itself.
 func TestBoundaryAllocs(t *testing.T) {
 	sys := newTestSystem(t, 2, 2)
 	c := sys.NewClient(0)
@@ -50,11 +50,11 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(err)
 			must(c.Close(fd))
 		}},
-		// The name stored and the block list; the inode fills a slot of
-		// its server's current page. The unlink's RM_MAP reads its name
-		// where it lies. Nobody is called back: the only client that had
-		// the name cached removed it.
-		{"create/write/close/unlink", 2, func() {
+		// The block list. The inode fills a slot of its server's current
+		// page and the name its shard's current chunk. The unlink's RM_MAP
+		// reads its name where it lies. Nobody is called back: the only
+		// client that had the name cached removed it.
+		{"create/write/close/unlink", 1, func() {
 			fd, err := c.Open(churned, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 			must(err)
 			_, err = c.Pwrite(fd, payload, 0)
@@ -62,9 +62,9 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(c.Close(fd))
 			must(c.Unlink(churned))
 		}},
-		// The new name stored, and nothing for the old one the RM_MAP
-		// sub-request removes.
-		{"rename", 1, func() {
+		// Nothing: the new name goes into the shard's current chunk, and
+		// the RM_MAP sub-request reads the old one where it lies.
+		{"rename", 0, func() {
 			must(c.Rename(from, to))
 			from, to = to, from
 		}},
@@ -137,19 +137,19 @@ func TestBoundaryAllocs(t *testing.T) {
 	const tmp, delivered = "/mail/tmp/m000042-0123456789abcdef", "/mail/new/m000042-0123456789abcdef"
 	body, back := make([]byte, 1500), make([]byte, 1500)
 	// Nine calls, five of which log and ship (79 allocations before the
-	// durable path recycled). The primary keeps the name stored at the create
-	// and again at the rename and the block list (3); the replica keeps its
-	// own copy of the two names and of the block list (3). Neither allocates
-	// the inode: both fill a slot of a page of 64. The rename's and the
-	// unlink's RM_MAP sub-requests read their names in the envelope, and so
-	// do the records staged under them: the log encodes those before the
-	// reply, and the envelope is released after it.
+	// durable path recycled). What is left is the block list, which the
+	// primary and the replica each keep (2). Neither allocates the inode or
+	// the names stored at the create and the rename: both fill a slot of a
+	// page of 64 and copy the names into the directory shard's slab. The
+	// rename's and the unlink's RM_MAP sub-requests read their names in the
+	// envelope, and so do the records staged under them: the log encodes
+	// those before the reply, and the envelope is released after it.
 	// The two entries' trackers live in the entries. Nothing is left of the
 	// staged records, of the shipped frames or of the six messages and
 	// structs a ship and its ack used to be copied through, and nothing of
 	// the two invalidations the server used to send the client about entries
 	// it had removed itself.
-	delivery := gate{"durable+sync delivery", 6, func() {
+	delivery := gate{"durable+sync delivery", 2, func() {
 		fd, err := c.Open(tmp, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 		must(err)
 		_, err = c.Pwrite(fd, body, 0)

@@ -96,7 +96,6 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 	}
 	resps := s.subResps[:len(subs)]
 	failed := false
-	s.lending = true
 	for i := range subs {
 		sub := &subs[i]
 		errno := fsapi.OK
@@ -131,7 +130,6 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 			failed = true
 		}
 	}
-	s.lending = false
 
 	s.statsMu.Lock()
 	s.stats.BatchedOps += uint64(len(subs))

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"strings"
-
 	"repro/internal/fsapi"
 	"repro/internal/msg"
 	"repro/internal/proto"
@@ -32,6 +30,9 @@ type dirShard struct {
 	// insertion order (so invalidation fan-outs are deterministic). Nil until
 	// an entry of the shard is cached by a second client.
 	more *table.Map[string, []int32]
+	// names holds the bytes of every key of ents and more: a new key is
+	// kept there (keep), and a key that leaves is dropped (drop).
+	names table.Names
 	// marked is set between the PREPARE and COMMIT/ABORT phases of the
 	// rmdir protocol; while set, operations on this directory are parked.
 	marked bool
@@ -55,14 +56,20 @@ func (s *Server) shard(dir proto.InodeID) *dirShard {
 	return sh
 }
 
-// keep returns name for a table to store as a key: a clone when it is lent —
-// the request in dispatch is a batch sub-request (decodeBatch) — and name
-// itself, a copy the decoder made, otherwise.
-func (s *Server) keep(name string) string {
-	if s.lending {
-		return strings.Clone(name)
+// keep returns a copy of name in the shard's slab, for ents or more to store
+// as a new key. Whatever name is — a view of a request's envelope, a
+// decoder's copy, a checkpoint's — the copy is the shard's.
+func (sh *dirShard) keep(name string) string { return sh.names.Keep(name) }
+
+// drop is called once name has left ents or more; a slab grown to more than
+// twice its live names re-keeps them into fresh chunks, in place.
+func (sh *dirShard) drop(name string) { sh.names.Drop(name, sh.rekey) }
+
+func (sh *dirShard) rekey(keep func(string) string) {
+	sh.ents.Rekey(keep)
+	if sh.more != nil {
+		sh.more.Rekey(keep)
 	}
-	return name
 }
 
 // track records that client has the entry name of sh cached. It reports
@@ -90,7 +97,7 @@ func (s *Server) track(sh *dirShard, name string, ent *dirEnt, client int32) boo
 	}
 	if rest == nil {
 		rest = make([]int32, 0, 4) // an entry shared by a few clients grows once
-		name = s.keep(name)        // a new key
+		name = sh.keep(name)       // a new key
 	}
 	sh.more.Put(name, append(rest, client))
 	return false
@@ -117,6 +124,7 @@ func (s *Server) invalidate(sh *dirShard, dir proto.InodeID, name string, first,
 		return
 	}
 	sh.more.Delete(name)
+	sh.drop(name)
 	for _, client := range rest {
 		s.callBack(client, except, &iv)
 	}
@@ -221,7 +229,7 @@ func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Resp
 	if exists {
 		s.invalidate(sh, req.Dir, name, old.tracker, req.ClientID)
 	} else {
-		name = s.keep(name)
+		name = sh.keep(name)
 		s.entCount.Add(1)
 	}
 	s.track(sh, name, &ent, req.ClientID)
@@ -265,6 +273,7 @@ func (s *Server) handleRmMap(req *proto.Request, env msg.Envelope) (*proto.Respo
 		return s.errResp(fsapi.ENOTDIR), false
 	}
 	sh.ents.Delete(req.Name)
+	sh.drop(req.Name)
 	s.entCount.Add(-1)
 	s.stageRmMap(req.Dir, req.Name)
 	s.invalidate(sh, req.Dir, req.Name, ent.tracker, req.ClientID)
@@ -334,7 +343,7 @@ func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*p
 	}
 	ino := s.allocInode(ftype, req.Mode, req.Distributed)
 	ent := dirEnt{target: s.id(ino), ftype: ftype, dist: req.Distributed}
-	name := s.keep(req.Name) // the new entry's key
+	name := sh.keep(req.Name) // the new entry's key
 	s.track(sh, name, &ent, req.ClientID)
 	sh.ents.Put(name, ent)
 	s.entCount.Add(1)

@@ -86,9 +86,10 @@ func (s *Server) stageWrite(ino *inode, off int64, data []byte) {
 	s.stage(wal.Record{Type: wal.RecWrite, Ino: ino.local, Off: off, Data: cp})
 }
 
-// stageAddMap and stageRmMap stage a name that may be lent (decodeBatch): the
-// request it belongs to is released only after its reply, whose
-// commitPending has encoded the record.
+// stageAddMap stages the entry's stored key, a view of its shard's slab
+// whose bytes are never rewritten (dirShard.keep). stageRmMap stages a name
+// that may be lent (decodeBatch): the request it belongs to is released only
+// after its reply, whose commitPending has encoded the record.
 func (s *Server) stageAddMap(dir proto.InodeID, name string, ent dirEnt) {
 	s.stage(wal.Record{
 		Type:   wal.RecAddMap,
@@ -505,7 +506,11 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 		ds := &c.Dirs[i]
 		sh := s.shard(ds.Dir)
 		for _, ent := range ds.Ents {
-			sh.ents.Put(ent.Name, dirEnt{target: ent.Target, ftype: ent.Ftype, dist: ent.Dist})
+			name := ent.Name
+			if _, dup := sh.ents.Get(name); !dup {
+				name = sh.keep(name)
+			}
+			sh.ents.Put(name, dirEnt{target: ent.Target, ftype: ent.Ftype, dist: ent.Dist})
 		}
 	}
 	for _, dir := range c.DeadDirs {

@@ -177,9 +177,6 @@ type Server struct {
 	entScratch []proto.DirEntWire
 	subReqs    []proto.Request
 	subResps   []*proto.Response
-	// lending is set while the sub-requests of a batch, whose names are
-	// lent, are dispatched (keep).
-	lending bool
 
 	// onRelease, when set (by tests), sees every request putReq releases,
 	// before the struct is reused.
@@ -589,11 +586,12 @@ func (s *Server) requestCost(req *proto.Request) (sim.Cycles, []proto.Request, b
 // lends them their names: those bytes are the server's, and stay put until
 // the envelope goes back to the free list (putReq) — after the reply, and so
 // after commitPending has encoded every record staged under a lent name. A
-// handler reads a lent name in place and clones it only where it keeps it: a
-// new entry's key (handleAddMap, handleCreateCoalesced) and a new key of a
-// shard's overflow trackers (track). A table Put on a key already present
-// keeps the stored key (handleLookup's put-back). A parked batch keeps its
-// envelope and is decoded again from it on re-dispatch.
+// handler reads a lent name in place; a new key — an entry's (handleAddMap,
+// handleCreateCoalesced) or one of a shard's overflow trackers (track) — is
+// a copy in the shard's slab (dirShard.keep), as every new key is, lent or
+// not. A table Put on a key already present keeps the stored key
+// (handleLookup's put-back). A parked batch keeps its envelope and is
+// decoded again from it on re-dispatch.
 func (s *Server) decodeBatch(req *proto.Request) ([]proto.Request, bool, error) {
 	subs, stop, err := proto.UnmarshalBatchLent(s.subReqs, req.Data)
 	if err == nil {

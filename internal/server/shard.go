@@ -236,11 +236,13 @@ func (s *Server) handleShardCommit(req *proto.Request) *proto.Response {
 		if exists && old == val {
 			continue
 		}
+		name := ent.Name // a present entry keeps the key it is stored under
 		if !exists {
+			name = sh.keep(name)
 			s.entCount.Add(1)
 		}
-		sh.ents.Put(ent.Name, val)
-		s.stageAddMap(ent.Dir, ent.Name, val)
+		sh.ents.Put(name, val)
+		s.stageAddMap(ent.Dir, name, val)
 		installed++
 	}
 
@@ -267,6 +269,7 @@ func (s *Server) handleShardCommit(req *proto.Request) *proto.Response {
 		sh, _ := s.dirs.Get(ent.Dir) // out was read from this table
 		gone, _ := sh.ents.Get(ent.Name)
 		sh.ents.Delete(ent.Name)
+		sh.drop(ent.Name)
 		s.entCount.Add(-1)
 		s.stageRmMap(ent.Dir, ent.Name)
 		s.invalidate(sh, ent.Dir, ent.Name, gone.tracker, -1)

@@ -292,3 +292,63 @@ func TestEntryFootprint(t *testing.T) {
 	}
 	t.Logf("%d bytes of live heap per file", perFile)
 }
+
+// TestRmdirReturnsItsSlab fills a directory with 4096 names, empties it and
+// removes it: emptying compacts the shard's slab, and the rmdir brings the
+// live heap back to within one page of where it started — the shard's table
+// and its slab went with it, and nothing else holds on to a chunk. The
+// first round warms the server's free lists and caches; the second is
+// measured.
+func TestRmdirReturnsItsSlab(t *testing.T) {
+	const names, page = 4096, 8192
+	h := newHarness(t)
+	round := func(dirName string) (full uint64) {
+		dir := h.callOK(&proto.Request{Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Name: dirName,
+			Mode: fsapi.Mode755, Ftype: fsapi.TypeDir}).Ino
+		add := &proto.Request{Op: proto.OpAddMap, Dir: dir, Ftype: fsapi.TypeRegular}
+		for i := 0; i < names; i++ {
+			add.Name = fmt.Sprintf("file-%06d-0123456789ab", i) // 24 bytes
+			add.Target = proto.InodeID{Server: 1, Local: uint64(2 + i)}
+			h.callOK(add)
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		full = ms.HeapInuse
+		rm := &proto.Request{Op: proto.OpRmMap, Dir: dir}
+		for i := 0; i < names; i++ {
+			rm.Name = fmt.Sprintf("file-%06d-0123456789ab", i)
+			h.callOK(rm)
+		}
+		// Emptying compacted the slab as it went: what is left is less
+		// than a chunk.
+		sh, ok := h.srv.dirs.Get(dir)
+		if !ok {
+			t.Fatal("the directory has no shard")
+		}
+		if held := sh.names.Held(); held > 4096 {
+			t.Fatalf("the emptied directory's shard holds a slab of %d bytes", held)
+		}
+		h.callOK(&proto.Request{Op: proto.OpRmdirLock, Target: dir})
+		h.callOK(&proto.Request{Op: proto.OpRmdirPrepare, Dir: dir, Target: dir})
+		h.callOK(&proto.Request{Op: proto.OpRmdirCommit, Dir: dir, Target: dir})
+		h.callOK(&proto.Request{Op: proto.OpRmMap, Dir: proto.RootInode, Name: dirName, Ftype: fsapi.TypeDir})
+		h.callOK(&proto.Request{Op: proto.OpRmdirFinish, Target: dir})
+		return full
+	}
+	round("warm")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	full := round("measured")
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := full - before.HeapInuse; grew < names*24 {
+		t.Fatalf("the full directory took %d bytes of live heap, less than its names' %d", grew, names*24)
+	}
+	if left := int64(after.HeapInuse) - int64(before.HeapInuse); left > page {
+		t.Fatalf("%d bytes of live heap left after the rmdir, want at most %d", left, page)
+	} else {
+		t.Logf("%d bytes of live heap left after the rmdir, %d while full", left, full-before.HeapInuse)
+	}
+}

@@ -17,7 +17,8 @@
 //
 // Dense (dense.go) is the table for a number space issued in increasing
 // order and never reused — a server's inodes: values live in place in pages
-// of 64, and Range walks in ascending number order.
+// of 64, and Range walks in ascending number order. Names (names.go) is the
+// byte slab a directory shard's string keys live in.
 //
 // Deletion uses backward-shift compaction (no tombstones), so probe
 // sequences stay short regardless of churn.
@@ -158,6 +159,16 @@ func (m *Map[K, V]) Range(fn func(K, V) bool) {
 			if !fn(m.slots[i].key, m.slots[i].val) {
 				return
 			}
+		}
+	}
+}
+
+// Rekey replaces every stored key with fn(key), which must equal it — a copy
+// in other memory (Names). No entry moves, so Range's order is unchanged.
+func (m *Map[K, V]) Rekey(fn func(K) K) {
+	for i := range m.slots {
+		if m.slots[i].full {
+			m.slots[i].key = fn(m.slots[i].key)
 		}
 	}
 }

@@ -31,6 +31,40 @@ type imgEnt struct {
 	dist   bool
 }
 
+// imgShard is one directory's entries in an Image, their names kept in the
+// shard's slab, as a server's directory shard keeps them.
+type imgShard struct {
+	ents  map[string]imgEnt
+	names table.Names
+}
+
+// put stores ent under a copy of name in the shard's slab. A name already
+// present takes the copy too — assigning through an existing key makes the
+// map's key the assigned string — and the old key is dropped.
+func (sh *imgShard) put(name string, ent imgEnt) {
+	_, had := sh.ents[name]
+	name = sh.names.Keep(name)
+	sh.ents[name] = ent
+	if had {
+		sh.names.Drop(name, sh.rekey)
+	}
+}
+
+func (sh *imgShard) remove(name string) {
+	if _, ok := sh.ents[name]; ok {
+		delete(sh.ents, name)
+		sh.names.Drop(name, sh.rekey)
+	}
+}
+
+// rekey stores every entry under keep's copy of its name: assigning through
+// an existing key during a range replaces the key and adds nothing.
+func (sh *imgShard) rekey(keep func(string) string) {
+	for name, ent := range sh.ents {
+		sh.ents[keep(name)] = ent
+	}
+}
+
 // Image is the durable state that a checkpoint plus a log prefix describe:
 // the one definition of what a record does to durable state (DESIGN.md §6).
 // Recovery loads the checkpoint, applies the log tail and installs
@@ -51,7 +85,7 @@ type Image struct {
 	pmap    []byte
 
 	inodes *table.Dense[imgInode]
-	dirs   map[proto.InodeID]map[string]imgEnt
+	dirs   map[proto.InodeID]*imgShard
 	dead   map[proto.InodeID]bool
 	// chunks holds block id → contents for blocks some live inode owns
 	// and a record or checkpoint wrote.
@@ -72,7 +106,7 @@ func (m *Image) Load(c *Checkpoint) {
 	m.nextIno = max(c.NextIno, 2)
 	m.epoch, m.pmap = c.Epoch, bytes.Clone(c.PlaceMap)
 	m.inodes = table.NewDense[imgInode]()
-	m.dirs = make(map[proto.InodeID]map[string]imgEnt)
+	m.dirs = make(map[proto.InodeID]*imgShard)
 	m.dead = make(map[proto.InodeID]bool)
 	m.chunks = make(map[uint64][]byte)
 	for i := range c.Inodes {
@@ -102,7 +136,7 @@ func (m *Image) Load(c *Checkpoint) {
 		ds := &c.Dirs[i]
 		sh := m.shard(ds.Dir)
 		for _, ent := range ds.Ents {
-			sh[ent.Name] = imgEnt{target: ent.Target, ftype: ent.Ftype, dist: ent.Dist}
+			sh.put(ent.Name, imgEnt{target: ent.Target, ftype: ent.Ftype, dist: ent.Dist})
 		}
 	}
 	for _, dir := range c.DeadDirs {
@@ -110,10 +144,10 @@ func (m *Image) Load(c *Checkpoint) {
 	}
 }
 
-func (m *Image) shard(dir proto.InodeID) map[string]imgEnt {
+func (m *Image) shard(dir proto.InodeID) *imgShard {
 	sh, ok := m.dirs[dir]
 	if !ok {
-		sh = make(map[string]imgEnt)
+		sh = &imgShard{ents: make(map[string]imgEnt)}
 		m.dirs[dir] = sh
 	}
 	return sh
@@ -197,12 +231,10 @@ func (m *Image) Apply(r Record) {
 			ino.size = end
 		}
 	case RecAddMap:
-		// Always under a copy of the name: assigning through an existing
-		// key would make the map's key the caller's string.
-		m.shard(r.Dir)[strings.Clone(r.Name)] = imgEnt{target: r.Target, ftype: r.Ftype, dist: r.Dist}
+		m.shard(r.Dir).put(r.Name, imgEnt{target: r.Target, ftype: r.Ftype, dist: r.Dist})
 	case RecRmMap:
 		if sh, ok := m.dirs[r.Dir]; ok {
-			delete(sh, r.Name)
+			sh.remove(r.Name)
 		}
 	case RecDirKill:
 		delete(m.dirs, r.Dir)
@@ -244,7 +276,8 @@ func (m *Image) writeData(ino *imgInode, off int64, data []byte) {
 // unmodified. The LSN is left zero: which log position the image reflects
 // is its caller's to say. Output is sorted for determinism: inodes in
 // ascending number order, as a server's inode table walks. Nothing in it
-// shares memory with the image.
+// shares memory with the image but its names, views of bytes a shard's slab
+// never rewrites.
 func (m *Image) Checkpoint() *Checkpoint {
 	c := &Checkpoint{
 		NextIno:  m.nextIno,
@@ -281,7 +314,7 @@ func (m *Image) Checkpoint() *Checkpoint {
 	slices.SortFunc(dirIDs, inodeCmp)
 	for _, dir := range dirIDs {
 		ds := DirSnap{Dir: dir}
-		for name, ent := range m.dirs[dir] {
+		for name, ent := range m.dirs[dir].ents {
 			ds.Ents = append(ds.Ents, DirEntSnap{
 				Name:   name,
 				Target: ent.target,

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fsapi"
@@ -84,5 +85,69 @@ func TestImageLoadRoundTrips(t *testing.T) {
 	c.PlaceMap[0], c.Inodes[1].Blocks[0], c.Inodes[1].Data[0][0] = 0, 0, 0
 	if got := m.Checkpoint().Marshal(); !bytes.Equal(got, want) {
 		t.Fatalf("load then checkpoint gave\n %+v", m.Checkpoint())
+	}
+}
+
+// TestImageNamesOutliveTheirRecords applies RecAddMap records decoded in
+// place from a shipped buffer — new names, enough removals to compact the
+// directory's slab, then more new names and a name applied twice — and
+// scribbles over the buffer: the image's checkpoint still shows every name
+// it stores as it was sent, as a replica's must at promotion.
+func TestImageNamesOutliveTheirRecords(t *testing.T) {
+	dir := proto.InodeID{Server: 0, Local: 1}
+	name := func(i int) string { return fmt.Sprintf("m%06d-0123456789abcdef", i) }
+	const n = 600
+	var recs []Record
+	for i := 0; i < n; i++ {
+		recs = append(recs, Record{Type: RecAddMap, Dir: dir, Name: name(i),
+			Target: proto.InodeID{Local: uint64(2 + i)}, Ftype: fsapi.TypeRegular})
+	}
+	for i := 1; i < n; i++ {
+		if i%50 != 0 {
+			recs = append(recs, Record{Type: RecRmMap, Dir: dir, Name: name(i)})
+		}
+	}
+	// After the compaction: names the slab has not seen, and a replayed
+	// record naming an entry already stored.
+	for i := n; i < n+50; i += 10 {
+		recs = append(recs, Record{Type: RecAddMap, Dir: dir, Name: name(i),
+			Target: proto.InodeID{Local: uint64(2 + i)}, Ftype: fsapi.TypeRegular})
+	}
+	recs = append(recs, recs[0])
+	frames := EncodeRecords(recs)
+	decoded, err := DecodeRecordsInto(nil, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewImage(imageBlockSize)
+	for _, r := range decoded {
+		m.Apply(r)
+	}
+	ReleaseRecords(decoded)
+	for i := range frames {
+		frames[i] = '#'
+	}
+
+	c := m.Checkpoint()
+	if len(c.Dirs) != 1 {
+		t.Fatalf("%d directories, want 1", len(c.Dirs))
+	}
+	var got []string
+	for _, e := range c.Dirs[0].Ents {
+		got = append(got, e.Name)
+	}
+	var want []string
+	for i := 0; i < n; i += 50 {
+		want = append(want, name(i))
+	}
+	for i := n; i < n+50; i += 10 {
+		want = append(want, name(i))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("the image stores\n%q\nwant\n%q", got, want)
+	}
+	sh := m.dirs[dir]
+	if live := len(want) * len(name(0)); sh.names.Held() > 2*live+4096 {
+		t.Fatalf("the directory's slab holds %d bytes for %d live", sh.names.Held(), live)
 	}
 }

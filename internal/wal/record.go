@@ -59,6 +59,8 @@ const (
 	RecWrite
 	// RecAddMap upserts one directory entry (create, mkdir, link, and the
 	// ADD_MAP phase of rename — Replace semantics make replay idempotent).
+	// Its Name may be a view of a decode buffer: an Image that applies it
+	// keeps a copy in the directory's slab (table.Names), never the view.
 	RecAddMap
 	// RecRmMap removes one directory entry (unlink, rmdir's shard, and the
 	// RM_MAP phase of rename).
