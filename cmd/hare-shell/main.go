@@ -400,12 +400,8 @@ func (s *shell) replicas() error {
 		if s.sys.Crashed(rs.Server) {
 			state = "down"
 		}
-		fmt.Printf("server %2d (%s): follower %2d, lsn %6d, durable %6d, lag %4d, %6d ships, %d resyncs",
+		fmt.Printf("server %2d (%s): follower %2d, lsn %6d, durable %6d, lag %4d, %6d ships, %d resyncs\n",
 			rs.Server, state, rs.Follower, rs.LastLSN, rs.Durable, rs.Lag(), rs.Ships, rs.Resyncs)
-		if at, ok := s.sys.ReplLastHeard(rs.Server); ok {
-			fmt.Printf(", heard @%d", at)
-		}
-		fmt.Println()
 	}
 	return nil
 }

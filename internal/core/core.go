@@ -189,7 +189,6 @@ func (c *Config) normalize() error {
 		if c.Servers < 2 {
 			return fmt.Errorf("core: replication needs at least two servers, got %d", c.Servers)
 		}
-		c.Replication = c.Replication.Normalized()
 	}
 	return nil
 }
@@ -221,9 +220,7 @@ type System struct {
 	pending  []*transition
 	observer func(stage string, srv int)
 
-	// mon is the heartbeat failure detector (nil when replication is
-	// disabled); failEm allocates failover-span ids.
-	mon    *repl.Monitor
+	// failEm allocates failover-span ids (nil when replication is disabled).
 	failEm *trace.Emitter
 
 	ids      *client.IDAllocator
@@ -314,7 +311,7 @@ func New(cfg Config) (*System, error) {
 			Log:             log,
 			Placement:       bootMap,
 			Tracer:          sys.tracer,
-			Repl:            server.ReplOptions{Mode: sys.cfg.Replication.Mode},
+			Repl:            sys.cfg.Replication.Mode,
 		})
 		sys.servers = append(sys.servers, srv)
 		sys.serverEPs = append(sys.serverEPs, srv.EndpointID())
@@ -323,7 +320,6 @@ func New(cfg Config) (*System, error) {
 	sys.ctl.Transient = true // every send is ctlRPC's, at the target's own clock
 	sys.publishRouting(bootMap)
 	if cfg.Replication.Enabled() {
-		sys.mon = repl.NewMonitor(network, network.NewEndpoint(0), cfg.Replication)
 		sys.failEm = trace.ClientEmitter(-1)
 		sys.wireReplication()
 	}
@@ -378,9 +374,9 @@ func (s *System) Stop() {
 // advance concurrently instead of one global virtual-time ping-pong chain.
 //
 // The full control plane participates in the lane protocol: replication
-// shipping and acks, heartbeats, crash/recovery, failover promotion, and
-// elastic shard migration all send from transient endpoints (their lanes
-// are in the gate only while an exchange of their own is outstanding,
+// shipping and acks, crash/recovery, failover promotion, and elastic shard
+// migration all send from transient endpoints (their lanes are in the gate
+// only while an exchange of their own is outstanding,
 // msg.Endpoint.Transient), so parallel runs produce namespaces
 // byte-identical to serialized runs with any of those events on the
 // schedule. Serialized mode, the default, never installs a gate and stays

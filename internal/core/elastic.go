@@ -90,7 +90,7 @@ func (s *System) AddServer() (int, error) {
 		RootDistributed: false,
 		Log:             log,
 		Placement:       cur,
-		Repl:            server.ReplOptions{Mode: s.cfg.Replication.Mode},
+		Repl:            s.cfg.Replication.Mode,
 	})
 	s.servers = append(s.servers, srv)
 	s.serverEPs = append(s.serverEPs, srv.EndpointID())

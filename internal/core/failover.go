@@ -59,14 +59,13 @@ func (s *System) FollowerOf(id int) int {
 	return s.followerOf(id)
 }
 
-// wireReplication points every server's shipper at its fleet-ring follower
-// and registers the fleet with the failure detector. Called at build time
-// and again after membership grows (the ring closes through the new tail).
+// wireReplication points every server's shipper at its fleet-ring follower.
+// Called at build time and again after membership grows (the ring closes
+// through the new tail).
 func (s *System) wireReplication() {
 	if !s.cfg.Replication.Enabled() {
 		return
 	}
-	now := s.MaxServerClock()
 	n := len(s.servers)
 	for i, srv := range s.servers {
 		f := s.servers[(i+1)%n]
@@ -75,36 +74,7 @@ func (s *System) wireReplication() {
 			continue
 		}
 		srv.SetReplTarget(&server.ReplTarget{ID: (i + 1) % n, EP: fep, Down: f.Crashed})
-		if ep, ok := srv.ReplEndpointID(); ok && s.mon != nil {
-			s.mon.Track(i, ep, now)
-		}
 	}
-}
-
-// Heartbeat advances the failure detector one beat at the fleet's current
-// virtual time and returns the servers currently suspected dead (nil when
-// replication is disabled — no detector runs, no pings are sent).
-func (s *System) Heartbeat() []int {
-	return s.HeartbeatAt(s.MaxServerClock())
-}
-
-// HeartbeatAt is Heartbeat at an explicit virtual time, for tests that
-// drive the detector's clock directly.
-func (s *System) HeartbeatAt(now sim.Cycles) []int {
-	if s.mon == nil {
-		return nil
-	}
-	s.mon.Tick(now)
-	return s.mon.Suspected(now)
-}
-
-// ReplLastHeard returns the virtual time of the last heartbeat pong from
-// server id, and whether one was ever heard.
-func (s *System) ReplLastHeard(id int) (sim.Cycles, bool) {
-	if s.mon == nil {
-		return 0, false
-	}
-	return s.mon.LastHeard(id)
 }
 
 // Failover promotes the replica of crashed server id: seal the follower's
@@ -285,6 +255,6 @@ func (s *System) ReplicaStats() []ReplStats {
 	return out
 }
 
-// Replication returns the deployment's replication configuration
-// (normalized; Mode Off when disabled).
+// Replication returns the deployment's replication configuration (Mode Off
+// when disabled).
 func (s *System) Replication() repl.Config { return s.cfg.Replication }

@@ -3,14 +3,11 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/fsapi"
-	"repro/internal/msg"
 	"repro/internal/proto"
 	"repro/internal/repl"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // replSystem builds and starts a deployment with durability + replication.
@@ -344,95 +341,12 @@ func TestFailoverPromotionCoversCheckpointContents(t *testing.T) {
 	verifyFiles(t, sys, names)
 }
 
-// waitLastHeard blocks (wall clock) until the monitor has heard a pong from
-// server id stamped at or after min, failing the test on timeout.
-func waitLastHeard(t *testing.T, sys *System, id int, min sim.Cycles) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if at, ok := sys.ReplLastHeard(id); ok && at >= min {
-			return
-		}
-		if time.Now().After(deadline) {
-			at, ok := sys.ReplLastHeard(id)
-			t.Fatalf("no pong from server %d at/after %d (last %d, heard %v)", id, min, at, ok)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestHeartbeatSuspectsOnlyCrashedServer drives the failure detector across
-// a crash: the dead server crosses the silence threshold, the live ones
-// keep answering and are never suspected.
-func TestHeartbeatSuspectsOnlyCrashedServer(t *testing.T) {
-	r := repl.Config{Mode: repl.Sync}.Normalized()
-	sys := replSystem(t, 3, r)
-
-	if sus := sys.HeartbeatAt(0); len(sus) != 0 {
-		t.Fatalf("suspects on first beat: %v", sus)
-	}
-	for id := 0; id < 3; id++ {
-		waitLastHeard(t, sys, id, 0)
-	}
-
-	const victim = 0
-	if err := sys.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
-	beats := int(r.SuspectAfter/r.HeartbeatEvery) + 3
-	var now sim.Cycles
-	for k := 1; k <= beats; k++ {
-		now = sim.Cycles(k) * r.HeartbeatEvery
-		sys.HeartbeatAt(now)
-		for id := 1; id < 3; id++ {
-			waitLastHeard(t, sys, id, now-r.HeartbeatEvery)
-		}
-	}
-	sus := sys.HeartbeatAt(now)
-	if len(sus) != 1 || sus[0] != victim {
-		t.Fatalf("suspected %v, want [%d]", sus, victim)
-	}
-}
-
-// TestHeartbeatNoFalsePositivesUnderJitter delays every message by the
-// fault plan's maximum and asserts no live server is ever suspected across
-// many beats: the structural bound SuspectAfter > HeartbeatEvery +
-// 2×MaxDelay + service holds with room to spare.
-func TestHeartbeatNoFalsePositivesUnderJitter(t *testing.T) {
-	r := repl.Config{Mode: repl.Sync}.Normalized()
-	sys := replSystem(t, 3, r)
-
-	const maxDelay = 100_000
-	if r.HeartbeatEvery+2*maxDelay >= r.SuspectAfter {
-		t.Fatalf("bound violated by construction: interval %d + 2×%d >= threshold %d", r.HeartbeatEvery, maxDelay, r.SuspectAfter)
-	}
-	sys.Network().SetFaultPlan(&msg.FaultPlan{Seed: 7, MaxDelay: maxDelay, DelayPercent: 100})
-	defer sys.Network().SetFaultPlan(nil)
-
-	for k := 0; k <= 12; k++ {
-		now := sim.Cycles(k) * r.HeartbeatEvery
-		if sus := sys.HeartbeatAt(now); len(sus) != 0 {
-			t.Fatalf("false positive at beat %d (now %d): %v", k, now, sus)
-		}
-		var min sim.Cycles
-		if now > r.HeartbeatEvery {
-			min = now - r.HeartbeatEvery
-		}
-		for id := 0; id < 3; id++ {
-			waitLastHeard(t, sys, id, min)
-		}
-	}
-}
-
-// TestReplicationDisabledIsFree pins the off switch: no monitor, no
-// follower ring, no replication messages — the subsystem vanishes.
+// TestReplicationDisabledIsFree pins the off switch: no follower ring, no
+// replication messages — the subsystem vanishes.
 func TestReplicationDisabledIsFree(t *testing.T) {
 	sys := newDurableSystem(t, 4, 2, Durability{}, AllTechniques())
 	seedFiles(t, sys, 16)
 
-	if sus := sys.Heartbeat(); sus != nil {
-		t.Fatalf("disabled heartbeat returned %v", sus)
-	}
 	if f := sys.FollowerOf(0); f != -1 {
 		t.Fatalf("FollowerOf = %d with replication off", f)
 	}

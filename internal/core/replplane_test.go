@@ -146,14 +146,23 @@ func TestReplicationPlaneAnswersWhatItCannotDecode(t *testing.T) {
 	if ack, err := repl.UnmarshalAck(resp.Data); err != nil || !ack.NeedSync || ack.Server != follower {
 		t.Errorf("an append that does not decode: ack %+v, err %v, want NeedSync from server %d", ack, err, follower)
 	}
+	// A well-formed ship from beyond the replica's horizon: an earlier ship
+	// went missing, and only a rebase closes the gap. It applies nothing.
+	horizon := sys.ReplicaStats()[victim].Durable
+	future := repl.Msg{Primary: victim, Base: horizon + 100, Recs: wal.EncodeRecords([]wal.Record{
+		{LSN: horizon + 100, Type: wal.RecInode, Ino: 999, Ftype: fsapi.TypeRegular, Mode: fsapi.Mode644, Nlink: 1}})}
+	resp = rpc("a ship from the future", (&proto.Request{Op: proto.OpReplAppend, Data: future.AppendTo(nil)}).Marshal())
+	if ack, err := repl.UnmarshalAck(resp.Data); err != nil || !ack.NeedSync || ack.Durable != horizon {
+		t.Errorf("a ship from the future: ack %+v, err %v, want NeedSync at horizon %d", ack, err, horizon)
+	}
 	resp = rpc("a seal that does not decode", (&proto.Request{Op: proto.OpReplSeal, Data: []byte{1, 2, 3}}).Marshal())
 	var sr repl.SealReply
 	if err := repl.UnmarshalSealReplyInto(&sr, resp.Data); err != nil || sr.Durable != 0 || len(sr.Snap) != 0 {
 		t.Errorf("a seal that does not decode: reply %+v, err %v, want an empty one", sr, err)
 	}
-	// Well-formed requests for ops the plane does not serve: a request-plane
-	// op, and a number no op has.
-	for _, op := range []proto.Op{proto.OpLookup, proto.OpReplSeal + 1} {
+	// Well-formed requests for ops the plane does not serve: request-plane
+	// ops, a ping among them, and a number no op has.
+	for _, op := range []proto.Op{proto.OpPing, proto.OpLookup, proto.OpReplSeal + 1} {
 		what := fmt.Sprintf("a %v request", op)
 		if resp := rpc(what, (&proto.Request{Op: op}).Marshal()); resp.Err != fsapi.EINVAL {
 			t.Errorf("%s: answered %v, want EINVAL", what, resp.Err)

@@ -1,18 +1,6 @@
 package repl
 
-import (
-	"bytes"
-	"slices"
-	"strings"
-
-	"repro/internal/wal"
-)
-
-// maxStash bounds how many out-of-order batches a follower buffers while a
-// delayed batch is still in flight. Overflow abandons reordering and asks
-// the primary for a rebase snapshot instead — the same path that handles a
-// genuinely lost message.
-const maxStash = 32
+import "repro/internal/wal"
 
 // Follower is the warm standby of one primary: a wal.Image that ingests the
 // primary's shipped WAL batches in LSN order and converts itself into a
@@ -29,10 +17,6 @@ type Follower struct {
 	next   uint64 // next LSN expected; durable horizon is next-1
 
 	img *wal.Image
-
-	// stash holds out-of-order batches (keyed by base LSN) until the gap
-	// in front of them arrives.
-	stash map[uint64][]wal.Record
 }
 
 // NewFollower builds an empty replica of the given primary, expecting the
@@ -43,7 +27,6 @@ func NewFollower(primary, blockSize int) *Follower {
 		primary: primary,
 		next:    1,
 		img:     wal.NewImage(blockSize),
-		stash:   make(map[uint64][]wal.Record),
 	}
 }
 
@@ -61,102 +44,44 @@ func (f *Follower) Sealed() bool { return f.sealed }
 func (f *Follower) Seal() { f.sealed = true }
 
 // Ingest applies a shipped batch whose first record has LSN base. It
-// returns needSync=true when the replica cannot make progress from batches
-// alone — a gap it could not buffer — and the primary must ship a rebase
-// snapshot. Re-ingesting an already-applied batch is a no-op (records are
-// state assignments and the LSN window filters them before apply), so
-// duplicate ships after a primary recovery are harmless.
+// returns needSync=true when the batch starts beyond the horizon — a gap
+// batches alone cannot close — and the primary must ship a rebase snapshot.
+// Such a batch applies nothing: a shipper that waits for each ack never
+// sends one, so the gap is a ship that was lost or refused, and the rebase
+// is the path that already repairs those. Re-ingesting an already-applied
+// batch is a no-op (records are state assignments and the LSN window
+// filters them before apply), so duplicate ships after a primary recovery
+// are harmless.
 //
 // recs, and everything its records point at, belong to the caller again when
 // Ingest returns (they are decoded in place in a recycled buffer,
-// wal.DecodeRecordsInto): the replica copies what it keeps — a batch it
-// stashes, a name it stores an entry under, a block list, file bytes, an
-// epoch's map — and nothing else.
+// wal.DecodeRecordsInto): the replica copies what it keeps — a name it
+// stores an entry under, a block list, file bytes, an epoch's map — and
+// nothing else.
 func (f *Follower) Ingest(base uint64, recs []wal.Record) (needSync bool) {
 	if f.sealed || len(recs) == 0 {
 		return false
 	}
-	if base+uint64(len(recs)) <= f.next {
-		return false // entirely below the horizon: already applied
-	}
 	if base > f.next {
-		// A batch from the future: an earlier batch has not arrived (a
-		// shipper that waits for each ack sends none). Buffer it unless
-		// the stash says the gap is never going to fill.
-		if len(f.stash) >= maxStash {
-			f.stash = make(map[uint64][]wal.Record)
-			return true
-		}
-		f.stash[base] = cloneRecords(recs)
-		return false
+		return true
 	}
-	f.applyFrom(base, recs)
-	// The arrival may have filled the gap in front of stashed batches.
-	for {
-		sbase, ok := f.popStash()
-		if !ok {
-			return false
-		}
-		f.applyFrom(sbase, f.stashTake(sbase))
-	}
-}
-
-// popStash finds a stashed batch that now overlaps the horizon.
-func (f *Follower) popStash() (uint64, bool) {
-	for base, recs := range f.stash {
-		if base <= f.next && base+uint64(len(recs)) > f.next {
-			return base, true
-		}
-		if base+uint64(len(recs)) <= f.next {
-			delete(f.stash, base) // obsolete: fully below the horizon
+	for i, r := range recs { // only the part above the horizon applies
+		if lsn := base + uint64(i); lsn >= f.next {
+			f.img.Apply(r)
+			f.next = lsn + 1
 		}
 	}
-	return 0, false
-}
-
-func (f *Follower) stashTake(base uint64) []wal.Record {
-	recs := f.stash[base]
-	delete(f.stash, base)
-	return recs
-}
-
-// cloneRecords copies a batch, and all its records point at, for the stash.
-func cloneRecords(recs []wal.Record) []wal.Record {
-	out := slices.Clone(recs)
-	for i := range out {
-		r := &out[i]
-		r.Name = strings.Clone(r.Name)
-		r.Blocks = slices.Clone(r.Blocks)
-		r.Data = bytes.Clone(r.Data)
-	}
-	return out
-}
-
-// applyFrom applies the portion of recs above the current horizon.
-func (f *Follower) applyFrom(base uint64, recs []wal.Record) {
-	for i, r := range recs {
-		lsn := base + uint64(i)
-		if lsn < f.next {
-			continue
-		}
-		f.img.Apply(r)
-		f.next = lsn + 1
-	}
+	return false
 }
 
 // Rebase replaces the replica's state with a snapshot covering the log
-// through lsn. Stale stashed batches below the new horizon are dropped.
+// through lsn.
 func (f *Follower) Rebase(c *wal.Checkpoint, lsn uint64) {
 	if f.sealed {
 		return
 	}
 	f.img.Load(c)
 	f.next = lsn + 1
-	for base, recs := range f.stash {
-		if base+uint64(len(recs)) <= f.next {
-			delete(f.stash, base)
-		}
-	}
 }
 
 // Snapshot converts the replica into a checkpoint of the primary's durable

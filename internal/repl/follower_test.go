@@ -84,50 +84,74 @@ func TestFollowerReIngestIdempotent(t *testing.T) {
 	}
 }
 
-// TestFollowerReordersStashedBatches delivers batches out of order and
-// checks the stash drains once the gap fills.
-func TestFollowerReordersStashedBatches(t *testing.T) {
+// TestFollowerFutureBatchAsksForRebase delivers a batch from beyond the
+// horizon — the batch in front of it went missing. The follower applies
+// none of it and asks for a rebase; once the rebase lands, the next
+// in-order batch applies.
+func TestFollowerFutureBatchAsksForRebase(t *testing.T) {
 	f := NewFollower(0, testBlockSize)
 	dir := proto.InodeID{Server: 0, Local: 1}
-	b1 := batch(1, mkfile(2))
-	b2 := batch(2, addmap(dir, "a", proto.InodeID{Server: 0, Local: 2}))
-	b3 := batch(3, addmap(dir, "b", proto.InodeID{Server: 0, Local: 2}))
+	f.Ingest(1, batch(1, mkfile(2), addmap(dir, "a", proto.InodeID{Server: 0, Local: 2})))
+	before := f.Snapshot().Marshal()
 
-	if need := f.Ingest(3, b3); need {
-		t.Fatal("future batch forced a resync")
+	if need := f.Ingest(4, batch(4, mkfile(3), addmap(dir, "b", proto.InodeID{Server: 0, Local: 3}))); !need {
+		t.Fatal("a batch from beyond the horizon did not ask for a rebase")
 	}
-	if need := f.Ingest(2, b2); need {
-		t.Fatal("future batch forced a resync")
+	if f.Durable() != 2 {
+		t.Fatalf("durable = %d after a future batch, want 2", f.Durable())
 	}
-	if f.Durable() != 0 {
-		t.Fatalf("durable = %d before the gap filled", f.Durable())
+	if after := f.Snapshot().Marshal(); !bytes.Equal(before, after) {
+		t.Fatal("a future batch changed the snapshot")
 	}
-	if need := f.Ingest(1, b1); need {
-		t.Fatal("gap fill forced a resync")
+
+	donor := NewFollower(0, testBlockSize)
+	donor.Ingest(1, batch(1, mkfile(2), addmap(dir, "a", proto.InodeID{Server: 0, Local: 2}), mkfile(4)))
+	f.Rebase(donor.Snapshot(), 5)
+	if need := f.Ingest(6, batch(6, addmap(dir, "c", proto.InodeID{Server: 0, Local: 4}))); need {
+		t.Fatal("the in-order batch after a rebase asked for another")
 	}
-	if f.Durable() != 3 {
-		t.Fatalf("durable = %d after drain, want 3", f.Durable())
+	if f.Durable() != 6 {
+		t.Fatalf("durable = %d, want 6", f.Durable())
 	}
 	if ents := f.Snapshot().Dirs[0].Ents; len(ents) != 2 {
 		t.Fatalf("snapshot has %d entries, want 2", len(ents))
 	}
 }
 
-// TestFollowerStashOverflowAsksForRebase floods the stash past its bound:
-// the follower must give up on reordering and demand a snapshot.
-func TestFollowerStashOverflowAsksForRebase(t *testing.T) {
+// TestFollowerKeepsNothingOfAFutureBatch delivers two batches out of order:
+// the later one first. The follower keeps nothing of it, so when the gap
+// fills, only the gap's batch applies, and the later one lands only once it
+// is shipped again.
+func TestFollowerKeepsNothingOfAFutureBatch(t *testing.T) {
 	f := NewFollower(0, testBlockSize)
-	base := uint64(10)
-	for i := 0; i < maxStash; i++ {
-		if need := f.Ingest(base+uint64(i), batch(base+uint64(i), mkfile(100+uint64(i)))); need {
-			t.Fatalf("resync demanded after only %d stashed batches", i+1)
-		}
+	dir := proto.InodeID{Server: 0, Local: 1}
+	b1 := batch(1, mkfile(2))
+	b2 := batch(2, addmap(dir, "a", proto.InodeID{Server: 0, Local: 2}))
+	b3 := batch(3, addmap(dir, "b", proto.InodeID{Server: 0, Local: 2}))
+
+	if need := f.Ingest(1, b1); need {
+		t.Fatal("the first batch asked for a rebase")
 	}
-	if need := f.Ingest(base+maxStash, batch(base+maxStash, mkfile(999))); !need {
-		t.Fatal("stash overflow did not ask for a rebase")
+	if need := f.Ingest(3, b3); !need {
+		t.Fatal("a batch from beyond the horizon did not ask for a rebase")
 	}
-	if f.Durable() != 0 {
-		t.Fatalf("durable = %d, overflow should not have applied anything", f.Durable())
+	if need := f.Ingest(2, b2); need {
+		t.Fatal("the batch that fills the gap asked for a rebase")
+	}
+	if f.Durable() != 2 {
+		t.Fatalf("durable = %d after the gap filled, want 2: the future batch was kept", f.Durable())
+	}
+	if ents := f.Snapshot().Dirs[0].Ents; len(ents) != 1 {
+		t.Fatalf("snapshot has %d entries, want 1", len(ents))
+	}
+	if need := f.Ingest(3, b3); need {
+		t.Fatal("the re-shipped batch asked for a rebase")
+	}
+	if f.Durable() != 3 {
+		t.Fatalf("durable = %d after the re-ship, want 3", f.Durable())
+	}
+	if ents := f.Snapshot().Dirs[0].Ents; len(ents) != 2 {
+		t.Fatalf("snapshot has %d entries, want 2", len(ents))
 	}
 }
 
@@ -155,12 +179,10 @@ func TestFollowerSealFreezesHorizon(t *testing.T) {
 }
 
 // TestFollowerRebaseReplacesState installs a snapshot mid-life and checks
-// the horizon and contents come from the snapshot, with stale stash
-// entries discarded.
+// the horizon and contents come from the snapshot.
 func TestFollowerRebaseReplacesState(t *testing.T) {
 	f := NewFollower(0, testBlockSize)
 	f.Ingest(1, batch(1, mkfile(2))) // state that must vanish
-	f.Ingest(5, batch(5, mkfile(9))) // stashed, below the rebase horizon
 
 	donor := NewFollower(0, testBlockSize)
 	dir := proto.InodeID{Server: 0, Local: 1}
@@ -184,9 +206,6 @@ func TestFollowerRebaseReplacesState(t *testing.T) {
 	}
 	if !bytes.Equal(got.Inodes[0].Data[0][:4], []byte("data")) {
 		t.Fatalf("rebased data: %q", got.Inodes[0].Data[0][:4])
-	}
-	if len(f.stash) != 0 {
-		t.Fatalf("stale stash survived the rebase: %v", f.stash)
 	}
 
 	// Ingest continues from the rebased horizon.

@@ -57,7 +57,8 @@ func scriptBatches(script []byte) (batches [][]wal.Record, bases []uint64) {
 
 // FuzzFollowerIngest delivers the script's batches in the given order —
 // every byte of order picks one, so batches repeat, go missing and arrive
-// early — to two replicas. One is fed the way the replication plane feeds it:
+// early, and an early one is answered with a request for a rebase that never
+// comes — to two replicas. One is fed the way the replication plane feeds it:
 // decoded in place into one reused record slice from one reused buffer, both
 // overwritten as soon as Ingest returns. Its twin gets private copies nobody
 // touches again. They must agree on every answer and end in the same state.
@@ -77,8 +78,8 @@ func FuzzFollowerIngest(f *testing.F) {
 	for _, order := range [][]byte{
 		{0, 1, 2, 3, 4, 5},          // in order
 		{0, 1, 1, 2, 0, 3, 4, 4, 5}, // duplicates
-		{0, 3, 2, 5, 1, 4},          // early batches wait in the stash
-		{1, 2, 3, 4, 5},             // the gap never fills
+		{0, 3, 2, 5, 1, 4},          // early batches ask for a rebase and apply nothing
+		{1, 2, 3, 4, 5},             // the first batch never comes
 		{5, 4, 3, 2, 1, 0, 0},
 	} {
 		f.Add(script, order)

@@ -18,6 +18,8 @@
 //     inodes, directory shards, dead-directory tombstones, and per-block
 //     file contents, and tracks the durable horizon it has applied, which
 //     it acks back to the primary.
+//     A batch from beyond that horizon applies nothing and is answered
+//     with a request for a rebase snapshot.
 //   - Every ship waits for the follower's ack, and each client reply is
 //     held until the follower acked the request's records, so promotion
 //     never loses an acknowledged write (the primary-backup rule of chain
@@ -32,22 +34,19 @@
 // traffic travels on a dedicated per-server replication endpoint served by
 // its own goroutine, so a follower can ack while its request loop is busy
 // and a primary blocked on its ship can never deadlock against its
-// follower ring.
+// follower ring. That plane answers two messages, REPL_APPEND (a ship) and
+// REPL_SEAL (a failover's), and nothing else.
 package repl
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Mode selects the replication discipline.
 type Mode uint8
 
 // Replication modes.
 const (
-	// Off disables replication entirely: no follower endpoints, no
-	// heartbeats, zero extra messages.
+	// Off disables replication entirely: no follower endpoints, zero
+	// extra messages.
 	Off Mode = iota
 	// Sync holds every client reply until the follower has acked the
 	// reply's log records. Promotion never loses an acknowledged write.
@@ -81,41 +80,11 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// DefaultHeartbeatEvery is the virtual-time ping cadence of the failure
-// detector (≈ 50µs at the simulator's cycle scale: frequent enough that a
-// chaos round observes several beats, cheap enough to disappear in the
-// message economy).
-const DefaultHeartbeatEvery sim.Cycles = 120_000
-
-// DefaultSuspectAfter is the silence threshold before a server is
-// suspected dead. It must exceed one heartbeat interval plus the worst
-// round trip a fault plan can inflict (2 × MaxDelay jitter + service);
-// the monitor test pins that a merely-slow server under maximum jitter
-// never crosses it.
-const DefaultSuspectAfter sim.Cycles = 600_000
-
 // Config is the deployment-level replication knob (core.Config.Replication).
 type Config struct {
 	// Mode selects off / sync shipping.
 	Mode Mode
-	// HeartbeatEvery is the failure detector's ping cadence
-	// (0 = DefaultHeartbeatEvery).
-	HeartbeatEvery sim.Cycles
-	// SuspectAfter is the silence threshold for suspecting a server dead
-	// (0 = DefaultSuspectAfter).
-	SuspectAfter sim.Cycles
 }
 
 // Enabled reports whether replication is on.
 func (c Config) Enabled() bool { return c.Mode != Off }
-
-// Normalized fills zero fields with defaults.
-func (c Config) Normalized() Config {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = DefaultHeartbeatEvery
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = DefaultSuspectAfter
-	}
-	return c
-}

@@ -45,8 +45,8 @@ type Ack struct {
 	// Durable is the highest LSN the follower has applied contiguously.
 	Durable uint64
 	// NeedSync asks the primary to ship a rebase snapshot: the follower
-	// saw an LSN gap it could not buffer, holds a sealed replica, or has
-	// no replica for this primary at all.
+	// got a batch from beyond its horizon or one it could not decode, holds
+	// a sealed replica, or has no replica for this primary at all.
 	NeedSync bool
 }
 

@@ -153,7 +153,7 @@ func TestPrimaryAndReplicaAgreeOnInodeOrder(t *testing.T) {
 	var srvs [2]*Server
 	for id := range srvs {
 		cfg := Config{ID: id, Core: id, NumServers: 2, Machine: machine, Network: network, DRAM: dram,
-			Partition: parts[id], Registry: registry, CoLocated: true, Repl: ReplOptions{Mode: repl.Sync}}
+			Partition: parts[id], Registry: registry, CoLocated: true, Repl: repl.Sync}
 		if id == 0 {
 			cfg.Log = log
 		}

@@ -18,18 +18,11 @@ import (
 // A server with replication enabled runs a second endpoint and goroutine —
 // the replication plane — alongside its request loop. The plane ingests
 // REPL_APPEND batches into the Follower replicas this server keeps for its
-// primaries, answers REPL_SEAL from the control plane at failover, and serves
-// heartbeat pings. It never blocks on another server, which is what makes the
-// blocking ship from the request loop deadlock-free: the request loop of
-// server A waits only on the replication plane of server B, and replication
-// planes wait on nobody.
-
-// ReplOptions configures a server's role in replication (both the shipping
-// primary and the ingesting follower side). The zero value disables it.
-type ReplOptions struct {
-	// Mode selects off / sync shipping.
-	Mode repl.Mode
-}
+// primaries and answers REPL_SEAL from the control plane at failover; any
+// other message gets EINVAL. It never blocks on another server, which is
+// what makes the blocking ship from the request loop deadlock-free: the
+// request loop of server A waits only on the replication plane of server B,
+// and replication planes wait on nobody.
 
 // ReplTarget names the follower a primary ships to. Down lets the shipper
 // skip (and mark for resync) a follower that is currently crashed instead
@@ -108,12 +101,6 @@ func (s *Server) handleRepl(env msg.Envelope) {
 	}
 	var out [64]byte // an ack's wire form; a seal reply outgrows it
 	switch req.Op {
-	case proto.OpPing:
-		// Heartbeat: prove liveness and report this server's shipping
-		// horizons so the same beat carries follower-lag data.
-		ack := repl.Ack{Server: int32(s.cfg.ID), Durable: s.replDurable.Load()}
-		s.replAnswer(env, &proto.Response{Data: ack.AppendTo(out[:0])}, now, cost.MsgRecv+cost.MsgSend)
-
 	case proto.OpReplAppend:
 		s.handleReplAppend(req, env, now)
 

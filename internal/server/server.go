@@ -104,8 +104,8 @@ type Config struct {
 	// Repl enables shard replication (DESIGN.md §12): the server runs a
 	// replication-plane endpoint, ships its WAL batches to the follower
 	// installed via SetReplTarget, and ingests batches for the primaries
-	// it follows. The zero value disables all of it.
-	Repl ReplOptions
+	// it follows. repl.Off, the zero value, disables all of it.
+	Repl repl.Mode
 
 	// Tracer, when non-nil, records server-side child spans (network
 	// delivery, queueing, service, batch sub-ops, WAL commit) for
@@ -282,7 +282,7 @@ func New(cfg Config) *Server {
 	if s.pmap != nil {
 		s.epoch.Store(s.pmap.Epoch())
 	}
-	if cfg.Repl.Mode != repl.Off {
+	if cfg.Repl != repl.Off {
 		s.replEP = cfg.Network.NewEndpoint(cfg.Core) // it only answers
 		s.replDone = make(chan struct{})
 		s.replicas = make(map[int]*repl.Follower)
