@@ -20,10 +20,6 @@ import (
 type Msg struct {
 	// Primary is the shipping server's id (which replica to ingest into).
 	Primary int32
-	// AckTo is the endpoint id of the primary's replication plane. No
-	// receiver reads it (every ack is the ship's RPC reply); it stays so
-	// the wire format, and the bytes each ship costs, do not change.
-	AckTo int32
 	// Base is the LSN of the first record in Recs (unused for snapshots).
 	Base uint64
 	// Recs is the framed record batch (wal.Log.LastFrames). Nil when the
@@ -85,7 +81,6 @@ const ackSize = 4 + 4 + 8 + 1
 // AppendTo encodes the message onto buf and returns the extended slice.
 func (m *Msg) AppendTo(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Primary))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.AckTo))
 	buf = binary.LittleEndian.AppendUint64(buf, m.Base)
 	buf = appendBlob(buf, m.Recs)
 	buf = binary.LittleEndian.AppendUint64(buf, m.SnapLSN)
@@ -96,16 +91,15 @@ func (m *Msg) AppendTo(buf []byte) []byte {
 // UnmarshalMsgInto decodes a shipped batch into m. Recs and Snap are
 // subslices of b.
 func UnmarshalMsgInto(m *Msg, b []byte) error {
-	if len(b) < 16 {
+	if len(b) < 12 {
 		return fmt.Errorf("repl: truncated msg (%d bytes)", len(b))
 	}
 	*m = Msg{
 		Primary: int32(binary.LittleEndian.Uint32(b)),
-		AckTo:   int32(binary.LittleEndian.Uint32(b[4:])),
-		Base:    binary.LittleEndian.Uint64(b[8:]),
+		Base:    binary.LittleEndian.Uint64(b[4:]),
 	}
 	var err error
-	rest := b[16:]
+	rest := b[12:]
 	if m.Recs, rest, err = takeBlob(rest); err != nil {
 		return err
 	}

@@ -354,7 +354,7 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 	st := wal.RecoveryStats{Server: s.cfg.ID}
 	var err error
 	st.Cycles, err = s.restart(func() (*wal.Checkpoint, sim.Cycles, error) {
-		ckpt, ckptBytes, recs, err := s.wal.Recover()
+		ckpt, ckptBytes, recs, logBytes, err := s.wal.Recover()
 		if err != nil {
 			return nil, 0, err
 		}
@@ -366,10 +366,9 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 			img.Load(ckpt)
 		}
 		for _, r := range recs {
-			st.Bytes += int64(len(r.Data) + len(r.Name) + 64)
 			img.Apply(r)
 		}
-		st.Records = len(recs)
+		st.Records, st.Bytes = len(recs), logBytes
 		return img.Checkpoint(), s.wal.ReplayCost(st.Records, st.Bytes, st.CheckpointBytes), nil
 	})
 	return st, err

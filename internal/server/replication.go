@@ -297,9 +297,6 @@ func (s *Server) shipTarget(last uint64) *ReplTarget {
 // buffer (handleRepl), so in steady state GetBuf finds one here every time.
 func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles) (sim.Cycles, bool) {
 	cost := &s.cfg.Machine.Cost
-	if s.replEP != nil {
-		m.AckTo = int32(s.replEP.ID)
-	}
 	s.shipBuf = m.AppendTo(s.shipBuf[:0])
 	req := proto.Request{Op: proto.OpReplAppend, Data: s.shipBuf}
 	payload := req.AppendTo(s.ep.GetBuf(req.SizeHint()))

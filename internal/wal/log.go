@@ -60,7 +60,8 @@ type RecoveryStats struct {
 	UsedCheckpoint   bool
 	CheckpointBytes  int
 	CheckpointInodes int
-	// Records and Bytes cover the log tail replayed after the checkpoint.
+	// Records and Bytes cover the log tail replayed after the checkpoint:
+	// Bytes is the length of its frames, as recovery read them back.
 	Records int
 	Bytes   int64
 	// Cycles is the virtual time the recovery work was charged.
@@ -129,7 +130,7 @@ func Open(cfg Config) (*Log, error) {
 		// A frame error marks where a crash tore an append; parsing stops
 		// there. Recover verifies LSN continuity across segments, which
 		// is what actually detects lost records.
-		recs, _, rerr := readSegment(cfg.Store, s)
+		recs, _, rerr := readSegment(cfg.Store, s, 0)
 		if rerr != nil && s == segs[len(segs)-1] {
 			tailTorn = true
 		}
@@ -261,17 +262,18 @@ func (l *Log) WriteCheckpoint(c *Checkpoint) error {
 
 // Recover loads the latest checkpoint (nil when none has been taken) and
 // the log records to replay after it, in LSN order. ckptBytes is the size
-// of the checkpoint as stored (0 without one).
-func (l *Log) Recover() (ckpt *Checkpoint, ckptBytes int, recs []Record, err error) {
+// of the checkpoint as stored (0 without one), logBytes the length of the
+// replayed records' frames.
+func (l *Log) Recover() (ckpt *Checkpoint, ckptBytes int, recs []Record, logBytes int64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
 	if b, lerr := l.cfg.Store.LoadCheckpoint(); lerr != nil {
-		return nil, 0, nil, fmt.Errorf("wal: loading checkpoint: %w", lerr)
+		return nil, 0, nil, 0, fmt.Errorf("wal: loading checkpoint: %w", lerr)
 	} else if b != nil {
 		c, cerr := UnmarshalCheckpoint(b)
 		if cerr != nil {
-			return nil, 0, nil, cerr
+			return nil, 0, nil, 0, cerr
 		}
 		ckpt = c
 		ckptBytes = len(b)
@@ -279,64 +281,63 @@ func (l *Log) Recover() (ckpt *Checkpoint, ckptBytes int, recs []Record, err err
 
 	segs, serr := l.cfg.Store.Segments()
 	if serr != nil {
-		return nil, 0, nil, fmt.Errorf("wal: listing segments: %w", serr)
+		return nil, 0, nil, 0, fmt.Errorf("wal: listing segments: %w", serr)
+	}
+	// The records a checkpoint reflects are skipped.
+	var after uint64
+	if ckpt != nil {
+		after = ckpt.LSN
 	}
 	for _, s := range segs {
 		// Each segment may end in a torn frame (the crash that ended its
 		// tenure as the active tail); parsing stops at the first bad
 		// frame and the LSN continuity check below distinguishes benign
 		// torn tails from records actually lost mid-log.
-		srecs, _, _ := readSegment(l.cfg.Store, s)
-		for _, r := range srecs {
-			if ckpt != nil && r.LSN <= ckpt.LSN {
-				continue // already reflected in the snapshot
-			}
-			recs = append(recs, r)
-		}
+		srecs, n, _ := readSegment(l.cfg.Store, s, after)
+		recs = append(recs, srecs...)
+		logBytes += n
 	}
 	// Continuity: the replayed run must start right after the checkpoint
 	// (or at LSN 1) and have no holes; anything else means durable records
 	// were lost, not merely a torn tail.
-	first := uint64(1)
-	if ckpt != nil {
-		first = ckpt.LSN + 1
-	}
-	if len(recs) > 0 && recs[0].LSN != first {
-		return nil, 0, nil, fmt.Errorf("wal: log gap: first record is %d, want %d", recs[0].LSN, first)
+	if first := after + 1; len(recs) > 0 && recs[0].LSN != first {
+		return nil, 0, nil, 0, fmt.Errorf("wal: log gap: first record is %d, want %d", recs[0].LSN, first)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].LSN != recs[i-1].LSN+1 {
-			return nil, 0, nil, fmt.Errorf("wal: log gap: record %d follows %d", recs[i].LSN, recs[i-1].LSN)
+			return nil, 0, nil, 0, fmt.Errorf("wal: log gap: record %d follows %d", recs[i].LSN, recs[i-1].LSN)
 		}
 	}
-	return ckpt, ckptBytes, recs, nil
+	return ckpt, ckptBytes, recs, logBytes, nil
 }
 
-// readSegment parses every intact frame of a segment. It returns the
-// records, the byte count consumed, and the framing error that terminated
-// the scan (nil when the segment ends cleanly).
-func readSegment(st Store, seg uint64) ([]Record, int, error) {
+// readSegment parses every intact frame of a segment and returns the records
+// with an LSN above after, the length of their frames, headers included, and
+// the framing error that terminated the scan (nil when the segment ends
+// cleanly).
+func readSegment(st Store, seg, after uint64) ([]Record, int64, error) {
 	b, err := st.Read(seg)
 	if err != nil {
 		return nil, 0, err
 	}
 	var recs []Record
-	read := 0
-	rest := b
-	for len(rest) > 0 {
+	var n int64
+	for rest := b; len(rest) > 0; {
 		body, next, ferr := unframe(rest)
 		if ferr != nil {
-			return recs, read, ferr
+			return recs, n, ferr
 		}
 		r, derr := decodeRecord(body)
 		if derr != nil {
-			return recs, read, derr
+			return recs, n, derr
 		}
-		recs = append(recs, r)
-		read = len(b) - len(next)
+		if r.LSN > after {
+			recs = append(recs, r)
+			n += int64(len(rest) - len(next))
+		}
 		rest = next
 	}
-	return recs, read, nil
+	return recs, n, nil
 }
 
 // ReplayCost returns the virtual time to charge for replaying the given

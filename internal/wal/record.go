@@ -97,9 +97,22 @@ func (t RecType) String() string {
 	return "REC_UNKNOWN"
 }
 
-// Record is one logged mutation. Only the fields relevant to the record's
-// type are meaningful; like the RPC protocol's Request, a single fixed shape
-// keeps the framing simple and uniform.
+// Record is one logged mutation. Its fields are the union of what the record
+// types carry, and each type's frame carries exactly the fields Image.Apply
+// reads for it — no more (the table in DESIGN.md §6):
+//
+//	INODE     Ino, Ftype, Mode, Dist, Nlink
+//	NLINK     Ino, Nlink
+//	SIZE      Ino, Size
+//	BLOCKS    Ino, Size, Blocks
+//	WRITE     Ino, Off, Data
+//	ADD_MAP   Dir, Name, Target, Ftype, Dist
+//	RM_MAP    Dir, Name
+//	DIR_KILL  Dir
+//	EPOCH     Epoch, Data
+//
+// Every record also carries its LSN and Type. A field its type does not
+// carry is not logged, and reads as zero once the record is decoded.
 type Record struct {
 	// LSN is the record's log sequence number, assigned by Log.Append.
 	// LSNs are dense and strictly increasing within one server's log.
@@ -141,25 +154,52 @@ var crcTable = crc32.MakeTable(crc32.IEEE)
 
 // appendFrame appends r to buf as one frame: the header is reserved, the body
 // encoded in place behind it, and length and CRC patched in afterwards, so a
-// batch of any size is encoded into a single buffer.
+// batch of any size is encoded into a single buffer. The body is the LSN, the
+// type, and the fields of that type (Record), in that order.
 func appendFrame(buf []byte, r *Record) []byte {
 	start := len(buf)
 	e := enc{buf: append(buf, make([]byte, frameHeader)...)}
 	e.u64(r.LSN)
 	e.u8(uint8(r.Type))
-	e.u64(r.Ino)
-	e.inode(r.Dir)
-	e.str(r.Name)
-	e.inode(r.Target)
-	e.u8(uint8(r.Ftype))
-	e.u16(uint16(r.Mode))
-	e.boolean(r.Dist)
-	e.i64(r.Size)
-	e.i64(r.Off)
-	e.i32(r.Nlink)
-	e.u64Slice(r.Blocks)
-	e.blob(r.Data)
-	e.u64(r.Epoch)
+	switch r.Type {
+	case RecInode:
+		e.u64(r.Ino)
+		e.u8(uint8(r.Ftype))
+		e.u16(uint16(r.Mode))
+		e.boolean(r.Dist)
+		e.i32(r.Nlink)
+	case RecNlink:
+		e.u64(r.Ino)
+		e.i32(r.Nlink)
+	case RecSize:
+		e.u64(r.Ino)
+		e.i64(r.Size)
+	case RecBlocks:
+		e.u64(r.Ino)
+		e.i64(r.Size)
+		e.u64Slice(r.Blocks)
+	case RecWrite:
+		e.u64(r.Ino)
+		e.i64(r.Off)
+		e.blob(r.Data)
+	case RecAddMap:
+		e.inode(r.Dir)
+		e.str(r.Name)
+		e.inode(r.Target)
+		e.u8(uint8(r.Ftype))
+		e.boolean(r.Dist)
+	case RecRmMap:
+		e.inode(r.Dir)
+		e.str(r.Name)
+	case RecDirKill:
+		e.inode(r.Dir)
+	case RecEpoch:
+		e.u64(r.Epoch)
+		e.blob(r.Data)
+	default:
+		// A record no decoder would read back must not reach the log.
+		panic(fmt.Sprintf("wal: encoding a record of unknown type %d", r.Type))
+	}
 	body := e.buf[start+frameHeader:]
 	putU32(e.buf[start:], uint32(len(body)))
 	putU32(e.buf[start+4:], crc32.Checksum(body, crcTable))
@@ -183,23 +223,55 @@ func decodeRecord(b []byte) (Record, error) {
 }
 
 // decodeRecordInto parses one record body into r, every field of which is
-// overwritten; Blocks is decoded into the capacity r brings.
+// overwritten: the fields r's type carries are decoded, the rest zeroed. The
+// capacity r's Blocks brings is kept whatever the type, and a BLOCKS record
+// decodes into it. A body of an unknown type, or with bytes left over after
+// its type's fields, fails.
 func decodeRecordInto(r *Record, d *dec) error {
+	*r = Record{Blocks: r.Blocks[:0]}
 	r.LSN = d.u64()
 	r.Type = RecType(d.u8())
-	r.Ino = d.u64()
-	r.Dir = d.inode()
-	r.Name = d.str()
-	r.Target = d.inode()
-	r.Ftype = fsapi.FileType(d.u8())
-	r.Mode = fsapi.Mode(d.u16())
-	r.Dist = d.boolean()
-	r.Size = d.i64()
-	r.Off = d.i64()
-	r.Nlink = d.i32()
-	r.Blocks = d.u64Slice(r.Blocks)
-	r.Data = d.blob()
-	r.Epoch = d.u64()
+	switch r.Type {
+	case RecInode:
+		r.Ino = d.u64()
+		r.Ftype = fsapi.FileType(d.u8())
+		r.Mode = fsapi.Mode(d.u16())
+		r.Dist = d.boolean()
+		r.Nlink = d.i32()
+	case RecNlink:
+		r.Ino = d.u64()
+		r.Nlink = d.i32()
+	case RecSize:
+		r.Ino = d.u64()
+		r.Size = d.i64()
+	case RecBlocks:
+		r.Ino = d.u64()
+		r.Size = d.i64()
+		r.Blocks = d.u64Slice(r.Blocks)
+	case RecWrite:
+		r.Ino = d.u64()
+		r.Off = d.i64()
+		r.Data = d.blob()
+	case RecAddMap:
+		r.Dir = d.inode()
+		r.Name = d.str()
+		r.Target = d.inode()
+		r.Ftype = fsapi.FileType(d.u8())
+		r.Dist = d.boolean()
+	case RecRmMap:
+		r.Dir = d.inode()
+		r.Name = d.str()
+	case RecDirKill:
+		r.Dir = d.inode()
+	case RecEpoch:
+		r.Epoch = d.u64()
+		r.Data = d.blob()
+	default:
+		d.fail(errUnknownType)
+	}
+	if d.off != len(d.buf) {
+		d.fail(errTrailing)
+	}
 	return d.finish("wal record")
 }
 

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,16 +38,43 @@ type Store interface {
 // MemStore is an in-memory Store used by the simulator and by tests. It is
 // "durable" with respect to simulated server crashes: the store object lives
 // outside the server whose crash is being injected, the same way DRAM does.
+//
+// A segment is a list of fixed-size chunks, filled in order: an append never
+// copies the bytes already stored, and a segment holds at most one chunk's
+// tail it does not use.
 type MemStore struct {
 	mu    sync.Mutex
-	segs  map[uint64]*bytes.Buffer
+	segs  map[uint64]*memSegment
 	ckpt  []byte
 	syncs int
 }
 
+// memChunk is the size of a MemStore segment's chunks.
+const memChunk = 64 << 10
+
+// memSegment is one MemStore segment: full chunks, then the one being filled.
+type memSegment struct {
+	chunks [][]byte
+	size   int
+}
+
+func (s *memSegment) write(b []byte) {
+	s.size += len(b)
+	for len(b) > 0 {
+		last := len(s.chunks) - 1
+		if last < 0 || len(s.chunks[last]) == memChunk {
+			s.chunks = append(s.chunks, make([]byte, 0, memChunk))
+			last++
+		}
+		n := min(len(b), memChunk-len(s.chunks[last]))
+		s.chunks[last] = append(s.chunks[last], b[:n]...)
+		b = b[n:]
+	}
+}
+
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{segs: make(map[uint64]*bytes.Buffer)}
+	return &MemStore{segs: make(map[uint64]*memSegment)}
 }
 
 // Segments implements Store.
@@ -67,25 +93,28 @@ func (m *MemStore) Segments() ([]uint64, error) {
 func (m *MemStore) Append(seg uint64, b []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.segs[seg]
+	s, ok := m.segs[seg]
 	if !ok {
-		buf = &bytes.Buffer{}
-		m.segs[seg] = buf
+		s = &memSegment{}
+		m.segs[seg] = s
 	}
-	buf.Write(b)
+	s.write(b)
 	return nil
 }
 
-// Read implements Store.
+// Read implements Store: the segment's chunks, concatenated into a fresh
+// slice.
 func (m *MemStore) Read(seg uint64) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.segs[seg]
+	s, ok := m.segs[seg]
 	if !ok {
 		return nil, fmt.Errorf("wal: no segment %d", seg)
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
+	out := make([]byte, 0, s.size)
+	for _, c := range s.chunks {
+		out = append(out, c...)
+	}
 	return out, nil
 }
 

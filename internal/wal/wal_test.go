@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -25,10 +28,35 @@ func rec(t RecType, ino uint64) Record {
 	return Record{Type: t, Ino: ino, Size: int64(ino) * 10}
 }
 
-func TestRecordRoundTrip(t *testing.T) {
-	in := Record{
+// typeFields names the fields each record type's frame carries beside LSN
+// and Type: what Image.Apply reads for it (the layout table of DESIGN.md §6).
+var typeFields = map[RecType][]string{
+	RecInode:   {"Ino", "Ftype", "Mode", "Dist", "Nlink"},
+	RecNlink:   {"Ino", "Nlink"},
+	RecSize:    {"Ino", "Size"},
+	RecBlocks:  {"Ino", "Size", "Blocks"},
+	RecWrite:   {"Ino", "Off", "Data"},
+	RecAddMap:  {"Dir", "Name", "Target", "Ftype", "Dist"},
+	RecRmMap:   {"Dir", "Name"},
+	RecDirKill: {"Dir"},
+	RecEpoch:   {"Epoch", "Data"},
+}
+
+// carried is r as its type's frame carries it: every other field zero.
+func carried(r Record) Record {
+	out := Record{LSN: r.LSN, Type: r.Type}
+	src, dst := reflect.ValueOf(r), reflect.ValueOf(&out).Elem()
+	for _, f := range typeFields[r.Type] {
+		dst.FieldByName(f).Set(src.FieldByName(f))
+	}
+	return out
+}
+
+// fullRecord has every field of a record set, whatever its type.
+func fullRecord(t RecType) Record {
+	return Record{
 		LSN:    42,
-		Type:   RecAddMap,
+		Type:   t,
 		Ino:    7,
 		Dir:    proto.InodeID{Server: 3, Local: 9},
 		Name:   "file.txt",
@@ -41,20 +69,136 @@ func TestRecordRoundTrip(t *testing.T) {
 		Nlink:  2,
 		Blocks: []uint64{10, 11, 12},
 		Data:   []byte("hello"),
+		Epoch:  6,
 	}
-	body, rest, err := unframe(appendFrame(nil, &in))
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("unframe: %v, %d bytes left over", err, len(rest))
+}
+
+// TestRecordRoundTrip round-trips a record with every field set under each
+// type: what comes back is the fields that type carries, and nothing of the
+// rest.
+func TestRecordRoundTrip(t *testing.T) {
+	if len(typeFields) != len(recNames) {
+		t.Fatalf("the layout table covers %d types, the log has %d", len(typeFields), len(recNames))
 	}
-	out, err := decodeRecord(body)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	for typ := RecInode; typ <= RecEpoch; typ++ {
+		t.Run(typ.String(), func(t *testing.T) {
+			in := fullRecord(typ)
+			body, rest, err := unframe(appendFrame(nil, &in))
+			if err != nil || len(rest) != 0 {
+				t.Fatalf("unframe: %v, %d bytes left over", err, len(rest))
+			}
+			out, err := decodeRecord(body)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if want := carried(in); !sameRecords([]Record{out}, []Record{want}) {
+				t.Fatalf("round trip:\n got %+v\nwant %+v", out, want)
+			}
+		})
 	}
-	if out.LSN != in.LSN || out.Type != in.Type || out.Name != in.Name ||
-		out.Dir != in.Dir || out.Target != in.Target || out.Off != in.Off ||
-		len(out.Blocks) != 3 || !bytes.Equal(out.Data, in.Data) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
+}
+
+// TestFrameSizes is the gate on the layout: a type's frame — header, LSN and
+// type included — holds its own fields and nothing else, so the log cannot
+// grow back to one shape for all.
+func TestFrameSizes(t *testing.T) {
+	name := len(fullRecord(0).Name)
+	for _, c := range []struct {
+		typ RecType
+		max int
+	}{
+		{RecNlink, 29},
+		{RecSize, 33},
+		{RecInode, 33},
+		{RecRmMap, 33 + name},
+		{RecAddMap, 47 + name},
+		{RecDirKill, 29},
+	} {
+		r := fullRecord(c.typ)
+		if got := len(appendFrame(nil, &r)); got > c.max {
+			t.Errorf("%v frame is %d bytes, want at most %d", c.typ, got, c.max)
+		}
 	}
+}
+
+// reframe wraps body in a frame whose length and CRC are right.
+func reframe(body []byte) []byte {
+	f := make([]byte, frameHeader, frameHeader+len(body))
+	putU32(f, uint32(len(body)))
+	putU32(f[4:], crc32.Checksum(body, crcTable))
+	return append(f, body...)
+}
+
+// TestDecodeRejectsUnknownTypeAndTrailingBytes: a well-framed body of a type
+// the log does not know, or with bytes after its type's fields, is no record
+// — neither in a shipped batch nor in a segment scan.
+func TestDecodeRejectsUnknownTypeAndTrailingBytes(t *testing.T) {
+	r := Record{LSN: 1, Type: RecNlink, Ino: 2, Nlink: 1}
+	body := appendFrame(nil, &r)[frameHeader:]
+	unknown := bytes.Clone(body)
+	unknown[8] = uint8(RecEpoch) + 1
+	invalid := bytes.Clone(body)
+	invalid[8] = uint8(recInvalid)
+	for name, b := range map[string][]byte{
+		"unknown type":   unknown,
+		"type zero":      invalid,
+		"trailing byte":  append(bytes.Clone(body), 0),
+		"trailing field": append(bytes.Clone(body), body...),
+	} {
+		if _, err := decodeRecord(b); err == nil {
+			t.Errorf("%s: body decoded", name)
+		}
+		f := reframe(b)
+		if recs, err := DecodeRecordsInto(nil, f); err == nil || len(recs) != 0 {
+			t.Errorf("%s: shipped batch gave %d records, err %v", name, len(recs), err)
+		}
+		st := NewMemStore()
+		st.Append(0, appendFrame(nil, &r))
+		st.Append(0, f)
+		if recs, _, err := readSegment(st, 0, 0); err == nil || len(recs) != 1 {
+			t.Errorf("%s: segment scan gave %d records, err %v; want the one before it", name, len(recs), err)
+		}
+	}
+}
+
+// FuzzRecordRoundTrip: any record, framed and decoded — on its own and in
+// place into a used slot — gives back the fields its type carries, and the
+// frame is as long as its body says.
+func FuzzRecordRoundTrip(f *testing.F) {
+	for typ := RecInode; typ <= RecEpoch; typ++ {
+		r := fullRecord(typ)
+		f.Add(uint8(typ-1), r.LSN, r.Ino, r.Dir.Server, r.Dir.Local, r.Name, r.Target.Local,
+			uint8(r.Ftype), uint16(r.Mode), r.Dist, r.Size, r.Off, r.Nlink, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, r.Data, r.Epoch)
+	}
+	f.Add(uint8(0), uint64(0), uint64(0), int32(0), uint64(0), "", uint64(0),
+		uint8(0), uint16(0), false, int64(0), int64(0), int32(0), []byte(nil), []byte(nil), uint64(0))
+	f.Fuzz(func(t *testing.T, typ uint8, lsn, ino uint64, dirServer int32, dirLocal uint64, name string, target uint64,
+		ftype uint8, mode uint16, dist bool, size, off int64, nlink int32, blocks, data []byte, epoch uint64) {
+		r := Record{LSN: lsn, Type: RecType(1 + typ%uint8(RecEpoch)), Ino: ino,
+			Dir: proto.InodeID{Server: dirServer, Local: dirLocal}, Name: name,
+			Target: proto.InodeID{Server: dirServer ^ 1, Local: target}, Ftype: fsapi.FileType(ftype),
+			Mode: fsapi.Mode(mode), Dist: dist, Size: size, Off: off, Nlink: nlink, Data: data, Epoch: epoch}
+		for ; len(blocks) >= 8; blocks = blocks[8:] {
+			r.Blocks = append(r.Blocks, binary.LittleEndian.Uint64(blocks))
+		}
+		want := []Record{carried(r)}
+		frame := appendFrame(nil, &r)
+		if int(getU32(frame)) != len(frame)-frameHeader {
+			t.Fatalf("a %d-byte frame says its body is %d bytes", len(frame), getU32(frame))
+		}
+		body, _, err := unframe(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := decodeRecord(body)
+		if err != nil || !sameRecords([]Record{out}, want) {
+			t.Fatalf("decoded: err %v\n got %+v\nwant %+v", err, out, want[0])
+		}
+		in, err := DecodeRecordsInto(dirtyRecords(), frame)
+		if err != nil || !sameRecords(in, want) {
+			t.Fatalf("decoded in place: err %v\n got %+v\nwant %+v", err, in, want[0])
+		}
+	})
 }
 
 func TestFrameCRCDetectsCorruption(t *testing.T) {
@@ -85,7 +229,7 @@ func TestAppendAndRecover(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	ckpt, _, recs, err := l.Recover()
+	ckpt, _, recs, _, err := l.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -141,7 +285,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	if _, _, err := l.Append([]Record{rec(RecNlink, 9)}, 100); err != nil {
 		t.Fatalf("append after checkpoint: %v", err)
 	}
-	ckpt, _, recs, err := l.Recover()
+	ckpt, _, recs, _, err := l.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -296,7 +440,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen log: %v", err)
 	}
-	ckpt, _, recs, err := l2.Recover()
+	ckpt, _, recs, _, err := l2.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -309,7 +453,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if _, _, err := l2.Append([]Record{rec(RecInode, 99)}, 2000); err != nil {
 		t.Fatalf("append after restart: %v", err)
 	}
-	_, _, recs, _ = l2.Recover()
+	_, _, recs, _, _ = l2.Recover()
 	if len(recs) != 2 || recs[1].LSN != 12 {
 		t.Fatalf("restart log did not resume LSNs: %+v", recs)
 	}
@@ -336,7 +480,7 @@ func TestRestartOverTornTailRotatesSegment(t *testing.T) {
 	if _, _, err := l2.Append([]Record{rec(RecNlink, 1)}, 20); err != nil {
 		t.Fatalf("append after restart: %v", err)
 	}
-	_, _, recs, err := l2.Recover()
+	_, _, recs, _, err := l2.Recover()
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -363,7 +507,7 @@ func TestRecoverDetectsLostPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, _, _, err := l.Recover(); err == nil {
+	if _, _, _, _, err := l.Recover(); err == nil {
 		t.Fatal("recovery accepted a log missing its prefix")
 	}
 }
@@ -379,7 +523,7 @@ func TestRecoverDetectsMidLogGap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if _, _, _, err := l.Recover(); err == nil {
+	if _, _, _, _, err := l.Recover(); err == nil {
 		t.Fatal("recovery accepted a log with a mid-log gap")
 	}
 }
@@ -414,7 +558,7 @@ func TestTornTailIsIgnored(t *testing.T) {
 	// Simulate a torn write: garbage after the last intact frame.
 	segs, _ := st.Segments()
 	st.Append(segs[len(segs)-1], []byte{0x03, 0x00, 0x00})
-	_, _, recs, err := l.Recover()
+	_, _, recs, _, err := l.Recover()
 	if err != nil {
 		t.Fatalf("recover over torn tail: %v", err)
 	}
@@ -493,14 +637,14 @@ func FuzzRecoverSegments(f *testing.F) {
 				}
 			}
 		}
-		_, _, recs, err := l.Recover()
+		_, _, recs, _, err := l.Recover()
 		check(recs, err)
 
 		l2, err2 := Open(cfg)
 		if err2 != nil {
 			t.Fatalf("reopen: %v", err2)
 		}
-		_, _, again, err2 := l2.Recover()
+		_, _, again, _, err2 := l2.Recover()
 		if (err == nil) != (err2 == nil) || !sameRecords(again, recs) {
 			t.Fatalf("a reopened log recovers %d records (%v), the first %d (%v)", len(again), err2, len(recs), err)
 		}
@@ -523,5 +667,5 @@ func fuzzLogRecord(i uint64) Record {
 		r.Blocks = []uint64{i, i + 1}
 		r.Data = bytes.Repeat([]byte{byte(i)}, int(i)*7)
 	}
-	return r
+	return carried(r)
 }

@@ -13,6 +13,11 @@ import (
 // field could be decoded.
 var ErrTruncated = errors.New("wal: truncated body")
 
+var (
+	errUnknownType = errors.New("unknown record type")
+	errTrailing    = errors.New("bytes after the record's fields")
+)
+
 func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
 func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 
@@ -70,6 +75,13 @@ type dec struct {
 }
 
 func newDec(b []byte) *dec { return &dec{buf: b} }
+
+// fail records err unless an earlier error already ended the decode.
+func (d *dec) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
 
 func (d *dec) need(n int) bool {
 	if d.err != nil {
