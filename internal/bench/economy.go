@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -12,8 +13,16 @@ import (
 // message-bound and data-movement-bound workloads at several server counts,
 // and the table reports what each moved: request messages, wire bytes,
 // batched sub-ops, and 64-byte lines written back, invalidated and kept by
-// version-matched opens. Every count follows from the op stream, so a
-// committed sweep (BENCH_economy.json) gates them exactly.
+// version-matched opens. Every count but bytes follows from the op stream.
+// Bytes also follow from how many runs each file's block map is (DESIGN.md
+// §8): files that grow side by side on one server take turns at its
+// partition, in the order the server serves their EXTENDs. The serialized
+// engine serves them in host order, so every deployment runs under the
+// gated parallel engine on one P, where that order repeats, and a committed
+// sweep (BENCH_economy.json) gates every count exactly. writes@4's bytes
+// still moved in about 1 run in 40: worker ids are drawn in host order
+// (ROADMAP, determinism), and the gate breaks ties between simultaneous
+// arrivals by them.
 
 // EconomyPoint is one (benchmark, server count) measurement.
 type EconomyPoint struct {
@@ -56,6 +65,7 @@ var economySweep = &sweep[EconomyPoint]{
 	name:  "economy",
 	title: "Economy sweep: messages and lines moved per op",
 	note: "msgs = client request messages; lines = 64B lines written back, invalidated at open, and kept by version-matched opens. " +
+		"Deployments run under the gated engine on one P. " +
 		"Gated exactly: Ops, Msgs, Bytes, BatchedOps, WbLines, InvLines (but smallfile+write's, which follow host order), SkipLines; times are printed, not gated.",
 	columns: []string{"benchmark", "servers", "time (ms)", "msgs/op", "bytes/op", "batched ops",
 		"wb lines", "inv lines", "skipped lines"},
@@ -74,11 +84,12 @@ var economySweep = &sweep[EconomyPoint]{
 }
 
 // economyPoints runs ws at each server count (default 1, 2, 4 and 8) that
-// fits on the machine.
+// fits on the machine, gated on one P.
 func economyPoints(scale float64, cores int, serverCounts []int, ws []workload.Workload) ([]EconomyPoint, error) {
 	if len(serverCounts) == 0 {
 		serverCounts = []int{1, 2, 4, 8}
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var points []EconomyPoint
 	for _, w := range ws {
 		for _, nsrv := range serverCounts {
@@ -87,6 +98,7 @@ func economyPoints(scale float64, cores int, serverCounts []int, ws []workload.W
 			}
 			opts := DefaultHare(cores)
 			opts.Servers = nsrv
+			opts.Parallel = true
 			r, err := RunWorkload(HareFactory(opts), w, scale)
 			if err != nil {
 				return nil, err

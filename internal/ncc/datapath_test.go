@@ -82,6 +82,70 @@ func TestNormalizeExtentsMergesOverlaps(t *testing.T) {
 	}
 }
 
+// TestNormalizeExtentsAllocs: normalizing sorts and merges in place, with
+// no allocation, however the input is ordered.
+func TestNormalizeExtentsAllocs(t *testing.T) {
+	src := make([]Extent, 64)
+	for i := range src {
+		src[i] = Extent{Start: BlockID((i * 37) % 64 * 3), Count: uint64(1 + i%5)}
+	}
+	exts := make([]Extent, len(src))
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(exts, src)
+		NormalizeExtents(exts)
+	})
+	if allocs != 0 {
+		t.Fatalf("NormalizeExtents of %d unsorted, overlapping extents allocated %v times, want 0", len(src), allocs)
+	}
+}
+
+// FuzzNormalizeExtents: for any extent list, NormalizeExtents returns
+// disjoint, non-adjacent, ascending runs covering exactly the input's block
+// set, checked against a map of blocks. The output reuses the input's
+// array, so the model is built before the call.
+func FuzzNormalizeExtents(f *testing.F) {
+	f.Add([]byte{10, 3, 2, 2, 11, 4, 4, 1, 12, 1})
+	f.Add([]byte{0, 0, 5, 1, 5, 1})
+	f.Add([]byte{200, 9, 100, 40, 0, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Each pair of bytes is one extent: start, count. Counts of zero
+		// are legal input and cover nothing.
+		var exts []Extent
+		model := map[BlockID]bool{}
+		for i := 0; i+1 < len(data); i += 2 {
+			e := Extent{Start: BlockID(data[i]), Count: uint64(data[i+1])}
+			exts = append(exts, e)
+			for b := e.Start; b < e.End(); b++ {
+				model[b] = true
+			}
+		}
+		norm := NormalizeExtents(exts)
+		covered := 0
+		for i, e := range norm {
+			if e.Count == 0 {
+				t.Fatalf("run %d of %+v is empty", i, norm)
+			}
+			if i > 0 && e.Start <= norm[i-1].End() {
+				t.Fatalf("runs %d and %d of %+v overlap, touch or descend", i-1, i, norm)
+			}
+			for b := e.Start; b < e.End(); b++ {
+				if !model[b] {
+					t.Fatalf("block %d is in %+v but in no input extent", b, norm)
+				}
+				covered++
+			}
+		}
+		if covered != len(model) {
+			t.Fatalf("%+v covers %d blocks, the input %d", norm, covered, len(model))
+		}
+		for b := range model {
+			if !extentsContain(norm, b) {
+				t.Fatalf("block %d of the input is missing from %+v", b, norm)
+			}
+		}
+	})
+}
+
 func TestDirtyLineWritebackMovesOnlyWrittenLines(t *testing.T) {
 	d := NewDRAM(4, 4*LineSize)
 	c := NewPrivateCache(d)

@@ -1,12 +1,18 @@
 package ncc
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Extent is a run of Count consecutive buffer-cache blocks starting at Start.
 // File block maps and wire messages use extents so their size scales with the
-// file's fragmentation rather than with its length: a freshly created file
-// whose blocks came off a partition free list is typically one or two runs no
-// matter how many blocks it holds.
+// file's fragmentation rather than with its length. A Partition hands blocks
+// out in ascending order — from a fresh partition, after Free, and after the
+// Reclaim behind recovery and promotion — so a file one server grows alone
+// into free space is one run however many blocks it holds. Files that grow
+// side by side on one server take turns at its partition and fragment.
 type Extent struct {
 	Start BlockID
 	Count uint64
@@ -113,20 +119,20 @@ func (l *ExtentList) TailRuns(from int) (head Extent, rest []Extent) {
 }
 
 // NormalizeExtents sorts extents by start block and merges overlapping and
-// adjacent runs into a canonical disjoint ascending form. Overlaps arise from
-// repeated writes to the same file region; normalizing before writeback means
-// no block is visited — or charged — twice. The input slice is reused.
+// adjacent runs into a canonical disjoint ascending form, dropping empty
+// ones. Overlaps arise from repeated writes to the same file region;
+// normalizing before writeback means no block is visited — or charged —
+// twice. The input slice is reused, and nothing is allocated.
 func NormalizeExtents(exts []Extent) []Extent {
-	if len(exts) <= 1 {
-		return exts
-	}
-	sort.Slice(exts, func(i, j int) bool { return exts[i].Start < exts[j].Start })
-	out := exts[:1]
-	for _, e := range exts[1:] {
-		last := &out[len(out)-1]
-		if e.Start <= last.End() {
-			if e.End() > last.End() {
-				last.Count = uint64(e.End() - last.Start)
+	slices.SortFunc(exts, func(a, b Extent) int { return cmp.Compare(a.Start, b.Start) })
+	out := exts[:0]
+	for _, e := range exts {
+		if e.Count == 0 {
+			continue
+		}
+		if n := len(out); n > 0 && e.Start <= out[n-1].End() {
+			if e.End() > out[n-1].End() {
+				out[n-1].Count = uint64(e.End() - out[n-1].Start)
 			}
 			continue
 		}

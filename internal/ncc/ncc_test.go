@@ -195,6 +195,80 @@ func TestPartitionAllocZeroesBlock(t *testing.T) {
 	}
 }
 
+// allocRun takes n blocks from p and fails unless they are n consecutive
+// ascending blocks starting at want.
+func allocRun(t *testing.T, p *Partition, n int, want BlockID) []BlockID {
+	t.Helper()
+	got := make([]BlockID, n)
+	for i := range got {
+		b, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = b
+	}
+	for i, b := range got {
+		if b != want+BlockID(i) {
+			t.Fatalf("allocations = %v, want %d consecutive blocks from %d", got, n, want)
+		}
+	}
+	return got
+}
+
+// TestPartitionAllocAscending: a fresh partition hands its blocks out in
+// ascending order, so a file grown by one server is one extent.
+func TestPartitionAllocAscending(t *testing.T) {
+	parts := PartitionDRAM(NewDRAM(64, 64), 2)
+	lo, _ := parts[1].Range()
+	got := allocRun(t, parts[1], 16, lo)
+	var l ExtentList
+	for _, b := range got {
+		l.Append(b)
+	}
+	if l.NumRuns() != 1 {
+		t.Fatalf("16 fresh blocks are %d runs, want 1", l.NumRuns())
+	}
+}
+
+// TestPartitionFreeKeepsRunAscending: a freed file's blocks come back as the
+// same ascending run, ahead of blocks never handed out.
+func TestPartitionFreeKeepsRunAscending(t *testing.T) {
+	p := PartitionDRAM(NewDRAM(32, 64), 1)[0]
+	allocRun(t, p, 4, 0)
+	run := allocRun(t, p, 8, 4)
+	p.Free(run)
+	allocRun(t, p, 8, 4)
+	allocRun(t, p, 4, 12)
+}
+
+// TestPartitionAllocReclaimAscending: Reclaim, the rebuild behind recovery
+// and promotion, hands out the gaps around the in-use set in ascending order.
+func TestPartitionAllocReclaimAscending(t *testing.T) {
+	parts := PartitionDRAM(NewDRAM(32, 64), 2)
+	p := parts[1]
+	lo, hi := p.Range()
+	inUse := map[BlockID]bool{lo + 2: true, lo + 3: true, lo + 7: true}
+	p.Reclaim(inUse)
+	var want []BlockID
+	for b := lo; b < hi; b++ {
+		if !inUse[b] {
+			want = append(want, b)
+		}
+	}
+	if p.FreeCount() != len(want) {
+		t.Fatalf("FreeCount = %d after Reclaim, want %d", p.FreeCount(), len(want))
+	}
+	for i, w := range want {
+		b, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != w {
+			t.Fatalf("allocation %d after Reclaim = %d, want %d (gaps in ascending order %v)", i, b, w, want)
+		}
+	}
+}
+
 // Property: data written through a cache and written back always reads back
 // identically via DRAM, for arbitrary offsets within a block.
 func TestCacheWriteReadProperty(t *testing.T) {

@@ -11,8 +11,19 @@ import (
 // Each server allocates blocks for its files from its own partition's free
 // list (the paper notes that stealing from other servers' partitions is
 // possible but not implemented; this reproduction matches that).
+//
+// Blocks come off the partition in ascending order: the free list is a stack
+// with the lowest block on top, so n allocations from a fresh partition are
+// n consecutive ascending blocks and a file one server grows alone is one
+// Extent. The rule survives reuse: Free pushes a returned list in reverse, so
+// a freed file's run comes back as the same ascending run, and Reclaim (the
+// rebuild behind recovery and promotion) refills the stack lowest on top.
+// Files that grow side by side on one server still fragment: the next blocks
+// go to whichever file asks next.
 type Partition struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// free is the free-block stack; its top, free[len(free)-1], is the next
+	// block Alloc hands out.
 	free  []BlockID
 	total int
 	// lo and hi bound the block range this partition owns: [lo, hi).
@@ -34,7 +45,7 @@ func PartitionDRAM(d *DRAM, n int) []*Partition {
 			end = d.NumBlocks()
 		}
 		p := &Partition{dram: d, total: end - start, lo: BlockID(start), hi: BlockID(end)}
-		for b := start; b < end; b++ {
+		for b := end - 1; b >= start; b-- {
 			p.free = append(p.free, BlockID(b))
 		}
 		parts[i] = p
@@ -56,11 +67,15 @@ func (p *Partition) Alloc() (BlockID, error) {
 	return b, nil
 }
 
-// Free returns blocks to the partition's free list.
+// Free returns blocks to the partition's free list. It pushes them in
+// reverse, so the next len(blocks) allocations hand them out in the order
+// given: a freed file's ascending run comes back as the same run.
 func (p *Partition) Free(blocks []BlockID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.free = append(p.free, blocks...)
+	for i := len(blocks) - 1; i >= 0; i-- {
+		p.free = append(p.free, blocks[i])
+	}
 }
 
 // FreeCount returns the number of free blocks remaining.
@@ -79,14 +94,16 @@ func (p *Partition) Range() (lo, hi BlockID) { return p.lo, p.hi }
 // Reclaim rebuilds the free list after crash recovery: every block in the
 // partition's range that is not in use becomes free again, without zeroing
 // anything (recovered files still own their contents). The in-use set is
-// reconstructed by the recovering server from its replayed inode table.
+// reconstructed by the recovering server from its replayed inode table. The
+// stack is refilled highest first, so the gaps between in-use blocks come
+// back out in ascending order.
 func (p *Partition) Reclaim(inUse map[BlockID]bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.free = p.free[:0]
-	for b := p.lo; b < p.hi; b++ {
-		if !inUse[b] {
-			p.free = append(p.free, b)
+	for b := p.hi; b > p.lo; b-- {
+		if !inUse[b-1] {
+			p.free = append(p.free, b-1)
 		}
 	}
 }
