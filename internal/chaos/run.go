@@ -32,18 +32,8 @@ type Report struct {
 	Namespace map[string]string
 }
 
-// idempotentOps are the protocol requests the network may deliver twice: the
-// read-only operations whose second execution cannot change server state.
-var idempotentOps = map[proto.Op]bool{
-	proto.OpLookup:       true,
-	proto.OpStat:         true,
-	proto.OpGetBlocks:    true,
-	proto.OpReadDirShard: true,
-	proto.OpFdGetInfo:    true,
-	proto.OpPing:         true,
-}
-
-// dupOK is the fault plan's idempotence classifier. A batch is what it
+// dupOK is the fault plan's idempotence classifier: the network may deliver
+// twice the requests proto.OpInfo marks idempotent. A batch is what it
 // carries: duplicable when every sub-operation is (a chained LOOKUP → STAT),
 // not when one is not (LOOKUP → OPEN leaves a descriptor reference behind).
 func dupOK(kind uint16, payload []byte) bool {
@@ -55,11 +45,11 @@ func dupOK(kind uint16, payload []byte) bool {
 		return false
 	}
 	if req.Op != proto.OpBatch {
-		return idempotentOps[req.Op]
+		return req.Op.Info().Idempotent
 	}
 	subs, _, err := proto.UnmarshalBatchInto(nil, req.Data)
 	for i := range subs {
-		if !idempotentOps[subs[i].Op] {
+		if !subs[i].Op.Info().Idempotent {
 			return false
 		}
 	}

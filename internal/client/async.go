@@ -127,7 +127,7 @@ func (c *Client) closeLeads(srv int, reqs []*proto.Request) bool {
 	}
 	leads := int(of.ino.Server) == srv && batchLen(reqs, 1) == len(reqs)
 	for _, r := range reqs {
-		leads = leads && proto.Batchable(r.Op)
+		leads = leads && r.Op.Info().Batchable
 	}
 	if !leads {
 		c.flushClose()

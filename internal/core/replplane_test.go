@@ -162,7 +162,7 @@ func TestReplicationPlaneAnswersWhatItCannotDecode(t *testing.T) {
 	}
 	// Well-formed requests for ops the plane does not serve: request-plane
 	// ops, a ping among them, and a number no op has.
-	for _, op := range []proto.Op{proto.OpPing, proto.OpLookup, proto.OpReplSeal + 1} {
+	for _, op := range []proto.Op{proto.OpPing, proto.OpLookup, proto.NumOps} {
 		what := fmt.Sprintf("a %v request", op)
 		if resp := rpc(what, (&proto.Request{Op: op}).Marshal()); resp.Err != fsapi.EINVAL {
 			t.Errorf("%s: answered %v, want EINVAL", what, resp.Err)

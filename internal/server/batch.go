@@ -21,31 +21,6 @@ import (
 // when their shard carries an rmdir mark — are pre-screened so that a batch
 // touching a marked shard parks as a whole before any sub-operation has run.
 
-// dirOp reports whether the op addresses a directory shard (and can
-// therefore park on an rmdir mark).
-func dirOp(op proto.Op) bool {
-	switch op {
-	case proto.OpLookup, proto.OpAddMap, proto.OpRmMap, proto.OpReadDirShard,
-		proto.OpCreateCoalesced:
-		return true
-	default:
-		return false
-	}
-}
-
-// inodeOp reports whether the op works on the inode its Target names, and
-// may therefore name it as proto.PrevInode.
-func inodeOp(op proto.Op) bool {
-	switch op {
-	case proto.OpLinkInode, proto.OpUnlinkInode, proto.OpOpenInode, proto.OpCloseInode,
-		proto.OpGetBlocks, proto.OpExtend, proto.OpSetSize, proto.OpTruncate,
-		proto.OpStat, proto.OpReadAt, proto.OpWriteAt:
-		return true
-	default:
-		return false
-	}
-}
-
 // chainTarget replaces a sub-request's proto.PrevInode target with the inode
 // the previous sub-response carries. A non-OK result answers the sub-request
 // in its place: ECANCELED when there is no such inode (no predecessor, or one
@@ -73,10 +48,11 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 	// must be able to start over without replaying side effects.
 	for i := range subs {
 		sub := &subs[i]
-		if !proto.Batchable(sub.Op) {
+		info := sub.Op.Info()
+		if !info.Batchable {
 			continue // answered per-sub below, never dispatched
 		}
-		if dirOp(sub.Op) {
+		if info.Addr == proto.AddrShard {
 			if sh, ok := s.dirs.Get(sub.Dir); ok && sh.marked {
 				s.park(sh, batchReq, raw)
 				return nil, true
@@ -98,13 +74,14 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 	failed := false
 	for i := range subs {
 		sub := &subs[i]
+		info := sub.Op.Info()
 		errno := fsapi.OK
 		switch {
-		case !proto.Batchable(sub.Op):
+		case !info.Batchable:
 			errno = fsapi.ENOSYS
 		case failed && stopOnErr:
 			errno = fsapi.ECANCELED
-		case sub.Target == proto.PrevInode && inodeOp(sub.Op):
+		case sub.Target == proto.PrevInode && info.Addr == proto.AddrInode:
 			errno = s.chainTarget(sub, resps[:i])
 		}
 		if errno != fsapi.OK {

@@ -90,12 +90,12 @@ func (s *Server) handlePipeWrite(req *proto.Request, env msg.Envelope) (*proto.R
 	return s.resp(proto.Response{N: int64(n)}), false
 }
 
-func (s *Server) handlePipeIncRef(req *proto.Request, writeEnd bool) *proto.Response {
+func (s *Server) handlePipeIncRef(req *proto.Request) *proto.Response {
 	_, p, errno := s.getPipe(req.Target)
 	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
-	if writeEnd {
+	if req.Op == proto.OpPipeIncWriter {
 		p.writers++
 	} else {
 		p.readers++
@@ -103,12 +103,12 @@ func (s *Server) handlePipeIncRef(req *proto.Request, writeEnd bool) *proto.Resp
 	return s.resp(proto.Response{})
 }
 
-func (s *Server) handlePipeClose(req *proto.Request, writeEnd bool) *proto.Response {
+func (s *Server) handlePipeClose(req *proto.Request) *proto.Response {
 	ino, p, errno := s.getPipe(req.Target)
 	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
-	if writeEnd {
+	if req.Op == proto.OpPipeCloseWrite {
 		if p.writers > 0 {
 			p.writers--
 		}

@@ -545,7 +545,7 @@ func (s *Server) recordSpans(req *proto.Request, subs []proto.Request, env msg.E
 	at := start + overhead
 	for i := range subs {
 		sub := &subs[i]
-		d := s.serviceCost(sub)
+		d := s.opCost(sub)
 		ss := trace.Span{
 			Trace: req.Trace, ID: s.tem.Next(), Parent: svcID,
 			Kind: trace.KindSub, Name: sub.Op.String(), Where: where,
@@ -568,7 +568,7 @@ func (s *Server) QueueDepth() int { return s.ep.Inbox.Len() }
 // and sums their individual service costs.
 func (s *Server) requestCost(req *proto.Request) (sim.Cycles, []proto.Request, bool, error) {
 	if req.Op != proto.OpBatch {
-		return s.serviceCost(req), nil, false, nil
+		return s.opCost(req), nil, false, nil
 	}
 	subs, stop, err := s.decodeBatch(req)
 	if err != nil {
@@ -576,7 +576,7 @@ func (s *Server) requestCost(req *proto.Request) (sim.Cycles, []proto.Request, b
 	}
 	var total sim.Cycles
 	for i := range subs {
-		total += s.serviceCost(&subs[i])
+		total += s.opCost(&subs[i])
 	}
 	return total, subs, stop, nil
 }
@@ -622,197 +622,4 @@ func (s *Server) replyAt(env msg.Envelope, resp *proto.Response, at sim.Cycles) 
 	// into its own cache after decoding.
 	payload := resp.AppendTo(s.ep.GetBuf(resp.SizeHint()))
 	s.cfg.Network.Reply(s.ep, env, proto.KindResponse, payload, end)
-}
-
-// dispatch routes the request to the appropriate handler. The bool result is
-// true if the request was parked (no reply should be sent yet).
-func (s *Server) dispatch(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
-	// Only a batch gives the chain target a meaning, and only to the ops
-	// dispatchBatch has resolved it for by now; no handler ever sees it.
-	if req.Target == proto.PrevInode {
-		return s.errResp(fsapi.EINVAL), false
-	}
-	// Placement-routed requests pass the epoch gate first: a stale (or
-	// ahead-of-us) epoch is answered with EEPOCH, and entry mutations on a
-	// frozen server park until the migration commits (DESIGN.md §9).
-	if resp, parked, handled := s.epochGate(req, env); handled {
-		return resp, parked
-	}
-	switch req.Op {
-	// Directory entries.
-	case proto.OpLookup:
-		return s.handleLookup(req, env)
-	case proto.OpAddMap:
-		return s.handleAddMap(req, env)
-	case proto.OpRmMap:
-		return s.handleRmMap(req, env)
-	case proto.OpReadDirShard:
-		return s.handleReadDirShard(req, env)
-	case proto.OpCreateCoalesced:
-		return s.handleCreateCoalesced(req, env)
-
-	// Inodes.
-	case proto.OpMknod:
-		return s.handleMknod(req), false
-	case proto.OpLinkInode:
-		return s.handleLinkInode(req), false
-	case proto.OpUnlinkInode:
-		return s.handleUnlinkInode(req), false
-	case proto.OpOpenInode:
-		return s.handleOpenInode(req), false
-	case proto.OpCloseInode:
-		return s.handleCloseInode(req), false
-	case proto.OpGetBlocks:
-		return s.handleGetBlocks(req), false
-	case proto.OpExtend:
-		return s.handleExtend(req), false
-	case proto.OpSetSize:
-		return s.handleSetSize(req), false
-	case proto.OpTruncate:
-		return s.handleTruncate(req), false
-	case proto.OpStat:
-		return s.handleStat(req), false
-	case proto.OpReadAt:
-		return s.handleReadAt(req), false
-	case proto.OpWriteAt:
-		return s.handleWriteAt(req), false
-
-	// rmdir three-phase protocol.
-	case proto.OpRmdirLock:
-		return s.handleRmdirLock(req, env)
-	case proto.OpRmdirPrepare:
-		return s.handleRmdirPrepare(req), false
-	case proto.OpRmdirCommit:
-		return s.handleRmdirCommit(req), false
-	case proto.OpRmdirAbort:
-		return s.handleRmdirAbort(req), false
-	case proto.OpRmdirUnlock:
-		return s.handleRmdirUnlock(req), false
-	case proto.OpRmdirFinish:
-		return s.handleRmdirFinish(req), false
-
-	// Shared file descriptors.
-	case proto.OpFdShare:
-		return s.handleFdShare(req), false
-	case proto.OpFdIncRef:
-		return s.handleFdIncRef(req), false
-	case proto.OpFdDecRef:
-		return s.handleFdDecRef(req), false
-	case proto.OpFdUnshare:
-		return s.handleFdUnshare(req), false
-	case proto.OpFdRead:
-		return s.handleFdRead(req), false
-	case proto.OpFdWrite:
-		return s.handleFdWrite(req), false
-	case proto.OpFdSeek:
-		return s.handleFdSeek(req), false
-	case proto.OpFdGetInfo:
-		return s.handleFdGetInfo(req), false
-
-	// Pipes.
-	case proto.OpPipeCreate:
-		return s.handlePipeCreate(req), false
-	case proto.OpPipeRead:
-		return s.handlePipeRead(req, env)
-	case proto.OpPipeWrite:
-		return s.handlePipeWrite(req, env)
-	case proto.OpPipeIncReader:
-		return s.handlePipeIncRef(req, false), false
-	case proto.OpPipeIncWriter:
-		return s.handlePipeIncRef(req, true), false
-	case proto.OpPipeCloseRead:
-		return s.handlePipeClose(req, false), false
-	case proto.OpPipeCloseWrite:
-		return s.handlePipeClose(req, true), false
-
-	case proto.OpCheckpoint:
-		return s.handleCheckpoint(req), false
-
-	// Shard migration (elastic placement).
-	case proto.OpShardFreeze:
-		return s.handleShardFreeze(req), false
-	case proto.OpShardPull:
-		return s.handleShardPull(req), false
-	case proto.OpShardCommit:
-		return s.handleShardCommit(req), false
-
-	case proto.OpBatch:
-		// Reached on re-dispatch of a batch that had been parked on a
-		// marked shard (handle routes fresh batches directly).
-		subs, stop, err := s.decodeBatch(req)
-		if err != nil {
-			return s.errResp(fsapi.EINVAL), false
-		}
-		return s.dispatchBatch(subs, stop, req, env)
-
-	case proto.OpPing:
-		return s.resp(proto.Response{}), false
-
-	default:
-		return s.errResp(fsapi.ENOSYS), false
-	}
-}
-
-// serviceCost returns the virtual service time for a request.
-func (s *Server) serviceCost(req *proto.Request) sim.Cycles {
-	c := &s.cfg.Machine.Cost
-	switch req.Op {
-	case proto.OpLookup:
-		return c.ServeLookup
-	case proto.OpAddMap, proto.OpMknod:
-		return c.ServeCreate
-	case proto.OpCreateCoalesced:
-		return c.ServeCreate + c.ServeOpen/2
-	case proto.OpRmMap, proto.OpUnlinkInode, proto.OpLinkInode:
-		return c.ServeUnlink
-	case proto.OpReadDirShard:
-		// Per-entry cost is added after dispatch would be more precise;
-		// approximate with the current shard size.
-		n := 0
-		if shard, ok := s.dirs.Get(req.Dir); ok {
-			n = shard.ents.Len()
-		}
-		return c.ServeReadDir + sim.Cycles(n)*c.ServePerEnt
-	case proto.OpOpenInode:
-		return c.ServeOpen
-	case proto.OpCloseInode:
-		return c.ServeClose
-	case proto.OpGetBlocks, proto.OpExtend, proto.OpSetSize, proto.OpTruncate:
-		return c.ServeBlockOp
-	case proto.OpStat:
-		return c.ServeStat
-	case proto.OpReadAt, proto.OpWriteAt:
-		n := int(req.Count)
-		if len(req.Data) > n {
-			n = len(req.Data)
-		}
-		return c.ServeFdOp + sim.LineCost(c.DRAMPerLine, n)
-	case proto.OpRmdirLock, proto.OpRmdirPrepare, proto.OpRmdirCommit,
-		proto.OpRmdirAbort, proto.OpRmdirUnlock, proto.OpRmdirFinish:
-		return c.ServeRmdir
-	case proto.OpFdShare, proto.OpFdIncRef, proto.OpFdDecRef, proto.OpFdUnshare,
-		proto.OpFdSeek, proto.OpFdGetInfo:
-		return c.ServeFdOp
-	case proto.OpFdRead, proto.OpFdWrite:
-		n := int(req.Count)
-		if len(req.Data) > n {
-			n = len(req.Data)
-		}
-		return c.ServeFdOp + sim.LineCost(c.DRAMPerLine, n)
-	case proto.OpPipeCreate, proto.OpPipeCloseRead, proto.OpPipeCloseWrite,
-		proto.OpPipeIncReader, proto.OpPipeIncWriter:
-		return c.ServePipeOp
-	case proto.OpShardPull, proto.OpShardCommit:
-		// Migration cost scales with the entries scanned; approximate with
-		// the current shard-table size.
-		return c.ServeReadDir + sim.Cycles(s.entCount.Load())*c.ServePerEnt
-	case proto.OpPipeRead, proto.OpPipeWrite:
-		n := int(req.Count)
-		if len(req.Data) > n {
-			n = len(req.Data)
-		}
-		return c.ServePipeOp + sim.LineCost(c.CopyPerLine, n)
-	default:
-		return c.ServeStat
-	}
 }

@@ -37,31 +37,11 @@ import (
 //	        recovers on exactly one side of the epoch boundary — either
 //	        wholly the old epoch or wholly the new, never a mix.
 
-// entryOp reports whether the op addresses a directory-entry shard and is
-// therefore subject to the placement epoch gate when stamped.
-func entryOp(op proto.Op) bool {
-	switch op {
-	case proto.OpLookup, proto.OpAddMap, proto.OpRmMap, proto.OpReadDirShard,
-		proto.OpCreateCoalesced,
-		proto.OpRmdirPrepare, proto.OpRmdirCommit, proto.OpRmdirAbort:
-		return true
-	default:
-		return false
-	}
-}
-
-// entryReadOnly reports whether the entry op leaves shard state unchanged
-// (and may therefore be served while the server is frozen: the entries have
-// not moved until COMMIT).
-func entryReadOnly(op proto.Op) bool {
-	return op == proto.OpLookup || op == proto.OpReadDirShard
-}
-
 // epochGate intercepts placement-routed requests whose epoch does not match
 // the server's. The third result reports whether the gate handled the
 // request (reply or park); otherwise dispatch proceeds normally.
 func (s *Server) epochGate(req *proto.Request, env msg.Envelope) (*proto.Response, bool, bool) {
-	if req.Epoch == 0 || s.pmap == nil || !entryOp(req.Op) {
+	if req.Epoch == 0 || s.pmap == nil || req.Op.Info().Addr != proto.AddrShard {
 		return nil, false, false
 	}
 	if s.parksFrozen(req.Op, req.Epoch) {
@@ -82,10 +62,11 @@ func (s *Server) epochGate(req *proto.Request, env msg.Envelope) (*proto.Respons
 // mutation stamped with the current one, waits for COMMIT. Reads at the
 // current epoch are served (the entries have not moved yet).
 func (s *Server) parksFrozen(op proto.Op, epoch uint64) bool {
-	if !s.frozen || epoch == 0 || !entryOp(op) {
+	info := op.Info()
+	if !s.frozen || epoch == 0 || info.Addr != proto.AddrShard {
 		return false
 	}
-	return epoch == s.pendingEpoch || (epoch == s.epoch.Load() && !entryReadOnly(op))
+	return epoch == s.pendingEpoch || (epoch == s.epoch.Load() && !info.ReadOnly)
 }
 
 // dirDistributed reports whether dir's entries are placement-routed. A shard

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -91,13 +92,22 @@ func TestNoReplyBeatsTurnaround(t *testing.T) {
 
 	// Every op, as a bare request to a fresh server: most are refused, all
 	// are answered.
-	for op := proto.OpLookup; op <= proto.OpReplSeal; op++ {
+	for op := proto.OpLookup; op < proto.NumOps; op++ {
 		if op == proto.OpBatch {
 			continue // below, well-formed and not
 		}
 		h := turnaroundHarness(t)
 		took, _ := h.exchange((&proto.Request{Op: op, ClientID: 7}).Marshal(), 1000)
 		check(op.String(), took)
+	}
+	// The numbers no op has decode (an op is any u16) and index no row.
+	for _, op := range []proto.Op{proto.OpInvalid, proto.NumOps, 0xFFFF} {
+		h := turnaroundHarness(t)
+		took, resp := h.exchange((&proto.Request{Op: op, ClientID: 7}).Marshal(), 1000)
+		if resp.Err != fsapi.ENOSYS {
+			t.Errorf("op %d: answered %v, want ENOSYS", uint16(op), resp.Err)
+		}
+		check(fmt.Sprintf("op %d", uint16(op)), took)
 	}
 
 	h := turnaroundHarness(t)

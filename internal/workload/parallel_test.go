@@ -95,10 +95,8 @@ func TestParallelModesProduceIdenticalState(t *testing.T) {
 // (DESIGN.md §10), so they survive the engine swap; the duplicate's surplus
 // reply must not disturb the gate (Envelope.noResume).
 func TestParallelModeChaosFaultEquivalence(t *testing.T) {
-	idempotent := map[proto.Op]bool{
-		proto.OpLookup: true, proto.OpStat: true, proto.OpGetBlocks: true,
-		proto.OpReadDirShard: true, proto.OpFdGetInfo: true, proto.OpPing: true,
-	}
+	// Bare requests only: a batch is never duplicated here, whatever it
+	// carries (the chaos harness's classifier looks inside).
 	dupOK := func(kind uint16, payload []byte) bool {
 		if kind != proto.KindRequest {
 			return false
@@ -107,7 +105,7 @@ func TestParallelModeChaosFaultEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return idempotent[req.Op]
+		return req.Op.Info().Idempotent
 	}
 	snaps := make(map[bool]map[string]string)
 	for _, parallel := range []bool{true, false} {
