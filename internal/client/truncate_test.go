@@ -97,6 +97,48 @@ func TestTruncateGrowENOSPCLeavesSizeUntouched(t *testing.T) {
 	}
 }
 
+// TestFailedGrowReturnsItsBlocks: a grow the partition cannot back takes
+// nothing from it. The blocks it got before running out go back, so a file
+// that fits in what is left can still be written.
+func TestFailedGrowReturnsItsBlocks(t *testing.T) {
+	const bs = 4096
+	sys, err := core.New(core.Config{
+		Cores:            1,
+		Servers:          1,
+		Timeshare:        true,
+		Techniques:       core.AllTechniques(),
+		Placement:        sched.PolicyRoundRobin,
+		BufferCacheBytes: 8 * bs,
+		BlockSize:        bs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Start()
+	t.Cleanup(sys.Stop)
+	cli := sys.NewClient(0)
+
+	writeFile(t, cli, "/a", []byte("nine byte"))
+	fd, err := cli.Open("/a", fsapi.OWrOnly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Ftruncate(fd, 64*bs); !fsapi.IsErrno(err, fsapi.ENOSPC) {
+		t.Fatalf("grow past the partition: %v, want ENOSPC", err)
+	}
+	if err := cli.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cli.Stat("/a"); err != nil || st.Size != 9 {
+		t.Fatalf("stat after the failed grow: %+v, %v; want size 9", st, err)
+	}
+	two := bytes.Repeat([]byte{0x5A}, 2*bs)
+	writeFile(t, cli, "/b", two)
+	if got := readAllPath(t, cli, "/b"); !bytes.Equal(got, two) {
+		t.Fatalf("read back %d bytes of /b, first diff at %d", len(got), firstDiff(got, two))
+	}
+}
+
 // readAllPath reads a whole file, looping on partial reads.
 func readAllPath(t *testing.T, fs fsapi.Client, path string) []byte {
 	t.Helper()

@@ -11,13 +11,14 @@ import (
 
 // TestBoundaryAllocs pins what the calls users make allocate, through a real
 // System so that the server goroutines' allocations count too (DESIGN.md
-// §13). Nothing is left of the path walk, the codec or the per-call state;
-// what is left is what the file system keeps: a file's block list. An inode
-// lives in a page of 64 (table.Dense), and a name is copied only where it is
-// kept, into its directory shard's slab (table.Names), which takes a 4 KiB
-// chunk per hundred-odd names. A batch's sub-requests read their names in
-// the envelope the server owns. Who has an entry cached costs nothing more: the
-// first client is kept in the entry itself.
+// §13). Nothing is left of the path walk, the codec or the per-call state,
+// nor of what the file system keeps. An inode lives in a page of 64
+// (table.Dense) and holds its block map's one run in place (ncc.BlockMap),
+// and a name is copied only where it is kept, into its directory shard's slab
+// (table.Names), which takes a 4 KiB chunk per hundred-odd names. A batch's
+// sub-requests read their names in the envelope the server owns. Who has an
+// entry cached costs nothing more: the first client is kept in the entry
+// itself.
 func TestBoundaryAllocs(t *testing.T) {
 	sys := newTestSystem(t, 2, 2)
 	c := sys.NewClient(0)
@@ -50,11 +51,12 @@ func TestBoundaryAllocs(t *testing.T) {
 			must(err)
 			must(c.Close(fd))
 		}},
-		// The block list. The inode fills a slot of its server's current
-		// page and the name its shard's current chunk. The unlink's RM_MAP
-		// reads its name where it lies. Nobody is called back: the only
-		// client that had the name cached removed it.
-		{"create/write/close/unlink", 1, func() {
+		// Nothing. The inode fills a slot of its server's current page and
+		// holds its one block in place, and the name takes a run of its
+		// shard's current chunk. The unlink's RM_MAP reads its name where it
+		// lies. Nobody is called back: the only client that had the name
+		// cached removed it.
+		{"create/write/close/unlink", 0, func() {
 			fd, err := c.Open(churned, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 			must(err)
 			_, err = c.Pwrite(fd, payload, 0)
@@ -137,19 +139,20 @@ func TestBoundaryAllocs(t *testing.T) {
 	const tmp, delivered = "/mail/tmp/m000042-0123456789abcdef", "/mail/new/m000042-0123456789abcdef"
 	body, back := make([]byte, 1500), make([]byte, 1500)
 	// Nine calls, five of which log and ship (79 allocations before the
-	// durable path recycled). What is left is the block list, which the
-	// primary and the replica each keep (2). Neither allocates the inode or
-	// the names stored at the create and the rename: both fill a slot of a
-	// page of 64 and copy the names into the directory shard's slab. The
-	// rename's and the unlink's RM_MAP sub-requests read their names in the
-	// envelope, and so do the records staged under them: the log encodes
-	// those before the reply, and the envelope is released after it.
+	// durable path recycled), allocate nothing. Neither the primary nor the
+	// replica allocates the inode, its block map or the names stored at the
+	// create and the rename: both fill a slot of a page of 64, hold the
+	// map's one run in the inode, and copy the names into the directory
+	// shard's slab. The rename's and the unlink's RM_MAP sub-requests read
+	// their names in the envelope, and so do the records staged under them:
+	// the log encodes those before the reply, and the envelope is released
+	// after it.
 	// The two entries' trackers live in the entries. Nothing is left of the
 	// staged records, of the shipped frames or of the six messages and
 	// structs a ship and its ack used to be copied through, and nothing of
 	// the two invalidations the server used to send the client about entries
 	// it had removed itself.
-	delivery := gate{"durable+sync delivery", 2, func() {
+	delivery := gate{"durable+sync delivery", 0, func() {
 		fd, err := c.Open(tmp, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 		must(err)
 		_, err = c.Pwrite(fd, body, 0)

@@ -165,7 +165,7 @@ func TestPartitionAllocFree(t *testing.T) {
 	if len(got) != p.Total() {
 		t.Fatalf("allocated %d blocks, want %d", len(got), p.Total())
 	}
-	p.Free(got)
+	p.Free(mapOf(got...))
 	if p.FreeCount() != p.Total() {
 		t.Fatal("free did not restore the free list")
 	}
@@ -179,7 +179,7 @@ func TestPartitionAllocZeroesBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.WriteDirect(b, 0, []byte{0xFF, 0xFF})
-	parts[0].Free([]BlockID{b})
+	parts[0].Free(mapOf(b))
 	b2, err := parts[0].Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +193,15 @@ func TestPartitionAllocZeroesBlock(t *testing.T) {
 	if buf[0] != 0 || buf[1] != 0 {
 		t.Fatal("reallocated block not zeroed: data leaked between files")
 	}
+}
+
+// mapOf returns a block map of the given blocks, in order.
+func mapOf(blocks ...BlockID) *BlockMap {
+	m := new(BlockMap)
+	for _, b := range blocks {
+		m.Append(b)
+	}
+	return m
 }
 
 // allocRun takes n blocks from p and fails unless they are n consecutive
@@ -236,7 +245,7 @@ func TestPartitionFreeKeepsRunAscending(t *testing.T) {
 	p := PartitionDRAM(NewDRAM(32, 64), 1)[0]
 	allocRun(t, p, 4, 0)
 	run := allocRun(t, p, 8, 4)
-	p.Free(run)
+	p.Free(mapOf(run...))
 	allocRun(t, p, 8, 4)
 	allocRun(t, p, 4, 12)
 }
@@ -248,7 +257,7 @@ func TestPartitionAllocReclaimAscending(t *testing.T) {
 	p := parts[1]
 	lo, hi := p.Range()
 	inUse := map[BlockID]bool{lo + 2: true, lo + 3: true, lo + 7: true}
-	p.Reclaim(inUse)
+	p.Reclaim([]Extent{{Start: lo + 7, Count: 1}, {Start: lo + 2, Count: 2}})
 	var want []BlockID
 	for b := lo; b < hi; b++ {
 		if !inUse[b] {

@@ -15,7 +15,7 @@ import (
 // Blocks come off the partition in ascending order: the free list is a stack
 // with the lowest block on top, so n allocations from a fresh partition are
 // n consecutive ascending blocks and a file one server grows alone is one
-// Extent. The rule survives reuse: Free pushes a returned list in reverse, so
+// Extent. The rule survives reuse: Free pushes a returned map in reverse, so
 // a freed file's run comes back as the same ascending run, and Reclaim (the
 // rebuild behind recovery and promotion) refills the stack lowest on top.
 // Files that grow side by side on one server still fragment: the next blocks
@@ -67,14 +67,26 @@ func (p *Partition) Alloc() (BlockID, error) {
 	return b, nil
 }
 
-// Free returns blocks to the partition's free list. It pushes them in
-// reverse, so the next len(blocks) allocations hand them out in the order
-// given: a freed file's ascending run comes back as the same run.
-func (p *Partition) Free(blocks []BlockID) {
+// Free moves every block of m back to the partition's free list and leaves
+// m empty. It pushes them in reverse, so the next m.Len() allocations hand
+// them out in m's order: a freed file's ascending run comes back as the same
+// run.
+func (p *Partition) Free(m *BlockMap) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := len(blocks) - 1; i >= 0; i-- {
-		p.free = append(p.free, blocks[i])
+	if m.more != nil {
+		for i := len(*m.more) - 1; i >= 0; i-- {
+			p.push((*m.more)[i])
+		}
+	}
+	p.push(m.first)
+	*m = BlockMap{}
+}
+
+// push puts run e on the free stack, its first block on top.
+func (p *Partition) push(e Extent) {
+	for j := e.Count; j > 0; j-- {
+		p.free = append(p.free, e.Start+BlockID(j-1))
 	}
 }
 
@@ -92,17 +104,22 @@ func (p *Partition) Total() int { return p.total }
 func (p *Partition) Range() (lo, hi BlockID) { return p.lo, p.hi }
 
 // Reclaim rebuilds the free list after crash recovery: every block in the
-// partition's range that is not in use becomes free again, without zeroing
-// anything (recovered files still own their contents). The in-use set is
-// reconstructed by the recovering server from its replayed inode table. The
-// stack is refilled highest first, so the gaps between in-use blocks come
-// back out in ascending order.
-func (p *Partition) Reclaim(inUse map[BlockID]bool) {
+// partition's range that no run of inUse covers becomes free again, without
+// zeroing anything (recovered files still own their contents). The in-use
+// runs are the recovering server's replayed block maps; Reclaim sorts inUse
+// in place. The stack is refilled highest first, so the gaps between in-use
+// blocks come back out in ascending order.
+func (p *Partition) Reclaim(inUse []Extent) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	inUse = NormalizeExtents(inUse)
 	p.free = p.free[:0]
+	i := len(inUse) - 1
 	for b := p.hi; b > p.lo; b-- {
-		if !inUse[b-1] {
+		for i >= 0 && inUse[i].Start >= b {
+			i--
+		}
+		if i < 0 || b-1-inUse[i].Start >= BlockID(inUse[i].Count) {
 			p.free = append(p.free, b-1)
 		}
 	}

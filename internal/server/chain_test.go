@@ -343,13 +343,13 @@ func TestCreateChainCarriesFirstBlock(t *testing.T) {
 	}
 
 	// No free block: the create stands, the EXTEND answers ENOSPC.
-	var held []ncc.BlockID
+	var held ncc.BlockMap
 	for part.FreeCount() > 0 {
 		b, err := part.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		held = append(held, b)
+		held.Append(b)
 	}
 	resps = create("g")
 	if resps[0].Err != fsapi.OK || resps[1].Err != fsapi.ENOSPC {
@@ -358,7 +358,7 @@ func TestCreateChainCarriesFirstBlock(t *testing.T) {
 	if found := h.call(lookup("g")); found.Err != fsapi.OK || found.Ino != resps[0].Ino {
 		t.Fatalf("entry after ENOSPC on the EXTEND: %v (%v)", found.Err, found.Ino)
 	}
-	part.Free(held)
+	part.Free(&held)
 	if ext := h.callOK(&proto.Request{Op: proto.OpExtend, Target: resps[0].Ino, Size: 1}); len(ext.Extents) != 1 {
 		t.Fatalf("EXTEND once there is room: extents %v", ext.Extents)
 	}

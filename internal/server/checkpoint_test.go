@@ -100,7 +100,7 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 			if !ok {
 				return true
 			}
-			if ino.ftype != snap.Ftype || ino.size != snap.Size || ino.nlink != snap.Nlink || len(ino.blocks) != len(snap.Blocks) {
+			if ino.ftype != snap.Ftype || ino.size != snap.Size || ino.nlink != snap.Nlink || ino.blocks.Len() != len(snap.Blocks) {
 				t.Fatalf("inode %d loaded as %+v from %+v", local, *ino, *snap)
 			}
 			return true

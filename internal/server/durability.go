@@ -66,9 +66,7 @@ func (s *Server) stageBlocks(ino *inode) {
 	// scratch the commit empties, full capacity so that a later record's
 	// cannot grow into it.
 	start := len(s.pendingBlocks)
-	for _, b := range ino.blocks {
-		s.pendingBlocks = append(s.pendingBlocks, uint64(b))
-	}
+	s.pendingBlocks = ino.blocks.Flatten(s.pendingBlocks)
 	s.stage(wal.Record{
 		Type:   wal.RecBlocks,
 		Ino:    ino.local,
@@ -216,11 +214,11 @@ func (s *Server) buildCheckpoint() *wal.Checkpoint {
 			Size:   ino.size,
 			Nlink:  ino.nlink,
 			Dist:   ino.distributed,
-			Blocks: blockList(ino),
+			Blocks: ino.blocks.Flatten(make([]uint64, 0, ino.blocks.Len())),
 		}
-		for _, b := range ino.blocks {
+		for _, b := range snap.Blocks {
 			buf := make([]byte, bs)
-			s.cfg.DRAM.ReadDirect(b, 0, buf)
+			s.cfg.DRAM.ReadDirect(ncc.BlockID(b), 0, buf)
 			snap.Data = append(snap.Data, buf)
 		}
 		c.Inodes = append(c.Inodes, snap)
@@ -483,15 +481,15 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 			version:     s.verBase,
 		}
 		for _, b := range snap.Blocks {
-			ino.blocks = append(ino.blocks, ncc.BlockID(b))
+			ino.blocks.Append(ncc.BlockID(b))
 		}
 		if s.lostMemory {
-			for j, b := range ino.blocks {
+			for j, b := range snap.Blocks {
 				if j < len(snap.Data) && snap.Data[j] != nil {
 					// The image's zero tail is left implied, so the
 					// block holds only its written lines (DESIGN.md §8).
-					s.cfg.DRAM.ZeroBlock(b)
-					s.cfg.DRAM.WriteDirect(b, 0, bytes.TrimRight(snap.Data[j], "\x00"))
+					s.cfg.DRAM.ZeroBlock(ncc.BlockID(b))
+					s.cfg.DRAM.WriteDirect(ncc.BlockID(b), 0, bytes.TrimRight(snap.Data[j], "\x00"))
 				}
 			}
 		}

@@ -133,15 +133,15 @@ func (s *Server) handleFdWrite(req *proto.Request) *proto.Response {
 		off = ino.size
 	}
 	end := off + int64(len(req.Data))
-	before := len(ino.blocks)
-	if errno := s.ensureCapacity(ino, end); errno != fsapi.OK {
+	grew, errno := s.ensureCapacity(ino, end)
+	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
 	s.writeData(ino, off, req.Data)
 	if end > ino.size {
 		ino.size = end
 	}
-	if len(ino.blocks) != before {
+	if grew {
 		s.stageBlocks(ino)
 	}
 	// The offset is resolved before logging so append-mode replay writes

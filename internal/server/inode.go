@@ -18,8 +18,9 @@ type inode struct {
 	nlink int32
 	size  int64
 
-	// blocks is the ordered buffer-cache block list holding file data.
-	blocks []ncc.BlockID
+	// blocks is the ordered buffer-cache block map holding file data, as
+	// runs: one run, the usual case, is held in place.
+	blocks ncc.BlockMap
 	// version counts data mutations (writes acknowledged at close/fsync,
 	// server-side writes, extends, truncates). OPEN and CLOSE return it so a
 	// client re-opening a file whose version matches its cached copy can
@@ -47,7 +48,7 @@ type inode struct {
 type inodeRare struct {
 	// deferred holds blocks removed by truncate that cannot be reused
 	// until all file descriptors are closed.
-	deferred []ncc.BlockID
+	deferred ncc.BlockMap
 	// rmdirLocked serializes rmdir()s of a directory at its home server;
 	// the rmdirs waiting for the lock queue in rmdirQueue.
 	rmdirLocked bool
@@ -99,18 +100,7 @@ func (s *Server) allocInode(ftype fsapi.FileType, mode fsapi.Mode, distributed b
 // open proves the client's cached copy is still byte-identical to DRAM.
 func (s *Server) bumpVersion(ino *inode) { ino.version++ }
 
-// blockList converts the inode's block list to the flat form used by the
-// write-ahead log (whose record format predates extent coding and stays
-// stable across PRs).
-func blockList(ino *inode) []uint64 {
-	out := make([]uint64, len(ino.blocks))
-	for i, b := range ino.blocks {
-		out[i] = uint64(b)
-	}
-	return out
-}
-
-// extentList converts the inode's block list to the extent-coded wire form:
+// extentList converts the inode's block map to the extent-coded wire form:
 // message bytes scale with the file's fragmentation, not its size. The
 // result is the server's scratch list (as large as the most fragmented map
 // it has served): it is good until the next call, which comes after the
@@ -118,47 +108,46 @@ func blockList(ino *inode) []uint64 {
 // (dispatchBatch).
 func (s *Server) extentList(ino *inode) []proto.Extent {
 	out := s.extScratch[:0]
-	for _, b := range ino.blocks {
-		if n := len(out); n > 0 && out[n-1].Start+out[n-1].Count == uint64(b) {
-			out[n-1].Count++
-			continue
-		}
-		out = append(out, proto.Extent{Start: uint64(b), Count: 1})
-	}
+	ino.blocks.Runs(func(e ncc.Extent) bool {
+		out = append(out, proto.Extent{Start: uint64(e.Start), Count: e.Count})
+		return true
+	})
 	s.extScratch = out
 	return out
 }
 
-// ensureCapacity allocates blocks so the file can hold size bytes.
-func (s *Server) ensureCapacity(ino *inode, size int64) fsapi.Errno {
+// ensureCapacity allocates blocks so the file can hold size bytes, and
+// reports whether it took any. It takes all it needs or none: on ENOSPC the
+// blocks it got go back to the partition, so the inode's map and the free
+// list are as they were.
+func (s *Server) ensureCapacity(ino *inode, size int64) (grew bool, errno fsapi.Errno) {
 	bs := int64(s.cfg.DRAM.BlockSize())
-	need := int((size + bs - 1) / bs)
-	for len(ino.blocks) < need {
+	have := ino.blocks.Len()
+	for n := int64(have); n*bs < size; n++ {
 		b, err := s.cfg.Partition.Alloc()
 		if err != nil {
-			return fsapi.ENOSPC
+			var got ncc.BlockMap
+			ino.blocks.Cut(have, &got)
+			s.cfg.Partition.Free(&got)
+			return false, fsapi.ENOSPC
 		}
-		ino.blocks = append(ino.blocks, b)
+		ino.blocks.Append(b)
 	}
-	return fsapi.OK
+	return ino.blocks.Len() != have, fsapi.OK
 }
 
 // releaseData frees the inode's data blocks (and any deferred blocks) back
 // to this server's buffer-cache partition.
 func (s *Server) releaseData(ino *inode) {
-	if len(ino.blocks) > 0 {
-		s.cfg.Partition.Free(ino.blocks)
-		ino.blocks = nil
-	}
+	s.cfg.Partition.Free(&ino.blocks)
 	s.freeDeferred(ino)
 }
 
 // freeDeferred frees the blocks a truncate removed while descriptors were
 // open.
 func (s *Server) freeDeferred(ino *inode) {
-	if r := ino.rare; r != nil && len(r.deferred) > 0 {
-		s.cfg.Partition.Free(r.deferred)
-		r.deferred = nil
+	if r := ino.rare; r != nil {
+		s.cfg.Partition.Free(&r.deferred)
 	}
 }
 
@@ -305,11 +294,11 @@ func (s *Server) handleExtend(req *proto.Request) *proto.Response {
 	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
-	before := len(ino.blocks)
-	if errno := s.ensureCapacity(ino, req.Size); errno != fsapi.OK {
+	grew, errno := s.ensureCapacity(ino, req.Size)
+	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
-	if len(ino.blocks) != before {
+	if grew {
 		s.bumpVersion(ino)
 		s.stageBlocks(ino)
 	}
@@ -343,14 +332,13 @@ func (s *Server) truncateTo(ino *inode, size int64) bool {
 	bs := int64(s.cfg.DRAM.BlockSize())
 	keep := int((size + bs - 1) / bs)
 	changed := false
-	if keep < len(ino.blocks) {
-		removed := ino.blocks[keep:]
-		ino.blocks = ino.blocks[:keep:keep]
+	if keep < ino.blocks.Len() {
 		if ino.fdRefs > 0 {
-			r := ino.rareState()
-			r.deferred = append(r.deferred, removed...)
+			ino.blocks.Cut(keep, &ino.rareState().deferred)
 		} else {
-			s.cfg.Partition.Free(removed)
+			var removed ncc.BlockMap
+			ino.blocks.Cut(keep, &removed)
+			s.cfg.Partition.Free(&removed)
 		}
 		changed = true
 	}
@@ -381,7 +369,7 @@ func (s *Server) handleTruncate(req *proto.Request) *proto.Response {
 	// inode must be left untouched (size included), or a failed grow
 	// would report ENOSPC yet stat at the grown size with an unreadable,
 	// unlogged tail. For a shrink this is a no-op.
-	if errno := s.ensureCapacity(ino, req.Size); errno != fsapi.OK {
+	if _, errno := s.ensureCapacity(ino, req.Size); errno != fsapi.OK {
 		return s.errResp(errno)
 	}
 	old := ino.size
@@ -441,15 +429,15 @@ func (s *Server) handleWriteAt(req *proto.Request) *proto.Response {
 		return s.errResp(errno)
 	}
 	end := req.Offset + int64(len(req.Data))
-	before := len(ino.blocks)
-	if errno := s.ensureCapacity(ino, end); errno != fsapi.OK {
+	grew, errno := s.ensureCapacity(ino, end)
+	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
 	s.writeData(ino, req.Offset, req.Data)
 	if end > ino.size {
 		ino.size = end
 	}
-	if len(ino.blocks) != before {
+	if grew {
 		s.stageBlocks(ino)
 	}
 	s.stageWrite(ino, req.Offset, req.Data)
@@ -457,42 +445,34 @@ func (s *Server) handleWriteAt(req *proto.Request) *proto.Response {
 	return s.resp(proto.Response{N: int64(len(req.Data)), Size: ino.size, Version: ino.version})
 }
 
-// readData copies file contents [off, off+len(dst)) from the shared DRAM.
-// Servers access DRAM directly (they own the authoritative copy and their
-// private-cache coherence is managed trivially by never caching file data).
+// readData copies file contents [off, off+len(dst)) from the shared DRAM,
+// run by run; what lies past the block map is left as it is. Servers access
+// DRAM directly (they own the authoritative copy and their private-cache
+// coherence is managed trivially by never caching file data).
 func (s *Server) readData(ino *inode, off int64, dst []byte) {
-	bs := int64(s.cfg.DRAM.BlockSize())
-	read := 0
-	for read < len(dst) {
-		pos := off + int64(read)
-		bi := int(pos / bs)
-		bo := int(pos % bs)
-		if bi >= len(ino.blocks) {
-			break
-		}
-		n := s.cfg.DRAM.ReadDirect(ino.blocks[bi], bo, dst[read:])
-		if n == 0 {
-			break
-		}
-		read += n
-	}
+	s.eachBlock(ino, off, len(dst), func(b ncc.BlockID, bo int) {
+		dst = dst[s.cfg.DRAM.ReadDirect(b, bo, dst):]
+	})
 }
 
 // writeData copies src into the file at off; capacity must already exist.
 func (s *Server) writeData(ino *inode, off int64, src []byte) {
+	s.eachBlock(ino, off, len(src), func(b ncc.BlockID, bo int) {
+		src = src[s.cfg.DRAM.WriteDirect(b, bo, src):]
+	})
+}
+
+// eachBlock calls f, in order, with each mapped block that holds a byte of
+// [off, off+n) and the offset in that block of the first such byte, walking
+// the map run by run.
+func (s *Server) eachBlock(ino *inode, off int64, n int, f func(b ncc.BlockID, bo int)) {
 	bs := int64(s.cfg.DRAM.BlockSize())
-	written := 0
-	for written < len(src) {
-		pos := off + int64(written)
-		bi := int(pos / bs)
-		bo := int(pos % bs)
-		if bi >= len(ino.blocks) {
-			break
+	bo := int(off % bs)
+	ino.blocks.RunsIn(int(off/bs), int((off+int64(n)+bs-1)/bs), func(e ncc.Extent) bool {
+		for j := uint64(0); j < e.Count; j++ {
+			f(e.Start+ncc.BlockID(j), bo)
+			bo = 0
 		}
-		n := s.cfg.DRAM.WriteDirect(ino.blocks[bi], bo, src[written:])
-		if n == 0 {
-			break
-		}
-		written += n
-	}
+		return true
+	})
 }

@@ -382,14 +382,15 @@ func (s *Server) Promote(c *wal.Checkpoint, snapBytes int) (sim.Cycles, error) {
 	})
 }
 
-// reclaimBlocks rebuilds the partition free list around the blocks the
-// current inode table owns (part of every restart).
+// reclaimBlocks rebuilds the partition free list around the runs the
+// current inode table's block maps hold (part of every restart).
 func (s *Server) reclaimBlocks() {
-	inUse := make(map[ncc.BlockID]bool)
+	var inUse []ncc.Extent
 	s.inodes.Range(func(_ uint64, ino *inode) bool {
-		for _, b := range ino.blocks {
-			inUse[b] = true
-		}
+		ino.blocks.Runs(func(e ncc.Extent) bool {
+			inUse = append(inUse, e)
+			return true
+		})
 		return true
 	})
 	s.cfg.Partition.Reclaim(inUse)

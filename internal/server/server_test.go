@@ -161,6 +161,32 @@ func TestServerTruncateDefersBlockReuse(t *testing.T) {
 	}
 }
 
+// TestServerFailedExtendKeepsNothing: an EXTEND the partition cannot back
+// answers ENOSPC and leaves the file's map, its version and the partition's
+// free count as they were, though the partition had some blocks to give.
+func TestServerFailedExtendKeepsNothing(t *testing.T) {
+	h := newHarness(t)
+	part := h.srv.cfg.Partition
+	created := h.callOK(&proto.Request{
+		Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Name: "f",
+		Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular, WantOpen: true,
+	})
+	grown := h.callOK(&proto.Request{Op: proto.OpExtend, Target: created.Ino, Size: 1024})
+	free := part.FreeCount()
+	too := int64(part.Total()+1) * int64(h.srv.cfg.DRAM.BlockSize())
+	if resp := h.call(&proto.Request{Op: proto.OpExtend, Target: created.Ino, Size: too}); resp.Err != fsapi.ENOSPC {
+		t.Fatalf("EXTEND past the partition: %v, want ENOSPC", resp.Err)
+	}
+	if got := part.FreeCount(); got != free {
+		t.Fatalf("free blocks %d after the failed EXTEND, want %d", got, free)
+	}
+	got := h.callOK(&proto.Request{Op: proto.OpGetBlocks, Target: created.Ino})
+	if !reflect.DeepEqual(got.Extents, grown.Extents) || got.Version != grown.Version {
+		t.Fatalf("GET_BLOCKS after the failed EXTEND: %v at version %d, want %v at %d",
+			got.Extents, got.Version, grown.Extents, grown.Version)
+	}
+}
+
 func TestServerRmdirPrepareCommitAbort(t *testing.T) {
 	h := newHarness(t)
 	dir := h.callOK(&proto.Request{

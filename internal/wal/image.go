@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/fsapi"
+	"repro/internal/ncc"
 	"repro/internal/proto"
 	"repro/internal/table"
 )
@@ -21,7 +22,7 @@ type imgInode struct {
 	size   int64
 	nlink  int32
 	dist   bool
-	blocks []uint64
+	blocks ncc.BlockMap
 }
 
 // imgEnt is one directory entry of an Image.
@@ -113,15 +114,15 @@ func (m *Image) Load(c *Checkpoint) {
 		snap := &c.Inodes[i]
 		ino := m.inodes.Put(snap.Local)
 		*ino = imgInode{
-			local:  snap.Local,
-			ftype:  snap.Ftype,
-			mode:   snap.Mode,
-			size:   snap.Size,
-			nlink:  snap.Nlink,
-			dist:   snap.Dist,
-			blocks: append([]uint64(nil), snap.Blocks...),
+			local: snap.Local,
+			ftype: snap.Ftype,
+			mode:  snap.Mode,
+			size:  snap.Size,
+			nlink: snap.Nlink,
+			dist:  snap.Dist,
 		}
-		for j, b := range ino.blocks {
+		for j, b := range snap.Blocks {
+			ino.blocks.Append(ncc.BlockID(b))
 			if j < len(snap.Data) && snap.Data[j] != nil {
 				m.chunks[b] = append([]byte(nil), snap.Data[j]...)
 			}
@@ -186,9 +187,12 @@ func (m *Image) Apply(r Record) {
 		if ino.nlink <= 0 {
 			// No descriptor survives a crash, so the inode reaps at once,
 			// and its blocks' bytes with it.
-			for _, b := range ino.blocks {
-				delete(m.chunks, b)
-			}
+			ino.blocks.Runs(func(e ncc.Extent) bool {
+				for j := uint64(0); j < e.Count; j++ {
+					delete(m.chunks, uint64(e.Start)+j)
+				}
+				return true
+			})
 			m.inodes.Delete(r.Ino)
 		}
 	case RecSize:
@@ -200,26 +204,39 @@ func (m *Image) Apply(r Record) {
 		if !ok {
 			return
 		}
-		// A block entering this inode's list starts zeroed, as the
+		// A block entering this inode's map starts zeroed, as the
 		// allocator hands it over, and a block leaving it keeps no bytes;
-		// retained blocks keep their contents. A list grows and shrinks at
+		// retained blocks keep their contents. A map grows and shrinks at
 		// its end, so past the common prefix there is next to nothing to
 		// search.
 		keep := 0
-		for keep < len(ino.blocks) && keep < len(r.Blocks) && ino.blocks[keep] == r.Blocks[keep] {
-			keep++
-		}
-		for _, b := range r.Blocks[keep:] {
-			if !slices.Contains(ino.blocks[keep:], b) {
+		ino.blocks.Runs(func(e ncc.Extent) bool {
+			for j := uint64(0); j < e.Count; j++ {
+				if keep == len(r.Blocks) || r.Blocks[keep] != uint64(e.Start)+j {
+					return false
+				}
+				keep++
+			}
+			return true
+		})
+		tail := r.Blocks[keep:]
+		ino.blocks.RunsIn(keep, ino.blocks.Len(), func(e ncc.Extent) bool {
+			for j := uint64(0); j < e.Count; j++ {
+				if b := uint64(e.Start) + j; !slices.Contains(tail, b) {
+					delete(m.chunks, b)
+				}
+			}
+			return true
+		})
+		for _, b := range tail {
+			if !ino.blocks.Contains(ncc.BlockID(b)) {
 				delete(m.chunks, b)
 			}
 		}
-		for _, b := range ino.blocks[keep:] {
-			if !slices.Contains(r.Blocks[keep:], b) {
-				delete(m.chunks, b)
-			}
+		ino.blocks.Reset()
+		for _, b := range r.Blocks {
+			ino.blocks.Append(ncc.BlockID(b))
 		}
-		ino.blocks = append(ino.blocks[:0], r.Blocks...)
 		ino.size = r.Size
 	case RecWrite:
 		ino, ok := m.inodes.Get(r.Ino)
@@ -246,29 +263,24 @@ func (m *Image) Apply(r Record) {
 }
 
 // writeData lays file bytes into the image's blocks, splitting across the
-// inode's block list the way a server's write splits across DRAM.
+// inode's block map run by run the way a server's write splits across DRAM.
+// Bytes past the logged map have nothing to hold them.
 func (m *Image) writeData(ino *imgInode, off int64, data []byte) {
 	bs := int64(m.blockSize)
-	for len(data) > 0 {
-		idx := off / bs
-		if idx >= int64(len(ino.blocks)) {
-			return // write beyond the logged block list: nothing to hold it
+	boff := int(off % bs)
+	ino.blocks.RunsIn(int(off/bs), int((off+int64(len(data))+bs-1)/bs), func(e ncc.Extent) bool {
+		for j := uint64(0); j < e.Count; j++ {
+			b := uint64(e.Start) + j
+			chunk := m.chunks[b]
+			if chunk == nil {
+				chunk = make([]byte, m.blockSize)
+				m.chunks[b] = chunk
+			}
+			data = data[copy(chunk[boff:], data):]
+			boff = 0
 		}
-		b := ino.blocks[idx]
-		boff := off % bs
-		n := bs - boff
-		if int64(len(data)) < n {
-			n = int64(len(data))
-		}
-		chunk := m.chunks[b]
-		if chunk == nil {
-			chunk = make([]byte, m.blockSize)
-			m.chunks[b] = chunk
-		}
-		copy(chunk[boff:boff+n], data[:n])
-		off += n
-		data = data[n:]
-	}
+		return true
+	})
 }
 
 // Checkpoint converts the image into a checkpoint, in the exact shape a
@@ -295,9 +307,9 @@ func (m *Image) Checkpoint() *Checkpoint {
 			Size:   ino.size,
 			Nlink:  ino.nlink,
 			Dist:   ino.dist,
-			Blocks: append([]uint64(nil), ino.blocks...),
+			Blocks: ino.blocks.Flatten(nil),
 		}
-		for _, b := range ino.blocks {
+		for _, b := range snap.Blocks {
 			if chunk, ok := m.chunks[b]; ok {
 				snap.Data = append(snap.Data, append([]byte(nil), chunk...))
 			} else {
