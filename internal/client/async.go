@@ -4,9 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/fsapi"
-	"repro/internal/msg"
 	"repro/internal/proto"
-	"repro/internal/sim"
 )
 
 // Asynchronous RPC helpers (DESIGN.md §7).
@@ -15,72 +13,14 @@ import (
 // this file generalizes its two one-off message-saving tricks (directory
 // broadcast, the coalesced-create opcode) into reusable machinery:
 //
-//   - sendAsync / awaitAll keep several requests in flight at once, to the
-//     same server or to several. Virtual time follows the broadcast rules:
-//     each send charges MsgSend and stamps the request at the clock it was
-//     issued at; awaiting advances the clock to the latest reply arrival and
-//     charges one MsgRecv per reply.
+//   - post / receive keep several requests in flight at once, to the same
+//     server or to several (wire.go). Each send charges MsgSend and stamps
+//     the request at the clock it was issued at; receiving advances the
+//     clock to the latest reply arrival and charges one MsgRecv per reply.
 //   - rpcBatch packs same-server requests into OpBatch envelopes so they
 //     share one round trip and one server-side message-arrival overhead.
 //   - scatter combines both: per-server request lists travel as batches
 //     whose round trips to distinct servers overlap.
-
-// sendAsync issues one request without waiting for the reply.
-func (c *Client) sendAsync(srv int, req *proto.Request) (*msg.Future, error) {
-	c.flushClose()
-	rt := c.routing
-	if srv < 0 || srv >= len(rt.Servers) {
-		return nil, fsapi.EIO
-	}
-	req.ClientID = c.cfg.ID
-	c.traceRequest(req)
-	payload := c.marshalReq(req)
-	c.charge(c.cfg.Machine.Cost.MsgSend)
-	fut, err := c.cfg.Network.SendAsync(c.ep, rt.Servers[srv], proto.KindRequest, payload, c.clock.Now())
-	if err != nil {
-		return nil, fsapi.EIO
-	}
-	c.stats.rpcs.Add(1)
-	return fut, nil
-}
-
-// awaitAll harvests the given futures: the clock advances to the latest
-// reply arrival, one receive cost is charged per reply, and the decoded
-// responses are returned in future order. Every payload harvested is
-// released, also when a later future or a decode fails.
-func (c *Client) awaitAll(futs []*msg.Future) ([]*proto.Response, error) {
-	envs := make([]msg.Envelope, len(futs))
-	var latest sim.Cycles
-	for i, f := range futs {
-		env, err := f.Await()
-		if err != nil {
-			for _, got := range envs[:i] {
-				c.ep.PutBuf(got.Payload)
-			}
-			return nil, fsapi.EIO
-		}
-		envs[i] = env
-		if env.ArriveAt > latest {
-			latest = env.ArriveAt
-		}
-	}
-	c.clock.AdvanceTo(latest)
-	c.charge(c.cfg.Machine.Cost.MsgRecv * sim.Cycles(len(futs)))
-	out := make([]*proto.Response, len(envs))
-	failed := false
-	for i := range envs {
-		out[i] = c.newResp()
-		if err := proto.UnmarshalResponseInto(out[i], envs[i].Payload); err != nil {
-			failed = true
-		}
-		c.ep.PutBuf(envs[i].Payload)
-	}
-	if failed {
-		return nil, fsapi.EIO
-	}
-	c.yield()
-	return out, nil
-}
 
 // batchLen returns how many of the leading requests travel in one batch
 // envelope, behind led fixed-shape requests already in it: as many as the
@@ -110,101 +50,6 @@ func (c *Client) batchEnvelope(subs []*proto.Request, stopOnErr bool) proto.Requ
 		r.ClientID = c.cfg.ID
 	}
 	return proto.Request{Op: proto.OpBatch, Subs: subs, StopOnErr: stopOnErr}
-}
-
-// A clean close rides (DESIGN.md §7). Close keeps a description whose close
-// tells the server nothing another process can see as c.pend and sends
-// nothing; the CLOSE_INODE leads the next message to that inode's server.
-
-// closeLeads settles the pending close before reqs go to srv as one message.
-// It reports true when the close can lead them in one envelope — same server,
-// operations that may share one, room under the caps — and otherwise sends it
-// on its own, as Close would have, so that nothing overtakes it.
-func (c *Client) closeLeads(srv int, reqs []*proto.Request) bool {
-	of := c.pend
-	if of == nil {
-		return false
-	}
-	leads := int(of.ino.Server) == srv && batchLen(reqs, 1) == len(reqs)
-	for _, r := range reqs {
-		leads = leads && r.Op.Info().Batchable
-	}
-	if !leads {
-		c.flushClose()
-	}
-	return leads
-}
-
-// flushClose sends the pending close, if there is one, on its own.
-func (c *Client) flushClose() {
-	if of := c.pend; of != nil {
-		resp, _ := c.exchange(int(of.ino.Server), &proto.Request{Op: proto.OpCloseInode, Target: of.ino})
-		c.closed(of, resp)
-	}
-}
-
-// closed takes CLOSE_INODE's answer — none when it could not be sent — for a
-// description whose close was clean. A version that still matches proves
-// nothing changed while it was open: an intact window lets a reopen at this
-// version skip invalidation, a lost one (someone else mutated the file
-// meanwhile) evicts the entry. A close that failed is dropped, as every
-// close's error is at exit: the descriptor is gone either way.
-func (c *Client) closed(of *openFile, resp *proto.Response) {
-	if resp != nil && resp.Err == fsapi.OK {
-		of.expectVersion(resp.Version, false)
-		c.settleVersion(of)
-	}
-	c.pend = nil
-	c.freeOpenFile(of)
-}
-
-// envelope sends subs to srv as one OpBatch message, behind the pending close
-// when there is one (the caller asked closeLeads), and appends their responses
-// to out. The close's answer is taken before the caller sees any of the rest:
-// an OPEN_INODE of the inode just closed finds its version window settled. An
-// envelope refused whole leaves the close pending: nothing of it ran. Requests
-// and response slots stay on this frame.
-func (c *Client) envelope(srv int, stopOnErr bool, subs []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
-	var led [proto.MaxBatchOps]*proto.Request
-	var slots [proto.MaxBatchOps]*proto.Response
-	of := c.pend
-	if of != nil {
-		led[0] = &proto.Request{Op: proto.OpCloseInode, Target: of.ino}
-		for i, r := range subs {
-			led[i+1] = r
-		}
-		subs = led[:len(subs)+1]
-	}
-	env := c.batchEnvelope(subs, stopOnErr)
-	reply, err := c.exchange(srv, &env)
-	if err != nil {
-		return nil, err
-	}
-	resps, err := c.unpackBatch(slots[:0], reply, len(subs))
-	if err != nil {
-		return nil, err
-	}
-	c.stats.batched.Add(uint64(len(subs)))
-	if of != nil {
-		c.closed(of, resps[0])
-		resps = resps[1:]
-	}
-	return append(out, resps...), nil
-}
-
-// unpackBatch appends the n sub-responses a batch reply carries to out.
-func (c *Client) unpackBatch(out []*proto.Response, reply *proto.Response, n int) ([]*proto.Response, error) {
-	if reply.Err != fsapi.OK {
-		return nil, reply.Err
-	}
-	first := len(out)
-	for i := 0; i < n; i++ {
-		out = append(out, c.newResp())
-	}
-	if proto.UnmarshalBatchResponsesInto(out[first:], reply.Data) != nil {
-		return nil, fsapi.EIO
-	}
-	return out, nil
 }
 
 // rpcBatch sends requests destined for one server and appends their
@@ -246,9 +91,9 @@ func (c *Client) rpcBatch(srv int, stopOnErr bool, reqs []*proto.Request, out []
 			}
 			out = append(out, resp)
 		default:
-			c.closeLeads(srv, chunk)
+			env := c.batchEnvelope(chunk, stopOnErr)
 			var err error
-			if out, err = c.envelope(srv, stopOnErr, chunk, out); err != nil {
+			if out, err = c.exchange(srv, &env, out); err != nil {
 				return nil, err
 			}
 		}
@@ -272,44 +117,32 @@ func (c *Client) scatter(perSrv map[int][]*proto.Request) (map[int][]*proto.Resp
 	}
 	sort.Ints(srvs)
 
-	out := make(map[int][]*proto.Response, len(perSrv))
-	type sent struct {
-		srv int
-		n   int // sub-requests carried; 1 means a bare request
-	}
-	var futs []*msg.Future
-	var refs []sent
+	var fls []flight
 	for _, srv := range srvs {
 		for reqs := perSrv[srv]; len(reqs) > 0; {
 			n := batchLen(reqs, 0)
-			var batch proto.Request
 			env := reqs[0]
 			if n > 1 {
-				batch = c.batchEnvelope(reqs[:n], false)
-				c.stats.batched.Add(uint64(n))
+				batch := c.batchEnvelope(reqs[:n], false)
 				env = &batch
 			}
 			reqs = reqs[n:]
-			fut, err := c.sendAsync(srv, env)
-			if err != nil {
+			fls = append(fls, flight{})
+			if err := c.post(&fls[len(fls)-1], srv, env); err != nil {
 				return nil, err
 			}
-			futs = append(futs, fut)
-			refs = append(refs, sent{srv: srv, n: n})
 		}
 	}
-	resps, err := c.awaitAll(futs)
+	resps, err := c.receive(fls, nil)
+	c.yield()
 	if err != nil {
 		return nil, err
 	}
-	for i, ref := range refs {
-		if ref.n == 1 {
-			out[ref.srv] = append(out[ref.srv], resps[i])
-			continue
-		}
-		if out[ref.srv], err = c.unpackBatch(out[ref.srv], resps[i], ref.n); err != nil {
-			return nil, err
-		}
+	// One response per request, in the order the lists were sent.
+	out := make(map[int][]*proto.Response, len(srvs))
+	for _, srv := range srvs {
+		n := len(perSrv[srv])
+		out[srv], resps = resps[:n:n], resps[n:]
 	}
 	return out, nil
 }

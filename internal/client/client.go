@@ -11,7 +11,6 @@
 package client
 
 import (
-	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -144,14 +143,14 @@ type Client struct {
 	resps  respArena
 	ofFree []*openFile
 
-	// bcastDsts and bcastOut are broadcast's scratch: its destinations and
-	// the responses it returns.
-	bcastDsts []msg.EndpointID
-	bcastOut  []*proto.Response
+	// bcastFls and bcastOut are broadcast's scratch: its flights and the
+	// responses it returns.
+	bcastFls []flight
+	bcastOut []*proto.Response
 
 	// pend is the one description whose clean close has not been sent: its
 	// CLOSE_INODE leads this client's next message to that server, or goes
-	// on its own before a message to anywhere else (async.go, closeLeads).
+	// on its own before a message to anywhere else (wire.go, closeLeads).
 	pend *openFile
 
 	// Creation affinity (§3.6.4; DESIGN.md §7 "Where a new inode goes"). near
@@ -489,198 +488,6 @@ func (c *Client) noteEpochRefresh(op proto.Op, tries int) {
 		Kind: trace.KindEpochRefresh, Name: op.String(), Where: c.cfg.ID,
 		Start: start, End: c.clock.Now(), Idx: int32(tries),
 	})
-}
-
-// traceRequest stamps req with the current root's trace context and
-// returns the span ID the server's child spans will parent to. Async sends
-// and broadcasts parent server spans directly under the root; synchronous
-// rpc allocates a dedicated RPC span in between.
-func (c *Client) traceRequest(req *proto.Request) {
-	if c.cur != nil {
-		req.Trace = c.cur.Trace
-		req.Span = c.cur.ID
-	}
-}
-
-// rpc performs one synchronous RPC to the given server index and returns the
-// decoded response. A pending clean close is settled first: it leads the
-// request in one envelope, or has gone on its own when this returns.
-func (c *Client) rpc(srv int, req *proto.Request) (*proto.Response, error) {
-	if one := [...]*proto.Request{req}; c.closeLeads(srv, one[:]) {
-		var buf [1]*proto.Response
-		resps, err := c.envelope(srv, false, one[:], buf[:0])
-		if err != nil {
-			return nil, err
-		}
-		return resps[0], nil
-	}
-	return c.exchange(srv, req)
-}
-
-// exchange sends one request message and awaits its reply. Virtual time:
-// marshal+send cost before, propagation handled by the network, receive cost
-// after.
-//
-// After each exchange the goroutine yields (see yield).
-func (c *Client) exchange(srv int, req *proto.Request) (*proto.Response, error) {
-	rt := c.routing
-	if srv < 0 || srv >= len(rt.Servers) {
-		return nil, fsapi.EIO
-	}
-	req.ClientID = c.cfg.ID
-	var rpcID uint64
-	if c.cur != nil {
-		rpcID = c.tem.Next()
-		req.Trace, req.Span = c.cur.Trace, rpcID
-		c.charge(c.cfg.Machine.Cost.TraceSpan)
-	}
-	payload := c.marshalReq(req)
-	cost := &c.cfg.Machine.Cost
-	sentAt := c.clock.Now()
-	c.charge(cost.MsgSend)
-	env, err := c.cfg.Network.RPC(c.ep, rt.Servers[srv], proto.KindRequest, payload, c.clock.Now())
-	if err != nil {
-		return nil, fsapi.EIO
-	}
-	c.stats.rpcs.Add(1)
-	c.clock.AdvanceTo(env.ArriveAt)
-	c.charge(cost.MsgRecv)
-	resp := c.newResp()
-	derr := proto.UnmarshalResponseInto(resp, env.Payload)
-	c.ep.PutBuf(env.Payload) // decoded fields never alias the wire bytes
-	if derr != nil {
-		return nil, fsapi.EIO
-	}
-	if rpcID != 0 {
-		c.tr.Record(trace.Span{
-			Trace: c.cur.Trace, ID: rpcID, Parent: c.cur.ID,
-			Kind: trace.KindRPC, Name: req.Op.String(), Where: c.cfg.ID,
-			Start: sentAt, End: c.clock.Now(), Err: int32(resp.Err),
-		})
-	}
-	c.yield()
-	return resp, nil
-}
-
-// yield hands the processor to the Go scheduler after an exchange — in the
-// serialized engine only. There the accuracy of the virtual-time queueing
-// model depends on the simulated processes staying roughly in (virtual)
-// lockstep; without the yield, the runtime tends to run one client/server
-// ping-pong chain far ahead of the others, which shows up as artificial
-// queueing delay (see DESIGN.md §4). Under the parallel engine servers serve
-// in virtual-arrival order whatever the host order, and ordering is the
-// gate's job.
-func (c *Client) yield() {
-	if c.cfg.Network.Gate() == nil {
-		runtime.Gosched()
-	}
-}
-
-// ExecOn sends an exec request to a scheduling server's endpoint, waits until
-// the process it starts has exited, and returns that process's exit status,
-// with the same virtual-time accounting as file-server RPCs.
-//
-// The await is a gate handoff (AwaitHandoff): the caller is the exec proxy,
-// whose reply arrives after the scheduling server has handed this lane's
-// work to a child client lane. Bumping the proxy's lane frontier past the
-// send time here would let gated servers run ahead of the child before it
-// joins; the proxy lane instead stays floored at the send until the
-// scheduler idles it (DESIGN.md §13).
-func (c *Client) ExecOn(dst msg.EndpointID, req *proto.Request) (status int32, err error) {
-	defer c.releaseResps(c.respMark())
-	c.flushClose()
-	req.ClientID = c.cfg.ID
-	c.traceRequest(req)
-	payload := c.marshalReq(req)
-	cost := &c.cfg.Machine.Cost
-	c.charge(cost.MsgSend)
-	fut, err := c.cfg.Network.SendAsync(c.ep, dst, proto.KindRequest, payload, c.clock.Now())
-	if err != nil {
-		return 0, fsapi.EIO
-	}
-	env, err := fut.AwaitHandoff()
-	if err != nil {
-		return 0, fsapi.EIO
-	}
-	c.stats.rpcs.Add(1)
-	c.clock.AdvanceTo(env.ArriveAt)
-	c.charge(cost.MsgRecv)
-	resp := c.newResp()
-	derr := proto.UnmarshalResponseInto(resp, env.Payload)
-	c.ep.PutBuf(env.Payload)
-	if derr != nil {
-		return 0, fsapi.EIO
-	}
-	if resp.Err != fsapi.OK {
-		return 0, resp.Err
-	}
-	return resp.ExitStatus, nil
-}
-
-// rpcOK performs an RPC and converts a non-OK errno into a Go error.
-func (c *Client) rpcOK(srv int, req *proto.Request) (*proto.Response, error) {
-	resp, err := c.rpc(srv, req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != fsapi.OK {
-		return resp, resp.Err
-	}
-	return resp, nil
-}
-
-// broadcast sends the same request to the given servers. With the directory
-// broadcast optimization the RPCs overlap; otherwise they run one at a time.
-// The list of responses is the client's scratch, valid until its next
-// broadcast.
-func (c *Client) broadcast(servers []int, req *proto.Request) ([]*proto.Response, error) {
-	c.flushClose()
-	rt := c.routing
-	dsts := c.bcastDsts[:0]
-	for _, s := range servers {
-		if s < 0 || s >= len(rt.Servers) {
-			return nil, fsapi.EIO
-		}
-		dsts = append(dsts, rt.Servers[s])
-	}
-	c.bcastDsts = dsts
-	req.ClientID = c.cfg.ID
-	c.traceRequest(req)
-	payload := c.marshalReq(req)
-	cost := &c.cfg.Machine.Cost
-	parallel := c.cfg.Options.DirBroadcast
-	// Charge one send per destination (marshaling/enqueueing is per
-	// message even when the latencies overlap).
-	c.charge(cost.MsgSend * sim.Cycles(len(dsts)))
-	results := c.cfg.Network.Broadcast(c.ep, dsts, proto.KindRequest, payload, c.clock.Now(), parallel)
-	out := slices.Grow(c.bcastOut[:0], len(results))[:len(results)]
-	c.bcastOut = out
-	var latest sim.Cycles
-	failed := false
-	for i, r := range results {
-		if r.Err != nil {
-			failed = true
-			continue
-		}
-		c.stats.rpcs.Add(1)
-		if r.Env.ArriveAt > latest {
-			latest = r.Env.ArriveAt
-		}
-		// Every reply is decoded, and so every payload released, even once
-		// one has failed.
-		out[i] = c.newResp()
-		derr := proto.UnmarshalResponseInto(out[i], r.Env.Payload)
-		c.ep.PutBuf(r.Env.Payload)
-		if derr != nil {
-			failed = true
-		}
-	}
-	if failed {
-		return nil, fsapi.EIO
-	}
-	c.clock.AdvanceTo(latest)
-	c.charge(cost.MsgRecv * sim.Cycles(len(dsts)))
-	return out, nil
 }
 
 // staysWithEntry reports whether a new inode goes to its entry's server, so

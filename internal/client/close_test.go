@@ -134,9 +134,10 @@ func TestCloseGoesAloneBeforeAnotherDestination(t *testing.T) {
 			return err
 		}, []string{bare, fmt.Sprintf("%d:PIPE_CREATE@0", 1-srv)}},
 		{"an asynchronous send", func() error {
-			fut, err := h.cli.sendAsync(1-srv, &proto.Request{Op: proto.OpPing})
+			var fl flight
+			err := h.cli.post(&fl, 1-srv, &proto.Request{Op: proto.OpPing})
 			if err == nil {
-				_, err = fut.Await()
+				_, err = fl.fut.Await()
 			}
 			return err
 		}, []string{bare, fmt.Sprintf("%d:PING@0", 1-srv)}},

@@ -498,20 +498,14 @@ func (c *Client) takeReadahead(of *openFile, off, n int64) ([]byte, bool) {
 		of.raFut = nil
 		return nil, false
 	}
-	env, err := of.raFut.Await()
+	fls := [1]flight{{fut: of.raFut}}
 	of.raFut = nil
-	if err != nil {
+	var buf [1]*proto.Response
+	resps, err := c.receive(fls[:], buf[:0])
+	if err != nil || resps[0].Err != fsapi.OK {
 		return nil, false
 	}
-	c.clock.AdvanceTo(env.ArriveAt)
-	c.charge(c.cfg.Machine.Cost.MsgRecv)
-	resp := c.newResp()
-	derr := proto.UnmarshalResponseInto(resp, env.Payload)
-	c.ep.PutBuf(env.Payload)
-	if derr != nil || resp.Err != fsapi.OK {
-		return nil, false
-	}
-	return resp.Data, true
+	return resps[0].Data, true
 }
 
 // issueReadahead speculatively requests the next chunk of a sequential
@@ -524,13 +518,13 @@ func (c *Client) issueReadahead(of *openFile, off int64, n int) {
 	if off+int64(n) > of.size {
 		n = int(of.size - off)
 	}
-	fut, err := c.sendAsync(int(of.ino.Server), &proto.Request{
+	var fl flight
+	if err := c.post(&fl, int(of.ino.Server), &proto.Request{
 		Op: proto.OpReadAt, Target: of.ino, Offset: off, Count: int32(n),
-	})
-	if err != nil {
+	}); err != nil {
 		return
 	}
-	of.raFut, of.raOff, of.raN = fut, off, n
+	of.raFut, of.raOff, of.raN = fl.fut, off, n
 	c.stats.readaheads.Add(1)
 }
 

@@ -210,7 +210,7 @@ func (c *Client) opOnPath(abs string, head, op *proto.Request) (*proto.Response,
 func (c *Client) chainOnEntry(parent proto.InodeID, parentDist bool, name string, head, op *proto.Request) (dcacheEnt, *proto.Response, error) {
 	head.Dir, head.Name = parent, name
 	var buf [2]*proto.Response
-	for tries := 0; ; tries++ {
+	for try := 0; ; try++ {
 		srv, epoch := c.routeEntry(parent, parentDist, name)
 		head.Epoch, op.Target = epoch, proto.PrevInode
 		resps, err := c.rpcBatch(srv, true, []*proto.Request{head, op}, buf[:0])
@@ -222,12 +222,9 @@ func (c *Client) chainOnEntry(parent proto.InodeID, parentDist bool, name string
 		}
 		found := resps[0]
 		if found.Err == fsapi.EEPOCH {
-			if tries >= maxEpochRetries {
-				return dcacheEnt{}, nil, fsapi.EIO
+			if err := c.retryEpoch(head.Op, try); err != nil {
+				return dcacheEnt{}, nil, err
 			}
-			c.refreshRouting()
-			c.noteEpochRefresh(head.Op, tries)
-			c.yield()
 			continue
 		}
 		if found.Err != fsapi.OK {

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"slices"
+
 	"repro/internal/fsapi"
 	"repro/internal/msg"
 	"repro/internal/place"
@@ -79,29 +81,37 @@ func (c *Client) routeEntry(dir proto.InodeID, dirDist bool, name string) (int, 
 // deployment is wedged", not EEPOCH, which callers treat as retriable.
 const maxEpochRetries = 32
 
+// retryEpoch is the one EEPOCH retry step, taken when the try-th attempt of
+// op met a server at a newer epoch than the routing snapshot: after
+// maxEpochRetries refreshes that did not help it gives up with EIO;
+// otherwise it reloads the snapshot, notes the refresh under the current
+// span and yields, and the caller routes the operation again.
+func (c *Client) retryEpoch(op proto.Op, try int) error {
+	if try >= maxEpochRetries {
+		return fsapi.EIO
+	}
+	c.refreshRouting()
+	c.noteEpochRefresh(op, try)
+	c.yield()
+	return nil
+}
+
 // routedEntryRPC routes one directory-entry request, stamps it with the
 // routing epoch, and transparently refreshes + retries when the server
 // answers EEPOCH (the deployment migrated under us). Protocol errors other
-// than EEPOCH are returned in the response, as with rpc. The retry loop is
-// bounded by maxEpochRetries; exhaustion returns EIO.
+// than EEPOCH are returned in the response, as with rpc. The retries are
+// bounded (retryEpoch).
 func (c *Client) routedEntryRPC(dir proto.InodeID, dirDist bool, name string, req *proto.Request) (*proto.Response, error) {
-	for tries := 0; ; tries++ {
+	for try := 0; ; try++ {
 		srv, epoch := c.routeEntry(dir, dirDist, name)
 		req.Epoch = epoch
 		resp, err := c.rpc(srv, req)
-		if err != nil {
+		if err != nil || resp.Err != fsapi.EEPOCH {
+			return resp, err
+		}
+		if err := c.retryEpoch(req.Op, try); err != nil {
 			return nil, err
 		}
-		if resp.Err == fsapi.EEPOCH {
-			if tries >= maxEpochRetries {
-				return nil, fsapi.EIO
-			}
-			c.refreshRouting()
-			c.noteEpochRefresh(req.Op, tries)
-			c.yield()
-			continue
-		}
-		return resp, nil
 	}
 }
 
@@ -127,23 +137,16 @@ func (c *Client) routedEntryRPCOK(dir proto.InodeID, dirDist bool, name string, 
 // the split mknod+addmap path instead.
 func (c *Client) coalescedCreate(parent proto.InodeID, parentDist bool, name string, chain []*proto.Request, out []*proto.Response) ([]*proto.Response, error) {
 	entrySrv, epoch := c.routeEntry(parent, parentDist, name)
-	for tries := 0; c.staysWithEntry(entrySrv); tries++ {
+	for try := 0; c.staysWithEntry(entrySrv); try++ {
 		chain[0].Epoch = epoch
 		resps, err := c.rpcBatch(entrySrv, true, chain, out)
-		if err != nil {
+		if err != nil || resps[0].Err != fsapi.EEPOCH {
+			return resps, err
+		}
+		if err := c.retryEpoch(chain[0].Op, try); err != nil {
 			return nil, err
 		}
-		if resps[0].Err == fsapi.EEPOCH {
-			if tries >= maxEpochRetries {
-				return nil, fsapi.EIO
-			}
-			c.refreshRouting()
-			c.noteEpochRefresh(chain[0].Op, tries)
-			c.yield()
-			entrySrv, epoch = c.routeEntry(parent, parentDist, name)
-			continue
-		}
-		return resps, nil
+		entrySrv, epoch = c.routeEntry(parent, parentDist, name)
 	}
 	return nil, nil
 }
@@ -152,10 +155,10 @@ func (c *Client) coalescedCreate(parent proto.InodeID, parentDist bool, name str
 // distributed directory) or to the directory's home server (centralized),
 // re-routing and retrying the whole fan-out when any member answers EEPOCH.
 // The returned responses are free of EEPOCH but may carry other protocol
-// errors for the caller to interpret. Like routedEntryRPC, the retry loop is
-// bounded; exhaustion returns EIO.
+// errors for the caller to interpret. Like routedEntryRPC's, the retries are
+// bounded (retryEpoch).
 func (c *Client) routedBroadcast(home int32, dist bool, req *proto.Request) ([]*proto.Response, error) {
-	for tries := 0; ; tries++ {
+	for try := 0; ; try++ {
 		var servers []int
 		if dist {
 			servers = c.memberServers()
@@ -165,25 +168,11 @@ func (c *Client) routedBroadcast(home int32, dist bool, req *proto.Request) ([]*
 			req.Epoch = 0
 		}
 		resps, err := c.broadcast(servers, req)
-		if err != nil {
+		if err != nil || !slices.ContainsFunc(resps, func(r *proto.Response) bool { return r.Err == fsapi.EEPOCH }) {
+			return resps, err
+		}
+		if err := c.retryEpoch(req.Op, try); err != nil {
 			return nil, err
 		}
-		stale := false
-		for _, r := range resps {
-			if r.Err == fsapi.EEPOCH {
-				stale = true
-				break
-			}
-		}
-		if stale {
-			if tries >= maxEpochRetries {
-				return nil, fsapi.EIO
-			}
-			c.refreshRouting()
-			c.noteEpochRefresh(req.Op, tries)
-			c.yield()
-			continue
-		}
-		return resps, nil
 	}
 }

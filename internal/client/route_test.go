@@ -23,15 +23,18 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeProvider serves a swappable routing snapshot.
+// fakeProvider serves a swappable routing snapshot and counts the times it
+// was asked for one.
 type fakeProvider struct {
-	mu sync.Mutex
-	rt *Routing
+	mu    sync.Mutex
+	rt    *Routing
+	asked int
 }
 
 func (p *fakeProvider) Routing() *Routing {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.asked++
 	return p.rt
 }
 
@@ -47,6 +50,25 @@ type routeHarness struct {
 	provider *fakeProvider
 	cli      *Client
 	eps      []msg.EndpointID
+
+	wireMu sync.Mutex
+	wire   []stamp
+}
+
+// A stamp is what the wire shows of one request a fake server answered, at
+// once: the server, the time the request was stamped with, and the arrival
+// of its reply.
+type stamp struct {
+	srv           int
+	sent, replied sim.Cycles
+}
+
+// served returns the stamps of the requests answered so far, in the order
+// they were answered.
+func (h *routeHarness) served() []stamp {
+	h.wireMu.Lock()
+	defer h.wireMu.Unlock()
+	return append([]stamp(nil), h.wire...)
 }
 
 // newRouteHarness builds n fake servers whose behaviour is given by handler
@@ -77,7 +99,11 @@ func newRouteHarness(t *testing.T, n int, handler func(srv int, req *proto.Reque
 				if err == nil {
 					resp = handler(srv, req)
 				}
-				net.Reply(ep, env, proto.KindResponse, resp.Marshal(), env.ArriveAt)
+				// Recorded before the client can see the reply.
+				h.wireMu.Lock()
+				replied := net.Reply(ep, env, proto.KindResponse, resp.Marshal(), env.ArriveAt)
+				h.wire = append(h.wire, stamp{srv: srv, sent: env.SentAt, replied: replied})
+				h.wireMu.Unlock()
 			}
 		}()
 	}
@@ -108,27 +134,64 @@ func newRouteHarness(t *testing.T, n int, handler func(srv int, req *proto.Reque
 
 var testDir = proto.InodeID{Server: 0, Local: 7}
 
-func TestRoutedRPCEpochRetryExhaustionReturnsEIO(t *testing.T) {
-	// The servers are forever ahead of the snapshot the provider serves:
-	// every request bounces with EEPOCH and every refresh hands back the
-	// same stale epoch. The retry loop must give up with EIO, not spin.
-	var calls atomic.Int64
-	h := newRouteHarness(t, 2, func(srv int, req *proto.Request) *proto.Response {
-		calls.Add(1)
-		return proto.ErrResponse(fsapi.EEPOCH)
-	})
-	_, err := h.cli.routedEntryRPC(testDir, true, "name", &proto.Request{Op: proto.OpLookup})
-	if !fsapi.IsErrno(err, fsapi.EIO) {
-		t.Fatalf("exhausted retry returned %v, want EIO", err)
-	}
-	if n := calls.Load(); n < maxEpochRetries {
-		t.Fatalf("gave up after %d attempts, want at least %d", n, maxEpochRetries)
-	}
-
-	// The broadcast loop obeys the same bound.
-	calls.Store(0)
-	if _, err := h.cli.routedBroadcast(0, true, &proto.Request{Op: proto.OpReadDirShard}); !fsapi.IsErrno(err, fsapi.EIO) {
-		t.Fatalf("exhausted broadcast returned %v, want EIO", err)
+// TestEpochRetryExhaustion: a snapshot provider that never catches up to the
+// servers — every request bounces with EEPOCH and every refresh hands back
+// the same stale epoch. Each routed caller goes through the one retry step,
+// so each sends its request (or fan-out) once and then once per refresh, up
+// to the bound, and gives up with EIO instead of spinning.
+func TestEpochRetryExhaustion(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(c *Client) error
+		// sends counts the requests (or fan-outs) a caller made, from the
+		// log of what the servers saw.
+		sends func(log []string) int
+	}{
+		{"entry RPC", func(c *Client) error {
+			_, err := c.routedEntryRPC(testDir, true, "name", &proto.Request{Op: proto.OpLookup})
+			return err
+		}, func(log []string) int { return len(log) }},
+		{"broadcast", func(c *Client) error {
+			_, err := c.routedBroadcast(0, true, &proto.Request{Op: proto.OpReadDirShard})
+			return err
+		}, func(log []string) int { // every fan-out reaches server 0 once
+			n := 0
+			for _, e := range log {
+				if strings.HasPrefix(e, "0:") {
+					n++
+				}
+			}
+			return n
+		}},
+		{"chain (stat)", func(c *Client) error {
+			_, err := c.Stat("/d/name")
+			return err
+		}, func(log []string) int { return len(log) }},
+		{"coalesced create (open O_CREAT)", func(c *Client) error {
+			_, err := c.Open("/d/name", fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
+			return err
+		}, func(log []string) int { return len(log) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
+				if req.Op == proto.OpBatch {
+					return batchReply(proto.ErrResponse(fsapi.EEPOCH), proto.ErrResponse(fsapi.ECANCELED))
+				}
+				return proto.ErrResponse(fsapi.EEPOCH)
+			})
+			asked := h.provider.asked
+			if err := tc.call(h.cli); !fsapi.IsErrno(err, fsapi.EIO) {
+				t.Fatalf("exhausted retry returned %v, want EIO", err)
+			}
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			if n := tc.sends(h.log); n != maxEpochRetries+1 {
+				t.Errorf("sent %d times, want %d: %v", n, maxEpochRetries+1, h.log)
+			}
+			if n := h.provider.asked - asked; n != maxEpochRetries {
+				t.Errorf("refreshed %d times, want %d", n, maxEpochRetries)
+			}
+		})
 	}
 }
 
@@ -244,6 +307,68 @@ func TestRoutedBroadcastRetriesWholeFanOutOnEEPOCH(t *testing.T) {
 	if rounds != 2 {
 		t.Fatalf("member 0 served %d fan-outs, want 2 (the whole broadcast retries)", rounds)
 	}
+}
+
+// TestBroadcastTiming pins the client's two broadcast rules on the wire. Both
+// charge one send per server first. Overlapped (directory broadcast on), all
+// k requests are then stamped with that one time; one at a time (off), each
+// after the first is stamped at its predecessor's reply's arrival. Both end at
+// the last arrival plus one receive per server. A server the routing does not
+// know answers EIO before anything is sent.
+func TestBroadcastTiming(t *testing.T) {
+	const k = 3
+	harness := func(t *testing.T, parallel bool) *routeHarness {
+		h := newRouteHarness(t, k, func(srv int, req *proto.Request) *proto.Response { return &proto.Response{} })
+		h.cli.cfg.Options.DirBroadcast = parallel
+		h.cli.AdvanceClock(1000)
+		return h
+	}
+	for _, tc := range []struct {
+		name     string
+		parallel bool
+	}{{"overlapped", true}, {"one at a time", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := harness(t, tc.parallel)
+			cost := h.cli.cfg.Machine.Cost
+			t0 := h.cli.Clock()
+			if _, err := h.cli.broadcast([]int{0, 1, 2}, &proto.Request{Op: proto.OpReadDirShard}); err != nil {
+				t.Fatal(err)
+			}
+			wire := h.served()
+			if len(wire) != k {
+				t.Fatalf("%d requests served, want %d", len(wire), k)
+			}
+			var last sim.Cycles
+			for i, w := range wire {
+				want := t0 + k*cost.MsgSend
+				if !tc.parallel && i > 0 {
+					if w.srv != i {
+						t.Fatalf("server %d served %d-th", w.srv, i)
+					}
+					want = wire[i-1].replied
+				}
+				if w.sent != want {
+					t.Errorf("request to server %d stamped %d, want %d", w.srv, w.sent, want)
+				}
+				last = max(last, w.replied)
+			}
+			if got, want := h.cli.Clock(), last+k*cost.MsgRecv; got != want {
+				t.Errorf("the broadcast ended at %d, want %d", got, want)
+			}
+		})
+	}
+	t.Run("unknown server", func(t *testing.T) {
+		for _, parallel := range []bool{true, false} {
+			h := harness(t, parallel)
+			before := h.cli.Clock()
+			if _, err := h.cli.broadcast([]int{0, k}, &proto.Request{Op: proto.OpReadDirShard}); !fsapi.IsErrno(err, fsapi.EIO) {
+				t.Fatalf("parallel %v: returned %v, want EIO", parallel, err)
+			}
+			if n := len(h.served()); n != 0 || h.cli.Clock() != before {
+				t.Fatalf("parallel %v: sent %d requests and moved the clock %d", parallel, n, h.cli.Clock()-before)
+			}
+		}
+	})
 }
 
 // --- rename: the one-message path and its fallbacks ---
@@ -460,17 +585,6 @@ func TestChainRetriesWholeOnEEPOCH(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.wantLog(t, fmt.Sprintf("%d:BATCH[LOOKUP@1,OPEN@0]", srv), fmt.Sprintf("%d:BATCH[LOOKUP@2,OPEN@0]", srv))
-
-	// A provider that never catches up: the loop gives up with EIO.
-	stuck := newRenameHarness(t, func(h *renameHarness, srv int, req *proto.Request) *proto.Response {
-		return batchReply(proto.ErrResponse(fsapi.EEPOCH), proto.ErrResponse(fsapi.ECANCELED))
-	})
-	if _, err := stuck.cli.Stat("/d/name"); !fsapi.IsErrno(err, fsapi.EIO) {
-		t.Fatalf("exhausted retry returned %v, want EIO", err)
-	}
-	if n := len(stuck.log); n != maxEpochRetries+1 {
-		t.Fatalf("gave up after %d chains, want %d", n, maxEpochRetries+1)
-	}
 }
 
 func TestUnlinkDropsItsEntryWhateverTheChainAnswers(t *testing.T) {

@@ -121,13 +121,6 @@ func (c *Client) freeOpenFile(of *openFile) {
 	c.ofFree = append(c.ofFree, of)
 }
 
-// marshalReq encodes a request into a buffer drawn from the endpoint's
-// free-list cache. Ownership of the buffer passes to the receiver with the
-// send (msg/pool.go).
-func (c *Client) marshalReq(req *proto.Request) []byte {
-	return req.AppendTo(c.ep.GetBuf(req.SizeHint()))
-}
-
 // memberServers returns the current placement members as server indices (the
 // fan-out set for distributed-directory broadcasts). The conversion is
 // cached per routing snapshot, so steady-state broadcasts do not re-walk or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/fsapi"
 	"repro/internal/repl"
 	"repro/internal/sched"
@@ -191,10 +192,20 @@ func (g gate) check(t *testing.T) {
 // TestReadDirAllocs pins what a listing costs: the reply's names decoded into
 // one string the entries share, and the slice ReadDir returns — sized once
 // and sorted in place. A broadcast to every server of a distributed
-// directory allocates nothing of its own, so an empty one costs nothing.
+// directory allocates nothing of its own, so an empty one costs nothing,
+// with its requests overlapped or sent one at a time.
 func TestReadDirAllocs(t *testing.T) {
 	sys := newTestSystem(t, 8, 8)
 	c := sys.NewClient(0)
+	cfg := sys.Config()
+	cfg.Techniques.DirectoryBroadcast = false
+	oneByOne, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneByOne.Start()
+	t.Cleanup(oneByOne.Stop)
+	c1 := oneByOne.NewClient(0)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -203,13 +214,14 @@ func TestReadDirAllocs(t *testing.T) {
 	}
 	must(c.Mkdir("/list", fsapi.MkdirOpt{})) // centralized: one reply
 	must(c.Mkdir("/spread", fsapi.MkdirOpt{Distributed: true}))
+	must(c1.Mkdir("/spread", fsapi.MkdirOpt{Distributed: true}))
 	const files = 96
 	for i := 0; i < files; i++ {
 		fd, err := c.Open(fmt.Sprintf("/list/f%06d-0123456789abcdef", i), fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 		must(err)
 		must(c.Close(fd))
 	}
-	list := func(path string, want int) func() {
+	list := func(c *client.Client, path string, want int) func() {
 		return func() {
 			ents, err := c.ReadDir(path)
 			must(err)
@@ -219,8 +231,9 @@ func TestReadDirAllocs(t *testing.T) {
 		}
 	}
 	for _, g := range []gate{
-		{"96-entry centralized directory", 2, list("/list", files)},
-		{"empty distributed directory over 8 servers", 0, list("/spread", 0)},
+		{"96-entry centralized directory", 2, list(c, "/list", files)},
+		{"empty distributed directory over 8 servers", 0, list(c, "/spread", 0)},
+		{"empty distributed directory over 8 servers, DirectoryBroadcast off", 0, list(c1, "/spread", 0)},
 	} {
 		t.Run(g.name, func(t *testing.T) { g.check(t) })
 	}

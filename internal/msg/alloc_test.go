@@ -95,37 +95,6 @@ func TestSendAsyncSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBroadcastSteadyStateAllocs: a warm broadcast to eight servers — the
-// per-destination payload copies, the futures, the results — allocates
-// nothing, with the RPCs overlapped or one after another.
-func TestBroadcastSteadyStateAllocs(t *testing.T) {
-	n, _ := testNetwork(2)
-	cli := n.NewEndpoint(0)
-	var dsts []EndpointID
-	for i := 0; i < 8; i++ {
-		srv := n.NewEndpoint(1)
-		defer startEcho(n, srv)()
-		dsts = append(dsts, srv.ID)
-	}
-	for _, parallel := range []bool{true, false} {
-		broadcast := func() {
-			buf := cli.GetBuf(64)[:64]
-			for _, r := range n.Broadcast(cli, dsts, 1, buf, 0, parallel) {
-				if r.Err != nil {
-					t.Fatal(r.Err)
-				}
-				cli.PutBuf(r.Env.Payload)
-			}
-		}
-		for i := 0; i < 32; i++ {
-			broadcast()
-		}
-		if allocs := testing.AllocsPerRun(100, broadcast); allocs != 0 {
-			t.Fatalf("steady-state broadcast (parallel %v) allocated %.2f/op, want 0", parallel, allocs)
-		}
-	}
-}
-
 // BenchmarkRPCEcho measures the message-layer round trip; -benchmem should
 // report 0 B/op, 0 allocs/op in steady state.
 func BenchmarkRPCEcho(b *testing.B) {

@@ -11,10 +11,9 @@ import (
 // harvest them in any order with Await.
 //
 // Virtual-time contract (DESIGN.md §7): the request is stamped with the
-// sender's clock at issue time; the caller is responsible for advancing its
-// clock to the maximum reply arrival among the futures it awaits and for
-// charging its own send/receive CPU costs — the same rules Broadcast's
-// parallel mode has always used.
+// sentAt the caller gives; the caller is responsible for advancing its clock
+// to the maximum reply arrival among the futures it awaits and for charging
+// its own send/receive CPU costs.
 type Future struct {
 	q   *Queue
 	dst EndpointID

@@ -186,46 +186,6 @@ func TestRPCAndReply(t *testing.T) {
 	}
 }
 
-func TestBroadcastParallelVsSequential(t *testing.T) {
-	n, _ := testNetwork(8)
-	cli := n.NewEndpoint(0)
-	const nsrv = 4
-	var servers []EndpointID
-	for i := 0; i < nsrv; i++ {
-		srv := n.NewEndpoint(i + 1)
-		servers = append(servers, srv.ID)
-		go func(ep *Endpoint) {
-			for {
-				env, ok := ep.Inbox.PopWait()
-				if !ok {
-					return
-				}
-				// Each server takes 1000 cycles of service time.
-				n.Reply(ep, env, 2, nil, env.ArriveAt+1000)
-			}
-		}(srv)
-	}
-
-	maxArrive := func(results []BroadcastResult) sim.Cycles {
-		var max sim.Cycles
-		for _, r := range results {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			if r.Env.ArriveAt > max {
-				max = r.Env.ArriveAt
-			}
-		}
-		return max
-	}
-
-	par := maxArrive(n.Broadcast(cli, servers, 1, nil, 0, true))
-	seq := maxArrive(n.Broadcast(cli, servers, 1, nil, 0, false))
-	if par >= seq {
-		t.Fatalf("parallel broadcast (%d) should complete before sequential (%d)", par, seq)
-	}
-}
-
 func TestReplyWithoutQueueIsNoop(t *testing.T) {
 	n, _ := testNetwork(2)
 	a := n.NewEndpoint(0)
@@ -320,67 +280,5 @@ func TestAwaitClosedReplyQueue(t *testing.T) {
 	}
 	if _, err := f.Await(); err == nil {
 		t.Fatal("Await on a closed reply queue should fail")
-	}
-}
-
-func TestBroadcastUnknownEndpointIsPerDestination(t *testing.T) {
-	n, _ := testNetwork(4)
-	cli := n.NewEndpoint(0)
-	srv := n.NewEndpoint(1)
-	go func() {
-		env, ok := srv.Inbox.PopWait()
-		if !ok {
-			return
-		}
-		n.Reply(srv, env, 2, nil, env.ArriveAt)
-	}()
-	results := n.Broadcast(cli, []EndpointID{srv.ID, EndpointID(99)}, 1, nil, 0, true)
-	if results[0].Err != nil {
-		t.Fatalf("reachable destination failed: %v", results[0].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("unknown destination should fail, not hang")
-	}
-}
-
-func TestBroadcastSequentialTimingContract(t *testing.T) {
-	// Sequential broadcast sends each request only after the previous reply
-	// arrived: reply arrivals must be strictly increasing by at least the
-	// per-request service time.
-	n, _ := testNetwork(8)
-	cli := n.NewEndpoint(0)
-	const nsrv, service = 3, 1000
-	var servers []EndpointID
-	for i := 0; i < nsrv; i++ {
-		srv := n.NewEndpoint(i + 1)
-		servers = append(servers, srv.ID)
-		go func(ep *Endpoint) {
-			for {
-				env, ok := ep.Inbox.PopWait()
-				if !ok {
-					return
-				}
-				n.Reply(ep, env, 2, nil, env.ArriveAt+service)
-			}
-		}(srv)
-	}
-	results := n.Broadcast(cli, servers, 1, nil, 0, false)
-	var prev sim.Cycles
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if i > 0 {
-			// The reply envelope's SentAt is the server's reply time:
-			// request-arrival + service, and the request was only sent at
-			// the previous reply's arrival.
-			if r.Env.SentAt < prev+service {
-				t.Fatalf("reply %d sent at %d; the request cannot have been issued before %d", i, r.Env.SentAt, prev)
-			}
-			if r.Env.ArriveAt <= prev+service {
-				t.Fatalf("reply %d arrived at %d, not after %d + service", i, r.Env.ArriveAt, prev)
-			}
-		}
-		prev = r.Env.ArriveAt
 	}
 }

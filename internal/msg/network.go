@@ -30,12 +30,10 @@ type Envelope struct {
 	// Reply, when non-nil, is where the receiver should push its response.
 	// It models a reply capability carried in the request.
 	Reply *Queue
-	// noResume marks a fault-injected duplicate: its surplus reply is
-	// abandoned by the requester, so it must never resume the requester's
-	// lane under the parallel engine (the original's reply is the wakeup;
-	// a late surplus Resume would resurrect an idle lane at a stale
-	// frontier and wedge every gated server behind it).
-	noResume bool
+	// dup marks a fault-injected duplicate: its surplus reply is abandoned by
+	// the requester, so holding it marks nothing (Hold) and the reply never
+	// resumes the requester's lane — the original's reply is the wakeup.
+	dup bool
 }
 
 // Endpoint is one attachment point on the network. Each endpoint has a
@@ -69,14 +67,6 @@ type Endpoint struct {
 
 	sendSeq atomic.Uint64
 	cache   epCache
-
-	// bcast is Broadcast's scratch, touched only by the goroutine that owns
-	// the endpoint's sends.
-	bcast struct {
-		results  []BroadcastResult
-		payloads [][]byte
-		futs     []*Future
-	}
 }
 
 // Network routes envelopes between endpoints, applying topology-dependent
@@ -180,9 +170,20 @@ func (n *Network) Gate() *sim.Gate { return n.gate.Load() }
 // the sender's lane stops constraining the gate, and the reply brings it back
 // at its arrival. Sound because the hold follows the pop — the sender is
 // blocked on this very request — and whoever replies is active at or below
-// the reply's send time until Reply has resumed the lane. No-op in
-// serialized mode.
-func (n *Network) Hold(env Envelope) { n.GateIdle(env.Src) }
+// the reply's send time until Reply has resumed the lane. Only a held
+// request's reply resumes its sender: any other reply that finds the lane
+// idle is one nobody awaits (a readahead the client dropped), and resuming
+// for it would bring back a lane no goroutine drives. No-op in serialized
+// mode.
+func (n *Network) Hold(env Envelope) {
+	if n.gate.Load() == nil {
+		return
+	}
+	if env.Reply != nil && !env.dup {
+		env.Reply.hold()
+	}
+	n.GateIdle(env.Src)
+}
 
 // GateIdle marks the endpoint's lane quiescent (it no longer constrains the
 // parallel engine's safe time). No-op in serialized mode. It is for the
@@ -297,7 +298,7 @@ func (n *Network) send(src *Endpoint, dst EndpointID, kind uint16, payload []byt
 			dupEnv.Payload = append(src.cache.GetBuf(len(payload)), payload...)
 			dupEnv.Seq = src.sendSeq.Add(1)
 			dupEnv.ArriveAt = arrive + extra
-			dupEnv.noResume = true
+			dupEnv.dup = true
 			haveDup = true
 		}
 	}
@@ -372,10 +373,10 @@ func (n *Network) Reply(from *Endpoint, req Envelope, kind uint16, payload []byt
 	}
 	// The requester's core is needed for latency; look it up.
 	dstCore := from.Core
-	resume := !req.noResume
+	resume := true
 	if sep := n.lookup(req.Src); sep != nil {
 		dstCore = sep.Core
-		resume = resume && !sep.Transient
+		resume = !sep.Transient
 	}
 	arrive := n.route(from.Core, dstCore, sentAt, len(payload))
 	if fs := n.faults.Load(); fs != nil {

@@ -13,10 +13,10 @@
 // large buffers travel back with the requests.
 //
 // Ownership rules:
-//   - A payload passed to Send/SendAsync/Broadcast is owned by the receiver
-//     of the envelope once the call returns; the receiver releases it after
-//     decoding. Envelopes own their payloads uniquely: Broadcast and
-//     fault-injected duplicate delivery copy the payload per extra envelope.
+//   - A payload passed to Send/SendAsync/RPC is owned by the receiver of the
+//     envelope once the call returns; the receiver releases it after
+//     decoding. Envelopes own their payloads uniquely: fault-injected
+//     duplicate delivery copies the payload for the extra envelope.
 //   - A callback payload (directory invalidation) is drawn from the sender's
 //     cache, one buffer per destination, and handed back to that cache by the
 //     receiver (Network.ReleaseToSender): callbacks flow one way, so buffers

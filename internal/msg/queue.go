@@ -65,8 +65,11 @@ type Queue struct {
 	waiter sim.Waiter
 
 	// awaited says a requester is asleep in Future.Await on this (reply)
-	// queue: the replier owes its lane a raise (pushReply).
+	// queue: the replier owes its lane a raise (pushReply). held says the
+	// receiver of its request holds it (Network.Hold): the reply may resume
+	// the requester's idle lane.
 	awaited bool
+	held    bool
 }
 
 // NewQueue returns an empty queue.
@@ -179,6 +182,7 @@ func (q *Queue) recycle() {
 		q.items = nil
 	}
 	q.closed = false
+	q.held = false
 	q.mode = modeFIFO
 	q.mu.Unlock()
 }
@@ -231,18 +235,27 @@ func (q *Queue) offerHead() {
 // pushReply is Push for a reply under the parallel engine. A requester
 // asleep in Await on this queue cannot wake before the lock is released, so
 // here, and only here, the replier may raise its lane to the reply's arrival
-// (any reply's: the sleeper consumes it). Another lane is at most resumed.
+// (any reply's: the sleeper consumes it). Another lane is at most resumed,
+// and only when its request was held.
 func (q *Queue) pushReply(e Envelope, g *sim.Gate, resume bool) {
 	q.mu.Lock()
 	if q.awaited {
 		q.awaited = false
 		g.Replied(int(e.Dst), e.ArriveAt)
-	} else if resume {
+	} else if q.held && resume {
 		g.Resume(int(e.Dst), e.ArriveAt)
 	}
+	q.held = false
 	q.add(e)
 	q.mu.Unlock()
 	q.cond.Signal()
+}
+
+// hold marks the queue's request held (Network.Hold).
+func (q *Queue) hold() {
+	q.mu.Lock()
+	q.held = true
+	q.mu.Unlock()
 }
 
 // TryPop removes and returns the oldest envelope, if any.

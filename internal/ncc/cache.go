@@ -21,8 +21,12 @@ type PrivateCache struct {
 	mu    sync.Mutex
 	lines map[BlockID]*cachedBlock
 	// free holds frames dropped by invalidation for the next miss, at most
-	// frameFreeCap of them (that many blocks of memory per core).
-	free []*cachedBlock
+	// frameFreeCap of them (that many blocks of memory per core). page holds
+	// the frames not yet used of the last framePage allocated together, and
+	// lineSlab the lines not yet used of the last framePage lines (lineArray).
+	free     []*cachedBlock
+	page     []cachedBlock
+	lineSlab []byte
 
 	// statistics
 	hits       uint64
@@ -51,6 +55,13 @@ type cachedBlock struct {
 // wholesale invalidation of a large file must not keep its frames alive.
 const frameFreeCap = 64
 
+// framePage is how many frames, dirty bitmaps included, a cache allocates at
+// once, and how many one-line arrays (lineArray). How many blocks a core
+// touches follows the order the host runs its processes in; taken a page at
+// a time, the frames of small files cost an allocation count that barely
+// moves with it.
+const framePage = 64
+
 // numLines returns how many 64-byte lines a block spans: every line count
 // the cache keeps is per block, whatever length its frame has.
 func (c *PrivateCache) numLines() int { return (c.dram.blockSize + LineSize - 1) / LineSize }
@@ -65,14 +76,10 @@ func (cb *cachedBlock) isDirty() bool {
 	return false
 }
 
-// markLines sets the dirty bits for the lines spanning [off, off+n) of a
-// block of numLines lines.
-func (cb *cachedBlock) markLines(off, n, numLines int) {
+// markLines sets the dirty bits for the lines spanning [off, off+n).
+func (cb *cachedBlock) markLines(off, n int) {
 	if n <= 0 {
 		return
-	}
-	if cb.dirty == nil {
-		cb.dirty = make([]uint64, (numLines+63)/64)
 	}
 	first := off / LineSize
 	last := (off + n - 1) / LineSize
@@ -124,7 +131,7 @@ func (c *PrivateCache) fetch(b BlockID) *cachedBlock {
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
-		cb = &cachedBlock{}
+		cb = c.newFrame()
 	}
 	// The frame takes the block's present bytes and ends where they do:
 	// nothing of a recycled frame's previous block shows.
@@ -133,14 +140,46 @@ func (c *PrivateCache) fetch(b BlockID) *cachedBlock {
 	return cb
 }
 
+// newFrame returns an unused frame, clean and empty, from the current page
+// or a new one. The caller must hold c.mu.
+func (c *PrivateCache) newFrame() *cachedBlock {
+	if len(c.page) == 0 {
+		w := (c.numLines() + 63) / 64
+		c.page = make([]cachedBlock, framePage)
+		words := make([]uint64, framePage*w)
+		for i := range c.page {
+			c.page[i].dirty = words[i*w : (i+1)*w : (i+1)*w]
+		}
+	}
+	cb := &c.page[0]
+	c.page = c.page[1:]
+	return cb
+}
+
+// lineArray returns an empty array of one line for a frame that holds
+// nothing yet and is written within its first line (a small file's block),
+// cut from a slab of framePage lines. The caller must hold c.mu.
+func (c *PrivateCache) lineArray() []byte {
+	if len(c.lineSlab) == 0 {
+		c.lineSlab = make([]byte, framePage*LineSize)
+	}
+	b := c.lineSlab[:0:LineSize]
+	c.lineSlab = c.lineSlab[LineSize:]
+	return b
+}
+
 // drop removes block b's frame cb from the cache, discarding dirty data, and
-// keeps the frame for the next miss. The caller must hold c.mu.
+// keeps the frame for the next miss. A frame past the free list's cap lets
+// go of its bytes: its page lives on while any other frame of it is in use.
+// The caller must hold c.mu.
 func (c *PrivateCache) drop(b BlockID, cb *cachedBlock) {
 	c.linesInv += uint64(c.numLines())
 	delete(c.lines, b)
 	if len(c.free) < frameFreeCap {
 		cb.clearDirty()
 		c.free = append(c.free, cb)
+	} else {
+		cb.data = nil
 	}
 }
 
@@ -168,9 +207,12 @@ func (c *PrivateCache) Write(b BlockID, off int, src []byte) (n int, hit bool) {
 	if n <= 0 {
 		return 0, hit
 	}
+	if cap(cb.data) == 0 && off+n <= LineSize {
+		cb.data = c.lineArray()
+	}
 	cb.data = extend(cb.data, off+n, c.dram.blockSize)
 	copy(cb.data[off:], src)
-	cb.markLines(off, n, c.numLines())
+	cb.markLines(off, n)
 	return n, hit
 }
 
@@ -301,8 +343,9 @@ func (c *PrivateCache) InvalidateAll() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := len(c.lines)
-	c.linesInv += uint64(n * c.numLines())
-	c.lines = make(map[BlockID]*cachedBlock)
+	for b, cb := range c.lines {
+		c.drop(b, cb)
+	}
 	c.invalidns += uint64(n)
 	return n
 }

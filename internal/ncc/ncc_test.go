@@ -388,3 +388,35 @@ func TestChurnSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("a churn iteration allocates %v times in the cache, want 0", allocs)
 	}
 }
+
+// TestFrameMissesAllocByPage: a cache allocates its frames, dirty bitmaps
+// included, framePage at a time, and the arrays of frames written within
+// their first line framePage lines at a time, so misses on blocks the core
+// has not held cost allocations by the page, not by the block. How many
+// such blocks a run meets follows the host's scheduling; an allocation
+// count per block would follow it too. A frame written past its first line
+// still grows its own array, once.
+func TestFrameMissesAllocByPage(t *testing.T) {
+	const blocks = 4 * framePage
+	d := NewDRAM(blocks, 4096)
+	two := bytes.Repeat([]byte{7}, 2*LineSize)
+	for _, tc := range []struct {
+		name  string
+		touch func(c *PrivateCache, b BlockID)
+		max   float64
+	}{
+		{"read", func(c *PrivateCache, b BlockID) { c.Read(b, 0, two[:0]) }, blocks / 8},
+		{"write one line", func(c *PrivateCache, b BlockID) { c.Write(b, 8, two[:LineSize-8]) }, blocks / 8},
+		{"write two lines", func(c *PrivateCache, b BlockID) { c.Write(b, 0, two) }, blocks + blocks/8},
+	} {
+		allocs := testing.AllocsPerRun(10, func() {
+			c := NewPrivateCache(d)
+			for b := BlockID(0); b < blocks; b++ {
+				tc.touch(c, b)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s: %d misses on a fresh cache allocate %v times, want at most %v", tc.name, blocks, allocs, tc.max)
+		}
+	}
+}
