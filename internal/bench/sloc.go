@@ -21,7 +21,7 @@ type SLOCComponent struct {
 // SLOCComponents returns the component map for this repository.
 func SLOCComponents() []SLOCComponent {
 	return []SLOCComponent{
-		{"Messaging", []string{"internal/msg", "internal/proto"}},
+		{"Messaging", []string{"internal/msg", "internal/proto", "internal/wire"}},
 		{"Memory system (ncc)", []string{"internal/ncc", "internal/sim"}},
 		{"Client library", []string{"internal/client", "internal/fsapi"}},
 		{"File system server", []string{"internal/server"}},

@@ -22,9 +22,10 @@
 package place
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"repro/internal/wire"
 )
 
 // Policy selects how a Map assigns keys to member servers.
@@ -53,7 +54,8 @@ func (p Policy) String() string {
 }
 
 // DefaultVnodes is the number of virtual nodes each member contributes to a
-// ring map. 64 keeps the max/mean load ratio within ~1.5 at realistic member
+// ring map, in every map: the encoding carries it and Decode refuses any
+// other. 64 keeps the max/mean load ratio within ~1.5 at realistic member
 // counts (see the balance property test) while the ring stays small enough
 // to rebuild on every membership change.
 const DefaultVnodes = 64
@@ -70,7 +72,6 @@ type ringPoint struct {
 type Map struct {
 	epoch   uint64
 	policy  Policy
-	vnodes  int
 	members []int32 // sorted ascending
 	ring    []ringPoint
 	// lut buckets the ring by the top bits of the key: lut[b] is the index
@@ -85,7 +86,7 @@ type Map struct {
 // deduplicated; epochs start at 1 by convention (0 on the wire means "not
 // routed through a placement map").
 func New(policy Policy, members []int32, epoch uint64) *Map {
-	m := &Map{epoch: epoch, policy: policy, vnodes: DefaultVnodes}
+	m := &Map{epoch: epoch, policy: policy}
 	seen := make(map[int32]bool, len(members))
 	for _, id := range members {
 		if !seen[id] {
@@ -113,9 +114,9 @@ func (m *Map) buildRing() {
 		m.ring, m.lut = nil, nil
 		return
 	}
-	m.ring = make([]ringPoint, 0, len(m.members)*m.vnodes)
+	m.ring = make([]ringPoint, 0, len(m.members)*DefaultVnodes)
 	for _, id := range m.members {
-		for r := 0; r < m.vnodes; r++ {
+		for r := 0; r < DefaultVnodes; r++ {
 			h := mix64(uint64(uint32(id))<<32 | uint64(r))
 			m.ring = append(m.ring, ringPoint{hash: h, server: id})
 		}
@@ -248,37 +249,43 @@ func (m *Map) Remove(id int32) *Map {
 }
 
 // Encode serializes the map for the wire (SHARD_PULL/SHARD_COMMIT payloads)
-// and for write-ahead-log epoch records.
+// and for write-ahead-log epoch records: epoch, policy, the vnode count, and
+// the members ascending.
 func (m *Map) Encode() []byte {
-	buf := make([]byte, 0, 16+4*len(m.members))
-	buf = binary.LittleEndian.AppendUint64(buf, m.epoch)
-	buf = append(buf, uint8(m.policy))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.vnodes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.members)))
+	b := wire.AppendU64(make([]byte, 0, 17+4*len(m.members)), m.epoch)
+	b = wire.AppendU8(b, uint8(m.policy))
+	b = wire.AppendU32(b, DefaultVnodes)
+	b = wire.AppendU32(b, uint32(len(m.members)))
 	for _, id := range m.members {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		b = wire.AppendI32(b, id)
 	}
-	return buf
+	return b
 }
 
-// Decode parses an encoded map.
+// Decode parses an encoded map. It accepts only what Encode writes for a map
+// New builds: a known policy, DefaultVnodes, at least one member, members
+// strictly ascending, and nothing after them. The bytes come off the wire
+// (SHARD_PULL, SHARD_COMMIT) and a map that routes nowhere, or a vnode count
+// that sizes the ring, must not get through to a server.
 func Decode(b []byte) (*Map, error) {
-	if len(b) < 17 {
-		return nil, fmt.Errorf("place: truncated map (%d bytes)", len(b))
+	d := wire.NewDecoder(b)
+	epoch := d.U64()
+	policy := Policy(d.U8())
+	vnodes := d.U32()
+	members := make([]int32, d.Count(4))
+	for i := range members {
+		members[i] = d.I32()
 	}
-	epoch := binary.LittleEndian.Uint64(b)
-	policy := Policy(b[8])
-	vnodes := int(binary.LittleEndian.Uint32(b[9:]))
-	n := int(binary.LittleEndian.Uint32(b[13:]))
-	if vnodes <= 0 || n < 0 || len(b) < 17+4*n {
-		return nil, fmt.Errorf("place: corrupt map encoding")
+	if err := d.Finish("place: decoding map"); err != nil {
+		return nil, err
 	}
-	members := make([]int32, n)
-	for i := 0; i < n; i++ {
-		members[i] = int32(binary.LittleEndian.Uint32(b[17+4*i:]))
+	ascending := true
+	for i := 1; i < len(members); i++ {
+		ascending = ascending && members[i-1] < members[i]
 	}
-	m := New(policy, members, epoch)
-	m.vnodes = vnodes
-	m.buildRing()
-	return m, nil
+	if policy > PolicyRing || vnodes != DefaultVnodes || len(members) == 0 || !ascending || d.Remaining() != 0 {
+		return nil, fmt.Errorf("place: not a map New builds (%v, %d vnodes, %d members, ascending %v, %d bytes after them)",
+			policy, vnodes, len(members), ascending, d.Remaining())
+	}
+	return New(policy, members, epoch), nil
 }

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -159,4 +160,32 @@ func TestContains(t *testing.T) {
 			t.Fatalf("Contains(%d) = %v, want %v", id, m.Contains(id), want)
 		}
 	}
+}
+
+// FuzzDecodeMap: no input panics Decode, and whatever decodes is a map New
+// builds — it encodes back to exactly the bytes it came from and routes every
+// key as New does over the same members — since a map arrives from the wire
+// in SHARD_PULL and SHARD_COMMIT.
+func FuzzDecodeMap(f *testing.F) {
+	for _, p := range []Policy{PolicyModulo, PolicyRing} {
+		f.Add(New(p, []int32{0, 2, 3, 7}, 9).Encode())
+		f.Add(Initial(p, 1).Encode())
+	}
+	f.Add(New(PolicyModulo, nil, 2).Encode())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := Decode(b)
+		if err != nil {
+			return
+		}
+		if got := m.Encode(); !bytes.Equal(got, b) {
+			t.Fatalf("decoded map encodes as %x, came from %x", got, b)
+		}
+		want := New(m.Policy(), m.Members(), m.Epoch())
+		for _, k := range keys(t, 256) {
+			if m.Route(k) != want.Route(k) {
+				t.Fatalf("decoded map routes key %d to %d, New to %d", k, m.Route(k), want.Route(k))
+			}
+		}
+	})
 }

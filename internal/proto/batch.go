@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fsapi"
+	"repro/internal/wire"
 )
 
 // Generic op batching (DESIGN.md §7). A batch packs several sub-requests
@@ -51,18 +52,19 @@ const batchFlagStopOnErr = 1 << 0
 // travels; the decoders take views of the received payload and decode them
 // into structs the caller recycles.
 
-func encodeBatch(e *encoder, reqs []*Request, stopOnErr bool) {
+func appendBatch(buf []byte, reqs []*Request, stopOnErr bool) []byte {
 	var flags uint8
 	if stopOnErr {
 		flags |= batchFlagStopOnErr
 	}
-	e.u8(flags)
-	e.u32(uint32(len(reqs)))
+	buf = wire.AppendU8(buf, flags)
+	buf = wire.AppendU32(buf, uint32(len(reqs)))
 	for _, r := range reqs {
-		mark := e.reserve32()
-		r.encode(e)
-		e.patch32(mark)
+		at := len(buf)
+		buf = r.AppendTo(wire.AppendU32(buf, 0))
+		wire.Patch32(buf, at)
 	}
+	return buf
 }
 
 func batchSizeHint(reqs []*Request) int {
@@ -75,9 +77,7 @@ func batchSizeHint(reqs []*Request) int {
 
 // MarshalBatch encodes sub-requests into an OpBatch payload.
 func MarshalBatch(reqs []*Request, stopOnErr bool) []byte {
-	e := encoder{buf: make([]byte, 0, batchSizeHint(reqs))}
-	encodeBatch(&e, reqs, stopOnErr)
-	return e.bytes()
+	return appendBatch(make([]byte, 0, batchSizeHint(reqs)), reqs, stopOnErr)
 }
 
 // UnmarshalBatchInto decodes an OpBatch payload into subs, whose elements
@@ -100,11 +100,11 @@ func unmarshalBatch(subs []Request, b []byte, lend bool) ([]Request, bool, error
 	if len(b) > MaxBatchBytes {
 		return nil, false, fmt.Errorf("proto: batch payload %d bytes exceeds cap %d", len(b), MaxBatchBytes)
 	}
-	d := newDecoder(b)
-	flags := d.u8()
-	n := int(d.u32())
-	if d.err != nil {
-		return nil, false, fmt.Errorf("proto: decoding batch header: %w", d.err)
+	d := wire.NewDecoder(b)
+	flags := d.U8()
+	n := int(d.U32())
+	if err := d.Finish("proto: decoding batch header"); err != nil {
+		return nil, false, err
 	}
 	if n <= 0 || n > MaxBatchOps {
 		return nil, false, fmt.Errorf("proto: batch of %d sub-ops outside [1, %d]", n, MaxBatchOps)
@@ -115,11 +115,13 @@ func unmarshalBatch(subs []Request, b []byte, lend bool) ([]Request, bool, error
 	}
 	subs = subs[:n]
 	for i := range subs {
-		raw := d.view()
-		if d.err != nil {
-			return nil, false, fmt.Errorf("proto: decoding batch sub-op %d: %w", i, d.err)
+		raw := d.View()
+		if d.Err() != nil {
+			return nil, false, fmt.Errorf("proto: decoding batch sub-op %d: %w", i, d.Err())
 		}
-		if err := subs[i].decode(&decoder{buf: raw, lend: lend}); err != nil {
+		sub := wire.NewDecoder(raw)
+		sub.Lend = lend
+		if err := subs[i].decode(sub); err != nil {
 			return nil, false, fmt.Errorf("proto: batch sub-op %d: %w", i, err)
 		}
 	}
@@ -140,13 +142,14 @@ func UnmarshalBatch(b []byte) ([]*Request, bool, error) {
 	return out, stop, nil
 }
 
-func encodeBatchResponses(e *encoder, resps []*Response) {
-	e.u32(uint32(len(resps)))
+func appendBatchResponses(buf []byte, resps []*Response) []byte {
+	buf = wire.AppendU32(buf, uint32(len(resps)))
 	for _, r := range resps {
-		mark := e.reserve32()
-		r.encode(e)
-		e.patch32(mark)
+		at := len(buf)
+		buf = r.AppendTo(wire.AppendU32(buf, 0))
+		wire.Patch32(buf, at)
 	}
+	return buf
 }
 
 func batchResponsesSizeHint(resps []*Response) int {
@@ -159,16 +162,14 @@ func batchResponsesSizeHint(resps []*Response) int {
 
 // MarshalBatchResponses encodes the per-sub-op responses of a batch.
 func MarshalBatchResponses(resps []*Response) []byte {
-	e := encoder{buf: make([]byte, 0, batchResponsesSizeHint(resps))}
-	encodeBatchResponses(&e, resps)
-	return e.bytes()
+	return appendBatchResponses(make([]byte, 0, batchResponsesSizeHint(resps)), resps)
 }
 
 // batchResponseCount decodes the header of a batch reply's payload.
-func batchResponseCount(d *decoder) (int, error) {
-	n := int(d.u32())
-	if d.err != nil {
-		return 0, fmt.Errorf("proto: decoding batch response header: %w", d.err)
+func batchResponseCount(d *wire.Decoder) (int, error) {
+	n := int(d.U32())
+	if err := d.Finish("proto: decoding batch response header"); err != nil {
+		return 0, err
 	}
 	if n < 0 || n > MaxBatchOps {
 		return 0, fmt.Errorf("proto: batch response of %d sub-ops outside [0, %d]", n, MaxBatchOps)
@@ -181,7 +182,7 @@ func batchResponseCount(d *decoder) (int, error) {
 // the payload to hold any other number of them than len(resps), the number
 // of sub-requests the caller sent. The results do not alias b.
 func UnmarshalBatchResponsesInto(resps []*Response, b []byte) error {
-	d := newDecoder(b)
+	d := wire.NewDecoder(b)
 	n, err := batchResponseCount(d)
 	if err != nil {
 		return err
@@ -190,9 +191,9 @@ func UnmarshalBatchResponsesInto(resps []*Response, b []byte) error {
 		return fmt.Errorf("proto: batch response of %d sub-ops for %d sub-requests", n, len(resps))
 	}
 	for i, r := range resps {
-		raw := d.view()
-		if d.err != nil {
-			return fmt.Errorf("proto: decoding batch response %d: %w", i, d.err)
+		raw := d.View()
+		if d.Err() != nil {
+			return fmt.Errorf("proto: decoding batch response %d: %w", i, d.Err())
 		}
 		if err := UnmarshalResponseInto(r, raw); err != nil {
 			return fmt.Errorf("proto: batch response %d: %w", i, err)
@@ -204,7 +205,7 @@ func UnmarshalBatchResponsesInto(resps []*Response, b []byte) error {
 // UnmarshalBatchResponses is UnmarshalBatchResponsesInto with fresh
 // responses, as many as the payload holds; for callers off the request path.
 func UnmarshalBatchResponses(b []byte) ([]*Response, error) {
-	n, err := batchResponseCount(newDecoder(b))
+	n, err := batchResponseCount(wire.NewDecoder(b))
 	if err != nil {
 		return nil, err
 	}

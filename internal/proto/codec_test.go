@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fsapi"
+	"repro/internal/wire"
 )
 
 // allOps lists every operation with a name, in numeric order.
@@ -129,26 +130,26 @@ func TestSizeHintCoversWireSize(t *testing.T) {
 // sub-message marshaled apart and copied in behind its length.
 
 func refMarshalBatch(reqs []*Request, stopOnErr bool) []byte {
-	e := newEncoder(8 + 96*len(reqs))
+	b := make([]byte, 0, 8+96*len(reqs))
 	var flags uint8
 	if stopOnErr {
 		flags |= batchFlagStopOnErr
 	}
-	e.u8(flags)
-	e.u32(uint32(len(reqs)))
+	b = wire.AppendU8(b, flags)
+	b = wire.AppendU32(b, uint32(len(reqs)))
 	for _, r := range reqs {
-		e.blob(r.Marshal())
+		b = wire.AppendBlob(b, r.Marshal())
 	}
-	return e.bytes()
+	return b
 }
 
 func refMarshalBatchResponses(resps []*Response) []byte {
-	e := newEncoder(8 + 96*len(resps))
-	e.u32(uint32(len(resps)))
+	b := make([]byte, 0, 8+96*len(resps))
+	b = wire.AppendU32(b, uint32(len(resps)))
 	for _, r := range resps {
-		e.blob(r.Marshal())
+		b = wire.AppendBlob(b, r.Marshal())
 	}
-	return e.bytes()
+	return b
 }
 
 // TestBatchEncodedInPlaceIsByteIdentical: the wire format did not change.

@@ -7,7 +7,11 @@
 // is the coordinator (Hare deliberately avoids server-to-server RPCs).
 package proto
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/wire"
+)
 
 // InodeID names an inode in the distributed file system. Inodes are named by
 // the server that stores them plus a per-server inode number, which gives
@@ -56,3 +60,14 @@ type FdID uint64
 
 // NilFd is the sentinel "no server-side descriptor" value.
 const NilFd FdID = 0
+
+// AppendInode appends an inode id's wire field, the server then the local
+// number, as every format that carries one does: proto's messages and wal's
+// records and checkpoints. DecodeInode reads it back.
+func AppendInode(b []byte, id InodeID) []byte {
+	return wire.AppendU64(wire.AppendI32(b, id.Server), id.Local)
+}
+
+func DecodeInode(d *wire.Decoder) InodeID {
+	return InodeID{Server: d.I32(), Local: d.U64()}
+}

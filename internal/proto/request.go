@@ -1,6 +1,9 @@
 package proto
 
-import "repro/internal/fsapi"
+import (
+	"repro/internal/fsapi"
+	"repro/internal/wire"
+)
 
 // DirEntWire is a directory entry as carried on the wire.
 type DirEntWire struct {
@@ -131,60 +134,55 @@ func (r *Request) Marshal() []byte {
 // AppendTo encodes the request onto buf and returns the extended slice. Hot
 // paths pass a recycled buffer so that marshaling allocates nothing.
 func (r *Request) AppendTo(buf []byte) []byte {
-	e := encoder{buf: buf}
-	r.encode(&e)
-	return e.bytes()
-}
-
-func (r *Request) encode(e *encoder) {
-	e.u16(uint16(r.Op))
-	e.i32(r.ClientID)
-	e.inode(r.Dir)
-	e.str(r.Name)
-	e.inode(r.Target)
-	e.u8(uint8(r.Ftype))
-	e.u16(uint16(r.Mode))
-	e.i32(r.Flags)
-	e.i64(r.Size)
-	e.i64(r.Offset)
-	e.i32(r.Whence)
-	e.i32(r.Count)
-	e.u64(uint64(r.Fd))
+	buf = wire.AppendU16(buf, uint16(r.Op))
+	buf = wire.AppendI32(buf, r.ClientID)
+	buf = AppendInode(buf, r.Dir)
+	buf = wire.AppendStr(buf, r.Name)
+	buf = AppendInode(buf, r.Target)
+	buf = wire.AppendU8(buf, uint8(r.Ftype))
+	buf = wire.AppendU16(buf, uint16(r.Mode))
+	buf = wire.AppendI32(buf, r.Flags)
+	buf = wire.AppendI64(buf, r.Size)
+	buf = wire.AppendI64(buf, r.Offset)
+	buf = wire.AppendI32(buf, r.Whence)
+	buf = wire.AppendI32(buf, r.Count)
+	buf = wire.AppendU64(buf, uint64(r.Fd))
 	if len(r.Subs) > 0 {
-		mark := e.reserve32()
-		encodeBatch(e, r.Subs, r.StopOnErr)
-		e.patch32(mark)
+		at := len(buf)
+		buf = appendBatch(wire.AppendU32(buf, 0), r.Subs, r.StopOnErr)
+		wire.Patch32(buf, at)
 	} else {
-		e.blob(r.Data)
+		buf = wire.AppendBlob(buf, r.Data)
 	}
-	e.boolean(r.Distributed)
-	e.boolean(r.Exclusive)
-	e.boolean(r.Replace)
-	e.boolean(r.WantOpen)
-	e.boolean(r.Dirty)
-	e.str(r.Program)
-	e.strSlice(r.Args)
-	e.strSlice(r.Env)
-	e.str(r.Dirname)
-	e.u32(uint32(len(r.Fds)))
+	buf = wire.AppendBool(buf, r.Distributed)
+	buf = wire.AppendBool(buf, r.Exclusive)
+	buf = wire.AppendBool(buf, r.Replace)
+	buf = wire.AppendBool(buf, r.WantOpen)
+	buf = wire.AppendBool(buf, r.Dirty)
+	buf = wire.AppendStr(buf, r.Program)
+	buf = wire.AppendStrSlice(buf, r.Args)
+	buf = wire.AppendStrSlice(buf, r.Env)
+	buf = wire.AppendStr(buf, r.Dirname)
+	buf = wire.AppendU32(buf, uint32(len(r.Fds)))
 	for _, f := range r.Fds {
-		e.i32(f.Fd)
-		e.inode(f.Ino)
-		e.u64(uint64(f.SrvFd))
-		e.i32(f.Flags)
-		e.i64(f.Offset)
-		e.boolean(f.Local)
-		e.boolean(f.Pipe)
-		e.boolean(f.Write)
+		buf = wire.AppendI32(buf, f.Fd)
+		buf = AppendInode(buf, f.Ino)
+		buf = wire.AppendU64(buf, uint64(f.SrvFd))
+		buf = wire.AppendI32(buf, f.Flags)
+		buf = wire.AppendI64(buf, f.Offset)
+		buf = wire.AppendBool(buf, f.Local)
+		buf = wire.AppendBool(buf, f.Pipe)
+		buf = wire.AppendBool(buf, f.Write)
 	}
-	e.i64(r.PID)
-	e.i32(r.Sig)
-	e.i32(r.Policy)
-	e.u64(r.Epoch)
+	buf = wire.AppendI64(buf, r.PID)
+	buf = wire.AppendI32(buf, r.Sig)
+	buf = wire.AppendI32(buf, r.Policy)
+	buf = wire.AppendU64(buf, r.Epoch)
 	if r.Trace != 0 {
-		e.u64(r.Trace)
-		e.u64(r.Span)
+		buf = wire.AppendU64(buf, r.Trace)
+		buf = wire.AppendU64(buf, r.Span)
 	}
+	return buf
 }
 
 // UnmarshalRequest decodes a request from a wire payload into a fresh
@@ -205,61 +203,61 @@ func UnmarshalRequest(b []byte) (*Request, error) {
 // batch may instead borrow their names from the envelope's Data, which the
 // caller owns: UnmarshalBatchLent.)
 func UnmarshalRequestInto(r *Request, b []byte) error {
-	return r.decode(newDecoder(b))
+	return r.decode(wire.NewDecoder(b))
 }
 
 // decode reads a whole request from d into r, as UnmarshalRequestInto
 // describes; its strings are views of d's buffer when d lends them.
-func (r *Request) decode(d *decoder) error {
+func (r *Request) decode(d *wire.Decoder) error {
 	data := r.Data
 	*r = Request{}
-	r.Op = Op(d.u16())
-	r.ClientID = d.i32()
-	r.Dir = d.inode()
-	r.Name = d.str()
-	r.Target = d.inode()
-	r.Ftype = fsapi.FileType(d.u8())
-	r.Mode = fsapi.Mode(d.u16())
-	r.Flags = d.i32()
-	r.Size = d.i64()
-	r.Offset = d.i64()
-	r.Whence = d.i32()
-	r.Count = d.i32()
-	r.Fd = FdID(d.u64())
-	r.Data = d.blobInto(data)
-	r.Distributed = d.boolean()
-	r.Exclusive = d.boolean()
-	r.Replace = d.boolean()
-	r.WantOpen = d.boolean()
-	r.Dirty = d.boolean()
-	r.Program = d.str()
-	r.Args = d.strSlice()
-	r.Env = d.strSlice()
-	r.Dirname = d.str()
-	if nfds := d.count(fdSpecWireSize); nfds > 0 {
+	r.Op = Op(d.U16())
+	r.ClientID = d.I32()
+	r.Dir = DecodeInode(d)
+	r.Name = d.Str()
+	r.Target = DecodeInode(d)
+	r.Ftype = fsapi.FileType(d.U8())
+	r.Mode = fsapi.Mode(d.U16())
+	r.Flags = d.I32()
+	r.Size = d.I64()
+	r.Offset = d.I64()
+	r.Whence = d.I32()
+	r.Count = d.I32()
+	r.Fd = FdID(d.U64())
+	r.Data = d.BlobInto(data)
+	r.Distributed = d.Bool()
+	r.Exclusive = d.Bool()
+	r.Replace = d.Bool()
+	r.WantOpen = d.Bool()
+	r.Dirty = d.Bool()
+	r.Program = d.Str()
+	r.Args = d.StrSlice()
+	r.Env = d.StrSlice()
+	r.Dirname = d.Str()
+	if nfds := d.Count(fdSpecWireSize); nfds > 0 {
 		r.Fds = make([]FdSpec, 0, nfds)
 		for i := 0; i < nfds; i++ {
 			var f FdSpec
-			f.Fd = d.i32()
-			f.Ino = d.inode()
-			f.SrvFd = FdID(d.u64())
-			f.Flags = d.i32()
-			f.Offset = d.i64()
-			f.Local = d.boolean()
-			f.Pipe = d.boolean()
-			f.Write = d.boolean()
+			f.Fd = d.I32()
+			f.Ino = DecodeInode(d)
+			f.SrvFd = FdID(d.U64())
+			f.Flags = d.I32()
+			f.Offset = d.I64()
+			f.Local = d.Bool()
+			f.Pipe = d.Bool()
+			f.Write = d.Bool()
 			r.Fds = append(r.Fds, f)
 		}
 	}
-	r.PID = d.i64()
-	r.Sig = d.i32()
-	r.Policy = d.i32()
-	r.Epoch = d.u64()
-	if d.remaining() >= 16 {
-		r.Trace = d.u64()
-		r.Span = d.u64()
+	r.PID = d.I64()
+	r.Sig = d.I32()
+	r.Policy = d.I32()
+	r.Epoch = d.U64()
+	if d.Remaining() >= 16 {
+		r.Trace = d.U64()
+		r.Span = d.U64()
 	}
-	return d.finish("request")
+	return d.Finish("proto: decoding request")
 }
 
 // recycleKeepBytes and recycleKeepItems bound what a recycled message keeps

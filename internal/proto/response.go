@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/fsapi"
+	"repro/internal/wire"
 )
 
 // Extent is a run of Count consecutive buffer-cache blocks starting at
@@ -83,49 +84,44 @@ func (r *Response) Marshal() []byte {
 // AppendTo encodes the response onto buf and returns the extended slice.
 // Hot paths pass a recycled buffer so that marshaling allocates nothing.
 func (r *Response) AppendTo(buf []byte) []byte {
-	e := encoder{buf: buf}
-	r.encode(&e)
-	return e.bytes()
-}
-
-func (r *Response) encode(e *encoder) {
-	e.i32(int32(r.Err))
-	e.inode(r.Ino)
-	e.i32(r.Server)
-	e.u8(uint8(r.Ftype))
-	e.i64(r.Size)
-	e.i64(r.Offset)
-	e.i64(r.N)
-	e.u64(uint64(r.Fd))
-	e.u32(uint32(len(r.Extents)))
+	buf = wire.AppendI32(buf, int32(r.Err))
+	buf = AppendInode(buf, r.Ino)
+	buf = wire.AppendI32(buf, r.Server)
+	buf = wire.AppendU8(buf, uint8(r.Ftype))
+	buf = wire.AppendI64(buf, r.Size)
+	buf = wire.AppendI64(buf, r.Offset)
+	buf = wire.AppendI64(buf, r.N)
+	buf = wire.AppendU64(buf, uint64(r.Fd))
+	buf = wire.AppendU32(buf, uint32(len(r.Extents)))
 	for _, ext := range r.Extents {
-		e.u64(ext.Start)
-		e.u64(ext.Count)
+		buf = wire.AppendU64(buf, ext.Start)
+		buf = wire.AppendU64(buf, ext.Count)
 	}
-	e.u64(r.Version)
+	buf = wire.AppendU64(buf, r.Version)
 	if len(r.Subs) > 0 {
-		mark := e.reserve32()
-		encodeBatchResponses(e, r.Subs)
-		e.patch32(mark)
+		at := len(buf)
+		buf = appendBatchResponses(wire.AppendU32(buf, 0), r.Subs)
+		wire.Patch32(buf, at)
 	} else {
-		e.blob(r.Data)
+		buf = wire.AppendBlob(buf, r.Data)
 	}
-	e.inode(r.Stat.Ino)
-	e.u8(uint8(r.Stat.Ftype))
-	e.i64(r.Stat.Size)
-	e.i32(r.Stat.Nlink)
-	e.u16(uint16(r.Stat.Mode))
-	e.u32(uint32(len(r.Ents)))
+	buf = AppendInode(buf, r.Stat.Ino)
+	buf = wire.AppendU8(buf, uint8(r.Stat.Ftype))
+	buf = wire.AppendI64(buf, r.Stat.Size)
+	buf = wire.AppendI32(buf, r.Stat.Nlink)
+	buf = wire.AppendU16(buf, uint16(r.Stat.Mode))
+	buf = wire.AppendU32(buf, uint32(len(r.Ents)))
 	for _, ent := range r.Ents {
-		e.str(ent.Name)
-		e.inode(ent.Ino)
-		e.u8(uint8(ent.Ftype))
+		buf = wire.AppendStr(buf, ent.Name)
+		buf = AppendInode(buf, ent.Ino)
+		buf = wire.AppendU8(buf, uint8(ent.Ftype))
 	}
-	e.boolean(r.Dist)
-	e.i32(r.Refs)
-	e.i32(r.ExitStatus)
-	e.i64(r.PID)
-	e.u64(r.Epoch)
+	buf = wire.AppendBool(buf, r.Dist)
+	buf = wire.AppendI32(buf, r.Refs)
+	buf = wire.AppendI32(buf, r.ExitStatus)
+	buf = wire.AppendI64(buf, r.PID)
+	buf = wire.AppendU64(buf, r.Epoch)
+	return buf
 }
 
 // UnmarshalResponse decodes a response from a wire payload into a fresh
@@ -145,48 +141,48 @@ func UnmarshalResponse(b []byte) (*Response, error) {
 // field — the entries' names into one string they share — so r never
 // aliases b and the caller may release b immediately.
 func UnmarshalResponseInto(r *Response, b []byte) error {
-	d := newDecoder(b)
+	d := wire.NewDecoder(b)
 	data, exts, ents := r.Data, r.Extents[:0], r.Ents[:0]
 	*r = Response{}
-	r.Err = fsapi.Errno(d.i32())
-	r.Ino = d.inode()
-	r.Server = d.i32()
-	r.Ftype = fsapi.FileType(d.u8())
-	r.Size = d.i64()
-	r.Offset = d.i64()
-	r.N = d.i64()
-	r.Fd = FdID(d.u64())
+	r.Err = fsapi.Errno(d.I32())
+	r.Ino = DecodeInode(d)
+	r.Server = d.I32()
+	r.Ftype = fsapi.FileType(d.U8())
+	r.Size = d.I64()
+	r.Offset = d.I64()
+	r.N = d.I64()
+	r.Fd = FdID(d.U64())
 	r.Extents = exts
-	for n := d.count(16); n > 0; n-- {
-		r.Extents = append(r.Extents, Extent{Start: d.u64(), Count: d.u64()})
+	for n := d.Count(16); n > 0; n-- {
+		r.Extents = append(r.Extents, Extent{Start: d.U64(), Count: d.U64()})
 	}
-	r.Version = d.u64()
-	r.Data = d.blobInto(data)
-	r.Stat.Ino = d.inode()
-	r.Stat.Ftype = fsapi.FileType(d.u8())
-	r.Stat.Size = d.i64()
-	r.Stat.Nlink = d.i32()
-	r.Stat.Mode = fsapi.Mode(d.u16())
+	r.Version = d.U64()
+	r.Data = d.BlobInto(data)
+	r.Stat.Ino = DecodeInode(d)
+	r.Stat.Ftype = fsapi.FileType(d.U8())
+	r.Stat.Size = d.I64()
+	r.Stat.Nlink = d.I32()
+	r.Stat.Mode = fsapi.Mode(d.U16())
 	r.Ents = ents
-	if n := d.count(direntWireSize); n > 0 {
+	if n := d.Count(direntWireSize); n > 0 {
 		// Every name goes into one string, which the entries slice: a
 		// listing costs one allocation, not one per name. The names take at
 		// most what is left of the message past the entries' fixed parts.
 		r.Ents = slices.Grow(r.Ents, n)
 		var names strings.Builder
-		names.Grow(d.remaining() - n*direntWireSize)
+		names.Grow(d.Remaining() - n*direntWireSize)
 		for ; n > 0; n-- {
 			at := names.Len()
-			names.Write(d.view())
-			r.Ents = append(r.Ents, DirEntWire{Name: names.String()[at:], Ino: d.inode(), Ftype: fsapi.FileType(d.u8())})
+			names.Write(d.View())
+			r.Ents = append(r.Ents, DirEntWire{Name: names.String()[at:], Ino: DecodeInode(d), Ftype: fsapi.FileType(d.U8())})
 		}
 	}
-	r.Dist = d.boolean()
-	r.Refs = d.i32()
-	r.ExitStatus = d.i32()
-	r.PID = d.i64()
-	r.Epoch = d.u64()
-	return d.finish("response")
+	r.Dist = d.Bool()
+	r.Refs = d.I32()
+	r.ExitStatus = d.I32()
+	r.PID = d.I64()
+	r.Epoch = d.U64()
+	return d.Finish("proto: decoding response")
 }
 
 // recycleKeepEnts bounds the entries a recycled response keeps room for:
@@ -237,17 +233,14 @@ func (iv *Invalidation) SizeHint() int { return invalidationFixedSize + len(iv.N
 
 // AppendTo encodes the invalidation onto buf and returns the extended slice.
 func (iv *Invalidation) AppendTo(buf []byte) []byte {
-	e := encoder{buf: buf}
-	e.inode(iv.Dir)
-	e.str(iv.Name)
-	return e.bytes()
+	return wire.AppendStr(AppendInode(buf, iv.Dir), iv.Name)
 }
 
 // UnmarshalInvalidation decodes an invalidation callback payload.
 func UnmarshalInvalidation(b []byte) (Invalidation, error) {
-	d := newDecoder(b)
-	iv := Invalidation{Dir: d.inode(), Name: d.str()}
-	return iv, d.finish("invalidation")
+	d := wire.NewDecoder(b)
+	iv := Invalidation{Dir: DecodeInode(d), Name: d.Str()}
+	return iv, d.Finish("proto: decoding invalidation")
 }
 
 // Hash computes the directory-entry placement hash from the paper:

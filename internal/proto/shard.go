@@ -1,6 +1,9 @@
 package proto
 
-import "repro/internal/fsapi"
+import (
+	"repro/internal/fsapi"
+	"repro/internal/wire"
+)
 
 // Shard-migration payloads (elastic placement, DESIGN.md §9).
 //
@@ -43,26 +46,26 @@ func (m *ShardMsg) Marshal() []byte {
 	for i := range m.Entries {
 		size += 32 + len(m.Entries[i].Name)
 	}
-	e := newEncoder(size)
-	e.blob(m.MapBlob)
-	e.u32(uint32(len(m.Entries)))
+	buf := make([]byte, 0, size)
+	buf = wire.AppendBlob(buf, m.MapBlob)
+	buf = wire.AppendU32(buf, uint32(len(m.Entries)))
 	for i := range m.Entries {
 		ent := &m.Entries[i]
-		e.inode(ent.Dir)
-		e.str(ent.Name)
-		e.inode(ent.Target)
-		e.u8(uint8(ent.Ftype))
-		e.boolean(ent.Dist)
+		buf = AppendInode(buf, ent.Dir)
+		buf = wire.AppendStr(buf, ent.Name)
+		buf = AppendInode(buf, ent.Target)
+		buf = wire.AppendU8(buf, uint8(ent.Ftype))
+		buf = wire.AppendBool(buf, ent.Dist)
 	}
-	e.u32(uint32(len(m.Marked)))
+	buf = wire.AppendU32(buf, uint32(len(m.Marked)))
 	for _, dir := range m.Marked {
-		e.inode(dir)
+		buf = AppendInode(buf, dir)
 	}
-	e.u32(uint32(len(m.DeadDirs)))
+	buf = wire.AppendU32(buf, uint32(len(m.DeadDirs)))
 	for _, dir := range m.DeadDirs {
-		e.inode(dir)
+		buf = AppendInode(buf, dir)
 	}
-	return e.bytes()
+	return buf
 }
 
 // Every count is checked against the bytes left before anything is sized
@@ -74,30 +77,30 @@ const (
 
 // UnmarshalShardMsg decodes a shard message.
 func UnmarshalShardMsg(b []byte) (*ShardMsg, error) {
-	d := newDecoder(b)
+	d := wire.NewDecoder(b)
 	m := &ShardMsg{}
-	m.MapBlob = d.blob()
-	if n := d.count(migEntryMin); n > 0 {
+	m.MapBlob = d.Blob()
+	if n := d.Count(migEntryMin); n > 0 {
 		m.Entries = make([]MigEntry, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
+		for i := 0; i < n && d.Err() == nil; i++ {
 			var ent MigEntry
-			ent.Dir = d.inode()
-			ent.Name = d.str()
-			ent.Target = d.inode()
-			ent.Ftype = fsapi.FileType(d.u8())
-			ent.Dist = d.boolean()
+			ent.Dir = DecodeInode(d)
+			ent.Name = d.Str()
+			ent.Target = DecodeInode(d)
+			ent.Ftype = fsapi.FileType(d.U8())
+			ent.Dist = d.Bool()
 			m.Entries = append(m.Entries, ent)
 		}
 	}
-	nmarked := d.count(inodeWire)
-	for i := 0; i < nmarked && d.err == nil; i++ {
-		m.Marked = append(m.Marked, d.inode())
+	nmarked := d.Count(inodeWire)
+	for i := 0; i < nmarked && d.Err() == nil; i++ {
+		m.Marked = append(m.Marked, DecodeInode(d))
 	}
-	ndead := d.count(inodeWire)
-	for i := 0; i < ndead && d.err == nil; i++ {
-		m.DeadDirs = append(m.DeadDirs, d.inode())
+	ndead := d.Count(inodeWire)
+	for i := 0; i < ndead && d.Err() == nil; i++ {
+		m.DeadDirs = append(m.DeadDirs, DecodeInode(d))
 	}
-	if err := d.finish("shard message"); err != nil {
+	if err := d.Finish("proto: decoding shard message"); err != nil {
 		return nil, err
 	}
 	return m, nil

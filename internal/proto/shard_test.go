@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fsapi"
+	"repro/internal/wire"
 )
 
 func sampleShardMsg() *ShardMsg {
@@ -31,13 +32,12 @@ func TestShardMsgHostileCount(t *testing.T) {
 		{"dead dirs", []uint32{0, 0, 0xFFFFFFFF}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newEncoder(16)
-			e.blob(nil)
+			b := wire.AppendBlob(nil, nil)
 			for _, n := range tc.counts {
-				e.u32(n)
+				b = wire.AppendU32(b, n)
 			}
-			if m, err := UnmarshalShardMsg(e.bytes()); err == nil {
-				t.Fatalf("decoded a count of 0xFFFFFFFF from %d bytes: %+v", len(e.bytes()), m)
+			if m, err := UnmarshalShardMsg(b); err == nil {
+				t.Fatalf("decoded a count of 0xFFFFFFFF from %d bytes: %+v", len(b), m)
 			}
 		})
 	}

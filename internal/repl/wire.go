@@ -1,9 +1,6 @@
 package repl
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "repro/internal/wire"
 
 // Wire shapes for the replication plane. REPL_APPEND carries a Msg in the
 // request's Data and its Ack travels as the RPC reply. REPL_SEAL carries a
@@ -56,98 +53,52 @@ type SealReply struct {
 	Snap []byte
 }
 
-func appendBlob(buf, b []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-func takeBlob(b []byte) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("repl: truncated blob length")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b)-4 < n {
-		return nil, nil, fmt.Errorf("repl: truncated blob (want %d, have %d)", n, len(b)-4)
-	}
-	if n == 0 {
-		return nil, b[4:], nil
-	}
-	return b[4 : 4+n : 4+n], b[4+n:], nil
-}
-
-// ackSize is the wire size of an Ack.
-const ackSize = 4 + 4 + 8 + 1
-
 // AppendTo encodes the message onto buf and returns the extended slice.
 func (m *Msg) AppendTo(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Primary))
-	buf = binary.LittleEndian.AppendUint64(buf, m.Base)
-	buf = appendBlob(buf, m.Recs)
-	buf = binary.LittleEndian.AppendUint64(buf, m.SnapLSN)
-	buf = appendBlob(buf, m.Snap)
-	return buf
+	buf = wire.AppendI32(buf, m.Primary)
+	buf = wire.AppendU64(buf, m.Base)
+	buf = wire.AppendBlob(buf, m.Recs)
+	buf = wire.AppendU64(buf, m.SnapLSN)
+	return wire.AppendBlob(buf, m.Snap)
 }
 
 // UnmarshalMsgInto decodes a shipped batch into m. Recs and Snap are
-// subslices of b.
+// subslices of b, nil when empty.
 func UnmarshalMsgInto(m *Msg, b []byte) error {
-	if len(b) < 12 {
-		return fmt.Errorf("repl: truncated msg (%d bytes)", len(b))
-	}
-	*m = Msg{
-		Primary: int32(binary.LittleEndian.Uint32(b)),
-		Base:    binary.LittleEndian.Uint64(b[4:]),
-	}
-	var err error
-	rest := b[12:]
-	if m.Recs, rest, err = takeBlob(rest); err != nil {
-		return err
-	}
-	if len(rest) < 8 {
-		return fmt.Errorf("repl: truncated msg snap horizon")
-	}
-	m.SnapLSN = binary.LittleEndian.Uint64(rest)
-	m.Snap, _, err = takeBlob(rest[8:])
-	return err
+	d := wire.NewDecoder(b)
+	d.Lend = true
+	*m = Msg{Primary: d.I32(), Base: d.U64(), Recs: d.Blob(), SnapLSN: d.U64(), Snap: d.Blob()}
+	return d.Finish("repl: decoding msg")
 }
 
 // AppendTo encodes the ack onto buf and returns the extended slice.
 func (a Ack) AppendTo(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Server))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Primary))
-	buf = binary.LittleEndian.AppendUint64(buf, a.Durable)
-	if a.NeedSync {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
+	buf = wire.AppendI32(buf, a.Server)
+	buf = wire.AppendI32(buf, a.Primary)
+	buf = wire.AppendU64(buf, a.Durable)
+	return wire.AppendBool(buf, a.NeedSync)
 }
 
 // UnmarshalAck decodes an ack.
 func UnmarshalAck(b []byte) (Ack, error) {
-	if len(b) < ackSize {
-		return Ack{}, fmt.Errorf("repl: truncated ack (%d bytes)", len(b))
+	d := wire.NewDecoder(b)
+	a := Ack{Server: d.I32(), Primary: d.I32(), Durable: d.U64(), NeedSync: d.Bool()}
+	if err := d.Finish("repl: decoding ack"); err != nil {
+		return Ack{}, err
 	}
-	return Ack{
-		Server:   int32(binary.LittleEndian.Uint32(b)),
-		Primary:  int32(binary.LittleEndian.Uint32(b[4:])),
-		Durable:  binary.LittleEndian.Uint64(b[8:]),
-		NeedSync: b[16] != 0,
-	}, nil
+	return a, nil
 }
 
 // AppendTo encodes the seal reply onto buf and returns the extended slice.
 func (r *SealReply) AppendTo(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, r.Durable)
-	return appendBlob(buf, r.Snap)
+	return wire.AppendBlob(wire.AppendU64(buf, r.Durable), r.Snap)
 }
 
-// UnmarshalSealReplyInto decodes a seal reply into r. Snap is a subslice of b.
+// UnmarshalSealReplyInto decodes a seal reply into r. Snap is a subslice of
+// b, nil when empty.
 func UnmarshalSealReplyInto(r *SealReply, b []byte) error {
-	if len(b) < 12 {
-		return fmt.Errorf("repl: truncated seal reply (%d bytes)", len(b))
-	}
-	var err error
-	r.Durable = binary.LittleEndian.Uint64(b)
-	r.Snap, _, err = takeBlob(b[8:])
-	return err
+	d := wire.NewDecoder(b)
+	d.Lend = true
+	*r = SealReply{Durable: d.U64(), Snap: d.Blob()}
+	return d.Finish("repl: decoding seal reply")
 }

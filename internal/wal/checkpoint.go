@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fsapi"
 	"repro/internal/proto"
+	"repro/internal/wire"
 )
 
 // InodeSnap is one inode in a checkpoint: metadata, block list, and — so a
@@ -70,44 +71,44 @@ type Checkpoint struct {
 // Marshal encodes the checkpoint with a trailing CRC so a torn checkpoint
 // write is detected at load time.
 func (c *Checkpoint) Marshal() []byte {
-	e := enc{buf: make([]byte, 4, 1024)} // the CRC is patched in below
-	e.u64(c.LSN)
-	e.u64(c.NextIno)
-	e.u64(c.Epoch)
-	e.blob(c.PlaceMap)
-	e.u32(uint32(len(c.Inodes)))
+	b := make([]byte, 4, 1024) // the CRC is patched in below
+	b = wire.AppendU64(b, c.LSN)
+	b = wire.AppendU64(b, c.NextIno)
+	b = wire.AppendU64(b, c.Epoch)
+	b = wire.AppendBlob(b, c.PlaceMap)
+	b = wire.AppendU32(b, uint32(len(c.Inodes)))
 	for i := range c.Inodes {
 		in := &c.Inodes[i]
-		e.u64(in.Local)
-		e.u8(uint8(in.Ftype))
-		e.u16(uint16(in.Mode))
-		e.i64(in.Size)
-		e.i32(in.Nlink)
-		e.boolean(in.Dist)
-		e.u64Slice(in.Blocks)
-		e.u32(uint32(len(in.Data)))
+		b = wire.AppendU64(b, in.Local)
+		b = wire.AppendU8(b, uint8(in.Ftype))
+		b = wire.AppendU16(b, uint16(in.Mode))
+		b = wire.AppendI64(b, in.Size)
+		b = wire.AppendI32(b, in.Nlink)
+		b = wire.AppendBool(b, in.Dist)
+		b = wire.AppendU64Slice(b, in.Blocks)
+		b = wire.AppendU32(b, uint32(len(in.Data)))
 		for _, d := range in.Data {
-			e.blob(d)
+			b = wire.AppendBlob(b, d)
 		}
 	}
-	e.u32(uint32(len(c.Dirs)))
+	b = wire.AppendU32(b, uint32(len(c.Dirs)))
 	for i := range c.Dirs {
 		dir := &c.Dirs[i]
-		e.inode(dir.Dir)
-		e.u32(uint32(len(dir.Ents)))
+		b = proto.AppendInode(b, dir.Dir)
+		b = wire.AppendU32(b, uint32(len(dir.Ents)))
 		for _, ent := range dir.Ents {
-			e.str(ent.Name)
-			e.inode(ent.Target)
-			e.u8(uint8(ent.Ftype))
-			e.boolean(ent.Dist)
+			b = wire.AppendStr(b, ent.Name)
+			b = proto.AppendInode(b, ent.Target)
+			b = wire.AppendU8(b, uint8(ent.Ftype))
+			b = wire.AppendBool(b, ent.Dist)
 		}
 	}
-	e.u32(uint32(len(c.DeadDirs)))
+	b = wire.AppendU32(b, uint32(len(c.DeadDirs)))
 	for _, id := range c.DeadDirs {
-		e.inode(id)
+		b = proto.AppendInode(b, id)
 	}
-	putU32(e.buf, crc32.Checksum(e.buf[4:], crcTable))
-	return e.buf
+	wire.PutU32(b, crc32.Checksum(b[4:], crcTable))
+	return b
 }
 
 // UnmarshalCheckpoint decodes and CRC-verifies a checkpoint.
@@ -116,51 +117,51 @@ func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: checkpoint too short (%d bytes)", len(b))
 	}
 	body := b[4:]
-	if crc32.Checksum(body, crcTable) != getU32(b) {
+	if crc32.Checksum(body, crcTable) != wire.U32(b) {
 		return nil, fmt.Errorf("wal: checkpoint CRC mismatch")
 	}
-	d := newDec(body)
+	d := wire.NewDecoder(body)
 	c := &Checkpoint{}
-	c.LSN = d.u64()
-	c.NextIno = d.u64()
-	c.Epoch = d.u64()
-	c.PlaceMap = d.blob()
-	nino := int(d.u32())
-	for i := 0; i < nino && d.err == nil; i++ {
+	c.LSN = d.U64()
+	c.NextIno = d.U64()
+	c.Epoch = d.U64()
+	c.PlaceMap = d.Blob()
+	nino := int(d.U32())
+	for i := 0; i < nino && d.Err() == nil; i++ {
 		var in InodeSnap
-		in.Local = d.u64()
-		in.Ftype = fsapi.FileType(d.u8())
-		in.Mode = fsapi.Mode(d.u16())
-		in.Size = d.i64()
-		in.Nlink = d.i32()
-		in.Dist = d.boolean()
-		in.Blocks = d.u64Slice(nil)
-		ndata := int(d.u32())
-		for j := 0; j < ndata && d.err == nil; j++ {
-			in.Data = append(in.Data, d.blob())
+		in.Local = d.U64()
+		in.Ftype = fsapi.FileType(d.U8())
+		in.Mode = fsapi.Mode(d.U16())
+		in.Size = d.I64()
+		in.Nlink = d.I32()
+		in.Dist = d.Bool()
+		in.Blocks = d.U64Slice(nil)
+		ndata := int(d.U32())
+		for j := 0; j < ndata && d.Err() == nil; j++ {
+			in.Data = append(in.Data, d.Blob())
 		}
 		c.Inodes = append(c.Inodes, in)
 	}
-	ndirs := int(d.u32())
-	for i := 0; i < ndirs && d.err == nil; i++ {
+	ndirs := int(d.U32())
+	for i := 0; i < ndirs && d.Err() == nil; i++ {
 		var dir DirSnap
-		dir.Dir = d.inode()
-		nents := int(d.u32())
-		for j := 0; j < nents && d.err == nil; j++ {
+		dir.Dir = proto.DecodeInode(d)
+		nents := int(d.U32())
+		for j := 0; j < nents && d.Err() == nil; j++ {
 			var ent DirEntSnap
-			ent.Name = d.str()
-			ent.Target = d.inode()
-			ent.Ftype = fsapi.FileType(d.u8())
-			ent.Dist = d.boolean()
+			ent.Name = d.Str()
+			ent.Target = proto.DecodeInode(d)
+			ent.Ftype = fsapi.FileType(d.U8())
+			ent.Dist = d.Bool()
 			dir.Ents = append(dir.Ents, ent)
 		}
 		c.Dirs = append(c.Dirs, dir)
 	}
-	ndead := int(d.u32())
-	for i := 0; i < ndead && d.err == nil; i++ {
-		c.DeadDirs = append(c.DeadDirs, d.inode())
+	ndead := int(d.U32())
+	for i := 0; i < ndead && d.Err() == nil; i++ {
+		c.DeadDirs = append(c.DeadDirs, proto.DecodeInode(d))
 	}
-	if err := d.finish("checkpoint"); err != nil {
+	if err := d.Finish("wal: decoding checkpoint"); err != nil {
 		return nil, err
 	}
 	return c, nil

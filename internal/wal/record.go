@@ -22,11 +22,13 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/fsapi"
 	"repro/internal/proto"
+	"repro/internal/wire"
 )
 
 // RecType identifies the kind of mutation a log record describes.
@@ -158,52 +160,52 @@ var crcTable = crc32.MakeTable(crc32.IEEE)
 // type, and the fields of that type (Record), in that order.
 func appendFrame(buf []byte, r *Record) []byte {
 	start := len(buf)
-	e := enc{buf: append(buf, make([]byte, frameHeader)...)}
-	e.u64(r.LSN)
-	e.u8(uint8(r.Type))
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = wire.AppendU64(buf, r.LSN)
+	buf = wire.AppendU8(buf, uint8(r.Type))
 	switch r.Type {
 	case RecInode:
-		e.u64(r.Ino)
-		e.u8(uint8(r.Ftype))
-		e.u16(uint16(r.Mode))
-		e.boolean(r.Dist)
-		e.i32(r.Nlink)
+		buf = wire.AppendU64(buf, r.Ino)
+		buf = wire.AppendU8(buf, uint8(r.Ftype))
+		buf = wire.AppendU16(buf, uint16(r.Mode))
+		buf = wire.AppendBool(buf, r.Dist)
+		buf = wire.AppendI32(buf, r.Nlink)
 	case RecNlink:
-		e.u64(r.Ino)
-		e.i32(r.Nlink)
+		buf = wire.AppendU64(buf, r.Ino)
+		buf = wire.AppendI32(buf, r.Nlink)
 	case RecSize:
-		e.u64(r.Ino)
-		e.i64(r.Size)
+		buf = wire.AppendU64(buf, r.Ino)
+		buf = wire.AppendI64(buf, r.Size)
 	case RecBlocks:
-		e.u64(r.Ino)
-		e.i64(r.Size)
-		e.u64Slice(r.Blocks)
+		buf = wire.AppendU64(buf, r.Ino)
+		buf = wire.AppendI64(buf, r.Size)
+		buf = wire.AppendU64Slice(buf, r.Blocks)
 	case RecWrite:
-		e.u64(r.Ino)
-		e.i64(r.Off)
-		e.blob(r.Data)
+		buf = wire.AppendU64(buf, r.Ino)
+		buf = wire.AppendI64(buf, r.Off)
+		buf = wire.AppendBlob(buf, r.Data)
 	case RecAddMap:
-		e.inode(r.Dir)
-		e.str(r.Name)
-		e.inode(r.Target)
-		e.u8(uint8(r.Ftype))
-		e.boolean(r.Dist)
+		buf = proto.AppendInode(buf, r.Dir)
+		buf = wire.AppendStr(buf, r.Name)
+		buf = proto.AppendInode(buf, r.Target)
+		buf = wire.AppendU8(buf, uint8(r.Ftype))
+		buf = wire.AppendBool(buf, r.Dist)
 	case RecRmMap:
-		e.inode(r.Dir)
-		e.str(r.Name)
+		buf = proto.AppendInode(buf, r.Dir)
+		buf = wire.AppendStr(buf, r.Name)
 	case RecDirKill:
-		e.inode(r.Dir)
+		buf = proto.AppendInode(buf, r.Dir)
 	case RecEpoch:
-		e.u64(r.Epoch)
-		e.blob(r.Data)
+		buf = wire.AppendU64(buf, r.Epoch)
+		buf = wire.AppendBlob(buf, r.Data)
 	default:
 		// A record no decoder would read back must not reach the log.
 		panic(fmt.Sprintf("wal: encoding a record of unknown type %d", r.Type))
 	}
-	body := e.buf[start+frameHeader:]
-	putU32(e.buf[start:], uint32(len(body)))
-	putU32(e.buf[start+4:], crc32.Checksum(body, crcTable))
-	return e.buf
+	body := buf[start+frameHeader:]
+	wire.PutU32(buf[start:], uint32(len(body)))
+	wire.PutU32(buf[start+4:], crc32.Checksum(body, crcTable))
+	return buf
 }
 
 // appendFrames appends every record of the batch to buf, in order.
@@ -214,11 +216,16 @@ func appendFrames(buf []byte, recs []Record) []byte {
 	return buf
 }
 
+var (
+	errUnknownType = errors.New("unknown record type")
+	errTrailing    = errors.New("bytes after the record's fields")
+)
+
 // decodeRecord parses one record body into a fresh record that shares
 // nothing with b.
 func decodeRecord(b []byte) (Record, error) {
 	var r Record
-	err := decodeRecordInto(&r, newDec(b))
+	err := decodeRecordInto(&r, wire.NewDecoder(b))
 	return r, err
 }
 
@@ -227,52 +234,52 @@ func decodeRecord(b []byte) (Record, error) {
 // capacity r's Blocks brings is kept whatever the type, and a BLOCKS record
 // decodes into it. A body of an unknown type, or with bytes left over after
 // its type's fields, fails.
-func decodeRecordInto(r *Record, d *dec) error {
+func decodeRecordInto(r *Record, d *wire.Decoder) error {
 	*r = Record{Blocks: r.Blocks[:0]}
-	r.LSN = d.u64()
-	r.Type = RecType(d.u8())
+	r.LSN = d.U64()
+	r.Type = RecType(d.U8())
 	switch r.Type {
 	case RecInode:
-		r.Ino = d.u64()
-		r.Ftype = fsapi.FileType(d.u8())
-		r.Mode = fsapi.Mode(d.u16())
-		r.Dist = d.boolean()
-		r.Nlink = d.i32()
+		r.Ino = d.U64()
+		r.Ftype = fsapi.FileType(d.U8())
+		r.Mode = fsapi.Mode(d.U16())
+		r.Dist = d.Bool()
+		r.Nlink = d.I32()
 	case RecNlink:
-		r.Ino = d.u64()
-		r.Nlink = d.i32()
+		r.Ino = d.U64()
+		r.Nlink = d.I32()
 	case RecSize:
-		r.Ino = d.u64()
-		r.Size = d.i64()
+		r.Ino = d.U64()
+		r.Size = d.I64()
 	case RecBlocks:
-		r.Ino = d.u64()
-		r.Size = d.i64()
-		r.Blocks = d.u64Slice(r.Blocks)
+		r.Ino = d.U64()
+		r.Size = d.I64()
+		r.Blocks = d.U64Slice(r.Blocks)
 	case RecWrite:
-		r.Ino = d.u64()
-		r.Off = d.i64()
-		r.Data = d.blob()
+		r.Ino = d.U64()
+		r.Off = d.I64()
+		r.Data = d.Blob()
 	case RecAddMap:
-		r.Dir = d.inode()
-		r.Name = d.str()
-		r.Target = d.inode()
-		r.Ftype = fsapi.FileType(d.u8())
-		r.Dist = d.boolean()
+		r.Dir = proto.DecodeInode(d)
+		r.Name = d.Str()
+		r.Target = proto.DecodeInode(d)
+		r.Ftype = fsapi.FileType(d.U8())
+		r.Dist = d.Bool()
 	case RecRmMap:
-		r.Dir = d.inode()
-		r.Name = d.str()
+		r.Dir = proto.DecodeInode(d)
+		r.Name = d.Str()
 	case RecDirKill:
-		r.Dir = d.inode()
+		r.Dir = proto.DecodeInode(d)
 	case RecEpoch:
-		r.Epoch = d.u64()
-		r.Data = d.blob()
+		r.Epoch = d.U64()
+		r.Data = d.Blob()
 	default:
-		d.fail(errUnknownType)
+		d.Fail(errUnknownType)
 	}
-	if d.off != len(d.buf) {
-		d.fail(errTrailing)
+	if d.Remaining() != 0 {
+		d.Fail(errTrailing)
 	}
-	return d.finish("wal record")
+	return d.Finish("wal: decoding record")
 }
 
 // EncodeRecords serializes a batch of records in the log's frame format
@@ -308,7 +315,9 @@ func DecodeRecordsInto(recs []Record, frames []byte) ([]Record, error) {
 		} else {
 			recs = append(recs, Record{})
 		}
-		if err := decodeRecordInto(&recs[len(recs)-1], &dec{buf: body, inPlace: true}); err != nil {
+		d := wire.NewDecoder(body)
+		d.Lend = true
+		if err := decodeRecordInto(&recs[len(recs)-1], d); err != nil {
 			return ReleaseRecords(recs), fmt.Errorf("wal: shipped batch record %d: %w", len(recs)-1, err)
 		}
 		frames = rest
@@ -341,8 +350,8 @@ func unframe(b []byte) (body, rest []byte, err error) {
 	if len(b) < frameHeader {
 		return nil, nil, fmt.Errorf("wal: truncated frame header (%d bytes)", len(b))
 	}
-	n := int(getU32(b[0:]))
-	sum := getU32(b[4:])
+	n := int(wire.U32(b[0:]))
+	sum := wire.U32(b[4:])
 	if len(b) < frameHeader+n {
 		return nil, nil, fmt.Errorf("wal: truncated frame body (want %d, have %d)", n, len(b)-frameHeader)
 	}

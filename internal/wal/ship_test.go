@@ -10,6 +10,7 @@ import (
 	"repro/internal/fsapi"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // shipBatch builds a representative mixed batch with assigned LSNs.
@@ -128,7 +129,7 @@ func sameRecords(a, b []Record) bool {
 func hostileCountFrame(n uint32) []byte {
 	r := Record{LSN: 1, Type: RecBlocks, Ino: 2}
 	body := appendFrame(nil, &r)[frameHeader:]
-	putU32(body[len(body)-4:], n) // an empty list's count ends the body
+	wire.PutU32(body[len(body)-4:], n) // an empty list's count ends the body
 	return reframe(body)
 }
 
@@ -153,8 +154,8 @@ func TestHostileCountSizesNoAllocation(t *testing.T) {
 	b := c.Marshal()
 	// The inode's block count is the last word but three of the body: an
 	// empty Data list, no directories and no dead directories follow it.
-	putU32(b[len(b)-16:], 1<<32-1)
-	putU32(b, crc32.Checksum(b[4:], crcTable))
+	wire.PutU32(b[len(b)-16:], 1<<32-1)
+	wire.PutU32(b, crc32.Checksum(b[4:], crcTable))
 	if _, err := UnmarshalCheckpoint(b); err == nil {
 		t.Error("checkpoint with a hostile block count decoded")
 	}

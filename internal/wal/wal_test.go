@@ -12,6 +12,7 @@ import (
 	"repro/internal/fsapi"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 func testConfig(st Store) Config {
@@ -124,8 +125,8 @@ func TestFrameSizes(t *testing.T) {
 // reframe wraps body in a frame whose length and CRC are right.
 func reframe(body []byte) []byte {
 	f := make([]byte, frameHeader, frameHeader+len(body))
-	putU32(f, uint32(len(body)))
-	putU32(f[4:], crc32.Checksum(body, crcTable))
+	wire.PutU32(f, uint32(len(body)))
+	wire.PutU32(f[4:], crc32.Checksum(body, crcTable))
 	return append(f, body...)
 }
 
@@ -183,8 +184,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		want := []Record{carried(r)}
 		frame := appendFrame(nil, &r)
-		if int(getU32(frame)) != len(frame)-frameHeader {
-			t.Fatalf("a %d-byte frame says its body is %d bytes", len(frame), getU32(frame))
+		if int(wire.U32(frame)) != len(frame)-frameHeader {
+			t.Fatalf("a %d-byte frame says its body is %d bytes", len(frame), wire.U32(frame))
 		}
 		body, _, err := unframe(frame)
 		if err != nil {
