@@ -35,18 +35,17 @@ func (c *Client) drainInvalidations() {
 		c.clock.AdvanceTo(env.ArriveAt)
 		c.charge(c.cfg.Machine.Cost.MsgRecv)
 		iv, err := proto.UnmarshalInvalidation(env.Payload)
-		c.cfg.Network.ReleaseToSender(env) // the decoded name is a copy
-		if err != nil {
-			continue
+		if err == nil {
+			c.stats.invals.Add(1)
+			if iv.Name == "" {
+				// Wildcard from a recovered server: who had its entries
+				// cached died with it, so every cached entry is suspect.
+				c.dcache.Clear()
+			} else {
+				c.dcache.Delete(dcacheKey{iv.Dir, iv.Name})
+			}
 		}
-		c.stats.invals.Add(1)
-		if iv.Name == "" {
-			// Wildcard from a recovered server: who had its entries
-			// cached died with it, so every cached entry is suspect.
-			c.dcache.Clear()
-			continue
-		}
-		c.dcache.Delete(dcacheKey{iv.Dir, iv.Name})
+		c.cfg.Network.ReleaseToSender(env) // the decoded name is a view of it
 	}
 }
 

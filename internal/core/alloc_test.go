@@ -19,7 +19,8 @@ import (
 // (table.Names), which takes a 4 KiB chunk per hundred-odd names. A batch's
 // sub-requests read their names in the envelope the server owns. Who has an
 // entry cached costs nothing more: the first client is kept in the entry
-// itself.
+// itself, and the clients after it in a chain of runs in the shard's pool,
+// whose free list an invalidation refills.
 func TestBoundaryAllocs(t *testing.T) {
 	sys := newTestSystem(t, 2, 2)
 	c := sys.NewClient(0)
@@ -34,12 +35,18 @@ func TestBoundaryAllocs(t *testing.T) {
 	payload := make([]byte, 64)
 	const resident, churned = "/churn/resident-0123456789abcdef", "/churn/t0-000042-0123456789abcdef"
 	from, to := "/home/alpha-0123456789abcdef", "/home/bravo-0123456789abcdef"
-	for _, p := range []string{resident, from} {
+	const shared, away = "/home/shared-0123456789abcdef", "/home/away-0123456789abcdef"
+	for _, p := range []string{resident, from, shared} {
 		fd, err := c.Open(p, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 		must(err)
 		_, err = c.Write(fd, payload)
 		must(err)
 		must(c.Close(fd))
+	}
+
+	readers := []*client.Client{c}
+	for i := 0; i < 8; i++ {
+		readers = append(readers, sys.NewClient(i%2))
 	}
 
 	gates := []gate{
@@ -70,6 +77,17 @@ func TestBoundaryAllocs(t *testing.T) {
 		{"rename", 0, func() {
 			must(c.Rename(from, to))
 			from, to = to, from
+		}},
+		// Nothing: the eight lookups after the first fill a chain of two
+		// runs in the shard's pool, and the rename's RM_MAP hands both back
+		// to its free list as it calls the eight other clients back.
+		{"nine clients stat, one renames away and back", 0, func() {
+			for _, r := range readers {
+				_, err := r.Stat(shared)
+				must(err)
+			}
+			must(c.Rename(shared, away))
+			must(c.Rename(away, shared))
 		}},
 	}
 	for _, g := range gates {

@@ -119,14 +119,20 @@ func (d *DRAM) write(b BlockID, off int, src []byte) int {
 	return copy(blk.data[off:], src)
 }
 
-// load returns block b's present bytes in buf's backing array (a private
-// cache's miss filling a frame).
-func (d *DRAM) load(b BlockID, buf []byte) []byte {
+// load returns block b's present bytes in buf's backing array, or, when
+// they do not fit there, in one c cuts for them (a private cache's miss
+// filling a frame; the caller holds c.mu). The block's length is read under
+// the block's lock, the one the copy takes.
+func (d *DRAM) load(b BlockID, buf []byte, c *PrivateCache) []byte {
 	d.validate(b)
 	blk := &d.blocks[b]
 	blk.mu.Lock()
 	defer blk.mu.Unlock()
-	buf = extend(buf[:0], len(blk.data), d.blockSize)
+	n := len(blk.data)
+	if n > cap(buf) {
+		buf = c.lineArray((n + LineSize - 1) / LineSize)
+	}
+	buf = buf[:n]
 	copy(buf, blk.data)
 	return buf
 }

@@ -236,9 +236,12 @@ func (iv *Invalidation) AppendTo(buf []byte) []byte {
 	return wire.AppendStr(AppendInode(buf, iv.Dir), iv.Name)
 }
 
-// UnmarshalInvalidation decodes an invalidation callback payload.
+// UnmarshalInvalidation decodes an invalidation callback payload. Its Name
+// is a view of b: the receiver drops its cached copy of the entry by it
+// before it releases b, and keeps nothing.
 func UnmarshalInvalidation(b []byte) (Invalidation, error) {
 	d := wire.NewDecoder(b)
+	d.Lend = true
 	iv := Invalidation{Dir: DecodeInode(d), Name: d.Str()}
 	return iv, d.Finish("proto: decoding invalidation")
 }

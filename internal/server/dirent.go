@@ -15,9 +15,10 @@ type dirEnt struct {
 	target proto.InodeID
 	ftype  fsapi.FileType
 	dist   bool
-	// tracker is the first client library that has the entry cached, as its
-	// id plus one (0: none). It sits in the struct's padding; the clients
-	// after it are in the shard's more.
+	// tracker says which client libraries have the entry cached, in the
+	// struct's padding: 0, none; a positive value, the one client, as its id
+	// plus one; a negative value, the head of a chain in the shard's pool of
+	// runs (trackPool), whose first slot is the first client.
 	tracker int32
 }
 
@@ -26,13 +27,12 @@ type dirEnt struct {
 // directory only the home server does.
 type dirShard struct {
 	ents *table.Map[string, dirEnt]
-	// more holds, per entry, the clients tracked after its first, in
-	// insertion order (so invalidation fan-outs are deterministic). Nil until
-	// an entry of the shard is cached by a second client.
-	more *table.Map[string, []int32]
-	// names holds the bytes of every key of ents and more: a new key is
-	// kept there (keep), and a key that leaves is dropped (drop).
+	// names holds the bytes of every key of ents: a new key is kept there
+	// (keep), and a key that leaves is dropped (drop).
 	names table.Names
+	// trackers holds the chains of the entries that more than one client
+	// has cached.
+	trackers trackPool
 	// marked is set between the PREPARE and COMMIT/ABORT phases of the
 	// rmdir protocol; while set, operations on this directory are parked.
 	marked bool
@@ -56,78 +56,39 @@ func (s *Server) shard(dir proto.InodeID) *dirShard {
 	return sh
 }
 
-// keep returns a copy of name in the shard's slab, for ents or more to store
-// as a new key. Whatever name is — a view of a request's envelope, a
-// decoder's copy, a checkpoint's — the copy is the shard's.
+// keep returns a copy of name in the shard's slab, for ents to store as a
+// new key. Whatever name is — a view of a request's envelope, a decoder's
+// copy, a checkpoint's — the copy is the shard's.
 func (sh *dirShard) keep(name string) string { return sh.names.Keep(name) }
 
-// drop is called once name has left ents or more; a slab grown to more than
-// twice its live names re-keeps them into fresh chunks, in place.
-func (sh *dirShard) drop(name string) { sh.names.Drop(name, sh.rekey) }
+// drop is called once name has left ents; a slab grown to more than twice
+// its live names re-keeps them into fresh chunks, in place.
+func (sh *dirShard) drop(name string) { sh.names.Drop(name, sh.ents.Rekey) }
 
-func (sh *dirShard) rekey(keep func(string) string) {
-	sh.ents.Rekey(keep)
-	if sh.more != nil {
-		sh.more.Rekey(keep)
-	}
-}
-
-// track records that client has the entry name of sh cached. It reports
-// whether client became the entry's first tracker: ent changed, and the
-// caller stores it.
-func (s *Server) track(sh *dirShard, name string, ent *dirEnt, client int32) bool {
+// track records that client has the entry ent of sh cached. It reports
+// whether ent changed, and the caller stores it: client became the entry's
+// first tracker, or its second, which starts the entry's chain.
+func (s *Server) track(sh *dirShard, ent *dirEnt, client int32) bool {
 	if client < 0 {
 		return false
 	}
-	switch ent.tracker {
-	case 0:
-		ent.tracker = client + 1
-		return true
-	case client + 1:
-		return false
-	}
-	if sh.more == nil {
-		sh.more = table.New[string, []int32](table.HashString, 0)
-	}
-	rest, _ := sh.more.Get(name)
-	for _, c := range rest {
-		if c == client {
-			return false
-		}
-	}
-	if rest == nil {
-		rest = make([]int32, 0, 4) // an entry shared by a few clients grows once
-		name = sh.keep(name)       // a new key
-	}
-	sh.more.Put(name, append(rest, client))
-	return false
+	return sh.trackers.add(&ent.tracker, client, sh.ents.Len())
 }
 
 // invalidate sends directory-cache invalidation callbacks to every client
-// tracked for the entry name of sh — first, the entry's tracker, then the
-// rest in insertion order, so the fan-out order is deterministic across
+// tracked for the entry name of sh — first, the entry's first tracker, then
+// the rest in insertion order, so the fan-out order is deterministic across
 // runs — except the requester: it made the change, and drops or replaces its
-// own cached copy. It forgets the rest; the caller drops the entry or
-// replaces it with one that has no tracker. Thanks to atomic message
-// delivery the server does not wait for acknowledgements (§3.6.1).
-func (s *Server) invalidate(sh *dirShard, dir proto.InodeID, name string, first, except int32) {
-	if first == 0 {
-		return // nobody has it cached, so nobody has a second copy either
+// own cached copy. It forgets them all, the entry's chain going back to the
+// shard's pool; the caller drops the entry or replaces it with one that has
+// no tracker. Thanks to atomic message delivery the server does not wait for
+// acknowledgements (§3.6.1).
+func (s *Server) invalidate(sh *dirShard, dir proto.InodeID, name string, tracker, except int32) {
+	if tracker == 0 {
+		return // nobody has it cached
 	}
 	iv := proto.Invalidation{Dir: dir, Name: name}
-	s.callBack(first-1, except, &iv)
-	if sh.more == nil {
-		return
-	}
-	rest, ok := sh.more.Get(name)
-	if !ok {
-		return
-	}
-	sh.more.Delete(name)
-	sh.drop(name)
-	for _, client := range rest {
-		s.callBack(client, except, &iv)
-	}
+	sh.trackers.release(tracker, func(client int32) { s.callBack(client, except, &iv) })
 }
 
 // callBack sends iv to client unless it is the requester.
@@ -191,7 +152,7 @@ func (s *Server) handleLookup(req *proto.Request, env msg.Envelope) (*proto.Resp
 	if !ok {
 		return s.errResp(fsapi.ENOENT), false
 	}
-	if s.track(sh, req.Name, &ent, req.ClientID) {
+	if s.track(sh, &ent, req.ClientID) {
 		sh.ents.Put(req.Name, ent) // the entry keeps its stored key
 	}
 	return s.resp(proto.Response{
@@ -232,7 +193,7 @@ func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Resp
 		name = sh.keep(name)
 		s.entCount.Add(1)
 	}
-	s.track(sh, name, &ent, req.ClientID)
+	s.track(sh, &ent, req.ClientID)
 	sh.ents.Put(name, ent)
 	s.stageAddMap(req.Dir, name, ent)
 	resp := s.resp(proto.Response{})
@@ -344,7 +305,7 @@ func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*p
 	ino := s.allocInode(ftype, req.Mode, req.Distributed)
 	ent := dirEnt{target: s.id(ino), ftype: ftype, dist: req.Distributed}
 	name := sh.keep(req.Name) // the new entry's key
-	s.track(sh, name, &ent, req.ClientID)
+	s.track(sh, &ent, req.ClientID)
 	sh.ents.Put(name, ent)
 	s.entCount.Add(1)
 	s.stageInode(ino)

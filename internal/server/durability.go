@@ -107,6 +107,20 @@ func (s *Server) stageDirKill(dir proto.InodeID) {
 	s.stage(wal.Record{Type: wal.RecDirKill, Dir: dir})
 }
 
+// mark sets or clears sh's rmdir mark, logging the change: a recovered
+// server holds off what a PREPARE it answered held off (DESIGN.md §3).
+func (s *Server) mark(sh *dirShard, dir proto.InodeID, on bool) {
+	if sh.marked == on {
+		return
+	}
+	sh.marked = on
+	typ := wal.RecDirUnmark
+	if on {
+		typ = wal.RecDirMark
+	}
+	s.stage(wal.Record{Type: typ, Dir: dir})
+}
+
 // commitPending appends the staged records and returns the virtual time at
 // which the reply may be sent: no earlier than the end of the flush carrying
 // them nor, when they ship to a follower that must ack first, than the
@@ -240,6 +254,12 @@ func (s *Server) buildCheckpoint() *wal.Checkpoint {
 	})
 	s.deadDirs.Range(func(dir proto.InodeID, _ struct{}) bool {
 		c.DeadDirs = append(c.DeadDirs, dir)
+		return true
+	})
+	s.dirs.Range(func(dir proto.InodeID, sh *dirShard) bool {
+		if sh.marked {
+			c.Marked = append(c.Marked, dir)
+		}
 		return true
 	})
 	return c
@@ -512,5 +532,8 @@ func (s *Server) loadCheckpoint(c *wal.Checkpoint) {
 	}
 	for _, dir := range c.DeadDirs {
 		s.deadDirs.Put(dir, struct{}{})
+	}
+	for _, dir := range c.Marked {
+		s.shard(dir).marked = true
 	}
 }

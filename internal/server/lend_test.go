@@ -30,34 +30,30 @@ func (h *harness) batchAs(p peer, subs ...*proto.Request) []*proto.Response {
 	return resps
 }
 
-// storedNames returns the keys of the root shard's entries and of its
-// overflow trackers, sorted.
-func (h *harness) storedNames() (ents, more []string) {
+// storedNames returns the keys of the root shard's entries, sorted, and how
+// many of the entries have a chain of trackers.
+func (h *harness) storedNames() (ents []string, chains int) {
 	sh, ok := h.srv.dirs.Get(proto.RootInode)
 	if !ok {
 		h.t.Fatal("the root has no shard")
 	}
-	sh.ents.Range(func(name string, _ dirEnt) bool {
+	sh.ents.Range(func(name string, ent dirEnt) bool {
 		ents = append(ents, name)
+		if ent.tracker < 0 {
+			chains++
+		}
 		return true
 	})
-	if sh.more != nil {
-		sh.more.Range(func(name string, _ []int32) bool {
-			more = append(more, name)
-			return true
-		})
-	}
 	slices.Sort(ents)
-	slices.Sort(more)
-	return ents, more
+	return ents, chains
 }
 
 // TestLentNamesOutliveTheirEnvelope: a batch's sub-requests read their names
 // in the envelope's Data (decodeBatch), which the server overwrites here the
 // moment it releases the envelope, as the next decode into the recycled
 // struct would. Every name the server keeps — an entry's key made by a create
-// or a rename, a key of a shard's overflow trackers, a name logged and
-// replayed after a crash — must read the same afterwards; a parked batch that
+// or a rename, a name logged and replayed after a crash — must read the
+// same afterwards, entries with a chain of trackers included; a parked batch that
 // a migration COMMIT resumes included.
 func TestLentNamesOutliveTheirEnvelope(t *testing.T) {
 	h := turnaroundHarness(t)
@@ -70,7 +66,7 @@ func TestLentNamesOutliveTheirEnvelope(t *testing.T) {
 	name := func(tag string, i int) string { return fmt.Sprintf("%s-%02d-0123456789abcdef", tag, i) }
 
 	// Creates, each file then looked up by the two other clients: the second
-	// tracker makes the entry's key in the shard's overflow table.
+	// tracker starts the entry's chain.
 	want := map[string]bool{}
 	inos := map[string]proto.InodeID{}
 	for i := 0; i < 8; i++ {
@@ -129,17 +125,12 @@ func TestLentNamesOutliveTheirEnvelope(t *testing.T) {
 	}
 	slices.Sort(names)
 	h.callOK(&proto.Request{Op: proto.OpPing}) // the last batch's envelope is released
-	ents, more := h.storedNames()
+	ents, chains := h.storedNames()
 	if !slices.Equal(ents, names) {
 		t.Fatalf("the root stores\n%q\nwant\n%q", ents, names)
 	}
-	if len(more) == 0 {
-		t.Fatal("no entry has a second tracker: the overflow table went untested")
-	}
-	for _, n := range more {
-		if !want[n] {
-			t.Fatalf("overflow trackers kept under %q, which names no entry", n)
-		}
+	if chains == 0 {
+		t.Fatal("no entry has a second tracker: the chains went untested")
 	}
 
 	h.srv.Crash(false)

@@ -122,15 +122,9 @@ func serverState(s *Server) string {
 	})
 	s.dirs.Range(func(dir proto.InodeID, sh *dirShard) bool {
 		sh.ents.Range(func(name string, ent dirEnt) bool {
-			fmt.Fprintf(&b, "entry %v/%s tracker %d\n", dir, name, ent.tracker)
+			fmt.Fprintf(&b, "entry %v/%s trackers %v\n", dir, name, sh.trackers.list(ent.tracker))
 			return true
 		})
-		if sh.more != nil {
-			sh.more.Range(func(name string, rest []int32) bool {
-				fmt.Fprintf(&b, "entry %v/%s more %v\n", dir, name, rest)
-				return true
-			})
-		}
 		return true
 	})
 	return b.String()

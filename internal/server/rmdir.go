@@ -18,7 +18,9 @@ import (
 //	                   between two clients preparing in different orders).
 //	phase 1 (PREPARE): each server marks its shard for deletion iff the
 //	                   shard holds no entries; while marked, operations on
-//	                   the directory are parked.
+//	                   the directory are parked. The mark is logged, so a
+//	                   server that crashes and recovers before phase 2
+//	                   still parks them.
 //	phase 2 (COMMIT):  delete the shard (the directory is gone); or
 //	        (ABORT):   clear the mark and resume parked operations.
 //	finish  (FINISH):  at the home server, remove the directory inode and
@@ -51,7 +53,7 @@ func (s *Server) handleRmdirPrepare(req *proto.Request) *proto.Response {
 	if sh.ents.Len() > 0 {
 		return s.errResp(fsapi.ENOTEMPTY)
 	}
-	sh.marked = true
+	s.mark(sh, req.Dir, true)
 	return s.resp(proto.Response{})
 }
 
@@ -62,8 +64,11 @@ func (s *Server) handleRmdirCommit(req *proto.Request) *proto.Response {
 		s.stageDirKill(req.Dir)
 		return s.resp(proto.Response{})
 	}
+	// The shard is empty: PREPARE found it so, and its mark, logged, has
+	// parked every entry op since, across a crash too (DESIGN.md §3). The
+	// DIR_KILL below clears the mark with the shard.
 	sh.marked = false
-	s.entCount.Add(-int64(sh.ents.Len())) // empty in practice (PREPARE verified)
+	s.entCount.Add(-int64(sh.ents.Len()))
 	s.dirs.Delete(req.Dir)
 	s.deadDirs.Put(req.Dir, struct{}{})
 	// Parked operations now observe the dead directory and fail with
@@ -81,7 +86,7 @@ func (s *Server) handleRmdirAbort(req *proto.Request) *proto.Response {
 	if !ok {
 		return s.resp(proto.Response{})
 	}
-	sh.marked = false
+	s.mark(sh, req.Dir, false)
 	s.unparkShard(sh)
 	return s.resp(proto.Response{})
 }

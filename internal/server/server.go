@@ -587,9 +587,8 @@ func (s *Server) requestCost(req *proto.Request) (sim.Cycles, []proto.Request, b
 // the envelope goes back to the free list (putReq) — after the reply, and so
 // after commitPending has encoded every record staged under a lent name. A
 // handler reads a lent name in place; a new key — an entry's (handleAddMap,
-// handleCreateCoalesced) or one of a shard's overflow trackers (track) — is
-// a copy in the shard's slab (dirShard.keep), as every new key is, lent or
-// not. A table Put on a key already present keeps the stored key
+// handleCreateCoalesced) — is a copy in the shard's slab (dirShard.keep), as
+// every new key is, lent or not. A table Put on a key already present keeps the stored key
 // (handleLookup's put-back). A parked batch keeps its envelope and is
 // decoded again from it on re-dispatch.
 func (s *Server) decodeBatch(req *proto.Request) ([]proto.Request, bool, error) {

@@ -231,7 +231,7 @@ func (s *Server) handleShardCommit(req *proto.Request) *proto.Response {
 	// in-flight rmdirs and install dead-directory tombstones.
 	for _, dir := range m.Marked {
 		if !s.deadDir(dir) {
-			s.shard(dir).marked = true
+			s.mark(s.shard(dir), dir, true)
 		}
 	}
 	for _, dir := range m.DeadDirs {

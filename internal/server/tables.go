@@ -14,7 +14,7 @@ import (
 // layout, this makes every server-side iteration (checkpoint encoding,
 // migration scans) deterministic: slot order is a pure function of the
 // operation history, where Go map order is randomized per run. Who has an
-// entry cached lives with the entry (dirEnt.tracker, dirShard.more). The
+// entry cached lives with the entry (dirEnt.tracker, dirShard.trackers). The
 // inode table holds each inode in place in the page its number names
 // (table.Dense): local numbers are issued in increasing order and never
 // reused, and it walks in ascending number order.

@@ -356,3 +356,23 @@ func TestRmdirReturnsItsSlab(t *testing.T) {
 		t.Logf("%d bytes of live heap left after the rmdir, %d while full", left, full-before.HeapAlloc)
 	}
 }
+
+// list returns the clients of tracker value t in fan-out order, leaving the
+// pool as it is.
+func (p *trackPool) list(t int32) []int32 {
+	var out []int32
+	if t > 0 {
+		return append(out, t-1)
+	}
+	for r := -t - 1; t < 0; r = p.runs[r].next - 1 {
+		for _, c := range p.runs[r].ids {
+			if c != 0 {
+				out = append(out, c-1)
+			}
+		}
+		if p.runs[r].next == 0 {
+			break
+		}
+	}
+	return out
+}

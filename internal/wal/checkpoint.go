@@ -66,6 +66,9 @@ type Checkpoint struct {
 	Inodes   []InodeSnap
 	Dirs     []DirSnap
 	DeadDirs []proto.InodeID
+	// Marked lists the directories whose shard here an rmdir's PREPARE
+	// marked and no COMMIT or ABORT has resolved yet (RecDirMark).
+	Marked []proto.InodeID
 }
 
 // Marshal encodes the checkpoint with a trailing CRC so a torn checkpoint
@@ -105,6 +108,10 @@ func (c *Checkpoint) Marshal() []byte {
 	}
 	b = wire.AppendU32(b, uint32(len(c.DeadDirs)))
 	for _, id := range c.DeadDirs {
+		b = proto.AppendInode(b, id)
+	}
+	b = wire.AppendU32(b, uint32(len(c.Marked)))
+	for _, id := range c.Marked {
 		b = proto.AppendInode(b, id)
 	}
 	wire.PutU32(b, crc32.Checksum(b[4:], crcTable))
@@ -160,6 +167,10 @@ func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 	ndead := int(d.U32())
 	for i := 0; i < ndead && d.Err() == nil; i++ {
 		c.DeadDirs = append(c.DeadDirs, proto.DecodeInode(d))
+	}
+	nmarked := int(d.U32())
+	for i := 0; i < nmarked && d.Err() == nil; i++ {
+		c.Marked = append(c.Marked, proto.DecodeInode(d))
 	}
 	if err := d.Finish("wal: decoding checkpoint"); err != nil {
 		return nil, err

@@ -14,7 +14,8 @@ import (
 
 // imgInode is one inode of an Image: exactly the fields records and
 // checkpoints carry. Volatile runtime state (descriptor counts, versions,
-// rmdir marks) is absent by construction because it is never logged.
+// who has an entry cached) is absent by construction because it is never
+// logged.
 type imgInode struct {
 	local  uint64
 	ftype  fsapi.FileType
@@ -88,6 +89,7 @@ type Image struct {
 	inodes *table.Dense[imgInode]
 	dirs   map[proto.InodeID]*imgShard
 	dead   map[proto.InodeID]bool
+	marked map[proto.InodeID]bool
 	// chunks holds block id → contents for blocks some live inode owns
 	// and a record or checkpoint wrote.
 	chunks map[uint64][]byte
@@ -109,6 +111,7 @@ func (m *Image) Load(c *Checkpoint) {
 	m.inodes = table.NewDense[imgInode]()
 	m.dirs = make(map[proto.InodeID]*imgShard)
 	m.dead = make(map[proto.InodeID]bool)
+	m.marked = make(map[proto.InodeID]bool)
 	m.chunks = make(map[uint64][]byte)
 	for i := range c.Inodes {
 		snap := &c.Inodes[i]
@@ -142,6 +145,9 @@ func (m *Image) Load(c *Checkpoint) {
 	}
 	for _, dir := range c.DeadDirs {
 		m.dead[dir] = true
+	}
+	for _, dir := range c.Marked {
+		m.marked[dir] = true
 	}
 }
 
@@ -255,7 +261,14 @@ func (m *Image) Apply(r Record) {
 		}
 	case RecDirKill:
 		delete(m.dirs, r.Dir)
+		delete(m.marked, r.Dir)
 		m.dead[r.Dir] = true
+	case RecDirMark:
+		if !m.dead[r.Dir] {
+			m.marked[r.Dir] = true
+		}
+	case RecDirUnmark:
+		delete(m.marked, r.Dir)
 	case RecEpoch:
 		m.epoch = r.Epoch
 		m.pmap = bytes.Clone(r.Data)
@@ -341,6 +354,10 @@ func (m *Image) Checkpoint() *Checkpoint {
 		c.DeadDirs = append(c.DeadDirs, dir)
 	}
 	slices.SortFunc(c.DeadDirs, inodeCmp)
+	for dir := range m.marked {
+		c.Marked = append(c.Marked, dir)
+	}
+	slices.SortFunc(c.Marked, inodeCmp)
 	return c
 }
 

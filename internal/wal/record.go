@@ -77,18 +77,28 @@ const (
 	// same batch as the migration's entry installs/removals, so recovery
 	// lands on exactly one side of the epoch boundary — never both.
 	RecEpoch
+	// RecDirMark marks a directory's shard for deletion: the PREPARE phase
+	// of the three-phase rmdir, and a migration COMMIT adopting the mark of
+	// an rmdir in flight. A crash before the COMMIT or ABORT leaves the
+	// shard marked, so nothing is created in a directory the COMMIT is
+	// about to delete (DESIGN.md §3). A DIR_KILL clears it with the shard.
+	RecDirMark
+	// RecDirUnmark clears a shard's mark (the ABORT phase).
+	RecDirUnmark
 )
 
 var recNames = map[RecType]string{
-	RecInode:   "INODE",
-	RecNlink:   "NLINK",
-	RecSize:    "SIZE",
-	RecBlocks:  "BLOCKS",
-	RecWrite:   "WRITE",
-	RecAddMap:  "ADD_MAP",
-	RecRmMap:   "RM_MAP",
-	RecDirKill: "DIR_KILL",
-	RecEpoch:   "EPOCH",
+	RecInode:     "INODE",
+	RecNlink:     "NLINK",
+	RecSize:      "SIZE",
+	RecBlocks:    "BLOCKS",
+	RecWrite:     "WRITE",
+	RecAddMap:    "ADD_MAP",
+	RecRmMap:     "RM_MAP",
+	RecDirKill:   "DIR_KILL",
+	RecEpoch:     "EPOCH",
+	RecDirMark:   "DIR_MARK",
+	RecDirUnmark: "DIR_UNMARK",
 }
 
 // String names the record type.
@@ -112,6 +122,8 @@ func (t RecType) String() string {
 //	RM_MAP    Dir, Name
 //	DIR_KILL  Dir
 //	EPOCH     Epoch, Data
+//	DIR_MARK  Dir
+//	DIR_UNMARK Dir
 //
 // Every record also carries its LSN and Type. A field its type does not
 // carry is not logged, and reads as zero once the record is decoded.
@@ -193,7 +205,7 @@ func appendFrame(buf []byte, r *Record) []byte {
 	case RecRmMap:
 		buf = proto.AppendInode(buf, r.Dir)
 		buf = wire.AppendStr(buf, r.Name)
-	case RecDirKill:
+	case RecDirKill, RecDirMark, RecDirUnmark:
 		buf = proto.AppendInode(buf, r.Dir)
 	case RecEpoch:
 		buf = wire.AppendU64(buf, r.Epoch)
@@ -268,7 +280,7 @@ func decodeRecordInto(r *Record, d *wire.Decoder) error {
 	case RecRmMap:
 		r.Dir = proto.DecodeInode(d)
 		r.Name = d.Str()
-	case RecDirKill:
+	case RecDirKill, RecDirMark, RecDirUnmark:
 		r.Dir = proto.DecodeInode(d)
 	case RecEpoch:
 		r.Epoch = d.U64()

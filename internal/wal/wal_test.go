@@ -32,15 +32,17 @@ func rec(t RecType, ino uint64) Record {
 // typeFields names the fields each record type's frame carries beside LSN
 // and Type: what Image.Apply reads for it (the layout table of DESIGN.md §6).
 var typeFields = map[RecType][]string{
-	RecInode:   {"Ino", "Ftype", "Mode", "Dist", "Nlink"},
-	RecNlink:   {"Ino", "Nlink"},
-	RecSize:    {"Ino", "Size"},
-	RecBlocks:  {"Ino", "Size", "Blocks"},
-	RecWrite:   {"Ino", "Off", "Data"},
-	RecAddMap:  {"Dir", "Name", "Target", "Ftype", "Dist"},
-	RecRmMap:   {"Dir", "Name"},
-	RecDirKill: {"Dir"},
-	RecEpoch:   {"Epoch", "Data"},
+	RecInode:     {"Ino", "Ftype", "Mode", "Dist", "Nlink"},
+	RecNlink:     {"Ino", "Nlink"},
+	RecSize:      {"Ino", "Size"},
+	RecBlocks:    {"Ino", "Size", "Blocks"},
+	RecWrite:     {"Ino", "Off", "Data"},
+	RecAddMap:    {"Dir", "Name", "Target", "Ftype", "Dist"},
+	RecRmMap:     {"Dir", "Name"},
+	RecDirKill:   {"Dir"},
+	RecEpoch:     {"Epoch", "Data"},
+	RecDirMark:   {"Dir"},
+	RecDirUnmark: {"Dir"},
 }
 
 // carried is r as its type's frame carries it: every other field zero.
@@ -81,7 +83,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if len(typeFields) != len(recNames) {
 		t.Fatalf("the layout table covers %d types, the log has %d", len(typeFields), len(recNames))
 	}
-	for typ := RecInode; typ <= RecEpoch; typ++ {
+	for typ := RecInode; typ <= RecDirUnmark; typ++ {
 		t.Run(typ.String(), func(t *testing.T) {
 			in := fullRecord(typ)
 			body, rest, err := unframe(appendFrame(nil, &in))
@@ -114,6 +116,8 @@ func TestFrameSizes(t *testing.T) {
 		{RecRmMap, 33 + name},
 		{RecAddMap, 47 + name},
 		{RecDirKill, 29},
+		{RecDirMark, 29},
+		{RecDirUnmark, 29},
 	} {
 		r := fullRecord(c.typ)
 		if got := len(appendFrame(nil, &r)); got > c.max {
@@ -137,7 +141,7 @@ func TestDecodeRejectsUnknownTypeAndTrailingBytes(t *testing.T) {
 	r := Record{LSN: 1, Type: RecNlink, Ino: 2, Nlink: 1}
 	body := appendFrame(nil, &r)[frameHeader:]
 	unknown := bytes.Clone(body)
-	unknown[8] = uint8(RecEpoch) + 1
+	unknown[8] = uint8(RecDirUnmark) + 1
 	invalid := bytes.Clone(body)
 	invalid[8] = uint8(recInvalid)
 	for name, b := range map[string][]byte{
@@ -166,7 +170,7 @@ func TestDecodeRejectsUnknownTypeAndTrailingBytes(t *testing.T) {
 // place into a used slot — gives back the fields its type carries, and the
 // frame is as long as its body says.
 func FuzzRecordRoundTrip(f *testing.F) {
-	for typ := RecInode; typ <= RecEpoch; typ++ {
+	for typ := RecInode; typ <= RecDirUnmark; typ++ {
 		r := fullRecord(typ)
 		f.Add(uint8(typ-1), r.LSN, r.Ino, r.Dir.Server, r.Dir.Local, r.Name, r.Target.Local,
 			uint8(r.Ftype), uint16(r.Mode), r.Dist, r.Size, r.Off, r.Nlink, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, r.Data, r.Epoch)
@@ -175,7 +179,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		uint8(0), uint16(0), false, int64(0), int64(0), int32(0), []byte(nil), []byte(nil), uint64(0))
 	f.Fuzz(func(t *testing.T, typ uint8, lsn, ino uint64, dirServer int32, dirLocal uint64, name string, target uint64,
 		ftype uint8, mode uint16, dist bool, size, off int64, nlink int32, blocks, data []byte, epoch uint64) {
-		r := Record{LSN: lsn, Type: RecType(1 + typ%uint8(RecEpoch)), Ino: ino,
+		r := Record{LSN: lsn, Type: RecType(1 + typ%uint8(RecDirUnmark)), Ino: ino,
 			Dir: proto.InodeID{Server: dirServer, Local: dirLocal}, Name: name,
 			Target: proto.InodeID{Server: dirServer ^ 1, Local: target}, Ftype: fsapi.FileType(ftype),
 			Mode: fsapi.Mode(mode), Dist: dist, Size: size, Off: off, Nlink: nlink, Data: data, Epoch: epoch}

@@ -80,6 +80,7 @@ func checkpoint() *wal.Checkpoint {
 		},
 		Dirs:     []wal.DirSnap{{Dir: dir, Ents: []wal.DirEntSnap{{Name: "f", Target: target, Ftype: fsapi.TypeRegular}}}},
 		DeadDirs: []proto.InodeID{{Server: 0, Local: 6}},
+		Marked:   []proto.InodeID{{Server: 0, Local: 11}},
 	}
 }
 
@@ -176,6 +177,8 @@ func formats() []format {
 		{LSN: 7, Type: wal.RecRmMap, Dir: dir, Name: "f"},
 		{LSN: 8, Type: wal.RecDirKill, Dir: dir},
 		{LSN: 9, Type: wal.RecEpoch, Epoch: 7, Data: placeMap(place.PolicyModulo)},
+		{LSN: 10, Type: wal.RecDirMark, Dir: dir},
+		{LSN: 11, Type: wal.RecDirUnmark, Dir: dir},
 	} {
 		fs = append(fs, format{name: r.Type.String() + " frame",
 			encode: func() []byte { return frame(r) }, reencode: framesRoundTrip})
@@ -238,27 +241,29 @@ func formats() []format {
 
 // golden is each sample's committed encoding.
 var golden = map[string]string{
-	"request":         "1100070000000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a00000000000000000101630000000000000009000000040000000300000000000000",
-	"traced request":  "1100070000000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a0000000000000000010163000000000000000900000004000000030000000000000022110000000000004433000000000000",
-	"response":        "0200000002000000090000000000000002000000022c010000000000000c00000000000000fcffffffffffffff060000000000000002000000640000000000000003000000000000000700000000000000010000000000000005000000000000000300000078797a010000000200000000000000014d0000000000000002000000ed0102000000010000006102000000090000000000000001020000006263010000000200000000000000020103000000ffffffff2a000000000000000800000000000000",
-	"invalidation":    "01000000020000000000000004000000676f6e65",
-	"batch envelope":  "280007000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000a01000001020000007f000000010000000000010000000200000000000000010000006100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003000000000000007e0000000e000000000000000000000000000000000000000000feffffff0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
-	"batch reply":     "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000006010000020000007d00000000000000020000000900000000000000020000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000007d00000017000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
-	"shard message":   "1d000000070000000000000000400000000300000000000000020000000500000001000000010000000200000000000000010000006d02000000090000000000000002010100000001000000020000000000000001000000030000000400000000000000",
-	"INODE frame":     "190000008f315727010000000000000001090000000000000001a4010101000000",
-	"NLINK frame":     "15000000a7833cf2020000000000000002090000000000000002000000",
-	"SIZE frame":      "19000000baf52b8403000000000000000309000000000000008813000000000000",
-	"BLOCKS frame":    "2d0000003ab2fa5a040000000000000004090000000000000000200000000000000200000028000000000000002900000000000000",
-	"WRITE frame":     "21000000a1bed9bc050000000000000005090000000000000040000000000000000400000064617461",
-	"ADD_MAP frame":   "28000000f73949c906000000000000000601000000020000000000000001000000660200000009000000000000000201",
-	"RM_MAP frame":    "1a000000a55c4ae80700000000000000070100000002000000000000000100000066",
-	"DIR_KILL frame":  "15000000825475e7080000000000000008010000000200000000000000",
-	"EPOCH frame":     "320000005e4df4ff09000000000000000907000000000000001d0000000700000000000000004000000003000000000000000200000005000000",
-	"checkpoint":      "465e088c1e000000000000000c0000000000000007000000000000001d000000070000000000000001400000000300000000000000020000000500000002000000020000000000000002ed01000000000000000002000000010000000000000000090000000000000001a401bc0200000000000001000000000200000004000000000000000500000000000000020000000200000068690000000001000000010000000200000000000000010000000100000066020000000900000000000000010001000000000000000600000000000000",
-	"repl batch":      "0200000011000000000000003a0000001500000023dbcf6811000000000000000209000000000000000000000015000000654ea76d120000000000000008010000000200000000000000000000000000000000000000",
-	"repl snapshot":   "020000000000000000000000000000001e00000000000000d2000000465e088c1e000000000000000c0000000000000007000000000000001d000000070000000000000001400000000300000000000000020000000500000002000000020000000000000002ed01000000000000000002000000010000000000000000090000000000000001a401bc0200000000000001000000000200000004000000000000000500000000000000020000000200000068690000000001000000010000000200000000000000010000000100000066020000000900000000000000010001000000000000000600000000000000",
-	"repl ack":        "0100000002000000280000000000000001",
-	"repl seal reply": "280000000000000004000000736e6170",
-	"modulo map":      "0700000000000000004000000003000000000000000200000005000000",
-	"ring map":        "0700000000000000014000000003000000000000000200000005000000",
+	"request":          "1100070000000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a00000000000000000101630000000000000009000000040000000300000000000000",
+	"traced request":   "1100070000000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a0000000000000000010163000000000000000900000004000000030000000000000022110000000000004433000000000000",
+	"response":         "0200000002000000090000000000000002000000022c010000000000000c00000000000000fcffffffffffffff060000000000000002000000640000000000000003000000000000000700000000000000010000000000000005000000000000000300000078797a010000000200000000000000014d0000000000000002000000ed0102000000010000006102000000090000000000000001020000006263010000000200000000000000020103000000ffffffff2a000000000000000800000000000000",
+	"invalidation":     "01000000020000000000000004000000676f6e65",
+	"batch envelope":   "280007000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000a01000001020000007f000000010000000000010000000200000000000000010000006100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003000000000000007e0000000e000000000000000000000000000000000000000000feffffff0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+	"batch reply":      "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000006010000020000007d00000000000000020000000900000000000000020000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000007d00000017000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+	"shard message":    "1d000000070000000000000000400000000300000000000000020000000500000001000000010000000200000000000000010000006d02000000090000000000000002010100000001000000020000000000000001000000030000000400000000000000",
+	"INODE frame":      "190000008f315727010000000000000001090000000000000001a4010101000000",
+	"NLINK frame":      "15000000a7833cf2020000000000000002090000000000000002000000",
+	"SIZE frame":       "19000000baf52b8403000000000000000309000000000000008813000000000000",
+	"BLOCKS frame":     "2d0000003ab2fa5a040000000000000004090000000000000000200000000000000200000028000000000000002900000000000000",
+	"WRITE frame":      "21000000a1bed9bc050000000000000005090000000000000040000000000000000400000064617461",
+	"ADD_MAP frame":    "28000000f73949c906000000000000000601000000020000000000000001000000660200000009000000000000000201",
+	"RM_MAP frame":     "1a000000a55c4ae80700000000000000070100000002000000000000000100000066",
+	"DIR_KILL frame":   "15000000825475e7080000000000000008010000000200000000000000",
+	"EPOCH frame":      "320000005e4df4ff09000000000000000907000000000000001d0000000700000000000000004000000003000000000000000200000005000000",
+	"DIR_UNMARK frame": "15000000afbaa1210b000000000000000b010000000200000000000000",
+	"DIR_MARK frame":   "15000000b4e0ed630a000000000000000a010000000200000000000000",
+	"checkpoint":       "112735081e000000000000000c0000000000000007000000000000001d000000070000000000000001400000000300000000000000020000000500000002000000020000000000000002ed01000000000000000002000000010000000000000000090000000000000001a401bc020000000000000100000000020000000400000000000000050000000000000002000000020000006869000000000100000001000000020000000000000001000000010000006602000000090000000000000001000100000000000000060000000000000001000000000000000b00000000000000",
+	"repl batch":       "0200000011000000000000003a0000001500000023dbcf6811000000000000000209000000000000000000000015000000654ea76d120000000000000008010000000200000000000000000000000000000000000000",
+	"repl snapshot":    "020000000000000000000000000000001e00000000000000e2000000112735081e000000000000000c0000000000000007000000000000001d000000070000000000000001400000000300000000000000020000000500000002000000020000000000000002ed01000000000000000002000000010000000000000000090000000000000001a401bc020000000000000100000000020000000400000000000000050000000000000002000000020000006869000000000100000001000000020000000000000001000000010000006602000000090000000000000001000100000000000000060000000000000001000000000000000b00000000000000",
+	"repl ack":         "0100000002000000280000000000000001",
+	"repl seal reply":  "280000000000000004000000736e6170",
+	"modulo map":       "0700000000000000004000000003000000000000000200000005000000",
+	"ring map":         "0700000000000000014000000003000000000000000200000005000000",
 }
