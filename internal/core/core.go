@@ -616,9 +616,11 @@ func (s *System) checkServer(id int) error {
 
 // Crash kills file server id as if its process died: its in-memory state is
 // dropped and its request loop stops. Requests sent to a crashed server
-// (and any already queued) wait in its inbox and are served after Recover;
-// requests parked inside the server (blocked pipe reads, rmdir waiters) are
-// lost, so callers should quiesce pipe users before injecting faults.
+// (and any already queued) wait in its inbox and are served after Recover.
+// So are the requests parked inside it (blocked pipe reads, rmdir waiters,
+// creates on a marked shard), which have had no effect yet: the recovered
+// server serves them again first, and each gets an answer — a read of a
+// pipe, which the crash lost, fails.
 //
 // The shared DRAM — including the crashed server's buffer-cache partition —
 // survives, the way memory owned by no process survives a process crash.

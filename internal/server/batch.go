@@ -52,17 +52,15 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 		if !info.Batchable {
 			continue // answered per-sub below, never dispatched
 		}
-		if info.Addr == proto.AddrShard {
-			if sh, ok := s.dirs.Get(sub.Dir); ok && sh.marked {
-				s.park(sh, batchReq, raw)
-				return nil, true
-			}
+		// The whole batch waits where dispatch would park the sub-request:
+		// on its shard's rmdir mark, or on a frozen server. Parking mid-batch
+		// is impossible, and the batch must start over when woken.
+		q := s.markWaits(sub.Op, sub.Dir)
+		if q == nil && s.parksFrozen(sub.Op, sub.Epoch) {
+			q = &s.migParked
 		}
-		// A frozen server parks whole batches that carry a sub-operation
-		// the epoch gate would park: parking mid-batch is impossible, and
-		// the batch must re-dispatch from scratch after the commit.
-		if s.parksFrozen(sub.Op, sub.Epoch) {
-			s.migParked = append(s.migParked, parkedReq{req: batchReq, env: raw})
+		if q != nil {
+			q.park(batchReq, raw)
 			return nil, true
 		}
 	}

@@ -34,16 +34,10 @@ type dirShard struct {
 	// has cached.
 	trackers trackPool
 	// marked is set between the PREPARE and COMMIT/ABORT phases of the
-	// rmdir protocol; while set, operations on this directory are parked.
+	// rmdir protocol; while set, entry ops on this directory wait in parked
+	// (markWaits).
 	marked bool
-	parked []parkedReq
-}
-
-// parkedReq is a request whose reply has been deferred (rmdir mark, blocked
-// pipe read/write, rmdir lock queue).
-type parkedReq struct {
-	req *proto.Request
-	env msg.Envelope
+	parked waitq
 }
 
 // shard returns this server's shard for dir, creating it if needed.
@@ -115,42 +109,19 @@ func (s *Server) sendInvalidation(dst msg.EndpointID, iv *proto.Invalidation) {
 	}
 }
 
-// park defers a request on a shard until its rmdir mark is resolved.
-func (s *Server) park(sh *dirShard, req *proto.Request, env msg.Envelope) {
-	sh.parked = append(sh.parked, parkedReq{req: req, env: env})
-}
-
-// unparkShard re-dispatches every request parked on the shard.
-func (s *Server) unparkShard(sh *dirShard) {
-	parked := sh.parked
-	sh.parked = nil
-	for _, p := range parked {
-		resp, again := s.dispatch(p.req, p.env)
-		if again {
-			continue
-		}
-		s.reply(p.env, resp)
-		s.putReq(p.req)
-	}
-}
-
 // --- directory entry handlers ---
 
-func (s *Server) handleLookup(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
+func (s *Server) handleLookup(req *proto.Request) *proto.Response {
 	if s.deadDir(req.Dir) {
-		return s.errResp(fsapi.ENOENT), false
+		return s.errResp(fsapi.ENOENT)
 	}
 	sh, ok := s.dirs.Get(req.Dir)
 	if !ok {
-		return s.errResp(fsapi.ENOENT), false
-	}
-	if sh.marked {
-		s.park(sh, req, env)
-		return nil, true
+		return s.errResp(fsapi.ENOENT)
 	}
 	ent, ok := sh.ents.Get(req.Name)
 	if !ok {
-		return s.errResp(fsapi.ENOENT), false
+		return s.errResp(fsapi.ENOENT)
 	}
 	if s.track(sh, &ent, req.ClientID) {
 		sh.ents.Put(req.Name, ent) // the entry keeps its stored key
@@ -160,21 +131,17 @@ func (s *Server) handleLookup(req *proto.Request, env msg.Envelope) (*proto.Resp
 		Server: ent.target.Server,
 		Ftype:  ent.ftype,
 		Dist:   ent.dist,
-	}), false
+	})
 }
 
-func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
+func (s *Server) handleAddMap(req *proto.Request) *proto.Response {
 	if !fsapi.ValidName(req.Name) {
-		return s.errResp(fsapi.EINVAL), false
+		return s.errResp(fsapi.EINVAL)
 	}
 	if s.deadDir(req.Dir) {
-		return s.errResp(fsapi.ENOENT), false
+		return s.errResp(fsapi.ENOENT)
 	}
 	sh := s.shard(req.Dir)
-	if sh.marked {
-		s.park(sh, req, env)
-		return nil, true
-	}
 	old, exists := sh.ents.Get(req.Name)
 	if exists && !req.Replace {
 		return s.resp(proto.Response{
@@ -183,7 +150,7 @@ func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Resp
 			Server: old.target.Server,
 			Ftype:  old.ftype,
 			Dist:   old.dist,
-		}), false
+		})
 	}
 	ent := dirEnt{target: req.Target, ftype: req.Ftype, dist: req.Distributed}
 	name := req.Name // a replaced entry keeps the key it is stored under
@@ -205,33 +172,29 @@ func (s *Server) handleAddMap(req *proto.Request, env msg.Envelope) (*proto.Resp
 	} else {
 		resp.Ino = proto.NilInode
 	}
-	return resp, false
+	return resp
 }
 
-func (s *Server) handleRmMap(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
+func (s *Server) handleRmMap(req *proto.Request) *proto.Response {
 	if s.deadDir(req.Dir) {
-		return s.errResp(fsapi.ENOENT), false
+		return s.errResp(fsapi.ENOENT)
 	}
 	sh, ok := s.dirs.Get(req.Dir)
 	if !ok {
-		return s.errResp(fsapi.ENOENT), false
-	}
-	if sh.marked {
-		s.park(sh, req, env)
-		return nil, true
+		return s.errResp(fsapi.ENOENT)
 	}
 	ent, ok := sh.ents.Get(req.Name)
 	if !ok {
-		return s.errResp(fsapi.ENOENT), false
+		return s.errResp(fsapi.ENOENT)
 	}
 	// Unlink must not remove directories and rmdir must not remove files;
 	// the client states which type it expects (zero means "any", used by
 	// rename).
 	if req.Ftype == fsapi.TypeRegular && ent.ftype == fsapi.TypeDir {
-		return s.errResp(fsapi.EISDIR), false
+		return s.errResp(fsapi.EISDIR)
 	}
 	if req.Ftype == fsapi.TypeDir && ent.ftype != fsapi.TypeDir {
-		return s.errResp(fsapi.ENOTDIR), false
+		return s.errResp(fsapi.ENOTDIR)
 	}
 	sh.ents.Delete(req.Name)
 	sh.drop(req.Name)
@@ -243,22 +206,18 @@ func (s *Server) handleRmMap(req *proto.Request, env msg.Envelope) (*proto.Respo
 		Server: ent.target.Server,
 		Ftype:  ent.ftype,
 		Dist:   ent.dist,
-	}), false
+	})
 }
 
-func (s *Server) handleReadDirShard(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
+func (s *Server) handleReadDirShard(req *proto.Request) *proto.Response {
 	if s.deadDir(req.Dir) {
-		return s.errResp(fsapi.ENOENT), false
+		return s.errResp(fsapi.ENOENT)
 	}
 	sh, ok := s.dirs.Get(req.Dir)
 	if !ok {
 		// No entries ever created on this server for the directory;
 		// an empty listing, not an error.
-		return s.resp(proto.Response{}), false
-	}
-	if sh.marked {
-		s.park(sh, req, env)
-		return nil, true
+		return s.resp(proto.Response{})
 	}
 	// The listing is cut from a scratch the next one reuses, as the extent
 	// list is (extentList).
@@ -268,25 +227,21 @@ func (s *Server) handleReadDirShard(req *proto.Request, env msg.Envelope) (*prot
 		return true
 	})
 	s.entScratch = ents
-	return s.resp(proto.Response{Ents: ents, N: int64(len(ents))}), false
+	return s.resp(proto.Response{Ents: ents, N: int64(len(ents))})
 }
 
 // handleCreateCoalesced creates the inode, adds the directory entry, and
 // (optionally) opens a descriptor in a single message. It is used when
 // creation affinity places the new inode on the same server that stores the
 // directory entry (§3.6.3, §3.6.4).
-func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
+func (s *Server) handleCreateCoalesced(req *proto.Request) *proto.Response {
 	if !fsapi.ValidName(req.Name) {
-		return s.errResp(fsapi.EINVAL), false
+		return s.errResp(fsapi.EINVAL)
 	}
 	if s.deadDir(req.Dir) {
-		return s.errResp(fsapi.ENOENT), false
+		return s.errResp(fsapi.ENOENT)
 	}
 	sh := s.shard(req.Dir)
-	if sh.marked {
-		s.park(sh, req, env)
-		return nil, true
-	}
 	if old, exists := sh.ents.Get(req.Name); exists {
 		// The client falls back to the plain open path (or reports
 		// EEXIST for O_EXCL); return the existing entry's location.
@@ -296,7 +251,7 @@ func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*p
 			Server: old.target.Server,
 			Ftype:  old.ftype,
 			Dist:   old.dist,
-		}), false
+		})
 	}
 	ftype := req.Ftype
 	if ftype == 0 {
@@ -321,5 +276,5 @@ func (s *Server) handleCreateCoalesced(req *proto.Request, env msg.Envelope) (*p
 		Version: ino.version,
 		Dist:    req.Distributed,
 		Stat:    s.statOf(ino),
-	}), false
+	})
 }

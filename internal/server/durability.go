@@ -25,10 +25,12 @@ import (
 // Durable state is the namespace and file contents: inodes (type, mode,
 // link count, size, block list), directory shards, dead-directory
 // tombstones, and file data. Open-descriptor counts, server-side shared
-// descriptors, pipes, rmdir marks, parked requests, and invalidation
-// tracking are volatile — they describe sessions with client processes,
-// and a server crash severs those sessions just as a machine crash severs
-// open file descriptors.
+// descriptors, pipes, the rmdir lock, and invalidation tracking are
+// volatile — they describe sessions with client processes, and a server
+// crash severs those sessions just as a machine crash severs open file
+// descriptors. An rmdir mark is logged (mark). A parked request has had no
+// effect yet: it outlives the crash like one still in the inbox, and the
+// restart serves it again (wait.go).
 
 // stage queues a record for the request currently being served. It is a
 // no-op when durability is disabled, so handlers call it unconditionally.
@@ -271,9 +273,10 @@ func (s *Server) buildCheckpoint() *wal.Checkpoint {
 // loseMemory is set — the server's DRAM partition is wiped too, modelling
 // the loss of its memory domain rather than just the process.
 //
-// Parked requests (blocked pipe reads, rmdir waiters) die with the server:
-// their clients never receive replies, like processes blocked on a dead
-// machine.
+// Parked requests (blocked pipe reads, rmdir waiters, creates on a marked
+// shard) have had no effect yet, so they outlive the crash like requests
+// still in the inbox: they move to s.orphans, and the restart serves them
+// again on the recovered state.
 func (s *Server) Crash(loseMemory bool) {
 	s.crashMu.Lock()
 	defer s.crashMu.Unlock()
@@ -298,6 +301,7 @@ func (s *Server) Crash(loseMemory bool) {
 		<-s.replDone
 	}
 	// The loops have exited; their state is now safe to touch from here.
+	s.orphan()
 	if loseMemory {
 		s.wipePartition()
 	}
@@ -331,8 +335,7 @@ func (s *Server) resetState() {
 	s.pending, s.pendingBlocks = nil, nil
 	// Placement falls back to the boot-time map; a later epoch adopted
 	// through migration is restored by the checkpoint or an epoch record.
-	// Freeze state and parked requests are volatile and die with the
-	// server, like every other parked request.
+	// Freeze state is volatile and dies with the server.
 	s.pmap = s.cfg.Placement
 	if s.pmap != nil {
 		s.epoch.Store(s.pmap.Epoch())
@@ -341,7 +344,6 @@ func (s *Server) resetState() {
 	}
 	s.frozen = false
 	s.pendingEpoch = 0
-	s.migParked = nil
 	s.entCount.Store(0)
 	if s.replEP != nil {
 		s.replicas = make(map[int]*repl.Follower)
@@ -441,6 +443,9 @@ func (s *Server) restart(prepare func() (*wal.Checkpoint, sim.Cycles, error)) (s
 	// inbox reopens, so atomic delivery guarantees the flush is seen before
 	// any post-restart lookup reply.
 	s.broadcastCacheFlush()
+	// The requests the crash found parked are served again on the recovered
+	// state, before anything the inbox holds.
+	s.wake(&s.orphans)
 
 	s.lostMemory = false
 	s.done = make(chan struct{})

@@ -52,7 +52,7 @@ type inodeRare struct {
 	// rmdirLocked serializes rmdir()s of a directory at its home server;
 	// the rmdirs waiting for the lock queue in rmdirQueue.
 	rmdirLocked bool
-	rmdirQueue  []parkedReq
+	rmdirQueue  waitq
 }
 
 // rareState returns the inode's rare state, allocating it on first need.

@@ -11,8 +11,9 @@ import (
 // says): its handler, and what serving it costs in virtual time.
 type opRow struct {
 	// serve answers the request. park is the handler of an op that may
-	// defer its reply instead, reporting true when it did. A row has one of
-	// them, or neither for an op the server does not serve.
+	// wait on its own object — the rmdir lock, a pipe, a batch's shards —
+	// and defer its reply, reporting true when it parked (wait.go). A row
+	// has one of them, or neither for an op the server does not serve.
 	serve func(*Server, *proto.Request) *proto.Response
 	park  func(*Server, *proto.Request, msg.Envelope) (*proto.Response, bool)
 	// station is the op's charge in the cost model; size, when set, adds
@@ -28,11 +29,11 @@ var ops [proto.NumOps]opRow
 
 func init() {
 	ops = [proto.NumOps]opRow{
-		proto.OpLookup:          {park: (*Server).handleLookup, station: atLookup},
-		proto.OpAddMap:          {park: (*Server).handleAddMap, station: atCreate},
-		proto.OpRmMap:           {park: (*Server).handleRmMap, station: atUnlink},
-		proto.OpReadDirShard:    {park: (*Server).handleReadDirShard, station: atReadDir, size: (*Server).shardEnts},
-		proto.OpCreateCoalesced: {park: (*Server).handleCreateCoalesced, station: atCreateOpen},
+		proto.OpLookup:          {serve: (*Server).handleLookup, station: atLookup},
+		proto.OpAddMap:          {serve: (*Server).handleAddMap, station: atCreate},
+		proto.OpRmMap:           {serve: (*Server).handleRmMap, station: atUnlink},
+		proto.OpReadDirShard:    {serve: (*Server).handleReadDirShard, station: atReadDir, size: (*Server).shardEnts},
+		proto.OpCreateCoalesced: {serve: (*Server).handleCreateCoalesced, station: atCreateOpen},
 
 		proto.OpMknod:       {serve: (*Server).handleMknod, station: atCreate},
 		proto.OpLinkInode:   {serve: (*Server).handleLinkInode, station: atUnlink},
@@ -116,9 +117,14 @@ func (s *Server) dispatch(req *proto.Request, env msg.Envelope) (*proto.Response
 	}
 	// Placement-routed requests pass the epoch gate first: a stale (or
 	// ahead-of-us) epoch is answered with EEPOCH, and entry mutations on a
-	// frozen server park until the migration commits (DESIGN.md §9).
+	// frozen server park until the migration commits (DESIGN.md §9). Then
+	// an entry op on a shard an rmdir has marked waits for its outcome.
 	if resp, parked, handled := s.epochGate(req, env); handled {
 		return resp, parked
+	}
+	if q := s.markWaits(req.Op, req.Dir); q != nil {
+		q.park(req, env)
+		return nil, true
 	}
 	r := row(req.Op)
 	switch {

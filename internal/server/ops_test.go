@@ -16,11 +16,12 @@ func TestOpTablesAgree(t *testing.T) {
 	for op := proto.Op(0); op < proto.NumOps; op++ {
 		info, r := op.Info(), ops[op]
 		served := r.serve != nil || r.park != nil
-		// dispatchBatch screens only shard ops for parking before it runs
-		// anything: a batchable op that parked on anything but a shard's
-		// rmdir mark or the epoch would park mid-batch.
-		if info.Batchable && r.park != nil && info.Addr != proto.AddrShard {
-			t.Errorf("%v is batchable and can park, but is not shard-addressed", op)
+		// A batchable op waits only where dispatch parks it — on its shard's
+		// rmdir mark or a frozen server — which dispatchBatch screens for
+		// before it runs anything: one whose handler could park would park
+		// mid-batch.
+		if info.Batchable && r.park != nil {
+			t.Errorf("%v is batchable and has a park handler", op)
 		}
 		// Every op the batch pre-screen checks against a mark is one the
 		// epoch gate stops.

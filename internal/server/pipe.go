@@ -19,8 +19,8 @@ type pipeState struct {
 	readers int
 	writers int
 
-	waitReaders []parkedReq
-	waitWriters []parkedReq
+	waitReaders waitq
+	waitWriters waitq
 }
 
 func (s *Server) getPipe(target proto.InodeID) (*inode, *pipeState, fsapi.Errno) {
@@ -45,7 +45,7 @@ func (s *Server) handlePipeCreate(req *proto.Request) *proto.Response {
 }
 
 func (s *Server) handlePipeRead(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
-	ino, p, errno := s.getPipe(req.Target)
+	_, p, errno := s.getPipe(req.Target)
 	if errno != fsapi.OK {
 		return s.errResp(errno), false
 	}
@@ -54,7 +54,7 @@ func (s *Server) handlePipeRead(req *proto.Request, env msg.Envelope) (*proto.Re
 			// End of file: all write ends closed.
 			return s.resp(proto.Response{N: 0}), false
 		}
-		p.waitReaders = append(p.waitReaders, parkedReq{req: req, env: env})
+		p.waitReaders.park(req, env)
 		return nil, true
 	}
 	n := int(req.Count)
@@ -64,12 +64,12 @@ func (s *Server) handlePipeRead(req *proto.Request, env msg.Envelope) (*proto.Re
 	data := make([]byte, n)
 	copy(data, p.buf[:n])
 	p.buf = p.buf[n:]
-	s.wakePipeWriters(ino, p)
+	s.wake(&p.waitWriters)
 	return s.resp(proto.Response{Data: data, N: int64(n)}), false
 }
 
 func (s *Server) handlePipeWrite(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
-	ino, p, errno := s.getPipe(req.Target)
+	_, p, errno := s.getPipe(req.Target)
 	if errno != fsapi.OK {
 		return s.errResp(errno), false
 	}
@@ -78,7 +78,7 @@ func (s *Server) handlePipeWrite(req *proto.Request, env msg.Envelope) (*proto.R
 	}
 	space := pipeBufferMax - len(p.buf)
 	if space <= 0 {
-		p.waitWriters = append(p.waitWriters, parkedReq{req: req, env: env})
+		p.waitWriters.park(req, env)
 		return nil, true
 	}
 	n := len(req.Data)
@@ -86,7 +86,7 @@ func (s *Server) handlePipeWrite(req *proto.Request, env msg.Envelope) (*proto.R
 		n = space
 	}
 	p.buf = append(p.buf, req.Data[:n]...)
-	s.wakePipeReaders(ino, p)
+	s.wake(&p.waitReaders)
 	return s.resp(proto.Response{N: int64(n)}), false
 }
 
@@ -115,7 +115,7 @@ func (s *Server) handlePipeClose(req *proto.Request) *proto.Response {
 		if p.writers == 0 {
 			// Wake blocked readers: they observe EOF (or drain what
 			// remains in the buffer).
-			s.wakePipeReaders(ino, p)
+			s.wake(&p.waitReaders)
 		}
 	} else {
 		if p.readers > 0 {
@@ -123,7 +123,7 @@ func (s *Server) handlePipeClose(req *proto.Request) *proto.Response {
 		}
 		if p.readers == 0 {
 			// Wake blocked writers: they observe EPIPE.
-			s.wakePipeWriters(ino, p)
+			s.wake(&p.waitWriters)
 		}
 	}
 	if p.readers == 0 && p.writers == 0 {
@@ -132,34 +132,4 @@ func (s *Server) handlePipeClose(req *proto.Request) *proto.Response {
 		s.maybeReap(ino)
 	}
 	return s.resp(proto.Response{})
-}
-
-// wakePipeReaders re-dispatches parked read requests after data arrived or
-// the last writer closed.
-func (s *Server) wakePipeReaders(_ *inode, p *pipeState) {
-	waiting := p.waitReaders
-	p.waitReaders = nil
-	for _, w := range waiting {
-		resp, parked := s.handlePipeRead(w.req, w.env)
-		if parked {
-			continue
-		}
-		s.reply(w.env, resp)
-		s.putReq(w.req)
-	}
-}
-
-// wakePipeWriters re-dispatches parked write requests after space appeared
-// or the last reader closed.
-func (s *Server) wakePipeWriters(_ *inode, p *pipeState) {
-	waiting := p.waitWriters
-	p.waitWriters = nil
-	for _, w := range waiting {
-		resp, parked := s.handlePipeWrite(w.req, w.env)
-		if parked {
-			continue
-		}
-		s.reply(w.env, resp)
-		s.putReq(w.req)
-	}
 }

@@ -38,7 +38,7 @@ func (s *Server) handleRmdirLock(req *proto.Request, env msg.Envelope) (*proto.R
 	if r.rmdirLocked {
 		// Another client is already running the protocol on this
 		// directory; park until it finishes.
-		r.rmdirQueue = append(r.rmdirQueue, parkedReq{req: req, env: env})
+		r.rmdirQueue.park(req, env)
 		return nil, true
 	}
 	r.rmdirLocked = true
@@ -76,7 +76,7 @@ func (s *Server) handleRmdirCommit(req *proto.Request) *proto.Response {
 	// committed rmdir. Their replies go out before this commit's record is
 	// staged, so a parked reply cannot drain the record and absorb the
 	// rmdir's own commit latency.
-	s.unparkShard(sh)
+	s.wake(&sh.parked)
 	s.stageDirKill(req.Dir)
 	return s.resp(proto.Response{})
 }
@@ -87,65 +87,41 @@ func (s *Server) handleRmdirAbort(req *proto.Request) *proto.Response {
 		return s.resp(proto.Response{})
 	}
 	s.mark(sh, req.Dir, false)
-	s.unparkShard(sh)
+	s.wake(&sh.parked)
 	return s.resp(proto.Response{})
 }
 
 // handleRmdirUnlock releases the home-server serialization without removing
-// the directory (the protocol aborted). The next queued rmdir, if any, is
-// granted the lock.
+// the directory (the protocol aborted). The waiting LOCKs are served again in
+// the order they came: the first takes the lock, the rest wait again.
 func (s *Server) handleRmdirUnlock(req *proto.Request) *proto.Response {
 	ino, errno := s.getInode(req.Target)
 	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
-	s.releaseRmdirLock(ino, false)
+	if r := ino.rare; r != nil {
+		r.rmdirLocked = false
+		s.wake(&r.rmdirQueue)
+	}
 	return s.resp(proto.Response{})
 }
 
-// handleRmdirFinish removes the directory inode at its home server and
-// releases the serialization lock. Queued rmdir requests for the same
-// directory are answered with ENOENT (the directory no longer exists).
+// handleRmdirFinish removes the directory inode at its home server. The
+// inode goes first, so the LOCKs waiting for it, served again, answer ENOENT;
+// their replies go out before this finish stages its records.
 func (s *Server) handleRmdirFinish(req *proto.Request) *proto.Response {
 	ino, errno := s.getInode(req.Target)
 	if errno != fsapi.OK {
 		return s.errResp(errno)
 	}
-	s.releaseRmdirLock(ino, true)
+	s.inodes.Delete(ino.local) // ino stays valid: a deleted slot keeps its contents
+	if r := ino.rare; r != nil {
+		s.wake(&r.rmdirQueue)
+	}
 	ino.nlink = 0
 	s.stageNlink(ino)
 	s.stageDirKill(s.id(ino))
 	s.maybeReap(ino)
-	s.inodes.Delete(ino.local)
 	s.deadDirs.Put(s.id(ino), struct{}{})
 	return s.resp(proto.Response{})
-}
-
-// releaseRmdirLock hands the serialization lock to the next queued rmdir, or
-// fails all waiters with ENOENT when the directory has been removed. Consumed
-// requests return to the free list; replies resume the waiters' lanes.
-func (s *Server) releaseRmdirLock(ino *inode, removed bool) {
-	r := ino.rare
-	if r == nil {
-		return // never locked
-	}
-	r.rmdirLocked = false
-	queue := r.rmdirQueue
-	r.rmdirQueue = nil
-	if removed {
-		for _, p := range queue {
-			s.reply(p.env, s.errResp(fsapi.ENOENT))
-			s.putReq(p.req)
-		}
-		return
-	}
-	if len(queue) == 0 {
-		return
-	}
-	// Grant the lock to the first waiter; re-queue the rest.
-	first := queue[0]
-	r.rmdirLocked = true
-	r.rmdirQueue = queue[1:]
-	s.reply(first.env, s.resp(proto.Response{Dist: ino.distributed}))
-	s.putReq(first.req)
 }

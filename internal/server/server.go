@@ -210,8 +210,12 @@ type Server struct {
 	epoch        atomic.Uint64
 	frozen       bool
 	pendingEpoch uint64
-	migParked    []parkedReq
+	migParked    waitq
 	entCount     atomic.Int64
+
+	// orphans holds the requests parked when the server crashed, for the
+	// restart to serve again (wait.go).
+	orphans waitq
 
 	// Tracing state, confined to the request loop. tem is re-created with
 	// the new incarnation on Recover so post-crash spans never reuse a
@@ -597,13 +601,6 @@ func (s *Server) decodeBatch(req *proto.Request) ([]proto.Request, bool, error) 
 		s.subReqs = subs
 	}
 	return subs, stop, err
-}
-
-// reply sends a response at the server's current high-water time; it is used
-// when answering requests that had been parked (pipe wake-ups, rmdir lock
-// hand-offs), whose completion is driven by a later event.
-func (s *Server) reply(env msg.Envelope, resp *proto.Response) {
-	s.replyAt(env, resp, s.clock.Now())
 }
 
 // replyAt sends a response whose service completed at the given time. When

@@ -45,7 +45,7 @@ func (s *Server) epochGate(req *proto.Request, env msg.Envelope) (*proto.Respons
 		return nil, false, false
 	}
 	if s.parksFrozen(req.Op, req.Epoch) {
-		s.migParked = append(s.migParked, parkedReq{req: req, env: env})
+		s.migParked.park(req, env)
 		return nil, true, true
 	}
 	if cur := s.epoch.Load(); req.Epoch != cur {
@@ -272,26 +272,8 @@ func (s *Server) handleShardCommit(req *proto.Request) *proto.Response {
 	// Resume parked work: requests parked by the freeze, and requests
 	// parked on rmdir marks of shards whose entries just moved (their
 	// re-dispatch answers EEPOCH, sending the client to the new owner).
-	s.unparkMigration()
-	s.dirs.Range(func(_ proto.InodeID, sh *dirShard) bool {
-		if len(sh.parked) > 0 {
-			s.unparkShard(sh)
-		}
-		return true
-	})
+	var woken waitq
+	s.entryWaiters(&woken)
+	s.wake(&woken)
 	return s.resp(proto.Response{Epoch: newMap.Epoch(), N: int64(len(out))})
-}
-
-// unparkMigration re-dispatches every request parked by the freeze.
-func (s *Server) unparkMigration() {
-	parked := s.migParked
-	s.migParked = nil
-	for _, p := range parked {
-		resp, again := s.dispatch(p.req, p.env)
-		if again {
-			continue
-		}
-		s.reply(p.env, resp)
-		s.putReq(p.req)
-	}
 }

@@ -63,9 +63,10 @@ func (s *Server) getReq() *proto.Request {
 	return new(proto.Request)
 }
 
-// putReq releases a request the loop has fully answered. Requests retained
-// by park sites are released at their unpark-reply site instead. Recycle
-// bounds what the struct keeps, so the list never pins a write payload.
+// putReq releases a request the loop has fully answered. A parked request is
+// released by the wake that answers it (wait.go), a crash's orphans included.
+// Recycle bounds what the struct keeps, so the list never pins a write
+// payload.
 func (s *Server) putReq(r *proto.Request) {
 	if r == nil {
 		return

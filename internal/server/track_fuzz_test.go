@@ -125,7 +125,7 @@ func (r *trackRig) step(a, b byte) {
 			r.model[name] = []int32{client}
 			break
 		}
-		resp, _ := r.srv.handleLookup(&proto.Request{Op: proto.OpLookup, Dir: trackDir, Name: name, ClientID: client}, msg.Envelope{})
+		resp := r.srv.handleLookup(&proto.Request{Op: proto.OpLookup, Dir: trackDir, Name: name, ClientID: client})
 		if resp.Err != fsapi.OK {
 			r.t.Fatalf("lookup of %.8s by %d: %v", name, client, resp.Err)
 		}
@@ -133,7 +133,7 @@ func (r *trackRig) step(a, b byte) {
 			r.model[name] = append(r.model[name], client)
 		}
 	case 2: // an unlink by client
-		resp, _ := r.srv.handleRmMap(&proto.Request{Op: proto.OpRmMap, Dir: trackDir, Name: name, ClientID: client}, msg.Envelope{})
+		resp := r.srv.handleRmMap(&proto.Request{Op: proto.OpRmMap, Dir: trackDir, Name: name, ClientID: client})
 		if _, ok := r.model[name]; !ok {
 			if resp.Err != fsapi.ENOENT {
 				r.t.Fatalf("unlink of absent %.8s: %v", name, resp.Err)
@@ -180,8 +180,8 @@ func (r *trackRig) step(a, b byte) {
 }
 
 func (r *trackRig) addMap(name string, client int32, replace bool) {
-	resp, _ := r.srv.handleAddMap(&proto.Request{Op: proto.OpAddMap, Dir: trackDir, Name: name, ClientID: client,
-		Target: proto.InodeID{Server: 1, Local: 100}, Ftype: fsapi.TypeRegular, Replace: replace}, msg.Envelope{})
+	resp := r.srv.handleAddMap(&proto.Request{Op: proto.OpAddMap, Dir: trackDir, Name: name, ClientID: client,
+		Target: proto.InodeID{Server: 1, Local: 100}, Ftype: fsapi.TypeRegular, Replace: replace})
 	if resp.Err != fsapi.OK {
 		r.t.Fatalf("add of %.8s by %d: %v", name, client, resp.Err)
 	}

@@ -16,9 +16,10 @@ import (
 // zeros).
 //
 // Volatile runtime state is deliberately absent: open-descriptor counts,
-// shared descriptors, pipe buffers, rmdir marks, and invalidation tracking
-// die with the server process, exactly like open file descriptors die with
-// a real machine.
+// shared descriptors, pipe buffers, the rmdir lock, and invalidation
+// tracking die with the server process, exactly like open file descriptors
+// die with a real machine. (An rmdir's marks are not volatile: the
+// checkpoint lists them in Marked.)
 type InodeSnap struct {
 	Local uint64
 	Ftype fsapi.FileType
