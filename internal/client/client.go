@@ -53,16 +53,10 @@ type Config struct {
 	Cache    *ncc.PrivateCache
 	Registry *server.ClientRegistry
 
-	// Servers maps server index to network endpoint; ServerCores gives the
-	// core each server is pinned to (used by creation affinity). Both are
-	// the static fallback used when no Provider is wired in.
-	Servers     []msg.EndpointID
-	ServerCores []int
-
 	// Provider publishes the deployment's current routing snapshot
-	// (placement map + server endpoints); the client caches it and
+	// (placement map, server endpoints and cores); the client caches it and
 	// refreshes on EEPOCH, which is how it learns about servers added or
-	// drained after it was created (DESIGN.md §9).
+	// drained after it was created (DESIGN.md §9). Required.
 	Provider RoutingProvider
 
 	Root     proto.InodeID
@@ -261,11 +255,7 @@ func New(cfg Config) *Client {
 		tr:     cfg.Tracer,
 		tem:    trace.ClientEmitter(cfg.ID),
 	}
-	if cfg.Provider != nil {
-		c.routing = cfg.Provider.Routing()
-	} else {
-		c.routing = staticRouting(cfg)
-	}
+	c.routing = cfg.Provider.Routing()
 	cfg.Registry.Register(cfg.ID, c.ep.ID)
 	c.near = c.nearRing()
 	return c

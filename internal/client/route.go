@@ -38,24 +38,10 @@ type RoutingProvider interface {
 	Routing() *Routing
 }
 
-// staticRouting builds the fixed snapshot used when no provider is wired in
-// (clients constructed directly by unit tests): the paper's modulo placement
-// over the configured server list.
-func staticRouting(cfg Config) *Routing {
-	return &Routing{
-		Map:     place.Initial(place.PolicyModulo, len(cfg.Servers)),
-		Servers: append([]msg.EndpointID(nil), cfg.Servers...),
-		Cores:   append([]int(nil), cfg.ServerCores...),
-	}
-}
-
 // refreshRouting reloads the routing snapshot (after an EEPOCH reply) and
 // rebuilds the creation-affinity ring, whose servers must stay placement
 // members.
 func (c *Client) refreshRouting() {
-	if c.cfg.Provider == nil {
-		return
-	}
 	c.routing = c.cfg.Provider.Routing()
 	c.near = c.nearRing()
 }

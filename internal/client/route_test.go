@@ -94,7 +94,8 @@ func newRouteHarness(t *testing.T, n int, handler func(srv int, req *proto.Reque
 				if !ok {
 					return
 				}
-				req, err := proto.UnmarshalRequest(env.Payload)
+				req := &proto.Request{}
+				err := proto.UnmarshalRequestInto(req, env.Payload)
 				resp := proto.ErrResponse(fsapi.EINVAL)
 				if err == nil {
 					resp = handler(srv, req)

@@ -707,28 +707,38 @@ func (s *System) Checkpoint(id int) error {
 // replyError is ctlRPC's error for a reply that came and did not decode.
 type replyError struct{ error }
 
-// ctlRPC is the control plane's one exchange: req goes from the ctl endpoint
-// to dst, an endpoint of server id, stamped with that server's clock — at or
-// past everything the server has served, which is what lets ctl be a
-// transient lane (DESIGN.md §13) — and the reply is decoded into resp. A
-// crashed target is an error, not a wait on a closed request loop; a reply's
-// errno is returned as the error, with resp filled in.
+// ctlRPC is the control plane's one request: req goes to dst, an endpoint of
+// server id, through ctlExchange, and the reply is decoded into resp. A
+// reply's errno is returned as the error, with resp filled in.
 func (s *System) ctlRPC(id int, dst msg.EndpointID, req *proto.Request, resp *proto.Response) error {
-	srv := s.servers[id]
-	if srv.Crashed() {
-		return fmt.Errorf("server %d is crashed", id)
-	}
-	env, err := s.network.RPC(s.ctl, dst, proto.KindRequest, req.Marshal(), srv.Clock())
+	reply, err := s.ctlExchange(id, dst, proto.KindRequest, req.Marshal())
 	if err != nil {
 		return err
 	}
-	if err := proto.UnmarshalResponseInto(resp, env.Payload); err != nil {
+	if err := proto.UnmarshalResponseInto(resp, reply); err != nil {
 		return replyError{err}
 	}
 	if resp.Err != 0 {
 		return resp.Err
 	}
 	return nil
+}
+
+// ctlExchange is the control plane's one exchange: payload goes from the ctl
+// endpoint to dst, an endpoint of server id, stamped with that server's clock
+// — at or past everything the server has served, which is what lets ctl be a
+// transient lane (DESIGN.md §13) — and the reply's payload comes back. A
+// crashed target is an error, not a wait on a closed request loop.
+func (s *System) ctlExchange(id int, dst msg.EndpointID, kind uint16, payload []byte) ([]byte, error) {
+	srv := s.servers[id]
+	if srv.Crashed() {
+		return nil, fmt.Errorf("server %d is crashed", id)
+	}
+	env, err := s.network.RPC(s.ctl, dst, kind, payload, srv.Clock())
+	if err != nil {
+		return nil, err
+	}
+	return env.Payload, nil
 }
 
 // CheckpointAll checkpoints every running server.

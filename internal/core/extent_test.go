@@ -21,7 +21,8 @@ func openReplyExtents(t *testing.T, sys *System, st fsapi.Stat) []proto.Extent {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := proto.UnmarshalResponse(env.Payload)
+		resp := &proto.Response{}
+		err = proto.UnmarshalResponseInto(resp, env.Payload)
 		if err != nil || resp.Err != fsapi.OK {
 			t.Fatalf("%v: %v, %v", req.Op, err, resp.Err)
 		}

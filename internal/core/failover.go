@@ -183,12 +183,12 @@ func (s *System) sealFollower(id, fid int) (*wal.Checkpoint, int, uint64) {
 		return nil, 0, 0
 	}
 	m := repl.Msg{Primary: int32(id)}
-	var resp proto.Response
-	if s.ctlRPC(fid, fep, &proto.Request{Op: proto.OpReplSeal, Data: m.AppendTo(nil)}, &resp) != nil {
+	reply, err := s.ctlExchange(fid, fep, proto.KindReplSeal, m.AppendTo(nil))
+	if err != nil {
 		return nil, 0, 0
 	}
 	var sr repl.SealReply
-	if err := repl.UnmarshalSealReplyInto(&sr, resp.Data); err != nil || len(sr.Snap) == 0 {
+	if err := repl.UnmarshalSealReplyInto(&sr, reply); err != nil || len(sr.Snap) == 0 {
 		return nil, 0, 0
 	}
 	c, err := wal.UnmarshalCheckpoint(sr.Snap)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,13 +15,14 @@ import (
 
 // TestPromotionFromRecycledBuffersEqualsReplay is the replication plane's
 // recycling checked where it matters: a replica built from batches that were
-// decoded in place, in a request whose buffer the next message overwrites,
-// must promote to exactly the state a replay of the primary's own log
-// produces. A fault plan delays half of the ships, and every round first hands
-// the follower's plane a one-way rebase of another primary's replica from a
-// large snapshot: while the plane is busy with that, the round's next ship
-// waits behind it, and the stranger's payload goes back to the cache it was
-// drawn from, not to the plane's.
+// decoded in place, in a payload whose buffer the ack then overwrites and the
+// next ship reuses, must promote to exactly the state a replay of the
+// primary's own log produces. A fault plan delays half of the ships, and
+// every round first hands the follower's plane a rebase of another primary's
+// replica from a large snapshot, whose answer nobody awaits: while the plane
+// is busy with that, the round's next ship waits behind it, and the
+// stranger's buffer goes back to the stranger with its ack, not to the
+// plane.
 func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 	const victim, follower, stranger = 1, 2, 7
 	big := wal.Checkpoint{Dirs: []wal.DirSnap{{Dir: proto.InodeID{Server: stranger, Local: 1}}}}
@@ -28,8 +30,7 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 		big.Inodes = append(big.Inodes, wal.InodeSnap{Local: uint64(2 + i), Nlink: 1, Blocks: []uint64{uint64(i)}})
 		big.Dirs[0].Ents = append(big.Dirs[0].Ents, wal.DirEntSnap{Name: fmt.Sprintf("entry-%06d", i)})
 	}
-	rebase := proto.Request{Op: proto.OpReplAppend,
-		Data: (&repl.Msg{Primary: stranger, Snap: big.Marshal(), SnapLSN: 1}).AppendTo(nil)}
+	rebase := (&repl.Msg{Primary: stranger, Snap: big.Marshal(), SnapLSN: 1}).AppendTo(nil)
 
 	build := func() *System {
 		sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
@@ -42,7 +43,7 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 		}
 		for i := 0; i < 240; i++ {
 			if i%40 == 0 {
-				if _, err := sys.network.Send(other, fep, proto.KindRequest, rebase.Marshal(), 0, msg.NewQueue()); err != nil {
+				if _, err := sys.network.Send(other, fep, proto.KindReplShip, slices.Clone(rebase), 0, msg.NewQueue()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,55 +118,85 @@ func TestReplicationPlaneAnswersWhatItCannotDecode(t *testing.T) {
 	_, names := seedFiles(t, sys, 12)
 	fep, _ := sys.servers[follower].ReplEndpointID()
 	from := sys.network.NewEndpoint(0)
-	rpc := func(what string, payload []byte) *proto.Response {
+	rpc := func(what string, kind uint16, payload []byte) []byte {
 		t.Helper()
 		answered := make(chan msg.Envelope, 1)
 		go func() {
-			if env, err := sys.network.RPC(from, fep, proto.KindRequest, payload, 0); err == nil {
+			if env, err := sys.network.RPC(from, fep, kind, payload, 0); err == nil {
 				answered <- env
 			}
 		}()
 		select {
 		case env := <-answered:
-			resp, err := proto.UnmarshalResponse(env.Payload)
-			if err != nil {
-				t.Fatalf("%s: undecodable answer: %v", what, err)
-			}
-			return resp
+			return env.Payload
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: no answer; its sender would wait forever", what)
 			return nil
 		}
 	}
 
-	resp := rpc("a request that does not decode", []byte{0xde, 0xad, 0xbe, 0xef})
-	if _, err := repl.UnmarshalAck(resp.Data); resp.Err != fsapi.EINVAL || err == nil {
-		t.Errorf("a request that does not decode: answered %v with %d bytes, want EINVAL and no ack", resp.Err, len(resp.Data))
+	// Kinds the plane does not serve — request-plane requests, undecodable
+	// or well-formed (a ping among them, and an op number no op has), a
+	// reply, a callback, a kind no message has — get an empty answer.
+	others := []struct {
+		what    string
+		kind    uint16
+		payload []byte
+	}{
+		{"a request that does not decode", proto.KindRequest, []byte{0xde, 0xad, 0xbe, 0xef}},
+		{"a ping", proto.KindRequest, (&proto.Request{Op: proto.OpPing}).Marshal()},
+		{"a lookup", proto.KindRequest, (&proto.Request{Op: proto.OpLookup}).Marshal()},
+		{"a request for no op", proto.KindRequest, (&proto.Request{Op: proto.NumOps}).Marshal()},
+		{"a reply", proto.KindResponse, (&proto.Response{}).Marshal()},
+		{"a callback", proto.KindCallback, (&proto.Invalidation{Name: "x"}).AppendTo(nil)},
+		{"a kind no message has", 99, (&repl.Msg{Primary: victim}).AppendTo(nil)},
 	}
-	resp = rpc("an append that does not decode", (&proto.Request{Op: proto.OpReplAppend, Data: []byte("not a repl.Msg")}).Marshal())
-	if ack, err := repl.UnmarshalAck(resp.Data); err != nil || !ack.NeedSync || ack.Server != follower {
-		t.Errorf("an append that does not decode: ack %+v, err %v, want NeedSync from server %d", ack, err, follower)
+	for _, o := range others {
+		if got := rpc(o.what, o.kind, o.payload); len(got) != 0 {
+			t.Errorf("%s: answered %d bytes, want an empty answer", o.what, len(got))
+		}
+	}
+	// An empty answer is neither an ack nor a seal reply: a shipper that gets
+	// one rebases, a failover replays.
+	if _, err := repl.UnmarshalAck(nil); err == nil {
+		t.Error("an empty answer decodes as an ack")
+	}
+	if err := repl.UnmarshalSealReplyInto(&repl.SealReply{}, nil); err == nil {
+		t.Error("an empty answer decodes as a seal reply")
+	}
+
+	ship := func(what string, payload []byte) repl.Ack {
+		t.Helper()
+		ack, err := repl.UnmarshalAck(rpc(what, proto.KindReplShip, payload))
+		if err != nil {
+			t.Errorf("%s: answer is no ack: %v", what, err)
+		}
+		return ack
+	}
+	if ack := ship("a ship that does not decode", []byte("not a repl.Msg")); !ack.NeedSync || ack.Server != follower {
+		t.Errorf("a ship that does not decode: ack %+v, want NeedSync from server %d", ack, follower)
 	}
 	// A well-formed ship from beyond the replica's horizon: an earlier ship
 	// went missing, and only a rebase closes the gap. It applies nothing.
 	horizon := sys.ReplicaStats()[victim].Durable
 	future := repl.Msg{Primary: victim, Base: horizon + 100, Recs: wal.EncodeRecords([]wal.Record{
 		{LSN: horizon + 100, Type: wal.RecInode, Ino: 999, Ftype: fsapi.TypeRegular, Mode: fsapi.Mode644, Nlink: 1}})}
-	resp = rpc("a ship from the future", (&proto.Request{Op: proto.OpReplAppend, Data: future.AppendTo(nil)}).Marshal())
-	if ack, err := repl.UnmarshalAck(resp.Data); err != nil || !ack.NeedSync || ack.Durable != horizon {
-		t.Errorf("a ship from the future: ack %+v, err %v, want NeedSync at horizon %d", ack, err, horizon)
+	if ack := ship("a ship from the future", future.AppendTo(nil)); !ack.NeedSync || ack.Durable != horizon {
+		t.Errorf("a ship from the future: ack %+v, want NeedSync at horizon %d", ack, horizon)
 	}
-	resp = rpc("a seal that does not decode", (&proto.Request{Op: proto.OpReplSeal, Data: []byte{1, 2, 3}}).Marshal())
-	var sr repl.SealReply
-	if err := repl.UnmarshalSealReplyInto(&sr, resp.Data); err != nil || sr.Durable != 0 || len(sr.Snap) != 0 {
-		t.Errorf("a seal that does not decode: reply %+v, err %v, want an empty one", sr, err)
-	}
-	// Well-formed requests for ops the plane does not serve: request-plane
-	// ops, a ping among them, and a number no op has.
-	for _, op := range []proto.Op{proto.OpPing, proto.OpLookup, proto.NumOps} {
-		what := fmt.Sprintf("a %v request", op)
-		if resp := rpc(what, (&proto.Request{Op: op}).Marshal()); resp.Err != fsapi.EINVAL {
-			t.Errorf("%s: answered %v, want EINVAL", what, resp.Err)
+
+	// A seal that does not decode, or one for a primary this follower holds
+	// no replica of, gets an empty reply: the failover replays instead.
+	for _, seal := range []struct {
+		what    string
+		payload []byte
+	}{
+		{"a seal that does not decode", []byte{1, 2, 3}},
+		{"a seal for a primary with no replica", (&repl.Msg{Primary: follower}).AppendTo(nil)},
+	} {
+		var sr repl.SealReply
+		if err := repl.UnmarshalSealReplyInto(&sr, rpc(seal.what, proto.KindReplSeal, seal.payload)); err != nil || sr.Durable != 0 || len(sr.Snap) != 0 {
+			t.Errorf("%s: reply %+v, err %v, want an empty one", seal.what, sr, err)
 		}
 	}
 

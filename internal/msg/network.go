@@ -353,11 +353,10 @@ func (n *Network) SendCallback(src *Endpoint, dst EndpointID, kind uint16, paylo
 	return arrive, nil
 }
 
-// ReleaseToSender returns a decoded payload to the cache of the endpoint that
-// sent it. It is for traffic that flows one way only — callbacks, replication's
-// one-way ships and acks — where a receiver that kept the buffers would starve
-// the sender's cache of them; the sender's cache is locked, and this is its
-// one cross-goroutine use.
+// ReleaseToSender returns a decoded callback's payload to the cache of the
+// endpoint that sent it. Callbacks flow one way only, so a receiver that kept
+// the buffers would starve the sender's cache of them; the sender's cache is
+// locked, and this is its one cross-goroutine use.
 func (n *Network) ReleaseToSender(env Envelope) {
 	if src := n.lookup(env.Src); src != nil {
 		src.cache.PutBuf(env.Payload)

@@ -37,7 +37,7 @@ func sampleRequest(op Op) *Request {
 		Distributed: n%2 == 0, Exclusive: n%3 == 0, Replace: n%5 == 0, WantOpen: n%7 == 0, Dirty: n%4 == 1,
 	}
 	switch op {
-	case OpWriteAt, OpFdWrite, OpPipeWrite, OpShardCommit, OpReplAppend:
+	case OpWriteAt, OpFdWrite, OpPipeWrite, OpShardCommit:
 		r.Data = bytes.Repeat([]byte{byte(n)}, 4096)
 	case OpExec:
 		r.Program, r.Dirname = "prog-17", "/work/dir"
@@ -65,7 +65,7 @@ func sampleResponse(op Op) *Response {
 		for i := 0; i < 1+n%5; i++ {
 			r.Extents = append(r.Extents, Extent{Start: uint64(1000 * i), Count: uint64(1 + i)})
 		}
-	case OpReadAt, OpFdRead, OpPipeRead, OpShardPull, OpReplSeal:
+	case OpReadAt, OpFdRead, OpPipeRead, OpShardPull:
 		r.Data = bytes.Repeat([]byte{byte(n)}, 4096)
 	case OpReadDirShard:
 		for i := 0; i < 70; i++ {
@@ -326,7 +326,11 @@ func FuzzUnmarshalRequestInto(f *testing.F) {
 	for _, op := range allOps() {
 		f.Add(sampleRequest(op).AppendTo(nil))
 	}
-	f.Add(sampleRequest(NumOps).AppendTo(nil)) // a number no op has
+	// Numbers no op has: 0, and the two that REPL_APPEND and REPL_SEAL had
+	// before ships and seals became repl frames.
+	for _, op := range []Op{OpInvalid, NumOps, NumOps + 1} {
+		f.Add(sampleRequest(op).AppendTo(nil))
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := bytes.Clone(data), bytes.Clone(data)
@@ -352,7 +356,11 @@ func FuzzUnmarshalResponseInto(f *testing.F) {
 	for _, op := range allOps() {
 		f.Add(sampleResponse(op).AppendTo(nil))
 	}
-	f.Add(sampleResponse(NumOps).AppendTo(nil)) // a number no op has
+	// Numbers no op has: 0, and the two that REPL_APPEND and REPL_SEAL had
+	// before ships and seals became repl frames.
+	for _, op := range []Op{OpInvalid, NumOps, NumOps + 1} {
+		f.Add(sampleResponse(op).AppendTo(nil))
+	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := bytes.Clone(data), bytes.Clone(data)

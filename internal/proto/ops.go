@@ -82,12 +82,6 @@ const (
 	OpExec   // run a program on the scheduling server's core
 	OpSignal // forward a signal to a process
 	OpPing   // liveness / latency measurement (used at boot for affinity)
-
-	// Shard replication (primary -> follower WAL shipping, DESIGN.md §12).
-	// These travel on each server's replication-plane endpoint, never its
-	// request inbox, so a follower can ack while its request loop is busy.
-	OpReplAppend // ship a flushed record batch (or a rebase snapshot)
-	OpReplSeal   // control plane: stop ingesting, return the replica snapshot
 )
 
 // Addressing says which request field names what an op works on.
@@ -188,8 +182,6 @@ var opInfo = [...]OpInfo{
 	OpExec:            {"EXEC", false, AddrNone, false, false},
 	OpSignal:          {"SIGNAL", false, AddrNone, false, false},
 	OpPing:            {"PING", true, AddrNone, true, true},
-	OpReplAppend:      {"REPL_APPEND", false, AddrNone, false, false},
-	OpReplSeal:        {"REPL_SEAL", false, AddrNone, false, false},
 }
 
 // NumOps is one past the highest op number: every op is below it, and
@@ -215,7 +207,14 @@ func (o Op) String() string {
 
 // Message kinds used at the msg layer.
 const (
-	KindRequest  uint16 = 1
-	KindResponse uint16 = 2
-	KindCallback uint16 = 3
+	KindRequest  uint16 = 1 // a Request
+	KindResponse uint16 = 2 // a Response, or the replication plane's answer
+	KindCallback uint16 = 3 // an Invalidation
+
+	// Shard replication (primary -> follower WAL shipping, DESIGN.md §12).
+	// These travel on each server's replication-plane endpoint, never its
+	// request inbox, so a follower can ack while its request loop is busy;
+	// the payload is the repl.Msg itself.
+	KindReplShip uint16 = 4 // a flushed record batch or a rebase snapshot, answered by a repl.Ack
+	KindReplSeal uint16 = 5 // control plane: stop ingesting, answered by a repl.SealReply
 )

@@ -41,7 +41,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		Sig:    9,
 		Policy: 1,
 	}
-	got, err := UnmarshalRequest(req.Marshal())
+	got := &Request{}
+	err := UnmarshalRequestInto(got, req.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		ExitStatus: 2,
 		PID:        55,
 	}
-	got, err := UnmarshalResponse(resp.Marshal())
+	got := &Response{}
+	err := UnmarshalResponseInto(got, resp.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,8 @@ func TestResponseRoundTrip(t *testing.T) {
 
 func TestEmptyRequestRoundTrip(t *testing.T) {
 	req := &Request{Op: OpPing}
-	got, err := UnmarshalRequest(req.Marshal())
+	got := &Request{}
+	err := UnmarshalRequestInto(got, req.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +117,13 @@ func TestTruncatedPayloadsFail(t *testing.T) {
 	req := &Request{Op: OpLookup, Dir: RootInode, Name: "some-name"}
 	raw := req.Marshal()
 	for _, cut := range []int{0, 1, 5, len(raw) / 2, len(raw) - 1} {
-		if _, err := UnmarshalRequest(raw[:cut]); err == nil {
+		if err := UnmarshalRequestInto(&Request{}, raw[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
 	resp := &Response{Data: []byte("abcdef"), Extents: []Extent{{Start: 1, Count: 2}}}
 	rraw := resp.Marshal()
-	if _, err := UnmarshalResponse(rraw[:len(rraw)/3]); err == nil {
+	if err := UnmarshalResponseInto(&Response{}, rraw[:len(rraw)/3]); err == nil {
 		t.Error("truncated response not detected")
 	}
 }
@@ -130,7 +133,8 @@ func TestTruncatedPayloadsFail(t *testing.T) {
 func TestRequestRoundTripProperty(t *testing.T) {
 	f := func(name string, data []byte, size int64, dist bool) bool {
 		req := &Request{Op: OpWriteAt, Name: name, Data: data, Size: size, Distributed: dist}
-		got, err := UnmarshalRequest(req.Marshal())
+		got := &Request{}
+		err := UnmarshalRequestInto(got, req.Marshal())
 		if err != nil {
 			return false
 		}
@@ -224,7 +228,8 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Op: OpSetSize, Target: InodeID{Server: 2, Local: 18}, Size: 4096},
 	}
 	env := &Request{Op: OpBatch, Subs: reqs, StopOnErr: true}
-	decoded, err := UnmarshalRequest(env.Marshal())
+	decoded := &Request{}
+	err := UnmarshalRequestInto(decoded, env.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +248,8 @@ func TestBatchRoundTrip(t *testing.T) {
 		{Ino: InodeID{Server: 2, Local: 17}, Ftype: fsapi.TypeRegular},
 		{Err: fsapi.ECANCELED},
 	}
-	reply, err := UnmarshalResponse((&Response{Subs: resps}).Marshal())
+	reply := &Response{}
+	err = UnmarshalResponseInto(reply, (&Response{Subs: resps}).Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,16 +185,6 @@ func (r *Request) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalRequest decodes a request from a wire payload into a fresh
-// struct; for callers off the request path.
-func UnmarshalRequest(b []byte) (*Request, error) {
-	r := &Request{}
-	if err := UnmarshalRequestInto(r, b); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // UnmarshalRequestInto decodes a request from a wire payload into r, which
 // is reset first; hot paths pass a recycled struct, whose Data capacity the
 // decode reuses (so an empty Data comes back zero-length, nil only if it was

@@ -124,16 +124,6 @@ func (r *Response) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalResponse decodes a response from a wire payload into a fresh
-// struct; for callers off the request path.
-func UnmarshalResponse(b []byte) (*Response, error) {
-	r := &Response{}
-	if err := UnmarshalResponseInto(r, b); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // UnmarshalResponseInto decodes a response from a wire payload into r, which
 // is reset first; hot paths pass a recycled struct, whose Data, Extents and
 // Ents capacity the decode reuses (so an empty one comes back zero-length,

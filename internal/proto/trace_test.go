@@ -9,7 +9,8 @@ import (
 func TestTraceContextRoundTrip(t *testing.T) {
 	req := &Request{Op: OpLookup, Dir: InodeID{Server: 1, Local: 2}, Name: "x",
 		Trace: 0xdeadbeef, Span: 0x1234}
-	got, err := UnmarshalRequest(req.Marshal())
+	got := &Request{}
+	err := UnmarshalRequestInto(got, req.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,8 @@ func TestUntracedWireFormatUnchanged(t *testing.T) {
 	if !bytes.Equal(withCtx[:len(plain)], plain) {
 		t.Fatal("trace trailer changed the leading wire bytes")
 	}
-	got, err := UnmarshalRequest(plain)
+	got := &Request{}
+	err := UnmarshalRequestInto(got, plain)
 	if err != nil {
 		t.Fatal(err)
 	}

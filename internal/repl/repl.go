@@ -34,8 +34,9 @@
 // traffic travels on a dedicated per-server replication endpoint served by
 // its own goroutine, so a follower can ack while its request loop is busy
 // and a primary blocked on its ship can never deadlock against its
-// follower ring. That plane answers two messages, REPL_APPEND (a ship) and
-// REPL_SEAL (a failover's), and nothing else.
+// follower ring. That plane answers two kinds of message, a ship and a failover's
+// seal (proto.KindReplShip, proto.KindReplSeal), each carrying a Msg as its
+// whole payload, and answers anything else empty.
 package repl
 
 import "fmt"

@@ -2,9 +2,9 @@ package repl
 
 import "repro/internal/wire"
 
-// Wire shapes for the replication plane. REPL_APPEND carries a Msg in the
-// request's Data and its Ack travels as the RPC reply. REPL_SEAL carries a
-// Msg with only Primary set and returns a SealReply.
+// Wire shapes for the replication plane. A ship (proto.KindReplShip) is a
+// Msg, and its Ack travels as the RPC reply. A seal (proto.KindReplSeal) is a
+// Msg with only Primary set, answered by a SealReply.
 //
 // Every shape encodes with AppendTo, onto a buffer the caller brings, and
 // decodes without allocating: an Ack is a value, and a decoded Msg or
@@ -43,7 +43,7 @@ type Ack struct {
 	NeedSync bool
 }
 
-// SealReply answers REPL_SEAL: the replica's horizon and its state as a
+// SealReply answers a seal: the replica's horizon and its state as a
 // checkpoint, ready to install into the promoted server.
 type SealReply struct {
 	// Durable is the sealed replica's applied horizon (0: no replica).
@@ -52,6 +52,10 @@ type SealReply struct {
 	// follower has no replica for the requested primary.
 	Snap []byte
 }
+
+// SizeHint returns the length of the message's wire form, so that a buffer of
+// that capacity is never outgrown by AppendTo.
+func (m *Msg) SizeHint() int { return 4 + 8 + 4 + len(m.Recs) + 8 + 4 + len(m.Snap) }
 
 // AppendTo encodes the message onto buf and returns the extended slice.
 func (m *Msg) AppendTo(buf []byte) []byte {

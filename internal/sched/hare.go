@@ -266,8 +266,8 @@ func (s *schedServer) run() {
 }
 
 func (s *schedServer) handle(env msg.Envelope) {
-	req, err := proto.UnmarshalRequest(env.Payload)
-	if err != nil {
+	req := &proto.Request{} // an exec's process keeps its Args
+	if err := proto.UnmarshalRequestInto(req, env.Payload); err != nil {
 		s.reply(env, proto.ErrResponse(fsapi.EINVAL), env.ArriveAt)
 		return
 	}

@@ -71,7 +71,8 @@ func (h *harness) awaitBatch(fut *msg.Future) []*proto.Response {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	outer, err := proto.UnmarshalResponse(renv.Payload)
+	outer := &proto.Response{}
+	err = proto.UnmarshalResponseInto(outer, renv.Payload)
 	if err != nil {
 		h.t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/ncc"
 	"repro/internal/place"
 	"repro/internal/proto"
-	"repro/internal/repl"
 	"repro/internal/sim"
 	"repro/internal/wal"
 )
@@ -141,32 +140,10 @@ func fuzzServer() *Server {
 // writes through the server, truncates, unlinks every third file (so freed
 // blocks are reused) and removes every other directory it made.
 func TestPrimaryAndReplicaAgreeOnInodeOrder(t *testing.T) {
-	machine := sim.NewMachine(sim.TopologyForCores(3), sim.DefaultCostModel())
-	network := msg.NewNetwork(msg.WrapMachine(machine))
-	dram := ncc.NewDRAM(512, 512)
-	parts := ncc.PartitionDRAM(dram, 2)
-	registry := NewClientRegistry()
-	log, err := wal.Open(wal.Config{Store: wal.NewMemStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var srvs [2]*Server
-	for id := range srvs {
-		cfg := Config{ID: id, Core: id, NumServers: 2, Machine: machine, Network: network, DRAM: dram,
-			Partition: parts[id], Registry: registry, CoLocated: true, Repl: repl.Sync}
-		if id == 0 {
-			cfg.Log = log
-		}
-		srvs[id] = New(cfg)
-	}
+	srvs, h := newSyncPair(t, ncc.NewDRAM(512, 512))
 	primary, follower := srvs[0], srvs[1]
 	fep, _ := follower.ReplEndpointID()
 	primary.SetReplTarget(&ReplTarget{ID: 1, EP: fep})
-	for _, s := range srvs {
-		s.Start()
-	}
-	h := &harness{t: t, srv: primary, net: network, ep: network.NewEndpoint(2), machine: machine}
-	registry.Register(7, h.ep.ID)
 	files := 0
 	for i := 0; i < 300; i++ {
 		name := fmt.Sprintf("f%03d", i)

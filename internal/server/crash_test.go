@@ -117,7 +117,8 @@ func TestRmdirMarkSurvivesCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp, err := proto.UnmarshalResponse(env.Payload); err != nil || resp.Err != fsapi.ENOENT {
+			var resp proto.Response
+			if err := proto.UnmarshalResponseInto(&resp, env.Payload); err != nil || resp.Err != fsapi.ENOENT {
 				t.Fatalf("the parked create answered %v (%v), want ENOENT", resp.Err, err)
 			}
 			home.callAs(ps[0], &proto.Request{Op: proto.OpRmMap, Dir: proto.RootInode, Name: "d", Ftype: fsapi.TypeDir})

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"repro/internal/fsapi"
 	"repro/internal/msg"
 	"repro/internal/ncc"
 	"repro/internal/proto"
@@ -17,12 +16,12 @@ import (
 //
 // A server with replication enabled runs a second endpoint and goroutine —
 // the replication plane — alongside its request loop. The plane ingests
-// REPL_APPEND batches into the Follower replicas this server keeps for its
-// primaries and answers REPL_SEAL from the control plane at failover; any
-// other message gets EINVAL. It never blocks on another server, which is
-// what makes the blocking ship from the request loop deadlock-free: the
-// request loop of server A waits only on the replication plane of server B,
-// and replication planes wait on nobody.
+// ships (proto.KindReplShip) into the Follower replicas this server keeps
+// for its primaries and answers seals (proto.KindReplSeal) from the control
+// plane at failover; any other message gets an empty answer. It never blocks
+// on another server, which is what makes the blocking ship from the request
+// loop deadlock-free: the request loop of server A waits only on the
+// replication plane of server B, and replication planes wait on nobody.
 
 // ReplTarget names the follower a primary ships to. Down lets the shipper
 // skip (and mark for resync) a follower that is currently crashed instead
@@ -76,69 +75,52 @@ func (s *Server) runRepl() {
 	}
 }
 
-// handleRepl serves one replication-plane message. All replica state is
-// confined to this goroutine, as are the recycled request the message is
-// decoded into and the records of a shipped batch.
+// handleRepl serves one replication-plane message, by its kind. All replica
+// state is confined to this goroutine, as are the records of a shipped batch.
 //
-// Decoding copies the request's Data out of the payload, so from there on the
-// payload's buffer is free, and it goes home (DESIGN.md §12): a sender that
-// waits gets its answer written into the very buffer it sent, and a one-way
-// payload is handed back to the cache it was drawn from.
+// The payload is the repl.Msg itself, read where it lies, and the answer is
+// written into that same buffer once nothing reads the message any more, so
+// the buffer goes home to the sender's cache (DESIGN.md §12). Every sender
+// waits in an RPC, which has no timeout, so everything gets an answer: what
+// the plane does not serve gets an empty one, which a shipper reads as
+// "rebase" and a failover as "no replica here".
 func (s *Server) handleRepl(env msg.Envelope) {
-	req := &s.replReq
-	err := proto.UnmarshalRequestInto(req, env.Payload)
-	if env.Reply == nil {
-		s.cfg.Network.ReleaseToSender(env)
-	}
 	cost := &s.cfg.Machine.Cost
-	now := max(env.ArriveAt, s.replClock.Now())
-	if err != nil {
-		// Whoever sent it may be waiting in an RPC, which has no timeout.
-		// Without an ack in it the answer reads as "rebase" to a shipper and
-		// as "no replica" to a failover.
-		s.replAnswer(env, &proto.Response{Err: fsapi.EINVAL}, now, cost.MsgRecv+cost.MsgSend)
-		return
+	work := cost.MsgRecv + cost.MsgSend
+	answer := env.Payload[:0]
+	switch env.Kind {
+	case proto.KindReplShip:
+		ack, ingest := s.ingest(env.Payload)
+		work += ingest
+		answer = ack.AppendTo(answer)
+	case proto.KindReplSeal:
+		rep := s.seal(env.Payload)
+		work += sim.LineCost(cost.WalPerLine, len(rep.Snap))
+		answer = rep.AppendTo(answer)
 	}
-	var out [64]byte // an ack's wire form; a seal reply outgrows it
-	switch req.Op {
-	case proto.OpReplAppend:
-		s.handleReplAppend(req, env, now)
-
-	case proto.OpReplSeal:
-		// A seal that cannot be decoded is answered like one for a primary
-		// this server holds no replica of: the failover falls back to replay.
-		var m repl.Msg
-		var rep repl.SealReply
-		if repl.UnmarshalMsgInto(&m, req.Data) == nil {
-			if f := s.replicas[int(m.Primary)]; f != nil {
-				// Sealing is idempotent and retains the replica, so a retried
-				// failover (the first attempt died mid-promotion) seals again
-				// and receives the same horizon and snapshot.
-				f.Seal()
-				rep.Durable = f.Durable()
-				rep.Snap = f.Snapshot().Marshal()
-			}
-		}
-		work := cost.MsgRecv + cost.MsgSend + sim.LineCost(cost.WalPerLine, len(rep.Snap))
-		s.replAnswer(env, &proto.Response{Data: rep.AppendTo(out[:0])}, now, work)
-
-	default:
-		// An op the plane does not serve: its sender may be waiting too.
-		s.replAnswer(env, &proto.Response{Err: fsapi.EINVAL}, now, cost.MsgRecv+cost.MsgSend)
-	}
-	req.Recycle()
+	end := s.cfg.Machine.Execute(s.cfg.Core, max(env.ArriveAt, s.replClock.Now()), work)
+	s.replClock.AdvanceTo(end)
+	s.cfg.Network.Reply(s.replEP, env, proto.KindResponse, answer, end)
 }
 
-// replAnswer charges the replication plane work from now and, when the sender
-// of env waits for an answer, sends resp at the end of it, in env's own buffer.
-// It returns when the work ends.
-func (s *Server) replAnswer(env msg.Envelope, resp *proto.Response, now, work sim.Cycles) sim.Cycles {
-	end := s.cfg.Machine.Execute(s.cfg.Core, now, work)
-	s.replClock.AdvanceTo(end)
-	if env.Reply != nil {
-		s.cfg.Network.Reply(s.replEP, env, proto.KindResponse, resp.AppendTo(env.Payload[:0]), end)
+// seal seals the replica of the primary a seal message names and returns
+// its horizon and snapshot. A message that does not decode is answered like
+// one for a primary this server holds no replica of, with an empty reply:
+// the failover falls back to replay.
+func (s *Server) seal(b []byte) repl.SealReply {
+	var m repl.Msg
+	var rep repl.SealReply
+	if repl.UnmarshalMsgInto(&m, b) == nil {
+		if f := s.replicas[int(m.Primary)]; f != nil {
+			// Sealing is idempotent and retains the replica, so a retried
+			// failover (the first attempt died mid-promotion) seals again and
+			// receives the same horizon and snapshot.
+			f.Seal()
+			rep.Durable = f.Durable()
+			rep.Snap = f.Snapshot().Marshal()
+		}
 	}
-	return end
+	return rep
 }
 
 // noteAck folds a follower ack into the primary-side horizon tracking.
@@ -154,22 +136,22 @@ func (s *Server) noteAck(a repl.Ack) {
 	}
 }
 
-// handleReplAppend ingests one shipped batch into the replica of its
-// primary and acks the resulting horizon as the RPC reply.
-func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.Cycles) {
+// ingest applies one shipped batch (or rebase snapshot) to the replica of its
+// primary and returns the ack, with the work it took beyond receiving the
+// ship and sending the ack. The batch is decoded in place in b, and the
+// replica copies what it keeps (repl.Follower.Ingest) before ingest returns:
+// the ack is then written over b.
+func (s *Server) ingest(b []byte) (repl.Ack, sim.Cycles) {
 	cost := &s.cfg.Machine.Cost
-	work := cost.MsgRecv
+	var work sim.Cycles
 	var m repl.Msg
-	merr := repl.UnmarshalMsgInto(&m, req.Data)
+	merr := repl.UnmarshalMsgInto(&m, b)
 	ack := repl.Ack{Server: int32(s.cfg.ID), Primary: m.Primary}
 	f := s.replicas[int(m.Primary)]
 	switch {
 	case merr != nil:
-		// Nothing in it can be trusted, the primary's id included; a shipper
-		// that waits is told to rebase, a one-way payload gets nothing.
-		if env.Reply == nil {
-			return
-		}
+		// Nothing in it can be trusted, the primary's id included: the
+		// shipper is told to rebase.
 		ack.NeedSync = true
 	case m.Snap != nil:
 		// Rebase: replace (or create) the replica from the snapshot. A
@@ -194,9 +176,7 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 		delete(s.replicas, int(m.Primary))
 		ack.NeedSync = true
 	default:
-		// Decoded in place in the request's Data: every frame is checked
-		// before the replica sees the first record, and the replica copies
-		// what it keeps (repl.Follower.Ingest).
+		// Every frame is checked before the replica sees the first record.
 		recs, err := wal.DecodeRecordsInto(s.replRecs, m.Recs)
 		if err != nil {
 			// A shipped batch is all-or-nothing; a framing error means the
@@ -209,11 +189,8 @@ func (s *Server) handleReplAppend(req *proto.Request, env msg.Envelope, now sim.
 		}
 		s.replRecs = wal.ReleaseRecords(recs)
 	}
-	work += cost.MsgSend // the ack
-	var out [64]byte
-	wire := ack.AppendTo(out[:0])
 	s.replAcks.Add(1)
-	s.replAnswer(env, &proto.Response{Data: wire}, now, work)
+	return ack, work
 }
 
 // ship sends the just-appended record batch to the follower while the local
@@ -238,7 +215,7 @@ func (s *Server) ship(recs []wal.Record, at sim.Cycles) sim.Cycles {
 		s.replResyncs.Add(1)
 	} else {
 		// The exact frames the append just wrote to the log, where the log
-		// encoded them; sendShip copies them out of its buffer.
+		// encoded them; sendShip copies them into the ship.
 		m.Base = recs[0].LSN
 		m.Recs = s.wal.LastFrames()
 	}
@@ -286,40 +263,32 @@ func (s *Server) shipTarget(last uint64) *ReplTarget {
 	return t
 }
 
-// sendShip sends m to the follower from the request loop as one REPL_APPEND,
-// at `at`, and blocks until the follower's ack has arrived and is folded into
-// the shipping horizons. It returns when replication lets the request loop go
-// on, and whether the ship went as intended — if not, the next one carries a
+// sendShip sends m to the follower from the request loop as one ship, at
+// `at`, and blocks until the follower's ack has arrived and is folded into the
+// shipping horizons. It returns when replication lets the request loop go on,
+// and whether the ship went as intended — if not, the next one carries a
 // rebase snapshot.
 //
-// The message is encoded into the server's scratch and the request from there
-// into a buffer of this endpoint's cache. The ack comes back in that same
-// buffer (handleRepl), so in steady state GetBuf finds one here every time.
+// The message is encoded straight into a buffer of this endpoint's cache. The
+// ack comes back in that same buffer (handleRepl), so in steady state GetBuf
+// finds one here every time.
 func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles) (sim.Cycles, bool) {
 	cost := &s.cfg.Machine.Cost
-	s.shipBuf = m.AppendTo(s.shipBuf[:0])
-	req := proto.Request{Op: proto.OpReplAppend, Data: s.shipBuf}
-	payload := req.AppendTo(s.ep.GetBuf(req.SizeHint()))
-	if cap(s.shipBuf) > maxShipScratch {
-		s.shipBuf = nil // a snapshot's worth is not kept for the next batch
-	}
+	payload := m.AppendTo(s.ep.GetBuf(m.SizeHint()))
 	sendEnd := s.cfg.Machine.Execute(s.cfg.Core, at, cost.MsgSend)
 	s.clock.AdvanceTo(sendEnd)
 	s.replShips.Add(1)
 	s.replBytes.Add(uint64(len(payload)))
-	env, err := s.cfg.Network.RPC(s.ep, t.EP, proto.KindRequest, payload, sendEnd)
+	env, err := s.cfg.Network.RPC(s.ep, t.EP, proto.KindReplShip, payload, sendEnd)
 	if err != nil {
 		s.replNeedSync.Store(true)
 		return sendEnd, false
 	}
 	end := s.cfg.Machine.Execute(s.cfg.Core, max(env.ArriveAt, sendEnd), cost.MsgRecv)
 	s.clock.AdvanceTo(end)
-	err = proto.UnmarshalResponseInto(&s.shipResp, env.Payload)
+	s.replBytes.Add(uint64(len(env.Payload)))
+	a, err := repl.UnmarshalAck(env.Payload)
 	s.ep.PutBuf(env.Payload)
-	var a repl.Ack
-	if err == nil {
-		a, err = repl.UnmarshalAck(s.shipResp.Data)
-	}
 	if err != nil {
 		s.replNeedSync.Store(true)
 		return end, false
@@ -330,10 +299,6 @@ func (s *Server) sendShip(t *ReplTarget, m *repl.Msg, at sim.Cycles) (sim.Cycles
 	}
 	return end, true
 }
-
-// maxShipScratch bounds what the ship scratch keeps between ships: room for
-// any request's record batch, not for a rebase snapshot.
-const maxShipScratch = 64 << 10
 
 // traceShip records the replication leg of a traced request: the window
 // from ship start to the processing of the follower's ack.

@@ -135,11 +135,12 @@ type Stats struct {
 	// received and handed off through shard migrations (DESIGN.md §9).
 	MigInEntries  uint64
 	MigOutEntries uint64
-	// Replication counters (DESIGN.md §12). ReplShips/ReplBytes count
-	// primary-side shipped batches; ReplAcks counts follower-side acks;
-	// ReplResyncs counts rebase snapshots shipped. ReplLastLSN and
-	// ReplDurable are the primary's shipping horizon and the follower-
-	// acked horizon — their difference is the replication lag.
+	// Replication counters (DESIGN.md §12). ReplShips counts primary-side
+	// shipped batches and ReplBytes their bytes and their acks'; ReplAcks
+	// counts follower-side acks; ReplResyncs counts rebase snapshots
+	// shipped. ReplLastLSN and ReplDurable are the primary's shipping
+	// horizon and the follower-acked horizon — their difference is the
+	// replication lag.
 	ReplShips   uint64
 	ReplBytes   uint64
 	ReplAcks    uint64
@@ -228,22 +229,17 @@ type Server struct {
 	curOp     string
 
 	// Replication state (DESIGN.md §12; nil/zero when disabled). replicas,
-	// replClock, replReq and replRecs are confined to the replication-plane
-	// goroutine, shipBuf and shipResp to the request loop; the horizon and
-	// counter fields are atomics because the request loop (shipping), the
-	// replication plane (acks), and the stats surface all touch them.
+	// replClock and replRecs are confined to the replication-plane goroutine;
+	// the horizon and counter fields are atomics because the request loop
+	// (shipping), the replication plane (acks), and the stats surface all
+	// touch them.
 	replEP    *msg.Endpoint
 	replDone  chan struct{}
 	replClock sim.Clock
 	replicas  map[int]*repl.Follower
-	// Recycled per message, like the request loop's (DESIGN.md §13): the
-	// request a replication message is decoded into, the records of the batch
-	// it carries (decoded in place in that request's Data), the scratch a
-	// ship's repl.Msg is encoded in, and the response its ack is decoded into.
-	replReq  proto.Request
+	// The records of a shipped batch, decoded in place in its payload and
+	// recycled per message, like the request loop's (DESIGN.md §13).
 	replRecs []wal.Record
-	shipBuf  []byte
-	shipResp proto.Response
 
 	replTarget   atomic.Pointer[ReplTarget]
 	replDurable  atomic.Uint64

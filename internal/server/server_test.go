@@ -54,7 +54,8 @@ func (h *harness) call(req *proto.Request) *proto.Response {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	resp, err := proto.UnmarshalResponse(env.Payload)
+	resp := &proto.Response{}
+	err = proto.UnmarshalResponseInto(resp, env.Payload)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -241,7 +242,8 @@ func TestServerRmdirMarkParksCreates(t *testing.T) {
 	if !ok {
 		t.Fatal("parked create never answered")
 	}
-	resp, err := proto.UnmarshalResponse(env.Payload)
+	resp := &proto.Response{}
+	err := proto.UnmarshalResponseInto(resp, env.Payload)
 	if err != nil || resp.Err != fsapi.OK {
 		t.Fatalf("parked create failed: %v %v", err, resp.Err)
 	}
@@ -296,7 +298,8 @@ func TestServerPipeBlockingAndEOF(t *testing.T) {
 	if !ok {
 		t.Fatal("parked pipe read never answered")
 	}
-	resp, _ := proto.UnmarshalResponse(env.Payload)
+	resp := &proto.Response{}
+	proto.UnmarshalResponseInto(resp, env.Payload)
 	if string(resp.Data) != "wake" {
 		t.Fatalf("pipe read %q", resp.Data)
 	}
@@ -362,7 +365,8 @@ func TestServerRejectsMalformedAndUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := proto.UnmarshalResponse(env.Payload)
+	resp := &proto.Response{}
+	proto.UnmarshalResponseInto(resp, env.Payload)
 	if resp.Err != fsapi.EINVAL {
 		t.Fatalf("malformed request: %v", resp.Err)
 	}
@@ -603,7 +607,8 @@ func TestServerBatchParksOnMarkedShardAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outer, err := proto.UnmarshalResponse(renv.Payload)
+	outer := &proto.Response{}
+	err = proto.UnmarshalResponseInto(outer, renv.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,8 @@ func (h *harness) callAs(p peer, req *proto.Request) *proto.Response {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	resp, err := proto.UnmarshalResponse(env.Payload)
+	resp := &proto.Response{}
+	err = proto.UnmarshalResponseInto(resp, env.Payload)
 	if err != nil {
 		h.t.Fatal(err)
 	}

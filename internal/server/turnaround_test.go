@@ -58,7 +58,8 @@ func (h *harness) answered(reply *msg.Queue, arrive sim.Cycles) (sim.Cycles, *pr
 	}()
 	select {
 	case env := <-got:
-		resp, err := proto.UnmarshalResponse(env.Payload)
+		resp := &proto.Response{}
+		err := proto.UnmarshalResponseInto(resp, env.Payload)
 		if err != nil {
 			h.t.Fatal(err)
 		}

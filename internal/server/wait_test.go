@@ -31,7 +31,8 @@ func (h *harness) answer(fut *msg.Future) *proto.Response {
 			got <- &proto.Response{Err: fsapi.EIO}
 			return
 		}
-		resp, err := proto.UnmarshalResponse(env.Payload)
+		resp := &proto.Response{}
+		err = proto.UnmarshalResponseInto(resp, env.Payload)
 		if err != nil {
 			resp = &proto.Response{Err: fsapi.EIO}
 		}

@@ -74,7 +74,8 @@ func TestFrontierSound(t *testing.T) {
 		sys.Network().SetFaultPlan(&msg.FaultPlan{
 			Seed: 42, MaxDelay: 5000, DelayPercent: 30, DupPercent: 20,
 			DupOK: func(kind uint16, payload []byte) bool {
-				req, err := proto.UnmarshalRequest(payload)
+				req := &proto.Request{}
+				err := proto.UnmarshalRequestInto(req, payload)
 				return kind == proto.KindRequest && err == nil &&
 					(req.Op == proto.OpLookup || req.Op == proto.OpStat || req.Op == proto.OpGetBlocks)
 			},

@@ -296,7 +296,7 @@ func decodeRecordInto(r *Record, d *wire.Decoder) error {
 
 // EncodeRecords serializes a batch of records in the log's frame format
 // (length + CRC per record): the bytes Log.Append writes to the store for the
-// same records, and the encoding REPL_APPEND payloads carry.
+// same records, and the encoding a replication ship carries.
 func EncodeRecords(recs []Record) []byte {
 	return appendFrames(nil, recs)
 }

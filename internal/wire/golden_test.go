@@ -85,7 +85,8 @@ func checkpoint() *wal.Checkpoint {
 }
 
 func requestRoundTrip(b []byte) ([]byte, error) {
-	r, err := proto.UnmarshalRequest(b)
+	r := &proto.Request{}
+	err := proto.UnmarshalRequestInto(r, b)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +94,8 @@ func requestRoundTrip(b []byte) ([]byte, error) {
 }
 
 func responseRoundTrip(b []byte) ([]byte, error) {
-	r, err := proto.UnmarshalResponse(b)
+	r := &proto.Response{}
+	err := proto.UnmarshalResponseInto(r, b)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +129,8 @@ func formats() []format {
 				{Op: proto.OpStat, Target: proto.PrevInode},
 			}}).Marshal,
 			reencode: func(b []byte) ([]byte, error) {
-				env, err := proto.UnmarshalRequest(b)
+				env := &proto.Request{}
+				err := proto.UnmarshalRequestInto(env, b)
 				if err != nil {
 					return nil, err
 				}
@@ -144,7 +147,8 @@ func formats() []format {
 				{Err: fsapi.ECANCELED},
 			}}).Marshal,
 			reencode: func(b []byte) ([]byte, error) {
-				r, err := proto.UnmarshalResponse(b)
+				r := &proto.Response{}
+				err := proto.UnmarshalResponseInto(r, b)
 				if err != nil {
 					return nil, err
 				}

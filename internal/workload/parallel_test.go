@@ -101,7 +101,8 @@ func TestParallelModeChaosFaultEquivalence(t *testing.T) {
 		if kind != proto.KindRequest {
 			return false
 		}
-		req, err := proto.UnmarshalRequest(payload)
+		req := &proto.Request{}
+		err := proto.UnmarshalRequestInto(req, payload)
 		if err != nil {
 			return false
 		}
