@@ -12,7 +12,6 @@ package client
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/fsapi"
@@ -109,11 +108,15 @@ type Client struct {
 	ep    *msg.Endpoint
 	clock sim.Clock
 
+	// fds is made by the first descriptor installed (setFD): an exec proxy
+	// and a process that opens nothing never make it.
 	fds    map[fsapi.FD]*openFile
 	nextFD fsapi.FD
 	cwd    string
 
-	dcache *table.Map[dcacheKey, dcacheEnt]
+	// The directory and version caches are held by value and take their
+	// slot arrays on their first entry (table.Make).
+	dcache table.Map[dcacheKey, dcacheEnt]
 
 	// routing is the cached routing snapshot (placement map + server
 	// endpoints); refreshed from cfg.Provider on EEPOCH replies.
@@ -130,7 +133,7 @@ type Client struct {
 	// writeback). A re-open whose OPEN reply carries the same version skips
 	// invalidation entirely (DESIGN.md §8). Only a file with blocks has an
 	// entry (keepVersion).
-	vcache *table.Map[proto.InodeID, uint64]
+	vcache table.Map[proto.InodeID, uint64]
 
 	// Per-call state (tables.go): the arena every decoded response comes
 	// from, and the free list of open-file descriptions.
@@ -168,7 +171,7 @@ type Client struct {
 	// instead of opening their own. opSeq counts root candidates for
 	// 1-in-N sampling.
 	tr    *trace.Tracer
-	tem   *trace.Emitter
+	tem   trace.Emitter
 	cur   *trace.Span
 	opSeq uint64
 
@@ -242,12 +245,13 @@ type openFile struct {
 }
 
 // New creates a client library instance, registering its callback endpoint
-// with the servers' client registry.
+// with the servers' client registry. It makes the client and its endpoint
+// and nothing else: every table a process may never use is made on first
+// use (DESIGN.md §13 "Per-process state").
 func New(cfg Config) *Client {
 	c := &Client{
 		cfg:    cfg,
 		ep:     cfg.Network.NewEndpoint(cfg.Core),
-		fds:    make(map[fsapi.FD]*openFile),
 		nextFD: 3, // 0-2 reserved for stdio by convention
 		cwd:    "/",
 		dcache: newDcacheTable(),
@@ -361,12 +365,13 @@ func (c *Client) keepVersion(of *openFile, v uint64) {
 // Options returns the technique configuration this client runs with.
 func (c *Client) Options() Options { return c.cfg.Options }
 
-// nearRing builds the creation-affinity ring: the placement members on this
-// client's socket (every member when the socket has none), rotated to start
-// at the designated nearby server — the member on the client's own core, or
-// else the ring's core-th member. Only placement members qualify: drained
-// servers must not receive new inodes. The ring follows from the core alone,
-// so every process on one core places alike.
+// nearRing builds the creation-affinity ring, in one exact-size slice: the
+// placement members on this client's socket (every member when the socket
+// has none), rotated to start at the designated nearby server — the member
+// on the client's own core, or else the ring's core-th member. Only
+// placement members qualify: drained servers must not receive new inodes.
+// The ring follows from the core alone, so every process on one core places
+// alike.
 func (c *Client) nearRing() []int {
 	rt := c.routing
 	members := rt.Map.MembersRef()
@@ -374,25 +379,34 @@ func (c *Client) nearRing() []int {
 		return []int{0}
 	}
 	topo := c.cfg.Machine.Topo
-	var ring []int
-	start := -1
+	onSocket := func(id int32) bool {
+		return int(id) < len(rt.Cores) && topo.Socket(rt.Cores[id]) == topo.Socket(c.cfg.Core)
+	}
+	n, start := 0, -1
 	for _, id := range members {
-		if int(id) < len(rt.Cores) && topo.Socket(rt.Cores[id]) == topo.Socket(c.cfg.Core) {
+		if onSocket(id) {
 			if start < 0 && rt.Cores[id] == c.cfg.Core {
-				start = len(ring)
+				start = n
 			}
-			ring = append(ring, int(id))
+			n++
 		}
 	}
-	if len(ring) == 0 {
-		for _, id := range members {
-			ring = append(ring, int(id))
-		}
+	all := n == 0
+	if all {
+		n = len(members)
 	}
 	if start < 0 {
-		start = c.cfg.Core % len(ring)
+		start = c.cfg.Core % n
 	}
-	return slices.Concat(ring[start:], ring[:start])
+	ring := make([]int, n)
+	k := n - start // the k-th member found goes to ring[k % n]
+	for _, id := range members {
+		if all || onSocket(id) {
+			ring[k%n] = int(id)
+			k++
+		}
+	}
+	return ring
 }
 
 // NearServer returns the designated nearby server: where creation affinity
@@ -521,8 +535,16 @@ func (c *Client) allocFD(of *openFile) fsapi.FD {
 	}
 	c.nextFD = fd + 1
 	of.localRefs++
-	c.fds[fd] = of
+	c.setFD(fd, of)
 	return fd
+}
+
+// setFD installs a descriptor, making the table on first use.
+func (c *Client) setFD(fd fsapi.FD, of *openFile) {
+	if c.fds == nil {
+		c.fds = make(map[fsapi.FD]*openFile)
+	}
+	c.fds[fd] = of
 }
 
 // getFD looks up an open descriptor.
@@ -564,14 +586,18 @@ func (c *Client) Dup(fd fsapi.FD) (fsapi.FD, error) {
 	return c.allocFD(of), nil
 }
 
-// OpenFDs returns the currently open descriptor numbers (sorted); used by
-// the process layer when building exec fd tables and by tests.
+// OpenFDs returns the currently open descriptor numbers (sorted), nil when
+// none is; used by the process layer when building exec fd tables and by
+// tests.
 func (c *Client) OpenFDs() []fsapi.FD {
+	if len(c.fds) == 0 {
+		return nil
+	}
 	out := make([]fsapi.FD, 0, len(c.fds))
 	for fd := range c.fds {
 		out = append(out, fd)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

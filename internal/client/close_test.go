@@ -146,7 +146,7 @@ func TestCloseGoesAloneBeforeAnotherDestination(t *testing.T) {
 		{"a second clean close", func() error {
 			of := h.cli.newOpenFile()
 			of.ino, of.localRefs = proto.InodeID{Server: int32(1 - srv), Local: 78}, 1
-			h.cli.fds[9] = of
+			h.cli.setFD(9, of)
 			return h.cli.Close(9)
 		}, []string{bare}},
 	} {

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/fsapi"
@@ -111,7 +110,7 @@ func (c *Client) CloneForFork(childCore int) (fsapi.Client, error) {
 			copies[of] = childOf
 		}
 		childOf.localRefs++
-		child.fds[fd] = childOf
+		child.setFD(fd, childOf)
 		if fd >= child.nextFD {
 			child.nextFD = fd + 1
 		}
@@ -139,9 +138,13 @@ func (c *Client) spawnPeer(core int) *Client {
 // process exec'd on another core. Each descriptor is shared with its server
 // and its reference count incremented on behalf of the new process; the
 // caller (which turns into a proxy) later closes its own copies normally.
+// The specs come in descriptor order; an empty table exports nil.
 func (c *Client) ExportFds() ([]proto.FdSpec, error) {
 	defer c.releaseResps(c.respMark())
 	fds := c.OpenFDs()
+	if len(fds) == 0 {
+		return nil, nil
+	}
 	specs := make([]proto.FdSpec, 0, len(fds))
 	for _, fd := range fds {
 		of := c.fds[fd]
@@ -160,7 +163,6 @@ func (c *Client) ExportFds() ([]proto.FdSpec, error) {
 			Write: of.pipeWrite,
 		})
 	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Fd < specs[j].Fd })
 	return specs, nil
 }
 
@@ -180,7 +182,7 @@ func (c *Client) ImportFds(specs []proto.FdSpec) {
 		} else {
 			of.ftype = fsapi.TypeRegular
 		}
-		c.fds[fsapi.FD(spec.Fd)] = of
+		c.setFD(fsapi.FD(spec.Fd), of)
 		if fsapi.FD(spec.Fd) >= c.nextFD {
 			c.nextFD = fsapi.FD(spec.Fd) + 1
 		}

@@ -23,12 +23,12 @@ func hashDcacheKey(k dcacheKey) uint64 {
 	return table.HashU64(hashClientIno(k.dir) ^ table.HashString(k.name))
 }
 
-func newDcacheTable() *table.Map[dcacheKey, dcacheEnt] {
-	return table.New[dcacheKey, dcacheEnt](hashDcacheKey, 256)
+func newDcacheTable() table.Map[dcacheKey, dcacheEnt] {
+	return table.Make[dcacheKey, dcacheEnt](hashDcacheKey, 256)
 }
 
-func newVcacheTable() *table.Map[proto.InodeID, uint64] {
-	return table.New[proto.InodeID, uint64](hashClientIno, 64)
+func newVcacheTable() table.Map[proto.InodeID, uint64] {
+	return table.Make[proto.InodeID, uint64](hashClientIno, 64)
 }
 
 // respArenaCap bounds the response structs a client keeps between calls:
@@ -37,6 +37,15 @@ func newVcacheTable() *table.Map[proto.InodeID, uint64] {
 // each kept struct may pin is bounded by proto.Response.Recycle.
 const respArenaCap = 64
 
+// respBlock is what a client's first call takes, as one object: the arena's
+// slot array at its bound and its first response. An exec proxy, about half
+// the processes a run makes, draws that one response and no other; the
+// processes that do the work grow the arena one response at a time.
+type respBlock struct {
+	items [respArenaCap]*proto.Response
+	first proto.Response
+}
+
 // respArena is the one place a client's decoded responses come from
 // (DESIGN.md §13). Every response handed out while a public call runs
 // belongs to that call: nothing is returned one by one, the call takes a
@@ -44,14 +53,19 @@ const respArenaCap = 64
 // so a response must not be read after the call that received it. Marks nest
 // as public calls do (CloseAll → Close).
 type respArena struct {
-	items []*proto.Response
-	used  int // items[:used] belong to the calls in progress
+	items []*proto.Response // a respBlock's, from the first call on
+	used  int               // items[:used] belong to the calls in progress
 }
 
 // newResp returns a response struct for the call in progress. Decoding into
 // it resets every field.
 func (c *Client) newResp() *proto.Response {
 	a := &c.resps
+	if a.items == nil {
+		b := new(respBlock)
+		b.items[0] = &b.first
+		a.items = b.items[:1]
+	}
 	if a.used < len(a.items) {
 		a.used++
 		return a.items[a.used-1]

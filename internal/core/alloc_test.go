@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/client"
@@ -260,6 +262,60 @@ func TestReadDirAllocs(t *testing.T) {
 	for i, e := range ents {
 		if want := fmt.Sprintf("f%06d-0123456789abcdef", i); e.Name != want {
 			t.Fatalf("entry %d is %q, want %q", i, e.Name, want)
+		}
+	}
+}
+
+// TestSpawnAllocs pins what an empty fork+exec+exit costs, everything the
+// exec protocol touches counted: the parent's fork of a proxy, its OpExec to
+// the target core's scheduling server, the process that server builds, and
+// both exits (DESIGN.md §13 "Per-process state"). The figure is marginal —
+// a round of 2n spawns less a round of n, over n — so the root process and
+// the warm-up of the first calls cancel out, with the collector off so that
+// nothing it frees is made again inside the window.
+func TestSpawnAllocs(t *testing.T) {
+	const n, bound = 32, 30
+	empty := func(*sched.Proc) int { return 0 }
+	for _, cores := range []int{8, 64} {
+		for _, parallel := range []bool{false, true} {
+			engine := "serialized"
+			if parallel {
+				engine = "parallel"
+			}
+			t.Run(fmt.Sprintf("%d cores %s", cores, engine), func(t *testing.T) {
+				sys := newTestSystem(t, cores, cores)
+				if err := sys.SetParallel(parallel); err != nil {
+					t.Fatal(err)
+				}
+				round := func(k int) uint64 {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					status := sys.Procs().StartRoot(0, nil, func(p *sched.Proc) int {
+						hs := make([]*sched.Handle, k)
+						for i := range hs {
+							h, err := p.Spawn(nil, empty, true)
+							if err != nil {
+								return 1
+							}
+							hs[i] = h
+						}
+						return p.Wait(hs...)
+					}).Wait()
+					runtime.ReadMemStats(&after)
+					if status != 0 {
+						t.Fatalf("a round of %d spawns exited with status %d", k, status)
+					}
+					return after.Mallocs - before.Mallocs
+				}
+				defer debug.SetGCPercent(debug.SetGCPercent(-1))
+				round(2 * n) // every free list and goroutine the larger round needs
+				got := float64(round(2*n)-round(n)) / n
+				if got > bound {
+					t.Errorf("%.1f allocations per fork+exec+exit, want at most %d", got, bound)
+				} else {
+					t.Logf("%.1f allocations per fork+exec+exit", got)
+				}
+			})
 		}
 	}
 }

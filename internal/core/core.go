@@ -220,12 +220,16 @@ type System struct {
 	pending  []*transition
 	observer func(stage string, srv int)
 
-	// failEm allocates failover-span ids (nil when replication is disabled).
-	failEm *trace.Emitter
+	// failEm allocates failover-span ids (unset when replication is disabled).
+	failEm trace.Emitter
 
 	ids      *client.IDAllocator
 	procSys  *sched.HareSystem
 	appCores []int
+
+	// clientCfg is what every client library shares, built once: a process
+	// adds its id, core and cache (newProcClient).
+	clientCfg client.Config
 
 	// tracer is nil when Config.Trace is disabled; every layer treats a
 	// nil tracer as "tracing off".
@@ -324,6 +328,19 @@ func New(cfg Config) (*System, error) {
 		sys.wireReplication()
 	}
 
+	sys.clientCfg = client.Config{
+		Machine:      machine,
+		Network:      network,
+		DRAM:         dram,
+		Registry:     registry,
+		Provider:     sys,
+		Root:         proto.RootInode,
+		RootDist:     rootDist,
+		Options:      sys.clientOptions(),
+		IDs:          sys.ids,
+		CacheForCore: sys.cacheForCore,
+		Tracer:       sys.tracer,
+	}
 	sys.procSys = sched.NewHareSystem(sched.HareConfig{
 		Machine:   machine,
 		Network:   network,
@@ -457,22 +474,9 @@ func (s *System) newProcClient(core int) *client.Client {
 	if core < 0 || core >= s.cfg.Cores {
 		core = 0
 	}
-	return client.New(client.Config{
-		ID:           s.ids.Next(),
-		Core:         core,
-		Machine:      s.machine,
-		Network:      s.network,
-		DRAM:         s.dram,
-		Cache:        s.caches[core],
-		Registry:     s.registry,
-		Provider:     s,
-		Root:         proto.RootInode,
-		RootDist:     s.cfg.RootDistributed && s.cfg.Techniques.DirectoryDistribution,
-		Options:      s.clientOptions(),
-		IDs:          s.ids,
-		CacheForCore: s.cacheForCore,
-		Tracer:       s.tracer,
-	})
+	cfg := s.clientCfg
+	cfg.ID, cfg.Core, cfg.Cache = s.ids.Next(), core, s.caches[core]
+	return client.New(cfg)
 }
 
 func (s *System) cacheForCore(core int) *ncc.PrivateCache {

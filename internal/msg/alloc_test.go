@@ -123,3 +123,46 @@ func BenchmarkRPCEcho(b *testing.B) {
 		cli.PutBuf(env.Payload)
 	}
 }
+
+// TestNewEndpointAllocs: registering an endpoint makes one object — its
+// queues are held in place — and the endpoint array doubles, so its growth
+// is a vanishing share; every endpoint stays found while others register
+// and a sender looks them up concurrently (go test -race).
+func TestNewEndpointAllocs(t *testing.T) {
+	n, _ := testNetwork(2)
+	first := n.NewEndpoint(0)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // a sender resolving every registered id meanwhile
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for id := EndpointID(0); ; id++ {
+				ep, ok := n.Endpoint(id)
+				if !ok {
+					break
+				}
+				if ep.ID != id {
+					t.Errorf("id %d resolves to endpoint %d", id, ep.ID)
+					return
+				}
+			}
+		}
+	}()
+	allocs := testing.AllocsPerRun(1000, func() { n.NewEndpoint(1) })
+	close(stop)
+	<-done
+	if allocs > 1 {
+		t.Fatalf("NewEndpoint allocated %.0f objects, want 1", allocs)
+	}
+	if ep, ok := n.Endpoint(first.ID); !ok || ep != first {
+		t.Fatal("the first endpoint is lost after the array grew")
+	}
+	if _, ok := n.Endpoint(EndpointID(n.registered.Load())); ok {
+		t.Fatal("an id past the last registered resolves")
+	}
+}

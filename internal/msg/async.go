@@ -15,9 +15,11 @@ import (
 // to the maximum reply arrival among the futures it awaits and for charging
 // its own send/receive CPU costs.
 type Future struct {
-	q   *Queue
-	dst EndpointID
-	src *Endpoint
+	q Queue // the reply queue, held in place: one object per future
+	// slot is the queue's first backing array: room for the one reply.
+	slot [1]qitem
+	dst  EndpointID
+	src  *Endpoint
 	// SentAt is the virtual time the request was stamped with.
 	SentAt sim.Cycles
 	// bound is the earliest the cost model lets the reply arrive (see send):
@@ -35,7 +37,7 @@ func (n *Network) SendAsync(src *Endpoint, dst EndpointID, kind uint16, payload 
 
 func (n *Network) sendAsync(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles, blocks bool) (*Future, error) {
 	f := src.cache.getFuture()
-	_, bound, err := n.send(src, dst, kind, payload, sentAt, f.q, blocks)
+	_, bound, err := n.send(src, dst, kind, payload, sentAt, &f.q, blocks)
 	if err != nil {
 		src.cache.putFuture(f)
 		return nil, err

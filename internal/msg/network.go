@@ -39,13 +39,17 @@ type Envelope struct {
 // Endpoint is one attachment point on the network. Each endpoint has a
 // request inbox and a callback queue (used by Hare for directory-cache
 // invalidations, which must not be interleaved with RPC replies), plus a
-// free-list cache for payload buffers and futures (pool.go).
+// free-list cache for payload buffers and futures (pool.go). Both queues are
+// held in place — Inbox and Callbacks point at them — so that registering an
+// endpoint, which every process does, makes one object.
 type Endpoint struct {
 	ID        EndpointID
 	Core      int
 	Inbox     *Queue
 	Callbacks *Queue
 	net       *Network
+
+	inbox, callbacks Queue
 
 	// Turnaround is the least virtual time between a request's arrival here
 	// and its reply's departure (DESIGN.md §13, "Lookahead"). The owner sets
@@ -74,12 +78,15 @@ type Endpoint struct {
 type Network struct {
 	machine *sim.Machine
 
-	// endpoints is an append-only array indexed by EndpointID, swapped
-	// atomically on growth. Lookups on the send path are lock-free; the
-	// mutex only serializes registration.
-	mu        sync.Mutex
-	endpoints atomic.Pointer[[]*Endpoint]
-	nextID    EndpointID
+	// endpoints is an append-only array indexed by EndpointID whose first
+	// registered entries are published: registration writes the new slot
+	// past the published count, then stores the count. The array doubles
+	// when full and is swapped atomically, the copy holding every published
+	// slot, so a run of n registrations copies O(n) pointers in all. Lookups
+	// on the send path are lock-free; the mutex only serializes registration.
+	mu         sync.Mutex
+	endpoints  atomic.Pointer[[]*Endpoint]
+	registered atomic.Int64
 
 	stats Stats
 
@@ -109,7 +116,7 @@ type Stats struct {
 // NewNetwork creates an empty network over the given machine model.
 func NewNetwork(m Machine) *Network {
 	n := &Network{machine: m}
-	eps := make([]*Endpoint, 0)
+	var eps []*Endpoint
 	n.endpoints.Store(&eps)
 	return n
 }
@@ -118,30 +125,30 @@ func NewNetwork(m Machine) *Network {
 func (n *Network) NewEndpoint(core int) *Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	id := n.nextID
-	n.nextID++
-	ep := &Endpoint{
-		ID:        id,
-		Core:      core,
-		Inbox:     NewQueue(),
-		Callbacks: NewQueue(),
-		net:       n,
+	id := EndpointID(n.registered.Load())
+	ep := &Endpoint{ID: id, Core: core, net: n}
+	ep.inbox.init()
+	ep.callbacks.init()
+	ep.Inbox, ep.Callbacks = &ep.inbox, &ep.callbacks
+	eps := *n.endpoints.Load()
+	if int(id) == len(eps) {
+		grown := make([]*Endpoint, max(2*len(eps), 16))
+		copy(grown, eps)
+		n.endpoints.Store(&grown)
+		eps = grown
 	}
-	old := *n.endpoints.Load()
-	grown := make([]*Endpoint, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = ep
-	n.endpoints.Store(&grown)
+	eps[id] = ep
+	n.registered.Store(int64(id) + 1)
 	return ep
 }
 
-// lookup returns the endpoint with the given id without locking.
+// lookup returns the endpoint with the given id without locking. The count
+// is read first: the array read after it holds every slot it publishes.
 func (n *Network) lookup(id EndpointID) *Endpoint {
-	eps := *n.endpoints.Load()
-	if id < 0 || int(id) >= len(eps) {
+	if id < 0 || int64(id) >= n.registered.Load() {
 		return nil
 	}
-	return eps[id]
+	return (*n.endpoints.Load())[id]
 }
 
 // Endpoint returns a registered endpoint by id.

@@ -116,7 +116,10 @@ func (c *epCache) getFuture() *Future {
 		return f
 	}
 	c.mu.Unlock()
-	return &Future{q: NewQueue()}
+	f := &Future{}
+	f.q.init()
+	f.q.items = f.slot[:0]
+	return f
 }
 
 // putFuture recycles a harvested future. The caller guarantees no further

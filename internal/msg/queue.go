@@ -49,9 +49,13 @@ const (
 // zeroed before the slice shrinks, so a drained queue retains no payload
 // references (the old `items = items[1:]` reslice kept every popped payload
 // alive until the backing array was abandoned).
+//
+// A Queue holds its condition variable in place and must not be copied; the
+// zero value is not ready for use (NewQueue, or init for a queue held inside
+// another object: an endpoint's two, a future's).
 type Queue struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	items   []qitem
 	nextSeq uint64
 	mode    uint8
@@ -75,9 +79,15 @@ type Queue struct {
 // NewQueue returns an empty queue.
 func NewQueue() *Queue {
 	q := &Queue{}
-	q.cond = sync.NewCond(&q.mu)
-	q.waiter.Cond = q.cond
+	q.init()
 	return q
+}
+
+// init readies a zero queue where it lies: its condition variable and its
+// gate registration both point into the queue itself.
+func (q *Queue) init() {
+	q.cond.L = &q.mu
+	q.waiter.Cond = &q.cond
 }
 
 // less orders the heap: by push sequence in FIFO mode, by virtual arrival

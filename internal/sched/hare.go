@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/client"
@@ -106,8 +107,16 @@ func (sys *HareSystem) StartRoot(core int, args []string, fn ProcFunc) *Handle {
 	cli := sys.cfg.NewClient(core)
 	proc := &Proc{PID: sys.pids.alloc(), Args: args, FS: cli, core: core, sys: sys}
 	handle := newHandle(proc.PID)
-	sys.run(proc, cli, sys.ends.maxEnd(), fn, handle.finish)
+	sys.run(proc, cli, sys.ends.maxEnd(), fn, handle)
 	return handle
+}
+
+// owner is told of a process's life: its first step, taken once its lane
+// has joined, and its exit. The handle its parent or the host waits on owns
+// a process, and so does the exec a scheduling server serves (execCall).
+type owner interface {
+	started()
+	finish(status int, end sim.Cycles)
 }
 
 // run starts a process and is where its lane lives and dies (DESIGN.md §13).
@@ -115,27 +124,28 @@ func (sys *HareSystem) StartRoot(core int, args []string, fn ProcFunc) *Handle {
 // caller's context: the caller's own active frontier — the forking parent's,
 // the exec proxy's — is at or below that time and holds the floor under the
 // join. At exit the process closes its descriptors, records its end, reports
-// it (exited finishes a handle or answers the proxy) and only then leaves
+// it (its owner finishes a handle or answers the proxy) and only then leaves
 // the gate, so its frontier holds the floor until whoever resumes at its end
 // is back.
-func (sys *HareSystem) run(proc *Proc, cli *client.Client, at sim.Cycles, fn ProcFunc, exited func(status int, end sim.Cycles)) {
+func (sys *HareSystem) run(proc *Proc, cli *client.Client, at sim.Cycles, fn ProcFunc, own owner) {
 	cli.AdvanceClock(at)
 	sys.cfg.Network.GateJoin(cli.EndpointID(), cli.Clock())
 	sys.trackProc(proc)
 	go func() {
+		own.started()
 		status := fn(proc)
 		sys.untrackProc(proc)
-		sys.exit(cli, status, exited)
+		sys.exit(cli, status, own)
 	}()
 }
 
 // exit is the end of a process or of an exec proxy: close, record, report,
 // leave — in that order (see run).
-func (sys *HareSystem) exit(cli *client.Client, status int, exited func(status int, end sim.Cycles)) {
+func (sys *HareSystem) exit(cli *client.Client, status int, own owner) {
 	cli.CloseAll()
 	end := cli.Clock()
 	sys.ends.record(end)
-	exited(status, end)
+	own.finish(status, end)
 	sys.cfg.Network.GateIdle(cli.EndpointID())
 }
 
@@ -156,7 +166,7 @@ func (sys *HareSystem) Spawn(parent *Proc, args []string, fn ProcFunc, remote bo
 
 	if !remote {
 		proc := &Proc{PID: pid, Args: args, FS: childCli, core: parent.core, sys: sys}
-		sys.run(proc, childCli, childCli.Clock(), fn, handle.finish)
+		sys.run(proc, childCli, childCli.Clock(), fn, handle)
 		return handle, nil
 	}
 
@@ -191,7 +201,7 @@ func (sys *HareSystem) Spawn(parent *Proc, args []string, fn ProcFunc, remote bo
 			}
 		}
 		// The proxy exits, reporting the remote process's status to the parent.
-		sys.exit(childCli, status, handle.finish)
+		sys.exit(childCli, status, handle)
 	}()
 	return handle, nil
 }
@@ -231,13 +241,14 @@ func (sys *HareSystem) untrackProc(p *Proc) {
 	sys.procMu.Unlock()
 }
 
-// registerProgram stores a process body under a fresh id so the exec RPC can
-// name it; the scheduling server claims it exactly once.
+// registerProgram stores a process body under a fresh id, "prog-N", so the
+// exec RPC can name it; the scheduling server claims it exactly once.
 func (sys *HareSystem) registerProgram(fn ProcFunc) string {
 	sys.progMu.Lock()
 	defer sys.progMu.Unlock()
 	sys.progSeq++
-	id := fmt.Sprintf("prog-%d", sys.progSeq)
+	var buf [24]byte
+	id := string(strconv.AppendUint(append(buf[:0], "prog-"...), sys.progSeq, 10))
 	sys.programs[id] = fn
 	return id
 }
@@ -266,8 +277,13 @@ func (s *schedServer) run() {
 }
 
 func (s *schedServer) handle(env msg.Envelope) {
-	req := &proto.Request{} // an exec's process keeps its Args
-	if err := proto.UnmarshalRequestInto(req, env.Payload); err != nil {
+	// Decoded into the exec call it may start, whose process keeps its Args;
+	// the decoder copies, so the payload goes back to the cache at once.
+	call := &execCall{srv: s, env: env}
+	req := &call.req
+	err := proto.UnmarshalRequestInto(req, env.Payload)
+	s.ep.PutBuf(env.Payload)
+	if err != nil {
 		s.reply(env, proto.ErrResponse(fsapi.EINVAL), env.ArriveAt)
 		return
 	}
@@ -281,7 +297,7 @@ func (s *schedServer) handle(env msg.Envelope) {
 
 	switch req.Op {
 	case proto.OpExec:
-		s.handleExec(req, env, end)
+		s.handleExec(call, end)
 	case proto.OpSignal:
 		ok := s.sys.Signal(req.PID)
 		resp := &proto.Response{}
@@ -296,30 +312,44 @@ func (s *schedServer) handle(env msg.Envelope) {
 	}
 }
 
+// execCall is one exec a scheduling server serves, in one object: the
+// request, the process it starts, and the envelope its exit answers.
+type execCall struct {
+	req  proto.Request
+	proc Proc
+	srv  *schedServer
+	env  msg.Envelope
+}
+
 // handleExec spawns the requested program locally (the scheduling server
 // forks itself and execs the target image, §3.5). The reply to the proxy is
 // sent when the process exits. Until then the process holds the proxy's
-// request, as its first step: after its own lane has joined (run) under the
-// proxy's frontier — at most the exec's send time, hence at most at — and
-// before the reply that ends the hold.
-func (s *schedServer) handleExec(req *proto.Request, env msg.Envelope, at sim.Cycles) {
+// request, as its first step (started): after its own lane has joined (run)
+// under the proxy's frontier — at most the exec's send time, hence at most
+// at — and before the reply that ends the hold.
+func (s *schedServer) handleExec(call *execCall, at sim.Cycles) {
+	req := &call.req
 	fn, ok := s.sys.claimProgram(req.Program)
 	if !ok {
-		s.reply(env, proto.ErrResponse(fsapi.ENOENT), at)
+		s.reply(call.env, proto.ErrResponse(fsapi.ENOENT), at)
 		return
 	}
 	cli := s.sys.cfg.NewClient(s.core)
 	cli.ImportFds(req.Fds)
 	cli.SetCwd(req.Dirname)
-	proc := &Proc{PID: req.PID, Args: req.Args, FS: cli, core: s.core, sys: s.sys}
-	s.sys.run(proc, cli, at, func(p *Proc) int {
-		s.sys.cfg.Network.Hold(env)
-		return fn(p)
-	}, func(status int, end sim.Cycles) {
-		s.reply(env, &proto.Response{ExitStatus: int32(status), PID: proc.PID}, end)
-	})
+	call.proc = Proc{PID: req.PID, Args: req.Args, FS: cli, core: s.core, sys: s.sys}
+	s.sys.run(&call.proc, cli, at, fn, call)
 }
 
+func (e *execCall) started() { e.srv.sys.cfg.Network.Hold(e.env) }
+
+func (e *execCall) finish(status int, end sim.Cycles) {
+	e.srv.reply(e.env, &proto.Response{ExitStatus: int32(status), PID: e.proc.PID}, end)
+}
+
+// reply answers a request in a buffer from the server's cache, which the
+// requests it decoded refill.
 func (s *schedServer) reply(env msg.Envelope, resp *proto.Response, at sim.Cycles) {
-	s.sys.cfg.Network.Reply(s.ep, env, proto.KindResponse, resp.Marshal(), at)
+	payload := resp.AppendTo(s.ep.GetBuf(resp.SizeHint()))
+	s.sys.cfg.Network.Reply(s.ep, env, proto.KindResponse, payload, at)
 }

@@ -145,7 +145,7 @@ func (p *Proc) resumeAt(t sim.Cycles, rejoin bool) {
 // Handle allows waiting for a process to exit.
 type Handle struct {
 	pid  int64
-	done chan struct{}
+	done sync.WaitGroup // released by finish
 
 	// mu orders an exit against a Proc.Wait registering for it.
 	mu     sync.Mutex
@@ -157,7 +157,9 @@ type Handle struct {
 
 // newHandle creates an unfinished handle.
 func newHandle(pid int64) *Handle {
-	return &Handle{pid: pid, done: make(chan struct{})}
+	h := &Handle{pid: pid}
+	h.done.Add(1)
+	return h
 }
 
 // finish records the exit status and completion time, brings a process
@@ -170,8 +172,12 @@ func (h *Handle) finish(status int, endAt sim.Cycles) {
 		h.waiter.resumeAt(endAt, true)
 	}
 	h.mu.Unlock()
-	close(h.done)
+	h.done.Done()
 }
+
+// started: a handle owns its process (HareSystem.run) with nothing to do at
+// its first step.
+func (h *Handle) started() {}
 
 // PID returns the process id.
 func (h *Handle) PID() int64 { return h.pid }
@@ -180,7 +186,7 @@ func (h *Handle) PID() int64 { return h.pid }
 // host-side call — a harness waiting for a root it started. A process waits
 // for its children with Proc.Wait, which also keeps virtual time.
 func (h *Handle) Wait() int {
-	<-h.done
+	h.done.Wait()
 	return h.status
 }
 

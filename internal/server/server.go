@@ -223,7 +223,7 @@ type Server struct {
 	// pre-crash span ID. curTrace/curParent hold the in-flight request's
 	// trace context so commitPending can attach the WAL and ship spans.
 	tr        *trace.Tracer
-	tem       *trace.Emitter
+	tem       trace.Emitter
 	curTrace  uint64
 	curParent uint64
 	curOp     string

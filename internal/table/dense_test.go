@@ -2,6 +2,7 @@ package table
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 )
@@ -176,6 +177,10 @@ func TestDenseChurnAllocs(t *testing.T) {
 	d := NewDense[[10]uint64]()
 	*d.Put(1) = [10]uint64{1} // a survivor, as the root directory is
 	const n = 64 * 256
+	// Mallocs counts the whole process: with the collector off and one P, no
+	// GC cycle or other goroutine adds its own allocations to the window.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for k := uint64(2); k < 2+n; k++ {

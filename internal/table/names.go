@@ -16,9 +16,11 @@ import "unsafe"
 // power of two) and double up to maxChunk, so a directory of one name costs
 // one object, as a cloned string does. The owner reports each name it stops
 // storing to Drop. Once the chunks made since the last compaction hold more
-// than 2 × live + maxChunk bytes, Drop compacts: it starts fresh chunks and
-// has the owner re-keep every name it still stores (Map.Rekey), after which
-// the old chunks go with their last view. The zero value is an empty slab.
+// than 2 × live + maxChunk bytes, Drop compacts: it starts a fresh chunk the
+// size of the last one (or of every live name, if larger), even when no name
+// is live, and has the owner re-keep every name it still stores (Map.Rekey),
+// after which the old chunks go with their last view. The zero value is an
+// empty slab.
 type Names struct {
 	// chunk is the chunk being filled: len bytes of cap written.
 	chunk []byte
@@ -74,11 +76,11 @@ func (n *Names) Drop(name string, rekey func(keep func(string) string)) {
 	if n.held <= 2*n.live+maxChunk {
 		return
 	}
-	live := n.live
+	// One chunk for all of them, no smaller than the last one: a churning
+	// directory keeps its chunk size instead of doubling back up to it.
+	size := max(n.live, min(cap(n.chunk), maxChunk))
 	n.chunk, n.held, n.live = nil, 0, 0
-	if live > 0 {
-		n.fresh(live) // one chunk for all of them, up to maxChunk
-	}
+	n.fresh(size)
 	rekey(n.Keep)
 }
 

@@ -25,7 +25,8 @@
 package table
 
 // Map is an open-addressing hash table with linear probing over a
-// power-of-two slot array. The zero value is not ready for use; call New.
+// power-of-two slot array. The zero value is not ready for use; call New, or
+// Make for a map held by value. Neither allocates slots until the first Put.
 type Map[K comparable, V any] struct {
 	hash  func(K) uint64
 	slots []slot[K, V]
@@ -45,41 +46,54 @@ const minCap = 8
 
 // New returns an empty map using the given hash function. sizeHint, when
 // positive, pre-sizes the table to hold that many entries without growing.
+// Like Make's, its slot array is made by its first Put.
 func New[K comparable, V any](hash func(K) uint64, sizeHint int) *Map[K, V] {
+	m := Make[K, V](hash, sizeHint)
+	return &m
+}
+
+// Make returns an empty map by value, sized as sizeHint asks, whose slot
+// array is made by its first Put: until then it holds no memory of its own,
+// Get and Delete miss and Range visits nothing. A map many holders may never
+// fill — each process's directory and version caches — costs nothing there
+// (Bonwick, USENIX Summer 1994: construction paid only for state that is
+// used).
+func Make[K comparable, V any](hash func(K) uint64, sizeHint int) Map[K, V] {
 	n := minCap
 	for n*4 < sizeHint*5 { // initial load factor <= 0.8 of the hint
 		n *= 2
 	}
-	return &Map[K, V]{
-		hash:  hash,
-		slots: make([]slot[K, V], n),
-		mask:  uint64(n - 1),
-	}
+	return Map[K, V]{hash: hash, mask: uint64(n - 1)}
 }
 
 // Len returns the number of entries.
 func (m *Map[K, V]) Len() int { return m.used }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. The probe runs while its slot is
+// inside the array, which ends it at once on a map whose slots are not made
+// yet, and spares the bounds check each probe would make anyway.
 func (m *Map[K, V]) Get(key K) (V, bool) {
-	i := m.hash(key) & m.mask
-	for {
-		s := &m.slots[i]
+	slots, mask := m.slots, m.mask
+	for i := m.hash(key) & mask; i < uint64(len(slots)); i = (i + 1) & mask {
+		s := &slots[i]
 		if !s.full {
-			var zero V
-			return zero, false
+			break
 		}
 		if s.key == key {
 			return s.val, true
 		}
-		i = (i + 1) & m.mask
 	}
+	var zero V
+	return zero, false
 }
 
 // Put stores val under key, replacing any existing entry's value; an entry
 // already present keeps the key it was stored under, so a caller may pass an
 // equal key it does not own (a string borrowed from a buffer).
 func (m *Map[K, V]) Put(key K, val V) {
+	if m.slots == nil {
+		m.slots = make([]slot[K, V], m.mask+1)
+	}
 	if (m.used+1)*4 > len(m.slots)*3 { // grow at 75% load
 		m.grow()
 	}
@@ -105,16 +119,15 @@ func (m *Map[K, V]) Put(key K, val V) {
 // The cluster after the removed slot is compacted by backward shifting, so
 // the table never accumulates tombstones.
 func (m *Map[K, V]) Delete(key K) bool {
-	i := m.hash(key) & m.mask
-	for {
-		s := &m.slots[i]
-		if !s.full {
-			return false
+	slots, mask := m.slots, m.mask
+	i := m.hash(key) & mask
+	for ; ; i = (i + 1) & mask {
+		if i >= uint64(len(slots)) || !slots[i].full {
+			return false // as in Get
 		}
-		if s.key == key {
+		if slots[i].key == key {
 			break
 		}
-		i = (i + 1) & m.mask
 	}
 	m.used--
 	// Backward-shift: walk the cluster after i; any entry whose home slot

@@ -170,6 +170,36 @@ func TestMapClear(t *testing.T) {
 	}
 }
 
+// TestMapAllocsOnlyOnFirstPut: a map holds no slots until its first Put —
+// making one by Make, and reads, deletes, walks and clears of it, allocate
+// nothing — and the first Put makes the array its size hint asked for.
+func TestMapAllocsOnlyOnFirstPut(t *testing.T) {
+	var m Map[uint64, int]
+	if allocs := testing.AllocsPerRun(100, func() {
+		m = Make[uint64, int](HashU64, 64)
+		if _, ok := m.Get(7); ok || m.Delete(7) || m.Len() != 0 {
+			t.Fatal("an unfilled map holds an entry")
+		}
+		m.Range(func(uint64, int) bool { t.Fatal("an unfilled map walked an entry"); return false })
+		m.Clear()
+	}); allocs != 0 {
+		t.Fatalf("an unfilled map allocated %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		m = Make[uint64, int](HashU64, 64)
+		for i := 0; i < 64; i++ {
+			m.Put(uint64(i*7), i)
+		}
+	}); allocs != 1 {
+		t.Fatalf("filling a map to its size hint allocated %.1f times, want 1", allocs)
+	}
+	for i := 0; i < 64; i++ {
+		if v, ok := m.Get(uint64(i * 7)); !ok || v != i {
+			t.Fatalf("Get(%d) = %d, %v; want %d, true", i*7, v, ok, i)
+		}
+	}
+}
+
 // TestSharded exercises the sharded wrapper across enough keys to hit every
 // shard.
 func TestSharded(t *testing.T) {

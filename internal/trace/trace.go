@@ -297,16 +297,17 @@ type Emitter struct {
 	seq  uint64 // owned by the entity's goroutine
 }
 
-// ClientEmitter returns the ID allocator for a client.
-func ClientEmitter(clientID int32) *Emitter {
-	return &Emitter{base: (uint64(uint32(clientID)) & 0x7fff) << 48}
+// ClientEmitter returns the ID allocator for a client, held by value in the
+// entity it numbers.
+func ClientEmitter(clientID int32) Emitter {
+	return Emitter{base: (uint64(uint32(clientID)) & 0x7fff) << 48}
 }
 
 // ServerEmitter returns the ID allocator for one incarnation of a server.
 // Recovery after a crash must use a fresh incarnation so replayed or
 // re-served requests never reuse a pre-crash span ID.
-func ServerEmitter(serverID int, incarnation uint32) *Emitter {
-	return &Emitter{base: 1<<63 |
+func ServerEmitter(serverID int, incarnation uint32) Emitter {
+	return Emitter{base: 1<<63 |
 		(uint64(serverID)&0x7fff)<<48 |
 		(uint64(incarnation)&0xff)<<40}
 }

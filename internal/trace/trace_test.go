@@ -11,14 +11,15 @@ import (
 
 func TestEmitterNamespacing(t *testing.T) {
 	seen := make(map[uint64]bool)
-	emitters := []*Emitter{
+	emitters := []Emitter{
 		ClientEmitter(0),
 		ClientEmitter(1),
 		ServerEmitter(0, 0),
 		ServerEmitter(0, 1), // same server, post-crash incarnation
 		ServerEmitter(1, 0),
 	}
-	for _, e := range emitters {
+	for k := range emitters {
+		e := &emitters[k]
 		for i := 0; i < 1000; i++ {
 			id := e.Next()
 			if seen[id] {
