@@ -205,7 +205,7 @@ type openFile struct {
 	// extents may overlap until writebackFile normalizes them.
 	offset int64
 	size   int64
-	blocks ncc.ExtentList
+	blocks ncc.BlockMap
 	dirty  []ncc.Extent
 	// dirtyNorm is len(dirty) right after its last in-place normalization;
 	// addDirty re-normalizes when the list doubles past it, keeping growth
@@ -274,11 +274,6 @@ func (c *Client) EndpointID() msg.EndpointID { return c.ep.ID }
 
 // GateActive reports whether the parallel virtual-time engine is installed.
 func (c *Client) GateActive() bool { return c.cfg.Network.Gate() != nil }
-
-// SetAutoPark marks this client as bare (library-driven): under the
-// parallel engine its lane parks after every completed operation (see
-// Config.AutoPark).
-func (c *Client) SetAutoPark(on bool) { c.cfg.AutoPark = on }
 
 // GatePark marks this client's lane quiescent while its process is blocked
 // in real time (sched.Proc.Wait and Blocked call it, through

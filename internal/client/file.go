@@ -169,14 +169,12 @@ func (c *Client) opened(resp *proto.Response, flags int) fsapi.FD {
 	// the one recorded at this client's last consistency point proves nothing
 	// changed in DRAM since — the cached copies are byte-identical and the
 	// invalidation is skipped outright (DESIGN.md §8).
-	if c.cfg.Options.DirectAccess && of.blocks.Len() > 0 {
+	if c.cfg.Options.DirectAccess && len(resp.Extents) > 0 {
 		if v, ok := c.vcache.Get(of.ino); ok && v == resp.Version {
-			c.cfg.Cache.NoteVersionSkip(of.blocks.Runs())
+			c.cfg.Cache.NoteVersionSkip(resp.Extents)
 			c.stats.verSkips.Add(1)
 		} else {
-			dropped := c.cfg.Cache.InvalidateExtents(of.blocks.Runs())
-			c.stats.invBlocks.Add(uint64(dropped))
-			c.charge(sim.Cycles(dropped) * c.cfg.Machine.Cost.CachePerLine)
+			c.dropStale(resp.Extents)
 			c.vcache.Put(of.ino, resp.Version)
 		}
 	}
@@ -194,13 +192,22 @@ func (c *Client) fileFromOpen(resp *proto.Response, flags int) *openFile {
 	return of
 }
 
-// refreshBlocks replaces the descriptor's block map with the extent-coded
-// wire form (shared by open, GET_BLOCKS, EXTEND, and TRUNCATE responses).
+// refreshBlocks replaces the descriptor's block map with the runs a reply
+// carries (shared by open, GET_BLOCKS, EXTEND, and TRUNCATE responses).
 func refreshBlocks(of *openFile, exts []proto.Extent) {
 	of.blocks.Reset()
 	for _, e := range exts {
-		of.blocks.AppendRun(ncc.Extent{Start: ncc.BlockID(e.Start), Count: e.Count})
+		of.blocks.AppendRun(e)
 	}
+}
+
+// dropStale drops this core's cached copies of the blocks in exts, runs a
+// descriptor just installed, and charges for each one it dropped: a copy may
+// be older than what DRAM now holds for the block.
+func (c *Client) dropStale(exts []ncc.Extent) {
+	dropped := c.cfg.Cache.InvalidateExtents(exts)
+	c.stats.invBlocks.Add(uint64(dropped))
+	c.charge(sim.Cycles(dropped) * c.cfg.Machine.Cost.CachePerLine)
 }
 
 // Close closes a descriptor, writing back dirty blocks and releasing the
@@ -641,52 +648,46 @@ func (c *Client) extendTo(of *openFile, end int64) error {
 // leftover clean copy would shadow the zeroed (or remotely written) DRAM
 // contents.
 func (c *Client) invalidateTail(of *openFile, from int) {
-	if !c.cfg.Options.DirectAccess || from >= of.blocks.Len() {
+	if !c.cfg.Options.DirectAccess {
 		return
 	}
-	head, rest := of.blocks.TailRuns(from)
-	dropped := c.cfg.Cache.InvalidateExtents([]ncc.Extent{head})
-	if len(rest) > 0 {
-		dropped += c.cfg.Cache.InvalidateExtents(rest)
-	}
-	if dropped > 0 {
-		c.stats.invBlocks.Add(uint64(dropped))
-		c.charge(sim.Cycles(dropped) * c.cfg.Machine.Cost.CachePerLine)
-	}
+	of.blocks.RunsIn(from, of.blocks.Len(), func(e ncc.Extent) bool {
+		c.dropStale([]ncc.Extent{e})
+		return true
+	})
 }
 
 // copyBlocks moves data between the caller's buffer and the buffer cache via
-// the core's private cache, charging per-line costs for hits and misses.
+// the core's private cache, charging per-line costs for hits and misses. It
+// walks the byte range's blocks run by run and stops at the end of the map.
 func (c *Client) copyBlocks(of *openFile, off int64, p []byte, write bool) int {
+	if len(p) == 0 {
+		return 0
+	}
 	bs := int64(c.cfg.DRAM.BlockSize())
 	cost := &c.cfg.Machine.Cost
 	moved := 0
-	for moved < len(p) {
-		pos := off + int64(moved)
-		bi := int(pos / bs)
-		bo := int(pos % bs)
-		if bi >= of.blocks.Len() {
-			break
+	bo := int(off % bs) // the offset in the block; only the first starts inside
+	of.blocks.RunsIn(int(off/bs), int((off+int64(len(p))+bs-1)/bs), func(e ncc.Extent) bool {
+		for block := e.Start; block < e.End(); block++ {
+			var n int
+			var hit bool
+			if write {
+				n, hit = c.cfg.Cache.Write(block, bo, p[moved:])
+				of.addDirty(block)
+			} else {
+				n, hit = c.cfg.Cache.Read(block, bo, p[moved:])
+			}
+			per := cost.DRAMPerLine
+			if hit {
+				per = cost.CachePerLine
+			}
+			c.charge(sim.LineCost(per, n))
+			moved += n
+			bo = 0
 		}
-		block := of.blocks.At(bi)
-		var n int
-		var hit bool
-		if write {
-			n, hit = c.cfg.Cache.Write(block, bo, p[moved:])
-			of.addDirty(block)
-		} else {
-			n, hit = c.cfg.Cache.Read(block, bo, p[moved:])
-		}
-		if n == 0 {
-			break
-		}
-		per := cost.DRAMPerLine
-		if hit {
-			per = cost.CachePerLine
-		}
-		c.charge(sim.LineCost(per, n))
-		moved += n
-	}
+		return true
+	})
 	return moved
 }
 
@@ -786,12 +787,8 @@ func (c *Client) Ftruncate(fd fsapi.FD, size int64) (err error) {
 	// shows the old bytes), and a grow may have handed us newly allocated
 	// blocks with stale previous-life copies on this core. The descriptor's
 	// dirty data was written back above, so nothing of ours is lost.
-	if c.cfg.Options.DirectAccess && of.blocks.Len() > 0 {
-		dropped := c.cfg.Cache.InvalidateExtents(of.blocks.Runs())
-		if dropped > 0 {
-			c.stats.invBlocks.Add(uint64(dropped))
-			c.charge(sim.Cycles(dropped) * c.cfg.Machine.Cost.CachePerLine)
-		}
+	if c.cfg.Options.DirectAccess {
+		c.dropStale(resp.Extents)
 	}
 	// The writeback above put our data in DRAM and TRUNCATE always bumps;
 	// with the window intact the surviving cached blocks are consistent at

@@ -3,7 +3,6 @@ package client
 import (
 	"repro/internal/fsapi"
 	"repro/internal/proto"
-	"repro/internal/sim"
 )
 
 // Pipe creates a pipe on a nearby file server and returns the read and write
@@ -131,10 +130,8 @@ func (c *Client) maybeUnshare(of *openFile, last *proto.Response) {
 	// straight to DRAM, so any private-cache copies of the file's blocks are
 	// suspect: drop them before resuming direct access, and restart the
 	// version window at the freshly consistent point.
-	if c.cfg.Options.DirectAccess && of.blocks.Len() > 0 {
-		dropped := c.cfg.Cache.InvalidateExtents(of.blocks.Runs())
-		c.stats.invBlocks.Add(uint64(dropped))
-		c.charge(sim.Cycles(dropped) * c.cfg.Machine.Cost.CachePerLine)
+	if c.cfg.Options.DirectAccess {
+		c.dropStale(blocksResp.Extents)
 	}
 	of.verKnown = blocksResp.Version
 	of.verLost = false

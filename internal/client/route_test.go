@@ -623,7 +623,8 @@ func TestUnlinkDropsItsEntryWhateverTheChainAnswers(t *testing.T) {
 
 // TestPerCallStateSteadyStateAllocs: what a call draws — arena responses,
 // an open-file description with its block map and dirty set — comes from
-// what earlier calls gave back.
+// what earlier calls gave back. The map is fragmented: its second run lives
+// in the overflow a recycled description keeps.
 func TestPerCallStateSteadyStateAllocs(t *testing.T) {
 	c := &Client{}
 	call := func() {
@@ -643,6 +644,7 @@ func TestPerCallStateSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("a recycled description is not empty: %+v", of)
 		}
 		of.blocks.AppendRun(ncc.Extent{Start: 9, Count: 2})
+		of.blocks.AppendRun(ncc.Extent{Start: 20, Count: 1})
 		of.addDirty(9)
 		of.size, of.wrote = 100, true
 		c.freeOpenFile(of)

@@ -125,7 +125,7 @@ func (c *Client) freeOpenFile(of *openFile) {
 	}
 	blocks, dirty := of.blocks, of.dirty[:0]
 	if blocks.Cap() > ofKeepRuns {
-		blocks = ncc.ExtentList{}
+		blocks = ncc.BlockMap{}
 	}
 	if cap(dirty) > ofKeepRuns {
 		dirty = nil

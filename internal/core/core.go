@@ -228,7 +228,7 @@ type System struct {
 	appCores []int
 
 	// clientCfg is what every client library shares, built once: a process
-	// adds its id, core and cache (newProcClient).
+	// adds its id, core and cache (newClient).
 	clientCfg client.Config
 
 	// tracer is nil when Config.Trace is disabled; every layer treats a
@@ -463,19 +463,22 @@ func (s *System) clientOptions() client.Options {
 // wedges out-of-band control-plane calls. Scheduler-managed processes get
 // their clients from newProcClient instead.
 func (s *System) NewClient(core int) *client.Client {
-	c := s.newProcClient(core)
-	c.SetAutoPark(true)
-	return c
+	return s.newClient(core, true)
 }
 
 // newProcClient creates a scheduler-managed client: the process scheduler
 // owns its lane from start to exit and around every blocked wait (sched).
 func (s *System) newProcClient(core int) *client.Client {
+	return s.newClient(core, false)
+}
+
+// newClient creates a client pinned to core, bare when autoPark is set.
+func (s *System) newClient(core int, autoPark bool) *client.Client {
 	if core < 0 || core >= s.cfg.Cores {
 		core = 0
 	}
 	cfg := s.clientCfg
-	cfg.ID, cfg.Core, cfg.Cache = s.ids.Next(), core, s.caches[core]
+	cfg.ID, cfg.Core, cfg.Cache, cfg.AutoPark = s.ids.Next(), core, s.caches[core], autoPark
 	return client.New(cfg)
 }
 

@@ -125,6 +125,15 @@ func (m *BlockMap) Cut(n int, into *BlockMap) {
 	}
 }
 
+// Cap returns the number of runs the map holds without allocating, which
+// Reset keeps.
+func (m *BlockMap) Cap() int {
+	if m.more == nil {
+		return 1
+	}
+	return 1 + cap(*m.more)
+}
+
 // Reset empties the map, keeping its overflow's capacity.
 func (m *BlockMap) Reset() {
 	m.first = Extent{}

@@ -232,24 +232,6 @@ func (c *PrivateCache) Write(b BlockID, off int, src []byte) (n int, hit bool) {
 	return n, hit
 }
 
-// Invalidate drops any cached copies of the given blocks, discarding dirty
-// data. Hare calls this on open() so subsequent reads observe the latest
-// data written back by other cores. It returns the number of blocks that
-// were actually cached (for cost accounting).
-func (c *PrivateCache) Invalidate(blocks []BlockID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
-	for _, b := range blocks {
-		if cb, ok := c.lines[b]; ok {
-			c.drop(b, cb)
-			dropped++
-		}
-	}
-	c.invalidns += uint64(dropped)
-	return dropped
-}
-
 // forEachCovered visits every resident block covered by the extents,
 // driving the iteration from whichever side is smaller: block-by-block map
 // lookups for a small file against a big cache, or one walk of the resident

@@ -2,52 +2,14 @@ package ncc
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"repro/internal/shadow"
 )
 
-// Tests for the zero-waste data path primitives: extent lists, dirty-line
+// Tests for the zero-waste data path primitives: extents, dirty-line
 // bitmaps, and the ranged writeback/invalidate variants, including a
 // randomized property test against a flat shadow model.
-
-func TestExtentListAppendAndAt(t *testing.T) {
-	var l ExtentList
-	blocks := []BlockID{4, 5, 6, 10, 11, 3, 7, 8}
-	for _, b := range blocks {
-		l.Append(b)
-	}
-	if l.Len() != len(blocks) {
-		t.Fatalf("Len = %d, want %d", l.Len(), len(blocks))
-	}
-	if l.NumRuns() != 4 {
-		t.Fatalf("NumRuns = %d, want 4 (%+v)", l.NumRuns(), l.Runs())
-	}
-	for i, want := range blocks {
-		if got := l.At(i); got != want {
-			t.Fatalf("At(%d) = %d, want %d", i, got, want)
-		}
-	}
-	// Block 4 is the second of the run {10, 2}: the head is that run's rest.
-	head, rest := l.TailRuns(4)
-	if want := []Extent{{Start: 3, Count: 1}, {Start: 7, Count: 2}}; head != (Extent{Start: 11, Count: 1}) || !slices.Equal(rest, want) {
-		t.Fatalf("TailRuns(4) = %+v, %+v, want {11 1}, %+v", head, rest, want)
-	}
-	if head, rest := l.TailRuns(3); head != (Extent{Start: 10, Count: 2}) || len(rest) != 2 {
-		t.Fatalf("TailRuns(3) = %+v, %+v, want the whole run {10 2} and two more", head, rest)
-	}
-	if head, rest := l.TailRuns(len(blocks)); head.Count != 0 || rest != nil {
-		t.Fatal("TailRuns past the end should be empty")
-	}
-	if allocs := testing.AllocsPerRun(100, func() { l.TailRuns(4) }); allocs != 0 {
-		t.Fatalf("TailRuns allocated %v times, want 0", allocs)
-	}
-	l.Reset()
-	if l.Len() != 0 || l.NumRuns() != 0 {
-		t.Fatal("Reset did not empty the list")
-	}
-}
 
 func TestNormalizeExtentsMergesOverlaps(t *testing.T) {
 	exts := []Extent{
@@ -337,7 +299,7 @@ func TestDataPathPropertyAgainstShadow(t *testing.T) {
 			if next(4) == 0 {
 				dropped, wantDropped = c.InvalidateAll(), ref.Invalidate(toRuns(all))
 			} else {
-				dropped, wantDropped = c.Invalidate([]BlockID{b}), ref.Invalidate([]shadow.Run{{Start: uint64(b), Count: 1}})
+				dropped, wantDropped = c.InvalidateExtents([]Extent{{Start: b, Count: 1}}), ref.Invalidate([]shadow.Run{{Start: uint64(b), Count: 1}})
 			}
 			if dropped != wantDropped {
 				t.Fatalf("round %d: invalidation dropped %d blocks, shadow says %d", i, dropped, wantDropped)
@@ -407,15 +369,16 @@ func BenchmarkWritebackExtents(b *testing.B) {
 	}
 }
 
-// BenchmarkExtentListAt measures random access into a fragmented block map.
-func BenchmarkExtentListAt(b *testing.B) {
-	var l ExtentList
+// BenchmarkBlockMapAt measures random access into a fully fragmented block
+// map: one run per block.
+func BenchmarkBlockMapAt(b *testing.B) {
+	var m BlockMap
 	for i := 0; i < 1024; i++ {
-		l.Append(BlockID(i * 2)) // fully fragmented: one run per block
+		m.Append(BlockID(i * 2))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if l.At(i%1024) != BlockID((i%1024)*2) {
+		if m.At(i%1024) != BlockID((i%1024)*2) {
 			b.Fatal("wrong block")
 		}
 	}

@@ -74,7 +74,7 @@ func TestPrivateCacheStalenessWithoutInvalidation(t *testing.T) {
 	}
 
 	// After an explicit invalidation, core 2 observes the new data.
-	c2.Invalidate([]BlockID{0})
+	c2.InvalidateExtents([]Extent{{Start: 0, Count: 1}})
 	c2.Read(0, 0, buf)
 	if !bytes.Equal(buf, []byte{1, 2, 3, 4}) {
 		t.Fatalf("expected fresh data after invalidation, got %v", buf)
@@ -109,7 +109,7 @@ func TestPrivateCacheInvalidateDiscardsDirty(t *testing.T) {
 	d := NewDRAM(4, 64)
 	c := NewPrivateCache(d)
 	c.Write(0, 0, []byte{7})
-	c.Invalidate([]BlockID{0})
+	c.InvalidateExtents([]Extent{{Start: 0, Count: 1}})
 	buf := make([]byte, 1)
 	c.Read(0, 0, buf)
 	if buf[0] != 0 {
@@ -230,12 +230,10 @@ func TestPartitionAllocAscending(t *testing.T) {
 	parts := PartitionDRAM(NewDRAM(64, 64), 2)
 	lo, _ := parts[1].Range()
 	got := allocRun(t, parts[1], 16, lo)
-	var l ExtentList
-	for _, b := range got {
-		l.Append(b)
-	}
-	if l.NumRuns() != 1 {
-		t.Fatalf("16 fresh blocks are %d runs, want 1", l.NumRuns())
+	runs := 0
+	mapOf(got...).Runs(func(Extent) bool { runs++; return true })
+	if runs != 1 {
+		t.Fatalf("16 fresh blocks are %d runs, want 1", runs)
 	}
 }
 

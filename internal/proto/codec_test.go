@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fsapi"
+	"repro/internal/ncc"
 	"repro/internal/wire"
 )
 
@@ -63,7 +64,7 @@ func sampleResponse(op Op) *Response {
 	switch op {
 	case OpOpenInode, OpGetBlocks, OpExtend, OpTruncate:
 		for i := 0; i < 1+n%5; i++ {
-			r.Extents = append(r.Extents, Extent{Start: uint64(1000 * i), Count: uint64(1 + i)})
+			r.Extents = append(r.Extents, Extent{Start: ncc.BlockID(1000 * i), Count: uint64(1 + i)})
 		}
 	case OpReadAt, OpFdRead, OpPipeRead, OpShardPull:
 		r.Data = bytes.Repeat([]byte{byte(n)}, 4096)
@@ -301,7 +302,7 @@ func dirtyRequest() *Request {
 func dirtyResponse() *Response {
 	r := sampleResponse(OpReadDirShard)
 	r.Data = bytes.Repeat([]byte{0xAA}, 600)
-	r.Extents = []Extent{{1, 2}, {3, 4}, {5, 6}}
+	r.Extents = []Extent{{Start: 1, Count: 2}, {Start: 3, Count: 4}, {Start: 5, Count: 6}}
 	r.ExitStatus, r.PID = 7, 8
 	r.Subs = []*Response{{Err: fsapi.EIO}}
 	return r

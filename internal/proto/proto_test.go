@@ -156,16 +156,6 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestExtentCoding(t *testing.T) {
-	exts := []Extent{{Start: 4, Count: 3}, {Start: 9, Count: 2}, {Start: 2, Count: 1}}
-	if BlockCount(exts) != 6 {
-		t.Fatalf("BlockCount = %d, want 6", BlockCount(exts))
-	}
-	if BlockCount(nil) != 0 {
-		t.Fatal("BlockCount(nil) should be 0")
-	}
-}
-
 func TestHashStableAndSpread(t *testing.T) {
 	dir := InodeID{Server: 0, Local: 1}
 	if Hash(dir, "name") != Hash(dir, "name") {

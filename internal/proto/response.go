@@ -6,17 +6,16 @@ import (
 	"unsafe"
 
 	"repro/internal/fsapi"
+	"repro/internal/ncc"
 	"repro/internal/wire"
 )
 
 // Extent is a run of Count consecutive buffer-cache blocks starting at
-// block Start. Block lists travel extent-coded so OPEN/EXTEND/TRUNCATE
-// message bytes scale with a file's fragmentation, not its size: a freshly
-// allocated file is one run regardless of length (DESIGN.md §8).
-type Extent struct {
-	Start uint64
-	Count uint64
-}
+// block Start: the run a block map holds, sent as it is. Block lists travel
+// extent-coded so OPEN/EXTEND/TRUNCATE message bytes scale with a file's
+// fragmentation, not its size: a freshly allocated file is one run
+// regardless of length (DESIGN.md §8).
+type Extent = ncc.Extent
 
 // Response is the single response message shape used for every operation.
 // Err is fsapi.OK on success. Only the fields relevant to the request's Op
@@ -94,7 +93,7 @@ func (r *Response) AppendTo(buf []byte) []byte {
 	buf = wire.AppendU64(buf, uint64(r.Fd))
 	buf = wire.AppendU32(buf, uint32(len(r.Extents)))
 	for _, ext := range r.Extents {
-		buf = wire.AppendU64(buf, ext.Start)
+		buf = wire.AppendU64(buf, uint64(ext.Start))
 		buf = wire.AppendU64(buf, ext.Count)
 	}
 	buf = wire.AppendU64(buf, r.Version)
@@ -144,7 +143,7 @@ func UnmarshalResponseInto(r *Response, b []byte) error {
 	r.Fd = FdID(d.U64())
 	r.Extents = exts
 	for n := d.Count(16); n > 0; n-- {
-		r.Extents = append(r.Extents, Extent{Start: d.U64(), Count: d.U64()})
+		r.Extents = append(r.Extents, Extent{Start: ncc.BlockID(d.U64()), Count: d.U64()})
 	}
 	r.Version = d.U64()
 	r.Data = d.BlobInto(data)
@@ -199,15 +198,6 @@ func (r *Response) Recycle() {
 
 // ErrResponse builds a response carrying only an error.
 func ErrResponse(err fsapi.Errno) *Response { return &Response{Err: err} }
-
-// BlockCount returns the total number of blocks the extents cover.
-func BlockCount(exts []Extent) int {
-	total := 0
-	for _, e := range exts {
-		total += int(e.Count)
-	}
-	return total
-}
 
 // Invalidation is the payload of a directory-cache invalidation callback
 // (server -> client), identifying the cached name to drop.

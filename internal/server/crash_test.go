@@ -211,3 +211,36 @@ func TestUnlinkedOpenFileAcrossCrash(t *testing.T) {
 		t.Fatalf("the next file grew into %v, want the held file's %v", got, held)
 	}
 }
+
+// TestRecoveryFlushOrderIsDeterministic: a recovered server sends its
+// directory-cache flush to the registered clients in ascending client id, so
+// each client hears it at the same virtual time after every recovery. Each
+// send advances the server's clock; when the order was a Go map's, which
+// client heard first changed from one recovery to the next.
+func TestRecoveryFlushOrderIsDeterministic(t *testing.T) {
+	h := durableServers(t, 1)[0]
+	eps := make([]*msg.Endpoint, 16)
+	for i := range eps {
+		eps[i] = h.net.NewEndpoint(1)
+	}
+	// Registered out of id order, so insertion order proves nothing.
+	for i := range eps {
+		j := (i * 7) % len(eps)
+		h.srv.cfg.Registry.Register(int32(100+j), eps[j].ID)
+	}
+	for round := 0; round < 4; round++ {
+		h.restart()
+		var prev sim.Cycles
+		for i, ep := range eps {
+			env, ok := ep.Callbacks.TryPop()
+			if !ok {
+				t.Fatalf("round %d: client %d heard no flush", round, 100+i)
+			}
+			if i > 0 && env.ArriveAt <= prev {
+				t.Fatalf("round %d: client %d's flush arrived at %d, client %d's at %d; want ascending client id",
+					round, 100+i, env.ArriveAt, 99+i, prev)
+			}
+			prev = env.ArriveAt
+		}
+	}
+}

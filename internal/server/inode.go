@@ -100,7 +100,7 @@ func (s *Server) allocInode(ftype fsapi.FileType, mode fsapi.Mode, distributed b
 // open proves the client's cached copy is still byte-identical to DRAM.
 func (s *Server) bumpVersion(ino *inode) { ino.version++ }
 
-// extentList converts the inode's block map to the extent-coded wire form:
+// extentList copies the inode's block map out as the runs a reply carries:
 // message bytes scale with the file's fragmentation, not its size. The
 // result is the server's scratch list (as large as the most fragmented map
 // it has served): it is good until the next call, which comes after the
@@ -109,7 +109,7 @@ func (s *Server) bumpVersion(ino *inode) { ino.version++ }
 func (s *Server) extentList(ino *inode) []proto.Extent {
 	out := s.extScratch[:0]
 	ino.blocks.Runs(func(e ncc.Extent) bool {
-		out = append(out, proto.Extent{Start: uint64(e.Start), Count: e.Count})
+		out = append(out, e)
 		return true
 	})
 	s.extScratch = out

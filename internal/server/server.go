@@ -15,6 +15,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -57,14 +58,21 @@ func (r *ClientRegistry) Lookup(id int32) (msg.EndpointID, bool) {
 	return ep, ok
 }
 
-// Endpoints returns every registered callback endpoint (used by recovery to
-// broadcast a directory-cache flush).
+// Endpoints returns every registered callback endpoint in ascending client
+// id (used by recovery to broadcast a directory-cache flush). Each send of
+// the flush advances the server's clock, so the order fixes when each client
+// hears it: a map's order would move it from one recovery to the next.
 func (r *ClientRegistry) Endpoints() []msg.EndpointID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]msg.EndpointID, 0, len(r.eps))
-	for _, ep := range r.eps {
-		out = append(out, ep)
+	ids := make([]int32, 0, len(r.eps))
+	for id := range r.eps {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	out := make([]msg.EndpointID, len(ids))
+	for i, id := range ids {
+		out[i] = r.eps[id]
 	}
 	return out
 }

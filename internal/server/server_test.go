@@ -428,14 +428,14 @@ func TestBatchSubResponsesKeepTheirOwnExtents(t *testing.T) {
 			subs = append(subs, &proto.Request{Op: proto.OpExtend, Target: ino, Size: sizes[i]})
 		}
 		resps := h.callBatch(false, subs...)
-		seen := make(map[uint64]int)
+		seen := make(map[ncc.BlockID]int)
 		for i, r := range resps {
 			alone := h.callOK(&proto.Request{Op: proto.OpGetBlocks, Target: inos[i]})
-			if r.Err != fsapi.OK || !reflect.DeepEqual(r.Extents, alone.Extents) || proto.BlockCount(r.Extents) == 0 {
+			if r.Err != fsapi.OK || !reflect.DeepEqual(r.Extents, alone.Extents) || ncc.ExtentBlocks(r.Extents) == 0 {
 				t.Fatalf("round %d, sub-response %d carries extents %+v, the file's map is %+v", round, i, r.Extents, alone.Extents)
 			}
 			for _, e := range r.Extents {
-				for b := e.Start; b < e.Start+e.Count; b++ {
+				for b := e.Start; b < e.End(); b++ {
 					if other, dup := seen[b]; dup {
 						t.Fatalf("round %d: block %d is in the maps of sub-responses %d and %d", round, b, other, i)
 					}
@@ -464,7 +464,7 @@ func TestServerBatchCreateStatUnlink(t *testing.T) {
 			t.Fatalf("sub-op %d failed: %v", i, r.Err)
 		}
 	}
-	if proto.BlockCount(resps[1].Extents) == 0 {
+	if ncc.ExtentBlocks(resps[1].Extents) == 0 {
 		t.Fatal("extend inside a batch allocated no blocks")
 	}
 	after := h.callOK(&proto.Request{Op: proto.OpStat, Target: created.Ino})
