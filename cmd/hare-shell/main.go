@@ -246,7 +246,7 @@ func (s *shell) exec(line string) error {
 			stats.Imbalance(loads))
 		return nil
 	case "addserver":
-		id, err := s.sys.AddServer()
+		id, err := s.sys.AddServer(s.cli)
 		if err != nil {
 			return err
 		}
@@ -271,7 +271,7 @@ func (s *shell) exec(line string) error {
 		if err != nil {
 			return fmt.Errorf("rmserver: bad server id %q", args[0])
 		}
-		if err := s.sys.RemoveServer(n); err != nil {
+		if err := s.sys.RemoveServer(s.cli, n); err != nil {
 			return err
 		}
 		fmt.Printf("server %d drained; epoch now %d\n", n, s.sys.Epoch())
@@ -414,12 +414,12 @@ func (s *shell) failover(n int) error {
 		return fmt.Errorf("replication is off (rerun with -repl sync)")
 	}
 	if !s.sys.Crashed(n) {
-		if err := s.sys.Crash(n); err != nil {
+		if err := s.sys.Crash(s.cli, n); err != nil {
 			return err
 		}
 		fmt.Printf("server %d crashed\n", n)
 	}
-	rep, err := s.sys.Failover(n)
+	rep, err := s.sys.Failover(s.cli, n)
 	if err != nil {
 		return err
 	}

@@ -90,14 +90,14 @@ func TestCrashRecoverThroughPublicAPI(t *testing.T) {
 	cli.Write(fd, []byte("survives"))
 	cli.Close(fd)
 
-	if err := sys.CheckpointAll(); err != nil {
+	if err := sys.CheckpointAll(cli); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sys.NumServers(); i++ {
-		if err := sys.Crash(i); err != nil {
+		if err := sys.Crash(cli, i); err != nil {
 			t.Fatalf("crash %d: %v", i, err)
 		}
-		st, err := sys.Recover(i)
+		st, err := sys.Recover(cli, i)
 		if err != nil {
 			t.Fatalf("recover %d: %v", i, err)
 		}
@@ -134,7 +134,7 @@ func TestFaultAPIRejectedWithoutDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Stop()
-	if err := sys.Crash(0); err == nil {
+	if err := sys.Crash(sys.NewClient(0), 0); err == nil {
 		t.Fatal("Crash accepted with durability disabled")
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/baseline/ramfs"
 	"repro/internal/baseline/unfs"
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/place"
@@ -57,14 +58,17 @@ type Backend struct {
 	Gate func() sim.GateStats
 }
 
-// sysFaults adapts core.System to the workload fault-injection interface.
-type sysFaults struct{ sys *core.System }
+// sysControl adapts core.System to the workloads' fault-injection and
+// membership interfaces; hc is the Hare client a workload process calls with.
+type sysControl struct{ *core.System }
 
-func (f sysFaults) NumServers() int             { return f.sys.NumServers() }
-func (f sysFaults) Checkpoint(server int) error { return f.sys.Checkpoint(server) }
-func (f sysFaults) Crash(server int) error      { return f.sys.Crash(server) }
-func (f sysFaults) Recover(server int) error {
-	_, err := f.sys.Recover(server)
+func hc(c fsapi.Client) *client.Client                        { return c.(*client.Client) }
+func (s sysControl) Checkpoint(c fsapi.Client, i int) error   { return s.System.Checkpoint(hc(c), i) }
+func (s sysControl) Crash(c fsapi.Client, i int) error        { return s.System.Crash(hc(c), i) }
+func (s sysControl) AddServer(c fsapi.Client) (int, error)    { return s.System.AddServer(hc(c)) }
+func (s sysControl) RemoveServer(c fsapi.Client, i int) error { return s.System.RemoveServer(hc(c), i) }
+func (s sysControl) Recover(c fsapi.Client, i int) error {
+	_, err := s.System.Recover(hc(c), i)
 	return err
 }
 
@@ -147,7 +151,7 @@ func (opts HareOptions) startEnv(placement sched.Policy, scale float64) (*core.S
 	if err != nil {
 		return nil, nil, err
 	}
-	return sys, &workload.Env{Procs: sys.Procs(), Cores: sys.AppCores(), Scale: scale, Faults: sysFaults{sys}}, nil
+	return sys, &workload.Env{Procs: sys.Procs(), Cores: sys.AppCores(), Scale: scale, Faults: sysControl{sys}}, nil
 }
 
 // HareFactory returns a Factory that builds Hare deployments with the given
@@ -186,11 +190,11 @@ func HareFactory(opts HareOptions) Factory {
 		}
 		if cfg.MaxServers > cfg.Servers {
 			b.Name += "+elastic"
-			b.Elastic = sys
+			b.Elastic = sysControl{sys}
 		}
 		if cfg.Durability.Enabled {
 			b.Name += "+wal"
-			b.Faults = sysFaults{sys}
+			b.Faults = sysControl{sys}
 			b.WalStats = sys.WalStats
 		}
 		return b, nil

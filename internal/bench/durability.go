@@ -178,6 +178,7 @@ func recoveryTime(scale float64, cores int) ([]DurabilityPoint, error) {
 // recovery replays only the second phase's records.
 func crashAndRecoverAll(sys *core.System, env *workload.Env, withCkpt bool) (DurabilityPoint, error) {
 	p := DurabilityPoint{Row: "log replay only"}
+	ctl := sys.NewClient(0) // the quiescent deployment's control calls
 	for _, w := range []workload.Workload{workload.Creates{}, workload.Writes{}} {
 		if _, _, err := runOn(sys, env, w); err != nil {
 			return p, err
@@ -185,7 +186,7 @@ func crashAndRecoverAll(sys *core.System, env *workload.Env, withCkpt bool) (Dur
 	}
 	if withCkpt {
 		p.Row = "checkpoint + tail"
-		if err := sys.CheckpointAll(); err != nil {
+		if err := sys.CheckpointAll(ctl); err != nil {
 			return p, err
 		}
 	}
@@ -194,10 +195,10 @@ func crashAndRecoverAll(sys *core.System, env *workload.Env, withCkpt bool) (Dur
 	}
 	var maxCycles, sumCycles sim.Cycles
 	for i := 0; i < sys.NumServers(); i++ {
-		if err := sys.Crash(i); err != nil {
+		if err := sys.Crash(ctl, i); err != nil {
 			return p, err
 		}
-		st, err := sys.Recover(i)
+		st, err := sys.Recover(ctl, i)
 		if err != nil {
 			return p, err
 		}

@@ -153,11 +153,12 @@ func failoverPoint(scale float64, cores int, mode repl.Mode) (FailoverPoint, err
 
 	// Replay control: crash a server and recover it from its log alone.
 	const victim = 0
-	if err := sys.Crash(victim); err != nil {
+	ctl := sys.NewClient(0) // the quiescent deployment's control calls
+	if err := sys.Crash(ctl, victim); err != nil {
 		sys.Stop()
 		return p, err
 	}
-	st, err := sys.Recover(victim)
+	st, err := sys.Recover(ctl, victim)
 	sys.Stop()
 	if err != nil {
 		return p, err
@@ -175,10 +176,11 @@ func failoverPoint(scale float64, cores int, mode repl.Mode) (FailoverPoint, err
 		return p, err
 	}
 	defer twin.Stop()
-	if err := twin.Crash(victim); err != nil {
+	ctl = twin.NewClient(0)
+	if err := twin.Crash(ctl, victim); err != nil {
 		return p, err
 	}
-	rep, err := twin.Failover(victim)
+	rep, err := twin.Failover(ctl, victim)
 	if err != nil {
 		return p, err
 	}

@@ -234,6 +234,7 @@ func scalePoint(r ScaleRung) (ScalePoint, error) {
 	if err := w.Setup(env); err != nil {
 		return ScalePoint{}, fmt.Errorf("bench: scale setup at %d servers: %w", r.Servers, err)
 	}
+	w.Prepare(env) // names are built here, not in the timed region
 
 	virtStart := b.Now()
 	loads := b.Loads()

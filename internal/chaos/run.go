@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fsapi"
 	"repro/internal/msg"
@@ -209,79 +210,74 @@ func snapshotNamespace(fs fsapi.Client, dir string, out map[string]string) error
 	return nil
 }
 
-// runRound spawns one worker process per planned op list, fires the round's
-// mid-traffic events while they run, then — at the quiescent boundary —
-// fires the round's scheduled faults and diffs the whole namespace against
-// the shadow model.
+// runRound runs one round from the root process p, which sends every event
+// from its own client, at its own clock. A mid-round membership change starts
+// first: the round's workers, one per planned op list, are spawned once every
+// server has answered its FREEZE (the transition's pull stage), and PULL,
+// publish and COMMIT run against their traffic — shard freezing, EEPOCH
+// refresh-retry and serve-while-frozen parking are on the hot path. Once the
+// workers have exited, the round's scheduled faults fire one after another at
+// the quiescent boundary, and the whole namespace is diffed against the
+// shadow model.
 func runRound(sys *core.System, plan *Plan, model *shadow.Model, p *sched.Proc, round int, rep *Report) error {
 	cfg := plan.Cfg
+	cli := p.FS.(*client.Client)
 	errs := make([]error, cfg.Procs)
 	done := make([]int, cfg.Procs)
-	handles := make([]*sched.Handle, 0, cfg.Procs)
-	for proc := range plan.Ops[round] {
-		idx := proc
-		ops := plan.Ops[round][proc]
-		h, err := p.Spawn([]string{fmt.Sprintf("chaos-w%02d", idx)}, func(wp *sched.Proc) int {
-			for _, op := range ops {
-				if err := applyOp(wp, model, op); err != nil {
-					errs[idx] = fmt.Errorf("round %d proc %d op %s %s: %w", round, idx, op.Kind, op.Path, err)
-					return 1
+	var handles []*sched.Handle
+	spawn := func() {
+		for idx, ops := range plan.Ops[round] {
+			h, err := p.Spawn([]string{fmt.Sprintf("chaos-w%02d", idx)}, func(wp *sched.Proc) int {
+				for _, op := range ops {
+					if err := applyOp(wp, model, op); err != nil {
+						errs[idx] = fmt.Errorf("round %d proc %d op %s %s: %w", round, idx, op.Kind, op.Path, err)
+						return 1
+					}
+					done[idx]++
 				}
-				done[idx]++
+				return 0
+			}, true)
+			if err != nil {
+				errs[idx] = fmt.Errorf("round %d: spawn worker %d: %w", round, idx, err)
+				return
 			}
-			return 0
-		}, true)
-		if err != nil {
-			return fmt.Errorf("round %d: spawn worker %d: %w", round, proc, err)
+			handles = append(handles, h)
 		}
-		handles = append(handles, h)
 	}
 
-	// The root sends nothing until the verify pass: it is blocked on the
-	// round's mid-traffic events, on its workers and on the boundary faults,
-	// all of which the host drives, and comes back at the round boundary —
-	// the latest worker exit — so rounds and events stay ordered in virtual
-	// time and the verify pass joins at its own first send time.
-	lossy := false
-	var err error
-	p.Blocked(func() (latest sim.Cycles) {
-		// Membership changes against live traffic: shard freezing, EEPOCH
-		// refresh-retry, and serve-while-frozen parking are on the hot path.
-		for _, ev := range plan.Events {
-			if ev.Round == round && ev.Mid {
-				if err = fireEvent(sys, model, ev, rep); err != nil {
-					err = fmt.Errorf("round %d mid event %s: %w", round, ev.Kind, err)
-					return latest
+	for _, ev := range plan.Events {
+		if ev.Round == round && ev.Mid {
+			sys.SetMigrationObserver(func(stage string, _ int) {
+				if stage == "pull" && handles == nil {
+					spawn()
 				}
+			})
+			err := fireEvent(sys, cli, model, ev, rep)
+			sys.SetMigrationObserver(nil)
+			if err != nil {
+				return fmt.Errorf("round %d mid event %s: %w", round, ev.Kind, err)
 			}
 		}
-		for _, h := range handles {
-			h.Wait()
-			latest = max(latest, h.EndTime())
+	}
+	if handles == nil {
+		spawn()
+	}
+	p.Wait(handles...)
+	for i := range errs {
+		if errs[i] != nil {
+			return errs[i]
 		}
-		for i := range errs {
-			if err = errs[i]; err != nil {
-				return latest
-			}
-			rep.Ops += done[i]
-		}
-		// Quiescent-boundary faults.
-		for _, ev := range plan.Events {
-			if ev.Round != round || ev.Mid {
-				continue
-			}
-			if ev.Kind == EvCrashLoseMem || (ev.Kind == EvFailover && ev.Lose) {
-				lossy = true
-			}
-			if err = fireEvent(sys, model, ev, rep); err != nil {
-				err = fmt.Errorf("round %d event %s srv %d: %w", round, ev.Kind, ev.Server, err)
-				return latest
+		rep.Ops += done[i]
+	}
+
+	lossy := false
+	for _, ev := range plan.Events {
+		if ev.Round == round && !ev.Mid {
+			lossy = lossy || ev.Kind == EvCrashLoseMem || (ev.Kind == EvFailover && ev.Lose)
+			if err := fireEvent(sys, cli, model, ev, rep); err != nil {
+				return fmt.Errorf("round %d event %s srv %d: %w", round, ev.Kind, ev.Server, err)
 			}
 		}
-		return latest
-	})
-	if err != nil {
-		return err
 	}
 
 	// The oracle: full namespace + content diff against the shadow model.
@@ -300,46 +296,46 @@ func runRound(sys *core.System, plan *Plan, model *shadow.Model, p *sched.Proc, 
 
 // fireEvent executes one scheduled fault, keeping the shadow model's
 // durability bookkeeping in step.
-func fireEvent(sys *core.System, model *shadow.Model, ev Event, rep *Report) error {
+func fireEvent(sys *core.System, cli *client.Client, model *shadow.Model, ev Event, rep *Report) error {
 	rep.Events++
 	switch ev.Kind {
 	case EvCheckpoint:
-		if err := sys.Checkpoint(ev.Server); err != nil {
+		if err := sys.Checkpoint(cli, ev.Server); err != nil {
 			return err
 		}
 		model.NoteCheckpoint(ev.Server)
 	case EvCheckpointAll:
-		if err := sys.CheckpointAll(); err != nil {
+		if err := sys.CheckpointAll(cli); err != nil {
 			return err
 		}
 		model.NoteCheckpoint(-1)
 	case EvCrash:
-		if err := sys.Crash(ev.Server); err != nil {
+		if err := sys.Crash(cli, ev.Server); err != nil {
 			return err
 		}
-		if _, err := sys.Recover(ev.Server); err != nil {
+		if _, err := sys.Recover(cli, ev.Server); err != nil {
 			return err
 		}
 	case EvCrashLoseMem:
-		if err := sys.CrashLosingMemory(ev.Server); err != nil {
+		if err := sys.CrashLosingMemory(cli, ev.Server); err != nil {
 			return err
 		}
 		model.CrashLostMemory(ev.Server)
-		if _, err := sys.Recover(ev.Server); err != nil {
+		if _, err := sys.Recover(cli, ev.Server); err != nil {
 			return err
 		}
 	case EvAddServer:
-		if _, err := sys.AddServer(); err != nil {
+		if _, err := sys.AddServer(cli); err != nil {
 			return err
 		}
 	case EvRemoveServer:
-		if err := sys.RemoveServer(ev.Server); err != nil {
+		if err := sys.RemoveServer(cli, ev.Server); err != nil {
 			return err
 		}
 	case EvMigrateCrash:
-		return fireMigrateCrash(sys, ev)
+		return fireMigrateCrash(sys, cli, ev)
 	case EvFailover:
-		return fireFailover(sys, model, ev)
+		return fireFailover(sys, cli, model, ev)
 	default:
 		return fmt.Errorf("unknown event kind %d", ev.Kind)
 	}
@@ -354,25 +350,25 @@ func fireEvent(sys *core.System, model *shadow.Model, ev Event, rep *Report) err
 // Stage "publish" → the promotion's transition stays pending, and the
 // follower's recovery must converge it). In every variant the promotion
 // must lose no acked write.
-func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
+func fireFailover(sys *core.System, cli *client.Client, model *shadow.Model, ev Event) error {
 	victim := ev.Server
 	fid := sys.FollowerOf(victim)
 	if fid < 0 {
 		return fmt.Errorf("failover: replication is not running")
 	}
 	if ev.Lose {
-		if err := sys.CrashLosingMemory(victim); err != nil {
+		if err := sys.CrashLosingMemory(cli, victim); err != nil {
 			return err
 		}
 		model.CrashLostMemory(victim)
-	} else if err := sys.Crash(victim); err != nil {
+	} else if err := sys.Crash(cli, victim); err != nil {
 		return err
 	}
 
 	expectFallback := false
 	followerDown := false
 	if ev.Double {
-		if err := sys.Crash(fid); err != nil {
+		if err := sys.Crash(cli, fid); err != nil {
 			return fmt.Errorf("failover: crash follower %d: %w", fid, err)
 		}
 		followerDown = true
@@ -383,12 +379,12 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 		sys.SetMigrationObserver(func(stage string, srv int) {
 			if !staged && stage == ev.Stage {
 				staged = true
-				_ = sys.Crash(fid)
+				_ = sys.Crash(cli, fid)
 			}
 		})
 	}
 
-	rep, err := sys.Failover(victim)
+	rep, err := sys.Failover(cli, victim)
 	sys.SetMigrationObserver(nil)
 	if staged {
 		followerDown = true
@@ -403,7 +399,7 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 		if !staged || !sys.MigrationPending() {
 			return fmt.Errorf("failover server %d: %w", victim, err)
 		}
-		if _, rerr := sys.Recover(fid); rerr != nil {
+		if _, rerr := sys.Recover(cli, fid); rerr != nil {
 			return fmt.Errorf("failover: recover follower %d: %w", fid, rerr)
 		}
 		if sys.MigrationPending() {
@@ -418,7 +414,7 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 		return fmt.Errorf("failover server %d lost %d acked records", victim, rep.LostRecords)
 	}
 	if followerDown {
-		if _, err := sys.Recover(fid); err != nil {
+		if _, err := sys.Recover(cli, fid); err != nil {
 			return fmt.Errorf("failover: recover follower %d: %w", fid, err)
 		}
 	}
@@ -428,19 +424,19 @@ func fireFailover(sys *core.System, model *shadow.Model, ev Event) error {
 // fireMigrateCrash kills a victim server at a chosen stage of a live
 // migration, then recovers it; Recover auto-resumes the interrupted protocol
 // and the run proceeds only once the migration has converged.
-func fireMigrateCrash(sys *core.System, ev Event) error {
+func fireMigrateCrash(sys *core.System, cli *client.Client, ev Event) error {
 	fired := false
 	sys.SetMigrationObserver(func(stage string, srv int) {
 		if !fired && stage == ev.Stage && srv == ev.Victim {
 			fired = true
-			_ = sys.Crash(ev.Victim)
+			_ = sys.Crash(cli, ev.Victim)
 		}
 	})
 	var migErr error
 	if ev.Add {
-		_, migErr = sys.AddServer()
+		_, migErr = sys.AddServer(cli)
 	} else {
-		migErr = sys.RemoveServer(ev.Server)
+		migErr = sys.RemoveServer(cli, ev.Server)
 	}
 	sys.SetMigrationObserver(nil)
 	if !fired {
@@ -453,7 +449,7 @@ func fireMigrateCrash(sys *core.System, ev Event) error {
 	if !sys.MigrationPending() {
 		return fmt.Errorf("migrate-crash: no pending migration after interrupting at %s", ev.Stage)
 	}
-	if _, err := sys.Recover(ev.Victim); err != nil {
+	if _, err := sys.Recover(cli, ev.Victim); err != nil {
 		return fmt.Errorf("migrate-crash: recover server %d: %w", ev.Victim, err)
 	}
 	if sys.MigrationPending() {

@@ -348,7 +348,7 @@ func TestColdStatAfterAddServer(t *testing.T) {
 	if _, err := walker.Stat("/d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.AddServer(); err != nil {
+	if _, err := sys.AddServer(creator); err != nil {
 		t.Fatal(err)
 	}
 	before := walker.Stats().RPCs

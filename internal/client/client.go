@@ -276,8 +276,8 @@ func (c *Client) EndpointID() msg.EndpointID { return c.ep.ID }
 func (c *Client) GateActive() bool { return c.cfg.Network.Gate() != nil }
 
 // GatePark marks this client's lane quiescent while its process is blocked
-// in real time (sched.Proc.Wait and Blocked call it, through
-// sched.GateParker). No-op in serialized mode.
+// in real time (sched.Proc.Wait calls it, through sched.GateParker). No-op
+// in serialized mode.
 func (c *Client) GatePark() { c.cfg.Network.GateIdle(c.ep.ID) }
 
 // GateResume re-joins this client's lane at its current clock after a

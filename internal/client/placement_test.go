@@ -124,7 +124,7 @@ func TestCreationAffinityPlacement(t *testing.T) {
 		}},
 		{"draining the designated server falls back to the core-th socket member", true, func(p *placement) {
 			c := p.sys.NewClient(3)
-			p.must(p.sys.RemoveServer(3))
+			p.must(p.sys.RemoveServer(c, 3))
 			c.RefreshRouting()
 			// Socket 0's members are now 0–2 and 4–9; the fourth of them is 4.
 			path, _ := p.name(c, "/d", false)

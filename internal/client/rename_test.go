@@ -173,10 +173,10 @@ func TestCrashRightAfterBatchedRenameShowsExactlyTheNewName(t *testing.T) {
 		t.Fatalf("rename batched %d sub-ops, want 2: the test is not on the batched path", after.BatchedOps-before.BatchedOps)
 	}
 	for i := 0; i < sys.NumServers(); i++ {
-		if err := sys.CrashLosingMemory(i); err != nil {
+		if err := sys.CrashLosingMemory(cli, i); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Recover(i); err != nil {
+		if _, err := sys.Recover(cli, i); err != nil {
 			t.Fatal(err)
 		}
 	}

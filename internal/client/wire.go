@@ -12,7 +12,8 @@ import (
 
 // The wire (DESIGN.md §7). Every request this client makes leaves by send and
 // every reply comes back by receive; exchange, post, broadcast and ExecOn are
-// the ways of waiting in between. send also settles what a server is owed: a
+// the ways of waiting in between, and Control is the control plane's leg,
+// which the caller decodes. send also settles what a server is owed: a
 // clean close waiting for this client's next message (closeLeads).
 
 // A flight is one request message sent, and what its reply answers.
@@ -55,8 +56,7 @@ const (
 // flight of the caller's. What the destination is owed goes first: a pending clean close leads a call in one
 // envelope when closeLeads allows, and otherwise goes on its own, before. The
 // request is then stamped with this client's id and the trace context,
-// marshaled into a pooled buffer, charged `sends` MsgSends and handed to the
-// network at the clock, and counted.
+// marshaled into a pooled buffer and transmitted.
 func (c *Client) send(fl *flight, dst msg.EndpointID, req *proto.Request, sends int, mode sendMode) error {
 	wire := req
 	if of := c.pend; of != nil {
@@ -91,16 +91,23 @@ func (c *Client) send(fl *flight, dst msg.EndpointID, req *proto.Request, sends 
 			c.charge(c.cfg.Machine.Cost.TraceSpan)
 		}
 	}
-	payload := wire.AppendTo(c.ep.GetBuf(wire.SizeHint())) // owned by the receiver once sent (msg/pool.go)
-	fl.op, fl.at = wire.Op, c.clock.Now()
+	fl.op = wire.Op
+	return c.transmit(fl, dst, proto.KindRequest, wire.AppendTo(c.ep.GetBuf(wire.SizeHint())), sends, mode)
+}
+
+// transmit is the last step of every send: payload, a message of kind owned
+// by the receiver once sent (msg/pool.go), is charged `sends` MsgSends and
+// handed to the network at the clock, and counted.
+func (c *Client) transmit(fl *flight, dst msg.EndpointID, kind uint16, payload []byte, sends int, mode sendMode) error {
+	fl.at = c.clock.Now()
 	if sends > 0 {
 		c.charge(c.cfg.Machine.Cost.MsgSend * sim.Cycles(sends))
 	}
 	var err error
 	if mode == sendPost {
-		fl.fut, err = c.cfg.Network.SendAsync(c.ep, dst, proto.KindRequest, payload, c.clock.Now())
+		fl.fut, err = c.cfg.Network.SendAsync(c.ep, dst, kind, payload, c.clock.Now())
 	} else {
-		reply, rerr := c.cfg.Network.RPC(c.ep, dst, proto.KindRequest, payload, c.clock.Now())
+		reply, rerr := c.cfg.Network.RPC(c.ep, dst, kind, payload, c.clock.Now())
 		fl.payload, fl.arrive, err = reply.Payload, reply.ArriveAt, rerr
 	}
 	if err != nil {
@@ -334,6 +341,28 @@ func (c *Client) ExecOn(dst msg.EndpointID, req *proto.Request) (status int32, e
 	}
 	return resps[0].ExitStatus, nil
 }
+
+// Control sends one leg of a control-plane call (core's System methods):
+// payload, a message of kind encoded by the caller, goes to dst after what
+// the servers are owed, at this client's clock like any call, and the reply's
+// payload is handed to decode and released. The clock ends at the reply's
+// arrival plus its receive. A bare client ends the call with ControlDone.
+func (c *Client) Control(dst msg.EndpointID, kind uint16, payload []byte, decode func([]byte) error) error {
+	c.flushClose()
+	var fl flight
+	if err := c.transmit(&fl, dst, kind, payload, 1, sendCall); err != nil {
+		return err
+	}
+	c.clock.AdvanceTo(fl.arrive)
+	c.charge(c.cfg.Machine.Cost.MsgRecv)
+	defer c.ep.PutBuf(fl.payload)
+	return decode(fl.payload)
+}
+
+// ControlDone ends a control call made from this client. A control call is
+// one operation: a bare client's lane, which its first leg joined, is parked
+// now (Config.AutoPark).
+func (c *Client) ControlDone() { c.opDone(c.respMark()) }
 
 // A clean close rides (DESIGN.md §7). Close keeps a description whose close
 // tells the server nothing another process can see as c.pend and sends

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -26,6 +25,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Techniques toggles the design techniques evaluated in §5.4 of the paper.
@@ -207,10 +207,6 @@ type System struct {
 	serverCores []int
 	parts       []*ncc.Partition
 
-	// ctl is the control-plane endpoint used for checkpoint requests and
-	// for driving epoch transitions.
-	ctl *msg.Endpoint
-
 	// routing is the published routing snapshot clients cache and refresh
 	// from on EEPOCH; elMu serializes epoch transitions, pending holds the
 	// interrupted ones, oldest first, until ResumeMigration completes them
@@ -320,8 +316,6 @@ func New(cfg Config) (*System, error) {
 		sys.servers = append(sys.servers, srv)
 		sys.serverEPs = append(sys.serverEPs, srv.EndpointID())
 	}
-	sys.ctl = network.NewEndpoint(0)
-	sys.ctl.Transient = true // every send is ctlRPC's, at the target's own clock
 	sys.publishRouting(bootMap)
 	if cfg.Replication.Enabled() {
 		sys.failEm = trace.ClientEmitter(-1)
@@ -390,14 +384,13 @@ func (s *System) Stop() {
 // conservative lane frontiers allow, so endpoints on different OS threads
 // advance concurrently instead of one global virtual-time ping-pong chain.
 //
-// The full control plane participates in the lane protocol: replication
-// shipping and acks, crash/recovery, failover promotion, and elastic shard
-// migration all send from transient endpoints (their lanes are in the gate
-// only while an exchange of their own is outstanding,
-// msg.Endpoint.Transient), so parallel runs produce namespaces
-// byte-identical to serialized runs with any of those events on the
-// schedule. Serialized mode, the default, never installs a gate and stays
-// bit-identical to deployments that never call this.
+// The full control plane participates in the lane protocol: crash/recovery,
+// failover promotion and elastic shard migration are requests sent by the
+// calling client from its own lane, and replication shipping leaves a
+// server's transient endpoint (msg.Endpoint.Transient), so parallel runs
+// produce namespaces byte-identical to serialized runs with any of those
+// events on the schedule. Serialized mode, the default, never installs a gate
+// and stays bit-identical to deployments that never call this.
 //
 // Toggling requires a quiescent deployment: no client processes running and
 // no epoch transition (a migration or a failover's) pending. Otherwise running
@@ -621,57 +614,84 @@ func (s *System) checkServer(id int) error {
 	return nil
 }
 
-// Crash kills file server id as if its process died: its in-memory state is
-// dropped and its request loop stops. Requests sent to a crashed server
-// (and any already queued) wait in its inbox and are served after Recover.
-// So are the requests parked inside it (blocked pipe reads, rmdir waiters,
-// creates on a marked shard), which have had no effect yet: the recovered
-// server serves them again first, and each gets an answer — a read of a
-// pipe, which the crash lost, fails.
+// The control plane (DESIGN.md §9). Every control call is made from a client,
+// cli: a process's own, or a bare one (NewClient) for a caller outside any
+// process. Each leg leaves through that client at its clock, so the caller's
+// clock is the event's virtual time, and the call returns with that clock
+// past every answer.
+
+// Crash kills file server id as if its process died: a crash request from
+// cli, which the server serves in arrival order, answers, and then stops. Its
+// in-memory state is dropped; requests sent to it later, and any already
+// queued, wait in its inbox and are served after Recover. So are the requests
+// parked inside it (blocked pipe reads, rmdir waiters, creates on a marked
+// shard), which have had no effect yet: the recovered server serves them
+// again first, and each gets an answer — a read of a pipe, which the crash
+// lost, fails. Crashing a server that is down does nothing.
 //
 // The shared DRAM — including the crashed server's buffer-cache partition —
 // survives, the way memory owned by no process survives a process crash.
 // Use CrashLosingMemory to take the partition down with the server.
-func (s *System) Crash(id int) error {
-	if err := s.checkServer(id); err != nil {
-		return err
-	}
-	s.servers[id].Crash(false)
-	return nil
+func (s *System) Crash(cli *client.Client, id int) error {
+	return s.crash(cli, id, false)
 }
 
 // CrashLosingMemory crashes server id and wipes its DRAM partition,
 // modelling the loss of the server's whole memory domain (a NUMA node
-// losing power). Recovery then restores file contents from the checkpoint's
-// block snapshots plus replayed write records; data written by clients
-// directly to the buffer cache after the last checkpoint is lost, which is
-// the documented durability contract for direct-access writes.
-func (s *System) CrashLosingMemory(id int) error {
+// losing power); a server already down loses its memory at once. Recovery
+// then restores file contents from the checkpoint's block snapshots plus
+// replayed write records; data written by clients directly to the buffer
+// cache after the last checkpoint is lost, which is the documented
+// durability contract for direct-access writes.
+func (s *System) CrashLosingMemory(cli *client.Client, id int) error {
+	return s.crash(cli, id, true)
+}
+
+// crash sends server id a crash request from cli, or escalates the crash of a
+// server already down to the loss of its memory.
+func (s *System) crash(cli *client.Client, id int, loseMemory bool) error {
+	defer cli.ControlDone()
 	if err := s.checkServer(id); err != nil {
 		return err
 	}
-	s.servers[id].Crash(true)
-	return nil
+	if s.servers[id].Crashed() {
+		if loseMemory {
+			s.servers[id].LoseMemory()
+		}
+		return nil
+	}
+	ack := func([]byte) error { return nil } // an empty response: nothing to decode
+	return s.ctlExchange(cli, id, s.serverEPs[id], proto.KindCrash, wire.AppendBool(nil, loseMemory), ack)
 }
 
 // Recover rebuilds a crashed server from its checkpoint and log and
-// restarts it. Recovery is idempotent: a crash/recover cycle with no
-// intervening mutations reproduces the same state. If the crash interrupted
-// an epoch transition (a migration or a failover), it is resumed once the
-// server is back: its write-ahead log put it on exactly one side of the epoch
-// boundary, and the resumed (idempotent) protocol carries it across.
-func (s *System) Recover(id int) (wal.RecoveryStats, error) {
+// restarts it, no earlier than cli's clock; cli resumes when the restart
+// ends. Recovery is idempotent: a crash/recover cycle with no intervening
+// mutations reproduces the same state. If the crash interrupted an epoch
+// transition (a migration or a failover), it is resumed once the server is
+// back: its write-ahead log put it on exactly one side of the epoch boundary,
+// and the resumed (idempotent) protocol carries it across.
+func (s *System) Recover(cli *client.Client, id int) (wal.RecoveryStats, error) {
+	defer cli.ControlDone()
 	if err := s.checkServer(id); err != nil {
 		return wal.RecoveryStats{}, err
 	}
-	st, err := s.servers[id].Recover()
+	s.elMu.Lock()
+	defer s.elMu.Unlock()
+	return s.recover(cli, id)
+}
+
+// recover replays crashed server id's log and restarts it, no earlier than
+// cli's clock, which resumes when the restart ends; then it drives the
+// pending transitions. Caller holds elMu.
+func (s *System) recover(cli *client.Client, id int) (wal.RecoveryStats, error) {
+	st, end, err := s.servers[id].Recover(cli.Clock())
 	if err != nil {
 		return st, err
 	}
-	s.elMu.Lock()
-	defer s.elMu.Unlock()
+	cli.AdvanceClock(end)
 	s.restarted(id)
-	if err := s.resume(); err != nil {
+	if err := s.resume(cli); err != nil {
 		return st, fmt.Errorf("core: resuming interrupted transition after recovery: %w", err)
 	}
 	return st, nil
@@ -686,75 +706,53 @@ func (s *System) Crashed(id int) bool {
 }
 
 // Checkpoint asks a running server to snapshot its state and truncate its
-// log. The request travels the normal control path (an RPC into the
-// server's request loop), so it serializes with in-flight operations.
-func (s *System) Checkpoint(id int) error {
+// log: a request from cli, served in order with in-flight operations. A
+// crashed server must be recovered first.
+func (s *System) Checkpoint(cli *client.Client, id int) error {
+	defer cli.ControlDone()
 	if err := s.checkServer(id); err != nil {
 		return err
 	}
-	srv := s.servers[id]
-	if srv.Crashed() {
-		return fmt.Errorf("core: server %d is crashed; recover it before checkpointing", id)
-	}
-	var resp proto.Response
-	err := s.ctlRPC(id, s.serverEPs[id], &proto.Request{Op: proto.OpCheckpoint}, &resp)
-	var bad replyError
-	switch {
-	case err == nil:
-		return nil
-	case resp.Err != 0:
-		return fmt.Errorf("core: checkpoint on server %d: %v", id, resp.Err)
-	case errors.As(err, &bad):
-		return fmt.Errorf("core: checkpoint reply from server %d: %w", id, bad.error)
-	default:
-		return fmt.Errorf("core: checkpoint rpc to server %d: %w", id, err)
-	}
-}
-
-// replyError is ctlRPC's error for a reply that came and did not decode.
-type replyError struct{ error }
-
-// ctlRPC is the control plane's one request: req goes to dst, an endpoint of
-// server id, through ctlExchange, and the reply is decoded into resp. A
-// reply's errno is returned as the error, with resp filled in.
-func (s *System) ctlRPC(id int, dst msg.EndpointID, req *proto.Request, resp *proto.Response) error {
-	reply, err := s.ctlExchange(id, dst, proto.KindRequest, req.Marshal())
-	if err != nil {
-		return err
-	}
-	if err := proto.UnmarshalResponseInto(resp, reply); err != nil {
-		return replyError{err}
-	}
-	if resp.Err != 0 {
-		return resp.Err
+	if _, err := s.ctlRPC(cli, id, &proto.Request{Op: proto.OpCheckpoint}); err != nil {
+		return fmt.Errorf("core: checkpoint on server %d: %w", id, err)
 	}
 	return nil
 }
 
-// ctlExchange is the control plane's one exchange: payload goes from the ctl
-// endpoint to dst, an endpoint of server id, stamped with that server's clock
-// — at or past everything the server has served, which is what lets ctl be a
-// transient lane (DESIGN.md §13) — and the reply's payload comes back. A
-// crashed target is an error, not a wait on a closed request loop.
-func (s *System) ctlExchange(id int, dst msg.EndpointID, kind uint16, payload []byte) ([]byte, error) {
-	srv := s.servers[id]
-	if srv.Crashed() {
-		return nil, fmt.Errorf("server %d is crashed", id)
+// ctlRPC is the control plane's one request: req goes from cli to server id
+// over the normal request path (it serializes with in-flight client
+// operations), through ctlExchange, and the reply is decoded into the
+// response returned. A reply's errno is returned as the error.
+func (s *System) ctlRPC(cli *client.Client, id int, req *proto.Request) (*proto.Response, error) {
+	resp := new(proto.Response)
+	err := s.ctlExchange(cli, id, s.serverEPs[id], proto.KindRequest, req.Marshal(), func(reply []byte) error {
+		return proto.UnmarshalResponseInto(resp, reply)
+	})
+	if err == nil && resp.Err != 0 {
+		err = resp.Err
 	}
-	env, err := s.network.RPC(s.ctl, dst, kind, payload, srv.Clock())
-	if err != nil {
-		return nil, err
+	return resp, err
+}
+
+// ctlExchange is the control plane's one exchange: payload goes from cli to
+// dst, an endpoint of server id, as one leg of cli's (client.Control), and
+// decode reads the reply. A crashed target is an error, not a wait on a
+// request loop that stopped.
+func (s *System) ctlExchange(cli *client.Client, id int, dst msg.EndpointID, kind uint16, payload []byte, decode func([]byte) error) error {
+	if s.servers[id].Crashed() {
+		return fmt.Errorf("server %d is crashed", id)
 	}
-	return env.Payload, nil
+	return cli.Control(dst, kind, payload, decode)
 }
 
 // CheckpointAll checkpoints every running server.
-func (s *System) CheckpointAll() error {
+func (s *System) CheckpointAll(cli *client.Client) error {
+	defer cli.ControlDone()
 	for i := range s.servers {
 		if s.servers[i].Crashed() {
 			continue
 		}
-		if err := s.Checkpoint(i); err != nil {
+		if err := s.Checkpoint(cli, i); err != nil {
 			return err
 		}
 	}

@@ -144,13 +144,14 @@ func populate(t *testing.T, fs fsapi.Client) {
 }
 
 func crashRecoverAll(t *testing.T, sys *System, loseMemory bool) {
+	ctl := sys.NewClient(0)
 	t.Helper()
 	for i := 0; i < sys.NumServers(); i++ {
 		var err error
 		if loseMemory {
-			err = sys.CrashLosingMemory(i)
+			err = sys.CrashLosingMemory(ctl, i)
 		} else {
-			err = sys.Crash(i)
+			err = sys.Crash(ctl, i)
 		}
 		if err != nil {
 			t.Fatalf("crash server %d: %v", i, err)
@@ -158,7 +159,7 @@ func crashRecoverAll(t *testing.T, sys *System, loseMemory bool) {
 		if !sys.Crashed(i) {
 			t.Fatalf("server %d not marked crashed", i)
 		}
-		if _, err := sys.Recover(i); err != nil {
+		if _, err := sys.Recover(ctl, i); err != nil {
 			t.Fatalf("recover server %d: %v", i, err)
 		}
 	}
@@ -203,10 +204,11 @@ func TestRecoveryIsIdempotent(t *testing.T) {
 
 func TestCheckpointPlusLogTailRecovery(t *testing.T) {
 	sys := newDurableSystem(t, 2, 2, Durability{}, AllTechniques())
+	ctl := sys.NewClient(0)
 	cli := sys.NewClient(0)
 	populate(t, cli)
 
-	if err := sys.CheckpointAll(); err != nil {
+	if err := sys.CheckpointAll(ctl); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range sys.WalStats() {
@@ -255,10 +257,11 @@ func TestCrashLosingMemoryRestoresDataFromCheckpoint(t *testing.T) {
 	// durable. After losing the whole memory domain, contents come back
 	// from the checkpoint.
 	sys := newDurableSystem(t, 2, 2, Durability{}, AllTechniques())
+	ctl := sys.NewClient(0)
 	cli := sys.NewClient(0)
 	payload := bytes.Repeat([]byte("snapshot"), 2048) // multi-block
 	writeFile(t, cli, "/big", payload)
-	if err := sys.CheckpointAll(); err != nil {
+	if err := sys.CheckpointAll(ctl); err != nil {
 		t.Fatal(err)
 	}
 
@@ -287,11 +290,12 @@ func TestCrashLosingMemoryReplaysServerPathWrites(t *testing.T) {
 
 func TestCrashedServerStallsClientsUntilRecovery(t *testing.T) {
 	sys := newDurableSystem(t, 2, 2, Durability{}, AllTechniques())
+	ctl := sys.NewClient(0)
 	cli := sys.NewClient(0)
 	writeFile(t, cli, "/probe", []byte("v"))
 
 	// Server 0 stores the root inode; stat("/") must reach it.
-	if err := sys.Crash(0); err != nil {
+	if err := sys.Crash(ctl, 0); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -305,7 +309,7 @@ func TestCrashedServerStallsClientsUntilRecovery(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 		// Still blocked: the request waits in the crashed server's inbox.
 	}
-	if _, err := sys.Recover(0); err != nil {
+	if _, err := sys.Recover(ctl, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -321,31 +325,33 @@ func TestCrashedServerStallsClientsUntilRecovery(t *testing.T) {
 func TestFaultAPIValidation(t *testing.T) {
 	// Durability off: the fault-injection surface refuses to run.
 	plain := newTestSystem(t, 2, 2)
-	if err := plain.Crash(0); err == nil {
+	plainCtl := plain.NewClient(0)
+	if err := plain.Crash(plainCtl, 0); err == nil {
 		t.Error("Crash accepted with durability disabled")
 	}
-	if err := plain.Checkpoint(0); err == nil {
+	if err := plain.Checkpoint(plainCtl, 0); err == nil {
 		t.Error("Checkpoint accepted with durability disabled")
 	}
 
 	sys := newDurableSystem(t, 2, 2, Durability{}, AllTechniques())
-	if err := sys.Crash(99); err == nil {
+	ctl := sys.NewClient(0)
+	if err := sys.Crash(ctl, 99); err == nil {
 		t.Error("crash of unknown server accepted")
 	}
-	if _, err := sys.Recover(0); err == nil {
+	if _, err := sys.Recover(ctl, 0); err == nil {
 		t.Error("recover of a running server accepted")
 	}
-	if err := sys.Crash(0); err != nil {
+	if err := sys.Crash(ctl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checkpoint(0); err == nil {
+	if err := sys.Checkpoint(ctl, 0); err == nil {
 		t.Error("checkpoint of a crashed server accepted")
 	}
 	// Double crash is a no-op, not a hang.
-	if err := sys.Crash(0); err != nil {
+	if err := sys.Crash(ctl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Recover(0); err != nil {
+	if _, err := sys.Recover(ctl, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -421,9 +427,10 @@ func TestFaultAPIRequiresStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctl := sys.NewClient(0)
 	// Crashing before Start must error, not deadlock on a loop that was
 	// never launched.
-	if err := sys.Crash(0); err == nil {
+	if err := sys.Crash(ctl, 0); err == nil {
 		t.Fatal("Crash accepted on a never-started system")
 	}
 }
@@ -432,9 +439,10 @@ func TestFileBackedDurability(t *testing.T) {
 	// Durability.Dir stores each server's log and checkpoint as real files.
 	dir := t.TempDir()
 	sys := newDurableSystem(t, 2, 2, Durability{Dir: dir}, AllTechniques())
+	ctl := sys.NewClient(0)
 	cli := sys.NewClient(0)
 	populate(t, cli)
-	if err := sys.CheckpointAll(); err != nil {
+	if err := sys.CheckpointAll(ctl); err != nil {
 		t.Fatal(err)
 	}
 	writeFile(t, cli, "/d/tail", []byte("file-backed"))

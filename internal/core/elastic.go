@@ -51,8 +51,10 @@ func (s *System) PlacementPolicy() place.Policy { return s.routing.Load().Map.Po
 // migrates its share of the directory-entry shards onto it. It returns the
 // new server's id. If a server crash interrupts the migration, the new
 // server is already part of the fleet, the error names the obstacle, and
-// ResumeMigration finishes the job after recovery.
-func (s *System) AddServer() (int, error) {
+// ResumeMigration finishes the job after recovery. The migration's legs are
+// sent from cli.
+func (s *System) AddServer(cli *client.Client) (int, error) {
+	defer cli.ControlDone()
 	s.elMu.Lock()
 	defer s.elMu.Unlock()
 	if len(s.pending) > 0 {
@@ -102,14 +104,16 @@ func (s *System) AddServer() (int, error) {
 	// Re-publish at the current epoch first so every client that refreshes
 	// can already reach the new endpoint.
 	s.publishRouting(cur)
-	return id, s.migrateTo(cur.Add(int32(id)))
+	return id, s.migrateTo(cli, cur.Add(int32(id)))
 }
 
 // RemoveServer drains server id: its directory-entry shards migrate to the
 // remaining members and it leaves the placement map, receiving no new
 // entries or inodes. The server keeps running to serve the inodes it
 // already owns — inode ids are stable and never migrate (DESIGN.md §3, §9).
-func (s *System) RemoveServer(id int) error {
+// The migration's legs are sent from cli.
+func (s *System) RemoveServer(cli *client.Client, id int) error {
+	defer cli.ControlDone()
 	s.elMu.Lock()
 	defer s.elMu.Unlock()
 	if len(s.pending) > 0 {
@@ -125,13 +129,13 @@ func (s *System) RemoveServer(id int) error {
 	if cur.NumMembers() <= 1 {
 		return fmt.Errorf("core: cannot drain the last placement member")
 	}
-	return s.migrateTo(cur.Remove(int32(id)))
+	return s.migrateTo(cli, cur.Remove(int32(id)))
 }
 
 // migrateTo records the membership change as the pending transition and
 // drives it: every member of the old or new map is frozen and committed,
-// and the old members are pulled from. Caller holds elMu.
-func (s *System) migrateTo(newMap *place.Map) error {
+// and the old members are pulled from, by legs from cli. Caller holds elMu.
+func (s *System) migrateTo(cli *client.Client, newMap *place.Map) error {
 	old := s.routing.Load().Map
 	union := make(map[int]bool)
 	var oldMembers []int
@@ -148,5 +152,5 @@ func (s *System) migrateTo(newMap *place.Map) error {
 	}
 	sort.Ints(servers)
 	s.pending = []*transition{{newMap: newMap, servers: servers, donors: oldMembers}}
-	return s.resume()
+	return s.resume(cli)
 }

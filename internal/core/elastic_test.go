@@ -99,6 +99,7 @@ func verifyFiles(t *testing.T, sys *System, names []string) {
 // counter.
 func TestAddServerMovesOnlyDeltaShards(t *testing.T) {
 	sys := elasticSystem(t, place.PolicyRing, 3, 5, nil)
+	ctl := sys.NewClient(0)
 	dir, names := seedFiles(t, sys, 80)
 
 	oldMap := place.Initial(place.PolicyRing, 3)
@@ -113,7 +114,7 @@ func TestAddServerMovesOnlyDeltaShards(t *testing.T) {
 		t.Fatal("test is vacuous: no entry moves under this membership change")
 	}
 
-	id, err := sys.AddServer()
+	id, err := sys.AddServer(ctl)
 	if err != nil {
 		t.Fatalf("AddServer: %v", err)
 	}
@@ -140,8 +141,9 @@ func TestAddServerMovesOnlyDeltaShards(t *testing.T) {
 // everything moves, but the namespace must still be intact.
 func TestAddServerModulo(t *testing.T) {
 	sys := elasticSystem(t, place.PolicyModulo, 3, 4, nil)
+	ctl := sys.NewClient(0)
 	_, names := seedFiles(t, sys, 40)
-	if _, err := sys.AddServer(); err != nil {
+	if _, err := sys.AddServer(ctl); err != nil {
 		t.Fatalf("AddServer: %v", err)
 	}
 	verifyFiles(t, sys, names)
@@ -152,9 +154,10 @@ func TestAddServerModulo(t *testing.T) {
 // on the drained server and never migrate — stays fully reachable.
 func TestRemoveServerDrains(t *testing.T) {
 	sys := elasticSystem(t, place.PolicyRing, 4, 4, nil)
+	ctl := sys.NewClient(0)
 	_, names := seedFiles(t, sys, 60)
 
-	if err := sys.RemoveServer(2); err != nil {
+	if err := sys.RemoveServer(ctl, 2); err != nil {
 		t.Fatalf("RemoveServer: %v", err)
 	}
 	if got := sys.Epoch(); got != 2 {
@@ -172,7 +175,7 @@ func TestRemoveServerDrains(t *testing.T) {
 	// ...but its inodes stayed put and remain reachable.
 	verifyFiles(t, sys, names)
 
-	if err := sys.RemoveServer(2); err == nil {
+	if err := sys.RemoveServer(ctl, 2); err == nil {
 		t.Fatal("draining a non-member succeeded")
 	}
 }
@@ -181,13 +184,14 @@ func TestRemoveServerDrains(t *testing.T) {
 // configuration, last-member drain.
 func TestAddServerLimits(t *testing.T) {
 	sys := elasticSystem(t, place.PolicyRing, 2, 2, nil)
-	if _, err := sys.AddServer(); err == nil {
+	ctl := sys.NewClient(0)
+	if _, err := sys.AddServer(ctl); err == nil {
 		t.Fatal("AddServer beyond MaxServers succeeded")
 	}
-	if err := sys.RemoveServer(0); err != nil {
+	if err := sys.RemoveServer(ctl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RemoveServer(1); err == nil {
+	if err := sys.RemoveServer(ctl, 1); err == nil {
 		t.Fatal("draining the last member succeeded")
 	}
 }
@@ -217,6 +221,7 @@ func TestCrashAtEveryTransitionStage(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+			ctl := sys.NewClient(0)
 			_, names := seedFiles(t, sys, 40)
 			before := sys.Epoch()
 
@@ -231,19 +236,19 @@ func TestCrashAtEveryTransitionStage(t *testing.T) {
 			sys.SetMigrationObserver(func(stage string, srv int) {
 				if stage == tc.stage && srv == at && !crashed {
 					crashed = true
-					if err := sys.Crash(target); err != nil {
+					if err := sys.Crash(ctl, target); err != nil {
 						t.Errorf("crash server %d at %s: %v", target, stage, err)
 					}
 				}
 			})
 			var err error
 			if tc.failover {
-				if err := sys.Crash(victim); err != nil {
+				if err := sys.Crash(ctl, victim); err != nil {
 					t.Fatal(err)
 				}
-				_, err = sys.Failover(victim)
+				_, err = sys.Failover(ctl, victim)
 			} else {
-				_, err = sys.AddServer()
+				_, err = sys.AddServer(ctl)
 			}
 			sys.SetMigrationObserver(nil)
 			if !crashed {
@@ -262,7 +267,7 @@ func TestCrashAtEveryTransitionStage(t *testing.T) {
 				}
 			}
 
-			if _, err := sys.Recover(target); err != nil {
+			if _, err := sys.Recover(ctl, target); err != nil {
 				t.Fatalf("recover server %d: %v", target, err)
 			}
 			if sys.MigrationPending() {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/client"
 	"repro/internal/place"
 	"repro/internal/proto"
 	"repro/internal/repl"
@@ -84,13 +85,15 @@ func (s *System) wireReplication() {
 // is unusable — the follower is down too, or it never completed a resync —
 // the server is rebuilt from its own write-ahead log instead (Fallback in the
 // report), which preserves the no-acked-write-lost guarantee because the log
-// holds every acknowledged record by construction.
+// holds every acknowledged record by construction. Every leg is sent from
+// cli, which resumes when the promotion or replay ends.
 //
 // A crash mid-transition leaves it pending, like a migration's, and the
 // crashed server's Recover resumes it. Transitions already pending do not
 // block failover: they are re-stamped past the promotion's epoch and driven
 // after it.
-func (s *System) Failover(id int) (FailoverReport, error) {
+func (s *System) Failover(cli *client.Client, id int) (FailoverReport, error) {
+	defer cli.ControlDone()
 	var rep FailoverReport
 	if err := s.checkServer(id); err != nil {
 		return rep, err
@@ -106,28 +109,22 @@ func (s *System) Failover(id int) (FailoverReport, error) {
 	}
 	fid := s.followerOf(id)
 	rep = FailoverReport{Server: id, Follower: fid, LastLSN: srv.WalStats().LastLSN}
-	start := s.MaxServerClock()
+	start := cli.Clock()
 
 	// Seal the replica. The observer fires first so fault injection can
 	// kill the follower at exactly this boundary; a dead follower is then
 	// seen by the Crashed check and routes to the fallback.
 	s.observe("seal", fid)
-	snap, snapBytes, durable := s.sealFollower(id, fid)
+	snap, snapBytes, durable := s.sealFollower(cli, id, fid)
 
 	if snap == nil {
-		rep.Fallback = true
-		st, err := srv.Recover()
+		rep.Fallback, rep.DurableLSN, rep.Epoch = true, rep.LastLSN, s.routing.Load().Map.Epoch()
+		st, err := s.recover(cli, id)
 		if err != nil {
 			return rep, fmt.Errorf("core: failover fallback replay on server %d: %w", id, err)
 		}
 		rep.StallCycles = st.Cycles
-		rep.DurableLSN = rep.LastLSN
-		rep.Epoch = s.routing.Load().Map.Epoch()
-		s.traceFailover(start, "fallback", id)
-		s.restarted(id)
-		if err := s.resume(); err != nil {
-			return rep, fmt.Errorf("core: resuming interrupted transition after failover: %w", err)
-		}
+		s.traceFailover(start, cli.Clock(), "fallback", id)
 		return rep, nil
 	}
 
@@ -158,49 +155,49 @@ func (s *System) Failover(id int) (FailoverReport, error) {
 			t.servers = append(t.servers, i)
 		}
 	}
-	t.install = func(m *place.Map) error {
+	t.install = func(cli *client.Client, m *place.Map) error {
 		snap.Epoch, snap.PlaceMap = m.Epoch(), m.Encode()
-		work, err := srv.Promote(snap, snapBytes)
+		work, end, err := srv.Promote(snap, snapBytes, cli.Clock())
 		rep.StallCycles = work
+		cli.AdvanceClock(end)
 		return err
 	}
 	rep.Epoch = t.newMap.Epoch()
 	s.pending = append([]*transition{t}, s.pending...)
-	if err := s.resume(); err != nil {
+	if err := s.resume(cli); err != nil {
 		return rep, fmt.Errorf("core: failover of server %d: %w", id, err)
 	}
-	s.traceFailover(start, "promote", id)
+	s.traceFailover(start, cli.Clock(), "promote", id)
 	return rep, nil
 }
 
-// sealFollower asks the follower's replication plane to seal and snapshot
-// its replica of primary id. A nil snapshot means the replica is unusable
-// (follower down, replica missing or never resynced, or a decode failure)
-// and the caller must fall back to log replay.
-func (s *System) sealFollower(id, fid int) (*wal.Checkpoint, int, uint64) {
+// sealFollower asks the follower's replication plane, by a leg from cli, to
+// seal and snapshot its replica of primary id. A nil snapshot means the
+// replica is unusable (follower down, replica missing or never resynced, or a
+// decode failure) and the caller must fall back to log replay.
+func (s *System) sealFollower(cli *client.Client, id, fid int) (c *wal.Checkpoint, snapBytes int, durable uint64) {
 	fep, ok := s.servers[fid].ReplEndpointID()
 	if !ok {
 		return nil, 0, 0
 	}
 	m := repl.Msg{Primary: int32(id)}
-	reply, err := s.ctlExchange(fid, fep, proto.KindReplSeal, m.AppendTo(nil))
-	if err != nil {
+	if err := s.ctlExchange(cli, fid, fep, proto.KindReplSeal, m.AppendTo(nil), func(reply []byte) (err error) {
+		var sr repl.SealReply
+		if err = repl.UnmarshalSealReplyInto(&sr, reply); err == nil {
+			c, err = wal.UnmarshalCheckpoint(sr.Snap) // a copy: the reply's bytes go back to the pool
+			snapBytes, durable = len(sr.Snap), sr.Durable
+		}
+		return err
+	}); err != nil {
 		return nil, 0, 0
 	}
-	var sr repl.SealReply
-	if err := repl.UnmarshalSealReplyInto(&sr, reply); err != nil || len(sr.Snap) == 0 {
-		return nil, 0, 0
-	}
-	c, err := wal.UnmarshalCheckpoint(sr.Snap)
-	if err != nil {
-		return nil, 0, 0
-	}
-	return c, len(sr.Snap), sr.Durable
+	return c, snapBytes, durable
 }
 
-// traceFailover records the failover window as a root span on the control
-// plane's timeline.
-func (s *System) traceFailover(start sim.Cycles, name string, srv int) {
+// traceFailover records the failover window, from the caller's clock at the
+// call to its clock at the return, as a root span on the control plane's
+// timeline.
+func (s *System) traceFailover(start, end sim.Cycles, name string, srv int) {
 	if s.tracer == nil {
 		return
 	}
@@ -208,7 +205,7 @@ func (s *System) traceFailover(start sim.Cycles, name string, srv int) {
 	s.tracer.Record(trace.Span{
 		Trace: id, ID: id,
 		Kind: trace.KindFailover, Name: name, Where: ^int32(srv),
-		Start: start, End: s.MaxServerClock(),
+		Start: start, End: end,
 	})
 }
 

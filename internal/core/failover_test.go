@@ -42,14 +42,15 @@ func replSystem(t *testing.T, servers int, r repl.Config) *System {
 // bit-identically, with zero lost records reported.
 func TestFailoverPromotionKeepsNamespace(t *testing.T) {
 	sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+	ctl := sys.NewClient(0)
 	_, names := seedFiles(t, sys, 40)
 	before := namespaceDump(t, sys.NewClient(2), "/")
 
 	const victim = 1
-	if err := sys.CrashLosingMemory(victim); err != nil {
+	if err := sys.CrashLosingMemory(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Failover(victim)
+	rep, err := sys.Failover(ctl, victim)
 	if err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
@@ -84,17 +85,18 @@ func TestFailoverPromotionKeepsNamespace(t *testing.T) {
 // from its own log — slower, but still zero-loss.
 func TestFailoverDoubleFailureFallsBack(t *testing.T) {
 	sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+	ctl := sys.NewClient(0)
 	_, names := seedFiles(t, sys, 24)
 	before := namespaceDump(t, sys.NewClient(2), "/")
 
 	const victim, follower = 0, 1
-	if err := sys.Crash(victim); err != nil {
+	if err := sys.Crash(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Crash(follower); err != nil {
+	if err := sys.Crash(ctl, follower); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Failover(victim)
+	rep, err := sys.Failover(ctl, victim)
 	if err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
@@ -104,7 +106,7 @@ func TestFailoverDoubleFailureFallsBack(t *testing.T) {
 	if rep.LostRecords != 0 {
 		t.Fatalf("fallback replay lost %d records", rep.LostRecords)
 	}
-	if _, err := sys.Recover(follower); err != nil {
+	if _, err := sys.Recover(ctl, follower); err != nil {
 		t.Fatal(err)
 	}
 	after := namespaceDump(t, sys.NewClient(3), "/")
@@ -121,6 +123,7 @@ func TestFailoverDoubleFailureFallsBack(t *testing.T) {
 // ResumeMigration call.
 func TestFailoverDuringFrozenMigration(t *testing.T) {
 	sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+	ctl := sys.NewClient(0)
 	_, names := seedFiles(t, sys, 60)
 
 	const victim = 1
@@ -128,12 +131,12 @@ func TestFailoverDuringFrozenMigration(t *testing.T) {
 		// Every server is frozen by the time the first pull begins; kill
 		// the victim at that boundary.
 		if stage == "pull" && srv == victim && !sys.Crashed(victim) {
-			if err := sys.Crash(victim); err != nil {
+			if err := sys.Crash(ctl, victim); err != nil {
 				t.Errorf("crash at %s/%d: %v", stage, srv, err)
 			}
 		}
 	})
-	if _, err := sys.AddServer(); err == nil {
+	if _, err := sys.AddServer(ctl); err == nil {
 		t.Fatal("AddServer succeeded despite the mid-migration crash")
 	}
 	sys.SetMigrationObserver(nil)
@@ -141,7 +144,7 @@ func TestFailoverDuringFrozenMigration(t *testing.T) {
 		t.Fatal("no pending migration after the crash")
 	}
 
-	rep, err := sys.Failover(victim)
+	rep, err := sys.Failover(ctl, victim)
 	if err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
@@ -165,6 +168,7 @@ func TestFailoverDuringFrozenMigration(t *testing.T) {
 // is frozen and committed like a survivor instead, and comes back by replay.
 func TestFailoverResumedAfterReplay(t *testing.T) {
 	sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+	ctl := sys.NewClient(0)
 	dir, names := seedFiles(t, sys, 24)
 
 	// Server 0 holds the root and /d, so a client can create in /d while
@@ -175,22 +179,22 @@ func TestFailoverResumedAfterReplay(t *testing.T) {
 	}
 	sys.SetMigrationObserver(func(stage string, srv int) {
 		if stage == "freeze" && srv == survivor && !sys.Crashed(survivor) {
-			if err := sys.Crash(survivor); err != nil {
+			if err := sys.Crash(ctl, survivor); err != nil {
 				t.Errorf("crash survivor: %v", err)
 			}
 		}
 	})
-	if err := sys.Crash(victim); err != nil {
+	if err := sys.Crash(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sys.Failover(victim)
+	_, err := sys.Failover(ctl, victim)
 	sys.SetMigrationObserver(nil)
 	if err == nil {
 		t.Fatal("Failover succeeded although a survivor crashed at its freeze")
 	}
 	// The replay succeeds; the resume it triggers cannot freeze the
 	// survivor, which is still down.
-	if _, err := sys.Recover(victim); err == nil || sys.Crashed(victim) {
+	if _, err := sys.Recover(ctl, victim); err == nil || sys.Crashed(victim) {
 		t.Fatalf("replay of the victim: err %v, crashed %v; want it up with the transition still pending", err, sys.Crashed(victim))
 	}
 
@@ -215,19 +219,19 @@ func TestFailoverResumedAfterReplay(t *testing.T) {
 	if err := cli.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Crash(victim); err != nil {
+	if err := sys.Crash(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
 
 	// The survivor's recovery resumes the transition, which must wait for
 	// the victim rather than promote it from the stale snapshot.
-	if _, err := sys.Recover(survivor); err == nil {
+	if _, err := sys.Recover(ctl, survivor); err == nil {
 		t.Fatal("transition resumed although the victim is down")
 	}
 	if !sys.Crashed(victim) {
 		t.Fatal("the resumed transition booted the stale snapshot into the victim")
 	}
-	if _, err := sys.Recover(victim); err != nil {
+	if _, err := sys.Recover(ctl, victim); err != nil {
 		t.Fatalf("recover victim: %v", err)
 	}
 	if sys.MigrationPending() {
@@ -249,6 +253,7 @@ func TestFailoverResumedAfterReplay(t *testing.T) {
 // map and answer EEPOCH to every client forever.
 func TestFailoverAfterInterruptedFailover(t *testing.T) {
 	sys := replSystem(t, 4, repl.Config{Mode: repl.Sync})
+	ctl := sys.NewClient(0)
 	_, names := seedFiles(t, sys, 40)
 
 	// Server 1 is promoted first (its follower is server 2) and server 0
@@ -256,15 +261,15 @@ func TestFailoverAfterInterruptedFailover(t *testing.T) {
 	const first, survivor, second = 1, 0, 2
 	sys.SetMigrationObserver(func(stage string, srv int) {
 		if stage == "commit" && srv == survivor && !sys.Crashed(survivor) {
-			if err := sys.Crash(survivor); err != nil {
+			if err := sys.Crash(ctl, survivor); err != nil {
 				t.Errorf("crash survivor: %v", err)
 			}
 		}
 	})
-	if err := sys.Crash(first); err != nil {
+	if err := sys.Crash(ctl, first); err != nil {
 		t.Fatal(err)
 	}
-	_, err := sys.Failover(first)
+	_, err := sys.Failover(ctl, first)
 	sys.SetMigrationObserver(nil)
 	if err == nil {
 		t.Fatal("Failover succeeded although a survivor crashed at its commit")
@@ -273,14 +278,14 @@ func TestFailoverAfterInterruptedFailover(t *testing.T) {
 		t.Fatal("the install did not run before the commit")
 	}
 
-	if err := sys.Crash(second); err != nil {
+	if err := sys.Crash(ctl, second); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Failover(second)
+	rep, err := sys.Failover(ctl, second)
 	if rep.Fallback || sys.Crashed(second) {
 		t.Fatalf("second failover: %+v, %v; want a promotion", rep, err)
 	}
-	if _, err := sys.Recover(survivor); err != nil {
+	if _, err := sys.Recover(ctl, survivor); err != nil {
 		t.Fatalf("recover survivor: %v", err)
 	}
 	if sys.MigrationPending() {
@@ -319,19 +324,20 @@ func TestFailoverPromotionCoversCheckpointContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctl := sys.NewClient(0)
 	sys.Start()
 	t.Cleanup(sys.Stop)
 
 	_, names := seedFiles(t, sys, 24)
-	if err := sys.CheckpointAll(); err != nil {
+	if err := sys.CheckpointAll(ctl); err != nil {
 		t.Fatal(err)
 	}
 
 	const victim = 1
-	if err := sys.CrashLosingMemory(victim); err != nil {
+	if err := sys.CrashLosingMemory(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Failover(victim)
+	rep, err := sys.Failover(ctl, victim)
 	if err != nil {
 		t.Fatalf("Failover: %v", err)
 	}
@@ -395,21 +401,23 @@ func TestReplicaStatsSurface(t *testing.T) {
 // TestFailoverRequiresCrashAndReplication pins the guard rails.
 func TestFailoverRequiresCrashAndReplication(t *testing.T) {
 	sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
-	if _, err := sys.Failover(0); err == nil {
+	ctl := sys.NewClient(0)
+	if _, err := sys.Failover(ctl, 0); err == nil {
 		t.Fatal("Failover of a running server succeeded")
 	}
-	if _, err := sys.Failover(9); err == nil {
+	if _, err := sys.Failover(ctl, 9); err == nil {
 		t.Fatal("Failover of a nonexistent server succeeded")
 	}
 
 	plain := newDurableSystem(t, 4, 2, Durability{}, AllTechniques())
-	if err := plain.Crash(0); err != nil {
+	plainCtl := plain.NewClient(0)
+	if err := plain.Crash(plainCtl, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.Failover(0); err == nil {
+	if _, err := plain.Failover(plainCtl, 0); err == nil {
 		t.Fatal("Failover succeeded with replication disabled")
 	}
-	if _, err := plain.Recover(0); err != nil {
+	if _, err := plain.Recover(plainCtl, 0); err != nil {
 		t.Fatal(err)
 	}
 }

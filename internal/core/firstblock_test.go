@@ -486,6 +486,7 @@ func TestFirstBlockCreateAfterAddServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctl := sys.NewClient(0)
 	sys.Start()
 	t.Cleanup(sys.Stop)
 	c := sys.NewClient(0)
@@ -494,7 +495,7 @@ func TestFirstBlockCreateAfterAddServer(t *testing.T) {
 	}
 	free := freeBlocks(sys)
 	arm(t, c, "/d/armed")
-	if _, err := sys.AddServer(); err != nil {
+	if _, err := sys.AddServer(ctl); err != nil {
 		t.Fatal(err)
 	}
 	const files = 8

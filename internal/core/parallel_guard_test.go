@@ -52,6 +52,7 @@ func TestSetParallelRefusesLiveProcs(t *testing.T) {
 func TestSetParallelRefusesPendingMigration(t *testing.T) {
 	d := &Durability{Enabled: true, CheckpointEvery: 32}
 	sys := elasticSystem(t, place.PolicyRing, 3, 4, d)
+	ctl := sys.NewClient(0)
 	seedFiles(t, sys, 20)
 
 	const victim = 1
@@ -59,12 +60,12 @@ func TestSetParallelRefusesPendingMigration(t *testing.T) {
 	sys.SetMigrationObserver(func(stage string, srv int) {
 		if stage == "commit" && srv == victim && !crashed {
 			crashed = true
-			if err := sys.Crash(victim); err != nil {
+			if err := sys.Crash(ctl, victim); err != nil {
 				t.Errorf("crash victim: %v", err)
 			}
 		}
 	})
-	if _, err := sys.AddServer(); err == nil {
+	if _, err := sys.AddServer(ctl); err == nil {
 		t.Fatal("AddServer succeeded although the victim crashed mid-commit")
 	}
 	sys.SetMigrationObserver(nil)
@@ -78,7 +79,7 @@ func TestSetParallelRefusesPendingMigration(t *testing.T) {
 	if !strings.Contains(err.Error(), "migration") {
 		t.Fatalf("error %q does not name the pending migration", err)
 	}
-	if _, err := sys.Recover(victim); err != nil {
+	if _, err := sys.Recover(ctl, victim); err != nil {
 		t.Fatalf("recover victim: %v", err)
 	}
 	if sys.MigrationPending() {
@@ -99,22 +100,23 @@ func TestSetParallelRefusesPendingMigration(t *testing.T) {
 func TestParallelBareClientControlPlane(t *testing.T) {
 	d := &Durability{Enabled: true}
 	sys := elasticSystem(t, place.PolicyRing, 2, 3, d)
+	ctl := sys.NewClient(0)
 	if err := sys.SetParallel(true); err != nil {
 		t.Fatal(err)
 	}
 	_, names := seedFiles(t, sys, 12)
 
-	if err := sys.CheckpointAll(); err != nil {
+	if err := sys.CheckpointAll(ctl); err != nil {
 		t.Fatalf("checkpoint with a quiescent bare client: %v", err)
 	}
-	if _, err := sys.AddServer(); err != nil {
+	if _, err := sys.AddServer(ctl); err != nil {
 		t.Fatalf("migration with a quiescent bare client: %v", err)
 	}
 	const victim = 1
-	if err := sys.Crash(victim); err != nil {
+	if err := sys.Crash(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Recover(victim); err != nil {
+	if _, err := sys.Recover(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
 	verifyFiles(t, sys, names)

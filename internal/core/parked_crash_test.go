@@ -22,6 +22,7 @@ func TestBlockedPipeReadOutlivesCrash(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			sys := newDurableSystem(t, 2, 2, Durability{}, AllTechniques())
+			ctl := sys.NewClient(0)
 			if err := sys.SetParallel(parallel); err != nil {
 				t.Fatal(err)
 			}
@@ -48,10 +49,10 @@ func TestBlockedPipeReadOutlivesCrash(t *testing.T) {
 					t.Fatalf("the read never parked at a server:\n%s", sys.Network().Gate())
 				}
 			}
-			if err := sys.Crash(victim); err != nil {
+			if err := sys.Crash(ctl, victim); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sys.Recover(victim); err != nil {
+			if _, err := sys.Recover(ctl, victim); err != nil {
 				t.Fatal(err)
 			}
 

@@ -34,6 +34,7 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 
 	build := func() *System {
 		sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+		ctl := sys.NewClient(0)
 		sys.Network().SetFaultPlan(&msg.FaultPlan{Seed: 11, MaxDelay: 60_000, DelayPercent: 50})
 		fep, _ := sys.servers[follower].ReplEndpointID()
 		other := sys.network.NewEndpoint(0)
@@ -82,14 +83,15 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		if err := sys.CrashLosingMemory(victim); err != nil {
+		if err := sys.CrashLosingMemory(ctl, victim); err != nil {
 			t.Fatal(err)
 		}
 		return sys
 	}
 
 	promoted := build()
-	rep, err := promoted.Failover(victim)
+	promotedCtl := promoted.NewClient(0)
+	rep, err := promoted.Failover(promotedCtl, victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,8 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 		t.Fatalf("promotion of a caught-up replica: fallback=%v, %d records lost", rep.Fallback, rep.LostRecords)
 	}
 	replayed := build()
-	if _, err := replayed.Recover(victim); err != nil {
+	replayedCtl := replayed.NewClient(0)
+	if _, err := replayed.Recover(replayedCtl, victim); err != nil {
 		t.Fatal(err)
 	}
 	got, want := namespaceDump(t, promoted.NewClient(2), "/"), namespaceDump(t, replayed.NewClient(2), "/")
@@ -115,6 +118,7 @@ func TestPromotionFromRecycledBuffersEqualsReplay(t *testing.T) {
 func TestReplicationPlaneAnswersWhatItCannotDecode(t *testing.T) {
 	const victim, follower = 1, 2
 	sys := replSystem(t, 3, repl.Config{Mode: repl.Sync})
+	ctl := sys.NewClient(0)
 	_, names := seedFiles(t, sys, 12)
 	fep, _ := sys.servers[follower].ReplEndpointID()
 	from := sys.network.NewEndpoint(0)
@@ -201,10 +205,10 @@ func TestReplicationPlaneAnswersWhatItCannotDecode(t *testing.T) {
 	}
 
 	// None of it touched the replica the plane does hold.
-	if err := sys.CrashLosingMemory(victim); err != nil {
+	if err := sys.CrashLosingMemory(ctl, victim); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := sys.Failover(victim); err != nil || rep.Fallback || rep.LostRecords != 0 {
+	if rep, err := sys.Failover(ctl, victim); err != nil || rep.Fallback || rep.LostRecords != 0 {
 		t.Fatalf("failover after the garbage: %+v, %v", rep, err)
 	}
 	verifyFiles(t, sys, names)

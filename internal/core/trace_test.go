@@ -216,7 +216,7 @@ func TestTraceEpochRetryChainsIntoRoot(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		mkfile(fmt.Sprintf("/dist/pre%d", i))
 	}
-	if _, err := sys.AddServer(); err != nil {
+	if _, err := sys.AddServer(cli); err != nil {
 		t.Fatal(err)
 	}
 	// The client's snapshot is now stale: the next placement-routed ops
@@ -286,10 +286,10 @@ func TestTraceCrashRecoverNoIDReuse(t *testing.T) {
 		mkfile(fmt.Sprintf("/pre%d", i))
 	}
 	before := len(sys.Tracer().Spans())
-	if err := sys.Crash(0); err != nil {
+	if err := sys.Crash(cli, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Recover(0); err != nil {
+	if _, err := sys.Recover(cli, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/client"
 	"repro/internal/place"
 	"repro/internal/proto"
 )
@@ -48,7 +49,7 @@ type transition struct {
 	// commit, with the map being published. Once installOn is running again
 	// — installed, or restarted by another path first — it is dropped, and
 	// installOn becomes one of servers (see restarted).
-	install   func(*place.Map) error
+	install   func(*client.Client, *place.Map) error
 	installOn int
 }
 
@@ -90,19 +91,20 @@ func (s *System) observe(stage string, srv int) {
 	}
 }
 
-// ResumeMigration re-drives the interrupted transitions (after recovering the
-// crashed server). It is a no-op when nothing is pending.
-func (s *System) ResumeMigration() error {
+// ResumeMigration re-drives the interrupted transitions from cli (after
+// recovering the crashed server). It is a no-op when nothing is pending.
+func (s *System) ResumeMigration(cli *client.Client) error {
+	defer cli.ControlDone()
 	s.elMu.Lock()
 	defer s.elMu.Unlock()
-	return s.resume()
+	return s.resume(cli)
 }
 
-// resume drives the pending transitions in order; each leaves the queue once
-// it has committed. Caller holds elMu.
-func (s *System) resume() error {
+// resume drives the pending transitions in order, from cli; each leaves the
+// queue once it has committed. Caller holds elMu.
+func (s *System) resume(cli *client.Client) error {
 	for len(s.pending) > 0 {
-		if err := s.drive(s.pending[0]); err != nil {
+		if err := s.drive(cli, s.pending[0]); err != nil {
 			return err
 		}
 		s.pending = s.pending[1:]
@@ -110,21 +112,21 @@ func (s *System) resume() error {
 	return nil
 }
 
-// drive runs (or resumes) t's freeze → pull → publish → install → commit.
-// Caller holds elMu.
-func (s *System) drive(t *transition) error {
+// drive runs (or resumes) t's freeze → pull → publish → install → commit,
+// each leg sent from cli. Caller holds elMu.
+func (s *System) drive(cli *client.Client, t *transition) error {
 	epoch := t.newMap.Epoch()
 	blob := t.newMap.Encode()
 
 	for _, id := range t.servers {
 		s.observe("freeze", id)
-		if _, err := s.shardRPC(id, &proto.Request{Op: proto.OpShardFreeze, Epoch: epoch}); err != nil {
+		if _, err := s.ctlRPC(cli, id, &proto.Request{Op: proto.OpShardFreeze, Epoch: epoch}); err != nil {
 			return fmt.Errorf("core: freeze server %d for epoch %d: %w", id, epoch, err)
 		}
 	}
 
 	if len(t.donors) > 0 {
-		if err := s.pull(t, epoch, blob); err != nil {
+		if err := s.pull(cli, t, epoch, blob); err != nil {
 			return err
 		}
 	}
@@ -141,7 +143,7 @@ func (s *System) drive(t *transition) error {
 	servers := t.servers
 	if t.install != nil {
 		s.observe("install", t.installOn)
-		if err := t.install(t.newMap); err != nil {
+		if err := t.install(cli, t.newMap); err != nil {
 			return fmt.Errorf("core: install server %d at epoch %d: %w", t.installOn, epoch, err)
 		}
 		s.restarted(t.installOn)
@@ -155,7 +157,7 @@ func (s *System) drive(t *transition) error {
 			Marked:   t.marked,
 			DeadDirs: t.deadDirs,
 		}
-		if _, err := s.shardRPC(id, &proto.Request{Op: proto.OpShardCommit, Epoch: epoch, Data: sm.Marshal()}); err != nil {
+		if _, err := s.ctlRPC(cli, id, &proto.Request{Op: proto.OpShardCommit, Epoch: epoch, Data: sm.Marshal()}); err != nil {
 			return fmt.Errorf("core: commit epoch %d on server %d: %w", epoch, id, err)
 		}
 	}
@@ -165,7 +167,7 @@ func (s *System) drive(t *transition) error {
 // pull copies out of every donor the entries the new map routes elsewhere,
 // with the donors' rmdir state, and saves them in t once every donor has
 // answered.
-func (s *System) pull(t *transition, epoch uint64, blob []byte) error {
+func (s *System) pull(cli *client.Client, t *transition, epoch uint64, blob []byte) error {
 	incoming := make(map[int][]proto.MigEntry)
 	var marked, deadDirs []proto.InodeID
 	seenMarked := make(map[proto.InodeID]bool)
@@ -173,7 +175,7 @@ func (s *System) pull(t *transition, epoch uint64, blob []byte) error {
 	req := (&proto.ShardMsg{MapBlob: blob}).Marshal()
 	for _, id := range t.donors {
 		s.observe("pull", id)
-		resp, err := s.shardRPC(id, &proto.Request{Op: proto.OpShardPull, Epoch: epoch, Data: req})
+		resp, err := s.ctlRPC(cli, id, &proto.Request{Op: proto.OpShardPull, Epoch: epoch, Data: req})
 		if err != nil {
 			return fmt.Errorf("core: pull shards from server %d: %w", id, err)
 		}
@@ -201,16 +203,4 @@ func appendNew(dst []proto.InodeID, seen map[proto.InodeID]bool, ids []proto.Ino
 		}
 	}
 	return dst
-}
-
-// shardRPC sends one control-plane request to a server over the normal
-// request path (it serializes with in-flight client operations). A crashed
-// target is reported as an error instead of blocking forever on a closed
-// request loop.
-func (s *System) shardRPC(id int, req *proto.Request) (*proto.Response, error) {
-	if id < 0 || id >= len(s.servers) {
-		return nil, fmt.Errorf("no server %d (have %d)", id, len(s.servers))
-	}
-	resp := new(proto.Response)
-	return resp, s.ctlRPC(id, s.serverEPs[id], req, resp)
 }

@@ -129,6 +129,10 @@ func (n *Network) NewEndpoint(core int) *Endpoint {
 	ep := &Endpoint{ID: id, Core: core, net: n}
 	ep.inbox.init()
 	ep.callbacks.init()
+	for i := range ep.cache.bufs {
+		ep.cache.bufs[i] = ep.cache.bufSlot[i][:0]
+	}
+	ep.cache.futs = ep.cache.futSlot[:0]
 	ep.Inbox, ep.Callbacks = &ep.inbox, &ep.callbacks
 	eps := *n.endpoints.Load()
 	if int(id) == len(eps) {

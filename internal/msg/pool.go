@@ -47,6 +47,13 @@ type epCache struct {
 	mu   sync.Mutex
 	bufs [len(bufClasses)][][]byte
 	futs []*Future
+
+	// The first backing array of each list, in place (NewEndpoint points
+	// the lists at them): an endpoint's first put into a list allocates
+	// nothing, and an exec proxy, which sends one message and exits, never
+	// puts a second.
+	bufSlot [len(bufClasses)][1][]byte
+	futSlot [1]*Future
 }
 
 // classFor returns the smallest class index that holds n bytes, or -1.

@@ -336,9 +336,9 @@ func (q *Queue) PopWaitEarliestGated(g *sim.Gate) (Envelope, bool) {
 	defer q.mu.Unlock()
 	// Before the first sleep, so that a Push sees the true head.
 	q.setMode(modeArrivalDet)
-	// A closed queue bypasses the gate: the consumer has crashed and its loop
-	// must regain control to exit (it parks the popped envelope back for
-	// after recovery), exactly as the ungated path unblocks on Close.
+	// A closed queue bypasses the gate: the consumer is stopping and its loop
+	// must regain control to exit, exactly as the ungated path unblocks on
+	// Close.
 	woke := false
 	for !q.closed && (len(q.items) == 0 || !q.headSafe(g, woke)) {
 		q.gated = g

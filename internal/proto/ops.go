@@ -217,4 +217,9 @@ const (
 	// the payload is the repl.Msg itself.
 	KindReplShip uint16 = 4 // a flushed record batch or a rebase snapshot, answered by a repl.Ack
 	KindReplSeal uint16 = 5 // control plane: stop ingesting, answered by a repl.SealReply
+
+	// A crash (DESIGN.md §6): the last request a file server's loop serves.
+	// Its payload is one bool, whether the server's memory domain goes too;
+	// it is answered by an empty Response, and the loop then stops.
+	KindCrash uint16 = 6
 )

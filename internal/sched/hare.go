@@ -21,9 +21,9 @@ type HareConfig struct {
 	Policy   Policy
 	Seed     uint64
 
-	// NewClient builds a fresh Hare client library pinned to a core; the
-	// scheduling server uses it to construct the client for an exec'd
-	// process.
+	// NewClient builds a fresh Hare client library pinned to a core: a
+	// root's, and an exec'd process's (Spawn builds it for the target
+	// core's scheduling server).
 	NewClient func(core int) *client.Client
 }
 
@@ -40,7 +40,7 @@ type HareSystem struct {
 	servers map[int]*schedServer
 
 	progMu   sync.Mutex
-	programs map[string]ProcFunc
+	programs map[string]program
 	progSeq  uint64
 
 	procMu sync.Mutex
@@ -65,7 +65,7 @@ func NewHareSystem(cfg HareConfig) *HareSystem {
 		cfg:      cfg,
 		placer:   newPlacer(cfg.Policy, cfg.AppCores, cfg.Seed),
 		servers:  make(map[int]*schedServer),
-		programs: make(map[string]ProcFunc),
+		programs: make(map[string]program),
 		procs:    make(map[int64]*Proc),
 	}
 	for _, core := range cfg.AppCores {
@@ -178,7 +178,7 @@ func (sys *HareSystem) Spawn(parent *Proc, args []string, fn ProcFunc, remote bo
 	if srv == nil {
 		return nil, fmt.Errorf("sched: no scheduling server for core %d", target)
 	}
-	progID := sys.registerProgram(fn)
+	progID := sys.registerProgram(program{fn, sys.cfg.NewClient(srv.core)})
 
 	// The forked child immediately execs: it exports its descriptor table,
 	// sends the exec RPC, and turns into a proxy blocked on the reply,
@@ -241,27 +241,38 @@ func (sys *HareSystem) untrackProc(p *Proc) {
 	sys.procMu.Unlock()
 }
 
-// registerProgram stores a process body under a fresh id, "prog-N", so the
-// exec RPC can name it; the scheduling server claims it exactly once.
-func (sys *HareSystem) registerProgram(fn ProcFunc) string {
+// registerProgram stores a process body and its client under a fresh id,
+// "prog-N", so the exec RPC can name it; the scheduling server claims it
+// exactly once. Spawn makes the client, in the spawning process's program
+// order: an exec'd process's client and endpoint ids follow the order its
+// parent spawned in, not the order the scheduling servers serve their execs
+// in, which is the host's (the fault plan's hash and the gate's ties read
+// those ids).
+func (sys *HareSystem) registerProgram(p program) string {
 	sys.progMu.Lock()
 	defer sys.progMu.Unlock()
 	sys.progSeq++
 	var buf [24]byte
 	id := string(strconv.AppendUint(append(buf[:0], "prog-"...), sys.progSeq, 10))
-	sys.programs[id] = fn
+	sys.programs[id] = p
 	return id
 }
 
+// program is an exec'd process's body and the client it runs with.
+type program struct {
+	fn  ProcFunc
+	cli *client.Client
+}
+
 // claimProgram removes and returns a registered program.
-func (sys *HareSystem) claimProgram(id string) (ProcFunc, bool) {
+func (sys *HareSystem) claimProgram(id string) (program, bool) {
 	sys.progMu.Lock()
 	defer sys.progMu.Unlock()
-	fn, ok := sys.programs[id]
+	p, ok := sys.programs[id]
 	if ok {
 		delete(sys.programs, id)
 	}
-	return fn, ok
+	return p, ok
 }
 
 // run is the scheduling server loop.
@@ -329,16 +340,15 @@ type execCall struct {
 // at — and before the reply that ends the hold.
 func (s *schedServer) handleExec(call *execCall, at sim.Cycles) {
 	req := &call.req
-	fn, ok := s.sys.claimProgram(req.Program)
+	prog, ok := s.sys.claimProgram(req.Program)
 	if !ok {
 		s.reply(call.env, proto.ErrResponse(fsapi.ENOENT), at)
 		return
 	}
-	cli := s.sys.cfg.NewClient(s.core)
-	cli.ImportFds(req.Fds)
-	cli.SetCwd(req.Dirname)
-	call.proc = Proc{PID: req.PID, Args: req.Args, FS: cli, core: s.core, sys: s.sys}
-	s.sys.run(&call.proc, cli, at, fn, call)
+	prog.cli.ImportFds(req.Fds)
+	prog.cli.SetCwd(req.Dirname)
+	call.proc = Proc{PID: req.PID, Args: req.Args, FS: prog.cli, core: s.core, sys: s.sys}
+	s.sys.run(&call.proc, prog.cli, at, prog.fn, call)
 }
 
 func (e *execCall) started() { e.srv.sys.cfg.Network.Hold(e.env) }

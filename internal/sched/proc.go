@@ -30,9 +30,9 @@ type Clocked interface {
 // GateParker is the part of a client that lets its owner take its lane out
 // of the parallel virtual-time engine and bring it back at the client's clock
 // (DESIGN.md §13). The Hare client library implements it; the baselines,
-// which never run under the gate, do not. Proc.Wait and Proc.Blocked are its
-// users in this tree; the repository benchmark's own fan-out (benchmark/)
-// binds it directly.
+// which never run under the gate, do not. Proc.Wait is its user in this
+// tree; the repository benchmark's own fan-out (benchmark/) binds it
+// directly.
 type GateParker interface {
 	GateActive() bool
 	GatePark()
@@ -111,35 +111,11 @@ func (p *Proc) Wait(handles ...*Handle) int {
 		if s := h.Wait(); s != 0 {
 			status = s
 		}
-		p.resumeAt(h.endAt, false)
+		if ck, ok := p.FS.(Clocked); ok {
+			ck.AdvanceClock(h.endAt)
+		}
 	}
 	return status
-}
-
-// Blocked runs wait with the process's lane quiescent: the process is blocked
-// in real time on something the host decides — control-plane calls made on
-// its behalf, children reaped from outside — and wait returns the virtual
-// time that ended at. The clock is brought there under either engine and the
-// lane comes back at it. Whatever ran meanwhile must be done by then: nobody
-// holds the floor for the caller, as an exiting child does in Wait.
-func (p *Proc) Blocked(wait func() sim.Cycles) {
-	gp, _ := p.FS.(GateParker)
-	gated := gp != nil && gp.GateActive()
-	if gated {
-		gp.GatePark()
-	}
-	p.resumeAt(wait(), gated)
-}
-
-// resumeAt brings the process's clock to at least t and, with rejoin, its
-// lane back at it.
-func (p *Proc) resumeAt(t sim.Cycles, rejoin bool) {
-	if ck, ok := p.FS.(Clocked); ok {
-		ck.AdvanceClock(t)
-	}
-	if rejoin {
-		p.FS.(GateParker).GateResume()
-	}
 }
 
 // Handle allows waiting for a process to exit.
@@ -168,8 +144,9 @@ func newHandle(pid int64) *Handle {
 func (h *Handle) finish(status int, endAt sim.Cycles) {
 	h.mu.Lock()
 	h.exited, h.status, h.endAt = true, status, endAt
-	if h.waiter != nil {
-		h.waiter.resumeAt(endAt, true)
+	if w := h.waiter; w != nil {
+		w.FS.(Clocked).AdvanceClock(endAt)
+		w.FS.(GateParker).GateResume()
 	}
 	h.mu.Unlock()
 	h.done.Done()

@@ -198,8 +198,9 @@ func TestPrimaryAndReplicaAgreeOnInodeOrder(t *testing.T) {
 		t.Fatal("the follower holds no replica of server 0")
 	}
 	live, replica := primary.buildCheckpoint(), f.Snapshot()
-	primary.Crash(true)
-	if _, err := primary.Recover(); err != nil {
+	primary.crashed.Store(true) // stopped, so the body runs here
+	primary.die(true)
+	if _, _, err := primary.Recover(0); err != nil {
 		t.Fatal(err)
 	}
 	primary.Stop()

@@ -12,6 +12,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // durableServers starts n servers over one network and DRAM, each with a
@@ -52,8 +53,17 @@ func durableServers(t *testing.T, n int) []*harness {
 // restart crashes h's server, keeping its DRAM, and recovers it from its log.
 func (h *harness) restart() {
 	h.t.Helper()
-	h.srv.Crash(false)
-	if _, err := h.srv.Recover(); err != nil {
+	h.crash()
+	if _, _, err := h.srv.Recover(0); err != nil {
+		h.t.Fatal(err)
+	}
+}
+
+// crash sends h's server a crash request that keeps its DRAM; the loop
+// answers it and stops.
+func (h *harness) crash() {
+	h.t.Helper()
+	if _, err := h.net.RPC(h.ep, h.srv.EndpointID(), proto.KindCrash, wire.AppendBool(nil, false), 0); err != nil {
 		h.t.Fatal(err)
 	}
 }

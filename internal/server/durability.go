@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/fsapi"
+	"repro/internal/msg"
 	"repro/internal/ncc"
 	"repro/internal/place"
 	"repro/internal/proto"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Durability hooks (DESIGN.md §6).
@@ -267,32 +269,33 @@ func (s *Server) buildCheckpoint() *wal.Checkpoint {
 	return c
 }
 
-// Crash terminates the server abruptly, as if its process died: the request
-// loop stops (requests already queued, and any sent later, wait in the
-// inbox for recovery), all in-memory state is dropped, and — when
-// loseMemory is set — the server's DRAM partition is wiped too, modelling
-// the loss of its memory domain rather than just the process.
+// crash serves a crash request (proto.KindCrash), the last request a loop
+// serves: it is answered like any request, in arrival order, and then the
+// process dies. The replication plane stops, the in-memory state is dropped
+// and — when the request says the memory domain goes too — the server's DRAM
+// partition is wiped. Requests still queued, and any sent later, wait in the
+// inbox for recovery.
 //
 // Parked requests (blocked pipe reads, rmdir waiters, creates on a marked
 // shard) have had no effect yet, so they outlive the crash like requests
 // still in the inbox: they move to s.orphans, and the restart serves them
-// again on the recovered state.
-func (s *Server) Crash(loseMemory bool) {
+// again on the recovered state. The server is down, and its crash mutex held,
+// from before the reply until the body has run: a caller that has the answer
+// finds it crashed, and a Recover waits for the body to end.
+func (s *Server) crash(env msg.Envelope) {
 	s.crashMu.Lock()
 	defer s.crashMu.Unlock()
-	if s.crashed.Load() {
-		// Already down. Escalating a process crash to a memory-domain
-		// loss still wipes the partition so the next Recover takes the
-		// lost-memory path.
-		if loseMemory && !s.lostMemory {
-			s.wipePartition()
-			s.lostMemory = true
-		}
-		return
-	}
 	s.crashed.Store(true)
-	s.ep.Inbox.Close()
-	<-s.done
+	loseMemory := wire.NewDecoder(env.Payload).Bool()
+	s.ep.PutBuf(env.Payload)
+	end := s.cfg.Machine.Execute(s.cfg.Core, max(env.ArriveAt, s.clock.Now()), s.arrivalOverhead())
+	s.clock.AdvanceTo(end)
+	s.replyAt(env, s.errResp(fsapi.OK), end)
+	s.die(loseMemory)
+}
+
+// die is a crash's body, run once the request loop has stopped.
+func (s *Server) die(loseMemory bool) {
 	if s.replEP != nil {
 		// The replication plane dies with the process: the replicas this
 		// server held for its primaries are volatile RAM and are gone
@@ -300,13 +303,25 @@ func (s *Server) Crash(loseMemory bool) {
 		s.replEP.Inbox.Close()
 		<-s.replDone
 	}
-	// The loops have exited; their state is now safe to touch from here.
 	s.orphan()
 	if loseMemory {
 		s.wipePartition()
 	}
 	s.lostMemory = loseMemory
 	s.resetState()
+}
+
+// LoseMemory escalates the crash of a server that is already down to the
+// loss of its memory domain: the partition is wiped, so the next Recover
+// takes the lost-memory path. A running server loses its memory by a crash
+// request instead, and is left alone here.
+func (s *Server) LoseMemory() {
+	s.crashMu.Lock()
+	defer s.crashMu.Unlock()
+	if s.crashed.Load() && !s.lostMemory {
+		s.wipePartition()
+		s.lostMemory = true
+	}
 }
 
 // wipePartition zeroes every block of the server's DRAM partition.
@@ -360,9 +375,11 @@ func (s *Server) resetState() {
 }
 
 // Recover rebuilds the server's state from its checkpoint and log, restarts
-// the request loop, and serves everything queued while it was down. It
+// the request loop, and serves everything queued while it was down. The
+// restart begins at the later of the server's clock and at, the caller's; it
 // returns statistics about the recovery, including the virtual time the
-// replay work was charged.
+// replay work was charged, and the time the restart ended, at which the
+// caller resumes.
 //
 // The replay runs into a wal.Image — the checkpoint loaded, the log tail
 // applied — which the restart then installs the way a promotion installs a
@@ -370,10 +387,9 @@ func (s *Server) resetState() {
 // assignments, so rebuilding the same checkpoint+log prefix always produces
 // the same state, and a second crash/recover cycle without intervening
 // mutations is a no-op.
-func (s *Server) Recover() (wal.RecoveryStats, error) {
+func (s *Server) Recover(at sim.Cycles) (wal.RecoveryStats, sim.Cycles, error) {
 	st := wal.RecoveryStats{Server: s.cfg.ID}
-	var err error
-	st.Cycles, err = s.restart(func() (*wal.Checkpoint, sim.Cycles, error) {
+	end, err := s.restart(at, func() (*wal.Checkpoint, sim.Cycles, error) {
 		ckpt, ckptBytes, recs, logBytes, err := s.wal.Recover()
 		if err != nil {
 			return nil, 0, err
@@ -389,18 +405,20 @@ func (s *Server) Recover() (wal.RecoveryStats, error) {
 			img.Apply(r)
 		}
 		st.Records, st.Bytes = len(recs), logBytes
-		return img.Checkpoint(), s.wal.ReplayCost(st.Records, st.Bytes, st.CheckpointBytes), nil
+		st.Cycles = s.wal.ReplayCost(st.Records, st.Bytes, st.CheckpointBytes)
+		return img.Checkpoint(), st.Cycles, nil
 	})
-	return st, err
+	return st, end, err
 }
 
 // restart brings a crashed server back as a fresh incarnation, the one path
-// Recover and Promote share. prepare does what can fail — reading the log,
-// or writing the snapshot out as the checkpoint — before anything in memory
-// changes, so a failed prepare leaves the server as the crash left it. It
-// returns the checkpoint to install and the virtual work the restart costs,
-// which restart charges and returns.
-func (s *Server) restart(prepare func() (*wal.Checkpoint, sim.Cycles, error)) (sim.Cycles, error) {
+// Recover and Promote share, starting no earlier than at. prepare does what
+// can fail — reading the log, or writing the snapshot out as the checkpoint —
+// before anything in memory changes, so a failed prepare leaves the server as
+// the crash left it. It returns the checkpoint to install and the virtual work
+// the restart costs, which restart charges; restart returns when that work
+// ended.
+func (s *Server) restart(at sim.Cycles, prepare func() (*wal.Checkpoint, sim.Cycles, error)) (sim.Cycles, error) {
 	s.crashMu.Lock()
 	defer s.crashMu.Unlock()
 	if s.wal == nil {
@@ -433,7 +451,7 @@ func (s *Server) restart(prepare func() (*wal.Checkpoint, sim.Cycles, error)) (s
 	// becomes allocatable again.
 	s.reclaimBlocks()
 
-	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), work)
+	end := s.cfg.Machine.Execute(s.cfg.Core, max(s.clock.Now(), at), work)
 	s.clock.AdvanceTo(end)
 
 	// The entries were rebuilt without their trackers (who had them cached
@@ -449,7 +467,6 @@ func (s *Server) restart(prepare func() (*wal.Checkpoint, sim.Cycles, error)) (s
 
 	s.lostMemory = false
 	s.done = make(chan struct{})
-	s.ep.Inbox.Reopen()
 	if s.replEP != nil {
 		s.replDone = make(chan struct{})
 		s.replEP.Inbox.Reopen()
@@ -459,7 +476,7 @@ func (s *Server) restart(prepare func() (*wal.Checkpoint, sim.Cycles, error)) (s
 	if s.replEP != nil {
 		go s.runRepl()
 	}
-	return work, nil
+	return end, nil
 }
 
 // broadcastCacheFlush sends a wildcard invalidation (empty name) to every

@@ -133,10 +133,7 @@ func TestLentNamesOutliveTheirEnvelope(t *testing.T) {
 		t.Fatal("no entry has a second tracker: the chains went untested")
 	}
 
-	h.srv.Crash(false)
-	if _, err := h.srv.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	h.restart()
 	if ents, _ := h.storedNames(); !slices.Equal(ents, names) {
 		t.Fatalf("recovered\n%q\nwant\n%q", ents, names)
 	}

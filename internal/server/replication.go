@@ -323,8 +323,11 @@ func (s *Server) traceShip(start, end sim.Cycles) {
 // truncating the log: records beyond the follower's horizon must never
 // resurrect in a later replay, or the promoted state and the durable state
 // would diverge on the next crash.
-func (s *Server) Promote(c *wal.Checkpoint, snapBytes int) (sim.Cycles, error) {
-	return s.restart(func() (*wal.Checkpoint, sim.Cycles, error) {
+//
+// Like Recover, the restart begins no earlier than at, the caller's clock. It
+// returns the promotion's work and the time it ended.
+func (s *Server) Promote(c *wal.Checkpoint, snapBytes int, at sim.Cycles) (work, end sim.Cycles, err error) {
+	end, err = s.restart(at, func() (*wal.Checkpoint, sim.Cycles, error) {
 		if err := s.wal.WriteCheckpoint(c); err != nil {
 			return nil, 0, fmt.Errorf("server %d: promote checkpoint: %w", s.cfg.ID, err)
 		}
@@ -342,9 +345,10 @@ func (s *Server) Promote(c *wal.Checkpoint, snapBytes int) (sim.Cycles, error) {
 		// replay term — the follower already did that work off the critical
 		// path, as each batch arrived.
 		cost := &s.cfg.Machine.Cost
-		work := s.wal.ReplayCost(0, 0, snapBytes)
-		return c, work + sim.LineCost(cost.WalPerLine, int(s.wal.Stats().CheckpointBytes)) + cost.WalFlush, nil
+		work = s.wal.ReplayCost(0, 0, snapBytes) + sim.LineCost(cost.WalPerLine, int(s.wal.Stats().CheckpointBytes)) + cost.WalFlush
+		return c, work, nil
 	})
+	return work, end, err
 }
 
 // reclaimBlocks rebuilds the partition free list around the runs the

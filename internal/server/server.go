@@ -200,7 +200,7 @@ type Server struct {
 	// pendingBlocks holds the block lists of the staged RecBlocks records.
 	pendingBlocks []uint64
 	crashed       atomic.Bool
-	crashMu       sync.Mutex // serializes Crash/Recover with each other
+	crashMu       sync.Mutex // serializes a crash with Recover, Promote and LoseMemory
 	lostMemory    bool
 	// incarnation counts recoveries; shared-descriptor ids embed it so
 	// descriptors from before a crash cannot alias ones issued after.
@@ -390,11 +390,8 @@ func (s *Server) run() {
 		if !ok {
 			return
 		}
-		if s.crashed.Load() {
-			// A crash is in progress: abandon the loop without serving.
-			// The envelope goes back to the inbox so it is served after
-			// recovery rather than silently dropped.
-			s.ep.Inbox.Push(env)
+		if env.Kind == proto.KindCrash {
+			s.crash(env)
 			return
 		}
 		s.handle(env)

@@ -133,14 +133,15 @@ func TestFrontierSound(t *testing.T) {
 		cfg := control
 		cfg.Replication = repl.Config{Mode: repl.Sync}
 		sys, env, verify := auditedSystem(t, cfg)
+		ctl := sys.NewClient(0)
 		run(t, env, workload.Creates{PerWorker: 8})
-		if err := sys.CheckpointAll(); err != nil {
+		if err := sys.CheckpointAll(ctl); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Crash(1); err != nil {
+		if err := sys.Crash(ctl, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Failover(1); err != nil {
+		if _, err := sys.Failover(ctl, 1); err != nil {
 			t.Fatal(err)
 		}
 		run(t, env, workload.Renames{PerWorker: 6})
@@ -149,13 +150,14 @@ func TestFrontierSound(t *testing.T) {
 
 	t.Run("migration", func(t *testing.T) {
 		sys, env, verify := auditedSystem(t, control)
+		ctl := sys.NewClient(0)
 		run(t, env, workload.Creates{PerWorker: 8})
-		id, err := sys.AddServer()
+		id, err := sys.AddServer(ctl)
 		if err != nil {
 			t.Fatal(err)
 		}
 		run(t, env, workload.Renames{PerWorker: 6})
-		if err := sys.RemoveServer(id); err != nil {
+		if err := sys.RemoveServer(ctl, id); err != nil {
 			t.Fatal(err)
 		}
 		run(t, env, workload.ScaleSweep{FilesPerWorker: 20, DirsPerWorker: 2})

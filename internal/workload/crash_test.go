@@ -3,20 +3,31 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/fsapi"
 	"repro/internal/sched"
 )
 
-// coreFaults adapts core.System to FaultInjector for tests (the bench
-// package carries the same adapter for the harness).
-type coreFaults struct{ sys *core.System }
+// coreControl adapts core.System to FaultInjector and ElasticController for
+// tests (the bench package carries the same adapter for the harness).
+type coreControl struct{ *core.System }
 
-func (f coreFaults) NumServers() int             { return f.sys.NumServers() }
-func (f coreFaults) Checkpoint(server int) error { return f.sys.Checkpoint(server) }
-func (f coreFaults) Crash(server int) error      { return f.sys.Crash(server) }
-func (f coreFaults) Recover(server int) error {
-	_, err := f.sys.Recover(server)
+func (s coreControl) Checkpoint(cli fsapi.Client, server int) error {
+	return s.System.Checkpoint(cli.(*client.Client), server)
+}
+func (s coreControl) Crash(cli fsapi.Client, server int) error {
+	return s.System.Crash(cli.(*client.Client), server)
+}
+func (s coreControl) Recover(cli fsapi.Client, server int) error {
+	_, err := s.System.Recover(cli.(*client.Client), server)
 	return err
+}
+func (s coreControl) AddServer(cli fsapi.Client) (int, error) {
+	return s.System.AddServer(cli.(*client.Client))
+}
+func (s coreControl) RemoveServer(cli fsapi.Client, id int) error {
+	return s.System.RemoveServer(cli.(*client.Client), id)
 }
 
 // durableEnv builds a Hare deployment with durability on and an Env whose
@@ -42,7 +53,7 @@ func durableEnv(t *testing.T, cores int, d core.Durability) (*Env, func()) {
 		Cores:   sys.AppCores(),
 		Counter: NewOpCounter(),
 		Scale:   1,
-		Faults:  coreFaults{sys},
+		Faults:  coreControl{sys},
 	}
 	return env, sys.Stop
 }

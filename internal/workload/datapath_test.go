@@ -32,7 +32,7 @@ func hareSystem(t *testing.T, d *core.Durability) (*core.System, *Env) {
 	t.Cleanup(sys.Stop)
 	env := &Env{Procs: sys.Procs(), Cores: sys.AppCores(), Counter: NewOpCounter(), Scale: 0.05}
 	if d != nil {
-		env.Faults = coreFaults{sys}
+		env.Faults = coreControl{sys}
 	}
 	return sys, env
 }

@@ -117,11 +117,8 @@ func (e *Elastic) Run(env *Env) (int, error) {
 		e.PreCycles = endA - start
 
 		if env.Elastic != nil {
-			err := hostCall(p, func() (err error) {
-				e.AddedServer, err = env.Elastic.AddServer()
-				return err
-			})
-			if err != nil {
+			var err error
+			if e.AddedServer, err = env.Elastic.AddServer(p.FS); err != nil {
 				runErr = fmt.Errorf("elastic: add server: %w", err)
 				return 1
 			}
@@ -135,8 +132,7 @@ func (e *Elastic) Run(env *Env) (int, error) {
 		e.PostCycles = endB - endA
 
 		if e.Drain && env.Elastic != nil {
-			err := hostCall(p, func() error { return env.Elastic.RemoveServer(e.AddedServer) })
-			if err != nil {
+			if err := env.Elastic.RemoveServer(p.FS, e.AddedServer); err != nil {
 				runErr = fmt.Errorf("elastic: drain server %d: %w", e.AddedServer, err)
 				return 1
 			}

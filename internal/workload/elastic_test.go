@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/fsapi"
 	"repro/internal/place"
 	"repro/internal/sched"
 )
@@ -51,7 +53,7 @@ func TestElasticNamespaceEquivalence(t *testing.T) {
 			for _, elastic := range []bool{true, false} {
 				sys, env := elasticSystem(t, policy, 2, 4, nil)
 				if elastic {
-					env.Elastic = sys
+					env.Elastic = coreControl{sys}
 				}
 				w := &Elastic{PerWorker: 8, Drain: true}
 				runOne(t, env, w)
@@ -80,33 +82,39 @@ func TestElasticNamespaceEquivalence(t *testing.T) {
 
 // crashyController wraps a system's elastic controller so that the first
 // AddServer — sabotaged by a migration observer that crashes a server at
-// its commit step — is recovered and resumed transparently, the way an
-// operator would: recover the victim, and recovery auto-resumes the pending
-// migration.
+// its commit step, from the migrating process's client — is recovered and
+// resumed transparently, the way an operator would: recover the victim, and
+// recovery auto-resumes the pending migration.
 type crashyController struct {
-	sys    *core.System
+	coreControl
 	victim int
 	t      *testing.T
 }
 
-func (c *crashyController) AddServer() (int, error) {
-	id, err := c.sys.AddServer()
+func (c *crashyController) AddServer(fs fsapi.Client) (int, error) {
+	cli := fs.(*client.Client)
+	crashed := false
+	c.SetMigrationObserver(func(stage string, srv int) {
+		if stage == "commit" && srv == c.victim && !crashed {
+			crashed = true
+			if err := c.Crash(cli, c.victim); err != nil {
+				c.t.Errorf("crash victim: %v", err)
+			}
+		}
+	})
+	id, err := c.System.AddServer(cli)
 	if err == nil {
 		return id, nil
 	}
 	c.t.Logf("AddServer interrupted as planned (%v); recovering server %d", err, c.victim)
-	if _, rerr := c.sys.Recover(c.victim); rerr != nil {
+	if _, rerr := c.System.Recover(cli, c.victim); rerr != nil {
 		return id, rerr
 	}
-	if c.sys.MigrationPending() {
-		return id, c.sys.ResumeMigration()
+	if c.MigrationPending() {
+		return id, c.ResumeMigration(cli)
 	}
 	return id, nil
 }
-
-func (c *crashyController) RemoveServer(id int) error { return c.sys.RemoveServer(id) }
-func (c *crashyController) Epoch() uint64             { return c.sys.Epoch() }
-func (c *crashyController) Members() []int            { return c.sys.Members() }
 
 // TestElasticCrashDuringMigrationEquivalence injects a server crash into
 // the commit step of the mid-workload migration (durability on), recovers,
@@ -119,17 +127,7 @@ func TestElasticCrashDuringMigrationEquivalence(t *testing.T) {
 	for _, elastic := range []bool{true, false} {
 		sys, env := elasticSystem(t, place.PolicyRing, 2, 3, d)
 		if elastic {
-			const victim = 1
-			crashed := false
-			sys.SetMigrationObserver(func(stage string, srv int) {
-				if stage == "commit" && srv == victim && !crashed {
-					crashed = true
-					if err := sys.Crash(victim); err != nil {
-						t.Errorf("crash victim: %v", err)
-					}
-				}
-			})
-			env.Elastic = &crashyController{sys: sys, victim: victim, t: t}
+			env.Elastic = &crashyController{coreControl: coreControl{sys}, victim: 1, t: t}
 		}
 		w := &Elastic{PerWorker: 8}
 		runOne(t, env, w)

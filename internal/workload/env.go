@@ -18,31 +18,33 @@ import (
 
 // FaultInjector is the crash/recovery surface a backend may expose to
 // workloads (the Hare backend does when durability is enabled; the
-// baselines do not). Workloads that inject faults must quiesce their own
-// operations against a server before crashing it.
+// baselines do not). Each call is made from cli, the calling process's own
+// client, and takes that process's virtual time. Workloads that inject faults
+// must quiesce their own operations against a server before crashing it.
 type FaultInjector interface {
 	// NumServers reports how many file servers can be crashed.
 	NumServers() int
 	// Checkpoint snapshots one server's state and truncates its log.
-	Checkpoint(server int) error
+	Checkpoint(cli fsapi.Client, server int) error
 	// Crash kills one server; its clients stall until recovery.
-	Crash(server int) error
+	Crash(cli fsapi.Client, server int) error
 	// Recover rebuilds a crashed server from checkpoint + log replay.
-	Recover(server int) error
+	Recover(cli fsapi.Client, server int) error
 }
 
 // ElasticController is the online-membership surface a backend may expose
 // to workloads (a Hare deployment with MaxServers headroom does; the
 // baselines and static deployments do not). Adding or draining a server
 // migrates directory-entry shards while the system keeps serving
-// (DESIGN.md §9).
+// (DESIGN.md §9); the migration is driven from cli, the calling process's
+// own client.
 type ElasticController interface {
 	// AddServer spins up one new file server and rebalances shards onto
 	// it, returning the new server's id.
-	AddServer() (int, error)
+	AddServer(cli fsapi.Client) (int, error)
 	// RemoveServer drains server id's shards away and removes it from the
 	// placement map (its inodes stay put and keep being served).
-	RemoveServer(id int) error
+	RemoveServer(cli fsapi.Client, id int) error
 	// Epoch returns the current placement epoch.
 	Epoch() uint64
 	// Members returns the server ids currently owning shards.
@@ -146,18 +148,6 @@ func fanOut(p *sched.Proc, n int, worker func(wp *sched.Proc, idx int) int) int 
 		handles = append(handles, h)
 	}
 	return p.Wait(handles...)
-}
-
-// hostCall makes a control-plane call — a membership change, a fault — on
-// behalf of process p, which is blocked on it meanwhile: the call is the
-// host's, not traffic of p's lane, and leaves p's clock where it was.
-func hostCall(p *sched.Proc, call func() error) error {
-	var err error
-	p.Blocked(func() sim.Cycles {
-		err = call()
-		return p.Now()
-	})
-	return err
 }
 
 // OpClass buckets POSIX calls for the Figure 5 operation breakdown.

@@ -56,7 +56,7 @@ func TestParallelEveryWorkload(t *testing.T) {
 				}
 				env := &Env{
 					Procs: sys.Procs(), Cores: sys.AppCores(), Counter: NewOpCounter(), Scale: 0.05,
-					Faults: coreFaults{sys}, Elastic: sys,
+					Faults: coreControl{sys}, Elastic: coreControl{sys},
 				}
 				w := registered()[i] // a fresh instance per engine: some keep state
 				within(t, sys, time.Minute, func() error {

@@ -95,17 +95,18 @@ func TestParallelReplicationFailoverEquivalence(t *testing.T) {
 	snaps := make(map[bool]map[string]string)
 	for _, parallel := range []bool{false, true} {
 		sys, env := controlSystem(t, parallel, repl.Sync)
+		ctl := sys.NewClient(0)
 		if err := controlPhase(env, "/before", 3); err != nil {
 			t.Fatalf("phase before (parallel=%v): %v", parallel, err)
 		}
-		if err := sys.CheckpointAll(); err != nil {
+		if err := sys.CheckpointAll(ctl); err != nil {
 			t.Fatalf("checkpoint (parallel=%v): %v", parallel, err)
 		}
 		const victim = 1
-		if err := sys.Crash(victim); err != nil {
+		if err := sys.Crash(ctl, victim); err != nil {
 			t.Fatalf("crash (parallel=%v): %v", parallel, err)
 		}
-		if _, err := sys.Failover(victim); err != nil {
+		if _, err := sys.Failover(ctl, victim); err != nil {
 			t.Fatalf("failover (parallel=%v): %v", parallel, err)
 		}
 		if err := controlPhase(env, "/after", 3); err != nil {
@@ -119,24 +120,25 @@ func TestParallelReplicationFailoverEquivalence(t *testing.T) {
 }
 
 // TestParallelCrashRecoverEquivalence checkpoints, crashes, and log-replays
-// a server between traffic rounds under both engines: Crash must park the
-// dead server's lanes (its closed inbox bypasses the gate so the run loop
-// can exit) and recovery's first send re-joins at the recovery frontier.
+// a server between traffic rounds under both engines: the crash is a request
+// the server serves in arrival order before its loop stops, and the restart
+// begins at the control client's clock.
 func TestParallelCrashRecoverEquivalence(t *testing.T) {
 	snaps := make(map[bool]map[string]string)
 	for _, parallel := range []bool{false, true} {
 		sys, env := controlSystem(t, parallel, repl.Off)
+		ctl := sys.NewClient(0)
 		if err := controlPhase(env, "/before", 3); err != nil {
 			t.Fatalf("phase before (parallel=%v): %v", parallel, err)
 		}
 		const victim = 1
-		if err := sys.Checkpoint(victim); err != nil {
+		if err := sys.Checkpoint(ctl, victim); err != nil {
 			t.Fatalf("checkpoint (parallel=%v): %v", parallel, err)
 		}
-		if err := sys.Crash(victim); err != nil {
+		if err := sys.Crash(ctl, victim); err != nil {
 			t.Fatalf("crash (parallel=%v): %v", parallel, err)
 		}
-		if _, err := sys.Recover(victim); err != nil {
+		if _, err := sys.Recover(ctl, victim); err != nil {
 			t.Fatalf("recover (parallel=%v): %v", parallel, err)
 		}
 		if err := controlPhase(env, "/after", 3); err != nil {
@@ -151,23 +153,23 @@ func TestParallelCrashRecoverEquivalence(t *testing.T) {
 
 // TestParallelMigrationEquivalence grows and then drains the deployment
 // between traffic rounds under both engines: migration's freeze → pull →
-// publish → commit pins frontier advancement via the controller lane's
-// bump-then-park protocol.
+// publish → commit legs leave the control client's own lane.
 func TestParallelMigrationEquivalence(t *testing.T) {
 	snaps := make(map[bool]map[string]string)
 	for _, parallel := range []bool{false, true} {
 		sys, env := controlSystem(t, parallel, repl.Off)
+		ctl := sys.NewClient(0)
 		if err := controlPhase(env, "/before", 3); err != nil {
 			t.Fatalf("phase before (parallel=%v): %v", parallel, err)
 		}
-		id, err := sys.AddServer()
+		id, err := sys.AddServer(ctl)
 		if err != nil {
 			t.Fatalf("add server (parallel=%v): %v", parallel, err)
 		}
 		if err := controlPhase(env, "/grown", 3); err != nil {
 			t.Fatalf("phase grown (parallel=%v): %v", parallel, err)
 		}
-		if err := sys.RemoveServer(id); err != nil {
+		if err := sys.RemoveServer(ctl, id); err != nil {
 			t.Fatalf("remove server (parallel=%v): %v", parallel, err)
 		}
 		if err := controlPhase(env, "/after", 3); err != nil {

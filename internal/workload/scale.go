@@ -24,6 +24,10 @@ type ScaleSweep struct {
 	// StatEvery makes each worker re-stat every StatEvery'th file after the
 	// create phase. Zero means 8.
 	StatEvery int
+
+	// paths holds, once Prepare has built them, each worker's subtree root,
+	// directories and files, in the order Run makes them.
+	paths [][]string
 }
 
 // Name implements Workload.
@@ -71,26 +75,44 @@ func (w ScaleSweep) Ops(env *Env) int {
 	return perWorker * n
 }
 
+// Prepare builds every path Run will use — each worker's subtree root, its
+// directories, then its files spread over them — so that a caller who times
+// Run (the scale sweep) times the file system and not the formatting of
+// names. Run prepares them itself, before its workers start, when nothing
+// was prepared.
+func (w *ScaleSweep) Prepare(env *Env) {
+	files, dirs, _ := w.params(env)
+	w.paths = make([][]string, env.workers())
+	for idx := range w.paths {
+		p := append(make([]string, 0, 1+dirs+files), fmt.Sprintf("/scale/w%04d", idx))
+		for d := 0; d < dirs; d++ {
+			p = append(p, fmt.Sprintf("%s/d%04d", p[0], d))
+		}
+		for i := 0; i < files; i++ {
+			p = append(p, fmt.Sprintf("%s/f%07d", p[1+i%dirs], i))
+		}
+		w.paths[idx] = p
+	}
+}
+
 // Run implements Workload. Each worker performs, in its own subtree:
 // one mkdir for the subtree root, DirsPerWorker mkdirs, FilesPerWorker
 // create+close pairs, and FilesPerWorker/StatEvery stats.
 func (w ScaleSweep) Run(env *Env) (int, error) {
-	files, dirs, statEvery := w.params(env)
-	n := env.workers()
+	_, dirs, statEvery := w.params(env)
+	if w.paths == nil {
+		w.Prepare(env)
+	}
 	err := runRoot(env, "scale", func(p *sched.Proc) int {
-		return fanOut(p, n, func(wp *sched.Proc, idx int) int {
+		return fanOut(p, len(w.paths), func(wp *sched.Proc, idx int) int {
 			fs := env.fs(wp)
-			root := fmt.Sprintf("/scale/w%04d", idx)
-			if err := fs.Mkdir(root, fsapi.MkdirOpt{}); err != nil {
-				return 1
-			}
-			for d := 0; d < dirs; d++ {
-				if err := fs.Mkdir(fmt.Sprintf("%s/d%04d", root, d), fsapi.MkdirOpt{}); err != nil {
+			for _, dir := range w.paths[idx][:1+dirs] {
+				if err := fs.Mkdir(dir, fsapi.MkdirOpt{}); err != nil {
 					return 1
 				}
 			}
-			for i := 0; i < files; i++ {
-				name := fmt.Sprintf("%s/d%04d/f%07d", root, i%dirs, i)
+			names := w.paths[idx][1+dirs:]
+			for _, name := range names {
 				fd, err := fs.Open(name, fsapi.OCreate|fsapi.OWrOnly, fsapi.Mode644)
 				if err != nil {
 					return 1
@@ -99,9 +121,8 @@ func (w ScaleSweep) Run(env *Env) (int, error) {
 					return 1
 				}
 			}
-			for i := 0; i < files; i += statEvery {
-				name := fmt.Sprintf("%s/d%04d/f%07d", root, i%dirs, i)
-				if _, err := fs.Stat(name); err != nil {
+			for i := 0; i < len(names); i += statEvery {
+				if _, err := fs.Stat(names[i]); err != nil {
 					return 1
 				}
 			}
