@@ -41,14 +41,11 @@ func batchLen(reqs []*proto.Request, led int) int {
 	return n - led
 }
 
-// batchEnvelope stamps the sub-requests and returns the OpBatch envelope that
-// carries them; its AppendTo encodes them in place. It is returned by value
-// so that an envelope sent at once stays on the caller's stack, the
-// sub-requests with it.
+// batchEnvelope returns the OpBatch envelope that carries the sub-requests;
+// its AppendTo encodes them in place. It is returned by value so that an
+// envelope sent at once stays on the caller's stack, the sub-requests with
+// it.
 func (c *Client) batchEnvelope(subs []*proto.Request, stopOnErr bool) proto.Request {
-	for _, r := range subs {
-		r.ClientID = c.cfg.ID
-	}
 	return proto.Request{Op: proto.OpBatch, Subs: subs, StopOnErr: stopOnErr}
 }
 

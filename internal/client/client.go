@@ -18,7 +18,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/ncc"
 	"repro/internal/proto"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/table"
 	"repro/internal/trace"
@@ -43,14 +42,12 @@ func DefaultOptions() Options {
 
 // Config wires a client library into a Hare deployment.
 type Config struct {
-	ID   int32
 	Core int
 
-	Machine  *sim.Machine
-	Network  *msg.Network
-	DRAM     *ncc.DRAM
-	Cache    *ncc.PrivateCache
-	Registry *server.ClientRegistry
+	Machine *sim.Machine
+	Network *msg.Network
+	DRAM    *ncc.DRAM
+	Cache   *ncc.PrivateCache
 
 	// Provider publishes the deployment's current routing snapshot
 	// (placement map, server endpoints and cores); the client caches it and
@@ -63,10 +60,8 @@ type Config struct {
 
 	Options Options
 
-	// IDs allocates client ids for forked/exec'd processes; CacheForCore
-	// returns the private cache of a given core (needed when a child lands
-	// on a different core than its parent).
-	IDs          *IDAllocator
+	// CacheForCore returns the private cache of a given core (needed when a
+	// child lands on a different core than its parent).
 	CacheForCore func(core int) *ncc.PrivateCache
 
 	// Tracer, when non-nil, samples FS operations into root spans whose
@@ -244,33 +239,33 @@ type openFile struct {
 	localRefs int // dup'd descriptors in this process
 }
 
-// New creates a client library instance, registering its callback endpoint
-// with the servers' client registry. It makes the client and its endpoint
-// and nothing else: every table a process may never use is made on first
-// use (DESIGN.md §13 "Per-process state").
+// New creates a client library instance on an endpoint of its own, the one
+// name servers know it by: they track the entries it looks up by the
+// endpoint its requests come from, and call it back there. It makes the
+// client and its endpoint and nothing else: every table a process may never
+// use is made on first use (DESIGN.md §13 "Per-process state").
 func New(cfg Config) *Client {
 	c := &Client{
 		cfg:    cfg,
-		ep:     cfg.Network.NewEndpoint(cfg.Core),
+		ep:     cfg.Network.NewClientEndpoint(cfg.Core),
 		nextFD: 3, // 0-2 reserved for stdio by convention
 		cwd:    "/",
 		dcache: newDcacheTable(),
 		vcache: newVcacheTable(),
 		tr:     cfg.Tracer,
-		tem:    trace.ClientEmitter(cfg.ID),
 	}
+	c.tem = trace.ClientEmitter(c.where())
 	c.routing = cfg.Provider.Routing()
-	cfg.Registry.Register(cfg.ID, c.ep.ID)
 	c.near = c.nearRing()
 	return c
 }
 
-// ID returns the client library id.
-func (c *Client) ID() int32 { return c.cfg.ID }
-
-// EndpointID returns the client's network endpoint (its lane id under the
-// parallel virtual-time engine).
+// EndpointID returns the client's network endpoint: its name at the servers,
+// and its lane id under the parallel virtual-time engine.
 func (c *Client) EndpointID() msg.EndpointID { return c.ep.ID }
+
+// where is the client as a trace span's Where: its endpoint id.
+func (c *Client) where() int32 { return int32(c.ep.ID) }
 
 // GateActive reports whether the parallel virtual-time engine is installed.
 func (c *Client) GateActive() bool { return c.cfg.Network.Gate() != nil }
@@ -436,7 +431,7 @@ func (c *Client) beginOp(name string) *trace.Span {
 	id := c.tem.Next()
 	s := &trace.Span{
 		Trace: id, ID: id, Kind: trace.KindRoot, Name: name,
-		Where: c.cfg.ID, Start: c.clock.Now(),
+		Where: c.where(), Start: c.clock.Now(),
 	}
 	c.cur = s
 	c.charge(c.cfg.Machine.Cost.TraceSpan)
@@ -484,7 +479,7 @@ func (c *Client) noteEpochRefresh(op proto.Op, tries int) {
 	c.charge(c.cfg.Machine.Cost.TraceSpan)
 	c.tr.Record(trace.Span{
 		Trace: c.cur.Trace, ID: c.tem.Next(), Parent: c.cur.ID,
-		Kind: trace.KindEpochRefresh, Name: op.String(), Where: c.cfg.ID,
+		Kind: trace.KindEpochRefresh, Name: op.String(), Where: c.where(),
 		Start: start, End: c.clock.Now(), Idx: int32(tries),
 	})
 }

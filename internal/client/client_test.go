@@ -380,8 +380,8 @@ func TestClientStatsCounters(t *testing.T) {
 	if cli.Options() != (sys.NewClient(1)).Options() {
 		t.Fatal("options should be uniform across clients")
 	}
-	if cli.ID() == sys.NewClient(1).ID() {
-		t.Fatal("client ids must be unique")
+	if cli.EndpointID() == sys.NewClient(1).EndpointID() {
+		t.Fatal("client endpoints must be unique")
 	}
 }
 

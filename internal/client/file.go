@@ -307,7 +307,7 @@ func (c *Client) writebackFile(of *openFile) {
 		c.charge(c.cfg.Machine.Cost.TraceSpan)
 		c.tr.Record(trace.Span{
 			Trace: c.cur.Trace, ID: c.tem.Next(), Parent: c.cur.ID,
-			Kind: trace.KindWriteback, Name: "writeback", Where: c.cfg.ID,
+			Kind: trace.KindWriteback, Name: "writeback", Where: c.where(),
 			Start: start, End: c.clock.Now(), Idx: int32(lines),
 		})
 	}

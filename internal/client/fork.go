@@ -1,28 +1,9 @@
 package client
 
 import (
-	"sync/atomic"
-
 	"repro/internal/fsapi"
 	"repro/internal/proto"
 )
-
-// IDAllocator hands out unique client-library ids across the whole Hare
-// deployment (forked and exec'd processes each get their own client library,
-// and servers track directory-cache state per client id).
-type IDAllocator struct {
-	next atomic.Int32
-}
-
-// NewIDAllocator returns an allocator whose first id is start.
-func NewIDAllocator(start int32) *IDAllocator {
-	a := &IDAllocator{}
-	a.next.Store(start)
-	return a
-}
-
-// Next returns a fresh client id.
-func (a *IDAllocator) Next() int32 { return a.next.Add(1) - 1 }
 
 // shareFD migrates a descriptor's offset to the file server so that another
 // process can share it (§3.4). Dirty data is written back first so reads
@@ -81,7 +62,7 @@ func (c *Client) incRef(of *openFile) error {
 // point at which a process may move (§3.5).
 func (c *Client) CloneForFork(childCore int) (fsapi.Client, error) {
 	defer c.releaseResps(c.respMark())
-	child := c.spawnPeer(childCore)
+	child := c.NewPeer(childCore)
 	child.cwd, child.writesCreates = c.cwd, c.writesCreates
 	child.clock.AdvanceTo(c.clock.Now())
 
@@ -118,15 +99,11 @@ func (c *Client) CloneForFork(childCore int) (fsapi.Client, error) {
 	return child, nil
 }
 
-// spawnPeer creates a fresh client library on the given core with a new id,
-// sharing the deployment-wide configuration.
-func (c *Client) spawnPeer(core int) *Client {
+// NewPeer creates a fresh client library (empty descriptor table) on the
+// given core, on an endpoint of its own, sharing the deployment-wide
+// configuration.
+func (c *Client) NewPeer(core int) *Client {
 	cfg := c.cfg
-	if cfg.IDs != nil {
-		cfg.ID = cfg.IDs.Next()
-	} else {
-		cfg.ID = c.cfg.ID + 1000
-	}
 	cfg.Core = core
 	if cfg.CacheForCore != nil {
 		cfg.Cache = cfg.CacheForCore(core)
@@ -188,11 +165,6 @@ func (c *Client) ImportFds(specs []proto.FdSpec) {
 		}
 	}
 }
-
-// NewPeer creates a fresh client library (empty descriptor table) on the
-// given core; the scheduling server uses it to build the client for a
-// process exec'd onto that core.
-func (c *Client) NewPeer(core int) *Client { return c.spawnPeer(core) }
 
 // SetCwd sets the working directory without validation; used when
 // reconstructing a process image from an exec request whose directory was

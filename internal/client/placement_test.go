@@ -192,8 +192,8 @@ func TestCreationAffinityPlacement(t *testing.T) {
 		}},
 		{"two clients on one core choose identical servers", true, func(p *placement) {
 			a, b := p.sys.NewClient(12), p.sys.NewClient(12)
-			if a.ID() == b.ID() {
-				p.t.Fatalf("both clients have id %d", a.ID())
+			if a.EndpointID() == b.EndpointID() {
+				p.t.Fatalf("both clients have endpoint %d", a.EndpointID())
 			}
 			// Each makes the same sequence under names of its own: an inode
 			// that stays with its entry is recorded as -1.
@@ -211,7 +211,7 @@ func TestCreationAffinityPlacement(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {
-				p.t.Errorf("client %d placed %v, client %d %v", a.ID(), got[0], b.ID(), got[1])
+				p.t.Errorf("client %d placed %v, client %d %v", a.EndpointID(), got[0], b.EndpointID(), got[1])
 			}
 		}},
 		{"with creation affinity off the inode goes to the entry server", false, func(p *placement) {

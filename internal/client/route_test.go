@@ -19,7 +19,6 @@ import (
 	"repro/internal/ncc"
 	"repro/internal/place"
 	"repro/internal/proto"
-	"repro/internal/server"
 	"repro/internal/sim"
 )
 
@@ -119,13 +118,11 @@ func newRouteHarness(t *testing.T, n int, handler func(srv int, req *proto.Reque
 	})
 
 	h.cli = New(Config{
-		ID:       1,
 		Core:     0,
 		Machine:  machine,
 		Network:  net,
 		DRAM:     dram,
 		Cache:    ncc.NewPrivateCache(dram),
-		Registry: server.NewClientRegistry(),
 		Provider: h.provider,
 		Root:     proto.RootInode,
 		Options:  DefaultOptions(),

@@ -82,7 +82,6 @@ func (c *Client) send(fl *flight, dst msg.EndpointID, req *proto.Request, sends 
 		fl.n = len(wire.Subs)
 		c.stats.batched.Add(uint64(fl.n))
 	}
-	wire.ClientID = c.cfg.ID
 	if c.cur != nil {
 		wire.Trace, wire.Span = c.cur.Trace, c.cur.ID
 		if mode == sendCall {
@@ -155,7 +154,7 @@ func (c *Client) receive(fls []flight, out []*proto.Response) ([]*proto.Response
 			if fl.span != 0 {
 				c.tr.Record(trace.Span{
 					Trace: c.cur.Trace, ID: fl.span, Parent: c.cur.ID,
-					Kind: trace.KindRPC, Name: fl.op.String(), Where: c.cfg.ID,
+					Kind: trace.KindRPC, Name: fl.op.String(), Where: c.where(),
 					Start: fl.at, End: c.clock.Now(), Err: int32(resp.Err),
 				})
 			}

@@ -201,7 +201,6 @@ type System struct {
 	dram    *ncc.DRAM
 	caches  []*ncc.PrivateCache
 
-	registry    *server.ClientRegistry
 	servers     []*server.Server
 	serverEPs   []msg.EndpointID
 	serverCores []int
@@ -219,12 +218,11 @@ type System struct {
 	// failEm allocates failover-span ids (unset when replication is disabled).
 	failEm trace.Emitter
 
-	ids      *client.IDAllocator
 	procSys  *sched.HareSystem
 	appCores []int
 
 	// clientCfg is what every client library shares, built once: a process
-	// adds its id, core and cache (newClient).
+	// adds its core and cache (newClient).
 	clientCfg client.Config
 
 	// tracer is nil when Config.Trace is disabled; every layer treats a
@@ -257,18 +255,15 @@ func New(cfg Config) (*System, error) {
 	parts := ncc.PartitionDRAM(dram, cfg.MaxServers)
 
 	network := msg.NewNetwork(msg.WrapMachine(machine))
-	registry := server.NewClientRegistry()
 
 	sys := &System{
-		cfg:      cfg,
-		machine:  machine,
-		network:  network,
-		dram:     dram,
-		caches:   make([]*ncc.PrivateCache, cfg.Cores),
-		registry: registry,
-		parts:    parts,
-		ids:      client.NewIDAllocator(1),
-		tracer:   trace.New(cfg.Trace),
+		cfg:     cfg,
+		machine: machine,
+		network: network,
+		dram:    dram,
+		caches:  make([]*ncc.PrivateCache, cfg.Cores),
+		parts:   parts,
+		tracer:  trace.New(cfg.Trace),
 	}
 	for i := range sys.caches {
 		sys.caches[i] = ncc.NewPrivateCache(dram)
@@ -305,7 +300,6 @@ func New(cfg Config) (*System, error) {
 			Network:         network,
 			DRAM:            dram,
 			Partition:       parts[i],
-			Registry:        registry,
 			CoLocated:       cfg.Timeshare,
 			RootDistributed: rootDist,
 			Log:             log,
@@ -326,12 +320,10 @@ func New(cfg Config) (*System, error) {
 		Machine:      machine,
 		Network:      network,
 		DRAM:         dram,
-		Registry:     registry,
 		Provider:     sys,
 		Root:         proto.RootInode,
 		RootDist:     rootDist,
 		Options:      sys.clientOptions(),
-		IDs:          sys.ids,
 		CacheForCore: sys.cacheForCore,
 		Tracer:       sys.tracer,
 	}
@@ -471,7 +463,7 @@ func (s *System) newClient(core int, autoPark bool) *client.Client {
 		core = 0
 	}
 	cfg := s.clientCfg
-	cfg.ID, cfg.Core, cfg.Cache, cfg.AutoPark = s.ids.Next(), core, s.caches[core], autoPark
+	cfg.Core, cfg.Cache, cfg.AutoPark = core, s.caches[core], autoPark
 	return client.New(cfg)
 }
 

@@ -87,7 +87,6 @@ func (s *System) AddServer(cli *client.Client) (int, error) {
 		Network:         s.network,
 		DRAM:            s.dram,
 		Partition:       s.parts[id],
-		Registry:        s.registry,
 		CoLocated:       s.cfg.Timeshare,
 		RootDistributed: false,
 		Log:             log,

@@ -69,9 +69,18 @@ type Endpoint struct {
 	// has not been idled on since (GateIdle): it need not join again.
 	lane atomic.Pointer[sim.Gate]
 
+	// client marks a client library's endpoint (NewClientEndpoint), the
+	// kind a restarted server's cache flush reaches (LiveClients); left is
+	// the virtual time it left the network at (Leave), never until then.
+	client bool
+	left   atomic.Uint64
+
 	sendSeq atomic.Uint64
 	cache   epCache
 }
+
+// never is the left time of an endpoint that has not left.
+const never = ^sim.Cycles(0)
 
 // Network routes envelopes between endpoints, applying topology-dependent
 // latency and recording statistics.
@@ -122,11 +131,20 @@ func NewNetwork(m Machine) *Network {
 }
 
 // NewEndpoint registers a new endpoint pinned to the given core.
-func (n *Network) NewEndpoint(core int) *Endpoint {
+func (n *Network) NewEndpoint(core int) *Endpoint { return n.newEndpoint(core, false) }
+
+// NewClientEndpoint registers a client library's endpoint, pinned to the
+// given core: the one name servers know a client by. Its requests come from
+// it, its callbacks go to it, and it leaves the network when its process
+// exits (Leave).
+func (n *Network) NewClientEndpoint(core int) *Endpoint { return n.newEndpoint(core, true) }
+
+func (n *Network) newEndpoint(core int, client bool) *Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	id := EndpointID(n.registered.Load())
-	ep := &Endpoint{ID: id, Core: core, net: n}
+	ep := &Endpoint{ID: id, Core: core, net: n, client: client}
+	ep.left.Store(uint64(never))
 	ep.inbox.init()
 	ep.callbacks.init()
 	for i := range ep.cache.bufs {
@@ -159,6 +177,41 @@ func (n *Network) lookup(id EndpointID) *Endpoint {
 func (n *Network) Endpoint(id EndpointID) (*Endpoint, bool) {
 	ep := n.lookup(id)
 	return ep, ep != nil
+}
+
+// Leave takes a client's endpoint off the network at virtual time at, the
+// end of its process. The callbacks queued at it go back to their senders'
+// caches, and a callback sent to it later is counted as any other, but its
+// payload goes back at once: nobody is left to read it. Servers hear of no
+// exit, so they charge such a callback as before (ROADMAP item 28).
+func (n *Network) Leave(id EndpointID, at sim.Cycles) {
+	ep := n.lookup(id)
+	if ep == nil {
+		return
+	}
+	ep.left.Store(uint64(at))
+	ep.Callbacks.Close()
+	for {
+		env, ok := ep.Callbacks.TryPop()
+		if !ok {
+			return
+		}
+		n.ReleaseToSender(env)
+	}
+}
+
+// LiveClients calls yield with every client endpoint that has not left by
+// virtual time at, in ascending id. A restarted server flushes their
+// directory caches in this order: each send advances its clock, so the
+// order fixes when each client hears it.
+func (n *Network) LiveClients(at sim.Cycles, yield func(EndpointID)) {
+	count := n.registered.Load()
+	eps := *n.endpoints.Load()
+	for _, ep := range eps[:count] {
+		if ep.client && sim.Cycles(ep.left.Load()) > at {
+			yield(ep.ID)
+		}
+	}
 }
 
 // SetGate installs (or, with nil, removes) the parallel engine's gate.
@@ -360,7 +413,9 @@ func (n *Network) SendCallback(src *Endpoint, dst EndpointID, kind uint16, paylo
 	n.stats.Messages.Add(1)
 	n.stats.Callbacks.Add(1)
 	n.stats.Bytes.Add(uint64(len(payload)))
-	dep.Callbacks.Push(env)
+	if !dep.Callbacks.pushOpen(env) {
+		src.cache.PutBuf(payload) // dst has left (Leave)
+	}
 	return arrive, nil
 }
 

@@ -19,7 +19,8 @@
 //     duplicate delivery copies the payload for the extra envelope.
 //   - A callback payload (directory invalidation) is drawn from the sender's
 //     cache, one buffer per destination, and handed back to that cache by the
-//     receiver (Network.ReleaseToSender): callbacks flow one way, so buffers
+//     receiver (Network.ReleaseToSender), or by the network if the receiver
+//     has left it (Network.Leave): callbacks flow one way, so buffers
 //     released into the receiver's cache would never come back. (The
 //     replication plane answers a ship in the ship's own buffer instead,
 //     because ships and acks differ in size class, DESIGN.md §12.)
@@ -144,6 +145,18 @@ func (c *epCache) putFuture(f *Future) {
 // GetBuf returns a marshal buffer from the endpoint's cache. See the package
 // comment for ownership rules.
 func (ep *Endpoint) GetBuf(n int) []byte { return ep.cache.GetBuf(n) }
+
+// CachedBufs returns how many payload buffers the endpoint's cache holds: a
+// sender whose buffers do not come back sees it fall.
+func (ep *Endpoint) CachedBufs() int {
+	ep.cache.mu.Lock()
+	defer ep.cache.mu.Unlock()
+	n := 0
+	for _, l := range ep.cache.bufs {
+		n += len(l)
+	}
+	return n
+}
 
 // PutBuf releases a payload buffer into the endpoint's cache. Call it only
 // with buffers this endpoint owns: payloads of envelopes delivered to it

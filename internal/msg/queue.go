@@ -219,6 +219,20 @@ func (q *Queue) push(e Envelope) (offer bool) {
 	return offer
 }
 
+// pushOpen is Push for a queue no gated consumer sleeps on, refused once the
+// queue is closed: it reports whether e was queued.
+func (q *Queue) pushOpen(e Envelope) bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	q.add(e)
+	q.mu.Unlock()
+	q.cond.Signal()
+	return true
+}
+
 // add queues e under q.mu and returns its push sequence number.
 func (q *Queue) add(e Envelope) uint64 {
 	seq := q.nextSeq

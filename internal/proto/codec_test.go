@@ -29,7 +29,7 @@ func allOps() []Op {
 func sampleRequest(op Op) *Request {
 	n := int(op)
 	r := &Request{
-		Op: op, ClientID: int32(n), Epoch: uint64(n % 3),
+		Op: op, Epoch: uint64(n % 3),
 		Dir:    InodeID{Server: int32(n % 4), Local: uint64(100 + n)},
 		Name:   strings.Repeat("n", 1+n*5%fsapi.NameMax),
 		Target: InodeID{Server: int32(n % 5), Local: uint64(200 + n)},
@@ -120,7 +120,7 @@ func TestSizeHintCoversWireSize(t *testing.T) {
 	}
 	breqs, bresps := sampleBatches()
 	for i := range breqs {
-		env := &Request{Op: OpBatch, ClientID: 7, Subs: breqs[i], StopOnErr: true, Trace: 5, Span: 6}
+		env := &Request{Op: OpBatch, Subs: breqs[i], StopOnErr: true, Trace: 5, Span: 6}
 		check(fmt.Sprintf("batch envelope %d", i), len(env.AppendTo(nil)), env.SizeHint())
 		reply := &Response{Subs: bresps[i]}
 		check(fmt.Sprintf("batch reply %d", i), len(reply.AppendTo(nil)), reply.SizeHint())
@@ -164,8 +164,8 @@ func TestBatchEncodedInPlaceIsByteIdentical(t *testing.T) {
 				t.Fatalf("batch %d stop=%v: MarshalBatch differs from the reference encoding", i, stop)
 			}
 			for _, trace := range []uint64{0, 99} {
-				inPlace := &Request{Op: OpBatch, ClientID: 7, Subs: subs, StopOnErr: stop, Trace: trace, Span: trace}
-				copied := &Request{Op: OpBatch, ClientID: 7, Data: ref, Trace: trace, Span: trace}
+				inPlace := &Request{Op: OpBatch, Subs: subs, StopOnErr: stop, Trace: trace, Span: trace}
+				copied := &Request{Op: OpBatch, Data: ref, Trace: trace, Span: trace}
 				want := copied.AppendTo(nil)
 				if got := inPlace.AppendTo(nil); !bytes.Equal(got, want) {
 					t.Fatalf("batch %d stop=%v trace=%d: envelope encoded in place differs from the one that copies its payload", i, stop, trace)
@@ -447,10 +447,10 @@ func FuzzUnmarshalBatchInto(f *testing.F) {
 // nothing for an envelope, its payload, a block map or a batch.
 func TestCodecSteadyStateAllocs(t *testing.T) {
 	subs := []*Request{
-		{Op: OpStat, Target: InodeID{Server: 1, Local: 2}, ClientID: 7},
+		{Op: OpStat, Target: InodeID{Server: 1, Local: 2}},
 		{Op: OpWriteAt, Target: InodeID{Server: 1, Local: 2}, Data: make([]byte, 300), Trace: 3, Span: 4},
 	}
-	env := &Request{Op: OpBatch, ClientID: 7, Subs: subs, StopOnErr: true}
+	env := &Request{Op: OpBatch, Subs: subs, StopOnErr: true}
 	reply := &Response{Subs: []*Response{sampleResponse(OpOpenInode), {Data: make([]byte, 300), N: 300}}}
 	buf := make([]byte, 0, max(env.SizeHint(), reply.SizeHint()))
 	var gotEnv Request

@@ -11,7 +11,6 @@ import (
 func TestRequestRoundTrip(t *testing.T) {
 	req := &Request{
 		Op:          OpCreateCoalesced,
-		ClientID:    7,
 		Dir:         InodeID{Server: 2, Local: 99},
 		Name:        "file.txt",
 		Target:      InodeID{Server: 1, Local: 5},

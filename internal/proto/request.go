@@ -39,8 +39,10 @@ type FdSpec struct {
 // zero. Using one fixed shape mirrors message-passing kernels that exchange
 // fixed-format message structs, and keeps marshaling simple and uniform.
 type Request struct {
-	Op       Op
-	ClientID int32 // registered client-library id (for invalidation tracking)
+	Op Op
+	// ClientID is not on the wire and nothing reads it: a server knows a
+	// client by the endpoint its request comes from (msg.Envelope.Src).
+	ClientID int32
 
 	// Epoch is the placement-map epoch the client routed this request
 	// under. Zero means the request was not routed through the placement
@@ -135,7 +137,6 @@ func (r *Request) Marshal() []byte {
 // paths pass a recycled buffer so that marshaling allocates nothing.
 func (r *Request) AppendTo(buf []byte) []byte {
 	buf = wire.AppendU16(buf, uint16(r.Op))
-	buf = wire.AppendI32(buf, r.ClientID)
 	buf = AppendInode(buf, r.Dir)
 	buf = wire.AppendStr(buf, r.Name)
 	buf = AppendInode(buf, r.Target)
@@ -202,7 +203,6 @@ func (r *Request) decode(d *wire.Decoder) error {
 	data := r.Data
 	*r = Request{}
 	r.Op = Op(d.U16())
-	r.ClientID = d.I32()
 	r.Dir = DecodeInode(d)
 	r.Name = d.Str()
 	r.Target = DecodeInode(d)

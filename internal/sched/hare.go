@@ -139,11 +139,15 @@ func (sys *HareSystem) run(proc *Proc, cli *client.Client, at sim.Cycles, fn Pro
 	}()
 }
 
-// exit is the end of a process or of an exec proxy: close, record, report,
-// leave — in that order (see run).
+// exit is the end of a process or of an exec proxy: close, leave the
+// network, record, report, leave the gate — in that order (see run). Its
+// endpoint leaves at its end time, before its owner hears of the exit:
+// whoever resumes then, and any restart served after the lane idles, finds
+// it gone.
 func (sys *HareSystem) exit(cli *client.Client, status int, own owner) {
 	cli.CloseAll()
 	end := cli.Clock()
+	sys.cfg.Network.Leave(cli.EndpointID(), end)
 	sys.ends.record(end)
 	own.finish(status, end)
 	sys.cfg.Network.GateIdle(cli.EndpointID())

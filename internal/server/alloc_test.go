@@ -26,7 +26,7 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 		Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular,
 	})
 
-	req := &proto.Request{Op: proto.OpStat, Target: created.Ino, ClientID: 7}
+	req := &proto.Request{Op: proto.OpStat, Target: created.Ino}
 	resp := &proto.Response{}
 	roundTrip := func() {
 		payload := req.AppendTo(h.ep.GetBuf(req.SizeHint()))
@@ -53,9 +53,9 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	// A batch is flat too: sub-requests encoded in place in the pooled
 	// buffer, decoded into the server's recycled structs, sub-responses
 	// encoded in place in the reply and decoded into recycled structs.
-	batch := &proto.Request{Op: proto.OpBatch, ClientID: 7, StopOnErr: true, Subs: []*proto.Request{
-		{Op: proto.OpStat, Target: created.Ino, ClientID: 7},
-		{Op: proto.OpGetBlocks, Target: created.Ino, ClientID: 7},
+	batch := &proto.Request{Op: proto.OpBatch, StopOnErr: true, Subs: []*proto.Request{
+		{Op: proto.OpStat, Target: created.Ino},
+		{Op: proto.OpGetBlocks, Target: created.Ino},
 	}}
 	subs := []*proto.Response{{}, {}}
 	batchTrip := func() {
@@ -81,7 +81,7 @@ func TestServerSteadyStateAllocs(t *testing.T) {
 	}
 
 	// Ping is the minimal request; it must be flat too.
-	ping := &proto.Request{Op: proto.OpPing, ClientID: 7}
+	ping := &proto.Request{Op: proto.OpPing}
 	pingTrip := func() {
 		payload := ping.AppendTo(h.ep.GetBuf(ping.SizeHint()))
 		env, err := h.net.RPC(h.ep, h.srv.EndpointID(), proto.KindRequest, payload, 0)
@@ -108,15 +108,13 @@ func BenchmarkServerStat(b *testing.B) {
 	network := msg.NewNetwork(msg.WrapMachine(machine))
 	dram := ncc.NewDRAM(64, 512)
 	parts := ncc.PartitionDRAM(dram, 1)
-	registry := NewClientRegistry()
 	srv := New(Config{
 		ID: 0, Core: 0, NumServers: 1, Machine: machine, Network: network,
-		DRAM: dram, Partition: parts[0], Registry: registry, CoLocated: true,
+		DRAM: dram, Partition: parts[0], CoLocated: true,
 	})
 	srv.Start()
 	defer srv.Stop()
-	ep := network.NewEndpoint(1)
-	registry.Register(7, ep.ID)
+	ep := network.NewClientEndpoint(1)
 
 	call := func(req *proto.Request, resp *proto.Response) {
 		payload := req.AppendTo(ep.GetBuf(req.SizeHint()))
@@ -132,12 +130,12 @@ func BenchmarkServerStat(b *testing.B) {
 	var created proto.Response
 	call(&proto.Request{
 		Op: proto.OpCreateCoalesced, Dir: proto.RootInode, Name: "hot",
-		Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular, ClientID: 7,
+		Mode: fsapi.Mode644, Ftype: fsapi.TypeRegular,
 	}, &created)
 	if created.Err != fsapi.OK {
 		b.Fatalf("create failed: %v", created.Err)
 	}
-	req := &proto.Request{Op: proto.OpStat, Target: created.Ino, ClientID: 7}
+	req := &proto.Request{Op: proto.OpStat, Target: created.Ino}
 	resp := &proto.Response{}
 	for i := 0; i < 32; i++ {
 		call(req, resp)

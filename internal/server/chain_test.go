@@ -32,7 +32,6 @@ func onPrev(op proto.Op) *proto.Request {
 // send sends a request without waiting for its reply.
 func (h *harness) send(req *proto.Request) *msg.Future {
 	h.t.Helper()
-	req.ClientID = 7
 	fut, err := h.net.SendAsync(h.ep, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0)
 	if err != nil {
 		h.t.Fatal(err)
@@ -58,9 +57,6 @@ func (h *harness) awaitParked(before, n uint64) {
 // sendBatch sends a stop-on-error batch without waiting for its reply.
 func (h *harness) sendBatch(reqs ...*proto.Request) *msg.Future {
 	h.t.Helper()
-	for _, r := range reqs {
-		r.ClientID = 7
-	}
 	return h.send(&proto.Request{Op: proto.OpBatch, Subs: reqs, StopOnErr: true})
 }
 

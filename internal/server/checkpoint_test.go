@@ -126,7 +126,6 @@ func fuzzServer() *Server {
 		Network:    msg.NewNetwork(msg.WrapMachine(machine)),
 		DRAM:       dram,
 		Partition:  ncc.PartitionDRAM(dram, 1)[0],
-		Registry:   NewClientRegistry(),
 		CoLocated:  true,
 	})
 }

@@ -24,14 +24,12 @@ func durableServers(t *testing.T, n int) []*harness {
 	network := msg.NewNetwork(msg.WrapMachine(machine))
 	dram := ncc.NewDRAM(64, 512)
 	parts := ncc.PartitionDRAM(dram, n)
-	registry := NewClientRegistry()
 	members := make([]int32, n)
 	for i := range members {
 		members[i] = int32(i)
 	}
 	pmap := place.New(place.PolicyModulo, members, 1)
-	ep := network.NewEndpoint(1)
-	registry.Register(7, ep.ID)
+	ep := network.NewClientEndpoint(1)
 	hs := make([]*harness, n)
 	for i := range hs {
 		log, err := wal.Open(wal.Config{FlushCycles: machine.Cost.WalFlush, AppendPerLine: machine.Cost.WalPerLine})
@@ -40,7 +38,7 @@ func durableServers(t *testing.T, n int) []*harness {
 		}
 		srv := New(Config{
 			ID: i, Core: i, NumServers: n, Machine: machine, Network: network,
-			DRAM: dram, Partition: parts[i], Registry: registry,
+			DRAM: dram, Partition: parts[i],
 			CoLocated: true, Log: log, Placement: pmap,
 		})
 		srv.Start()
@@ -223,32 +221,39 @@ func TestUnlinkedOpenFileAcrossCrash(t *testing.T) {
 }
 
 // TestRecoveryFlushOrderIsDeterministic: a recovered server sends its
-// directory-cache flush to the registered clients in ascending client id, so
-// each client hears it at the same virtual time after every recovery. Each
-// send advances the server's clock; when the order was a Go map's, which
-// client heard first changed from one recovery to the next.
+// directory-cache flush to the live clients in ascending endpoint id, so each
+// client hears it at the same virtual time after every recovery. Each send
+// advances the server's clock; when the order was a Go map's, which client
+// heard first changed from one recovery to the next. A client that has left
+// the network hears nothing and costs no send, and an endpoint that is not a
+// client's is never flushed.
 func TestRecoveryFlushOrderIsDeterministic(t *testing.T) {
 	h := durableServers(t, 1)[0]
 	eps := make([]*msg.Endpoint, 16)
 	for i := range eps {
-		eps[i] = h.net.NewEndpoint(1)
+		eps[i] = h.net.NewClientEndpoint(1)
+		h.net.NewEndpoint(1) // not a client's
 	}
-	// Registered out of id order, so insertion order proves nothing.
-	for i := range eps {
-		j := (i * 7) % len(eps)
-		h.srv.cfg.Registry.Register(int32(100+j), eps[j].ID)
-	}
+	gone := h.net.NewClientEndpoint(1)
+	h.net.Leave(gone.ID, 0)
 	for round := 0; round < 4; round++ {
+		before := h.net.CallbackCount()
 		h.restart()
+		if sent, want := h.net.CallbackCount()-before, uint64(len(eps)+1); sent != want {
+			t.Fatalf("round %d: the restart sent %d flushes, want %d (the live clients)", round, sent, want)
+		}
+		if _, ok := h.ep.Callbacks.TryPop(); !ok {
+			t.Fatalf("round %d: the harness's client heard no flush", round)
+		}
 		var prev sim.Cycles
 		for i, ep := range eps {
 			env, ok := ep.Callbacks.TryPop()
 			if !ok {
-				t.Fatalf("round %d: client %d heard no flush", round, 100+i)
+				t.Fatalf("round %d: endpoint %d heard no flush", round, ep.ID)
 			}
 			if i > 0 && env.ArriveAt <= prev {
-				t.Fatalf("round %d: client %d's flush arrived at %d, client %d's at %d; want ascending client id",
-					round, 100+i, env.ArriveAt, 99+i, prev)
+				t.Fatalf("round %d: endpoint %d's flush arrived at %d, endpoint %d's at %d; want ascending endpoint id",
+					round, ep.ID, env.ArriveAt, eps[i-1].ID, prev)
 			}
 			prev = env.ArriveAt
 		}

@@ -16,9 +16,9 @@ type dirEnt struct {
 	ftype  fsapi.FileType
 	dist   bool
 	// tracker says which client libraries have the entry cached, in the
-	// struct's padding: 0, none; a positive value, the one client, as its id
-	// plus one; a negative value, the head of a chain in the shard's pool of
-	// runs (trackPool), whose first slot is the first client.
+	// struct's padding: 0, none; a positive value, the one client, as its
+	// endpoint id plus one; a negative value, the head of a chain in the
+	// shard's pool of runs (trackPool), whose first slot is the first client.
 	tracker int32
 }
 
@@ -59,38 +59,33 @@ func (sh *dirShard) keep(name string) string { return sh.names.Keep(name) }
 // its live names re-keeps them into fresh chunks, in place.
 func (sh *dirShard) drop(name string) { sh.names.Drop(name, sh.ents.Rekey) }
 
-// track records that client has the entry ent of sh cached. It reports
-// whether ent changed, and the caller stores it: client became the entry's
-// first tracker, or its second, which starts the entry's chain.
-func (s *Server) track(sh *dirShard, ent *dirEnt, client int32) bool {
-	if client < 0 {
-		return false
-	}
-	return sh.trackers.add(&ent.tracker, client, sh.ents.Len())
+// track records that the requester has the entry ent of sh cached. It
+// reports whether ent changed, and the caller stores it: the requester became
+// the entry's first tracker, or its second, which starts the entry's chain.
+func (s *Server) track(sh *dirShard, ent *dirEnt) bool {
+	return sh.trackers.add(&ent.tracker, int32(s.from), sh.ents.Len())
 }
 
 // invalidate sends directory-cache invalidation callbacks to every client
 // tracked for the entry name of sh — first, the entry's first tracker, then
 // the rest in insertion order, so the fan-out order is deterministic across
-// runs — except the requester: it made the change, and drops or replaces its
-// own cached copy. It forgets them all, the entry's chain going back to the
+// runs — except the client at endpoint except, the requester of a change: it
+// made the change, and drops or replaces its own cached copy (a migration's
+// commit excepts nobody, -1). It forgets them all, the entry's chain going back to the
 // shard's pool; the caller drops the entry or replaces it with one that has
 // no tracker. Thanks to atomic message delivery the server does not wait for
 // acknowledgements (§3.6.1).
-func (s *Server) invalidate(sh *dirShard, dir proto.InodeID, name string, tracker, except int32) {
+func (s *Server) invalidate(sh *dirShard, dir proto.InodeID, name string, tracker int32, except msg.EndpointID) {
 	if tracker == 0 {
 		return // nobody has it cached
 	}
 	iv := proto.Invalidation{Dir: dir, Name: name}
-	sh.trackers.release(tracker, func(client int32) { s.callBack(client, except, &iv) })
+	sh.trackers.release(tracker, func(client int32) { s.callBack(msg.EndpointID(client), except, &iv) })
 }
 
-// callBack sends iv to client unless it is the requester.
-func (s *Server) callBack(client, except int32, iv *proto.Invalidation) {
-	if client == except {
-		return
-	}
-	if ep, ok := s.cfg.Registry.Lookup(client); ok {
+// callBack sends iv to the client at endpoint ep unless it is except.
+func (s *Server) callBack(ep, except msg.EndpointID, iv *proto.Invalidation) {
+	if ep != except {
 		s.sendInvalidation(ep, iv)
 	}
 }
@@ -123,7 +118,7 @@ func (s *Server) handleLookup(req *proto.Request) *proto.Response {
 	if !ok {
 		return s.errResp(fsapi.ENOENT)
 	}
-	if s.track(sh, &ent, req.ClientID) {
+	if s.track(sh, &ent) {
 		sh.ents.Put(req.Name, ent) // the entry keeps its stored key
 	}
 	return s.resp(proto.Response{
@@ -155,12 +150,12 @@ func (s *Server) handleAddMap(req *proto.Request) *proto.Response {
 	ent := dirEnt{target: req.Target, ftype: req.Ftype, dist: req.Distributed}
 	name := req.Name // a replaced entry keeps the key it is stored under
 	if exists {
-		s.invalidate(sh, req.Dir, name, old.tracker, req.ClientID)
+		s.invalidate(sh, req.Dir, name, old.tracker, s.from)
 	} else {
 		name = sh.keep(name)
 		s.entCount.Add(1)
 	}
-	s.track(sh, &ent, req.ClientID)
+	s.track(sh, &ent)
 	sh.ents.Put(name, ent)
 	s.stageAddMap(req.Dir, name, ent)
 	resp := s.resp(proto.Response{})
@@ -200,7 +195,7 @@ func (s *Server) handleRmMap(req *proto.Request) *proto.Response {
 	sh.drop(req.Name)
 	s.entCount.Add(-1)
 	s.stageRmMap(req.Dir, req.Name)
-	s.invalidate(sh, req.Dir, req.Name, ent.tracker, req.ClientID)
+	s.invalidate(sh, req.Dir, req.Name, ent.tracker, s.from)
 	return s.resp(proto.Response{
 		Ino:    ent.target,
 		Server: ent.target.Server,
@@ -260,7 +255,7 @@ func (s *Server) handleCreateCoalesced(req *proto.Request) *proto.Response {
 	ino := s.allocInode(ftype, req.Mode, req.Distributed)
 	ent := dirEnt{target: s.id(ino), ftype: ftype, dist: req.Distributed}
 	name := sh.keep(req.Name) // the new entry's key
-	s.track(sh, &ent, req.ClientID)
+	s.track(sh, &ent)
 	sh.ents.Put(name, ent)
 	s.entCount.Add(1)
 	s.stageInode(ino)

@@ -457,7 +457,7 @@ func (s *Server) restart(at sim.Cycles, prepare func() (*wal.Checkpoint, sim.Cyc
 	// The entries were rebuilt without their trackers (who had them cached
 	// died with the process), so this server can no longer invalidate
 	// entries that surviving clients cached before the crash. Tell every
-	// registered client to flush its directory cache — sent before the
+	// client still live to flush its directory cache — sent before the
 	// inbox reopens, so atomic delivery guarantees the flush is seen before
 	// any post-restart lookup reply.
 	s.broadcastCacheFlush()
@@ -480,12 +480,11 @@ func (s *Server) restart(at sim.Cycles, prepare func() (*wal.Checkpoint, sim.Cyc
 }
 
 // broadcastCacheFlush sends a wildcard invalidation (empty name) to every
-// registered client library.
+// client library that has not left the network by now, in ascending
+// endpoint id.
 func (s *Server) broadcastCacheFlush() {
 	iv := proto.Invalidation{Dir: proto.NilInode, Name: ""}
-	for _, ep := range s.cfg.Registry.Endpoints() {
-		s.sendInvalidation(ep, &iv)
-	}
+	s.cfg.Network.LiveClients(s.clock.Now(), func(ep msg.EndpointID) { s.sendInvalidation(ep, &iv) })
 }
 
 // loadCheckpoint installs a snapshot: a checkpoint, a replayed image, or a

@@ -14,9 +14,6 @@ import (
 // sub-responses.
 func (h *harness) batchAs(p peer, subs ...*proto.Request) []*proto.Response {
 	h.t.Helper()
-	for _, s := range subs {
-		s.ClientID = p.id
-	}
 	outer := h.callAs(p, &proto.Request{Op: proto.OpBatch, Subs: subs, StopOnErr: true})
 	resps, err := proto.UnmarshalBatchResponses(outer.Data)
 	if err != nil {

@@ -110,6 +110,7 @@ var unserved opRow
 // dispatch routes the request to its handler. The bool result is true if the
 // request was parked (no reply should be sent yet).
 func (s *Server) dispatch(req *proto.Request, env msg.Envelope) (*proto.Response, bool) {
+	s.from = env.Src
 	// Only a batch gives the chain target a meaning, and only to the ops
 	// dispatchBatch has resolved it for by now; no handler ever sees it.
 	if req.Target == proto.PrevInode {

@@ -94,21 +94,19 @@ func newSyncPair(t *testing.T, dram *ncc.DRAM) (srvs [2]*Server, h *harness) {
 	machine := sim.NewMachine(sim.TopologyForCores(3), sim.DefaultCostModel())
 	network := msg.NewNetwork(msg.WrapMachine(machine))
 	parts := ncc.PartitionDRAM(dram, 2)
-	registry := NewClientRegistry()
 	log, err := wal.Open(wal.Config{Store: wal.NewMemStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := range srvs {
 		cfg := Config{ID: id, Core: id, NumServers: 2, Machine: machine, Network: network, DRAM: dram,
-			Partition: parts[id], Registry: registry, CoLocated: true, Repl: repl.Sync}
+			Partition: parts[id], CoLocated: true, Repl: repl.Sync}
 		if id == 0 {
 			cfg.Log = log
 		}
 		srvs[id] = New(cfg)
 		srvs[id].Start()
 	}
-	h = &harness{t: t, srv: srvs[0], net: network, ep: network.NewEndpoint(2), machine: machine}
-	registry.Register(7, h.ep.ID)
+	h = &harness{t: t, srv: srvs[0], net: network, ep: network.NewClientEndpoint(2), machine: machine}
 	return srvs, h
 }

@@ -15,7 +15,6 @@ package server
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,52 +30,6 @@ import (
 	"repro/internal/wal"
 )
 
-// ClientRegistry maps client-library ids to their callback endpoints so file
-// servers can send directory-cache invalidations.
-type ClientRegistry struct {
-	mu  sync.RWMutex
-	eps map[int32]msg.EndpointID
-}
-
-// NewClientRegistry returns an empty registry.
-func NewClientRegistry() *ClientRegistry {
-	return &ClientRegistry{eps: make(map[int32]msg.EndpointID)}
-}
-
-// Register records the callback endpoint for a client id.
-func (r *ClientRegistry) Register(id int32, ep msg.EndpointID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.eps[id] = ep
-}
-
-// Lookup returns the callback endpoint for a client id.
-func (r *ClientRegistry) Lookup(id int32) (msg.EndpointID, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ep, ok := r.eps[id]
-	return ep, ok
-}
-
-// Endpoints returns every registered callback endpoint in ascending client
-// id (used by recovery to broadcast a directory-cache flush). Each send of
-// the flush advances the server's clock, so the order fixes when each client
-// hears it: a map's order would move it from one recovery to the next.
-func (r *ClientRegistry) Endpoints() []msg.EndpointID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]int32, 0, len(r.eps))
-	for id := range r.eps {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]msg.EndpointID, len(ids))
-	for i, id := range ids {
-		out[i] = r.eps[id]
-	}
-	return out
-}
-
 // Config describes one file server instance.
 type Config struct {
 	ID         int // server index in [0, NumServers)
@@ -87,7 +40,6 @@ type Config struct {
 	Network   *msg.Network
 	DRAM      *ncc.DRAM
 	Partition *ncc.Partition
-	Registry  *ClientRegistry
 
 	// CoLocated is true in the timeshare configuration, where the server
 	// shares its core with application processes; every RPC then pays
@@ -186,6 +138,12 @@ type Server struct {
 	entScratch []proto.DirEntWire
 	subReqs    []proto.Request
 	subResps   []*proto.Response
+
+	// from is the endpoint of the client whose request is in service, set by
+	// dispatch from its envelope (a parked request keeps it): the client an
+	// entry it looks up is tracked for, and the one its change calls no
+	// client back for.
+	from msg.EndpointID
 
 	// onRelease, when set (by tests), sees every request putReq releases,
 	// before the struct is reused.

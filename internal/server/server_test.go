@@ -27,7 +27,6 @@ func newHarness(t *testing.T) *harness {
 	network := msg.NewNetwork(msg.WrapMachine(machine))
 	dram := ncc.NewDRAM(64, 512)
 	parts := ncc.PartitionDRAM(dram, 1)
-	registry := NewClientRegistry()
 	srv := New(Config{
 		ID:         0,
 		Core:       0,
@@ -36,20 +35,17 @@ func newHarness(t *testing.T) *harness {
 		Network:    network,
 		DRAM:       dram,
 		Partition:  parts[0],
-		Registry:   registry,
 		CoLocated:  true,
 	})
 	srv.Start()
 	t.Cleanup(srv.Stop)
-	ep := network.NewEndpoint(1)
-	registry.Register(7, ep.ID)
+	ep := network.NewClientEndpoint(1)
 	return &harness{t: t, srv: srv, net: network, ep: ep, machine: machine}
 }
 
 // call sends a request and waits for the response.
 func (h *harness) call(req *proto.Request) *proto.Response {
 	h.t.Helper()
-	req.ClientID = 7
 	env, err := h.net.RPC(h.ep, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0)
 	if err != nil {
 		h.t.Fatal(err)
@@ -228,7 +224,7 @@ func TestServerRmdirMarkParksCreates(t *testing.T) {
 
 	// A create that races with the marked directory is parked: issue it
 	// asynchronously, then abort the rmdir and observe the create succeed.
-	req := &proto.Request{Op: proto.OpCreateCoalesced, Dir: dir.Ino, Name: "racer", Ftype: fsapi.TypeRegular, ClientID: 7}
+	req := &proto.Request{Op: proto.OpCreateCoalesced, Dir: dir.Ino, Name: "racer", Ftype: fsapi.TypeRegular}
 	reply := msg.NewQueue()
 	if _, err := h.net.Send(h.ep, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0, reply); err != nil {
 		t.Fatal(err)
@@ -288,7 +284,7 @@ func TestServerPipeBlockingAndEOF(t *testing.T) {
 	pipe := h.callOK(&proto.Request{Op: proto.OpPipeCreate})
 
 	// A read on an empty pipe parks until data arrives.
-	readReq := &proto.Request{Op: proto.OpPipeRead, Target: pipe.Ino, Count: 16, ClientID: 7}
+	readReq := &proto.Request{Op: proto.OpPipeRead, Target: pipe.Ino, Count: 16}
 	reply := msg.NewQueue()
 	if _, err := h.net.Send(h.ep, h.srv.EndpointID(), proto.KindRequest, readReq.Marshal(), 0, reply); err != nil {
 		t.Fatal(err)
@@ -321,18 +317,18 @@ func TestServerPipeBlockingAndEOF(t *testing.T) {
 
 func TestServerInvalidationCallbacks(t *testing.T) {
 	h := newHarness(t)
-	// Client 7 looks up an entry (gets tracked), then another client (id 8,
-	// registered on a second endpoint) removes it; client 7 must receive an
+	// The harness's client looks up an entry (gets tracked), then another
+	// client, on a second endpoint, removes it; the first must receive an
 	// invalidation callback.
-	other := h.net.NewEndpoint(1)
-	h.srv.cfg.Registry.Register(8, other.ID)
+	other := h.net.NewClientEndpoint(1)
 
 	h.callOK(&proto.Request{Op: proto.OpAddMap, Dir: proto.RootInode, Name: "watched", Target: proto.InodeID{Server: 0, Local: 50}, Ftype: fsapi.TypeRegular})
 	h.callOK(&proto.Request{Op: proto.OpLookup, Dir: proto.RootInode, Name: "watched"})
 
-	// The removal is issued by client 8, which has the entry cached too.
+	// The removal is issued by the other client, which has the entry cached
+	// too.
 	for _, op := range []proto.Op{proto.OpLookup, proto.OpRmMap} {
-		req := &proto.Request{Op: op, Dir: proto.RootInode, Name: "watched", ClientID: 8}
+		req := &proto.Request{Op: op, Dir: proto.RootInode, Name: "watched"}
 		if _, err := h.net.RPC(other, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0); err != nil {
 			t.Fatal(err)
 		}
@@ -396,9 +392,6 @@ func TestServerStatsTracksOps(t *testing.T) {
 // decoded per-sub-op responses.
 func (h *harness) callBatch(stopOnErr bool, reqs ...*proto.Request) []*proto.Response {
 	h.t.Helper()
-	for _, r := range reqs {
-		r.ClientID = 7
-	}
 	env := h.callOK(&proto.Request{Op: proto.OpBatch, Subs: reqs, StopOnErr: stopOnErr})
 	resps, err := proto.UnmarshalBatchResponses(env.Data)
 	if err != nil {
@@ -579,9 +572,9 @@ func TestServerBatchParksOnMarkedShardAndResumes(t *testing.T) {
 	// the abort.
 	h.callOK(&proto.Request{Op: proto.OpRmdirPrepare, Dir: dir.Ino, Target: dir.Ino})
 
-	env := &proto.Request{Op: proto.OpBatch, ClientID: 7, Subs: []*proto.Request{
-		{Op: proto.OpLookup, Dir: dir.Ino, Name: "nope", ClientID: 7},
-		{Op: proto.OpStat, Target: dir.Ino, ClientID: 7},
+	env := &proto.Request{Op: proto.OpBatch, Subs: []*proto.Request{
+		{Op: proto.OpLookup, Dir: dir.Ino, Name: "nope"},
+		{Op: proto.OpStat, Target: dir.Ino},
 	}}
 	before := h.parked()
 	fut, err := h.net.SendAsync(h.ep, h.srv.EndpointID(), proto.KindRequest, env.Marshal(), 0)

@@ -14,8 +14,8 @@ package server
 // next run, a run is 32 bytes.
 const trackRunSlots = 7
 
-// trackRun is one run of a chain: clients, as id plus one, in the order they
-// were tracked (a 0 slot is free, and so is every slot after it), and the
+// trackRun is one run of a chain: clients, as endpoint id plus one, in the
+// order they were tracked (a 0 slot is free, and so is every slot after it), and the
 // index plus one of the chain's next run (0: this is the last).
 type trackRun struct {
 	ids  [trackRunSlots]int32

@@ -15,8 +15,8 @@ import (
 	"repro/internal/sim"
 )
 
-// trackClients is how many client libraries FuzzTrackers registers: more
-// than a run holds, so a chain takes two.
+// trackClients is how many client libraries FuzzTrackers plays: more than a
+// run holds, so a chain takes two.
 const trackClients = 10
 
 // trackDir is the directory FuzzTrackers works in: another server's, so
@@ -24,8 +24,9 @@ const trackClients = 10
 var trackDir = proto.InodeID{Server: 1, Local: 9}
 
 // trackRig is a stopped server whose handlers FuzzTrackers calls directly,
-// with trackClients client libraries registered on endpoints of their own,
-// and a model of who has each name of trackDir cached, in fan-out order.
+// with trackClients client libraries on endpoints of their own, and a model
+// of who has each name of trackDir cached — clients named by endpoint id, as
+// the server names them — in fan-out order.
 type trackRig struct {
 	t     *testing.T
 	srv   *Server
@@ -47,15 +48,13 @@ func newTrackRig(t *testing.T) *trackRig {
 	dram := ncc.NewDRAM(64, 512)
 	srv := New(Config{
 		ID: 0, Core: 0, NumServers: 2, Machine: machine, Network: network,
-		DRAM: dram, Partition: ncc.PartitionDRAM(dram, 1)[0], Registry: NewClientRegistry(),
+		DRAM: dram, Partition: ncc.PartitionDRAM(dram, 1)[0],
 		CoLocated: true, Placement: place.New(place.PolicyModulo, []int32{0}, 1),
 	})
 	r := &trackRig{t: t, srv: srv, model: map[string][]int32{},
 		out: place.New(place.PolicyModulo, []int32{0, 1}, 2)}
 	for c := int32(0); c < trackClients; c++ {
-		ep := network.NewEndpoint(1)
-		srv.cfg.Registry.Register(c, ep.ID)
-		r.eps = append(r.eps, ep)
+		r.eps = append(r.eps, network.NewClientEndpoint(1))
 	}
 	// Long names, so that removals compact the shard's slab (table.Names)
 	// every few dozen ops.
@@ -84,7 +83,7 @@ type sentCallback struct {
 // the server sent them.
 func (r *trackRig) fanOut() []sentCallback {
 	var out []sentCallback
-	for c, ep := range r.eps {
+	for _, ep := range r.eps {
 		for {
 			env, ok := ep.Callbacks.TryPop()
 			if !ok {
@@ -94,7 +93,7 @@ func (r *trackRig) fanOut() []sentCallback {
 			if err != nil {
 				r.t.Fatal(err)
 			}
-			out = append(out, sentCallback{at: env.SentAt, client: int32(c), name: strings.Clone(iv.Name)})
+			out = append(out, sentCallback{at: env.SentAt, client: int32(ep.ID), name: strings.Clone(iv.Name)})
 			r.srv.cfg.Network.ReleaseToSender(env)
 		}
 	}
@@ -116,7 +115,8 @@ func (r *trackRig) expect(want []sentCallback, name string, except int32) []sent
 // it sent against the model.
 func (r *trackRig) step(a, b byte) {
 	name := r.names[int(a/5)%len(r.names)]
-	client := int32(b) % trackClients
+	client := int32(r.eps[int(b)%trackClients].ID)
+	r.srv.from = msg.EndpointID(client) // the requester, as dispatch sets it
 	var want []sentCallback
 	switch a % 5 {
 	case 0, 1: // a lookup, or the create of an absent name
@@ -125,7 +125,7 @@ func (r *trackRig) step(a, b byte) {
 			r.model[name] = []int32{client}
 			break
 		}
-		resp := r.srv.handleLookup(&proto.Request{Op: proto.OpLookup, Dir: trackDir, Name: name, ClientID: client})
+		resp := r.srv.handleLookup(&proto.Request{Op: proto.OpLookup, Dir: trackDir, Name: name})
 		if resp.Err != fsapi.OK {
 			r.t.Fatalf("lookup of %.8s by %d: %v", name, client, resp.Err)
 		}
@@ -133,7 +133,7 @@ func (r *trackRig) step(a, b byte) {
 			r.model[name] = append(r.model[name], client)
 		}
 	case 2: // an unlink by client
-		resp := r.srv.handleRmMap(&proto.Request{Op: proto.OpRmMap, Dir: trackDir, Name: name, ClientID: client})
+		resp := r.srv.handleRmMap(&proto.Request{Op: proto.OpRmMap, Dir: trackDir, Name: name})
 		if _, ok := r.model[name]; !ok {
 			if resp.Err != fsapi.ENOENT {
 				r.t.Fatalf("unlink of absent %.8s: %v", name, resp.Err)
@@ -180,7 +180,7 @@ func (r *trackRig) step(a, b byte) {
 }
 
 func (r *trackRig) addMap(name string, client int32, replace bool) {
-	resp := r.srv.handleAddMap(&proto.Request{Op: proto.OpAddMap, Dir: trackDir, Name: name, ClientID: client,
+	resp := r.srv.handleAddMap(&proto.Request{Op: proto.OpAddMap, Dir: trackDir, Name: name,
 		Target: proto.InodeID{Server: 1, Local: 100}, Ftype: fsapi.TypeRegular, Replace: replace})
 	if resp.Err != fsapi.OK {
 		r.t.Fatalf("add of %.8s by %d: %v", name, client, resp.Err)

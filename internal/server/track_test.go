@@ -13,19 +13,17 @@ import (
 	"repro/internal/sim"
 )
 
-// peer is one more client library, registered with the harness's server on
-// an endpoint of its own.
+// peer is one more client library, on an endpoint of its own: the name the
+// harness's server knows it by.
 type peer struct {
-	id int32
 	ep *msg.Endpoint
 }
 
-// peers registers n client libraries, ids 8, 9, … (the harness's own is 7).
+// peers makes n client libraries, on endpoints of their own.
 func (h *harness) peers(n int) []peer {
 	out := make([]peer, n)
 	for i := range out {
-		out[i] = peer{id: int32(8 + i), ep: h.net.NewEndpoint(1)}
-		h.srv.cfg.Registry.Register(out[i].id, out[i].ep.ID)
+		out[i] = peer{ep: h.net.NewClientEndpoint(1)}
 	}
 	return out
 }
@@ -34,7 +32,6 @@ func (h *harness) peers(n int) []peer {
 // called back while serving it is in the peers' callback queues on return.
 func (h *harness) callAs(p peer, req *proto.Request) *proto.Response {
 	h.t.Helper()
-	req.ClientID = p.id
 	env, err := h.net.RPC(p.ep, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0)
 	if err != nil {
 		h.t.Fatal(err)
@@ -78,10 +75,10 @@ func expectOne(t *testing.T, name string, ps ...peer) {
 	for i, p := range ps {
 		got := drain(t, p)
 		if len(got) != 1 || got[0].name != name {
-			t.Fatalf("client %d got %v, want one invalidation of %q", p.id, got, name)
+			t.Fatalf("client %d got %v, want one invalidation of %q", p.ep.ID, got, name)
 		}
 		if i > 0 && got[0].sentAt <= last {
-			t.Fatalf("client %d was called back at %d, not after the client before it (%d)", p.id, got[0].sentAt, last)
+			t.Fatalf("client %d was called back at %d, not after the client before it (%d)", p.ep.ID, got[0].sentAt, last)
 		}
 		last = got[0].sentAt
 	}
@@ -92,7 +89,7 @@ func expectNone(t *testing.T, ps ...peer) {
 	t.Helper()
 	for _, p := range ps {
 		if got := drain(t, p); len(got) != 0 {
-			t.Fatalf("client %d got %v, want no invalidation", p.id, got)
+			t.Fatalf("client %d got %v, want no invalidation", p.ep.ID, got)
 		}
 	}
 }
@@ -115,11 +112,11 @@ func TestInvalidationFanOutToSeveralTrackers(t *testing.T) {
 		ps := h.peers(4)
 		a, b, c, d := ps[0], ps[1], ps[2], ps[3]
 		// The entry's creator is its first tracker, the lookups the rest.
-		creator := peer{id: 7, ep: h.ep}
+		creator := peer{ep: h.ep}
 		h.callOK(addMap("watched", 50, false))
 		for _, p := range ps {
 			if resp := h.callAs(p, lookup("watched")); resp.Err != fsapi.OK {
-				t.Fatalf("lookup by %d: %v", p.id, resp.Err)
+				t.Fatalf("lookup by %d: %v", p.ep.ID, resp.Err)
 			}
 		}
 		before := h.srv.Stats().Invalidations
@@ -137,7 +134,7 @@ func TestInvalidationFanOutToSeveralTrackers(t *testing.T) {
 		h := newHarness(t)
 		ps := h.peers(3)
 		a, b, c := ps[0], ps[1], ps[2]
-		creator := peer{id: 7, ep: h.ep}
+		creator := peer{ep: h.ep}
 		h.callOK(addMap("swapped", 50, false))
 		for _, p := range ps {
 			h.callAs(p, lookup("swapped"))
@@ -157,7 +154,7 @@ func TestInvalidationFanOutToSeveralTrackers(t *testing.T) {
 		h := newHarness(t)
 		ps := h.peers(4)
 		a, b, c, d := ps[0], ps[1], ps[2], ps[3]
-		creator := peer{id: 7, ep: h.ep}
+		creator := peer{ep: h.ep}
 		h.callOK(addMap("popular", 50, false))
 		for _, p := range []peer{a, b, creator, a, c, b, c, a, creator} {
 			h.callAs(p, lookup("popular"))
@@ -210,7 +207,7 @@ func TestInvalidationFanOutToSeveralTrackers(t *testing.T) {
 		for _, e := range ents {
 			for _, p := range ps {
 				if resp := h.callAs(p, &proto.Request{Op: proto.OpLookup, Dir: dir, Name: e.Name}); resp.Err != fsapi.OK {
-					t.Fatalf("lookup of %s by %d: %v", e.Name, p.id, resp.Err)
+					t.Fatalf("lookup of %s by %d: %v", e.Name, p.ep.ID, resp.Err)
 				}
 			}
 		}
@@ -248,11 +245,11 @@ func TestInvalidationFanOutToSeveralTrackers(t *testing.T) {
 				got[cb.name]++
 			}
 			if len(got) != len(moved) {
-				t.Fatalf("client %d was called back about %v, want the %d entries that moved", p.id, got, len(moved))
+				t.Fatalf("client %d was called back about %v, want the %d entries that moved", p.ep.ID, got, len(moved))
 			}
 			for name, n := range got {
 				if !moved[name] || n != 1 {
-					t.Fatalf("client %d was called back %d times about %s (moved: %v)", p.id, n, name, moved[name])
+					t.Fatalf("client %d was called back %d times about %s (moved: %v)", p.ep.ID, n, name, moved[name])
 				}
 			}
 		}

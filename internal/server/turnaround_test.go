@@ -29,7 +29,7 @@ func turnaroundHarness(t *testing.T) *harness {
 	}
 	srv := New(Config{
 		ID: 0, Core: 0, NumServers: 1, Machine: machine, Network: network,
-		DRAM: dram, Partition: ncc.PartitionDRAM(dram, 1)[0], Registry: NewClientRegistry(),
+		DRAM: dram, Partition: ncc.PartitionDRAM(dram, 1)[0],
 		CoLocated: true, Log: log, Placement: place.New(place.PolicyModulo, []int32{0}, 1),
 	})
 	srv.Start()
@@ -98,13 +98,13 @@ func TestNoReplyBeatsTurnaround(t *testing.T) {
 			continue // below, well-formed and not
 		}
 		h := turnaroundHarness(t)
-		took, _ := h.exchange((&proto.Request{Op: op, ClientID: 7}).Marshal(), 1000)
+		took, _ := h.exchange((&proto.Request{Op: op}).Marshal(), 1000)
 		check(op.String(), took)
 	}
 	// The numbers no op has decode (an op is any u16) and index no row.
 	for _, op := range []proto.Op{proto.OpInvalid, proto.NumOps, 0xFFFF} {
 		h := turnaroundHarness(t)
-		took, resp := h.exchange((&proto.Request{Op: op, ClientID: 7}).Marshal(), 1000)
+		took, resp := h.exchange((&proto.Request{Op: op}).Marshal(), 1000)
 		if resp.Err != fsapi.ENOSYS {
 			t.Errorf("op %d: answered %v, want ENOSYS", uint16(op), resp.Err)
 		}

@@ -12,7 +12,6 @@ import (
 // sendAs sends a request as p without waiting for its reply.
 func (h *harness) sendAs(p peer, req *proto.Request) *msg.Future {
 	h.t.Helper()
-	req.ClientID = p.id
 	fut, err := h.net.SendAsync(p.ep, h.srv.EndpointID(), proto.KindRequest, req.Marshal(), 0)
 	if err != nil {
 		h.t.Fatal(err)
@@ -72,7 +71,7 @@ func TestRmdirLockQueue(t *testing.T) {
 		t.Fatalf("the second LOCK answered %v, dist %v; want the lock", resp.Err, resp.Dist)
 	}
 	ino, _ := h.srv.inodes.Get(dir.Local)
-	if q := ino.rare.rmdirQueue; len(q) != 1 || q[0].req.ClientID != ps[2].id {
+	if q := ino.rare.rmdirQueue; len(q) != 1 || q[0].env.Src != ps[2].ep.ID {
 		t.Fatalf("after the UNLOCK %d LOCKs wait, want the third client's alone", len(q))
 	}
 

@@ -47,7 +47,7 @@ var (
 )
 
 func request(traced bool) *proto.Request {
-	r := &proto.Request{Op: proto.OpCreateCoalesced, ClientID: 7, Epoch: 3,
+	r := &proto.Request{Op: proto.OpCreateCoalesced, Epoch: 3,
 		Dir: dir, Name: "file", Target: target, Ftype: fsapi.TypeRegular, Mode: fsapi.Mode644,
 		Flags: 0x41, Size: 4096, Offset: -1, Whence: 2, Count: 5, Fd: 11, Data: []byte{0xde, 0xad},
 		Exclusive: true, WantOpen: true, Program: "sh", Args: []string{"-c", "ls"}, Env: []string{"A=1"},
@@ -124,7 +124,7 @@ func formats() []format {
 				return iv.AppendTo(nil), err
 			}},
 		{name: "batch envelope",
-			encode: (&proto.Request{Op: proto.OpBatch, ClientID: 7, StopOnErr: true, Subs: []*proto.Request{
+			encode: (&proto.Request{Op: proto.OpBatch, StopOnErr: true, Subs: []*proto.Request{
 				{Op: proto.OpLookup, Dir: dir, Name: "a", Epoch: 3},
 				{Op: proto.OpStat, Target: proto.PrevInode},
 			}}).Marshal,
@@ -245,11 +245,11 @@ func formats() []format {
 
 // golden is each sample's committed encoding.
 var golden = map[string]string{
-	"request":          "1100070000000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a00000000000000000101630000000000000009000000040000000300000000000000",
-	"traced request":   "1100070000000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a0000000000000000010163000000000000000900000004000000030000000000000022110000000000004433000000000000",
+	"request":          "11000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a00000000000000000101630000000000000009000000040000000300000000000000",
+	"traced request":   "11000100000002000000000000000400000066696c6502000000090000000000000001a401410000000010000000000000ffffffffffffffff02000000050000000b0000000000000002000000dead000100010002000000736802000000020000002d63020000006c730100000003000000413d31040000002f746d7001000000010000000200000009000000000000000300000000000000020000000a0000000000000000010163000000000000000900000004000000030000000000000022110000000000004433000000000000",
 	"response":         "0200000002000000090000000000000002000000022c010000000000000c00000000000000fcffffffffffffff060000000000000002000000640000000000000003000000000000000700000000000000010000000000000005000000000000000300000078797a010000000200000000000000014d0000000000000002000000ed0102000000010000006102000000090000000000000001020000006263010000000200000000000000020103000000ffffffff2a000000000000000800000000000000",
 	"invalidation":     "01000000020000000000000004000000676f6e65",
-	"batch envelope":   "280007000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000a01000001020000007f000000010000000000010000000200000000000000010000006100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003000000000000007e0000000e000000000000000000000000000000000000000000feffffff0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+	"batch envelope":   "2800000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000201000001020000007b0000000100010000000200000000000000010000006100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003000000000000007a0000000e0000000000000000000000000000000000feffffff0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
 	"batch reply":      "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000006010000020000007d00000000000000020000000900000000000000020000000100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000007d00000017000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
 	"shard message":    "1d000000070000000000000000400000000300000000000000020000000500000001000000010000000200000000000000010000006d02000000090000000000000002010100000001000000020000000000000001000000030000000400000000000000",
 	"INODE frame":      "190000008f315727010000000000000001090000000000000001a4010101000000",

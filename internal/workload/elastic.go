@@ -10,12 +10,12 @@ import (
 
 // Elastic is the scale-out-under-load workload (DESIGN.md §9): worker
 // processes hammer a distributed directory with create/write/read-back
-// traffic in two phases, and between the phases the deployment grows by one
-// file server — shard migration runs while phase B's traffic arrives, so
-// frozen-shard parking, EEPOCH refresh, and post-rebalance routing are all
-// on the measured path. With Drain set, the grown server is drained again
-// afterwards and the whole tree re-verified, exercising the reverse
-// membership change.
+// traffic in two phases, and after phase A the deployment grows by one file
+// server. Phase B's workers are spawned from the migration's pull stage, so
+// the migration runs while their traffic arrives: frozen-shard parking,
+// EEPOCH refresh, and post-rebalance routing are all on the measured path.
+// With Drain set, the grown server is drained again afterwards and the whole
+// tree re-verified, exercising the reverse membership change.
 //
 // On a backend without an ElasticController the membership changes are
 // skipped and the same operation stream runs statically; the elastic
@@ -51,9 +51,8 @@ func (e *Elastic) Setup(env *Env) error {
 	})
 }
 
-// phase runs one create/write/read-back wave and returns the latest child
-// completion time.
-func (e *Elastic) phase(env *Env, p *sched.Proc, prefix string, per int) (sim.Cycles, int) {
+// spawn starts one create/write/read-back wave's workers.
+func (e *Elastic) spawn(env *Env, p *sched.Proc, prefix string, per int) ([]*sched.Handle, error) {
 	workers := env.workers()
 	handles := make([]*sched.Handle, 0, workers)
 	for wi := 0; wi < workers; wi++ {
@@ -88,14 +87,11 @@ func (e *Elastic) phase(env *Env, p *sched.Proc, prefix string, per int) (sim.Cy
 			return 0
 		}, true)
 		if err != nil {
-			return 0, 1
+			return handles, err
 		}
 		handles = append(handles, h)
 	}
-	// Waiting brings the root's clock to the phase boundary, so consecutive
-	// phases do not overlap in virtual time.
-	status := p.Wait(handles...)
-	return p.Now(), status
+	return handles, nil
 }
 
 // Run executes the two traffic phases around the membership change and
@@ -108,28 +104,47 @@ func (e *Elastic) Run(env *Env) (int, error) {
 	workers := env.workers()
 	var runErr error
 	err := runRoot(env, "elastic", func(p *sched.Proc) int {
+		// Waiting brings the root's clock to the phase boundary, so the
+		// phases do not overlap in virtual time.
 		start := p.Now()
-		endA, status := e.phase(env, p, "a", per)
-		if status != 0 {
+		hs, err := e.spawn(env, p, "a", per)
+		if p.Wait(hs...) != 0 || err != nil {
 			runErr = fmt.Errorf("elastic: phase A failed")
 			return 1
 		}
+		endA := p.Now()
 		e.PreCycles = endA - start
 
+		// Phase B starts as the migration pulls the moving shards, which the
+		// freeze before it has closed to entry mutations; without a
+		// controller, here.
+		hs = nil
+		startB := func() {
+			if hs == nil && err == nil {
+				hs, err = e.spawn(env, p, "b", per)
+			}
+		}
 		if env.Elastic != nil {
-			var err error
-			if e.AddedServer, err = env.Elastic.AddServer(p.FS); err != nil {
-				runErr = fmt.Errorf("elastic: add server: %w", err)
+			env.Elastic.SetMigrationObserver(func(stage string, _ int) {
+				if stage == "pull" {
+					startB()
+				}
+			})
+			var addErr error
+			e.AddedServer, addErr = env.Elastic.AddServer(p.FS)
+			env.Elastic.SetMigrationObserver(nil)
+			if addErr != nil {
+				p.Wait(hs...)
+				runErr = fmt.Errorf("elastic: add server: %w", addErr)
 				return 1
 			}
 		}
-
-		endB, status := e.phase(env, p, "b", per)
-		if status != 0 {
+		startB()
+		if p.Wait(hs...) != 0 || err != nil {
 			runErr = fmt.Errorf("elastic: phase B failed")
 			return 1
 		}
-		e.PostCycles = endB - endA
+		e.PostCycles = p.Now() - endA
 
 		if e.Drain && env.Elastic != nil {
 			if err := env.Elastic.RemoveServer(p.FS, e.AddedServer); err != nil {

@@ -49,6 +49,11 @@ type ElasticController interface {
 	Epoch() uint64
 	// Members returns the server ids currently owning shards.
 	Members() []int
+	// SetMigrationObserver installs a hook that AddServer and RemoveServer
+	// call before each step of their migration ("freeze", "pull",
+	// "publish", "install", "commit"), on the caller's goroutine; nil
+	// removes it.
+	SetMigrationObserver(fn func(stage string, srv int))
 }
 
 // Env is the environment a workload runs in.
