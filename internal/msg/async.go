@@ -28,9 +28,10 @@ type Future struct {
 }
 
 // SendAsync sends a request and returns a Future for its reply without
-// waiting. The request is in the destination's inbox when SendAsync returns
-// (atomic delivery, like Send). The future and its reply queue come from the
-// sending endpoint's free-list cache; Await recycles them.
+// waiting. The request is in the destination's inbox, or already served,
+// when SendAsync returns (atomic delivery, like Send). The future and its
+// reply queue come from the sending endpoint's free-list cache; Await
+// recycles them.
 func (n *Network) SendAsync(src *Endpoint, dst EndpointID, kind uint16, payload []byte, sentAt sim.Cycles) (*Future, error) {
 	return n.sendAsync(src, dst, kind, payload, sentAt, false)
 }
@@ -56,9 +57,7 @@ func (n *Network) sendAsync(src *Endpoint, dst EndpointID, kind uint16, payload 
 func (f *Future) Await() (Envelope, error) {
 	if src := f.src; src != nil {
 		if g := src.net.gate.Load(); g != nil {
-			// Blocked here the lane cannot send, and it resumes at the reply's
-			// arrival, which the bound precedes: a sound frontier.
-			g.Await(int(src.ID), f.bound)
+			f.q.await(src, g, f.bound)
 		}
 	}
 	return f.wait(true)

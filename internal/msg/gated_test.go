@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -262,6 +263,63 @@ func TestGateHoldIdlesUntilReply(t *testing.T) {
 	if !g.SafeAt(last) || g.SafeAt(last+1) {
 		t.Fatalf("after the reply the sender's lane is not at its arrival %d (safe at %d: %v, at %d: %v)",
 			arrive, last, g.SafeAt(last), last+1, g.SafeAt(last+1))
+	}
+}
+
+// TestGateAwaitOfHeldRequestLeavesLaneIdle: a requester with two requests
+// out harvests the one answered first, which brings its lane back, then
+// awaits the one its receiver holds. That Await leaves the lane idle, so the
+// requester waits without holding the floor, and the held request's reply
+// resumes it at its arrival. Raised to the second future's bound instead, the
+// lane would pin the floor for as long as the request stays parked: an
+// elastic migration wedged that way when a readdir broadcast met a frozen
+// shard.
+func TestGateAwaitOfHeldRequestLeavesLaneIdle(t *testing.T) {
+	n, m := testNetwork(2)
+	g := sim.NewGate()
+	n.SetGate(g)
+	cli, a, b := n.NewEndpoint(0), n.NewEndpoint(1), n.NewEndpoint(1)
+	fa, err := n.SendAsync(cli, a.ID, 1, nil, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := n.SendAsync(cli, b.ID, 1, nil, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqA, _ := a.Inbox.PopWait()
+	reqB, _ := b.Inbox.PopWait()
+	n.Hold(reqB)
+	n.Reply(a, reqA, 1, nil, 2000)
+	if _, err := fa.Await(); err != nil {
+		t.Fatal(err)
+	}
+	if g.SafeAt(far) {
+		t.Fatal("awaiting the answered request left the lane out of the gate")
+	}
+	got := make(chan Envelope, 1)
+	go func() {
+		env, err := fb.Await()
+		if err != nil {
+			t.Error(err)
+		}
+		got <- env
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for !g.SafeAt(far) {
+		if time.Now().After(deadline) {
+			t.Error("awaiting a held request keeps the requester's lane in the gate")
+			break
+		}
+		runtime.Gosched()
+	}
+	arrive := n.Reply(b, reqB, 1, nil, 50_000)
+	if env := <-got; env.ArriveAt != arrive {
+		t.Fatalf("reply arrived at %d, Reply said %d", env.ArriveAt, arrive)
+	}
+	last := arrive + m.Cost.MinMsgLatency() - 1 // the horizon of a floor at arrive
+	if !g.SafeAt(last) || g.SafeAt(last+1) {
+		t.Fatalf("after the reply the requester's lane is not at its arrival %d", arrive)
 	}
 }
 

@@ -296,8 +296,9 @@ func (n *Network) route(srcCore, dstCore int, sentAt sim.Cycles, payload int) si
 }
 
 // Send delivers an envelope to dst's request inbox. When Send returns the
-// envelope is already in the destination queue (atomic delivery). It returns
-// the arrival time at the destination.
+// envelope is already in the destination queue, or already served there
+// (atomic delivery; Queue.SetServe). It returns the arrival time at the
+// destination.
 //
 // The receiver owns the payload once Send returns (see pool.go); the caller
 // must not reuse or release it.

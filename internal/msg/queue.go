@@ -1,11 +1,19 @@
 // Package msg implements Hare's message-passing layer.
 //
 // The layer provides the property the paper calls *atomic message delivery*:
-// when Send returns, the message is already present in the receiver's queue.
-// Hare's directory-cache invalidation protocol depends on this property —
-// a server can proceed as soon as it has sent invalidations, and a client
-// that drains its invalidation queue before using its cache is guaranteed to
-// observe any invalidation that was sent before its lookup began.
+// when Send returns, the message is already present in the receiver's queue
+// *or already served*. Hare's directory-cache invalidation protocol depends
+// on this property — a server can proceed as soon as it has sent
+// invalidations, and a client that drains its invalidation queue before
+// using its cache is guaranteed to observe any invalidation that was sent
+// before its lookup began.
+//
+// A message is served on its sender's goroutine when it finds the receiving
+// inbox's consumer asleep on it, empty, with nobody serving (Queue.SetServe):
+// the sender runs the consumer's serve hook itself, so an RPC to an idle
+// server costs no goroutine hand-off, and its reply is queued by the time the
+// sender waits for it. What arrives meanwhile is queued and popped after the
+// serve, so an inbox is still served one message at a time.
 //
 // Queues are unbounded so that a sender never blocks; this mirrors the
 // paper's shared-memory message queues and avoids any possibility of
@@ -74,6 +82,16 @@ type Queue struct {
 	// the requester's idle lane.
 	awaited bool
 	held    bool
+
+	// serve is the consumer's serve hook (SetServe), nil for every queue but
+	// an inbox whose owner installed one. idle says the consumer sleeps in
+	// PopWaitEarliest; serving says a sender holds the consumer's claim and
+	// runs serve on its own goroutine (push). inline counts what was served
+	// that way.
+	serve   func(Envelope) bool
+	idle    bool
+	serving bool
+	inline  uint64
 }
 
 // NewQueue returns an empty queue.
@@ -207,8 +225,32 @@ func (q *Queue) Push(e Envelope) {
 
 // push is Push, except that a gated sleeper, which only a new head concerns,
 // is left to the caller: offer reports that it owes the sleeper an offerHead.
+//
+// An envelope that finds the consumer idle (idleLocked) is served here
+// instead: the sender claims the consumer, runs the serve hook without the
+// lock, and releases the claim. The envelope is queued after all if the hook
+// declines it. Whatever was pushed during the serve, or a Close, wakes the
+// consumer on release; nothing else does, so an inline serve leaves it asleep.
 func (q *Queue) push(e Envelope) (offer bool) {
 	q.mu.Lock()
+	if q.serve != nil && q.idleLocked() {
+		q.serving = true
+		q.mu.Unlock()
+		served := q.serve(e)
+		q.mu.Lock()
+		q.serving = false
+		if served {
+			q.inline++
+		} else {
+			q.add(e)
+		}
+		wake := len(q.items) > 0 || q.closed
+		q.mu.Unlock()
+		if wake {
+			q.cond.Signal()
+		}
+		return false
+	}
 	seq := q.add(e)
 	gated := q.gated != nil
 	offer = gated && q.items[0].seq == seq
@@ -275,6 +317,26 @@ func (q *Queue) pushReply(e Envelope, g *sim.Gate, resume bool) {
 	q.cond.Signal()
 }
 
+// await publishes the frontier of a requester about to block on this reply
+// queue (Future.Await). Blocked, the lane cannot send, and it resumes at the
+// reply's arrival, which the future's bound precedes: the bound is a sound
+// frontier. But a request its receiver holds (Network.Hold) took the lane out
+// of the gate, and its reply brings the lane back; raised to the bound
+// instead, the lane would hold the floor there for as long as the request
+// stays parked, which may be until an arrival above the floor is served. So
+// the lane idles again: another future's Await or reply may have brought it
+// back since the hold. Under q.mu, so that a hold cannot land between the test
+// and the raise.
+func (q *Queue) await(src *Endpoint, g *sim.Gate, bound sim.Cycles) {
+	q.mu.Lock()
+	if q.held {
+		src.net.GateIdle(src.ID)
+	} else {
+		g.Await(int(src.ID), bound)
+	}
+	q.mu.Unlock()
+}
+
 // hold marks the queue's request held (Network.Hold).
 func (q *Queue) hold() {
 	q.mu.Lock()
@@ -320,11 +382,17 @@ func (q *Queue) popWait(awaited bool) (Envelope, bool) {
 // queued concurrently are served in virtual-time order, which keeps the
 // queueing model accurate even when goroutine scheduling delivers them out
 // of order.
+//
+// Asleep on an empty queue the consumer is idle: a sender may serve in its
+// place (push), and until that serve ends the consumer pops nothing, closed
+// queue or not.
 func (q *Queue) PopWaitEarliest() (Envelope, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.serving || (len(q.items) == 0 && !q.closed) {
+		q.idle = true
 		q.cond.Wait()
+		q.idle = false
 	}
 	if len(q.items) == 0 {
 		return Envelope{}, false
@@ -378,6 +446,53 @@ func (q *Queue) PopWaitEarliestGated(g *sim.Gate) (Envelope, bool) {
 func (q *Queue) headSafe(g *sim.Gate, repark bool) bool {
 	at := q.items[0].env.ArriveAt
 	return g.SafeAt(at) || g.Park(&q.waiter, at, repark)
+}
+
+// SetServe installs the serve hook of a queue's one consumer: an envelope
+// pushed while the consumer is idle is passed to serve on the pusher's
+// goroutine, which reports whether it served it (false queues it for the
+// consumer, as if there were no hook; a nil serve removes the hook). serve
+// must do what the consumer does with a popped envelope; the queue runs one
+// serve or pop at a time.
+func (q *Queue) SetServe(serve func(Envelope) bool) {
+	q.mu.Lock()
+	q.serve = serve
+	q.mu.Unlock()
+}
+
+// idleLocked is the serve predicate: the consumer sleeps in PopWaitEarliest
+// on an open, empty queue and nobody serves in its place. The caller holds
+// q.mu.
+func (q *Queue) idleLocked() bool {
+	return q.idle && !q.serving && !q.closed && len(q.items) == 0
+}
+
+// Idle reports whether the next push would find the consumer idle: served
+// inline if the queue has a serve hook.
+func (q *Queue) Idle() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.idleLocked()
+}
+
+// InlineServes returns how many envelopes were served on their senders'
+// goroutines.
+func (q *Queue) InlineServes() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.inline
+}
+
+// Reserve gives the queue room for n envelopes, so that it grows no further
+// until more than n are queued at once.
+func (q *Queue) Reserve(n int) {
+	q.mu.Lock()
+	if cap(q.items) < n {
+		items := make([]qitem, len(q.items), n)
+		copy(items, q.items)
+		q.items = items
+	}
+	q.mu.Unlock()
 }
 
 // Len returns the number of queued envelopes.

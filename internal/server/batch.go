@@ -106,12 +106,10 @@ func (s *Server) dispatchBatch(subs []proto.Request, stopOnErr bool, batchReq *p
 		}
 	}
 
-	s.statsMu.Lock()
-	s.stats.BatchedOps += uint64(len(subs))
+	s.batchedOps.Add(uint64(len(subs)))
 	for i := range subs {
-		s.stats.Ops[subs[i].Op]++
+		s.countOp(subs[i].Op)
 	}
-	s.statsMu.Unlock()
 
 	// replyAt encodes the sub-responses in place in the reply's buffer.
 	return s.resp(proto.Response{Subs: resps}), false

@@ -98,9 +98,7 @@ func (s *Server) sendInvalidation(dst msg.EndpointID, iv *proto.Invalidation) {
 	s.clock.AdvanceTo(end)
 	payload := iv.AppendTo(s.ep.GetBuf(iv.SizeHint()))
 	if _, err := s.cfg.Network.SendCallback(s.ep, dst, proto.KindCallback, payload, s.clock.Now()); err == nil {
-		s.statsMu.Lock()
-		s.stats.Invalidations++
-		s.statsMu.Unlock()
+		s.invalidations.Add(1)
 	}
 }
 

@@ -199,9 +199,7 @@ func (s *Server) writeCheckpoint() error {
 	cost := sim.LineCost(s.cfg.Machine.Cost.WalPerLine, bytes) + s.cfg.Machine.Cost.WalFlush
 	end := s.cfg.Machine.Execute(s.cfg.Core, s.clock.Now(), cost)
 	s.clock.AdvanceTo(end)
-	s.statsMu.Lock()
-	s.stats.Checkpoints++
-	s.statsMu.Unlock()
+	s.checkpoints.Add(1)
 	// The checkpoint holds direct-access block contents the log never saw;
 	// the replica must cover them too before promotion can be trusted with
 	// a memory-domain loss (DESIGN.md §12).

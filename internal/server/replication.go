@@ -75,8 +75,22 @@ func (s *Server) runRepl() {
 	}
 }
 
+// serveRepl is the replication inbox's serve hook (msg.Queue.SetServe): a
+// message that finds the plane asleep on an empty inbox is handled on its
+// sender's goroutine, under either engine — the plane pops ungated, so the
+// message is the one it would pop next. A crashed plane's message is
+// declined, and waits in the inbox for recovery as the loop's would.
+func (s *Server) serveRepl(env msg.Envelope) bool {
+	if s.crashed.Load() {
+		return false
+	}
+	s.handleRepl(env)
+	return true
+}
+
 // handleRepl serves one replication-plane message, by its kind. All replica
-// state is confined to this goroutine, as are the records of a shipped batch.
+// state is confined to the plane's holder, as are the records of a shipped
+// batch.
 //
 // The payload is the repl.Msg itself, read where it lies, and the answer is
 // written into that same buffer once nothing reads the message any more, so
@@ -331,9 +345,7 @@ func (s *Server) Promote(c *wal.Checkpoint, snapBytes int, at sim.Cycles) (work,
 		if err := s.wal.WriteCheckpoint(c); err != nil {
 			return nil, 0, fmt.Errorf("server %d: promote checkpoint: %w", s.cfg.ID, err)
 		}
-		s.statsMu.Lock()
-		s.stats.Checkpoints++
-		s.statsMu.Unlock()
+		s.checkpoints.Add(1)
 		// The old replica relationship died with the old incarnation: the
 		// follower's copy is sealed and consumed. Re-establish from scratch.
 		s.MarkReplResync()

@@ -109,8 +109,12 @@ type Stats struct {
 	ReplDurable uint64
 }
 
-// Server is one Hare file server. Its Run loop processes one request at a
-// time from its inbox; all mutable state is confined to that goroutine.
+// Server is one Hare file server. It serves one request at a time: its loop
+// pops them from its inbox, and a request that finds the loop asleep on an
+// empty inbox is served on its sender's goroutine instead (serve). All
+// mutable state is confined to whichever goroutine holds the server — the
+// loop, or the sender serving in its place — and the inbox's mutex passes it
+// from one to the next.
 type Server struct {
 	cfg   Config
 	ep    *msg.Endpoint
@@ -125,7 +129,7 @@ type Server struct {
 	sharedFds *table.Map[proto.FdID, *sharedFd]
 	nextFd    proto.FdID
 
-	// Hot-path recycling (DESIGN.md §13), confined to the request loop: a
+	// Hot-path recycling (DESIGN.md §13), confined to the server's holder: a
 	// free list of request structs, a scratch response with the extent list
 	// or listing it may carry, and the batch in service — its decoded
 	// sub-requests and their responses, at most proto.MaxBatchOps of each,
@@ -149,8 +153,15 @@ type Server struct {
 	// before the struct is reused.
 	onRelease func(*proto.Request)
 
-	statsMu sync.Mutex
-	stats   Stats
+	// Counters (Stats): written by the server's holder, one at a time, and
+	// read by Stats from any goroutine.
+	ops           [proto.NumOps]atomic.Uint64
+	invalidations atomic.Uint64
+	parked        atomic.Uint64
+	checkpoints   atomic.Uint64
+	batchedOps    atomic.Uint64
+	queueDelay    atomic.Uint64
+	migIn, migOut atomic.Uint64
 
 	// Durability state (nil / zero when the deployment runs without it).
 	wal     *wal.Log
@@ -170,7 +181,7 @@ type Server struct {
 	verBase uint64
 
 	// Elastic-placement state (DESIGN.md §9). pmap/frozen/pendingEpoch/
-	// migParked are confined to the request loop (and to Recover, which
+	// migParked are confined to the server's holder (and to Recover, which
 	// runs with the loop stopped); epoch and entCount are atomics so the
 	// stats/shell surfaces can read them from other goroutines.
 	pmap         *place.Map
@@ -184,7 +195,7 @@ type Server struct {
 	// restart to serve again (wait.go).
 	orphans waitq
 
-	// Tracing state, confined to the request loop. tem is re-created with
+	// Tracing state, confined to the server's holder. tem is re-created with
 	// the new incarnation on Recover so post-crash spans never reuse a
 	// pre-crash span ID. curTrace/curParent hold the in-flight request's
 	// trace context so commitPending can attach the WAL and ship spans.
@@ -195,7 +206,7 @@ type Server struct {
 	curOp     string
 
 	// Replication state (DESIGN.md §12; nil/zero when disabled). replicas,
-	// replClock and replRecs are confined to the replication-plane goroutine;
+	// replClock and replRecs are confined to the replication plane's holder;
 	// the horizon and counter fields are atomics because the request loop
 	// (shipping), the replication plane (acks), and the stats surface all
 	// touch them.
@@ -218,6 +229,15 @@ type Server struct {
 
 	done chan struct{}
 }
+
+// inboxRoom is the room a server's inbox starts with, made at set-up.
+// Requests queue only while the server is busy or, under the parallel
+// engine, not yet safe to serve, so inline set-up traffic no longer grows
+// the inboxes and the timed region's first bursts would. Measured across the
+// repository benchmark's timed regions, the most requests queued at once at
+// one server was 8 (meta_churn; tree_walk 6, durable_mail 5), apart from one
+// fan-in of 63 at one server of scale_fanout_par per repetition.
+const inboxRoom = 8
 
 // New creates a file server and registers its endpoint on the network. If
 // this is server 0 it creates the root directory inode.
@@ -243,13 +263,15 @@ func New(cfg Config) *Server {
 	// inbox: between them its lane holds nothing (the client request whose
 	// commit ships already holds the floor).
 	s.ep.Transient = true
-	s.stats.Ops = make(map[proto.Op]uint64)
+	s.ep.Inbox.Reserve(inboxRoom)
+	s.ep.Inbox.SetServe(s.serve)
 	s.pmap = cfg.Placement
 	if s.pmap != nil {
 		s.epoch.Store(s.pmap.Epoch())
 	}
 	if cfg.Repl != repl.Off {
 		s.replEP = cfg.Network.NewEndpoint(cfg.Core) // it only answers
+		s.replEP.Inbox.SetServe(s.serveRepl)
 		s.replDone = make(chan struct{})
 		s.replicas = make(map[int]*repl.Follower)
 	}
@@ -289,20 +311,18 @@ func (s *Server) WalStats() wal.Stats {
 
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
 	out := Stats{
-		Ops:           make(map[proto.Op]uint64, len(s.stats.Ops)),
-		Invalidations: s.stats.Invalidations,
-		Parked:        s.stats.Parked,
-		Checkpoints:   s.stats.Checkpoints,
+		Ops:           make(map[proto.Op]uint64),
+		Invalidations: s.invalidations.Load(),
+		Parked:        s.parked.Load(),
+		Checkpoints:   s.checkpoints.Load(),
 		BusyCycles:    s.clock.Now(),
-		BatchedOps:    s.stats.BatchedOps,
-		QueueDelay:    s.stats.QueueDelay,
+		BatchedOps:    s.batchedOps.Load(),
+		QueueDelay:    sim.Cycles(s.queueDelay.Load()),
 		Epoch:         s.epoch.Load(),
 		Entries:       s.entCount.Load(),
-		MigInEntries:  s.stats.MigInEntries,
-		MigOutEntries: s.stats.MigOutEntries,
+		MigInEntries:  s.migIn.Load(),
+		MigOutEntries: s.migOut.Load(),
 		ReplShips:     s.replShips.Load(),
 		ReplBytes:     s.replBytes.Load(),
 		ReplAcks:      s.replAcks.Load(),
@@ -310,10 +330,20 @@ func (s *Server) Stats() Stats {
 		ReplLastLSN:   s.replLastLSN.Load(),
 		ReplDurable:   s.replDurable.Load(),
 	}
-	for k, v := range s.stats.Ops {
-		out.Ops[k] = v
+	for op := range s.ops {
+		if n := s.ops[op].Load(); n > 0 {
+			out.Ops[proto.Op(op)] = n
+		}
 	}
 	return out
+}
+
+// countOp counts one request for op; a number no op has counts as OpInvalid.
+func (s *Server) countOp(op proto.Op) {
+	if op >= proto.NumOps {
+		op = proto.OpInvalid
+	}
+	s.ops[op].Add(1)
 }
 
 // Start launches the server's request loop (and its replication plane,
@@ -356,6 +386,22 @@ func (s *Server) run() {
 	}
 }
 
+// serve is the inbox's serve hook (msg.Queue.SetServe): a request that finds
+// the loop asleep on an empty inbox is handled on its sender's goroutine, as
+// the loop would handle it — it is the only request queued, so the one the
+// loop would pop next, and its clocks and charges are the loop's. A crash is
+// declined: it stops the loop, so the loop serves it. So is everything under
+// the parallel engine, whose loop sleeps gated and is idle only across a
+// switch of engines: there a request is served once no earlier one can still
+// appear, which only the gated pop knows.
+func (s *Server) serve(env msg.Envelope) bool {
+	if env.Kind == proto.KindCrash || s.cfg.Network.Gate() != nil {
+		return false
+	}
+	s.handle(env)
+	return true
+}
+
 // handle processes one inbound request envelope. The server processes one
 // request at a time; in virtual time a request starts at the later of its
 // arrival and the completion of the previously served request, which is what
@@ -395,9 +441,7 @@ func (s *Server) handle(env msg.Envelope) {
 	total := overhead + service
 	start := env.ArriveAt
 	if now := s.clock.Now(); now > start {
-		s.statsMu.Lock()
-		s.stats.QueueDelay += now - start
-		s.statsMu.Unlock()
+		s.queueDelay.Add(uint64(now - start))
 		start = now
 	}
 	end := s.cfg.Machine.Execute(s.cfg.Core, start, total)
@@ -411,9 +455,7 @@ func (s *Server) handle(env msg.Envelope) {
 		return
 	}
 
-	s.statsMu.Lock()
-	s.stats.Ops[req.Op]++
-	s.statsMu.Unlock()
+	s.countOp(req.Op)
 
 	var resp *proto.Response
 	var parked bool
@@ -427,9 +469,7 @@ func (s *Server) handle(env msg.Envelope) {
 		// rmdir mark, a frozen shard, an empty or full pipe, the rmdir lock):
 		// a request parked again on re-dispatch finds its sender held already.
 		s.cfg.Network.Hold(env)
-		s.statsMu.Lock()
-		s.stats.Parked++
-		s.statsMu.Unlock()
+		s.parked.Add(1)
 		return
 	}
 	if traced {

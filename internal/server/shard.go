@@ -264,10 +264,8 @@ func (s *Server) handleShardCommit(req *proto.Request) *proto.Response {
 	s.frozen = false
 	s.pendingEpoch = 0
 
-	s.statsMu.Lock()
-	s.stats.MigInEntries += installed
-	s.stats.MigOutEntries += uint64(len(out))
-	s.statsMu.Unlock()
+	s.migIn.Add(installed)
+	s.migOut.Add(uint64(len(out)))
 
 	// Resume parked work: requests parked by the freeze, and requests
 	// parked on rmdir marks of shards whose entries just moved (their
