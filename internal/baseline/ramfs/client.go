@@ -457,6 +457,17 @@ func (c *Client) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
+	// A directory cannot move under itself (Hare's client answers the same,
+	// before it resolves the new parent).
+	if len(newAbs) > len(oldAbs) && newAbs[len(oldAbs)] == '/' && newAbs[:len(oldAbs)] == oldAbs {
+		n, err := c.fs.lookup(oldAbs)
+		if err != nil {
+			return err
+		}
+		if n.ftype == fsapi.TypeDir {
+			return fsapi.EINVAL
+		}
+	}
 	newParent, newName, err := c.fs.lookupParent(newAbs)
 	if err != nil {
 		return err
@@ -484,6 +495,18 @@ func (c *Client) Rename(oldPath, newPath string) error {
 	n, ok := oldParent.children[oldName]
 	if !ok {
 		return fsapi.ENOENT
+	}
+	// Only a file replaces a file; a directory target is refused even when
+	// empty, as Hare refuses it.
+	if old, ok := newParent.children[newName]; ok {
+		switch {
+		case old.ftype == fsapi.TypeDir && n.ftype != fsapi.TypeDir:
+			return fsapi.EISDIR
+		case old.ftype != fsapi.TypeDir && n.ftype == fsapi.TypeDir:
+			return fsapi.ENOTDIR
+		case old.ftype == fsapi.TypeDir:
+			return fsapi.EEXIST
+		}
 	}
 	delete(oldParent.children, oldName)
 	newParent.children[newName] = n

@@ -5,53 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/repl"
+	"repro/internal/shadow"
 )
-
-// OpKind enumerates the POSIX operations the generator emits.
-type OpKind uint8
-
-// Generated operation kinds.
-const (
-	OpMkdir OpKind = iota
-	OpCreate
-	OpAppend
-	OpOverwrite
-	OpTruncate
-	OpRead
-	OpStatCheck
-	OpReadDir
-	OpRename
-	OpUnlink
-	OpRmdirCycle
-	OpPipeFork
-)
-
-var opKindNames = [...]string{
-	"mkdir", "create", "append", "overwrite", "truncate", "read",
-	"stat", "readdir", "rename", "unlink", "rmdircycle", "pipefork",
-}
-
-// String names the op kind.
-func (k OpKind) String() string {
-	if int(k) < len(opKindNames) {
-		return opKindNames[k]
-	}
-	return "unknown"
-}
-
-// Op is one generated POSIX operation. Paths are absolute; every proc's ops
-// stay inside its own subtree (plus uniquely-named rename targets in the
-// shared directory), which keeps concurrent execution conflict-free and the
-// shadow model exact.
-type Op struct {
-	Kind  OpKind
-	Path  string
-	Path2 string // rename target
-	Size  int    // bytes written (create/append/overwrite/pipefork) or new size (truncate)
-	Off   int64  // overwrite offset
-	Seed  uint64 // content pattern seed
-	Sync  bool   // fsync before close (write ops)
-}
 
 // EventKind enumerates the fault-schedule events.
 type EventKind uint8
@@ -105,7 +60,10 @@ type Event struct {
 type Plan struct {
 	Cfg Config
 	// Ops[round][proc] is the op list process `proc` executes in `round`.
-	Ops [][][]Op
+	// Every proc's ops stay inside its own subtree (plus uniquely-named
+	// rename targets in the shared directory), which keeps concurrent
+	// execution conflict-free and the shadow model exact.
+	Ops [][][]shadow.Op
 	// Events holds the fault schedule, ordered by round (generation order).
 	Events []Event
 }
@@ -132,9 +90,9 @@ func NewPlan(cfg Config) *Plan {
 // genOps generates every process's per-round op list.
 func (p *Plan) genOps() {
 	cfg := p.Cfg
-	p.Ops = make([][][]Op, cfg.Rounds)
+	p.Ops = make([][][]shadow.Op, cfg.Rounds)
 	for r := range p.Ops {
-		p.Ops[r] = make([][]Op, cfg.Procs)
+		p.Ops[r] = make([][]shadow.Op, cfg.Procs)
 	}
 	for proc := 0; proc < cfg.Procs; proc++ {
 		st := &procState{
@@ -143,7 +101,7 @@ func (p *Plan) genOps() {
 		}
 		r := newRng(cfg.Seed, 0x0B5+uint64(proc))
 		for round := 0; round < cfg.Rounds; round++ {
-			ops := make([]Op, 0, cfg.OpsPerRound)
+			ops := make([]shadow.Op, 0, cfg.OpsPerRound)
 			for len(ops) < cfg.OpsPerRound {
 				ops = append(ops, p.genOp(r, st, proc, round))
 			}
@@ -153,7 +111,7 @@ func (p *Plan) genOps() {
 }
 
 // genOp draws one valid operation given the process's predicted state.
-func (p *Plan) genOp(r *rng, st *procState, proc, round int) Op {
+func (p *Plan) genOp(r *rng, st *procState, proc, round int) shadow.Op {
 	newPath := func(prefix string) string {
 		st.nextID++
 		return fmt.Sprintf("%s/%s%03d", st.dir, prefix, st.nextID)
@@ -185,12 +143,12 @@ func (p *Plan) genOp(r *rng, st *procState, proc, round int) Op {
 		size := 1 + r.intn(6000) // up to ~1.5 blocks
 		st.files = append(st.files, path)
 		st.sizes[path] = int64(size)
-		return Op{Kind: OpCreate, Path: path, Size: size, Seed: r.next(), Sync: r.pct(20)}
+		return shadow.Op{Kind: shadow.OpCreate, Path: path, Size: size, Seed: r.next(), Sync: r.pct(20)}
 	case roll < 37: // append
 		path := pickFile()
 		size := 1 + r.intn(3000)
 		st.sizes[path] += int64(size)
-		return Op{Kind: OpAppend, Path: path, Size: size, Seed: r.next(), Sync: r.pct(20)}
+		return shadow.Op{Kind: shadow.OpAppend, Path: path, Size: size, Seed: r.next(), Sync: r.pct(20)}
 	case roll < 47: // overwrite at an offset (may extend)
 		path := pickFile()
 		cur := st.sizes[path]
@@ -199,18 +157,18 @@ func (p *Plan) genOp(r *rng, st *procState, proc, round int) Op {
 		if end := off + int64(size); end > cur {
 			st.sizes[path] = end
 		}
-		return Op{Kind: OpOverwrite, Path: path, Off: off, Size: size, Seed: r.next(), Sync: r.pct(20)}
+		return shadow.Op{Kind: shadow.OpOverwrite, Path: path, Off: off, Size: size, Seed: r.next(), Sync: r.pct(20)}
 	case roll < 52: // truncate (shrink or grow)
 		path := pickFile()
 		size := r.intn(int(st.sizes[path]) + 1024)
 		st.sizes[path] = int64(size)
-		return Op{Kind: OpTruncate, Path: path, Size: size}
+		return shadow.Op{Kind: shadow.OpTruncate, Path: path, Size: size}
 	case roll < 68: // read back and compare to the shadow
-		return Op{Kind: OpRead, Path: pickFile()}
+		return shadow.Op{Kind: shadow.OpRead, Path: pickFile()}
 	case roll < 74: // stat and compare size
-		return Op{Kind: OpStatCheck, Path: pickFile()}
+		return shadow.Op{Kind: shadow.OpStatCheck, Path: pickFile()}
 	case roll < 79: // list own directory and compare entry set
-		return Op{Kind: OpReadDir, Path: st.dir}
+		return shadow.Op{Kind: shadow.OpReadDir, Path: st.dir}
 	case roll < 85: // rename, sometimes into the shared directory
 		from := pickFile()
 		if r.pct(30) {
@@ -219,26 +177,26 @@ func (p *Plan) genOp(r *rng, st *procState, proc, round int) Op {
 			st.nextID++
 			to := fmt.Sprintf("/chaos/mv-p%02d-%03d", proc, st.nextID)
 			removeFile(from)
-			return Op{Kind: OpRename, Path: from, Path2: to}
+			return shadow.Op{Kind: shadow.OpRename, Path: from, Path2: to}
 		}
 		to := newPath("r")
 		st.sizes[to] = st.sizes[from]
 		removeFile(from)
 		st.files = append(st.files, to)
-		return Op{Kind: OpRename, Path: from, Path2: to}
+		return shadow.Op{Kind: shadow.OpRename, Path: from, Path2: to}
 	case roll < 91: // unlink
 		path := pickFile()
 		removeFile(path)
-		return Op{Kind: OpUnlink, Path: path}
+		return shadow.Op{Kind: shadow.OpUnlink, Path: path}
 	case roll < 94: // mkdir a subdir (a later create may land in it)
 		st.nextID++
 		dir := fmt.Sprintf("%s/d%03d", st.dir, st.nextID)
 		st.subdirs = append(st.subdirs, dir)
-		return Op{Kind: OpMkdir, Path: dir}
+		return shadow.Op{Kind: shadow.OpMkdir, Path: dir}
 	case roll < 97: // mkdir+rmdir cycle: the tombstone must not resurrect
-		return Op{Kind: OpRmdirCycle, Path: newPath("tmp")}
+		return shadow.Op{Kind: shadow.OpRmdirCycle, Path: newPath("tmp")}
 	default: // pipe + fork: fd inheritance and pipe semantics under chaos
-		return Op{Kind: OpPipeFork, Size: 64 + r.intn(1500), Seed: r.next()}
+		return shadow.Op{Kind: shadow.OpPipeFork, Size: 64 + r.intn(1500), Seed: r.next()}
 	}
 }
 
@@ -371,23 +329,7 @@ func (p *Plan) Encode() []byte {
 	for round := range p.Ops {
 		for proc := range p.Ops[round] {
 			for _, op := range p.Ops[round][proc] {
-				fmt.Fprintf(&sb, "r%d p%d %s path=%s", round, proc, op.Kind, op.Path)
-				if op.Path2 != "" {
-					fmt.Fprintf(&sb, " to=%s", op.Path2)
-				}
-				if op.Size != 0 {
-					fmt.Fprintf(&sb, " size=%d", op.Size)
-				}
-				if op.Off != 0 {
-					fmt.Fprintf(&sb, " off=%d", op.Off)
-				}
-				if op.Seed != 0 {
-					fmt.Fprintf(&sb, " seed=%d", op.Seed)
-				}
-				if op.Sync {
-					sb.WriteString(" sync")
-				}
-				sb.WriteByte('\n')
+				fmt.Fprintf(&sb, "r%d p%d %s\n", round, proc, op)
 			}
 		}
 	}

@@ -32,13 +32,3 @@ func (r *rng) intn(n int) int {
 
 // pct reports true p percent of the time.
 func (r *rng) pct(p int) bool { return r.intn(100) < p }
-
-// pattern fills a deterministic byte pattern of the given length.
-func pattern(n int, seed uint64) []byte {
-	r := newRng(seed, 0xDA7A)
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(r.next())
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/client"
@@ -109,7 +108,11 @@ func RunPlan(plan *Plan) (*Report, error) {
 		DupOK:        dupOK,
 	})
 
-	model := shadow.NewModel("/chaos")
+	roots := []string{"/chaos"}
+	for proc := 0; proc < cfg.Procs; proc++ {
+		roots = append(roots, fmt.Sprintf("/chaos/p%02d", proc))
+	}
+	model := shadow.NewModel(roots...)
 	model.DirectAccess = cfg.Techniques.DirectAccess
 
 	rep := &Report{}
@@ -120,13 +123,11 @@ func RunPlan(plan *Plan) (*Report, error) {
 			runErr = fmt.Errorf("mkdir /chaos: %w", err)
 			return 1
 		}
-		for proc := 0; proc < cfg.Procs; proc++ {
-			dir := fmt.Sprintf("/chaos/p%02d", proc)
+		for _, dir := range roots[1:] {
 			if err := p.FS.Mkdir(dir, fsapi.MkdirOpt{Distributed: true}); err != nil {
 				runErr = fmt.Errorf("mkdir %s: %w", dir, err)
 				return 1
 			}
-			model.Mkdir(dir)
 		}
 		for round := 0; round < cfg.Rounds; round++ {
 			if err := runRound(sys, plan, model, p, round, rep); err != nil {
@@ -173,9 +174,6 @@ func snapshotNamespace(fs fsapi.Client, dir string, out map[string]string) error
 	}
 	for _, ent := range ents {
 		path := dir + "/" + ent.Name
-		if dir == "/" {
-			path = "/" + ent.Name
-		}
 		if ent.Type == fsapi.TypeDir {
 			out[path] = "dir"
 			if err := snapshotNamespace(fs, path, out); err != nil {
@@ -183,29 +181,11 @@ func snapshotNamespace(fs fsapi.Client, dir string, out map[string]string) error
 			}
 			continue
 		}
-		st, err := fs.Stat(path)
-		if err != nil {
-			return fmt.Errorf("stat %s: %w", path, err)
+		r := shadow.Do(fs, shadow.Op{Kind: shadow.OpRead, Path: path})
+		if r.Err != fsapi.OK {
+			return fmt.Errorf("read %s: %w", path, r.Err)
 		}
-		fd, err := fs.Open(path, fsapi.ORdOnly, 0)
-		if err != nil {
-			return fmt.Errorf("open %s: %w", path, err)
-		}
-		buf := make([]byte, st.Size)
-		total := 0
-		for total < len(buf) {
-			n, err := fs.Read(fd, buf[total:])
-			if err != nil {
-				fs.Close(fd)
-				return fmt.Errorf("read %s: %w", path, err)
-			}
-			if n == 0 {
-				break
-			}
-			total += n
-		}
-		fs.Close(fd)
-		out[path] = fmt.Sprintf("file[%d]:%x", st.Size, buf[:total])
+		out[path] = fmt.Sprintf("file[%d]:%x", len(r.Data), r.Data)
 	}
 	return nil
 }
@@ -230,7 +210,7 @@ func runRound(sys *core.System, plan *Plan, model *shadow.Model, p *sched.Proc, 
 			h, err := p.Spawn([]string{fmt.Sprintf("chaos-w%02d", idx)}, func(wp *sched.Proc) int {
 				for _, op := range ops {
 					if err := applyOp(wp, model, op); err != nil {
-						errs[idx] = fmt.Errorf("round %d proc %d op %s %s: %w", round, idx, op.Kind, op.Path, err)
+						errs[idx] = fmt.Errorf("round %d proc %d: %w", round, idx, err)
 						return 1
 					}
 					done[idx]++
@@ -458,190 +438,43 @@ func fireMigrateCrash(sys *core.System, cli *client.Client, ev Event) error {
 	return nil
 }
 
-// applyOp executes one generated operation against the live file system and
-// the shadow model, checking read results on the spot.
-func applyOp(p *sched.Proc, model *shadow.Model, op Op) error {
-	fs := p.FS
-	switch op.Kind {
-	case OpMkdir:
-		if err := fs.Mkdir(op.Path, fsapi.MkdirOpt{}); err != nil {
-			return err
-		}
-		model.Mkdir(op.Path)
-
-	case OpCreate:
-		data := pattern(op.Size, op.Seed)
-		fd, err := fs.Open(op.Path, fsapi.OCreate|fsapi.OWrOnly|fsapi.OTrunc, fsapi.Mode644)
+// applyOp runs one generated operation on the live file system and checks
+// its answer against the one the shadow model gives. A created file's home
+// server comes from a stat, for the durability bookkeeping.
+func applyOp(p *sched.Proc, model *shadow.Model, op shadow.Op) error {
+	var got shadow.Result
+	if op.Kind == shadow.OpPipeFork {
+		data, err := pipeForkExchange(p, op)
 		if err != nil {
 			return err
 		}
-		if _, err := fs.Write(fd, data); err != nil {
-			fs.Close(fd)
-			return err
-		}
-		if op.Sync {
-			if err := fs.Fsync(fd); err != nil {
-				fs.Close(fd)
-				return err
-			}
-		}
-		if err := fs.Close(fd); err != nil {
-			return err
-		}
-		st, err := fs.Stat(op.Path)
+		got.Data = data
+	} else {
+		got = shadow.Do(p.FS, op)
+	}
+	if err := shadow.Check(op, got, model.Step(op)); err != nil {
+		return err
+	}
+	if op.Kind == shadow.OpCreate {
+		st, err := p.FS.Stat(op.Path)
 		if err != nil {
 			return fmt.Errorf("stat after create: %w", err)
 		}
-		model.SetFile(op.Path, data, st.Server)
-
-	case OpAppend:
-		data := pattern(op.Size, op.Seed)
-		fd, err := fs.Open(op.Path, fsapi.OWrOnly|fsapi.OAppend, 0)
-		if err != nil {
-			return err
-		}
-		prev, _ := model.Size(op.Path)
-		if _, err := fs.Write(fd, data); err != nil {
-			fs.Close(fd)
-			return err
-		}
-		if op.Sync {
-			if err := fs.Fsync(fd); err != nil {
-				fs.Close(fd)
-				return err
-			}
-		}
-		if err := fs.Close(fd); err != nil {
-			return err
-		}
-		model.WriteAt(op.Path, prev, data)
-
-	case OpOverwrite:
-		data := pattern(op.Size, op.Seed)
-		fd, err := fs.Open(op.Path, fsapi.OWrOnly, 0)
-		if err != nil {
-			return err
-		}
-		if _, err := fs.Pwrite(fd, data, op.Off); err != nil {
-			fs.Close(fd)
-			return err
-		}
-		if op.Sync {
-			if err := fs.Fsync(fd); err != nil {
-				fs.Close(fd)
-				return err
-			}
-		}
-		if err := fs.Close(fd); err != nil {
-			return err
-		}
-		model.WriteAt(op.Path, op.Off, data)
-
-	case OpTruncate:
-		fd, err := fs.Open(op.Path, fsapi.OWrOnly, 0)
-		if err != nil {
-			return err
-		}
-		if err := fs.Ftruncate(fd, int64(op.Size)); err != nil {
-			fs.Close(fd)
-			return err
-		}
-		if err := fs.Close(fd); err != nil {
-			return err
-		}
-		model.Truncate(op.Path, int64(op.Size))
-
-	case OpRead:
-		want, ok := model.Content(op.Path)
-		if !ok {
-			return fmt.Errorf("shadow lost track of %s", op.Path)
-		}
-		got, err := shadow.ReadAll(fs, op.Path, int64(len(want)))
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("read returned %d bytes diverging from shadow (%d expected)", len(got), len(want))
-		}
-
-	case OpStatCheck:
-		want, ok := model.Size(op.Path)
-		if !ok {
-			return fmt.Errorf("shadow lost track of %s", op.Path)
-		}
-		st, err := fs.Stat(op.Path)
-		if err != nil {
-			return err
-		}
-		if st.Size != want {
-			return fmt.Errorf("stat size %d, shadow says %d", st.Size, want)
-		}
-
-	case OpReadDir:
-		ents, err := fs.ReadDir(op.Path)
-		if err != nil {
-			return err
-		}
-		want := model.Children(op.Path)
-		if len(ents) != len(want) {
-			return fmt.Errorf("readdir found %d entries, shadow says %d", len(ents), len(want))
-		}
-		seen := make(map[string]bool, len(ents))
-		for _, e := range ents {
-			seen[e.Name] = true
-		}
-		for _, name := range want {
-			if !seen[name] {
-				return fmt.Errorf("readdir is missing %q", name)
-			}
-		}
-
-	case OpRename:
-		if err := fs.Rename(op.Path, op.Path2); err != nil {
-			return err
-		}
-		model.Rename(op.Path, op.Path2)
-
-	case OpUnlink:
-		if err := fs.Unlink(op.Path); err != nil {
-			return err
-		}
-		model.Unlink(op.Path)
-
-	case OpRmdirCycle:
-		if err := fs.Mkdir(op.Path, fsapi.MkdirOpt{}); err != nil {
-			return err
-		}
-		if err := fs.Rmdir(op.Path); err != nil {
-			return err
-		}
-		// The name must be reusable (the tombstone must not shadow it).
-		if err := fs.Mkdir(op.Path, fsapi.MkdirOpt{}); err != nil {
-			return fmt.Errorf("recreate after rmdir: %w", err)
-		}
-		if err := fs.Rmdir(op.Path); err != nil {
-			return fmt.Errorf("re-rmdir: %w", err)
-		}
-
-	case OpPipeFork:
-		return pipeForkExchange(p, op)
-
-	default:
-		return fmt.Errorf("unknown op kind %d", op.Kind)
+		model.NoteHome(op.Path, st.Server)
 	}
 	return nil
 }
 
 // pipeForkExchange creates a pipe, forks a child that inherits both ends and
-// writes a pattern into it, and reads the pattern back in the parent: pipe
+// writes the op's data into it, and returns what the parent reads back: pipe
 // semantics and descriptor inheritance across fork, under message faults.
-func pipeForkExchange(p *sched.Proc, op Op) error {
+func pipeForkExchange(p *sched.Proc, op shadow.Op) ([]byte, error) {
 	fs := p.FS
 	rd, wr, err := fs.Pipe()
 	if err != nil {
-		return fmt.Errorf("pipe: %w", err)
+		return nil, fmt.Errorf("pipe: %w", err)
 	}
-	data := pattern(op.Size, op.Seed)
+	data := op.Data()
 	child, err := p.Spawn([]string{"chaos-pipe-child"}, func(cp *sched.Proc) int {
 		// The child sees the same descriptor numbers (fork semantics).
 		if err := cp.FS.Close(rd); err != nil {
@@ -658,11 +491,11 @@ func pipeForkExchange(p *sched.Proc, op Op) error {
 	if err != nil {
 		fs.Close(rd)
 		fs.Close(wr)
-		return fmt.Errorf("fork: %w", err)
+		return nil, fmt.Errorf("fork: %w", err)
 	}
 	// Parent drops its write end so EOF arrives once the child closes.
 	if err := fs.Close(wr); err != nil {
-		return fmt.Errorf("close parent write end: %w", err)
+		return nil, fmt.Errorf("close parent write end: %w", err)
 	}
 	var got []byte
 	buf := make([]byte, 256)
@@ -670,7 +503,7 @@ func pipeForkExchange(p *sched.Proc, op Op) error {
 		n, err := fs.Read(rd, buf)
 		if err != nil {
 			fs.Close(rd)
-			return fmt.Errorf("pipe read: %w", err)
+			return nil, fmt.Errorf("pipe read: %w", err)
 		}
 		if n == 0 {
 			break
@@ -678,13 +511,10 @@ func pipeForkExchange(p *sched.Proc, op Op) error {
 		got = append(got, buf[:n]...)
 	}
 	if err := fs.Close(rd); err != nil {
-		return fmt.Errorf("close read end: %w", err)
+		return nil, fmt.Errorf("close read end: %w", err)
 	}
 	if status := p.Wait(child); status != 0 {
-		return fmt.Errorf("pipe child exited %d", status)
+		return nil, fmt.Errorf("pipe child exited %d", status)
 	}
-	if !bytes.Equal(got, data) {
-		return fmt.Errorf("pipe carried %d bytes, want %d (content diverged)", len(got), len(data))
-	}
-	return nil
+	return got, nil
 }

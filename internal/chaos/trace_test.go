@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -47,7 +48,7 @@ func pickSerialSeed(t *testing.T) uint64 {
 		for _, round := range plan.Ops {
 			for _, ops := range round {
 				for _, op := range ops {
-					if op.Kind == OpPipeFork {
+					if op.Kind == shadow.OpPipeFork {
 						ok = false
 					}
 				}
@@ -98,13 +99,13 @@ func TestTraceOffByDefault(t *testing.T) {
 	}
 }
 
-// TestFailingRunDumpsLoadableTrace forces a failure (a planned read of a
-// file that was never created) and checks the matrix reporter writes a
+// TestFailingRunDumpsLoadableTrace forces a failure (a scheduled event of a
+// kind the harness does not know) and checks the matrix reporter writes a
 // loadable trace dump next to the repro tuple.
 func TestFailingRunDumpsLoadableTrace(t *testing.T) {
 	cfg := serialTraceConfig(pickSerialSeed(t)).normalized()
 	plan := NewPlan(cfg)
-	plan.Ops[cfg.Rounds-1][0] = []Op{{Kind: OpRead, Path: "/chaos/p00/never-created"}}
+	plan.Events = append(plan.Events, Event{Round: cfg.Rounds - 1, Kind: EventKind(255), Server: -1})
 	rep, err := RunPlan(plan)
 	if err == nil {
 		t.Fatal("poisoned plan should fail")

@@ -100,7 +100,8 @@ func (c *Client) Unlink(path string) (err error) {
 
 // Rename atomically renames oldPath to newPath: it first creates (or
 // replaces) the entry under the new name, then removes the old name
-// (§3.3). A replaced target loses one link.
+// (§3.3). Only a file replaces a file, and a replaced target loses one link;
+// ADD_MAP refuses every other existing target (DESIGN.md §10).
 //
 // The plain path is two RPCs, ADD_MAP then RM_MAP, and it is the only path
 // when the two entries live on different servers. Entries that the current
@@ -126,6 +127,11 @@ func (c *Client) Rename(oldPath, newPath string) (err error) {
 	}
 	if oldAbs == newAbs {
 		return nil
+	}
+	// A directory cannot move under itself. The prefix is compared in place:
+	// a rename on the delivery path must not allocate.
+	if ent.ftype == fsapi.TypeDir && len(newAbs) > len(oldAbs) && newAbs[len(oldAbs)] == '/' && newAbs[:len(oldAbs)] == oldAbs {
+		return fsapi.EINVAL
 	}
 	newParent, newDist, newName, err := c.resolveParent(newAbs)
 	if err != nil {

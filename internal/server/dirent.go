@@ -145,6 +145,19 @@ func (s *Server) handleAddMap(req *proto.Request) *proto.Response {
 			Dist:   old.dist,
 		})
 	}
+	if exists {
+		// Rename replaces only a file with a file. A directory is refused
+		// even when empty: emptiness is spread over every shard of a
+		// distributed directory, and rename has no cross-shard check.
+		switch {
+		case old.ftype == fsapi.TypeDir && req.Ftype != fsapi.TypeDir:
+			return s.errResp(fsapi.EISDIR)
+		case old.ftype != fsapi.TypeDir && req.Ftype == fsapi.TypeDir:
+			return s.errResp(fsapi.ENOTDIR)
+		case old.ftype == fsapi.TypeDir:
+			return s.errResp(fsapi.EEXIST)
+		}
+	}
 	ent := dirEnt{target: req.Target, ftype: req.Ftype, dist: req.Distributed}
 	name := req.Name // a replaced entry keeps the key it is stored under
 	if exists {

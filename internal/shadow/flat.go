@@ -56,9 +56,6 @@ func (f *File) WriteAt(off int64, p []byte) {
 	copy(f.data[off:], p)
 }
 
-// Append writes p at the current end of the file.
-func (f *File) Append(p []byte) { f.WriteAt(f.Size(), p) }
-
 // Truncate sets the file's size, zero-filling when growing.
 func (f *File) Truncate(size int64) {
 	if size < 0 {
@@ -72,14 +69,3 @@ func (f *File) Truncate(size int64) {
 	copy(grown, f.data)
 	f.data = grown
 }
-
-// ReadAt fills p from off and returns how many bytes were available.
-func (f *File) ReadAt(off int64, p []byte) int {
-	if off >= int64(len(f.data)) {
-		return 0
-	}
-	return copy(p, f.data[off:])
-}
-
-// Clone returns an independent copy of the file.
-func (f *File) Clone() *File { return NewFile(f.data) }

@@ -1,7 +1,6 @@
 package shadow
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,14 +12,16 @@ import (
 // Model is the namespace-and-contents shadow: every directory and regular
 // file a test has created, with flat byte contents, plus the per-file
 // bookkeeping needed to apply the durability contract after memory-losing
-// crashes (DESIGN.md §10).
+// crashes (DESIGN.md §10). Step is its one way in: it applies an Op and says
+// what the file system must answer.
 //
-// Model is safe for concurrent use; the chaos harness mutates disjoint
+// Model is safe for concurrent use; the chaos harness steps disjoint
 // per-process subtrees from several worker goroutines at once.
 type Model struct {
 	mu    sync.Mutex
 	dirs  map[string]bool
 	files map[string]*fileState
+	roots []string
 
 	// DirectAccess mirrors the deployment's Techniques.DirectAccess. When
 	// set, file contents travel from clients straight into the shared
@@ -47,168 +48,242 @@ type fileState struct {
 
 // NewModel returns a shadow holding only the given pre-existing directories
 // (the workload's root, e.g. "/crash"). Paths must be absolute and clean.
+// The namespace above the roots is taken to hold nothing but the paths down
+// to them.
 func NewModel(roots ...string) *Model {
-	m := &Model{dirs: make(map[string]bool), files: make(map[string]*fileState)}
+	m := &Model{dirs: make(map[string]bool), files: make(map[string]*fileState), roots: roots}
 	for _, r := range roots {
 		m.dirs[r] = true
 	}
 	return m
 }
 
-// Mkdir records a directory.
-func (m *Model) Mkdir(path string) {
+// Step applies op to the model and returns what the file system must answer
+// it: the errno POSIX gives, plus the count written, the bytes read, the
+// size or the sorted listing. Rename keeps Hare's one deviation: a directory
+// onto a directory answers EEXIST even when the target is empty.
+func (m *Model) Step(op Op) Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.step(op)
+}
+
+// step is Step with m.mu held.
+func (m *Model) step(op Op) Result {
+	n, e := m.lookup(op.Path)
+	if e != fsapi.OK {
+		return Result{Err: e}
+	}
+	switch op.Kind {
+	case OpMkdir:
+		return Result{Err: m.mkdir(op.Path)}
+	case OpRmdir:
+		return Result{Err: m.rmdir(op.Path)}
+	case OpRmdirCycle:
+		for i := 0; i < 2; i++ {
+			if e := m.mkdir(op.Path); e != fsapi.OK {
+				return Result{Err: e}
+			}
+			m.rmdir(op.Path)
+		}
+		return Result{}
+	case OpRename:
+		return Result{Err: m.rename(op.Path, op.Path2, n)}
+	case OpPipeFork:
+		return Result{Data: op.Data()}
+	case OpStatCheck:
+		if n == isDir {
+			return Result{Size: -1}
+		}
+	case OpReadDir:
+		if n == isDir {
+			return Result{Names: sortedKeys(m.children(op.Path))}
+		}
+		if n == isFile {
+			return Result{Err: fsapi.ENOTDIR}
+		}
+	}
+	// Every other op opens, stats or unlinks a regular file.
+	st := m.files[op.Path]
+	switch {
+	case n == isDir:
+		return Result{Err: fsapi.EISDIR}
+	case n == isNone && op.Kind != OpCreate:
+		return Result{Err: fsapi.ENOENT}
+	case n == isNone:
+		st = &fileState{server: -1}
+		m.files[op.Path] = st
+	}
+	switch op.Kind {
+	case OpCreate:
+		st.content, st.suspect = NewFile(nil), false
+		return m.write(st, 0, op)
+	case OpAppend:
+		return m.write(st, st.content.Size(), op)
+	case OpOverwrite:
+		return m.write(st, op.Off, op)
+	case OpTruncate:
+		st.content.Truncate(int64(op.Size))
+		st.dirtySinceCkpt = st.dirtySinceCkpt || m.DirectAccess
+		return Result{}
+	case OpRead:
+		return Result{Data: append([]byte{}, st.content.Bytes()...)}
+	case OpStatCheck:
+		return Result{Size: st.content.Size()}
+	case OpUnlink:
+		delete(m.files, op.Path)
+		return Result{}
+	}
+	return Result{Err: fsapi.ENOSYS}
+}
+
+// write writes op's data into st at off.
+func (m *Model) write(st *fileState, off int64, op Op) Result {
+	data := op.Data()
+	st.content.WriteAt(off, data)
+	st.dirtySinceCkpt = st.dirtySinceCkpt || m.DirectAccess
+	return Result{N: len(data)}
+}
+
+// node is what the model holds at a path.
+type node uint8
+
+const (
+	isNone node = iota
+	isDir
+	isFile
+)
+
+// lookup says what path names, or answers the walk to it: ENOENT when an
+// ancestor is missing, ENOTDIR when one is a file.
+func (m *Model) lookup(path string) (node, fsapi.Errno) {
+	for i := 1; i < len(path); i++ {
+		if path[i] != '/' {
+			continue
+		}
+		switch m.at(path[:i]) {
+		case isNone:
+			return isNone, fsapi.ENOENT
+		case isFile:
+			return isNone, fsapi.ENOTDIR
+		}
+	}
+	return m.at(path), fsapi.OK
+}
+
+// at says what path names. A path above a root ("/" included) is a
+// directory.
+func (m *Model) at(path string) node {
+	if m.dirs[path] {
+		return isDir
+	}
+	if _, ok := m.files[path]; ok {
+		return isFile
+	}
+	for _, r := range m.roots {
+		if path == "/" || under(r, path) {
+			return isDir
+		}
+	}
+	return isNone
+}
+
+// under reports whether path lies strictly below dir.
+func under(path, dir string) bool {
+	return len(path) > len(dir) && path[len(dir)] == '/' && path[:len(dir)] == dir
+}
+
+func (m *Model) mkdir(path string) fsapi.Errno {
+	switch n, e := m.lookup(path); {
+	case e != fsapi.OK:
+		return e
+	case n != isNone:
+		return fsapi.EEXIST
+	}
 	m.dirs[path] = true
+	return fsapi.OK
 }
 
-// Rmdir removes a directory.
-func (m *Model) Rmdir(path string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Model) rmdir(path string) fsapi.Errno {
+	switch n, e := m.lookup(path); {
+	case e != fsapi.OK:
+		return e
+	case n == isNone:
+		return fsapi.ENOENT
+	case n == isFile:
+		return fsapi.ENOTDIR
+	case len(m.children(path)) > 0:
+		return fsapi.ENOTEMPTY
+	}
 	delete(m.dirs, path)
+	return fsapi.OK
 }
 
-// HasDir reports whether the shadow holds the directory.
-func (m *Model) HasDir(path string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dirs[path]
+// rename moves a file, or a directory with everything under it. Only a file
+// replaces a file: a directory target is refused even when empty, since
+// Hare's rename has no cross-shard emptiness check.
+func (m *Model) rename(from, to string, src node) fsapi.Errno {
+	switch {
+	case src == isNone:
+		return fsapi.ENOENT
+	case from == to:
+		return fsapi.OK
+	case src == isDir && under(to, from):
+		return fsapi.EINVAL
+	}
+	switch dst, e := m.lookup(to); {
+	case e != fsapi.OK:
+		return e
+	case dst == isDir && src == isFile:
+		return fsapi.EISDIR
+	case dst == isFile && src == isDir:
+		return fsapi.ENOTDIR
+	case dst == isDir:
+		return fsapi.EEXIST
+	}
+	// A moved name never lands under from (to is not below it), so the
+	// loops do not meet the names they add.
+	for d := range m.dirs {
+		if d == from || under(d, from) {
+			delete(m.dirs, d)
+			m.dirs[to+d[len(from):]] = true
+		}
+	}
+	for f, st := range m.files {
+		if f == from || under(f, from) {
+			delete(m.files, f)
+			m.files[to+f[len(from):]] = st
+		}
+	}
+	return fsapi.OK
 }
 
-// SetFile creates (or rewrites) a whole file, recording the server storing
-// its inode (pass -1 when unknown; only memory-losing crash tolerance needs
-// it).
-func (m *Model) SetFile(path string, data []byte, server int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.files[path]
-	if st == nil {
-		st = &fileState{server: server}
-		m.files[path] = st
-	} else if server >= 0 {
-		st.server = server
+// children returns the expected entry names directly under dir.
+func (m *Model) children(dir string) map[string]bool {
+	out := make(map[string]bool)
+	collect := func(path string) {
+		if under(path, dir) && !strings.Contains(path[len(dir)+1:], "/") {
+			out[path[len(dir)+1:]] = true
+		}
 	}
-	st.content = NewFile(data)
-	st.suspect = false
-	if m.DirectAccess {
-		st.dirtySinceCkpt = true
+	for d := range m.dirs {
+		collect(d)
 	}
+	for f := range m.files {
+		collect(f)
+	}
+	return out
 }
 
-// WriteAt writes into an existing shadow file.
-func (m *Model) WriteAt(path string, off int64, p []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.files[path]
-	if st == nil {
-		st = &fileState{server: -1, content: NewFile(nil)}
-		m.files[path] = st
-	}
-	st.content.WriteAt(off, p)
-	if m.DirectAccess {
-		st.dirtySinceCkpt = true
-	}
-}
-
-// Truncate resizes a shadow file.
-func (m *Model) Truncate(path string, size int64) {
+// NoteHome records the file server storing path's inode, which a
+// memory-losing crash of that server puts at risk (CrashLostMemory). A file
+// whose home is never noted is at risk in every such crash.
+func (m *Model) NoteHome(path string, server int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if st := m.files[path]; st != nil {
-		st.content.Truncate(size)
-		if m.DirectAccess {
-			st.dirtySinceCkpt = true
-		}
+		st.server = server
 	}
-}
-
-// Rename moves a file (contents and bookkeeping follow the new name).
-func (m *Model) Rename(oldPath, newPath string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if st, ok := m.files[oldPath]; ok {
-		delete(m.files, oldPath)
-		m.files[newPath] = st
-	}
-}
-
-// Unlink removes a file.
-func (m *Model) Unlink(path string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.files, path)
-}
-
-// HasFile reports whether the shadow holds the file.
-func (m *Model) HasFile(path string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.files[path]
-	return ok
-}
-
-// Content returns a copy of the shadow file's contents and whether the file
-// exists.
-func (m *Model) Content(path string) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.files[path]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), st.content.Bytes()...), true
-}
-
-// Size returns the shadow file's size and whether the file exists.
-func (m *Model) Size(path string) (int64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.files[path]
-	if !ok {
-		return 0, false
-	}
-	return st.content.Size(), true
-}
-
-// Suspect reports whether the file's contents are currently unverifiable
-// (legally lost by a memory-losing crash, awaiting Reconcile).
-func (m *Model) Suspect(path string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.files[path]
-	return ok && st.suspect
-}
-
-// Files returns the shadow's file paths, sorted.
-func (m *Model) Files() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.files))
-	for f := range m.files {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Dirs returns the shadow's directory paths, sorted.
-func (m *Model) Dirs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.dirs))
-	for d := range m.dirs {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Children returns the expected entry names directly under dir, sorted.
-func (m *Model) Children(dir string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sortedKeys(m.children(dir))
 }
 
 // NoteCheckpoint records that server's state (including its buffer-cache
@@ -235,10 +310,7 @@ func (m *Model) CrashLostMemory(server int) []string {
 	defer m.mu.Unlock()
 	var out []string
 	for path, st := range m.files {
-		if !st.dirtySinceCkpt {
-			continue
-		}
-		if st.server == server || st.server < 0 {
+		if st.dirtySinceCkpt && (st.server == server || st.server < 0) {
 			st.suspect = true
 			out = append(out, path)
 		}
@@ -247,117 +319,28 @@ func (m *Model) CrashLostMemory(server int) []string {
 	return out
 }
 
-// children returns the expected entry names directly under dir.
-func (m *Model) children(dir string) map[string]bool {
-	out := make(map[string]bool)
-	collect := func(path string) {
-		if !strings.HasPrefix(path, dir+"/") {
-			return
-		}
-		rest := strings.TrimPrefix(path, dir+"/")
-		if !strings.Contains(rest, "/") {
-			out[rest] = true
-		}
-	}
-	for d := range m.dirs {
-		collect(d)
-	}
-	for f := range m.files {
-		collect(f)
-	}
-	return out
-}
-
-// Verify walks every shadow directory and file and compares the live file
-// system against the reference: directory entry sets must match exactly,
-// file sizes must match exactly, and file contents must be byte-identical —
-// except for suspect files, whose contents are skipped until Reconcile.
+// Verify compares the live file system with the model, op by op: every
+// directory's listing, every file's size, and every file's contents except
+// a suspect file's, which are skipped until Reconcile.
 func (m *Model) Verify(fs fsapi.Client) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	dirs := make([]string, 0, len(m.dirs))
-	for d := range m.dirs {
-		dirs = append(dirs, d)
+	var ops []Op
+	for _, dir := range sortedKeys(m.dirs) {
+		ops = append(ops, Op{Kind: OpReadDir, Path: dir})
 	}
-	sort.Strings(dirs)
-	for _, dir := range dirs {
-		ents, err := fs.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("readdir %s: %w", dir, err)
-		}
-		want := m.children(dir)
-		if len(ents) != len(want) {
-			got := make([]string, 0, len(ents))
-			for _, ent := range ents {
-				got = append(got, ent.Name)
-			}
-			sort.Strings(got)
-			return fmt.Errorf("%s has %d entries %v, want %d %v", dir, len(ents), got, len(want), sortedKeys(want))
-		}
-		for _, ent := range ents {
-			if !want[ent.Name] {
-				return fmt.Errorf("%s holds unexpected entry %q", dir, ent.Name)
-			}
+	for _, path := range sortedKeys(m.files) {
+		ops = append(ops, Op{Kind: OpStatCheck, Path: path})
+		if !m.files[path].suspect {
+			ops = append(ops, Op{Kind: OpRead, Path: path})
 		}
 	}
-	files := make([]string, 0, len(m.files))
-	for f := range m.files {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, path := range files {
-		st := m.files[path]
-		if err := m.verifyFile(fs, path, st); err != nil {
+	for _, op := range ops {
+		if err := Check(op, Do(fs, op), m.step(op)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// verifyFile checks one file's size and (unless suspect) contents. Caller
-// holds m.mu.
-func (m *Model) verifyFile(fs fsapi.Client, path string, st *fileState) error {
-	want := st.content.Bytes()
-	info, err := fs.Stat(path)
-	if err != nil {
-		return fmt.Errorf("stat %s: %w", path, err)
-	}
-	if info.Size != int64(len(want)) {
-		return fmt.Errorf("%s is %d bytes, want %d", path, info.Size, len(want))
-	}
-	if st.suspect {
-		return nil
-	}
-	got, err := ReadAll(fs, path, info.Size)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("%s content diverged: %s", path, diffDetail(got, want))
-	}
-	return nil
-}
-
-// diffDetail pinpoints the first diverging byte for conformance reports.
-func diffDetail(got, want []byte) string {
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	at := n
-	for i := 0; i < n; i++ {
-		if got[i] != want[i] {
-			at = i
-			break
-		}
-	}
-	if at == n && len(got) == len(want) {
-		return "lengths equal, no byte diff (impossible)"
-	}
-	if at == n {
-		return fmt.Sprintf("lengths differ: got %d bytes, want %d", len(got), len(want))
-	}
-	return fmt.Sprintf("first diff at byte %d of %d: got %#02x, want %#02x", at, len(want), got[at], want[at])
 }
 
 // Reconcile re-reads every suspect file from the live file system and adopts
@@ -368,60 +351,25 @@ func diffDetail(got, want []byte) string {
 func (m *Model) Reconcile(fs fsapi.Client) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	paths := make([]string, 0, len(m.files))
-	for path, st := range m.files {
-		if st.suspect {
-			paths = append(paths, path)
-		}
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	for _, path := range sortedKeys(m.files) {
 		st := m.files[path]
-		info, err := fs.Stat(path)
-		if err != nil {
-			return fmt.Errorf("reconcile stat %s: %w", path, err)
+		if !st.suspect {
+			continue
 		}
-		if info.Size != st.content.Size() {
-			return fmt.Errorf("reconcile %s: size %d survived crash as %d (sizes are WAL-logged and must not change)", path, st.content.Size(), info.Size)
+		stat := Op{Kind: OpStatCheck, Path: path}
+		if err := Check(stat, Do(fs, stat), m.step(stat)); err != nil {
+			return fmt.Errorf("reconcile: %w", err)
 		}
-		got, err := ReadAll(fs, path, info.Size)
-		if err != nil {
-			return fmt.Errorf("reconcile %s: %w", path, err)
+		got := Do(fs, Op{Kind: OpRead, Path: path})
+		if got.Err != fsapi.OK {
+			return fmt.Errorf("reconcile: read %s: %w", path, got.Err)
 		}
-		st.content = NewFile(got)
-		st.suspect = false
-		st.dirtySinceCkpt = false
+		st.content, st.suspect, st.dirtySinceCkpt = NewFile(got.Data), false, false
 	}
 	return nil
 }
 
-// ReadAll reads a file through the POSIX surface, looping on partial reads
-// (a read may legally return fewer bytes than asked, e.g. one block at a
-// time). It asks for one byte more than size so a file that grew past the
-// expected length shows up as extra bytes rather than a silent match; the
-// chaos harness shares it for its in-trace read checks.
-func ReadAll(fs fsapi.Client, path string, size int64) ([]byte, error) {
-	fd, err := fs.Open(path, fsapi.ORdOnly, 0)
-	if err != nil {
-		return nil, fmt.Errorf("open %s: %w", path, err)
-	}
-	defer fs.Close(fd)
-	buf := make([]byte, size+1)
-	total := 0
-	for total < len(buf) {
-		n, err := fs.Read(fd, buf[total:])
-		if err != nil {
-			return nil, fmt.Errorf("read %s: %w", path, err)
-		}
-		if n == 0 {
-			break
-		}
-		total += n
-	}
-	return buf[:total], nil
-}
-
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -29,14 +29,11 @@ func TestFileFlatSemantics(t *testing.T) {
 	if !bytes.Equal(f.Bytes(), []byte("hell\x00\x00")) {
 		t.Fatalf("after grow: %q", f.Bytes())
 	}
-	buf := make([]byte, 10)
-	if n := f.ReadAt(2, buf); n != 4 || string(buf[:n]) != "ll\x00\x00" {
-		t.Fatalf("ReadAt = %d %q", n, buf[:n])
-	}
-	c := f.Clone()
-	c.WriteAt(0, []byte("X"))
-	if f.Bytes()[0] == 'X' {
-		t.Fatal("clone aliases the original")
+	data := []byte("new")
+	g := shadow.NewFile(data)
+	data[0] = 'X'
+	if g.Bytes()[0] == 'X' {
+		t.Fatal("NewFile aliases its argument")
 	}
 }
 
@@ -113,18 +110,25 @@ func mkFile(t *testing.T, fs fsapi.Client, path string, data []byte) {
 	}
 }
 
+// run applies ops to the live file system and the model, failing the test
+// at the first answer they disagree on.
+func run(t *testing.T, fs fsapi.Client, m *shadow.Model, ops ...shadow.Op) {
+	t.Helper()
+	for _, op := range ops {
+		if err := shadow.Check(op, shadow.Do(fs, op), m.Step(op)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestModelVerifyMatchesAndDiverges(t *testing.T) {
 	fs := liveFS(t)
 	m := shadow.NewModel("/d")
 	if err := fs.Mkdir("/d", fsapi.MkdirOpt{}); err != nil {
 		t.Fatal(err)
 	}
-	mkFile(t, fs, "/d/a", []byte("alpha"))
-	m.SetFile("/d/a", []byte("alpha"), -1)
-	if err := fs.Mkdir("/d/sub", fsapi.MkdirOpt{}); err != nil {
-		t.Fatal(err)
-	}
-	m.Mkdir("/d/sub")
+	create := shadow.Op{Kind: shadow.OpCreate, Path: "/d/a", Size: 5, Seed: 1}
+	run(t, fs, m, create, shadow.Op{Kind: shadow.OpMkdir, Path: "/d/sub"})
 	if err := m.Verify(fs); err != nil {
 		t.Fatalf("verify of matching tree: %v", err)
 	}
@@ -139,26 +143,21 @@ func TestModelVerifyMatchesAndDiverges(t *testing.T) {
 	}
 
 	// Content divergence at equal size must be flagged.
-	mkFile(t, fs, "/d/a", []byte("alphA"))
+	data := create.Data()
+	data[4] ^= 0xff
+	mkFile(t, fs, "/d/a", data)
 	if err := m.Verify(fs); err == nil {
 		t.Fatal("verify missed a content divergence")
 	}
 	// Size divergence must be flagged.
-	mkFile(t, fs, "/d/a", []byte("alphaalpha"))
+	mkFile(t, fs, "/d/a", append(create.Data(), create.Data()...))
 	if err := m.Verify(fs); err == nil {
 		t.Fatal("verify missed a size divergence")
 	}
-	mkFile(t, fs, "/d/a", []byte("alpha"))
+	mkFile(t, fs, "/d/a", create.Data())
 
 	// Namespace ops keep the two worlds in sync.
-	if err := fs.Rename("/d/a", "/d/b"); err != nil {
-		t.Fatal(err)
-	}
-	m.Rename("/d/a", "/d/b")
-	if err := fs.Rmdir("/d/sub"); err != nil {
-		t.Fatal(err)
-	}
-	m.Rmdir("/d/sub")
+	run(t, fs, m, shadow.Op{Kind: shadow.OpRename, Path: "/d/a", Path2: "/d/b"}, shadow.Op{Kind: shadow.OpRmdir, Path: "/d/sub"})
 	if err := m.Verify(fs); err != nil {
 		t.Fatalf("verify after rename+rmdir: %v", err)
 	}
@@ -171,8 +170,9 @@ func TestModelMemoryLossToleranceAndReconcile(t *testing.T) {
 	if err := fs.Mkdir("/d", fsapi.MkdirOpt{}); err != nil {
 		t.Fatal(err)
 	}
-	mkFile(t, fs, "/d/f", []byte("durable!"))
-	m.SetFile("/d/f", []byte("durable!"), 0)
+	create := shadow.Op{Kind: shadow.OpCreate, Path: "/d/f", Size: 8, Seed: 2}
+	run(t, fs, m, create)
+	m.NoteHome("/d/f", 0)
 
 	// Checkpoint makes the current contents durable; later writes are at
 	// risk again.
@@ -180,20 +180,16 @@ func TestModelMemoryLossToleranceAndReconcile(t *testing.T) {
 	if lost := m.CrashLostMemory(0); len(lost) != 0 {
 		t.Fatalf("checkpointed file reported at risk: %v", lost)
 	}
-	m.WriteAt("/d/f", 0, []byte("VOLATILE"))
-	mkFile(t, fs, "/d/f", []byte("VOLATILE"))
+	run(t, fs, m, shadow.Op{Kind: shadow.OpOverwrite, Path: "/d/f", Size: 8, Seed: 3})
 
 	lost := m.CrashLostMemory(0)
 	if len(lost) != 1 || lost[0] != "/d/f" {
 		t.Fatalf("at-risk set = %v, want [/d/f]", lost)
 	}
-	if !m.Suspect("/d/f") {
-		t.Fatal("file not marked suspect")
-	}
 
 	// The "recovered" live file lost the post-checkpoint bytes (same size,
 	// different contents): a suspect file's contents are tolerated...
-	mkFile(t, fs, "/d/f", []byte("durable!"))
+	mkFile(t, fs, "/d/f", create.Data())
 	if err := m.Verify(fs); err != nil {
 		t.Fatalf("verify should tolerate lost contents on a suspect file: %v", err)
 	}
@@ -205,25 +201,27 @@ func TestModelMemoryLossToleranceAndReconcile(t *testing.T) {
 	if err := m.Reconcile(fs); err == nil {
 		t.Fatal("reconcile accepted a size divergence")
 	}
-	mkFile(t, fs, "/d/f", []byte("durable!"))
+	mkFile(t, fs, "/d/f", create.Data())
 
-	// Reconcile adopts the recovered contents as the new reference.
+	// Reconcile adopts the recovered contents as the new reference, and the
+	// file's contents are checked again.
 	if err := m.Reconcile(fs); err != nil {
 		t.Fatal(err)
 	}
-	if m.Suspect("/d/f") {
-		t.Fatal("file still suspect after reconcile")
-	}
-	got, _ := m.Content("/d/f")
-	if string(got) != "durable!" {
-		t.Fatalf("reconcile adopted %q", got)
+	if got := m.Step(shadow.Op{Kind: shadow.OpRead, Path: "/d/f"}); !bytes.Equal(got.Data, create.Data()) {
+		t.Fatalf("reconcile adopted %q", got.Data)
 	}
 	if err := m.Verify(fs); err != nil {
 		t.Fatalf("verify after reconcile: %v", err)
 	}
+	mkFile(t, fs, "/d/f", []byte("VOLATILE"))
+	if err := m.Verify(fs); err == nil {
+		t.Fatal("verify skipped the contents of a reconciled file")
+	}
+	mkFile(t, fs, "/d/f", create.Data())
 
 	// A crash of a different server leaves the file alone.
-	m.WriteAt("/d/f", 0, []byte("X"))
+	m.Step(shadow.Op{Kind: shadow.OpOverwrite, Path: "/d/f", Size: 1, Seed: 4})
 	if lost := m.CrashLostMemory(3); len(lost) != 0 {
 		t.Fatalf("crash of another server marked %v", lost)
 	}

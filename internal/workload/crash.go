@@ -45,21 +45,23 @@ func (CrashRecovery) Setup(env *Env) error {
 	})
 }
 
-// writeShadowFile creates (or rewrites) a file in both worlds (the shared
-// shadow.Model is the crash-free reference state; DESIGN.md §10).
-func writeShadowFile(fs fsapi.Client, s *shadow.Model, path string, data []byte) error {
-	fd, err := fs.Open(path, fsapi.OCreate|fsapi.OWrOnly|fsapi.OTrunc, fsapi.Mode644)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
+// crashRound returns one round of mixed namespace and data operations:
+// creates of up to ~4.5 KiB (some files span blocks), a rename into the
+// shared parent (the two-server protocol), an unlink, and a directory made
+// and removed within the round, whose tombstone must survive recovery (a
+// recreated name must work, a stale lookup must not).
+func crashRound(round, per int) []shadow.Op {
+	dir := fmt.Sprintf("/crash/r%02d", round)
+	ops := []shadow.Op{{Kind: shadow.OpMkdir, Path: dir}}
+	for i := 0; i < per; i++ {
+		ops = append(ops, shadow.Op{Kind: shadow.OpCreate, Path: fmt.Sprintf("%s/f%02d", dir, i),
+			Size: 512 * (1 + (round+i)%9), Seed: uint64(round*100 + i + 1)})
 	}
-	if _, err := fs.Write(fd, data); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
+	ops = append(ops, shadow.Op{Kind: shadow.OpRename, Path: dir + "/f00", Path2: fmt.Sprintf("/crash/moved-r%02d", round)})
+	if per > 1 {
+		ops = append(ops, shadow.Op{Kind: shadow.OpUnlink, Path: dir + "/f01"})
 	}
-	if err := fs.Close(fd); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	s.SetFile(path, data, -1)
-	return nil
+	return append(ops, shadow.Op{Kind: shadow.OpMkdir, Path: dir + "/tmpdir"}, shadow.Op{Kind: shadow.OpRmdir, Path: dir + "/tmpdir"})
 }
 
 // Run implements Workload.
@@ -77,50 +79,15 @@ func (w CrashRecovery) Run(env *Env) (int, error) {
 	ops := 0
 	var runErr error
 
-	// mutate performs one round of mixed namespace and data operations.
+	// mutate runs one round on the live file system and checks every answer
+	// against the shadow model, the crash-free reference (DESIGN.md §10).
 	mutate := func(fs fsapi.Client, round int) error {
-		dir := fmt.Sprintf("/crash/r%02d", round)
-		if err := fs.Mkdir(dir, fsapi.MkdirOpt{}); err != nil {
-			return fmt.Errorf("mkdir %s: %w", dir, err)
-		}
-		sh.Mkdir(dir)
-		ops++
-		for i := 0; i < per; i++ {
-			data := make([]byte, 512*(1+(round+i)%9)) // up to ~4.5 KiB: some files span blocks
-			fillPattern(data, uint64(round*100+i+1))
-			if err := writeShadowFile(fs, sh, fmt.Sprintf("%s/f%02d", dir, i), data); err != nil {
+		for _, op := range crashRound(round, per) {
+			if err := shadow.Check(op, shadow.Do(fs, op), sh.Step(op)); err != nil {
 				return err
 			}
 			ops++
 		}
-		// Rename one file into the shared parent (two-server protocol).
-		from := fmt.Sprintf("%s/f00", dir)
-		to := fmt.Sprintf("/crash/moved-r%02d", round)
-		if err := fs.Rename(from, to); err != nil {
-			return fmt.Errorf("rename %s: %w", from, err)
-		}
-		sh.Rename(from, to)
-		ops++
-		// Unlink another.
-		victim := fmt.Sprintf("%s/f01", dir)
-		if per > 1 {
-			if err := fs.Unlink(victim); err != nil {
-				return fmt.Errorf("unlink %s: %w", victim, err)
-			}
-			sh.Unlink(victim)
-			ops++
-		}
-		// A directory that is created and removed within the round: its
-		// tombstone must survive recovery (a recreated name must work, a
-		// stale lookup must not).
-		tmp := fmt.Sprintf("%s/tmpdir", dir)
-		if err := fs.Mkdir(tmp, fsapi.MkdirOpt{}); err != nil {
-			return fmt.Errorf("mkdir %s: %w", tmp, err)
-		}
-		if err := fs.Rmdir(tmp); err != nil {
-			return fmt.Errorf("rmdir %s: %w", tmp, err)
-		}
-		ops += 2
 		return nil
 	}
 
